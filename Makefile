@@ -12,7 +12,7 @@ LOADLEVELS ?= 1,2,4,8
 LOADDURATION ?= 2s
 LOADAGREE ?= 0
 
-.PHONY: all build vet test race bench bench-json bench-netsim bench-track bench-gate report check daemon-smoke load-curve replica-smoke experiments experiments-quick fuzz fuzz-smoke clean
+.PHONY: all build vet test race bench bench-repo bench-json bench-netsim bench-track bench-gate report check daemon-smoke load-curve replica-smoke experiments experiments-quick fuzz fuzz-smoke clean
 
 all: build vet test
 
@@ -27,12 +27,19 @@ test:
 
 # ./internal/netsim includes the sharded event-loop suite, so the
 # parallel DES (mailbox exchange, window pump, cross-shard credits)
-# runs under the race detector here.
+# runs under the race detector here; ./internal/route and ./internal/hsd
+# hammer one shared path arena from many goroutines.
 race:
-	$(GO) test -race ./internal/hsd/ ./internal/netsim/ ./internal/exp/ ./internal/obs/... ./internal/fmgr/... ./internal/fclient/ ./internal/wire/
+	$(GO) test -race ./internal/route/ ./internal/hsd/ ./internal/netsim/ ./internal/exp/ ./internal/obs/... ./internal/fmgr/... ./internal/fclient/ ./internal/wire/
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) ./...
+
+# The repository benchmark (BENCHMARK.json, bench/README.md): every
+# workload, end-to-end metrics, correctness checks; non-zero exit when a
+# check fails. docs/PERFORMANCE.md is filled from its -trace 1 runs.
+bench-repo:
+	$(GO) run ./bench -workload all
 
 # Just the simulator's perf-sensitive benchmarks — the event core and
 # the paper-scale netsim reproductions — for quick iteration on the

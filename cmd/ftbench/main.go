@@ -32,7 +32,6 @@ func main() {
 		quick    = flag.Bool("quick", false, "reduced scale for a fast run")
 		csvOut   = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		jsonOut  = flag.Bool("json", false, "emit JSON (fattree-table/v1) instead of aligned text")
-		compiled = flag.Bool("compiled", true, "analyze via the compiled path cache (disable to force per-pair table walks)")
 		shards   = flag.Int("shards", 1, "event-loop shards for every simulation: 1 = sequential, N > 1 = parallel sub-tree partitions, -1 = one per CPU")
 		progress = flag.Duration("progress", 0, "print a live progress line to stderr at this wall-clock interval (0 = off)")
 		sinks    obs.FileSinks
@@ -46,7 +45,6 @@ func main() {
 		}
 		return
 	}
-	exp.UseCompiledPaths = *compiled
 	exp.EngineName = *engName
 	err := sinks.Open()
 	if err == nil && (sinks.Enabled() || *shards != 1 || *progress > 0) {

@@ -42,7 +42,6 @@ func main() {
 		dropSeed = flag.Int64("drop-seed", 1, "seed for the exclusion draw")
 		perStage = flag.Bool("stages", false, "print per-stage detail")
 		levels   = flag.Bool("levels", false, "print the per-tree-level breakdown of the worst stage")
-		compiled = flag.Bool("compiled", true, "analyze via the compiled path cache (disable to force per-pair table walks)")
 		jsonOut  = flag.Bool("json", false, "emit the full per-stage report as JSON (fattree-blame/v1) instead of text")
 		sinks    obs.FileSinks
 	)
@@ -60,7 +59,7 @@ func main() {
 		err = pf.Start()
 	}
 	if err == nil {
-		err = run(*spec, *engName, *cpsName, *ordering, *seeds, *drop, *dropSeed, *perStage, *levels, *compiled, *jsonOut, &sinks)
+		err = run(*spec, *engName, *cpsName, *ordering, *seeds, *drop, *dropSeed, *perStage, *levels, *jsonOut, &sinks)
 	}
 	if perr := pf.Stop(); err == nil {
 		err = perr
@@ -109,7 +108,7 @@ func emitObs(rep *hsd.Report, sinks *obs.FileSinks) {
 	}
 }
 
-func run(spec, engName, cpsName, ordering string, seeds, drop int, dropSeed int64, perStage, levels, compiled, jsonOut bool, sinks *obs.FileSinks) error {
+func run(spec, engName, cpsName, ordering string, seeds, drop int, dropSeed int64, perStage, levels, jsonOut bool, sinks *obs.FileSinks) error {
 	g, err := topo.ParseSpec(spec)
 	if err != nil {
 		return err
@@ -154,13 +153,8 @@ func run(spec, engName, cpsName, ordering string, seeds, drop int, dropSeed int6
 		}
 		// The compiled path cache makes multi-ordering sweeps and long
 		// sequences iterate packed arenas instead of re-walking the tables.
-		rt = lft
-		if compiled {
-			c, err := route.Compile(lft)
-			if err != nil {
-				return err
-			}
-			rt = c
+		if rt, err = route.Compile(lft); err != nil {
+			return err
 		}
 	}
 	jobSize := n

@@ -94,12 +94,7 @@ func (e *faultresEngine) Tables(fs *fabric.FaultSet) (*Tables, error) {
 
 	c, err := e.baseC.Repatch(lft, dirty, un)
 	if err != nil {
-		// Disconnected or otherwise unpatchable: fall back to the full
-		// lenient rebuild, which serves whatever remains reachable.
-		c, err = route.CompileLenient(lft)
-		if err != nil {
-			return nil, err
-		}
+		return nil, err
 	}
 	return &Tables{
 		Router:      c,

@@ -43,7 +43,7 @@ func WrapAblation(cluster topo.PGFT, seeds int) (*Table, error) {
 				return nil, err
 			}
 			o := order.Topology(n, active)
-			rep, err := hsd.AnalyzeParallel(fastRouter(lft), o, cps.Shift(len(active)), 0)
+			rep, err := analyzeLFT(lft, o, cps.Shift(len(active)))
 			if err != nil {
 				return nil, err
 			}
@@ -84,7 +84,7 @@ func RoutingAblation(cluster topo.PGFT) (*Table, error) {
 		route.DModKNaive(tp),
 		route.MinHopRandom(tp, 1),
 	} {
-		rep, err := hsd.AnalyzeParallel(fastRouter(lft), o, shift, 0)
+		rep, err := analyzeLFT(lft, o, shift)
 		if err != nil {
 			return nil, err
 		}

@@ -17,9 +17,9 @@ import (
 // Instrument, when non-nil, is applied to every netsim.Config just
 // before it drives a simulation — the hook cmd/ftbench uses to attach
 // observability sinks (metrics registry, probe sampler, tracer) to all
-// experiment runs without threading flags through each Opts type. Like
-// UseCompiledPaths it is a package-level toggle: set it before running
-// experiments, not concurrently with them.
+// experiment runs without threading flags through each Opts type. It is a
+// package-level toggle: set it before running experiments, not
+// concurrently with them.
 var Instrument func(*netsim.Config)
 
 // simConfig applies the Instrument hook to a config about to be used.

@@ -5,7 +5,6 @@ import (
 
 	"fattree/internal/cps"
 	"fattree/internal/fabric"
-	"fattree/internal/hsd"
 	"fattree/internal/order"
 	"fattree/internal/topo"
 )
@@ -48,7 +47,7 @@ func FaultResilience(cluster topo.PGFT, seeds int) (*Table, error) {
 				return nil, err
 			}
 			broken += res.BrokenPairs
-			rep, err := hsd.AnalyzeParallel(fastRouter(lft), order.Topology(n, nil), cps.Shift(n), 0)
+			rep, err := analyzeLFT(lft, order.Topology(n, nil), cps.Shift(n))
 			if err != nil {
 				return nil, err
 			}

@@ -79,7 +79,10 @@ func Table3(o Table3Opts) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rt := fastRouter(lft)
+		rt, err := route.Compile(lft)
+		if err != nil {
+			return nil, err
+		}
 		ordered := order.Topology(n, activeList)
 
 		shift := cps.Sequence(cps.Shift(len(activeList)))

@@ -13,7 +13,6 @@ import (
 	"fattree/internal/engine"
 	"fattree/internal/fabric"
 	"fattree/internal/obs"
-	"fattree/internal/route"
 	"fattree/internal/sched"
 	"fattree/internal/topo"
 )
@@ -289,31 +288,27 @@ func (m *Manager) handleRoute(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	path, err := paths.PackedPath(src, dst)
+	t := st.Topo
+	cur := t.HostID(src)
+	err = paths.Walk(src, dst, func(l topo.LinkID, up bool) {
+		lk := &t.Links[l]
+		to := t.Ports[lk.Lower].Node
+		if up {
+			to = t.Ports[lk.Upper].Node
+		}
+		doc.Hops = append(doc.Hops, HopDoc{
+			Link: int(l),
+			Up:   up,
+			From: t.Node(cur).String(),
+			To:   t.Node(to).String(),
+		})
+		cur = to
+	})
 	if err != nil {
 		c.End()
 		sp.TagStr("outcome", "error")
 		writeJSON(w, http.StatusInternalServerError, errorDoc{Error: err.Error()})
 		return
-	}
-	t := st.Topo
-	cur := t.HostID(src)
-	for _, e := range path {
-		lk := &t.Links[route.EntryLink(e)]
-		from := t.Node(cur)
-		var to = cur
-		if route.EntryUp(e) {
-			to = t.Ports[lk.Upper].Node
-		} else {
-			to = t.Ports[lk.Lower].Node
-		}
-		doc.Hops = append(doc.Hops, HopDoc{
-			Link: int(route.EntryLink(e)),
-			Up:   route.EntryUp(e),
-			From: from.String(),
-			To:   t.Node(to).String(),
-		})
-		cur = to
 	}
 	c.End()
 

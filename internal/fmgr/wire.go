@@ -169,11 +169,11 @@ func routeSetResp(epoch uint64, engName string, tb *engine.Tables, pairs [][2]ui
 		if src == dst || unroutable[src] || unroutable[dst] || tb.Compiled.Broken(src, dst) {
 			continue
 		}
-		path, err := tb.Compiled.PackedPath(src, dst)
+		head, tail, err := tb.Compiled.SplitPath(src, dst)
 		if err != nil {
 			return nil, err
 		}
-		total += len(path)
+		total += len(head) + len(tail)
 	}
 	resp := &wire.RouteSetResp{
 		Epoch:   epoch,
@@ -193,13 +193,15 @@ func routeSetResp(epoch uint64, engName string, tb *engine.Tables, pairs [][2]ui
 		if unroutable[src] || unroutable[dst] || tb.Compiled.Broken(src, dst) {
 			continue // OK=false: the binary twin of the JSON 503
 		}
-		path, err := tb.Compiled.PackedPath(src, dst)
+		head, tail, err := tb.Compiled.SplitPath(src, dst)
 		if err != nil {
 			return nil, err
 		}
 		start := len(hops)
-		for _, e := range path {
-			hops = append(hops, uint32(route.PathEntry(e)))
+		for _, part := range [2][]route.PathEntry{head, tail} {
+			for _, e := range part {
+				hops = append(hops, uint32(e))
+			}
 		}
 		pr.OK = true
 		pr.Hops = hops[start:len(hops):len(hops)]

@@ -136,3 +136,27 @@ func TestCompiledConcurrentHammer(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestStageDoesNotAllocate guards the bulk path of the sweeps: a reused
+// analyzer over a compiled arena reads head and tail views in place.
+func TestStageDoesNotAllocate(t *testing.T) {
+	tp := topo.MustBuild(topo.Cluster324)
+	n := tp.NumHosts()
+	c, err := route.Compile(route.DModK(tp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := order.Random(n, nil, 3)
+	pairs := make([][2]int, n)
+	for i := range pairs {
+		pairs[i] = [2]int{o.HostOf[i], o.HostOf[(i+5)%n]}
+	}
+	a := NewAnalyzer(c)
+	if allocs := testing.AllocsPerRun(50, func() {
+		if _, err := a.Stage(pairs); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Stage allocates %v times per call", allocs)
+	}
+}

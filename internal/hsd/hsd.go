@@ -93,7 +93,7 @@ func (r *Report) SyncEffectiveBandwidth() float64 {
 // and sequences to avoid re-allocating counters.
 type Analyzer struct {
 	rt route.Router
-	pp route.PackedPather // non-nil when rt exposes compiled paths
+	pc *route.Compiled // non-nil when rt is a compiled path cache
 	// cnt holds the per-directed-link flow counters interleaved as
 	// cnt[link<<1|1] (up) and cnt[link<<1] (down) — the same encoding as
 	// route.PathEntry, so the compiled fast path increments cnt[entry]
@@ -107,15 +107,14 @@ type Analyzer struct {
 }
 
 // NewAnalyzer creates an analyzer bound to a forwarding table set. When
-// the router is a compiled path cache (route.PackedPather), Stage skips
-// the per-hop Walk callback and iterates the packed path slices directly
-// — the order-of-magnitude lever behind the parallel ordering sweeps.
+// the router is a compiled path cache (*route.Compiled), Stage skips the
+// per-hop Walk callback and iterates the packed head and tail views
+// directly — the order-of-magnitude lever behind the parallel ordering
+// sweeps.
 func NewAnalyzer(rt route.Router) *Analyzer {
 	nl := len(rt.Topology().Links)
 	a := &Analyzer{rt: rt, cnt: make([]int32, 2*nl)}
-	if pp, ok := rt.(route.PackedPather); ok {
-		a.pp = pp
-	}
+	a.pc, _ = rt.(*route.Compiled)
 	return a
 }
 
@@ -157,17 +156,20 @@ func (a *Analyzer) Stage(pairs [][2]int) (StageResult, error) {
 		return a.stageTracked(pairs)
 	}
 	res := StageResult{Flows: len(pairs)}
-	if a.pp != nil {
+	if a.pc != nil {
 		cnt := a.cnt
 		for _, p := range pairs {
 			if p[0] == p[1] {
 				continue
 			}
-			path, err := a.pp.PackedPath(p[0], p[1])
+			head, tail, err := a.pc.SplitPath(p[0], p[1])
 			if err != nil {
 				return res, err
 			}
-			for _, e := range path {
+			for _, e := range head {
+				cnt[e]++
+			}
+			for _, e := range tail {
 				cnt[e]++
 			}
 		}
@@ -192,61 +194,49 @@ func (a *Analyzer) Stage(pairs [][2]int) (StageResult, error) {
 }
 
 // stageTracked is the Stage loop with flow-membership recording, split
-// out so the bulk path above stays append free.
+// out so the bulk path above stays append free. A compiled router replays
+// its cached path through Walk, so one loop serves every router.
 func (a *Analyzer) stageTracked(pairs [][2]int) (StageResult, error) {
 	res := StageResult{Flows: len(pairs)}
+	var idx int32
+	visit := func(l topo.LinkID, up bool) {
+		e := int(l) << 1
+		if up {
+			e |= 1
+		}
+		a.cnt[e]++
+		a.memb[e] = append(a.memb[e], idx)
+	}
 	for i, p := range pairs {
 		if p[0] == p[1] {
 			continue
 		}
-		idx := int32(i)
-		if a.pp != nil {
-			path, err := a.pp.PackedPath(p[0], p[1])
-			if err != nil {
-				return res, err
-			}
-			for _, e := range path {
-				a.cnt[e]++
-				a.memb[e] = append(a.memb[e], idx)
-			}
-			continue
-		}
-		err := a.rt.Walk(p[0], p[1], func(l topo.LinkID, up bool) {
-			e := int(l) << 1
-			if up {
-				e |= 1
-			}
-			a.cnt[e]++
-			a.memb[e] = append(a.memb[e], idx)
-		})
-		if err != nil {
+		idx = int32(i)
+		if err := a.rt.Walk(p[0], p[1], visit); err != nil {
 			return res, err
 		}
 	}
 	return a.summarize(res), nil
 }
 
-// summarize folds the per-link counters into the stage summary.
+// summarize folds the per-link counters into the stage summary. Whether
+// a link is hot is a coin flip under a random ordering, so the hot-link
+// count takes the sign bit of 1-count instead of a branch.
 func (a *Analyzer) summarize(res StageResult) StageResult {
-	for i := 0; i < len(a.cnt); i += 2 {
-		u, d := int(a.cnt[i|1]), int(a.cnt[i])
-		if u > res.MaxUpHSD {
-			res.MaxUpHSD = u
+	var maxUp, maxDown int32
+	hot := uint32(0)
+	for i := 0; i+1 < len(a.cnt); i += 2 {
+		d, u := a.cnt[i], a.cnt[i+1]
+		if u > maxUp {
+			maxUp = u
 		}
-		if d > res.MaxDownHSD {
-			res.MaxDownHSD = d
+		if d > maxDown {
+			maxDown = d
 		}
-		if u > 1 {
-			res.HotLinks++
-		}
-		if d > 1 {
-			res.HotLinks++
-		}
+		hot += uint32(1-u)>>31 + uint32(1-d)>>31
 	}
-	res.MaxHSD = res.MaxUpHSD
-	if res.MaxDownHSD > res.MaxHSD {
-		res.MaxHSD = res.MaxDownHSD
-	}
+	res.MaxUpHSD, res.MaxDownHSD, res.HotLinks = int(maxUp), int(maxDown), int(hot)
+	res.MaxHSD = max(res.MaxUpHSD, res.MaxDownHSD)
 	return res
 }
 

@@ -21,41 +21,52 @@ import (
 // route.* catalog checks.
 func LenientArena(t *topo.Topology, c *route.Compiled, unroutable func(int) bool) error {
 	n := t.NumHosts()
+	ends := make([][2]topo.NodeID, len(t.Links)) // per link: its lower and upper node
+	for l := range t.Links {
+		ends[l] = [2]topo.NodeID{t.Ports[t.Links[l].Lower].Node, t.Ports[t.Links[l].Upper].Node}
+	}
+	un := make([]bool, n)
+	for j := range un {
+		un[j] = unroutable != nil && unroutable(j)
+	}
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
 			if src == dst || c.Broken(src, dst) {
 				continue
 			}
-			if unroutable != nil && (unroutable(src) || unroutable(dst)) {
+			if un[src] || un[dst] {
 				return fmt.Errorf("invariant: pair %d->%d touches an unroutable host but is not marked broken", src, dst)
 			}
-			path, err := c.PackedPath(src, dst)
+			head, tail, err := c.SplitPath(src, dst)
 			if err != nil {
 				return err
 			}
 			cur := t.HostID(src)
 			descending := false
-			for i, e := range path {
-				l := route.EntryLink(e)
-				if l < 0 || int(l) >= len(t.Links) {
-					return fmt.Errorf("invariant: pair %d->%d hop %d names link %d, out of range [0,%d)", src, dst, i, l, len(t.Links))
-				}
-				lk := &t.Links[l]
-				lower, upper := t.Ports[lk.Lower].Node, t.Ports[lk.Upper].Node
-				if route.EntryUp(e) {
-					if descending {
-						return fmt.Errorf("invariant: pair %d->%d climbs after descending at hop %d", src, dst, i)
+			i := 0 // hop number across both views
+			for _, part := range [2][]route.PathEntry{head, tail} {
+				for _, e := range part {
+					l := route.EntryLink(e)
+					if l < 0 || int(l) >= len(ends) {
+						return fmt.Errorf("invariant: pair %d->%d hop %d names link %d, out of range [0,%d)", src, dst, i, l, len(ends))
 					}
-					if lower != cur {
-						return fmt.Errorf("invariant: pair %d->%d hop %d does not start at the current node", src, dst, i)
+					lower, upper := ends[l][0], ends[l][1]
+					if route.EntryUp(e) {
+						if descending {
+							return fmt.Errorf("invariant: pair %d->%d climbs after descending at hop %d", src, dst, i)
+						}
+						if lower != cur {
+							return fmt.Errorf("invariant: pair %d->%d hop %d does not start at the current node", src, dst, i)
+						}
+						cur = upper
+					} else {
+						descending = true
+						if upper != cur {
+							return fmt.Errorf("invariant: pair %d->%d hop %d does not start at the current node", src, dst, i)
+						}
+						cur = lower
 					}
-					cur = upper
-				} else {
-					descending = true
-					if upper != cur {
-						return fmt.Errorf("invariant: pair %d->%d hop %d does not start at the current node", src, dst, i)
-					}
-					cur = lower
+					i++
 				}
 			}
 			if cur != t.HostID(dst) {

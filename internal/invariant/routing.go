@@ -288,10 +288,10 @@ func checkCompiledEquiv(in *Instance) Result {
 			if src == dst || c.Broken(src, dst) {
 				continue
 			}
-			packed, err := c.PackedPath(src, dst)
+			head, tail, err := c.SplitPath(src, dst)
 			if err != nil {
 				return failf(&Counterexample{Pair: []int{src, dst}, Detail: err.Error()},
-					"PackedPath failed for served pair %d->%d", src, dst)
+					"SplitPath failed for served pair %d->%d", src, dst)
 			}
 			buf = buf[:0]
 			err = inner.Walk(src, dst, func(l topo.LinkID, up bool) {
@@ -301,16 +301,22 @@ func checkCompiledEquiv(in *Instance) Result {
 				return failf(&Counterexample{Pair: []int{src, dst}, Detail: err.Error()},
 					"inner router fails pair %d->%d the cache serves", src, dst)
 			}
-			if len(buf) != len(packed) {
+			if len(buf) != len(head)+len(tail) {
 				return failf(&Counterexample{Pair: []int{src, dst},
-					Detail: fmt.Sprintf("cache has %d hops, inner walk %d", len(packed), len(buf))},
+					Detail: fmt.Sprintf("cache has %d hops, inner walk %d", len(head)+len(tail), len(buf))},
 					"compiled path length diverges for pair %d->%d", src, dst)
 			}
 			for i := range buf {
-				if buf[i] != packed[i] {
+				var packed route.PathEntry
+				if i < len(head) {
+					packed = head[i]
+				} else {
+					packed = tail[i-len(head)]
+				}
+				if buf[i] != packed {
 					return failf(&Counterexample{Pair: []int{src, dst},
 						Detail: fmt.Sprintf("hop %d: cache link %d up=%v, inner link %d up=%v", i,
-							route.EntryLink(packed[i]), route.EntryUp(packed[i]),
+							route.EntryLink(packed), route.EntryUp(packed),
 							route.EntryLink(buf[i]), route.EntryUp(buf[i]))},
 						"compiled path diverges for pair %d->%d", src, dst)
 				}
@@ -358,7 +364,7 @@ func checkLenientBroken(in *Instance) Result {
 			}
 			if c.Broken(src, dst) {
 				broken++
-				if _, err := c.PackedPath(src, dst); !errors.Is(err, route.ErrNoPath) {
+				if _, _, err := c.SplitPath(src, dst); !errors.Is(err, route.ErrNoPath) {
 					return failf(&Counterexample{Pair: []int{src, dst}},
 						"broken pair %d->%d does not answer ErrNoPath (got %v)", src, dst, err)
 				}

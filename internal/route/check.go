@@ -67,29 +67,20 @@ func DownPortConflicts(f *LFT) (int, error) {
 	conflicts := make(map[topo.PortID]bool)
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
-			if src == dst {
-				continue
-			}
-			cur := t.HostID(src)
-			for {
-				node := t.Node(cur)
-				if node.Kind == topo.Host && node.Index == dst {
-					break
+			err := f.Walk(src, dst, func(l topo.LinkID, up bool) {
+				if up {
+					return
 				}
-				out := f.Out[cur][dst]
-				if out == topo.None {
-					return 0, fmt.Errorf("route: %s: no entry for dst %d at %v", f.Name, dst, node)
+				switch out := t.Links[l].Upper; destOn[out] {
+				case -1:
+					destOn[out] = dst
+				case dst:
+				default:
+					conflicts[out] = true
 				}
-				if t.Ports[out].Dir == topo.Down {
-					switch destOn[out] {
-					case -1:
-						destOn[out] = dst
-					case dst:
-					default:
-						conflicts[out] = true
-					}
-				}
-				cur = t.PeerNode(out)
+			})
+			if err != nil {
+				return 0, err
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"fattree/internal/topo"
 )
@@ -35,24 +36,25 @@ func EntryLink(e PathEntry) topo.LinkID { return topo.LinkID(e >> 1) }
 // EntryUp unpacks the direction bit of a PathEntry.
 func EntryUp(e PathEntry) bool { return e&1 == 1 }
 
-// PackedPather is implemented by routers that can hand out a
-// pre-materialized per-pair path as a packed slice, letting hot loops (the
-// HSD analyzer above all) iterate hops directly instead of paying a
-// per-hop callback and forwarding-table chase. The returned slice is a
-// view into shared storage: callers must not modify it.
-type PackedPather interface {
-	Router
-	// PackedPath returns the hops of the src->dst flow (empty for
-	// src == dst) or an error for out-of-range indices.
-	PackedPath(src, dst int) ([]PathEntry, error)
-}
+// noEntry is the absent PathEntry: the head of a source that owns its
+// row, and the padding after a tail shorter than the arena's stride.
+const noEntry PathEntry = -1
 
-// Compiled is a path cache over any deterministic Router: every src->dst
-// path is walked once at construction and stored in a flat CSR-style
-// arena (one []int32 of packed entries plus an offsets table). After
-// construction the cache is immutable, so Walk and PackedPath are safe
-// for unlimited concurrent use — the property the parallel HSD sweeps
-// rely on.
+// Compiled is a path cache over any deterministic Router, immutable once
+// built, so every reader is safe for unlimited concurrent use — the
+// property the parallel HSD sweeps rely on.
+//
+// A path is stored as head(src) ++ tail(row(src), dst). Forwarding tables
+// are destination-based, so under an LFT every single-uplink host that
+// enters the fabric through the same first switch shares everything after
+// its first hop: those sources read one tail row, walked from that switch,
+// and keep only their own uplink as head (108 rows instead of 1944 on the
+// paper's largest cluster). Every other source — any non-LFT router, hosts
+// with several uplinks — owns a row walked from the host itself and has
+// no head; only the grouping differs. The tails live in one flat []int32
+// arena of fixed-stride slots (the longest tail sets the stride, shorter
+// ones are padded), so a lookup is one multiply and one cache line, with
+// no offsets table to chase first.
 //
 // Compiling a randomized router (Adaptive) freezes one draw per pair and
 // is almost certainly not what you want; compile forwarding tables
@@ -60,24 +62,27 @@ type PackedPather interface {
 type Compiled struct {
 	inner   Router
 	n       int
-	offs    []int32 // len n*n+1; path (s,d) is entries[offs[s*n+d]:offs[s*n+d+1]]
+	rowOf   []int32     // per source: the row it reads
+	head    []PathEntry // per source: its first hop, or noEntry
+	rep     []int32     // per row: its lowest-indexed source
+	stride  int         // tail (r,d) is entries[(r*n+d)*stride:][:stride], noEntry-padded
 	entries []PathEntry
 	// broken, when non-nil, is an n*n bitset of pairs the inner router
 	// could not walk — or walked non-minimally — during a lenient
-	// compile over a faulted fabric. PackedPath and Walk return
-	// ErrNoPath for them.
+	// compile over a faulted fabric. Every reader returns ErrNoPath for
+	// them.
 	broken    []uint64
 	numBroken int
 }
 
-// Compile materializes every path of r in parallel across sources. It
+// Compile materializes every path of r in parallel across rows. It
 // returns r unchanged when it is already a *Compiled.
 func Compile(r Router) (*Compiled, error) { return CompileParallel(r, 0) }
 
 // CompileParallel is Compile with an explicit worker count (<= 0 uses
-// GOMAXPROCS). Each worker walks all destinations of a source into a
-// private row buffer; the rows are then stitched into the shared arena,
-// so no locking is needed during the build either.
+// GOMAXPROCS). Each worker walks all destinations of a row into a
+// private buffer; the rows are then stitched into the shared arena, so
+// no locking is needed during the build either.
 func CompileParallel(r Router, workers int) (*Compiled, error) {
 	return compileParallel(r, workers, false)
 }
@@ -88,11 +93,80 @@ func CompileParallel(r Router, workers int) (*Compiled, error) {
 // pairs it walks over a non-minimal path (longer than 2*LCALevel — a
 // detour a correct fat-tree reroute never takes, so any occurrence is a
 // routing bug the arena must refuse to serve) are recorded instead of
-// aborting the build; PackedPath and Walk report them as ErrNoPath and
+// aborting the build; every reader reports them as ErrNoPath and
 // NumBroken counts them. A fully routable minimal router compiles to the
 // exact same arena as Compile.
 func CompileLenient(r Router) (*Compiled, error) {
 	return compileParallel(r, 0, true)
+}
+
+// group assigns every source its row and head. Under an LFT a host with
+// a single uplink shares the row of its first switch; a destination its
+// table does not send through that uplink is a pair that fails at its
+// first hop — an error for a strict compile, a broken pair for a lenient
+// one — and no reason to leave the row.
+func (c *Compiled) group(lenient bool) error {
+	t := c.inner.Topology()
+	lft, _ := c.inner.(*LFT)
+	rowAt := map[topo.NodeID]int32{} // node a row is walked from -> row
+	for src := range c.rowOf {
+		host := t.Host(src)
+		shared := lft != nil && len(host.Up) == 1
+		for dst := 0; shared && dst < c.n; dst++ {
+			if lft.Out[host.ID][dst] == host.Up[0] || dst == src {
+				continue
+			}
+			if !lenient { // the walk stops at this entry and says why
+				return fmt.Errorf("route: compile %s: %w", c.Label(), lft.Walk(src, dst, func(topo.LinkID, bool) {}))
+			}
+			c.markBroken(src, dst)
+		}
+		start := host.ID
+		c.head[src] = noEntry
+		if shared {
+			start = t.PeerNode(host.Up[0])
+			c.head[src] = PackEntry(t.Ports[host.Up[0]].Link, true)
+		}
+		row, ok := rowAt[start]
+		if !ok {
+			row = int32(len(c.rep))
+			rowAt[start] = row
+			c.rep = append(c.rep, int32(src))
+		}
+		c.rowOf[src] = row
+	}
+	return nil
+}
+
+// walkRow visits the hops of row's tail towards dst under r: from the
+// entry switch of a shared row, from the source itself otherwise.
+func (c *Compiled) walkRow(r Router, row, dst int, visit func(topo.LinkID, bool)) error {
+	src := int(c.rep[row])
+	if c.head[src] == noEntry {
+		return r.Walk(src, dst, visit)
+	}
+	t := r.Topology()
+	return r.(*LFT).walkFrom(t.PeerNode(t.Host(src).Up[0]), dst, visit)
+}
+
+// minimalTail returns the tail length of a minimal path from row to dst.
+func (c *Compiled) minimalTail(g topo.PGFT, row, dst int) int {
+	src := int(c.rep[row])
+	if c.head[src] == noEntry {
+		return 2 * g.LCALevel(src, dst)
+	}
+	return 2*max(1, g.LCALevel(src, dst)) - 1
+}
+
+func (c *Compiled) markBroken(src, dst int) {
+	if c.broken == nil {
+		c.broken = make([]uint64, (c.n*c.n+63)/64)
+	}
+	i := src*c.n + dst
+	if c.broken[i/64]&(1<<(i%64)) == 0 {
+		c.broken[i/64] |= 1 << (i % 64)
+		c.numBroken++
+	}
 }
 
 func compileParallel(r Router, workers int, lenient bool) (*Compiled, error) {
@@ -101,59 +175,66 @@ func compileParallel(r Router, workers int, lenient bool) (*Compiled, error) {
 	}
 	t := r.Topology()
 	n := t.NumHosts()
+	c := &Compiled{inner: r, n: n, rowOf: make([]int32, n), head: make([]PathEntry, n)}
+	if err := c.group(lenient); err != nil {
+		return nil, err
+	}
+	rows := len(c.rep)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
+	tails := make([][]PathEntry, rows)
+	tailOffs := make([][]int32, rows)
+	badDst := make([][]int32, rows) // per-row destinations without a usable tail
+	readers := make([]int, rows)    // per-row source count
+	for _, row := range c.rowOf {
+		readers[row]++
 	}
-	rows := make([][]PathEntry, n)
-	rowOffs := make([][]int32, n)
-	brokenDst := make([][]int32, n) // per-source unreachable destinations
 	var (
 		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-		next     = make(chan int, n)
+		next     atomic.Int64 // rows handed out so far
+		failed   atomic.Bool  // a strict compile hit an error: stop
+		firstErr error        // written by whoever sets failed first
 	)
-	for src := 0; src < n; src++ {
-		next <- src
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(workers, rows); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for src := range next {
+			var buf []PathEntry
+			visit := func(l topo.LinkID, up bool) { buf = append(buf, PackEntry(l, up)) }
+			for !failed.Load() {
+				row := int(next.Add(1)) - 1
+				if row >= rows {
+					return
+				}
+				own := -1 // the destination no pair reads: a row's only source
+				if readers[row] == 1 {
+					own = int(c.rep[row])
+				}
 				offs := make([]int32, n+1)
-				buf := make([]PathEntry, 0, n*t.Spec.H)
+				buf = make([]PathEntry, 0, n*2*t.Spec.H)
 				for dst := 0; dst < n; dst++ {
-					if dst != src {
+					if dst != own {
 						start := len(buf)
-						err := r.Walk(src, dst, func(l topo.LinkID, up bool) {
-							buf = append(buf, PackEntry(l, up))
-						})
-						if err != nil {
-							if !lenient {
-								errOnce.Do(func() {
-									firstErr = fmt.Errorf("route: compile %s: %w", r.Label(), err)
-								})
-								return
+						err := c.walkRow(r, row, dst, visit)
+						if err != nil && !lenient {
+							if failed.CompareAndSwap(false, true) {
+								firstErr = fmt.Errorf("route: compile %s: %w", r.Label(), err)
 							}
-							buf = buf[:start] // drop the partial walk
-							brokenDst[src] = append(brokenDst[src], int32(dst))
-						} else if lenient && len(buf)-start != 2*t.Spec.LCALevel(src, dst) {
-							// A delivered but non-minimal path: mark the
-							// pair broken rather than serve a detour that
-							// silently breaks the minimality guarantee.
+							return
+						}
+						// Lenient: an unwalkable tail, or a delivered
+						// but non-minimal one, breaks every pair reading
+						// it rather than serve a detour that silently
+						// breaks the minimality guarantee.
+						if err != nil || lenient && len(buf)-start != c.minimalTail(t.Spec, row, dst) {
 							buf = buf[:start]
-							brokenDst[src] = append(brokenDst[src], int32(dst))
+							badDst[row] = append(badDst[row], int32(dst))
 						}
 					}
 					offs[dst+1] = int32(len(buf))
 				}
-				rows[src] = buf
-				rowOffs[src] = offs
+				tails[row], tailOffs[row] = buf, offs
 			}
 		}()
 	}
@@ -161,38 +242,28 @@ func compileParallel(r Router, workers int, lenient bool) (*Compiled, error) {
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	total := 0
-	for _, row := range rows {
-		total += len(row)
-	}
-	if total > math.MaxInt32 {
-		return nil, fmt.Errorf("route: compile %s: %d path entries overflow the int32 offset table", r.Label(), total)
-	}
-	c := &Compiled{
-		inner:   r,
-		n:       n,
-		offs:    make([]int32, n*n+1),
-		entries: make([]PathEntry, total),
-	}
-	base := int32(0)
-	for src := 0; src < n; src++ {
-		copy(c.entries[base:], rows[src])
-		o := c.offs[src*n : src*n+n]
-		ro := rowOffs[src]
+	for _, offs := range tailOffs {
 		for dst := 0; dst < n; dst++ {
-			o[dst] = base + ro[dst]
+			c.stride = max(c.stride, int(offs[dst+1]-offs[dst]))
 		}
-		base += int32(len(rows[src]))
 	}
-	c.offs[n*n] = base
-	for src, dsts := range brokenDst {
-		for _, dst := range dsts {
-			if c.broken == nil {
-				c.broken = make([]uint64, (n*n+63)/64)
+	if total := rows * n * c.stride; total > math.MaxInt32 {
+		return nil, fmt.Errorf("route: compile %s: %d path entries overflow the int32 arena bound", r.Label(), total)
+	}
+	c.entries = make([]PathEntry, rows*n*c.stride)
+	for i := range c.entries {
+		c.entries[i] = noEntry
+	}
+	for row, tail := range tails {
+		for dst, offs := 0, tailOffs[row]; dst < n; dst++ {
+			copy(c.entries[(row*n+dst)*c.stride:], tail[offs[dst]:offs[dst+1]])
+		}
+	}
+	for src, row := range c.rowOf {
+		for _, dst := range badDst[row] {
+			if int(dst) != src {
+				c.markBroken(src, int(dst))
 			}
-			i := src*n + int(dst)
-			c.broken[i/64] |= 1 << (i % 64)
-			c.numBroken++
 		}
 	}
 	return c, nil
@@ -200,7 +271,7 @@ func compileParallel(r Router, workers int, lenient bool) (*Compiled, error) {
 
 // Broken reports whether a leniently compiled pair had no usable
 // (delivered and minimal) path.
-// Out-of-range pairs report false; PackedPath still rejects them.
+// Out-of-range pairs report false; the path readers still reject them.
 func (c *Compiled) Broken(src, dst int) bool {
 	if c.broken == nil || src < 0 || src >= c.n || dst < 0 || dst >= c.n {
 		return false
@@ -225,30 +296,57 @@ func (c *Compiled) Label() string { return c.inner.Label() }
 // Inner returns the router the cache was compiled from.
 func (c *Compiled) Inner() Router { return c.inner }
 
-// NumEntries returns the total packed hop count across all pairs.
+// NumEntries returns the number of PathEntry slots the arena stores,
+// padding included.
 func (c *Compiled) NumEntries() int { return len(c.entries) }
 
-// PackedPath implements PackedPather. For pairs a lenient compile found
-// unreachable it returns an error wrapping ErrNoPath.
-func (c *Compiled) PackedPath(src, dst int) ([]PathEntry, error) {
+// SplitPath returns the hops of the src->dst flow as two views into
+// shared storage, head then tail (both empty for src == dst), without
+// allocating: callers must not modify them. It returns an error for
+// out-of-range indices and one wrapping ErrNoPath for pairs a lenient
+// compile found broken.
+func (c *Compiled) SplitPath(src, dst int) (head, tail []PathEntry, err error) {
 	if src < 0 || src >= c.n || dst < 0 || dst >= c.n {
-		return nil, fmt.Errorf("route: compiled %s: pair %d->%d out of range [0,%d)", c.Label(), src, dst, c.n)
+		return nil, nil, fmt.Errorf("route: compiled %s: pair %d->%d out of range [0,%d)", c.Label(), src, dst, c.n)
 	}
-	if c.Broken(src, dst) {
-		return nil, fmt.Errorf("route: compiled %s: pair %d->%d: %w", c.Label(), src, dst, ErrNoPath)
+	if src == dst {
+		return nil, nil, nil
 	}
-	i := src*c.n + dst
-	return c.entries[c.offs[i]:c.offs[i+1]], nil
+	if c.broken != nil && c.Broken(src, dst) {
+		return nil, nil, fmt.Errorf("route: compiled %s: pair %d->%d: %w", c.Label(), src, dst, ErrNoPath)
+	}
+	if c.head[src] != noEntry {
+		head = c.head[src : src+1]
+	}
+	i := (int(c.rowOf[src])*c.n + dst) * c.stride
+	tail = c.entries[i : i+c.stride]
+	for len(tail) > 0 && tail[len(tail)-1] == noEntry {
+		tail = tail[:len(tail)-1]
+	}
+	return head, tail, nil
+}
+
+// PackedPath is SplitPath materialized into one slice, for callers that
+// want a path to keep or compare; it allocates whenever the pair has a
+// head. Hot loops read the SplitPath views instead.
+func (c *Compiled) PackedPath(src, dst int) ([]PathEntry, error) {
+	head, tail, err := c.SplitPath(src, dst)
+	if len(head) == 0 {
+		return tail, err
+	}
+	return append(append(make([]PathEntry, 0, len(head)+len(tail)), head...), tail...), nil
 }
 
 // Walk implements Router by replaying the cached path.
 func (c *Compiled) Walk(src, dst int, visit func(link topo.LinkID, up bool)) error {
-	p, err := c.PackedPath(src, dst)
+	head, tail, err := c.SplitPath(src, dst)
 	if err != nil {
 		return err
 	}
-	for _, e := range p {
-		visit(EntryLink(e), EntryUp(e))
+	for _, part := range [2][]PathEntry{head, tail} {
+		for _, e := range part {
+			visit(EntryLink(e), EntryUp(e))
+		}
 	}
 	return nil
 }

@@ -85,43 +85,54 @@ func dModK(t *topo.Topology, rank []int, name string) *LFT {
 	f := NewLFT(t, name)
 	g := t.Spec
 	n := t.NumHosts()
-	rnk := func(j int) int {
-		if rank == nil {
-			return j
+	if rank == nil {
+		rank = make([]int, n)
+		for j := range rank {
+			rank[j] = j
 		}
-		return rank[j]
-	}
-	// Precompute prod w and prod m per level.
-	wprod := make([]int, g.H+1)
-	mprod := make([]int, g.H+1)
-	wprod[0], mprod[0] = 1, 1
-	for l := 1; l <= g.H; l++ {
-		wprod[l] = wprod[l-1] * g.Wi(l)
-		mprod[l] = mprod[l-1] * g.Mi(l)
 	}
 	for id := range t.Nodes {
 		node := &t.Nodes[id]
+		row := f.Out[id]
 		l := node.Level
-		for j := 0; j < n; j++ {
-			if node.Kind == topo.Host {
-				if node.Index == j {
-					continue // delivered
+		if node.Kind == topo.Host {
+			if len(node.Up) == 1 { // w1*p1 == 1 on RLFTs: one uplink takes everything
+				for j := range row {
+					row[j] = node.Up[0]
 				}
-				q := rnk(j) % (g.Wi(1) * g.Pi(1)) // w1*p1 == 1 on RLFTs
-				f.Out[id][j] = node.Up[q]
-				continue
+			} else {
+				for j := range row {
+					row[j] = node.Up[rank[j]%len(node.Up)]
+				}
 			}
-			if t.IsDescendantHost(node, j) {
-				// Down: child digit at this level plus the
-				// parallel copy the level-(l-1) up rule uses.
-				a := (j / mprod[l-1]) % g.Mi(l)
-				k := (rnk(j) / wprod[l-1]) % (g.Wi(l) * g.Pi(l)) / g.Wi(l)
-				f.Out[id][j] = node.Down[a+k*g.Mi(l)]
-				continue
+			row[node.Index] = topo.None // delivered
+			continue
+		}
+		// The hosts below a level-l switch are the contiguous index range
+		// [lo, hi): its digits above l fix the high part of the address.
+		lo := 0
+		for i := l + 1; i <= g.H; i++ {
+			lo += node.Digits[i-1] * g.MProd(i-1)
+		}
+		hi := lo + g.MProd(l)
+		// Down: child digit at this level plus the parallel copy the
+		// level-(l-1) up rule uses.
+		ml, wl, wpl := g.Mi(l), g.Wi(l), g.Wi(l)*g.Pi(l)
+		mBelow, wBelow := g.MProd(l-1), g.WProd(l-1)
+		for j := lo; j < hi; j++ {
+			a := (j / mBelow) % ml
+			k := (rank[j] / wBelow) % wpl / wl
+			row[j] = node.Down[a+k*ml]
+		}
+		if l == g.H {
+			continue // every host descends from a top switch
+		}
+		// Up: equation (1).
+		wHere := wBelow * wl
+		for _, span := range [2][2]int{{0, lo}, {hi, n}} {
+			for j := span[0]; j < span[1]; j++ {
+				row[j] = node.Up[(rank[j]/wHere)%len(node.Up)]
 			}
-			// Up: equation (1).
-			q := (rnk(j) / wprod[l]) % (g.Wi(l+1) * g.Pi(l+1))
-			f.Out[id][j] = node.Up[q]
 		}
 	}
 	return f

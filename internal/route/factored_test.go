@@ -1,0 +1,422 @@
+package route_test
+
+// The differential wall for the tail-shared arena: whatever the grouping
+// did, every (src, dst) must read exactly what a hop-by-hop Walk of the
+// inner router yields — path, broken bit, strict-mode error, NumBroken.
+
+import (
+	"errors"
+	"fmt"
+	"sync"
+	"testing"
+
+	"fattree/internal/engine"
+	"fattree/internal/fabric"
+	"fattree/internal/invariant"
+	"fattree/internal/route"
+	"fattree/internal/topo"
+)
+
+// oracle walks r hop by hop: the path, and whether a lenient compile may
+// serve it (walked, and minimal).
+func oracle(r route.Router, src, dst int) (path []route.PathEntry, served bool) {
+	err := r.Walk(src, dst, func(l topo.LinkID, up bool) {
+		path = append(path, route.PackEntry(l, up))
+	})
+	return path, err == nil && len(path) == 2*r.Topology().Spec.LCALevel(src, dst)
+}
+
+func samePath(t *testing.T, what string, src, dst int, got, want []route.PathEntry) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s %d->%d: %d hops %v, walk has %d %v", what, src, dst, len(got), got, len(want), want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s %d->%d hop %d: entry %d, walk has %d", what, src, dst, i, got[i], want[i])
+		}
+	}
+}
+
+// checkArena compares every pair of c — every reader of it — against a
+// hop-by-hop walk of r.
+func checkArena(t *testing.T, what string, c *route.Compiled, r route.Router, lenient bool) {
+	t.Helper()
+	n := r.Topology().NumHosts()
+	broken := 0
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			head, tail, err := c.SplitPath(src, dst)
+			if src == dst {
+				if err != nil || len(head)+len(tail) != 0 {
+					t.Fatalf("%s: self pair %d: %d hops, err %v", what, src, len(head)+len(tail), err)
+				}
+				continue
+			}
+			want, served := oracle(r, src, dst)
+			if !lenient && !served {
+				t.Fatalf("%s: strict compile succeeded but %d->%d does not walk minimally", what, src, dst)
+			}
+			if c.Broken(src, dst) != !served {
+				t.Fatalf("%s %d->%d: broken=%v, walk served=%v", what, src, dst, c.Broken(src, dst), served)
+			}
+			if !served {
+				broken++
+				if !errors.Is(err, route.ErrNoPath) {
+					t.Fatalf("%s: broken pair %d->%d: err %v, want ErrNoPath", what, src, dst, err)
+				}
+				if _, err := c.PackedPath(src, dst); !errors.Is(err, route.ErrNoPath) {
+					t.Fatalf("%s: broken pair %d->%d: PackedPath err %v, want ErrNoPath", what, src, dst, err)
+				}
+				if err := c.Walk(src, dst, func(topo.LinkID, bool) {}); !errors.Is(err, route.ErrNoPath) {
+					t.Fatalf("%s: broken pair %d->%d: Walk err %v, want ErrNoPath", what, src, dst, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s %d->%d: %v", what, src, dst, err)
+			}
+			samePath(t, what+" split", src, dst, append(append([]route.PathEntry(nil), head...), tail...), want)
+			packed, err := c.PackedPath(src, dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			samePath(t, what+" packed", src, dst, packed, want)
+			replay, _ := oracle(c, src, dst)
+			samePath(t, what+" walk", src, dst, replay, want)
+		}
+	}
+	if c.NumBroken() != broken {
+		t.Fatalf("%s: NumBroken %d, walk oracle counts %d", what, c.NumBroken(), broken)
+	}
+}
+
+// differential compiles r both ways and checks each arena, plus the
+// strict-mode contract: Compile errors exactly when some pair does not
+// walk.
+func differential(t *testing.T, what string, r route.Router) {
+	t.Helper()
+	n := r.Topology().NumHosts()
+	unwalkable := false
+	for src := 0; src < n && !unwalkable; src++ {
+		for dst := 0; dst < n; dst++ {
+			if src != dst && r.Walk(src, dst, func(topo.LinkID, bool) {}) != nil {
+				unwalkable = true
+				break
+			}
+		}
+	}
+	strict, err := route.CompileParallel(r, 3)
+	if (err != nil) != unwalkable {
+		t.Fatalf("%s: strict compile err %v, but unwalkable pair exists = %v", what, err, unwalkable)
+	}
+	if err == nil && strict.NumBroken() != 0 {
+		t.Fatalf("%s: strict compile recorded %d broken pairs", what, strict.NumBroken())
+	}
+	lenient, err := route.CompileLenient(r)
+	if err != nil {
+		t.Fatalf("%s: lenient compile: %v", what, err)
+	}
+	checkArena(t, what+" lenient", lenient, r, true)
+	if !unwalkable && lenient.NumBroken() == 0 {
+		// A strict arena may hold non-minimal paths; only compare it
+		// when the walk oracle's "served" is the whole truth.
+		checkArena(t, what+" strict", strict, r, false)
+	}
+}
+
+// TestFactoredMatchesWalk is the property: random fabrics x every router
+// shape the arena groups differently.
+func TestFactoredMatchesWalk(t *testing.T) {
+	var specs []topo.PGFT
+	for seed := int64(1); seed <= 12; seed++ {
+		specs = append(specs, invariant.RandPGFT(seed), invariant.RandRLFT(seed))
+	}
+	specs = append(specs,
+		topo.MustPGFT(2, []int{4, 3}, []int{2, 2}, []int{1, 1}), // w1 > 1: two leaves per host
+		topo.MustPGFT(2, []int{3, 3}, []int{1, 2}, []int{2, 1}), // p1 > 1: two cables to one leaf
+		topo.MustPGFT(1, []int{1}, []int{1}, []int{1}),          // one host: no pairs at all
+	)
+	for i, g := range specs {
+		if g.NumHosts() > 150 {
+			continue // all-pairs x five routers x three readers: keep tier-1 fast
+		}
+		tp := topo.MustBuild(g)
+		name := fmt.Sprintf("%v", g)
+		differential(t, name+" dmodk", route.DModK(tp))
+		differential(t, name+" smodk", route.NewSModK(tp))
+		differential(t, name+" minhop-random", route.MinHopRandom(tp, int64(i)))
+
+		fs := fabric.NewFaultSet(tp)
+		links := len(tp.Links)
+		fs.Fail(topo.LinkID((7 * i) % links))
+		fs.Fail(topo.LinkID((13*i + 5) % links))
+		rerouted, _, err := fs.RouteAround()
+		if err != nil {
+			t.Fatal(err)
+		}
+		differential(t, name+" route-around", rerouted)
+
+		e, err := engine.Build("fault-resilient", tp, engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb, err := e.Tables(fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkArena(t, name+" fault-resilient patched", tb.Compiled, tb.LFT, true)
+	}
+}
+
+// TestFactoredTraps pins the cases where sharing a row could leak one
+// source's fate onto its leaf-mates.
+func TestFactoredTraps(t *testing.T) {
+	g, err := topo.RLFT3(2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp := topo.MustBuild(g)
+	n := tp.NumHosts()
+
+	t.Run("destination on the source's own leaf", func(t *testing.T) {
+		c, err := route.Compile(route.DModK(tp))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mates := tp.HostsUnder(tp.LeafOf(0))
+		src, dst := mates[0], mates[1]
+		head, tail, err := c.SplitPath(src, dst)
+		if err != nil || len(head) != 1 || len(tail) != 1 {
+			t.Fatalf("%d->%d: head %v tail %v err %v, want one hop up and one down", src, dst, head, tail, err)
+		}
+		if !route.EntryUp(head[0]) || route.EntryUp(tail[0]) {
+			t.Fatalf("%d->%d: directions %v then %v, want up then down", src, dst, route.EntryUp(head[0]), route.EntryUp(tail[0]))
+		}
+		// The row also stores a tail towards its own first source; the
+		// self pair must not read it.
+		if head, tail, err := c.SplitPath(src, src); err != nil || len(head)+len(tail) != 0 {
+			t.Fatalf("self pair reads %v %v, err %v", head, tail, err)
+		}
+	})
+
+	t.Run("first host of a leaf loses its only uplink", func(t *testing.T) {
+		fs := fabric.NewFaultSet(tp)
+		fs.Fail(tp.Ports[tp.Host(0).Up[0]].Link)
+		lft, res, err := fs.RouteAround()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.UnroutableHosts) != 1 || res.UnroutableHosts[0] != 0 {
+			t.Fatalf("unroutable = %v, want [0]", res.UnroutableHosts)
+		}
+		differential(t, "dead first host", lft)
+		c, err := route.CompileLenient(lft)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 2 * (n - 1); c.NumBroken() != want {
+			t.Fatalf("NumBroken = %d, want %d: exactly the pairs touching host 0", c.NumBroken(), want)
+		}
+		if mate := tp.HostsUnder(tp.LeafOf(0))[1]; c.Broken(mate, n-1) {
+			t.Fatalf("leaf-mate %d of the dead host lost its path to %d", mate, n-1)
+		}
+	})
+
+	t.Run("one host-row entry knocked out", func(t *testing.T) {
+		lft := route.DModK(tp)
+		src, dst := 1, n-2
+		lft.Out[tp.HostID(src)][dst] = topo.None
+		if _, err := route.Compile(lft); err == nil {
+			t.Fatal("strict compile accepted a table with a missing host entry")
+		}
+		differential(t, "host-row hole", lft)
+		c, err := route.CompileLenient(lft)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.NumBroken() != 1 || !c.Broken(src, dst) {
+			t.Fatalf("NumBroken = %d, Broken(%d,%d) = %v: want exactly that pair", c.NumBroken(), src, dst, c.Broken(src, dst))
+		}
+	})
+
+	t.Run("host-row entry through a foreign port", func(t *testing.T) {
+		// A table that sends one destination out of another node's port
+		// cannot share a row; the source must fall back to its own.
+		lft := route.DModK(tp)
+		lft.Out[tp.HostID(2)][n-1] = tp.Host(3).Up[0]
+		differential(t, "foreign first hop", lft)
+	})
+
+	t.Run("non-minimal detour on one pair", func(t *testing.T) {
+		differential(t, "detour", &detour{Router: route.DModK(tp), src: 0, dst: n - 1})
+	})
+}
+
+// TestRepatchNeverRevives pins the lenient contract of the row-level
+// repair: pairs broken in the receiver stay broken even when the inner
+// router could now walk them, and broken hosts break every pair they
+// touch.
+func TestRepatchNeverRevives(t *testing.T) {
+	tp := buildRLFT(t, "rlft2:4,8")
+	n := tp.NumHosts()
+	holed := route.DModK(tp)
+	holed.Out[tp.HostID(1)][9] = topo.None // one head hole
+	for id := range holed.Out {            // and one unreachable column
+		holed.Out[id][20] = topo.None
+	}
+	base, err := route.CompileLenient(holed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 1 + (n - 1); base.NumBroken() != want {
+		t.Fatalf("base NumBroken = %d, want %d", base.NumBroken(), want)
+	}
+	healthy := route.DModK(tp)
+	p, err := base.Repatch(healthy, []int{9, 20}, []int{5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			if src == dst {
+				continue
+			}
+			want := base.Broken(src, dst) || src == 5 || dst == 5
+			if p.Broken(src, dst) != want {
+				t.Fatalf("%d->%d: patched broken=%v, want %v", src, dst, p.Broken(src, dst), want)
+			}
+			if !want {
+				got, err := p.PackedPath(src, dst)
+				if err != nil {
+					t.Fatal(err)
+				}
+				path, _ := oracle(healthy, src, dst)
+				samePath(t, "patched", src, dst, got, path)
+			}
+		}
+	}
+	if base.Broken(5, 6) || base.NumBroken() != n {
+		t.Fatal("Repatch modified its receiver")
+	}
+	if _, err := base.Repatch(route.NewSModK(tp), []int{9}, nil); err == nil {
+		t.Fatal("Repatch walked shared rows through a router without forwarding tables")
+	}
+}
+
+// TestRepatchMatchesLenient re-walks every column of a healthy arena
+// through rerouted tables: the result must equal a fresh lenient compile
+// pair for pair, and the receiver must still serve the healthy paths.
+func TestRepatchMatchesLenient(t *testing.T) {
+	tp := buildRLFT(t, "rlft3:2,4")
+	n := tp.NumHosts()
+	healthy := route.DModK(tp)
+	base, err := route.Compile(healthy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := fabric.NewFaultSet(tp)
+	if err := fs.FailRandomFabricLinks(3, 11); err != nil {
+		t.Fatal(err)
+	}
+	rerouted, _, err := fs.RouteAround()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rerouted.Out[tp.HostID(2)][7] = topo.None // a head the repair must notice
+	all := make([]int, n)
+	for j := range all {
+		all[j] = j
+	}
+	p, err := base.Repatch(rerouted, all, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkArena(t, "repatched", p, rerouted, true)
+	if !p.Broken(2, 7) {
+		t.Fatal("Repatch served a pair whose first hop the repaired tables dropped")
+	}
+	checkArena(t, "receiver after Repatch", base, healthy, false)
+
+	// Private rows: a repaired router that detours one pair breaks it.
+	sbase, err := route.Compile(route.NewSModK(tp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := sbase.Repatch(&detour{Router: route.NewSModK(tp), src: 0, dst: n - 1}, []int{n - 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp.NumBroken() != 1 || !sp.Broken(0, n-1) {
+		t.Fatalf("NumBroken = %d, Broken(0,%d) = %v: want exactly the detoured pair", sp.NumBroken(), n-1, sp.Broken(0, n-1))
+	}
+}
+
+// TestSplitPathDoesNotAllocate guards the accessor the hot loops and the
+// serving handlers sit on, and that compiling costs O(rows) allocations.
+func TestSplitPathDoesNotAllocate(t *testing.T) {
+	tp := topo.MustBuild(topo.Cluster324)
+	lft := route.DModK(tp)
+	c, err := route.Compile(lft)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := 0
+	if a := testing.AllocsPerRun(100, func() {
+		for dst := 0; dst < 324; dst += 7 {
+			head, tail, _ := c.SplitPath(200, dst)
+			sink += len(head) + len(tail)
+		}
+	}); a != 0 {
+		t.Fatalf("SplitPath allocates %v times per run", a)
+	}
+	rows := tp.Spec.NumSwitches(1) // one row per leaf
+	if a := testing.AllocsPerRun(5, func() {
+		if _, err := route.CompileParallel(lft, 1); err != nil {
+			t.Fatal(err)
+		}
+	}); a > float64(4*rows+32) {
+		t.Fatalf("Compile allocates %v times for %d rows: per-walk allocations are back", a, rows)
+	}
+}
+
+// TestFactoredConcurrentReaders hammers one arena (with shared rows and
+// broken pairs) from many goroutines; run under -race it pins the
+// immutability contract.
+func TestFactoredConcurrentReaders(t *testing.T) {
+	tp := buildRLFT(t, "rlft2:4,8")
+	fs := fabric.NewFaultSet(tp)
+	fs.Fail(tp.Ports[tp.Host(3).Up[0]].Link)
+	lft, _, err := fs.RouteAround()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := route.CompileLenient(lft)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := tp.NumHosts()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for src := g % n; src < n; src += 3 {
+				for dst := 0; dst < n; dst++ {
+					want, served := oracle(lft, src, dst)
+					head, tail, err := c.SplitPath(src, dst)
+					if src == dst || !served {
+						if len(head)+len(tail) != 0 {
+							t.Errorf("%d->%d: unexpected hops", src, dst)
+						}
+						continue
+					}
+					if err != nil || len(head)+len(tail) != len(want) {
+						t.Errorf("%d->%d: %d hops, err %v, want %d", src, dst, len(head)+len(tail), err, len(want))
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}

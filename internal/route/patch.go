@@ -21,16 +21,17 @@ func (f *LFT) Clone(name string) *LFT {
 	return &LFT{T: f.T, Name: name, Out: out}
 }
 
-// Repatch returns a copy of the compiled arena with the paths towards the
+// Repatch returns a copy of the compiled arena with the tails towards the
 // given destination columns re-walked through inner (typically a locally
-// repaired LFT), without re-walking any other pair. A patched pair whose
-// new walk fails, is non-minimal, or no longer fits its original slot is
-// marked broken instead — the lenient-compile contract — as is every pair
-// touching a host in brokenHosts (hosts that lost their only uplink; inner
-// must fail their walks too). The offsets table is shared with the
-// receiver (both stay immutable); only the entry arena is copied, which is
-// what makes a few-column repair cheap relative to a full CompileLenient
-// rebuild.
+// repaired LFT) — rows x dirty destinations, no other pair is touched. A
+// patched tail whose new walk fails, is non-minimal, or outgrows the
+// arena's stride breaks every pair reading it — the lenient-compile
+// contract — as does a source whose repaired table no longer sends the
+// column through its head, and every pair touching a host in brokenHosts
+// (hosts that lost their only uplink; inner must fail their walks too).
+// The grouping tables are shared with the receiver (both stay immutable);
+// only the entry arena is copied, which is what makes a few-column repair
+// cheap relative to a full CompileLenient rebuild.
 //
 // Pairs already broken in the receiver stay broken: Repatch narrows the
 // served set, it never revives a pair, so repair from a pristine healthy
@@ -40,56 +41,49 @@ func (c *Compiled) Repatch(inner Router, dsts []int, brokenHosts []int) (*Compil
 	if t.NumHosts() != c.n {
 		return nil, fmt.Errorf("route: repatch %s: inner router has %d hosts, arena %d", c.Label(), t.NumHosts(), c.n)
 	}
-	p := &Compiled{
-		inner:   inner,
-		n:       c.n,
-		offs:    c.offs,
-		entries: append([]PathEntry(nil), c.entries...),
-		broken:  make([]uint64, (c.n*c.n+63)/64),
+	lft, _ := inner.(*LFT)
+	if lft == nil && len(c.rep) < c.n {
+		return nil, fmt.Errorf("route: repatch %s: shared rows need forwarding tables, not %s", c.Label(), inner.Label())
 	}
-	if c.broken != nil {
-		copy(p.broken, c.broken)
-		p.numBroken = c.numBroken
-	}
-	mark := func(src, dst int) {
-		i := src*p.n + dst
-		if p.broken[i/64]&(1<<(i%64)) == 0 {
-			p.broken[i/64] |= 1 << (i % 64)
-			p.numBroken++
-		}
-	}
+	p := *c
+	p.inner = inner
+	p.entries = append([]PathEntry(nil), c.entries...)
+	p.broken = append([]uint64(nil), c.broken...)
 	for _, h := range brokenHosts {
 		if h < 0 || h >= c.n {
 			return nil, fmt.Errorf("route: repatch %s: host %d out of range [0,%d)", c.Label(), h, c.n)
 		}
 		for o := 0; o < c.n; o++ {
 			if o != h {
-				mark(h, o)
-				mark(o, h)
+				p.markBroken(h, o)
+				p.markBroken(o, h)
 			}
 		}
 	}
-	buf := make([]PathEntry, 0, 2*t.Spec.H)
+	var buf []PathEntry
+	visit := func(l topo.LinkID, up bool) { buf = append(buf, PackEntry(l, up)) }
+	fits := make([]bool, len(c.rep))
 	for _, dst := range dsts {
 		if dst < 0 || dst >= c.n {
 			return nil, fmt.Errorf("route: repatch %s: destination %d out of range [0,%d)", c.Label(), dst, c.n)
 		}
-		for src := 0; src < c.n; src++ {
-			if src == dst || p.Broken(src, dst) {
-				continue
-			}
+		for row := range fits {
 			buf = buf[:0]
-			err := inner.Walk(src, dst, func(l topo.LinkID, up bool) {
-				buf = append(buf, PackEntry(l, up))
-			})
-			i := src*p.n + dst
-			slot := p.entries[p.offs[i]:p.offs[i+1]]
-			if err != nil || len(buf) != 2*t.Spec.LCALevel(src, dst) || len(buf) != len(slot) {
-				mark(src, dst)
-				continue
+			err := p.walkRow(inner, row, dst, visit)
+			fits[row] = err == nil && len(buf) <= p.stride && len(buf) == p.minimalTail(t.Spec, row, dst)
+			if fits[row] {
+				slot := p.entries[(row*p.n+dst)*p.stride:][:p.stride]
+				for i := copy(slot, buf); i < len(slot); i++ {
+					slot[i] = noEntry
+				}
 			}
-			copy(slot, buf)
+		}
+		for src, row := range p.rowOf {
+			headOK := p.head[src] == noEntry || lft.Out[t.HostID(src)][dst] == t.Host(src).Up[0]
+			if src != dst && !(fits[row] && headOK) {
+				p.markBroken(src, dst)
+			}
 		}
 	}
-	return p, nil
+	return &p, nil
 }

@@ -78,38 +78,30 @@ type Hop struct {
 }
 
 // Trace follows the forwarding tables from src to dst and returns the
-// traversed hops. It fails on dead ends and forwarding loops.
+// traversed hops. It fails on dead ends, forwarding loops and entries
+// naming another node's port.
 func (f *LFT) Trace(src, dst int) ([]Hop, error) {
-	t := f.T
-	cur := t.HostID(src)
-	limit := 2*t.Spec.H + 2
-	hops := make([]Hop, 0, limit)
-	for steps := 0; ; steps++ {
-		n := t.Node(cur)
-		if n.Kind == topo.Host && n.Index == dst {
-			return hops, nil
-		}
-		if steps >= limit {
-			return nil, fmt.Errorf("route: %s: loop routing %d->%d (hops %v)", f.Name, src, dst, hops)
-		}
-		out := f.Out[cur][dst]
-		if out == topo.None {
-			return nil, fmt.Errorf("route: %s: no entry for dst %d at %v", f.Name, dst, n)
-		}
-		p := &t.Ports[out]
-		if p.Node != cur {
-			return nil, fmt.Errorf("route: %s: entry for dst %d at %v names foreign port", f.Name, dst, n)
-		}
-		hops = append(hops, Hop{Link: p.Link, Up: p.Dir == topo.Up})
-		cur = t.PeerNode(out)
+	hops := make([]Hop, 0, 2*f.T.Spec.H+2)
+	err := f.Walk(src, dst, func(l topo.LinkID, up bool) { hops = append(hops, Hop{Link: l, Up: up}) })
+	if err != nil {
+		return nil, fmt.Errorf("%w (hops %v)", err, hops)
 	}
+	return hops, nil
 }
 
 // Walk is a zero-allocation Trace for hot loops: visit is called once per
 // hop. It returns an error under the same conditions as Trace.
 func (f *LFT) Walk(src, dst int, visit func(link topo.LinkID, up bool)) error {
+	return f.walkFrom(f.T.HostID(src), dst, visit)
+}
+
+// walkFrom is Walk from an arbitrary node. Forwarding is
+// destination-based, so the hops from cur towards dst are the tail of
+// every path to dst that passes through cur — what lets the path compiler
+// walk one row per entry switch instead of one per source.
+func (f *LFT) walkFrom(cur topo.NodeID, dst int, visit func(link topo.LinkID, up bool)) error {
 	t := f.T
-	cur := t.HostID(src)
+	from := cur
 	limit := 2*t.Spec.H + 2
 	for steps := 0; ; steps++ {
 		n := t.Node(cur)
@@ -117,13 +109,16 @@ func (f *LFT) Walk(src, dst int, visit func(link topo.LinkID, up bool)) error {
 			return nil
 		}
 		if steps >= limit {
-			return fmt.Errorf("route: %s: loop routing %d->%d", f.Name, src, dst)
+			return fmt.Errorf("route: %s: loop routing %v->%d", f.Name, t.Node(from), dst)
 		}
 		out := f.Out[cur][dst]
 		if out == topo.None {
 			return fmt.Errorf("route: %s: no entry for dst %d at %v", f.Name, dst, n)
 		}
 		p := &t.Ports[out]
+		if p.Node != cur {
+			return fmt.Errorf("route: %s: entry for dst %d at %v names foreign port", f.Name, dst, n)
+		}
 		visit(p.Link, p.Dir == topo.Up)
 		cur = t.PeerNode(out)
 	}
