@@ -12,7 +12,7 @@ LOADLEVELS ?= 1,2,4,8
 LOADDURATION ?= 2s
 LOADAGREE ?= 0
 
-.PHONY: all build vet test race bench bench-repo bench-json bench-netsim bench-track bench-gate report check daemon-smoke load-curve replica-smoke experiments experiments-quick fuzz fuzz-smoke clean
+.PHONY: all build vet test race loc bench bench-repo bench-json bench-netsim bench-track bench-gate report check daemon-smoke load-curve replica-smoke experiments experiments-quick fuzz fuzz-smoke clean
 
 all: build vet test
 
@@ -31,6 +31,15 @@ test:
 # hammer one shared path arena from many goroutines.
 race:
 	$(GO) test -race ./internal/route/ ./internal/hsd/ ./internal/netsim/ ./internal/exp/ ./internal/obs/... ./internal/fmgr/... ./internal/fclient/ ./internal/wire/
+
+# Non-test Go lines per internal package, and over the four packages on
+# the fault path — the number a net-negative PR quotes before and after.
+loc:
+	@for d in internal/*/; do \
+		printf '%6d %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)" "$$d"; \
+	done
+	@printf '%6d internal/{route,engine,fabric,fmgr}\n' \
+		"$$(find internal/route internal/engine internal/fabric internal/fmgr -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) ./...

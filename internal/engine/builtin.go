@@ -15,11 +15,7 @@ func init() {
 		LFT:         true,
 		FaultAware:  true,
 	}, func(t *topo.Topology, opts Options) (Engine, error) {
-		healthy, err := healthyTables(route.DModK(t))
-		if err != nil {
-			return nil, err
-		}
-		return &dmodkEngine{t: t, healthy: healthy}, nil
+		return newRerouteEngine("dmodk", route.DModK(t), nil)
 	})
 
 	Register(Info{
@@ -27,7 +23,7 @@ func init() {
 		Description: "textbook D-Mod-K without the parallel-copy down rule; fault-oblivious baseline",
 		LFT:         true,
 	}, func(t *topo.Topology, opts Options) (Engine, error) {
-		return newLFTEngine("dmodk-naive", route.DModKNaive(t))
+		return newObliviousEngine("dmodk-naive", route.DModKNaive(t))
 	})
 
 	Register(Info{
@@ -35,74 +31,35 @@ func init() {
 		Description: "seeded random minimal up-port selection; fault-oblivious baseline",
 		LFT:         true,
 	}, func(t *topo.Topology, opts Options) (Engine, error) {
-		return newLFTEngine("minhop-random", route.MinHopRandom(t, opts.Seed))
+		return newObliviousEngine("minhop-random", route.MinHopRandom(t, opts.Seed))
 	})
 
 	Register(Info{
 		Name:        "smodk",
 		Description: "source-based S-Mod-K; spreads by source index, no forwarding-table realization",
 	}, func(t *topo.Topology, opts Options) (Engine, error) {
-		s := route.NewSModK(t)
-		c, err := route.Compile(s)
-		if err != nil {
-			return nil, err
-		}
-		return &routerEngine{
-			name:    "smodk",
-			t:       t,
-			rt:      s,
-			healthy: &Tables{Router: c, Compiled: c},
-		}, nil
+		return newObliviousEngine("smodk", route.NewSModK(t))
 	})
 }
 
-// healthyTables compiles a fully routable LFT into the Tables a healthy
+// healthyTables compiles a fully routable router into the Tables a healthy
 // fabric serves.
-func healthyTables(lft *route.LFT) (*Tables, error) {
-	c, err := route.Compile(lft)
+func healthyTables(rt route.Router) (*Tables, error) {
+	c, err := route.Compile(rt)
 	if err != nil {
 		return nil, err
 	}
+	lft, _ := rt.(*route.LFT)
 	return &Tables{Router: c, LFT: lft, Compiled: c}, nil
 }
 
-// faultedTables leniently compiles rt against the fault set and fills the
-// shared collateral accounting: every pair whose path crosses a dead link
-// (or that rt refuses) comes back broken, and BrokenPairs excludes the
-// pairs already doomed by unroutable hosts.
-func faultedTables(t *topo.Topology, rt route.Router, lft *route.LFT, fs *fabric.FaultSet) (*Tables, error) {
-	c, err := route.CompileLenient(newAliveOnly(rt, fs))
-	if err != nil {
-		return nil, err
-	}
-	un := deadUplinkHosts(t, fs)
-	return &Tables{
-		Router:      c,
-		LFT:         lft,
-		Compiled:    c,
-		Unroutable:  un,
-		BrokenPairs: brokenAmongRoutable(t.NumHosts(), c.NumBroken(), un),
-	}, nil
-}
-
-// dmodkEngine serves the paper's D-Mod-K tables and falls back to the
-// fabric reroute (down-cone growth) on faults.
-type dmodkEngine struct {
-	t       *topo.Topology
-	healthy *Tables
-}
-
-func (e *dmodkEngine) Name() string { return "dmodk" }
-
-func (e *dmodkEngine) Tables(fs *fabric.FaultSet) (*Tables, error) {
-	if fs == nil || fs.Failed() == 0 {
-		return e.healthy, nil
-	}
-	lft, rr, err := fs.RouteAround()
-	if err != nil {
-		return nil, err
-	}
-	c, err := route.CompileLenient(lft)
+// faultedTables assembles the Tables every engine serves for a faulted
+// fabric: rt leniently compiled (an already compiled arena, like the
+// fault-resilient engine's repatched one, is kept as is), so every pair
+// rt refuses or walks non-minimally comes back broken, and BrokenPairs
+// excludes the pairs already doomed by the unroutable hosts.
+func faultedTables(rt route.Router, lft *route.LFT, unroutable []int) (*Tables, error) {
+	c, err := route.CompileLenient(rt)
 	if err != nil {
 		return nil, err
 	}
@@ -110,53 +67,70 @@ func (e *dmodkEngine) Tables(fs *fabric.FaultSet) (*Tables, error) {
 		Router:      c,
 		LFT:         lft,
 		Compiled:    c,
-		Unroutable:  rr.UnroutableHosts,
-		BrokenPairs: brokenAmongRoutable(e.t.NumHosts(), c.NumBroken(), rr.UnroutableHosts),
+		Unroutable:  unroutable,
+		BrokenPairs: brokenAmongRoutable(rt.Topology().NumHosts(), c.NumBroken(), unroutable),
 	}, nil
 }
 
-// lftEngine wraps a fault-oblivious forwarding-table routing: under
-// faults the tables stay as programmed and every pair crossing a dead
-// link is refused rather than repaired.
-type lftEngine struct {
-	name    string
-	lft     *route.LFT
+// rerouteEngine serves ranked D-Mod-K tables and, on faults, the fabric
+// reroute (down-cone growth) over every column with the same rank: the
+// paper's "dmodk" under the identity rank (fabric.RouteAround's tables,
+// label included), "nodetype-lb" under the per-type one.
+type rerouteEngine struct {
+	name    string // registry name
+	rank    []int
+	cols    []int // every destination column: a full rebuild names them all
 	healthy *Tables
 }
 
-func newLFTEngine(name string, lft *route.LFT) (*lftEngine, error) {
+func newRerouteEngine(name string, lft *route.LFT, rank []int) (*rerouteEngine, error) {
 	healthy, err := healthyTables(lft)
 	if err != nil {
 		return nil, err
 	}
-	return &lftEngine{name: name, lft: lft, healthy: healthy}, nil
+	cols := make([]int, lft.T.NumHosts())
+	for j := range cols {
+		cols[j] = j
+	}
+	return &rerouteEngine{name: name, rank: rank, cols: cols, healthy: healthy}, nil
 }
 
-func (e *lftEngine) Name() string { return e.name }
+func (e *rerouteEngine) Name() string { return e.name }
 
-func (e *lftEngine) Tables(fs *fabric.FaultSet) (*Tables, error) {
+func (e *rerouteEngine) Tables(fs *fabric.FaultSet) (*Tables, error) {
 	if fs == nil || fs.Failed() == 0 {
 		return e.healthy, nil
 	}
-	return faultedTables(e.lft.T, e.lft, e.lft, fs)
+	base := e.healthy.LFT
+	lft := route.NewLFT(base.T, fmt.Sprintf("%s-reroute[%d faults]", base.Name, fs.Failed()))
+	rr := fs.Reroute(lft, e.rank, e.cols)
+	return faultedTables(lft, lft, rr.UnroutableHosts)
 }
 
-// routerEngine is lftEngine for routings with no forwarding-table
-// realization (source-based schemes).
-type routerEngine struct {
+// obliviousEngine wraps a fault-oblivious routing, forwarding tables or
+// source-based: under faults it stays as programmed and every pair
+// crossing a dead link is refused rather than repaired.
+type obliviousEngine struct {
 	name    string
-	t       *topo.Topology
 	rt      route.Router
 	healthy *Tables
 }
 
-func (e *routerEngine) Name() string { return e.name }
+func newObliviousEngine(name string, rt route.Router) (*obliviousEngine, error) {
+	healthy, err := healthyTables(rt)
+	if err != nil {
+		return nil, err
+	}
+	return &obliviousEngine{name: name, rt: rt, healthy: healthy}, nil
+}
 
-func (e *routerEngine) Tables(fs *fabric.FaultSet) (*Tables, error) {
+func (e *obliviousEngine) Name() string { return e.name }
+
+func (e *obliviousEngine) Tables(fs *fabric.FaultSet) (*Tables, error) {
 	if fs == nil || fs.Failed() == 0 {
 		return e.healthy, nil
 	}
-	return faultedTables(e.t, e.rt, nil, fs)
+	return faultedTables(newAliveOnly(e.rt, fs), e.healthy.LFT, fs.UnroutableHosts())
 }
 
 // aliveOnly filters a router through a snapshot of the dead links: a walk

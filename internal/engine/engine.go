@@ -157,24 +157,9 @@ func Infos() []Info {
 }
 
 // Default is the engine the daemon and CLIs use when none is selected:
-// the paper's D-Mod-K with RouteAround fault handling.
+// the paper's D-Mod-K, rerouted around faults by fabric.Reroute over
+// every column (RouteAround's tables).
 const Default = "dmodk"
-
-// deadUplinkHosts returns the hosts whose single uplink is dead,
-// ascending — the unroutable set every engine shares, since no routing
-// choice can reach a host with no alive cable.
-func deadUplinkHosts(t *topo.Topology, fs *fabric.FaultSet) []int {
-	if fs == nil {
-		return nil
-	}
-	var out []int
-	for j := 0; j < t.NumHosts(); j++ {
-		if !fs.Alive(t.Ports[t.Host(j).Up[0]].Link) {
-			out = append(out, j)
-		}
-	}
-	return out
-}
 
 // brokenAmongRoutable converts an arena's total broken count into the
 // count excluding pairs touching unroutable hosts (those pairs are

@@ -20,25 +20,22 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		wprod, mprod := levelProds(t.Spec)
-		return &faultresEngine{t: t, base: base, baseC: baseC, wprod: wprod, mprod: mprod}, nil
+		return &faultresEngine{base: base, baseC: baseC}, nil
 	})
 }
 
 // faultresEngine keeps the healthy D-Mod-K baseline (tables and compiled
 // arena) and on faults repairs only what a fault actually touched: the
 // destination columns whose up- or down-going entries cross a dead link
-// are re-spread across the surviving ports with the same down-cone
-// growth the full reroute uses, and the compiled arena is repatched in
+// are re-spread across the surviving ports by the fabric reroute the full
+// rebuild uses, and the compiled arena is repatched in
 // place of a whole-fabric recompile. Everything else — the vast majority
 // of columns and path entries after a typical single-link failure — is
 // carried over untouched, which is where the reroute-latency win over a
 // full rebuild comes from.
 type faultresEngine struct {
-	t            *topo.Topology
-	base         *route.LFT
-	baseC        *route.Compiled
-	wprod, mprod []int
+	base  *route.LFT
+	baseC *route.Compiled
 }
 
 func (e *faultresEngine) Name() string { return "fault-resilient" }
@@ -47,17 +44,12 @@ func (e *faultresEngine) Tables(fs *fabric.FaultSet) (*Tables, error) {
 	if fs == nil || fs.Failed() == 0 {
 		return &Tables{Router: e.baseC, LFT: e.base, Compiled: e.baseC}, nil
 	}
-	t := e.t
+	t := e.base.T
 	n := t.NumHosts()
-	un := deadUplinkHosts(t, fs)
-	unset := make([]bool, n)
-	for _, u := range un {
-		unset[u] = true
-	}
 
 	// Dirty destinations: columns whose baseline entries forward through
 	// a dead link, in either direction. Dead host uplinks dirty nothing —
-	// they make the host unroutable, handled below.
+	// they make the host unroutable, which the reroute handles itself.
 	dirtySet := make([]bool, n)
 	var dirty []int
 	for _, l := range fs.FailedLinks() {
@@ -67,10 +59,7 @@ func (e *faultresEngine) Tables(fs *fabric.FaultSet) (*Tables, error) {
 			continue
 		}
 		for j := 0; j < n; j++ {
-			if dirtySet[j] || unset[j] {
-				continue
-			}
-			if e.base.Out[lo][j] == lk.Lower || e.base.Out[up][j] == lk.Upper {
+			if !dirtySet[j] && (e.base.Out[lo][j] == lk.Lower || e.base.Out[up][j] == lk.Upper) {
 				dirtySet[j] = true
 				dirty = append(dirty, j)
 			}
@@ -78,29 +67,10 @@ func (e *faultresEngine) Tables(fs *fabric.FaultSet) (*Tables, error) {
 	}
 
 	lft := e.base.Clone(fmt.Sprintf("d-mod-k-patch[%d faults]", fs.Failed()))
-	for _, u := range un {
-		hid := t.HostID(u)
-		for j := 0; j < n; j++ {
-			lft.Out[hid][j] = topo.None
-		}
-		for id := range lft.Out {
-			lft.Out[id][u] = topo.None
-		}
-	}
-	canReach := make([]bool, len(t.Nodes))
-	for _, j := range dirty {
-		coneColumn(lft, fs, nil, e.wprod, e.mprod, canReach, j)
-	}
-
+	un := fs.Reroute(lft, nil, dirty).UnroutableHosts
 	c, err := e.baseC.Repatch(lft, dirty, un)
 	if err != nil {
 		return nil, err
 	}
-	return &Tables{
-		Router:      c,
-		LFT:         lft,
-		Compiled:    c,
-		Unroutable:  un,
-		BrokenPairs: brokenAmongRoutable(n, c.NumBroken(), un),
-	}, nil
+	return faultedTables(c, lft, un)
 }

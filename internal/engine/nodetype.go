@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 
-	"fattree/internal/fabric"
 	"fattree/internal/route"
 	"fattree/internal/topo"
 )
@@ -27,11 +26,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		healthy, err := healthyTables(lft)
-		if err != nil {
-			return nil, err
-		}
-		return &nodetypeEngine{t: t, rank: rank, name: name, healthy: healthy}, nil
+		return newRerouteEngine("nodetype-lb", lft, rank)
 	})
 }
 
@@ -53,178 +48,4 @@ func typeRanks(n int, types []int) (rank []int, distinct int) {
 		count[types[j]]++
 	}
 	return rank, len(count)
-}
-
-// nodetypeEngine routes with per-type ranked D-Mod-K and repairs faults
-// with the same down-cone growth as the fabric reroute, keyed by rank.
-type nodetypeEngine struct {
-	t       *topo.Topology
-	rank    []int
-	name    string
-	healthy *Tables
-}
-
-func (e *nodetypeEngine) Name() string { return "nodetype-lb" }
-
-func (e *nodetypeEngine) Tables(fs *fabric.FaultSet) (*Tables, error) {
-	if fs == nil || fs.Failed() == 0 {
-		return e.healthy, nil
-	}
-	un := deadUplinkHosts(e.t, fs)
-	lft := coneTables(e.t, fs, e.rank, fmt.Sprintf("%s-reroute[%d faults]", e.name, fs.Failed()), un)
-	c, err := route.CompileLenient(lft)
-	if err != nil {
-		return nil, err
-	}
-	return &Tables{
-		Router:      c,
-		LFT:         lft,
-		Compiled:    c,
-		Unroutable:  un,
-		BrokenPairs: brokenAmongRoutable(e.t.NumHosts(), c.NumBroken(), un),
-	}, nil
-}
-
-// coneTables rebuilds a full table set around the fault set with the
-// ranked spreading rule: one coneColumn pass per routable destination.
-// Columns of unroutable destinations stay empty so walks to them fail
-// and lenient compiles mark their pairs broken.
-func coneTables(t *topo.Topology, fs *fabric.FaultSet, rank []int, name string, unroutable []int) *route.LFT {
-	lft := route.NewLFT(t, name)
-	wprod, mprod := levelProds(t.Spec)
-	unset := make([]bool, t.NumHosts())
-	for _, u := range unroutable {
-		unset[u] = true
-	}
-	canReach := make([]bool, len(t.Nodes))
-	for j := 0; j < t.NumHosts(); j++ {
-		if unset[j] {
-			continue
-		}
-		coneColumn(lft, fs, rank, wprod, mprod, canReach, j)
-	}
-	return lft
-}
-
-// levelProds precomputes the per-level products of w and m the spreading
-// rule divides by.
-func levelProds(g topo.PGFT) (wprod, mprod []int) {
-	wprod = make([]int, g.H+1)
-	mprod = make([]int, g.H+1)
-	wprod[0], mprod[0] = 1, 1
-	for l := 1; l <= g.H; l++ {
-		wprod[l] = wprod[l-1] * g.Wi(l)
-		mprod[l] = mprod[l-1] * g.Mi(l)
-	}
-	return wprod, mprod
-}
-
-// coneColumn recomputes the forwarding entries towards destination j
-// around the fault set, the fabric-reroute algorithm parameterized by a
-// rank table: grow the reachable down cone from j upward (among parallel
-// copies into a parent the ranked equation (1) copy wins when alive),
-// then point every other node up towards the cone with a linear probe
-// from the ranked preferred up port. With no faults and a nil rank the
-// column is bit-identical to D-Mod-K's. The column is cleared first, so
-// the fault-resilient engine can call this on a cloned base table to
-// repair just the columns a fault touched. canReach is caller-provided
-// scratch of len(t.Nodes).
-func coneColumn(lft *route.LFT, fs *fabric.FaultSet, rank []int, wprod, mprod []int, canReach []bool, j int) {
-	t := lft.T
-	g := t.Spec
-	rj := j
-	if rank != nil {
-		rj = rank[j]
-	}
-	for i := range canReach {
-		canReach[i] = false
-	}
-	for id := range lft.Out {
-		lft.Out[id][j] = topo.None
-	}
-	host := t.Host(j)
-	canReach[host.ID] = true
-
-	frontier := []topo.NodeID{host.ID}
-	for l := 0; l < g.H; l++ {
-		var next []topo.NodeID
-		for _, cid := range frontier {
-			c := t.Node(cid)
-			for _, pid := range c.Up {
-				if !fs.Alive(t.Ports[pid].Link) {
-					continue
-				}
-				peerPort := t.PeerPort(pid)
-				parent := t.Ports[peerPort].Node
-				if lft.Out[parent][j] == topo.None {
-					lft.Out[parent][j] = peerPort
-					canReach[parent] = true
-					next = append(next, parent)
-				} else if preferredDownRanked(t, g, wprod, mprod, j, rj, parent, l+1) == peerPort {
-					lft.Out[parent][j] = peerPort
-				}
-			}
-		}
-		frontier = dedupeNodes(next)
-	}
-
-	// Point everything else up, top level down to the leaves, so
-	// parents' reachability is known before children choose.
-	for l := g.H - 1; l >= 0; l-- {
-		for _, id := range t.ByLevel[l] {
-			node := t.Node(id)
-			if canReach[id] || (node.Kind == topo.Host && node.Index == j) {
-				continue
-			}
-			if node.Kind == topo.Host {
-				// Hosts have one uplink.
-				pid := node.Up[0]
-				if fs.Alive(t.Ports[pid].Link) && canReach[t.PeerNode(pid)] {
-					lft.Out[id][j] = pid
-					canReach[id] = true
-				}
-				continue
-			}
-			u := len(node.Up)
-			q0 := (rj / wprod[l]) % u
-			for k := 0; k < u; k++ {
-				pid := node.Up[(q0+k)%u]
-				if !fs.Alive(t.Ports[pid].Link) {
-					continue
-				}
-				if canReach[t.PeerNode(pid)] {
-					lft.Out[id][j] = pid
-					canReach[id] = true
-					break
-				}
-			}
-		}
-	}
-}
-
-// preferredDownRanked returns the down port on parent the fault-free
-// ranked rule would use towards destination j: the child digit a follows
-// j's real address (delivery), the parallel copy k follows its rank
-// (spreading), or topo.None if out of range.
-func preferredDownRanked(t *topo.Topology, g topo.PGFT, wprod, mprod []int, j, rj int, parent topo.NodeID, l int) topo.PortID {
-	node := t.Node(parent)
-	a := (j / mprod[l-1]) % g.Mi(l)
-	k := (rj / wprod[l-1]) % (g.Wi(l) * g.Pi(l)) / g.Wi(l)
-	r := a + k*g.Mi(l)
-	if r >= len(node.Down) {
-		return topo.None
-	}
-	return node.Down[r]
-}
-
-func dedupeNodes(ids []topo.NodeID) []topo.NodeID {
-	seen := make(map[topo.NodeID]bool, len(ids))
-	out := ids[:0]
-	for _, id := range ids {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	return out
 }

@@ -88,8 +88,9 @@ type RerouteResult struct {
 	// UnroutableHosts lost their only uplink; no traffic can reach or
 	// leave them.
 	UnroutableHosts []int
-	// BrokenPairs counts ordered (src,dst) combinations that remained
-	// without a minimal up*/down* path. Fat-tree routing is minimal by
+	// BrokenPairs counts ordered (src,dst) combinations of routable hosts
+	// that remained without a minimal up*/down* path (pairs touching an
+	// unroutable host are all lost and not counted). Routing is minimal by
 	// construction; under heavy correlated faults a source's alive
 	// up-links may all lead to spines that lost their link into the
 	// destination's sub-tree, which only a non-minimal detour could
@@ -97,135 +98,150 @@ type RerouteResult struct {
 	BrokenPairs int
 }
 
+// UnroutableHosts returns the hosts whose only uplink is dead, ascending —
+// the set every routing shares, since no table choice reaches a host with
+// no alive cable.
+func (f *FaultSet) UnroutableHosts() []int {
+	var out []int
+	for j := 0; j < f.t.NumHosts(); j++ {
+		if !f.Alive(f.t.Ports[f.t.Host(j).Up[0]].Link) {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
 // RouteAround recomputes D-Mod-K-style forwarding tables avoiding dead
 // links, the way OpenSM's ftree engine reroutes after a link failure:
-// for every destination it grows the reachable "down cone" from the
-// destination upward (preferring the parallel copy equation (1) would
-// use), then points every other switch up towards the cone (preferring
-// the equation (1) up port, falling back to the next alive candidate).
-// With no faults the result is bit-identical to route.DModK.
+// Reroute over every column of a fresh table set, spreading by the raw
+// destination index. With no faults the result is bit-identical to
+// route.DModK.
 func (f *FaultSet) RouteAround() (*route.LFT, RerouteResult, error) {
+	lft := route.NewLFT(f.t, fmt.Sprintf("d-mod-k-reroute[%d faults]", f.Failed()))
+	cols := make([]int, f.t.NumHosts())
+	for j := range cols {
+		cols[j] = j
+	}
+	return lft, f.Reroute(lft, nil, cols), nil
+}
+
+// Reroute is the one fault-aware routing rule, applied to the destination
+// columns cols of lft: for each it grows the reachable "down cone" from
+// the destination upward (among parallel copies into a parent the copy
+// equation (1) would use wins when alive), then points every other node up
+// towards the cone (preferring the equation (1) up port, falling back to
+// the next alive candidate) and empties the entry of a node no alive port
+// leads from. rank replaces the destination index in every spreading
+// choice, as in route.DModKRanked; nil is the identity. Every entry of a
+// named column is rewritten and no other column is read, so lft may be a
+// fresh table set (name every column) or a clone of the healthy tables
+// (name the columns whose entries cross a dead link). The row and column
+// of an unroutable host are emptied whether named or not, so walks from
+// and to it fail. BrokenPairs is exact as long as every column the faults
+// changed is named.
+func (f *FaultSet) Reroute(lft *route.LFT, rank []int, cols []int) RerouteResult {
 	t := f.t
 	g := t.Spec
-	lft := route.NewLFT(t, fmt.Sprintf("d-mod-k-reroute[%d faults]", f.Failed()))
-	n := t.NumHosts()
-
-	wprod := make([]int, g.H+1)
-	mprod := make([]int, g.H+1)
-	wprod[0], mprod[0] = 1, 1
-	for l := 1; l <= g.H; l++ {
-		wprod[l] = wprod[l-1] * g.Wi(l)
-		mprod[l] = mprod[l-1] * g.Mi(l)
+	res := RerouteResult{UnroutableHosts: f.UnroutableHosts()}
+	unroutable := make([]bool, t.NumHosts())
+	for _, u := range res.UnroutableHosts {
+		unroutable[u] = true
+		row := lft.Out[t.HostID(u)]
+		for j := range row {
+			row[j] = topo.None
+		}
+		for id := range lft.Out {
+			lft.Out[id][u] = topo.None
+		}
 	}
-
-	var res RerouteResult
-	// canReach[node] for the current destination.
-	canReach := make([]bool, len(t.Nodes))
-
-	for j := 0; j < n; j++ {
+	canReach := make([]bool, len(t.Nodes)) // for the current destination
+	var frontier, next []topo.NodeID
+	for _, j := range cols {
+		if unroutable[j] {
+			continue
+		}
+		rj := j
+		if rank != nil {
+			rj = rank[j]
+		}
 		for i := range canReach {
 			canReach[i] = false
 		}
 		host := t.Host(j)
-		uplink := t.Ports[host.Up[0]].Link
-		if !f.Alive(uplink) {
-			res.UnroutableHosts = append(res.UnroutableHosts, j)
-			continue
-		}
 		canReach[host.ID] = true
 
 		// Grow the down cone level by level: at level l the ancestors
-		// of j are the switches whose digits above l match j's. Among
-		// parallel links into a parent, equation (1)'s copy wins when
-		// alive.
-		frontier := []topo.NodeID{host.ID}
-		for l := 0; l < g.H; l++ {
-			var next []topo.NodeID
+		// of j are the switches whose digits above l match j's.
+		frontier = append(frontier[:0], host.ID)
+		for l := 1; l <= g.H; l++ {
+			next = next[:0]
 			for _, cid := range frontier {
-				c := t.Node(cid)
-				for _, pid := range c.Up {
+				for _, pid := range t.Node(cid).Up {
 					if !f.Alive(t.Ports[pid].Link) {
 						continue
 					}
 					peerPort := t.PeerPort(pid)
 					parent := t.Ports[peerPort].Node
-					if lft.Out[parent][j] == topo.None {
-						lft.Out[parent][j] = peerPort
+					if !canReach[parent] {
 						canReach[parent] = true
 						next = append(next, parent)
-					} else if preferredDown(t, g, wprod, mprod, j, parent, l+1) == peerPort {
-						lft.Out[parent][j] = peerPort
+					} else if preferredDown(t, j, rj, parent, l) != peerPort {
+						continue
 					}
+					lft.Out[parent][j] = peerPort
 				}
 			}
-			frontier = dedupe(next)
-		}
-
-		deadUp := make(map[int]bool) // unroutable hosts, for pair accounting
-		for _, u := range res.UnroutableHosts {
-			deadUp[u] = true
+			frontier, next = next, frontier
 		}
 
 		// Point everything else up, top level down to the leaves, so
-		// parents' reachability is known before children choose.
-		for l := g.H - 1; l >= 0; l-- {
+		// parents' reachability is known before children choose. A top
+		// switch outside the cone has nowhere to point.
+		for l := g.H; l >= 0; l-- {
+			wl := g.WProd(l)
 			for _, id := range t.ByLevel[l] {
-				node := t.Node(id)
-				if canReach[id] || (node.Kind == topo.Host && node.Index == j) {
+				if canReach[id] {
 					continue
 				}
-				if node.Kind == topo.Host && node.Index != j {
+				node := t.Node(id)
+				out := topo.PortID(topo.None)
+				if node.Kind == topo.Host {
 					// Hosts have one uplink.
-					pid := node.Up[0]
-					if f.Alive(t.Ports[pid].Link) && canReach[t.PeerNode(pid)] {
-						lft.Out[id][j] = pid
-						canReach[id] = true
-					} else if !deadUp[node.Index] {
+					if pid := node.Up[0]; f.Alive(t.Ports[pid].Link) && canReach[t.PeerNode(pid)] {
+						out = pid
+					} else if !unroutable[node.Index] {
 						res.BrokenPairs++
 					}
-					continue
-				}
-				u := len(node.Up)
-				q0 := (j / wprod[l]) % u
-				for k := 0; k < u; k++ {
-					pid := node.Up[(q0+k)%u]
-					if !f.Alive(t.Ports[pid].Link) {
-						continue
-					}
-					if canReach[t.PeerNode(pid)] {
-						lft.Out[id][j] = pid
-						canReach[id] = true
-						break
+				} else if u := len(node.Up); u > 0 {
+					q0 := (rj / wl) % u
+					for k := 0; k < u; k++ {
+						pid := node.Up[(q0+k)%u]
+						if f.Alive(t.Ports[pid].Link) && canReach[t.PeerNode(pid)] {
+							out = pid
+							break
+						}
 					}
 				}
+				lft.Out[id][j] = out
+				canReach[id] = out != topo.None
 			}
 		}
 	}
-	return lft, res, nil
+	return res
 }
 
-// preferredDown returns the down port (as a PortID on parent) that the
-// fault-free equation (1) rule would use towards destination j from a
-// level-l parent, or topo.None if out of range.
-func preferredDown(t *topo.Topology, g topo.PGFT, wprod, mprod []int, j int, parent topo.NodeID, l int) topo.PortID {
+// preferredDown returns the down port on the level-l parent that the
+// fault-free ranked rule uses towards destination j: the child digit
+// follows j's real address (delivery), the parallel copy its rank rj
+// (spreading). topo.None if out of range.
+func preferredDown(t *topo.Topology, j, rj int, parent topo.NodeID, l int) topo.PortID {
+	g := t.Spec
 	node := t.Node(parent)
-	a := (j / mprod[l-1]) % g.Mi(l)
-	k := (j / wprod[l-1]) % (g.Wi(l) * g.Pi(l)) / g.Wi(l)
+	a := (j / g.MProd(l-1)) % g.Mi(l)
+	k := (rj / g.WProd(l-1)) % (g.Wi(l) * g.Pi(l)) / g.Wi(l)
 	r := a + k*g.Mi(l)
 	if r >= len(node.Down) {
 		return topo.None
 	}
 	return node.Down[r]
-}
-
-func dedupe(ids []topo.NodeID) []topo.NodeID {
-	seen := make(map[topo.NodeID]bool, len(ids))
-	out := ids[:0]
-	for _, id := range ids {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	return out
 }

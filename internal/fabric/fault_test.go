@@ -97,6 +97,36 @@ func TestRouteAroundHostUplinkFault(t *testing.T) {
 	}
 }
 
+// TestRouteAroundBrokenPairsExcludeUnroutable: BrokenPairs counts unserved
+// pairs between routable hosts only, whatever the unroutable host's index
+// (the count used to charge it one pair per lower-numbered destination).
+func TestRouteAroundBrokenPairsExcludeUnroutable(t *testing.T) {
+	g, err := topo.RLFT2(4, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp := topo.MustBuild(g)
+	fs := NewFaultSet(tp)
+	fs.Fail(tp.Ports[tp.Host(20).Up[0]].Link)
+	lft, res, err := fs.RouteAround()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.UnroutableHosts) != 1 || res.UnroutableHosts[0] != 20 {
+		t.Fatalf("unroutable = %v, want [20]", res.UnroutableHosts)
+	}
+	if res.BrokenPairs != 0 {
+		t.Errorf("BrokenPairs = %d, want 0: every unserved pair touches host 20", res.BrokenPairs)
+	}
+	c, err := route.CompileLenient(lft)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 2 * (tp.NumHosts() - 1); c.NumBroken() != want {
+		t.Errorf("arena has %d broken pairs, want the %d touching host 20", c.NumBroken(), want)
+	}
+}
+
 func TestRouteAroundGracefulDegradation(t *testing.T) {
 	// A single fabric fault should cause at most mild contention under
 	// the Shift: flows that used the dead link fold onto a neighbour.

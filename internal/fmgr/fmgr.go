@@ -6,7 +6,7 @@
 // cached Shift-HSD summary — behind an atomic pointer: readers load the
 // pointer and work lock-free on a consistent snapshot (RCU style),
 // while a single event loop consumes fault/revive and job events,
-// debounces them, reroutes via fabric.RouteAround, validates the result
+// debounces them, reroutes via the active engine, validates the result
 // and swaps the whole snapshot. A query served mid-reroute therefore
 // always answers from exactly one epoch — the previous valid tables
 // until the new ones are proven good, never a mix.
@@ -77,8 +77,7 @@ type FabricState struct {
 	// write — a pure cache hit, no path walk, no encode.
 	JobRouteSets map[sched.JobID]JobWireFrame
 
-	unroutable []bool // per-host, for O(1) request checks
-	wireOrder  []byte // pre-encoded binary OrderResp frame
+	wireOrder []byte // pre-encoded binary OrderResp frame
 }
 
 // JobWireFrame is one job's precomputed binary answer, served verbatim
@@ -93,9 +92,12 @@ type JobWireFrame struct {
 }
 
 // HostUnroutable reports whether host j lost its only uplink in this
-// snapshot.
+// snapshot. It is reported data: whether a pair is served is
+// Paths.Broken's call alone, which validateState proves covers every
+// pair touching an unroutable host before a snapshot is swapped in.
 func (st *FabricState) HostUnroutable(j int) bool {
-	return j >= 0 && j < len(st.unroutable) && st.unroutable[j]
+	i := sort.SearchInts(st.Unroutable, j)
+	return i < len(st.Unroutable) && st.Unroutable[i] == j
 }
 
 // JobEngine resolves which engine serves a job's traffic in this
@@ -112,8 +114,8 @@ func (st *FabricState) JobEngine(id sched.JobID) string {
 type Config struct {
 	Topo *topo.Topology
 	// Engine selects the routing engine (by registry name) that produces
-	// the served tables. Default engine.Default, the paper's D-Mod-K
-	// with RouteAround fault handling.
+	// the served tables and reroutes them around faults. Default
+	// engine.Default, the paper's D-Mod-K.
 	Engine string
 	// EngineOpts is handed to every engine builder (randomized-engine
 	// seed, node-type assignment for nodetype-lb).
@@ -680,7 +682,6 @@ func (m *Manager) buildState(epoch uint64, sp *obs.Span) (*FabricState, error) {
 		ByEngine:    map[string]*engine.Tables{},
 		JobEngines:  map[sched.JobID]string{},
 		FailedLinks: m.faults.FailedLinks(),
-		unroutable:  make([]bool, m.t.NumHosts()),
 	}
 	want := map[string]bool{m.cfg.Engine: true}
 	for id, name := range m.jobEngines {
@@ -716,9 +717,6 @@ func (m *Manager) buildState(epoch uint64, sp *obs.Span) (*FabricState, error) {
 	st.Routing = tb.Router.Label()
 	st.Unroutable = tb.Unroutable
 	st.BrokenPairs = tb.BrokenPairs
-	for _, j := range st.Unroutable {
-		st.unroutable[j] = true
-	}
 	if m.alloc != nil {
 		for _, j := range m.alloc.Jobs() {
 			jc := *j
@@ -809,7 +807,7 @@ func shiftSummary(st *FabricState) (*hsd.Report, error) {
 		pairs = pairs[:0]
 		for _, p := range seq.Stage(s) {
 			src, dst := st.Ordering.HostOf[p.Src], st.Ordering.HostOf[p.Dst]
-			if src == dst || st.HostUnroutable(src) || st.HostUnroutable(dst) || st.Paths.Broken(src, dst) {
+			if src == dst || st.Paths.Broken(src, dst) {
 				continue
 			}
 			pairs = append(pairs, [2]int{src, dst})

@@ -247,7 +247,6 @@ func (m *Manager) handleRoute(w http.ResponseWriter, r *http.Request) {
 	// active one plus every engine a live job requested); the default is
 	// the active engine.
 	engName, paths, routing := st.Engine, st.Paths, st.Routing
-	unroutable := st.HostUnroutable
 	if q := r.URL.Query().Get("engine"); q != "" && q != st.Engine {
 		tb, ok := st.ByEngine[q]
 		if !ok {
@@ -264,14 +263,6 @@ func (m *Manager) handleRoute(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		engName, paths, routing = q, tb.Compiled, tb.Router.Label()
-		unroutable = func(j int) bool {
-			for _, u := range tb.Unroutable {
-				if u == j {
-					return true
-				}
-			}
-			return false
-		}
 	}
 	doc := RouteDoc{Schema: RouteSchema, Epoch: st.Epoch, Engine: engName, Routing: routing, Src: src, Dst: dst, Hops: []HopDoc{}}
 	if src == dst {
@@ -280,7 +271,7 @@ func (m *Manager) handleRoute(w http.ResponseWriter, r *http.Request) {
 	}
 
 	c = sp.Child("lookup")
-	if unroutable(src) || unroutable(dst) || paths.Broken(src, dst) {
+	if paths.Broken(src, dst) {
 		c.End()
 		sp.TagStr("outcome", "unroutable")
 		writeJSON(w, http.StatusServiceUnavailable, errorDoc{
@@ -344,7 +335,7 @@ func (m *Manager) handleHSD(w http.ResponseWriter, r *http.Request) {
 		SyncBandwidth:  rep.SyncEffectiveBandwidth(),
 		FailedLinks:    len(st.FailedLinks),
 		Unroutable:     len(st.Unroutable),
-		BrokenPairs:    st.Paths.NumBroken(),
+		BrokenPairs:    st.BrokenPairs,
 	})
 }
 

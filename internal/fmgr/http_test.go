@@ -142,6 +142,22 @@ func TestHandlerFaultsAndRouteDegradation(t *testing.T) {
 		t.Fatalf("unaffected route: %d, want 200", rec.Code)
 	}
 
+	// broken_pairs means the same everywhere: unserved pairs between
+	// routable hosts. A lone host-uplink fault leaves none, although
+	// every pair touching host 0 is broken in the arena.
+	_, hsdDoc := get(t, h, "/v1/hsd")
+	_, fabricDoc := get(t, h, "/v1/fabric")
+	if hsdDoc["epoch"] != fabricDoc["epoch"] {
+		t.Fatalf("epoch moved between reads: hsd %v, fabric %v", hsdDoc["epoch"], fabricDoc["epoch"])
+	}
+	faults := fabricDoc["faults"].(map[string]interface{})
+	if hsdDoc["broken_pairs"] != faults["broken_pairs"] || hsdDoc["broken_pairs"].(float64) != 0 {
+		t.Fatalf("broken_pairs: /v1/hsd %v, /v1/fabric %v, want both 0", hsdDoc["broken_pairs"], faults["broken_pairs"])
+	}
+	if n := len(faults["unroutable_hosts"].([]interface{})); hsdDoc["unroutable_hosts"].(float64) != 1 || n != 1 {
+		t.Fatalf("unroutable hosts: /v1/hsd %v, /v1/fabric %d, want 1", hsdDoc["unroutable_hosts"], n)
+	}
+
 	// Bad requests.
 	req = httptest.NewRequest("POST", "/v1/faults", strings.NewReader("not json"))
 	if rec, _ := do(t, h, req); rec.Code != http.StatusBadRequest {

@@ -159,21 +159,12 @@ func (m *Manager) wireRouteSet(dst []byte, req *wire.RouteSetReq) ([]byte, int) 
 // slice, sized in a first pass, so a whole-job set costs two
 // allocations, not one per pair.
 func routeSetResp(epoch uint64, engName string, tb *engine.Tables, pairs [][2]uint32) (*wire.RouteSetResp, error) {
-	unroutable := map[int]bool{}
-	for _, h := range tb.Unroutable {
-		unroutable[h] = true
-	}
 	total := 0
 	for _, p := range pairs {
-		src, dst := int(p[0]), int(p[1])
-		if src == dst || unroutable[src] || unroutable[dst] || tb.Compiled.Broken(src, dst) {
-			continue
+		if src, dst := int(p[0]), int(p[1]); !tb.Compiled.Broken(src, dst) {
+			head, tail, _ := tb.Compiled.SplitPath(src, dst) // errors surface in the fill pass
+			total += len(head) + len(tail)
 		}
-		head, tail, err := tb.Compiled.SplitPath(src, dst)
-		if err != nil {
-			return nil, err
-		}
-		total += len(head) + len(tail)
 	}
 	resp := &wire.RouteSetResp{
 		Epoch:   epoch,
@@ -186,11 +177,7 @@ func routeSetResp(epoch uint64, engName string, tb *engine.Tables, pairs [][2]ui
 		src, dst := int(p[0]), int(p[1])
 		pr := &resp.Pairs[i]
 		pr.Src, pr.Dst = p[0], p[1]
-		if src == dst {
-			pr.OK = true
-			continue
-		}
-		if unroutable[src] || unroutable[dst] || tb.Compiled.Broken(src, dst) {
+		if tb.Compiled.Broken(src, dst) {
 			continue // OK=false: the binary twin of the JSON 503
 		}
 		head, tail, err := tb.Compiled.SplitPath(src, dst)

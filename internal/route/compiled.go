@@ -52,9 +52,12 @@ const noEntry PathEntry = -1
 // paper's largest cluster). Every other source — any non-LFT router, hosts
 // with several uplinks — owns a row walked from the host itself and has
 // no head; only the grouping differs. The tails live in one flat []int32
-// arena of fixed-stride slots (the longest tail sets the stride, shorter
-// ones are padded), so a lookup is one multiply and one cache line, with
-// no offsets table to chase first.
+// arena of fixed-stride slots, so a lookup is one multiply and one cache
+// line, with no offsets table to chase first. The tree height sets the
+// stride — an up*/down* tail is at most 2h hops from a host, 2h-1 from
+// its first switch — so every slot's place is known before any path is
+// walked and a compile writes the arena in place; shorter tails are
+// padded.
 //
 // Compiling a randomized router (Adaptive) freezes one draw per pair and
 // is almost certainly not what you want; compile forwarding tables
@@ -80,9 +83,9 @@ type Compiled struct {
 func Compile(r Router) (*Compiled, error) { return CompileParallel(r, 0) }
 
 // CompileParallel is Compile with an explicit worker count (<= 0 uses
-// GOMAXPROCS). Each worker walks all destinations of a row into a
-// private buffer; the rows are then stitched into the shared arena, so
-// no locking is needed during the build either.
+// GOMAXPROCS). Each worker walks all destinations of a row straight into
+// that row's arena slots, which no other worker touches, so no locking is
+// needed during the build either.
 func CompileParallel(r Router, workers int) (*Compiled, error) {
 	return compileParallel(r, workers, false)
 }
@@ -169,6 +172,54 @@ func (c *Compiled) markBroken(src, dst int) {
 	}
 }
 
+// filler returns the one slot-fill primitive compiles and Repatch share:
+// fill(row, dst) walks row's tail towards dst through r straight into its
+// arena slot and pads the rest. A walk that fails, a tail longer than the
+// stride (no up*/down* path is) and — leniently — a delivered but
+// non-minimal one are refused: the slot is left empty and the error says
+// why, for the caller to break the row's readers (breakRefused) rather
+// than serve a detour that silently breaks the minimality guarantee. One
+// filler serves one goroutine.
+func (c *Compiled) filler(r Router, lenient bool) func(row, dst int) error {
+	g := r.Topology().Spec
+	var slot []PathEntry
+	hops := 0
+	visit := func(l topo.LinkID, up bool) {
+		if hops < len(slot) {
+			slot[hops] = PackEntry(l, up)
+		}
+		hops++
+	}
+	return func(row, dst int) error {
+		slot, hops = c.entries[(row*c.n+dst)*c.stride:][:c.stride], 0
+		err := c.walkRow(r, row, dst, visit)
+		if err == nil && hops > len(slot) {
+			err = fmt.Errorf("route: %s: %d-hop tail towards %d exceeds the up*/down* bound %d", r.Label(), hops, dst, len(slot))
+		} else if err == nil && lenient && hops != c.minimalTail(g, row, dst) {
+			err = ErrNoPath // delivered, but by a detour: no usable path
+		}
+		if err != nil {
+			hops = 0
+		}
+		for i := hops; i < len(slot); i++ {
+			slot[i] = noEntry
+		}
+		return err
+	}
+}
+
+// breakRefused breaks every pair reading a refused slot: refused lists,
+// per row, the destinations fill turned down.
+func (c *Compiled) breakRefused(refused [][]int32) {
+	for src, row := range c.rowOf {
+		for _, dst := range refused[row] {
+			if int(dst) != src {
+				c.markBroken(src, int(dst))
+			}
+		}
+	}
+}
+
 func compileParallel(r Router, workers int, lenient bool) (*Compiled, error) {
 	if c, ok := r.(*Compiled); ok {
 		return c, nil
@@ -180,13 +231,19 @@ func compileParallel(r Router, workers int, lenient bool) (*Compiled, error) {
 		return nil, err
 	}
 	rows := len(c.rep)
+	c.stride = 2 * t.Spec.H
+	if c.head[0] != noEntry { // every host has as many uplinks: all rows shared, or none
+		c.stride--
+	}
+	if total := rows * n * c.stride; total > math.MaxInt32 {
+		return nil, fmt.Errorf("route: compile %s: %d path entries overflow the int32 arena bound", r.Label(), total)
+	}
+	c.entries = make([]PathEntry, rows*n*c.stride)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	tails := make([][]PathEntry, rows)
-	tailOffs := make([][]int32, rows)
-	badDst := make([][]int32, rows) // per-row destinations without a usable tail
-	readers := make([]int, rows)    // per-row source count
+	refused := make([][]int32, rows)
+	readers := make([]int, rows) // per-row source count
 	for _, row := range c.rowOf {
 		readers[row]++
 	}
@@ -200,8 +257,7 @@ func compileParallel(r Router, workers int, lenient bool) (*Compiled, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var buf []PathEntry
-			visit := func(l topo.LinkID, up bool) { buf = append(buf, PackEntry(l, up)) }
+			fill := c.filler(r, lenient)
 			for !failed.Load() {
 				row := int(next.Add(1)) - 1
 				if row >= rows {
@@ -211,30 +267,19 @@ func compileParallel(r Router, workers int, lenient bool) (*Compiled, error) {
 				if readers[row] == 1 {
 					own = int(c.rep[row])
 				}
-				offs := make([]int32, n+1)
-				buf = make([]PathEntry, 0, n*2*t.Spec.H)
 				for dst := 0; dst < n; dst++ {
-					if dst != own {
-						start := len(buf)
-						err := c.walkRow(r, row, dst, visit)
-						if err != nil && !lenient {
-							if failed.CompareAndSwap(false, true) {
-								firstErr = fmt.Errorf("route: compile %s: %w", r.Label(), err)
-							}
-							return
-						}
-						// Lenient: an unwalkable tail, or a delivered
-						// but non-minimal one, breaks every pair reading
-						// it rather than serve a detour that silently
-						// breaks the minimality guarantee.
-						if err != nil || lenient && len(buf)-start != c.minimalTail(t.Spec, row, dst) {
-							buf = buf[:start]
-							badDst[row] = append(badDst[row], int32(dst))
-						}
+					err := fill(row, dst)
+					if err == nil || dst == own {
+						continue
 					}
-					offs[dst+1] = int32(len(buf))
+					if !lenient {
+						if failed.CompareAndSwap(false, true) {
+							firstErr = fmt.Errorf("route: compile %s: %w", r.Label(), err)
+						}
+						return
+					}
+					refused[row] = append(refused[row], int32(dst))
 				}
-				tails[row], tailOffs[row] = buf, offs
 			}
 		}()
 	}
@@ -242,30 +287,7 @@ func compileParallel(r Router, workers int, lenient bool) (*Compiled, error) {
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	for _, offs := range tailOffs {
-		for dst := 0; dst < n; dst++ {
-			c.stride = max(c.stride, int(offs[dst+1]-offs[dst]))
-		}
-	}
-	if total := rows * n * c.stride; total > math.MaxInt32 {
-		return nil, fmt.Errorf("route: compile %s: %d path entries overflow the int32 arena bound", r.Label(), total)
-	}
-	c.entries = make([]PathEntry, rows*n*c.stride)
-	for i := range c.entries {
-		c.entries[i] = noEntry
-	}
-	for row, tail := range tails {
-		for dst, offs := 0, tailOffs[row]; dst < n; dst++ {
-			copy(c.entries[(row*n+dst)*c.stride:], tail[offs[dst]:offs[dst+1]])
-		}
-	}
-	for src, row := range c.rowOf {
-		for _, dst := range badDst[row] {
-			if int(dst) != src {
-				c.markBroken(src, int(dst))
-			}
-		}
-	}
+	c.breakRefused(refused)
 	return c, nil
 }
 

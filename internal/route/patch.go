@@ -24,11 +24,12 @@ func (f *LFT) Clone(name string) *LFT {
 // Repatch returns a copy of the compiled arena with the tails towards the
 // given destination columns re-walked through inner (typically a locally
 // repaired LFT) — rows x dirty destinations, no other pair is touched. A
-// patched tail whose new walk fails, is non-minimal, or outgrows the
-// arena's stride breaks every pair reading it — the lenient-compile
-// contract — as does a source whose repaired table no longer sends the
-// column through its head, and every pair touching a host in brokenHosts
-// (hosts that lost their only uplink; inner must fail their walks too).
+// patched tail the shared slot-fill refuses (its new walk fails, is
+// non-minimal, or outgrows the stride) breaks every pair reading it — the
+// lenient-compile contract — as does a source whose repaired table no
+// longer sends the column through its head, and every pair touching a
+// host in brokenHosts (hosts that lost their only uplink; inner must fail
+// their walks too).
 // The grouping tables are shared with the receiver (both stay immutable);
 // only the entry arena is copied, which is what makes a few-column repair
 // cheap relative to a full CompileLenient rebuild.
@@ -60,30 +61,23 @@ func (c *Compiled) Repatch(inner Router, dsts []int, brokenHosts []int) (*Compil
 			}
 		}
 	}
-	var buf []PathEntry
-	visit := func(l topo.LinkID, up bool) { buf = append(buf, PackEntry(l, up)) }
-	fits := make([]bool, len(c.rep))
+	fill := p.filler(inner, true)
+	refused := make([][]int32, len(c.rep))
 	for _, dst := range dsts {
 		if dst < 0 || dst >= c.n {
 			return nil, fmt.Errorf("route: repatch %s: destination %d out of range [0,%d)", c.Label(), dst, c.n)
 		}
-		for row := range fits {
-			buf = buf[:0]
-			err := p.walkRow(inner, row, dst, visit)
-			fits[row] = err == nil && len(buf) <= p.stride && len(buf) == p.minimalTail(t.Spec, row, dst)
-			if fits[row] {
-				slot := p.entries[(row*p.n+dst)*p.stride:][:p.stride]
-				for i := copy(slot, buf); i < len(slot); i++ {
-					slot[i] = noEntry
-				}
+		for row := range refused {
+			if fill(row, dst) != nil {
+				refused[row] = append(refused[row], int32(dst))
 			}
 		}
-		for src, row := range p.rowOf {
-			headOK := p.head[src] == noEntry || lft.Out[t.HostID(src)][dst] == t.Host(src).Up[0]
-			if src != dst && !(fits[row] && headOK) {
+		for src := range p.rowOf {
+			if src != dst && p.head[src] != noEntry && lft.Out[t.HostID(src)][dst] != t.Host(src).Up[0] {
 				p.markBroken(src, dst)
 			}
 		}
 	}
+	p.breakRefused(refused)
 	return &p, nil
 }
