@@ -12,7 +12,7 @@ LOADLEVELS ?= 1,2,4,8
 LOADDURATION ?= 2s
 LOADAGREE ?= 0
 
-.PHONY: all build vet test race loc bench bench-repo bench-json bench-netsim bench-track bench-gate report check daemon-smoke load-curve replica-smoke experiments experiments-quick fuzz fuzz-smoke clean
+.PHONY: all build vet test race loc golden bench bench-repo bench-json bench-netsim bench-track bench-gate report check daemon-smoke load-curve replica-smoke experiments experiments-quick fuzz fuzz-smoke clean
 
 all: build vet test
 
@@ -32,14 +32,22 @@ test:
 race:
 	$(GO) test -race ./internal/route/ ./internal/hsd/ ./internal/netsim/ ./internal/exp/ ./internal/obs/... ./internal/fmgr/... ./internal/fclient/ ./internal/wire/
 
-# Non-test Go lines per internal package, and over the four packages on
-# the fault path — the number a net-negative PR quotes before and after.
+# Non-test Go lines of cmd/ and per internal package, over the four
+# packages on the fault path and over the command layer — the numbers a
+# net-negative PR quotes before and after.
 loc:
-	@for d in internal/*/; do \
+	@for d in cmd/ internal/*/; do \
 		printf '%6d %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)" "$$d"; \
 	done
 	@printf '%6d internal/{route,engine,fabric,fmgr}\n' \
 		"$$(find internal/route internal/engine internal/fabric internal/fmgr -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@printf '%6d cmd + internal/{cli,exp,hsd,fmgr,bakeoff}\n' \
+		"$$(find cmd internal/cli internal/exp internal/hsd internal/fmgr internal/bakeoff -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+
+# Re-record every command's testdata/*.golden from the current build
+# (docs/TESTING.md "Command goldens"); review the diff before committing.
+golden:
+	$(GO) test $$($(GO) list ./cmd/... | grep -v /ftload) -run TestGolden -update
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) ./...

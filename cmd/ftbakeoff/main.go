@@ -14,64 +14,47 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"text/tabwriter"
 
 	"fattree/internal/bakeoff"
-	"fattree/internal/engine"
-	"fattree/internal/obs/prof"
-	"fattree/internal/topo"
+	"fattree/internal/cli"
 )
 
-func main() {
+func main() { os.Exit(cli.Main("ftbakeoff", os.Args[1:], os.Stdout, os.Stderr, setup)) }
+
+func setup(a *cli.App) func(io.Writer) error {
 	var (
-		spec    = flag.String("topo", "324", "topology spec")
-		engines = flag.String("engines", "", "comma-separated engines to race (default: all registered)")
-		seed    = flag.Int64("seed", 7, "seed for fault draws and seeded engines")
-		sim     = flag.Bool("sim", false, "simulate sampled Shift stages for max queue depth (slower)")
-		bytes   = flag.Int64("bytes", 64<<10, "per-message payload for -sim")
-		stages  = flag.Int("sim-stages", 4, "Shift stages sampled per cell for -sim")
-		minRout = flag.Float64("min-routability", 0, "fail when any engine drops below this routability % at any level")
-		out     = flag.String("o", "", "write the fattree-bakeoff/v1 JSON verdict to this file")
-		jsonOut = flag.Bool("json", false, "print the JSON verdict to stdout instead of the table")
+		spec    = a.Topo("324")
+		engines = a.Flags.String("engines", "", "comma-separated engines to race (default: all registered)")
+		seed    = a.Seed(7, "seed for fault draws and seeded engines")
+		sim     = a.Flags.Bool("sim", false, "simulate sampled Shift stages for max queue depth (slower)")
+		bytes   = a.Flags.Int64("bytes", 64<<10, "per-message payload for -sim")
+		stages  = a.Flags.Int("sim-stages", 4, "Shift stages sampled per cell for -sim")
+		minRout = a.Flags.Float64("min-routability", 0, "fail when any engine drops below this routability % at any level")
+		out     = a.Flags.String("o", "", "write the fattree-bakeoff/v1 JSON verdict to this file")
+		jsonOut = a.Flags.Bool("json", false, "print the JSON verdict to stdout instead of the table")
 	)
-	pf := prof.Register(flag.CommandLine)
-	flag.Parse()
-	err := pf.Start()
-	if err == nil {
-		err = run(*spec, *engines, *seed, *sim, *bytes, *stages, *minRout, *out, *jsonOut)
-	}
-	if perr := pf.Stop(); err == nil {
-		err = perr
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ftbakeoff:", err)
-		os.Exit(1)
+	a.Profile()
+	return func(w io.Writer) error {
+		return run(w, *spec, *engines, *seed, *sim, *bytes, *stages, *minRout, *out, *jsonOut)
 	}
 }
 
-func run(spec, engines string, seed int64, sim bool, bytes int64, stages int, minRout float64, out string, jsonOut bool) error {
-	g, err := topo.ParseSpec(spec)
-	if err != nil {
-		return err
-	}
-	t, err := topo.Build(g)
+func run(w io.Writer, spec, engines string, seed int64, sim bool, bytes int64, stages int, minRout float64, out string, jsonOut bool) error {
+	t, err := cli.BuildTopo(spec)
 	if err != nil {
 		return err
 	}
 	cfg := bakeoff.Config{Topo: t, Seed: seed, Sim: sim, Bytes: bytes, SimStages: stages}
 	if engines != "" {
+		// bakeoff.Run builds every engine before any level runs, so a
+		// typo reports the registered names up front.
 		for _, name := range strings.Split(engines, ",") {
-			name = strings.TrimSpace(name)
-			// Resolve early so a typo reports the registered names
-			// before any work happens.
-			if _, err := engine.Build(name, t, engine.Options{Seed: seed}); err != nil {
-				return err
-			}
-			cfg.Engines = append(cfg.Engines, name)
+			cfg.Engines = append(cfg.Engines, strings.TrimSpace(name))
 		}
 	}
 	doc, err := bakeoff.Run(cfg)
@@ -89,13 +72,13 @@ func run(spec, engines string, seed int64, sim bool, bytes int64, stages int, mi
 		}
 	}
 	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(doc); err != nil {
 			return err
 		}
 	} else {
-		printTable(doc)
+		printTable(w, doc)
 	}
 
 	if minRout > 0 {
@@ -114,9 +97,9 @@ func run(spec, engines string, seed int64, sim bool, bytes int64, stages int, mi
 	return nil
 }
 
-func printTable(doc *bakeoff.Doc) {
-	fmt.Printf("# bake-off on %s (%d hosts, seed %d)\n", doc.Topology, doc.Hosts, doc.Seed)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+func printTable(out io.Writer, doc *bakeoff.Doc) {
+	fmt.Fprintf(out, "# bake-off on %s (%d hosts, seed %d)\n", doc.Topology, doc.Hosts, doc.Seed)
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "level\tfaults\tengine\troutability\tbroken\tmax-hsd\tavg-hsd\treroute")
 	for _, lv := range doc.Levels {
 		for _, er := range lv.Engines {

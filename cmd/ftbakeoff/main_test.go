@@ -1,0 +1,25 @@
+package main
+
+import (
+	"regexp"
+	"testing"
+
+	"fattree/internal/cli/clitest"
+)
+
+// rerouteTime matches the one wall-clock column of the table (with the
+// padding its width moves) and field of the document.
+var rerouteTime = regexp.MustCompile(`[ \t]*\d+us[ \t]*|"reroute_us": \d+`)
+
+func TestGolden(t *testing.T) {
+	rlft := func(extra ...string) []string { return append([]string{"-topo", "rlft2:4,8"}, extra...) }
+	clitest.Run(t, "ftbakeoff", setup, []clitest.Case{
+		{Name: "table", Args: rlft(), Scrub: rerouteTime},
+		{Name: "json", Args: rlft("-json"), Scrub: rerouteTime},
+		{Name: "sim", Args: rlft("-engines", "dmodk,fault-resilient", "-sim"), Scrub: rerouteTime},
+		{Name: "gate-fails", Args: rlft("-min-routability", "99"), Scrub: rerouteTime, Exit: 1,
+			Stderr: "ftbakeoff: level 1-link: engine dmodk-naive routability 94.35% below gate 99.00%"},
+		{Name: "gate-passes", Args: rlft("-engines", "dmodk,fault-resilient,nodetype-lb", "-min-routability", "99"), Scrub: rerouteTime},
+		{Name: "bad-engine", Args: rlft("-engines", "nope"), Exit: 1, Stderr: `ftbakeoff: engine: unknown engine "nope" (registered: dmodk,`},
+	})
+}

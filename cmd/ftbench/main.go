@@ -12,79 +12,57 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
-	"fattree/internal/engine"
+	"fattree/internal/cli"
 	"fattree/internal/exp"
 	"fattree/internal/netsim"
-	"fattree/internal/obs"
-	"fattree/internal/obs/prof"
 	"fattree/internal/topo"
 )
 
-func main() {
+func main() { os.Exit(cli.Main("ftbench", os.Args[1:], os.Stdout, os.Stderr, setup)) }
+
+func setup(a *cli.App) func(io.Writer) error {
 	var (
-		which    = flag.String("exp", "all", "experiment: f1 | f2 | f3 | t3 | ring | cf | wrap | routing | bidir | semantics | placement | latency | taper | patterns | adaptive | jitter | buffers | jobs | queue | faults | all")
-		engName  = flag.String("engine", "", "routing engine from the registry for the engine-parametric experiments (default dmodk; \"list\" prints them)")
-		quick    = flag.Bool("quick", false, "reduced scale for a fast run")
-		csvOut   = flag.Bool("csv", false, "emit CSV instead of aligned text")
-		jsonOut  = flag.Bool("json", false, "emit JSON (fattree-table/v1) instead of aligned text")
-		shards   = flag.Int("shards", 1, "event-loop shards for every simulation: 1 = sequential, N > 1 = parallel sub-tree partitions, -1 = one per CPU")
-		progress = flag.Duration("progress", 0, "print a live progress line to stderr at this wall-clock interval (0 = off)")
-		sinks    obs.FileSinks
+		which    = a.Flags.String("exp", "all", "experiment: f1 | f2 | f3 | t3 | ring | cf | wrap | routing | bidir | semantics | placement | latency | taper | patterns | adaptive | jitter | buffers | jobs | queue | faults | all")
+		engName  = a.Engine()
+		quick    = a.Flags.Bool("quick", false, "reduced scale for a fast run")
+		csvOut   = a.Flags.Bool("csv", false, "emit CSV instead of aligned text")
+		jsonOut  = a.Flags.Bool("json", false, "emit JSON (fattree-table/v1) instead of aligned text")
+		shards   = a.Flags.Int("shards", 1, "event-loop shards for every simulation: 1 = sequential, N > 1 = parallel sub-tree partitions, -1 = one per CPU")
+		progress = a.Flags.Duration("progress", 0, "print a live progress line to stderr at this wall-clock interval (0 = off)")
+		sinks    = a.Sinks()
 	)
-	sinks.RegisterFlags(flag.CommandLine)
-	pf := prof.Register(flag.CommandLine)
-	flag.Parse()
-	if *engName == "list" {
-		for _, info := range engine.Infos() {
-			fmt.Printf("%-16s %s\n", info.Name, info.Description)
+	a.Profile()
+	return func(w io.Writer) error {
+		exp.EngineName = *engName
+		if sinks.Enabled() || *shards != 1 || *progress > 0 {
+			// Attach the sinks and the shard count to every simulation the
+			// experiments run; the trace concatenates all runs on a shared
+			// timeline, and one Progress accumulates across the sweep.
+			var prog *netsim.Progress
+			if *progress > 0 {
+				prog = &netsim.Progress{}
+				stop := prog.Report(a.Stderr, *progress, "ftbench")
+				defer stop()
+			}
+			exp.Instrument = func(cfg *netsim.Config) {
+				cfg.Metrics = sinks.Registry
+				cfg.Probes = sinks.Sampler
+				cfg.Trace = sinks.Tracer
+				cfg.LinkProbes = sinks.LinkSampler
+				cfg.Progress = prog
+				cfg.Shards = *shards
+			}
 		}
-		return
-	}
-	exp.EngineName = *engName
-	err := sinks.Open()
-	if err == nil && (sinks.Enabled() || *shards != 1 || *progress > 0) {
-		// Attach the sinks and the shard count to every simulation the
-		// experiments run; the trace concatenates all runs on a shared
-		// timeline, and one Progress accumulates across the sweep.
-		var prog *netsim.Progress
-		if *progress > 0 {
-			prog = &netsim.Progress{}
-			stop := prog.Report(os.Stderr, *progress, "ftbench")
-			defer stop()
-		}
-		exp.Instrument = func(cfg *netsim.Config) {
-			cfg.Metrics = sinks.Registry
-			cfg.Probes = sinks.Sampler
-			cfg.Trace = sinks.Tracer
-			cfg.LinkProbes = sinks.LinkSampler
-			cfg.Progress = prog
-			cfg.Shards = *shards
-		}
-	}
-	if err == nil {
-		err = pf.Start()
-	}
-	if err == nil {
-		err = run(*which, *quick, *csvOut, *jsonOut)
-	}
-	if perr := pf.Stop(); err == nil {
-		err = perr
-	}
-	if cerr := sinks.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ftbench:", err)
-		os.Exit(1)
+		return run(w, *which, *quick, *csvOut, *jsonOut)
 	}
 }
 
-func run(which string, quick, csvOut, jsonOut bool) error {
+func run(out io.Writer, which string, quick, csvOut, jsonOut bool) error {
 	sel := map[string]bool{}
 	for _, w := range strings.Split(which, ",") {
 		sel[strings.TrimSpace(w)] = true
@@ -97,7 +75,6 @@ func run(which string, quick, csvOut, jsonOut bool) error {
 		}
 		return hit
 	}
-	out := os.Stdout
 	emit := func(t *exp.Table) error {
 		switch {
 		case jsonOut:

@@ -1,0 +1,18 @@
+package main
+
+import (
+	"testing"
+
+	"fattree/internal/cli/clitest"
+)
+
+func TestGolden(t *testing.T) {
+	clitest.Run(t, "ftbench", setup, []clitest.Case{
+		{Name: "f1-f3-quick", Args: []string{"-exp", "f1,f3", "-quick"}},
+		{Name: "f1-f3-quick-dmodk", Golden: "f1-f3-quick", Args: []string{"-exp", "f1,f3", "-quick", "-engine", "dmodk"}},
+		{Name: "f1-f3-quick-csv", Args: []string{"-exp", "f1,f3", "-quick", "-csv"}},
+		{Name: "f1-f3-quick-json", Args: []string{"-exp", "f1,f3", "-quick", "-json"}},
+		{Name: "bad-exp", Args: []string{"-exp", "nope"}, Exit: 1, Stderr: `ftbench: no experiment matched "nope"`},
+		{Name: "bad-engine", Args: []string{"-exp", "f1", "-engine", "nope"}, Exit: 1, Stderr: `unknown engine "nope"`},
+	})
+}

@@ -10,11 +10,11 @@
 //
 //	ftcheck -topo 324                                  # full catalog on the paper cluster
 //	ftcheck -topo kary:4,3 -checks topo,route          # subset by kind prefix
-//	ftcheck -topo 324 -routing minhop-random -json     # broken routing -> failing verdict
+//	ftcheck -topo 324 -engine minhop-random -json      # broken routing -> failing verdict
 //	ftcheck -topo 324 -order random -seed 3            # shuffled ordering -> HSD > 1
-//	ftcheck -topo 324 -fault-random 2 -reroute         # fault + reroute still passes
-//	ftcheck -topo 324 -engine fault-resilient          # catalog over a registry engine
-//	ftcheck -topo 324 -engine nodetype-lb -fault-random 2   # engine's own fault handling
+//	ftcheck -topo 324 -fault-random 2                  # healthy tables over dead links -> route.alive fails
+//	ftcheck -topo 324 -fault-random 2 -reroute         # the engine routes around them -> passes
+//	ftcheck -topo 324 -engine nodetype-lb -fault-random 2 -reroute
 //	ftcheck -rand 20 -seed 1                           # sweep 20 seeded random RLFTs
 //	ftcheck -list                                      # catalog names and paper refs
 //
@@ -24,18 +24,17 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strconv"
 	"strings"
 
+	"fattree/internal/cli"
 	"fattree/internal/engine"
 	"fattree/internal/fabric"
 	"fattree/internal/invariant"
 	"fattree/internal/order"
-	"fattree/internal/route"
 	"fattree/internal/topo"
 )
 
@@ -47,62 +46,51 @@ type document struct {
 	Rand   []invariant.RandVerdict `json:"rand,omitempty"`
 }
 
-func main() {
+func main() { os.Exit(cli.Main("ftcheck", os.Args[1:], os.Stdout, os.Stderr, setup)) }
+
+func setup(a *cli.App) func(io.Writer) error {
 	var (
-		spec      = flag.String("topo", "324", "topology spec")
-		routing   = flag.String("routing", "dmodk", "routing: dmodk | dmodk-naive | minhop-random | smodk")
-		engName   = flag.String("engine", "", "routing engine from the registry (\"list\" prints them); overrides -routing and brings its own fault handling")
-		ordering  = flag.String("order", "topology", "ordering: topology | random | adversarial | cyclic")
-		seed      = flag.Int64("seed", 1, "seed for -order random, -routing minhop-random, -fault-random and the -rand sweep base")
-		checksArg = flag.String("checks", "all", "comma-separated check names or kind prefixes (see -list)")
-		randN     = flag.Int("rand", 0, "also sweep this many seeded random RLFTs under compiled D-Mod-K")
-		faultsArg = flag.String("fault", "", "comma-separated link IDs to fail before checking")
-		faultRand = flag.Int("fault-random", 0, "fail this many random fabric links")
-		reroute   = flag.Bool("reroute", false, "route around the faults (RouteAround + lenient compile) instead of checking the stale tables")
-		jsonOut   = flag.Bool("json", false, "emit the fattree-check/v1 verdict as JSON")
-		list      = flag.Bool("list", false, "list the check catalog and exit")
+		spec      = a.Topo("324")
+		engName   = a.Engine()
+		ordering  = a.Flags.String("order", "topology", "ordering: topology | random | adversarial | cyclic")
+		seed      = a.Seed(1, "seed for -order random, randomized engines, -fault-random and the -rand sweep base")
+		checksArg = a.Flags.String("checks", "all", "comma-separated check names or kind prefixes (see -list)")
+		randN     = a.Flags.Int("rand", 0, "also sweep this many seeded random RLFTs under compiled D-Mod-K")
+		faultsArg = a.Flags.String("fault", "", "comma-separated link IDs to fail before checking")
+		faultRand = a.Flags.Int("fault-random", 0, "fail this many random fabric links")
+		reroute   = a.Flags.Bool("reroute", false, "hand the faults to the engine (its reroute, or its refusal of dead paths) instead of checking its healthy tables against them")
+		jsonOut   = a.Flags.Bool("json", false, "emit the fattree-check/v1 verdict as JSON")
+		list      = a.Flags.Bool("list", false, "list the check catalog and exit")
 	)
-	flag.Parse()
-	if *list {
-		for _, c := range invariant.Catalog() {
-			fmt.Printf("%-24s %s\n", c.Name, c.Ref)
+	return func(w io.Writer) error {
+		if *list {
+			for _, c := range invariant.Catalog() {
+				fmt.Fprintf(w, "%-24s %s\n", c.Name, c.Ref)
+			}
+			return nil
 		}
-		return
-	}
-	if *engName == "list" {
-		for _, info := range engine.Infos() {
-			fmt.Printf("%-16s %s\n", info.Name, info.Description)
+		ok, err := run(*spec, *engName, *ordering, *seed, *checksArg, *randN, *faultsArg, *faultRand, *reroute, *jsonOut, w)
+		if err == nil && !ok {
+			err = cli.ErrFailed
 		}
-		return
-	}
-	ok, err := run(*spec, *routing, *engName, *ordering, *seed, *checksArg, *randN, *faultsArg, *faultRand, *reroute, *jsonOut, os.Stdout)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ftcheck:", err)
-		os.Exit(2)
-	}
-	if !ok {
-		os.Exit(1)
+		return err
 	}
 }
 
 // run checks one instance (plus an optional random sweep) and reports
 // whether everything passed. Errors are usage/build problems, not check
 // failures.
-func run(spec, routing, engName, ordering string, seed int64, checksArg string, randN int, faultsArg string, faultRand int, reroute, jsonOut bool, w io.Writer) (bool, error) {
+func run(spec, engName, ordering string, seed int64, checksArg string, randN int, faultsArg string, faultRand int, reroute, jsonOut bool, w io.Writer) (bool, error) {
 	checks, err := invariant.Select(checksArg)
 	if err != nil {
 		return false, err
 	}
-	g, err := topo.ParseSpec(spec)
-	if err != nil {
-		return false, err
-	}
-	t, err := topo.Build(g)
+	t, err := cli.BuildTopo(spec)
 	if err != nil {
 		return false, err
 	}
 
-	in, faults, err := buildInstance(t, routing, engName, ordering, seed, faultsArg, faultRand, reroute)
+	in, faults, err := buildInstance(t, engName, ordering, seed, faultsArg, faultRand, reroute)
 	if err != nil {
 		return false, err
 	}
@@ -115,11 +103,11 @@ func run(spec, routing, engName, ordering string, seed int64, checksArg string, 
 			if err != nil {
 				return nil, err
 			}
-			c, err := route.Compile(route.DModK(rt))
+			tb, err := engine.Resolve("", rt, engine.Options{}, nil)
 			if err != nil {
 				return nil, err
 			}
-			return invariant.NewInstance(rt, c, nil), nil
+			return invariant.NewInstance(rt, tb.Router, nil), nil
 		})
 	}
 
@@ -138,13 +126,12 @@ func run(spec, routing, engName, ordering string, seed int64, checksArg string, 
 	return pass, nil
 }
 
-// buildInstance assembles the system under check: topology, routing
-// (optionally over a faulted fabric, stale or rerouted), and ordering.
-// With -engine, the registry engine produces the tables — including its
-// own fault handling, so -reroute is redundant and refused.
-func buildInstance(t *topo.Topology, routing, engName, ordering string, seed int64, faultsArg string, faultRand int, reroute bool) (*invariant.Instance, []int, error) {
-	n := t.NumHosts()
-
+// buildInstance assembles the system under check: topology, the engine's
+// tables and the ordering. Without -reroute the engine never hears of
+// the faults: its healthy tables are checked against the dead links,
+// which is exactly what route.alive is for. With it the engine gets the
+// fault set and answers with its own handling.
+func buildInstance(t *topo.Topology, engName, ordering string, seed int64, faultsArg string, faultRand int, reroute bool) (*invariant.Instance, []int, error) {
 	fs := fabric.NewFaultSet(t)
 	if faultsArg != "" {
 		for _, f := range strings.Split(faultsArg, ",") {
@@ -168,94 +155,28 @@ func buildInstance(t *topo.Topology, routing, engName, ordering string, seed int
 		faults = append(faults, int(l))
 	}
 
-	var in *invariant.Instance
-	if engName != "" {
-		if reroute {
-			return nil, nil, fmt.Errorf("-reroute is incompatible with -engine (engines handle faults themselves)")
-		}
-		e, err := engine.Build(engName, t, engine.Options{Seed: seed})
-		if err != nil {
-			return nil, nil, err
-		}
-		var efs *fabric.FaultSet
-		if len(faults) > 0 {
-			efs = fs
-		}
-		tb, err := e.Tables(efs)
-		if err != nil {
-			return nil, nil, err
-		}
-		in = invariant.NewInstance(t, tb.Router, nil)
-		if len(tb.Unroutable) > 0 {
-			unroutable := make(map[int]bool, len(tb.Unroutable))
-			for _, j := range tb.Unroutable {
-				unroutable[j] = true
-			}
-			in.Unroutable = func(j int) bool { return unroutable[j] }
-		}
-	} else if len(faults) > 0 && reroute {
-		if routing != "dmodk" {
-			return nil, nil, fmt.Errorf("-reroute implies D-Mod-K tables; drop -routing %s", routing)
-		}
-		lft, res, err := fs.RouteAround()
-		if err != nil {
-			return nil, nil, err
-		}
-		c, err := route.CompileLenient(lft)
-		if err != nil {
-			return nil, nil, err
-		}
-		unroutable := make(map[int]bool, len(res.UnroutableHosts))
-		for _, j := range res.UnroutableHosts {
+	var efs *fabric.FaultSet
+	if reroute {
+		efs = fs
+	}
+	tb, err := engine.Resolve(engName, t, engine.Options{Seed: seed}, efs)
+	if err != nil {
+		return nil, nil, err
+	}
+	o, err := order.ByName(ordering, t, nil, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	in := invariant.NewInstance(t, tb.Router, o)
+	if len(tb.Unroutable) > 0 {
+		unroutable := make(map[int]bool, len(tb.Unroutable))
+		for _, j := range tb.Unroutable {
 			unroutable[j] = true
 		}
-		in = invariant.NewInstance(t, c, nil)
 		in.Unroutable = func(j int) bool { return unroutable[j] }
-	} else {
-		var r route.Router
-		switch routing {
-		case "dmodk":
-			r = route.DModK(t)
-		case "dmodk-naive":
-			r = route.DModKNaive(t)
-		case "minhop-random":
-			r = route.MinHopRandom(t, seed)
-		case "smodk":
-			r = route.NewSModK(t)
-		default:
-			return nil, nil, fmt.Errorf("unknown routing %q", routing)
-		}
-		c, err := route.Compile(r)
-		if err != nil {
-			return nil, nil, err
-		}
-		in = invariant.NewInstance(t, c, nil)
 	}
 	if len(faults) > 0 {
-		// Checked even without -reroute: stale tables crossing a dead
-		// link are exactly what route.alive is for.
 		in.Alive = fs.Alive
-	}
-
-	switch ordering {
-	case "topology":
-		// NewInstance default.
-	case "random":
-		in.Ordering = order.Random(n, nil, seed)
-	case "adversarial":
-		o, err := order.Adversarial(t)
-		if err != nil {
-			return nil, nil, err
-		}
-		in.Ordering = o
-	case "cyclic":
-		o, err := order.Cyclic(t)
-		if err != nil {
-			return nil, nil, err
-		}
-		in.Ordering = o
-	default:
-		return nil, nil, fmt.Errorf("unknown ordering %q", ordering)
 	}
 	return in, faults, nil
 }

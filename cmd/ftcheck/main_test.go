@@ -5,14 +5,16 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"fattree/internal/cli/clitest"
 )
 
 // checkRun drives the CLI body and returns its pass verdict plus the
 // decoded JSON document.
-func checkRun(t *testing.T, spec, routing, ordering string, seed int64, checks string, randN int, faults string, faultRand int, reroute bool) (bool, *document) {
+func checkRun(t *testing.T, spec, engName, ordering string, seed int64, checks string, randN int, faults string, faultRand int, reroute bool) (bool, *document) {
 	t.Helper()
 	var buf bytes.Buffer
-	ok, err := run(spec, routing, "", ordering, seed, checks, randN, faults, faultRand, reroute, true, &buf)
+	ok, err := run(spec, engName, ordering, seed, checks, randN, faults, faultRand, reroute, true, &buf)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -100,7 +102,7 @@ func TestShuffledOrderingFails(t *testing.T) {
 	}
 }
 
-// TestFaultedLinkFails: one dead link under stale tables fails
+// TestFaultedLinkFails: one dead link under the healthy tables fails
 // route.alive and blames exactly that link; with -reroute the verdict
 // recovers to pass.
 func TestFaultedLinkFails(t *testing.T) {
@@ -149,7 +151,7 @@ func TestExplicitFaultList(t *testing.T) {
 // names error.
 func TestCheckSelection(t *testing.T) {
 	var buf bytes.Buffer
-	ok, err := run("kary:2,2", "dmodk", "", "topology", 1, "topo", 0, "", 0, false, true, &buf)
+	ok, err := run("kary:2,2", "dmodk", "topology", 1, "topo", 0, "", 0, false, true, &buf)
 	if err != nil || !ok {
 		t.Fatalf("topo-only run: ok=%v err=%v", ok, err)
 	}
@@ -162,7 +164,7 @@ func TestCheckSelection(t *testing.T) {
 			t.Fatalf("unexpected check %s in topo-only run", c.Name)
 		}
 	}
-	if _, err := run("kary:2,2", "dmodk", "", "topology", 1, "nope", 0, "", 0, false, true, &buf); err == nil {
+	if _, err := run("kary:2,2", "dmodk", "topology", 1, "nope", 0, "", 0, false, true, &buf); err == nil {
 		t.Fatal("unknown check name accepted")
 	}
 }
@@ -170,11 +172,43 @@ func TestCheckSelection(t *testing.T) {
 // TestTextOutput: the human format ends with the overall verdict word.
 func TestTextOutput(t *testing.T) {
 	var buf bytes.Buffer
-	ok, err := run("kary:2,2", "dmodk", "", "topology", 1, "all", 0, "", 0, false, false, &buf)
+	ok, err := run("kary:2,2", "dmodk", "topology", 1, "all", 0, "", 0, false, false, &buf)
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
 	if !strings.HasSuffix(strings.TrimSpace(buf.String()), "ok") {
 		t.Fatalf("text output does not end with ok:\n%s", buf.String())
 	}
+}
+
+// TestGolden pins whole invocations. The files were recorded from the
+// binary that still had -routing and whose engines rerouted unasked:
+// minhop-random-7, dmodk-naive and smodk are its `-routing X` outputs,
+// and the *-reroute files its `-engine X -fault-random N` (no -reroute)
+// outputs — each must match today's spelling byte for byte.
+func TestGolden(t *testing.T) {
+	rlft := func(extra ...string) []string { return append([]string{"-topo", "rlft2:4,8"}, extra...) }
+	clitest.Run(t, "ftcheck", setup, []clitest.Case{
+		{Name: "list", Args: []string{"-list"}},
+		{Name: "dmodk-kary", Args: []string{"-topo", "kary:2,2"}},
+		{Name: "minhop-random-7", Args: rlft("-engine", "minhop-random", "-seed", "7"), Exit: 1},
+		{Name: "minhop-random-7-json", Args: rlft("-engine", "minhop-random", "-seed", "7", "-json"), Exit: 1},
+		{Name: "dmodk-naive", Args: rlft("-engine", "dmodk-naive")},
+		{Name: "smodk", Args: rlft("-engine", "smodk"), Exit: 1},
+		{Name: "fault-stale", Args: rlft("-fault-random", "1", "-seed", "1"), Exit: 1},
+		// One meaning for -reroute: with or without naming the engine,
+		// absent means healthy tables over dead links.
+		{Name: "fault-stale-dmodk", Golden: "fault-stale", Args: rlft("-engine", "dmodk", "-fault-random", "1", "-seed", "1"), Exit: 1},
+		{Name: "fault-reroute", Args: []string{"-topo", "324", "-fault-random", "2", "-reroute"}},
+		{Name: "fault-reroute-dmodk", Golden: "fault-reroute", Args: []string{"-topo", "324", "-engine", "dmodk", "-fault-random", "2", "-reroute"}},
+		{Name: "fault-reroute-json", Args: []string{"-topo", "324", "-fault-random", "2", "-reroute", "-json"}},
+		{Name: "fault-resilient-reroute-json", Args: rlft("-engine", "fault-resilient", "-fault-random", "1", "-reroute", "-json")},
+		{Name: "nodetype-lb-reroute", Args: rlft("-engine", "nodetype-lb", "-fault-random", "2", "-reroute")},
+		{Name: "order-random-3", Args: rlft("-order", "random", "-seed", "3"), Exit: 1},
+		{Name: "order-cyclic", Args: rlft("-order", "cyclic")},
+		{Name: "rand-2", Args: []string{"-topo", "kary:2,2", "-rand", "2", "-seed", "1"}},
+		{Name: "bad-spec", Args: []string{"-topo", "nope"}, Exit: 1, Stderr: `ftcheck: topo: unrecognized spec "nope"`},
+		{Name: "bad-fault", Args: []string{"-topo", "kary:2,2", "-fault", "9999"}, Exit: 1, Stderr: "ftcheck: -fault link 9999 out of range [0,8)"},
+		{Name: "bad-order", Args: rlft("-order", "nope"), Exit: 1, Stderr: `ftcheck: unknown ordering "nope"`},
+	})
 }

@@ -11,35 +11,26 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"text/tabwriter"
 
-	"fattree/internal/obs/prof"
+	"fattree/internal/cli"
 	"fattree/internal/topo"
 )
 
-func main() {
+func main() { os.Exit(cli.Main("ftdesign", os.Args[1:], os.Stdout, os.Stderr, setup)) }
+
+func setup(a *cli.App) func(io.Writer) error {
 	var (
-		nodes     = flag.Int("nodes", 324, "required end-port count")
-		ports     = flag.Int("ports", 36, "switch port count (2K)")
-		maxLevels = flag.Int("max-levels", 3, "maximum tree levels to consider")
+		nodes     = a.Flags.Int("nodes", 324, "required end-port count")
+		ports     = a.Flags.Int("ports", 36, "switch port count (2K)")
+		maxLevels = a.Flags.Int("max-levels", 3, "maximum tree levels to consider")
 	)
-	pf := prof.Register(flag.CommandLine)
-	flag.Parse()
-	err := pf.Start()
-	if err == nil {
-		err = run(*nodes, *ports, *maxLevels)
-	}
-	if perr := pf.Stop(); err == nil {
-		err = perr
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ftdesign:", err)
-		os.Exit(1)
-	}
+	a.Profile()
+	return func(w io.Writer) error { return run(w, *nodes, *ports, *maxLevels) }
 }
 
 type option struct {
@@ -48,7 +39,7 @@ type option struct {
 	levels int
 }
 
-func run(nodes, ports, maxLevels int) error {
+func run(out io.Writer, nodes, ports, maxLevels int) error {
 	if nodes < 1 {
 		return fmt.Errorf("need a positive node count")
 	}
@@ -62,8 +53,8 @@ func run(nodes, ports, maxLevels int) error {
 			ports, nodes, maxLevels, maxCapacity(k, maxLevels))
 	}
 
-	fmt.Printf("RLFT options for >= %d nodes on %d-port switches (K=%d):\n\n", nodes, ports, k)
-	w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
+	fmt.Fprintf(out, "RLFT options for >= %d nodes on %d-port switches (K=%d):\n\n", nodes, ports, k)
+	w := tabwriter.NewWriter(out, 0, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "topology\tnodes\tspare\tlevels\tswitches\tcables\tgranule\tdiameter")
 	for _, o := range opts {
 		t, err := topo.Build(o.g)
@@ -77,8 +68,8 @@ func run(nodes, ports, maxLevels int) error {
 	if err := w.Flush(); err != nil {
 		return err
 	}
-	fmt.Println("\nreading: pick the smallest spare that meets growth plans; allocate jobs in")
-	fmt.Println("multiples of the granule to keep the contention-free guarantee (see README).")
+	fmt.Fprintln(out, "\nreading: pick the smallest spare that meets growth plans; allocate jobs in")
+	fmt.Fprintln(out, "multiples of the granule to keep the contention-free guarantee (see README).")
 	return nil
 }
 

@@ -1,6 +1,21 @@
 package main
 
-import "testing"
+import (
+	"io"
+	"testing"
+
+	"fattree/internal/cli/clitest"
+)
+
+func TestGolden(t *testing.T) {
+	clitest.Run(t, "ftdesign", setup, []clitest.Case{
+		{Name: "nodes-1900", Args: []string{"-nodes", "1900", "-ports", "36"}},
+		{Name: "nodes-200-2level", Args: []string{"-nodes", "200", "-ports", "24", "-max-levels", "2"}},
+		{Name: "nodes-500-2level", Args: []string{"-nodes", "500", "-ports", "24", "-max-levels", "2"}, Exit: 1,
+			Stderr: "ftdesign: no RLFT built from 24-port switches fits 500 nodes within 2 levels (max 288)"},
+		{Name: "odd-ports", Args: []string{"-nodes", "10", "-ports", "35"}, Exit: 1, Stderr: "ftdesign: switch port count must be a positive even number, got 35"},
+	})
+}
 
 func TestEnumerateFindsPaperCluster(t *testing.T) {
 	// 1900 nodes on 36-port switches: the tightest option must be the
@@ -57,13 +72,13 @@ func TestEnumerateRespectsMaxLevels(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run(0, 36, 3); err == nil {
+	if err := run(io.Discard, 0, 36, 3); err == nil {
 		t.Error("zero nodes accepted")
 	}
-	if err := run(10, 35, 3); err == nil {
+	if err := run(io.Discard, 10, 35, 3); err == nil {
 		t.Error("odd port count accepted")
 	}
-	if err := run(1<<20, 8, 3); err == nil {
+	if err := run(io.Discard, 1<<20, 8, 3); err == nil {
 		t.Error("impossible size accepted")
 	}
 }

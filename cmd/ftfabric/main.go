@@ -16,107 +16,98 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"os"
 
+	"fattree/internal/cli"
 	"fattree/internal/cps"
+	"fattree/internal/engine"
 	"fattree/internal/fabric"
 	"fattree/internal/hsd"
-	"fattree/internal/obs/prof"
 	"fattree/internal/order"
-	"fattree/internal/route"
-	"fattree/internal/topo"
 )
 
-func main() {
+func main() { os.Exit(cli.Main("ftfabric", os.Args[1:], os.Stdout, os.Stderr, setup)) }
+
+func setup(a *cli.App) func(io.Writer) error {
 	var (
-		spec     = flag.String("topo", "324", "topology spec")
-		discover = flag.Bool("discover", false, "sweep the fabric and print the inventory")
-		dumpLFTs = flag.Bool("dump-lfts", false, "print OpenSM-style forwarding tables")
-		fail     = flag.Int("fail", 0, "kill this many random fabric links, reroute and report")
-		seed     = flag.Int64("seed", 1, "fault-draw seed")
-		report   = flag.Bool("report", false, "analyze Shift HSD on the (re)routed fabric")
-		jsonOut  = flag.Bool("json", false, "emit a fattree-fabric/v1 JSON document instead of text")
+		spec     = a.Topo("324")
+		discover = a.Flags.Bool("discover", false, "sweep the fabric and print the inventory")
+		dumpLFTs = a.Flags.Bool("dump-lfts", false, "print OpenSM-style forwarding tables")
+		fail     = a.Flags.Int("fail", 0, "kill this many random fabric links, reroute and report")
+		seed     = a.Seed(1, "fault-draw seed")
+		report   = a.Flags.Bool("report", false, "analyze Shift HSD on the (re)routed fabric")
+		jsonOut  = a.Flags.Bool("json", false, "emit a fattree-fabric/v1 JSON document instead of text")
 	)
-	pf := prof.Register(flag.CommandLine)
-	flag.Parse()
-	err := pf.Start()
-	if err == nil {
-		err = run(*spec, *discover, *dumpLFTs, *fail, *seed, *report, *jsonOut)
-	}
-	if perr := pf.Stop(); err == nil {
-		err = perr
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ftfabric:", err)
-		os.Exit(1)
+	a.Profile()
+	return func(w io.Writer) error {
+		if !*discover && !*dumpLFTs && *fail <= 0 && !*report && !*jsonOut {
+			a.Flags.Usage()
+			return nil
+		}
+		return run(w, *spec, *discover, *dumpLFTs, *fail, *seed, *report, *jsonOut)
 	}
 }
 
-func run(spec string, discover, dumpLFTs bool, fail int, seed int64, report, jsonOut bool) error {
-	g, err := topo.ParseSpec(spec)
-	if err != nil {
-		return err
-	}
-	t, err := topo.Build(g)
+// run emits the selected sections; bare -json is itself an action: the
+// base fabric document (topology + routing identity), no optional parts.
+func run(w io.Writer, spec string, discover, dumpLFTs bool, fail int, seed int64, report, jsonOut bool) error {
+	t, err := cli.BuildTopo(spec)
 	if err != nil {
 		return err
 	}
 	sn := fabric.NewSubnet(t)
 	doc := fabric.NewDoc(t)
 
-	did := false
 	if discover {
-		did = true
 		inv, err := sn.Discover()
 		if err != nil {
 			return err
 		}
 		doc.SetInventory(inv)
 		if !jsonOut {
-			fmt.Printf("fabric %s: %d hosts, %d switches, %d links\n", g, inv.Hosts, inv.Switches, inv.Links)
+			fmt.Fprintf(w, "fabric %s: %d hosts, %d switches, %d links\n", t.Spec, inv.Hosts, inv.Switches, inv.Links)
 			for _, guid := range inv.SortedSwitchGUIDs() {
-				fmt.Printf("  switch 0x%016x: %d connected ports\n", uint64(guid), inv.PortsBySwitch[guid])
+				fmt.Fprintf(w, "  switch 0x%016x: %d connected ports\n", uint64(guid), inv.PortsBySwitch[guid])
 			}
 		}
 	}
 
-	var lft *route.LFT
+	var fs *fabric.FaultSet
 	if fail > 0 {
-		did = true
-		fs := fabric.NewFaultSet(t)
+		fs = fabric.NewFaultSet(t)
 		if err := fs.FailRandomFabricLinks(fail, seed); err != nil {
 			return err
 		}
-		rerouted, res, err := fs.RouteAround()
-		if err != nil {
-			return err
-		}
-		lft = rerouted
-		doc.SetFaults(fs, res)
-		if !jsonOut {
-			fmt.Printf("rerouted around %d dead links: %d unroutable hosts, %d broken pairs\n",
-				fs.Failed(), len(res.UnroutableHosts), res.BrokenPairs)
-		}
-	} else {
-		lft = route.DModK(t)
 	}
-	doc.Routing = lft.Name
+	tb, err := engine.Resolve("", t, engine.Options{}, fs)
+	if err != nil {
+		return err
+	}
+	if fs != nil {
+		doc.SetFaults(fs, fabric.RerouteResult{UnroutableHosts: tb.Unroutable, BrokenPairs: tb.BrokenPairs})
+		if !jsonOut {
+			fmt.Fprintf(w, "rerouted around %d dead links: %d unroutable hosts, %d broken pairs\n",
+				fs.Failed(), len(tb.Unroutable), tb.BrokenPairs)
+		}
+	}
+	doc.Routing = tb.LFT.Name
 
 	if dumpLFTs {
-		did = true
 		if jsonOut {
 			return fmt.Errorf("-dump-lfts has its own text format; drop -json")
 		}
-		st := sn.Program(lft)
-		if err := st.WriteLFTs(os.Stdout); err != nil {
+		st := sn.Program(tb.LFT)
+		if err := st.WriteLFTs(w); err != nil {
 			return err
 		}
 	}
 	if report {
-		did = true
-		rep, err := shiftReport(t, lft)
+		// Shift under the topology order over the pairs the (re)routed
+		// fabric still delivers.
+		n := t.NumHosts()
+		rep, err := hsd.AnalyzeServed(tb.Compiled, order.Topology(n, nil), cps.Shift(n))
 		if err != nil {
 			return err
 		}
@@ -129,52 +120,14 @@ func run(spec string, discover, dumpLFTs bool, fail int, seed int64, report, jso
 			ContentionFree: rep.ContentionFree(),
 		}
 		if !jsonOut {
-			fmt.Printf("shift under %s + topology order: max HSD %d, avg max HSD %.3f, contention-free %v\n",
-				lft.Name, rep.MaxHSD(), rep.AvgMaxHSD(), rep.ContentionFree())
+			fmt.Fprintf(w, "shift under %s + topology order: max HSD %d, avg max HSD %.3f, contention-free %v\n",
+				tb.LFT.Name, rep.MaxHSD(), rep.AvgMaxHSD(), rep.ContentionFree())
 		}
 	}
-	// Bare -json is itself an action: emit the base fabric document
-	// (topology + routing identity) with no optional sections.
-	if !did && !jsonOut {
-		flag.Usage()
-		return nil
-	}
 	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(doc)
 	}
 	return nil
-}
-
-// shiftReport analyzes the Shift sequence under the topology order,
-// skipping pairs a faulted fabric cannot deliver (the analyzer errors on
-// dead-end tables otherwise).
-func shiftReport(t *topo.Topology, lft *route.LFT) (*hsd.Report, error) {
-	paths, err := route.CompileLenient(lft)
-	if err != nil {
-		return nil, err
-	}
-	n := t.NumHosts()
-	seq := cps.Shift(n)
-	o := order.Topology(n, nil)
-	a := hsd.NewAnalyzer(paths)
-	rep := &hsd.Report{Sequence: seq.Name(), Ordering: o.Label, Routing: lft.Name}
-	var pairs [][2]int
-	for s := 0; s < seq.NumStages(); s++ {
-		pairs = pairs[:0]
-		for _, p := range seq.Stage(s) {
-			src, dst := o.HostOf[p.Src], o.HostOf[p.Dst]
-			if src == dst || paths.Broken(src, dst) {
-				continue
-			}
-			pairs = append(pairs, [2]int{src, dst})
-		}
-		sr, err := a.Stage(pairs)
-		if err != nil {
-			return nil, err
-		}
-		rep.Stages = append(rep.Stages, sr)
-	}
-	return rep, nil
 }

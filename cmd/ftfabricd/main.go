@@ -24,8 +24,8 @@ package main
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -34,59 +34,30 @@ import (
 	"syscall"
 	"time"
 
-	"fattree/internal/engine"
+	"fattree/internal/cli"
 	"fattree/internal/fmgr"
 	"fattree/internal/obs"
-	"fattree/internal/obs/prof"
-	"fattree/internal/topo"
 	"fattree/internal/wire"
 )
 
-func main() {
-	var (
-		spec        = flag.String("topo", "324", "topology spec")
-		engName     = flag.String("engine", "", "routing engine from the registry (default dmodk; \"list\" prints them)")
-		addr        = flag.String("addr", "127.0.0.1:7474", "listen address")
-		maxInflight = flag.Int("max-inflight", 64, "concurrent /v1 requests before 429")
-		timeout     = flag.Duration("timeout", 2*time.Second, "per-request handling timeout")
-		debounce    = flag.Duration("debounce", 25*time.Millisecond, "fault-event coalescing window before a reroute")
-		seed        = flag.Int64("seed", 1, "seed for fail_random fault draws")
-		drain       = flag.Duration("drain", 5*time.Second, "graceful-shutdown drain budget")
-		spanTrace   = flag.String("span-trace", "", "write request and rebuild spans to `file` in Chrome trace-event format")
-		spanSample  = flag.Int("span-sample", 1, "trace one in N eligible requests (with -span-trace)")
-		journal     = flag.Int("journal", 1024, "fabric event journal capacity (GET /v1/events)")
-	)
-	pf := prof.Register(flag.CommandLine)
-	flag.Parse()
-	if *engName == "list" {
-		for _, info := range engine.Infos() {
-			fmt.Printf("%-16s %s\n", info.Name, info.Description)
-		}
-		return
-	}
-	if err := pf.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, "ftfabricd:", err)
-		os.Exit(1)
-	}
-	err := run(options{
-		Spec:        *spec,
-		Engine:      *engName,
-		Addr:        *addr,
-		MaxInflight: *maxInflight,
-		Timeout:     *timeout,
-		Debounce:    *debounce,
-		Seed:        *seed,
-		Drain:       *drain,
-		SpanTrace:   *spanTrace,
-		SpanSample:  *spanSample,
-		Journal:     *journal,
-	})
-	if perr := pf.Stop(); err == nil {
-		err = perr
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ftfabricd:", err)
-		os.Exit(1)
+func main() { os.Exit(cli.Main("ftfabricd", os.Args[1:], os.Stdout, os.Stderr, setup)) }
+
+func setup(a *cli.App) func(io.Writer) error {
+	var o options
+	a.Flags.StringVar(&o.Addr, "addr", "127.0.0.1:7474", "listen address")
+	a.Flags.IntVar(&o.MaxInflight, "max-inflight", 64, "concurrent /v1 requests before 429")
+	a.Flags.DurationVar(&o.Timeout, "timeout", 2*time.Second, "per-request handling timeout")
+	a.Flags.DurationVar(&o.Debounce, "debounce", 25*time.Millisecond, "fault-event coalescing window before a reroute")
+	a.Flags.DurationVar(&o.Drain, "drain", 5*time.Second, "graceful-shutdown drain budget")
+	a.Flags.StringVar(&o.SpanTrace, "span-trace", "", "write request and rebuild spans to `file` in Chrome trace-event format")
+	a.Flags.IntVar(&o.SpanSample, "span-sample", 1, "trace one in N eligible requests (with -span-trace)")
+	a.Flags.IntVar(&o.Journal, "journal", 1024, "fabric event journal capacity (GET /v1/events)")
+	spec, engName := a.Topo("324"), a.Engine()
+	seed := a.Seed(1, "seed for fail_random fault draws")
+	a.Profile()
+	return func(w io.Writer) error {
+		o.Spec, o.Engine, o.Seed = *spec, *engName, *seed
+		return run(w, o)
 	}
 }
 
@@ -100,12 +71,8 @@ type options struct {
 	SpanSample, Journal int
 }
 
-func run(o options) error {
-	g, err := topo.ParseSpec(o.Spec)
-	if err != nil {
-		return err
-	}
-	t, err := topo.Build(g)
+func run(w io.Writer, o options) error {
+	t, err := cli.BuildTopo(o.Spec)
 	if err != nil {
 		return err
 	}
@@ -157,15 +124,15 @@ func run(o options) error {
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(wire.Split(ln, m.ServeWire)) }()
-	fmt.Printf("ftfabricd: serving %s (%d hosts, epoch %d, engine %s) on %s (http+wire)\n",
-		g, t.NumHosts(), m.Current().Epoch, m.Current().Engine, o.Addr)
+	fmt.Fprintf(w, "ftfabricd: serving %s (%d hosts, epoch %d, engine %s) on %s (http+wire)\n",
+		t.Spec, t.NumHosts(), m.Current().Epoch, m.Current().Engine, o.Addr)
 
 	select {
 	case err := <-errc:
 		return err
 	case <-ctx.Done():
 	}
-	fmt.Println("ftfabricd: shutting down")
+	fmt.Fprintln(w, "ftfabricd: shutting down")
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), o.Drain)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {

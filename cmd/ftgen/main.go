@@ -9,45 +9,31 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 
-	"fattree/internal/obs/prof"
-	"fattree/internal/topo"
+	"fattree/internal/cli"
 )
 
-func main() {
+func main() { os.Exit(cli.Main("ftgen", os.Args[1:], os.Stdout, os.Stderr, setup)) }
+
+func setup(a *cli.App) func(io.Writer) error {
 	var (
-		spec    = flag.String("topo", "324", "topology spec (see internal/topo.ParseSpec)")
-		out     = flag.String("o", "", "output file (default stdout)")
-		summary = flag.Bool("summary", false, "print structural summary instead of the link list")
+		spec    = a.Topo("324")
+		out     = a.Flags.String("o", "", "output file (default stdout)")
+		summary = a.Flags.Bool("summary", false, "print structural summary instead of the link list")
 	)
-	pf := prof.Register(flag.CommandLine)
-	flag.Parse()
-	err := pf.Start()
-	if err == nil {
-		err = run(*spec, *out, *summary)
-	}
-	if perr := pf.Stop(); err == nil {
-		err = perr
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ftgen:", err)
-		os.Exit(1)
-	}
+	a.Profile()
+	return func(w io.Writer) error { return run(w, *spec, *out, *summary) }
 }
 
-func run(spec, out string, summary bool) error {
-	g, err := topo.ParseSpec(spec)
+func run(w io.Writer, spec, out string, summary bool) error {
+	t, err := cli.BuildTopo(spec)
 	if err != nil {
 		return err
 	}
-	t, err := topo.Build(g)
-	if err != nil {
-		return err
-	}
-	w := os.Stdout
+	g := t.Spec
 	if out != "" {
 		f, err := os.Create(out)
 		if err != nil {

@@ -13,63 +13,41 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
-	"math/rand"
+	"io"
 	"os"
 
+	"fattree/internal/cli"
 	"fattree/internal/cps"
 	"fattree/internal/des"
 	"fattree/internal/engine"
 	"fattree/internal/hsd"
 	"fattree/internal/mpi"
 	"fattree/internal/obs"
-	"fattree/internal/obs/prof"
 	"fattree/internal/order"
 	"fattree/internal/report"
 	"fattree/internal/route"
-	"fattree/internal/topo"
 )
 
-func main() {
+func main() { os.Exit(cli.Main("fthsd", os.Args[1:], os.Stdout, os.Stderr, setup)) }
+
+func setup(a *cli.App) func(io.Writer) error {
 	var (
-		spec     = flag.String("topo", "324", "topology spec")
-		engName  = flag.String("engine", "", "routing engine from the registry (default dmodk; \"list\" prints them)")
-		cpsName  = flag.String("cps", "shift", "CPS: shift | ring | binomial | dissemination | tournament | recursive-doubling | recursive-halving | topo-aware")
-		ordering = flag.String("order", "topology", "ordering: topology | random | adversarial")
-		seeds    = flag.Int("seeds", 1, "random orderings to sweep")
-		drop     = flag.Int("drop", 0, "randomly exclude this many end-ports (partial job)")
-		dropSeed = flag.Int64("drop-seed", 1, "seed for the exclusion draw")
-		perStage = flag.Bool("stages", false, "print per-stage detail")
-		levels   = flag.Bool("levels", false, "print the per-tree-level breakdown of the worst stage")
-		jsonOut  = flag.Bool("json", false, "emit the full per-stage report as JSON (fattree-blame/v1) instead of text")
-		sinks    obs.FileSinks
+		spec     = a.Topo("324")
+		engName  = a.Engine()
+		seed     = a.Seed(1, "seed for randomized engines")
+		cpsName  = a.Flags.String("cps", "shift", "CPS: shift | ring | binomial | dissemination | tournament | recursive-doubling | recursive-halving | topo-aware")
+		ordering = a.Flags.String("order", "topology", "ordering: topology | random | adversarial | cyclic")
+		seeds    = a.Flags.Int("seeds", 1, "random orderings to sweep")
+		drop     = a.Drop()
+		perStage = a.Flags.Bool("stages", false, "print per-stage detail")
+		levels   = a.Flags.Bool("levels", false, "print the per-tree-level breakdown of the worst stage")
+		jsonOut  = a.Flags.Bool("json", false, "emit the full per-stage report as JSON (fattree-blame/v1) instead of text")
+		sinks    = a.Sinks()
 	)
-	sinks.RegisterFlags(flag.CommandLine)
-	pf := prof.Register(flag.CommandLine)
-	flag.Parse()
-	if *engName == "list" {
-		for _, info := range engine.Infos() {
-			fmt.Printf("%-16s %s\n", info.Name, info.Description)
-		}
-		return
-	}
-	err := sinks.Open()
-	if err == nil {
-		err = pf.Start()
-	}
-	if err == nil {
-		err = run(*spec, *engName, *cpsName, *ordering, *seeds, *drop, *dropSeed, *perStage, *levels, *jsonOut, &sinks)
-	}
-	if perr := pf.Stop(); err == nil {
-		err = perr
-	}
-	if cerr := sinks.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fthsd:", err)
-		os.Exit(1)
+	a.Profile()
+	return func(w io.Writer) error {
+		return run(w, *spec, *engName, *seed, *cpsName, *ordering, *seeds, drop, *perStage, *levels, *jsonOut, sinks)
 	}
 }
 
@@ -108,117 +86,62 @@ func emitObs(rep *hsd.Report, sinks *obs.FileSinks) {
 	}
 }
 
-func run(spec, engName, cpsName, ordering string, seeds, drop int, dropSeed int64, perStage, levels, jsonOut bool, sinks *obs.FileSinks) error {
-	g, err := topo.ParseSpec(spec)
+func run(w io.Writer, spec, engName string, seed int64, cpsName, ordering string, seeds int, drop *cli.Drop, perStage, levels, jsonOut bool, sinks *obs.FileSinks) error {
+	t, err := cli.BuildTopo(spec)
 	if err != nil {
 		return err
 	}
-	t, err := topo.Build(g)
+	active, err := drop.Active(t.NumHosts())
 	if err != nil {
 		return err
 	}
-	n := t.NumHosts()
-
-	var active []int
-	if drop > 0 {
-		r := rand.New(rand.NewSource(dropSeed))
-		perm := r.Perm(n)
-		active = append([]int(nil), perm[drop:]...)
-	}
-	var lft *route.LFT
-	var rt route.Router
-	if engName != "" {
-		if active != nil {
-			return fmt.Errorf("-drop is incompatible with -engine")
-		}
-		e, err := engine.Build(engName, t, engine.Options{Seed: dropSeed})
-		if err != nil {
-			return err
-		}
-		tb, err := e.Tables(nil)
-		if err != nil {
-			return err
-		}
-		// Engine routers come pre-compiled wherever possible; lft stays
-		// nil for source-based engines, which only -levels needs.
-		rt, lft = tb.Router, tb.LFT
-	} else {
-		if active == nil {
-			lft = route.DModK(t)
-		} else {
-			lft, err = route.DModKActive(t, active)
-			if err != nil {
-				return err
-			}
-		}
-		// The compiled path cache makes multi-ordering sweeps and long
-		// sequences iterate packed arenas instead of re-walking the tables.
-		if rt, err = route.Compile(lft); err != nil {
-			return err
-		}
-	}
-	jobSize := n
-	if active != nil {
-		jobSize = len(active)
-	}
-
-	var seq cps.Sequence
-	if cpsName == "topo-aware" {
-		seq, err = mpi.NewTopoAwareSequence(g.M, active)
-	} else {
-		seq, err = mpi.NewSequence(mpi.CPSKind(cpsName), jobSize)
-	}
+	// Engine routers come compiled, so multi-ordering sweeps and long
+	// sequences iterate packed arenas; tb.LFT is nil for source-based
+	// engines, which only -levels needs.
+	tb, err := engine.Resolve(engName, t, engine.Options{Seed: seed, Active: active}, nil)
 	if err != nil {
 		return err
 	}
-
-	switch ordering {
-	case "topology":
-		return analyzeOne(rt, lft, order.Topology(n, active), seq, perStage, levels, jsonOut, sinks)
-	case "adversarial":
-		o, err := order.Adversarial(t)
-		if err != nil {
-			return err
-		}
-		if active != nil {
-			return fmt.Errorf("adversarial ordering supports full population only")
-		}
-		return analyzeOne(rt, lft, o, seq, perStage, levels, jsonOut, sinks)
-	case "random":
-		if jsonOut && seeds == 1 {
-			return analyzeOne(rt, lft, order.Random(n, active, 0), seq, perStage, levels, true, sinks)
-		}
-		if jsonOut {
-			return fmt.Errorf("-json needs a single ordering; use -seeds 1")
-		}
-		var orders []*order.Ordering
-		for s := 0; s < seeds; s++ {
-			orders = append(orders, order.Random(n, active, int64(s)))
-		}
-		sw, err := hsd.SweepOrderingsParallel(rt, orders, seq, 0)
-		if err != nil {
-			return err
-		}
-		if sinks.Enabled() {
-			// Sweeps have no per-stage report; record the summary on the
-			// metrics stream (Record is a no-op without -metrics).
-			sinks.Sampler.Record(map[string]interface{}{
-				"sweep": map[string]float64{"mean": sw.Mean, "min": sw.Min, "max": sw.Max},
-				"seeds": seeds,
-			})
-		}
-		fmt.Printf("%s / %s / random x%d on %s (job %d):\n", seq.Name(), rt.Label(), seeds, g, jobSize)
-		fmt.Printf("  avg max HSD: mean %.3f  min %.3f  max %.3f\n", sw.Mean, sw.Min, sw.Max)
-	default:
-		return fmt.Errorf("unknown ordering %q", ordering)
+	seq, err := mpi.SequenceByName(cpsName, t.Spec, active, 0)
+	if err != nil {
+		return err
 	}
+	if ordering != "random" || (jsonOut && seeds == 1) {
+		o, err := order.ByName(ordering, t, active, 0)
+		if err != nil {
+			return err
+		}
+		return analyzeOne(w, tb, o, seq, perStage, levels, jsonOut, sinks)
+	}
+	if jsonOut {
+		return fmt.Errorf("-json needs a single ordering; use -seeds 1")
+	}
+	var orders []*order.Ordering
+	for s := 0; s < seeds; s++ {
+		orders = append(orders, order.Random(t.NumHosts(), active, int64(s)))
+	}
+	sw, err := hsd.SweepOrderingsParallel(tb.Router, orders, seq, 0)
+	if err != nil {
+		return err
+	}
+	if sinks.Enabled() {
+		// Sweeps have no per-stage report; record the summary on the
+		// metrics stream (Record is a no-op without -metrics).
+		sinks.Sampler.Record(map[string]interface{}{
+			"sweep": map[string]float64{"mean": sw.Mean, "min": sw.Min, "max": sw.Max},
+			"seeds": seeds,
+		})
+	}
+	fmt.Fprintf(w, "%s / %s / random x%d on %s (job %d):\n", seq.Name(), tb.Router.Label(), seeds, t.Spec, seq.Size())
+	fmt.Fprintf(w, "  avg max HSD: mean %.3f  min %.3f  max %.3f\n", sw.Mean, sw.Min, sw.Max)
 	return nil
 }
 
 // analyzeOne reports a single ordering: the usual text summary, or with
 // jsonOut the full per-stage blame report (fattree-blame/v1) on stdout.
 // The obs sinks are fed either way.
-func analyzeOne(rt route.Router, lft *route.LFT, o *order.Ordering, seq cps.Sequence, perStage, levels, jsonOut bool, sinks *obs.FileSinks) error {
+func analyzeOne(w io.Writer, tb *engine.Tables, o *order.Ordering, seq cps.Sequence, perStage, levels, jsonOut bool, sinks *obs.FileSinks) error {
+	rt := tb.Router
 	rep, err := hsd.AnalyzeParallel(rt, o, seq, 0)
 	if err != nil {
 		return err
@@ -229,23 +152,23 @@ func analyzeOne(rt route.Router, lft *route.LFT, o *order.Ordering, seq cps.Sequ
 		if err != nil {
 			return err
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(blame)
 	}
-	printReport(rep, perStage)
+	printReport(w, rep, perStage)
 	if levels {
-		if lft == nil {
+		if tb.LFT == nil {
 			return fmt.Errorf("-levels needs forwarding tables; %s has no LFT realization", rt.Label())
 		}
-		return printLevels(lft, o, seq, rep)
+		return printLevels(w, tb.LFT, o, seq, rep)
 	}
 	return nil
 }
 
 // printLevels re-analyzes the worst stage and prints its per-tree-level
 // maximum flow counts, locating where the hot spot lives.
-func printLevels(lft *route.LFT, o *order.Ordering, seq cps.Sequence, rep *hsd.Report) error {
+func printLevels(w io.Writer, lft *route.LFT, o *order.Ordering, seq cps.Sequence, rep *hsd.Report) error {
 	worst, worstHSD := -1, -1
 	for i, s := range rep.Stages {
 		if s.MaxHSD > worstHSD {
@@ -265,25 +188,25 @@ func printLevels(lft *route.LFT, o *order.Ordering, seq cps.Sequence, rep *hsd.R
 		return err
 	}
 	up, down := a.LevelLoads()
-	fmt.Printf("  worst stage %d per-level max flows (up/down):\n", worst)
+	fmt.Fprintf(w, "  worst stage %d per-level max flows (up/down):\n", worst)
 	for l := 0; l < len(up); l++ {
 		name := "host links"
 		if l > 0 {
 			name = fmt.Sprintf("level %d-%d", l, l+1)
 		}
-		fmt.Printf("    %-11s %d / %d\n", name, up[l], down[l])
+		fmt.Fprintf(w, "    %-11s %d / %d\n", name, up[l], down[l])
 	}
 	return nil
 }
 
-func printReport(rep *hsd.Report, perStage bool) {
-	fmt.Printf("%s / %s / %s:\n", rep.Sequence, rep.Routing, rep.Ordering)
-	fmt.Printf("  stages: %d  max HSD: %d  avg max HSD: %.3f  contention-free: %v\n",
+func printReport(w io.Writer, rep *hsd.Report, perStage bool) {
+	fmt.Fprintf(w, "%s / %s / %s:\n", rep.Sequence, rep.Routing, rep.Ordering)
+	fmt.Fprintf(w, "  stages: %d  max HSD: %d  avg max HSD: %.3f  contention-free: %v\n",
 		len(rep.Stages), rep.MaxHSD(), rep.AvgMaxHSD(), rep.ContentionFree())
-	fmt.Printf("  synchronized effective bandwidth: %.3f of nominal\n", rep.SyncEffectiveBandwidth())
+	fmt.Fprintf(w, "  synchronized effective bandwidth: %.3f of nominal\n", rep.SyncEffectiveBandwidth())
 	if perStage {
 		for i, s := range rep.Stages {
-			fmt.Printf("  stage %4d: flows %5d  max HSD %d (up %d / down %d)  hot links %d\n",
+			fmt.Fprintf(w, "  stage %4d: flows %5d  max HSD %d (up %d / down %d)  hot links %d\n",
 				i, s.Flows, s.MaxHSD, s.MaxUpHSD, s.MaxDownHSD, s.HotLinks)
 		}
 	}

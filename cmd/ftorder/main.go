@@ -13,54 +13,38 @@ package main
 
 import (
 	"bufio"
-	"flag"
 	"fmt"
-	"math/rand"
+	"io"
 	"os"
 
-	"fattree/internal/obs/prof"
+	"fattree/internal/cli"
 	"fattree/internal/order"
 	"fattree/internal/sched"
 	"fattree/internal/topo"
 )
 
-func main() {
+func main() { os.Exit(cli.Main("ftorder", os.Args[1:], os.Stdout, os.Stderr, setup)) }
+
+func setup(a *cli.App) func(io.Writer) error {
 	var (
-		spec     = flag.String("topo", "324", "topology spec")
-		job      = flag.Int("job", 0, "allocate a job of this size via the granule-aware scheduler (0 = whole cluster)")
-		drop     = flag.Int("drop", 0, "exclude this many random end-ports")
-		dropSeed = flag.Int64("drop-seed", 1, "seed for the exclusion draw")
-		format   = flag.String("format", "rankfile", "output: rankfile | hostlist")
+		spec   = a.Topo("324")
+		job    = a.Flags.Int("job", 0, "allocate a job of this size via the granule-aware scheduler (0 = whole cluster)")
+		drop   = a.Drop()
+		format = a.Flags.String("format", "rankfile", "output: rankfile | hostlist")
 	)
-	pf := prof.Register(flag.CommandLine)
-	flag.Parse()
-	err := pf.Start()
-	if err == nil {
-		err = run(*spec, *job, *drop, *dropSeed, *format)
-	}
-	if perr := pf.Stop(); err == nil {
-		err = perr
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ftorder:", err)
-		os.Exit(1)
-	}
+	a.Profile()
+	return func(w io.Writer) error { return run(w, a.Stderr, *spec, *job, drop, *format) }
 }
 
-func run(spec string, jobSize, drop int, dropSeed int64, format string) error {
-	g, err := topo.ParseSpec(spec)
+func run(out, stderr io.Writer, spec string, jobSize int, drop *cli.Drop, format string) error {
+	t, err := cli.BuildTopo(spec)
 	if err != nil {
 		return err
 	}
-	t, err := topo.Build(g)
-	if err != nil {
-		return err
-	}
-	n := t.NumHosts()
+	g, n := t.Spec, t.NumHosts()
 
 	var active []int
-	switch {
-	case jobSize > 0:
+	if jobSize > 0 {
 		alloc, err := sched.New(t)
 		if err != nil {
 			return err
@@ -71,17 +55,15 @@ func run(spec string, jobSize, drop int, dropSeed int64, format string) error {
 		}
 		active = j.Hosts
 		if !j.ContentionFree {
-			fmt.Fprintf(os.Stderr, "ftorder: warning: %d is not a multiple of the allocation granule %d; the job is not guaranteed contention free\n",
+			fmt.Fprintf(stderr, "ftorder: warning: %d is not a multiple of the allocation granule %d; the job is not guaranteed contention free\n",
 				jobSize, alloc.Granule())
 		}
-	case drop > 0:
-		r := rand.New(rand.NewSource(dropSeed))
-		perm := r.Perm(n)
-		active = append([]int(nil), perm[drop:]...)
+	} else if active, err = drop.Active(n); err != nil {
+		return err
 	}
 
 	o := order.Topology(n, active)
-	w := bufio.NewWriter(os.Stdout)
+	w := bufio.NewWriter(out)
 	defer w.Flush()
 	switch format {
 	case "rankfile":

@@ -3,8 +3,20 @@ package main
 import (
 	"testing"
 
+	"fattree/internal/cli/clitest"
 	"fattree/internal/topo"
 )
+
+func TestGolden(t *testing.T) {
+	clitest.Run(t, "ftorder", setup, []clitest.Case{
+		{Name: "rankfile-rlft2", Args: []string{"-topo", "rlft2:4,8"}},
+		{Name: "job-162", Args: []string{"-topo", "324", "-job", "162"}},
+		{Name: "job-100", Args: []string{"-topo", "324", "-job", "100"}, Stderr: "ftorder: warning: 100 is not a multiple of the allocation granule 18"},
+		{Name: "drop-18", Args: []string{"-topo", "324", "-drop", "18", "-drop-seed", "3"}},
+		{Name: "hostlist", Args: []string{"-topo", "rlft2:4,8", "-format", "hostlist"}},
+		{Name: "bad-format", Args: []string{"-topo", "rlft2:4,8", "-format", "nope"}, Exit: 1, Stderr: `ftorder: unknown format "nope"`},
+	})
+}
 
 func TestHostName(t *testing.T) {
 	g := topo.Cluster324 // 18 hosts per leaf

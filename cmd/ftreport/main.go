@@ -26,57 +26,51 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"time"
 
+	"fattree/internal/cli"
+	"fattree/internal/engine"
 	"fattree/internal/mpi"
 	"fattree/internal/order"
 	"fattree/internal/report"
-	"fattree/internal/route"
-	"fattree/internal/topo"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
+func main() { os.Exit(dispatch(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// dispatch picks the subcommand; each one is a cli.Main command of its
+// own.
+func dispatch(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		usage(stderr)
+		return 2
 	}
-	var err error
-	switch os.Args[1] {
+	var setup func(*cli.App) func(io.Writer) error
+	switch args[0] {
 	case "blame":
-		err = cmdBlame(os.Args[2:])
+		setup = setupBlame
 	case "html":
-		err = cmdHTML(os.Args[2:])
+		setup = setupHTML
 	case "bench":
-		err = cmdBench(os.Args[2:])
+		setup = setupBench
 	case "-h", "-help", "--help", "help":
-		usage()
-		return
+		usage(stderr)
+		return 0
 	default:
-		fmt.Fprintf(os.Stderr, "ftreport: unknown subcommand %q\n", os.Args[1])
-		usage()
-		os.Exit(2)
+		fmt.Fprintf(stderr, "ftreport: unknown subcommand %q\n", args[0])
+		usage(stderr)
+		return 2
 	}
-	if err != nil {
-		if err == errGate {
-			// The gate's whole point is the exit code; the table already
-			// told the story.
-			os.Exit(1)
-		}
-		fmt.Fprintln(os.Stderr, "ftreport:", err)
-		os.Exit(1)
-	}
+	return cli.Main("ftreport", args[1:], stdout, stderr, setup)
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: ftreport <blame|html|bench> [flags]
+func usage(w io.Writer) {
+	fmt.Fprintln(w, `usage: ftreport <blame|html|bench> [flags]
 
   blame  attribute overloaded links to the flows crossing them
   html   render probe/trace streams into a self-contained HTML report
@@ -85,126 +79,72 @@ func usage() {
 Run 'ftreport <subcommand> -h' for flags.`)
 }
 
-// outWriter opens the -o target, defaulting to stdout.
-func outWriter(path string) (io.WriteCloser, error) {
+// writeOut runs render against the -o target: stdout when path is empty
+// or "-", else the named file.
+func writeOut(stdout io.Writer, path string, render func(io.Writer) error) error {
 	if path == "" || path == "-" {
-		return os.Stdout, nil
+		return render(stdout)
 	}
-	return os.Create(path)
-}
-
-// closeOut closes w unless it is stdout.
-func closeOut(w io.WriteCloser) error {
-	if w == os.Stdout {
-		return nil
-	}
-	return w.Close()
-}
-
-func cmdBlame(args []string) error {
-	fs := flag.NewFlagSet("ftreport blame", flag.ExitOnError)
-	var (
-		spec     = fs.String("topo", "324", "topology spec")
-		cpsName  = fs.String("cps", "recursive-doubling", "CPS: shift | ring | binomial | dissemination | tournament | recursive-doubling | recursive-halving | topo-aware")
-		ordering = fs.String("order", "random", "ordering: topology | random | adversarial")
-		seed     = fs.Int64("seed", 0, "seed for the random ordering")
-		drop     = fs.Int("drop", 0, "randomly exclude this many end-ports (partial job)")
-		dropSeed = fs.Int64("drop-seed", 1, "seed for the exclusion draw")
-		asJSON   = fs.Bool("json", false, "emit the machine-readable report instead of the table")
-		top      = fs.Int("top", 8, "flows to print per hot link in the table (0 = all)")
-		outPath  = fs.String("o", "", "output file (default stdout)")
-	)
-	fs.Parse(args)
-
-	rep, err := buildBlame(*spec, *cpsName, *ordering, *seed, *drop, *dropSeed)
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	w, err := outWriter(*outPath)
-	if err != nil {
-		return err
-	}
-	if *asJSON {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		err = enc.Encode(rep)
-	} else {
-		err = rep.WriteBlameTable(w, *top)
-	}
-	if cerr := closeOut(w); err == nil {
+	err = render(f)
+	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	return err
 }
 
-// buildBlame assembles topology, routing, ordering and sequence the
-// same way fthsd does, then runs the tracked analysis.
-func buildBlame(spec, cpsName, ordering string, seed int64, drop int, dropSeed int64) (*report.BlameReport, error) {
-	g, err := topo.ParseSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	t, err := topo.Build(g)
-	if err != nil {
-		return nil, err
-	}
-	n := t.NumHosts()
-	var active []int
-	if drop > 0 {
-		r := rand.New(rand.NewSource(dropSeed))
-		perm := r.Perm(n)
-		active = append([]int(nil), perm[drop:]...)
-	}
-	var lft *route.LFT
-	if active == nil {
-		lft = route.DModK(t)
-	} else {
-		lft, err = route.DModKActive(t, active)
+func setupBlame(a *cli.App) func(io.Writer) error {
+	var (
+		spec     = a.Topo("324")
+		cpsName  = a.Flags.String("cps", "recursive-doubling", "CPS: shift | ring | binomial | dissemination | tournament | recursive-doubling | recursive-halving | topo-aware")
+		ordering = a.Flags.String("order", "random", "ordering: topology | random | adversarial | cyclic")
+		seed     = a.Seed(0, "seed for the random ordering")
+		drop     = a.Drop()
+		asJSON   = a.Flags.Bool("json", false, "emit the machine-readable report instead of the table")
+		top      = a.Flags.Int("top", 8, "flows to print per hot link in the table (0 = all)")
+		outPath  = a.Flags.String("o", "", "output file (default stdout)")
+	)
+	return func(stdout io.Writer) error {
+		t, err := cli.BuildTopo(*spec)
 		if err != nil {
-			return nil, err
+			return err
 		}
-	}
-	rt, err := route.Compile(lft)
-	if err != nil {
-		return nil, err
-	}
-	jobSize := n
-	if active != nil {
-		jobSize = len(active)
-	}
-	var o *order.Ordering
-	switch ordering {
-	case "topology":
-		o = order.Topology(n, active)
-	case "random":
-		o = order.Random(n, active, seed)
-	case "adversarial":
-		if active != nil {
-			return nil, fmt.Errorf("adversarial ordering supports full population only")
-		}
-		o, err = order.Adversarial(t)
+		active, err := drop.Active(t.NumHosts())
 		if err != nil {
-			return nil, err
+			return err
 		}
-	default:
-		return nil, fmt.Errorf("unknown ordering %q", ordering)
-	}
-	if cpsName == "topo-aware" {
-		s, err := mpi.NewTopoAwareSequence(g.M, active)
+		tb, err := engine.Resolve("", t, engine.Options{Active: active}, nil)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return report.BuildBlame(rt, o, s)
+		o, err := order.ByName(*ordering, t, active, *seed)
+		if err != nil {
+			return err
+		}
+		seq, err := mpi.SequenceByName(*cpsName, t.Spec, active, 0)
+		if err != nil {
+			return err
+		}
+		rep, err := report.BuildBlame(tb.Router, o, seq)
+		if err != nil {
+			return err
+		}
+		return writeOut(stdout, *outPath, func(w io.Writer) error {
+			if *asJSON {
+				enc := json.NewEncoder(w)
+				enc.SetIndent("", "  ")
+				return enc.Encode(rep)
+			}
+			return rep.WriteBlameTable(w, *top)
+		})
 	}
-	s, err := mpi.NewSequence(mpi.CPSKind(cpsName), jobSize)
-	if err != nil {
-		return nil, err
-	}
-	return report.BuildBlame(rt, o, s)
 }
 
-func cmdHTML(args []string) error {
-	fs := flag.NewFlagSet("ftreport html", flag.ExitOnError)
+func setupHTML(a *cli.App) func(io.Writer) error {
+	fs := a.Flags
 	var (
 		metrics    = fs.String("metrics", "", "probe JSONL stream (from -metrics of ftsim/fthsd)")
 		trace      = fs.String("trace", "", "Chrome trace file (from -trace of ftsim/fthsd)")
@@ -217,135 +157,125 @@ func cmdHTML(args []string) error {
 		stamp      = fs.Bool("stamp", true, "include a generation timestamp (disable for reproducible output)")
 		maxRows    = fs.Int("max-heatmap-rows", 64, "cap on heatmap channel rows")
 	)
-	fs.Parse(args)
-	if *metrics == "" && *trace == "" && *load == "" && *events == "" && *linkprobes == "" && *bakeoffIn == "" {
-		return fmt.Errorf("html: need at least one of -metrics, -trace, -load, -events, -linkprobes, -bakeoff")
-	}
-	var in report.Inputs
-	if *metrics != "" {
-		f, err := os.Open(*metrics)
-		if err != nil {
-			return err
+	return func(stdout io.Writer) error {
+		if *metrics == "" && *trace == "" && *load == "" && *events == "" && *linkprobes == "" && *bakeoffIn == "" {
+			return fmt.Errorf("html: need at least one of -metrics, -trace, -load, -events, -linkprobes, -bakeoff")
 		}
-		in.Probes, err = report.ParseProbes(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-	}
-	if *trace != "" {
-		f, err := os.Open(*trace)
-		if err != nil {
-			return err
-		}
-		in.Trace, err = report.ParseTrace(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-	}
-	if *load != "" {
-		// Comma-separated sweeps (e.g. JSON and binary over the same
-		// daemon) each render as their own curve section.
-		for _, path := range strings.Split(*load, ",") {
-			path = strings.TrimSpace(path)
-			if path == "" {
-				continue
-			}
-			f, err := os.Open(path)
+		var in report.Inputs
+		if *metrics != "" {
+			f, err := os.Open(*metrics)
 			if err != nil {
 				return err
 			}
-			doc, err := report.ParseLoad(f)
+			in.Probes, err = report.ParseProbes(f)
 			f.Close()
 			if err != nil {
 				return err
 			}
-			in.Loads = append(in.Loads, doc)
 		}
-	}
-	if *events != "" {
-		f, err := os.Open(*events)
-		if err != nil {
-			return err
-		}
-		in.Events, err = report.ParseEvents(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-	}
-	if *linkprobes != "" {
-		f, err := os.Open(*linkprobes)
-		if err != nil {
-			return err
-		}
-		in.LinkProbes, err = report.ParseProbes(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-	}
-	if *bakeoffIn != "" {
-		f, err := os.Open(*bakeoffIn)
-		if err != nil {
-			return err
-		}
-		in.Bakeoff, err = report.ParseBakeoff(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-	}
-	opt := report.HTMLOptions{
-		Title:          *title,
-		MaxHeatmapRows: *maxRows,
-	}
-	if *metrics != "" {
-		opt.MetricsFile = filepath.Base(*metrics)
-	}
-	if *trace != "" {
-		opt.TraceFile = filepath.Base(*trace)
-	}
-	if *load != "" {
-		var bases []string
-		for _, path := range strings.Split(*load, ",") {
-			if path = strings.TrimSpace(path); path != "" {
-				bases = append(bases, filepath.Base(path))
+		if *trace != "" {
+			f, err := os.Open(*trace)
+			if err != nil {
+				return err
+			}
+			in.Trace, err = report.ParseTrace(f)
+			f.Close()
+			if err != nil {
+				return err
 			}
 		}
-		opt.LoadFile = strings.Join(bases, ", ")
+		if *load != "" {
+			// Comma-separated sweeps (e.g. JSON and binary over the same
+			// daemon) each render as their own curve section.
+			for _, path := range strings.Split(*load, ",") {
+				path = strings.TrimSpace(path)
+				if path == "" {
+					continue
+				}
+				f, err := os.Open(path)
+				if err != nil {
+					return err
+				}
+				doc, err := report.ParseLoad(f)
+				f.Close()
+				if err != nil {
+					return err
+				}
+				in.Loads = append(in.Loads, doc)
+			}
+		}
+		if *events != "" {
+			f, err := os.Open(*events)
+			if err != nil {
+				return err
+			}
+			in.Events, err = report.ParseEvents(f)
+			f.Close()
+			if err != nil {
+				return err
+			}
+		}
+		if *linkprobes != "" {
+			f, err := os.Open(*linkprobes)
+			if err != nil {
+				return err
+			}
+			in.LinkProbes, err = report.ParseProbes(f)
+			f.Close()
+			if err != nil {
+				return err
+			}
+		}
+		if *bakeoffIn != "" {
+			f, err := os.Open(*bakeoffIn)
+			if err != nil {
+				return err
+			}
+			in.Bakeoff, err = report.ParseBakeoff(f)
+			f.Close()
+			if err != nil {
+				return err
+			}
+		}
+		opt := report.HTMLOptions{
+			Title:          *title,
+			MaxHeatmapRows: *maxRows,
+		}
+		if *metrics != "" {
+			opt.MetricsFile = filepath.Base(*metrics)
+		}
+		if *trace != "" {
+			opt.TraceFile = filepath.Base(*trace)
+		}
+		if *load != "" {
+			var bases []string
+			for _, path := range strings.Split(*load, ",") {
+				if path = strings.TrimSpace(path); path != "" {
+					bases = append(bases, filepath.Base(path))
+				}
+			}
+			opt.LoadFile = strings.Join(bases, ", ")
+		}
+		if *events != "" {
+			opt.EventsFile = filepath.Base(*events)
+		}
+		if *linkprobes != "" {
+			opt.LinkProbesFile = filepath.Base(*linkprobes)
+		}
+		if *bakeoffIn != "" {
+			opt.BakeoffFile = filepath.Base(*bakeoffIn)
+		}
+		if *stamp {
+			opt.Generated = time.Now().UTC().Format(time.RFC3339)
+		}
+		return writeOut(stdout, *outPath, func(w io.Writer) error { return report.RenderHTML(w, in, opt) })
 	}
-	if *events != "" {
-		opt.EventsFile = filepath.Base(*events)
-	}
-	if *linkprobes != "" {
-		opt.LinkProbesFile = filepath.Base(*linkprobes)
-	}
-	if *bakeoffIn != "" {
-		opt.BakeoffFile = filepath.Base(*bakeoffIn)
-	}
-	if *stamp {
-		opt.Generated = time.Now().UTC().Format(time.RFC3339)
-	}
-	w, err := outWriter(*outPath)
-	if err != nil {
-		return err
-	}
-	err = report.RenderHTML(w, in, opt)
-	if cerr := closeOut(w); err == nil {
-		err = cerr
-	}
-	return err
 }
-
-// errGate signals a failed -gate; main maps it to a bare exit 1.
-var errGate = fmt.Errorf("bench gate failed")
 
 var dateInName = regexp.MustCompile(`\d{4}-\d{2}-\d{2}`)
 
-func cmdBench(args []string) error {
-	fs := flag.NewFlagSet("ftreport bench", flag.ExitOnError)
+func setupBench(a *cli.App) func(io.Writer) error {
+	fs := a.Flags
 	var (
 		in        = fs.String("in", "", "bench output to ingest: `go test -json` or plain -bench text (- for stdin); empty compares newest history entry only")
 		history   = fs.String("history", filepath.Join("results", "bench"), "history directory")
@@ -356,73 +286,75 @@ func cmdBench(args []string) error {
 		gate      = fs.Bool("gate", false, "exit non-zero when regressions exceed tolerance")
 		noSave    = fs.Bool("no-save", false, "compare only; do not write the run into the history")
 	)
-	fs.Parse(args)
-
-	var cur *report.BenchRun
-	if *in != "" {
-		var r io.Reader
-		if *in == "-" {
-			r = os.Stdin
+	return func(stdout io.Writer) error {
+		var cur *report.BenchRun
+		if *in != "" {
+			var r io.Reader
+			if *in == "-" {
+				r = os.Stdin
+			} else {
+				f, err := os.Open(*in)
+				if err != nil {
+					return err
+				}
+				defer f.Close()
+				r = f
+			}
+			results, err := report.ParseGoBench(r)
+			if err != nil {
+				return err
+			}
+			if len(results) == 0 {
+				return fmt.Errorf("bench: no benchmark results found in %s", *in)
+			}
+			d := *date
+			if d == "" {
+				d = dateInName.FindString(filepath.Base(*in))
+			}
+			if d == "" {
+				d = time.Now().UTC().Format("2006-01-02")
+			}
+			cur = &report.BenchRun{Date: d, Label: *label, Results: results}
+			if !*noSave {
+				path, seeded, err := report.SaveRun(*history, cur)
+				if err != nil {
+					return err
+				}
+				fmt.Fprintf(stdout, "recorded %d benchmarks in %s\n", len(results), path)
+				if seeded {
+					fmt.Fprintf(stdout, "seeded %s from this run; future gates compare against it\n",
+						filepath.Join(*history, "baseline.json"))
+					return nil
+				}
+			}
 		} else {
-			f, err := os.Open(*in)
+			runs, err := report.LoadHistory(*history)
 			if err != nil {
 				return err
 			}
-			defer f.Close()
-			r = f
-		}
-		results, err := report.ParseGoBench(r)
-		if err != nil {
-			return err
-		}
-		if len(results) == 0 {
-			return fmt.Errorf("bench: no benchmark results found in %s", *in)
-		}
-		d := *date
-		if d == "" {
-			d = dateInName.FindString(filepath.Base(*in))
-		}
-		if d == "" {
-			d = time.Now().UTC().Format("2006-01-02")
-		}
-		cur = &report.BenchRun{Date: d, Label: *label, Results: results}
-		if !*noSave {
-			path, seeded, err := report.SaveRun(*history, cur)
-			if err != nil {
-				return err
+			if len(runs) == 0 {
+				return fmt.Errorf("bench: no runs under %s; ingest one with -in", *history)
 			}
-			fmt.Printf("recorded %d benchmarks in %s\n", len(results), path)
-			if seeded {
-				fmt.Printf("seeded %s from this run; future gates compare against it\n",
-					filepath.Join(*history, "baseline.json"))
-				return nil
-			}
+			cur = runs[len(runs)-1]
 		}
-	} else {
-		runs, err := report.LoadHistory(*history)
-		if err != nil {
-			return err
-		}
-		if len(runs) == 0 {
-			return fmt.Errorf("bench: no runs under %s; ingest one with -in", *history)
-		}
-		cur = runs[len(runs)-1]
-	}
 
-	basePath := *baseline
-	if basePath == "" {
-		basePath = filepath.Join(*history, "baseline.json")
+		basePath := *baseline
+		if basePath == "" {
+			basePath = filepath.Join(*history, "baseline.json")
+		}
+		base, err := report.LoadRun(basePath)
+		if err != nil {
+			return fmt.Errorf("bench: loading baseline: %w", err)
+		}
+		c := report.Compare(base, cur, *tolerance)
+		if err := c.WriteTable(stdout); err != nil {
+			return err
+		}
+		if *gate && c.Bad() {
+			// The gate's whole point is the exit code; the table already
+			// told the story.
+			return cli.ErrFailed
+		}
+		return nil
 	}
-	base, err := report.LoadRun(basePath)
-	if err != nil {
-		return fmt.Errorf("bench: loading baseline: %w", err)
-	}
-	c := report.Compare(base, cur, *tolerance)
-	if err := c.WriteTable(os.Stdout); err != nil {
-		return err
-	}
-	if *gate && c.Bad() {
-		return errGate
-	}
-	return nil
 }

@@ -1,0 +1,26 @@
+package main
+
+import (
+	"testing"
+
+	"fattree/internal/cli/clitest"
+)
+
+func TestGolden(t *testing.T) {
+	clitest.RunMain(t, dispatch, []clitest.Case{
+		{Name: "blame-rd-random", Args: []string{"blame", "-topo", "128", "-cps", "recursive-doubling", "-order", "random", "-top", "3"}},
+		{Name: "blame-topo-aware-json", Args: []string{"blame", "-topo", "128", "-cps", "topo-aware", "-order", "topology", "-json"}},
+		{Name: "blame-drop18", Args: []string{"blame", "-topo", "324", "-cps", "shift", "-order", "topology", "-drop", "18"}},
+		{Name: "blame-drop5-random", Args: []string{"blame", "-topo", "rlft2:4,8", "-cps", "shift", "-order", "random", "-seed", "4", "-drop", "5", "-drop-seed", "2", "-top", "2"}},
+		{Name: "blame-adversarial", Args: []string{"blame", "-topo", "rlft2:4,8", "-cps", "ring", "-order", "adversarial", "-top", "2"}},
+		{Name: "blame-adversarial-drop", Args: []string{"blame", "-topo", "324", "-order", "adversarial", "-drop", "18"}, Exit: 1, Stderr: "ftreport: adversarial ordering supports full population only"},
+		{Name: "blame-bad-order", Args: []string{"blame", "-topo", "128", "-order", "nope"}, Exit: 1, Stderr: `ftreport: unknown ordering "nope"`},
+		{Name: "html", Args: []string{"html", "-metrics", "testdata/probes.jsonl", "-trace", "testdata/trace.json", "-stamp=false", "-o", "-"}},
+		{Name: "html-no-input", Args: []string{"html"}, Exit: 1, Stderr: "ftreport: html: need at least one of -metrics"},
+		{Name: "bench-compare", Args: []string{"bench", "-history", "testdata/bench"}},
+		// A failed gate is a bare exit 1: the table already told the story.
+		{Name: "bench-gate", Args: []string{"bench", "-history", "testdata/bench", "-gate"}, Exit: 1},
+		{Name: "no-args", Exit: 2, Stderr: "usage: ftreport <blame|html|bench> [flags]"},
+		{Name: "bad-subcommand", Args: []string{"nope"}, Exit: 2, Stderr: `ftreport: unknown subcommand "nope"`},
+	})
+}

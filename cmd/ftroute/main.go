@@ -4,73 +4,47 @@
 //
 // Usage:
 //
-//	ftroute -topo 324 -routing dmodk -verify
+//	ftroute -topo 324 -engine dmodk -verify
 //	ftroute -topo 324 -trace 0,323
 //	ftroute -topo "pgft:2;4,4;1,2;1,2" -dump | head
 package main
 
 import (
 	"bufio"
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
+	"fattree/internal/cli"
 	"fattree/internal/engine"
-	"fattree/internal/obs/prof"
 	"fattree/internal/route"
 	"fattree/internal/topo"
 )
 
-func main() {
+func main() { os.Exit(cli.Main("ftroute", os.Args[1:], os.Stdout, os.Stderr, setup)) }
+
+func setup(a *cli.App) func(io.Writer) error {
 	var (
-		spec    = flag.String("topo", "324", "topology spec")
-		routing = flag.String("routing", "dmodk", "routing: dmodk | dmodk-naive | minhop-random")
-		engName = flag.String("engine", "", "routing engine from the registry (\"list\" prints them); overrides -routing")
-		seed    = flag.Int64("seed", 1, "seed for randomized routings")
-		verify  = flag.Bool("verify", false, "verify delivery, minimality and up*/down* shape")
-		dump    = flag.Bool("dump", false, "dump the forwarding tables")
-		trace   = flag.String("trace", "", "trace a path: src,dst")
-		active  = flag.String("active", "", "comma-separated active end-ports for rank-compacted d-mod-k (partial job)")
+		spec    = a.Topo("324")
+		engName = a.Engine()
+		seed    = a.Seed(1, "seed for randomized engines")
+		verify  = a.Flags.Bool("verify", false, "verify delivery, minimality and up*/down* shape")
+		dump    = a.Flags.Bool("dump", false, "dump the forwarding tables")
+		trace   = a.Flags.String("trace", "", "trace a path: src,dst")
+		active  = a.Flags.String("active", "", "comma-separated active end-ports for rank-compacted d-mod-k (partial job)")
 	)
-	pf := prof.Register(flag.CommandLine)
-	flag.Parse()
-	err := pf.Start()
-	if err == nil {
-		err = run(*spec, *routing, *engName, *seed, *verify, *dump, *trace, *active)
-	}
-	if perr := pf.Stop(); err == nil {
-		err = perr
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ftroute:", err)
-		os.Exit(1)
-	}
+	a.Profile()
+	return func(w io.Writer) error { return run(w, *spec, *engName, *seed, *verify, *dump, *trace, *active) }
 }
 
-func run(spec, routing, engName string, seed int64, verify, dump bool, trace, activeList string) error {
-	if engName == "list" {
-		for _, info := range engine.Infos() {
-			props := []string{}
-			if info.LFT {
-				props = append(props, "lft")
-			}
-			if info.FaultAware {
-				props = append(props, "fault-aware")
-			}
-			fmt.Printf("%-16s %-13s %s\n", info.Name, strings.Join(props, ","), info.Description)
-		}
-		return nil
-	}
-	g, err := topo.ParseSpec(spec)
+func run(out io.Writer, spec, engName string, seed int64, verify, dump bool, trace, activeList string) error {
+	t, err := cli.BuildTopo(spec)
 	if err != nil {
 		return err
 	}
-	t, err := topo.Build(g)
-	if err != nil {
-		return err
-	}
+	g := t.Spec
 	var active []int
 	if activeList != "" {
 		for _, f := range strings.Split(activeList, ",") {
@@ -81,46 +55,13 @@ func run(spec, routing, engName string, seed int64, verify, dump bool, trace, ac
 			active = append(active, h)
 		}
 	}
-	var lft *route.LFT
-	if engName != "" {
-		if active != nil {
-			return fmt.Errorf("-active is incompatible with -engine")
-		}
-		e, err := engine.Build(engName, t, engine.Options{Seed: seed})
-		if err != nil {
-			return err
-		}
-		tb, err := e.Tables(nil)
-		if err != nil {
-			return err
-		}
-		if tb.LFT == nil {
-			return fmt.Errorf("engine %q has no forwarding-table realization to verify or dump", engName)
-		}
-		lft = tb.LFT
-	} else {
-		switch routing {
-		case "dmodk":
-			if active != nil {
-				// Malformed sets (duplicates, out-of-range hosts) surface
-				// here as errors, not panics.
-				lft, err = route.DModKActive(t, active)
-				if err != nil {
-					return err
-				}
-			} else {
-				lft = route.DModK(t)
-			}
-		case "dmodk-naive":
-			lft = route.DModKNaive(t)
-		case "minhop-random":
-			lft = route.MinHopRandom(t, seed)
-		default:
-			return fmt.Errorf("unknown routing %q", routing)
-		}
-		if active != nil && routing != "dmodk" {
-			return fmt.Errorf("-active requires -routing dmodk")
-		}
+	tb, err := engine.Resolve(engName, t, engine.Options{Seed: seed, Active: active}, nil)
+	if err != nil {
+		return err
+	}
+	lft := tb.LFT
+	if lft == nil {
+		return fmt.Errorf("engine %q has no forwarding-table realization to verify or dump", engName)
 	}
 	did := false
 	if verify {
@@ -132,7 +73,7 @@ func run(spec, routing, engName string, seed int64, verify, dump bool, trace, ac
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%s on %s: all %d^2 pairs verified, %d down-port conflicts\n",
+		fmt.Fprintf(out, "%s on %s: all %d^2 pairs verified, %d down-port conflicts\n",
 			lft.Name, g, t.NumHosts(), conflicts)
 	}
 	if trace != "" {
@@ -153,7 +94,7 @@ func run(spec, routing, engName string, seed int64, verify, dump bool, trace, ac
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%d -> %d (%d hops):\n", src, dst, len(hops))
+		fmt.Fprintf(out, "%d -> %d (%d hops):\n", src, dst, len(hops))
 		for i, h := range hops {
 			lk := &t.Links[h.Link]
 			lo := t.Node(t.Ports[lk.Lower].Node)
@@ -162,11 +103,11 @@ func run(spec, routing, engName string, seed int64, verify, dump bool, trace, ac
 			if !h.Up {
 				dir = "down"
 			}
-			fmt.Printf("  %2d %s %v <-> %v\n", i, dir, lo, up)
+			fmt.Fprintf(out, "  %2d %s %v <-> %v\n", i, dir, lo, up)
 		}
 	}
 	if dump || !did {
-		w := bufio.NewWriter(os.Stdout)
+		w := bufio.NewWriter(out)
 		defer w.Flush()
 		fmt.Fprintf(w, "# %s forwarding tables for %s\n", lft.Name, g)
 		for l := 1; l <= g.H; l++ {

@@ -13,63 +13,46 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
-	"fattree/internal/cps"
+	"fattree/internal/cli"
 	"fattree/internal/des"
 	"fattree/internal/engine"
 	"fattree/internal/mpi"
 	"fattree/internal/netsim"
 	"fattree/internal/obs"
-	"fattree/internal/obs/prof"
 	"fattree/internal/order"
-	"fattree/internal/route"
-	"fattree/internal/topo"
 )
 
-func main() {
+func main() { os.Exit(cli.Main("ftsim", os.Args[1:], os.Stdout, os.Stderr, setup)) }
+
+func setup(a *cli.App) func(io.Writer) error {
 	var (
-		spec     = flag.String("topo", "324", "topology spec")
-		engName  = flag.String("engine", "", "routing engine from the registry (default dmodk; \"list\" prints them)")
-		cpsName  = flag.String("cps", "ring", "CPS name (see fthsd) or topo-aware")
-		ordering = flag.String("order", "topology", "ordering: topology | random | adversarial")
-		seed     = flag.Int64("seed", 1, "random-ordering seed")
-		bytes    = flag.Int64("bytes", 262144, "message payload per stage pair")
-		mode     = flag.String("mode", "async", "stage progression: async | dependent | barrier")
-		sample   = flag.Int("sample", 0, "sample this many stages of long sequences (0 = all)")
-		linkBW   = flag.Float64("link-bw", 4000e6, "link bandwidth bytes/s")
-		hostBW   = flag.Float64("host-bw", 3250e6, "host injection bandwidth bytes/s")
-		bufPkts  = flag.Int("buffers", 8, "input-buffer packets per switch port")
-		shards   = flag.Int("shards", 1, "event-loop shards: 1 = sequential, N > 1 = parallel sub-tree partitions, -1 = one per CPU")
-		progress = flag.Duration("progress", 0, "print a live progress line to stderr at this wall-clock interval (0 = off)")
-		sinks    obs.FileSinks
+		spec     = a.Topo("324")
+		engName  = a.Engine()
+		cpsName  = a.Flags.String("cps", "ring", "CPS name (see fthsd) or topo-aware")
+		ordering = a.Flags.String("order", "topology", "ordering: topology | random | adversarial | cyclic")
+		seed     = a.Seed(1, "seed for the random ordering and randomized engines")
+		bytes    = a.Flags.Int64("bytes", 262144, "message payload per stage pair")
+		mode     = a.Flags.String("mode", "async", "stage progression: async | dependent | barrier")
+		sample   = a.Flags.Int("sample", 0, "sample this many stages of long sequences (0 = all)")
+		linkBW   = a.Flags.Float64("link-bw", 4000e6, "link bandwidth bytes/s")
+		hostBW   = a.Flags.Float64("host-bw", 3250e6, "host injection bandwidth bytes/s")
+		bufPkts  = a.Flags.Int("buffers", 8, "input-buffer packets per switch port")
+		shards   = a.Flags.Int("shards", 1, "event-loop shards: 1 = sequential, N > 1 = parallel sub-tree partitions, -1 = one per CPU")
+		progress = a.Flags.Duration("progress", 0, "print a live progress line to stderr at this wall-clock interval (0 = off)")
+		sinks    = a.Sinks()
 	)
-	sinks.RegisterFlags(flag.CommandLine)
-	pf := prof.Register(flag.CommandLine)
-	flag.Parse()
-	if *engName == "list" {
-		for _, info := range engine.Infos() {
-			fmt.Printf("%-16s %s\n", info.Name, info.Description)
-		}
-		return
-	}
-	err := pf.Start()
-	if err == nil {
-		err = run(*spec, *engName, *cpsName, *ordering, *seed, *bytes, *mode, *sample, *linkBW, *hostBW, *bufPkts, *shards, *progress, &sinks)
-	}
-	if perr := pf.Stop(); err == nil {
-		err = perr
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ftsim:", err)
-		os.Exit(1)
+	a.Profile()
+	return func(w io.Writer) error {
+		return run(w, a.Stderr, *spec, *engName, *cpsName, *ordering, *seed, *bytes, *mode, *sample, *linkBW, *hostBW, *bufPkts, *shards, *progress, sinks)
 	}
 }
 
-func run(spec, engName, cpsName, ordering string, seed, bytes int64, modeName string, sample int, linkBW, hostBW float64, bufPkts, shards int, progress time.Duration, sinks *obs.FileSinks) error {
+func run(w, stderr io.Writer, spec, engName, cpsName, ordering string, seed, bytes int64, modeName string, sample int, linkBW, hostBW float64, bufPkts, shards int, progress time.Duration, sinks *obs.FileSinks) error {
 	var mode mpi.Mode
 	switch modeName {
 	case "async":
@@ -81,62 +64,21 @@ func run(spec, engName, cpsName, ordering string, seed, bytes int64, modeName st
 	default:
 		return fmt.Errorf("unknown mode %q", modeName)
 	}
-	g, err := topo.ParseSpec(spec)
+	t, err := cli.BuildTopo(spec)
 	if err != nil {
 		return err
 	}
-	t, err := topo.Build(g)
+	tb, err := engine.Resolve(engName, t, engine.Options{Seed: seed}, nil)
 	if err != nil {
 		return err
 	}
-	n := t.NumHosts()
-	var rt route.Router = route.DModK(t)
-	if engName != "" {
-		e, err := engine.Build(engName, t, engine.Options{Seed: seed})
-		if err != nil {
-			return err
-		}
-		tb, err := e.Tables(nil)
-		if err != nil {
-			return err
-		}
-		rt = tb.Router
-	}
-
-	var o *order.Ordering
-	switch ordering {
-	case "topology":
-		o = order.Topology(n, nil)
-	case "random":
-		o = order.Random(n, nil, seed)
-	case "adversarial":
-		o, err = order.Adversarial(t)
-		if err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown ordering %q", ordering)
-	}
-
-	var seq cps.Sequence
-	if cpsName == "topo-aware" {
-		seq, err = mpi.NewTopoAwareSequence(g.M, nil)
-	} else {
-		seq, err = mpi.NewSequence(mpi.CPSKind(cpsName), n)
-	}
+	o, err := order.ByName(ordering, t, nil, seed)
 	if err != nil {
 		return err
 	}
-	if sample > 0 && sample < seq.NumStages() {
-		idx := make([]int, sample)
-		step := seq.NumStages() / sample
-		for i := range idx {
-			idx[i] = i * step
-		}
-		seq, err = mpi.SampleStages(seq, idx)
-		if err != nil {
-			return err
-		}
+	seq, err := mpi.SequenceByName(cpsName, t.Spec, nil, sample)
+	if err != nil {
+		return err
 	}
 
 	cfg := netsim.DefaultConfig()
@@ -144,9 +86,6 @@ func run(spec, engName, cpsName, ordering string, seed, bytes int64, modeName st
 	cfg.HostBandwidth = hostBW
 	cfg.BufferPackets = bufPkts
 	cfg.Shards = shards
-	if err := sinks.Open(); err != nil {
-		return err
-	}
 	cfg.Metrics = sinks.Registry
 	cfg.Probes = sinks.Sampler
 	cfg.Trace = sinks.Tracer
@@ -154,31 +93,28 @@ func run(spec, engName, cpsName, ordering string, seed, bytes int64, modeName st
 	if progress > 0 {
 		p := &netsim.Progress{}
 		cfg.Progress = p
-		stop := p.Report(os.Stderr, progress, "ftsim")
+		stop := p.Report(stderr, progress, "ftsim")
 		defer stop()
 	}
-	job, err := mpi.NewJob(rt, o)
+	job, err := mpi.NewJob(tb.Router, o)
 	if err != nil {
 		return err
 	}
 	st, err := job.SimulateMode(seq, bytes, mode, cfg)
-	if cerr := sinks.Close(); err == nil {
-		err = cerr
-	}
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s / %s / %s / %s on %s\n", seq.Name(), rt.Label(), o.Label, mode, g)
-	fmt.Printf("  stages: %d  messages: %d  bytes: %d\n", seq.NumStages(), st.MessagesDelivered, st.BytesDelivered)
-	fmt.Printf("  makespan: %.3f ms  events: %d\n", float64(st.Duration)/float64(des.Millisecond), st.Events)
-	fmt.Printf("  aggregate BW: %.1f MB/s  normalized: %.3f\n",
+	fmt.Fprintf(w, "%s / %s / %s / %s on %s\n", seq.Name(), tb.Router.Label(), o.Label, mode, t.Spec)
+	fmt.Fprintf(w, "  stages: %d  messages: %d  bytes: %d\n", seq.NumStages(), st.MessagesDelivered, st.BytesDelivered)
+	fmt.Fprintf(w, "  makespan: %.3f ms  events: %d\n", float64(st.Duration)/float64(des.Millisecond), st.Events)
+	fmt.Fprintf(w, "  aggregate BW: %.1f MB/s  normalized: %.3f\n",
 		st.EffectiveBandwidth()/1e6, job.NormalizedBandwidth(st, cfg))
-	fmt.Printf("  msg latency: mean %.2f us  min %.2f us  max %.2f us\n",
+	fmt.Fprintf(w, "  msg latency: mean %.2f us  min %.2f us  max %.2f us\n",
 		float64(st.MeanLatency())/float64(des.Microsecond),
 		float64(st.LatencyMin)/float64(des.Microsecond),
 		float64(st.LatencyMax)/float64(des.Microsecond))
 	for i, d := range st.StageDurations {
-		fmt.Printf("  stage %3d: %.3f ms\n", i, float64(d)/float64(des.Millisecond))
+		fmt.Fprintf(w, "  stage %3d: %.3f ms\n", i, float64(d)/float64(des.Millisecond))
 	}
 	return nil
 }

@@ -10,63 +10,46 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 
+	"fattree/internal/cli"
+	"fattree/internal/engine"
 	"fattree/internal/hsd"
-	"fattree/internal/obs/prof"
 	"fattree/internal/order"
-	"fattree/internal/route"
-	"fattree/internal/topo"
 	"fattree/internal/viz"
 )
 
-func main() {
+func main() { os.Exit(cli.Main("ftviz", os.Args[1:], os.Stdout, os.Stderr, setup)) }
+
+func setup(a *cli.App) func(io.Writer) error {
 	var (
-		spec     = flag.String("topo", "pgft:2;4,4;1,2;1,2", "topology spec")
-		dot      = flag.Bool("dot", false, "emit Graphviz DOT")
-		fig1     = flag.Bool("fig1", false, "emit the Figure 1-style leaf/up-port listing")
-		shift    = flag.Int("shift", 0, "annotate with the displacement-d permutation's link loads (0 = none)")
-		ordering = flag.String("order", "topology", "ordering: topology | random")
-		seed     = flag.Int64("seed", 0, "random-ordering seed")
+		spec     = a.Topo("pgft:2;4,4;1,2;1,2")
+		dot      = a.Flags.Bool("dot", false, "emit Graphviz DOT")
+		fig1     = a.Flags.Bool("fig1", false, "emit the Figure 1-style leaf/up-port listing")
+		shift    = a.Flags.Int("shift", 0, "annotate with the displacement-d permutation's link loads (0 = none)")
+		ordering = a.Flags.String("order", "topology", "ordering: topology | random | adversarial | cyclic")
+		seed     = a.Seed(0, "random-ordering seed")
 	)
-	pf := prof.Register(flag.CommandLine)
-	flag.Parse()
-	err := pf.Start()
-	if err == nil {
-		err = run(*spec, *dot, *fig1, *shift, *ordering, *seed)
-	}
-	if perr := pf.Stop(); err == nil {
-		err = perr
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ftviz:", err)
-		os.Exit(1)
-	}
+	a.Profile()
+	return func(w io.Writer) error { return run(w, *spec, *dot, *fig1, *shift, *ordering, *seed) }
 }
 
-func run(spec string, dot, fig1 bool, shift int, ordering string, seed int64) error {
-	g, err := topo.ParseSpec(spec)
+func run(w io.Writer, spec string, dot, fig1 bool, shift int, ordering string, seed int64) error {
+	t, err := cli.BuildTopo(spec)
 	if err != nil {
 		return err
 	}
-	t, err := topo.Build(g)
+	tb, err := engine.Resolve("", t, engine.Options{}, nil)
 	if err != nil {
 		return err
 	}
-	lft := route.DModK(t)
+	o, err := order.ByName(ordering, t, nil, seed)
+	if err != nil {
+		return err
+	}
 	n := t.NumHosts()
-
-	var o *order.Ordering
-	switch ordering {
-	case "topology":
-		o = order.Topology(n, nil)
-	case "random":
-		o = order.Random(n, nil, seed)
-	default:
-		return fmt.Errorf("unknown ordering %q", ordering)
-	}
 
 	var pairs [][2]int
 	if shift > 0 {
@@ -79,14 +62,14 @@ func run(spec string, dot, fig1 bool, shift int, ordering string, seed int64) er
 		if pairs == nil {
 			return fmt.Errorf("-fig1 needs -shift")
 		}
-		return viz.Figure1Style(os.Stdout, lft, pairs)
+		return viz.Figure1Style(w, tb.LFT, pairs)
 	}
 	if !dot {
 		return fmt.Errorf("pick -dot or -fig1")
 	}
 	opts := viz.DOTOptions{RankPerLevel: true}
 	if pairs != nil {
-		a := hsd.NewAnalyzer(lft)
+		a := hsd.NewAnalyzer(tb.Router)
 		if _, err := a.Stage(pairs); err != nil {
 			return err
 		}
@@ -94,5 +77,5 @@ func run(spec string, dot, fig1 bool, shift int, ordering string, seed int64) er
 		opts.UpLoads, opts.DownLoads = up, down
 		opts.HotThreshold = 2
 	}
-	return viz.WriteDOT(os.Stdout, t, opts)
+	return viz.WriteDOT(w, t, opts)
 }

@@ -1,0 +1,18 @@
+package main
+
+import (
+	"testing"
+
+	"fattree/internal/cli/clitest"
+)
+
+func TestGolden(t *testing.T) {
+	clitest.Run(t, "ftviz", setup, []clitest.Case{
+		{Name: "dot", Args: []string{"-dot"}},
+		{Name: "dot-shift-random", Args: []string{"-dot", "-shift", "4", "-order", "random", "-seed", "2"}},
+		{Name: "fig1", Args: []string{"-fig1", "-shift", "4", "-order", "topology"}},
+		{Name: "no-mode", Exit: 1, Stderr: "ftviz: pick -dot or -fig1"},
+		{Name: "fig1-no-shift", Args: []string{"-fig1"}, Exit: 1, Stderr: "ftviz: -fig1 needs -shift"},
+		{Name: "bad-order", Args: []string{"-dot", "-order", "nope"}, Exit: 1, Stderr: `ftviz: unknown ordering "nope"`},
+	})
+}

@@ -18,6 +18,7 @@ import (
 	"fattree/internal/hsd"
 	"fattree/internal/netsim"
 	"fattree/internal/obs"
+	"fattree/internal/order"
 	"fattree/internal/topo"
 )
 
@@ -209,50 +210,18 @@ func scoreCell(t *topo.Topology, e engine.Engine, fs *fabric.FaultSet, cfg Confi
 	res.Unroutable = len(tb.Unroutable)
 	res.BrokenPairs = tb.BrokenPairs
 
-	unset := make([]bool, n)
-	for _, u := range tb.Unroutable {
-		unset[u] = true
-	}
-	served := func(src, dst int) bool {
-		return src != dst && !unset[src] && !unset[dst] && !tb.Compiled.Broken(src, dst)
-	}
-
-	// Shift over the served pairs: the degradation the paper's headline
-	// metric suffers at this fault level.
+	// Shift over the served pairs, ranks on end-ports in index order:
+	// the degradation the paper's headline metric suffers at this level.
 	seq := cps.Shift(n)
-	a := hsd.NewAnalyzer(tb.Router)
-	first := true
-	sum, stages := 0.0, 0
-	var pairs [][2]int
-	for s := 0; s < seq.NumStages(); s++ {
-		pairs = pairs[:0]
-		for _, p := range seq.Stage(s) {
-			if served(int(p.Src), int(p.Dst)) {
-				pairs = append(pairs, [2]int{int(p.Src), int(p.Dst)})
-			}
-		}
-		if len(pairs) == 0 {
-			continue
-		}
-		sr, err := a.Stage(pairs)
-		if err != nil {
-			res.Err = err.Error()
-			return res
-		}
-		if first || sr.MaxHSD > res.MaxHSD {
-			res.MaxHSD = sr.MaxHSD
-		}
-		first = false
-		sum += float64(sr.MaxHSD)
-		stages++
+	rep, err := hsd.AnalyzeServed(tb.Compiled, order.Topology(n, nil), seq)
+	if err != nil {
+		res.Err = err.Error()
+		return res
 	}
-	if stages > 0 {
-		res.AvgMaxHSD = sum / float64(stages)
-	}
-	res.ContentionFree = res.MaxHSD <= 1
+	res.MaxHSD, res.AvgMaxHSD, res.ContentionFree = rep.MaxHSD(), rep.AvgMaxHSD(), rep.ContentionFree()
 
 	if cfg.Sim {
-		depth, err := simQueueDepth(tb, seq, served, cfg)
+		depth, err := simQueueDepth(tb, seq, cfg)
 		if err != nil {
 			res.Err = err.Error()
 			return res
@@ -264,7 +233,7 @@ func scoreCell(t *topo.Topology, e engine.Engine, fs *fabric.FaultSet, cfg Confi
 
 // simQueueDepth replays a sampled subset of Shift stages through netsim
 // and reports the worst input-buffer depth any link saw.
-func simQueueDepth(tb *engine.Tables, seq cps.Sequence, served func(int, int) bool, cfg Config) (int64, error) {
+func simQueueDepth(tb *engine.Tables, seq cps.Sequence, cfg Config) (int64, error) {
 	reg := obs.NewRegistry()
 	sc := netsim.DefaultConfig()
 	sc.Metrics = reg
@@ -280,7 +249,7 @@ func simQueueDepth(tb *engine.Tables, seq cps.Sequence, served func(int, int) bo
 	for s := 0; s < seq.NumStages(); s += step {
 		var msgs []netsim.Message
 		for _, p := range seq.Stage(s) {
-			if served(int(p.Src), int(p.Dst)) {
+			if p.Src != p.Dst && !tb.Compiled.Broken(int(p.Src), int(p.Dst)) {
 				msgs = append(msgs, netsim.Message{Src: int(p.Src), Dst: int(p.Dst), Bytes: cfg.Bytes})
 			}
 		}

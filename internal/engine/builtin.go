@@ -15,7 +15,20 @@ func init() {
 		LFT:         true,
 		FaultAware:  true,
 	}, func(t *topo.Topology, opts Options) (Engine, error) {
-		return newRerouteEngine("dmodk", route.DModK(t), nil)
+		if opts.Active == nil {
+			return newRerouteEngine("dmodk", route.DModK(t), nil)
+		}
+		// Malformed sets (duplicates, out-of-range hosts) surface here
+		// as errors. A reroute spreads by the same compacted rank.
+		rank, err := route.ActiveRanks(t.NumHosts(), opts.Active)
+		if err != nil {
+			return nil, err
+		}
+		lft, err := route.DModKActive(t, opts.Active)
+		if err != nil {
+			return nil, err
+		}
+		return newRerouteEngine("dmodk", lft, rank)
 	})
 
 	Register(Info{

@@ -26,6 +26,11 @@ import (
 type Options struct {
 	// Seed drives randomized engines (minhop-random).
 	Seed int64
+	// Active names the end-ports of a partial job: dmodk spreads
+	// destinations by their rank among them (route.DModKActive) instead
+	// of by raw index. Nil means the whole cluster; every other engine
+	// refuses a non-nil set.
+	Active []int
 	// NodeTypes assigns a node type per host index for the nodetype-lb
 	// engine: destinations are spread over up ports independently within
 	// each type. Nil means every host is the same type, which reduces
@@ -119,17 +124,35 @@ func Register(info Info, b Builder) {
 	registry[info.Name] = regEntry{info: info, b: b}
 }
 
-// Build instantiates a registered engine for a topology. An unknown name
-// is an error that lists every registered engine, so a typo on a -engine
-// flag or an API request is self-correcting.
+// Build instantiates a registered engine for a topology; the empty name
+// is Default. An unknown name is an error that lists every registered
+// engine, so a typo on a -engine flag or an API request is
+// self-correcting.
 func Build(name string, t *topo.Topology, opts Options) (Engine, error) {
+	if name == "" {
+		name = Default
+	}
 	regMu.RLock()
 	e, ok := registry[name]
 	regMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown engine %q (registered: %s)", name, strings.Join(Names(), ", "))
 	}
+	if opts.Active != nil && name != Default {
+		return nil, fmt.Errorf("engine: an active set requires %s (rank-compacted tables), not %s", Default, name)
+	}
 	return e.b(t, opts)
+}
+
+// Resolve builds the named engine and returns its tables for one fault
+// state (nil = healthy) — what a one-shot caller such as a CLI or an
+// experiment wants from the registry.
+func Resolve(name string, t *topo.Topology, opts Options, fs *fabric.FaultSet) (*Tables, error) {
+	e, err := Build(name, t, opts)
+	if err != nil {
+		return nil, err
+	}
+	return e.Tables(fs)
 }
 
 // Names returns the registered engine names, sorted.

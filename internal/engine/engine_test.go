@@ -56,6 +56,57 @@ func TestBuildUnknownListsNames(t *testing.T) {
 	}
 }
 
+// TestBuildDefaultAndActive: the empty name is Default, and an active
+// set is the dmodk engine's alone — honoured as route.DModKActive's
+// rank-compacted tables (healthy and rerouted), refused by every other
+// engine and on malformed sets.
+func TestBuildDefaultAndActive(t *testing.T) {
+	tp := buildSmall(t)
+	e, err := Build("", tp, Options{})
+	if err != nil || e.Name() != Default {
+		t.Fatalf(`Build("") = %v, %v; want the %s engine`, e, err, Default)
+	}
+
+	var half []int
+	for h := 0; h < tp.NumHosts(); h += 2 {
+		half = append(half, h)
+	}
+	want, err := route.DModKActive(tp, half)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := Resolve("", tp, Options{Active: half}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tb.LFT.Name != want.Name || !slices.EqualFunc(tb.LFT.Out, want.Out, func(a, b []topo.PortID) bool { return slices.Equal(a, b) }) {
+		t.Fatalf("dmodk with an active set serves %s, not route.DModKActive's tables", tb.LFT.Name)
+	}
+
+	fs := fabric.NewFaultSet(tp)
+	if err := fs.FailRandomFabricLinks(1, 3); err != nil {
+		t.Fatal(err)
+	}
+	if tb, err = Resolve("", tp, Options{Active: half}, fs); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := tb.LFT.Name, "d-mod-k[16 active]-reroute[1 faults]"; got != want {
+		t.Fatalf("rerouted label %q, want %q", got, want)
+	}
+	faultedCatalog(t, tp, tb, fs)
+
+	for _, name := range realEngines[1:] {
+		if _, err := Build(name, tp, Options{Active: half}); err == nil || !strings.Contains(err.Error(), "active set requires dmodk") {
+			t.Errorf("%s with an active set: %v, want a refusal", name, err)
+		}
+	}
+	for _, bad := range [][]int{{0, 0}, {0, 99}, {-1}} {
+		if _, err := Build("dmodk", tp, Options{Active: bad}); err == nil {
+			t.Errorf("malformed active set %v accepted", bad)
+		}
+	}
+}
+
 func TestNamesAndInfos(t *testing.T) {
 	names := Names()
 	have := make(map[string]bool, len(names))

@@ -46,13 +46,7 @@ func BufferAblation(o BufferOpts) (*Table, error) {
 	}
 	n := tp.NumHosts()
 
-	shift := cps.Sequence(cps.Shift(n))
-	idx := make([]int, o.Stages)
-	step := shift.NumStages() / o.Stages
-	for i := range idx {
-		idx[i] = i * step
-	}
-	shift, err = mpi.SampleStages(shift, idx)
+	shift, err := mpi.SampleEvenly(cps.Shift(n), o.Stages)
 	if err != nil {
 		return nil, err
 	}

@@ -12,23 +12,13 @@ import (
 )
 
 // EngineName selects the registry routing engine every experiment routes
-// with; cmd/ftbench -engine sets it. Empty (or "dmodk") keeps the direct
-// D-Mod-K construction, which skips the registry.
+// with; cmd/ftbench -engine sets it. Empty means engine.Default.
 var EngineName string
 
-// engineRouter returns the analysis router for the selected engine on a
-// healthy fabric. Registry engines hand back their own router (already
-// compiled where the engine supports it); the default path compiles the
-// D-Mod-K tables.
+// engineRouter returns the selected engine's analysis router on a
+// healthy fabric (compiled wherever the engine supports it).
 func engineRouter(tp *topo.Topology) (route.Router, error) {
-	if EngineName == "" || EngineName == "dmodk" {
-		c, err := route.Compile(route.DModK(tp))
-		if err != nil {
-			return nil, err
-		}
-		return c, nil
-	}
-	tb, err := engineTables(tp)
+	tb, err := engine.Resolve(EngineName, tp, engine.Options{}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -40,10 +30,7 @@ func engineRouter(tp *topo.Topology) (route.Router, error) {
 // itself, so source-based engines without one (s-mod-k) are refused with
 // a pointed error rather than silently falling back to D-Mod-K.
 func engineLFT(tp *topo.Topology) (*route.LFT, error) {
-	if EngineName == "" || EngineName == "dmodk" {
-		return route.DModK(tp), nil
-	}
-	tb, err := engineTables(tp)
+	tb, err := engine.Resolve(EngineName, tp, engine.Options{}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -61,12 +48,4 @@ func analyzeLFT(lft *route.LFT, o *order.Ordering, seq cps.Sequence) (*hsd.Repor
 		return nil, err
 	}
 	return hsd.AnalyzeParallel(rt, o, seq, 0)
-}
-
-func engineTables(tp *topo.Topology) (*engine.Tables, error) {
-	e, err := engine.Build(EngineName, tp, engine.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return e.Tables(nil)
 }

@@ -54,17 +54,9 @@ func Figure2(o Figure2Opts) (*Table, error) {
 		return nil, err
 	}
 
-	shift := cps.Sequence(cps.Shift(n))
-	if o.ShiftStages > 0 && o.ShiftStages < shift.NumStages() {
-		idx := make([]int, o.ShiftStages)
-		step := shift.NumStages() / o.ShiftStages
-		for i := range idx {
-			idx[i] = i * step
-		}
-		shift, err = mpi.SampleStages(shift, idx)
-		if err != nil {
-			return nil, err
-		}
+	shift, err := mpi.SampleEvenly(cps.Shift(n), o.ShiftStages)
+	if err != nil {
+		return nil, err
 	}
 	recdbl := cps.RecursiveDoubling(n)
 

@@ -724,9 +724,11 @@ func (m *Manager) buildState(epoch uint64, sp *obs.Span) (*FabricState, error) {
 			st.Jobs = append(st.Jobs, &jc)
 		}
 	}
+	// The standing answer to "is this fabric still contention free":
+	// Shift under the topology order over the pairs the snapshot serves.
 	c := sp.Child("shift_hsd")
 	var err error
-	st.HSD, err = shiftSummary(st)
+	st.HSD, err = hsd.AnalyzeServed(st.Paths, st.Ordering, cps.Shift(st.Topo.NumHosts()))
 	c.End()
 	if err != nil {
 		return nil, err
@@ -790,35 +792,6 @@ func encodeJobFrame(job sched.JobID, pairs int, resp *wire.RouteSetResp) JobWire
 		}),
 		Code: 500,
 	}
-}
-
-// shiftSummary analyzes the Shift sequence under the topology order over
-// the snapshot's routable pairs — the daemon's standing answer to "is
-// this fabric still contention free". Pairs broken by faults are
-// skipped (they carry no traffic), so the summary reflects the flows the
-// fabric can actually deliver.
-func shiftSummary(st *FabricState) (*hsd.Report, error) {
-	n := st.Topo.NumHosts()
-	seq := cps.Shift(n)
-	a := hsd.NewAnalyzer(st.Paths)
-	rep := &hsd.Report{Sequence: seq.Name(), Ordering: st.Ordering.Label, Routing: st.Routing}
-	var pairs [][2]int
-	for s := 0; s < seq.NumStages(); s++ {
-		pairs = pairs[:0]
-		for _, p := range seq.Stage(s) {
-			src, dst := st.Ordering.HostOf[p.Src], st.Ordering.HostOf[p.Dst]
-			if src == dst || st.Paths.Broken(src, dst) {
-				continue
-			}
-			pairs = append(pairs, [2]int{src, dst})
-		}
-		sr, err := a.Stage(pairs)
-		if err != nil {
-			return nil, err
-		}
-		rep.Stages = append(rep.Stages, sr)
-	}
-	return rep, nil
 }
 
 // validateState proves a candidate snapshot safe to serve via the shared

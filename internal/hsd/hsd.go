@@ -266,28 +266,7 @@ func ensureLen(b []int32, n int) []int32 {
 // Analyze runs a full sequence through the analyzer: CPS ranks are
 // translated to end-ports via the ordering.
 func Analyze(rt route.Router, o *order.Ordering, seq cps.Sequence) (*Report, error) {
-	if o.Size() != seq.Size() {
-		return nil, fmt.Errorf("hsd: ordering size %d != sequence size %d", o.Size(), seq.Size())
-	}
-	if o.NumHosts() != rt.Topology().NumHosts() {
-		return nil, fmt.Errorf("hsd: ordering hosts %d != topology hosts %d", o.NumHosts(), rt.Topology().NumHosts())
-	}
-	a := NewAnalyzer(rt)
-	rep := &Report{Sequence: seq.Name(), Ordering: o.Label, Routing: rt.Label()}
-	var pairs [][2]int
-	for s := 0; s < seq.NumStages(); s++ {
-		stage := seq.Stage(s)
-		pairs = pairs[:0]
-		for _, p := range stage {
-			pairs = append(pairs, [2]int{o.HostOf[p.Src], o.HostOf[p.Dst]})
-		}
-		sr, err := a.Stage(pairs)
-		if err != nil {
-			return nil, err
-		}
-		rep.Stages = append(rep.Stages, sr)
-	}
-	return rep, nil
+	return analyze(rt, o, seq, nil)
 }
 
 // AnalyzeHostPairs runs explicit end-port stages (no rank translation),
@@ -357,4 +336,56 @@ func (a *Analyzer) LevelLoads() (up, down []int) {
 		}
 	}
 	return up, down
+}
+
+// AnalyzeServed is Analyze over the pairs a possibly faulted arena still
+// serves: self-pairs and pairs c marks broken carry no traffic and are
+// dropped, so the report reflects the flows the fabric can deliver — the
+// daemon's standing Shift summary, ftfabric -report and the bake-off
+// score. On a healthy arena it equals Analyze.
+func AnalyzeServed(c *route.Compiled, o *order.Ordering, seq cps.Sequence) (*Report, error) {
+	return analyze(c, o, seq, c)
+}
+
+func analyze(rt route.Router, o *order.Ordering, seq cps.Sequence, served *route.Compiled) (*Report, error) {
+	if err := checkSizes(rt, o, seq); err != nil {
+		return nil, err
+	}
+	a := NewAnalyzer(rt)
+	rep := &Report{Sequence: seq.Name(), Ordering: o.Label, Routing: rt.Label()}
+	var pairs [][2]int
+	for s := 0; s < seq.NumStages(); s++ {
+		pairs = hostPairs(pairs, seq.Stage(s), o, served)
+		sr, err := a.Stage(pairs)
+		if err != nil {
+			return nil, err
+		}
+		rep.Stages = append(rep.Stages, sr)
+	}
+	return rep, nil
+}
+
+func checkSizes(rt route.Router, o *order.Ordering, seq cps.Sequence) error {
+	if o.Size() != seq.Size() {
+		return fmt.Errorf("hsd: ordering size %d != sequence size %d", o.Size(), seq.Size())
+	}
+	if o.NumHosts() != rt.Topology().NumHosts() {
+		return fmt.Errorf("hsd: ordering hosts %d != topology hosts %d", o.NumHosts(), rt.Topology().NumHosts())
+	}
+	return nil
+}
+
+// hostPairs translates one CPS stage into end-port pairs through the
+// ordering, reusing buf. A non-nil served arena filters the stage down
+// to the pairs it serves.
+func hostPairs(buf [][2]int, stage cps.Stage, o *order.Ordering, served *route.Compiled) [][2]int {
+	buf = buf[:0]
+	for _, p := range stage {
+		src, dst := o.HostOf[p.Src], o.HostOf[p.Dst]
+		if served != nil && (src == dst || served.Broken(src, dst)) {
+			continue
+		}
+		buf = append(buf, [2]int{src, dst})
+	}
+	return buf
 }

@@ -1,7 +1,6 @@
 package hsd
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 
@@ -17,11 +16,8 @@ import (
 // uses GOMAXPROCS. The router must be safe for concurrent Walk calls
 // (LFTs and S-Mod-K are; the adaptive router serializes internally).
 func AnalyzeParallel(rt route.Router, o *order.Ordering, seq cps.Sequence, workers int) (*Report, error) {
-	if o.Size() != seq.Size() {
-		return nil, fmt.Errorf("hsd: ordering size %d != sequence size %d", o.Size(), seq.Size())
-	}
-	if o.NumHosts() != rt.Topology().NumHosts() {
-		return nil, fmt.Errorf("hsd: ordering hosts %d != topology hosts %d", o.NumHosts(), rt.Topology().NumHosts())
+	if err := checkSizes(rt, o, seq); err != nil {
+		return nil, err
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -57,11 +53,7 @@ func AnalyzeParallel(rt route.Router, o *order.Ordering, seq cps.Sequence, worke
 			a := NewAnalyzer(rt)
 			var pairs [][2]int
 			for s := range next {
-				stage := seq.Stage(s)
-				pairs = pairs[:0]
-				for _, p := range stage {
-					pairs = append(pairs, [2]int{o.HostOf[p.Src], o.HostOf[p.Dst]})
-				}
+				pairs = hostPairs(pairs, seq.Stage(s), o, nil)
 				sr, err := a.Stage(pairs)
 				if err != nil {
 					errOnce.Do(func() { firstErr = err })

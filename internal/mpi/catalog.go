@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"fattree/internal/cps"
+	"fattree/internal/topo"
 )
 
 // This file encodes the paper's Table 1: the survey of MVAPICH and
@@ -153,6 +154,27 @@ func NewSequence(kind CPSKind, n int) (cps.Sequence, error) {
 	default:
 		return nil, fmt.Errorf("mpi: unknown CPS kind %q", kind)
 	}
+}
+
+// SequenceByName resolves a CPS kind name, or "topo-aware" for short,
+// for a job on the active hosts of tree g (nil = fully populated). sample > 0 keeps
+// that many evenly spaced stages of a longer sequence (SampleEvenly).
+func SequenceByName(name string, g topo.PGFT, active []int, sample int) (cps.Sequence, error) {
+	var seq cps.Sequence
+	var err error
+	if name == "topo-aware" || CPSKind(name) == CPSTopoAware {
+		seq, err = NewTopoAwareSequence(g.M, active)
+	} else {
+		n := g.NumHosts()
+		if active != nil {
+			n = len(active)
+		}
+		seq, err = NewSequence(CPSKind(name), n)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return SampleEvenly(seq, sample)
 }
 
 // NewTopoAwareSequence instantiates the Section VI sequence for the

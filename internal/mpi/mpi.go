@@ -221,6 +221,20 @@ func SampleStages(seq cps.Sequence, stages []int) (cps.Sequence, error) {
 	return &sampledSeq{inner: seq, idx: append([]int(nil), stages...)}, nil
 }
 
+// SampleEvenly keeps k evenly spaced stages of seq (stage i*floor(S/k)
+// of S); k <= 0 or k >= S keeps the sequence whole.
+func SampleEvenly(seq cps.Sequence, k int) (cps.Sequence, error) {
+	if k <= 0 || k >= seq.NumStages() {
+		return seq, nil
+	}
+	idx := make([]int, k)
+	step := seq.NumStages() / k
+	for i := range idx {
+		idx[i] = i * step
+	}
+	return SampleStages(seq, idx)
+}
+
 type sampledSeq struct {
 	inner cps.Sequence
 	idx   []int

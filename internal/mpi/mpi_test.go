@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"strings"
 	"testing"
 
 	"fattree/internal/cps"
@@ -215,5 +216,60 @@ func TestNewTopoAwareSequence(t *testing.T) {
 	}
 	if part.Size() != 4 {
 		t.Errorf("partial size = %d, want 4", part.Size())
+	}
+}
+
+// TestSampleEvenly: k evenly spaced stages starting at 0; non-positive
+// or too-large k keeps the sequence whole.
+func TestSampleEvenly(t *testing.T) {
+	seq := cps.Shift(64) // 63 stages
+	s, err := SampleEvenly(seq, 4)
+	if err != nil || s.NumStages() != 4 {
+		t.Fatalf("SampleEvenly(4) = %v, %v", s, err)
+	}
+	for i, wantDisp := range []int{1, 16, 31, 46} { // stage i*15 has displacement i*15+1
+		if d, ok := cps.Displacement(s.Stage(i), 64); !ok || d != wantDisp {
+			t.Errorf("sampled stage %d displacement = (%d,%v), want %d", i, d, ok, wantDisp)
+		}
+	}
+	for _, k := range []int{-1, 0, 63, 1000} {
+		if s, err := SampleEvenly(seq, k); err != nil || s != cps.Sequence(seq) {
+			t.Errorf("SampleEvenly(%d) did not keep the whole sequence: %v, %v", k, s, err)
+		}
+	}
+}
+
+// TestSequenceByName: kind names and the topo-aware shorthand, full and
+// partial jobs, sampling, unknown names.
+func TestSequenceByName(t *testing.T) {
+	g := topo.MustPGFT(2, []int{4, 4}, []int{1, 4}, []int{1, 1})
+	active := []int{0, 1, 4, 5}
+	for _, tc := range []struct {
+		name     string
+		active   []int
+		sample   int
+		wantName string
+		wantSize int
+	}{
+		{"shift", nil, 0, "shift", 16},
+		{"recursive-doubling", active, 0, "recursive-doubling", 4},
+		{"topo-aware", nil, 0, "topo-aware-recursive-doubling", 16},
+		{string(CPSTopoAware), active, 0, "topo-aware-recursive-doubling", 4},
+		{"shift", nil, 3, "shift-sampled", 16},
+	} {
+		seq, err := SequenceByName(tc.name, g, tc.active, tc.sample)
+		if err != nil {
+			t.Errorf("%+v: %v", tc, err)
+			continue
+		}
+		if !strings.HasPrefix(seq.Name(), tc.wantName) || seq.Size() != tc.wantSize {
+			t.Errorf("%+v: got %s over %d ranks", tc, seq.Name(), seq.Size())
+		}
+		if tc.sample > 0 && seq.NumStages() != tc.sample {
+			t.Errorf("%+v: %d stages", tc, seq.NumStages())
+		}
+	}
+	if _, err := SequenceByName("nope", g, nil, 0); err == nil {
+		t.Error("unknown CPS name accepted")
 	}
 }

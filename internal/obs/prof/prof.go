@@ -1,12 +1,10 @@
 // Package prof is the shared pprof flag wiring of the cmd/* tools: it
 // registers -cpuprofile and -memprofile on a FlagSet and manages the
-// profile lifecycles, so the nine commands don't copy-paste the same
-// boilerplate.
+// profile lifecycles. internal/cli's App.Profile and Main drive it for
+// every command:
 //
-// Usage in a main:
-//
-//	pf := prof.Register(flag.CommandLine)
-//	flag.Parse()
+//	pf := prof.Register(fs)
+//	fs.Parse(args)
 //	if err := pf.Start(); err != nil { ... }
 //	err := run(...)
 //	if perr := pf.Stop(); err == nil { err = perr }

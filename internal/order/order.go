@@ -200,3 +200,26 @@ func Cyclic(t *topo.Topology) (*Ordering, error) {
 	}
 	return o, nil
 }
+
+// ByName resolves an ordering name — topology | random | adversarial |
+// cyclic — on the active hosts of t (nil = the whole cluster). The seed
+// drives random; adversarial and cyclic are constructions over the full
+// population and refuse an active set.
+func ByName(name string, t *topo.Topology, active []int, seed int64) (*Ordering, error) {
+	n := t.NumHosts()
+	switch name {
+	case "topology":
+		return Topology(n, active), nil
+	case "random":
+		return Random(n, active, seed), nil
+	case "adversarial", "cyclic":
+		if active != nil {
+			return nil, fmt.Errorf("%s ordering supports full population only", name)
+		}
+		if name == "cyclic" {
+			return Cyclic(t)
+		}
+		return Adversarial(t)
+	}
+	return nil, fmt.Errorf("unknown ordering %q", name)
+}

@@ -1,6 +1,8 @@
 package order
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"fattree/internal/topo"
@@ -255,5 +257,37 @@ func TestCyclicOrdering(t *testing.T) {
 	}
 	if len(seen) != 128 {
 		t.Errorf("covered %d hosts", len(seen))
+	}
+}
+
+// TestByName: every name resolves to the constructor's ordering, the
+// active set is honoured or refused, unknown names are errors.
+func TestByName(t *testing.T) {
+	tp := topo.MustBuild(topo.Cluster128)
+	n := tp.NumHosts()
+	adv, _ := Adversarial(tp)
+	cyc, _ := Cyclic(tp)
+	for name, want := range map[string]*Ordering{
+		"topology":    Topology(n, nil),
+		"random":      Random(n, nil, 9),
+		"adversarial": adv,
+		"cyclic":      cyc,
+	} {
+		got, err := ByName(name, tp, nil, 9)
+		if err != nil || got.Label != want.Label || !reflect.DeepEqual(got.HostOf, want.HostOf) {
+			t.Errorf("ByName(%q) = %v, %v; want the %s ordering", name, got, err, want.Label)
+		}
+	}
+	active := []int{5, 1, 9, 64}
+	if got, err := ByName("random", tp, active, 2); err != nil || !reflect.DeepEqual(got.HostOf, Random(n, active, 2).HostOf) {
+		t.Errorf("partial random: %v, %v", got, err)
+	}
+	for _, name := range []string{"adversarial", "cyclic"} {
+		if _, err := ByName(name, tp, active, 0); err == nil || !strings.Contains(err.Error(), "full population only") {
+			t.Errorf("%s on a partial job: %v", name, err)
+		}
+	}
+	if _, err := ByName("nope", tp, nil, 0); err == nil || !strings.Contains(err.Error(), `unknown ordering "nope"`) {
+		t.Errorf("unknown name: %v", err)
 	}
 }

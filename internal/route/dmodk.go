@@ -32,7 +32,7 @@ func DModK(t *topo.Topology) *LFT {
 // up-port assignment gap-free when hosts are missing. Inactive
 // destinations still get consistent entries (routed by the same rule).
 func DModKActive(t *topo.Topology, active []int) (*LFT, error) {
-	rank, err := activeRanks(t.NumHosts(), active)
+	rank, err := ActiveRanks(t.NumHosts(), active)
 	if err != nil {
 		return nil, err
 	}
@@ -54,10 +54,10 @@ func DModKRanked(t *topo.Topology, rank []int, name string) (*LFT, error) {
 	return dModK(t, rank, name), nil
 }
 
-// activeRanks maps each host index to its rank among the sorted active
+// ActiveRanks maps each host index to its rank among the sorted active
 // set; inactive hosts get the rank they would have if inserted (count of
 // active hosts below them), keeping the rule monotone.
-func activeRanks(n int, active []int) ([]int, error) {
+func ActiveRanks(n int, active []int) ([]int, error) {
 	as := append([]int(nil), active...)
 	sort.Ints(as)
 	for i := 1; i < len(as); i++ {

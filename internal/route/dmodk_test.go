@@ -163,7 +163,7 @@ func TestDModKActiveFullEqualsDModK(t *testing.T) {
 }
 
 func TestActiveRanks(t *testing.T) {
-	r, err := activeRanks(8, []int{1, 4, 5})
+	r, err := ActiveRanks(8, []int{1, 4, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +177,8 @@ func TestActiveRanks(t *testing.T) {
 
 func TestActiveRanksRejectsMalformedSets(t *testing.T) {
 	for _, bad := range [][]int{{1, 1}, {-1}, {8}} {
-		if _, err := activeRanks(8, bad); err == nil {
-			t.Errorf("activeRanks(8, %v) accepted a malformed set", bad)
+		if _, err := ActiveRanks(8, bad); err == nil {
+			t.Errorf("ActiveRanks(8, %v) accepted a malformed set", bad)
 		}
 	}
 	tp := topo.MustBuild(topo.Cluster128)
