@@ -210,12 +210,13 @@ func (c *Client) RouteSet(engineName string, pairs [][2]uint32) (*wire.RouteSetR
 	return rs, nil
 }
 
-// JobRouteSet returns the job's full route set, epoch-pinned. A cached
-// set is revalidated with a cheap epoch probe: while the server epoch
-// still matches, the cached set is returned without a refetch. When the
-// epoch moved, the refetch carries the pinned epoch as a hint, and a
-// response older than the pinned epoch is refused (the set never rolls
-// back; see EpochRegressions).
+// JobRouteSet returns the job's full route set — every ordered pair of
+// its hosts, source-major — epoch-pinned. A cached set is revalidated
+// with a cheap epoch probe: while the server epoch still matches, the
+// cached set is returned without a refetch. When the epoch moved, the
+// refetch carries the pinned epoch as a hint, and a response older than
+// the pinned epoch is refused (the set never rolls back; see
+// EpochRegressions).
 func (c *Client) JobRouteSet(job uint64) (*wire.RouteSetResp, error) {
 	c.mu.Lock()
 	cached := c.jobs[job]
@@ -250,15 +251,19 @@ func (c *Client) JobRouteSet(job uint64) (*wire.RouteSetResp, error) {
 			return cached.set, nil
 		}
 		return nil, fmt.Errorf("fclient: NotModified without a cached set (epoch %d)", rs.Epoch)
-	case *wire.RouteSetResp:
+	case *wire.RouteSetFactored:
+		// The factored frame is expanded here, once per fetched epoch,
+		// and dropped; every later poll of the epoch returns the pinned
+		// pair list.
+		set := rs.Expand()
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		if cur := c.jobs[job]; cur != nil && rs.Epoch < cur.epoch {
+		if cur := c.jobs[job]; cur != nil && set.Epoch < cur.epoch {
 			c.regressions++
 			return cur.set, nil // never replace the pinned set with an older epoch
 		}
-		c.jobs[job] = &jobSet{epoch: rs.Epoch, set: rs}
-		return rs, nil
+		c.jobs[job] = &jobSet{epoch: set.Epoch, set: set}
+		return set, nil
 	default:
 		return nil, fmt.Errorf("fclient: job route set answered %T", resp)
 	}
@@ -447,6 +452,8 @@ func (c *Client) markUp(r *replica, resp wire.Message) {
 	case *wire.EpochResp:
 		epoch = m.Epoch
 	case *wire.RouteSetResp:
+		epoch = m.Epoch
+	case *wire.RouteSetFactored:
 		epoch = m.Epoch
 	case *wire.NotModified:
 		epoch = m.Epoch

@@ -3,6 +3,7 @@ package fclient
 import (
 	"errors"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -101,9 +102,20 @@ func (f *fakeReplica) serve(c net.Conn) {
 				break
 			}
 			f.setReqs.Add(1)
-			resp = &wire.RouteSetResp{
-				Epoch: jobEpoch, Engine: "dmodk", Routing: "d-mod-k",
-				Pairs: []wire.PairRoute{{Src: 0, Dst: 1, OK: true, Hops: []uint32{uint32(jobEpoch)<<1 | 1, 4}}},
+			if !req.ByJob {
+				resp = &wire.RouteSetResp{
+					Epoch: jobEpoch, Engine: "dmodk", Routing: "d-mod-k",
+					Pairs: []wire.PairRoute{{Src: 0, Dst: 1, OK: true, Hops: []uint32{uint32(jobEpoch)<<1 | 1, 4}}},
+				}
+				break
+			}
+			// Hosts 0 and 1 on one leaf; 0's uplink is stamped with the
+			// epoch so sets of different epochs differ in their hops.
+			resp = &wire.RouteSetFactored{
+				Epoch: jobEpoch, Engine: "dmodk", Routing: "d-mod-k", Stride: 1, Rows: 1,
+				Hosts:   []wire.FactoredHost{{Host: 0, Head: uint32(jobEpoch)<<1 | 1}, {Host: 1, Head: 3}},
+				TailOff: []uint32{0, 1, 2},
+				Tails:   []uint32{2, 4},
 			}
 		default:
 			resp = &wire.ErrorResp{Code: wire.CodeBadRequest, Msg: "fake: unexpected type"}
@@ -163,6 +175,14 @@ func TestClientJobCacheRevalidation(t *testing.T) {
 	}
 	if set1.Epoch != 5 || f.setReqs.Load() != 1 {
 		t.Fatalf("first fetch: epoch %d, %d set reqs", set1.Epoch, f.setReqs.Load())
+	}
+	// The factored answer reaches the caller as the pair list it stands
+	// for, expanded once: the cache hits below return this very value.
+	if want := []wire.PairRoute{
+		{Src: 0, Dst: 1, OK: true, Hops: []uint32{5<<1 | 1, 4}},
+		{Src: 1, Dst: 0, OK: true, Hops: []uint32{3, 2}},
+	}; !reflect.DeepEqual(set1.Pairs, want) {
+		t.Fatalf("expanded job set %+v, want %+v", set1.Pairs, want)
 	}
 
 	// Same epoch: N calls are probe-only cache hits.

@@ -119,8 +119,9 @@ func TestMultiReplicaEquivalence(t *testing.T) {
 	}
 	job := ja.ID
 
-	// expected[epoch] is the canonical job frame for that epoch,
-	// identical across replicas by construction (asserted below).
+	// expected[epoch] is the canonical pair list of that epoch: the
+	// expansion of the job frame both replicas precomputed, identical
+	// across replicas by construction (asserted below).
 	expected := map[uint64][]byte{}
 	var expMu sync.Mutex
 	record := func(epoch uint64) {
@@ -130,8 +131,12 @@ func TestMultiReplicaEquivalence(t *testing.T) {
 		if len(fa) == 0 || !bytes.Equal(fa, fb) {
 			t.Fatalf("epoch %d: replica frames differ (len %d vs %d)", epoch, len(fa), len(fb))
 		}
+		msg, err := wire.ReadMessage(bytes.NewReader(fa))
+		if err != nil {
+			t.Fatalf("epoch %d: snapshot frame does not decode: %v", epoch, err)
+		}
 		expMu.Lock()
-		expected[epoch] = append([]byte(nil), fa...)
+		expected[epoch] = wire.EncodeFrame(msg.(*wire.RouteSetFactored).Expand())
 		expMu.Unlock()
 	}
 	record(2) // placement rebuild
@@ -198,7 +203,7 @@ func TestMultiReplicaEquivalence(t *testing.T) {
 			t.Fatalf("observation %d: epoch %d was never canonical", i, o.epoch)
 		}
 		if !bytes.Equal(o.frame, want) {
-			t.Fatalf("observation %d: epoch %d set differs from the canonical frame — mixed-epoch hops", i, o.epoch)
+			t.Fatalf("observation %d: epoch %d set differs from the canonical expansion — mixed-epoch hops", i, o.epoch)
 		}
 	}
 	if n := c.EpochRegressions(); n != 0 {

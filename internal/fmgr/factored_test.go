@@ -1,0 +1,210 @@
+package fmgr
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"regexp"
+	"strconv"
+	"testing"
+
+	"fattree/internal/engine"
+	"fattree/internal/fabric"
+	"fattree/internal/invariant"
+	"fattree/internal/topo"
+	"fattree/internal/wire"
+)
+
+// orderedPairs lists every ordered src!=dst pair among a job's hosts —
+// the full flow set its global collectives can generate. Together with
+// routeSetResp it is the oracle of what a job-mode answer must expand
+// to; the rebuild path itself never lists them.
+func orderedPairs(hosts []int) [][2]uint32 {
+	out := make([][2]uint32, 0, len(hosts)*(len(hosts)-1))
+	for _, s := range hosts {
+		for _, d := range hosts {
+			if s != d {
+				out = append(out, [2]uint32{uint32(s), uint32(d)})
+			}
+		}
+	}
+	return out
+}
+
+// equalRouteSets compares two pair lists entry for entry (nil and empty
+// hops alike: only a not-OK pair's hops are nil on either side).
+func equalRouteSets(got, want *wire.RouteSetResp) error {
+	if got.Epoch != want.Epoch || got.Engine != want.Engine || got.Routing != want.Routing {
+		return fmt.Errorf("stamp %d/%s/%s, want %d/%s/%s", got.Epoch, got.Engine, got.Routing, want.Epoch, want.Engine, want.Routing)
+	}
+	if len(got.Pairs) != len(want.Pairs) {
+		return fmt.Errorf("%d pairs, want %d", len(got.Pairs), len(want.Pairs))
+	}
+	for i, w := range want.Pairs {
+		g := got.Pairs[i]
+		if g.Src != w.Src || g.Dst != w.Dst || g.OK != w.OK || len(g.Hops) != len(w.Hops) || (g.Hops == nil) != (w.Hops == nil) {
+			return fmt.Errorf("pair %d: %+v, want %+v", i, g, w)
+		}
+		for k := range w.Hops {
+			if g.Hops[k] != w.Hops[k] {
+				return fmt.Errorf("pair %d (%d->%d) hop %d: %d, want %d", i, w.Src, w.Dst, k, g.Hops[k], w.Hops[k])
+			}
+		}
+	}
+	return nil
+}
+
+// checkFactored holds one job under one set of tables to promise 2:
+// what the daemon ships, once through the wire and expanded, is the pair
+// list pairs mode would have resolved, entry for entry.
+func checkFactored(t *testing.T, what string, engName string, tb *engine.Tables, hosts []int) {
+	t.Helper()
+	want, err := routeSetResp(7, engName, tb, orderedPairs(hosts))
+	if err != nil {
+		t.Fatalf("%s: oracle: %v", what, err)
+	}
+	jw := encodeJobFrame(1, len(want.Pairs), factorRouteSet(7, engName, tb, hosts))
+	if jw.Code != 200 {
+		t.Fatalf("%s: stored as code %d", what, jw.Code)
+	}
+	msg, err := wire.ReadMessage(bytes.NewReader(jw.Frame))
+	if err != nil {
+		t.Fatalf("%s: the daemon's own frame does not decode: %v", what, err)
+	}
+	if err := equalRouteSets(msg.(*wire.RouteSetFactored).Expand(), want); err != nil {
+		t.Fatalf("%s (%d hosts, %d broken in arena): %v", what, len(hosts), tb.Compiled.NumBroken(), err)
+	}
+}
+
+// TestFactoredEqualsPairList is the wall: seeded random fabrics x
+// {healthy, fabric-link faults, a host-uplink fault} x {whole fabric,
+// shuffled partial job} x {shared rows, S-Mod-K's private rows, hosts
+// with several uplinks}.
+func TestFactoredEqualsPairList(t *testing.T) {
+	var specs []topo.PGFT
+	for seed := int64(1); seed <= 10; seed++ {
+		specs = append(specs, invariant.RandRLFT(seed), invariant.RandPGFT(seed))
+	}
+	specs = append(specs,
+		topo.MustPGFT(2, []int{4, 3}, []int{2, 2}, []int{1, 1}), // w1 > 1: two leaves per host
+		topo.MustPGFT(2, []int{3, 3}, []int{1, 2}, []int{2, 1}), // p1 > 1: two cables to one leaf
+	)
+	sawBroken, sawPrivate, sawShared := false, false, false
+	for i, g := range specs {
+		if g.NumHosts() < 2 || g.NumHosts() > 200 {
+			continue // all pairs x engines x fault states: keep tier-1 fast
+		}
+		tp := topo.MustBuild(g)
+		n := tp.NumHosts()
+		rng := rand.New(rand.NewSource(int64(i)))
+
+		faults := map[string]*fabric.FaultSet{"healthy": nil}
+		links := fabric.NewFaultSet(tp)
+		for k := 0; k < 2 && len(tp.Links) > n; k++ {
+			links.Fail(topo.LinkID(n + rng.Intn(len(tp.Links)-n)))
+		}
+		faults["fabric links"] = links
+		uplink := fabric.NewFaultSet(tp)
+		for _, p := range tp.Host(rng.Intn(n)).Up { // every uplink: the host goes dark
+			uplink.Fail(tp.Ports[p].Link)
+		}
+		faults["host uplink"] = uplink
+
+		whole := make([]int, n)
+		for h := range whole {
+			whole[h] = h
+		}
+		jobs := map[string][]int{"whole": whole, "partial shuffled": rng.Perm(n)[:1+rng.Intn(n)]}
+
+		for _, engName := range []string{"dmodk", "smodk"} {
+			e, err := engine.Build(engName, tp, engine.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for fname, fs := range faults {
+				tb, err := e.Tables(fs)
+				if err != nil {
+					t.Fatalf("%v %s %s: %v", g, engName, fname, err)
+				}
+				for jname, hosts := range jobs {
+					checkFactored(t, fmt.Sprintf("%v %s, %s, %s job", g, engName, fname, jname), engName, tb, hosts)
+				}
+				sawBroken = sawBroken || tb.Compiled.NumBroken() > 0
+				_, _, shared := tb.Compiled.Row(0)
+				sawShared, sawPrivate = sawShared || shared, sawPrivate || !shared
+			}
+		}
+	}
+	if !sawBroken || !sawPrivate || !sawShared {
+		t.Fatalf("the sweep missed a shape: broken pairs %v, private rows %v, shared rows %v", sawBroken, sawPrivate, sawShared)
+	}
+}
+
+// TestJobFrameIsFactored pins the 324-host numbers the format exists
+// for: the precomputed frame of the whole-cluster job is under 100 KB,
+// carries 18 rows, and the daemon's own build of it matches the oracle
+// with a host dark.
+func TestJobFrameIsFactored(t *testing.T) {
+	tp := buildTopo(t, "324")
+	e, err := engine.Build("dmodk", tp, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := make([]int, tp.NumHosts())
+	for h := range hosts {
+		hosts[h] = h
+	}
+	fs := fabric.NewFaultSet(tp)
+	fs.Fail(tp.Ports[tp.Host(200).Up[0]].Link)
+	for name, faults := range map[string]*fabric.FaultSet{"healthy": nil, "host 200 dark": fs} {
+		tb, err := e.Tables(faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := factorRouteSet(3, "dmodk", tb, hosts)
+		frame := wire.EncodeFrame(f)
+		if f.Rows != 18 || len(f.TailOff) != 18*324+1 || len(frame) >= 100_000 {
+			t.Fatalf("%s: %d rows, %d tails, %d-byte frame; want 18, 5832, < 100 KB", name, f.Rows, len(f.TailOff)-1, len(frame))
+		}
+		if want := 2 * 323 * len(tb.Unroutable); len(f.Broken) != want {
+			t.Fatalf("%s: %d broken pairs listed, want %d", name, len(f.Broken), want)
+		}
+		checkFactored(t, name, "dmodk", tb, hosts)
+	}
+}
+
+// TestRerouteRecordNamesItsPhases: the journal's reroute record says
+// where its duration went, in microseconds per phase, and the phases do
+// not add up to more than the whole.
+func TestRerouteRecordNamesItsPhases(t *testing.T) {
+	m := newManager(t, "rlft2:4,8", nil)
+	m.Start()
+	if _, err := m.AllocJob(8, false); err != nil {
+		t.Fatal(err)
+	}
+	waitEpoch(t, m, 2)
+	recs, _ := m.Events(0)
+	phase := regexp.MustCompile(`(engine_tables|shift_hsd|wire_precompute)_us=(\d+)`)
+	seen := 0
+	for _, r := range recs {
+		if r.Kind != EvReroute {
+			continue
+		}
+		seen++
+		found := phase.FindAllStringSubmatch(r.Detail, -1)
+		if len(found) != 3 {
+			t.Fatalf("reroute detail %q names %d of 3 phases", r.Detail, len(found))
+		}
+		var sum int64
+		for _, f := range found {
+			us, _ := strconv.ParseInt(f[2], 10, 64)
+			sum += us
+		}
+		if sum > r.DurationUS {
+			t.Fatalf("phases sum to %d us inside a %d us reroute: %q", sum, r.DurationUS, r.Detail)
+		}
+	}
+	if seen == 0 {
+		t.Fatal("no reroute record after a placement")
+	}
+}

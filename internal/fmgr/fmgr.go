@@ -70,21 +70,25 @@ type FabricState struct {
 	// Jobs is a deep copy of the live allocations at swap time.
 	Jobs []*sched.Allocation
 	// JobRouteSets holds, per placed job, the fully encoded binary
-	// answer for the job's whole ordered src→dst pair set, resolved
-	// under this epoch's tables for the job's engine. Precomputed at
-	// snapshot build (i.e. at placement and at every reroute), so a
-	// steady-state job-mode wire query is a map lookup plus one conn
-	// write — a pure cache hit, no path walk, no encode.
+	// answer for the job's whole ordered src→dst pair set under this
+	// epoch's tables for the job's engine: the arena's head ++ tail
+	// factoring of those pairs (wire.RouteSetFactored), not the pairs.
+	// Precomputed at snapshot build (i.e. at placement and at every
+	// reroute), so a steady-state job-mode wire query is a map lookup
+	// plus one conn write — a pure cache hit, no path walk, no encode.
 	JobRouteSets map[sched.JobID]JobWireFrame
 
 	wireOrder []byte // pre-encoded binary OrderResp frame
+	// phaseUS is where buildState's time went, for the reroute record.
+	phaseUS struct{ engineTables, shiftHSD, wirePrecompute int64 }
 }
 
 // JobWireFrame is one job's precomputed binary answer, served verbatim
-// by job-mode RouteSet requests. Frame is normally a RouteSetResp; when
-// the job's full set would encode past wire.MaxPayload — a frame every
-// peer rejects unread — it is instead an ErrorResp directing the client
-// to pairs-mode chunks (Pairs 0, Code 500).
+// by job-mode RouteSet requests. Frame is normally a RouteSetFactored;
+// when the job's set cannot be shipped as one — it would encode past
+// wire.MaxPayload, or outgrows wire.MaxJobHosts or wire.MaxStride, a
+// frame every peer rejects — it is instead an ErrorResp directing the
+// client to pairs-mode chunks (Pairs 0, Code 500).
 type JobWireFrame struct {
 	Frame []byte
 	Pairs int // resolved pairs, for the served-routes counter
@@ -641,8 +645,10 @@ func (m *Manager) tryRebuild() (*FabricState, error) {
 	if err != nil {
 		rec.Outcome, rec.Detail = OutcomeError, err.Error()
 	} else {
-		rec.Detail = fmt.Sprintf("engine=%s failed_links=%d broken_pairs=%d unroutable=%d",
-			st.Engine, len(st.FailedLinks), st.BrokenPairs, len(st.Unroutable))
+		rec.Detail = fmt.Sprintf("engine=%s failed_links=%d broken_pairs=%d unroutable=%d"+
+			" engine_tables_us=%d shift_hsd_us=%d wire_precompute_us=%d",
+			st.Engine, len(st.FailedLinks), st.BrokenPairs, len(st.Unroutable),
+			st.phaseUS.engineTables, st.phaseUS.shiftHSD, st.phaseUS.wirePrecompute)
 	}
 	m.journal.Record(rec)
 
@@ -702,10 +708,11 @@ func (m *Manager) buildState(epoch uint64, sp *obs.Span) (*FabricState, error) {
 		if err != nil {
 			return nil, err
 		}
-		c := sp.Child("engine_tables")
+		c, t0 := sp.Child("engine_tables"), time.Now()
 		c.TagStr("engine", name)
 		tb, err := e.Tables(fs)
 		c.End()
+		st.phaseUS.engineTables += time.Since(t0).Microseconds()
 		if err != nil {
 			return nil, fmt.Errorf("engine %s: %w", name, err)
 		}
@@ -726,16 +733,18 @@ func (m *Manager) buildState(epoch uint64, sp *obs.Span) (*FabricState, error) {
 	}
 	// The standing answer to "is this fabric still contention free":
 	// Shift under the topology order over the pairs the snapshot serves.
-	c := sp.Child("shift_hsd")
+	c, t0 := sp.Child("shift_hsd"), time.Now()
 	var err error
 	st.HSD, err = hsd.AnalyzeServed(st.Paths, st.Ordering, cps.Shift(st.Topo.NumHosts()))
 	c.End()
+	st.phaseUS.shiftHSD = time.Since(t0).Microseconds()
 	if err != nil {
 		return nil, err
 	}
-	c = sp.Child("wire_precompute")
+	c, t0 = sp.Child("wire_precompute"), time.Now()
 	err = precomputeWire(st)
 	c.End()
+	st.phaseUS.wirePrecompute = time.Since(t0).Microseconds()
 	if err != nil {
 		return nil, err
 	}
@@ -743,9 +752,9 @@ func (m *Manager) buildState(epoch uint64, sp *obs.Span) (*FabricState, error) {
 }
 
 // precomputeWire freezes the snapshot's binary-protocol answers: the
-// order frame and one fully encoded RouteSetResp frame per placed job
-// (the job's whole ordered pair set under its engine's tables). Done
-// here — at placement and at every reroute — so the wire read path
+// order frame and one fully encoded RouteSetFactored frame per placed
+// job (the job's whole ordered pair set under its engine's tables).
+// Done here — at placement and at every reroute — so the wire read path
 // serves precomputed bytes and steady-state job queries never touch
 // the arena.
 func precomputeWire(st *FabricState) error {
@@ -765,21 +774,54 @@ func precomputeWire(st *FabricState) error {
 		if !ok {
 			return fmt.Errorf("job %d wants engine %s but epoch %d has no tables for it", j.ID, eng, st.Epoch)
 		}
-		pairs := orderedPairs(j.Hosts)
-		resp, err := routeSetResp(st.Epoch, eng, tb, pairs)
-		if err != nil {
-			return fmt.Errorf("job %d route set: %w", j.ID, err)
-		}
-		st.JobRouteSets[j.ID] = encodeJobFrame(j.ID, len(pairs), resp)
+		st.JobRouteSets[j.ID] = encodeJobFrame(j.ID, len(j.Hosts)*(len(j.Hosts)-1),
+			factorRouteSet(st.Epoch, eng, tb, j.Hosts))
 	}
 	return nil
 }
 
-// encodeJobFrame freezes one job's served bytes under the wire frame
-// budget: an oversized set degrades to a stored ErrorResp, so the
-// client gets an application-level answer instead of a frame its
+// factorRouteSet reads a job's whole ordered pair set out of the arena
+// in the arena's own shape — per host its row and head, one tail per
+// (row the job reads, job host), the broken pairs by index — without
+// ever listing the pairs: what a 324-host job ships is 18 x 324 tails,
+// not 104,652 paths.
+func factorRouteSet(epoch uint64, engName string, tb *engine.Tables, hosts []int) *wire.RouteSetFactored {
+	c, n := tb.Compiled, len(hosts)
+	m := &wire.RouteSetFactored{Epoch: epoch, Engine: engName, Routing: tb.Router.Label(),
+		Stride: uint32(c.Stride()), Hosts: make([]wire.FactoredHost, n), TailOff: []uint32{0}}
+	local := map[int]uint32{} // arena row -> its index in the message, by first use
+	for i, h := range hosts {
+		row, head, shared := c.Row(h)
+		if _, seen := local[row]; !seen {
+			local[row] = m.Rows
+			m.Rows++
+			for _, dst := range hosts {
+				for _, e := range c.RowTail(row, dst) {
+					m.Tails = append(m.Tails, uint32(e))
+				}
+				m.TailOff = append(m.TailOff, uint32(len(m.Tails)))
+			}
+		}
+		m.Hosts[i] = wire.FactoredHost{Host: uint32(h), Row: local[row], Head: wire.NoHead}
+		if shared {
+			m.Hosts[i].Head = uint32(head)
+		}
+	}
+	for i := 0; c.NumBroken() > 0 && i < n; i++ {
+		for j := range hosts {
+			if i != j && c.Broken(hosts[i], hosts[j]) {
+				m.Broken = append(m.Broken, uint64(i*n+j))
+			}
+		}
+	}
+	return m
+}
+
+// encodeJobFrame freezes one job's served bytes under the wire's
+// limits: a set no peer would accept degrades to a stored ErrorResp, so
+// the client gets an application-level answer instead of a frame its
 // decoder must reject.
-func encodeJobFrame(job sched.JobID, pairs int, resp *wire.RouteSetResp) JobWireFrame {
+func encodeJobFrame(job sched.JobID, pairs int, resp wire.Message) JobWireFrame {
 	frame, err := wire.AppendFrameChecked(nil, resp)
 	if err == nil {
 		return JobWireFrame{Frame: frame, Pairs: pairs, Code: 200}
@@ -787,8 +829,7 @@ func encodeJobFrame(job sched.JobID, pairs int, resp *wire.RouteSetResp) JobWire
 	return JobWireFrame{
 		Frame: wire.EncodeFrame(&wire.ErrorResp{
 			Code: wire.CodeInternal,
-			Msg: fmt.Sprintf("job %d: %d-pair route set exceeds the %d-byte frame cap; fetch in pairs-mode chunks",
-				job, pairs, wire.MaxPayload),
+			Msg:  fmt.Sprintf("job %d: %d-pair route set: %v; fetch in pairs-mode chunks", job, pairs, err),
 		}),
 		Code: 500,
 	}

@@ -35,79 +35,81 @@ func (m *Manager) ServeWire(conn net.Conn) {
 	defer m.untrackWire(conn)
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, 64<<10)
-	var out []byte
+	var buf []byte // scratch for built answers; precomputed frames bypass it
 	for {
 		msg, err := wire.ReadMessage(br)
 		if err != nil {
 			return // EOF, hangup or garbage: either way the conn is done
 		}
 		start := time.Now()
-		var ep *obs.REDEndpoint
-		var code int
-		out, ep, code = m.wireRespond(out[:0], msg)
-		if len(out) > 0 {
-			if _, err := conn.Write(out); err != nil {
-				ep.Observe(0, time.Since(start))
-				return
-			}
+		out, ep, code := m.wireRespond(&buf, msg)
+		if _, err := conn.Write(out); err != nil {
+			ep.Observe(0, time.Since(start))
+			return
 		}
 		ep.Observe(code, time.Since(start))
 	}
 }
 
-// wireRespond builds the response frame for one request into dst and
-// returns it with the RED endpoint and a status code for observation
-// (HTTP-style classes: 200 served, 304 not-modified, 4xx refused, 500
-// internal).
-func (m *Manager) wireRespond(dst []byte, msg wire.Message) ([]byte, *obs.REDEndpoint, int) {
+// wireRespond returns the response frame for one request, with the RED
+// endpoint and a status code for observation (HTTP-style classes: 200
+// served, 304 not-modified, 4xx refused, 500 internal). An answer built
+// for this request lands in *buf, the connection's reusable scratch; the
+// snapshot's precomputed order and job frames are returned as they are,
+// shared and immutable, so a connection never pins a private copy of a
+// whole-job answer.
+func (m *Manager) wireRespond(buf *[]byte, msg wire.Message) ([]byte, *obs.REDEndpoint, int) {
+	build := func(resp wire.Message) []byte {
+		*buf = wire.AppendFrame((*buf)[:0], resp)
+		return *buf
+	}
 	switch req := msg.(type) {
 	case wire.EpochReq:
 		st := m.Current()
-		return wire.AppendFrame(dst, &wire.EpochResp{Epoch: st.Epoch, Engine: st.Engine}),
-			m.wireEpochEP, 200
+		return build(&wire.EpochResp{Epoch: st.Epoch, Engine: st.Engine}), m.wireEpochEP, 200
 	case wire.OrderReq:
-		st := m.Current()
-		return append(dst, st.wireOrder...), m.wireOrderEP, 200
+		return m.Current().wireOrder, m.wireOrderEP, 200
 	case *wire.RouteSetReq:
-		out, code := m.wireRouteSet(dst, req)
-		return out, m.wireRouteSetEP, code
+		st := m.Current()
+		if !req.ByJob {
+			var code int
+			*buf, code = m.wireRouteSet((*buf)[:0], st, req)
+			return *buf, m.wireRouteSetEP, code
+		}
+		// Job mode is a pure cache hit on the frame precomputed at
+		// placement and at every reroute. Existence is checked before the
+		// epoch hint, as in wireRouteSet.
+		jw, ok := st.JobRouteSets[sched.JobID(req.Job)]
+		switch {
+		case !ok:
+			return build(&wire.ErrorResp{
+				Code: wire.CodeNotFound,
+				Msg:  fmt.Sprintf("job %d has no route set in epoch %d", req.Job, st.Epoch),
+			}), m.wireRouteSetEP, 404
+		case req.EpochHint != 0 && req.EpochHint == st.Epoch:
+			return build(&wire.NotModified{Epoch: st.Epoch}), m.wireRouteSetEP, 304
+		}
+		m.mWireRoutes.Add(int64(jw.Pairs))
+		return jw.Frame, m.wireRouteSetEP, jw.Code
 	default:
 		// A well-formed frame of a type the server does not answer
 		// (e.g. a response type): refuse politely, keep the conn.
-		return wire.AppendFrame(dst, &wire.ErrorResp{
+		return build(&wire.ErrorResp{
 			Code: wire.CodeBadRequest,
 			Msg:  fmt.Sprintf("unexpected message type 0x%02x", uint8(msg.Type())),
 		}), nil, 400
 	}
 }
 
-// wireRouteSet answers one RouteSetReq from the current snapshot. The
-// request is validated first — job existence, pair cap and range,
-// engine — and only then does epoch negotiation short-circuit (a
-// matching hint costs one NotModified frame, no table touch). The
-// order matters: a NotModified must certify that the server could
-// serve the request under this epoch, or a client whose hint happens
-// to match gets its cache "validated" for state the server no longer
-// has. After that, either the precomputed per-job frame is served
-// (pure cache hit — the bytes were encoded at placement rebuild) or
-// the explicit pairs batch is resolved from the engine's compiled
-// arena.
-func (m *Manager) wireRouteSet(dst []byte, req *wire.RouteSetReq) ([]byte, int) {
-	st := m.Current()
-	if req.ByJob {
-		jw, ok := st.JobRouteSets[sched.JobID(req.Job)]
-		if !ok {
-			return wire.AppendFrame(dst, &wire.ErrorResp{
-				Code: wire.CodeNotFound,
-				Msg:  fmt.Sprintf("job %d has no route set in epoch %d", req.Job, st.Epoch),
-			}), 404
-		}
-		if req.EpochHint != 0 && req.EpochHint == st.Epoch {
-			return wire.AppendFrame(dst, &wire.NotModified{Epoch: st.Epoch}), 304
-		}
-		m.mWireRoutes.Add(int64(jw.Pairs))
-		return append(dst, jw.Frame...), jw.Code
-	}
+// wireRouteSet answers one pairs-mode RouteSetReq from snapshot st into
+// dst. The request is validated first — pair cap and range, engine —
+// and only then does epoch negotiation short-circuit (a matching hint
+// costs one NotModified frame, no table touch). The order matters: a
+// NotModified must certify that the server could serve the request
+// under this epoch, or a client whose hint happens to match gets its
+// cache "validated" for state the server no longer has. After that the
+// batch is resolved from the engine's compiled arena.
+func (m *Manager) wireRouteSet(dst []byte, st *FabricState, req *wire.RouteSetReq) ([]byte, int) {
 	if len(req.Pairs) > MaxWirePairs {
 		return wire.AppendFrame(dst, &wire.ErrorResp{
 			Code: wire.CodeBadRequest,
@@ -156,23 +158,16 @@ func (m *Manager) wireRouteSet(dst []byte, req *wire.RouteSetReq) ([]byte, int) 
 
 // routeSetResp resolves pairs against one engine's tables into the
 // batched wire message. All hops across the batch share one backing
-// slice, sized in a first pass, so a whole-job set costs two
-// allocations, not one per pair.
+// slice, sized by the arena's longest possible path (a head and a full
+// tail), so a batch costs two allocations, not one per pair.
 func routeSetResp(epoch uint64, engName string, tb *engine.Tables, pairs [][2]uint32) (*wire.RouteSetResp, error) {
-	total := 0
-	for _, p := range pairs {
-		if src, dst := int(p[0]), int(p[1]); !tb.Compiled.Broken(src, dst) {
-			head, tail, _ := tb.Compiled.SplitPath(src, dst) // errors surface in the fill pass
-			total += len(head) + len(tail)
-		}
-	}
 	resp := &wire.RouteSetResp{
 		Epoch:   epoch,
 		Engine:  engName,
 		Routing: tb.Router.Label(),
 		Pairs:   make([]wire.PairRoute, len(pairs)),
 	}
-	hops := make([]uint32, 0, total)
+	hops := make([]uint32, 0, len(pairs)*(tb.Compiled.Stride()+1))
 	for i, p := range pairs {
 		src, dst := int(p[0]), int(p[1])
 		pr := &resp.Pairs[i]
@@ -194,21 +189,6 @@ func routeSetResp(epoch uint64, engName string, tb *engine.Tables, pairs [][2]ui
 		pr.Hops = hops[start:len(hops):len(hops)]
 	}
 	return resp, nil
-}
-
-// orderedPairs lists every ordered src!=dst pair among a job's hosts —
-// the full flow set its global collectives can generate, and therefore
-// what one job-mode RouteSet request must resolve.
-func orderedPairs(hosts []int) [][2]uint32 {
-	out := make([][2]uint32, 0, len(hosts)*(len(hosts)-1))
-	for _, s := range hosts {
-		for _, d := range hosts {
-			if s != d {
-				out = append(out, [2]uint32{uint32(s), uint32(d)})
-			}
-		}
-	}
-	return out
 }
 
 // trackWire registers a live wire connection; false means the manager

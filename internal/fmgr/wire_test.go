@@ -117,9 +117,9 @@ func TestWireErrors(t *testing.T) {
 }
 
 // TestWireJobRouteSetPrecomputed proves job-mode serving is the
-// placement-time cache: the served frame must be byte-identical to the
-// snapshot's precomputed bytes, cover exactly the job's ordered pair
-// set, and carry hops matching the compiled arena.
+// placement-time cache: the bytes on the connection are the snapshot's
+// precomputed bytes, and expanded they cover exactly the job's ordered
+// pair set with hops matching the compiled arena.
 func TestWireJobRouteSetPrecomputed(t *testing.T) {
 	m := newManager(t, "rlft2:4,8", nil)
 	m.Start()
@@ -135,19 +135,34 @@ func TestWireJobRouteSetPrecomputed(t *testing.T) {
 	if jw.Code != 200 || jw.Pairs != len(a.Hosts)*(len(a.Hosts)-1) {
 		t.Fatalf("precomputed frame code=%d pairs=%d", jw.Code, jw.Pairs)
 	}
-	frame := jw.Frame
 
 	c := startWireConn(t, m)
-	rs, ok := wireCall(t, c, &wire.RouteSetReq{ByJob: true, Job: uint64(a.ID)}).(*wire.RouteSetResp)
-	if !ok {
-		t.Fatalf("job route set: %#v", rs)
+	c.SetDeadline(time.Now().Add(10 * time.Second))
+	if err := wire.WriteMessage(c, &wire.RouteSetReq{ByJob: true, Job: uint64(a.ID)}); err != nil {
+		t.Fatal(err)
 	}
-	if got := wire.EncodeFrame(rs); string(got) != string(frame) {
+	typ, payload, err := wire.ReadFrame(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(payload, jw.Frame[wire.HeaderSize:]) || byte(typ) != jw.Frame[3] {
 		t.Fatal("served job frame differs from the precomputed snapshot bytes")
 	}
-	want := len(a.Hosts) * (len(a.Hosts) - 1)
-	if len(rs.Pairs) != want {
-		t.Fatalf("%d pairs, want %d (ordered pairs of %d hosts)", len(rs.Pairs), want, len(a.Hosts))
+	msg, err := wire.DecodePayload(typ, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, ok := msg.(*wire.RouteSetFactored)
+	if !ok {
+		t.Fatalf("job route set answered %T", msg)
+	}
+	rs := f.Expand()
+	want, err := routeSetResp(st.Epoch, st.Engine, st.ByEngine[st.Engine], orderedPairs(a.Hosts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := equalRouteSets(rs, want); err != nil {
+		t.Fatalf("expanded set differs from the pair list: %v", err)
 	}
 	for _, p := range rs.Pairs {
 		path, err := st.Paths.PackedPath(int(p.Src), int(p.Dst))
@@ -162,6 +177,16 @@ func TestWireJobRouteSetPrecomputed(t *testing.T) {
 				t.Fatalf("%d->%d hop %d: %d != %d", p.Src, p.Dst, k, p.Hops[k], uint32(e))
 			}
 		}
+	}
+	// The snapshot frame went to the connection as it is, not through
+	// the connection's scratch buffer: building the next answer must not
+	// write over it.
+	frozen := append([]byte(nil), jw.Frame...)
+	if probe, ok := wireCall(t, c, wire.EpochReq{}).(*wire.EpochResp); !ok || probe.Epoch != st.Epoch {
+		t.Fatalf("epoch probe after a job fetch: %#v", probe)
+	}
+	if !bytes.Equal(jw.Frame, frozen) {
+		t.Fatal("serving the next request overwrote the snapshot's job frame")
 	}
 
 	// Freeing the job must evict its precomputed set at the next epoch.

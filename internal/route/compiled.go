@@ -372,3 +372,27 @@ func (c *Compiled) Walk(src, dst int, visit func(link topo.LinkID, up bool)) err
 	}
 	return nil
 }
+
+// Stride returns the slot width of the arena: no tail is longer.
+func (c *Compiled) Stride() int { return c.stride }
+
+// Row returns the arena's own factoring of src, for serializers that
+// ship head(src) ++ tail(row(src), dst) as stored instead of expanding
+// every pair: the tail row src reads and, when it shares that row
+// (ok), its head entry. src must be in [0, NumHosts).
+func (c *Compiled) Row(src int) (row int, head PathEntry, ok bool) {
+	return int(c.rowOf[src]), c.head[src], c.head[src] != noEntry
+}
+
+// RowTail returns the stored tail of row towards dst as a view into the
+// arena, padding trimmed — empty for a slot the compile refused (every
+// pair reading it is Broken) and for the destination only the row's own
+// source would read. Callers must not modify it.
+func (c *Compiled) RowTail(row, dst int) []PathEntry {
+	i := (row*c.n + dst) * c.stride
+	tail := c.entries[i : i+c.stride]
+	for len(tail) > 0 && tail[len(tail)-1] == noEntry {
+		tail = tail[:len(tail)-1]
+	}
+	return tail
+}

@@ -1,0 +1,228 @@
+package wire
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"net"
+	"reflect"
+	"runtime"
+	"runtime/debug"
+	"testing"
+	"time"
+)
+
+// TestExpand pins the pair list a factored message stands for: ordered
+// pairs source-major in Hosts order, head then tail, broken pairs
+// present but not OK, every Hops a capped window of one slab.
+func TestExpand(t *testing.T) {
+	got := exampleFactored().Expand()
+	want := &RouteSetResp{Epoch: 42, Engine: "dmodk", Routing: "d-mod-k", Pairs: []PairRoute{
+		{Src: 4, Dst: 5, OK: true, Hops: []uint32{9, 10}},
+		{Src: 4, Dst: 9, OK: true, Hops: []uint32{9, 131, 260, 18}},
+		{Src: 5, Dst: 4, OK: true, Hops: []uint32{11, 8}},
+		{Src: 5, Dst: 9},
+		{Src: 9, Dst: 4, OK: true, Hops: []uint32{19, 261, 8}},
+		{Src: 9, Dst: 5, OK: true, Hops: []uint32{19, 261, 10}},
+	}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("expanded\n got %+v\nwant %+v", got, want)
+	}
+	for _, p := range got.Pairs {
+		if cap(p.Hops) != len(p.Hops) {
+			t.Fatalf("%d->%d: hops window has spare capacity %d; an append would write into its neighbour", p.Src, p.Dst, cap(p.Hops)-len(p.Hops))
+		}
+	}
+	for _, m := range []*RouteSetFactored{{Epoch: 7}, {Epoch: 7, Rows: 1, Hosts: []FactoredHost{{Host: 3, Head: NoHead}}, TailOff: []uint32{0, 0}}} {
+		if rs := m.Expand(); rs.Epoch != 7 || len(rs.Pairs) != 0 {
+			t.Fatalf("%d-host job expands to %+v", len(m.Hosts), rs)
+		}
+	}
+}
+
+// factoredPayload encodes the example with one field group replaced, for
+// the rejection table: the encoder trusts its caller, so hostile shapes
+// are hand-assembled.
+func factoredPayload(edit func(m *RouteSetFactored)) []byte {
+	m := exampleFactored()
+	edit(m)
+	return m.appendPayload(nil)
+}
+
+func TestFactoredDecodeRejects(t *testing.T) {
+	ok := exampleFactored().appendPayload(nil)
+	if _, err := DecodePayload(TRouteSetFactored, ok); err != nil {
+		t.Fatalf("the unedited example is refused: %v", err)
+	}
+	cases := map[string]struct {
+		payload []byte
+		want    error
+	}{
+		"row >= rows":             {factoredPayload(func(m *RouteSetFactored) { m.Hosts[2].Row = 2 }), ErrMalformed},
+		"rows > hosts":            {factoredPayload(func(m *RouteSetFactored) { m.Rows = 4 }), ErrMalformed},
+		"tail longer than stride": {factoredPayload(func(m *RouteSetFactored) { m.Stride = 2 }), ErrMalformed},
+		"stride above the bound":  {factoredPayload(func(m *RouteSetFactored) { m.Stride = MaxStride + 1 }), ErrMalformed},
+		"more hosts than a job may have": {factoredPayload(func(m *RouteSetFactored) {
+			m.Hosts = make([]FactoredHost, MaxJobHosts+1)
+			m.TailOff = make([]uint32, 2*len(m.Hosts)+1)
+		}), ErrMalformed},
+		"broken index >= n*n":    {factoredPayload(func(m *RouteSetFactored) { m.Broken = []uint64{9} }), ErrMalformed},
+		"broken on the diagonal": {factoredPayload(func(m *RouteSetFactored) { m.Broken = []uint64{4} }), ErrMalformed},
+		"broken not increasing":  {factoredPayload(func(m *RouteSetFactored) { m.Broken = []uint64{5, 5} }), ErrMalformed},
+		"broken descending":      {factoredPayload(func(m *RouteSetFactored) { m.Broken = []uint64{5, 3} }), ErrMalformed},
+		"broken without hosts": {factoredPayload(func(m *RouteSetFactored) {
+			*m = RouteSetFactored{Broken: []uint64{0}}
+		}), ErrMalformed},
+		"fewer tails than rows x hosts": {factoredPayload(func(m *RouteSetFactored) { m.TailOff = m.TailOff[:6] }), ErrTruncated},
+		"trailing bytes":                {append(append([]byte(nil), ok...), 0), ErrTrailing},
+		"cut mid-tail":                  {ok[:len(ok)-6], ErrTruncated},
+	}
+	// Counts that run past the bytes present must fail before anything
+	// is sized from them.
+	head := binary.AppendUvarint(nil, 1)
+	head = appendString(appendString(head, "e"), "r")
+	cases["host count past the payload"] = struct {
+		payload []byte
+		want    error
+	}{binary.AppendUvarint(append([]byte(nil), head...), 1<<30), ErrTruncated}
+	grid := binary.AppendUvarint(append([]byte(nil), head...), 2) // 2 hosts
+	grid = append(grid, 2, 3)                                     // 2 rows, stride 3
+	grid = append(grid, 0, 0, 0, 1, 1, 0)                         // the hosts
+	cases["tail grid past the payload"] = struct {
+		payload []byte
+		want    error
+	}{append(grid, 0, 0, 0), ErrTruncated} // 3 of 4 tails
+	cases["broken count past the payload"] = struct {
+		payload []byte
+		want    error
+	}{append(grid, 0, 0, 0, 0, 0x80, 0x80, 0x04), ErrTruncated}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			if _, err := DecodePayload(TRouteSetFactored, tc.payload); !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+		})
+	}
+}
+
+// job324 is a 324-host job in the shape the daemon ships: 18 rows of 18
+// hosts, every host behind its own uplink, three-entry tails.
+func job324() *RouteSetFactored {
+	const n, rows, stride = 324, 18, 3
+	m := &RouteSetFactored{Epoch: 9, Engine: "dmodk", Routing: "d-mod-k", Stride: stride, Rows: rows, TailOff: []uint32{0}}
+	for h := 0; h < n; h++ {
+		m.Hosts = append(m.Hosts, FactoredHost{Host: uint32(h), Row: uint32(h / 18), Head: uint32(2*h + 1)})
+	}
+	for r := 0; r < rows; r++ {
+		for j := 0; j < n; j++ {
+			if j/18 == r {
+				m.Tails = append(m.Tails, uint32(2*j))
+			} else {
+				m.Tails = append(m.Tails, uint32(700+2*r), uint32(1100+2*j), uint32(2*j))
+			}
+			m.TailOff = append(m.TailOff, uint32(len(m.Tails)))
+		}
+	}
+	return m
+}
+
+// TestFactoredAllocs holds a whole-job refetch — decode, cross-check,
+// expand — to a fixed handful of allocations, and the pair-list decoder
+// to one hops slab however many pairs arrive.
+func TestFactoredAllocs(t *testing.T) {
+	// A collection triggered by the megabyte slabs below lets runtime
+	// housekeeping allocate inside the measured function.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	frame := EncodeFrame(job324())
+	if len(frame) > 100_000 {
+		t.Fatalf("324-host job frame is %d bytes, want < 100 KB", len(frame))
+	}
+	var rs *RouteSetResp
+	allocs := testing.AllocsPerRun(10, func() {
+		m, err := DecodePayload(TRouteSetFactored, frame[HeaderSize:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs = m.(*RouteSetFactored).Expand()
+	})
+	if allocs > 16 {
+		t.Errorf("decode + expand of a 324-host job: %.0f allocations, want <= 16", allocs)
+	}
+	if len(rs.Pairs) != 324*323 || len(rs.Pairs[0].Hops) != 2 || len(rs.Pairs[322].Hops) != 4 {
+		t.Fatalf("expanded %d pairs, first %+v", len(rs.Pairs), rs.Pairs[0])
+	}
+
+	pairs := EncodeFrame(&RouteSetResp{Epoch: 9, Engine: "dmodk", Routing: "d-mod-k", Pairs: rs.Pairs[:324]})
+	allocs = testing.AllocsPerRun(10, func() {
+		if _, err := DecodePayload(TRouteSetResp, pairs[HeaderSize:]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 6 {
+		t.Errorf("decode of a 324-pair answer: %.0f allocations, want <= 6", allocs)
+	}
+	whole := EncodeFrame(rs)
+	allocs = testing.AllocsPerRun(3, func() {
+		if _, err := ReadMessage(bytes.NewReader(whole)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8 {
+		t.Errorf("read + decode of the %d-pair list: %.0f allocations, want <= 8", len(rs.Pairs), allocs)
+	}
+	m, err := ReadMessage(bytes.NewReader(whole))
+	if err != nil || !reflect.DeepEqual(m, rs) {
+		t.Fatalf("pair list does not survive the one-slab decoder (err %v)", err)
+	}
+	for _, p := range m.(*RouteSetResp).Pairs {
+		if cap(p.Hops) != len(p.Hops) {
+			t.Fatalf("%d->%d: decoded hops window has spare capacity", p.Src, p.Dst)
+		}
+	}
+}
+
+// TestReadFrameReservesAsBytesArrive: a peer that sends eight header
+// bytes claiming MaxPayload and then stalls must not make the reader
+// reserve what it claims — the length field is hearsay until the bytes
+// show up — and its hangup is a truncation, not a clean EOF.
+func TestReadFrameReservesAsBytesArrive(t *testing.T) {
+	srv, cli := net.Pipe()
+	defer srv.Close()
+	head := []byte{Magic0, Magic1, Version, byte(TRouteSetResp), 0, 0, 0, 0}
+	binary.LittleEndian.PutUint32(head[4:], MaxPayload)
+	done := make(chan error, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	go func() {
+		_, _, err := ReadFrame(srv)
+		done <- err
+	}()
+	if _, err := cli.Write(head); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.Write(make([]byte, 1000)); err != nil { // the reader is now past the header
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("header-only peer made the reader allocate %d bytes, want < 1 MiB", got)
+	}
+	cli.Close()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrTruncated) {
+			t.Fatalf("hangup mid-payload: err = %v, want ErrTruncated", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ReadFrame still blocked after the peer hung up")
+	}
+
+	// A large frame that does arrive is read whole, through the growth
+	// steps, from a reader that cannot say how much it holds.
+	big := EncodeFrame(&OrderResp{Epoch: 1, Label: "x", HostOf: make([]uint32, 300_000)})
+	ty, payload, err := ReadFrame(io.MultiReader(bytes.NewReader(big[:70_001]), bytes.NewReader(big[70_001:])))
+	if err != nil || ty != TOrderResp || !bytes.Equal(payload, big[HeaderSize:]) {
+		t.Fatalf("300 KB frame over a chunked reader: type %d, %d bytes, err %v", ty, len(payload), err)
+	}
+}

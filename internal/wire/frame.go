@@ -23,10 +23,13 @@ func EncodeFrame(m Message) []byte { return AppendFrame(nil, m) }
 
 // AppendFrameChecked is AppendFrame for producers whose payload size
 // is data-dependent (whole-job route sets): it refuses to emit a frame
-// whose payload exceeds MaxPayload — which every peer would reject
-// unread with ErrTooLarge — returning dst unextended and the error
-// instead.
+// every peer would reject — a payload past MaxPayload, a factored set
+// past MaxJobHosts or MaxStride — returning dst unextended and
+// ErrTooLarge instead.
 func AppendFrameChecked(dst []byte, m Message) ([]byte, error) {
+	if f, ok := m.(*RouteSetFactored); ok && (len(f.Hosts) > MaxJobHosts || f.Stride > MaxStride) {
+		return dst, fmt.Errorf("%w: %d hosts, stride %d", ErrTooLarge, len(f.Hosts), f.Stride)
+	}
 	out := AppendFrame(dst, m)
 	if n := len(out) - len(dst) - HeaderSize; n > MaxPayload {
 		return dst, fmt.Errorf("%w: %d-byte payload", ErrTooLarge, n)
@@ -71,9 +74,25 @@ func ReadFrame(r io.Reader) (MsgType, []byte, error) {
 	if n > MaxPayload {
 		return 0, nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("%w: mid-payload: %v", ErrTruncated, err)
+	// The length field is the peer's claim, not bytes received: reserve
+	// 64 KiB at most up front and double only once that much has
+	// arrived, so eight header bytes cannot pin MaxPayload per
+	// connection. An in-memory reader that holds the whole payload
+	// already gets its single allocation.
+	size := min(int(n), 64<<10)
+	if l, ok := r.(interface{ Len() int }); ok && l.Len() >= int(n) {
+		size = int(n)
 	}
-	return MsgType(head[3]), payload, nil
+	payload := make([]byte, size)
+	for got := 0; ; {
+		if _, err := io.ReadFull(r, payload[got:]); err != nil {
+			return 0, nil, fmt.Errorf("%w: mid-payload: %v", ErrTruncated, err)
+		}
+		if got = len(payload); got == int(n) {
+			return MsgType(head[3]), payload, nil
+		}
+		grown := make([]byte, min(int(n), 2*got))
+		copy(grown, payload)
+		payload = grown
+	}
 }

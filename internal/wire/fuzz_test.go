@@ -30,6 +30,18 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(append([]byte{Magic0, Magic1, Version, byte(TRouteSetResp),
 		byte(len(huge)), 0, 0, 0}, huge...))
 
+	// Factored route sets: a host count, a tail grid and a broken list
+	// that outrun the payload, and a stride past the bound.
+	for _, tail := range [][]byte{
+		binary.AppendUvarint(nil, 1<<40),        // hosts
+		{2, 2, 3, 0, 0, 0, 1, 1, 0, 3},          // 2x2 tails announced, one cut short
+		{2, 1, 0xFF, 0x01, 0, 0, 0, 1, 0, 0},    // stride 255
+		{2, 1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0x7F}, // 127 broken pairs in no bytes
+	} {
+		payload := append(appendString(appendString(binary.AppendUvarint(nil, 1), "x"), "y"), tail...)
+		f.Add(append([]byte{Magic0, Magic1, Version, byte(TRouteSetFactored), byte(len(payload)), 0, 0, 0}, payload...))
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		for {
@@ -41,6 +53,13 @@ func FuzzWireDecode(f *testing.F) {
 					return
 				}
 				return
+			}
+			// An accepted factored set must expand without a look at
+			// its indices (small ones only: the pair list is quadratic).
+			if fm, ok := m.(*RouteSetFactored); ok && len(fm.Hosts) <= 64 {
+				if n := len(fm.Hosts); len(fm.Expand().Pairs) != n*max(n-1, 0) {
+					t.Fatalf("%d hosts expanded to %d pairs", n, len(fm.Expand().Pairs))
+				}
 			}
 			// Accepted messages must round-trip canonically.
 			frame := EncodeFrame(m)

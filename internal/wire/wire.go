@@ -3,12 +3,14 @@
 // API, on the same listener. Where GET /v1/route resolves one src→dst
 // pair per HTTP round-trip, one RouteSetReq resolves an entire job's
 // src→dst set in a single frame, with hops served straight out of the
-// compiled CSR arena as varint-packed path entries.
+// compiled arena as varint-packed path entries: pair by pair for an
+// explicit batch (RouteSetResp), in the arena's own head ++ tail
+// factoring for a placed job's whole set (RouteSetFactored).
 //
 // Framing (all integers little-endian, varints unsigned LEB128):
 //
 //	offset 0  magic   [2]byte  {0xFA, 0xB1} — never a valid HTTP method
-//	offset 2  version uint8    (1)
+//	offset 2  version uint8    (2)
 //	offset 3  type    uint8    message type
 //	offset 4  length  uint32   payload bytes (<= MaxPayload)
 //	offset 8  payload
@@ -37,14 +39,25 @@ const (
 	// protocol-sniffing byte in Split.
 	Magic0 = 0xFA
 	Magic1 = 0xB1
-	// Version is the only wire version this package speaks.
-	Version = 1
+	// Version is the only wire version this package speaks; there is no
+	// negotiation. 2 = a job-mode RouteSetReq is answered factored.
+	Version = 2
 	// HeaderSize is the fixed frame header length.
 	HeaderSize = 8
 	// MaxPayload bounds a frame's payload: large enough for a full
 	// 100k-endpoint order table or a whole-job route set, small enough
 	// that a hostile length field cannot balloon memory.
 	MaxPayload = 1 << 26 // 64 MiB
+	// MaxStride bounds a factored route set's tail length: an up*/down*
+	// path climbs and descends at most h levels, and a tree whose hosts
+	// fit the wire's uint32 ids has h <= 32.
+	MaxStride = 64
+	// MaxJobHosts bounds a factored route set's host list, because the
+	// receiver expands it to n(n-1) pairs: 16.7M at the bound, about
+	// what a MaxPayload pair list could carry.
+	MaxJobHosts = 1 << 12
+	// NoHead is the FactoredHost.Head of a host whose paths are all tail.
+	NoHead = ^uint32(0)
 )
 
 // MsgType identifies a frame's payload encoding.
@@ -62,7 +75,8 @@ const (
 	// TRouteSetReq resolves a batch of src→dst pairs (or a placed
 	// job's whole pair set) in one round-trip.
 	TRouteSetReq MsgType = 0x03
-	// TRouteSetResp carries the epoch-stamped batched answer.
+	// TRouteSetResp carries the epoch-stamped batched answer of a
+	// pairs-mode RouteSetReq.
 	TRouteSetResp MsgType = 0x04
 	// TNotModified short-circuits a RouteSetReq whose EpochHint still
 	// matches the serving epoch: the client's cached set remains valid.
@@ -73,6 +87,9 @@ const (
 	TOrderResp MsgType = 0x07
 	// TError reports a request-level failure.
 	TError MsgType = 0x08
+	// TRouteSetFactored is the answer of a job-mode RouteSetReq: the
+	// job's whole pair set in the arena's own head ++ tail factoring.
+	TRouteSetFactored MsgType = 0x09
 )
 
 // Error codes carried by TError.
@@ -99,6 +116,9 @@ var (
 	ErrUnknownType = errors.New("wire: unknown message type")
 	// ErrTrailing marks extra bytes after a fully decoded payload.
 	ErrTrailing = errors.New("wire: trailing bytes after payload")
+	// ErrMalformed marks a payload whose fields contradict each other
+	// (an index past its table, an unsorted list).
+	ErrMalformed = errors.New("wire: malformed payload")
 )
 
 // Message is one protocol message; every concrete type knows its frame
@@ -215,6 +235,105 @@ func (m *RouteSetResp) appendPayload(dst []byte) []byte {
 	return dst
 }
 
+// FactoredHost is one job host of a RouteSetFactored: its fabric index,
+// the tail row it reads and its first hop (NoHead when the row is walked
+// from the host itself).
+type FactoredHost struct {
+	Host, Row, Head uint32
+}
+
+// RouteSetFactored is the job-mode answer: every ordered pair among
+// Hosts, shipped as the compiled arena stores it. Routing is
+// destination-based, so hosts entering the fabric through one switch
+// share everything after their first hop: the path of pair (i, j) is
+// Hosts[i].Head ++ tail(Hosts[i].Row, j), and the message carries one
+// tail per (row, host) instead of one path per pair. Tail t = row*n+j
+// is Tails[TailOff[t]:TailOff[t+1]], at most Stride entries. Broken
+// lists the unserved pairs as i*n+j, strictly increasing. Expand turns
+// it into the pair list once; it is not meant to be read in place.
+type RouteSetFactored struct {
+	Epoch   uint64
+	Engine  string
+	Routing string
+	Stride  uint32
+	Rows    uint32
+	Hosts   []FactoredHost
+	TailOff []uint32 // Rows*len(Hosts)+1 offsets into Tails, from 0
+	Tails   []uint32
+	Broken  []uint64
+}
+
+// Type implements Message.
+func (*RouteSetFactored) Type() MsgType { return TRouteSetFactored }
+
+func (m *RouteSetFactored) appendPayload(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, m.Epoch)
+	dst = appendString(dst, m.Engine)
+	dst = appendString(dst, m.Routing)
+	dst = binary.AppendUvarint(dst, uint64(len(m.Hosts)))
+	dst = binary.AppendUvarint(dst, uint64(m.Rows))
+	dst = binary.AppendUvarint(dst, uint64(m.Stride))
+	for _, h := range m.Hosts {
+		dst = binary.AppendUvarint(dst, uint64(h.Host))
+		dst = binary.AppendUvarint(dst, uint64(h.Row))
+		dst = binary.AppendUvarint(dst, uint64(h.Head+1)) // NoHead wraps to 0
+	}
+	for t := 1; t < len(m.TailOff); t++ {
+		tail := m.Tails[m.TailOff[t-1]:m.TailOff[t]]
+		dst = binary.AppendUvarint(dst, uint64(len(tail)))
+		for _, e := range tail {
+			dst = binary.AppendUvarint(dst, uint64(e))
+		}
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(m.Broken)))
+	for _, b := range m.Broken {
+		dst = binary.AppendUvarint(dst, b)
+	}
+	return dst
+}
+
+// Expand materializes the pair list the message stands for — every
+// ordered src != dst pair of Hosts, source-major in Hosts order — into
+// two slabs, one of pairs and one of hops. The client does this once
+// per fetched epoch. m must be consistent, as every decoded message is.
+func (m *RouteSetFactored) Expand() *RouteSetResp {
+	n := len(m.Hosts)
+	resp := &RouteSetResp{Epoch: m.Epoch, Engine: m.Engine, Routing: m.Routing}
+	total := 0 // every pair's hops, plus the few of the unread diagonal and the broken pairs
+	for _, h := range m.Hosts {
+		total += int(m.TailOff[int(h.Row)*n+n] - m.TailOff[int(h.Row)*n])
+		if h.Head != NoHead {
+			total += n - 1
+		}
+	}
+	resp.Pairs = make([]PairRoute, n*(n-1))
+	hops := make([]uint32, total)
+	broken, k, at := m.Broken, 0, 0
+	for i, h := range m.Hosts {
+		off := m.TailOff[int(h.Row)*n : int(h.Row)*n+n+1]
+		for j, to := range m.Hosts {
+			if i == j {
+				continue
+			}
+			p := &resp.Pairs[k]
+			k++
+			p.Src, p.Dst = h.Host, to.Host
+			if len(broken) > 0 && broken[0] == uint64(i*n+j) {
+				broken = broken[1:]
+				continue
+			}
+			start := at
+			if h.Head != NoHead {
+				hops[at] = h.Head
+				at++
+			}
+			at += copy(hops[at:], m.Tails[off[j]:off[j+1]])
+			p.OK, p.Hops = true, hops[start:at:at]
+		}
+	}
+	return resp
+}
+
 // NotModified answers a RouteSetReq whose EpochHint matched: the
 // client's pinned set is still the serving truth.
 type NotModified struct {
@@ -319,6 +438,10 @@ func DecodePayload(t MsgType, payload []byte) (Message, error) {
 		n := d.count(3) // src, dst, status
 		if d.err == nil {
 			r.Pairs = make([]PairRoute, n)
+			// Every pair's hops are windows of one slab. A hop is at
+			// least one byte and a pair three more, so the bytes still
+			// unread bound the slab before any hop is decoded.
+			hops := make([]uint32, 0, len(d.b)-3*n)
 			for i := range r.Pairs {
 				p := &r.Pairs[i]
 				p.Src = d.u32()
@@ -326,19 +449,14 @@ func DecodePayload(t MsgType, payload []byte) (Message, error) {
 				switch d.byte() {
 				case 1:
 					p.OK = true
-					nh := d.count(1)
-					if d.err != nil {
-						break
+					start := len(hops)
+					for nh := d.count(1); nh > 0 && d.err == nil; nh-- {
+						hops = append(hops, d.u32())
 					}
-					p.Hops = make([]uint32, nh)
-					for k := range p.Hops {
-						p.Hops[k] = d.u32()
-					}
+					p.Hops = hops[start:len(hops):len(hops)]
 				case 0:
 				default:
-					if d.err == nil {
-						d.err = fmt.Errorf("%w: pair status byte", ErrTruncated)
-					}
+					d.must(false, "pair status byte")
 				}
 				if d.err != nil {
 					break
@@ -346,6 +464,8 @@ func DecodePayload(t MsgType, payload []byte) (Message, error) {
 			}
 		}
 		m = r
+	case TRouteSetFactored:
+		m = d.routeSetFactored()
 	case TNotModified:
 		r := &NotModified{}
 		r.Epoch = d.uvarint()
@@ -464,4 +584,53 @@ func (d *decoder) str() string {
 	s := string(d.b[:n])
 	d.b = d.b[n:]
 	return s
+}
+
+// must latches ErrMalformed unless ok: the field parsed, but contradicts
+// another.
+func (d *decoder) must(ok bool, what string) {
+	if !ok && d.err == nil {
+		d.err = fmt.Errorf("%w: %s", ErrMalformed, what)
+	}
+}
+
+// routeSetFactored decodes and cross-checks a RouteSetFactored, so that
+// Expand can index an accepted message without looking. Every table is
+// sized by bytes still unread: a tail costs at least its length byte
+// and an entry at least one more.
+func (d *decoder) routeSetFactored() *RouteSetFactored {
+	r := &RouteSetFactored{Epoch: d.uvarint(), Engine: d.str(), Routing: d.str()}
+	n := d.count(3) // host, row, head
+	r.Rows, r.Stride = d.u32(), d.u32()
+	d.must(n <= MaxJobHosts && int(r.Rows) <= n && r.Stride <= MaxStride, "factored set dimensions")
+	if d.err != nil {
+		return r
+	}
+	r.Hosts = make([]FactoredHost, n)
+	for i := range r.Hosts {
+		r.Hosts[i] = FactoredHost{Host: d.u32(), Row: d.u32(), Head: d.u32() - 1}
+		d.must(r.Hosts[i].Row < r.Rows, "host reads a row past the row count")
+	}
+	tails := int(r.Rows) * n
+	if d.err != nil || tails > len(d.b) {
+		d.fail()
+		return r
+	}
+	r.TailOff = make([]uint32, tails+1)
+	r.Tails = make([]uint32, 0, min(len(d.b)-tails, tails*int(r.Stride)))
+	for t := 1; t <= tails; t++ {
+		l := d.count(1)
+		d.must(l <= int(r.Stride), "tail longer than the stride")
+		for ; l > 0 && d.err == nil; l-- {
+			r.Tails = append(r.Tails, d.u32())
+		}
+		r.TailOff[t] = uint32(len(r.Tails))
+	}
+	r.Broken = make([]uint64, d.count(1))
+	for k := range r.Broken {
+		b, nn := d.uvarint(), uint64(n)
+		d.must(b < nn*nn && b/nn != b%nn && (k == 0 || b > r.Broken[k-1]), "broken pair index")
+		r.Broken[k] = b
+	}
+	return r
 }

@@ -32,14 +32,29 @@ func exampleMessages() map[string]Message {
 				{Src: 3, Dst: 9, OK: false},
 			},
 		},
-		"not_modified": &NotModified{Epoch: 42},
-		"order_req":    OrderReq{},
+		"routeset_factored": exampleFactored(),
+		"not_modified":      &NotModified{Epoch: 42},
+		"order_req":         OrderReq{},
 		"order_resp": &OrderResp{
 			Epoch:  9,
 			Label:  "topology",
 			HostOf: []uint32{0, 1, 2, 3, 7, 6, 5, 4},
 		},
 		"error": &ErrorResp{Code: CodeNotFound, Msg: "job 99 not placed"},
+	}
+}
+
+// exampleFactored is a three-host job on two rows: hosts 4 and 5 share
+// row 0 behind their own uplinks, host 9 owns row 1 and has no head;
+// pair 5->9 is broken, the slot of 9's own row towards itself is empty.
+func exampleFactored() *RouteSetFactored {
+	return &RouteSetFactored{
+		Epoch: 42, Engine: "dmodk", Routing: "d-mod-k", Stride: 3, Rows: 2,
+		Hosts: []FactoredHost{{Host: 4, Row: 0, Head: 9}, {Host: 5, Row: 0, Head: 11}, {Host: 9, Row: 1, Head: NoHead}},
+		// row 0 towards 4, 5, 9; row 1 towards 4, 5, 9
+		TailOff: []uint32{0, 1, 2, 5, 8, 11, 11},
+		Tails:   []uint32{8, 10, 131, 260, 18, 19, 261, 8, 19, 261, 10},
+		Broken:  []uint64{1*3 + 2},
 	}
 }
 
@@ -193,5 +208,16 @@ func TestAppendFrameCheckedBudget(t *testing.T) {
 	}
 	if len(out) != len(dst) {
 		t.Fatalf("refused append still extended dst to %d bytes", len(out))
+	}
+
+	// A factored set past the bounds every decoder enforces is refused
+	// the same way, whatever its byte size.
+	for name, f := range map[string]*RouteSetFactored{
+		"hosts":  {Hosts: make([]FactoredHost, MaxJobHosts+1)},
+		"stride": {Stride: MaxStride + 1},
+	} {
+		if out, err := AppendFrameChecked(dst, f); !errors.Is(err, ErrTooLarge) || len(out) != len(dst) {
+			t.Fatalf("factored set past the %s bound: err = %v, %d bytes appended", name, err, len(out)-len(dst))
+		}
 	}
 }
