@@ -72,9 +72,12 @@ type replica struct {
 	// replica's connection; without it concurrent callers picking the
 	// same replica would interleave frames and read each other's
 	// responses off the shared reader.
-	reqMu     sync.Mutex
+	reqMu sync.Mutex
+	// out is the request-frame scratch, kept across requests under reqMu
+	// like the reader's payload scratch (wire.Retain bounds both).
+	out       []byte
 	conn      net.Conn
-	br        *bufio.Reader
+	fr        *wire.Reader
 	lastEpoch uint64    // highest epoch seen in any response
 	probed    bool      // at least one successful response seen
 	fails     int       // consecutive connection failures
@@ -93,7 +96,8 @@ type Client struct {
 
 	mu          sync.Mutex
 	reps        []*replica
-	rr          int // rotates tie-breaks across equally ranked replicas
+	rr          int        // rotates tie-breaks across equally ranked replicas
+	cand        []*replica // pick's candidate list, reused across requests
 	jobs        map[uint64]*jobSet
 	regressions int64
 	closed      bool
@@ -136,7 +140,7 @@ func (c *Client) Close() error {
 	for _, r := range c.reps {
 		if r.conn != nil {
 			r.conn.Close()
-			r.conn, r.br = nil, nil
+			r.conn, r.fr = nil, nil
 		}
 	}
 	return nil
@@ -171,7 +175,7 @@ func (c *Client) Replicas() []ReplicaStatus {
 
 // Epoch probes the best replica for its current epoch and engine.
 func (c *Client) Epoch() (uint64, string, error) {
-	resp, err := c.do(wire.EpochReq{})
+	resp, err := c.do(frameOf(wire.EpochReq{}))
 	if err != nil {
 		return 0, "", err
 	}
@@ -184,7 +188,7 @@ func (c *Client) Epoch() (uint64, string, error) {
 
 // Order fetches the epoch-stamped MPI node ordering.
 func (c *Client) Order() (*wire.OrderResp, error) {
-	resp, err := c.do(wire.OrderReq{})
+	resp, err := c.do(frameOf(wire.OrderReq{}))
 	if err != nil {
 		return nil, err
 	}
@@ -199,7 +203,9 @@ func (c *Client) Order() (*wire.OrderResp, error) {
 // the active engine). No caching: callers with a per-job working set
 // should use JobRouteSet.
 func (c *Client) RouteSet(engineName string, pairs [][2]uint32) (*wire.RouteSetResp, error) {
-	resp, err := c.do(&wire.RouteSetReq{Engine: engineName, Pairs: pairs})
+	// The concrete-typed encoder keeps the request on this stack.
+	req := wire.RouteSetReq{Engine: engineName, Pairs: pairs}
+	resp, err := c.do(func(dst []byte) []byte { return wire.AppendRouteSetReq(dst, &req) })
 	if err != nil {
 		return nil, err
 	}
@@ -241,7 +247,7 @@ func (c *Client) JobRouteSet(job uint64) (*wire.RouteSetResp, error) {
 	if cached != nil {
 		req.EpochHint = cached.epoch
 	}
-	resp, err := c.do(req)
+	resp, err := c.do(frameOf(req))
 	if err != nil {
 		return nil, err
 	}
@@ -282,11 +288,17 @@ func (c *Client) noteRegression() {
 	c.mu.Unlock()
 }
 
+// frameOf adapts a message to do's encoder argument.
+func frameOf(m wire.Message) func([]byte) []byte {
+	return func(dst []byte) []byte { return wire.AppendFrame(dst, m) }
+}
+
 // do runs one request with replica failover: pick the best replica,
 // round-trip, and on a connection failure back it off and move on. A
 // decoded ErrorResp is an application answer, not a transport failure —
-// it is returned as an error without burning the replica.
-func (c *Client) do(req wire.Message) (wire.Message, error) {
+// it is returned as an error without burning the replica. encode appends
+// the request's frame to the chosen replica's scratch.
+func (c *Client) do(encode func(dst []byte) []byte) (wire.Message, error) {
 	var lastErr error
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
 		r := c.pick()
@@ -303,7 +315,7 @@ func (c *Client) do(req wire.Message) (wire.Message, error) {
 			time.Sleep(d)
 			continue
 		}
-		resp, err := c.roundTrip(r, req)
+		resp, err := c.roundTrip(r, encode)
 		if err != nil {
 			if errors.Is(err, ErrClosed) {
 				return nil, err
@@ -342,7 +354,7 @@ func (c *Client) pick() *replica {
 			bestEpoch = r.lastEpoch
 		}
 	}
-	var cand []*replica
+	cand := c.cand[:0]
 	for _, r := range c.reps {
 		if now.Before(r.downUntil) {
 			continue
@@ -351,6 +363,7 @@ func (c *Client) pick() *replica {
 			cand = append(cand, r)
 		}
 	}
+	c.cand = cand
 	if len(cand) == 0 {
 		return nil
 	}
@@ -382,7 +395,7 @@ func (c *Client) nearestWake() time.Duration {
 // concurrent callers that picked the same replica queue instead of
 // interleaving frames (or dials) on the shared connection. Any
 // transport error invalidates the connection.
-func (c *Client) roundTrip(r *replica, req wire.Message) (wire.Message, error) {
+func (c *Client) roundTrip(r *replica, encode func(dst []byte) []byte) (wire.Message, error) {
 	r.reqMu.Lock()
 	defer r.reqMu.Unlock()
 
@@ -391,30 +404,32 @@ func (c *Client) roundTrip(r *replica, req wire.Message) (wire.Message, error) {
 		c.mu.Unlock()
 		return nil, ErrClosed
 	}
-	conn, br := r.conn, r.br
+	conn, fr := r.conn, r.fr
 	c.mu.Unlock()
 	if conn == nil {
 		nc, err := net.DialTimeout("tcp", r.addr, c.cfg.DialTimeout)
 		if err != nil {
 			return nil, err
 		}
-		conn, br = nc, bufio.NewReaderSize(nc, 64<<10)
+		conn, fr = nc, wire.NewReader(bufio.NewReaderSize(nc, 64<<10))
 		c.mu.Lock()
 		if c.closed {
 			c.mu.Unlock()
 			nc.Close()
 			return nil, ErrClosed
 		}
-		r.conn, r.br = conn, br
+		r.conn, r.fr = conn, fr
 		c.mu.Unlock()
 	}
 
 	conn.SetDeadline(time.Now().Add(c.cfg.RequestTimeout))
-	if err := wire.WriteMessage(conn, req); err != nil {
+	frame := encode(r.out)
+	r.out = wire.Retain(frame)
+	if _, err := conn.Write(frame); err != nil {
 		c.dropConn(r, conn)
 		return nil, err
 	}
-	resp, err := wire.ReadMessage(br)
+	resp, err := fr.ReadMessage()
 	if err != nil {
 		c.dropConn(r, conn)
 		return nil, err
@@ -426,7 +441,7 @@ func (c *Client) dropConn(r *replica, conn net.Conn) {
 	conn.Close()
 	c.mu.Lock()
 	if r.conn == conn {
-		r.conn, r.br = nil, nil
+		r.conn, r.fr = nil, nil
 	}
 	c.mu.Unlock()
 }

@@ -1,7 +1,10 @@
 package fclient
 
 import (
+	"encoding/binary"
 	"errors"
+	"io"
+	"math/rand"
 	"net"
 	"reflect"
 	"strings"
@@ -399,5 +402,64 @@ func TestClientConcurrentUse(t *testing.T) {
 	f.mu.Unlock()
 	if conns != 1 {
 		t.Fatalf("%d connections dialed by one client, want 1 (serialized reuse)", conns)
+	}
+}
+
+// TestRouteSetAllocs holds a steady-state 324-pair RouteSet to the five
+// allocations the decoded answer is made of — the message, its pair
+// slab, its hop slab and two strings: the request is encoded into, and
+// the answer read into, the replica's scratch. AllocsPerRun counts the
+// whole process, so the peer is a loop that replays one recorded answer
+// without allocating.
+func TestRouteSetAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	pairs := make([][2]uint32, 324)
+	answer := &wire.RouteSetResp{Epoch: 3, Engine: "dmodk", Routing: "d-mod-k", Pairs: make([]wire.PairRoute, len(pairs))}
+	for i := range pairs {
+		pairs[i] = [2]uint32{uint32(rng.Intn(324)), uint32(rng.Intn(324))}
+		answer.Pairs[i] = wire.PairRoute{Src: pairs[i][0], Dst: pairs[i][1], OK: true, Hops: make([]uint32, 2+2*rng.Intn(3))}
+	}
+	frame := wire.EncodeFrame(answer)
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		req := make([]byte, 64<<10)
+		for {
+			if _, err := io.ReadFull(conn, req[:wire.HeaderSize]); err != nil {
+				return
+			}
+			if _, err := io.ReadFull(conn, req[:binary.LittleEndian.Uint32(req[4:])]); err != nil {
+				return
+			}
+			if _, err := conn.Write(frame); err != nil {
+				return
+			}
+		}
+	}()
+
+	c := newClient(t, Config{Addrs: []string{ln.Addr().String()}})
+	fetch := func() {
+		rs, err := c.RouteSet("", pairs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rs.Pairs) != len(pairs) {
+			t.Fatalf("route set of %d pairs, want %d", len(rs.Pairs), len(pairs))
+		}
+	}
+	for i := 0; i < 20; i++ {
+		fetch()
+	}
+	if allocs := testing.AllocsPerRun(200, fetch); allocs > 5 {
+		t.Errorf("one 324-pair RouteSet: %.0f allocations, want <= 5", allocs)
 	}
 }

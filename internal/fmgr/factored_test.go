@@ -17,7 +17,7 @@ import (
 
 // orderedPairs lists every ordered src!=dst pair among a job's hosts —
 // the full flow set its global collectives can generate. Together with
-// routeSetResp it is the oracle of what a job-mode answer must expand
+// pairListResp it is the oracle of what a job-mode answer must expand
 // to; the rebuild path itself never lists them.
 func orderedPairs(hosts []int) [][2]uint32 {
 	out := make([][2]uint32, 0, len(hosts)*(len(hosts)-1))
@@ -29,6 +29,28 @@ func orderedPairs(hosts []int) [][2]uint32 {
 		}
 	}
 	return out
+}
+
+// pairListResp is the oracle of both modes: the batch resolved one pair
+// at a time through PackedPath into the message AppendFrame encodes —
+// what the serving path must equal without ever building it.
+func pairListResp(epoch uint64, engName string, tb *engine.Tables, pairs [][2]uint32) (*wire.RouteSetResp, error) {
+	resp := &wire.RouteSetResp{Epoch: epoch, Engine: engName, Routing: tb.Router.Label()}
+	for _, p := range pairs {
+		pr := wire.PairRoute{Src: p[0], Dst: p[1]}
+		if !tb.Compiled.Broken(int(p[0]), int(p[1])) {
+			path, err := tb.Compiled.PackedPath(int(p[0]), int(p[1]))
+			if err != nil {
+				return nil, err
+			}
+			pr.OK, pr.Hops = true, make([]uint32, len(path))
+			for k, e := range path {
+				pr.Hops[k] = uint32(e)
+			}
+		}
+		resp.Pairs = append(resp.Pairs, pr)
+	}
+	return resp, nil
 }
 
 // equalRouteSets compares two pair lists entry for entry (nil and empty
@@ -59,7 +81,7 @@ func equalRouteSets(got, want *wire.RouteSetResp) error {
 // list pairs mode would have resolved, entry for entry.
 func checkFactored(t *testing.T, what string, engName string, tb *engine.Tables, hosts []int) {
 	t.Helper()
-	want, err := routeSetResp(7, engName, tb, orderedPairs(hosts))
+	want, err := pairListResp(7, engName, tb, orderedPairs(hosts))
 	if err != nil {
 		t.Fatalf("%s: oracle: %v", what, err)
 	}

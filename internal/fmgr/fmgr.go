@@ -113,6 +113,46 @@ func (st *FabricState) JobEngine(id sched.JobID) string {
 	return st.Engine
 }
 
+// tables resolves an engine name against this snapshot ("" = the active
+// engine) for both serving protocols: the resolved name, that engine's
+// compiled arena and its router's label. !ok means the epoch carries no
+// tables under the name.
+func (st *FabricState) tables(name string) (engName string, paths *route.Compiled, routing string, ok bool) {
+	if name == "" {
+		name = st.Engine
+	}
+	tb, ok := st.ByEngine[name]
+	if !ok {
+		return name, nil, "", false
+	}
+	return name, tb.Compiled, tb.Router.Label(), true
+}
+
+// pairState is what a snapshot makes of one requested src->dst pair.
+type pairState int
+
+const (
+	pairServed     pairState = iota // the arena holds its path
+	pairSelf                        // src == dst: served, no hops
+	pairBroken                      // no usable path under this epoch: JSON 503, binary OK=false
+	pairOutOfRange                  // not two hosts of this fabric: refused
+)
+
+// pairStatus is the one "serve this pair?" test of both serving
+// protocols, asked of an arena over n hosts in the order every handler
+// must respect: range, then self, then Broken.
+func pairStatus(paths *route.Compiled, n, src, dst int) pairState {
+	switch {
+	case src < 0 || src >= n || dst < 0 || dst >= n:
+		return pairOutOfRange
+	case src == dst:
+		return pairSelf
+	case paths.Broken(src, dst):
+		return pairBroken
+	}
+	return pairServed
+}
+
 // Config configures a Manager. Topo is required; everything else has
 // serviceable defaults.
 type Config struct {

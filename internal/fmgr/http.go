@@ -238,45 +238,39 @@ func (m *Manager) handleRoute(w http.ResponseWriter, r *http.Request) {
 	n := st.Topo.NumHosts()
 	c.End()
 	sp.TagNum("epoch", float64(st.Epoch))
-	if src < 0 || src >= n || dst < 0 || dst >= n {
-		sp.TagStr("outcome", "bad_request")
-		writeJSON(w, http.StatusBadRequest, errorDoc{Error: fmt.Sprintf("pair %d->%d out of range [0,%d)", src, dst, n)})
-		return
-	}
 	// ?engine= selects any engine with tables in this snapshot (the
 	// active one plus every engine a live job requested); the default is
 	// the active engine.
-	engName, paths, routing := st.Engine, st.Paths, st.Routing
-	if q := r.URL.Query().Get("engine"); q != "" && q != st.Engine {
-		tb, ok := st.ByEngine[q]
-		if !ok {
-			sp.TagStr("outcome", "bad_request")
-			names := make([]string, 0, len(st.ByEngine))
-			for name := range st.ByEngine {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			writeJSON(w, http.StatusNotFound, errorDoc{
-				Error: fmt.Sprintf("engine %q has no tables in epoch %d (available: %s)",
-					q, st.Epoch, strings.Join(names, ", ")),
-			})
-			return
+	engName, paths, routing, ok := st.tables(r.URL.Query().Get("engine"))
+	if !ok {
+		sp.TagStr("outcome", "bad_request")
+		names := make([]string, 0, len(st.ByEngine))
+		for name := range st.ByEngine {
+			names = append(names, name)
 		}
-		engName, paths, routing = q, tb.Compiled, tb.Router.Label()
-	}
-	doc := RouteDoc{Schema: RouteSchema, Epoch: st.Epoch, Engine: engName, Routing: routing, Src: src, Dst: dst, Hops: []HopDoc{}}
-	if src == dst {
-		writeJSON(w, http.StatusOK, doc)
+		sort.Strings(names)
+		writeJSON(w, http.StatusNotFound, errorDoc{
+			Error: fmt.Sprintf("engine %q has no tables in epoch %d (available: %s)",
+				engName, st.Epoch, strings.Join(names, ", ")),
+		})
 		return
 	}
-
+	doc := RouteDoc{Schema: RouteSchema, Epoch: st.Epoch, Engine: engName, Routing: routing, Src: src, Dst: dst, Hops: []HopDoc{}}
 	c = sp.Child("lookup")
-	if paths.Broken(src, dst) {
+	if status := pairStatus(paths, n, src, dst); status != pairServed {
 		c.End()
-		sp.TagStr("outcome", "unroutable")
-		writeJSON(w, http.StatusServiceUnavailable, errorDoc{
-			Error: fmt.Sprintf("no path %d->%d under epoch %d (%d dead links)", src, dst, st.Epoch, len(st.FailedLinks)),
-		})
+		switch status {
+		case pairOutOfRange:
+			sp.TagStr("outcome", "bad_request")
+			writeJSON(w, http.StatusBadRequest, errorDoc{Error: fmt.Sprintf("pair %d->%d out of range [0,%d)", src, dst, n)})
+		case pairSelf:
+			writeJSON(w, http.StatusOK, doc)
+		case pairBroken:
+			sp.TagStr("outcome", "unroutable")
+			writeJSON(w, http.StatusServiceUnavailable, errorDoc{
+				Error: fmt.Sprintf("no path %d->%d under epoch %d (%d dead links)", src, dst, st.Epoch, len(st.FailedLinks)),
+			})
+		}
 		return
 	}
 	t := st.Topo

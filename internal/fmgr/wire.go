@@ -6,9 +6,7 @@ import (
 	"net"
 	"time"
 
-	"fattree/internal/engine"
 	"fattree/internal/obs"
-	"fattree/internal/route"
 	"fattree/internal/sched"
 	"fattree/internal/wire"
 )
@@ -34,16 +32,21 @@ func (m *Manager) ServeWire(conn net.Conn) {
 	}
 	defer m.untrackWire(conn)
 	defer conn.Close()
-	br := bufio.NewReaderSize(conn, 64<<10)
-	var buf []byte // scratch for built answers; precomputed frames bypass it
+	// Request payloads are read into, and answers built in, scratch the
+	// connection keeps from one request to the next (wire.Retain bounds
+	// what it keeps); precomputed frames bypass buf.
+	fr := wire.NewReader(bufio.NewReaderSize(conn, 64<<10))
+	var buf []byte
 	for {
-		msg, err := wire.ReadMessage(br)
+		msg, err := fr.ReadMessage()
 		if err != nil {
 			return // EOF, hangup or garbage: either way the conn is done
 		}
 		start := time.Now()
 		out, ep, code := m.wireRespond(&buf, msg)
-		if _, err := conn.Write(out); err != nil {
+		_, err = conn.Write(out)
+		buf = wire.Retain(buf)
+		if err != nil {
 			ep.Observe(0, time.Since(start))
 			return
 		}
@@ -104,91 +107,53 @@ func (m *Manager) wireRespond(buf *[]byte, msg wire.Message) ([]byte, *obs.REDEn
 // wireRouteSet answers one pairs-mode RouteSetReq from snapshot st into
 // dst. The request is validated first — pair cap and range, engine —
 // and only then does epoch negotiation short-circuit (a matching hint
-// costs one NotModified frame, no table touch). The order matters: a
+// costs one NotModified frame and no path read). The order matters: a
 // NotModified must certify that the server could serve the request
 // under this epoch, or a client whose hint happens to match gets its
-// cache "validated" for state the server no longer has. After that the
-// batch is resolved from the engine's compiled arena.
+// cache "validated" for state the server no longer has. After that each
+// pair's record is written into the frame straight from the engine's
+// compiled arena; no RouteSetResp is built.
 func (m *Manager) wireRouteSet(dst []byte, st *FabricState, req *wire.RouteSetReq) ([]byte, int) {
+	refuse := func(code uint8, status int, format string, args ...interface{}) ([]byte, int) {
+		return wire.AppendFrame(dst, &wire.ErrorResp{Code: code, Msg: fmt.Sprintf(format, args...)}), status
+	}
 	if len(req.Pairs) > MaxWirePairs {
-		return wire.AppendFrame(dst, &wire.ErrorResp{
-			Code: wire.CodeBadRequest,
-			Msg:  fmt.Sprintf("%d pairs exceed the %d per-request cap", len(req.Pairs), MaxWirePairs),
-		}), 400
+		return refuse(wire.CodeBadRequest, 400, "%d pairs exceed the %d per-request cap", len(req.Pairs), MaxWirePairs)
 	}
-	engName := req.Engine
-	if engName == "" {
-		engName = st.Engine
-	}
-	tb, ok := st.ByEngine[engName]
+	engName, paths, routing, ok := st.tables(req.Engine)
 	if !ok {
-		return wire.AppendFrame(dst, &wire.ErrorResp{
-			Code: wire.CodeNotFound,
-			Msg:  fmt.Sprintf("engine %q has no tables in epoch %d", engName, st.Epoch),
-		}), 404
+		return refuse(wire.CodeNotFound, 404, "engine %q has no tables in epoch %d", engName, st.Epoch)
 	}
 	n := st.Topo.NumHosts()
 	for _, p := range req.Pairs {
-		if int(p[0]) >= n || int(p[1]) >= n {
-			return wire.AppendFrame(dst, &wire.ErrorResp{
-				Code: wire.CodeBadRequest,
-				Msg:  fmt.Sprintf("pair %d->%d out of range [0,%d)", p[0], p[1], n),
-			}), 400
+		if pairStatus(paths, n, int(p[0]), int(p[1])) == pairOutOfRange {
+			return refuse(wire.CodeBadRequest, 400, "pair %d->%d out of range [0,%d)", p[0], p[1], n)
 		}
 	}
 	if req.EpochHint != 0 && req.EpochHint == st.Epoch {
 		return wire.AppendFrame(dst, &wire.NotModified{Epoch: st.Epoch}), 304
 	}
-	resp, err := routeSetResp(st.Epoch, engName, tb, req.Pairs)
-	if err != nil {
-		return wire.AppendFrame(dst, &wire.ErrorResp{
-			Code: wire.CodeInternal, Msg: err.Error(),
-		}), 500
+	if paths.Stride() > wire.MaxStride {
+		return refuse(wire.CodeInternal, 500, "engine %q paths run to %d hops, past what a pair record carries", engName, paths.Stride()+1)
 	}
-	out, err := wire.AppendFrameChecked(dst, resp)
+	out := wire.BeginRouteSet(dst, st.Epoch, engName, routing, len(req.Pairs))
+	for _, p := range req.Pairs {
+		if pairStatus(paths, n, int(p[0]), int(p[1])) == pairBroken {
+			out = wire.AppendUnserved(out, p[0], p[1]) // the binary twin of the JSON 503
+			continue
+		}
+		head, tail, err := paths.SplitPath(int(p[0]), int(p[1]))
+		if err != nil {
+			return refuse(wire.CodeInternal, 500, "%v", err)
+		}
+		out = wire.AppendPair(out, p[0], p[1], head, tail)
+	}
+	out, err := wire.EndFrame(out, len(dst))
 	if err != nil {
-		return wire.AppendFrame(dst, &wire.ErrorResp{
-			Code: wire.CodeBadRequest,
-			Msg:  fmt.Sprintf("%d-pair batch encodes past the %d-byte frame cap; split the request", len(req.Pairs), wire.MaxPayload),
-		}), 400
+		return refuse(wire.CodeBadRequest, 400, "%d-pair batch encodes past the %d-byte frame cap; split the request", len(req.Pairs), wire.MaxPayload)
 	}
 	m.mWireRoutes.Add(int64(len(req.Pairs)))
 	return out, 200
-}
-
-// routeSetResp resolves pairs against one engine's tables into the
-// batched wire message. All hops across the batch share one backing
-// slice, sized by the arena's longest possible path (a head and a full
-// tail), so a batch costs two allocations, not one per pair.
-func routeSetResp(epoch uint64, engName string, tb *engine.Tables, pairs [][2]uint32) (*wire.RouteSetResp, error) {
-	resp := &wire.RouteSetResp{
-		Epoch:   epoch,
-		Engine:  engName,
-		Routing: tb.Router.Label(),
-		Pairs:   make([]wire.PairRoute, len(pairs)),
-	}
-	hops := make([]uint32, 0, len(pairs)*(tb.Compiled.Stride()+1))
-	for i, p := range pairs {
-		src, dst := int(p[0]), int(p[1])
-		pr := &resp.Pairs[i]
-		pr.Src, pr.Dst = p[0], p[1]
-		if tb.Compiled.Broken(src, dst) {
-			continue // OK=false: the binary twin of the JSON 503
-		}
-		head, tail, err := tb.Compiled.SplitPath(src, dst)
-		if err != nil {
-			return nil, err
-		}
-		start := len(hops)
-		for _, part := range [2][]route.PathEntry{head, tail} {
-			for _, e := range part {
-				hops = append(hops, uint32(e))
-			}
-		}
-		pr.OK = true
-		pr.Hops = hops[start:len(hops):len(hops)]
-	}
-	return resp, nil
 }
 
 // trackWire registers a live wire connection; false means the manager

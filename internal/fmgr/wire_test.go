@@ -2,8 +2,11 @@ package fmgr
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -157,7 +160,7 @@ func TestWireJobRouteSetPrecomputed(t *testing.T) {
 		t.Fatalf("job route set answered %T", msg)
 	}
 	rs := f.Expand()
-	want, err := routeSetResp(st.Epoch, st.Engine, st.ByEngine[st.Engine], orderedPairs(a.Hosts))
+	want, err := pairListResp(st.Epoch, st.Engine, st.ByEngine[st.Engine], orderedPairs(a.Hosts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,13 +214,15 @@ func TestWireJobRouteSetPrecomputed(t *testing.T) {
 // ErrorResp frame (CodeInternal, observation code 500), never as a
 // frame every peer rejects unread with ErrTooLarge.
 func TestWireJobFrameBudget(t *testing.T) {
-	hops := make([]uint32, 14_000_000)
-	for i := range hops {
-		hops[i] = 0xFFFFFFF0 // 5-byte varints push the payload past 64 MiB
+	// One more full-length pair than wire.MaxPayload holds: 9 bytes of
+	// record and four per hop, every pair on the same hop list.
+	hops := make([]uint32, wire.MaxStride+1)
+	pairs := make([]wire.PairRoute, wire.MaxPayload/(9+4*len(hops))+1)
+	for i := range pairs {
+		pairs[i] = wire.PairRoute{Src: uint32(i), Dst: 1, OK: true, Hops: hops}
 	}
-	big := &wire.RouteSetResp{Epoch: 3, Engine: "dmodk", Routing: "d-mod-k",
-		Pairs: []wire.PairRoute{{Src: 0, Dst: 1, OK: true, Hops: hops}}}
-	jw := encodeJobFrame(7, 1, big)
+	big := &wire.RouteSetResp{Epoch: 3, Engine: "dmodk", Routing: "d-mod-k", Pairs: pairs}
+	jw := encodeJobFrame(7, len(pairs), big)
 	if jw.Code != 500 || jw.Pairs != 0 {
 		t.Fatalf("oversized set stored as code=%d pairs=%d", jw.Code, jw.Pairs)
 	}
@@ -236,6 +241,98 @@ func TestWireJobFrameBudget(t *testing.T) {
 	jw = encodeJobFrame(7, 1, small)
 	if jw.Code != 200 || jw.Pairs != 1 || !bytes.Equal(jw.Frame, wire.EncodeFrame(small)) {
 		t.Fatalf("small set stored as code=%d pairs=%d", jw.Code, jw.Pairs)
+	}
+}
+
+// TestWireRouteSetEqualsPairList is the differential wall of pairs mode:
+// the frame wireRouteSet writes straight from the arena is, byte for
+// byte, AppendFrame of the RouteSetResp built one pair at a time through
+// PackedPath — on a healthy snapshot and on a faulted one that leaves
+// some pairs Broken, self pairs included, behind whatever the
+// connection's buffer already holds.
+func TestWireRouteSetEqualsPairList(t *testing.T) {
+	m := newManager(t, "rlft2:4,8", nil)
+	m.Start()
+	n := m.t.NumHosts()
+	check := func(t *testing.T, st *FabricState) (unserved int) {
+		rng := rand.New(rand.NewSource(int64(st.Epoch)))
+		var all, batch [][2]uint32
+		for s := 0; s < n; s++ {
+			for d := 0; d < n; d++ {
+				all = append(all, [2]uint32{uint32(s), uint32(d)})
+			}
+			batch = append(batch, [2]uint32{uint32(rng.Intn(n)), uint32(rng.Intn(n))})
+		}
+		for _, pairs := range [][][2]uint32{all, batch, nil} {
+			want, err := pairListResp(st.Epoch, st.Engine, st.ByEngine[st.Engine], pairs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range want.Pairs {
+				if !p.OK {
+					unserved++
+				}
+			}
+			for _, eng := range []string{"", st.Engine} {
+				got, code := m.wireRouteSet([]byte("kept"), st, &wire.RouteSetReq{Engine: eng, Pairs: pairs})
+				if code != 200 || !bytes.Equal(got, wire.AppendFrame([]byte("kept"), want)) {
+					t.Fatalf("epoch %d, engine %q, %d pairs: code %d, the arena-written frame differs from the encoded pair list", st.Epoch, eng, len(pairs), code)
+				}
+			}
+		}
+		return unserved
+	}
+	t.Run("healthy", func(t *testing.T) {
+		if unserved := check(t, m.Current()); unserved != 0 {
+			t.Fatalf("%d pairs unserved on a healthy fabric", unserved)
+		}
+	})
+	uplink := m.t.Ports[m.t.Host(2).Up[0]].Link
+	if _, err := m.InjectFaults([]topo.LinkID{uplink}, nil, 2); err != nil {
+		t.Fatal(err)
+	}
+	st := waitEpoch(t, m, 2)
+	t.Run("faulted", func(t *testing.T) {
+		if unserved := check(t, st); unserved == 0 {
+			t.Fatalf("a dead host uplink left every pair served: %+v", st.FailedLinks)
+		}
+	})
+}
+
+// TestServeWireAllocs holds the steady-state serving loop to the two
+// allocations a 324-pair request cannot avoid — the decoded request and
+// its pair slab: payload, answer and everything between live in the
+// connection's scratch.
+func TestServeWireAllocs(t *testing.T) {
+	m := newManager(t, "324", nil)
+	m.Start()
+	c := startWireConn(t, m)
+	c.SetDeadline(time.Now().Add(30 * time.Second))
+	rng := rand.New(rand.NewSource(1))
+	pairs := make([][2]uint32, 324)
+	for i := range pairs {
+		pairs[i] = [2]uint32{uint32(rng.Intn(324)), uint32(rng.Intn(324))}
+	}
+	req, resp := wire.EncodeFrame(&wire.RouteSetReq{Pairs: pairs}), make([]byte, 64<<10)
+	roundTrip := func() {
+		if _, err := c.Write(req); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(c, resp[:wire.HeaderSize]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(c, resp[wire.HeaderSize:][:binary.LittleEndian.Uint32(resp[4:])]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		roundTrip()
+	}
+	if msg, err := wire.ReadMessage(bytes.NewReader(resp)); err != nil || len(msg.(*wire.RouteSetResp).Pairs) != len(pairs) {
+		t.Fatalf("the measured exchange is not a %d-pair answer: %v", len(pairs), err)
+	}
+	if allocs := testing.AllocsPerRun(200, roundTrip); allocs > 2 {
+		t.Errorf("one 324-pair request through ServeWire: %.0f allocations, want <= 2", allocs)
 	}
 }
 

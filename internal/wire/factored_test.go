@@ -185,37 +185,49 @@ func TestFactoredAllocs(t *testing.T) {
 // TestReadFrameReservesAsBytesArrive: a peer that sends eight header
 // bytes claiming MaxPayload and then stalls must not make the reader
 // reserve what it claims — the length field is hearsay until the bytes
-// show up — and its hangup is a truncation, not a clean EOF.
+// show up — and its hangup is a truncation, not a clean EOF. A
+// connection's Reader that already holds scratch is held to the same.
 func TestReadFrameReservesAsBytesArrive(t *testing.T) {
-	srv, cli := net.Pipe()
-	defer srv.Close()
-	head := []byte{Magic0, Magic1, Version, byte(TRouteSetResp), 0, 0, 0, 0}
-	binary.LittleEndian.PutUint32(head[4:], MaxPayload)
-	done := make(chan error, 1)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	go func() {
-		_, _, err := ReadFrame(srv)
-		done <- err
-	}()
-	if _, err := cli.Write(head); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cli.Write(make([]byte, 1000)); err != nil { // the reader is now past the header
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
-		t.Errorf("header-only peer made the reader allocate %d bytes, want < 1 MiB", got)
-	}
-	cli.Close()
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrTruncated) {
-			t.Fatalf("hangup mid-payload: err = %v, want ErrTruncated", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("ReadFrame still blocked after the peer hung up")
+	for name, warm := range map[string]bool{"one-shot": false, "reader with scratch": true} {
+		t.Run(name, func(t *testing.T) {
+			srv, cli := net.Pipe()
+			defer srv.Close()
+			fr := NewReader(srv)
+			if warm {
+				go cli.Write(EncodeFrame(&EpochResp{Epoch: 1, Engine: "dmodk"}))
+				if _, _, err := fr.ReadFrame(); err != nil || cap(fr.buf) == 0 {
+					t.Fatalf("warm-up frame: err %v, %d bytes of scratch kept", err, cap(fr.buf))
+				}
+			}
+			head := []byte{Magic0, Magic1, Version, byte(TRouteSetResp), 0, 0, 0, 0}
+			binary.LittleEndian.PutUint32(head[4:], MaxPayload)
+			done := make(chan error, 1)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			go func() {
+				_, _, err := fr.ReadFrame()
+				done <- err
+			}()
+			if _, err := cli.Write(head); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cli.Write(make([]byte, 1000)); err != nil { // the reader is now past the header
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+				t.Errorf("header-only peer made the reader allocate %d bytes, want < 1 MiB", got)
+			}
+			cli.Close()
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrTruncated) {
+					t.Fatalf("hangup mid-payload: err = %v, want ErrTruncated", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("ReadFrame still blocked after the peer hung up")
+			}
+		})
 	}
 
 	// A large frame that does arrive is read whole, through the growth
@@ -225,4 +237,61 @@ func TestReadFrameReservesAsBytesArrive(t *testing.T) {
 	if err != nil || ty != TOrderResp || !bytes.Equal(payload, big[HeaderSize:]) {
 		t.Fatalf("300 KB frame over a chunked reader: type %d, %d bytes, err %v", ty, len(payload), err)
 	}
+}
+
+// TestReaderScratch: a connection's Reader reads frame after frame into
+// one buffer, what it decoded is not changed by the next read, and a
+// frame past MaxScratch is read but not kept — the buffer after it is a
+// new, small one.
+func TestReaderScratch(t *testing.T) {
+	small := func(epoch uint64) []byte {
+		return EncodeFrame(&RouteSetResp{Epoch: epoch, Engine: "dmodk", Routing: "d-mod-k",
+			Pairs: []PairRoute{{Src: 1, Dst: 2, OK: true, Hops: []uint32{uint32(epoch), 4}}, {Src: 3, Dst: 4}}})
+	}
+	job := EncodeFrame(&OrderResp{Epoch: 3, Label: "x", HostOf: make([]uint32, 40_000)}) // ~40 KB
+	if len(job) <= MaxScratch || len(job) > 64<<10 {
+		t.Fatalf("the over-cap frame is %d bytes; want one first reservation past MaxScratch", len(job))
+	}
+	var stream bytes.Buffer
+	for _, f := range [][]byte{small(1), small(2), job, small(4)} {
+		stream.Write(f)
+	}
+	fr := NewReader(struct{ io.Reader }{&stream}) // a reader that cannot say how much it holds
+
+	m1, err := fr.ReadMessage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := &fr.buf[:1][0]
+	m2, err := fr.ReadMessage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &fr.buf[:1][0] != first {
+		t.Error("the second frame of the same size was read into a new buffer")
+	}
+	if !equalMessages(m1, mustDecode(t, small(1))) || !equalMessages(m2, mustDecode(t, small(2))) {
+		t.Errorf("a decoded message changed under the next read: %+v, %+v", m1, m2)
+	}
+	if _, payload, err := fr.ReadFrame(); err != nil || !bytes.Equal(payload, job[HeaderSize:]) {
+		t.Fatalf("over-cap frame: %d bytes, err %v", len(payload), err)
+	}
+	if fr.buf != nil {
+		t.Errorf("%d bytes of scratch kept after a %d-byte frame; the cap is %d", cap(fr.buf), len(job), MaxScratch)
+	}
+	if _, err := fr.ReadMessage(); err != nil {
+		t.Fatal(err)
+	}
+	if cap(fr.buf) == 0 || cap(fr.buf) > MaxScratch {
+		t.Errorf("scratch after the next small frame holds %d bytes", cap(fr.buf))
+	}
+}
+
+func mustDecode(t *testing.T, frame []byte) Message {
+	t.Helper()
+	m, err := ReadMessage(bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }

@@ -30,6 +30,26 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(append([]byte{Magic0, Magic1, Version, byte(TRouteSetResp),
 		byte(len(huge)), 0, 0, 0}, huge...))
 
+	// Fixed-width pair records: an unserved pair, a zero-hop pair and a
+	// two-hop pair whose second hop is cut off; a hop count in the
+	// reserved range; a request batch one byte short of its last record.
+	for _, seed := range []struct {
+		typ     MsgType
+		count   byte
+		records []byte
+	}{
+		{TRouteSetResp, 3, []byte{3, 0, 0, 0, 9, 0, 0, 0, unserved, 7, 0, 0, 0, 7, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 2, 5, 0, 0, 0, 6, 0}},
+		{TRouteSetResp, 1, []byte{1, 0, 0, 0, 2, 0, 0, 0, maxHops + 1}},
+		{TRouteSetReq, 2, []byte{1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0}},
+	} {
+		payload := appendString(appendString(binary.AppendUvarint(nil, 1), "x"), "y") // epoch, engine, routing
+		if seed.typ == TRouteSetReq {
+			payload = appendString([]byte{0, 0}, "x") // no hint, pairs mode, engine
+		}
+		payload = append(append(payload, seed.count), seed.records...)
+		f.Add(append([]byte{Magic0, Magic1, Version, byte(seed.typ), byte(len(payload)), 0, 0, 0}, payload...))
+	}
+
 	// Factored route sets: a host count, a tail grid and a broken list
 	// that outrun the payload, and a stride past the bound.
 	for _, tail := range [][]byte{

@@ -3,14 +3,14 @@
 // API, on the same listener. Where GET /v1/route resolves one src→dst
 // pair per HTTP round-trip, one RouteSetReq resolves an entire job's
 // src→dst set in a single frame, with hops served straight out of the
-// compiled arena as varint-packed path entries: pair by pair for an
-// explicit batch (RouteSetResp), in the arena's own head ++ tail
-// factoring for a placed job's whole set (RouteSetFactored).
+// compiled arena as packed path entries: pair by pair in fixed-width
+// records for an explicit batch (RouteSetResp), in the arena's own
+// head ++ tail factoring for a placed job's whole set (RouteSetFactored).
 //
 // Framing (all integers little-endian, varints unsigned LEB128):
 //
 //	offset 0  magic   [2]byte  {0xFA, 0xB1} — never a valid HTTP method
-//	offset 2  version uint8    (2)
+//	offset 2  version uint8    (3)
 //	offset 3  type    uint8    message type
 //	offset 4  length  uint32   payload bytes (<= MaxPayload)
 //	offset 8  payload
@@ -19,8 +19,10 @@
 // no HTTP request line can begin with 0xFA, so a connection's first
 // byte decides which handler owns it (see Split).
 //
-// Message payloads are pure varint/byte sequences — no reflection, no
-// field tags — and every decoder is strictly bounds-checked: a count
+// Message payloads are varint/byte sequences, except the pair lists of
+// pairs mode, which are fixed-width records (see RouteSetReq and
+// PairRoute) read with plain loads — no reflection, no field tags —
+// and every decoder is strictly bounds-checked: a count
 // can never exceed the bytes that remain, so malformed or truncated
 // frames fail fast without large allocations. FuzzWireDecode and the
 // byte-exact fixtures under testdata/ pin both properties; protocol
@@ -31,6 +33,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Protocol constants.
@@ -40,8 +43,10 @@ const (
 	Magic0 = 0xFA
 	Magic1 = 0xB1
 	// Version is the only wire version this package speaks; there is no
-	// negotiation. 2 = a job-mode RouteSetReq is answered factored.
-	Version = 2
+	// negotiation (a peer on another version gets ErrBadVersion). 2 = a
+	// job-mode RouteSetReq is answered factored; 3 = the pair lists of
+	// pairs mode are fixed-width records.
+	Version = 3
 	// HeaderSize is the fixed frame header length.
 	HeaderSize = 8
 	// MaxPayload bounds a frame's payload: large enough for a full
@@ -50,7 +55,8 @@ const (
 	MaxPayload = 1 << 26 // 64 MiB
 	// MaxStride bounds a factored route set's tail length: an up*/down*
 	// path climbs and descends at most h levels, and a tree whose hosts
-	// fit the wire's uint32 ids has h <= 32.
+	// fit the wire's uint32 ids has h <= 32. A pair of a RouteSetResp
+	// carries at most a head and a full tail, MaxStride+1 hops.
 	MaxStride = 64
 	// MaxJobHosts bounds a factored route set's host list, because the
 	// receiver expands it to n(n-1) pairs: 16.7M at the bound, about
@@ -163,7 +169,8 @@ type RouteSetReq struct {
 	// ByJob selects job mode; Job is the placement id.
 	ByJob bool
 	Job   uint64
-	// Pairs is the explicit batch, pairs-mode only.
+	// Pairs is the explicit batch, pairs-mode only: on the wire a varint
+	// count, then one fixed-width record (src u32, dst u32) per pair.
 	Pairs [][2]uint32
 }
 
@@ -182,23 +189,36 @@ func (m *RouteSetReq) appendPayload(dst []byte) []byte {
 		return binary.AppendUvarint(dst, m.Job)
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(m.Pairs)))
+	at := len(dst)
+	dst = slices.Grow(dst, reqRecord*len(m.Pairs))[:at+reqRecord*len(m.Pairs)]
 	for _, p := range m.Pairs {
-		dst = binary.AppendUvarint(dst, uint64(p[0]))
-		dst = binary.AppendUvarint(dst, uint64(p[1]))
+		binary.LittleEndian.PutUint32(dst[at:], p[0])
+		binary.LittleEndian.PutUint32(dst[at+4:], p[1])
+		at += reqRecord
 	}
 	return dst
 }
 
 // PairRoute is one resolved pair of a RouteSetResp. Hops are the packed
 // path entries of the compiled arena (link id shifted left once, bit 0
-// = up), varint-encoded on the wire; OK=false marks a pair the serving
-// epoch cannot route (broken by faults or an unroutable host) — the
-// binary twin of the JSON 503.
+// = up); OK=false marks a pair the serving epoch cannot route (broken
+// by faults or an unroutable host) — the binary twin of the JSON 503.
+// On the wire a pair is one fixed-width record, src u32, dst u32 and a
+// hop-count byte (at most MaxStride+1, or 0xFF for OK=false), followed
+// by that many u32 hops.
 type PairRoute struct {
 	Src, Dst uint32
 	OK       bool
 	Hops     []uint32
 }
+
+// Sizes and marks of the fixed-width pair records.
+const (
+	reqRecord  = 8             // src, dst
+	pairRecord = 9             // src, dst, hop count
+	maxHops    = MaxStride + 1 // a head and a full tail
+	unserved   = 0xFF          // hop-count byte of an OK=false pair
+)
 
 // RouteSetResp is the batched, epoch-stamped answer. All pairs were
 // resolved against exactly one snapshot: one epoch, one engine's
@@ -214,24 +234,69 @@ type RouteSetResp struct {
 func (*RouteSetResp) Type() MsgType { return TRouteSetResp }
 
 func (m *RouteSetResp) appendPayload(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, m.Epoch)
-	dst = appendString(dst, m.Engine)
-	dst = appendString(dst, m.Routing)
-	dst = binary.AppendUvarint(dst, uint64(len(m.Pairs)))
+	dst = appendRouteSetHead(dst, m.Epoch, m.Engine, m.Routing, len(m.Pairs))
 	for i := range m.Pairs {
-		p := &m.Pairs[i]
-		dst = binary.AppendUvarint(dst, uint64(p.Src))
-		dst = binary.AppendUvarint(dst, uint64(p.Dst))
-		if !p.OK {
-			dst = append(dst, 0)
-			continue
-		}
-		dst = append(dst, 1)
-		dst = binary.AppendUvarint(dst, uint64(len(p.Hops)))
-		for _, h := range p.Hops {
-			dst = binary.AppendUvarint(dst, uint64(h))
+		if p := &m.Pairs[i]; p.OK {
+			dst = AppendPair[uint32](dst, p.Src, p.Dst, nil, p.Hops)
+		} else {
+			dst = AppendUnserved(dst, p.Src, p.Dst)
 		}
 	}
+	return dst
+}
+
+func appendRouteSetHead(dst []byte, epoch uint64, engine, routing string, pairs int) []byte {
+	dst = binary.AppendUvarint(dst, epoch)
+	dst = appendString(dst, engine)
+	dst = appendString(dst, routing)
+	return binary.AppendUvarint(dst, uint64(pairs))
+}
+
+// BeginRouteSet opens a RouteSetResp frame for a producer that writes
+// its pairs straight into the frame instead of building the message:
+// it appends the frame header and the payload fields ahead of the pair
+// records. The caller appends exactly pairs records with AppendPair and
+// AppendUnserved, then closes the frame with EndFrame. AppendFrame of
+// the equivalent RouteSetResp yields the same bytes, through the same
+// two writers.
+func BeginRouteSet(dst []byte, epoch uint64, engine, routing string, pairs int) []byte {
+	return appendRouteSetHead(appendHeader(dst, TRouteSetResp), epoch, engine, routing, pairs)
+}
+
+// AppendPair appends the record of one served pair, its hops given as
+// the arena stores them: head then tail, either possibly empty. More
+// than MaxStride+1 hops cannot be encoded and panic, rather than put a
+// truncated count on the wire; a producer whose hop lists are not bounded
+// by construction checks first (AppendFrameChecked does).
+func AppendPair[E ~int32 | ~uint32](dst []byte, src, to uint32, head, tail []E) []byte {
+	nh := len(head) + len(tail)
+	if nh > maxHops {
+		panic(fmt.Sprintf("wire: pair %d->%d has %d hops, a record carries at most %d", src, to, nh, maxHops))
+	}
+	dst = appendPairRecord(dst, src, to, byte(nh), 4*nh)
+	b := dst[len(dst)-4*nh:]
+	for i, e := range head {
+		binary.LittleEndian.PutUint32(b[4*i:], uint32(e))
+	}
+	b = b[4*len(head):]
+	for i, e := range tail {
+		binary.LittleEndian.PutUint32(b[4*i:], uint32(e))
+	}
+	return dst
+}
+
+// AppendUnserved appends the record of a pair the epoch cannot route.
+func AppendUnserved(dst []byte, src, to uint32) []byte {
+	return appendPairRecord(dst, src, to, unserved, 0)
+}
+
+// appendPairRecord appends one pair record and room for its hops.
+func appendPairRecord(dst []byte, src, to uint32, count byte, hopBytes int) []byte {
+	at := len(dst)
+	dst = slices.Grow(dst, pairRecord+hopBytes)[:at+pairRecord+hopBytes]
+	binary.LittleEndian.PutUint32(dst[at:], src)
+	binary.LittleEndian.PutUint32(dst[at+4:], to)
+	dst[at+8] = count
 	return dst
 }
 
@@ -418,12 +483,13 @@ func DecodePayload(t MsgType, payload []byte) (Message, error) {
 			r.ByJob = true
 			r.Job = d.uvarint()
 		case 0:
-			n := d.count(2) // a pair is at least two varint bytes
+			n := d.count(reqRecord)
 			if d.err == nil {
+				// count has checked that n records are present.
 				r.Pairs = make([][2]uint32, n)
 				for i := range r.Pairs {
-					r.Pairs[i][0] = d.u32()
-					r.Pairs[i][1] = d.u32()
+					r.Pairs[i] = [2]uint32{binary.LittleEndian.Uint32(d.b), binary.LittleEndian.Uint32(d.b[4:])}
+					d.b = d.b[reqRecord:]
 				}
 			}
 		default:
@@ -431,39 +497,7 @@ func DecodePayload(t MsgType, payload []byte) (Message, error) {
 		}
 		m = r
 	case TRouteSetResp:
-		r := &RouteSetResp{}
-		r.Epoch = d.uvarint()
-		r.Engine = d.str()
-		r.Routing = d.str()
-		n := d.count(3) // src, dst, status
-		if d.err == nil {
-			r.Pairs = make([]PairRoute, n)
-			// Every pair's hops are windows of one slab. A hop is at
-			// least one byte and a pair three more, so the bytes still
-			// unread bound the slab before any hop is decoded.
-			hops := make([]uint32, 0, len(d.b)-3*n)
-			for i := range r.Pairs {
-				p := &r.Pairs[i]
-				p.Src = d.u32()
-				p.Dst = d.u32()
-				switch d.byte() {
-				case 1:
-					p.OK = true
-					start := len(hops)
-					for nh := d.count(1); nh > 0 && d.err == nil; nh-- {
-						hops = append(hops, d.u32())
-					}
-					p.Hops = hops[start:len(hops):len(hops)]
-				case 0:
-				default:
-					d.must(false, "pair status byte")
-				}
-				if d.err != nil {
-					break
-				}
-			}
-		}
-		m = r
+		m = d.routeSetResp()
 	case TRouteSetFactored:
 		m = d.routeSetFactored()
 	case TNotModified:
@@ -592,6 +626,48 @@ func (d *decoder) must(ok bool, what string) {
 	if !ok && d.err == nil {
 		d.err = fmt.Errorf("%w: %s", ErrMalformed, what)
 	}
+}
+
+// routeSetResp decodes a RouteSetResp: bounds-checked loads of its
+// fixed-width records into two slabs, one of pairs and one of hops.
+func (d *decoder) routeSetResp() *RouteSetResp {
+	r := &RouteSetResp{Epoch: d.uvarint(), Engine: d.str(), Routing: d.str()}
+	n := d.count(pairRecord)
+	if d.err != nil {
+		return r
+	}
+	r.Pairs = make([]PairRoute, n)
+	// Every pair's hops are windows of one slab. The bytes still unread
+	// are n records and four per hop, which sizes the slab before any hop
+	// is read; a payload whose counts claim more is cut short somewhere.
+	hops := make([]uint32, (len(d.b)-pairRecord*n)/4)
+	b, at := d.b, 0
+	for i := range r.Pairs {
+		if len(b) < pairRecord {
+			d.fail()
+			return r
+		}
+		p := &r.Pairs[i]
+		p.Src, p.Dst = binary.LittleEndian.Uint32(b), binary.LittleEndian.Uint32(b[4:])
+		nh := int(b[8])
+		b = b[pairRecord:]
+		if nh == unserved {
+			continue
+		}
+		d.must(nh <= maxHops, "pair hop count")
+		if d.err != nil || 4*nh > len(b) || nh > len(hops)-at {
+			d.fail()
+			return r
+		}
+		h := hops[at : at+nh : at+nh]
+		for k := range h {
+			h[k] = binary.LittleEndian.Uint32(b[4*k:])
+		}
+		p.OK, p.Hops = true, h
+		b, at = b[4*nh:], at+nh
+	}
+	d.b = b
+	return r
 }
 
 // routeSetFactored decodes and cross-checks a RouteSetFactored, so that

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -197,17 +198,22 @@ func TestAppendFrameCheckedBudget(t *testing.T) {
 		t.Fatal("checked append differs from AppendFrame")
 	}
 
-	hops := make([]uint32, 14_000_000)
-	for i := range hops {
-		hops[i] = 0xFFFFFFF0 // 5-byte varints push the payload past 64 MiB
+	// Overflow by pair count: full-length pairs sharing one hop list, one
+	// more of them than MaxPayload holds.
+	hops := make([]uint32, maxHops)
+	pairs := make([]PairRoute, MaxPayload/(pairRecord+4*maxHops)+1)
+	for i := range pairs {
+		pairs[i] = PairRoute{Src: uint32(i), Dst: 1, OK: true, Hops: hops}
 	}
-	big := &RouteSetResp{Pairs: []PairRoute{{Src: 0, Dst: 1, OK: true, Hops: hops}}}
-	out, err = AppendFrameChecked(dst, big)
+	out, err = AppendFrameChecked(dst, &RouteSetResp{Pairs: pairs})
 	if !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversized frame: err = %v, want ErrTooLarge", err)
 	}
 	if len(out) != len(dst) {
 		t.Fatalf("refused append still extended dst to %d bytes", len(out))
+	}
+	if out, err = AppendFrameChecked(dst, &RouteSetResp{Pairs: pairs[:len(pairs)-1]}); err != nil || len(out)-len(dst)-HeaderSize > MaxPayload {
+		t.Fatalf("one pair fewer is inside the budget: err = %v, %d bytes", err, len(out)-len(dst))
 	}
 
 	// A factored set past the bounds every decoder enforces is refused
@@ -218,6 +224,86 @@ func TestAppendFrameCheckedBudget(t *testing.T) {
 	} {
 		if out, err := AppendFrameChecked(dst, f); !errors.Is(err, ErrTooLarge) || len(out) != len(dst) {
 			t.Fatalf("factored set past the %s bound: err = %v, %d bytes appended", name, err, len(out)-len(dst))
+		}
+	}
+}
+
+// TestHopCountByte pins the one field of a pair record that cannot say
+// everything a []uint32 can: a hop list past MaxStride+1 is refused by
+// the checked encoder (dst unextended), never truncated by the unchecked
+// one, and a count byte in the reserved range (MaxStride+1, 0xFF) is
+// malformed to the decoder.
+func TestHopCountByte(t *testing.T) {
+	long := &RouteSetResp{Pairs: []PairRoute{{Src: 1, Dst: 2, OK: true, Hops: make([]uint32, maxHops+1)}}}
+	dst := []byte("prefix")
+	if out, err := AppendFrameChecked(dst, long); !errors.Is(err, ErrTooLarge) || len(out) != len(dst) {
+		t.Fatalf("%d-hop pair: err = %v, %d bytes appended", maxHops+1, err, len(out)-len(dst))
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("AppendFrame encoded a %d-hop pair; its count byte cannot say that", maxHops+1)
+			}
+		}()
+		AppendFrame(nil, long)
+	}()
+
+	long.Pairs[0].Hops = long.Pairs[0].Hops[:maxHops]
+	frame, err := AppendFrameChecked(nil, long)
+	if err != nil {
+		t.Fatalf("%d-hop pair refused: %v", maxHops, err)
+	}
+	if m, err := ReadMessage(bytes.NewReader(frame)); err != nil || len(m.(*RouteSetResp).Pairs[0].Hops) != maxHops {
+		t.Fatalf("%d-hop pair does not round-trip: %v", maxHops, err)
+	}
+	at := len(frame) - 4*maxHops - 1 // the count byte
+	for _, b := range []byte{maxHops + 1, 0x80, unserved - 1} {
+		if _, err := ReadMessage(bytes.NewReader(mutate(frame, at, b))); !errors.Is(err, ErrMalformed) {
+			t.Errorf("hop count byte 0x%02x: err = %v, want ErrMalformed", b, err)
+		}
+	}
+	// 0xFF with hops behind it is an unserved pair followed by junk.
+	if _, err := ReadMessage(bytes.NewReader(mutate(frame, at, unserved))); !errors.Is(err, ErrTrailing) {
+		t.Errorf("unserved pair with hops behind it: err = %v, want ErrTrailing", err)
+	}
+}
+
+// TestRouteSetRoundTripProperty: decode(encode(x)) == x over seeded
+// random answers — served pairs of every length up to the bound,
+// zero-hop pairs, unserved pairs, empty batches — and every cut of the
+// encoding short of its end is refused, never misread.
+func TestRouteSetRoundTripProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for round := 0; round < 200; round++ {
+		want := &RouteSetResp{Epoch: rng.Uint64(), Engine: "dmodk", Routing: "d-mod-k", Pairs: []PairRoute{}}
+		for n := rng.Intn(40); n > 0; n-- {
+			p := PairRoute{Src: rng.Uint32(), Dst: rng.Uint32()}
+			if rng.Intn(4) > 0 {
+				p.OK, p.Hops = true, make([]uint32, rng.Intn(maxHops+1))
+				for k := range p.Hops {
+					p.Hops[k] = rng.Uint32()
+				}
+			}
+			want.Pairs = append(want.Pairs, p)
+		}
+		payload := want.appendPayload(nil)
+		got, err := DecodePayload(TRouteSetResp, payload)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: decoded\n %+v\nwant\n %+v", round, got, want)
+		}
+		req := &RouteSetReq{Engine: "e", Pairs: make([][2]uint32, len(want.Pairs))}
+		for i, p := range want.Pairs {
+			req.Pairs[i] = [2]uint32{p.Src, p.Dst}
+		}
+		if got, err := DecodePayload(TRouteSetReq, req.appendPayload(nil)); err != nil || !reflect.DeepEqual(got, req) {
+			t.Fatalf("round %d: request decoded to %+v (err %v), want %+v", round, got, err, req)
+		}
+		cut := rng.Intn(len(payload))
+		if _, err := DecodePayload(TRouteSetResp, payload[:cut]); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("round %d: payload cut at %d of %d: err = %v, want ErrTruncated", round, cut, len(payload), err)
 		}
 	}
 }
