@@ -12,7 +12,7 @@ LOADLEVELS ?= 1,2,4,8
 LOADDURATION ?= 2s
 LOADAGREE ?= 0
 
-.PHONY: all build vet test race loc layout-check golden bench bench-repo bench-json bench-netsim bench-track bench-gate report check daemon-smoke load-curve replica-smoke experiments experiments-quick fuzz fuzz-smoke clean
+.PHONY: all build vet test race loc golden bench bench-repo bench-json bench-netsim bench-track bench-gate report check daemon-smoke load-curve replica-smoke experiments experiments-quick fuzz fuzz-smoke clean
 
 all: build vet test
 
@@ -43,13 +43,6 @@ loc:
 		"$$(find internal/route internal/engine internal/fabric internal/fmgr -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@printf '%6d cmd + internal/{cli,exp,hsd,fmgr,bakeoff}\n' \
 		"$$(find cmd internal/cli internal/exp internal/hsd internal/fmgr internal/bakeoff -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
-
-# Where the linker put the two hot loops of hsd-sweep1944 relative to
-# each other in ./bench; fails on the one distance (0x760 mod 0x800)
-# that costs ~35 % on the reference CPU with no code change. Run it
-# before measuring a change that adds code to internal/route or earlier.
-layout-check:
-	GO=$(GO) ./scripts/layout_check.sh
 
 # Re-record every command's testdata/*.golden from the current build
 # (docs/TESTING.md "Command goldens"); review the diff before committing.

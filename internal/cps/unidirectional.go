@@ -27,12 +27,16 @@ func (s *ShiftSeq) NumStages() int { return s.n - 1 }
 // Bidirectional implements Sequence.
 func (s *ShiftSeq) Bidirectional() bool { return false }
 
-// Stage implements Sequence: displacement s+1.
+// Stage implements Sequence: displacement s+1. The ranks before the
+// wrap-around and those after it are two runs, so no pair pays a modulo.
 func (s *ShiftSeq) Stage(st int) Stage {
-	d := st + 1
+	d := (st + 1) % s.n
 	out := make(Stage, s.n)
-	for i := 0; i < s.n; i++ {
-		out[i] = Pair{int32(i), int32((i + d) % s.n)}
+	for i := 0; i < s.n-d; i++ {
+		out[i] = Pair{int32(i), int32(i + d)}
+	}
+	for i := s.n - d; i < s.n; i++ {
+		out[i] = Pair{int32(i), int32(i + d - s.n)}
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package fmgr
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -232,12 +233,26 @@ func TestHandlerMaxInflightGate(t *testing.T) {
 	}
 }
 
+// stalledBody is a request body whose Read blocks until release is
+// closed, so the handler decoding it cannot finish inside any budget.
+type stalledBody struct{ release chan struct{} }
+
+func (b stalledBody) Read([]byte) (int, error) {
+	<-b.release
+	return 0, io.EOF
+}
+
+// TestHandlerRequestTimeout holds the handler on its body until the
+// answer is recorded: the budget always loses, however loaded the box —
+// a 1 ns budget against a free-running handler did not, under -race.
 func TestHandlerRequestTimeout(t *testing.T) {
 	m := newManager(t, "rlft2:4,8", func(c *Config) {
-		c.RequestTimeout = time.Nanosecond
+		c.RequestTimeout = time.Millisecond
 	})
 	m.Start()
-	rec, _ := get(t, m.Handler(), "/v1/route?src=0&dst=9")
+	body := stalledBody{make(chan struct{})}
+	rec, _ := do(t, m.Handler(), httptest.NewRequest("POST", "/v1/faults", body))
+	close(body.release)
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503 from the timeout handler", rec.Code)
 	}

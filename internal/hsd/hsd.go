@@ -9,7 +9,6 @@ package hsd
 
 import (
 	"fmt"
-	"math"
 
 	"fattree/internal/cps"
 	"fattree/internal/order"
@@ -96,9 +95,14 @@ type Analyzer struct {
 	pc *route.Compiled // non-nil when rt is a compiled path cache
 	// cnt holds the per-directed-link flow counters interleaved as
 	// cnt[link<<1|1] (up) and cnt[link<<1] (down) — the same encoding as
-	// route.PathEntry, so the compiled fast path increments cnt[entry]
-	// directly, branch free.
-	cnt []int32
+	// route.PathEntry. It is raw[1:]: raw[0] is the sink cell the replay
+	// kernel counts absent entries (route.NoEntry) into, which no reader
+	// of cnt ever sees.
+	raw, cnt []int32
+	pairs    [][2]int // end-port scratch of the Walk path's rank stages
+	// narrow, when a sweep set it, is pc's slots at 16 bits a cell, shared
+	// read-only by the sweep's workers: rank stages replay from it.
+	narrow *route.Narrow
 	// memb, when tracking is on, records per directed-link slot which
 	// pair indexes of the current Stage crossed it — the flow-level
 	// evidence behind contention blame reports. Same indexing as cnt.
@@ -107,13 +111,12 @@ type Analyzer struct {
 }
 
 // NewAnalyzer creates an analyzer bound to a forwarding table set. When
-// the router is a compiled path cache (*route.Compiled), Stage skips the
-// per-hop Walk callback and iterates the packed head and tail views
-// directly — the order-of-magnitude lever behind the parallel ordering
-// sweeps.
+// the router is a compiled path cache (*route.Compiled), stages skip the
+// per-hop Walk callback and replay the arena's slots in place — the
+// order-of-magnitude lever behind the parallel ordering sweeps.
 func NewAnalyzer(rt route.Router) *Analyzer {
-	nl := len(rt.Topology().Links)
-	a := &Analyzer{rt: rt, cnt: make([]int32, 2*nl)}
+	a := &Analyzer{rt: rt, raw: make([]int32, 2*len(rt.Topology().Links)+1)}
+	a.cnt = a.raw[1:]
 	a.pc, _ = rt.(*route.Compiled)
 	return a
 }
@@ -138,74 +141,113 @@ func (a *Analyzer) StageFlows(l topo.LinkID, up bool) []int32 {
 	if !a.track {
 		return nil
 	}
-	i := int(l) << 1
-	if up {
-		i |= 1
+	return a.memb[route.PackEntry(l, up)]
+}
+
+// count is the replay kernel: it adds a path to raw as the arena stores
+// it — head(src), then every cell of the fixed-stride (row(src), dst)
+// slot — with no trimming and no branch on the data: an absent head and
+// the slot's padding are route.NoEntry (-1), which the unsigned e+1 wraps
+// to the sink cell raw[0] (and which spares the loop a sign extension).
+// bias is 1 for the arena's own slots and 0 for a route.Narrow copy,
+// whose cells are entries plus one already. The pair must be in range,
+// distinct and not Broken.
+func count[E int32 | uint16](raw []int32, head route.PathEntry, slot []E, bias uint32) {
+	raw[uint32(head)+1]++
+	for _, e := range slot {
+		raw[uint32(e)+bias]++
 	}
-	return a.memb[i]
 }
 
 // Stage counts one stage of host-index flows: pairs are (source end-port,
 // destination end-port). It returns the stage summary.
 func (a *Analyzer) Stage(pairs [][2]int) (StageResult, error) {
-	clear(a.cnt)
-	if a.track {
-		for i := range a.memb {
-			a.memb[i] = a.memb[i][:0]
-		}
-		return a.stageTracked(pairs)
-	}
 	res := StageResult{Flows: len(pairs)}
-	if a.pc != nil {
-		cnt := a.cnt
-		for _, p := range pairs {
-			if p[0] == p[1] {
-				continue
-			}
-			head, tail, err := a.pc.SplitPath(p[0], p[1])
-			if err != nil {
-				return res, err
-			}
-			for _, e := range head {
-				cnt[e]++
-			}
-			for _, e := range tail {
-				cnt[e]++
-			}
-		}
-		return a.summarize(res), nil
+	c := a.pc
+	if c == nil || a.track {
+		return a.stageWalk(res, pairs)
 	}
+	n := uint(c.Topology().NumHosts())
+	for _, p := range pairs {
+		if uint(p[0]) >= n || uint(p[1]) >= n {
+			return res, unserved(c, p[0], p[1])
+		}
+	}
+	clear(a.raw)
+	broken := c.NumBroken() > 0
 	for _, p := range pairs {
 		if p[0] == p[1] {
 			continue
 		}
-		err := a.rt.Walk(p[0], p[1], func(l topo.LinkID, up bool) {
-			i := int(l) << 1
-			if up {
-				i |= 1
+		if broken && c.Broken(p[0], p[1]) {
+			return res, unserved(c, p[0], p[1])
+		}
+		row, head, _ := c.Row(p[0])
+		count(a.raw, head, c.Slot(row, p[1]), 1)
+	}
+	return a.summarize(res), nil
+}
+
+// unserved returns the arena's own error for a pair it does not serve.
+func unserved(c *route.Compiled, src, dst int) error {
+	_, _, err := c.SplitPath(src, dst)
+	return err
+}
+
+// stageRanks is Stage over one CPS stage of an ordering validated by
+// checkJob, for the untracked analyzers of analyze and the sweeps: ranks
+// are translated to end-ports on the fly, so the bulk path builds no pair
+// list. With served set (arenas only), self-pairs and pairs the arena
+// marks broken carry no traffic and are not counted as flows; otherwise a
+// broken pair is an error.
+func (a *Analyzer) stageRanks(st cps.Stage, o *order.Ordering, served bool) (StageResult, error) {
+	c := a.pc
+	if c == nil {
+		a.pairs = a.pairs[:0]
+		for _, p := range st {
+			a.pairs = append(a.pairs, [2]int{o.HostOf[p.Src], o.HostOf[p.Dst]})
+		}
+		return a.Stage(a.pairs)
+	}
+	raw, w := a.raw, a.narrow
+	clear(raw)
+	res := StageResult{Flows: len(st)}
+	broken, hostOf := c.NumBroken() > 0, o.HostOf
+	for _, p := range st {
+		src, dst := hostOf[p.Src], hostOf[p.Dst]
+		if src == dst || broken && c.Broken(src, dst) {
+			if !served && src != dst {
+				return res, unserved(c, src, dst)
 			}
-			a.cnt[i]++
-		})
-		if err != nil {
-			return res, err
+			if served {
+				res.Flows--
+			}
+			continue
+		}
+		if row, head, _ := c.Row(src); w != nil {
+			count(raw, head, w.Slot(row, dst), 0)
+		} else {
+			count(raw, head, c.Slot(row, dst), 1)
 		}
 	}
 	return a.summarize(res), nil
 }
 
-// stageTracked is the Stage loop with flow-membership recording, split
-// out so the bulk path above stays append free. A compiled router replays
-// its cached path through Walk, so one loop serves every router.
-func (a *Analyzer) stageTracked(pairs [][2]int) (StageResult, error) {
-	res := StageResult{Flows: len(pairs)}
+// stageWalk is Stage for routers without an arena and for forensics: it
+// walks every pair hop by hop — a compiled router replays its cached
+// path through Walk — and, with tracking on, records flow membership.
+func (a *Analyzer) stageWalk(res StageResult, pairs [][2]int) (StageResult, error) {
+	clear(a.raw)
+	for i := range a.memb {
+		a.memb[i] = a.memb[i][:0]
+	}
 	var idx int32
 	visit := func(l topo.LinkID, up bool) {
-		e := int(l) << 1
-		if up {
-			e |= 1
-		}
+		e := route.PackEntry(l, up)
 		a.cnt[e]++
-		a.memb[e] = append(a.memb[e], idx)
+		if a.track {
+			a.memb[e] = append(a.memb[e], idx)
+		}
 	}
 	for i, p := range pairs {
 		if p[0] == p[1] {
@@ -266,7 +308,7 @@ func ensureLen(b []int32, n int) []int32 {
 // Analyze runs a full sequence through the analyzer: CPS ranks are
 // translated to end-ports via the ordering.
 func Analyze(rt route.Router, o *order.Ordering, seq cps.Sequence) (*Report, error) {
-	return analyze(rt, o, seq, nil)
+	return analyze(rt, o, seq, false)
 }
 
 // AnalyzeHostPairs runs explicit end-port stages (no rank translation),
@@ -292,30 +334,9 @@ type Sweep struct {
 }
 
 // SweepOrderings analyzes the sequence under each ordering and aggregates
-// the per-ordering AvgMaxHSD values.
+// the per-ordering AvgMaxHSD values, on the calling goroutine's one core.
 func SweepOrderings(rt route.Router, orders []*order.Ordering, seq cps.Sequence) (Sweep, error) {
-	sw := Sweep{Min: math.Inf(1), Max: math.Inf(-1)}
-	for _, o := range orders {
-		rep, err := Analyze(rt, o, seq)
-		if err != nil {
-			return Sweep{}, err
-		}
-		v := rep.AvgMaxHSD()
-		sw.Mean += v
-		if v < sw.Min {
-			sw.Min = v
-		}
-		if v > sw.Max {
-			sw.Max = v
-		}
-		sw.Samples++
-	}
-	if sw.Samples > 0 {
-		sw.Mean /= float64(sw.Samples)
-	} else {
-		sw.Min, sw.Max = 0, 0
-	}
-	return sw, nil
+	return SweepOrderingsParallel(rt, orders, seq, 1)
 }
 
 // LevelLoads summarizes the current per-link counters (after the last
@@ -344,19 +365,17 @@ func (a *Analyzer) LevelLoads() (up, down []int) {
 // daemon's standing Shift summary, ftfabric -report and the bake-off
 // score. On a healthy arena it equals Analyze.
 func AnalyzeServed(c *route.Compiled, o *order.Ordering, seq cps.Sequence) (*Report, error) {
-	return analyze(c, o, seq, c)
+	return analyze(c, o, seq, true)
 }
 
-func analyze(rt route.Router, o *order.Ordering, seq cps.Sequence, served *route.Compiled) (*Report, error) {
-	if err := checkSizes(rt, o, seq); err != nil {
+func analyze(rt route.Router, o *order.Ordering, seq cps.Sequence, served bool) (*Report, error) {
+	if err := checkJob(rt, o, seq); err != nil {
 		return nil, err
 	}
 	a := NewAnalyzer(rt)
 	rep := &Report{Sequence: seq.Name(), Ordering: o.Label, Routing: rt.Label()}
-	var pairs [][2]int
 	for s := 0; s < seq.NumStages(); s++ {
-		pairs = hostPairs(pairs, seq.Stage(s), o, served)
-		sr, err := a.Stage(pairs)
+		sr, err := a.stageRanks(seq.Stage(s), o, served)
 		if err != nil {
 			return nil, err
 		}
@@ -365,27 +384,20 @@ func analyze(rt route.Router, o *order.Ordering, seq cps.Sequence, served *route
 	return rep, nil
 }
 
-func checkSizes(rt route.Router, o *order.Ordering, seq cps.Sequence) error {
+// checkJob validates an ordering against the sequence and the fabric
+// once, so the per-pair loops can index by its end-ports unchecked.
+func checkJob(rt route.Router, o *order.Ordering, seq cps.Sequence) error {
 	if o.Size() != seq.Size() {
 		return fmt.Errorf("hsd: ordering size %d != sequence size %d", o.Size(), seq.Size())
 	}
-	if o.NumHosts() != rt.Topology().NumHosts() {
-		return fmt.Errorf("hsd: ordering hosts %d != topology hosts %d", o.NumHosts(), rt.Topology().NumHosts())
+	n := rt.Topology().NumHosts()
+	if o.NumHosts() != n {
+		return fmt.Errorf("hsd: ordering hosts %d != topology hosts %d", o.NumHosts(), n)
+	}
+	for r, h := range o.HostOf {
+		if h < 0 || h >= n {
+			return fmt.Errorf("hsd: ordering %s: rank %d on end-port %d, out of range [0,%d)", o.Label, r, h, n)
+		}
 	}
 	return nil
-}
-
-// hostPairs translates one CPS stage into end-port pairs through the
-// ordering, reusing buf. A non-nil served arena filters the stage down
-// to the pairs it serves.
-func hostPairs(buf [][2]int, stage cps.Stage, o *order.Ordering, served *route.Compiled) [][2]int {
-	buf = buf[:0]
-	for _, p := range stage {
-		src, dst := o.HostOf[p.Src], o.HostOf[p.Dst]
-		if served != nil && (src == dst || served.Broken(src, dst)) {
-			continue
-		}
-		buf = append(buf, [2]int{src, dst})
-	}
-	return buf
 }

@@ -3,125 +3,143 @@ package hsd
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"fattree/internal/cps"
 	"fattree/internal/order"
 	"fattree/internal/route"
 )
 
-// AnalyzeParallel is Analyze with the stages fanned out over a worker
-// pool — stages are independent, so the per-link counting parallelizes
-// embarrassingly. Each worker owns its counter arrays; results land in a
-// pre-sized slice, so no ordering coordination is needed. workers <= 0
-// uses GOMAXPROCS. The router must be safe for concurrent Walk calls
-// (LFTs and S-Mod-K are; the adaptive router serializes internally).
-func AnalyzeParallel(rt route.Router, o *order.Ordering, seq cps.Sequence, workers int) (*Report, error) {
-	if err := checkSizes(rt, o, seq); err != nil {
-		return nil, err
-	}
+// fanOut runs do(0..n-1) over a pool of at most workers goroutines
+// (<= 0 uses GOMAXPROCS), each with its own analyzer over rt — items are
+// independent, so the per-link counting parallelizes embarrassingly. It
+// returns the first error, after which no new item is started.
+func fanOut(rt route.Router, n, workers int, do func(a *Analyzer, i int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	nStages := seq.NumStages()
-	if workers > nStages {
-		workers = nStages
+	var (
+		wg       sync.WaitGroup
+		next     atomic.Int64 // items handed out so far
+		errOnce  sync.Once
+		firstErr error
+	)
+	for w := 0; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			a := NewAnalyzer(rt)
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				if err := do(a, i); err != nil {
+					errOnce.Do(func() { firstErr = err })
+					next.Store(int64(n))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return firstErr
+}
+
+// AnalyzeParallel is Analyze with the stages fanned out over a worker
+// pool; results land in a pre-sized slice, so no ordering coordination is
+// needed. workers <= 0 uses GOMAXPROCS. The router must be safe for
+// concurrent Walk calls (LFTs and S-Mod-K are; the adaptive router
+// serializes internally).
+func AnalyzeParallel(rt route.Router, o *order.Ordering, seq cps.Sequence, workers int) (*Report, error) {
+	if err := checkJob(rt, o, seq); err != nil {
+		return nil, err
 	}
 	rep := &Report{
 		Sequence: seq.Name(),
 		Ordering: o.Label,
 		Routing:  rt.Label(),
-		Stages:   make([]StageResult, nStages),
+		Stages:   make([]StageResult, seq.NumStages()),
 	}
-	if nStages == 0 {
-		return rep, nil
-	}
-
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-		next     = make(chan int, nStages)
-	)
-	for s := 0; s < nStages; s++ {
-		next <- s
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			a := NewAnalyzer(rt)
-			var pairs [][2]int
-			for s := range next {
-				pairs = hostPairs(pairs, seq.Stage(s), o, nil)
-				sr, err := a.Stage(pairs)
-				if err != nil {
-					errOnce.Do(func() { firstErr = err })
-					return
-				}
-				rep.Stages[s] = sr
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	err := fanOut(rt, len(rep.Stages), workers, func(a *Analyzer, s int) (err error) {
+		rep.Stages[s], err = a.stageRanks(seq.Stage(s), o, false)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rep, nil
 }
 
 // SweepOrderingsParallel fans the per-ordering analyses of a sweep over
-// a worker pool (orderings are independent too). workers <= 0 uses
-// GOMAXPROCS.
+// a worker pool (orderings are independent too). The sequence's stages
+// are built once and shared read-only by every ordering, and a sweep with
+// fewer orderings than workers splits each ordering's stages so no core
+// idles. workers <= 0 uses GOMAXPROCS.
 func SweepOrderingsParallel(rt route.Router, orders []*order.Ordering, seq cps.Sequence, workers int) (Sweep, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(orders) {
-		workers = len(orders)
-	}
 	if len(orders) == 0 {
 		return Sweep{}, nil
 	}
-	vals := make([]float64, len(orders))
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-		next     = make(chan int, len(orders))
-	)
-	for i := range orders {
-		next <- i
+	for _, o := range orders {
+		if err := checkJob(rt, o, seq); err != nil {
+			return Sweep{}, err
+		}
 	}
-	close(next)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				rep, err := Analyze(rt, orders[i], seq)
-				if err != nil {
-					errOnce.Do(func() { firstErr = err })
-					return
-				}
-				vals[i] = rep.AvgMaxHSD()
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	stages := make([]cps.Stage, seq.NumStages())
+	for s := range stages {
+		stages[s] = seq.Stage(s)
+	}
+	// A work item is one of an ordering's `split` stage ranges. Per-stage
+	// maxima are integers, so their sum does not depend on how the stages
+	// were split and the averages equal Report.AvgMaxHSD bit for bit.
+	split := max(1, min((workers+len(orders)-1)/len(orders), len(stages)))
+	// Replaying from a 16-bit copy of the arena halves the cache the random
+	// slot reads need; making the copy reads every slot once, so it pays
+	// when the sweep reads more slots than that.
+	var narrow *route.Narrow
+	if c, ok := rt.(*route.Compiled); ok && len(orders)*len(stages)*seq.Size() >= c.NumEntries()/c.Stride() {
+		narrow = c.Narrow()
+	}
+	type tally struct{ sum, stages int }
+	parts := make([]tally, len(orders)*split)
+	err := fanOut(rt, len(parts), workers, func(a *Analyzer, i int) error {
+		var t tally
+		a.narrow = narrow
+		lo, hi := i%split*len(stages)/split, (i%split+1)*len(stages)/split
+		for _, st := range stages[lo:hi] {
+			sr, err := a.stageRanks(st, orders[i/split], false)
+			if err != nil {
+				return err
 			}
-		}()
+			if sr.Flows > 0 {
+				t.sum += sr.MaxHSD
+				t.stages++
+			}
+		}
+		parts[i] = t
+		return nil
+	})
+	if err != nil {
+		return Sweep{}, err
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return Sweep{}, firstErr
-	}
-	sw := Sweep{Min: vals[0], Max: vals[0], Samples: len(vals)}
-	for _, v := range vals {
+	sw := Sweep{Samples: len(orders)}
+	for i := range orders {
+		var t tally
+		for _, p := range parts[i*split : (i+1)*split] {
+			t.sum += p.sum
+			t.stages += p.stages
+		}
+		v := 0.0
+		if t.stages > 0 {
+			v = float64(t.sum) / float64(t.stages)
+		}
 		sw.Mean += v
-		if v < sw.Min {
+		if i == 0 || v < sw.Min {
 			sw.Min = v
 		}
-		if v > sw.Max {
+		if i == 0 || v > sw.Max {
 			sw.Max = v
 		}
 	}
-	sw.Mean /= float64(len(vals))
+	sw.Mean /= float64(len(orders))
 	return sw, nil
 }

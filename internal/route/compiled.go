@@ -36,9 +36,11 @@ func EntryLink(e PathEntry) topo.LinkID { return topo.LinkID(e >> 1) }
 // EntryUp unpacks the direction bit of a PathEntry.
 func EntryUp(e PathEntry) bool { return e&1 == 1 }
 
-// noEntry is the absent PathEntry: the head of a source that owns its
-// row, and the padding after a tail shorter than the arena's stride.
-const noEntry PathEntry = -1
+// NoEntry is the absent PathEntry: the head of a source that owns its
+// row, and the padding after a tail shorter than the arena's stride. It
+// is one below the smallest real entry, so a counter array with one sink
+// cell in front can count a whole slot, padding included, as cnt[e+1]++.
+const NoEntry PathEntry = -1
 
 // Compiled is a path cache over any deterministic Router, immutable once
 // built, so every reader is safe for unlimited concurrent use — the
@@ -66,9 +68,9 @@ type Compiled struct {
 	inner   Router
 	n       int
 	rowOf   []int32     // per source: the row it reads
-	head    []PathEntry // per source: its first hop, or noEntry
+	head    []PathEntry // per source: its first hop, or NoEntry
 	rep     []int32     // per row: its lowest-indexed source
-	stride  int         // tail (r,d) is entries[(r*n+d)*stride:][:stride], noEntry-padded
+	stride  int         // tail (r,d) is entries[(r*n+d)*stride:][:stride], NoEntry-padded
 	entries []PathEntry
 	// broken, when non-nil, is an n*n bitset of pairs the inner router
 	// could not walk — or walked non-minimally — during a lenient
@@ -125,7 +127,7 @@ func (c *Compiled) group(lenient bool) error {
 			c.markBroken(src, dst)
 		}
 		start := host.ID
-		c.head[src] = noEntry
+		c.head[src] = NoEntry
 		if shared {
 			start = t.PeerNode(host.Up[0])
 			c.head[src] = PackEntry(t.Ports[host.Up[0]].Link, true)
@@ -145,7 +147,7 @@ func (c *Compiled) group(lenient bool) error {
 // entry switch of a shared row, from the source itself otherwise.
 func (c *Compiled) walkRow(r Router, row, dst int, visit func(topo.LinkID, bool)) error {
 	src := int(c.rep[row])
-	if c.head[src] == noEntry {
+	if c.head[src] == NoEntry {
 		return r.Walk(src, dst, visit)
 	}
 	t := r.Topology()
@@ -155,7 +157,7 @@ func (c *Compiled) walkRow(r Router, row, dst int, visit func(topo.LinkID, bool)
 // minimalTail returns the tail length of a minimal path from row to dst.
 func (c *Compiled) minimalTail(g topo.PGFT, row, dst int) int {
 	src := int(c.rep[row])
-	if c.head[src] == noEntry {
+	if c.head[src] == NoEntry {
 		return 2 * g.LCALevel(src, dst)
 	}
 	return 2*max(1, g.LCALevel(src, dst)) - 1
@@ -202,7 +204,7 @@ func (c *Compiled) filler(r Router, lenient bool) func(row, dst int) error {
 			hops = 0
 		}
 		for i := hops; i < len(slot); i++ {
-			slot[i] = noEntry
+			slot[i] = NoEntry
 		}
 		return err
 	}
@@ -232,7 +234,7 @@ func compileParallel(r Router, workers int, lenient bool) (*Compiled, error) {
 	}
 	rows := len(c.rep)
 	c.stride = 2 * t.Spec.H
-	if c.head[0] != noEntry { // every host has as many uplinks: all rows shared, or none
+	if c.head[0] != NoEntry { // every host has as many uplinks: all rows shared, or none
 		c.stride--
 	}
 	if total := rows * n * c.stride; total > math.MaxInt32 {
@@ -337,15 +339,10 @@ func (c *Compiled) SplitPath(src, dst int) (head, tail []PathEntry, err error) {
 	if c.broken != nil && c.Broken(src, dst) {
 		return nil, nil, fmt.Errorf("route: compiled %s: pair %d->%d: %w", c.Label(), src, dst, ErrNoPath)
 	}
-	if c.head[src] != noEntry {
+	if c.head[src] != NoEntry {
 		head = c.head[src : src+1]
 	}
-	i := (int(c.rowOf[src])*c.n + dst) * c.stride
-	tail = c.entries[i : i+c.stride]
-	for len(tail) > 0 && tail[len(tail)-1] == noEntry {
-		tail = tail[:len(tail)-1]
-	}
-	return head, tail, nil
+	return head, c.RowTail(int(c.rowOf[src]), dst), nil
 }
 
 // PackedPath is SplitPath materialized into one slice, for callers that
@@ -378,10 +375,11 @@ func (c *Compiled) Stride() int { return c.stride }
 
 // Row returns the arena's own factoring of src, for serializers that
 // ship head(src) ++ tail(row(src), dst) as stored instead of expanding
-// every pair: the tail row src reads and, when it shares that row
-// (ok), its head entry. src must be in [0, NumHosts).
+// every pair and replay loops that count it in place: the tail row src
+// reads and, when it shares that row (ok), its head entry — NoEntry
+// otherwise. src must be in [0, NumHosts).
 func (c *Compiled) Row(src int) (row int, head PathEntry, ok bool) {
-	return int(c.rowOf[src]), c.head[src], c.head[src] != noEntry
+	return int(c.rowOf[src]), c.head[src], c.head[src] != NoEntry
 }
 
 // RowTail returns the stored tail of row towards dst as a view into the
@@ -389,10 +387,47 @@ func (c *Compiled) Row(src int) (row int, head PathEntry, ok bool) {
 // pair reading it is Broken) and for the destination only the row's own
 // source would read. Callers must not modify it.
 func (c *Compiled) RowTail(row, dst int) []PathEntry {
-	i := (row*c.n + dst) * c.stride
-	tail := c.entries[i : i+c.stride]
-	for len(tail) > 0 && tail[len(tail)-1] == noEntry {
+	tail := c.Slot(row, dst)
+	for len(tail) > 0 && tail[len(tail)-1] == NoEntry {
 		tail = tail[:len(tail)-1]
 	}
 	return tail
+}
+
+// Slot is RowTail untrimmed: the whole fixed-stride slot, NoEntry padding
+// included, for loops that would rather count the padding into a sink
+// than branch on it. It does not say whether a pair reading the slot is
+// Broken. Callers must not modify it.
+func (c *Compiled) Slot(row, dst int) []PathEntry {
+	i := (row*c.n + dst) * c.stride
+	return c.entries[i : i+c.stride]
+}
+
+// Narrow is a replay copy of an arena's tail slots at half their width:
+// a cell is its entry plus one in 16 bits, so NoEntry is 0 and a counter
+// array with one sink cell in front is indexed by the cell itself. It
+// exists for the cache: 2 MB instead of 4 at 1944 hosts. The arena itself
+// stays 32 bits wide because its readers are handed views of it.
+type Narrow struct {
+	n, stride int
+	cells     []uint16
+}
+
+// Narrow returns the 16-bit copy of the arena's slots, or nil when the
+// fabric has too many links for an entry plus one to fit a cell.
+func (c *Compiled) Narrow() *Narrow {
+	if 2*len(c.Topology().Links) >= 1<<16 {
+		return nil
+	}
+	w := &Narrow{n: c.n, stride: c.stride, cells: make([]uint16, len(c.entries))}
+	for i, e := range c.entries {
+		w.cells[i] = uint16(e + 1)
+	}
+	return w
+}
+
+// Slot is (*Compiled).Slot over the copy.
+func (w *Narrow) Slot(row, dst int) []uint16 {
+	i := (row*w.n + dst) * w.stride
+	return w.cells[i : i+w.stride]
 }

@@ -73,7 +73,7 @@ func (c *Compiled) Repatch(inner Router, dsts []int, brokenHosts []int) (*Compil
 			}
 		}
 		for src := range p.rowOf {
-			if src != dst && p.head[src] != noEntry && lft.Out[t.HostID(src)][dst] != t.Host(src).Up[0] {
+			if src != dst && p.head[src] != NoEntry && lft.Out[t.HostID(src)][dst] != t.Host(src).Up[0] {
 				p.markBroken(src, dst)
 			}
 		}
