@@ -1,7 +1,7 @@
 # Convenience targets; everything is plain `go` underneath.
 
 GO ?= go
-# Benchmark iteration budget; CI smoke runs use BENCHTIME=1x.
+# Iteration budget of `make bench` (the go test micro-benchmarks).
 BENCHTIME ?= 1s
 # Per-target fuzzing budget for fuzz and fuzz-smoke.
 FUZZTIME ?= 30s
@@ -12,7 +12,7 @@ LOADLEVELS ?= 1,2,4,8
 LOADDURATION ?= 2s
 LOADAGREE ?= 0
 
-.PHONY: all build vet test race loc golden bench bench-repo bench-json bench-netsim bench-track bench-gate report check daemon-smoke load-curve replica-smoke experiments experiments-quick fuzz fuzz-smoke clean
+.PHONY: all build vet test race loc golden bench bench-repo report check daemon-smoke load-curve replica-smoke experiments experiments-quick fuzz fuzz-smoke clean
 
 all: build vet test
 
@@ -49,6 +49,8 @@ loc:
 golden:
 	$(GO) test $$($(GO) list ./cmd/... | grep -v /ftload) -run TestGolden -update
 
+# The go test micro-benchmarks kept beside the layers bench/ does not
+# probe; performance claims come from bench-repo, not from these.
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) ./...
 
@@ -57,26 +59,6 @@ bench:
 # check fails. docs/PERFORMANCE.md is filled from its -trace 1 runs.
 bench-repo:
 	$(GO) run ./bench -workload all
-
-# Just the simulator's perf-sensitive benchmarks — the event core and
-# the paper-scale netsim reproductions — for quick iteration on the
-# hot path.
-bench-netsim:
-	$(GO) test -run '^$$' -bench 'Netsim|Figure2|CollectiveLatency|ContentionFree|SchedAllocFree' -benchmem -benchtime=$(BENCHTIME) .
-
-# Machine-readable benchmark snapshot of the top-level suite, for
-# tracking perf over time (one dated JSON stream per run).
-bench-json:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime=$(BENCHTIME) -json . > BENCH_$$(date +%Y-%m-%d).json
-
-# Ingest today's bench-json output into results/bench/ and compare
-# against the baseline (first recorded run seeds it).
-bench-track: bench-json
-	$(GO) run ./cmd/ftreport bench -in BENCH_$$(date +%Y-%m-%d).json
-
-# Same, but fail (non-zero exit) on regressions beyond tolerance.
-bench-gate: bench-json
-	$(GO) run ./cmd/ftreport bench -in BENCH_$$(date +%Y-%m-%d).json -gate
 
 # End-to-end observability smoke: simulate a small cluster with probes
 # and tracing on, then render the self-contained HTML report.
@@ -110,8 +92,7 @@ load-curve:
 
 # Multi-replica smoke: two ftfabricd replicas, one fault stream, epoch
 # convergence, a binary-protocol ftload sweep across both (the
-# epoch-mix guard must stay silent), a dual-protocol HTML report and a
-# route-set benchmark artifact.
+# epoch-mix guard must stay silent) and a dual-protocol HTML report.
 replica-smoke:
 	TOPO=$(LOADTOPO) LEVELS=$(LOADLEVELS) DURATION=$(LOADDURATION) \
 		./scripts/replica_smoke.sh

@@ -22,6 +22,7 @@ import (
 
 	"fattree/internal/bakeoff"
 	"fattree/internal/cli"
+	"fattree/internal/schema"
 )
 
 func main() { os.Exit(cli.Main("ftbakeoff", os.Args[1:], os.Stdout, os.Stderr, setup)) }
@@ -97,7 +98,7 @@ func run(w io.Writer, spec, engines string, seed int64, sim bool, bytes int64, s
 	return nil
 }
 
-func printTable(out io.Writer, doc *bakeoff.Doc) {
+func printTable(out io.Writer, doc *schema.BakeoffDoc) {
 	fmt.Fprintf(out, "# bake-off on %s (%d hosts, seed %d)\n", doc.Topology, doc.Hosts, doc.Seed)
 	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "level\tfaults\tengine\troutability\tbroken\tmax-hsd\tavg-hsd\treroute")

@@ -45,7 +45,7 @@ import (
 
 	"fattree/internal/fclient"
 	"fattree/internal/obs"
-	"fattree/internal/report"
+	"fattree/internal/schema"
 )
 
 func main() {
@@ -167,7 +167,7 @@ func parseAddrs(addr string) (httpBase string, binAddrs []string, err error) {
 	return httpBase, binAddrs, nil
 }
 
-func sweep(cfg config, progress io.Writer) (*report.LoadDoc, error) {
+func sweep(cfg config, progress io.Writer) (*schema.LoadDoc, error) {
 	if cfg.Mode != "closed" && cfg.Mode != "open" {
 		return nil, fmt.Errorf("unknown mode %q (want closed or open)", cfg.Mode)
 	}
@@ -205,8 +205,8 @@ func sweep(cfg config, progress io.Writer) (*report.LoadDoc, error) {
 	if err != nil {
 		return nil, err
 	}
-	doc := &report.LoadDoc{
-		Schema:        report.LoadSchema,
+	doc := &schema.LoadDoc{
+		Schema:        schema.Load,
 		Target:        cfg.Addr,
 		Endpoint:      endpointLabel(cfg.Proto),
 		Protocol:      cfg.Proto,
@@ -225,7 +225,7 @@ func sweep(cfg config, progress io.Writer) (*report.LoadDoc, error) {
 		if err != nil {
 			return nil, err
 		}
-		var lvl report.LoadLevel
+		var lvl schema.LoadLevel
 		if cfg.Mode == "closed" {
 			lvl, err = closedLevel(client, cfg, int(rung), hosts)
 		} else {
@@ -251,7 +251,7 @@ func sweep(cfg config, progress io.Writer) (*report.LoadDoc, error) {
 	return doc, nil
 }
 
-func levelLabel(lvl report.LoadLevel) string {
+func levelLabel(lvl schema.LoadLevel) string {
 	if lvl.Mode == "closed" {
 		return fmt.Sprintf("closed c=%d", lvl.Concurrency)
 	}
@@ -473,7 +473,7 @@ func oneBinaryRequest(fc *fclient.Client, rng *rand.Rand, hosts, batch int, pair
 
 // closedLevelBinary is the closed loop over the wire protocol: one
 // persistent fclient per worker, back-to-back batched RouteSets.
-func closedLevelBinary(cfg config, workers, hosts int) (report.LoadLevel, error) {
+func closedLevelBinary(cfg config, workers, hosts int) (schema.LoadLevel, error) {
 	col := &collector{}
 	warmupEnd := time.Now().Add(cfg.Warmup)
 	deadline := warmupEnd.Add(cfg.Duration)
@@ -481,7 +481,7 @@ func closedLevelBinary(cfg config, workers, hosts int) (report.LoadLevel, error)
 	for w := range clients {
 		fc, err := newBinaryClient(cfg)
 		if err != nil {
-			return report.LoadLevel{}, err
+			return schema.LoadLevel{}, err
 		}
 		clients[w] = fc
 		defer fc.Close()
@@ -513,10 +513,10 @@ func closedLevelBinary(cfg config, workers, hosts int) (report.LoadLevel, error)
 
 // openLevelBinary offers a fixed RouteSet rate on a ticker, drawing
 // clients from a free list so at most Outstanding are ever alive.
-func openLevelBinary(cfg config, rps float64, hosts int) (report.LoadLevel, error) {
+func openLevelBinary(cfg config, rps float64, hosts int) (schema.LoadLevel, error) {
 	interval := time.Duration(float64(time.Second) / rps)
 	if interval <= 0 {
-		return report.LoadLevel{}, fmt.Errorf("rate %.0f/s too fast to tick", rps)
+		return schema.LoadLevel{}, fmt.Errorf("rate %.0f/s too fast to tick", rps)
 	}
 	col := &collector{}
 	sem := make(chan struct{}, cfg.Outstanding)
@@ -576,7 +576,7 @@ func openLevelBinary(cfg config, rps float64, hosts int) (report.LoadLevel, erro
 		fc, err := getClient()
 		if err != nil {
 			<-sem
-			return report.LoadLevel{}, err
+			return schema.LoadLevel{}, err
 		}
 		wg.Add(1)
 		go func() {
@@ -608,7 +608,7 @@ func openLevelBinary(cfg config, rps float64, hosts int) (report.LoadLevel, erro
 
 // closedLevel runs `workers` goroutines back-to-back for the window:
 // offered load equals capacity at this concurrency.
-func closedLevel(client *http.Client, cfg config, workers, hosts int) (report.LoadLevel, error) {
+func closedLevel(client *http.Client, cfg config, workers, hosts int) (schema.LoadLevel, error) {
 	if cfg.Proto == "binary" {
 		return closedLevelBinary(cfg, workers, hosts)
 	}
@@ -639,13 +639,13 @@ func closedLevel(client *http.Client, cfg config, workers, hosts int) (report.Lo
 // openLevel offers a fixed rate on a ticker regardless of completions,
 // shedding ticks when the outstanding cap is hit — the saturation
 // signal a closed loop cannot produce.
-func openLevel(client *http.Client, cfg config, rps float64, hosts int) (report.LoadLevel, error) {
+func openLevel(client *http.Client, cfg config, rps float64, hosts int) (schema.LoadLevel, error) {
 	if cfg.Proto == "binary" {
 		return openLevelBinary(cfg, rps, hosts)
 	}
 	interval := time.Duration(float64(time.Second) / rps)
 	if interval <= 0 {
-		return report.LoadLevel{}, fmt.Errorf("rate %.0f/s too fast to tick", rps)
+		return schema.LoadLevel{}, fmt.Errorf("rate %.0f/s too fast to tick", rps)
 	}
 	col := &collector{}
 	sem := make(chan struct{}, cfg.Outstanding)
@@ -708,13 +708,13 @@ func openLevel(client *http.Client, cfg config, rps float64, hosts int) (report.
 // summarize folds collected samples into a LoadLevel: exact quantiles,
 // plus a p99 re-estimated through the server's histogram bounds so the
 // client and server tails carry the same bucketing error.
-func summarize(col *collector, window time.Duration) report.LoadLevel {
+func summarize(col *collector, window time.Duration) schema.LoadLevel {
 	col.mu.Lock()
 	samples := col.samples
 	errors := col.errors
 	regress := col.regress
 	col.mu.Unlock()
-	lvl := report.LoadLevel{
+	lvl := schema.LoadLevel{
 		Sent:             int64(len(samples)),
 		Errors:           errors,
 		EpochRegressions: regress,
@@ -755,7 +755,7 @@ func exactQuantile(sorted []float64, q float64) float64 {
 // bucketized p99 must land within `frac` of the server's histogram p99,
 // or within one fine bucket (250µs) absolute — bucket-edge effects at
 // microsecond scales otherwise dominate the relative error.
-func checkAgreement(doc *report.LoadDoc, frac float64) error {
+func checkAgreement(doc *schema.LoadDoc, frac float64) error {
 	if len(doc.Levels) == 0 {
 		return fmt.Errorf("no levels to check")
 	}

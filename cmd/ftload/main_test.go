@@ -1,16 +1,24 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"io"
 	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"testing"
 	"time"
 
+	"fattree/internal/bakeoff"
+	"fattree/internal/des"
 	"fattree/internal/fmgr"
+	"fattree/internal/netsim"
 	"fattree/internal/obs"
+	"fattree/internal/route"
+	"fattree/internal/schema"
 	"fattree/internal/topo"
 	"fattree/internal/wire"
 )
@@ -249,4 +257,92 @@ func TestExactQuantile(t *testing.T) {
 	if got := exactQuantile(nil, 0.5); got != 0 {
 		t.Fatalf("empty = %v", got)
 	}
+}
+
+// TestDocumentsRoundTrip takes each shared document format from its
+// real producer and decodes it into the internal/schema type that
+// internal/report renders: every field must be known
+// (DisallowUnknownFields) and re-encoding must give the producer's
+// bytes back, so neither side can add or rename a field alone. It
+// lives here because ftload's sweep is the one producer in a main
+// package.
+func TestDocumentsRoundTrip(t *testing.T) {
+	srv := startDaemon(t)
+	tp := topo.MustBuild(topo.Cluster128)
+	enc := func(v interface{}, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	// One sharded simulation with both samplers on: the -link-probes
+	// stream ends in the rollup, the -metrics stream carries the shards
+	// record.
+	var probes, links bytes.Buffer
+	cfg := netsim.DefaultConfig()
+	cfg.Shards = 2
+	cfg.Probes = obs.NewSampler(&probes, 5*des.Microsecond)
+	cfg.LinkProbes = obs.NewSampler(&links, 5*des.Microsecond)
+	nw, err := netsim.New(route.DModK(tp), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs := make([]netsim.Message, tp.NumHosts())
+	for i := range msgs {
+		msgs[i] = netsim.Message{Src: i, Dst: (i + 1) % len(msgs), Bytes: 8 << 10}
+	}
+	if _, err := nw.Run(msgs); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Probes.Flush() // into a bytes.Buffer: cannot fail
+	cfg.LinkProbes.Flush()
+
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+		into interface{}
+	}{
+		{"bakeoff", enc(bakeoff.Run(bakeoff.Config{Topo: tp, Engines: []string{"dmodk", "smodk"}, Seed: 1})), new(schema.BakeoffDoc)},
+		{"events", journalAfterFault(t, tp), new(schema.EventsDoc)},
+		{"link-rollup", regexp.MustCompile(`(?m)^\{"rollup":.*$`).Find(links.Bytes()), new(schema.LinkRollup)},
+		{"shards", regexp.MustCompile(`(?m)^\{"shards":.*$`).Find(probes.Bytes()), new(schema.ShardsRecord)},
+		{"load", enc(sweep(config{Addr: srv.URL, Mode: "closed", Levels: "1",
+			Duration: 50 * time.Millisecond, Warmup: 10 * time.Millisecond, Seed: 1}, io.Discard)), new(schema.LoadDoc)},
+	} {
+		raw := bytes.TrimSpace(tc.raw)
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(tc.into); err != nil {
+			t.Errorf("%s: %v in %q", tc.name, err, raw)
+		} else if back := enc(tc.into, nil); !bytes.Equal(back, raw) {
+			t.Errorf("%s: re-encoded document differs\n got %s\nwant %s", tc.name, back, raw)
+		}
+	}
+}
+
+// journalAfterFault returns a daemon's GET /v1/events body after one
+// link failure has been rerouted and validated.
+func journalAfterFault(t *testing.T, tp *topo.Topology) []byte {
+	t.Helper()
+	m, err := fmgr.New(fmgr.Config{Topo: tp, Metrics: obs.NewRegistry(), Rand: rand.New(rand.NewSource(7))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapped := make(chan uint64, 2) // the initial snapshot and the rebuilt one
+	m.OnSwap = func(st *fmgr.FabricState) { swapped <- st.Epoch }
+	m.Start()
+	defer m.Close()
+	if _, err := m.InjectFaults(nil, nil, 1); err != nil {
+		t.Fatal(err)
+	}
+	for <-swapped < 2 {
+	}
+	rec := httptest.NewRecorder()
+	m.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/events", nil))
+	return rec.Body.Bytes()
 }

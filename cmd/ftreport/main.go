@@ -15,11 +15,6 @@
 //	    -bakeoff adds an ftbakeoff engine comparison: per-fault-level
 //	    tables plus routability degradation curves.
 //
-//	ftreport bench -in BENCH_2026-08-05.json
-//	    ingests `make bench-json` output into the dated history under
-//	    results/bench/, compares against the baseline and, with -gate,
-//	    exits non-zero on regressions beyond -tolerance.
-//
 // See docs/OBSERVABILITY.md for every schema this command reads and
 // writes.
 package main
@@ -30,7 +25,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"time"
 
@@ -56,8 +50,6 @@ func dispatch(args []string, stdout, stderr io.Writer) int {
 		setup = setupBlame
 	case "html":
 		setup = setupHTML
-	case "bench":
-		setup = setupBench
 	case "-h", "-help", "--help", "help":
 		usage(stderr)
 		return 0
@@ -70,11 +62,10 @@ func dispatch(args []string, stdout, stderr io.Writer) int {
 }
 
 func usage(w io.Writer) {
-	fmt.Fprintln(w, `usage: ftreport <blame|html|bench> [flags]
+	fmt.Fprintln(w, `usage: ftreport <blame|html> [flags]
 
   blame  attribute overloaded links to the flows crossing them
   html   render probe/trace streams into a self-contained HTML report
-  bench  track benchmark history and gate on regressions
 
 Run 'ftreport <subcommand> -h' for flags.`)
 }
@@ -145,216 +136,74 @@ func setupBlame(a *cli.App) func(io.Writer) error {
 
 func setupHTML(a *cli.App) func(io.Writer) error {
 	fs := a.Flags
+	var in report.Inputs
+	var opt report.HTMLOptions
+	// One row per input: the flag naming the file, the provenance line
+	// its base name goes on, and the parser filing it into in. Only
+	// -load takes a comma-separated list: several sweeps (e.g. JSON and
+	// binary over the same daemon) each render as their own curve.
+	inputs := []struct {
+		path, label *string
+		parse       func(io.Reader) error
+	}{
+		{fs.String("metrics", "", "probe JSONL stream (from -metrics of ftsim/fthsd)"), &opt.MetricsFile,
+			func(r io.Reader) (err error) { in.Probes, err = report.ParseProbes(r); return }},
+		{fs.String("trace", "", "Chrome trace file (from -trace of ftsim/fthsd)"), &opt.TraceFile,
+			func(r io.Reader) (err error) { in.Trace, err = report.ParseTrace(r); return }},
+		{fs.String("load", "", "fattree-load/v1 sweep (from ftload -out)"), &opt.LoadFile,
+			func(r io.Reader) error {
+				doc, err := report.ParseLoad(r)
+				in.Loads = append(in.Loads, doc)
+				return err
+			}},
+		{fs.String("events", "", "fattree-events/v1 journal (from GET /v1/events)"), &opt.EventsFile,
+			func(r io.Reader) (err error) { in.Events, err = report.ParseEvents(r); return }},
+		{fs.String("linkprobes", "", "fattree-linkprobe/v1 stream (from -link-probes of ftsim)"), &opt.LinkProbesFile,
+			func(r io.Reader) (err error) { in.LinkProbes, err = report.ParseProbes(r); return }},
+		{fs.String("bakeoff", "", "fattree-bakeoff/v1 verdict (from ftbakeoff -o)"), &opt.BakeoffFile,
+			func(r io.Reader) (err error) { in.Bakeoff, err = report.ParseBakeoff(r); return }},
+	}
 	var (
-		metrics    = fs.String("metrics", "", "probe JSONL stream (from -metrics of ftsim/fthsd)")
-		trace      = fs.String("trace", "", "Chrome trace file (from -trace of ftsim/fthsd)")
-		load       = fs.String("load", "", "fattree-load/v1 sweep (from ftload -out)")
-		events     = fs.String("events", "", "fattree-events/v1 journal (from GET /v1/events)")
-		linkprobes = fs.String("linkprobes", "", "fattree-linkprobe/v1 stream (from -link-probes of ftsim)")
-		bakeoffIn  = fs.String("bakeoff", "", "fattree-bakeoff/v1 verdict (from ftbakeoff -o)")
-		outPath    = fs.String("o", "report.html", "output HTML file (- for stdout)")
-		title      = fs.String("title", "", "report title")
-		stamp      = fs.Bool("stamp", true, "include a generation timestamp (disable for reproducible output)")
-		maxRows    = fs.Int("max-heatmap-rows", 64, "cap on heatmap channel rows")
+		outPath = fs.String("o", "report.html", "output HTML file (- for stdout)")
+		stamp   = fs.Bool("stamp", true, "include a generation timestamp (disable for reproducible output)")
 	)
+	fs.StringVar(&opt.Title, "title", "", "report title")
+	fs.IntVar(&opt.MaxHeatmapRows, "max-heatmap-rows", 64, "cap on heatmap channel rows")
 	return func(stdout io.Writer) error {
-		if *metrics == "" && *trace == "" && *load == "" && *events == "" && *linkprobes == "" && *bakeoffIn == "" {
-			return fmt.Errorf("html: need at least one of -metrics, -trace, -load, -events, -linkprobes, -bakeoff")
-		}
-		var in report.Inputs
-		if *metrics != "" {
-			f, err := os.Open(*metrics)
-			if err != nil {
-				return err
+		given := false
+		for _, row := range inputs {
+			if *row.path == "" {
+				continue
 			}
-			in.Probes, err = report.ParseProbes(f)
-			f.Close()
-			if err != nil {
-				return err
+			given = true
+			paths := []string{*row.path}
+			if row.label == &opt.LoadFile {
+				paths = strings.Split(*row.path, ",")
 			}
-		}
-		if *trace != "" {
-			f, err := os.Open(*trace)
-			if err != nil {
-				return err
-			}
-			in.Trace, err = report.ParseTrace(f)
-			f.Close()
-			if err != nil {
-				return err
-			}
-		}
-		if *load != "" {
-			// Comma-separated sweeps (e.g. JSON and binary over the same
-			// daemon) each render as their own curve section.
-			for _, path := range strings.Split(*load, ",") {
-				path = strings.TrimSpace(path)
-				if path == "" {
+			var bases []string
+			for _, path := range paths {
+				if path = strings.TrimSpace(path); path == "" {
 					continue
 				}
 				f, err := os.Open(path)
 				if err != nil {
 					return err
 				}
-				doc, err := report.ParseLoad(f)
+				err = row.parse(f)
 				f.Close()
 				if err != nil {
 					return err
 				}
-				in.Loads = append(in.Loads, doc)
+				bases = append(bases, filepath.Base(path))
 			}
+			*row.label = strings.Join(bases, ", ")
 		}
-		if *events != "" {
-			f, err := os.Open(*events)
-			if err != nil {
-				return err
-			}
-			in.Events, err = report.ParseEvents(f)
-			f.Close()
-			if err != nil {
-				return err
-			}
-		}
-		if *linkprobes != "" {
-			f, err := os.Open(*linkprobes)
-			if err != nil {
-				return err
-			}
-			in.LinkProbes, err = report.ParseProbes(f)
-			f.Close()
-			if err != nil {
-				return err
-			}
-		}
-		if *bakeoffIn != "" {
-			f, err := os.Open(*bakeoffIn)
-			if err != nil {
-				return err
-			}
-			in.Bakeoff, err = report.ParseBakeoff(f)
-			f.Close()
-			if err != nil {
-				return err
-			}
-		}
-		opt := report.HTMLOptions{
-			Title:          *title,
-			MaxHeatmapRows: *maxRows,
-		}
-		if *metrics != "" {
-			opt.MetricsFile = filepath.Base(*metrics)
-		}
-		if *trace != "" {
-			opt.TraceFile = filepath.Base(*trace)
-		}
-		if *load != "" {
-			var bases []string
-			for _, path := range strings.Split(*load, ",") {
-				if path = strings.TrimSpace(path); path != "" {
-					bases = append(bases, filepath.Base(path))
-				}
-			}
-			opt.LoadFile = strings.Join(bases, ", ")
-		}
-		if *events != "" {
-			opt.EventsFile = filepath.Base(*events)
-		}
-		if *linkprobes != "" {
-			opt.LinkProbesFile = filepath.Base(*linkprobes)
-		}
-		if *bakeoffIn != "" {
-			opt.BakeoffFile = filepath.Base(*bakeoffIn)
+		if !given {
+			return fmt.Errorf("html: need at least one of -metrics, -trace, -load, -events, -linkprobes, -bakeoff")
 		}
 		if *stamp {
 			opt.Generated = time.Now().UTC().Format(time.RFC3339)
 		}
 		return writeOut(stdout, *outPath, func(w io.Writer) error { return report.RenderHTML(w, in, opt) })
-	}
-}
-
-var dateInName = regexp.MustCompile(`\d{4}-\d{2}-\d{2}`)
-
-func setupBench(a *cli.App) func(io.Writer) error {
-	fs := a.Flags
-	var (
-		in        = fs.String("in", "", "bench output to ingest: `go test -json` or plain -bench text (- for stdin); empty compares newest history entry only")
-		history   = fs.String("history", filepath.Join("results", "bench"), "history directory")
-		date      = fs.String("date", "", "date of the run (YYYY-MM-DD; default from -in filename, else today)")
-		label     = fs.String("label", "", "freeform label stored with the run")
-		baseline  = fs.String("baseline", "", "baseline run to compare against (default <history>/baseline.json)")
-		tolerance = fs.Float64("tolerance", 0.10, "allowed slowdown fraction before a bench counts as regressed")
-		gate      = fs.Bool("gate", false, "exit non-zero when regressions exceed tolerance")
-		noSave    = fs.Bool("no-save", false, "compare only; do not write the run into the history")
-	)
-	return func(stdout io.Writer) error {
-		var cur *report.BenchRun
-		if *in != "" {
-			var r io.Reader
-			if *in == "-" {
-				r = os.Stdin
-			} else {
-				f, err := os.Open(*in)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				r = f
-			}
-			results, err := report.ParseGoBench(r)
-			if err != nil {
-				return err
-			}
-			if len(results) == 0 {
-				return fmt.Errorf("bench: no benchmark results found in %s", *in)
-			}
-			d := *date
-			if d == "" {
-				d = dateInName.FindString(filepath.Base(*in))
-			}
-			if d == "" {
-				d = time.Now().UTC().Format("2006-01-02")
-			}
-			cur = &report.BenchRun{Date: d, Label: *label, Results: results}
-			if !*noSave {
-				path, seeded, err := report.SaveRun(*history, cur)
-				if err != nil {
-					return err
-				}
-				fmt.Fprintf(stdout, "recorded %d benchmarks in %s\n", len(results), path)
-				if seeded {
-					fmt.Fprintf(stdout, "seeded %s from this run; future gates compare against it\n",
-						filepath.Join(*history, "baseline.json"))
-					return nil
-				}
-			}
-		} else {
-			runs, err := report.LoadHistory(*history)
-			if err != nil {
-				return err
-			}
-			if len(runs) == 0 {
-				return fmt.Errorf("bench: no runs under %s; ingest one with -in", *history)
-			}
-			cur = runs[len(runs)-1]
-		}
-
-		basePath := *baseline
-		if basePath == "" {
-			basePath = filepath.Join(*history, "baseline.json")
-		}
-		base, err := report.LoadRun(basePath)
-		if err != nil {
-			return fmt.Errorf("bench: loading baseline: %w", err)
-		}
-		c := report.Compare(base, cur, *tolerance)
-		if err := c.WriteTable(stdout); err != nil {
-			return err
-		}
-		if *gate && c.Bad() {
-			// The gate's whole point is the exit code; the table already
-			// told the story.
-			return cli.ErrFailed
-		}
-		return nil
 	}
 }

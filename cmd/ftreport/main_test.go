@@ -17,10 +17,13 @@ func TestGolden(t *testing.T) {
 		{Name: "blame-bad-order", Args: []string{"blame", "-topo", "128", "-order", "nope"}, Exit: 1, Stderr: `ftreport: unknown ordering "nope"`},
 		{Name: "html", Args: []string{"html", "-metrics", "testdata/probes.jsonl", "-trace", "testdata/trace.json", "-stamp=false", "-o", "-"}},
 		{Name: "html-no-input", Args: []string{"html"}, Exit: 1, Stderr: "ftreport: html: need at least one of -metrics"},
-		{Name: "bench-compare", Args: []string{"bench", "-history", "testdata/bench"}},
-		// A failed gate is a bare exit 1: the table already told the story.
-		{Name: "bench-gate", Args: []string{"bench", "-history", "testdata/bench", "-gate"}, Exit: 1},
-		{Name: "no-args", Exit: 2, Stderr: "usage: ftreport <blame|html|bench> [flags]"},
+		// Every input flag at once, over fixtures recorded from their real
+		// producers (ftsim -shards 2 -link-probes/-metrics, a daemon's
+		// journal after one fault, ftbakeoff -o, a two-level sweep).
+		{Name: "html-all-inputs", Args: []string{"html", "-metrics", "testdata/shards.jsonl", "-trace", "testdata/trace.json",
+			"-load", "testdata/load.json", "-events", "testdata/events.json", "-linkprobes", "testdata/linkprobes.jsonl",
+			"-bakeoff", "testdata/bakeoff.json", "-stamp=false", "-max-heatmap-rows", "8", "-o", "-"}},
+		{Name: "no-args", Exit: 2, Stderr: "usage: ftreport <blame|html> [flags]"},
 		{Name: "bad-subcommand", Args: []string{"nope"}, Exit: 2, Stderr: `ftreport: unknown subcommand "nope"`},
 	})
 }

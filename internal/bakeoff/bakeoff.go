@@ -19,56 +19,9 @@ import (
 	"fattree/internal/netsim"
 	"fattree/internal/obs"
 	"fattree/internal/order"
+	"fattree/internal/schema"
 	"fattree/internal/topo"
 )
-
-// Schema stamps bake-off documents, following the repository's
-// fattree-*/v1 convention. Bump /vN on breaking changes.
-const Schema = "fattree-bakeoff/v1"
-
-// Doc is the bake-off verdict: one Level per fault-storm rung, one
-// EngineResult per engine per rung.
-type Doc struct {
-	Schema   string        `json:"schema"`
-	Topology string        `json:"topology"`
-	Hosts    int           `json:"hosts"`
-	Seed     int64         `json:"seed"`
-	Engines  []engine.Info `json:"engines"`
-	Levels   []Level       `json:"levels"`
-}
-
-// Level is one rung of the fault storm.
-type Level struct {
-	Name string `json:"name"`
-	// FailedLinks are the dead link IDs at this rung (cumulative storms
-	// list everything dead, not the delta).
-	FailedLinks []int          `json:"failed_links"`
-	Engines     []EngineResult `json:"engines"`
-}
-
-// EngineResult scores one engine at one fault level. When the engine
-// failed outright, Err carries the error and every metric is zero.
-type EngineResult struct {
-	Engine string `json:"engine"`
-	Err    string `json:"err,omitempty"`
-	// RoutabilityPct is the percentage of ordered src!=dst pairs served.
-	RoutabilityPct float64 `json:"routability_pct"`
-	// Unroutable counts hosts that lost their only uplink.
-	Unroutable int `json:"unroutable"`
-	// BrokenPairs counts unserved ordered pairs between routable hosts.
-	BrokenPairs int `json:"broken_pairs"`
-	// MaxHSD and AvgMaxHSD summarize Shift over the served pairs;
-	// ContentionFree means every stage stayed at HSD <= 1.
-	MaxHSD         int     `json:"max_hsd"`
-	AvgMaxHSD      float64 `json:"avg_max_hsd"`
-	ContentionFree bool    `json:"contention_free"`
-	// RerouteUS is the wall-clock microseconds the engine took to
-	// produce tables for this fault level (table build + path compile).
-	RerouteUS int64 `json:"reroute_us"`
-	// MaxQueueDepth is netsim's worst input-buffer depth over the
-	// sampled Shift stages; -1 when simulation was off.
-	MaxQueueDepth int64 `json:"max_queue_depth"`
-}
 
 // Config parameterizes a bake-off run.
 type Config struct {
@@ -142,7 +95,7 @@ func StormLevels(t *topo.Topology, seed int64) ([]FaultLevel, error) {
 // Run races the engines through the storm and assembles the verdict.
 // Engine build failures abort; per-level table failures are recorded in
 // the cell and the race continues.
-func Run(cfg Config) (*Doc, error) {
+func Run(cfg Config) (*schema.BakeoffDoc, error) {
 	t := cfg.Topo
 	names := cfg.Engines
 	if names == nil {
@@ -163,8 +116,8 @@ func Run(cfg Config) (*Doc, error) {
 		cfg.SimStages = 4
 	}
 
-	doc := &Doc{Schema: Schema, Topology: t.Spec.String(), Hosts: t.NumHosts(), Seed: cfg.Seed}
-	byName := make(map[string]engine.Info)
+	doc := &schema.BakeoffDoc{Schema: schema.Bakeoff, Topology: t.Spec.String(), Hosts: t.NumHosts(), Seed: cfg.Seed}
+	byName := make(map[string]schema.EngineInfo)
 	for _, info := range engine.Infos() {
 		byName[info.Name] = info
 	}
@@ -183,7 +136,7 @@ func Run(cfg Config) (*Doc, error) {
 	}
 
 	for _, lv := range levels {
-		level := Level{Name: lv.Name, FailedLinks: []int{}}
+		level := schema.BakeoffLevel{Name: lv.Name, FailedLinks: []int{}}
 		for _, l := range lv.FS.FailedLinks() {
 			level.FailedLinks = append(level.FailedLinks, int(l))
 		}
@@ -196,8 +149,8 @@ func Run(cfg Config) (*Doc, error) {
 }
 
 // scoreCell races one engine against one fault level.
-func scoreCell(t *topo.Topology, e engine.Engine, fs *fabric.FaultSet, cfg Config) EngineResult {
-	res := EngineResult{Engine: e.Name(), MaxQueueDepth: -1}
+func scoreCell(t *topo.Topology, e engine.Engine, fs *fabric.FaultSet, cfg Config) schema.BakeoffResult {
+	res := schema.BakeoffResult{Engine: e.Name(), MaxQueueDepth: -1}
 	start := time.Now()
 	tb, err := e.Tables(fs)
 	res.RerouteUS = time.Since(start).Microseconds()

@@ -7,6 +7,7 @@ import (
 
 	"fattree/internal/engine"
 	"fattree/internal/report"
+	"fattree/internal/schema"
 	"fattree/internal/topo"
 )
 
@@ -29,8 +30,8 @@ func TestRunSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if doc.Schema != Schema {
-		t.Errorf("schema = %q, want %q", doc.Schema, Schema)
+	if doc.Schema != schema.Bakeoff {
+		t.Errorf("schema = %q, want %q", doc.Schema, schema.Bakeoff)
 	}
 	if len(doc.Levels) < 3 {
 		t.Fatalf("only %d fault levels, want >= 3", len(doc.Levels))
@@ -62,19 +63,6 @@ func TestRunSmall(t *testing.T) {
 			}
 		}
 	}
-
-	// The verdict must round-trip as JSON — it is what CI parses.
-	raw, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Doc
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Schema != Schema || len(back.Levels) != len(doc.Levels) {
-		t.Fatalf("round-trip mangled the doc: %+v", back)
-	}
 }
 
 // TestFaultAwareBeatsOblivious pins the bake-off's reason to exist: at
@@ -86,7 +74,7 @@ func TestFaultAwareBeatsOblivious(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var level *Level
+	var level *schema.BakeoffLevel
 	for i := range doc.Levels {
 		if doc.Levels[i].Name == "1-link" {
 			level = &doc.Levels[i]
@@ -95,14 +83,14 @@ func TestFaultAwareBeatsOblivious(t *testing.T) {
 	if level == nil {
 		t.Fatal("no 1-link level")
 	}
-	cell := func(name string) EngineResult {
+	cell := func(name string) schema.BakeoffResult {
 		for _, er := range level.Engines {
 			if er.Engine == name {
 				return er
 			}
 		}
 		t.Fatalf("no cell for %s", name)
-		return EngineResult{}
+		return schema.BakeoffResult{}
 	}
 	for _, aware := range []string{"dmodk", "fault-resilient"} {
 		for _, oblivious := range []string{"dmodk-naive", "minhop-random"} {
@@ -140,7 +128,7 @@ func TestStormLevelsDeterministic(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineBakeoff324 is the CI-tracked cost of a full bake-off on
+// BenchmarkEngineBakeoff324 prices a full bake-off on
 // the paper cluster (all registered engines, all storm levels, analytic
 // metrics only).
 func BenchmarkEngineBakeoff324(b *testing.B) {
@@ -159,9 +147,8 @@ func BenchmarkEngineBakeoff324(b *testing.B) {
 	}
 }
 
-// TestVerdictWireCompat pins that a real verdict round-trips through
-// the report package's mirror of the fattree-bakeoff/v1 schema — the
-// two packages share the wire format, not the types.
+// TestVerdictWireCompat pins that a real verdict, once marshalled, is
+// accepted by the report package's parser with every cell intact.
 func TestVerdictWireCompat(t *testing.T) {
 	doc, err := Run(Config{Topo: buildTopo(t, "rlft2:4,8"), Engines: []string{"dmodk", "smodk"}, Seed: 1})
 	if err != nil {

@@ -23,7 +23,7 @@ import (
 )
 
 // ErrFailed is returned by a body whose output already carries a failing
-// verdict (ftcheck's FAILED, ftreport bench -gate): exit 1, no message.
+// verdict (ftcheck's FAILED): exit 1, no message.
 var ErrFailed = errors.New("failed")
 
 // App is one command invocation: its flag set, its output streams and

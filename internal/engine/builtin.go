@@ -5,11 +5,12 @@ import (
 
 	"fattree/internal/fabric"
 	"fattree/internal/route"
+	"fattree/internal/schema"
 	"fattree/internal/topo"
 )
 
 func init() {
-	Register(Info{
+	Register(schema.EngineInfo{
 		Name:        "dmodk",
 		Description: "paper's D-Mod-K (equation 1); reroutes with per-destination down-cone growth",
 		LFT:         true,
@@ -31,7 +32,7 @@ func init() {
 		return newRerouteEngine("dmodk", lft, rank)
 	})
 
-	Register(Info{
+	Register(schema.EngineInfo{
 		Name:        "dmodk-naive",
 		Description: "textbook D-Mod-K without the parallel-copy down rule; fault-oblivious baseline",
 		LFT:         true,
@@ -39,7 +40,7 @@ func init() {
 		return newObliviousEngine("dmodk-naive", route.DModKNaive(t))
 	})
 
-	Register(Info{
+	Register(schema.EngineInfo{
 		Name:        "minhop-random",
 		Description: "seeded random minimal up-port selection; fault-oblivious baseline",
 		LFT:         true,
@@ -47,7 +48,7 @@ func init() {
 		return newObliviousEngine("minhop-random", route.MinHopRandom(t, opts.Seed))
 	})
 
-	Register(Info{
+	Register(schema.EngineInfo{
 		Name:        "smodk",
 		Description: "source-based S-Mod-K; spreads by source index, no forwarding-table realization",
 	}, func(t *topo.Topology, opts Options) (Engine, error) {

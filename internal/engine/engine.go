@@ -19,6 +19,7 @@ import (
 
 	"fattree/internal/fabric"
 	"fattree/internal/route"
+	"fattree/internal/schema"
 	"fattree/internal/topo"
 )
 
@@ -84,32 +85,20 @@ type Engine interface {
 // Builder binds an engine to a topology.
 type Builder func(t *topo.Topology, opts Options) (Engine, error)
 
-// Info describes a registered engine for listings and reports.
-type Info struct {
-	Name        string `json:"name"`
-	Description string `json:"description"`
-	// LFT reports whether the engine produces destination-based
-	// forwarding tables programmable into InfiniBand-style hardware.
-	LFT bool `json:"lft"`
-	// FaultAware reports whether the engine actively reroutes around
-	// dead links, rather than only refusing the pairs they break.
-	FaultAware bool `json:"fault_aware"`
-}
-
 var (
 	regMu    sync.RWMutex
 	registry = map[string]regEntry{}
 )
 
 type regEntry struct {
-	info Info
+	info schema.EngineInfo
 	b    Builder
 }
 
 // Register adds an engine to the registry. It panics on an empty name,
 // nil builder or duplicate registration — all programming errors, caught
 // at init time.
-func Register(info Info, b Builder) {
+func Register(info schema.EngineInfo, b Builder) {
 	if info.Name == "" {
 		panic("engine: Register with empty name")
 	}
@@ -168,10 +157,10 @@ func Names() []string {
 }
 
 // Infos returns the registered engine descriptors, sorted by name.
-func Infos() []Info {
+func Infos() []schema.EngineInfo {
 	regMu.RLock()
 	defer regMu.RUnlock()
-	out := make([]Info, 0, len(registry))
+	out := make([]schema.EngineInfo, 0, len(registry))
 	for _, e := range registry {
 		out = append(out, e.info)
 	}

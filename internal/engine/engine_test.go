@@ -14,6 +14,7 @@ import (
 	"fattree/internal/invariant"
 	"fattree/internal/order"
 	"fattree/internal/route"
+	"fattree/internal/schema"
 	"fattree/internal/topo"
 )
 
@@ -555,7 +556,7 @@ func (e *brokenTestEngine) Tables(fs *fabric.FaultSet) (*Tables, error) {
 }
 
 func init() {
-	Register(Info{Name: "broken-test", Description: "deliberately broken (test only)", LFT: true},
+	Register(schema.EngineInfo{Name: "broken-test", Description: "deliberately broken (test only)", LFT: true},
 		func(t *topo.Topology, opts Options) (Engine, error) {
 			return &brokenTestEngine{t: t}, nil
 		})
@@ -582,12 +583,12 @@ func TestBrokenEngineFailsCatalog(t *testing.T) {
 func TestRegisterPanics(t *testing.T) {
 	for _, tc := range []struct {
 		label string
-		info  Info
+		info  schema.EngineInfo
 		b     Builder
 	}{
-		{"empty name", Info{}, func(*topo.Topology, Options) (Engine, error) { return nil, nil }},
-		{"nil builder", Info{Name: "x-nil"}, nil},
-		{"duplicate", Info{Name: "dmodk"}, func(*topo.Topology, Options) (Engine, error) { return nil, nil }},
+		{"empty name", schema.EngineInfo{}, func(*topo.Topology, Options) (Engine, error) { return nil, nil }},
+		{"nil builder", schema.EngineInfo{Name: "x-nil"}, nil},
+		{"duplicate", schema.EngineInfo{Name: "dmodk"}, func(*topo.Topology, Options) (Engine, error) { return nil, nil }},
 	} {
 		func() {
 			defer func() {

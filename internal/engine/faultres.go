@@ -5,11 +5,12 @@ import (
 
 	"fattree/internal/fabric"
 	"fattree/internal/route"
+	"fattree/internal/schema"
 	"fattree/internal/topo"
 )
 
 func init() {
-	Register(Info{
+	Register(schema.EngineInfo{
 		Name:        "fault-resilient",
 		Description: "D-Mod-K with incremental local repair (Gliksberg '22b): re-spread only fault-touched destinations",
 		LFT:         true,

@@ -4,11 +4,12 @@ import (
 	"fmt"
 
 	"fattree/internal/route"
+	"fattree/internal/schema"
 	"fattree/internal/topo"
 )
 
 func init() {
-	Register(Info{
+	Register(schema.EngineInfo{
 		Name:        "nodetype-lb",
 		Description: "D-Mod-K spread per destination node type (Gliksberg '22); single type is plain D-Mod-K",
 		LFT:         true,

@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"fattree/internal/netsim"
+	"fattree/internal/schema"
 )
 
 // Instrument, when non-nil, is applied to every netsim.Config just
@@ -136,7 +137,7 @@ func (t *Table) RenderJSON(w io.Writer) error {
 		Header []string            `json:"header"`
 		Rows   []map[string]string `json:"rows"`
 		Notes  []string            `json:"notes,omitempty"`
-	}{"fattree-table/v1", t.Title, t.Header, rows, t.Notes}
+	}{schema.Table, t.Title, t.Header, rows, t.Notes}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(doc)

@@ -7,14 +7,9 @@ import (
 	"strconv"
 	"strings"
 
+	"fattree/internal/schema"
 	"fattree/internal/topo"
 )
-
-// Schema stamps the machine-readable fabric document emitted by
-// `ftfabric -json` and served by the daemon's GET /v1/fabric — the
-// discover/fault counterpart of the fattree-blame/v1 convention. Bump
-// /vN on backwards-incompatible changes.
-const Schema = "fattree-fabric/v1"
 
 // SwitchDoc is one discovered switch in a Doc.
 type SwitchDoc struct {
@@ -57,7 +52,7 @@ type Doc struct {
 // NewDoc starts a Doc with the topology identity filled in.
 func NewDoc(t *topo.Topology) *Doc {
 	return &Doc{
-		Schema:   Schema,
+		Schema:   schema.Fabric,
 		Topology: t.Spec.String(),
 		Hosts:    t.NumHosts(),
 		Switches: t.Spec.TotalSwitches(),
@@ -157,8 +152,8 @@ func ParseDoc(r io.Reader) (*Doc, error) {
 
 // Validate checks the document's internal consistency; see ParseDoc.
 func (d *Doc) Validate() error {
-	if d.Schema != Schema {
-		return fmt.Errorf("fabric: doc schema %q, want %q", d.Schema, Schema)
+	if d.Schema != schema.Fabric {
+		return fmt.Errorf("fabric: doc schema %q, want %q", d.Schema, schema.Fabric)
 	}
 	g, err := topo.ParseSpec(d.Topology)
 	if err != nil {

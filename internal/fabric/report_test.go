@@ -5,13 +5,14 @@ import (
 	"strings"
 	"testing"
 
+	"fattree/internal/schema"
 	"fattree/internal/topo"
 )
 
 func TestDocJSONShape(t *testing.T) {
 	tp := topo.MustBuild(topo.Cluster128)
 	doc := NewDoc(tp)
-	if doc.Schema != Schema || doc.Hosts != 128 || doc.Topology != tp.Spec.String() {
+	if doc.Schema != schema.Fabric || doc.Hosts != 128 || doc.Topology != tp.Spec.String() {
 		t.Fatalf("base doc: %+v", doc)
 	}
 
@@ -60,7 +61,7 @@ func TestDocJSONShape(t *testing.T) {
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Schema != Schema || back.Faults == nil || back.Faults.BrokenPairs != res.BrokenPairs {
+	if back.Schema != schema.Fabric || back.Faults == nil || back.Faults.BrokenPairs != res.BrokenPairs {
 		t.Fatalf("round trip lost data: %+v", back)
 	}
 	if back.HSD != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"fattree/internal/engine"
+	"fattree/internal/schema"
 	"fattree/internal/topo"
 )
 
@@ -109,10 +110,10 @@ func TestJobEngineLifecycle(t *testing.T) {
 	recs, _ := m.Events(0)
 	var sawAlloc, sawSwap bool
 	for _, r := range recs {
-		if r.Kind == EvAlloc && r.Engine == "fault-resilient" {
+		if r.Kind == schema.EvAlloc && r.Engine == "fault-resilient" {
 			sawAlloc = true
 		}
-		if r.Kind == EvSwap && r.Engine == "dmodk" && strings.Contains(r.Detail, "engine=dmodk") {
+		if r.Kind == schema.EvSwap && r.Engine == "dmodk" && strings.Contains(r.Detail, "engine=dmodk") {
 			sawSwap = true
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"fattree/internal/engine"
 	"fattree/internal/fabric"
 	"fattree/internal/invariant"
+	"fattree/internal/schema"
 	"fattree/internal/topo"
 	"fattree/internal/wire"
 )
@@ -209,7 +210,7 @@ func TestRerouteRecordNamesItsPhases(t *testing.T) {
 	phase := regexp.MustCompile(`(engine_tables|shift_hsd|wire_precompute)_us=(\d+)`)
 	seen := 0
 	for _, r := range recs {
-		if r.Kind != EvReroute {
+		if r.Kind != schema.EvReroute {
 			continue
 		}
 		seen++

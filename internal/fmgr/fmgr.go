@@ -30,6 +30,7 @@ import (
 	"fattree/internal/order"
 	"fattree/internal/route"
 	"fattree/internal/sched"
+	"fattree/internal/schema"
 	"fattree/internal/topo"
 	"fattree/internal/wire"
 )
@@ -415,12 +416,12 @@ func (m *Manager) Current() *FabricState { return m.cur.Load() }
 
 // Events returns up to n journal records, oldest first (n <= 0 means
 // all kept), plus the count of older records the ring has dropped.
-func (m *Manager) Events(n int) ([]EventRecord, uint64) { return m.journal.Snapshot(n) }
+func (m *Manager) Events(n int) ([]schema.Event, uint64) { return m.journal.Snapshot(n) }
 
 // EventsSince returns up to n journal records with Seq >= since, oldest
 // first, plus the count of matching records already dropped by the ring
 // — the incremental-polling form of Events.
-func (m *Manager) EventsSince(since uint64, n int) ([]EventRecord, uint64) {
+func (m *Manager) EventsSince(since uint64, n int) ([]schema.Event, uint64) {
 	return m.journal.SnapshotSince(since, n)
 }
 
@@ -554,8 +555,8 @@ func (m *Manager) loop() {
 		}
 		m.cur.Store(st)
 		m.mEpoch.Set(int64(st.Epoch))
-		m.journal.Record(EventRecord{Kind: EvSwap, Epoch: st.Epoch, Engine: st.Engine,
-			Outcome: OutcomeOK,
+		m.journal.Record(schema.Event{Kind: schema.EvSwap, Epoch: st.Epoch, Engine: st.Engine,
+			Outcome: schema.OutcomeOK,
 			Detail: fmt.Sprintf("engine=%s failed_links=%d broken_pairs=%d jobs=%d",
 				st.Engine, len(st.FailedLinks), st.BrokenPairs, len(st.Jobs))})
 		backoff = m.cfg.RetryBase
@@ -603,22 +604,22 @@ func (m *Manager) apply(ev event) {
 	switch ev.kind {
 	case evFail:
 		m.faults.Fail(ev.link)
-		m.journal.Record(EventRecord{Kind: EvFault, Epoch: epoch,
-			Outcome: OutcomeOK, Detail: fmt.Sprintf("link %d", ev.link)})
+		m.journal.Record(schema.Event{Kind: schema.EvFault, Epoch: epoch,
+			Outcome: schema.OutcomeOK, Detail: fmt.Sprintf("link %d", ev.link)})
 	case evRevive:
 		m.faults.Revive(ev.link)
-		m.journal.Record(EventRecord{Kind: EvRevive, Epoch: epoch,
-			Outcome: OutcomeOK, Detail: fmt.Sprintf("link %d", ev.link)})
+		m.journal.Record(schema.Event{Kind: schema.EvRevive, Epoch: epoch,
+			Outcome: schema.OutcomeOK, Detail: fmt.Sprintf("link %d", ev.link)})
 	case evFailRandom:
 		if err := m.faults.FailRandomFabricLinksRand(ev.n, m.cfg.Rand); err != nil {
 			// Draw failed (more faults requested than links); the fault
 			// set is unchanged, nothing to roll back.
 			m.mRerouteFail.Inc()
-			m.journal.Record(EventRecord{Kind: EvFaultRandom, Epoch: epoch,
-				Outcome: OutcomeError, Detail: err.Error()})
+			m.journal.Record(schema.Event{Kind: schema.EvFaultRandom, Epoch: epoch,
+				Outcome: schema.OutcomeError, Detail: err.Error()})
 		} else {
-			m.journal.Record(EventRecord{Kind: EvFaultRandom, Epoch: epoch,
-				Outcome: OutcomeOK, Detail: fmt.Sprintf("n=%d", ev.n)})
+			m.journal.Record(schema.Event{Kind: schema.EvFaultRandom, Epoch: epoch,
+				Outcome: schema.OutcomeOK, Detail: fmt.Sprintf("n=%d", ev.n)})
 		}
 	case evAlloc:
 		var a *sched.Allocation
@@ -645,11 +646,11 @@ func (m *Manager) apply(ev event) {
 			if ev.engine != "" {
 				detail += " engine " + ev.engine
 			}
-			m.journal.Record(EventRecord{Kind: EvAlloc, Epoch: epoch,
-				Engine: ev.engine, Outcome: OutcomeOK, Detail: detail})
+			m.journal.Record(schema.Event{Kind: schema.EvAlloc, Epoch: epoch,
+				Engine: ev.engine, Outcome: schema.OutcomeOK, Detail: detail})
 		} else {
-			m.journal.Record(EventRecord{Kind: EvAlloc, Epoch: epoch,
-				Engine: ev.engine, Outcome: OutcomeError, Detail: err.Error()})
+			m.journal.Record(schema.Event{Kind: schema.EvAlloc, Epoch: epoch,
+				Engine: ev.engine, Outcome: schema.OutcomeError, Detail: err.Error()})
 		}
 		ev.reply <- jobReply{alloc: a, err: err}
 	case evFree:
@@ -657,11 +658,11 @@ func (m *Manager) apply(ev event) {
 		if err == nil {
 			delete(m.jobEngines, ev.job)
 			m.mJobsActive.Add(-1)
-			m.journal.Record(EventRecord{Kind: EvFree, Epoch: epoch,
-				Outcome: OutcomeOK, Detail: fmt.Sprintf("job %d", ev.job)})
+			m.journal.Record(schema.Event{Kind: schema.EvFree, Epoch: epoch,
+				Outcome: schema.OutcomeOK, Detail: fmt.Sprintf("job %d", ev.job)})
 		} else {
-			m.journal.Record(EventRecord{Kind: EvFree, Epoch: epoch,
-				Outcome: OutcomeError, Detail: err.Error()})
+			m.journal.Record(schema.Event{Kind: schema.EvFree, Epoch: epoch,
+				Outcome: schema.OutcomeError, Detail: err.Error()})
 		}
 		ev.reply <- jobReply{err: err}
 	}
@@ -680,10 +681,10 @@ func (m *Manager) tryRebuild() (*FabricState, error) {
 	rsp := sp.Child("reroute")
 	st, err := m.buildState(epoch, rsp)
 	rsp.End()
-	rec := EventRecord{Kind: EvReroute, Epoch: epoch, Engine: m.cfg.Engine,
-		DurationUS: time.Since(start).Microseconds(), Outcome: OutcomeOK}
+	rec := schema.Event{Kind: schema.EvReroute, Epoch: epoch, Engine: m.cfg.Engine,
+		DurationUS: time.Since(start).Microseconds(), Outcome: schema.OutcomeOK}
 	if err != nil {
-		rec.Outcome, rec.Detail = OutcomeError, err.Error()
+		rec.Outcome, rec.Detail = schema.OutcomeError, err.Error()
 	} else {
 		rec.Detail = fmt.Sprintf("engine=%s failed_links=%d broken_pairs=%d unroutable=%d"+
 			" engine_tables_us=%d shift_hsd_us=%d wire_precompute_us=%d",
@@ -697,17 +698,17 @@ func (m *Manager) tryRebuild() (*FabricState, error) {
 		vsp := sp.Child("validate")
 		err = m.validate(st)
 		vsp.End()
-		vrec := EventRecord{Kind: EvValidate, Epoch: epoch, Engine: m.cfg.Engine,
-			DurationUS: time.Since(vstart).Microseconds(), Outcome: OutcomeOK}
+		vrec := schema.Event{Kind: schema.EvValidate, Epoch: epoch, Engine: m.cfg.Engine,
+			DurationUS: time.Since(vstart).Microseconds(), Outcome: schema.OutcomeOK}
 		if err != nil {
 			m.mCheckFail.Inc()
-			vrec.Outcome, vrec.Detail = OutcomeError, err.Error()
+			vrec.Outcome, vrec.Detail = schema.OutcomeError, err.Error()
 		}
 		m.journal.Record(vrec)
 	}
 	m.mRerouteUS.Observe(float64(time.Since(start).Microseconds()))
 	if err != nil {
-		sp.Tag(obs.Str("outcome", OutcomeError))
+		sp.Tag(obs.Str("outcome", schema.OutcomeError))
 		return nil, err
 	}
 	m.mReroutes.Inc()

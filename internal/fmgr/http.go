@@ -14,11 +14,9 @@ import (
 	"fattree/internal/fabric"
 	"fattree/internal/obs"
 	"fattree/internal/sched"
+	"fattree/internal/schema"
 	"fattree/internal/topo"
 )
-
-// RouteSchema stamps GET /v1/route responses.
-const RouteSchema = "fattree-route/v1"
 
 // HopDoc is one hop of a served path.
 type HopDoc struct {
@@ -46,9 +44,6 @@ type OrderDoc struct {
 	Label  string `json:"label"`
 	HostOf []int  `json:"host_of"`
 }
-
-// OrderSchema stamps GET /v1/order responses.
-const OrderSchema = "fattree-order/v1"
 
 // HSDDoc is the GET /v1/hsd response body: the cached Shift summary of
 // the current snapshot.
@@ -255,7 +250,7 @@ func (m *Manager) handleRoute(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	doc := RouteDoc{Schema: RouteSchema, Epoch: st.Epoch, Engine: engName, Routing: routing, Src: src, Dst: dst, Hops: []HopDoc{}}
+	doc := RouteDoc{Schema: schema.Route, Epoch: st.Epoch, Engine: engName, Routing: routing, Src: src, Dst: dst, Hops: []HopDoc{}}
 	c = sp.Child("lookup")
 	if status := pairStatus(paths, n, src, dst); status != pairServed {
 		c.End()
@@ -306,7 +301,7 @@ func (m *Manager) handleRoute(w http.ResponseWriter, r *http.Request) {
 func (m *Manager) handleOrder(w http.ResponseWriter, r *http.Request) {
 	st := m.Current()
 	writeJSON(w, http.StatusOK, OrderDoc{
-		Schema: OrderSchema,
+		Schema: schema.Order,
 		Epoch:  st.Epoch,
 		Label:  st.Ordering.Label,
 		HostOf: st.Ordering.HostOf,
@@ -451,14 +446,6 @@ func (m *Manager) handleJobsList(w http.ResponseWriter, r *http.Request) {
 	}{st.Epoch, jobs})
 }
 
-// EventsDoc is the GET /v1/events response body.
-type EventsDoc struct {
-	Schema  string        `json:"schema"`
-	Epoch   uint64        `json:"epoch"`
-	Dropped uint64        `json:"dropped"`
-	Events  []EventRecord `json:"events"`
-}
-
 func (m *Manager) handleEvents(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	n := 0
@@ -472,7 +459,7 @@ func (m *Manager) handleEvents(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	var recs []EventRecord
+	var recs []schema.Event
 	var dropped uint64
 	if s := q.Get("since_seq"); s != "" {
 		since, err := strconv.ParseUint(s, 10, 64)
@@ -485,10 +472,10 @@ func (m *Manager) handleEvents(w http.ResponseWriter, r *http.Request) {
 		recs, dropped = m.Events(n)
 	}
 	if recs == nil {
-		recs = []EventRecord{}
+		recs = []schema.Event{}
 	}
-	writeJSON(w, http.StatusOK, EventsDoc{
-		Schema:  EventsSchema,
+	writeJSON(w, http.StatusOK, schema.EventsDoc{
+		Schema:  schema.Events,
 		Epoch:   m.Current().Epoch,
 		Dropped: dropped,
 		Events:  recs,

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"fattree/internal/obs"
+	"fattree/internal/schema"
 )
 
 func get(tb testing.TB, h http.Handler, url string) (*httptest.ResponseRecorder, map[string]interface{}) {
@@ -45,7 +46,7 @@ func TestHandlerRoute(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.Schema != RouteSchema || doc.Epoch != 1 || doc.Src != 0 || doc.Dst != 9 {
+	if doc.Schema != schema.Route || doc.Epoch != 1 || doc.Src != 0 || doc.Dst != 9 {
 		t.Fatalf("bad doc header: %+v", doc)
 	}
 	want, err := m.Current().LFT.Trace(0, 9)
@@ -83,7 +84,7 @@ func TestHandlerOrderHSDFabricHealthMetrics(t *testing.T) {
 	h := m.Handler()
 
 	rec, body := get(t, h, "/v1/order")
-	if rec.Code != 200 || body["schema"] != OrderSchema || body["label"] != "topology" {
+	if rec.Code != 200 || body["schema"] != schema.Order || body["label"] != "topology" {
 		t.Fatalf("order: %d %v", rec.Code, body)
 	}
 	if n := len(body["host_of"].([]interface{})); n != m.t.NumHosts() {

@@ -3,58 +3,27 @@ package fmgr
 import (
 	"sync"
 	"time"
+
+	"fattree/internal/schema"
 )
 
-// EventsSchema stamps GET /v1/events responses.
-const EventsSchema = "fattree-events/v1"
-
-// Event kinds recorded in the fabric journal. Inputs (what the manager
-// was told) and lifecycle phases (what it did about them) share one
-// stream, so a reader sees fault → reroute → validate → swap in order.
+// The journal's record type, kinds and outcomes are internal/schema's;
+// these three names stay because bench/ spells them this way.
 const (
-	EvFault       = "fault"        // a link was failed
-	EvRevive      = "revive"       // a link was revived
-	EvFaultRandom = "fault_random" // a random fault draw
-	EvAlloc       = "alloc"        // a job placement request
-	EvFree        = "free"         // a job release
-	EvReroute     = "reroute"      // tables + arena + HSD rebuilt
-	EvValidate    = "validate"     // invariant check of the candidate
-	EvSwap        = "swap"         // candidate became current
+	EvReroute    = schema.EvReroute
+	EvValidate   = schema.EvValidate
+	OutcomeError = schema.OutcomeError
 )
 
-// Event outcomes.
-const (
-	OutcomeOK    = "ok"
-	OutcomeError = "error"
-)
-
-// EventRecord is one entry of the fabric event journal: what happened,
-// when (wall clock), under or producing which epoch, how long it took
-// and how it ended. Detail is a short human-readable elaboration
-// (link id, job size, broken-pair count, error text).
-type EventRecord struct {
-	Seq        uint64 `json:"seq"`
-	TimeUnixNS int64  `json:"time_unix_ns"`
-	Kind       string `json:"kind"`
-	Epoch      uint64 `json:"epoch"`
-	// Engine names the routing engine involved: the engine that produced
-	// the tables on reroute/validate/swap records, or the one a job
-	// requested on alloc records. Empty when no engine was involved.
-	Engine     string `json:"engine,omitempty"`
-	DurationUS int64  `json:"duration_us,omitempty"`
-	Outcome    string `json:"outcome,omitempty"`
-	Detail     string `json:"detail,omitempty"`
-}
-
-// Journal is a bounded in-memory ring of EventRecords: the fabric
-// manager's flight recorder. Writes never block and never grow memory
+// Journal is a bounded in-memory ring of schema.Event records: the
+// fabric manager's flight recorder. Writes never block and never grow memory
 // past the capacity; once full, the oldest records fall off and the
 // Dropped count says how many. Safe for concurrent use; the single
 // writer is the manager's event loop but readers snapshot from request
 // goroutines.
 type Journal struct {
 	mu   sync.Mutex
-	buf  []EventRecord
+	buf  []schema.Event
 	cap  int
 	next uint64 // seq of the next record == total ever recorded
 }
@@ -65,12 +34,12 @@ func NewJournal(capacity int) *Journal {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Journal{buf: make([]EventRecord, 0, capacity), cap: capacity}
+	return &Journal{buf: make([]schema.Event, 0, capacity), cap: capacity}
 }
 
 // Record appends one record, stamping Seq and, if unset, the wall-clock
 // time. No-op on a nil journal.
-func (j *Journal) Record(rec EventRecord) {
+func (j *Journal) Record(rec schema.Event) {
 	if j == nil {
 		return
 	}
@@ -90,7 +59,7 @@ func (j *Journal) Record(rec EventRecord) {
 
 // Snapshot returns up to n kept records, oldest first (n <= 0 means
 // all), plus how many older records the ring has dropped.
-func (j *Journal) Snapshot(n int) (recs []EventRecord, dropped uint64) {
+func (j *Journal) Snapshot(n int) (recs []schema.Event, dropped uint64) {
 	if j == nil {
 		return nil, 0
 	}
@@ -101,7 +70,7 @@ func (j *Journal) Snapshot(n int) (recs []EventRecord, dropped uint64) {
 	if n <= 0 || n > kept {
 		n = kept
 	}
-	recs = make([]EventRecord, 0, n)
+	recs = make([]schema.Event, 0, n)
 	// Oldest kept record is seq j.next-kept at index (j.next-kept)%cap.
 	for i := kept - n; i < kept; i++ {
 		seq := j.next - uint64(kept) + uint64(i)
@@ -119,7 +88,7 @@ func (j *Journal) Snapshot(n int) (recs []EventRecord, dropped uint64) {
 // has already dropped — the incremental-polling companion to Snapshot.
 // A poller passes its last seen seq + 1 and gets only what is new; a
 // non-zero dropped return means it fell behind the ring.
-func (j *Journal) SnapshotSince(since uint64, n int) (recs []EventRecord, dropped uint64) {
+func (j *Journal) SnapshotSince(since uint64, n int) (recs []schema.Event, dropped uint64) {
 	if j == nil {
 		return nil, 0
 	}
@@ -144,7 +113,7 @@ func (j *Journal) SnapshotSince(since uint64, n int) (recs []EventRecord, droppe
 	if n <= 0 || n > match {
 		n = match
 	}
-	recs = make([]EventRecord, 0, n)
+	recs = make([]schema.Event, 0, n)
 	for seq := since; seq < since+uint64(n); seq++ {
 		if kept < j.cap {
 			recs = append(recs, j.buf[int(seq-oldest)])

@@ -10,12 +10,13 @@ import (
 	"testing"
 
 	"fattree/internal/obs"
+	"fattree/internal/schema"
 )
 
 func TestJournalRingWrap(t *testing.T) {
 	j := NewJournal(4)
 	for i := 0; i < 10; i++ {
-		j.Record(EventRecord{Kind: EvFault, Detail: fmt.Sprintf("link %d", i)})
+		j.Record(schema.Event{Kind: schema.EvFault, Detail: fmt.Sprintf("link %d", i)})
 	}
 	recs, dropped := j.Snapshot(0)
 	if dropped != 6 {
@@ -45,17 +46,17 @@ func TestJournalRingWrap(t *testing.T) {
 
 func TestJournalPartialAndNil(t *testing.T) {
 	j := NewJournal(8)
-	j.Record(EventRecord{Kind: EvSwap})
-	j.Record(EventRecord{Kind: EvFault})
+	j.Record(schema.Event{Kind: schema.EvSwap})
+	j.Record(schema.Event{Kind: schema.EvFault})
 	recs, dropped := j.Snapshot(0)
-	if dropped != 0 || len(recs) != 2 || recs[0].Kind != EvSwap || recs[1].Kind != EvFault {
+	if dropped != 0 || len(recs) != 2 || recs[0].Kind != schema.EvSwap || recs[1].Kind != schema.EvFault {
 		t.Fatalf("partial ring: dropped=%d recs=%+v", dropped, recs)
 	}
 	if j.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", j.Len())
 	}
 	var nilJ *Journal
-	nilJ.Record(EventRecord{Kind: EvFault})
+	nilJ.Record(schema.Event{Kind: schema.EvFault})
 	if recs, dropped := nilJ.Snapshot(0); recs != nil || dropped != 0 || nilJ.Len() != 0 {
 		t.Fatal("nil journal must no-op")
 	}
@@ -82,18 +83,18 @@ func TestEventsReplayFaultLifecycle(t *testing.T) {
 	if rec.Code != 200 {
 		t.Fatalf("events: %d %s", rec.Code, rec.Body.String())
 	}
-	var doc EventsDoc
+	var doc schema.EventsDoc
 	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.Schema != EventsSchema || doc.Epoch != 2 || doc.Dropped != 0 {
+	if doc.Schema != schema.Events || doc.Epoch != 2 || doc.Dropped != 0 {
 		t.Fatalf("events header: %+v", doc)
 	}
 	var kinds []string
 	for _, e := range doc.Events {
 		kinds = append(kinds, e.Kind)
 	}
-	want := []string{EvFault, EvReroute, EvValidate, EvSwap}
+	want := []string{schema.EvFault, schema.EvReroute, schema.EvValidate, schema.EvSwap}
 	pos := -1
 	for _, k := range want {
 		next := -1
@@ -110,11 +111,11 @@ func TestEventsReplayFaultLifecycle(t *testing.T) {
 	}
 	for _, e := range doc.Events {
 		switch e.Kind {
-		case EvReroute, EvValidate, EvSwap:
-			if e.Epoch != 2 || e.Outcome != OutcomeOK {
+		case schema.EvReroute, schema.EvValidate, schema.EvSwap:
+			if e.Epoch != 2 || e.Outcome != schema.OutcomeOK {
 				t.Fatalf("%s record: %+v, want epoch 2 outcome ok", e.Kind, e)
 			}
-		case EvFault:
+		case schema.EvFault:
 			if want := fmt.Sprintf("link %d", link); e.Detail != want {
 				t.Fatalf("fault detail %q, want %q", e.Detail, want)
 			}
@@ -122,7 +123,7 @@ func TestEventsReplayFaultLifecycle(t *testing.T) {
 	}
 	// Reroute duration must be recorded.
 	for _, e := range doc.Events {
-		if e.Kind == EvReroute && e.DurationUS < 0 {
+		if e.Kind == schema.EvReroute && e.DurationUS < 0 {
 			t.Fatalf("reroute duration %d < 0", e.DurationUS)
 		}
 	}
@@ -130,11 +131,11 @@ func TestEventsReplayFaultLifecycle(t *testing.T) {
 	// n-limited and invalid-n queries.
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/events?n=1", nil))
-	var one EventsDoc
+	var one schema.EventsDoc
 	if err := json.Unmarshal(rec.Body.Bytes(), &one); err != nil {
 		t.Fatal(err)
 	}
-	if len(one.Events) != 1 || one.Events[0].Kind != EvSwap {
+	if len(one.Events) != 1 || one.Events[0].Kind != schema.EvSwap {
 		t.Fatalf("events?n=1 = %+v, want just the swap", one.Events)
 	}
 	if rec, _ := get(t, h, "/v1/events?n=bad"); rec.Code != http.StatusBadRequest {
@@ -267,7 +268,7 @@ func TestSpanSampling(t *testing.T) {
 func TestJournalSnapshotSince(t *testing.T) {
 	j := NewJournal(4)
 	for i := 0; i < 10; i++ {
-		j.Record(EventRecord{Kind: EvFault, Detail: fmt.Sprintf("link %d", i)})
+		j.Record(schema.Event{Kind: schema.EvFault, Detail: fmt.Sprintf("link %d", i)})
 	}
 	// Ring keeps seqs 6..9. A poller resuming from seq 8 gets 8 and 9
 	// with nothing dropped.
@@ -299,7 +300,7 @@ func TestJournalSnapshotSince(t *testing.T) {
 	// Unwrapped ring (fewer records than capacity).
 	j2 := NewJournal(8)
 	for i := 0; i < 3; i++ {
-		j2.Record(EventRecord{Kind: EvAlloc})
+		j2.Record(schema.Event{Kind: schema.EvAlloc})
 	}
 	recs, dropped = j2.SnapshotSince(1, 0)
 	if dropped != 0 || len(recs) != 2 || recs[0].Seq != 1 {
@@ -326,14 +327,14 @@ func TestEventsSinceHTTP(t *testing.T) {
 	}
 	waitEpoch(t, m, 2)
 
-	fetch := func(url string) EventsDoc {
+	fetch := func(url string) schema.EventsDoc {
 		t.Helper()
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
 		if rec.Code != 200 {
 			t.Fatalf("%s: %d %s", url, rec.Code, rec.Body.String())
 		}
-		var doc EventsDoc
+		var doc schema.EventsDoc
 		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
 			t.Fatal(err)
 		}

@@ -23,12 +23,9 @@ import (
 	"fattree/internal/cps"
 	"fattree/internal/order"
 	"fattree/internal/route"
+	"fattree/internal/schema"
 	"fattree/internal/topo"
 )
-
-// Schema stamps ftcheck verdict documents, following the repository's
-// fattree-*/v1 convention. Bump /vN on breaking changes.
-const Schema = "fattree-check/v1"
 
 // Status is a check outcome.
 type Status string
@@ -252,7 +249,7 @@ func Run(in *Instance, checks []Check) *Report {
 		checks = Catalog()
 	}
 	rep := &Report{
-		Schema:   Schema,
+		Schema:   schema.Check,
 		Topology: in.Topo.Spec.String(),
 		Hosts:    in.Topo.NumHosts(),
 		Ordering: in.Ordering.Label,

@@ -7,6 +7,7 @@ import (
 	"fattree/internal/fabric"
 	"fattree/internal/order"
 	"fattree/internal/route"
+	"fattree/internal/schema"
 	"fattree/internal/topo"
 )
 
@@ -79,8 +80,8 @@ func TestCatalogPassesOnKnownTopologies(t *testing.T) {
 			if got := statusOf(rep, "hsd.contention-free"); got != tc.hsdCheck {
 				t.Errorf("hsd.contention-free = %s, want %s", got, tc.hsdCheck)
 			}
-			if rep.Schema != Schema {
-				t.Errorf("report schema %q, want %q", rep.Schema, Schema)
+			if rep.Schema != schema.Check {
+				t.Errorf("report schema %q, want %q", rep.Schema, schema.Check)
 			}
 		})
 	}
@@ -358,6 +359,25 @@ func TestPermutationPairs(t *testing.T) {
 	} {
 		if err := PermutationPairs(tc.pairs, 3); err == nil {
 			t.Errorf("%s accepted", tc.name)
+		}
+	}
+}
+
+// BenchmarkInvariantSuite324 runs the full invariant catalog — all 15
+// executable theorem and representation checks — against the paper's
+// 324-node cluster under compiled D-Mod-K, the exact workload of `make
+// check` and the CI theorem-verification job.
+func BenchmarkInvariantSuite324(b *testing.B) {
+	t := topo.MustBuild(topo.Cluster324)
+	c, err := route.Compile(route.DModK(t))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep := Run(NewInstance(t, c, nil), nil)
+		if !rep.Pass {
+			b.Fatalf("catalog failed: %v", rep.FailedNames())
 		}
 	}
 }

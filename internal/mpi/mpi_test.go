@@ -273,3 +273,21 @@ func TestSequenceByName(t *testing.T) {
 		t.Error("unknown CPS name accepted")
 	}
 }
+
+// BenchmarkNetsimDependentRecDbl measures the dependency-gated simulator
+// on a full recursive-doubling schedule.
+func BenchmarkNetsimDependentRecDbl(b *testing.B) {
+	t := topo.MustBuild(topo.Cluster128)
+	job, err := NewContentionFreeJob(t, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	seq := cps.RecursiveDoubling(t.NumHosts())
+	cfg := netsim.DefaultConfig()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := job.SimulateMode(seq, 32<<10, Dependent, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

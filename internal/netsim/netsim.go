@@ -33,13 +33,9 @@ import (
 	"fattree/internal/des"
 	"fattree/internal/obs"
 	"fattree/internal/route"
+	"fattree/internal/schema"
 	"fattree/internal/topo"
 )
-
-// FlowLogSchema is the version stamp written as a leading "# ..."
-// comment line of every flow-completion CSV, so downstream tooling can
-// detect the format. Bump the /vN suffix on incompatible changes.
-const FlowLogSchema = "fattree-flowlog/v1"
 
 // AutoShards selects one shard per available CPU (GOMAXPROCS) when set
 // as Config.Shards.
@@ -211,34 +207,7 @@ type Stats struct {
 	// sequential run, one per shard for a sharded run. The wall-clock
 	// fields vary run to run — compare runs across shard counts or
 	// reruns with WithoutTelemetry.
-	Shards []ShardStats
-}
-
-// ShardStats is one event loop's telemetry for a run — load balance
-// and scheduler pressure, not simulation results.
-type ShardStats struct {
-	// Shard is the loop's index (always 0 for sequential runs).
-	Shard int `json:"shard"`
-	// Events counts regular events this loop executed: sharding-only
-	// aux events excluded, eagerly elided deliveries included, so the
-	// per-shard counts sum to Stats.Events.
-	Events uint64 `json:"events"`
-	// MaxPending is this loop's regular-event queue high-water mark.
-	MaxPending int `json:"max_pending"`
-	// MailboxPeak is the largest batch of cross-shard events this shard
-	// received at one window barrier (0 for sequential runs).
-	MailboxPeak int `json:"mailbox_peak"`
-	// BusyNS is wall-clock time spent executing events; StallNS
-	// approximates wall-clock time spent idle at window barriers
-	// waiting for slower shards (the coordinator's total window time
-	// minus this shard's busy time).
-	BusyNS  int64 `json:"busy_ns"`
-	StallNS int64 `json:"stall_ns"`
-	// Calendar-queue pressure (see internal/des): overflow-rebase
-	// count, overflow-list high-water and occupied-slot high-water.
-	CalRebases      uint64 `json:"cal_rebases"`
-	CalOverflowPeak int    `json:"cal_overflow_peak"`
-	CalSlotsPeak    int    `json:"cal_slots_peak"`
+	Shards []schema.ShardStats
 }
 
 // WithoutTelemetry returns a copy of s with the per-shard telemetry
@@ -624,7 +593,7 @@ func (nw *Network) reset() {
 	}
 	if nw.flow != nil && !nw.flowHeader {
 		nw.flowHeader = true
-		fmt.Fprintln(nw.flow, "# "+FlowLogSchema)
+		fmt.Fprintln(nw.flow, "# "+schema.FlowLog)
 		fmt.Fprintln(nw.flow, "src,dst,bytes,start_ps,end_ps,latency_ps")
 	}
 }
@@ -977,7 +946,7 @@ func (nw *Network) collect() Stats {
 	if nw.sh != nil {
 		s.Shards = nw.sh.telemetry()
 	} else {
-		s.Shards = []ShardStats{{
+		s.Shards = []schema.ShardStats{{
 			Events:          nw.sched.Executed() + nw.elided,
 			MaxPending:      nw.sched.MaxPending(),
 			BusyNS:          nw.busyNS,

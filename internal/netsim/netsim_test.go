@@ -9,6 +9,7 @@ import (
 
 	"fattree/internal/des"
 	"fattree/internal/route"
+	"fattree/internal/schema"
 	"fattree/internal/topo"
 )
 
@@ -685,7 +686,7 @@ func TestFlowLogFlushedOnError(t *testing.T) {
 			if err := drive(nw); err == nil {
 				t.Fatal("bad message did not fail the run")
 			}
-			if !strings.Contains(log.String(), "# "+FlowLogSchema) {
+			if !strings.Contains(log.String(), "# "+schema.FlowLog) {
 				t.Fatalf("flow log not flushed on the error path; got %q", log.String())
 			}
 		})
@@ -722,7 +723,7 @@ func TestFlowLog(t *testing.T) {
 	if len(lines) != 4 {
 		t.Fatalf("flow log has %d lines, want schema + header + 2 records:\n%s", len(lines), log.String())
 	}
-	if lines[0] != "# "+FlowLogSchema {
+	if lines[0] != "# "+schema.FlowLog {
 		t.Fatalf("flow log schema stamp = %q", lines[0])
 	}
 	if lines[1] != "src,dst,bytes,start_ps,end_ps,latency_ps" {

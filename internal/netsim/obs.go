@@ -20,6 +20,7 @@ import (
 
 	"fattree/internal/des"
 	"fattree/internal/obs"
+	"fattree/internal/schema"
 )
 
 // Trace lane groups (Chrome trace-event pids).
@@ -240,17 +241,6 @@ func (nw *Network) startLinkProbes() {
 	s.Start(nw.sched)
 }
 
-// LinkRollup is the end-of-run record of the fattree-linkprobe/v1
-// stream: the per-directed-channel contention summary. A
-// contention-free run shows MaxQueue ≤ 1 everywhere; a contended run
-// names the hot channel by index (up = 2*link, down = 2*link+1).
-type LinkRollup struct {
-	Rollup     string    `json:"rollup"` // always "links"
-	DurationPS int64     `json:"duration_ps"`
-	MaxQueue   []int32   `json:"max_queue"`
-	BusyFrac   []float64 `json:"busy_frac"`
-}
-
 // schedPending returns the regular-event queue depth — summed across
 // shards in a sharded run.
 func (nw *Network) schedPending() int {
@@ -376,8 +366,8 @@ func (nw *Network) obsCollect(s *Stats) {
 	}
 	ob.reg.Gauge("netsim_link_max_queue_depth").Max(int64(maxQ))
 	if ob.link != nil {
-		roll := LinkRollup{
-			Rollup:     "links",
+		roll := schema.LinkRollup{
+			Rollup:     schema.RollupLinks,
 			DurationPS: int64(s.Duration),
 			MaxQueue:   append([]int32(nil), ob.queueHW...),
 			BusyFrac:   make([]float64, len(s.LinkBusy)),
@@ -398,9 +388,7 @@ func (nw *Network) obsCollect(s *Stats) {
 		}
 		ob.reg.Gauge("netsim_shard_imbalance_milli").Set(int64(s.ShardImbalance() * 1000))
 		if ob.probes != nil {
-			ob.probes.Record(struct {
-				Shards []ShardStats `json:"shards"`
-			}{s.Shards})
+			ob.probes.Record(schema.ShardsRecord{Shards: s.Shards})
 		}
 	}
 }

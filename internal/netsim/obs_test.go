@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -361,4 +362,43 @@ func TestFlowLogHeaderOncePerNetwork(t *testing.T) {
 	if headers != 1 || stamps != 1 {
 		t.Errorf("flow log has %d headers and %d schema stamps, want 1 each", headers, stamps)
 	}
+}
+
+// BenchmarkNetsimObsOverhead prices the observability tax on the
+// simulator hot path, one Ring stage on the 324-node cluster: "off" is
+// the nil-check-only baseline, "metrics" attaches the registry, and
+// "full" adds probes and the Chrome tracer writing to discard sinks.
+func BenchmarkNetsimObsOverhead(b *testing.B) {
+	t := topo.MustBuild(topo.Cluster324)
+	lft := route.DModK(t)
+	n := t.NumHosts()
+	msgs := make([]Message, n)
+	for i := range msgs {
+		msgs[i] = Message{Src: i, Dst: (i + 1) % n, Bytes: 64 << 10}
+	}
+	run := func(b *testing.B, cfg Config) {
+		nw, err := New(lft, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := nw.Run(msgs); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("off", func(b *testing.B) { run(b, DefaultConfig()) })
+	b.Run("metrics", func(b *testing.B) {
+		cfg := DefaultConfig()
+		cfg.Metrics = obs.NewRegistry()
+		run(b, cfg)
+	})
+	b.Run("full", func(b *testing.B) {
+		cfg := DefaultConfig()
+		cfg.Metrics = obs.NewRegistry()
+		cfg.Probes = obs.NewSampler(io.Discard, 10*des.Microsecond)
+		cfg.Trace = obs.NewTracer(io.Discard)
+		run(b, cfg)
+	})
 }

@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"fattree/internal/des"
+	"fattree/internal/schema"
 	"fattree/internal/topo"
 )
 
@@ -302,14 +303,14 @@ func (sh *shardRuntime) executed() uint64 {
 // events, queue and mailbox high-water marks, wall-clock busy/stall
 // split, and the calendar-queue pressure counters. Called with all
 // workers stopped.
-func (sh *shardRuntime) telemetry() []ShardStats {
-	out := make([]ShardStats, sh.n)
+func (sh *shardRuntime) telemetry() []schema.ShardStats {
+	out := make([]schema.ShardStats, sh.n)
 	for i, w := range sh.workers {
 		stall := sh.windowWallNS - w.busyNS
 		if stall < 0 {
 			stall = 0
 		}
-		out[i] = ShardStats{
+		out[i] = schema.ShardStats{
 			Shard:           i,
 			Events:          w.sched.Executed() - w.auxEvents + w.elided,
 			MaxPending:      w.sched.MaxPending(),

@@ -19,16 +19,17 @@ import (
 	"fattree/internal/des"
 	"fattree/internal/obs"
 	"fattree/internal/route"
+	"fattree/internal/schema"
 	"fattree/internal/topo"
 )
 
 // parseRollup scans a link-probe JSONL stream for its closing rollup
 // record.
-func parseRollup(t *testing.T, stream []byte) LinkRollup {
+func parseRollup(t *testing.T, stream []byte) schema.LinkRollup {
 	t.Helper()
 	sc := bufio.NewScanner(bytes.NewReader(stream))
 	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	var roll LinkRollup
+	var roll schema.LinkRollup
 	found := false
 	for sc.Scan() {
 		if !bytes.Contains(sc.Bytes(), []byte(`"rollup"`)) {
@@ -50,7 +51,7 @@ func parseRollup(t *testing.T, stream []byte) LinkRollup {
 
 // runWithLinkProbes executes msgs on cluster324 with a link sampler
 // attached and returns the closing rollup.
-func runWithLinkProbes(t *testing.T, msgs []Message) LinkRollup {
+func runWithLinkProbes(t *testing.T, msgs []Message) schema.LinkRollup {
 	t.Helper()
 	lft := route.DModK(topo.MustBuild(topo.Cluster324))
 	var buf bytes.Buffer

@@ -7,7 +7,16 @@ import (
 	"time"
 
 	"fattree/internal/des"
+	"fattree/internal/schema"
 )
+
+// StreamHeader is the leading record of a probe JSONL stream: the
+// internal/schema stamp that tells a consumer (cmd/ftreport above all)
+// what it is parsing. The Chrome trace document carries its stamp under
+// otherData instead (ignored by Perfetto, visible to parsers).
+type StreamHeader struct {
+	Schema string `json:"schema"`
+}
 
 // FileSinks wires the uniform -trace and -metrics command-line flags
 // the cmd/* tools share: a Chrome trace-event file and a JSONL stream
@@ -98,7 +107,7 @@ func (s *FileSinks) Open() error {
 		}
 		s.metricsFile = f
 		s.Sampler = NewSampler(f, interval)
-		s.Sampler.Record(StreamHeader{Schema: ProbeSchema})
+		s.Sampler.Record(StreamHeader{Schema: schema.Probes})
 	}
 	if s.LinkProbesPath != "" {
 		f, err := os.Create(s.LinkProbesPath)
@@ -107,7 +116,7 @@ func (s *FileSinks) Open() error {
 		}
 		s.linkProbeFile = f
 		s.LinkSampler = NewSampler(f, interval)
-		s.LinkSampler.Record(StreamHeader{Schema: LinkProbeSchema})
+		s.LinkSampler.Record(StreamHeader{Schema: schema.LinkProbe})
 	}
 	return nil
 }

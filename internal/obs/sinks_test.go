@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"fattree/internal/des"
+	"fattree/internal/schema"
 )
 
 // TestFileSinksProbeIntervalFlag checks the -probe-interval plumbing:
@@ -49,8 +50,8 @@ func TestFileSinksProbeIntervalFlag(t *testing.T) {
 	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
 		t.Fatalf("first record is not JSON: %v", err)
 	}
-	if hdr.Schema != ProbeSchema {
-		t.Errorf("first record schema = %q, want %q", hdr.Schema, ProbeSchema)
+	if hdr.Schema != schema.Probes {
+		t.Errorf("first record schema = %q, want %q", hdr.Schema, schema.Probes)
 	}
 
 	// Code-set Interval beats the flag.

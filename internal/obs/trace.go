@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"fattree/internal/des"
+	"fattree/internal/schema"
 )
 
 // Tracer writes a Chrome trace-event stream: a JSON object whose
@@ -50,7 +51,7 @@ func Num(key string, val float64) Arg { return Arg{key: key, num: val} }
 func NewTracer(w io.Writer) *Tracer {
 	t := &Tracer{w: bufio.NewWriter(w)}
 	_, t.err = t.w.WriteString(
-		"{\"displayTimeUnit\":\"ns\",\"otherData\":{\"schema\":\"" + TraceSchema + "\"},\"traceEvents\":[")
+		"{\"displayTimeUnit\":\"ns\",\"otherData\":{\"schema\":\"" + schema.Trace + "\"},\"traceEvents\":[")
 	return t
 }
 

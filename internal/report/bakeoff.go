@@ -1,72 +1,12 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
 	"html/template"
-	"io"
 	"strings"
+
+	"fattree/internal/schema"
 )
-
-// BakeoffSchema is the stamp of cmd/ftbakeoff's verdict. Like LoadDoc
-// and EventsDoc, the report package keeps its own mirror of the wire
-// shape — it consumes the JSON file, never the producing package.
-const BakeoffSchema = "fattree-bakeoff/v1"
-
-// BakeoffDoc mirrors the fattree-bakeoff/v1 verdict: one Level per
-// fault-storm rung, one BakeoffResult per engine per rung.
-type BakeoffDoc struct {
-	Schema   string          `json:"schema"`
-	Topology string          `json:"topology"`
-	Hosts    int             `json:"hosts"`
-	Seed     int64           `json:"seed"`
-	Engines  []BakeoffEngine `json:"engines"`
-	Levels   []BakeoffLevel  `json:"levels"`
-}
-
-// BakeoffEngine mirrors the registry's engine.Info.
-type BakeoffEngine struct {
-	Name        string `json:"name"`
-	Description string `json:"description"`
-	LFT         bool   `json:"lft"`
-	FaultAware  bool   `json:"fault_aware"`
-}
-
-// BakeoffLevel is one rung of the fault storm.
-type BakeoffLevel struct {
-	Name        string          `json:"name"`
-	FailedLinks []int           `json:"failed_links"`
-	Engines     []BakeoffResult `json:"engines"`
-}
-
-// BakeoffResult scores one engine at one fault level; Err set means the
-// engine failed outright and every metric is zero.
-type BakeoffResult struct {
-	Engine         string  `json:"engine"`
-	Err            string  `json:"err,omitempty"`
-	RoutabilityPct float64 `json:"routability_pct"`
-	Unroutable     int     `json:"unroutable"`
-	BrokenPairs    int     `json:"broken_pairs"`
-	MaxHSD         int     `json:"max_hsd"`
-	AvgMaxHSD      float64 `json:"avg_max_hsd"`
-	ContentionFree bool    `json:"contention_free"`
-	RerouteUS      int64   `json:"reroute_us"`
-	MaxQueueDepth  int64   `json:"max_queue_depth"`
-}
-
-// ParseBakeoff reads a fattree-bakeoff/v1 verdict (ftbakeoff -o). The
-// schema stamp is checked so a report never silently renders the wrong
-// document kind.
-func ParseBakeoff(r io.Reader) (*BakeoffDoc, error) {
-	var doc BakeoffDoc
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("bakeoff: %w", err)
-	}
-	if doc.Schema != BakeoffSchema {
-		return nil, fmt.Errorf("bakeoff: schema %q, want %s", doc.Schema, BakeoffSchema)
-	}
-	return &doc, nil
-}
 
 // bakeoffLevelView is one fault-storm rung: its engine rows render as
 // one comparison table under the rung's heading.
@@ -91,7 +31,7 @@ var bakeoffEngineColors = []string{
 // buildBakeoffSection folds a bake-off verdict into the report: a
 // summary line, per-level comparison tables and the degradation curve
 // (routability per engine across the storm).
-func buildBakeoffSection(doc *BakeoffDoc, notes *[]string) (string, template.HTML, []bakeoffLevelView) {
+func buildBakeoffSection(doc *schema.BakeoffDoc, notes *[]string) (string, template.HTML, []bakeoffLevelView) {
 	if len(doc.Levels) == 0 {
 		*notes = append(*notes, "bake-off has no fault levels: section omitted")
 		return "", "", nil
@@ -126,7 +66,7 @@ func buildBakeoffSection(doc *BakeoffDoc, notes *[]string) (string, template.HTM
 // the storm rungs: flat at 100 is full resilience, a cliff is where an
 // engine (or the fabric) gives out. Engines that errored at a rung get
 // no point there, so their line visibly breaks.
-func buildBakeoffCurve(doc *BakeoffDoc) template.HTML {
+func buildBakeoffCurve(doc *schema.BakeoffDoc) template.HTML {
 	const width, height, left, bottom, top = 640.0, 220.0, 44.0, 34.0, 10.0
 	nLevels := len(doc.Levels)
 	px := func(i int) float64 {

@@ -5,24 +5,26 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"fattree/internal/schema"
 )
 
-func fixtureBakeoff() *BakeoffDoc {
-	return &BakeoffDoc{
-		Schema:   BakeoffSchema,
+func fixtureBakeoff() *schema.BakeoffDoc {
+	return &schema.BakeoffDoc{
+		Schema:   schema.Bakeoff,
 		Topology: "rlft2:4,8",
 		Hosts:    32,
 		Seed:     1,
-		Engines: []BakeoffEngine{
+		Engines: []schema.EngineInfo{
 			{Name: "dmodk", Description: "paper's D-Mod-K", LFT: true, FaultAware: true},
 			{Name: "minhop-random", Description: "random baseline", LFT: true},
 		},
-		Levels: []BakeoffLevel{
-			{Name: "healthy", Engines: []BakeoffResult{
+		Levels: []schema.BakeoffLevel{
+			{Name: "healthy", Engines: []schema.BakeoffResult{
 				{Engine: "dmodk", RoutabilityPct: 100, MaxHSD: 1, AvgMaxHSD: 1, ContentionFree: true, RerouteUS: 120, MaxQueueDepth: -1},
 				{Engine: "minhop-random", RoutabilityPct: 100, MaxHSD: 3, AvgMaxHSD: 2.5, RerouteUS: 95, MaxQueueDepth: -1},
 			}},
-			{Name: "1-link", FailedLinks: []int{7}, Engines: []BakeoffResult{
+			{Name: "1-link", FailedLinks: []int{7}, Engines: []schema.BakeoffResult{
 				{Engine: "dmodk", RoutabilityPct: 100, MaxHSD: 2, AvgMaxHSD: 1.2, RerouteUS: 300, MaxQueueDepth: -1},
 				{Engine: "minhop-random", Err: "stale tables cross dead link 7"},
 			}},

@@ -9,6 +9,7 @@ import (
 	"fattree/internal/cps"
 	"fattree/internal/order"
 	"fattree/internal/route"
+	"fattree/internal/schema"
 	"fattree/internal/topo"
 )
 
@@ -27,8 +28,8 @@ func TestBlameRandomOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Schema != BlameSchema {
-		t.Errorf("schema = %q, want %q", rep.Schema, BlameSchema)
+	if rep.Schema != schema.Blame {
+		t.Errorf("schema = %q, want %q", rep.Schema, schema.Blame)
 	}
 	if rep.ContentionFree || rep.MaxHSD <= 1 {
 		t.Fatalf("random ordering reported contention-free (max HSD %d)", rep.MaxHSD)

@@ -7,6 +7,8 @@ import (
 	"math"
 	"sort"
 	"strings"
+
+	"fattree/internal/schema"
 )
 
 // HTMLOptions configures RenderHTML.
@@ -32,19 +34,19 @@ type HTMLOptions struct {
 type Inputs struct {
 	Probes *ProbeData
 	Trace  *TraceData
-	Load   *LoadDoc
+	Load   *schema.LoadDoc
 	// Loads carries additional sweeps — e.g. the JSON and binary
 	// protocols over the same daemon — each rendered as its own curve
 	// and table section. Load, when set, renders first.
-	Loads  []*LoadDoc
-	Events *EventsDoc
+	Loads  []*schema.LoadDoc
+	Events *schema.EventsDoc
 	// LinkProbes is a parsed fattree-linkprobe/v1 stream (the -link-probes
 	// file): per-channel queue depth and utilization over time plus the
 	// closing contention rollup.
 	LinkProbes *ProbeData
 	// Bakeoff is a parsed fattree-bakeoff/v1 verdict (ftbakeoff -o):
 	// the engine comparison tables and degradation curves.
-	Bakeoff *BakeoffDoc
+	Bakeoff *schema.BakeoffDoc
 }
 
 // RenderHTML renders one self-contained HTML report — no external
@@ -114,7 +116,7 @@ type loadSectionView struct {
 }
 
 type eventView struct {
-	Seq, Offset, Kind, Epoch, Duration, Outcome, Detail string
+	Seq, Offset, Kind, Epoch, Engine, Duration, Outcome, Detail string
 }
 
 type sparkView struct {
@@ -208,7 +210,7 @@ func buildView(in Inputs, opt HTMLOptions) *htmlView {
 	}
 	loads := in.Loads
 	if in.Load != nil {
-		loads = append([]*LoadDoc{in.Load}, loads...)
+		loads = append([]*schema.LoadDoc{in.Load}, loads...)
 	}
 	for _, ld := range loads {
 		if ld == nil {
@@ -408,12 +410,13 @@ const maxHotLinks = 16
 // buildHotLinks tabulates the rollup's deepest channels. Depth 1 is a
 // packet transmitting with nothing queued behind it — only depth > 1
 // marks contention, so a contention-free run yields an empty table.
-func buildHotLinks(roll *LinkRollup) []hotLinkView {
+func buildHotLinks(roll *schema.LinkRollup) []hotLinkView {
 	if roll == nil {
 		return nil
 	}
 	type ranked struct {
-		ch, depth int
+		ch    int
+		depth int32
 	}
 	var rk []ranked
 	for ch, d := range roll.MaxQueue {
@@ -442,7 +445,7 @@ func buildHotLinks(roll *LinkRollup) []hotLinkView {
 
 // buildShardTable tabulates the per-shard DES telemetry and computes
 // the events imbalance (max/mean) headline.
-func buildShardTable(shards []ShardStat) ([]shardView, string) {
+func buildShardTable(shards []schema.ShardStats) ([]shardView, string) {
 	var out []shardView
 	var sumEv, maxEv uint64
 	for _, sh := range shards {
@@ -513,7 +516,7 @@ func buildTimeline(spans []StageSpan, notes *[]string) template.HTML {
 // buildLoadCurve plots the sweep's latency tail against achieved
 // throughput: client p99 (solid) and server histogram p99 (dashed) per
 // level.
-func buildLoadCurve(load *LoadDoc, notes *[]string) template.HTML {
+func buildLoadCurve(load *schema.LoadDoc, notes *[]string) template.HTML {
 	if len(load.Levels) == 0 {
 		*notes = append(*notes, "load sweep has no levels: curve omitted")
 		return ""
@@ -544,10 +547,10 @@ func buildLoadCurve(load *LoadDoc, notes *[]string) template.HTML {
 		f(width), f(height), f(width), f(height))
 	lines := []struct {
 		color, dash string
-		y           func(LoadLevel) float64
+		y           func(schema.LoadLevel) float64
 	}{
-		{"#1e40af", "", func(l LoadLevel) float64 { return l.P99US }},
-		{"#b45309", "4 3", func(l LoadLevel) float64 { return l.ServerP99US }},
+		{"#1e40af", "", func(l schema.LoadLevel) float64 { return l.P99US }},
+		{"#b45309", "4 3", func(l schema.LoadLevel) float64 { return l.ServerP99US }},
 	}
 	for _, ln := range lines {
 		var pts []string
@@ -576,7 +579,7 @@ func buildLoadCurve(load *LoadDoc, notes *[]string) template.HTML {
 
 // loadSectionTitle names one sweep's report section by protocol and
 // endpoint, so JSON and binary curves over the same daemon read apart.
-func loadSectionTitle(ld *LoadDoc) string {
+func loadSectionTitle(ld *schema.LoadDoc) string {
 	title := "Load curve"
 	if ld.Endpoint != "" {
 		title += " — " + ld.Endpoint
@@ -590,14 +593,14 @@ func loadSectionTitle(ld *LoadDoc) string {
 	return title
 }
 
-func loadLevelLabel(l LoadLevel) string {
+func loadLevelLabel(l schema.LoadLevel) string {
 	if l.Mode == "open" {
 		return fmt.Sprintf("open %s/s", f(l.OfferedRPS))
 	}
 	return fmt.Sprintf("closed c=%d", l.Concurrency)
 }
 
-func buildLoadTable(load *LoadDoc) []loadLevelView {
+func buildLoadTable(load *schema.LoadDoc) []loadLevelView {
 	var out []loadLevelView
 	for _, l := range load.Levels {
 		routes := l.RoutesRPS
@@ -621,14 +624,14 @@ func buildLoadTable(load *LoadDoc) []loadLevelView {
 
 // eventColors keys the event strip; unknown kinds fall back to grey.
 var eventColors = map[string]string{
-	"fault":        "#b91c1c",
-	"revive":       "#15803d",
-	"fault_random": "#b91c1c",
-	"alloc":        "#7c3aed",
-	"free":         "#7c3aed",
-	"reroute":      "#1d4ed8",
-	"validate":     "#0e7490",
-	"swap":         "#ca8a04",
+	schema.EvFault:       "#b91c1c",
+	schema.EvRevive:      "#15803d",
+	schema.EvFaultRandom: "#b91c1c",
+	schema.EvAlloc:       "#7c3aed",
+	schema.EvFree:        "#7c3aed",
+	schema.EvReroute:     "#1d4ed8",
+	schema.EvValidate:    "#0e7490",
+	schema.EvSwap:        "#ca8a04",
 }
 
 // maxEventRows caps the event table; truncation is announced in the
@@ -637,7 +640,7 @@ const maxEventRows = 256
 
 // buildEventSection renders the fabric event journal: a time strip of
 // colored markers plus the record table (newest records win the cap).
-func buildEventSection(events *EventsDoc, notes *[]string) (template.HTML, []eventView) {
+func buildEventSection(events *schema.EventsDoc, notes *[]string) (template.HTML, []eventView) {
 	evs := events.Events
 	if events.Dropped > 0 {
 		*notes = append(*notes, fmt.Sprintf("event journal dropped %d older record(s) at its ring capacity", events.Dropped))
@@ -686,6 +689,7 @@ func buildEventSection(events *EventsDoc, notes *[]string) (template.HTML, []eve
 			Offset:   "+" + f(float64(ev.TimeUnixNS-t0)/1e6) + " ms",
 			Kind:     ev.Kind,
 			Epoch:    fmt.Sprintf("%d", ev.Epoch),
+			Engine:   ev.Engine,
 			Duration: dur,
 			Outcome:  ev.Outcome,
 			Detail:   ev.Detail,
@@ -917,8 +921,8 @@ svg .bar{font:10px ui-monospace,monospace;fill:#fff}
 {{end}}{{end}}{{if .EventStrip}}<h2>Fabric events</h2>
 {{.EventStrip}}
 {{end}}{{if .Events}}<table>
-<tr><th>seq</th><th>time</th><th>kind</th><th>epoch</th><th>&#181;s</th><th>outcome</th><th>detail</th></tr>
-{{range .Events}}<tr><td>{{.Seq}}</td><td>{{.Offset}}</td><td>{{.Kind}}</td><td>{{.Epoch}}</td><td>{{.Duration}}</td><td>{{.Outcome}}</td><td>{{.Detail}}</td></tr>
+<tr><th>seq</th><th>time</th><th>kind</th><th>epoch</th><th>engine</th><th>&#181;s</th><th>outcome</th><th>detail</th></tr>
+{{range .Events}}<tr><td>{{.Seq}}</td><td>{{.Offset}}</td><td>{{.Kind}}</td><td>{{.Epoch}}</td><td>{{.Engine}}</td><td>{{.Duration}}</td><td>{{.Outcome}}</td><td>{{.Detail}}</td></tr>
 {{end}}</table>
 {{end}}{{if .Hists}}<h2>Latency and distribution quantiles</h2>
 <table>

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"fattree/internal/obs"
+	"fattree/internal/schema"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -31,7 +32,7 @@ func fixtureProbes(t *testing.T) *ProbeData {
 	h.Observe(5000)
 	snap := r.Snapshot()
 	d := &ProbeData{
-		Schema: obs.ProbeSchema,
+		Schema: schema.Probes,
 		Series: map[string]*Series{},
 		Order:  []string{"link_util", "event_queue", "credit_stalls"},
 	}
@@ -55,7 +56,7 @@ func fixtureProbes(t *testing.T) *ProbeData {
 // label.
 func fixtureTrace() *TraceData {
 	return &TraceData{
-		Schema: obs.TraceSchema,
+		Schema: schema.Trace,
 		Events: []TraceEvent{
 			{Name: "process_name", Ph: "M", Pid: 1, Args: map[string]interface{}{"name": "collective"}},
 			{Name: "stage 0", Ph: "X", Pid: 1, Ts: 0, Dur: 2.5, Args: map[string]interface{}{"messages": 4.0}},
@@ -115,7 +116,7 @@ func TestRenderHTMLContent(t *testing.T) {
 		"Stage timeline", "stage 0",
 		"msg_latency_ns", "p95", // quantile table
 		"pkts_sent", "1234",
-		obs.ProbeSchema, obs.TraceSchema,
+		schema.Probes, schema.Trace,
 		"generated test",
 	} {
 		if !strings.Contains(out, want) {

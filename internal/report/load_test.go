@@ -6,18 +6,20 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"fattree/internal/schema"
 )
 
 func writeJSONDoc(w io.Writer, v interface{}) error { return json.NewEncoder(w).Encode(v) }
 
-func fixtureLoad() *LoadDoc {
-	return &LoadDoc{
-		Schema:     LoadSchema,
+func fixtureLoad() *schema.LoadDoc {
+	return &schema.LoadDoc{
+		Schema:     schema.Load,
 		Target:     "http://127.0.0.1:7474",
 		Endpoint:   "GET /v1/route",
 		Hosts:      324,
 		RTTFloorUS: 40,
-		Levels: []LoadLevel{
+		Levels: []schema.LoadLevel{
 			{Mode: "closed", Concurrency: 1, AchievedRPS: 4000, Sent: 8000,
 				P50US: 90, P95US: 150, P99US: 220, MaxUS: 900, ServerP99US: 180, DurationS: 2},
 			{Mode: "closed", Concurrency: 8, AchievedRPS: 21000, Sent: 42000,
@@ -26,13 +28,13 @@ func fixtureLoad() *LoadDoc {
 	}
 }
 
-func fixtureEvents() *EventsDoc {
-	return &EventsDoc{
-		Schema: EventsSchema,
+func fixtureEvents() *schema.EventsDoc {
+	return &schema.EventsDoc{
+		Schema: schema.Events,
 		Epoch:  3,
-		Events: []FabricEvent{
+		Events: []schema.Event{
 			{Seq: 0, TimeUnixNS: 1_000_000_000, Kind: "fault", Epoch: 1, Detail: "link 17"},
-			{Seq: 1, TimeUnixNS: 1_030_000_000, Kind: "reroute", Epoch: 2, DurationUS: 4200, Outcome: "ok", Detail: "failed_links=1"},
+			{Seq: 1, TimeUnixNS: 1_030_000_000, Kind: "reroute", Epoch: 2, Engine: "fault-resilient", DurationUS: 4200, Outcome: "ok", Detail: "failed_links=1"},
 			{Seq: 2, TimeUnixNS: 1_031_000_000, Kind: "validate", Epoch: 2, DurationUS: 600, Outcome: "ok"},
 			{Seq: 3, TimeUnixNS: 1_032_000_000, Kind: "swap", Epoch: 2, Outcome: "ok"},
 		},
@@ -41,15 +43,15 @@ func fixtureEvents() *EventsDoc {
 
 // fixtureBinaryLoad is a batched wire-protocol sweep of the same
 // daemon; rendered as its own curve section next to the JSON one.
-func fixtureBinaryLoad() *LoadDoc {
-	return &LoadDoc{
-		Schema:   LoadSchema,
+func fixtureBinaryLoad() *schema.LoadDoc {
+	return &schema.LoadDoc{
+		Schema:   schema.Load,
 		Target:   "http://127.0.0.1:7474",
 		Endpoint: "route_set",
 		Protocol: "binary",
 		Batch:    32,
 		Hosts:    324,
-		Levels: []LoadLevel{
+		Levels: []schema.LoadLevel{
 			{Mode: "closed", Concurrency: 8, AchievedRPS: 9000, RoutesRPS: 288000, Sent: 18000,
 				P50US: 300, P95US: 700, P99US: 1600, MaxUS: 4000, ServerP99US: 1300, DurationS: 2},
 		},
@@ -58,7 +60,7 @@ func fixtureBinaryLoad() *LoadDoc {
 
 func TestRenderHTMLMultiLoad(t *testing.T) {
 	var buf bytes.Buffer
-	err := RenderHTML(&buf, Inputs{Loads: []*LoadDoc{fixtureLoad(), fixtureBinaryLoad()}}, HTMLOptions{
+	err := RenderHTML(&buf, Inputs{Loads: []*schema.LoadDoc{fixtureLoad(), fixtureBinaryLoad()}}, HTMLOptions{
 		LoadFile: "load_json.json, load_bin.json",
 	})
 	if err != nil {
@@ -128,8 +130,9 @@ func TestRenderHTMLLoadAndEvents(t *testing.T) {
 	for _, want := range []string{
 		"Load curve", "closed c=8", "21000", "server p99",
 		"load: load.json", "events: events.json",
-		LoadSchema, EventsSchema,
+		schema.Load, schema.Events,
 		"Fabric events", "reroute", "failed_links=1", "+32 ms",
+		"<th>engine</th>", "<td>fault-resilient</td>",
 		"fault", "swap",
 	} {
 		if !strings.Contains(out, want) {
@@ -144,7 +147,7 @@ func TestRenderHTMLLoadAndEvents(t *testing.T) {
 
 	// Empty journal: note, no strip.
 	buf.Reset()
-	if err := RenderHTML(&buf, Inputs{Events: &EventsDoc{Schema: EventsSchema, Dropped: 7}}, HTMLOptions{}); err != nil {
+	if err := RenderHTML(&buf, Inputs{Events: &schema.EventsDoc{Schema: schema.Events, Dropped: 7}}, HTMLOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	out = buf.String()
@@ -157,9 +160,9 @@ func TestRenderHTMLLoadAndEvents(t *testing.T) {
 }
 
 func TestEventTableCap(t *testing.T) {
-	doc := &EventsDoc{Schema: EventsSchema}
+	doc := &schema.EventsDoc{Schema: schema.Events}
 	for i := 0; i < maxEventRows+10; i++ {
-		doc.Events = append(doc.Events, FabricEvent{
+		doc.Events = append(doc.Events, schema.Event{
 			Seq: uint64(i), TimeUnixNS: int64(i) * 1_000_000, Kind: "fault",
 		})
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 
 	"fattree/internal/obs"
+	"fattree/internal/schema"
 )
 
 // Sample is one tick of one probe series.
@@ -44,34 +45,11 @@ type ProbeData struct {
 	Series    map[string]*Series
 	Order     []string // series names in first-seen order
 	Snapshot  *obs.Snapshot
-	Rollup    *LinkRollup // link contention rollup, when the stream carries one
-	Shards    []ShardStat // per-shard DES telemetry record, when present
-	Records   int         // valid records of any kind
-	Extra     int         // valid JSON lines that are neither sample, snapshot nor header
-	Malformed int         // lines that were not valid JSON
-}
-
-// LinkRollup mirrors the netsim rollup record closing a
-// fattree-linkprobe/v1 stream: per-directed-channel contention summary
-// (channel index: up = 2*link, down = 2*link+1).
-type LinkRollup struct {
-	DurationPS int64     `json:"duration_ps"`
-	MaxQueue   []int     `json:"max_queue"`
-	BusyFrac   []float64 `json:"busy_frac"`
-}
-
-// ShardStat mirrors one netsim.ShardStats entry from the per-shard
-// telemetry record a probe stream carries after a sharded run.
-type ShardStat struct {
-	Shard           int    `json:"shard"`
-	Events          uint64 `json:"events"`
-	MaxPending      int    `json:"max_pending"`
-	MailboxPeak     int    `json:"mailbox_peak"`
-	BusyNS          int64  `json:"busy_ns"`
-	StallNS         int64  `json:"stall_ns"`
-	CalRebases      uint64 `json:"cal_rebases"`
-	CalOverflowPeak int    `json:"cal_overflow_peak"`
-	CalSlotsPeak    int    `json:"cal_slots_peak"`
+	Rollup    *schema.LinkRollup  // link contention rollup, when the stream carries one
+	Shards    []schema.ShardStats // per-shard DES telemetry record, when present
+	Records   int                 // valid records of any kind
+	Extra     int                 // valid JSON lines that are neither sample, snapshot nor header
+	Malformed int                 // lines that were not valid JSON
 }
 
 // probeLine is the union of every record kind a probe stream carries.
@@ -82,14 +60,10 @@ type probeLine struct {
 	Schema   string        `json:"schema"`
 	Snapshot *obs.Snapshot `json:"snapshot"`
 
-	// Link rollup record ({"rollup":"links",...}).
-	Rollup     string    `json:"rollup"`
-	DurationPS int64     `json:"duration_ps"`
-	MaxQueue   []int     `json:"max_queue"`
-	BusyFrac   []float64 `json:"busy_frac"`
-
-	// Per-shard telemetry record ({"shards":[...]}).
-	Shards []ShardStat `json:"shards"`
+	// The two whole-record kinds, their fields promoted into the line:
+	// {"rollup":"links",...} and {"shards":[...]}.
+	schema.LinkRollup
+	schema.ShardsRecord
 }
 
 // ParseProbes reads a probe JSONL stream (the -metrics file written via
@@ -118,12 +92,8 @@ func ParseProbes(r io.Reader) (*ProbeData, error) {
 			d.Schema = p.Schema
 		case p.Snapshot != nil:
 			d.Snapshot = p.Snapshot
-		case p.Rollup == "links":
-			d.Rollup = &LinkRollup{
-				DurationPS: p.DurationPS,
-				MaxQueue:   p.MaxQueue,
-				BusyFrac:   p.BusyFrac,
-			}
+		case p.Rollup == schema.RollupLinks:
+			d.Rollup = &p.LinkRollup
 		case len(p.Shards) > 0:
 			d.Shards = p.Shards
 		case p.T != nil && p.Series != "":

@@ -7,6 +7,7 @@ import (
 
 	"fattree/internal/des"
 	"fattree/internal/obs"
+	"fattree/internal/schema"
 )
 
 // TestParseProbesRoundTrip feeds the parser a stream produced by the
@@ -16,7 +17,7 @@ import (
 func TestParseProbesRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	s := obs.NewSampler(&buf, des.Microsecond)
-	s.Record(obs.StreamHeader{Schema: obs.ProbeSchema})
+	s.Record(obs.StreamHeader{Schema: schema.Probes})
 	util := []float64{0, 0, 0}
 	s.Series("link_util", func(now des.Time, b []float64) []float64 {
 		return append(b, util...)
@@ -50,8 +51,8 @@ func TestParseProbesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Schema != obs.ProbeSchema {
-		t.Errorf("schema = %q, want %q", d.Schema, obs.ProbeSchema)
+	if d.Schema != schema.Probes {
+		t.Errorf("schema = %q, want %q", d.Schema, schema.Probes)
 	}
 	if d.Malformed != 0 || d.Extra != 0 {
 		t.Errorf("clean stream counted malformed=%d extra=%d", d.Malformed, d.Extra)

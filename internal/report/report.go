@@ -2,9 +2,9 @@
 // joins routing/topology structure with the HSD analyzer's flow-level
 // evidence into contention "blame" reports that name the colliding
 // flows on every overloaded link, parses the probe JSONL and Chrome
-// trace streams the obs layer emits, renders them into one
-// self-contained HTML file, and tracks benchmark results over time with
-// regression gating. cmd/ftreport is the command-line front end;
+// trace streams the obs layer emits, and renders them — with the load,
+// event-journal and bake-off documents of internal/schema — into one
+// self-contained HTML file. cmd/ftreport is the command-line front end;
 // docs/OBSERVABILITY.md documents every schema. Stdlib only.
 package report
 
@@ -17,17 +17,8 @@ import (
 	"fattree/internal/hsd"
 	"fattree/internal/order"
 	"fattree/internal/route"
+	"fattree/internal/schema"
 	"fattree/internal/topo"
-)
-
-// Stream schema stamps, following the obs package convention: every
-// machine-readable artifact names its format so consumers can detect
-// incompatibilities. Bump /vN on breaking changes.
-const (
-	// BlameSchema stamps contention blame reports.
-	BlameSchema = "fattree-blame/v1"
-	// BenchSchema stamps benchmark history entries under results/bench/.
-	BenchSchema = "fattree-bench/v1"
 )
 
 // Flow is one src->dst transfer crossing a contended link. Src/Dst are
@@ -101,7 +92,7 @@ func BuildBlame(rt route.Router, o *order.Ordering, seq cps.Sequence) (*BlameRep
 	a := hsd.NewAnalyzer(rt)
 	a.SetTrackFlows(true)
 	rep := &BlameReport{
-		Schema:   BlameSchema,
+		Schema:   schema.Blame,
 		Topology: t.Spec.String(),
 		Routing:  rt.Label(),
 		Ordering: o.Label,

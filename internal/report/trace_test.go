@@ -7,6 +7,7 @@ import (
 
 	"fattree/internal/des"
 	"fattree/internal/obs"
+	"fattree/internal/schema"
 )
 
 // TestParseTraceRoundTrip feeds the parser a document written by the
@@ -26,8 +27,8 @@ func TestParseTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Schema != obs.TraceSchema {
-		t.Errorf("schema = %q, want %q", d.Schema, obs.TraceSchema)
+	if d.Schema != schema.Trace {
+		t.Errorf("schema = %q, want %q", d.Schema, schema.Trace)
 	}
 	if d.ProcessName(1) != "collective" {
 		t.Errorf("process name = %q", d.ProcessName(1))

@@ -311,3 +311,29 @@ func twoJobWorstHSD(t *testing.T, lft *route.LFT, hostsA, hostsB []int) int {
 	}
 	return worst
 }
+
+// BenchmarkSchedAllocFree measures the allocator's steady-state churn.
+func BenchmarkSchedAllocFree(b *testing.B) {
+	t := topo.MustBuild(topo.Cluster1944)
+	a, err := New(t)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j1, err := a.Alloc(648)
+		if err != nil {
+			b.Fatal(err)
+		}
+		j2, err := a.Alloc(324)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := a.Free(j1.ID); err != nil {
+			b.Fatal(err)
+		}
+		if err := a.Free(j2.ID); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,13 +1,4 @@
-package report
-
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-)
-
-// LoadSchema stamps ftload sweep documents.
-const LoadSchema = "fattree-load/v1"
+package schema
 
 // LoadLevel is one rung of a load sweep: a fixed concurrency (closed
 // loop) or offered rate (open loop) held for DurationS seconds, with
@@ -64,60 +55,4 @@ type LoadDoc struct {
 	RTTFloorUS    float64     `json:"rtt_floor_us,omitempty"`
 	RTTFloorP99US float64     `json:"rtt_floor_p99_us,omitempty"`
 	Levels        []LoadLevel `json:"levels"`
-}
-
-// ParseLoad reads a fattree-load/v1 document.
-func ParseLoad(r io.Reader) (*LoadDoc, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("report: reading load doc: %w", err)
-	}
-	var doc LoadDoc
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return nil, fmt.Errorf("report: load doc is not JSON: %w", err)
-	}
-	if doc.Schema != LoadSchema {
-		return nil, fmt.Errorf("report: load doc schema %q, want %q", doc.Schema, LoadSchema)
-	}
-	return &doc, nil
-}
-
-// FabricEvent mirrors the fmgr journal record on the wire
-// (fattree-events/v1); report keeps its own copy so rendering does not
-// pull in the daemon.
-type FabricEvent struct {
-	Seq        uint64 `json:"seq"`
-	TimeUnixNS int64  `json:"time_unix_ns"`
-	Kind       string `json:"kind"`
-	Epoch      uint64 `json:"epoch"`
-	DurationUS int64  `json:"duration_us,omitempty"`
-	Outcome    string `json:"outcome,omitempty"`
-	Detail     string `json:"detail,omitempty"`
-}
-
-// EventsSchema stamps fabric event journal documents.
-const EventsSchema = "fattree-events/v1"
-
-// EventsDoc is a GET /v1/events response.
-type EventsDoc struct {
-	Schema  string        `json:"schema"`
-	Epoch   uint64        `json:"epoch"`
-	Dropped uint64        `json:"dropped"`
-	Events  []FabricEvent `json:"events"`
-}
-
-// ParseEvents reads a fattree-events/v1 document.
-func ParseEvents(r io.Reader) (*EventsDoc, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("report: reading events doc: %w", err)
-	}
-	var doc EventsDoc
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return nil, fmt.Errorf("report: events doc is not JSON: %w", err)
-	}
-	if doc.Schema != EventsSchema {
-		return nil, fmt.Errorf("report: events doc schema %q, want %q", doc.Schema, EventsSchema)
-	}
-	return &doc, nil
 }

@@ -5,8 +5,7 @@
 # ftload — whose epoch-mix guard must stay silent: the client may bounce
 # between replicas but must never observe a route set that rolls its
 # epoch backwards. Also runs a JSON sweep so the rendered report carries
-# the p99-vs-load curve for both protocols, and snapshots the batched
-# route-set benchmark as an artifact.
+# the p99-vs-load curve for both protocols.
 #
 # Tunables (environment): ADDR_A, ADDR_B, TOPO, LEVELS, DURATION, OUT.
 set -eu
@@ -100,11 +99,6 @@ go run ./cmd/ftreport html -load "$OUT.http.json,$OUT.wire.json" -o "$OUT.html"
 grep -q "binary, batch 32" "$OUT.html" || fail "report missing the binary curve section"
 grep -q "GET /v1/route" "$OUT.html" || fail "report missing the JSON curve section"
 
-# Benchmark artifact: the batched route-set path at paper scale.
-go test -run '^$' -bench 'ServeRouteSet324' -benchtime 1x . >"$OUT.bench.txt" \
-    || fail "route-set benchmark failed"
-grep -q "BenchmarkServeRouteSet324" "$OUT.bench.txt" || fail "benchmark artifact empty"
-
 kill -TERM "$PID_A" "$PID_B"
 for PID in "$PID_A" "$PID_B"; do
     i=0
@@ -114,4 +108,4 @@ for PID in "$PID_A" "$PID_B"; do
         sleep 0.1
     done
 done
-echo "replica-smoke: ok ($OUT.http.json, $OUT.wire.json, $OUT.html, $OUT.bench.txt)"
+echo "replica-smoke: ok ($OUT.http.json, $OUT.wire.json, $OUT.html)"
