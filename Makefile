@@ -111,12 +111,13 @@ fuzz:
 
 # The invariant-harness fuzzers (docs/TESTING.md): topology file parser,
 # fabric JSON document, fault-injection -> lenient-compile pipeline,
-# binary wire-protocol decoder.
+# binary wire-protocol decoder, patched route-set expansion.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseTopologyFile -fuzztime=$(FUZZTIME) ./internal/topo/
 	$(GO) test -fuzz=FuzzDoc -fuzztime=$(FUZZTIME) ./internal/fabric/
 	$(GO) test -fuzz=FuzzFaultCompileLenient -fuzztime=$(FUZZTIME) ./internal/invariant/
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=$(FUZZTIME) ./internal/wire/
+	$(GO) test -fuzz=FuzzExpandFrom -fuzztime=$(FUZZTIME) ./internal/wire/
 
 clean:
 	$(GO) clean ./...

@@ -9,6 +9,11 @@
 // holds a per-replica mutex across write and read), so
 // throughput-sensitive callers (load generators) should run one Client
 // per worker.
+//
+// Route sets returned by JobRouteSet are shared and read-only: every
+// caller polling one epoch gets the same value, and the sets of
+// successive epochs share the hop memory of every destination column
+// the epoch change did not move. Copy before modifying.
 package fclient
 
 import (
@@ -84,10 +89,12 @@ type replica struct {
 	downUntil time.Time // backoff gate; zero when healthy
 }
 
-// jobSet is one epoch-pinned cached route set.
+// jobSet is one epoch-pinned cached route set and the message it was
+// expanded from, which the next epoch's message is compared against.
 type jobSet struct {
 	epoch uint64
 	set   *wire.RouteSetResp
+	from  *wire.RouteSetFactored
 }
 
 // Client talks the binary protocol to one or more ftfabricd replicas.
@@ -223,6 +230,11 @@ func (c *Client) RouteSet(engineName string, pairs [][2]uint32) (*wire.RouteSetR
 // refetch carries the pinned epoch as a hint, and a response older than
 // the pinned epoch is refused (the set never rolls back; see
 // EpochRegressions).
+//
+// The returned set is shared and must not be written to: it is the
+// cached value itself, and its Hops may be the memory an older or a
+// newer epoch's set reads too. A set stays valid and unchanged for as
+// long as the caller holds it.
 func (c *Client) JobRouteSet(job uint64) (*wire.RouteSetResp, error) {
 	c.mu.Lock()
 	cached := c.jobs[job]
@@ -258,17 +270,23 @@ func (c *Client) JobRouteSet(job uint64) (*wire.RouteSetResp, error) {
 		}
 		return nil, fmt.Errorf("fclient: NotModified without a cached set (epoch %d)", rs.Epoch)
 	case *wire.RouteSetFactored:
-		// The factored frame is expanded here, once per fetched epoch,
-		// and dropped; every later poll of the epoch returns the pinned
-		// pair list.
-		set := rs.Expand()
+		// The factored frame is expanded here, once per fetched epoch;
+		// every later poll of the epoch returns the pinned pair list. With
+		// a pinned set to start from, only the destination columns the
+		// new epoch moved are expanded again.
+		var set *wire.RouteSetResp
+		if cached != nil {
+			set = rs.ExpandFrom(cached.from, cached.set)
+		} else {
+			set = rs.Expand()
+		}
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		if cur := c.jobs[job]; cur != nil && set.Epoch < cur.epoch {
 			c.regressions++
 			return cur.set, nil // never replace the pinned set with an older epoch
 		}
-		c.jobs[job] = &jobSet{epoch: set.Epoch, set: set}
+		c.jobs[job] = &jobSet{epoch: set.Epoch, set: set, from: rs}
 		return set, nil
 	default:
 		return nil, fmt.Errorf("fclient: job route set answered %T", resp)

@@ -29,6 +29,9 @@ type fakeReplica struct {
 	setReqs   atomic.Int64
 	lastHint  atomic.Uint64
 	conns     []net.Conn
+	// jobMsg, when set before the first request, builds the job-mode
+	// answer of an epoch in place of the two-host default.
+	jobMsg func(epoch uint64) *wire.RouteSetFactored
 }
 
 func newFakeReplica(t *testing.T, epoch uint64) *fakeReplica {
@@ -110,6 +113,10 @@ func (f *fakeReplica) serve(c net.Conn) {
 					Epoch: jobEpoch, Engine: "dmodk", Routing: "d-mod-k",
 					Pairs: []wire.PairRoute{{Src: 0, Dst: 1, OK: true, Hops: []uint32{uint32(jobEpoch)<<1 | 1, 4}}},
 				}
+				break
+			}
+			if f.jobMsg != nil {
+				resp = f.jobMsg(jobEpoch)
 				break
 			}
 			// Hosts 0 and 1 on one leaf; 0's uplink is stamped with the

@@ -163,6 +163,116 @@ func TestFactoredEqualsPairList(t *testing.T) {
 	}
 }
 
+// TestPatchedExpansionUnderFaultScripts is the "incremental ≡ full" wall
+// of the client's patched refetch, on the messages the daemon really
+// ships: over a seeded fail/revive script — faults accumulate, host
+// uplinks go dark so whole rows and columns break, the job's host list
+// changes twice, and now and then a replica answers with an older
+// epoch — every set patched from the one before it equals the pair-mode
+// oracle entry for entry, and the set it was patched from is bit for
+// bit what it was.
+func TestPatchedExpansionUnderFaultScripts(t *testing.T) {
+	for _, tc := range []struct {
+		spec  string
+		steps int
+	}{{"324", 24}, {"rlft2:4,8", 80}} {
+		tp := buildTopo(t, tc.spec)
+		e, err := engine.Build("dmodk", tp, engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(20))
+		n := tp.NumHosts()
+		whole := make([]int, n)
+		for h := range whole {
+			whole[h] = h
+		}
+		partial := rng.Perm(n)[:n/2]
+		hosts, fs := whole, fabric.NewFaultSet(tp)
+
+		type shipped struct {
+			msg  *wire.RouteSetFactored
+			want *wire.RouteSetResp
+		}
+		ship := func(epoch uint64) shipped {
+			tb, err := e.Tables(fs)
+			if err != nil {
+				t.Fatalf("%s epoch %d: %v", tc.spec, epoch, err)
+			}
+			want, err := pairListResp(epoch, "dmodk", tb, orderedPairs(hosts))
+			if err != nil {
+				t.Fatal(err)
+			}
+			jw := encodeJobFrame(1, len(want.Pairs), factorRouteSet(epoch, "dmodk", tb, hosts))
+			msg, err := wire.ReadMessage(bytes.NewReader(jw.Frame))
+			if err != nil {
+				t.Fatalf("%s epoch %d: code %d, %v", tc.spec, epoch, jw.Code, err)
+			}
+			return shipped{msg.(*wire.RouteSetFactored), want}
+		}
+		// patch holds one ExpandFrom to the contract and reports how many
+		// pairs still read the hop memory of the set it started from.
+		patch := func(what string, next shipped, prev *wire.RouteSetFactored, set *wire.RouteSetResp) (*wire.RouteSetResp, int) {
+			before := wire.EncodeFrame(set)
+			got := next.msg.ExpandFrom(prev, set)
+			if err := equalRouteSets(got, next.want); err != nil {
+				t.Fatalf("%s %s, failed links %v: %v", tc.spec, what, fs.FailedLinks(), err)
+			}
+			if !bytes.Equal(wire.EncodeFrame(set), before) {
+				t.Fatalf("%s %s: the set handed out earlier was written to", tc.spec, what)
+			}
+			shared := 0
+			for k := 0; len(got.Pairs) == len(set.Pairs) && k < len(got.Pairs); k++ {
+				if g, s := got.Pairs[k].Hops, set.Pairs[k].Hops; len(g) > 0 && len(s) > 0 && &g[0] == &s[0] {
+					shared++
+				}
+			}
+			return got, shared
+		}
+
+		history := []shipped{ship(2)}
+		set := history[0].msg.Expand()
+		if err := equalRouteSets(set, history[0].want); err != nil {
+			t.Fatal(err)
+		}
+		mostlyShared, sawBroken := 0, false
+		for step := 1; step <= tc.steps; step++ {
+			switch failed := fs.FailedLinks(); {
+			case len(failed) > 0 && rng.Intn(5) < 2:
+				fs.Revive(failed[rng.Intn(len(failed))])
+			case rng.Intn(4) == 0: // a host uplink: the host goes dark
+				fs.Fail(tp.Ports[tp.Host(rng.Intn(n)).Up[0]].Link)
+			default:
+				fs.Fail(topo.LinkID(n + rng.Intn(len(tp.Links)-n)))
+			}
+			switch step {
+			case tc.steps / 2:
+				hosts = partial
+			case tc.steps/2 + 3:
+				hosts = whole
+			}
+			cur := history[len(history)-1]
+			next := ship(uint64(step + 2))
+			if step%7 == 0 { // a lagging replica answers first: patched all the same, then refused by the client
+				old := history[len(history)-1-rng.Intn(min(3, len(history)))]
+				patch(fmt.Sprintf("step %d, older epoch %d", step, old.msg.Epoch), old, cur.msg, set)
+			}
+			var shared int
+			set, shared = patch(fmt.Sprintf("step %d", step), next, cur.msg, set)
+			if 2*shared > len(set.Pairs) {
+				mostlyShared++
+			}
+			sawBroken = sawBroken || len(next.msg.Broken) > 0
+			history = append(history, next)
+		}
+		if !sawBroken || mostlyShared < tc.steps/3 {
+			t.Fatalf("%s: script too tame or patching too rare: broken pairs %v, %d of %d steps kept most of their hop memory",
+				tc.spec, sawBroken, mostlyShared, tc.steps)
+		}
+		t.Logf("%s: %d steps, %d kept most of their hop memory, %d links down at the end", tc.spec, tc.steps, mostlyShared, fs.Failed())
+	}
+}
+
 // TestJobFrameIsFactored pins the 324-host numbers the format exists
 // for: the precomputed frame of the whole-cluster job is under 100 KB,
 // carries 18 rows, and the daemon's own build of it matches the oracle

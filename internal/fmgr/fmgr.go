@@ -165,9 +165,10 @@ type Config struct {
 	// EngineOpts is handed to every engine builder (randomized-engine
 	// seed, node-type assignment for nodetype-lb).
 	EngineOpts engine.Options
-	// Debounce is how long the event loop waits after the last fault or
-	// job event before rerouting, so a burst of link flaps costs one
-	// reroute instead of one per event. Default 25ms.
+	// Debounce is how long after the last fault or job event the event
+	// loop waits before it publishes a rerouted snapshot, so a burst of
+	// link flaps costs one swap (and at most two reroutes, one begun at
+	// its first event) instead of one per event. Default 25ms.
 	Debounce time.Duration
 	// RetryBase and RetryMax bound the exponential backoff applied when
 	// a rebuild fails validation (the previous snapshot keeps serving
@@ -245,6 +246,7 @@ type jobReply struct {
 
 type event struct {
 	kind    evKind
+	at      time.Time // when send enqueued it: its debounce window runs from here
 	link    topo.LinkID
 	n       int
 	size    int
@@ -271,6 +273,7 @@ type Manager struct {
 	jobEngines map[sched.JobID]string
 
 	cur     atomic.Pointer[FabricState]
+	clk     clock
 	events  chan event
 	done    chan struct{}
 	wg      sync.WaitGroup
@@ -316,6 +319,9 @@ type Manager struct {
 	mCheckFail   *obs.Counter
 	mWireRoutes  *obs.Counter
 	mWireConns   *obs.Gauge
+	// rebuilds run inside an open debounce window, and those of them a
+	// later event of the burst discarded
+	mSpec, mSpecDiscarded *obs.Counter
 }
 
 // New builds a manager and its initial epoch-1 snapshot (synchronously,
@@ -332,6 +338,7 @@ func New(cfg Config) (*Manager, error) {
 		subnet: fabric.NewSubnet(cfg.Topo),
 		faults: fabric.NewFaultSet(cfg.Topo),
 		orderv: order.Topology(cfg.Topo.NumHosts(), nil),
+		clk:    newWallClock(),
 		events: make(chan event, 256),
 		done:   make(chan struct{}),
 		gate:   make(chan struct{}, cfg.MaxInflight),
@@ -351,6 +358,8 @@ func New(cfg Config) (*Manager, error) {
 		m.mEpoch = reg.Gauge("fmgr_epoch")
 		m.mReroutes = reg.Counter("fmgr_reroutes_total")
 		m.mRerouteFail = reg.Counter("fmgr_reroute_failures_total")
+		m.mSpec = reg.Counter("fmgr_speculative_rebuilds_total")
+		m.mSpecDiscarded = reg.Counter("fmgr_speculative_rebuilds_discarded_total")
 		m.mEvents = reg.Counter("fmgr_events_total")
 		m.mJobsActive = reg.Gauge("fmgr_jobs_active")
 		m.mRerouteUS = reg.MustHistogram("fmgr_reroute_latency_us",
@@ -427,8 +436,8 @@ func (m *Manager) EventsSince(since uint64, n int) ([]schema.Event, uint64) {
 
 // InjectFaults enqueues fail/revive events for the given links plus a
 // failRandom draw of that many extra fabric links. Link IDs are
-// validated here; the reroute itself happens asynchronously after the
-// debounce window. Returns the number of events enqueued.
+// validated here; the rerouted snapshot is swapped in asynchronously,
+// when the debounce window closes. Returns the number of events enqueued.
 func (m *Manager) InjectFaults(fail, revive []topo.LinkID, failRandom int) (int, error) {
 	for _, l := range append(append([]topo.LinkID(nil), fail...), revive...) {
 		if l < 0 || int(l) >= len(m.t.Links) {
@@ -519,6 +528,9 @@ func (m *Manager) send(ev event) error {
 		return fmt.Errorf("fmgr: manager closed")
 	default:
 	}
+	// The debounce window runs from here, not from when the loop gets
+	// round to the event: a rebuild in progress must not lengthen it.
+	ev.at = m.clk.Now()
 	select {
 	case m.events <- ev:
 		m.mEvents.Inc()
@@ -528,57 +540,84 @@ func (m *Manager) send(ev event) error {
 	}
 }
 
+// clock is the event loop's time: Now, and the loop's one timer. Arm
+// makes C deliver once at t, replacing any earlier arming; the zero
+// time disarms. Tests run the loop on a scripted one.
+type clock interface {
+	Now() time.Time
+	Arm(t time.Time)
+	C() <-chan time.Time
+}
+
+type wallClock struct{ t *time.Timer }
+
+func newWallClock() wallClock {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return wallClock{t}
+}
+
+func (wallClock) Now() time.Time        { return time.Now() }
+func (w wallClock) C() <-chan time.Time { return w.t.C }
+func (w wallClock) Arm(t time.Time) {
+	if !w.t.Stop() {
+		select { // the loop is the only receiver: drain a tick it has not read
+		case <-w.t.C:
+		default:
+		}
+	}
+	if !t.IsZero() {
+		w.t.Reset(time.Until(t))
+	}
+}
+
+// candidate is a built and validated snapshot waiting for its debounce
+// window to close, with the journal records of its build: they are
+// written once its fate is known, as they are if it is published and as
+// superseded if a later event discards it.
+type candidate struct {
+	st    *FabricState
+	recs  []schema.Event
+	built time.Time
+}
+
 // loop is the single writer: it owns the fault set and the allocator,
 // coalesces events over the debounce window, and swaps validated
-// snapshots. A failed rebuild keeps the previous snapshot current and
+// snapshots. The window delays publication only: the loop rebuilds for
+// the first event of a burst at once and holds the snapshot, publishing
+// it when the window closes — unless a later event discarded it, and
+// then the rebuild runs again at the close. Either way no snapshot is
+// swapped in before the window of the last event it reflects has
+// closed. A failed rebuild keeps the previous snapshot current and
 // retries with exponential backoff.
 func (m *Manager) loop() {
 	defer m.wg.Done()
 	var (
-		debounceC <-chan time.Time
-		retryC    <-chan time.Time
+		dirty     bool      // events applied that no published snapshot reflects
+		speculate bool      // a burst has just begun: build without waiting for its window
+		windowEnd time.Time // when the window of the last applied event closes
+		retryAt   time.Time // when a failed rebuild is tried again; zero: none pending
 		backoff   = m.cfg.RetryBase
-		dirty     bool
+		held      *candidate // reflects every applied event; nil when nothing does
 	)
-	rebuild := func() {
-		st, err := m.tryRebuild()
-		if err != nil {
-			m.mRerouteFail.Inc()
-			retryC = time.After(backoff)
-			if backoff *= 2; backoff > m.cfg.RetryMax {
-				backoff = m.cfg.RetryMax
-			}
-			return
-		}
-		if m.OnSwap != nil {
-			m.OnSwap(st)
-		}
-		m.cur.Store(st)
-		m.mEpoch.Set(int64(st.Epoch))
-		m.journal.Record(schema.Event{Kind: schema.EvSwap, Epoch: st.Epoch, Engine: st.Engine,
-			Outcome: schema.OutcomeOK,
-			Detail: fmt.Sprintf("engine=%s failed_links=%d broken_pairs=%d jobs=%d",
-				st.Engine, len(st.FailedLinks), st.BrokenPairs, len(st.Jobs))})
-		backoff = m.cfg.RetryBase
-		retryC = nil
-		dirty = false
-	}
 	for {
 		select {
 		case ev := <-m.events:
+			if held != nil {
+				for i := range held.recs {
+					held.recs[i].Outcome = schema.OutcomeSuperseded
+				}
+				m.journal.Record(held.recs...)
+				m.mSpecDiscarded.Inc()
+				held = nil
+			}
 			m.apply(ev)
-			dirty = true
-			debounceC = time.After(m.cfg.Debounce)
-		case <-debounceC:
-			debounceC = nil
-			if dirty {
-				rebuild()
+			speculate = speculate || !dirty
+			dirty, windowEnd = true, ev.at.Add(m.cfg.Debounce)
+			if len(m.events) > 0 {
+				continue // apply what is already queued before building for any of it
 			}
-		case <-retryC:
-			retryC = nil
-			if dirty {
-				rebuild()
-			}
+		case <-m.clk.C():
 		case <-m.done:
 			// Unblock any callers waiting on a job reply.
 			for {
@@ -592,6 +631,51 @@ func (m *Manager) loop() {
 				}
 			}
 		}
+		now := m.clk.Now()
+		// Build at the start of a burst, when a retry is due, and at the
+		// close of the window for whatever is still unbuilt.
+		if dirty && held == nil && (speculate || !now.Before(windowEnd) || !retryAt.IsZero() && !now.Before(retryAt)) {
+			if now.Before(windowEnd) {
+				m.mSpec.Inc()
+			}
+			st, recs, err := m.tryRebuild()
+			now = m.clk.Now()
+			if err != nil {
+				m.journal.Record(recs...)
+				m.mRerouteFail.Inc()
+				retryAt = now.Add(backoff)
+				if backoff *= 2; backoff > m.cfg.RetryMax {
+					backoff = m.cfg.RetryMax
+				}
+			} else {
+				held, retryAt, backoff = &candidate{st, recs, now}, time.Time{}, m.cfg.RetryBase
+			}
+		}
+		speculate = false
+		if held != nil && !now.Before(windowEnd) {
+			st := held.st
+			m.journal.Record(held.recs...)
+			if m.OnSwap != nil {
+				m.OnSwap(st)
+			}
+			m.cur.Store(st)
+			m.mEpoch.Set(int64(st.Epoch))
+			m.mReroutes.Inc()
+			m.journal.Record(schema.Event{Kind: schema.EvSwap, Epoch: st.Epoch, Engine: st.Engine,
+				Outcome: schema.OutcomeOK,
+				Detail: fmt.Sprintf("engine=%s failed_links=%d broken_pairs=%d jobs=%d speculated=%t wait_us=%d",
+					st.Engine, len(st.FailedLinks), st.BrokenPairs, len(st.Jobs),
+					held.built.Before(windowEnd), now.Sub(held.built).Microseconds())})
+			held, dirty = nil, false
+		}
+		var next time.Time // of the open window's close and a pending retry, the earlier
+		if dirty {
+			next = windowEnd
+			if held == nil && !retryAt.IsZero() && (retryAt.Before(next) || !now.Before(next)) {
+				next = retryAt
+			}
+		}
+		m.clk.Arm(next)
 	}
 }
 
@@ -669,9 +753,11 @@ func (m *Manager) apply(ev event) {
 }
 
 // tryRebuild computes and validates the next snapshot; on any error the
-// caller keeps the previous one current. Each phase is spanned and
-// journaled: reroute (tables + arena + HSD) then validate.
-func (m *Manager) tryRebuild() (*FabricState, error) {
+// caller keeps the previous one current. Each phase is spanned and has
+// its journal record — reroute (tables + arena + HSD), then validate —
+// returned for the caller to write once it knows what became of the
+// snapshot.
+func (m *Manager) tryRebuild() (*FabricState, []schema.Event, error) {
 	sp := m.cfg.Spans.StartTrace("rebuild")
 	defer sp.End()
 	epoch := m.cur.Load().Epoch + 1
@@ -681,7 +767,7 @@ func (m *Manager) tryRebuild() (*FabricState, error) {
 	rsp := sp.Child("reroute")
 	st, err := m.buildState(epoch, rsp)
 	rsp.End()
-	rec := schema.Event{Kind: schema.EvReroute, Epoch: epoch, Engine: m.cfg.Engine,
+	rec := schema.Event{TimeUnixNS: time.Now().UnixNano(), Kind: schema.EvReroute, Epoch: epoch, Engine: m.cfg.Engine,
 		DurationUS: time.Since(start).Microseconds(), Outcome: schema.OutcomeOK}
 	if err != nil {
 		rec.Outcome, rec.Detail = schema.OutcomeError, err.Error()
@@ -691,28 +777,27 @@ func (m *Manager) tryRebuild() (*FabricState, error) {
 			st.Engine, len(st.FailedLinks), st.BrokenPairs, len(st.Unroutable),
 			st.phaseUS.engineTables, st.phaseUS.shiftHSD, st.phaseUS.wirePrecompute)
 	}
-	m.journal.Record(rec)
+	recs := []schema.Event{rec}
 
 	if err == nil {
 		vstart := time.Now()
 		vsp := sp.Child("validate")
 		err = m.validate(st)
 		vsp.End()
-		vrec := schema.Event{Kind: schema.EvValidate, Epoch: epoch, Engine: m.cfg.Engine,
+		vrec := schema.Event{TimeUnixNS: time.Now().UnixNano(), Kind: schema.EvValidate, Epoch: epoch, Engine: m.cfg.Engine,
 			DurationUS: time.Since(vstart).Microseconds(), Outcome: schema.OutcomeOK}
 		if err != nil {
 			m.mCheckFail.Inc()
 			vrec.Outcome, vrec.Detail = schema.OutcomeError, err.Error()
 		}
-		m.journal.Record(vrec)
+		recs = append(recs, vrec)
 	}
 	m.mRerouteUS.Observe(float64(time.Since(start).Microseconds()))
 	if err != nil {
 		sp.Tag(obs.Str("outcome", schema.OutcomeError))
-		return nil, err
+		return nil, recs, err
 	}
-	m.mReroutes.Inc()
-	return st, nil
+	return st, recs, nil
 }
 
 // buildState asks the active engine (and every engine a live job

@@ -1,9 +1,7 @@
 package fmgr
 
 import (
-	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -157,66 +155,6 @@ func TestFaultRerouteAndRevive(t *testing.T) {
 				sameTrace(t, st.LFT, init.LFT, src, dst)
 			}
 		}
-	}
-}
-
-func TestDebounceCoalescesBursts(t *testing.T) {
-	var swaps atomic.Int64
-	m := newManager(t, "rlft2:4,8", func(c *Config) {
-		c.Debounce = 40 * time.Millisecond
-	})
-	m.OnSwap = func(*FabricState) { swaps.Add(1) }
-	m.Start()
-
-	var fail []topo.LinkID
-	for i := 0; i < 6; i++ {
-		fail = append(fail, fabricLink(t, m.t, i))
-	}
-	// Six fault events land well inside one debounce window.
-	if _, err := m.InjectFaults(fail, nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	st := waitEpoch(t, m, 2)
-	if len(st.FailedLinks) != len(fail) {
-		t.Fatalf("snapshot has %d failed links, want %d", len(st.FailedLinks), len(fail))
-	}
-	time.Sleep(100 * time.Millisecond) // catch any spurious extra swaps
-	// Initial announce + one coalesced reroute; allow one extra in case
-	// a scheduling stall split the burst across two windows.
-	if got := swaps.Load(); got < 2 || got > 3 {
-		t.Fatalf("swaps = %d, want 2 (initial + one coalesced reroute)", got)
-	}
-}
-
-func TestRetryBackoffOnValidationFailure(t *testing.T) {
-	m := newManager(t, "rlft2:4,8", func(c *Config) {
-		c.RetryBase = 5 * time.Millisecond
-		c.RetryMax = 20 * time.Millisecond
-	})
-	var calls atomic.Int64
-	inner := m.validate
-	m.validate = func(st *FabricState) error {
-		if calls.Add(1) <= 2 {
-			return fmt.Errorf("injected validation failure")
-		}
-		return inner(st)
-	}
-	m.Start()
-	if _, err := m.InjectFaults([]topo.LinkID{fabricLink(t, m.t, 0)}, nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	st := waitEpoch(t, m, 2)
-	if len(st.FailedLinks) != 1 {
-		t.Fatalf("failed links = %v, want 1", st.FailedLinks)
-	}
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("validate called %d times, want 3 (two failures, one success)", got)
-	}
-	if got := m.cfg.Metrics.Counter("fmgr_reroute_failures_total").Value(); got != 2 {
-		t.Fatalf("fmgr_reroute_failures_total = %d, want 2", got)
-	}
-	if got := m.cfg.Metrics.Counter("fmgr_check_failures_total").Value(); got != 2 {
-		t.Fatalf("fmgr_check_failures_total = %d, want 2", got)
 	}
 }
 

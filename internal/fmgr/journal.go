@@ -37,24 +37,27 @@ func NewJournal(capacity int) *Journal {
 	return &Journal{buf: make([]schema.Event, 0, capacity), cap: capacity}
 }
 
-// Record appends one record, stamping Seq and, if unset, the wall-clock
-// time. No-op on a nil journal.
-func (j *Journal) Record(rec schema.Event) {
+// Record appends the records in order, stamping Seq and, if unset, the
+// wall-clock time. No-op on a nil journal.
+func (j *Journal) Record(recs ...schema.Event) {
 	if j == nil {
 		return
 	}
-	if rec.TimeUnixNS == 0 {
-		rec.TimeUnixNS = time.Now().UnixNano()
-	}
+	now := time.Now().UnixNano()
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	rec.Seq = j.next
-	j.next++
-	if len(j.buf) < j.cap {
-		j.buf = append(j.buf, rec)
-		return
+	for _, rec := range recs {
+		if rec.TimeUnixNS == 0 {
+			rec.TimeUnixNS = now
+		}
+		rec.Seq = j.next
+		j.next++
+		if len(j.buf) < j.cap {
+			j.buf = append(j.buf, rec)
+		} else {
+			j.buf[int(rec.Seq)%j.cap] = rec
+		}
 	}
-	j.buf[int(rec.Seq)%j.cap] = rec
 }
 
 // Snapshot returns up to n kept records, oldest first (n <= 0 means

@@ -18,6 +18,11 @@ const (
 const (
 	OutcomeOK    = "ok"
 	OutcomeError = "error"
+	// OutcomeSuperseded marks the reroute and validate records of a
+	// snapshot that was built while its debounce window was open and
+	// discarded, unpublished, by a later event of the burst; the records
+	// of the rebuild that replaced it follow under the same epoch.
+	OutcomeSuperseded = "superseded"
 )
 
 // Event is one entry of the fabric event journal: what happened, when

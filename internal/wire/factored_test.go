@@ -4,18 +4,20 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 	"time"
 )
 
 // TestExpand pins the pair list a factored message stands for: ordered
 // pairs source-major in Hosts order, head then tail, broken pairs
-// present but not OK, every Hops a capped window of one slab.
+// present but not OK, every Hops a capped window of its column's slab.
 func TestExpand(t *testing.T) {
 	got := exampleFactored().Expand()
 	want := &RouteSetResp{Epoch: 42, Engine: "dmodk", Routing: "d-mod-k", Pairs: []PairRoute{
@@ -39,6 +41,164 @@ func TestExpand(t *testing.T) {
 			t.Fatalf("%d-host job expands to %+v", len(m.Hosts), rs)
 		}
 	}
+}
+
+// cloneSet deep-copies a route set: what it held when it was handed out.
+func cloneSet(rs *RouteSetResp) *RouteSetResp {
+	c := *rs
+	c.Pairs = slices.Clone(rs.Pairs)
+	for i, p := range c.Pairs {
+		c.Pairs[i].Hops = slices.Clone(p.Hops)
+	}
+	return &c
+}
+
+// checkExpandFrom holds one patched expansion to the contract: entry
+// for entry what Expand makes of the message, the set it started from
+// left exactly as it was, and hop memory of its own in every column it
+// refilled. It returns how many destination columns share their hops
+// with prevSet.
+func checkExpandFrom(t testing.TB, what string, m, prev *RouteSetFactored, prevSet *RouteSetResp) (got *RouteSetResp, shared int) {
+	t.Helper()
+	before := cloneSet(prevSet)
+	got = m.ExpandFrom(prev, prevSet)
+	if want := m.Expand(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: patched expansion differs from Expand\n got %+v\nwant %+v", what, got, want)
+	}
+	if !reflect.DeepEqual(prevSet, before) {
+		t.Fatalf("%s: the set handed out earlier was written to", what)
+	}
+	n := len(m.Hosts)
+	if len(prevSet.Pairs) != len(got.Pairs) {
+		return got, 0
+	}
+	for j := 0; j < n; j++ {
+		same, other := 0, 0
+		for i := 0; i < n; i++ {
+			k := i*(n-1) + j
+			if j > i {
+				k--
+			}
+			if i == j || len(got.Pairs[k].Hops) == 0 || len(prevSet.Pairs[k].Hops) == 0 {
+				continue
+			}
+			if &got.Pairs[k].Hops[0] == &prevSet.Pairs[k].Hops[0] {
+				same++
+			} else {
+				other++
+			}
+		}
+		if same > 0 && other > 0 {
+			t.Fatalf("%s: column %d is half shared (%d pairs) and half refilled (%d)", what, j, same, other)
+		}
+		if same > 0 {
+			shared++
+		}
+	}
+	for _, p := range got.Pairs {
+		if cap(p.Hops) != len(p.Hops) {
+			t.Fatalf("%s: %d->%d: hops window has spare capacity", what, p.Src, p.Dst)
+		}
+	}
+	return got, shared
+}
+
+// TestExpandFrom: the patched expansion refills exactly the columns
+// whose tails or broken pairs moved, shares the rest with the set it
+// started from, and falls back to Expand on any difference in shape —
+// always ending at what Expand would have built.
+func TestExpandFrom(t *testing.T) {
+	base := exampleFactored()
+	baseSet := base.Expand()
+	edit := func(f func(m *RouteSetFactored)) *RouteSetFactored {
+		m := exampleFactored()
+		m.Epoch++
+		f(m)
+		return m
+	}
+	for name, tc := range map[string]struct {
+		m      *RouteSetFactored
+		shared int // columns whose hop memory is prevSet's
+	}{
+		"nothing moved":        {edit(func(m *RouteSetFactored) {}), 3},
+		"older epoch":          {edit(func(m *RouteSetFactored) { m.Epoch = 7; m.Tails[0] = 12 }), 2},
+		"one tail moved":       {edit(func(m *RouteSetFactored) { m.Tails[3] = 262 }), 2}, // row 0 -> 9
+		"a tail got shorter":   {edit(func(m *RouteSetFactored) { m.Tails = m.Tails[:10]; m.TailOff[5], m.TailOff[6] = 10, 10 }), 2},
+		"pair repaired":        {edit(func(m *RouteSetFactored) { m.Broken = nil }), 2},
+		"another pair broke":   {edit(func(m *RouteSetFactored) { m.Broken = []uint64{1, 5} }), 2},    // 4->5 too
+		"broken pair moved":    {edit(func(m *RouteSetFactored) { m.Broken = []uint64{2*3 + 0} }), 1}, // 9->4, not 5->9
+		"head changed":         {edit(func(m *RouteSetFactored) { m.Hosts[0].Head = 13 }), 0},         // shape: Expand
+		"host replaced":        {edit(func(m *RouteSetFactored) { m.Hosts[2].Host = 10 }), 0},         // shape
+		"stride changed":       {edit(func(m *RouteSetFactored) { m.Stride = 4 }), 0},                 // shape
+		"rows regrouped":       {edit(func(m *RouteSetFactored) { m.Hosts[1].Row = 1 }), 0},           // shape
+		"host dropped":         {&RouteSetFactored{Epoch: 43, Rows: 1, Hosts: []FactoredHost{{Host: 3, Head: NoHead}}, TailOff: []uint32{0, 0}}, 0},
+		"no hosts at all":      {&RouteSetFactored{Epoch: 43}, 0},
+		"hosts added (bigger)": {job24(1), 0},
+	} {
+		if _, shared := checkExpandFrom(t, name, tc.m, base, baseSet); shared != tc.shared {
+			t.Errorf("%s: %d of 3 columns share hop memory with the previous set, want %d", name, shared, tc.shared)
+		}
+	}
+	// From an empty set, and from a set that is not prev's expansion at
+	// all (wrong length): Expand.
+	empty := &RouteSetFactored{Epoch: 1}
+	checkExpandFrom(t, "from no hosts", base, empty, empty.Expand())
+	checkExpandFrom(t, "from a foreign set", edit(func(m *RouteSetFactored) {}), base, &RouteSetResp{Epoch: 42})
+
+	// A chain: each epoch patched from the one before, tails and broken
+	// pairs coming and going, the shape changing now and then.
+	prev := job24(0)
+	set := prev.Expand()
+	for epoch := uint64(1); epoch <= 60; epoch++ {
+		m := job24(epoch)
+		next, shared := checkExpandFrom(t, fmt.Sprintf("chain epoch %d", epoch), m, prev, set)
+		// With no host down or swapped in this epoch or the last, only
+		// the rerouted columns of the two are refilled.
+		if epoch%3 == 2 && epoch%20 > 1 && (shared < 18 || shared == 24) {
+			t.Fatalf("chain epoch %d: %d of 24 columns shared", epoch, shared)
+		}
+		prev, set = m, next
+	}
+}
+
+// job24 is a 24-host job on 4 rows whose routes drift with the epoch:
+// three columns' tails are rerouted, every third epoch one host loses
+// its pairs, every twentieth the job's last host is swapped out.
+func job24(epoch uint64) *RouteSetFactored {
+	const n, rows = 24, 4
+	m := &RouteSetFactored{Epoch: epoch, Engine: "dmodk", Routing: "d-mod-k", Stride: 3, Rows: rows, TailOff: []uint32{0}}
+	for h := 0; h < n; h++ {
+		m.Hosts = append(m.Hosts, FactoredHost{Host: uint32(h), Row: uint32(h / 6), Head: uint32(2*h + 1)})
+	}
+	if epoch%20 == 0 {
+		m.Hosts[n-1].Host = 99
+	}
+	moved := func(j int) bool {
+		return epoch > 0 && (j == int(epoch%n) || j == int(epoch*7%n) || j == int(epoch*11%n))
+	}
+	for r := 0; r < rows; r++ {
+		for j := 0; j < n; j++ {
+			switch {
+			case j/6 == r:
+				m.Tails = append(m.Tails, uint32(2*j))
+			case moved(j) && r == int(epoch%rows):
+				m.Tails = append(m.Tails, uint32(100+2*r+8*int(epoch%3)), uint32(200+2*j), uint32(2*j))
+			default:
+				m.Tails = append(m.Tails, uint32(100+2*r), uint32(200+2*j), uint32(2*j))
+			}
+			m.TailOff = append(m.TailOff, uint32(len(m.Tails)))
+		}
+	}
+	if dead := int(epoch * 5 % n); epoch%3 == 0 { // its uplink is gone: nothing from it, nothing to it
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if i != j && (i == dead || j == dead) {
+					m.Broken = append(m.Broken, uint64(i*n+j))
+				}
+			}
+		}
+	}
+	return m
 }
 
 // factoredPayload encodes the example with one field group replaced, for
@@ -127,9 +287,11 @@ func job324() *RouteSetFactored {
 	return m
 }
 
-// TestFactoredAllocs holds a whole-job refetch — decode, cross-check,
-// expand — to a fixed handful of allocations, and the pair-list decoder
-// to one hops slab however many pairs arrive.
+// TestFactoredAllocs holds a whole-job refetch to what it is made of:
+// the decode to a fixed handful of allocations, the first expansion to
+// one hop slab per destination column, a patched expansion to one per
+// column that moved — and the pair-list decoder to one hops slab
+// however many pairs arrive.
 func TestFactoredAllocs(t *testing.T) {
 	// A collection triggered by the megabyte slabs below lets runtime
 	// housekeeping allocate inside the measured function.
@@ -138,19 +300,38 @@ func TestFactoredAllocs(t *testing.T) {
 	if len(frame) > 100_000 {
 		t.Fatalf("324-host job frame is %d bytes, want < 100 KB", len(frame))
 	}
-	var rs *RouteSetResp
+	var fm *RouteSetFactored
 	allocs := testing.AllocsPerRun(10, func() {
 		m, err := DecodePayload(TRouteSetFactored, frame[HeaderSize:])
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs = m.(*RouteSetFactored).Expand()
+		fm = m.(*RouteSetFactored)
 	})
-	if allocs > 16 {
-		t.Errorf("decode + expand of a 324-host job: %.0f allocations, want <= 16", allocs)
+	if allocs > 8 {
+		t.Errorf("decode of a 324-host job: %.0f allocations, want <= 8", allocs)
+	}
+	var rs *RouteSetResp
+	allocs = testing.AllocsPerRun(10, func() { rs = fm.Expand() })
+	if allocs > 324+4 {
+		t.Errorf("expansion of a 324-host job: %.0f allocations, want <= 324 columns + 4", allocs)
 	}
 	if len(rs.Pairs) != 324*323 || len(rs.Pairs[0].Hops) != 2 || len(rs.Pairs[322].Hops) != 4 {
 		t.Fatalf("expanded %d pairs, first %+v", len(rs.Pairs), rs.Pairs[0])
+	}
+	// One link fault's worth: a tail moved in each of 18 columns.
+	next := job324()
+	next.Epoch++
+	for c := 0; c < 18; c++ {
+		next.Tails[next.TailOff[5*324+17*c]] += 2
+	}
+	var patched *RouteSetResp
+	allocs = testing.AllocsPerRun(10, func() { patched = next.ExpandFrom(fm, rs) })
+	if allocs > 18+4 {
+		t.Errorf("patched expansion with 18 columns moved: %.0f allocations, want <= 18 + 4", allocs)
+	}
+	if _, shared := checkExpandFrom(t, "324 hosts, 18 columns moved", next, fm, rs); shared != 324-18 || patched.Epoch != next.Epoch {
+		t.Fatalf("%d columns shared with the previous set, want %d", shared, 324-18)
 	}
 
 	pairs := EncodeFrame(&RouteSetResp{Epoch: 9, Engine: "dmodk", Routing: "d-mod-k", Pairs: rs.Pairs[:324]})

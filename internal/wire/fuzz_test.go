@@ -93,3 +93,37 @@ func FuzzWireDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzExpandFrom decodes two payloads as factored route sets, however
+// unrelated, and patches the second onto the expansion of the first:
+// whatever two valid messages a replica may answer in a row, the
+// patched expansion must not panic, must equal Expand entry for entry
+// and must leave the earlier set as it was. Wired into fuzz-smoke next
+// to FuzzWireDecode.
+func FuzzExpandFrom(f *testing.F) {
+	payload := func(m *RouteSetFactored) []byte { return m.appendPayload(nil) }
+	moved := exampleFactored()
+	moved.Epoch, moved.Tails[3], moved.Broken = 43, 262, []uint64{1}
+	f.Add(payload(exampleFactored()), payload(moved))
+	f.Add(payload(moved), payload(exampleFactored()))
+	f.Add(payload(job24(1)), payload(job24(2)))
+	f.Add(payload(job24(2)), payload(job24(3)))   // a host goes down
+	f.Add(payload(job24(19)), payload(job24(20))) // a host is swapped out
+	f.Add(payload(exampleFactored()), payload(job24(1)))
+	f.Add(payload(&RouteSetFactored{Epoch: 1}), payload(exampleFactored()))
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		ma, err := DecodePayload(TRouteSetFactored, a)
+		if err != nil {
+			return
+		}
+		mb, err := DecodePayload(TRouteSetFactored, b)
+		if err != nil {
+			return
+		}
+		prev, next := ma.(*RouteSetFactored), mb.(*RouteSetFactored)
+		if len(prev.Hosts) > 64 || len(next.Hosts) > 64 { // the pair list is quadratic
+			return
+		}
+		checkExpandFrom(t, "fuzzed pair", next, prev, prev.Expand())
+	})
+}

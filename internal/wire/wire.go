@@ -359,44 +359,95 @@ func (m *RouteSetFactored) appendPayload(dst []byte) []byte {
 
 // Expand materializes the pair list the message stands for — every
 // ordered src != dst pair of Hosts, source-major in Hosts order — into
-// two slabs, one of pairs and one of hops. The client does this once
-// per fetched epoch. m must be consistent, as every decoded message is.
+// one slab of pairs and one slab of hops per destination column, the
+// unit ExpandFrom replaces. m must be consistent, as every decoded
+// message is.
 func (m *RouteSetFactored) Expand() *RouteSetResp {
 	n := len(m.Hosts)
-	resp := &RouteSetResp{Epoch: m.Epoch, Engine: m.Engine, Routing: m.Routing}
-	total := 0 // every pair's hops, plus the few of the unread diagonal and the broken pairs
-	for _, h := range m.Hosts {
-		total += int(m.TailOff[int(h.Row)*n+n] - m.TailOff[int(h.Row)*n])
-		if h.Head != NoHead {
-			total += n - 1
+	resp := &RouteSetResp{Epoch: m.Epoch, Engine: m.Engine, Routing: m.Routing, Pairs: make([]PairRoute, n*(n-1))}
+	for j := range m.Hosts {
+		m.fillColumn(resp.Pairs, j)
+	}
+	return resp
+}
+
+// ExpandFrom is Expand for a holder of prevSet, the expansion of prev:
+// it copies prevSet's pair slab and refills only the destination
+// columns in which m differs from prev — a tail of any row, or a pair
+// that is broken in one and not the other — so a fault that moved a few
+// columns costs a copy and those columns, not every pair. Untouched
+// columns share their hop memory with prevSet, which is never written:
+// both sets are read-only. A difference in shape (hosts, heads, rows,
+// stride) falls back to Expand.
+func (m *RouteSetFactored) ExpandFrom(prev *RouteSetFactored, prevSet *RouteSetResp) *RouteSetResp {
+	n := len(m.Hosts)
+	if m.Rows != prev.Rows || m.Stride != prev.Stride || !slices.Equal(m.Hosts, prev.Hosts) || len(prevSet.Pairs) != n*(n-1) {
+		return m.Expand()
+	}
+	dirty := make([]bool, n)
+	for t := 0; t+1 < len(m.TailOff); t++ { // tail t is that of (row t/n, destination t%n)
+		if !slices.Equal(m.Tails[m.TailOff[t]:m.TailOff[t+1]], prev.Tails[prev.TailOff[t]:prev.TailOff[t+1]]) {
+			dirty[t%n] = true
 		}
 	}
-	resp.Pairs = make([]PairRoute, n*(n-1))
-	hops := make([]uint32, total)
-	broken, k, at := m.Broken, 0, 0
-	for i, h := range m.Hosts {
-		off := m.TailOff[int(h.Row)*n : int(h.Row)*n+n+1]
-		for j, to := range m.Hosts {
-			if i == j {
-				continue
-			}
-			p := &resp.Pairs[k]
-			k++
-			p.Src, p.Dst = h.Host, to.Host
-			if len(broken) > 0 && broken[0] == uint64(i*n+j) {
-				broken = broken[1:]
-				continue
-			}
-			start := at
-			if h.Head != NoHead {
-				hops[at] = h.Head
-				at++
-			}
-			at += copy(hops[at:], m.Tails[off[j]:off[j+1]])
-			p.OK, p.Hops = true, hops[start:at:at]
+	for a, b := m.Broken, prev.Broken; len(a) > 0 || len(b) > 0; {
+		switch {
+		case len(b) == 0 || len(a) > 0 && a[0] < b[0]:
+			dirty[a[0]%uint64(n)], a = true, a[1:]
+		case len(a) == 0 || b[0] < a[0]:
+			dirty[b[0]%uint64(n)], b = true, b[1:]
+		default:
+			a, b = a[1:], b[1:]
+		}
+	}
+	resp := &RouteSetResp{Epoch: m.Epoch, Engine: m.Engine, Routing: m.Routing, Pairs: make([]PairRoute, len(prevSet.Pairs))}
+	copy(resp.Pairs, prevSet.Pairs)
+	for j, moved := range dirty {
+		if moved {
+			m.fillColumn(resp.Pairs, j)
 		}
 	}
 	return resp
+}
+
+// fillColumn writes destination column j — the pair (i, j) of every
+// source i != j — into the source-major pair slab, its hops in one
+// fresh slab: the fill routine of Expand and ExpandFrom alike.
+func (m *RouteSetFactored) fillColumn(pairs []PairRoute, j int) {
+	n, to, broken := len(m.Hosts), m.Hosts[j].Host, m.Broken
+	total := 0 // the column's hops, plus the few of the unread diagonal and the broken pairs
+	for _, h := range m.Hosts {
+		t := int(h.Row)*n + j
+		total += int(m.TailOff[t+1] - m.TailOff[t])
+		if h.Head != NoHead {
+			total++
+		}
+	}
+	hops, at := make([]uint32, total), 0
+	for i, h := range m.Hosts {
+		if i == j {
+			continue
+		}
+		k := i*(n-1) + j
+		if j > i {
+			k--
+		}
+		p := &pairs[k]
+		*p = PairRoute{Src: h.Host, Dst: to}
+		if len(broken) > 0 {
+			x, found := slices.BinarySearch(broken, uint64(i*n+j))
+			if broken = broken[x:]; found {
+				continue
+			}
+		}
+		start, t := at, int(h.Row)*n+j
+		if h.Head != NoHead {
+			hops[at] = h.Head
+			at++
+		}
+		at += copy(hops[at:], m.Tails[m.TailOff[t]:m.TailOff[t+1]])
+		p.OK, p.Hops = true, hops[start:at:at]
+	}
 }
 
 // NotModified answers a RouteSetReq whose EpochHint matched: the
