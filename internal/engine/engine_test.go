@@ -80,9 +80,10 @@ func TestBuildDefaultAndActive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.LFT.Name != want.Name || !slices.EqualFunc(tb.LFT.Out, want.Out, func(a, b []topo.PortID) bool { return slices.Equal(a, b) }) {
+	if tb.LFT.Name != want.Name {
 		t.Fatalf("dmodk with an active set serves %s, not route.DModKActive's tables", tb.LFT.Name)
 	}
+	sameTables(t, "dmodk with an active set", want, tb.LFT)
 
 	fs := fabric.NewFaultSet(tp)
 	if err := fs.FailRandomFabricLinks(1, 3); err != nil {
@@ -211,14 +212,7 @@ func TestNodetypeRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := route.DModK(tp)
-	for id := range want.Out {
-		for j, p := range want.Out[id] {
-			if tb.LFT.Out[id][j] != p {
-				t.Fatalf("single-type nodetype-lb differs from d-mod-k at node %d dst %d", id, j)
-			}
-		}
-	}
+	sameTables(t, "single-type nodetype-lb", route.DModK(tp), tb.LFT)
 
 	types := make([]int, tp.NumHosts())
 	for j := range types {
@@ -256,13 +250,14 @@ func TestNodetypeBadAssignment(t *testing.T) {
 	}
 }
 
-// sameTables fails unless a and b agree entry for entry.
+// sameTables fails unless a and b agree entry for entry, read the way
+// every walker reads them.
 func sameTables(t *testing.T, what string, a, b *route.LFT) {
 	t.Helper()
-	for id := range a.Out {
-		for j, p := range a.Out[id] {
-			if b.Out[id][j] != p {
-				t.Fatalf("%s: node %d dst %d: %s has port %d, %s has %d", what, id, j, a.Name, p, b.Name, b.Out[id][j])
+	for id := range a.T.Nodes {
+		for j := 0; j < a.T.NumHosts(); j++ {
+			if p, q := a.OutPort(topo.NodeID(id), j), b.OutPort(topo.NodeID(id), j); p != q {
+				t.Fatalf("%s: node %d dst %d: %s has port %d, %s has %d", what, id, j, a.Name, p, b.Name, q)
 			}
 		}
 	}
@@ -429,21 +424,21 @@ func TestFaultResilientLatency(t *testing.T) {
 	lo, up := tp.Ports[lk.Lower].Node, tp.Ports[lk.Upper].Node
 	dirty := 0
 	for j := 0; j < n; j++ {
-		crossed := healthy.LFT.Out[lo][j] == lk.Lower || healthy.LFT.Out[up][j] == lk.Upper
+		crossed := healthy.LFT.OutPort(lo, j) == lk.Lower || healthy.LFT.OutPort(up, j) == lk.Upper
 		if crossed {
 			dirty++
 			continue
 		}
 		for id := range tb.LFT.Out {
-			if tb.LFT.Out[id][j] != healthy.LFT.Out[id][j] {
+			if tb.LFT.OutPort(topo.NodeID(id), j) != healthy.LFT.OutPort(topo.NodeID(id), j) {
 				t.Fatalf("column %d never crossed the dead link but node %d was re-pointed", j, id)
 			}
 		}
 		for src := 0; src < n; src++ {
-			_, got, err1 := tb.Compiled.SplitPath(src, j)
-			_, want, err2 := healthy.Compiled.SplitPath(src, j)
+			got, err1 := tb.Compiled.PackedPath(src, j)
+			want, err2 := healthy.Compiled.PackedPath(src, j)
 			if err1 != nil || err2 != nil || !slices.Equal(got, want) {
-				t.Fatalf("pair %d->%d never crossed the dead link but its tail moved: %v (%v), healthy %v (%v)", src, j, got, err1, want, err2)
+				t.Fatalf("pair %d->%d never crossed the dead link but its path moved: %v (%v), healthy %v (%v)", src, j, got, err1, want, err2)
 			}
 		}
 	}
@@ -451,6 +446,22 @@ func TestFaultResilientLatency(t *testing.T) {
 	if dirty == 0 || dirty*8 > n {
 		t.Errorf("repair re-walks %d of %d columns per row, want a small non-empty fraction (<= 1/8)", dirty, n)
 	}
+}
+
+// wantWide is the cell width the arenas of the running test must have.
+var wantWide bool
+
+// bothWidths runs a differential test at the cell width its fabrics
+// compile to (16 bits, all of them) and again with every arena forced to
+// 32 bits: one storage, one encoding, two widths, the same answers.
+func bothWidths(t *testing.T, body func(*testing.T)) {
+	body(t)
+	t.Run("32-bit cells", func(t *testing.T) {
+		route.ForceWideCells(t)
+		wantWide = true
+		t.Cleanup(func() { wantWide = false })
+		body(t)
+	})
 }
 
 // TestRepairMatchesRebuild is ROADMAP 4-a, "incremental repair == full
@@ -462,7 +473,9 @@ func TestFaultResilientLatency(t *testing.T) {
 // the three broken-pair counts (engine, fabric reroute, arena minus the
 // pairs touching unroutable hosts) agree. Fabrics whose hosts have several
 // uplinks are skipped: the reroute's host model is one uplink per host.
-func TestRepairMatchesRebuild(t *testing.T) {
+func TestRepairMatchesRebuild(t *testing.T) { bothWidths(t, testRepairMatchesRebuild) }
+
+func testRepairMatchesRebuild(t *testing.T) {
 	var specs []topo.PGFT
 	for seed := int64(1); seed <= 16; seed++ {
 		specs = append(specs, invariant.RandRLFT(seed), invariant.RandPGFT(seed))
@@ -501,17 +514,19 @@ func TestRepairMatchesRebuild(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				if tb.Compiled.Wide() != wantWide || full.Compiled.Wide() != wantWide {
+					t.Fatalf("%s %s: arena wide = %v, dmodk's %v, want %v", what, name, tb.Compiled.Wide(), full.Compiled.Wide(), wantWide)
+				}
 				sameTables(t, what+" "+name, full.LFT, tb.LFT)
 				if tb.BrokenPairs != full.BrokenPairs || !slices.Equal(tb.Unroutable, full.Unroutable) {
 					t.Fatalf("%s %s: broken %d unroutable %v, dmodk has %d %v", what, name, tb.BrokenPairs, tb.Unroutable, full.BrokenPairs, full.Unroutable)
 				}
 				for src := 0; src < n; src++ {
 					for dst := 0; dst < n; dst++ {
-						h1, t1, err1 := tb.Compiled.SplitPath(src, dst)
-						h2, t2, err2 := full.Compiled.SplitPath(src, dst)
-						if tb.Compiled.Broken(src, dst) != full.Compiled.Broken(src, dst) || (err1 == nil) != (err2 == nil) ||
-							!slices.Equal(h1, h2) || !slices.Equal(t1, t2) {
-							t.Fatalf("%s %s %d->%d: %v %v (%v), dmodk has %v %v (%v)", what, name, src, dst, h1, t1, err1, h2, t2, err2)
+						p1, err1 := tb.Compiled.PackedPath(src, dst)
+						p2, err2 := full.Compiled.PackedPath(src, dst)
+						if tb.Compiled.Broken(src, dst) != full.Compiled.Broken(src, dst) || (err1 == nil) != (err2 == nil) || !slices.Equal(p1, p2) {
+							t.Fatalf("%s %s %d->%d: %v (%v), dmodk has %v (%v)", what, name, src, dst, p1, err1, p2, err2)
 						}
 					}
 				}

@@ -60,7 +60,7 @@ func (e *faultresEngine) Tables(fs *fabric.FaultSet) (*Tables, error) {
 			continue
 		}
 		for j := 0; j < n; j++ {
-			if !dirtySet[j] && (e.base.Out[lo][j] == lk.Lower || e.base.Out[up][j] == lk.Upper) {
+			if !dirtySet[j] && (e.base.OutPort(lo, j) == lk.Lower || e.base.OutPort(up, j) == lk.Upper) {
 				dirtySet[j] = true
 				dirty = append(dirty, j)
 			}

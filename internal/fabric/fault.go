@@ -100,7 +100,7 @@ type RerouteResult struct {
 
 // UnroutableHosts returns the hosts whose only uplink is dead, ascending —
 // the set every routing shares, since no table choice reaches a host with
-// no alive cable.
+// no alive cable; only Up[0] is read, several uplinks or not (docs/ROUTING.md).
 func (f *FaultSet) UnroutableHosts() []int {
 	var out []int
 	for j := 0; j < f.t.NumHosts(); j++ {
@@ -137,8 +137,10 @@ func (f *FaultSet) RouteAround() (*route.LFT, RerouteResult, error) {
 // fresh table set (name every column) or a clone of the healthy tables
 // (name the columns whose entries cross a dead link). The row and column
 // of an unroutable host are emptied whether named or not, so walks from
-// and to it fail. BrokenPairs is exact as long as every column the faults
-// changed is named.
+// and to it fail; a routable single-uplink host has no row (route.LFT),
+// so a pair its leaf cannot forward fails there, one hop after the host.
+// BrokenPairs is exact as long as every column the faults changed is
+// named.
 func (f *FaultSet) Reroute(lft *route.LFT, rank []int, cols []int) RerouteResult {
 	t := f.t
 	g := t.Spec
@@ -146,12 +148,11 @@ func (f *FaultSet) Reroute(lft *route.LFT, rank []int, cols []int) RerouteResult
 	unroutable := make([]bool, t.NumHosts())
 	for _, u := range res.UnroutableHosts {
 		unroutable[u] = true
-		row := lft.Out[t.HostID(u)]
-		for j := range row {
-			row[j] = topo.None
-		}
-		for id := range lft.Out {
-			lft.Out[id][u] = topo.None
+		lft.CutHost(u)
+		for _, row := range lft.Out {
+			if row != nil {
+				row[u] = topo.None
+			}
 		}
 	}
 	canReach := make([]bool, len(t.Nodes)) // for the current destination
@@ -206,7 +207,8 @@ func (f *FaultSet) Reroute(lft *route.LFT, rank []int, cols []int) RerouteResult
 				node := t.Node(id)
 				out := topo.PortID(topo.None)
 				if node.Kind == topo.Host {
-					// Hosts have one uplink.
+					// Only Up[0] is tried, as in UnroutableHosts: a known
+					// shortfall on hosts with several uplinks.
 					if pid := node.Up[0]; f.Alive(t.Ports[pid].Link) && canReach[t.PeerNode(pid)] {
 						out = pid
 					} else if !unroutable[node.Index] {
@@ -222,7 +224,9 @@ func (f *FaultSet) Reroute(lft *route.LFT, rank []int, cols []int) RerouteResult
 						}
 					}
 				}
-				lft.Out[id][j] = out
+				if row := lft.Out[id]; row != nil {
+					row[j] = out
+				}
 				canReach[id] = out != topo.None
 			}
 		}

@@ -24,15 +24,7 @@ func TestRouteAroundNoFaultsEqualsDModK(t *testing.T) {
 		if len(res.UnroutableHosts) != 0 || res.BrokenPairs != 0 {
 			t.Fatalf("%v: damage %+v with no faults", g, res)
 		}
-		want := route.DModK(tp)
-		for id := range tp.Nodes {
-			for j := 0; j < tp.NumHosts(); j++ {
-				if got.Out[id][j] != want.Out[id][j] {
-					t.Fatalf("%v: node %d dst %d: reroute %d != d-mod-k %d",
-						g, id, j, got.Out[id][j], want.Out[id][j])
-				}
-			}
-		}
+		sameTables(t, got, route.DModK(tp))
 	}
 }
 
@@ -196,5 +188,18 @@ func TestFaultSetBookkeeping(t *testing.T) {
 	}
 	if err := fs.FailRandomFabricLinks(1<<20, 1); err == nil {
 		t.Error("impossible fault count accepted")
+	}
+}
+
+// sameTables fails unless a and b agree entry for entry, read the way
+// every walker reads them.
+func sameTables(t *testing.T, a, b *route.LFT) {
+	t.Helper()
+	for id := range a.T.Nodes {
+		for j := 0; j < a.T.NumHosts(); j++ {
+			if p, q := a.OutPort(topo.NodeID(id), j), b.OutPort(topo.NodeID(id), j); p != q {
+				t.Fatalf("%v: %v dst %d: %s has port %d, %s has %d", a.T.Spec, a.T.Node(topo.NodeID(id)), j, a.Name, p, b.Name, q)
+			}
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fattree/internal/obs"
+	"fattree/internal/route"
 	"fattree/internal/sched"
 	"fattree/internal/wire"
 )
@@ -137,16 +138,10 @@ func (m *Manager) wireRouteSet(dst []byte, st *FabricState, req *wire.RouteSetRe
 		return refuse(wire.CodeInternal, 500, "engine %q paths run to %d hops, past what a pair record carries", engName, paths.Stride()+1)
 	}
 	out := wire.BeginRouteSet(dst, st.Epoch, engName, routing, len(req.Pairs))
-	for _, p := range req.Pairs {
-		if pairStatus(paths, n, int(p[0]), int(p[1])) == pairBroken {
-			out = wire.AppendUnserved(out, p[0], p[1]) // the binary twin of the JSON 503
-			continue
-		}
-		head, tail, err := paths.SplitPath(int(p[0]), int(p[1]))
-		if err != nil {
-			return refuse(wire.CodeInternal, 500, "%v", err)
-		}
-		out = wire.AppendPair(out, p[0], p[1], head, tail)
+	if paths.Wide() {
+		out = appendPairs(out, paths, paths.Cells32(), req.Pairs)
+	} else {
+		out = appendPairs(out, paths, paths.Cells16(), req.Pairs)
 	}
 	out, err := wire.EndFrame(out, len(dst))
 	if err != nil {
@@ -154,6 +149,25 @@ func (m *Manager) wireRouteSet(dst []byte, st *FabricState, req *wire.RouteSetRe
 	}
 	m.mWireRoutes.Add(int64(len(req.Pairs)))
 	return out, 200
+}
+
+// appendPairs appends the record of every requested pair — all in range —
+// from the arena's cells at their width.
+func appendPairs[E route.Cell](out []byte, paths *route.Compiled, cells []E, pairs [][2]uint32) []byte {
+	n, stride := paths.Topology().NumHosts(), paths.Stride()
+	for _, p := range pairs {
+		src, dst := int(p[0]), int(p[1])
+		switch pairStatus(paths, n, src, dst) {
+		case pairBroken:
+			out = wire.AppendUnserved(out, p[0], p[1]) // the binary twin of the JSON 503
+		case pairSelf:
+			out = wire.AppendPair[E](out, p[0], p[1], wire.NoHead, nil)
+		default:
+			row, head, _ := paths.Row(src)
+			out = wire.AppendPair(out, p[0], p[1], uint32(head), route.SlotAt(cells, n, stride, row, dst))
+		}
+	}
+	return out
 }
 
 // trackWire registers a live wire connection; false means the manager

@@ -250,11 +250,16 @@ func TestWireJobFrameBudget(t *testing.T) {
 // PackedPath — on a healthy snapshot and on a faulted one that leaves
 // some pairs Broken, self pairs included, behind whatever the
 // connection's buffer already holds.
-func TestWireRouteSetEqualsPairList(t *testing.T) {
+func TestWireRouteSetEqualsPairList(t *testing.T) { bothWidths(t, testWireRouteSetEqualsPairList) }
+
+func testWireRouteSetEqualsPairList(t *testing.T) {
 	m := newManager(t, "rlft2:4,8", nil)
 	m.Start()
 	n := m.t.NumHosts()
 	check := func(t *testing.T, st *FabricState) (unserved int) {
+		if st.Paths.Wide() != wantWide {
+			t.Fatalf("epoch %d: arena wide = %v, want %v", st.Epoch, st.Paths.Wide(), wantWide)
+		}
 		rng := rand.New(rand.NewSource(int64(st.Epoch)))
 		var all, batch [][2]uint32
 		for s := 0; s < n; s++ {

@@ -96,13 +96,10 @@ type Analyzer struct {
 	// cnt holds the per-directed-link flow counters interleaved as
 	// cnt[link<<1|1] (up) and cnt[link<<1] (down) — the same encoding as
 	// route.PathEntry. It is raw[1:]: raw[0] is the sink cell the replay
-	// kernel counts absent entries (route.NoEntry) into, which no reader
-	// of cnt ever sees.
+	// kernel counts absent entries (an arena's zero cells, route.NoEntry
+	// heads) into, which no reader of cnt ever sees.
 	raw, cnt []int32
 	pairs    [][2]int // end-port scratch of the Walk path's rank stages
-	// narrow, when a sweep set it, is pc's slots at 16 bits a cell, shared
-	// read-only by the sweep's workers: rank stages replay from it.
-	narrow *route.Narrow
 	// memb, when tracking is on, records per directed-link slot which
 	// pair indexes of the current Stage crossed it — the flow-level
 	// evidence behind contention blame reports. Same indexing as cnt.
@@ -146,16 +143,14 @@ func (a *Analyzer) StageFlows(l topo.LinkID, up bool) []int32 {
 
 // count is the replay kernel: it adds a path to raw as the arena stores
 // it — head(src), then every cell of the fixed-stride (row(src), dst)
-// slot — with no trimming and no branch on the data: an absent head and
-// the slot's padding are route.NoEntry (-1), which the unsigned e+1 wraps
-// to the sink cell raw[0] (and which spares the loop a sign extension).
-// bias is 1 for the arena's own slots and 0 for a route.Narrow copy,
-// whose cells are entries plus one already. The pair must be in range,
-// distinct and not Broken.
-func count[E int32 | uint16](raw []int32, head route.PathEntry, slot []E, bias uint32) {
+// slot — with no trimming and no branch on the data: a cell is its entry
+// plus one, so it indexes raw itself, padding lands in the sink cell
+// raw[0], and the unsigned head+1 wraps an absent head (route.NoEntry)
+// there too. The pair must be in range, distinct and not Broken.
+func count[E route.Cell](raw []int32, head route.PathEntry, slot []E) {
 	raw[uint32(head)+1]++
 	for _, e := range slot {
-		raw[uint32(e)+bias]++
+		raw[e]++
 	}
 }
 
@@ -173,8 +168,17 @@ func (a *Analyzer) Stage(pairs [][2]int) (StageResult, error) {
 			return res, unserved(c, p[0], p[1])
 		}
 	}
-	clear(a.raw)
-	broken := c.NumBroken() > 0
+	if c.Wide() {
+		return replayPairs(a, c.Cells32(), res, pairs)
+	}
+	return replayPairs(a, c.Cells16(), res, pairs)
+}
+
+// replayPairs is Stage's compiled replay at the arena's cell width.
+func replayPairs[E route.Cell](a *Analyzer, cells []E, res StageResult, pairs [][2]int) (StageResult, error) {
+	c, raw := a.pc, a.raw
+	clear(raw)
+	n, stride, broken := c.Topology().NumHosts(), c.Stride(), c.NumBroken() > 0
 	for _, p := range pairs {
 		if p[0] == p[1] {
 			continue
@@ -183,14 +187,14 @@ func (a *Analyzer) Stage(pairs [][2]int) (StageResult, error) {
 			return res, unserved(c, p[0], p[1])
 		}
 		row, head, _ := c.Row(p[0])
-		count(a.raw, head, c.Slot(row, p[1]), 1)
+		count(raw, head, route.SlotAt(cells, n, stride, row, p[1]))
 	}
 	return a.summarize(res), nil
 }
 
 // unserved returns the arena's own error for a pair it does not serve.
 func unserved(c *route.Compiled, src, dst int) error {
-	_, _, err := c.SplitPath(src, dst)
+	_, err := c.AppendPath(nil, src, dst)
 	return err
 }
 
@@ -209,10 +213,18 @@ func (a *Analyzer) stageRanks(st cps.Stage, o *order.Ordering, served bool) (Sta
 		}
 		return a.Stage(a.pairs)
 	}
-	raw, w := a.raw, a.narrow
+	if c.Wide() {
+		return replayRanks(a, c.Cells32(), st, o, served)
+	}
+	return replayRanks(a, c.Cells16(), st, o, served)
+}
+
+// replayRanks is stageRanks' compiled replay at the arena's cell width.
+func replayRanks[E route.Cell](a *Analyzer, cells []E, st cps.Stage, o *order.Ordering, served bool) (StageResult, error) {
+	c, raw := a.pc, a.raw
 	clear(raw)
 	res := StageResult{Flows: len(st)}
-	broken, hostOf := c.NumBroken() > 0, o.HostOf
+	n, stride, broken, hostOf := c.Topology().NumHosts(), c.Stride(), c.NumBroken() > 0, o.HostOf
 	for _, p := range st {
 		src, dst := hostOf[p.Src], hostOf[p.Dst]
 		if src == dst || broken && c.Broken(src, dst) {
@@ -224,11 +236,8 @@ func (a *Analyzer) stageRanks(st cps.Stage, o *order.Ordering, served bool) (Sta
 			}
 			continue
 		}
-		if row, head, _ := c.Row(src); w != nil {
-			count(raw, head, w.Slot(row, dst), 0)
-		} else {
-			count(raw, head, c.Slot(row, dst), 1)
-		}
+		row, head, _ := c.Row(src)
+		count(raw, head, route.SlotAt(cells, n, stride, row, dst))
 	}
 	return a.summarize(res), nil
 }

@@ -46,6 +46,22 @@ func sweepByHand(t *testing.T, rt route.Router, orders []*order.Ordering, seq cp
 	return sw
 }
 
+// wantWide is the cell width the arenas of the running test must have.
+var wantWide bool
+
+// bothWidths runs a differential test at the cell width its fabrics
+// compile to (16 bits, all of them) and again with every arena forced to
+// 32 bits: one storage, one encoding, two widths, the same answers.
+func bothWidths(t *testing.T, body func(*testing.T)) {
+	body(t)
+	t.Run("32-bit cells", func(t *testing.T) {
+		route.ForceWideCells(t)
+		wantWide = true
+		t.Cleanup(func() { wantWide = false })
+		body(t)
+	})
+}
+
 // TestKernelDifferential is the wall around the replay kernel: seeded
 // random fabrics (plus two shapes whose hosts have several uplinks, i.e.
 // private rows with no head) x {healthy, leniently compiled faulted}
@@ -55,7 +71,9 @@ func sweepByHand(t *testing.T, rt route.Router, orders []*order.Ordering, seq cp
 // per-level loads — and every driver built on it (AnalyzeServed, Analyze,
 // AnalyzeParallel, the sweeps) with its sequential, filter-then-Stage or
 // by-hand form.
-func TestKernelDifferential(t *testing.T) {
+func TestKernelDifferential(t *testing.T) { bothWidths(t, testKernelDifferential) }
+
+func testKernelDifferential(t *testing.T) {
 	var specs []topo.PGFT
 	for seed := int64(1); seed <= 8; seed++ {
 		specs = append(specs, invariant.RandRLFT(seed), invariant.RandPGFT(seed))
@@ -95,6 +113,9 @@ func TestKernelDifferential(t *testing.T) {
 				}
 				c := tb.Compiled
 				sawBroken = sawBroken || c.NumBroken() > 0
+				if c.Wide() != wantWide {
+					t.Fatalf("%v %s %s: arena wide = %v, want %v", g, engName, fname, c.Wide(), wantWide)
+				}
 				_, _, shared := c.Row(0)
 				sawShared, sawPrivate = sawShared || shared, sawPrivate || !shared
 				for _, seq := range seqs {

@@ -92,18 +92,10 @@ func SweepOrderingsParallel(rt route.Router, orders []*order.Ordering, seq cps.S
 	// maxima are integers, so their sum does not depend on how the stages
 	// were split and the averages equal Report.AvgMaxHSD bit for bit.
 	split := max(1, min((workers+len(orders)-1)/len(orders), len(stages)))
-	// Replaying from a 16-bit copy of the arena halves the cache the random
-	// slot reads need; making the copy reads every slot once, so it pays
-	// when the sweep reads more slots than that.
-	var narrow *route.Narrow
-	if c, ok := rt.(*route.Compiled); ok && len(orders)*len(stages)*seq.Size() >= c.NumEntries()/c.Stride() {
-		narrow = c.Narrow()
-	}
 	type tally struct{ sum, stages int }
 	parts := make([]tally, len(orders)*split)
 	err := fanOut(rt, len(parts), workers, func(a *Analyzer, i int) error {
 		var t tally
-		a.narrow = narrow
 		lo, hi := i%split*len(stages)/split, (i%split+1)*len(stages)/split
 		for _, st := range stages[lo:hi] {
 			sr, err := a.stageRanks(st, orders[i/split], false)

@@ -29,6 +29,7 @@ func LenientArena(t *topo.Topology, c *route.Compiled, unroutable func(int) bool
 	for j := range un {
 		un[j] = unroutable != nil && unroutable(j)
 	}
+	var path []route.PathEntry // one buffer for every pair
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
 			if src == dst || c.Broken(src, dst) {
@@ -37,36 +38,32 @@ func LenientArena(t *topo.Topology, c *route.Compiled, unroutable func(int) bool
 			if un[src] || un[dst] {
 				return fmt.Errorf("invariant: pair %d->%d touches an unroutable host but is not marked broken", src, dst)
 			}
-			head, tail, err := c.SplitPath(src, dst)
-			if err != nil {
+			var err error
+			if path, err = c.AppendPath(path[:0], src, dst); err != nil {
 				return err
 			}
 			cur := t.HostID(src)
 			descending := false
-			i := 0 // hop number across both views
-			for _, part := range [2][]route.PathEntry{head, tail} {
-				for _, e := range part {
-					l := route.EntryLink(e)
-					if l < 0 || int(l) >= len(ends) {
-						return fmt.Errorf("invariant: pair %d->%d hop %d names link %d, out of range [0,%d)", src, dst, i, l, len(ends))
+			for i, e := range path {
+				l := route.EntryLink(e)
+				if l < 0 || int(l) >= len(ends) {
+					return fmt.Errorf("invariant: pair %d->%d hop %d names link %d, out of range [0,%d)", src, dst, i, l, len(ends))
+				}
+				lower, upper := ends[l][0], ends[l][1]
+				if route.EntryUp(e) {
+					if descending {
+						return fmt.Errorf("invariant: pair %d->%d climbs after descending at hop %d", src, dst, i)
 					}
-					lower, upper := ends[l][0], ends[l][1]
-					if route.EntryUp(e) {
-						if descending {
-							return fmt.Errorf("invariant: pair %d->%d climbs after descending at hop %d", src, dst, i)
-						}
-						if lower != cur {
-							return fmt.Errorf("invariant: pair %d->%d hop %d does not start at the current node", src, dst, i)
-						}
-						cur = upper
-					} else {
-						descending = true
-						if upper != cur {
-							return fmt.Errorf("invariant: pair %d->%d hop %d does not start at the current node", src, dst, i)
-						}
-						cur = lower
+					if lower != cur {
+						return fmt.Errorf("invariant: pair %d->%d hop %d does not start at the current node", src, dst, i)
 					}
-					i++
+					cur = upper
+				} else {
+					descending = true
+					if upper != cur {
+						return fmt.Errorf("invariant: pair %d->%d hop %d does not start at the current node", src, dst, i)
+					}
+					cur = lower
 				}
 			}
 			if cur != t.HostID(dst) {

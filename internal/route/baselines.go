@@ -19,19 +19,23 @@ func MinHopRandom(t *topo.Topology, seed int64) *LFT {
 	for id := range t.Nodes {
 		node := &t.Nodes[id]
 		l := node.Level
+		row := f.Out[id]
 		for j := 0; j < n; j++ {
 			switch {
 			case node.Kind == topo.Host:
 				if node.Index == j {
 					continue
 				}
-				f.Out[id][j] = node.Up[r.Intn(len(node.Up))]
+				// A rowless host still draws: the stream stays what it was.
+				if q := r.Intn(len(node.Up)); row != nil {
+					row[j] = node.Up[q]
+				}
 			case t.IsDescendantHost(node, j):
 				a := g.HostDigit(j, l)
 				k := r.Intn(g.Pi(l))
-				f.Out[id][j] = node.Down[a+k*g.Mi(l)]
+				row[j] = node.Down[a+k*g.Mi(l)]
 			default:
-				f.Out[id][j] = node.Up[r.Intn(len(node.Up))]
+				row[j] = node.Up[r.Intn(len(node.Up))]
 			}
 		}
 	}
@@ -47,27 +51,5 @@ func MinHopRandom(t *topo.Topology, seed int64) *LFT {
 // level-2 switch already share j mod w_2, so they pile onto few ports).
 // Kept as an ablation baseline demonstrating why equation (1) divides.
 func DModKNaive(t *topo.Topology) *LFT {
-	f := NewLFT(t, "d-mod-k-naive")
-	g := t.Spec
-	n := t.NumHosts()
-	for id := range t.Nodes {
-		node := &t.Nodes[id]
-		l := node.Level
-		for j := 0; j < n; j++ {
-			switch {
-			case node.Kind == topo.Host:
-				if node.Index == j {
-					continue
-				}
-				f.Out[id][j] = node.Up[j%(g.Wi(1)*g.Pi(1))]
-			case t.IsDescendantHost(node, j):
-				a := g.HostDigit(j, l)
-				k := (j % (g.Wi(l) * g.Pi(l))) / g.Wi(l)
-				f.Out[id][j] = node.Down[a+k*g.Mi(l)]
-			default:
-				f.Out[id][j] = node.Up[j%(g.Wi(l+1)*g.Pi(l+1))]
-			}
-		}
-	}
-	return f
+	return dModK(t, nil, "d-mod-k-naive", true)
 }

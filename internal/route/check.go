@@ -86,30 +86,3 @@ func DownPortConflicts(f *LFT) (int, error) {
 	}
 	return len(conflicts), nil
 }
-
-// TopSwitchOf returns the index (within the top level) of the single
-// root switch that carries all traffic towards dst, per Lemma 5, by
-// walking up from host 0 (any non-descendant source reaches the same
-// root). Returns an error if dst shares a leaf with host 0 and never
-// reaches the top (use another probe source in that case).
-func TopSwitchOf(f *LFT, probe, dst int) (int, error) {
-	t := f.T
-	cur := t.HostID(probe)
-	for {
-		node := t.Node(cur)
-		if node.Level == t.Spec.H {
-			return node.Index, nil
-		}
-		if node.Kind == topo.Host && node.Index == dst {
-			return 0, fmt.Errorf("route: %s: path %d->%d never reaches the top", f.Name, probe, dst)
-		}
-		out := f.Out[cur][dst]
-		if out == topo.None {
-			return 0, fmt.Errorf("route: %s: no entry for dst %d at %v", f.Name, dst, node)
-		}
-		if t.Ports[out].Dir == topo.Down && node.Level < t.Spec.H {
-			return 0, fmt.Errorf("route: %s: path %d->%d turns down at level %d", f.Name, probe, dst, node.Level)
-		}
-		cur = t.PeerNode(out)
-	}
-}

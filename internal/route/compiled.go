@@ -37,10 +37,30 @@ func EntryLink(e PathEntry) topo.LinkID { return topo.LinkID(e >> 1) }
 func EntryUp(e PathEntry) bool { return e&1 == 1 }
 
 // NoEntry is the absent PathEntry: the head of a source that owns its
-// row, and the padding after a tail shorter than the arena's stride. It
-// is one below the smallest real entry, so a counter array with one sink
-// cell in front can count a whole slot, padding included, as cnt[e+1]++.
+// row. It is one below the smallest real entry, so a counter array with
+// one sink cell in front counts any head as raw[head+1]++.
 const NoEntry PathEntry = -1
+
+// Cell is a PathEntry as the arena stores it: the entry plus one, so 0
+// is absent (the padding after a short tail) and a counter array with one
+// sink cell in front is indexed by the cell itself. An arena holds uint16
+// cells when its fabric's cells fit them, uint32 otherwise.
+type Cell interface{ uint16 | uint32 }
+
+// wideCells reports whether a fabric of links cables needs 32-bit cells:
+// its largest cell is 2*links. Every fabric the paper evaluates fits 16;
+// the 36-port 3-level maximum (34,992 cables) does not.
+func wideCells(links int) bool { return 2*links+1 >= 1<<16 }
+
+var forceWide atomic.Bool // the test seam: only ForceWideCells sets it
+
+// ForceWideCells builds every arena 32 bits wide until tb's test ends, so
+// a test compares both widths on a fabric small enough to test with. It
+// must not run beside parallel tests of the same package.
+func ForceWideCells(tb interface{ Cleanup(func()) }) {
+	forceWide.Store(true)
+	tb.Cleanup(func() { forceWide.Store(false) })
+}
 
 // Compiled is a path cache over any deterministic Router, immutable once
 // built, so every reader is safe for unlimited concurrent use — the
@@ -53,25 +73,26 @@ const NoEntry PathEntry = -1
 // and keep only their own uplink as head (108 rows instead of 1944 on the
 // paper's largest cluster). Every other source — any non-LFT router, hosts
 // with several uplinks — owns a row walked from the host itself and has
-// no head; only the grouping differs. The tails live in one flat []int32
-// arena of fixed-stride slots, so a lookup is one multiply and one cache
-// line, with no offsets table to chase first. The tree height sets the
-// stride — an up*/down* tail is at most 2h hops from a host, 2h-1 from
-// its first switch — so every slot's place is known before any path is
-// walked and a compile writes the arena in place; shorter tails are
-// padded.
+// no head; only the grouping differs. The tails live in one flat arena of
+// fixed-stride slots of Cells, stored once, at the width the link count
+// calls for, so a lookup is one multiply and one cache line, with no
+// offsets table to chase first. The tree height sets the stride — an
+// up*/down* tail is at most 2h hops from a host, 2h-1 from its first
+// switch — so every slot's place is known before any path is walked and
+// a compile writes the arena in place; shorter tails are padded.
 //
 // Compiling a randomized router (Adaptive) freezes one draw per pair and
 // is almost certainly not what you want; compile forwarding tables
 // (LFT) or deterministic source-based schemes (SModK) instead.
 type Compiled struct {
-	inner   Router
-	n       int
-	rowOf   []int32     // per source: the row it reads
-	head    []PathEntry // per source: its first hop, or NoEntry
-	rep     []int32     // per row: its lowest-indexed source
-	stride  int         // tail (r,d) is entries[(r*n+d)*stride:][:stride], NoEntry-padded
-	entries []PathEntry
+	inner  Router
+	n      int
+	rowOf  []int32     // per source: the row it reads
+	head   []PathEntry // per source: its first hop, or NoEntry
+	rep    []int32     // per row: its lowest-indexed source
+	stride int         // tail (r,d) is cells[(r*n+d)*stride:][:stride], zero-padded
+	c16    []uint16    // the cells, or
+	c32    []uint32    // the cells of a wide arena: exactly one is non-nil
 	// broken, when non-nil, is an n*n bitset of pairs the inner router
 	// could not walk — or walked non-minimally — during a lenient
 	// compile over a faulted fabric. Every reader returns ErrNoPath for
@@ -106,10 +127,9 @@ func CompileLenient(r Router) (*Compiled, error) {
 }
 
 // group assigns every source its row and head. Under an LFT a host with
-// a single uplink shares the row of its first switch; a destination its
-// table does not send through that uplink is a pair that fails at its
-// first hop — an error for a strict compile, a broken pair for a lenient
-// one — and no reason to leave the row.
+// a single uplink shares the row of its first switch; one its table has
+// cut off fails every pair at its first hop — an error for a strict
+// compile, broken pairs for a lenient one — and stays in the row.
 func (c *Compiled) group(lenient bool) error {
 	t := c.inner.Topology()
 	lft, _ := c.inner.(*LFT)
@@ -117,11 +137,11 @@ func (c *Compiled) group(lenient bool) error {
 	for src := range c.rowOf {
 		host := t.Host(src)
 		shared := lft != nil && len(host.Up) == 1
-		for dst := 0; shared && dst < c.n; dst++ {
-			if lft.Out[host.ID][dst] == host.Up[0] || dst == src {
+		for dst := 0; shared && lft.uplink[src] != host.Up[0] && dst < c.n; dst++ {
+			if dst == src {
 				continue
 			}
-			if !lenient { // the walk stops at this entry and says why
+			if !lenient { // the walk stops at the host and says why
 				return fmt.Errorf("route: compile %s: %w", c.Label(), lft.Walk(src, dst, func(topo.LinkID, bool) {}))
 			}
 			c.markBroken(src, dst)
@@ -183,17 +203,24 @@ func (c *Compiled) markBroken(src, dst int) {
 // than serve a detour that silently breaks the minimality guarantee. One
 // filler serves one goroutine.
 func (c *Compiled) filler(r Router, lenient bool) func(row, dst int) error {
+	if c.c32 != nil {
+		return fillerOf(c, c.c32, r, lenient)
+	}
+	return fillerOf(c, c.c16, r, lenient)
+}
+
+func fillerOf[E Cell](c *Compiled, cells []E, r Router, lenient bool) func(row, dst int) error {
 	g := r.Topology().Spec
-	var slot []PathEntry
+	var slot []E
 	hops := 0
 	visit := func(l topo.LinkID, up bool) {
 		if hops < len(slot) {
-			slot[hops] = PackEntry(l, up)
+			slot[hops] = E(PackEntry(l, up) + 1)
 		}
 		hops++
 	}
 	return func(row, dst int) error {
-		slot, hops = c.entries[(row*c.n+dst)*c.stride:][:c.stride], 0
+		slot, hops = SlotAt(cells, c.n, c.stride, row, dst), 0
 		err := c.walkRow(r, row, dst, visit)
 		if err == nil && hops > len(slot) {
 			err = fmt.Errorf("route: %s: %d-hop tail towards %d exceeds the up*/down* bound %d", r.Label(), hops, dst, len(slot))
@@ -203,9 +230,7 @@ func (c *Compiled) filler(r Router, lenient bool) func(row, dst int) error {
 		if err != nil {
 			hops = 0
 		}
-		for i := hops; i < len(slot); i++ {
-			slot[i] = NoEntry
-		}
+		clear(slot[hops:])
 		return err
 	}
 }
@@ -237,10 +262,15 @@ func compileParallel(r Router, workers int, lenient bool) (*Compiled, error) {
 	if c.head[0] != NoEntry { // every host has as many uplinks: all rows shared, or none
 		c.stride--
 	}
-	if total := rows * n * c.stride; total > math.MaxInt32 {
+	total := rows * n * c.stride
+	if total > math.MaxInt32 {
 		return nil, fmt.Errorf("route: compile %s: %d path entries overflow the int32 arena bound", r.Label(), total)
 	}
-	c.entries = make([]PathEntry, rows*n*c.stride)
+	if forceWide.Load() || wideCells(len(t.Links)) {
+		c.c32 = make([]uint32, total)
+	} else {
+		c.c16 = make([]uint16, total)
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -320,54 +350,62 @@ func (c *Compiled) Label() string { return c.inner.Label() }
 // Inner returns the router the cache was compiled from.
 func (c *Compiled) Inner() Router { return c.inner }
 
-// NumEntries returns the number of PathEntry slots the arena stores,
-// padding included.
-func (c *Compiled) NumEntries() int { return len(c.entries) }
+// NumEntries returns the number of cells the arena stores, padding included.
+func (c *Compiled) NumEntries() int { return len(c.c16) + len(c.c32) }
 
-// SplitPath returns the hops of the src->dst flow as two views into
-// shared storage, head then tail (both empty for src == dst), without
-// allocating: callers must not modify them. It returns an error for
-// out-of-range indices and one wrapping ErrNoPath for pairs a lenient
+// AppendPath appends the hops of the src->dst flow to buf, head then
+// tail (nothing for src == dst): at most Stride()+1 entries, so a loop
+// over pairs reuses one buffer and allocates nothing. It returns an error
+// for out-of-range indices and one wrapping ErrNoPath for pairs a lenient
 // compile found broken.
-func (c *Compiled) SplitPath(src, dst int) (head, tail []PathEntry, err error) {
+func (c *Compiled) AppendPath(buf []PathEntry, src, dst int) ([]PathEntry, error) {
 	if src < 0 || src >= c.n || dst < 0 || dst >= c.n {
-		return nil, nil, fmt.Errorf("route: compiled %s: pair %d->%d out of range [0,%d)", c.Label(), src, dst, c.n)
+		return buf, fmt.Errorf("route: compiled %s: pair %d->%d out of range [0,%d)", c.Label(), src, dst, c.n)
 	}
 	if src == dst {
-		return nil, nil, nil
+		return buf, nil
 	}
 	if c.broken != nil && c.Broken(src, dst) {
-		return nil, nil, fmt.Errorf("route: compiled %s: pair %d->%d: %w", c.Label(), src, dst, ErrNoPath)
+		return buf, fmt.Errorf("route: compiled %s: pair %d->%d: %w", c.Label(), src, dst, ErrNoPath)
 	}
-	if c.head[src] != NoEntry {
-		head = c.head[src : src+1]
+	if h := c.head[src]; h != NoEntry {
+		buf = append(buf, h)
 	}
-	return head, c.RowTail(int(c.rowOf[src]), dst), nil
+	row := int(c.rowOf[src])
+	if c.c32 != nil {
+		return appendTail(buf, SlotAt(c.c32, c.n, c.stride, row, dst)), nil
+	}
+	return appendTail(buf, SlotAt(c.c16, c.n, c.stride, row, dst)), nil
 }
 
-// PackedPath is SplitPath materialized into one slice, for callers that
-// want a path to keep or compare; it allocates whenever the pair has a
-// head. Hot loops read the SplitPath views instead.
-func (c *Compiled) PackedPath(src, dst int) ([]PathEntry, error) {
-	head, tail, err := c.SplitPath(src, dst)
-	if len(head) == 0 {
-		return tail, err
+// appendTail appends the entries of a slot, up to its padding.
+func appendTail[E Cell](buf []PathEntry, slot []E) []PathEntry {
+	for _, e := range slot {
+		if e == 0 {
+			break
+		}
+		buf = append(buf, PathEntry(e)-1)
 	}
-	return append(append(make([]PathEntry, 0, len(head)+len(tail)), head...), tail...), nil
+	return buf
+}
+
+// PackedPath is AppendPath into a fresh slice (nil for src == dst), to keep.
+func (c *Compiled) PackedPath(src, dst int) ([]PathEntry, error) {
+	path, err := c.AppendPath(make([]PathEntry, 0, c.stride+1), src, dst)
+	if len(path) == 0 {
+		return nil, err
+	}
+	return path, nil
 }
 
 // Walk implements Router by replaying the cached path.
 func (c *Compiled) Walk(src, dst int, visit func(link topo.LinkID, up bool)) error {
-	head, tail, err := c.SplitPath(src, dst)
-	if err != nil {
-		return err
+	var hops [16]PathEntry
+	path, err := c.AppendPath(hops[:0], src, dst)
+	for _, e := range path {
+		visit(EntryLink(e), EntryUp(e))
 	}
-	for _, part := range [2][]PathEntry{head, tail} {
-		for _, e := range part {
-			visit(EntryLink(e), EntryUp(e))
-		}
-	}
-	return nil
+	return err
 }
 
 // Stride returns the slot width of the arena: no tail is longer.
@@ -382,52 +420,23 @@ func (c *Compiled) Row(src int) (row int, head PathEntry, ok bool) {
 	return int(c.rowOf[src]), c.head[src], c.head[src] != NoEntry
 }
 
-// RowTail returns the stored tail of row towards dst as a view into the
-// arena, padding trimmed — empty for a slot the compile refused (every
-// pair reading it is Broken) and for the destination only the row's own
-// source would read. Callers must not modify it.
-func (c *Compiled) RowTail(row, dst int) []PathEntry {
-	tail := c.Slot(row, dst)
-	for len(tail) > 0 && tail[len(tail)-1] == NoEntry {
-		tail = tail[:len(tail)-1]
-	}
-	return tail
-}
+// Wide reports whether the arena stores 32-bit cells (Cells32) rather
+// than 16-bit ones (Cells16). The loops that read whole slots in place —
+// HSD replay, the wire serializers — ask once and run one generic body.
+func (c *Compiled) Wide() bool { return c.c32 != nil }
 
-// Slot is RowTail untrimmed: the whole fixed-stride slot, NoEntry padding
-// included, for loops that would rather count the padding into a sink
-// than branch on it. It does not say whether a pair reading the slot is
-// Broken. Callers must not modify it.
-func (c *Compiled) Slot(row, dst int) []PathEntry {
-	i := (row*c.n + dst) * c.stride
-	return c.entries[i : i+c.stride]
-}
+// Cells16 returns the whole arena of one that is not Wide, not to be
+// modified: SlotAt finds a slot in it.
+func (c *Compiled) Cells16() []uint16 { return c.c16 }
 
-// Narrow is a replay copy of an arena's tail slots at half their width:
-// a cell is its entry plus one in 16 bits, so NoEntry is 0 and a counter
-// array with one sink cell in front is indexed by the cell itself. It
-// exists for the cache: 2 MB instead of 4 at 1944 hosts. The arena itself
-// stays 32 bits wide because its readers are handed views of it.
-type Narrow struct {
-	n, stride int
-	cells     []uint16
-}
+// Cells32 is Cells16 for a Wide arena.
+func (c *Compiled) Cells32() []uint32 { return c.c32 }
 
-// Narrow returns the 16-bit copy of the arena's slots, or nil when the
-// fabric has too many links for an entry plus one to fit a cell.
-func (c *Compiled) Narrow() *Narrow {
-	if 2*len(c.Topology().Links) >= 1<<16 {
-		return nil
-	}
-	w := &Narrow{n: c.n, stride: c.stride, cells: make([]uint16, len(c.entries))}
-	for i, e := range c.entries {
-		w.cells[i] = uint16(e + 1)
-	}
-	return w
-}
-
-// Slot is (*Compiled).Slot over the copy.
-func (w *Narrow) Slot(row, dst int) []uint16 {
-	i := (row*w.n + dst) * w.stride
-	return w.cells[i : i+w.stride]
+// SlotAt returns the slot of row's tail towards dst in an n-host arena's
+// cells (stride = Stride()): the tail, then zero padding — all padding for
+// a slot the compile refused (every pair reading it is Broken) and for
+// the destination only the row's own source would read.
+func SlotAt[E Cell](cells []E, n, stride, row, dst int) []E {
+	i := (row*n + dst) * stride
+	return cells[i : i+stride]
 }

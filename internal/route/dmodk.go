@@ -18,7 +18,7 @@ import (
 // would have used one level below — which makes the down path to every
 // destination unique (Theorem 2).
 func DModK(t *topo.Topology) *LFT {
-	return dModK(t, nil, "d-mod-k")
+	return dModK(t, nil, "d-mod-k", false)
 }
 
 // DModKActive builds the rank-compacted D-Mod-K tables for a partially
@@ -36,7 +36,7 @@ func DModKActive(t *topo.Topology, active []int) (*LFT, error) {
 	if err != nil {
 		return nil, err
 	}
-	return dModK(t, rank, fmt.Sprintf("d-mod-k[%d active]", len(active))), nil
+	return dModK(t, rank, fmt.Sprintf("d-mod-k[%d active]", len(active)), false), nil
 }
 
 // DModKRanked builds D-Mod-K tables spreading destinations by an
@@ -51,7 +51,7 @@ func DModKRanked(t *topo.Topology, rank []int, name string) (*LFT, error) {
 	if rank != nil && len(rank) != t.NumHosts() {
 		return nil, fmt.Errorf("route: rank table has %d entries for %d hosts", len(rank), t.NumHosts())
 	}
-	return dModK(t, rank, name), nil
+	return dModK(t, rank, name, false), nil
 }
 
 // ActiveRanks maps each host index to its rank among the sorted active
@@ -81,57 +81,63 @@ func ActiveRanks(n int, active []int) ([]int, error) {
 	return rank, nil
 }
 
-func dModK(t *topo.Topology, rank []int, name string) *LFT {
+// dModK fills D-Mod-K tables; naive skips the division by prod(w_i).
+func dModK(t *topo.Topology, rank []int, name string, naive bool) *LFT {
 	f := NewLFT(t, name)
 	g := t.Spec
 	n := t.NumHosts()
+	wProd := g.WProd
+	if naive {
+		wProd = func(int) int { return 1 }
+	}
 	if rank == nil {
 		rank = make([]int, n)
 		for j := range rank {
 			rank[j] = j
 		}
 	}
-	for id := range t.Nodes {
-		node := &t.Nodes[id]
-		row := f.Out[id]
-		l := node.Level
-		if node.Kind == topo.Host {
-			if len(node.Up) == 1 { // w1*p1 == 1 on RLFTs: one uplink takes everything
-				for j := range row {
-					row[j] = node.Up[0]
-				}
-			} else {
-				for j := range row {
-					row[j] = node.Up[rank[j]%len(node.Up)]
+	// The up and the down port a level-l node uses towards j depend on (l, j)
+	// alone: two index vectors per level, and every row of it is a gather.
+	up, down := make([]int32, n), make([]int32, n)
+	for l := 0; l <= g.H; l++ {
+		if l < g.H { // equation (1)
+			wHere, ports := wProd(l), g.Wi(l+1)*g.Pi(l+1)
+			for j := range up {
+				up[j] = int32(rank[j] / wHere % ports)
+			}
+		}
+		if l > 0 { // child digit, on the parallel copy the level-(l-1) up rule uses
+			ml, wl, wpl := g.Mi(l), g.Wi(l), g.Wi(l)*g.Pi(l)
+			mBelow, wBelow := g.MProd(l-1), wProd(l-1)
+			for j := range down {
+				down[j] = int32(j/mBelow%ml + rank[j]/wBelow%wpl/wl*ml)
+			}
+		}
+		for _, id := range t.ByLevel[l] {
+			row := f.Out[id]
+			if row == nil {
+				continue // a single-uplink host: NewLFT wrote its one entry
+			}
+			// The hosts below a level-l node are the contiguous range [lo, hi):
+			// its digits above l fix the high part (a host: itself, delivered).
+			node := &t.Nodes[id]
+			lo := 0
+			for i := l + 1; i <= g.H; i++ {
+				lo += node.Digits[i-1] * g.MProd(i-1)
+			}
+			hi := lo + g.MProd(l)
+			if l > 0 {
+				for j := lo; j < hi; j++ {
+					row[j] = node.Down[down[j]]
 				}
 			}
-			row[node.Index] = topo.None // delivered
-			continue
-		}
-		// The hosts below a level-l switch are the contiguous index range
-		// [lo, hi): its digits above l fix the high part of the address.
-		lo := 0
-		for i := l + 1; i <= g.H; i++ {
-			lo += node.Digits[i-1] * g.MProd(i-1)
-		}
-		hi := lo + g.MProd(l)
-		// Down: child digit at this level plus the parallel copy the
-		// level-(l-1) up rule uses.
-		ml, wl, wpl := g.Mi(l), g.Wi(l), g.Wi(l)*g.Pi(l)
-		mBelow, wBelow := g.MProd(l-1), g.WProd(l-1)
-		for j := lo; j < hi; j++ {
-			a := (j / mBelow) % ml
-			k := (rank[j] / wBelow) % wpl / wl
-			row[j] = node.Down[a+k*ml]
-		}
-		if l == g.H {
-			continue // every host descends from a top switch
-		}
-		// Up: equation (1).
-		wHere := wBelow * wl
-		for _, span := range [2][2]int{{0, lo}, {hi, n}} {
-			for j := span[0]; j < span[1]; j++ {
-				row[j] = node.Up[(rank[j]/wHere)%len(node.Up)]
+			if l < g.H { // every host descends from a top switch
+				for j := 0; j < lo; j++ {
+					row[j] = node.Up[up[j]]
+				}
+				for j := hi; j < n; j++ {
+					row[j] = node.Up[up[j]]
+				}
 			}
 		}
 	}

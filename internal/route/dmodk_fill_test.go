@@ -49,8 +49,8 @@ func sameTables(t *testing.T, what string, got *route.LFT, want [][]topo.PortID)
 	t.Helper()
 	for id, row := range want {
 		for j, p := range row {
-			if got.Out[id][j] != p {
-				t.Fatalf("%s: node %v dst %d: port %d, closed form says %d", what, got.T.Node(topo.NodeID(id)), j, got.Out[id][j], p)
+			if q := got.OutPort(topo.NodeID(id), j); q != p {
+				t.Fatalf("%s: node %v dst %d: port %d, closed form says %d", what, got.T.Node(topo.NodeID(id)), j, q, p)
 			}
 		}
 	}

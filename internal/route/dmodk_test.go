@@ -1,6 +1,7 @@
 package route
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -87,7 +88,7 @@ func TestDModKLemma5SingleRootPerDest(t *testing.T) {
 			if tp.Spec.LCALevel(probe, dst) != tp.Spec.H {
 				continue // path would not reach the top
 			}
-			got, err := TopSwitchOf(f, probe, dst)
+			got, err := topSwitchOf(f, probe, dst)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,7 +116,7 @@ func TestDModKRootLoadBalanced(t *testing.T) {
 		if tp.Spec.LCALevel(probe, dst) != tp.Spec.H {
 			t.Fatalf("bad probe choice for dst %d", dst)
 		}
-		r, err := TopSwitchOf(f, probe, dst)
+		r, err := topSwitchOf(f, probe, dst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,13 +153,27 @@ func TestDModKActiveFullEqualsDModK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := DModK(tp)
-	for id := range tp.Nodes {
-		for j := 0; j < tp.NumHosts(); j++ {
-			if a.Out[id][j] != b.Out[id][j] {
-				t.Fatalf("node %d dst %d: active-all %d != full %d", id, j, a.Out[id][j], b.Out[id][j])
+	sameTables(t, a, DModK(tp))
+}
+
+// tablesDiffer returns the first (node, destination) whose entry differs
+// between a and b, read the way every walker reads it.
+func tablesDiffer(a, b *LFT) (id topo.NodeID, dst int, differ bool) {
+	for i := range a.T.Nodes {
+		for j := 0; j < a.T.NumHosts(); j++ {
+			if a.OutPort(topo.NodeID(i), j) != b.OutPort(topo.NodeID(i), j) {
+				return topo.NodeID(i), j, true
 			}
 		}
+	}
+	return 0, 0, false
+}
+
+// sameTables fails unless a and b agree entry for entry.
+func sameTables(t *testing.T, a, b *LFT) {
+	t.Helper()
+	if id, j, differ := tablesDiffer(a, b); differ {
+		t.Fatalf("%v dst %d: %s has port %d, %s has %d", a.T.Node(id), j, a.Name, a.OutPort(id, j), b.Name, b.OutPort(id, j))
 	}
 }
 
@@ -196,21 +211,8 @@ func TestMinHopRandomDelivers(t *testing.T) {
 	// Deterministic per seed.
 	f2 := MinHopRandom(tp, 1)
 	f3 := MinHopRandom(tp, 2)
-	same, diff := true, false
-	for id := range tp.Nodes {
-		for j := 0; j < tp.NumHosts(); j++ {
-			if f.Out[id][j] != f2.Out[id][j] {
-				same = false
-			}
-			if f.Out[id][j] != f3.Out[id][j] {
-				diff = true
-			}
-		}
-	}
-	if !same {
-		t.Error("same seed produced different tables")
-	}
-	if !diff {
+	sameTables(t, f, f2)
+	if _, _, differ := tablesDiffer(f, f3); !differ {
 		t.Error("different seeds produced identical tables")
 	}
 }
@@ -329,5 +331,32 @@ func TestUpPortOfMatchesTablesQuick(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// topSwitchOf returns the index (within the top level) of the single
+// root switch that carries all traffic towards dst, per Lemma 5, by
+// walking up from host probe (any non-descendant source reaches the same
+// root). Returns an error if dst shares a leaf with probe and never
+// reaches the top (use another probe source in that case).
+func topSwitchOf(f *LFT, probe, dst int) (int, error) {
+	t := f.T
+	cur := t.HostID(probe)
+	for {
+		node := t.Node(cur)
+		if node.Level == t.Spec.H {
+			return node.Index, nil
+		}
+		if node.Kind == topo.Host && node.Index == dst {
+			return 0, fmt.Errorf("route: %s: path %d->%d never reaches the top", f.Name, probe, dst)
+		}
+		out := f.OutPort(cur, dst)
+		if out == topo.None {
+			return 0, fmt.Errorf("route: %s: no entry for dst %d at %v", f.Name, dst, node)
+		}
+		if t.Ports[out].Dir == topo.Down && node.Level < t.Spec.H {
+			return 0, fmt.Errorf("route: %s: path %d->%d turns down at level %d", f.Name, probe, dst, node.Level)
+		}
+		cur = t.PeerNode(out)
 	}
 }

@@ -38,18 +38,42 @@ func samePath(t *testing.T, what string, src, dst int, got, want []route.PathEnt
 	}
 }
 
+// wantWide is the cell width the arenas of the running test must have.
+var wantWide bool
+
+// bothWidths runs a differential test at the cell width its fabrics
+// compile to (16 bits, all of them) and again with every arena forced to
+// 32 bits: one storage, one encoding, two widths, the same answers.
+func bothWidths(t *testing.T, body func(*testing.T)) {
+	body(t)
+	t.Run("32-bit cells", func(t *testing.T) {
+		route.ForceWideCells(t)
+		wantWide = true
+		t.Cleanup(func() { wantWide = false })
+		body(t)
+	})
+}
+
 // checkArena compares every pair of c — every reader of it — against a
 // hop-by-hop walk of r.
 func checkArena(t *testing.T, what string, c *route.Compiled, r route.Router, lenient bool) {
 	t.Helper()
 	n := r.Topology().NumHosts()
 	broken := 0
+	buf := []route.PathEntry{-7}
+	if c.Wide() != wantWide {
+		t.Fatalf("%s: arena wide = %v, want %v", what, c.Wide(), wantWide)
+	} // AppendPath must append, not overwrite
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
-			head, tail, err := c.SplitPath(src, dst)
+			path, err := c.AppendPath(buf, src, dst)
+			if path[0] != -7 {
+				t.Fatalf("%s %d->%d: AppendPath overwrote its buffer", what, src, dst)
+			}
+			path = path[1:]
 			if src == dst {
-				if err != nil || len(head)+len(tail) != 0 {
-					t.Fatalf("%s: self pair %d: %d hops, err %v", what, src, len(head)+len(tail), err)
+				if err != nil || len(path) != 0 {
+					t.Fatalf("%s: self pair %d: %d hops, err %v", what, src, len(path), err)
 				}
 				continue
 			}
@@ -62,8 +86,8 @@ func checkArena(t *testing.T, what string, c *route.Compiled, r route.Router, le
 			}
 			if !served {
 				broken++
-				if !errors.Is(err, route.ErrNoPath) {
-					t.Fatalf("%s: broken pair %d->%d: err %v, want ErrNoPath", what, src, dst, err)
+				if !errors.Is(err, route.ErrNoPath) || len(path) != 0 {
+					t.Fatalf("%s: broken pair %d->%d: %d hops, err %v, want ErrNoPath", what, src, dst, len(path), err)
 				}
 				if _, err := c.PackedPath(src, dst); !errors.Is(err, route.ErrNoPath) {
 					t.Fatalf("%s: broken pair %d->%d: PackedPath err %v, want ErrNoPath", what, src, dst, err)
@@ -76,7 +100,7 @@ func checkArena(t *testing.T, what string, c *route.Compiled, r route.Router, le
 			if err != nil {
 				t.Fatalf("%s %d->%d: %v", what, src, dst, err)
 			}
-			samePath(t, what+" split", src, dst, append(append([]route.PathEntry(nil), head...), tail...), want)
+			samePath(t, what+" appended", src, dst, path, want)
 			packed, err := c.PackedPath(src, dst)
 			if err != nil {
 				t.Fatal(err)
@@ -127,7 +151,9 @@ func differential(t *testing.T, what string, r route.Router) {
 
 // TestFactoredMatchesWalk is the property: random fabrics x every router
 // shape the arena groups differently.
-func TestFactoredMatchesWalk(t *testing.T) {
+func TestFactoredMatchesWalk(t *testing.T) { bothWidths(t, testFactoredMatchesWalk) }
+
+func testFactoredMatchesWalk(t *testing.T) {
 	var specs []topo.PGFT
 	for seed := int64(1); seed <= 12; seed++ {
 		specs = append(specs, invariant.RandPGFT(seed), invariant.RandRLFT(seed))
@@ -171,7 +197,9 @@ func TestFactoredMatchesWalk(t *testing.T) {
 
 // TestFactoredTraps pins the cases where sharing a row could leak one
 // source's fate onto its leaf-mates.
-func TestFactoredTraps(t *testing.T) {
+func TestFactoredTraps(t *testing.T) { bothWidths(t, testFactoredTraps) }
+
+func testFactoredTraps(t *testing.T) {
 	g, err := topo.RLFT3(2, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -186,17 +214,17 @@ func TestFactoredTraps(t *testing.T) {
 		}
 		mates := tp.HostsUnder(tp.LeafOf(0))
 		src, dst := mates[0], mates[1]
-		head, tail, err := c.SplitPath(src, dst)
-		if err != nil || len(head) != 1 || len(tail) != 1 {
-			t.Fatalf("%d->%d: head %v tail %v err %v, want one hop up and one down", src, dst, head, tail, err)
+		path, err := c.PackedPath(src, dst)
+		if _, _, shared := c.Row(src); err != nil || len(path) != 2 || !shared {
+			t.Fatalf("%d->%d: path %v shared %v err %v, want a head and a one-hop tail", src, dst, path, shared, err)
 		}
-		if !route.EntryUp(head[0]) || route.EntryUp(tail[0]) {
-			t.Fatalf("%d->%d: directions %v then %v, want up then down", src, dst, route.EntryUp(head[0]), route.EntryUp(tail[0]))
+		if !route.EntryUp(path[0]) || route.EntryUp(path[1]) {
+			t.Fatalf("%d->%d: directions %v then %v, want up then down", src, dst, route.EntryUp(path[0]), route.EntryUp(path[1]))
 		}
 		// The row also stores a tail towards its own first source; the
 		// self pair must not read it.
-		if head, tail, err := c.SplitPath(src, src); err != nil || len(head)+len(tail) != 0 {
-			t.Fatalf("self pair reads %v %v, err %v", head, tail, err)
+		if path, err := c.PackedPath(src, src); err != nil || len(path) != 0 {
+			t.Fatalf("self pair reads %v, err %v", path, err)
 		}
 	})
 
@@ -223,10 +251,14 @@ func TestFactoredTraps(t *testing.T) {
 		}
 	})
 
+	// Only a host with several uplinks keeps a row to damage: two leaves
+	// per host here.
+	multi := topo.MustBuild(topo.MustPGFT(2, []int{4, 3}, []int{2, 2}, []int{1, 1}))
+
 	t.Run("one host-row entry knocked out", func(t *testing.T) {
-		lft := route.DModK(tp)
-		src, dst := 1, n-2
-		lft.Out[tp.HostID(src)][dst] = topo.None
+		lft := route.DModK(multi)
+		src, dst := 1, multi.NumHosts()-2
+		lft.Out[multi.HostID(src)][dst] = topo.None
 		if _, err := route.Compile(lft); err == nil {
 			t.Fatal("strict compile accepted a table with a missing host entry")
 		}
@@ -242,10 +274,54 @@ func TestFactoredTraps(t *testing.T) {
 
 	t.Run("host-row entry through a foreign port", func(t *testing.T) {
 		// A table that sends one destination out of another node's port
-		// cannot share a row; the source must fall back to its own.
-		lft := route.DModK(tp)
-		lft.Out[tp.HostID(2)][n-1] = tp.Host(3).Up[0]
+		// breaks that pair and nothing else.
+		lft := route.DModK(multi)
+		lft.Out[multi.HostID(2)][multi.NumHosts()-1] = multi.Host(3).Up[0]
 		differential(t, "foreign first hop", lft)
+	})
+
+	t.Run("one leaf entry knocked out", func(t *testing.T) {
+		// A single-uplink host has no entry of its own to lose: the hole
+		// is at its leaf, one hop on, and takes the leaf-mates with it.
+		lft := route.DModK(tp)
+		leaf, dst := tp.LeafOf(1), n-2
+		lft.Out[leaf.ID][dst] = topo.None
+		if _, err := route.Compile(lft); err == nil {
+			t.Fatal("strict compile accepted a table with a missing leaf entry")
+		}
+		differential(t, "leaf hole", lft)
+		c, err := route.CompileLenient(lft)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mates := tp.HostsUnder(leaf)
+		if c.NumBroken() != len(mates) {
+			t.Fatalf("NumBroken = %d, want the %d hosts under the leaf", c.NumBroken(), len(mates))
+		}
+		for _, src := range mates {
+			if !c.Broken(src, dst) {
+				t.Fatalf("%d->%d is served through a leaf with no entry", src, dst)
+			}
+		}
+	})
+
+	t.Run("a host cut off", func(t *testing.T) {
+		lft := route.DModK(tp)
+		lft.CutHost(1)
+		if lft.OutPort(tp.HostID(1), 0) != topo.None {
+			t.Fatal("a cut-off host still forwards")
+		}
+		if _, err := route.Compile(lft); err == nil {
+			t.Fatal("strict compile accepted a cut-off host")
+		}
+		differential(t, "cut-off host", lft)
+		c, err := route.CompileLenient(lft)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.NumBroken() != n-1 || c.Broken(0, 1) {
+			t.Fatalf("NumBroken = %d, Broken(0,1) = %v: want exactly the pairs from host 1", c.NumBroken(), c.Broken(0, 1))
+		}
 	})
 
 	t.Run("non-minimal detour on one pair", func(t *testing.T) {
@@ -257,19 +333,24 @@ func TestFactoredTraps(t *testing.T) {
 // repair: pairs broken in the receiver stay broken even when the inner
 // router could now walk them, and broken hosts break every pair they
 // touch.
-func TestRepatchNeverRevives(t *testing.T) {
+func TestRepatchNeverRevives(t *testing.T) { bothWidths(t, testRepatchNeverRevives) }
+
+func testRepatchNeverRevives(t *testing.T) {
 	tp := buildRLFT(t, "rlft2:4,8")
 	n := tp.NumHosts()
 	holed := route.DModK(tp)
-	holed.Out[tp.HostID(1)][9] = topo.None // one head hole
-	for id := range holed.Out {            // and one unreachable column
-		holed.Out[id][20] = topo.None
+	mates := len(tp.HostsUnder(tp.LeafOf(1)))
+	holed.Out[tp.LeafOf(1).ID][9] = topo.None // one hole at a leaf: its hosts lose 9
+	for _, row := range holed.Out {           // and one unreachable column
+		if row != nil {
+			row[20] = topo.None
+		}
 	}
 	base, err := route.CompileLenient(holed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 1 + (n - 1); base.NumBroken() != want {
+	if want := mates + (n - 1); base.NumBroken() != want {
 		t.Fatalf("base NumBroken = %d, want %d", base.NumBroken(), want)
 	}
 	healthy := route.DModK(tp)
@@ -296,7 +377,7 @@ func TestRepatchNeverRevives(t *testing.T) {
 			}
 		}
 	}
-	if base.Broken(5, 6) || base.NumBroken() != n {
+	if base.Broken(5, 6) || base.NumBroken() != mates+n-1 {
 		t.Fatal("Repatch modified its receiver")
 	}
 	if _, err := base.Repatch(route.NewSModK(tp), []int{9}, nil); err == nil {
@@ -307,7 +388,9 @@ func TestRepatchNeverRevives(t *testing.T) {
 // TestRepatchMatchesLenient re-walks every column of a healthy arena
 // through rerouted tables: the result must equal a fresh lenient compile
 // pair for pair, and the receiver must still serve the healthy paths.
-func TestRepatchMatchesLenient(t *testing.T) {
+func TestRepatchMatchesLenient(t *testing.T) { bothWidths(t, testRepatchMatchesLenient) }
+
+func testRepatchMatchesLenient(t *testing.T) {
 	tp := buildRLFT(t, "rlft3:2,4")
 	n := tp.NumHosts()
 	healthy := route.DModK(tp)
@@ -323,7 +406,7 @@ func TestRepatchMatchesLenient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rerouted.Out[tp.HostID(2)][7] = topo.None // a head the repair must notice
+	rerouted.CutHost(2) // a head the repair must notice
 	all := make([]int, n)
 	for j := range all {
 		all[j] = j
@@ -333,8 +416,8 @@ func TestRepatchMatchesLenient(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkArena(t, "repatched", p, rerouted, true)
-	if !p.Broken(2, 7) {
-		t.Fatal("Repatch served a pair whose first hop the repaired tables dropped")
+	if !p.Broken(2, 7) || p.Broken(7, 2) {
+		t.Fatal("Repatch must break exactly the pairs whose first hop the repaired tables dropped")
 	}
 	checkArena(t, "receiver after Repatch", base, healthy, false)
 
@@ -352,9 +435,9 @@ func TestRepatchMatchesLenient(t *testing.T) {
 	}
 }
 
-// TestSplitPathDoesNotAllocate guards the accessor the hot loops and the
-// serving handlers sit on, and that compiling costs O(rows) allocations.
-func TestSplitPathDoesNotAllocate(t *testing.T) {
+// TestAppendPathDoesNotAllocate guards the per-pair reader into a reused
+// buffer and Walk's replay, and that compiling costs O(rows) allocations.
+func TestAppendPathDoesNotAllocate(t *testing.T) {
 	tp := topo.MustBuild(topo.Cluster324)
 	lft := route.DModK(tp)
 	c, err := route.Compile(lft)
@@ -362,13 +445,15 @@ func TestSplitPathDoesNotAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := 0
+	buf := make([]route.PathEntry, 0, c.Stride()+1)
 	if a := testing.AllocsPerRun(100, func() {
 		for dst := 0; dst < 324; dst += 7 {
-			head, tail, _ := c.SplitPath(200, dst)
-			sink += len(head) + len(tail)
+			path, _ := c.AppendPath(buf[:0], 200, dst)
+			sink += len(path)
+			_ = c.Walk(200, dst, func(topo.LinkID, bool) { sink++ })
 		}
 	}); a != 0 {
-		t.Fatalf("SplitPath allocates %v times per run", a)
+		t.Fatalf("AppendPath and Walk allocate %v times per run", a)
 	}
 	rows := tp.Spec.NumSwitches(1) // one row per leaf
 	if a := testing.AllocsPerRun(5, func() {
@@ -383,7 +468,9 @@ func TestSplitPathDoesNotAllocate(t *testing.T) {
 // TestFactoredConcurrentReaders hammers one arena (with shared rows and
 // broken pairs) from many goroutines; run under -race it pins the
 // immutability contract.
-func TestFactoredConcurrentReaders(t *testing.T) {
+func TestFactoredConcurrentReaders(t *testing.T) { bothWidths(t, testFactoredConcurrentReaders) }
+
+func testFactoredConcurrentReaders(t *testing.T) {
 	tp := buildRLFT(t, "rlft2:4,8")
 	fs := fabric.NewFaultSet(tp)
 	fs.Fail(tp.Ports[tp.Host(3).Up[0]].Link)
@@ -404,15 +491,15 @@ func TestFactoredConcurrentReaders(t *testing.T) {
 			for src := g % n; src < n; src += 3 {
 				for dst := 0; dst < n; dst++ {
 					want, served := oracle(lft, src, dst)
-					head, tail, err := c.SplitPath(src, dst)
+					path, err := c.AppendPath(nil, src, dst)
 					if src == dst || !served {
-						if len(head)+len(tail) != 0 {
+						if len(path) != 0 {
 							t.Errorf("%d->%d: unexpected hops", src, dst)
 						}
 						continue
 					}
-					if err != nil || len(head)+len(tail) != len(want) {
-						t.Errorf("%d->%d: %d hops, err %v, want %d", src, dst, len(head)+len(tail), err, len(want))
+					if err != nil || len(path) != len(want) {
+						t.Errorf("%d->%d: %d hops, err %v, want %d", src, dst, len(path), err, len(want))
 					}
 				}
 			}

@@ -1,0 +1,105 @@
+package route_test
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"runtime"
+	"testing"
+
+	"fattree/internal/route"
+	"fattree/internal/topo"
+)
+
+// tableDigest hashes every entry of f as a walker reads it, node by node
+// and destination by destination — hosts included, whether they store a
+// row or not.
+func tableDigest(f *route.LFT) string {
+	h := sha256.New()
+	var b [4]byte
+	for id := range f.T.Nodes {
+		for dst := 0; dst < f.T.NumHosts(); dst++ {
+			binary.LittleEndian.PutUint32(b[:], uint32(f.OutPort(topo.NodeID(id), dst)))
+			h.Write(b[:])
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestTableDigests pins tables to digests taken when every host still
+// stored a full row (commit c22c0ec): D-Mod-K on Cluster324 and
+// minhop-random from seed 7, whose RNG stream must not notice that
+// single-uplink hosts no longer write their draws anywhere; on
+// Cluster1944, D-Mod-K and the naive variant that shares its fill.
+func TestTableDigests(t *testing.T) {
+	small, big := topo.MustBuild(topo.Cluster324), topo.MustBuild(topo.Cluster1944)
+	for _, tc := range []struct {
+		lft  *route.LFT
+		want string
+	}{
+		{route.DModK(small), "b5402c4d1dfb99bf9a92619dbe4dc55f0c7fddfc66eee1c9a63be298a7a78fac"},
+		{route.MinHopRandom(small, 7), "209443c40723d5f73f8354a20991b9bdbc2b1e4f16466e8d7162fce351ca61ae"},
+		{route.DModK(big), "1b2d7b58344aa38c02de3b7719350cba135d2245c3af9e311383dbc30e13dd5d"},
+		{route.DModKNaive(big), "90220dcc38b27451d3b03c17988cc31200e7fb8af765d14d7f8008e6fc8a565a"},
+	} {
+		if got := tableDigest(tc.lft); got != tc.want {
+			t.Errorf("%s on %v: digest %s, want %s", tc.lft.Name, tc.lft.T.Spec, got, tc.want)
+		}
+	}
+}
+
+// TestCloneIsIndependent: a clone owns its rows and its host entries.
+func TestCloneIsIndependent(t *testing.T) {
+	for _, g := range []topo.PGFT{
+		topo.Cluster128,
+		topo.MustPGFT(2, []int{4, 3}, []int{2, 2}, []int{1, 1}), // hosts keep rows
+	} {
+		tp := topo.MustBuild(g)
+		base := route.DModK(tp)
+		want := tableDigest(base)
+		c := base.Clone("clone")
+		if c.Name != "clone" || tableDigest(c) != want {
+			t.Fatalf("%v: the clone differs from its base", g)
+		}
+		c.CutHost(3)
+		c.Out[tp.LeafOf(0).ID][5] = topo.None
+		if tableDigest(base) != want {
+			t.Fatalf("%v: mutating the clone changed the base", g)
+		}
+		for dst := 0; dst < tp.NumHosts(); dst++ {
+			if c.OutPort(tp.HostID(3), dst) != topo.None {
+				t.Fatalf("%v: cut-off host 3 still forwards towards %d", g, dst)
+			}
+			if dst != 3 && base.OutPort(tp.HostID(3), dst) == topo.None {
+				t.Fatalf("%v: the base lost host 3's entry towards %d", g, dst)
+			}
+		}
+		if err := c.Walk(3, 0, func(topo.LinkID, bool) {}); err == nil {
+			t.Fatalf("%v: a walk from a cut-off host succeeded", g)
+		}
+	}
+}
+
+// TestLFTFootprint guards what the tables store: a row per node that
+// chooses and nothing per single-uplink host, so the paper's largest
+// cluster costs 270 switch rows, not 2,214.
+func TestLFTFootprint(t *testing.T) {
+	tp := topo.MustBuild(topo.Cluster1944)
+	rows := 0
+	for _, row := range route.NewLFT(tp, "empty").Out {
+		if row != nil {
+			rows++
+		}
+	}
+	if want := tp.Spec.TotalSwitches(); rows != want || want != 270 {
+		t.Fatalf("NewLFT(Cluster1944) stores %d rows, want one per switch (%d, 270)", rows, want)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	lft := route.DModK(tp)
+	runtime.ReadMemStats(&after)
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6; mb > 2.3 {
+		t.Fatalf("DModK(Cluster1944) allocates %.2f MB, want <= 2.3 (270 rows x 1944 x 4 B = 2.10)", mb)
+	}
+	runtime.KeepAlive(lft)
+}

@@ -2,8 +2,7 @@ package route
 
 import (
 	"fmt"
-
-	"fattree/internal/topo"
+	"slices"
 )
 
 // Clone returns an independent deep copy of the forwarding tables under a
@@ -11,14 +10,12 @@ import (
 // the healthy baseline and repair only the columns a fault touched,
 // instead of regenerating every table.
 func (f *LFT) Clone(name string) *LFT {
-	n := f.T.NumHosts()
-	flat := make([]topo.PortID, len(f.T.Nodes)*n)
-	out := make([][]topo.PortID, len(f.T.Nodes))
+	c := allocLFT(f.T, name)
+	copy(c.uplink, f.uplink)
 	for i, row := range f.Out {
-		copy(flat[i*n:(i+1)*n], row)
-		out[i] = flat[i*n : (i+1)*n : (i+1)*n]
+		copy(c.Out[i], row)
 	}
-	return &LFT{T: f.T, Name: name, Out: out}
+	return c
 }
 
 // Repatch returns a copy of the compiled arena with the tails towards the
@@ -48,7 +45,7 @@ func (c *Compiled) Repatch(inner Router, dsts []int, brokenHosts []int) (*Compil
 	}
 	p := *c
 	p.inner = inner
-	p.entries = append([]PathEntry(nil), c.entries...)
+	p.c16, p.c32 = slices.Clone(c.c16), slices.Clone(c.c32)
 	p.broken = append([]uint64(nil), c.broken...)
 	for _, h := range brokenHosts {
 		if h < 0 || h >= c.n {
@@ -73,7 +70,7 @@ func (c *Compiled) Repatch(inner Router, dsts []int, brokenHosts []int) (*Compil
 			}
 		}
 		for src := range p.rowOf {
-			if src != dst && p.head[src] != NoEntry && lft.Out[t.HostID(src)][dst] != t.Host(src).Up[0] {
+			if src != dst && p.head[src] != NoEntry && lft.OutPort(t.HostID(src), dst) != t.Host(src).Up[0] {
 				p.markBroken(src, dst)
 			}
 		}

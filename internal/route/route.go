@@ -33,17 +33,20 @@ type Router interface {
 
 // LFT is a set of per-node linear forwarding tables. Out[node][dst] is the
 // port (a PortID on that node) that traffic for destination end-port dst
-// leaves through. Host nodes also carry a table (their single up port) so
-// that tracing can start uniformly.
+// leaves through, for every node that makes a choice: each switch, and a
+// host with several uplinks. A single-uplink host (every RLFT host) has a
+// nil row and one entry: its uplink, or topo.None once a reroute has cut
+// it off. OutPort answers for both kinds of node.
 //
-// All rows are views into one flat backing slice (two allocations total
-// instead of one per node), so a trace touching consecutive nodes stays
+// All rows are views into one flat backing slice (three allocations in
+// all instead of one per node), so a trace touching consecutive nodes stays
 // within a single arena and table builds like DModK stream through
 // contiguous memory.
 type LFT struct {
-	T    *topo.Topology
-	Name string
-	Out  [][]topo.PortID
+	T      *topo.Topology
+	Name   string
+	Out    [][]topo.PortID
+	uplink []topo.PortID // by host index: the one entry of a rowless host
 }
 
 // Topology implements Router.
@@ -52,23 +55,57 @@ func (f *LFT) Topology() *topo.Topology { return f.T }
 // Label implements Router.
 func (f *LFT) Label() string { return f.Name }
 
-// NewLFT allocates an empty table set for t (all entries topo.None).
+// NewLFT allocates an empty table set for t: every row entry is
+// topo.None, every rowless host points at its uplink.
 func NewLFT(t *topo.Topology, name string) *LFT {
+	f := allocLFT(t, name)
+	for _, row := range f.Out {
+		for j := range row {
+			row[j] = topo.None
+		}
+	}
+	for h := range f.uplink {
+		f.uplink[h] = t.Host(h).Up[0]
+	}
+	return f
+}
+
+// allocLFT allocates a table set with its rows, zeroed, out of one slice.
+func allocLFT(t *topo.Topology, name string) *LFT {
 	n := t.NumHosts()
-	flat := make([]topo.PortID, len(t.Nodes)*n)
-	for i := range flat {
-		flat[i] = topo.None
+	f := &LFT{T: t, Name: name, Out: make([][]topo.PortID, len(t.Nodes)), uplink: make([]topo.PortID, n)}
+	rows, rowless := len(t.Nodes), t.Spec.UpPorts(0) == 1 // hosts with one uplink store no row
+	if rowless {
+		rows -= n
 	}
-	out := make([][]topo.PortID, len(t.Nodes))
-	for i := range out {
-		out[i] = flat[i*n : (i+1)*n : (i+1)*n]
+	flat := make([]topo.PortID, rows*n)
+	for i := range t.Nodes {
+		if !rowless || t.Nodes[i].Kind != topo.Host {
+			f.Out[i], flat = flat[:n:n], flat[n:]
+		}
 	}
-	return &LFT{T: t, Name: name, Out: out}
+	return f
 }
 
 // OutPort returns the forwarding entry for dst at node id.
 func (f *LFT) OutPort(id topo.NodeID, dst int) topo.PortID {
-	return f.Out[id][dst]
+	if row := f.Out[id]; row != nil {
+		return row[dst]
+	}
+	if h := f.T.Nodes[id].Index; h != dst {
+		return f.uplink[h]
+	}
+	return topo.None
+}
+
+// CutHost empties everything host h forwards — its row, or its one
+// entry — so every walk from it fails at the host.
+func (f *LFT) CutHost(h int) {
+	f.uplink[h] = topo.None
+	row := f.Out[f.T.HostID(h)]
+	for j := range row {
+		row[j] = topo.None
+	}
 }
 
 // Hop is one link traversal of a traced path.
@@ -111,7 +148,7 @@ func (f *LFT) walkFrom(cur topo.NodeID, dst int, visit func(link topo.LinkID, up
 		if steps >= limit {
 			return fmt.Errorf("route: %s: loop routing %v->%d", f.Name, t.Node(from), dst)
 		}
-		out := f.Out[cur][dst]
+		out := f.OutPort(cur, dst)
 		if out == topo.None {
 			return fmt.Errorf("route: %s: no entry for dst %d at %v", f.Name, dst, n)
 		}
@@ -122,13 +159,4 @@ func (f *LFT) walkFrom(cur topo.NodeID, dst int, visit func(link topo.LinkID, up
 		visit(p.Link, p.Dir == topo.Up)
 		cur = t.PeerNode(out)
 	}
-}
-
-// NextNode returns the node reached from id when forwarding towards dst.
-func (f *LFT) NextNode(id topo.NodeID, dst int) (topo.NodeID, error) {
-	out := f.Out[id][dst]
-	if out == topo.None {
-		return 0, fmt.Errorf("route: %s: no entry for dst %d at node %d", f.Name, dst, id)
-	}
-	return f.T.PeerNode(out), nil
 }

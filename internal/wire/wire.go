@@ -237,7 +237,11 @@ func (m *RouteSetResp) appendPayload(dst []byte) []byte {
 	dst = appendRouteSetHead(dst, m.Epoch, m.Engine, m.Routing, len(m.Pairs))
 	for i := range m.Pairs {
 		if p := &m.Pairs[i]; p.OK {
-			dst = AppendPair[uint32](dst, p.Src, p.Dst, nil, p.Hops)
+			var b []byte
+			dst, b = appendServed(dst, p.Src, p.Dst, len(p.Hops))
+			for i, h := range p.Hops {
+				binary.LittleEndian.PutUint32(b[4*i:], h)
+			}
 		} else {
 			dst = AppendUnserved(dst, p.Src, p.Dst)
 		}
@@ -257,32 +261,46 @@ func appendRouteSetHead(dst []byte, epoch uint64, engine, routing string, pairs 
 // it appends the frame header and the payload fields ahead of the pair
 // records. The caller appends exactly pairs records with AppendPair and
 // AppendUnserved, then closes the frame with EndFrame. AppendFrame of
-// the equivalent RouteSetResp yields the same bytes, through the same
-// two writers.
+// the equivalent RouteSetResp yields the same bytes.
 func BeginRouteSet(dst []byte, epoch uint64, engine, routing string, pairs int) []byte {
 	return appendRouteSetHead(appendHeader(dst, TRouteSetResp), epoch, engine, routing, pairs)
 }
 
-// AppendPair appends the record of one served pair, its hops given as
-// the arena stores them: head then tail, either possibly empty. More
-// than MaxStride+1 hops cannot be encoded and panic, rather than put a
-// truncated count on the wire; a producer whose hop lists are not bounded
-// by construction checks first (AppendFrameChecked does).
-func AppendPair[E ~int32 | ~uint32](dst []byte, src, to uint32, head, tail []E) []byte {
-	nh := len(head) + len(tail)
+// AppendPair appends the record of one served pair read straight from a
+// compiled arena: head is its first hop (NoHead when the path is all
+// tail), slot the fixed-stride cells of its tail at whichever width the
+// arena stores — each a hop plus one, zero-padded. More than MaxStride+1
+// hops cannot be encoded and panic, rather than put a truncated count on
+// the wire; a producer whose slots are not bounded by construction checks
+// first.
+func AppendPair[E uint16 | uint32](dst []byte, src, to, head uint32, slot []E) []byte {
+	nt := 0
+	for nt < len(slot) && slot[nt] != 0 {
+		nt++
+	}
+	nh := nt
+	if head != NoHead {
+		nh++
+	}
+	dst, b := appendServed(dst, src, to, nh)
+	if head != NoHead {
+		binary.LittleEndian.PutUint32(b, head)
+		b = b[4:]
+	}
+	for i, e := range slot[:nt] {
+		binary.LittleEndian.PutUint32(b[4*i:], uint32(e)-1)
+	}
+	return dst
+}
+
+// appendServed appends the record of a served pair of nh hops and
+// returns the room left for them.
+func appendServed(dst []byte, src, to uint32, nh int) (out, hops []byte) {
 	if nh > maxHops {
 		panic(fmt.Sprintf("wire: pair %d->%d has %d hops, a record carries at most %d", src, to, nh, maxHops))
 	}
 	dst = appendPairRecord(dst, src, to, byte(nh), 4*nh)
-	b := dst[len(dst)-4*nh:]
-	for i, e := range head {
-		binary.LittleEndian.PutUint32(b[4*i:], uint32(e))
-	}
-	b = b[4*len(head):]
-	for i, e := range tail {
-		binary.LittleEndian.PutUint32(b[4*i:], uint32(e))
-	}
-	return dst
+	return dst, dst[len(dst)-4*nh:]
 }
 
 // AppendUnserved appends the record of a pair the epoch cannot route.
