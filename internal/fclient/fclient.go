@@ -91,8 +91,9 @@ type replica struct {
 
 // jobSet is one epoch-pinned cached route set and the message it was
 // expanded from, which the next epoch's message is compared against.
+// Immutable: a pin that advances replaces the entry.
 type jobSet struct {
-	epoch uint64
+	epoch uint64 // the latest epoch the set is known to be current at: >= set.Epoch
 	set   *wire.RouteSetResp
 	from  *wire.RouteSetFactored
 }
@@ -225,11 +226,18 @@ func (c *Client) RouteSet(engineName string, pairs [][2]uint32) (*wire.RouteSetR
 
 // JobRouteSet returns the job's full route set — every ordered pair of
 // its hosts, source-major — epoch-pinned. A cached set is revalidated
-// with a cheap epoch probe: while the server epoch still matches, the
-// cached set is returned without a refetch. When the epoch moved, the
-// refetch carries the pinned epoch as a hint, and a response older than
-// the pinned epoch is refused (the set never rolls back; see
-// EpochRegressions).
+// with a cheap epoch probe: while the server epoch still matches the
+// pin, the cached set is returned without a refetch. When the epoch
+// moved, the refetch carries the pinned epoch as a hint; the server
+// holds it against the epoch the job's routes were computed at, so an
+// epoch that only placed or freed other jobs is answered NotModified —
+// the pin advances to it, the set stays — and only a reroute sends the
+// routes again. A response older than the pinned epoch never lowers the
+// pin or replaces the set (see EpochRegressions).
+//
+// When the server answers that the job has no route set (it was freed),
+// the error is returned and the cached set is dropped; a transport
+// failure keeps it.
 //
 // The returned set is shared and must not be written to: it is the
 // cached value itself, and its Hops may be the memory an older or a
@@ -261,14 +269,32 @@ func (c *Client) JobRouteSet(job uint64) (*wire.RouteSetResp, error) {
 	}
 	resp, err := c.do(frameOf(req))
 	if err != nil {
+		var er *wire.ErrorResp
+		if cached != nil && errors.As(err, &er) && er.Code == wire.CodeNotFound {
+			c.mu.Lock()
+			if c.jobs[job] == cached {
+				delete(c.jobs, job)
+			}
+			c.mu.Unlock()
+		}
 		return nil, err
 	}
 	switch rs := resp.(type) {
 	case *wire.NotModified:
-		if cached != nil {
-			return cached.set, nil
+		if cached == nil {
+			return nil, fmt.Errorf("fclient: NotModified without a cached set (epoch %d)", rs.Epoch)
 		}
-		return nil, fmt.Errorf("fclient: NotModified without a cached set (epoch %d)", rs.Epoch)
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		switch {
+		case c.jobs[job] != cached: // a concurrent call moved on; this answer is about the old entry
+		case rs.Epoch > cached.epoch:
+			// The set is this epoch's too: pin it, so the next probe hits.
+			c.jobs[job] = &jobSet{epoch: rs.Epoch, set: cached.set, from: cached.from}
+		case rs.Epoch < cached.epoch:
+			c.regressions++ // a replica behind the pin; the pin stays
+		}
+		return cached.set, nil
 	case *wire.RouteSetFactored:
 		// The factored frame is expanded here, once per fetched epoch;
 		// every later poll of the epoch returns the pinned pair list. With
@@ -282,9 +308,13 @@ func (c *Client) JobRouteSet(job uint64) (*wire.RouteSetResp, error) {
 		}
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		if cur := c.jobs[job]; cur != nil && set.Epoch < cur.epoch {
-			c.regressions++
-			return cur.set, nil // never replace the pinned set with an older epoch
+		if cur := c.jobs[job]; cur != nil && set.Epoch <= cur.set.Epoch {
+			// Never replace the pinned set with an older epoch's; a twin of
+			// it (a concurrent cold fetch) changes nothing, the pin included.
+			if set.Epoch < cur.set.Epoch {
+				c.regressions++
+			}
+			return cur.set, nil
 		}
 		c.jobs[job] = &jobSet{epoch: set.Epoch, set: set, from: rs}
 		return set, nil

@@ -18,15 +18,19 @@ import (
 
 // fakeReplica is a scriptable server speaking the binary protocol: its
 // epoch is settable mid-test, and job answers can be skewed relative to
-// the probe epoch to exercise the client's regression guard.
+// the probe epoch to exercise the client's regression guard. Like the
+// daemon it holds a hint against the epoch its routes are stamped with
+// and answers NotModified with the epoch it is at.
 type fakeReplica struct {
 	ln net.Listener
 
 	mu        sync.Mutex
 	epoch     uint64
-	jobEpoch  uint64 // epoch stamped on job responses; 0 = use epoch
+	jobEpoch  uint64 // epoch route-set requests are answered at; 0 = use epoch
+	stamp     uint64 // epoch the routes were computed at; 0 = use jobEpoch
 	epochReqs atomic.Int64
-	setReqs   atomic.Int64
+	setReqs   atomic.Int64 // route-set requests answered with routes
+	notMod    atomic.Int64 // route-set requests answered NotModified
 	lastHint  atomic.Uint64
 	conns     []net.Conn
 	// jobMsg, when set before the first request, builds the job-mode
@@ -57,6 +61,12 @@ func (f *fakeReplica) setEpoch(e uint64) {
 func (f *fakeReplica) setJobEpoch(e uint64) {
 	f.mu.Lock()
 	f.jobEpoch = e
+	f.mu.Unlock()
+}
+
+func (f *fakeReplica) setStamp(e uint64) {
+	f.mu.Lock()
+	f.stamp = e
 	f.mu.Unlock()
 }
 
@@ -91,10 +101,13 @@ func (f *fakeReplica) serve(c net.Conn) {
 			return
 		}
 		f.mu.Lock()
-		epoch, jobEpoch := f.epoch, f.jobEpoch
+		epoch, jobEpoch, stamp := f.epoch, f.jobEpoch, f.stamp
 		f.mu.Unlock()
 		if jobEpoch == 0 {
 			jobEpoch = epoch
+		}
+		if stamp == 0 {
+			stamp = jobEpoch
 		}
 		var resp wire.Message
 		switch req := m.(type) {
@@ -103,27 +116,28 @@ func (f *fakeReplica) serve(c net.Conn) {
 			resp = &wire.EpochResp{Epoch: epoch, Engine: "dmodk"}
 		case *wire.RouteSetReq:
 			f.lastHint.Store(req.EpochHint)
-			if req.EpochHint != 0 && req.EpochHint == jobEpoch {
+			if req.EpochHint != 0 && req.EpochHint >= stamp {
+				f.notMod.Add(1)
 				resp = &wire.NotModified{Epoch: jobEpoch}
 				break
 			}
 			f.setReqs.Add(1)
 			if !req.ByJob {
 				resp = &wire.RouteSetResp{
-					Epoch: jobEpoch, Engine: "dmodk", Routing: "d-mod-k",
-					Pairs: []wire.PairRoute{{Src: 0, Dst: 1, OK: true, Hops: []uint32{uint32(jobEpoch)<<1 | 1, 4}}},
+					Epoch: stamp, Engine: "dmodk", Routing: "d-mod-k",
+					Pairs: []wire.PairRoute{{Src: 0, Dst: 1, OK: true, Hops: []uint32{uint32(stamp)<<1 | 1, 4}}},
 				}
 				break
 			}
 			if f.jobMsg != nil {
-				resp = f.jobMsg(jobEpoch)
+				resp = f.jobMsg(stamp)
 				break
 			}
 			// Hosts 0 and 1 on one leaf; 0's uplink is stamped with the
 			// epoch so sets of different epochs differ in their hops.
 			resp = &wire.RouteSetFactored{
-				Epoch: jobEpoch, Engine: "dmodk", Routing: "d-mod-k", Stride: 1, Rows: 1,
-				Hosts:   []wire.FactoredHost{{Host: 0, Head: uint32(jobEpoch)<<1 | 1}, {Host: 1, Head: 3}},
+				Epoch: stamp, Engine: "dmodk", Routing: "d-mod-k", Stride: 1, Rows: 1,
+				Hosts:   []wire.FactoredHost{{Host: 0, Head: uint32(stamp)<<1 | 1}, {Host: 1, Head: 3}},
 				TailOff: []uint32{0, 1, 2},
 				Tails:   []uint32{2, 4},
 			}
@@ -252,7 +266,8 @@ func TestClientEpochRegressionGuard(t *testing.T) {
 	}
 
 	// Refetch-visible regression: the probe advertises 9 but the job
-	// answer is stamped 2 (an inconsistent or lagging replica).
+	// request is answered at epoch 2 (an inconsistent or lagging replica):
+	// its NotModified neither lowers the pin nor goes unnoticed.
 	f.setEpoch(9)
 	f.setJobEpoch(2)
 	set, err = c.JobRouteSet(3)

@@ -62,10 +62,10 @@ func sharedHops(a, b *wire.RouteSetResp) (shared int) {
 
 // TestPatchedRefetch: a refetch patches the pinned set instead of
 // expanding the whole answer, and nothing about the cache contract
-// moves — the result is the expansion of the answer, an answer older
-// than the pinned epoch is still refused and counted, a change of the
-// job's hosts is a full expansion, and sets already handed out stay as
-// they were.
+// moves — the result is the expansion of the answer, an answer from an
+// epoch behind the pinned one is still refused and counted, a change of
+// the job's hosts is a full expansion, and sets already handed out stay
+// as they were.
 func TestPatchedRefetch(t *testing.T) {
 	f := newFakeReplica(t, 5)
 	f.jobMsg = driftingJob
@@ -84,8 +84,8 @@ func TestPatchedRefetch(t *testing.T) {
 		t.Fatal("first fetch is not the expansion of the answer")
 	}
 
-	// The probe says 9, the job answer is stamped 2: patched from the
-	// pinned set like any answer, then refused.
+	// The probe says 9, the job request is answered at epoch 2 — with
+	// routes older than the hint, so NotModified: the pinned set, counted.
 	f.setEpoch(9)
 	f.setJobEpoch(2)
 	if set := fetch(); set != set5 || c.EpochRegressions() != 1 {
@@ -109,8 +109,8 @@ func TestPatchedRefetch(t *testing.T) {
 	if !bytes.Equal(wire.EncodeFrame(set100), wire.EncodeFrame(driftingJob(100).Expand())) || sharedHops(set100, set9) != 0 {
 		t.Fatal("refetch across a host-list change is not a fresh expansion")
 	}
-	if c.EpochRegressions() != 1 || f.setReqs.Load() != 4 {
-		t.Fatalf("%d regressions, %d job fetches; want 1 and 4", c.EpochRegressions(), f.setReqs.Load())
+	if c.EpochRegressions() != 1 || f.setReqs.Load() != 3 {
+		t.Fatalf("%d regressions, %d job fetches; want 1 and 3", c.EpochRegressions(), f.setReqs.Load())
 	}
 }
 
@@ -126,8 +126,7 @@ func TestPatchedChainEqualsFreshFetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, addr := uint64(alloc.ID), serveBinary(t, m)
-	waitManagerEpoch(t, m, 2)
+	job, addr := uint64(alloc.ID), serveBinary(t, m) // served at epoch 2, on AllocJob's return
 	chain := newClient(t, Config{Addrs: []string{addr}})
 
 	rng := rand.New(rand.NewSource(20))

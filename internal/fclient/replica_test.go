@@ -2,6 +2,7 @@ package fclient
 
 import (
 	"bytes"
+	"errors"
 	"net"
 	"sync"
 	"testing"
@@ -139,7 +140,7 @@ func TestMultiReplicaEquivalence(t *testing.T) {
 		expected[epoch] = wire.EncodeFrame(msg.(*wire.RouteSetFactored).Expand())
 		expMu.Unlock()
 	}
-	record(2) // placement rebuild
+	record(2) // the placement, served when AllocJob returned
 
 	c, err := New(Config{Addrs: []string{serveBinary(t, ma), serveBinary(t, mb)}})
 	if err != nil {
@@ -210,4 +211,164 @@ func TestMultiReplicaEquivalence(t *testing.T) {
 		t.Fatalf("%d epoch regressions against monotonic replicas", n)
 	}
 	t.Logf("%d interleaved observations across epochs 2..%d, all canonical", len(observed), last)
+}
+
+// TestBystanderAcrossForeignPlacements: other jobs coming and going move
+// the daemon's epoch, not this job's routes. A client polling through k
+// foreign placements and frees keeps the very set it holds — the same
+// value, its decoded frame never replaced, so nothing was expanded or
+// patched — for one probe and one NotModified per epoch, with no
+// regression counted; a fault then costs it exactly one re-expansion.
+// And a freed job's set is let go the moment the daemon says so.
+func TestBystanderAcrossForeignPlacements(t *testing.T) {
+	m := newReplicaManager(t, "rlft2:4,8")
+	c := newClient(t, Config{Addrs: []string{serveBinary(t, m)}})
+	mine, err := m.AllocJob(8, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := uint64(mine.ID)
+	set, err := c.JobRouteSet(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := func() *jobSet {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.jobs[job]
+	}
+	from := pinned().from
+
+	const k = 6
+	for i := 0; i < k; i++ {
+		other, err := m.AllocJob(4, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, free := range []bool{false, true} {
+			if free {
+				if err := m.FreeJob(other.ID); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for poll := 0; poll < 2; poll++ { // the second is a probe-only hit on the advanced pin
+				got, err := c.JobRouteSet(job)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != set || pinned().from != from {
+					t.Fatalf("placement %d: a foreign job event replaced the pinned set", i)
+				}
+			}
+			if pin, epoch := pinned().epoch, m.Current().Epoch; pin != epoch {
+				t.Fatalf("placement %d: pinned at %d with the daemon at %d", i, pin, epoch)
+			}
+		}
+	}
+	if set.Epoch != 2 || m.Current().Epoch != 2+2*k || c.EpochRegressions() != 0 {
+		t.Fatalf("set of epoch %d at daemon epoch %d, %d regressions", set.Epoch, m.Current().Epoch, c.EpochRegressions())
+	}
+
+	if _, err := m.InjectFaults(fabricLinks(t, m.Current().Topo, 1), nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	st := waitManagerEpoch(t, m, 3+2*k)
+	got, err := c.JobRouteSet(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == set || got.Epoch != st.Epoch || pinned().from == from {
+		t.Fatalf("after a fault the client holds epoch %d, the daemon serves %d", got.Epoch, st.Epoch)
+	}
+	if again, err := c.JobRouteSet(job); err != nil || again != got {
+		t.Fatalf("the reroute was fetched twice: %v", err)
+	}
+
+	// The job ends: one error, and the set is gone.
+	if err := m.FreeJob(mine.ID); err != nil {
+		t.Fatal(err)
+	}
+	var er *wire.ErrorResp
+	if _, err := c.JobRouteSet(job); !errors.As(err, &er) || er.Code != wire.CodeNotFound {
+		t.Fatalf("freed job: %v, want the daemon's NotFound", err)
+	}
+	if pinned() != nil {
+		t.Fatal("the freed job's set is still pinned")
+	}
+	// The next job placed is fetched cold: no hint, a full expansion.
+	next, err := m.AllocJob(8, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := c.JobRouteSet(uint64(next.ID))
+	if err != nil || cold.Epoch != m.Current().Epoch || sharedHops(cold, got) != 0 {
+		t.Fatalf("fetch after re-placement: %v", err)
+	}
+	if c.EpochRegressions() != 0 {
+		t.Fatalf("%d epoch regressions", c.EpochRegressions())
+	}
+}
+
+// TestTransportErrorKeepsPinnedSet: only the daemon's own NotFound drops
+// a cached set; a replica that cannot be reached leaves it for the next
+// call to revalidate.
+func TestTransportErrorKeepsPinnedSet(t *testing.T) {
+	f := newFakeReplica(t, 5)
+	c := newClient(t, Config{Addrs: []string{f.addr()}, MaxAttempts: 2, DialTimeout: 200 * time.Millisecond})
+	if _, err := c.JobRouteSet(3); err != nil {
+		t.Fatal(err)
+	}
+	f.stop()
+	if _, err := c.JobRouteSet(3); err == nil {
+		t.Fatal("fetch succeeded with the replica gone")
+	}
+	c.mu.Lock()
+	kept := c.jobs[3]
+	c.mu.Unlock()
+	if kept == nil || kept.epoch != 5 {
+		t.Fatalf("a transport failure dropped the pinned set: %+v", kept)
+	}
+}
+
+// TestLaggingReplicaNotModifiedKeepsPin: NotModified moves the pin
+// forward only. A replica behind the pinned epoch — its routes older
+// than the hint, so it answers NotModified at its own epoch — leaves the
+// pin where it was and is counted; one ahead advances it, after which a
+// probe alone revalidates.
+func TestLaggingReplicaNotModifiedKeepsPin(t *testing.T) {
+	f := newFakeReplica(t, 5)
+	c := newClient(t, Config{Addrs: []string{f.addr()}})
+	set, err := c.JobRouteSet(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin := func() uint64 {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.jobs[3].epoch
+	}
+	poll := func(what string) {
+		t.Helper()
+		if got, err := c.JobRouteSet(3); err != nil || got != set {
+			t.Fatalf("%s: %v, set of epoch %d", what, err, got.Epoch)
+		}
+	}
+
+	f.setEpoch(9) // the probe runs ahead of the pin...
+	f.setJobEpoch(2)
+	poll("lagging replica") // ...and the job request lands behind it
+	if pin() != 5 || c.EpochRegressions() != 1 || f.notMod.Load() != 1 {
+		t.Fatalf("pinned at %d, %d regressions, %d NotModified; want 5, 1, 1", pin(), c.EpochRegressions(), f.notMod.Load())
+	}
+
+	f.setJobEpoch(0)
+	f.setStamp(5) // epoch 9 placed other jobs: the routes are still those of 5
+	poll("foreign placement")
+	if pin() != 9 || f.notMod.Load() != 2 {
+		t.Fatalf("pinned at %d after NotModified at 9 (%d sent)", pin(), f.notMod.Load())
+	}
+	poll("advanced pin")
+	if f.notMod.Load() != 2 || f.setReqs.Load() != 1 || c.EpochRegressions() != 1 {
+		t.Fatalf("%d NotModified, %d fetches, %d regressions; want a probe-only hit", f.notMod.Load(), f.setReqs.Load(), c.EpochRegressions())
+	}
 }

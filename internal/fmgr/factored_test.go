@@ -329,15 +329,19 @@ func TestJobFrameIsFactored(t *testing.T) {
 }
 
 // TestRerouteRecordNamesItsPhases: the journal's reroute record says
-// where its duration went, in microseconds per phase, and the phases do
-// not add up to more than the whole.
+// where its duration went, in microseconds per phase — the jobs view laid
+// over the rebuilt tables included — and the phases do not add up to more
+// than the whole.
 func TestRerouteRecordNamesItsPhases(t *testing.T) {
 	m := newManager(t, "rlft2:4,8", nil)
 	m.Start()
 	if _, err := m.AllocJob(8, false); err != nil {
 		t.Fatal(err)
 	}
-	waitEpoch(t, m, 2)
+	if _, err := m.InjectFaults([]topo.LinkID{fabricLink(t, m.t, 0)}, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	waitEpoch(t, m, 3)
 	recs, _ := m.Events(0)
 	phase := regexp.MustCompile(`(engine_tables|shift_hsd|wire_precompute)_us=(\d+)`)
 	seen := 0
@@ -360,6 +364,6 @@ func TestRerouteRecordNamesItsPhases(t *testing.T) {
 		}
 	}
 	if seen == 0 {
-		t.Fatal("no reroute record after a placement")
+		t.Fatal("no reroute record after a fault")
 	}
 }

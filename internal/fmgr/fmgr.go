@@ -5,17 +5,22 @@
 // tables, compiled path arena, node ordering, job placements and the
 // cached Shift-HSD summary — behind an atomic pointer: readers load the
 // pointer and work lock-free on a consistent snapshot (RCU style),
-// while a single event loop consumes fault/revive and job events,
-// debounces them, reroutes via the active engine, validates the result
-// and swaps the whole snapshot. A query served mid-reroute therefore
-// always answers from exactly one epoch — the previous valid tables
-// until the new ones are proven good, never a mix.
+// while a single event loop consumes fault/revive and job events and
+// swaps the whole snapshot. A snapshot is two things with two costs:
+// the tables a fault set determines (rerouted via the engines, analysed,
+// validated — built once per fault set, debounced) and the jobs view
+// assembled over them at every publish. A fault therefore costs a
+// fabric-wide rebuild held for the debounce window, a placement one job
+// frame published at once. A query served mid-reroute always answers
+// from exactly one epoch — the previous valid tables until the new ones
+// are proven good, never a mix.
 package fmgr
 
 import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -74,14 +79,58 @@ type FabricState struct {
 	// answer for the job's whole ordered src→dst pair set under this
 	// epoch's tables for the job's engine: the arena's head ++ tail
 	// factoring of those pairs (wire.RouteSetFactored), not the pairs.
-	// Precomputed at snapshot build (i.e. at placement and at every
-	// reroute), so a steady-state job-mode wire query is a map lookup
-	// plus one conn write — a pure cache hit, no path walk, no encode.
+	// Factored once, at the job's placement and again at every reroute,
+	// and carried from snapshot to snapshot in between, so a steady-state
+	// job-mode wire query is a map lookup plus one conn write — a pure
+	// cache hit, no path walk, no encode.
 	JobRouteSets map[sched.JobID]JobWireFrame
 
 	wireOrder []byte // pre-encoded binary OrderResp frame
-	// phaseUS is where buildState's time went, for the reroute record.
-	phaseUS struct{ engineTables, shiftHSD, wirePrecompute int64 }
+	// tb is what the fault set determined of this snapshot, shared with
+	// every snapshot published until the fault set changes.
+	tb *fabricTables
+	// assembleUS is what laying the jobs view over the tables took.
+	assembleUS int64
+}
+
+// fabricTables is the part of a snapshot a fault set determines and a
+// job event leaves alone: per engine the forwarding tables and lenient
+// arena under it, and the standing Shift-HSD report over the active
+// engine's. It is the expensive part — built once per fault set, proven
+// by Manager.validate, immutable from then on.
+type fabricTables struct {
+	failedLinks []topo.LinkID
+	byEngine    map[string]*engine.Tables
+	hsd         *hsd.Report // nil in a set built without the active engine
+	// where the build's time went, for the reroute record
+	engineTablesUS, shiftHSDUS int64
+}
+
+// with returns tb plus the engines of more, sharing every table.
+func (tb *fabricTables) with(more *fabricTables) *fabricTables {
+	out := *tb
+	out.byEngine = make(map[string]*engine.Tables, len(tb.byEngine)+len(more.byEngine))
+	for name, et := range tb.byEngine {
+		out.byEngine[name] = et
+	}
+	for name, et := range more.byEngine {
+		out.byEngine[name] = et
+	}
+	return &out
+}
+
+// only returns tb restricted to the named engines, all of which it has:
+// tb itself when it has no other.
+func (tb *fabricTables) only(names []string) *fabricTables {
+	if len(names) == len(tb.byEngine) {
+		return tb
+	}
+	out := *tb
+	out.byEngine = make(map[string]*engine.Tables, len(names))
+	for _, name := range names {
+		out.byEngine[name] = tb.byEngine[name]
+	}
+	return &out
 }
 
 // JobWireFrame is one job's precomputed binary answer, served verbatim
@@ -94,11 +143,16 @@ type JobWireFrame struct {
 	Frame []byte
 	Pairs int // resolved pairs, for the served-routes counter
 	Code  int // HTTP-style observation code: 200 served, 500 oversized
+	// Epoch is the stamp inside Frame: the epoch these routes were
+	// computed at — the job's placement or the last reroute since,
+	// whichever is later — not the epoch of the snapshot serving them. A
+	// client whose hint has reached it holds these very routes.
+	Epoch uint64
 }
 
 // HostUnroutable reports whether host j lost its only uplink in this
 // snapshot. It is reported data: whether a pair is served is
-// Paths.Broken's call alone, which validateState proves covers every
+// Paths.Broken's call alone, which validateTables proves covers every
 // pair touching an unroutable host before a snapshot is swapped in.
 func (st *FabricState) HostUnroutable(j int) bool {
 	i := sort.SearchInts(st.Unroutable, j)
@@ -165,10 +219,13 @@ type Config struct {
 	// EngineOpts is handed to every engine builder (randomized-engine
 	// seed, node-type assignment for nodetype-lb).
 	EngineOpts engine.Options
-	// Debounce is how long after the last fault or job event the event
-	// loop waits before it publishes a rerouted snapshot, so a burst of
-	// link flaps costs one swap (and at most two reroutes, one begun at
-	// its first event) instead of one per event. Default 25ms.
+	// Debounce is how long after the last fault event (fail, revive,
+	// fail_random) the event loop waits before it publishes a rerouted
+	// snapshot, so a burst of link flaps costs one swap (and at most two
+	// reroutes, one begun at its first event) instead of one per event.
+	// Fault events only: a job event changes no table, opens no window
+	// and extends none — on a quiet fabric it is published at once, in an
+	// open window it is published with the window's tables. Default 25ms.
 	Debounce time.Duration
 	// RetryBase and RetryMax bound the exponential backoff applied when
 	// a rebuild fails validation (the previous snapshot keeps serving
@@ -265,6 +322,8 @@ type Manager struct {
 	faults *fabric.FaultSet
 	alloc  *sched.Allocator // nil when the topology is not an RLFT
 	orderv *order.Ordering
+	// orderHostOf is orderv.HostOf as the order frame carries it.
+	orderHostOf []uint32
 
 	// engines caches built engine instances by registry name;
 	// jobEngines tracks per-job engine requests. Both are touched only
@@ -288,8 +347,8 @@ type Manager struct {
 	OnSwap func(*FabricState)
 
 	// validate is swappable so tests can force rebuild failures and
-	// observe the retry/backoff path. Defaults to validateState.
-	validate func(*FabricState) error
+	// observe the retry/backoff path. Defaults to validateTables.
+	validate func(*fabricTables) error
 
 	gate chan struct{} // max-inflight semaphore for the HTTP layer
 
@@ -347,8 +406,12 @@ func New(cfg Config) (*Manager, error) {
 		jobEngines: map[sched.JobID]string{},
 		wireConns:  map[net.Conn]struct{}{},
 	}
+	m.orderHostOf = make([]uint32, len(m.orderv.HostOf))
+	for i, h := range m.orderv.HostOf {
+		m.orderHostOf[i] = uint32(h)
+	}
 	m.journal = NewJournal(cfg.JournalSize)
-	m.validate = m.validateState
+	m.validate = m.validateTables
 	// Build the active engine up front so a bad -engine name or a
 	// builder failure surfaces here, not inside the event loop.
 	if _, err := m.getEngine(cfg.Engine); err != nil {
@@ -379,7 +442,7 @@ func New(cfg Config) (*Manager, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fmgr: initial snapshot: %w", err)
 	}
-	if err := m.validate(st); err != nil {
+	if err := m.validate(st.tb); err != nil {
 		return nil, fmt.Errorf("fmgr: initial snapshot invalid: %w", err)
 	}
 	m.cur.Store(st)
@@ -472,6 +535,14 @@ func (m *Manager) InjectFaults(fail, revive []topo.LinkID, failRandom int) (int,
 // AllocJob places a job through the event loop (the allocator is owned
 // by the loop, so placements serialize with fault handling) and waits
 // for the result. aligned selects the strict AllocAligned admission.
+//
+// On a quiet fabric the job is served on return: the snapshot carrying
+// it — next epoch, the current tables shared, only this job's frame
+// factored — was swapped in before the reply, so Current lists the job
+// and a job-mode wire request for it succeeds. While fault events await
+// their rerouted tables (an open debounce window, or a failed rebuild
+// being retried) the reply comes at once and the job is served when those
+// tables are, in the same snapshot. FreeJob follows the same rule.
 func (m *Manager) AllocJob(size int, aligned bool) (*sched.Allocation, error) {
 	return m.AllocJobEngine(size, aligned, "")
 }
@@ -480,7 +551,10 @@ func (m *Manager) AllocJob(size int, aligned bool) (*sched.Allocation, error) {
 // specific engine from the registry ("" means the active one). Every
 // snapshot built while the job lives carries that engine's tables in
 // ByEngine, so GET /v1/route?engine=... answers from the same epoch and
-// fault state the active tables were computed under.
+// fault state the active tables were computed under. An engine the
+// current epoch has no tables for gets them built and validated alone,
+// under the live fault set, before the job is placed; a failure there
+// refuses the placement.
 func (m *Manager) AllocJobEngine(size int, aligned bool, engineName string) (*sched.Allocation, error) {
 	if m.alloc == nil {
 		return nil, fmt.Errorf("fmgr: topology %v is not an RLFT; no allocator", m.t.Spec)
@@ -574,28 +648,49 @@ func (w wallClock) Arm(t time.Time) {
 // candidate is a built and validated snapshot waiting for its debounce
 // window to close, with the journal records of its build: they are
 // written once its fate is known, as they are if it is published and as
-// superseded if a later event discards it.
+// superseded if a later fault event discards it. A job event inside the
+// window does not discard it: the jobs view is assembled again over the
+// candidate's tables.
 type candidate struct {
 	st    *FabricState
 	recs  []schema.Event
 	built time.Time
 }
 
+// touched is what one applied event invalidated of the published
+// snapshot: the tables (and with them everything), the jobs view over
+// them, or nothing — a refused placement, a free of an unknown job, a
+// fail_random draw that failed.
+type touched int
+
+const (
+	touchedNothing touched = iota
+	touchedJobs
+	touchedTables
+)
+
 // loop is the single writer: it owns the fault set and the allocator,
-// coalesces events over the debounce window, and swaps validated
+// coalesces fault events over the debounce window, and swaps validated
 // snapshots. The window delays publication only: the loop rebuilds for
-// the first event of a burst at once and holds the snapshot, publishing
-// it when the window closes — unless a later event discarded it, and
-// then the rebuild runs again at the close. Either way no snapshot is
-// swapped in before the window of the last event it reflects has
-// closed. A failed rebuild keeps the previous snapshot current and
-// retries with exponential backoff.
+// the first fault event of a burst at once and holds the snapshot,
+// publishing it when the window closes — unless a later fault event
+// discarded it, and then the rebuild runs again at the close. Either way
+// no tables are swapped in before the window of the last fault event
+// they reflect has closed. A failed rebuild keeps the previous snapshot
+// current and retries with exponential backoff.
+//
+// A job event changes no table and waits for no window. With every
+// fault event published it is published at once — the current tables
+// under a new jobs view, next epoch — and its caller is answered after
+// that swap. While fault events await their tables it is answered at
+// once and rides with them: laid over the held snapshot's tables, or
+// picked up by the rebuild to come.
 func (m *Manager) loop() {
 	defer m.wg.Done()
 	var (
-		dirty     bool      // events applied that no published snapshot reflects
+		dirty     bool      // fault events applied that no published tables reflect
 		speculate bool      // a burst has just begun: build without waiting for its window
-		windowEnd time.Time // when the window of the last applied event closes
+		windowEnd time.Time // when the window of the last applied fault event closes
 		retryAt   time.Time // when a failed rebuild is tried again; zero: none pending
 		backoff   = m.cfg.RetryBase
 		held      *candidate // reflects every applied event; nil when nothing does
@@ -603,17 +698,38 @@ func (m *Manager) loop() {
 	for {
 		select {
 		case ev := <-m.events:
+			// The snapshot a job event is laid over: its tables are built
+			// under the live fault set. None while a rebuild is owed.
+			var base *FabricState
 			if held != nil {
-				for i := range held.recs {
-					held.recs[i].Outcome = schema.OutcomeSuperseded
-				}
-				m.journal.Record(held.recs...)
-				m.mSpecDiscarded.Inc()
-				held = nil
+				base = held.st
+			} else if !dirty {
+				base = m.cur.Load()
 			}
-			m.apply(ev)
-			speculate = speculate || !dirty
-			dirty, windowEnd = true, ev.at.Add(m.cfg.Debounce)
+			what, reply, tables := m.apply(ev, base)
+			switch {
+			case what == touchedTables:
+				if held != nil {
+					for i := range held.recs {
+						held.recs[i].Outcome = schema.OutcomeSuperseded
+					}
+					m.journal.Record(held.recs...)
+					m.mSpecDiscarded.Inc()
+					held = nil
+				}
+				speculate = speculate || !dirty
+				dirty, windowEnd = true, ev.at.Add(m.cfg.Debounce)
+			case what == touchedJobs && held != nil:
+				held.st = m.assemble(base.Epoch, tables, base)
+			case what == touchedJobs && !dirty:
+				sp := m.cfg.Spans.StartTrace("publish_jobs")
+				st := m.assemble(base.Epoch+1, tables, base)
+				m.publish(st, fmt.Sprintf("tables=reused wire_precompute_us=%d", st.assembleUS))
+				sp.End()
+			}
+			if ev.reply != nil {
+				ev.reply <- reply
+			}
 			if len(m.events) > 0 {
 				continue // apply what is already queued before building for any of it
 			}
@@ -653,19 +769,10 @@ func (m *Manager) loop() {
 		}
 		speculate = false
 		if held != nil && !now.Before(windowEnd) {
-			st := held.st
 			m.journal.Record(held.recs...)
-			if m.OnSwap != nil {
-				m.OnSwap(st)
-			}
-			m.cur.Store(st)
-			m.mEpoch.Set(int64(st.Epoch))
 			m.mReroutes.Inc()
-			m.journal.Record(schema.Event{Kind: schema.EvSwap, Epoch: st.Epoch, Engine: st.Engine,
-				Outcome: schema.OutcomeOK,
-				Detail: fmt.Sprintf("engine=%s failed_links=%d broken_pairs=%d jobs=%d speculated=%t wait_us=%d",
-					st.Engine, len(st.FailedLinks), st.BrokenPairs, len(st.Jobs),
-					held.built.Before(windowEnd), now.Sub(held.built).Microseconds())})
+			m.publish(held.st, fmt.Sprintf("tables=rebuilt speculated=%t wait_us=%d",
+				held.built.Before(windowEnd), now.Sub(held.built).Microseconds()))
 			held, dirty = nil, false
 		}
 		var next time.Time // of the open window's close and a pending retry, the earlier
@@ -679,12 +786,36 @@ func (m *Manager) loop() {
 	}
 }
 
-// apply mutates the loop-owned fault set / allocator for one event and
-// journals what was asked for. The reroute/validate/swap phases that
-// follow journal themselves, so /v1/events replays the full
+// publish swaps st in and journals the swap; how says what became of the
+// tables it carries.
+func (m *Manager) publish(st *FabricState, how string) {
+	if m.OnSwap != nil {
+		m.OnSwap(st)
+	}
+	m.cur.Store(st)
+	m.mEpoch.Set(int64(st.Epoch))
+	m.journal.Record(schema.Event{Kind: schema.EvSwap, Epoch: st.Epoch, Engine: st.Engine,
+		Outcome: schema.OutcomeOK,
+		Detail: fmt.Sprintf("engine=%s failed_links=%d broken_pairs=%d jobs=%d %s",
+			st.Engine, len(st.FailedLinks), st.BrokenPairs, len(st.Jobs), how)})
+}
+
+// apply mutates the loop-owned fault set / allocator for one event,
+// journals what was asked for and reports what it invalidated, with the
+// answer a job event's caller is owed. The reroute/validate/swap phases
+// that follow journal themselves, so /v1/events replays the full
 // fault → reroute → swap lifecycle.
-func (m *Manager) apply(ev event) {
+//
+// base is the snapshot a placement would be laid over (nil while a
+// rebuild is owed, which will build whatever the jobs then ask for); the
+// tables returned with touchedJobs are base's, grown by the engine a
+// placed job asked for and base lacks.
+func (m *Manager) apply(ev event, base *FabricState) (touched, jobReply, *fabricTables) {
 	epoch := m.cur.Load().Epoch
+	var tables *fabricTables
+	if base != nil {
+		tables = base.tb
+	}
 	switch ev.kind {
 	case evFail:
 		m.faults.Fail(ev.link)
@@ -697,22 +828,26 @@ func (m *Manager) apply(ev event) {
 	case evFailRandom:
 		if err := m.faults.FailRandomFabricLinksRand(ev.n, m.cfg.Rand); err != nil {
 			// Draw failed (more faults requested than links); the fault
-			// set is unchanged, nothing to roll back.
+			// set is unchanged, nothing to roll back or reroute.
 			m.mRerouteFail.Inc()
 			m.journal.Record(schema.Event{Kind: schema.EvFaultRandom, Epoch: epoch,
 				Outcome: schema.OutcomeError, Detail: err.Error()})
-		} else {
-			m.journal.Record(schema.Event{Kind: schema.EvFaultRandom, Epoch: epoch,
-				Outcome: schema.OutcomeOK, Detail: fmt.Sprintf("n=%d", ev.n)})
+			return touchedNothing, jobReply{}, nil
 		}
+		m.journal.Record(schema.Event{Kind: schema.EvFaultRandom, Epoch: epoch,
+			Outcome: schema.OutcomeOK, Detail: fmt.Sprintf("n=%d", ev.n)})
 	case evAlloc:
 		var a *sched.Allocation
 		var err error
+		grown := tables
 		if ev.engine != "" {
-			// Resolve the requested engine before placing anything, so
-			// an unknown name or a failing builder refuses the job
-			// instead of poisoning every later rebuild.
-			_, err = m.getEngine(ev.engine)
+			// Resolve the requested engine, and prove its tables, before
+			// placing anything, so an unknown name, a failing builder or
+			// tables that do not validate refuse the job instead of
+			// poisoning every later rebuild.
+			if _, err = m.getEngine(ev.engine); err == nil && tables != nil && tables.byEngine[ev.engine] == nil {
+				grown, err = m.admitEngine(tables, ev.engine, epoch+1)
+			}
 		}
 		if err == nil {
 			if ev.aligned {
@@ -721,42 +856,40 @@ func (m *Manager) apply(ev event) {
 				a, err = m.alloc.Alloc(ev.size)
 			}
 		}
-		if err == nil {
-			if ev.engine != "" {
-				m.jobEngines[a.ID] = ev.engine
-			}
-			m.mJobsActive.Add(1)
-			detail := fmt.Sprintf("job %d size %d", a.ID, ev.size)
-			if ev.engine != "" {
-				detail += " engine " + ev.engine
-			}
-			m.journal.Record(schema.Event{Kind: schema.EvAlloc, Epoch: epoch,
-				Engine: ev.engine, Outcome: schema.OutcomeOK, Detail: detail})
-		} else {
+		if err != nil {
 			m.journal.Record(schema.Event{Kind: schema.EvAlloc, Epoch: epoch,
 				Engine: ev.engine, Outcome: schema.OutcomeError, Detail: err.Error()})
+			return touchedNothing, jobReply{err: err}, nil
 		}
-		ev.reply <- jobReply{alloc: a, err: err}
+		detail := fmt.Sprintf("job %d size %d", a.ID, ev.size)
+		if ev.engine != "" {
+			m.jobEngines[a.ID] = ev.engine
+			detail += " engine " + ev.engine
+		}
+		m.mJobsActive.Add(1)
+		m.journal.Record(schema.Event{Kind: schema.EvAlloc, Epoch: epoch,
+			Engine: ev.engine, Outcome: schema.OutcomeOK, Detail: detail})
+		return touchedJobs, jobReply{alloc: a}, grown
 	case evFree:
-		err := m.alloc.Free(ev.job)
-		if err == nil {
-			delete(m.jobEngines, ev.job)
-			m.mJobsActive.Add(-1)
-			m.journal.Record(schema.Event{Kind: schema.EvFree, Epoch: epoch,
-				Outcome: schema.OutcomeOK, Detail: fmt.Sprintf("job %d", ev.job)})
-		} else {
+		if err := m.alloc.Free(ev.job); err != nil {
 			m.journal.Record(schema.Event{Kind: schema.EvFree, Epoch: epoch,
 				Outcome: schema.OutcomeError, Detail: err.Error()})
+			return touchedNothing, jobReply{err: err}, nil
 		}
-		ev.reply <- jobReply{err: err}
+		delete(m.jobEngines, ev.job)
+		m.mJobsActive.Add(-1)
+		m.journal.Record(schema.Event{Kind: schema.EvFree, Epoch: epoch,
+			Outcome: schema.OutcomeOK, Detail: fmt.Sprintf("job %d", ev.job)})
+		return touchedJobs, jobReply{}, tables
 	}
+	return touchedTables, jobReply{}, nil
 }
 
 // tryRebuild computes and validates the next snapshot; on any error the
 // caller keeps the previous one current. Each phase is spanned and has
-// its journal record — reroute (tables + arena + HSD), then validate —
-// returned for the caller to write once it knows what became of the
-// snapshot.
+// its journal record — reroute (tables + arena + HSD, and the jobs view
+// over them), then validate — returned for the caller to write once it
+// knows what became of the snapshot.
 func (m *Manager) tryRebuild() (*FabricState, []schema.Event, error) {
 	sp := m.cfg.Spans.StartTrace("rebuild")
 	defer sp.End()
@@ -767,29 +900,17 @@ func (m *Manager) tryRebuild() (*FabricState, []schema.Event, error) {
 	rsp := sp.Child("reroute")
 	st, err := m.buildState(epoch, rsp)
 	rsp.End()
-	rec := schema.Event{TimeUnixNS: time.Now().UnixNano(), Kind: schema.EvReroute, Epoch: epoch, Engine: m.cfg.Engine,
-		DurationUS: time.Since(start).Microseconds(), Outcome: schema.OutcomeOK}
-	if err != nil {
-		rec.Outcome, rec.Detail = schema.OutcomeError, err.Error()
-	} else {
+	rec := phaseRecord(schema.EvReroute, epoch, m.cfg.Engine, start, err)
+	if err == nil {
 		rec.Detail = fmt.Sprintf("engine=%s failed_links=%d broken_pairs=%d unroutable=%d"+
 			" engine_tables_us=%d shift_hsd_us=%d wire_precompute_us=%d",
 			st.Engine, len(st.FailedLinks), st.BrokenPairs, len(st.Unroutable),
-			st.phaseUS.engineTables, st.phaseUS.shiftHSD, st.phaseUS.wirePrecompute)
+			st.tb.engineTablesUS, st.tb.shiftHSDUS, st.assembleUS)
 	}
 	recs := []schema.Event{rec}
-
 	if err == nil {
-		vstart := time.Now()
-		vsp := sp.Child("validate")
-		err = m.validate(st)
-		vsp.End()
-		vrec := schema.Event{TimeUnixNS: time.Now().UnixNano(), Kind: schema.EvValidate, Epoch: epoch, Engine: m.cfg.Engine,
-			DurationUS: time.Since(vstart).Microseconds(), Outcome: schema.OutcomeOK}
-		if err != nil {
-			m.mCheckFail.Inc()
-			vrec.Outcome, vrec.Detail = schema.OutcomeError, err.Error()
-		}
+		var vrec schema.Event
+		vrec, err = m.proven(st.tb, epoch, m.cfg.Engine, sp)
 		recs = append(recs, vrec)
 	}
 	m.mRerouteUS.Observe(float64(time.Since(start).Microseconds()))
@@ -800,31 +921,91 @@ func (m *Manager) tryRebuild() (*FabricState, []schema.Event, error) {
 	return st, recs, nil
 }
 
-// buildState asks the active engine (and every engine a live job
-// requested) for tables under the current fault set and assembles a full
-// snapshot: tables, lenient path arena, job view and Shift-HSD summary.
-// sp, when tracing, parents one child span per phase.
+// phaseRecord is the journal record of a rebuild phase begun at start and
+// ending now, with err as its outcome.
+func phaseRecord(kind string, epoch uint64, engName string, start time.Time, err error) schema.Event {
+	rec := schema.Event{TimeUnixNS: time.Now().UnixNano(), Kind: kind, Epoch: epoch, Engine: engName,
+		DurationUS: time.Since(start).Microseconds(), Outcome: schema.OutcomeOK}
+	if err != nil {
+		rec.Outcome, rec.Detail = schema.OutcomeError, err.Error()
+	}
+	return rec
+}
+
+// proven runs validate over tables in a child span of sp and returns the
+// phase's journal record.
+func (m *Manager) proven(tables *fabricTables, epoch uint64, engName string, sp *obs.Span) (schema.Event, error) {
+	start := time.Now()
+	vsp := sp.Child("validate")
+	err := m.validate(tables)
+	vsp.End()
+	if err != nil {
+		m.mCheckFail.Inc()
+	}
+	return phaseRecord(schema.EvValidate, epoch, engName, start, err), err
+}
+
+// admitEngine gives tables — current under the live fault set, and
+// lacking the named engine — that engine's tables: built alone, proven
+// alone, journaled as the reroute/validate pair of that one engine. The
+// other engines' tables are shared, not touched.
+func (m *Manager) admitEngine(tables *fabricTables, name string, epoch uint64) (*fabricTables, error) {
+	sp := m.cfg.Spans.StartTrace("admit_engine")
+	defer sp.End()
+	start := time.Now()
+	rsp := sp.Child("reroute")
+	more, err := m.buildTables([]string{name}, rsp)
+	rsp.End()
+	rec := phaseRecord(schema.EvReroute, epoch, name, start, err)
+	if err != nil {
+		m.journal.Record(rec)
+		return nil, err
+	}
+	rec.Detail = fmt.Sprintf("engine=%s failed_links=%d engine_tables_us=%d", name, len(more.failedLinks), more.engineTablesUS)
+	vrec, err := m.proven(more, epoch, name, sp)
+	m.journal.Record(rec, vrec)
+	if err != nil {
+		return nil, err
+	}
+	return tables.with(more), nil
+}
+
+// buildState is a snapshot from scratch, the only way there is to one:
+// tables for every engine in use under the current fault set, and the
+// jobs view assembled over them. sp, when tracing, parents one child span
+// per phase.
 func (m *Manager) buildState(epoch uint64, sp *obs.Span) (*FabricState, error) {
-	st := &FabricState{
-		Epoch:       epoch,
-		Topo:        m.t,
-		Subnet:      m.subnet,
-		Ordering:    m.orderv,
-		Engine:      m.cfg.Engine,
-		ByEngine:    map[string]*engine.Tables{},
-		JobEngines:  map[sched.JobID]string{},
-		FailedLinks: m.faults.FailedLinks(),
+	tables, err := m.buildTables(m.enginesInUse(), sp)
+	if err != nil {
+		return nil, err
 	}
-	want := map[string]bool{m.cfg.Engine: true}
-	for id, name := range m.jobEngines {
-		st.JobEngines[id] = name
-		want[name] = true
-	}
-	names := make([]string, 0, len(want))
-	for name := range want {
-		names = append(names, name)
+	c := sp.Child("wire_precompute")
+	defer c.End()
+	return m.assemble(epoch, tables, nil), nil
+}
+
+// enginesInUse names, sorted, the active engine and every engine a live
+// job requested.
+func (m *Manager) enginesInUse() []string {
+	names := []string{m.cfg.Engine}
+	for _, name := range m.jobEngines {
+		if !slices.Contains(names, name) {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
+	return names
+}
+
+// buildTables asks the named engines for tables under the current fault
+// set — lenient path arena, unroutable and broken accounting — and, with
+// the active engine among them, takes the standing Shift-HSD report over
+// its arena.
+func (m *Manager) buildTables(names []string, sp *obs.Span) (*fabricTables, error) {
+	tables := &fabricTables{
+		failedLinks: m.faults.FailedLinks(),
+		byEngine:    make(map[string]*engine.Tables, len(names)),
+	}
 	var fs *fabric.FaultSet
 	if m.faults.Failed() > 0 {
 		fs = m.faults
@@ -838,18 +1019,61 @@ func (m *Manager) buildState(epoch uint64, sp *obs.Span) (*FabricState, error) {
 		c.TagStr("engine", name)
 		tb, err := e.Tables(fs)
 		c.End()
-		st.phaseUS.engineTables += time.Since(t0).Microseconds()
+		tables.engineTablesUS += time.Since(t0).Microseconds()
 		if err != nil {
 			return nil, fmt.Errorf("engine %s: %w", name, err)
 		}
-		st.ByEngine[name] = tb
+		tables.byEngine[name] = tb
 	}
-	tb := st.ByEngine[m.cfg.Engine]
-	st.LFT = tb.LFT
-	st.Paths = tb.Compiled
-	st.Routing = tb.Router.Label()
-	st.Unroutable = tb.Unroutable
-	st.BrokenPairs = tb.BrokenPairs
+	if tb, ok := tables.byEngine[m.cfg.Engine]; ok {
+		// The standing answer to "is this fabric still contention free":
+		// Shift under the topology order over the pairs the tables serve.
+		c, t0 := sp.Child("shift_hsd"), time.Now()
+		var err error
+		tables.hsd, err = hsd.AnalyzeServed(tb.Compiled, m.orderv, cps.Shift(m.t.NumHosts()))
+		c.End()
+		tables.shiftHSDUS = time.Since(t0).Microseconds()
+		if err != nil {
+			return nil, err
+		}
+	}
+	return tables, nil
+}
+
+// assemble lays the jobs view — the live allocations, their engines,
+// one frozen route-set frame each, the order frame — over tables and
+// stamps the result with epoch: what every publish ends in, whether the
+// tables were rebuilt for it or are the ones already served. tables
+// holds every engine in use; an engine no live job asks for any more
+// retires here. A job whose frame prev already holds, factored from the
+// same engine tables, keeps that frame as it is, stamp included, so over
+// unchanged tables only a new job's frame is factored and encoded — done
+// here so the wire read path serves precomputed bytes and steady-state
+// job queries never touch the arena.
+func (m *Manager) assemble(epoch uint64, tables *fabricTables, prev *FabricState) *FabricState {
+	t0 := time.Now()
+	tables = tables.only(m.enginesInUse())
+	active := tables.byEngine[m.cfg.Engine]
+	st := &FabricState{
+		Epoch:       epoch,
+		Topo:        m.t,
+		Subnet:      m.subnet,
+		LFT:         active.LFT,
+		Paths:       active.Compiled,
+		Engine:      m.cfg.Engine,
+		Routing:     active.Router.Label(),
+		ByEngine:    tables.byEngine,
+		JobEngines:  make(map[sched.JobID]string, len(m.jobEngines)),
+		Ordering:    m.orderv,
+		HSD:         tables.hsd,
+		FailedLinks: tables.failedLinks,
+		Unroutable:  active.Unroutable,
+		BrokenPairs: active.BrokenPairs,
+		tb:          tables,
+	}
+	for id, name := range m.jobEngines {
+		st.JobEngines[id] = name
+	}
 	if m.alloc != nil {
 		for _, j := range m.alloc.Jobs() {
 			jc := *j
@@ -857,53 +1081,27 @@ func (m *Manager) buildState(epoch uint64, sp *obs.Span) (*FabricState, error) {
 			st.Jobs = append(st.Jobs, &jc)
 		}
 	}
-	// The standing answer to "is this fabric still contention free":
-	// Shift under the topology order over the pairs the snapshot serves.
-	c, t0 := sp.Child("shift_hsd"), time.Now()
-	var err error
-	st.HSD, err = hsd.AnalyzeServed(st.Paths, st.Ordering, cps.Shift(st.Topo.NumHosts()))
-	c.End()
-	st.phaseUS.shiftHSD = time.Since(t0).Microseconds()
-	if err != nil {
-		return nil, err
-	}
-	c, t0 = sp.Child("wire_precompute"), time.Now()
-	err = precomputeWire(st)
-	c.End()
-	st.phaseUS.wirePrecompute = time.Since(t0).Microseconds()
-	if err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
-// precomputeWire freezes the snapshot's binary-protocol answers: the
-// order frame and one fully encoded RouteSetFactored frame per placed
-// job (the job's whole ordered pair set under its engine's tables).
-// Done here — at placement and at every reroute — so the wire read path
-// serves precomputed bytes and steady-state job queries never touch
-// the arena.
-func precomputeWire(st *FabricState) error {
-	hostOf := make([]uint32, len(st.Ordering.HostOf))
-	for i, h := range st.Ordering.HostOf {
-		hostOf[i] = uint32(h)
-	}
 	st.wireOrder = wire.AppendFrame(nil, &wire.OrderResp{
-		Epoch:  st.Epoch,
-		Label:  st.Ordering.Label,
-		HostOf: hostOf,
+		Epoch:  epoch,
+		Label:  m.orderv.Label,
+		HostOf: m.orderHostOf,
 	})
 	st.JobRouteSets = make(map[sched.JobID]JobWireFrame, len(st.Jobs))
 	for _, j := range st.Jobs {
 		eng := st.JobEngine(j.ID)
-		tb, ok := st.ByEngine[eng]
-		if !ok {
-			return fmt.Errorf("job %d wants engine %s but epoch %d has no tables for it", j.ID, eng, st.Epoch)
+		tb := tables.byEngine[eng]
+		if prev != nil && prev.ByEngine[eng] == tb {
+			if jw, ok := prev.JobRouteSets[j.ID]; ok {
+				st.JobRouteSets[j.ID] = jw
+				continue
+			}
 		}
-		st.JobRouteSets[j.ID] = encodeJobFrame(j.ID, len(j.Hosts)*(len(j.Hosts)-1),
-			factorRouteSet(st.Epoch, eng, tb, j.Hosts))
+		jw := encodeJobFrame(j.ID, len(j.Hosts)*(len(j.Hosts)-1), factorRouteSet(epoch, eng, tb, j.Hosts))
+		jw.Epoch = epoch
+		st.JobRouteSets[j.ID] = jw
 	}
-	return nil
+	st.assembleUS = time.Since(t0).Microseconds()
+	return st
 }
 
 // factorRouteSet reads a job's whole ordered pair set out of the arena
@@ -973,27 +1171,27 @@ func encodeJobFrame(job sched.JobID, pairs int, resp wire.Message) JobWireFrame 
 	}
 }
 
-// validateState proves a candidate snapshot safe to serve via the shared
-// invariant engine: for every engine's arena in the snapshot, every
+// validateTables proves candidate tables safe to serve via the shared
+// invariant engine: for every engine's arena among them, every
 // non-broken pair's compiled path must be connected, up*/down*-shaped
 // and delivered, and pairs involving unroutable hosts must be marked
 // broken — the same assertions ftcheck and the property sweeps run, so
 // the daemon cannot drift from the tested contract.
-func (m *Manager) validateState(st *FabricState) error {
-	names := make([]string, 0, len(st.ByEngine))
-	for name := range st.ByEngine {
+func (m *Manager) validateTables(tables *fabricTables) error {
+	names := make([]string, 0, len(tables.byEngine))
+	for name := range tables.byEngine {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		tb := st.ByEngine[name]
-		un := make([]bool, st.Topo.NumHosts())
+		tb := tables.byEngine[name]
+		un := make([]bool, m.t.NumHosts())
 		for _, j := range tb.Unroutable {
 			un[j] = true
 		}
 		pred := func(j int) bool { return j >= 0 && j < len(un) && un[j] }
-		if err := invariant.LenientArena(st.Topo, tb.Compiled, pred); err != nil {
-			return fmt.Errorf("fmgr: epoch %d engine %s: %w", st.Epoch, name, err)
+		if err := invariant.LenientArena(m.t, tb.Compiled, pred); err != nil {
+			return fmt.Errorf("fmgr: engine %s: %w", name, err)
 		}
 	}
 	return nil

@@ -181,10 +181,10 @@ func TestJobsThroughEventLoop(t *testing.T) {
 		t.Fatal("oversized job allocated")
 	}
 
-	// The snapshot view catches up after the debounce window.
-	st := waitEpoch(t, m, 2)
-	if len(st.Jobs) != 2 {
-		t.Fatalf("snapshot has %d jobs, want 2", len(st.Jobs))
+	// A placement is served on return: one epoch each, the refusal none.
+	st := m.Current()
+	if st.Epoch != 3 || len(st.Jobs) != 2 {
+		t.Fatalf("epoch %d has %d jobs, want epoch 3 with 2", st.Epoch, len(st.Jobs))
 	}
 	// Snapshot jobs are deep copies: mutating them must not reach the
 	// allocator's live records.

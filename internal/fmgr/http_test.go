@@ -185,7 +185,6 @@ func TestHandlerJobs(t *testing.T) {
 	}
 	id := int(body["id"].(float64))
 
-	waitEpoch(t, m, 2)
 	rec, body = get(t, h, "/v1/jobs")
 	if rec.Code != 200 || len(body["jobs"].([]interface{})) != 1 {
 		t.Fatalf("jobs list: %d %v", rec.Code, body)

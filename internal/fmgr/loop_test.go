@@ -13,6 +13,7 @@ import (
 	"fattree/internal/sched"
 	"fattree/internal/schema"
 	"fattree/internal/topo"
+	"fattree/internal/wire"
 )
 
 // scriptClock is the event loop's clock under test control: time stands
@@ -83,7 +84,8 @@ type loopRig struct {
 	t0    time.Time
 	sent  int // events enqueued so far
 	mu    sync.Mutex
-	built []time.Duration // when each validate call ran, from t0
+	built []time.Duration // when each rebuild's validate call ran, from t0
+	alone []*fabricTables // what a placement had validated alone: one engine's tables
 	swaps []swapAt        // every snapshot announced after the initial one
 }
 
@@ -99,11 +101,15 @@ func newLoopRig(t *testing.T, spec string, mutate func(*Config)) *loopRig {
 	r.clk = &scriptClock{now: r.t0, c: make(chan time.Time, 1), armed: make(chan struct{}, 1), m: r.m}
 	r.m.clk = r.clk
 	inner := r.m.validate
-	r.m.validate = func(st *FabricState) error {
+	r.m.validate = func(tb *fabricTables) error {
 		r.mu.Lock()
-		r.built = append(r.built, r.clk.Now().Sub(r.t0))
+		if tb.hsd != nil { // the active engine is among them: a rebuild
+			r.built = append(r.built, r.clk.Now().Sub(r.t0))
+		} else {
+			r.alone = append(r.alone, tb)
+		}
 		r.mu.Unlock()
-		return inner(st)
+		return inner(tb)
 	}
 	r.m.OnSwap = func(st *FabricState) {
 		if st.Epoch > 1 {
@@ -234,7 +240,7 @@ func TestSpeculativeRebuild(t *testing.T) {
 	if got := strings.Join(life, " "); got != "reroute/ok validate/ok swap/ok" {
 		t.Fatalf("epoch 2 lifecycle: %s", got)
 	}
-	if !strings.HasSuffix(swap.Detail, " speculated=true wait_us=25000") {
+	if !strings.HasSuffix(swap.Detail, " tables=rebuilt speculated=true wait_us=25000") {
 		t.Fatalf("swap detail %q does not account for the held snapshot", swap.Detail)
 	}
 
@@ -258,7 +264,7 @@ func TestSpeculativeRebuild(t *testing.T) {
 	if got := strings.Join(life, " "); got != "reroute/superseded validate/superseded reroute/ok validate/ok swap/ok" {
 		t.Fatalf("epoch 3 lifecycle: %s", got)
 	}
-	if !strings.HasSuffix(swap.Detail, " speculated=false wait_us=0") {
+	if !strings.HasSuffix(swap.Detail, " tables=rebuilt speculated=false wait_us=0") {
 		t.Fatalf("swap detail %q", swap.Detail)
 	}
 	if got := r.counter("fmgr_reroutes_total"); got != 2 {
@@ -275,7 +281,7 @@ func TestWindowRunsFromEnqueue(t *testing.T) {
 	r := newLoopRig(t, "rlft2:4,8", func(c *Config) { c.Debounce = 25 * ms })
 	l0, l1 := fabricLink(t, r.m.t, 0), fabricLink(t, r.m.t, 1)
 	inner, first := r.m.validate, true
-	r.m.validate = func(st *FabricState) error {
+	r.m.validate = func(tb *fabricTables) error {
 		if first { // the first build takes 5 ms, and the second event arrives 2 ms into it
 			first = false
 			r.clk.set(2 * ms)
@@ -284,7 +290,7 @@ func TestWindowRunsFromEnqueue(t *testing.T) {
 			}
 			r.clk.set(3 * ms)
 		}
-		return inner(st)
+		return inner(tb)
 	}
 	r.m.Start()
 	r.sent++ // the one the first build sends
@@ -339,12 +345,12 @@ func TestDebounceCoalescesBursts(t *testing.T) {
 // failTwice makes the first two validations of a rig fail.
 func failTwice(r *loopRig) {
 	inner, calls := r.m.validate, 0
-	r.m.validate = func(st *FabricState) error {
+	r.m.validate = func(tb *fabricTables) error {
 		if calls++; calls <= 2 {
-			inner(st) // still recorded as a build
+			inner(tb) // still recorded as a build
 			return fmt.Errorf("injected validation failure")
 		}
-		return inner(st)
+		return inner(tb)
 	}
 }
 
@@ -416,73 +422,152 @@ func TestRetryInsideWindowIsHeld(t *testing.T) {
 	}
 }
 
-// digest renders everything a snapshot serves: epoch, fault state, every
-// pair's path, the jobs and their frozen frames.
-func digest(st *FabricState) string {
+// digest renders everything a snapshot serves — fault state, every
+// engine's every path, the standing report, the jobs, their frames, the
+// order frame — with the frames' epoch stamps taken out and returned
+// beside it: two snapshots of one (fault set, jobs) state digest alike
+// whatever sequence of publishes led to them.
+func digest(t *testing.T, st *FabricState) (string, map[sched.JobID]uint64) {
+	t.Helper()
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "epoch %d failed %v unroutable %v broken %d\n", st.Epoch, st.FailedLinks, st.Unroutable, st.BrokenPairs)
+	fmt.Fprintf(&b, "epoch %d failed %v unroutable %v broken %d max hsd %d\n",
+		st.Epoch, st.FailedLinks, st.Unroutable, st.BrokenPairs, st.HSD.MaxHSD())
+	var engines []string
+	for name := range st.ByEngine {
+		engines = append(engines, name)
+	}
+	sort.Strings(engines)
 	n := st.Topo.NumHosts()
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			if s != d {
-				p, err := st.Paths.PackedPath(s, d)
-				fmt.Fprintln(&b, s, d, p, err)
+	for _, name := range engines {
+		tb := st.ByEngine[name]
+		fmt.Fprintf(&b, "engine %s %s unroutable %v broken %d\n", name, tb.Router.Label(), tb.Unroutable, tb.BrokenPairs)
+		for s := 0; s < n; s++ {
+			for d := 0; d < n; d++ {
+				if s != d {
+					p, err := tb.Compiled.PackedPath(s, d)
+					fmt.Fprintln(&b, s, d, p, err)
+				}
 			}
 		}
 	}
-	var ids []int
-	for _, j := range st.Jobs {
-		ids = append(ids, int(j.ID))
-		fmt.Fprintf(&b, "job %d %v\n", j.ID, j.Hosts)
+	if st.Paths != st.ByEngine[st.Engine].Compiled || st.LFT != st.ByEngine[st.Engine].LFT {
+		t.Fatalf("epoch %d: Paths/LFT are not the active engine's", st.Epoch)
 	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		fmt.Fprintf(&b, "frame %d %x\n", id, st.JobRouteSets[sched.JobID(id)].Frame)
+	stamps := map[sched.JobID]uint64{}
+	for _, j := range st.Jobs { // in ID order
+		fmt.Fprintf(&b, "job %d %v engine %s\n", j.ID, j.Hosts, st.JobEngine(j.ID))
+		jw, ok := st.JobRouteSets[j.ID]
+		if !ok {
+			t.Fatalf("epoch %d: job %d has no frame", st.Epoch, j.ID)
+		}
+		msg, err := wire.ReadMessage(bytes.NewReader(jw.Frame))
+		if err != nil {
+			t.Fatalf("epoch %d: job %d: %v", st.Epoch, j.ID, err)
+		}
+		f := msg.(*wire.RouteSetFactored)
+		if f.Epoch != jw.Epoch {
+			t.Fatalf("epoch %d: job %d frame stamped %d, recorded as %d", st.Epoch, j.ID, f.Epoch, jw.Epoch)
+		}
+		stamps[j.ID], f.Epoch = f.Epoch, 0
+		fmt.Fprintf(&b, "frame %d code %d pairs %d %x\n", j.ID, jw.Code, jw.Pairs, wire.EncodeFrame(f))
+	}
+	if len(st.JobRouteSets) != len(st.Jobs) || len(st.JobEngines) > len(st.Jobs) {
+		t.Fatalf("epoch %d: %d jobs, %d frames, %d engine requests", st.Epoch, len(st.Jobs), len(st.JobRouteSets), len(st.JobEngines))
 	}
 	fmt.Fprintf(&b, "order %x\n", st.wireOrder)
-	return b.String()
+	return b.String(), stamps
 }
 
-// TestPublishedSequenceUnderScript drives a seeded 200-event
-// fail/revive/alloc/free script, in bursts and alone, through the loop
-// and through a reference manager with no loop at all — every event
-// applied, one snapshot built at the end of every burst, which is what
-// the loop published before it learned to build ahead. The two
-// sequences must be identical, every swap must land exactly one window
-// after the last event of its burst, and a burst may cost one discarded
-// build at most.
+// TestPublishedSequenceUnderScript drives a seeded 240-event
+// fail/revive/alloc/free script — some placements under an engine of
+// their own, some events refused — in bursts and alone, through the loop
+// and through a reference manager with no loop at all that rebuilds from
+// scratch for every publish. Every published snapshot must equal the
+// reference's of the same (fault set, jobs) entry for entry, each job's
+// frame stamped with the later of the last table rebuild and the job's
+// own placement; a job event on a quiet fabric must publish before its
+// call returns, with the clock standing still and nothing rebuilt; a
+// fault burst must swap exactly one window after its last fault event,
+// whatever job events fell inside it, at the cost of one discarded build
+// at most.
 func TestPublishedSequenceUnderScript(t *testing.T) {
 	const debounce = 25 * ms
 	r := newLoopRig(t, "rlft2:4,8", func(c *Config) { c.Debounce = debounce })
 	ref := newManager(t, "rlft2:4,8", nil) // never started: the test is its loop
 	r.m.Start()
 
-	rng := rand.New(rand.NewSource(20))
+	rng := rand.New(rand.NewSource(24))
 	var links []topo.LinkID
 	for _, l := range r.m.t.Links {
 		links = append(links, l.ID) // host uplinks too: some epochs have unroutable hosts
 	}
-	var live []sched.JobID
-	refEpoch, bursts, lastAt, builds, discarded := uint64(1), 0, time.Duration(0), 0, int64(0)
-	for i := 0; i < 200; i++ {
-		ev := event{reply: make(chan jobReply, 1)}
-		switch k := rng.Intn(10); {
-		case k < 4:
+	var (
+		live      []sched.JobID
+		epoch     = uint64(1) // of the last publish
+		rebuiltAt = uint64(1) // epoch of the last publish that carried rebuilt tables
+		placedAt  = map[sched.JobID]uint64{}
+		open      bool          // fault events await their tables
+		closeAt   time.Duration // when their window closes
+		inWindow  []sched.JobID // placed since it opened
+		swaps     int
+		builds    int
+		discarded int64
+		bursts    int
+		quiet     int // job events published on a quiet fabric
+		rode      int // job events that rode an open window
+	)
+	// published checks the swap the loop must just have made against the
+	// reference.
+	published := func(i int, at time.Duration, how string) {
+		t.Helper()
+		epoch++
+		swaps++
+		if _, s := r.counts(); s != swaps {
+			t.Fatalf("event %d: %d swaps so far, want %d", i, s, swaps)
+		}
+		got := r.swaps[swaps-1]
+		if got.at != at || got.st.Epoch != epoch || r.m.Current() != got.st {
+			t.Fatalf("event %d: epoch %d swapped at %v, want epoch %d at %v", i, got.st.Epoch, got.at, epoch, at)
+		}
+		want, err := ref.buildState(epoch, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gd, stamps := digest(t, got.st)
+		if wd, _ := digest(t, want); gd != wd {
+			t.Fatalf("event %d: published epoch %d differs from the reference built from scratch\n got failed %v\nwant failed %v",
+				i, epoch, got.st.FailedLinks, want.FailedLinks)
+		}
+		for id, stamp := range stamps {
+			if w := max(rebuiltAt, placedAt[id]); stamp != w {
+				t.Fatalf("event %d: epoch %d serves job %d stamped %d, want %d (tables of %d, placed at %d)",
+					i, epoch, id, stamp, w, rebuiltAt, placedAt[id])
+			}
+		}
+		if _, swap := r.lifecycle(epoch); !strings.Contains(swap.Detail, " tables="+how) {
+			t.Fatalf("event %d: swap record %q, want tables=%s", i, swap.Detail, how)
+		}
+	}
+	for i := 0; i < 240; i++ {
+		ev := event{}
+		switch k := rng.Intn(20); {
+		case k < 3:
 			ev.kind, ev.link = evFail, links[rng.Intn(len(links))]
-		case k < 7:
+		case k < 6:
 			ev.kind, ev.link = evRevive, links[rng.Intn(len(links))]
-		case k < 9 || len(live) == 0:
-			ev.kind, ev.size, ev.aligned = evAlloc, 1+rng.Intn(8), rng.Intn(2) == 0
-		default:
+		case k < 12 || len(live) == 0:
+			ev.kind, ev.size, ev.aligned = evAlloc, 1+rng.Intn(12), rng.Intn(2) == 0
+			ev.engine = []string{"", "fault-resilient", "nodetype-lb"}[rng.Intn(3)]
+		case k < 19:
 			at := rng.Intn(len(live))
 			ev.kind, ev.job = evFree, live[at]
 			live = append(live[:at], live[at+1:]...)
+		default:
+			ev.kind, ev.job = evFree, 9999 // nobody's
 		}
-		ref.apply(ev)
-		var want jobReply
-		if ev.kind == evAlloc || ev.kind == evFree {
-			want = <-ev.reply
-		}
+		what, want, _ := ref.apply(ev, nil)
+		now := r.clk.Now().Sub(r.t0)
+		b0, _ := r.counts()
 		switch ev.kind {
 		case evFail:
 			r.inject([]topo.LinkID{ev.link}, nil)
@@ -490,50 +575,69 @@ func TestPublishedSequenceUnderScript(t *testing.T) {
 			r.inject(nil, []topo.LinkID{ev.link})
 		case evAlloc:
 			r.sent++
-			got, err := r.m.AllocJob(ev.size, ev.aligned)
+			got, err := r.m.AllocJobEngine(ev.size, ev.aligned, ev.engine)
 			if (err == nil) != (want.err == nil) || err == nil && got.ID != want.alloc.ID {
 				t.Fatalf("event %d: alloc gave %v, %v; the reference %v, %v", i, got, err, want.alloc, want.err)
 			}
 			if err == nil {
 				live = append(live, got.ID)
+				if open {
+					inWindow = append(inWindow, got.ID)
+				} else {
+					placedAt[got.ID] = epoch + 1
+				}
 			}
-			r.settle()
 		case evFree:
 			r.sent++
 			if err := r.m.FreeJob(ev.job); (err == nil) != (want.err == nil) {
 				t.Fatalf("event %d: free gave %v, the reference %v", i, err, want.err)
 			}
-			r.settle()
 		}
-		lastAt = r.clk.Now().Sub(r.t0)
-		if rng.Intn(3) > 0 && i < 199 { // the burst goes on
-			r.advance(time.Duration(rng.Int63n(int64(debounce))))
+		switch {
+		case what == touchedTables:
+			open, closeAt = true, now+debounce
+		case what == touchedJobs && !open:
+			// Served on return: no settle, no tick, no rebuild.
+			published(i, now, "reused")
+			if b, _ := r.counts(); b != b0 {
+				t.Fatalf("event %d: a job event on a quiet fabric cost %d rebuilds", i, b-b0)
+			}
+			quiet++
+		case what == touchedJobs:
+			rode++
+		}
+		r.settle()
+		if _, s := r.counts(); s != swaps {
+			t.Fatalf("event %d (kind %d, touched %d, window open %t): %d swaps, want %d", i, ev.kind, what, open, s, swaps)
+		}
+
+		d := time.Duration(rng.Int63n(int64(debounce)))
+		if rng.Intn(3) == 0 || i == 239 {
+			d += debounce + time.Duration(rng.Int63n(int64(2*debounce)))
+		}
+		r.advance(d)
+		if !open || now+d < closeAt {
 			continue
 		}
-		r.advance(debounce + time.Duration(rng.Int63n(int64(3*debounce))))
 		bursts++
-		refEpoch++
-		st, err := ref.buildState(refEpoch, nil)
-		if err != nil {
-			t.Fatal(err)
+		rebuiltAt = epoch + 1
+		for _, id := range inWindow {
+			placedAt[id] = epoch + 1
 		}
-		b, s := r.counts()
-		if s != bursts {
-			t.Fatalf("burst %d (event %d): %d swaps so far", bursts, i, s)
+		open, inWindow = false, nil
+		published(i, closeAt, "rebuilt")
+		b, _ := r.counts()
+		dc := r.counter("fmgr_speculative_rebuilds_discarded_total")
+		if b-builds < 1 || b-builds > 2 || dc-discarded > 1 {
+			t.Fatalf("burst %d: %d builds, %d of them discarded", bursts, b-builds, dc-discarded)
 		}
-		if got := r.swaps[s-1]; got.at != lastAt+debounce {
-			t.Fatalf("burst %d: swapped at %v, its last event was sent at %v", bursts, got.at, lastAt)
-		} else if digest(got.st) != digest(st) {
-			t.Fatalf("burst %d (event %d): published snapshot differs from the reference\n got failed %v\nwant failed %v",
-				bursts, i, got.st.FailedLinks, st.FailedLinks)
+		builds, discarded = b, dc
+		if got := r.counter("fmgr_reroutes_total"); got != int64(bursts) {
+			t.Fatalf("fmgr_reroutes_total = %d after %d bursts: it counts swaps that carried rebuilt tables", got, bursts)
 		}
-		d := r.counter("fmgr_speculative_rebuilds_discarded_total")
-		if b-builds > 2 || d-discarded > 1 {
-			t.Fatalf("burst %d: %d builds, %d of them discarded", bursts, b-builds, d-discarded)
-		}
-		builds, discarded = b, d
 	}
-	if bursts < 40 || discarded < 10 {
-		t.Fatalf("script too tame: %d bursts, %d discarded builds", bursts, discarded)
+	if bursts < 25 || discarded < 8 || quiet < 25 || rode < 25 || len(r.alone) < 8 {
+		t.Fatalf("script too tame: %d bursts, %d discarded builds, %d job events published alone, %d inside a window, %d engines admitted alone",
+			bursts, discarded, quiet, rode, len(r.alone))
 	}
 }

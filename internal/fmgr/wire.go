@@ -82,7 +82,11 @@ func (m *Manager) wireRespond(buf *[]byte, msg wire.Message) ([]byte, *obs.REDEn
 		}
 		// Job mode is a pure cache hit on the frame precomputed at
 		// placement and at every reroute. Existence is checked before the
-		// epoch hint, as in wireRouteSet.
+		// epoch hint, as in wireRouteSet. The hint is held against the
+		// frame's stamp, not the snapshot's epoch: epochs that placed or
+		// freed other jobs left these routes as they were, and a client
+		// that has seen the stamp's epoch is told so in ten bytes, with the
+		// epoch to pin.
 		jw, ok := st.JobRouteSets[sched.JobID(req.Job)]
 		switch {
 		case !ok:
@@ -90,7 +94,7 @@ func (m *Manager) wireRespond(buf *[]byte, msg wire.Message) ([]byte, *obs.REDEn
 				Code: wire.CodeNotFound,
 				Msg:  fmt.Sprintf("job %d has no route set in epoch %d", req.Job, st.Epoch),
 			}), m.wireRouteSetEP, 404
-		case req.EpochHint != 0 && req.EpochHint == st.Epoch:
+		case req.EpochHint != 0 && req.EpochHint >= jw.Epoch:
 			return build(&wire.NotModified{Epoch: st.Epoch}), m.wireRouteSetEP, 304
 		}
 		m.mWireRoutes.Add(int64(jw.Pairs))

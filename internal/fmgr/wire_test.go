@@ -130,7 +130,7 @@ func TestWireJobRouteSetPrecomputed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := waitEpoch(t, m, 2) // placement rebuild
+	st := m.Current() // the placement is served on return
 	jw, ok := st.JobRouteSets[a.ID]
 	if !ok {
 		t.Fatalf("epoch %d has no precomputed set for job %d", st.Epoch, a.ID)
@@ -196,8 +196,7 @@ func TestWireJobRouteSetPrecomputed(t *testing.T) {
 	if err := m.FreeJob(a.ID); err != nil {
 		t.Fatal(err)
 	}
-	st = waitEpoch(t, m, st.Epoch+1)
-	if _, ok := st.JobRouteSets[a.ID]; ok {
+	if st = m.Current(); st.JobRouteSets[a.ID].Frame != nil {
 		t.Fatalf("freed job %d still has a route set in epoch %d", a.ID, st.Epoch)
 	}
 	// A matching epoch hint must not resurrect it: validation precedes

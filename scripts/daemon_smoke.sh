@@ -33,6 +33,13 @@ done
 curl -fsS "http://$ADDR/v1/route?src=0&dst=17" | grep -q '"schema": *"fattree-route/v1"' \
     || fail "route query failed"
 
+# Placement: a job is served when the POST returns — listed by the very
+# next read, no waiting (a placement opens no debounce window).
+JOB=$(curl -fsS -X POST "http://$ADDR/v1/jobs" -d '{"size":8}' | sed -n 's/.*"id": *\([0-9][0-9]*\).*/\1/p')
+[ -n "$JOB" ] || fail "job placement rejected"
+curl -fsS "http://$ADDR/v1/jobs" | grep -q "\"id\": *$JOB\b" \
+    || fail "job $JOB not listed right after its placement returned"
+
 # Write path: inject random faults, then the fabric document must
 # eventually report them (the reroute is debounced).
 curl -fsS -X POST "http://$ADDR/v1/faults" -d '{"fail_random":2}' | grep -q '"accepted": *[1-9]' \
