@@ -25,10 +25,11 @@ vet:
 test:
 	$(GO) test ./...
 
-# ./internal/netsim includes the sharded event-loop suite, so the
-# parallel DES (mailbox exchange, window pump, cross-shard credits)
-# runs under the race detector here; ./internal/route and ./internal/hsd
-# hammer one shared path arena from many goroutines.
+# ./internal/netsim snapshots its metrics registry and tracer from a
+# second goroutine while a run is live (TestProbeSnapshotWhileRunning)
+# and hands its progress sink to a reporter goroutine (TestProgressSink);
+# ./internal/route and ./internal/hsd hammer one shared path arena from
+# many goroutines.
 race:
 	$(GO) test -race ./internal/route/ ./internal/hsd/ ./internal/netsim/ ./internal/exp/ ./internal/obs/... ./internal/fmgr/... ./internal/fclient/ ./internal/wire/
 

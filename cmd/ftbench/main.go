@@ -32,17 +32,16 @@ func setup(a *cli.App) func(io.Writer) error {
 		quick    = a.Flags.Bool("quick", false, "reduced scale for a fast run")
 		csvOut   = a.Flags.Bool("csv", false, "emit CSV instead of aligned text")
 		jsonOut  = a.Flags.Bool("json", false, "emit JSON (fattree-table/v1) instead of aligned text")
-		shards   = a.Flags.Int("shards", 1, "event-loop shards for every simulation: 1 = sequential, N > 1 = parallel sub-tree partitions, -1 = one per CPU")
 		progress = a.Flags.Duration("progress", 0, "print a live progress line to stderr at this wall-clock interval (0 = off)")
 		sinks    = a.Sinks()
 	)
 	a.Profile()
 	return func(w io.Writer) error {
 		exp.EngineName = *engName
-		if sinks.Enabled() || *shards != 1 || *progress > 0 {
-			// Attach the sinks and the shard count to every simulation the
-			// experiments run; the trace concatenates all runs on a shared
-			// timeline, and one Progress accumulates across the sweep.
+		if sinks.Enabled() || *progress > 0 {
+			// Attach the sinks to every simulation the experiments run;
+			// the trace concatenates all runs on a shared timeline, and
+			// one Progress accumulates across the sweep.
 			var prog *netsim.Progress
 			if *progress > 0 {
 				prog = &netsim.Progress{}
@@ -55,7 +54,6 @@ func setup(a *cli.App) func(io.Writer) error {
 				cfg.Trace = sinks.Tracer
 				cfg.LinkProbes = sinks.LinkSampler
 				cfg.Progress = prog
-				cfg.Shards = *shards
 			}
 		}
 		return run(w, *which, *quick, *csvOut, *jsonOut)

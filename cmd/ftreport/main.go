@@ -10,8 +10,8 @@
 //	    timeline, sparklines and quantile tables. No external assets.
 //	    -load adds an ftload sweep as a p99-vs-offered-load curve;
 //	    -events adds the daemon's fabric event journal as a timeline;
-//	    -linkprobes adds the queue-depth-over-time heatmap, the hot-links
-//	    table and (with a sharded -metrics stream) the shard-balance table;
+//	    -linkprobes adds the queue-depth-over-time heatmap and the
+//	    hot-links table;
 //	    -bakeoff adds an ftbakeoff engine comparison: per-fault-level
 //	    tables plus routability degradation curves.
 //

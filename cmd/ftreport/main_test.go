@@ -18,9 +18,10 @@ func TestGolden(t *testing.T) {
 		{Name: "html", Args: []string{"html", "-metrics", "testdata/probes.jsonl", "-trace", "testdata/trace.json", "-stamp=false", "-o", "-"}},
 		{Name: "html-no-input", Args: []string{"html"}, Exit: 1, Stderr: "ftreport: html: need at least one of -metrics"},
 		// Every input flag at once, over fixtures recorded from their real
-		// producers (ftsim -shards 2 -link-probes/-metrics, a daemon's
+		// producers (ftsim -topo 128 -cps ring -order random -sample 2
+		// -bytes 8192 -probe-interval 4us -metrics/-link-probes, a daemon's
 		// journal after one fault, ftbakeoff -o, a two-level sweep).
-		{Name: "html-all-inputs", Args: []string{"html", "-metrics", "testdata/shards.jsonl", "-trace", "testdata/trace.json",
+		{Name: "html-all-inputs", Args: []string{"html", "-metrics", "testdata/ring128.jsonl", "-trace", "testdata/trace.json",
 			"-load", "testdata/load.json", "-events", "testdata/events.json", "-linkprobes", "testdata/linkprobes.jsonl",
 			"-bakeoff", "testdata/bakeoff.json", "-stamp=false", "-max-heatmap-rows", "8", "-o", "-"}},
 		{Name: "no-args", Exit: 2, Stderr: "usage: ftreport <blame|html> [flags]"},

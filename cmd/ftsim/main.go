@@ -8,7 +8,6 @@
 //	ftsim -topo 324 -cps ring -order adversarial -bytes 65536
 //	ftsim -topo 1944 -cps shift -order random -bytes 131072 -sample 8
 //	ftsim -topo 324 -cps ring -trace run.json -metrics run.jsonl
-//	ftsim -topo 1944 -cps shift -sample 8 -shards -1
 //	ftsim -topo 324 -cps shift -sample 4 -progress 1s -link-probes links.jsonl
 package main
 
@@ -42,17 +41,16 @@ func setup(a *cli.App) func(io.Writer) error {
 		linkBW   = a.Flags.Float64("link-bw", 4000e6, "link bandwidth bytes/s")
 		hostBW   = a.Flags.Float64("host-bw", 3250e6, "host injection bandwidth bytes/s")
 		bufPkts  = a.Flags.Int("buffers", 8, "input-buffer packets per switch port")
-		shards   = a.Flags.Int("shards", 1, "event-loop shards: 1 = sequential, N > 1 = parallel sub-tree partitions, -1 = one per CPU")
 		progress = a.Flags.Duration("progress", 0, "print a live progress line to stderr at this wall-clock interval (0 = off)")
 		sinks    = a.Sinks()
 	)
 	a.Profile()
 	return func(w io.Writer) error {
-		return run(w, a.Stderr, *spec, *engName, *cpsName, *ordering, *seed, *bytes, *mode, *sample, *linkBW, *hostBW, *bufPkts, *shards, *progress, sinks)
+		return run(w, a.Stderr, *spec, *engName, *cpsName, *ordering, *seed, *bytes, *mode, *sample, *linkBW, *hostBW, *bufPkts, *progress, sinks)
 	}
 }
 
-func run(w, stderr io.Writer, spec, engName, cpsName, ordering string, seed, bytes int64, modeName string, sample int, linkBW, hostBW float64, bufPkts, shards int, progress time.Duration, sinks *obs.FileSinks) error {
+func run(w, stderr io.Writer, spec, engName, cpsName, ordering string, seed, bytes int64, modeName string, sample int, linkBW, hostBW float64, bufPkts int, progress time.Duration, sinks *obs.FileSinks) error {
 	var mode mpi.Mode
 	switch modeName {
 	case "async":
@@ -85,7 +83,6 @@ func run(w, stderr io.Writer, spec, engName, cpsName, ordering string, seed, byt
 	cfg.LinkBandwidth = linkBW
 	cfg.HostBandwidth = hostBW
 	cfg.BufferPackets = bufPkts
-	cfg.Shards = shards
 	cfg.Metrics = sinks.Registry
 	cfg.Probes = sinks.Sampler
 	cfg.Trace = sinks.Tracer

@@ -176,41 +176,6 @@ func TestClosureRegistryRecycled(t *testing.T) {
 	}
 }
 
-func TestNextAtPeeksDirtySlot(t *testing.T) {
-	s := NewScheduler()
-	s.SetHandler(func(kind uint16, a, b int32, c int64) {})
-	s.AtEvent(5, 0, 0, 0, 0)
-	s.AtEvent(2, 0, 0, 0, 0) // out-of-order append marks the slot dirty
-	if at, ok := s.NextAt(); !ok || at != 2 {
-		t.Fatalf("NextAt = %d,%v, want 2,true", at, ok)
-	}
-	if !s.Run(0) {
-		t.Fatal("run hit bound")
-	}
-}
-
-func TestRunBeforeExclusiveBound(t *testing.T) {
-	s := NewScheduler()
-	var got []Time
-	s.SetHandler(func(kind uint16, a, b int32, c int64) { got = append(got, s.Now()) })
-	for _, at := range []Time{10, 20, 30} {
-		s.AtEvent(at, 0, 0, 0, 0)
-	}
-	if n := s.RunBefore(30); n != 2 {
-		t.Fatalf("RunBefore ran %d events, want 2", n)
-	}
-	if s.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", s.Pending())
-	}
-	s.AdvanceTo(25)
-	if s.Now() != 25 {
-		t.Fatalf("now = %d after AdvanceTo, want 25", s.Now())
-	}
-	if n := s.RunBefore(31); n != 1 || s.Now() != 30 {
-		t.Fatalf("second RunBefore ran %d (now %d), want 1 at 30", n, s.Now())
-	}
-}
-
 func TestRandomizedPopOrder(t *testing.T) {
 	// Torture the wheel: random timestamps spanning slots, laps and the
 	// overflow path, plus handler-scheduled followups, must pop in

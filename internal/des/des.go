@@ -280,29 +280,6 @@ func (s *Scheduler) OverflowHighWater() int { return s.overflowPeak }
 // the pending event set got.
 func (s *Scheduler) OccupiedSlotsHighWater() int { return s.occSlotsPeak }
 
-// NextAt returns the timestamp of the earliest queued event, or ok ==
-// false when the queue is empty. Daemon events count: they hold a place
-// in the queue even though they may be discarded.
-func (s *Scheduler) NextAt() (Time, bool) {
-	if s.pending == 0 {
-		return 0, false
-	}
-	if i := s.firstOccupied(s.cursor); i >= 0 {
-		sl := &s.slots[i]
-		if sl.dirty {
-			sl.sort()
-		}
-		return sl.ev[sl.head].at, true
-	}
-	min := s.overflow[0].at
-	for i := 1; i < len(s.overflow); i++ {
-		if s.overflow[i].at < min {
-			min = s.overflow[i].at
-		}
-	}
-	return min, true
-}
-
 // regFn parks a closure in the registry and returns its index.
 func (s *Scheduler) regFn(fn func()) int32 {
 	if n := len(s.fnFree); n > 0 {
@@ -519,35 +496,4 @@ func (s *Scheduler) NextEvent() (kind uint16, a, b int32, c int64, ok bool) {
 		}
 		return uint16(e.key >> keyKindShift), e.a, e.b, e.c, true
 	}
-}
-
-// RunUntil runs events with time <= t, then sets the clock to t.
-func (s *Scheduler) RunUntil(t Time) {
-	for {
-		at, ok := s.NextAt()
-		if !ok || at > t {
-			break
-		}
-		s.Step()
-	}
-	if s.now < t {
-		s.now = t
-	}
-}
-
-// RunBefore runs regular events with time strictly less than t and
-// reports how many ran. The clock is left at the last executed event
-// (not advanced to t), so a caller coordinating several schedulers can
-// align clocks itself. Daemon events before t run under the usual rule.
-func (s *Scheduler) RunBefore(t Time) uint64 {
-	var n uint64
-	for s.work > 0 {
-		at, ok := s.NextAt()
-		if !ok || at >= t {
-			break
-		}
-		s.Step()
-		n++
-	}
-	return n
 }

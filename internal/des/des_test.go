@@ -86,26 +86,6 @@ func TestRunBound(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	s := NewScheduler()
-	var got []Time
-	for _, at := range []Time{5, 10, 15, 20} {
-		at := at
-		s.At(at, func() { got = append(got, at) })
-	}
-	s.RunUntil(12)
-	if len(got) != 2 {
-		t.Fatalf("ran %d events, want 2", len(got))
-	}
-	if s.Now() != 12 {
-		t.Errorf("now = %d, want 12", s.Now())
-	}
-	s.RunUntil(100)
-	if len(got) != 4 {
-		t.Errorf("ran %d events total, want 4", len(got))
-	}
-}
-
 func TestPendingCount(t *testing.T) {
 	s := NewScheduler()
 	s.At(1, func() {})

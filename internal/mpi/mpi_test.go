@@ -291,3 +291,38 @@ func BenchmarkNetsimDependentRecDbl(b *testing.B) {
 		}
 	}
 }
+
+// TestContendedShiftPinned pins the packet simulation of Figure 2's
+// contended point exactly: the 324-host Shift, sampled to 8 stages,
+// under a random node ordering (seed 1) at 512 KiB per message — what
+// `ftsim -topo 324 -cps shift -sample 8 -order random -bytes 524288`
+// prints as makespan 3.156 ms, 5,844,992 events, normalized 0.409.
+// Credits run out on this traffic, so any change to the event loop's
+// ordering of credit returns shows here first.
+func TestContendedShiftPinned(t *testing.T) {
+	tp := topo.MustBuild(topo.Cluster324)
+	o, err := order.ByName("random", tp, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := SequenceByName("shift", tp.Spec, nil, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := NewJob(route.DModK(tp), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := j.SimulateMode(seq, 512<<10, Async, netsim.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Duration != 3156425152 || st.Events != 5844992 || st.BytesDelivered != 1358954496 {
+		t.Errorf("makespan %d ps, %d events, %d bytes; want 3156425152 ps, 5844992 events, 1358954496 bytes",
+			st.Duration, st.Events, st.BytesDelivered)
+	}
+	if st.MessagesDelivered != 2592 || st.LatencySum != 733964994648 {
+		t.Errorf("%d messages, latency sum %d ps; want 2592 messages, 733964994648 ps",
+			st.MessagesDelivered, st.LatencySum)
+	}
+}

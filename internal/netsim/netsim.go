@@ -14,9 +14,7 @@
 // The hot core is allocation-free in steady state: packets, messages and
 // per-port bookkeeping live in flat arenas indexed by integer ids, and
 // every scheduler event is a plain-old-data dispatch record (see
-// internal/des), so repeated runs on one Network reuse all state. Set
-// Config.Shards > 1 for conservative parallel execution partitioned by
-// fat-tree sub-tree (see shard.go and docs/SIMULATOR.md).
+// internal/des), so repeated runs on one Network reuse all state.
 package netsim
 
 import (
@@ -25,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strconv"
 	"time"
@@ -36,10 +33,6 @@ import (
 	"fattree/internal/schema"
 	"fattree/internal/topo"
 )
-
-// AutoShards selects one shard per available CPU (GOMAXPROCS) when set
-// as Config.Shards.
-const AutoShards = -1
 
 // Config calibrates the simulator.
 type Config struct {
@@ -59,14 +52,6 @@ type Config struct {
 	BufferPackets int
 	// MaxEvents aborts runaway simulations (0 = unbounded).
 	MaxEvents uint64
-	// Shards selects the event-loop parallelism: 0 or 1 runs the
-	// sequential loop (bit-exact with the golden traces); N > 1 runs a
-	// conservative parallel simulation on N sub-tree partitions with
-	// lookahead equal to LinkLatency; AutoShards (-1) uses GOMAXPROCS.
-	// Sharding requires LinkLatency > 0 and deterministic routing (no
-	// PerPacketRouting). docs/SIMULATOR.md spells out when sharded
-	// results are bit-exact with the sequential loop.
-	Shards int
 	// PerPacketRouting re-asks the router for a path for every packet
 	// instead of once per message — how an adaptive fabric behaves.
 	// With a randomized router this lets packets overtake each other;
@@ -103,8 +88,7 @@ type Config struct {
 	// Progress, when non-nil, receives live run counters (simulated
 	// time, events executed, messages delivered) that a wall-clock
 	// reporter goroutine reads concurrently — see Progress.Report.
-	// Publishing rides daemon ticks in the sequential loop and window
-	// barriers in sharded runs, so the zero-progress hot path pays
+	// Publishing rides daemon ticks, so the zero-progress hot path pays
 	// nothing.
 	Progress *Progress
 	// Trace, when non-nil, records message/packet lifecycle events
@@ -142,30 +126,7 @@ func (c Config) validate() error {
 	if c.LinkLatency < 0 || c.SwitchLatency < 0 {
 		return fmt.Errorf("netsim: negative latency")
 	}
-	if c.Shards < AutoShards {
-		return fmt.Errorf("netsim: Shards = %d (want >= %d)", c.Shards, AutoShards)
-	}
-	if c.shardCount() > 1 {
-		if c.LinkLatency <= 0 {
-			return fmt.Errorf("netsim: sharded execution needs LinkLatency > 0 (the conservative lookahead)")
-		}
-		if c.PerPacketRouting {
-			return fmt.Errorf("netsim: sharded execution requires deterministic routing (PerPacketRouting off)")
-		}
-	}
 	return nil
-}
-
-// shardCount resolves the Shards knob to a concrete shard count.
-func (c Config) shardCount() int {
-	switch {
-	case c.Shards == AutoShards:
-		return runtime.GOMAXPROCS(0)
-	case c.Shards <= 1:
-		return 1
-	default:
-		return c.Shards
-	}
 }
 
 // Message is one MPI-level send.
@@ -203,40 +164,6 @@ type Stats struct {
 	// latencies (Config.KeepLatencies), so Percentile can distinguish
 	// "retention was off" from "nothing was delivered".
 	KeptLatencies bool
-	// Shards holds per-event-loop DES telemetry: one entry for a
-	// sequential run, one per shard for a sharded run. The wall-clock
-	// fields vary run to run — compare runs across shard counts or
-	// reruns with WithoutTelemetry.
-	Shards []schema.ShardStats
-}
-
-// WithoutTelemetry returns a copy of s with the per-shard telemetry
-// cleared — the deterministic, workload-defined remainder that
-// equivalence tests compare across shard counts and reruns.
-func (s Stats) WithoutTelemetry() Stats {
-	s.Shards = nil
-	return s
-}
-
-// ShardImbalance returns the max/mean ratio of per-shard executed
-// events — 1.0 is a perfectly balanced run, and 0 means no telemetry
-// was recorded. The post-run summary parallel-DES tuning starts from.
-func (s Stats) ShardImbalance() float64 {
-	if len(s.Shards) == 0 {
-		return 0
-	}
-	var max, sum uint64
-	for _, sh := range s.Shards {
-		sum += sh.Events
-		if sh.Events > max {
-			max = sh.Events
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	mean := float64(sum) / float64(len(s.Shards))
-	return float64(max) / mean
 }
 
 // ErrLatenciesNotKept is returned by Stats.Percentile when the run did
@@ -357,7 +284,6 @@ type channel struct {
 	from, to topo.NodeID
 	fromHost int32 // host index of the from node, or -1 for a switch
 	toHost   int32 // host index of the to node, or -1 for a switch
-	shard    int32 // owning shard of the transmitter side (from node)
 
 	// Receiver input buffer (virtual cut-through credits).
 	credits int32
@@ -424,7 +350,6 @@ type hostState struct {
 	sendLeft, recvLeft []int32
 	readyStage         int32
 	dependent          bool
-	shard              int32
 }
 
 // stageComplete reports whether the host finished stage s.
@@ -432,16 +357,12 @@ func (h *hostState) stageComplete(s int32) bool {
 	return h.sendLeft[s] == 0 && h.recvLeft[s] == 0
 }
 
-// Dispatch-event kinds (see des.Handler). evCreditX and evKickAux exist
-// only in sharded runs and are excluded from Stats.Events so sequential
-// and sharded event counts agree.
+// Dispatch-event kinds, drained by Network.drain.
 const (
 	evKick    uint16 = iota // a = host id
 	evArrive                // a = packet, b = channel, c = tailArrive
 	evDepart                // a = packet, b = channel, c = from-buffer channel id or -1
 	evDeliver               // a = packet, b = channel
-	evKickAux               // a = host id (sharded stage start)
-	evCreditX               // a = channel id (sharded cross-partition credit return)
 )
 
 // Network is a simulator instance bound to a topology and routing. All
@@ -480,9 +401,8 @@ type Network struct {
 	elided uint64
 	endAt  des.Time
 
-	// busyNS accumulates wall-clock time spent inside the event loop
-	// (drain for the sequential path, runWindow for shard workers) —
-	// the BusyNS half of ShardStats.
+	// busyNS accumulates wall-clock time spent inside drain; it leaves
+	// the run only as the netsim_busy_ns gauge, never through Stats.
 	busyNS int64
 
 	// Buffered flow log (nil when Config.FlowLog is nil); flushed when
@@ -494,20 +414,6 @@ type Network struct {
 	ob            *simObs
 	traceMetaDone bool
 	flowHeader    bool
-
-	// Sharded runtime (nil until a sharded run; see shard.go). On the
-	// root Network sh coordinates; on per-shard worker views (which
-	// share the arenas above but own their scheduler, packet pool and
-	// stats) shardID identifies the shard and auxEvents counts events
-	// that exist only because of sharding, so merged event totals match
-	// the sequential loop.
-	sh        *shardRuntime
-	shardID   int32
-	auxEvents uint64
-	// flowRecs buffers flow completions on worker views (flowSink set);
-	// the coordinator merges and writes them deterministically.
-	flowRecs []flowRec
-	flowSink bool
 }
 
 // New creates a simulator for the topology/routing pair.
@@ -528,7 +434,6 @@ func (nw *Network) reset() {
 	t := nw.t
 	if nw.sched == nil {
 		nw.sched = des.NewScheduler()
-		nw.sched.SetHandler(nw.handle)
 	} else {
 		nw.sched.Reset()
 	}
@@ -607,29 +512,10 @@ func hostIndex(t *topo.Topology, id topo.NodeID) int32 {
 	return int32(n.Index)
 }
 
-// handle dispatches POD scheduler events — the simulator's event loop.
-func (nw *Network) handle(kind uint16, a, b int32, c int64) {
-	switch kind {
-	case evArrive:
-		nw.arriveHeader(a, b, des.Time(c))
-	case evDepart:
-		nw.departTail(a, b, int32(c))
-	case evDeliver:
-		nw.deliverAt(a, nw.sched.Now())
-	case evKick, evKickAux:
-		nw.kickHost(&nw.hosts[a])
-	case evCreditX:
-		nw.auxEvents++ // no sequential counterpart; see shard.go
-		ch := &nw.channels[a]
-		ch.credits++
-		nw.wakeTransmitter(ch)
-	}
-}
-
-// drain runs the sequential event loop to completion by pulling
-// dispatch events straight off the scheduler — the same pop order as
-// sched.Run, minus one indirect Handler call per event. Reports false
-// when cfg.MaxEvents was exceeded with events still pending.
+// drain runs the event loop to completion by pulling dispatch events
+// straight off the scheduler — the same pop order as sched.Run, without
+// an indirect Handler call per event. Reports false when cfg.MaxEvents
+// was exceeded with events still pending.
 func (nw *Network) drain() bool {
 	t0 := time.Now()
 	defer func() { nw.busyNS += time.Since(t0).Nanoseconds() }()
@@ -648,13 +534,8 @@ func (nw *Network) drain() bool {
 			nw.departTail(a, b, int32(c))
 		case evDeliver:
 			nw.deliverAt(a, sched.Now())
-		case evKick, evKickAux:
+		case evKick:
 			nw.kickHost(&nw.hosts[a])
-		case evCreditX:
-			nw.auxEvents++ // no sequential counterpart; see shard.go
-			ch := &nw.channels[a]
-			ch.credits++
-			nw.wakeTransmitter(ch)
 		}
 		if max > 0 && sched.Executed()-start >= max && sched.Pending() > 0 {
 			return false
@@ -744,9 +625,6 @@ func (nw *Network) load(msgs []Message) error {
 // the previous one has fully left for the wire (the paper's Section II
 // semantics).
 func (nw *Network) Run(msgs []Message) (Stats, error) {
-	if nw.cfg.shardCount() > 1 {
-		return nw.runShardedAsync(msgs, nil)
-	}
 	nw.reset()
 	if err := nw.load(msgs); err != nil {
 		return Stats{}, nw.flushed(err)
@@ -772,9 +650,6 @@ func (nw *Network) RunStagesJitter(stages [][]Message, jitter des.Time, seed int
 }
 
 func (nw *Network) runStages(stages [][]Message, jitter des.Time, seed int64) (Stats, error) {
-	if nw.cfg.shardCount() > 1 {
-		return nw.runShardedStages(stages, jitter, seed)
-	}
 	nw.reset()
 	rng := rand.New(rand.NewSource(seed))
 	var durs []des.Time
@@ -835,9 +710,6 @@ func (nw *Network) applyJitter(st []Message, jitter des.Time, rng *rand.Rand) {
 // recursive-doubling or shift schedule — stricter than async per-host
 // progression, looser than a global barrier.
 func (nw *Network) RunDependent(stages [][]Message) (Stats, error) {
-	if nw.cfg.shardCount() > 1 {
-		return nw.runShardedAsync(nil, stages)
-	}
 	nw.reset()
 	if err := nw.loadDependent(stages); err != nil {
 		return Stats{}, nw.flushed(err)
@@ -943,20 +815,8 @@ func (nw *Network) collect() Stats {
 	}
 	sort.Slice(s.Latencies, func(i, j int) bool { return s.Latencies[i] < s.Latencies[j] })
 	s.KeptLatencies = nw.cfg.KeepLatencies
-	if nw.sh != nil {
-		s.Shards = nw.sh.telemetry()
-	} else {
-		s.Shards = []schema.ShardStats{{
-			Events:          nw.sched.Executed() + nw.elided,
-			MaxPending:      nw.sched.MaxPending(),
-			BusyNS:          nw.busyNS,
-			CalRebases:      nw.sched.Rebases(),
-			CalOverflowPeak: nw.sched.OverflowHighWater(),
-			CalSlotsPeak:    nw.sched.OccupiedSlotsHighWater(),
-		}}
-		if p := nw.cfg.Progress; p != nil {
-			p.publish(s.Duration, int64(s.Events), s.MessagesDelivered)
-		}
+	if p := nw.cfg.Progress; p != nil {
+		p.publish(s.Duration, int64(s.Events), s.MessagesDelivered)
 	}
 	nw.obsCollect(&s)
 	return s
@@ -1075,33 +935,13 @@ func (nw *Network) transmit(pid int32, ch *channel, fromBuf int32) {
 	tailArrive := tail + nw.cfg.LinkLatency
 	if ch.toHost >= 0 && nw.eager {
 		// Last hop with nobody watching: deliver inline at the arrival
-		// timestamp and account for the two skipped events. Sub-tree
-		// sharding keeps a host on its leaf's shard, so this touches
-		// only shard-local state.
+		// timestamp and account for the two skipped events.
 		nw.elided += 2
 		nw.deliverAt(pid, tailArrive)
 	} else {
-		nw.schedule(ch.shardTo(nw), headerAt, evArrive, pid, ch.id, int64(tailArrive))
+		nw.sched.AtEvent(headerAt, evArrive, pid, ch.id, int64(tailArrive))
 	}
-	nw.schedule(ch.shard, tail, evDepart, pid, ch.id, int64(fromBuf))
-}
-
-// shardTo returns the shard owning the channel's receiver side.
-func (ch *channel) shardTo(nw *Network) int32 {
-	if nw.sh == nil {
-		return 0
-	}
-	return nw.sh.nodeShard[ch.to]
-}
-
-// schedule routes an event to the owning shard's scheduler. In the
-// sequential loop every event is local.
-func (nw *Network) schedule(shard int32, at des.Time, kind uint16, a, b int32, c int64) {
-	if nw.sh == nil {
-		nw.sched.AtEvent(at, kind, a, b, c)
-		return
-	}
-	nw.sh.scheduleFrom(nw, shard, at, kind, a, b, c)
+	nw.sched.AtEvent(tail, evDepart, pid, ch.id, int64(fromBuf))
 }
 
 // arriveHeader lands the packet's header at ch's receiver.
@@ -1114,7 +954,7 @@ func (nw *Network) arriveHeader(pid, chID int32, tailArrive des.Time) {
 	}
 	if ch.toHost >= 0 {
 		// Delivery completes when the tail arrives.
-		nw.schedule(ch.shardTo(nw), tailArrive, evDeliver, pid, chID, 0)
+		nw.sched.AtEvent(tailArrive, evDeliver, pid, chID, 0)
 		return
 	}
 	ch.buf.push(pid)
@@ -1175,9 +1015,8 @@ func (nw *Network) departTail(pid, chID int32, fromBuf int32) {
 		// Left a host NIC: sender may proceed with its next message
 		// ("sent to the wire"). The host comes from the channel, not
 		// the packet: an eager final-hop delivery downstream may have
-		// recycled this packet id for a different flow — possibly one
-		// whose source lives on another shard — by the time the tail
-		// departs, so p is only trustworthy in dependent mode, which
+		// recycled this packet id for a different flow by the time the
+		// tail departs, so p is only trustworthy in dependent mode, which
 		// disables eager delivery and never recycles in-flight ids.
 		h := &nw.hosts[ch.fromHost]
 		if h.dependent {
@@ -1198,40 +1037,15 @@ func (nw *Network) departTail(pid, chID int32, fromBuf int32) {
 		return
 	}
 	fb.buf.pop()
-	if nw.sh != nil && nw.sh.nodeShard[ch.to] != nw.shardID {
-		// The arrival was handed to another shard as a copy
-		// (shard.go); the local packet is done.
-		nw.freePkts = append(nw.freePkts, pid)
-	}
-	nw.creditReturn(fb)
+	fb.credits++
+	nw.wakeTransmitter(fb)
 	nw.requestForward(fb)
 	// The channel is free at this instant: re-arbitrate.
-	if ch.fromHost >= 0 {
-		nw.kickHost(&nw.hosts[ch.fromHost])
-	} else {
-		nw.tryForward(ch)
-	}
-}
-
-// creditReturn hands a freed buffer slot back to channel ch's
-// transmitter and wakes it. When the transmitter belongs to another
-// shard, the credit travels on the reverse wire: it is delivered
-// LinkLatency later as an evCreditX event — the conservative lookahead
-// that makes sub-tree partitions independent within a window. On
-// contention-free traffic the transmitter never exhausts its credit
-// budget, so the extra latency is unobservable and sharded results stay
-// bit-exact (docs/SIMULATOR.md).
-func (nw *Network) creditReturn(ch *channel) {
-	if nw.sh != nil && ch.shard != nw.shardID {
-		nw.sh.scheduleFrom(nw, ch.shard, nw.sched.Now()+nw.cfg.LinkLatency, evCreditX, ch.id, 0, 0)
-		return
-	}
-	ch.credits++
 	nw.wakeTransmitter(ch)
 }
 
-// wakeTransmitter re-arbitrates the sender feeding channel ch after a
-// credit became available.
+// wakeTransmitter re-arbitrates the sender feeding channel ch after the
+// channel freed up or regained a credit.
 func (nw *Network) wakeTransmitter(ch *channel) {
 	if ch.fromHost >= 0 {
 		nw.kickHost(&nw.hosts[ch.fromHost])
@@ -1287,11 +1101,6 @@ func (nw *Network) deliverAt(pid int32, at des.Time) {
 		}
 		if nw.flow != nil {
 			nw.writeFlowRecord(m, at, lat)
-		} else if nw.flowSink {
-			nw.flowRecs = append(nw.flowRecs, flowRec{
-				src: m.Src, dst: m.Dst, bytes: m.Bytes,
-				start: m.startedAt, end: at, lat: lat,
-			})
 		}
 		if nw.cfg.KeepLatencies {
 			nw.stats.Latencies = append(nw.stats.Latencies, lat)

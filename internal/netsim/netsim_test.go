@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -184,7 +185,8 @@ func TestDeterministicReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Duration != b.Duration || a.Events != b.Events || a.LatencySum != b.LatencySum {
+	// Stats holds no wall-clock field, so a rerun matches field for field.
+	if !reflect.DeepEqual(a, b) {
 		t.Errorf("replay diverged: %+v vs %+v", a, b)
 	}
 }
@@ -361,7 +363,7 @@ func TestRunResetsBetweenCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Duration != b.Duration || a.BytesDelivered != b.BytesDelivered {
+	if !reflect.DeepEqual(a, b) {
 		t.Errorf("state leaked between runs: %+v vs %+v", a, b)
 	}
 }

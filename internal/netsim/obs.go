@@ -7,16 +7,16 @@ package netsim
 // trace-event tracer. With all three nil, nw.ob stays nil and the hot
 // path pays a single pointer check per instrumentation site.
 //
-// Registry metrics are atomic, so sharded runs share one simObs across
-// shard goroutines; the mutex-protected tracer and sampler are driven
-// only from the coordinator or with sharding disabled.
+// Everything here runs on the simulation goroutine. Registry metrics and
+// the tracer stay safe to read from another goroutine mid-run
+// (TestProbeSnapshotWhileRunning), which is what their atomics and
+// mutex are for.
 //
 // docs/OBSERVABILITY.md documents every metric name, probe series and
 // trace lane emitted here.
 
 import (
 	"fmt"
-	"strconv"
 
 	"fattree/internal/des"
 	"fattree/internal/obs"
@@ -45,9 +45,7 @@ type simObs struct {
 	link   *obs.Sampler // fattree-linkprobe/v1 stream (Config.LinkProbes)
 
 	// queueHW tracks each channel's input-buffer depth high-water mark,
-	// updated at every buffer push. Each channel's buffer is touched
-	// only by the shard owning its receiver side, so the per-channel
-	// slots never race across shard goroutines.
+	// updated at every buffer push.
 	queueHW []int32
 
 	pktInjected    *obs.Counter
@@ -177,7 +175,7 @@ func (nw *Network) startProbes() {
 			float64(ob.switchStalls.Value()))
 	})
 	s.Series("event_queue", func(now des.Time, buf []float64) []float64 {
-		pend := nw.schedPending()
+		pend := nw.sched.Pending()
 		if ob.trace != nil {
 			ob.trace.Counter(tracePidMetrics, now, "event_queue",
 				obs.Num("pending", float64(pend)))
@@ -239,15 +237,6 @@ func (nw *Network) startLinkProbes() {
 		return buf
 	})
 	s.Start(nw.sched)
-}
-
-// schedPending returns the regular-event queue depth — summed across
-// shards in a sharded run.
-func (nw *Network) schedPending() int {
-	if nw.sh != nil {
-		return nw.sh.pending()
-	}
-	return nw.sched.Pending()
 }
 
 // obsFinalSample captures one last probe sample at the end of a run or
@@ -346,18 +335,23 @@ func (nw *Network) obsStage(i, msgs int, start, end des.Time) {
 		obs.Num("messages", float64(msgs)))
 }
 
-// obsCollect freezes end-of-run gauges into the registry, writes the
-// per-link rollup to the linkprobe stream, and exports the per-shard
-// telemetry as labeled gauges plus a {"shards":...} record on the
-// probe stream.
+// obsCollect freezes end-of-run gauges into the registry — the run's
+// results plus the event loop's own telemetry: wall-clock busy time and
+// the calendar queue's pressure counters — and writes the per-link
+// rollup to the linkprobe stream.
 func (nw *Network) obsCollect(s *Stats) {
 	ob := nw.ob
 	if ob == nil {
 		return
 	}
-	ob.reg.Gauge("netsim_event_queue_high_water").Max(int64(nw.schedMaxPending()))
+	sched := nw.sched
+	ob.reg.Gauge("netsim_event_queue_high_water").Max(int64(sched.MaxPending()))
 	ob.reg.Gauge("netsim_events_executed").Set(int64(s.Events))
 	ob.reg.Gauge("netsim_duration_ps").Set(int64(s.Duration))
+	ob.reg.Gauge("netsim_busy_ns").Set(nw.busyNS)
+	ob.reg.Gauge("netsim_calendar_rebases").Set(int64(sched.Rebases()))
+	ob.reg.Gauge("netsim_calendar_overflow_peak").Max(int64(sched.OverflowHighWater()))
+	ob.reg.Gauge("netsim_calendar_slots_peak").Max(int64(sched.OccupiedSlotsHighWater()))
 	var maxQ int32
 	for _, d := range ob.queueHW {
 		if d > maxQ {
@@ -379,25 +373,4 @@ func (nw *Network) obsCollect(s *Stats) {
 		}
 		ob.link.Record(roll)
 	}
-	if len(s.Shards) > 0 {
-		for _, sh := range s.Shards {
-			id := strconv.Itoa(sh.Shard)
-			ob.reg.Gauge(obs.Labeled("netsim_shard_events", "shard", id)).Set(int64(sh.Events))
-			ob.reg.Gauge(obs.Labeled("netsim_shard_stall_ns", "shard", id)).Set(sh.StallNS)
-			ob.reg.Gauge(obs.Labeled("netsim_shard_mailbox_peak", "shard", id)).Set(int64(sh.MailboxPeak))
-		}
-		ob.reg.Gauge("netsim_shard_imbalance_milli").Set(int64(s.ShardImbalance() * 1000))
-		if ob.probes != nil {
-			ob.probes.Record(schema.ShardsRecord{Shards: s.Shards})
-		}
-	}
-}
-
-// schedMaxPending returns the queue-depth high-water mark — the max
-// across shards in a sharded run.
-func (nw *Network) schedMaxPending() int {
-	if nw.sh != nil {
-		return nw.sh.maxPending()
-	}
-	return nw.sched.MaxPending()
 }

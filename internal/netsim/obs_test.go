@@ -79,7 +79,7 @@ func TestObservabilityEquivalence(t *testing.T) {
 		if err := cfg.Trace.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(want.WithoutTelemetry(), got.WithoutTelemetry()) {
+		if !reflect.DeepEqual(want, got) {
 			t.Errorf("%s: metrics+trace perturbed Stats\nbase: %+v\nobs:  %+v", run.name, want, got)
 		}
 		if cfg.Metrics.Counter("netsim_messages_delivered_total").Value() != want.MessagesDelivered {
@@ -106,7 +106,7 @@ func TestObservabilityEquivalence(t *testing.T) {
 			t.Errorf("%s: probed run executed fewer events (%d < %d)", run.name, got3.Events, want.Events)
 		}
 		got3.Events = want.Events
-		if !reflect.DeepEqual(want.WithoutTelemetry(), got3.WithoutTelemetry()) {
+		if !reflect.DeepEqual(want, got3) {
 			t.Errorf("%s: probes perturbed Stats beyond Events\nbase:   %+v\nprobed: %+v", run.name, want, got3)
 		}
 		if probeOut.Len() == 0 {

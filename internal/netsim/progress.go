@@ -1,12 +1,11 @@
 package netsim
 
 // Live progress reporting for long sweeps. The simulator publishes
-// cumulative counters into a Progress sink — via daemon ticks on the
-// sequential loop, via the coordinator at window barriers when sharded
-// — and a reporter goroutine owned by the caller reads them at wall
-// clock intervals. Attaching a Progress never changes simulated
-// timings; like probe ticks, the sequential publish ticks are
-// scheduler events, so only Stats.Events grows.
+// cumulative counters into a Progress sink via daemon ticks, and a
+// reporter goroutine owned by the caller reads them at wall-clock
+// intervals — the reason the counters are atomics. Attaching a Progress
+// never changes simulated timings; like probe ticks, the publish ticks
+// are scheduler events, so only Stats.Events grows.
 
 import (
 	"fmt"
@@ -23,9 +22,8 @@ import (
 // with each run. All methods are safe for one simulation goroutine
 // publishing concurrently with any number of Snapshot readers.
 type Progress struct {
-	// SimInterval is the publish cadence in simulated time for
-	// sequential runs (default 10µs). Sharded runs publish at every
-	// window barrier instead.
+	// SimInterval is the publish cadence in simulated time (default
+	// 10µs).
 	SimInterval des.Time
 
 	simNow    atomic.Int64
@@ -152,13 +150,12 @@ func humanCount(n int64) string {
 	}
 }
 
-// startProgress arms the sequential publish tick: a self-rescheduling
-// daemon event, so it dies with the stage's regular work and never
-// extends the simulation. Sharded runs publish from the coordinator at
-// window barriers instead (see pumpShards).
+// startProgress arms the publish tick: a self-rescheduling daemon
+// event, so it dies with the stage's regular work and never extends the
+// simulation.
 func (nw *Network) startProgress() {
 	p := nw.cfg.Progress
-	if p == nil || nw.sh != nil {
+	if p == nil {
 		return
 	}
 	var tick func()

@@ -1,7 +1,7 @@
 package netsim
 
-// Tests for the ISSUE-8 telemetry surface: link-level contention
-// probes, per-shard DES telemetry and the progress sink. The
+// Tests for the telemetry surface: link-level contention probes, the
+// event loop's closing gauges and the progress sink. The
 // contention tests pin the paper's headline property end to end: a
 // contention-free Shift on the 324-node cluster never queues more
 // than one packet per channel, while a mis-ordered run does.
@@ -10,7 +10,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -22,6 +21,15 @@ import (
 	"fattree/internal/schema"
 	"fattree/internal/topo"
 )
+
+// shiftMsgs builds the s-shift permutation over n hosts.
+func shiftMsgs(n int, s int, bytes int64) []Message {
+	msgs := make([]Message, 0, n)
+	for src := 0; src < n; src++ {
+		msgs = append(msgs, Message{Src: src, Dst: (src + s) % n, Bytes: bytes})
+	}
+	return msgs
+}
 
 // parseRollup scans a link-probe JSONL stream for its closing rollup
 // record.
@@ -117,10 +125,9 @@ func TestLinkRollupMisordered(t *testing.T) {
 	}
 }
 
-// TestFlowLogIdenticalWithTelemetry is the seeded equivalence matrix
-// of ISSUE 8: across shards={1,2,4}, attaching link probes and a
-// progress sink must leave the flow log byte-identical to the bare
-// run. Runs under -race in CI.
+// TestFlowLogIdenticalWithTelemetry: attaching link probes, a progress
+// sink, or both must leave the flow log byte-identical to the bare run.
+// Runs under -race in CI.
 func TestFlowLogIdenticalWithTelemetry(t *testing.T) {
 	lft := route.DModK(topo.MustBuild(topo.Cluster324))
 	n := lft.Topology().NumHosts()
@@ -128,108 +135,50 @@ func TestFlowLogIdenticalWithTelemetry(t *testing.T) {
 		shiftMsgs(n, 1, 2*2048),
 		shiftMsgs(n, n/2, 3*2048),
 	}
-	for _, shards := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			run := func(telemetry bool) string {
-				var flow bytes.Buffer
-				cfg := DefaultConfig()
-				cfg.Shards = shards
-				cfg.FlowLog = &flow
-				if telemetry {
-					cfg.LinkProbes = obs.NewSampler(&bytes.Buffer{}, 5*des.Microsecond)
-					cfg.Progress = &Progress{}
-				}
-				nw, err := New(lft, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := nw.RunStages(stages); err != nil {
-					t.Fatal(err)
-				}
-				return flow.String()
-			}
-			bare, probed := run(false), run(true)
-			if bare != probed {
-				t.Errorf("flow log changed when telemetry attached (%d vs %d bytes)", len(bare), len(probed))
+	run := func(t *testing.T, probes, progress bool) string {
+		var flow bytes.Buffer
+		cfg := DefaultConfig()
+		cfg.FlowLog = &flow
+		if probes {
+			cfg.LinkProbes = obs.NewSampler(&bytes.Buffer{}, 5*des.Microsecond)
+		}
+		if progress {
+			cfg.Progress = &Progress{}
+		}
+		nw, err := New(lft, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nw.RunStages(stages); err != nil {
+			t.Fatal(err)
+		}
+		return flow.String()
+	}
+	bare := run(t, false, false)
+	for _, tc := range []struct {
+		name             string
+		probes, progress bool
+	}{
+		{"probes", true, false},
+		{"progress", false, true},
+		{"probes_and_progress", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := run(t, tc.probes, tc.progress); got != bare {
+				t.Errorf("flow log changed when telemetry attached (%d vs %d bytes)", len(bare), len(got))
 			}
 		})
 	}
 }
 
-// TestShardTelemetry checks the per-shard stats surface: one entry per
-// shard, plausible counters, and the imbalance summary.
-func TestShardTelemetry(t *testing.T) {
-	lft := route.DModK(topo.MustBuild(topo.Cluster324))
-	n := lft.Topology().NumHosts()
-	msgs := shiftMsgs(n, 5, 64<<10)
-
-	cfg := DefaultConfig()
-	cfg.Shards = 4
-	nw, err := New(lft, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := nw.Run(msgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Shards) != 4 {
-		t.Fatalf("got %d shard stats, want 4", len(st.Shards))
-	}
-	var sumEv uint64
-	for i, sh := range st.Shards {
-		if sh.Shard != i {
-			t.Errorf("shard %d labeled %d", i, sh.Shard)
-		}
-		if sh.Events == 0 {
-			t.Errorf("shard %d processed no events", i)
-		}
-		if sh.MaxPending <= 0 {
-			t.Errorf("shard %d has no pending high-water", i)
-		}
-		if sh.BusyNS < 0 || sh.StallNS < 0 {
-			t.Errorf("shard %d has negative wall-clock telemetry: busy %d stall %d", i, sh.BusyNS, sh.StallNS)
-		}
-		sumEv += sh.Events
-	}
-	if sumEv != st.Events {
-		t.Errorf("shard events sum %d != total events %d", sumEv, st.Events)
-	}
-	if imb := st.ShardImbalance(); imb < 1 || imb > 4 {
-		t.Errorf("shard imbalance %.3f outside [1,4]", imb)
-	}
-	if got := st.WithoutTelemetry(); got.Shards != nil {
-		t.Error("WithoutTelemetry kept the shard stats")
-	}
-
-	// Sequential runs expose the same surface with a single entry whose
-	// event count matches the run's.
-	seq, err := New(lft, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sst, err := seq.Run(msgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sst.Shards) != 1 {
-		t.Fatalf("sequential run has %d shard stats, want 1", len(sst.Shards))
-	}
-	if sst.Shards[0].Events != sst.Events {
-		t.Errorf("sequential shard events %d != stats events %d", sst.Shards[0].Events, sst.Events)
-	}
-	if sst.ShardImbalance() != 1 {
-		t.Errorf("sequential imbalance %.3f, want 1", sst.ShardImbalance())
-	}
-}
-
-// TestShardTelemetryMetrics checks the labeled per-shard gauges reach
-// the registry.
-func TestShardTelemetryMetrics(t *testing.T) {
+// TestEventLoopGauges checks that the closing registry snapshot carries
+// the event loop's own telemetry as plain netsim_ gauges: wall-clock
+// busy time and the calendar queue's pressure counters beside the event
+// count and queue high-water mark.
+func TestEventLoopGauges(t *testing.T) {
 	lft := route.DModK(topo.MustBuild(topo.Cluster324))
 	n := lft.Topology().NumHosts()
 	cfg := DefaultConfig()
-	cfg.Shards = 2
 	cfg.Metrics = obs.NewRegistry()
 	nw, err := New(lft, cfg)
 	if err != nil {
@@ -239,18 +188,26 @@ func TestShardTelemetryMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, sh := range st.Shards {
-		name := obs.Labeled("netsim_shard_events", "shard", fmt.Sprintf("%d", i))
-		if got := cfg.Metrics.Gauge(name).Value(); got != int64(sh.Events) {
-			t.Errorf("%s = %d, want %d", name, got, sh.Events)
+	g := cfg.Metrics.Snapshot().Gauges
+	if got := g["netsim_events_executed"]; got != int64(st.Events) {
+		t.Errorf("netsim_events_executed = %d, want %d", got, st.Events)
+	}
+	if g["netsim_busy_ns"] <= 0 {
+		t.Errorf("netsim_busy_ns = %d, want > 0", g["netsim_busy_ns"])
+	}
+	for _, name := range []string{"netsim_event_queue_high_water", "netsim_calendar_slots_peak"} {
+		if g[name] <= 0 {
+			t.Errorf("%s = %d, want > 0", name, g[name])
 		}
 	}
-	if cfg.Metrics.Gauge("netsim_shard_imbalance_milli").Value() < 1000 {
-		t.Error("netsim_shard_imbalance_milli below 1000 (max/mean < 1 is impossible)")
+	for _, name := range []string{"netsim_calendar_rebases", "netsim_calendar_overflow_peak"} {
+		if _, ok := g[name]; !ok {
+			t.Errorf("closing snapshot lacks %s", name)
+		}
 	}
 }
 
-// TestProgressSink drives a sequential and a sharded run into one
+// TestProgressSink drives two runs on separate Networks into one
 // Progress and checks the counters accumulate across runs and the
 // reporter emits lines.
 func TestProgressSink(t *testing.T) {
@@ -277,11 +234,8 @@ func TestProgressSink(t *testing.T) {
 		t.Errorf("after run 1: empty counters %+v", s)
 	}
 
-	// A sharded run on the same sink accumulates.
-	cfg2 := DefaultConfig()
-	cfg2.Progress = p
-	cfg2.Shards = 2
-	nw2, err := New(lft, cfg2)
+	// A second Network on the same sink accumulates.
+	nw2, err := New(lft, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

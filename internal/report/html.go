@@ -78,10 +78,8 @@ type htmlView struct {
 	EventStrip template.HTML
 	Events     []eventView
 
-	QueueHeatmap   template.HTML
-	HotLinks       []hotLinkView
-	ShardRows      []shardView
-	ShardImbalance string
+	QueueHeatmap template.HTML
+	HotLinks     []hotLinkView
 
 	BakeoffHead   string
 	BakeoffCurve  template.HTML
@@ -92,12 +90,6 @@ type htmlView struct {
 
 type hotLinkView struct {
 	Channel, MaxQueue, BusyPct string
-}
-
-type shardView struct {
-	Shard, Events, MaxPending, MailboxPeak    string
-	BusyMS, StallMS                           string
-	CalRebases, CalOverflowPeak, CalSlotsPeak string
 }
 
 type loadLevelView struct {
@@ -204,9 +196,6 @@ func buildView(in Inputs, opt HTMLOptions) *htmlView {
 		}
 		v.QueueHeatmap = buildQueueHeatmap(lp.Get("queue_depth"), opt.MaxHeatmapRows, &v.Notes)
 		v.HotLinks = buildHotLinks(lp.Rollup)
-	}
-	if probes != nil && len(probes.Shards) > 0 {
-		v.ShardRows, v.ShardImbalance = buildShardTable(probes.Shards)
 	}
 	loads := in.Loads
 	if in.Load != nil {
@@ -441,35 +430,6 @@ func buildHotLinks(roll *schema.LinkRollup) []hotLinkView {
 		})
 	}
 	return out
-}
-
-// buildShardTable tabulates the per-shard DES telemetry and computes
-// the events imbalance (max/mean) headline.
-func buildShardTable(shards []schema.ShardStats) ([]shardView, string) {
-	var out []shardView
-	var sumEv, maxEv uint64
-	for _, sh := range shards {
-		sumEv += sh.Events
-		if sh.Events > maxEv {
-			maxEv = sh.Events
-		}
-		out = append(out, shardView{
-			Shard:           fmt.Sprintf("%d", sh.Shard),
-			Events:          fmt.Sprintf("%d", sh.Events),
-			MaxPending:      fmt.Sprintf("%d", sh.MaxPending),
-			MailboxPeak:     fmt.Sprintf("%d", sh.MailboxPeak),
-			BusyMS:          f(float64(sh.BusyNS) / 1e6),
-			StallMS:         f(float64(sh.StallNS) / 1e6),
-			CalRebases:      fmt.Sprintf("%d", sh.CalRebases),
-			CalOverflowPeak: fmt.Sprintf("%d", sh.CalOverflowPeak),
-			CalSlotsPeak:    fmt.Sprintf("%d", sh.CalSlotsPeak),
-		})
-	}
-	imbalance := ""
-	if len(shards) > 0 && sumEv > 0 {
-		imbalance = fmt.Sprintf("%.2f", float64(maxEv)*float64(len(shards))/float64(sumEv))
-	}
-	return out, imbalance
 }
 
 // buildTimeline renders the collective stage spans as a single-lane
@@ -890,12 +850,6 @@ svg .bar{font:10px ui-monospace,monospace;fill:#fff}
 {{end}}{{if .HotLinks}}<table>
 <tr><th>channel</th><th>max queue</th><th>busy %</th></tr>
 {{range .HotLinks}}<tr><td>{{.Channel}}</td><td>{{.MaxQueue}}</td><td>{{.BusyPct}}</td></tr>
-{{end}}</table>
-{{end}}{{if .ShardRows}}<h2>Shard balance</h2>
-{{if .ShardImbalance}}<p class="meta">events imbalance (max/mean): {{.ShardImbalance}}</p>
-{{end}}<table>
-<tr><th>shard</th><th>events</th><th>max pending</th><th>mailbox peak</th><th>busy ms</th><th>stall ms</th><th>cal rebases</th><th>cal overflow peak</th><th>cal slots peak</th></tr>
-{{range .ShardRows}}<tr><td>{{.Shard}}</td><td>{{.Events}}</td><td>{{.MaxPending}}</td><td>{{.MailboxPeak}}</td><td>{{.BusyMS}}</td><td>{{.StallMS}}</td><td>{{.CalRebases}}</td><td>{{.CalOverflowPeak}}</td><td>{{.CalSlotsPeak}}</td></tr>
 {{end}}</table>
 {{end}}{{if .Timeline}}<h2>Stage timeline</h2>
 {{.Timeline}}{{end}}

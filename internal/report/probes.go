@@ -45,11 +45,10 @@ type ProbeData struct {
 	Series    map[string]*Series
 	Order     []string // series names in first-seen order
 	Snapshot  *obs.Snapshot
-	Rollup    *schema.LinkRollup  // link contention rollup, when the stream carries one
-	Shards    []schema.ShardStats // per-shard DES telemetry record, when present
-	Records   int                 // valid records of any kind
-	Extra     int                 // valid JSON lines that are neither sample, snapshot nor header
-	Malformed int                 // lines that were not valid JSON
+	Rollup    *schema.LinkRollup // link contention rollup, when the stream carries one
+	Records   int                // valid records of any kind
+	Extra     int                // valid JSON lines of no kind listed above
+	Malformed int                // lines that were not valid JSON
 }
 
 // probeLine is the union of every record kind a probe stream carries.
@@ -60,10 +59,9 @@ type probeLine struct {
 	Schema   string        `json:"schema"`
 	Snapshot *obs.Snapshot `json:"snapshot"`
 
-	// The two whole-record kinds, their fields promoted into the line:
-	// {"rollup":"links",...} and {"shards":[...]}.
+	// The whole-record kind, its fields promoted into the line:
+	// {"rollup":"links",...}.
 	schema.LinkRollup
-	schema.ShardsRecord
 }
 
 // ParseProbes reads a probe JSONL stream (the -metrics file written via
@@ -94,8 +92,6 @@ func ParseProbes(r io.Reader) (*ProbeData, error) {
 			d.Snapshot = p.Snapshot
 		case p.Rollup == schema.RollupLinks:
 			d.Rollup = &p.LinkRollup
-		case len(p.Shards) > 0:
-			d.Shards = p.Shards
 		case p.T != nil && p.Series != "":
 			s, ok := d.Series[p.Series]
 			if !ok {

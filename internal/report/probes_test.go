@@ -131,14 +131,16 @@ func TestParseProbesMalformed(t *testing.T) {
 }
 
 // TestParseProbesLinkRecords checks the fattree-linkprobe/v1 record
-// kinds: the contention rollup and the per-shard telemetry record.
+// kinds: the contention rollup beside the series. A whole-record kind
+// the parser does not know, such as one an older producer wrote, is
+// counted in Extra, not rejected.
 func TestParseProbesLinkRecords(t *testing.T) {
 	stream := strings.Join([]string{
 		`{"schema":"fattree-linkprobe/v1"}`,
 		`{"t_ps":0,"series":"queue_depth","values":[0,1]}`,
 		`{"t_ps":1000,"series":"queue_depth","values":[2,1]}`,
 		`{"rollup":"links","duration_ps":2000,"max_queue":[2,1],"busy_frac":[0.5,0.25]}`,
-		`{"shards":[{"shard":0,"events":10,"max_pending":3,"busy_ns":100,"stall_ns":50},{"shard":1,"events":30,"max_pending":4,"busy_ns":120,"stall_ns":30}]}`,
+		`{"loops":[{"events":10,"max_pending":3},{"events":30,"max_pending":4}]}`,
 	}, "\n")
 	d, err := ParseProbes(strings.NewReader(stream))
 	if err != nil {
@@ -147,8 +149,8 @@ func TestParseProbesLinkRecords(t *testing.T) {
 	if d.Schema != "fattree-linkprobe/v1" {
 		t.Errorf("schema %q", d.Schema)
 	}
-	if d.Malformed != 0 || d.Extra != 0 {
-		t.Errorf("malformed %d extra %d, want 0 0", d.Malformed, d.Extra)
+	if d.Malformed != 0 || d.Extra != 1 {
+		t.Errorf("malformed %d extra %d, want 0 1", d.Malformed, d.Extra)
 	}
 	if d.Rollup == nil || d.Rollup.DurationPS != 2000 {
 		t.Fatalf("rollup = %+v", d.Rollup)
@@ -156,16 +158,14 @@ func TestParseProbesLinkRecords(t *testing.T) {
 	if len(d.Rollup.MaxQueue) != 2 || d.Rollup.MaxQueue[0] != 2 {
 		t.Errorf("rollup max queue = %v", d.Rollup.MaxQueue)
 	}
-	if len(d.Shards) != 2 || d.Shards[1].Events != 30 || d.Shards[0].MaxPending != 3 {
-		t.Errorf("shards = %+v", d.Shards)
-	}
 	if s := d.Get("queue_depth"); s == nil || len(s.Samples) != 2 {
 		t.Errorf("queue_depth series = %+v", s)
 	}
 }
 
-// TestRenderHTMLLinkSections drives the queue-depth heatmap, hot-links
-// table and shard-balance table into the page.
+// TestRenderHTMLLinkSections drives the queue-depth heatmap and the
+// hot-links table into the page, and the event loop's closing gauges
+// into the Gauges table.
 func TestRenderHTMLLinkSections(t *testing.T) {
 	lp, err := ParseProbes(strings.NewReader(strings.Join([]string{
 		`{"schema":"fattree-linkprobe/v1"}`,
@@ -177,7 +177,7 @@ func TestRenderHTMLLinkSections(t *testing.T) {
 		t.Fatal(err)
 	}
 	probes, err := ParseProbes(strings.NewReader(
-		`{"shards":[{"shard":0,"events":100,"max_pending":5,"busy_ns":1000000,"stall_ns":500000},{"shard":1,"events":300,"max_pending":7,"busy_ns":2000000,"stall_ns":250000}]}`))
+		`{"snapshot":{"counters":{},"gauges":{"netsim_busy_ns":1500000,"netsim_calendar_rebases":2},"histograms":{}}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,8 +191,8 @@ func TestRenderHTMLLinkSections(t *testing.T) {
 	for _, want := range []string{
 		"Queue depth over time",
 		"queue depth heatmap",
-		"Shard balance",
-		"events imbalance (max/mean): 1.50",
+		"<td>netsim_busy_ns</td><td>1500000</td>",
+		"<td>netsim_calendar_rebases</td><td>2</td>",
 		"fattree-linkprobe/v1",
 		"link probes: lp.jsonl",
 		// The hot-links table names only the contended channel (depth > 1).

@@ -14,7 +14,7 @@ package schema
 // is the schema table of docs/OBSERVABILITY.md.
 const (
 	// Probes stamps the -metrics JSONL stream (first record): probe
-	// samples, the per-shard record, the closing registry snapshot.
+	// samples and the closing registry snapshot.
 	Probes = "fattree-probes/v1"
 	// LinkProbe stamps the -link-probes JSONL stream (first record):
 	// per-channel series plus the closing LinkRollup.

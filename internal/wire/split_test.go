@@ -103,11 +103,14 @@ func (tempErr) Timeout() bool   { return false }
 func (tempErr) Temporary() bool { return true }
 
 // flakyListener injects scripted Accept errors before delegating to
-// the real listener.
+// the real listener. Each time it is about to block in the real
+// Accept it signals on parked, so a test can script the next error
+// only once the current call can no longer see it.
 type flakyListener struct {
 	net.Listener
-	mu   sync.Mutex
-	errs []error
+	mu     sync.Mutex
+	errs   []error
+	parked chan struct{}
 }
 
 func (l *flakyListener) Accept() (net.Conn, error) {
@@ -119,6 +122,10 @@ func (l *flakyListener) Accept() (net.Conn, error) {
 		return nil, err
 	}
 	l.mu.Unlock()
+	select {
+	case l.parked <- struct{}{}:
+	default:
+	}
 	return l.Listener.Accept()
 }
 
@@ -131,7 +138,7 @@ func TestSplitSurvivesTemporaryAcceptErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl := &flakyListener{Listener: ln, errs: []error{tempErr{}, tempErr{}}}
+	fl := &flakyListener{Listener: ln, errs: []error{tempErr{}, tempErr{}}, parked: make(chan struct{}, 4)}
 	split := Split(fl, func(c net.Conn) {
 		defer c.Close()
 		if m, err := ReadMessage(c); err == nil {
@@ -165,7 +172,16 @@ func TestSplitSurvivesTemporaryAcceptErrors(t *testing.T) {
 
 	// A permanent error ends the loop and surfaces on Accept. It is
 	// only hit on the accept after the next successful one, so drive
-	// one more connection through first.
+	// one more connection through first. Script it only once the loop
+	// is parked in the accept after the first connection's: scripted
+	// earlier, that accept would take it and never serve the second.
+	for i := 0; i < 2; i++ {
+		select {
+		case <-fl.parked:
+		case <-time.After(5 * time.Second):
+			t.Fatal("accept loop never returned to Accept")
+		}
+	}
 	permanent := errors.New("permanent accept failure")
 	fl.mu.Lock()
 	fl.errs = []error{permanent}
