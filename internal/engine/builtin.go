@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"fattree/internal/fabric"
 	"fattree/internal/route"
@@ -30,6 +31,16 @@ func init() {
 			return nil, err
 		}
 		return newRerouteEngine("dmodk", lft, rank)
+	})
+
+	// A second name for dmodk, kept while bench/ and ftbakeoff runs name it.
+	Register(schema.EngineInfo{
+		Name:        "fault-resilient",
+		Description: "D-Mod-K with incremental local repair (Gliksberg '22b): re-spread only fault-touched destinations",
+		LFT:         true,
+		FaultAware:  true,
+	}, func(t *topo.Topology, opts Options) (Engine, error) {
+		return newRerouteEngine("fault-resilient", route.DModK(t), nil)
 	})
 
 	Register(schema.EngineInfo{
@@ -68,10 +79,10 @@ func healthyTables(rt route.Router) (*Tables, error) {
 }
 
 // faultedTables assembles the Tables every engine serves for a faulted
-// fabric: rt leniently compiled (an already compiled arena, like the
-// fault-resilient engine's repatched one, is kept as is), so every pair
-// rt refuses or walks non-minimally comes back broken, and BrokenPairs
-// excludes the pairs already doomed by the unroutable hosts.
+// fabric: rt leniently compiled (an already compiled arena, like a reroute
+// engine's repaired one, is kept as is), so every pair rt refuses or walks
+// non-minimally comes back broken, and BrokenPairs excludes the pairs
+// already doomed by the unroutable hosts.
 func faultedTables(rt route.Router, lft *route.LFT, unroutable []int) (*Tables, error) {
 	c, err := route.CompileLenient(rt)
 	if err != nil {
@@ -86,14 +97,14 @@ func faultedTables(rt route.Router, lft *route.LFT, unroutable []int) (*Tables, 
 	}, nil
 }
 
-// rerouteEngine serves ranked D-Mod-K tables and, on faults, the fabric
-// reroute (down-cone growth) over every column with the same rank: the
-// paper's "dmodk" under the identity rank (fabric.RouteAround's tables,
-// label included), "nodetype-lb" under the per-type one.
+// rerouteEngine serves ranked D-Mod-K tables and repairs them on faults:
+// fabric.Reroute with the same rank over the columns a dead link touched,
+// on a clone of the healthy tables, and the healthy arena re-walked in
+// those columns. It is "dmodk" (and "fault-resilient") under the identity
+// rank, "nodetype-lb" under the per-type one.
 type rerouteEngine struct {
 	name    string // registry name
 	rank    []int
-	cols    []int // every destination column: a full rebuild names them all
 	healthy *Tables
 }
 
@@ -102,11 +113,7 @@ func newRerouteEngine(name string, lft *route.LFT, rank []int) (*rerouteEngine, 
 	if err != nil {
 		return nil, err
 	}
-	cols := make([]int, lft.T.NumHosts())
-	for j := range cols {
-		cols[j] = j
-	}
-	return &rerouteEngine{name: name, rank: rank, cols: cols, healthy: healthy}, nil
+	return &rerouteEngine{name: name, rank: rank, healthy: healthy}, nil
 }
 
 func (e *rerouteEngine) Name() string { return e.name }
@@ -116,9 +123,30 @@ func (e *rerouteEngine) Tables(fs *fabric.FaultSet) (*Tables, error) {
 		return e.healthy, nil
 	}
 	base := e.healthy.LFT
-	lft := route.NewLFT(base.T, fmt.Sprintf("%s-reroute[%d faults]", base.Name, fs.Failed()))
-	rr := fs.Reroute(lft, e.rank, e.cols)
-	return faultedTables(lft, lft, rr.UnroutableHosts)
+	dirty := touchedColumns(base, fs)
+	lft := base.Clone(fmt.Sprintf("%s-reroute[%d faults]", base.Name, fs.Failed()))
+	un := fs.Reroute(lft, e.rank, dirty).UnroutableHosts
+	c, err := e.healthy.Compiled.Repatch(lft, dirty)
+	if err != nil {
+		return nil, err
+	}
+	return faultedTables(c, lft, un)
+}
+
+// touchedColumns lists, ascending, the destination columns whose entry at
+// either end of a dead link forwards through it, host links included:
+// the only columns a reroute of these tables can change.
+func touchedColumns(lft *route.LFT, fs *fabric.FaultSet) (cols []int) {
+	t, dead := lft.T, fs.FailedLinks()
+	for j := 0; j < t.NumHosts(); j++ {
+		if slices.ContainsFunc(dead, func(l topo.LinkID) bool {
+			lk := &t.Links[l]
+			return lft.OutPort(t.Ports[lk.Lower].Node, j) == lk.Lower || lft.OutPort(t.Ports[lk.Upper].Node, j) == lk.Upper
+		}) {
+			cols = append(cols, j)
+		}
+	}
+	return cols
 }
 
 // obliviousEngine wraps a fault-oblivious routing, forwarding tables or

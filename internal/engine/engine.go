@@ -3,11 +3,13 @@
 // and produces forwarding tables (plus the compiled path arena and the
 // fault collateral) for any fault state of that fabric. The paper's
 // D-Mod-K, its ablation baselines and the source-based S-Mod-K are all
-// re-registered through it, alongside two engines from the Gliksberg
-// follow-up papers: node-type-based load balancing ("nodetype-lb") and
-// incremental fault-resilient repair ("fault-resilient"). The fabric
-// manager, the CLIs and the bake-off harness all select engines by name
-// from this registry, so adding an engine is one Register call (see
+// registered through it, alongside node-type-based load balancing
+// ("nodetype-lb", from the Gliksberg follow-up papers). Every fault-aware
+// engine repairs a fault the same way: it reroutes only the destination
+// columns the dead links touched and re-walks only those columns of the
+// healthy arena ("fault-resilient" is a second name for dmodk). The
+// fabric manager, the CLIs and the bake-off harness all select engines by
+// name from this registry, so adding an engine is one Register call (see
 // docs/ROUTING.md).
 package engine
 
@@ -52,7 +54,7 @@ type Tables struct {
 	// Compiled is the packed path arena over the routing, with pairs the
 	// fault state leaves unservable recorded as broken.
 	Compiled *route.Compiled
-	// Unroutable lists hosts that lost their only uplink, ascending.
+	// Unroutable lists hosts that lost every uplink, ascending.
 	Unroutable []int
 	// BrokenPairs counts ordered pairs between routable hosts left
 	// without a served minimal path.
@@ -70,8 +72,8 @@ func (tb *Tables) Routability(n int) float64 {
 }
 
 // Engine produces tables for successive fault states of one topology.
-// Implementations may cache work across calls (the fault-resilient
-// engine keeps its healthy baseline); each Tables call must stand alone
+// Implementations may cache work across calls (a fault-aware engine keeps
+// its healthy tables and arena); each Tables call must stand alone
 // against the fault set it is given, never against a previous one.
 type Engine interface {
 	// Name echoes the registry name the engine was built under.
@@ -169,8 +171,9 @@ func Infos() []schema.EngineInfo {
 }
 
 // Default is the engine the daemon and CLIs use when none is selected:
-// the paper's D-Mod-K, rerouted around faults by fabric.Reroute over
-// every column (RouteAround's tables).
+// the paper's D-Mod-K, repaired around faults by fabric.Reroute over the
+// columns the dead links touched — RouteAround's tables, at the cost of
+// those columns alone.
 const Default = "dmodk"
 
 // brokenAmongRoutable converts an arena's total broken count into the

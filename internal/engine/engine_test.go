@@ -214,11 +214,7 @@ func TestNodetypeRouting(t *testing.T) {
 	}
 	sameTables(t, "single-type nodetype-lb", route.DModK(tp), tb.LFT)
 
-	types := make([]int, tp.NumHosts())
-	for j := range types {
-		types[j] = j % 3
-	}
-	e, err = Build("nodetype-lb", tp, Options{NodeTypes: types})
+	e, err = Build("nodetype-lb", tp, Options{NodeTypes: striped3(tp.NumHosts())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,31 +261,31 @@ func sameTables(t *testing.T, what string, a, b *route.LFT) {
 
 // TestConeTablesZeroFaults: the shared reroute primitive at zero faults
 // reproduces the closed-form ranked tables exactly, for both the nil
-// rank and a striped multi-type ranking.
+// rank and a striped multi-type ranking, on single- and multi-uplink
+// fabrics alike — host rows included.
 func TestConeTablesZeroFaults(t *testing.T) {
-	tp := buildSmall(t)
-	types := make([]int, tp.NumHosts())
-	for j := range types {
-		types[j] = j % 3
-	}
-	rank3, _ := typeRanks(tp.NumHosts(), types)
-	cols := make([]int, tp.NumHosts())
-	for j := range cols {
-		cols[j] = j
-	}
-	for _, tc := range []struct {
-		label string
-		rank  []int
-	}{{"identity", nil}, {"striped-3", rank3}} {
-		want, err := route.DModKRanked(tp, tc.rank, "ranked d-mod-k")
-		if err != nil {
-			t.Fatal(err)
+	for _, tp := range []*topo.Topology{buildSmall(t), topo.MustBuild(multiUplink[0]), topo.MustBuild(multiUplink[1])} {
+		n := tp.NumHosts()
+		rank3, _ := typeRanks(n, striped3(n))
+		cols := make([]int, n)
+		for j := range cols {
+			cols[j] = j
 		}
-		got := route.NewLFT(tp, "reroute")
-		if res := fabric.NewFaultSet(tp).Reroute(got, tc.rank, cols); len(res.UnroutableHosts) != 0 || res.BrokenPairs != 0 {
-			t.Fatalf("%s: damage %+v with no faults", tc.label, res)
+		for _, tc := range []struct {
+			label string
+			rank  []int
+		}{{"identity", nil}, {"striped-3", rank3}} {
+			want, err := route.DModKRanked(tp, tc.rank, "ranked d-mod-k")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := route.NewLFT(tp, "reroute")
+			label := fmt.Sprintf("%v %s", tp.Spec, tc.label)
+			if res := fabric.NewFaultSet(tp).Reroute(got, tc.rank, cols); len(res.UnroutableHosts) != 0 || res.BrokenPairs != 0 {
+				t.Fatalf("%s: damage %+v with no faults", label, res)
+			}
+			sameTables(t, label, want, got)
 		}
-		sameTables(t, tc.label, want, got)
 	}
 }
 
@@ -338,9 +334,10 @@ func TestFaultedCatalog(t *testing.T) {
 	}
 }
 
-// TestFaultResilientMatchesLenient: the repatched arena must be
-// indistinguishable from a full lenient compile of the same repaired
-// tables — same broken set, same served paths.
+// TestFaultResilientMatchesLenient: the repaired arena (the healthy one
+// re-walked in the touched columns) must be indistinguishable from a full
+// lenient compile of the same repaired tables — same broken set, same
+// served paths — at the paper's 324-host scale.
 func TestFaultResilientMatchesLenient(t *testing.T) {
 	tp := build324(t)
 	e, err := Build("fault-resilient", tp, Options{})
@@ -464,72 +461,109 @@ func bothWidths(t *testing.T, body func(*testing.T)) {
 	})
 }
 
-// TestRepairMatchesRebuild is ROADMAP 4-a, "incremental repair == full
-// rebuild": over seeded random fabrics and 1..6 dead links, host uplinks
-// included, then a fail -> revive -> fail sequence on the same FaultSet,
-// the three fault-aware engines are one reroute — fault-resilient's
-// repaired tables and arena equal dmodk's full rebuild entry for entry
-// and pair for pair, nodetype-lb with no type assignment likewise — and
-// the three broken-pair counts (engine, fabric reroute, arena minus the
-// pairs touching unroutable hosts) agree. Fabrics whose hosts have several
-// uplinks are skipped: the reroute's host model is one uplink per host.
+// multiUplink are the hand-picked fabrics whose hosts have several
+// uplinks, so every host keeps a row of choices.
+var multiUplink = []topo.PGFT{
+	topo.MustPGFT(2, []int{4, 3}, []int{2, 2}, []int{1, 1}), // w1 > 1: two leaves per host
+	topo.MustPGFT(2, []int{3, 3}, []int{1, 2}, []int{2, 1}), // p1 > 1: two cables to one leaf
+}
+
+// striped3 assigns host j node type j mod 3.
+func striped3(n int) []int {
+	types := make([]int, n)
+	for j := range types {
+		types[j] = j % 3
+	}
+	return types
+}
+
+// TestRepairMatchesRebuild is "incremental repair == full rebuild": over
+// seeded random fabrics and the multi-uplink shapes, 1..6 dead links (host
+// uplinks included), then a fail -> revive -> fail sequence on the same
+// FaultSet, every fault-aware engine configuration serves exactly the
+// reference — fabric.Reroute over every column of fresh tables under the
+// engine's rank, then route.CompileLenient — entry for entry and pair for
+// pair, and the three broken-pair counts (engine, reroute, arena minus the
+// pairs touching unroutable hosts) agree. The label is the healthy one
+// plus "-reroute[N faults]": fabric.RouteAround's for dmodk.
 func TestRepairMatchesRebuild(t *testing.T) { bothWidths(t, testRepairMatchesRebuild) }
 
 func testRepairMatchesRebuild(t *testing.T) {
-	var specs []topo.PGFT
+	specs := slices.Clone(multiUplink)
 	for seed := int64(1); seed <= 16; seed++ {
 		specs = append(specs, invariant.RandRLFT(seed), invariant.RandPGFT(seed))
 	}
 	for i, g := range specs {
-		if g.NumHosts() > 400 || g.Wi(1)*g.Pi(1) != 1 {
+		if g.NumHosts() > 400 {
 			continue
 		}
 		tp := topo.MustBuild(g)
 		n := tp.NumHosts()
-		engines := map[string]Engine{}
-		for _, name := range []string{"dmodk", "fault-resilient", "nodetype-lb"} {
-			e, err := Build(name, tp, Options{})
-			if err != nil {
+		var half []int
+		for h := 0; h < n; h += 2 {
+			half = append(half, h)
+		}
+		activeRank, err := route.ActiveRanks(n, half)
+		if err != nil {
+			t.Fatal(err)
+		}
+		typeRank, _ := typeRanks(n, striped3(n))
+		type config struct {
+			name string
+			opts Options
+			rank []int
+		}
+		configs := []config{
+			{"dmodk", Options{}, nil},
+			{"fault-resilient", Options{}, nil},
+			{"nodetype-lb", Options{}, nil},
+			{"nodetype-lb", Options{NodeTypes: striped3(n)}, typeRank},
+			{"dmodk", Options{Active: half}, activeRank},
+		}
+		engines := make([]Engine, len(configs))
+		for k, cf := range configs {
+			if engines[k], err = Build(cf.name, tp, cf.opts); err != nil {
 				t.Fatal(err)
 			}
-			engines[name] = e
+		}
+		all := make([]int, n)
+		for j := range all {
+			all[j] = j
 		}
 		check := func(what string, fs *fabric.FaultSet) {
 			t.Helper()
-			full, err := engines["dmodk"].Tables(fs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, rr, err := fs.RouteAround()
-			if err != nil {
-				t.Fatal(err)
-			}
-			u := len(rr.UnroutableHosts)
-			if touching := 2*u*(n-1) - u*(u-1); full.BrokenPairs != rr.BrokenPairs || full.BrokenPairs != full.Compiled.NumBroken()-touching {
-				t.Fatalf("%s: broken pairs: engine %d, reroute %d, arena %d - %d touching %d unroutable hosts",
-					what, full.BrokenPairs, rr.BrokenPairs, full.Compiled.NumBroken(), touching, u)
-			}
-			for _, name := range []string{"fault-resilient", "nodetype-lb"} {
-				tb, err := engines[name].Tables(fs)
+			for k, cf := range configs {
+				what := fmt.Sprintf("%s %s%+v", what, cf.name, cf.opts)
+				tb, err := engines[k].Tables(fs)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if tb.Compiled.Wide() != wantWide || full.Compiled.Wide() != wantWide {
-					t.Fatalf("%s %s: arena wide = %v, dmodk's %v, want %v", what, name, tb.Compiled.Wide(), full.Compiled.Wide(), wantWide)
+				ref := route.NewLFT(tp, "reference")
+				rr := fs.Reroute(ref, cf.rank, all)
+				refC, err := route.CompileLenient(ref)
+				if err != nil {
+					t.Fatal(err)
 				}
-				sameTables(t, what+" "+name, full.LFT, tb.LFT)
-				if tb.BrokenPairs != full.BrokenPairs || !slices.Equal(tb.Unroutable, full.Unroutable) {
-					t.Fatalf("%s %s: broken %d unroutable %v, dmodk has %d %v", what, name, tb.BrokenPairs, tb.Unroutable, full.BrokenPairs, full.Unroutable)
+				healthy, err := engines[k].Tables(nil)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for src := 0; src < n; src++ {
-					for dst := 0; dst < n; dst++ {
-						p1, err1 := tb.Compiled.PackedPath(src, dst)
-						p2, err2 := full.Compiled.PackedPath(src, dst)
-						if tb.Compiled.Broken(src, dst) != full.Compiled.Broken(src, dst) || (err1 == nil) != (err2 == nil) || !slices.Equal(p1, p2) {
-							t.Fatalf("%s %s %d->%d: %v (%v), dmodk has %v (%v)", what, name, src, dst, p1, err1, p2, err2)
-						}
-					}
+				if want := fmt.Sprintf("%s-reroute[%d faults]", healthy.LFT.Name, fs.Failed()); fs.Failed() > 0 && tb.LFT.Name != want {
+					t.Fatalf("%s: label %q, want %q", what, tb.LFT.Name, want)
 				}
+				u := len(rr.UnroutableHosts)
+				if touching := 2*u*(n-1) - u*(u-1); tb.BrokenPairs != rr.BrokenPairs || tb.BrokenPairs != refC.NumBroken()-touching {
+					t.Fatalf("%s: broken pairs: engine %d, reroute %d, arena %d - %d touching %d unroutable hosts",
+						what, tb.BrokenPairs, rr.BrokenPairs, refC.NumBroken(), touching, u)
+				}
+				if tb.Compiled.Wide() != wantWide {
+					t.Fatalf("%s: arena wide = %v, want %v", what, tb.Compiled.Wide(), wantWide)
+				}
+				sameTables(t, what, ref, tb.LFT)
+				if !slices.Equal(tb.Unroutable, rr.UnroutableHosts) {
+					t.Fatalf("%s: unroutable %v, reroute has %v", what, tb.Unroutable, rr.UnroutableHosts)
+				}
+				sameArena(t, what, refC, tb.Compiled)
 			}
 		}
 		rng := rand.New(rand.NewSource(int64(i)))
@@ -549,6 +583,73 @@ func testRepairMatchesRebuild(t *testing.T) {
 		fs.Fail(second)
 		fs.Fail(first)
 		check(fmt.Sprintf("%v fail %d and %d", g, second, first), fs)
+	}
+}
+
+// sameArena fails unless want and got serve every pair alike: the same
+// broken bit and the same path.
+func sameArena(t *testing.T, what string, want, got *route.Compiled) {
+	t.Helper()
+	if want.NumBroken() != got.NumBroken() {
+		t.Fatalf("%s: %d broken pairs, want %d", what, got.NumBroken(), want.NumBroken())
+	}
+	var a, b []route.PathEntry
+	n := want.Topology().NumHosts()
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			var err1, err2 error
+			a, err1 = want.AppendPath(a[:0], src, dst)
+			b, err2 = got.AppendPath(b[:0], src, dst)
+			if want.Broken(src, dst) != got.Broken(src, dst) || (err1 == nil) != (err2 == nil) || !slices.Equal(a, b) {
+				t.Fatalf("%s %d->%d: %v (%v), want %v (%v)", what, src, dst, b, err2, a, err1)
+			}
+		}
+	}
+}
+
+// TestNoServedPathCrossesDeadUplink: on fabrics whose hosts have several
+// uplinks, killing any one host's second uplink must leave every
+// fault-aware engine serving no path over it — the host's other uplink
+// carries its traffic, and its leaf-side entries towards it move too.
+func TestNoServedPathCrossesDeadUplink(t *testing.T) {
+	for _, g := range multiUplink {
+		tp := topo.MustBuild(g)
+		n := tp.NumHosts()
+		for _, info := range Infos() {
+			if !info.FaultAware {
+				continue
+			}
+			e, err := Build(info.Name, tp, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for h := 0; h < n; h++ {
+				dead := tp.Ports[tp.Host(h).Up[1]].Link
+				fs := fabric.NewFaultSet(tp)
+				fs.Fail(dead)
+				tb, err := e.Tables(fs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tb.Compiled.NumBroken() != 0 || len(tb.Unroutable) != 0 {
+					t.Fatalf("%v %s, host %d's second uplink down: %d broken pairs, unroutable %v; its first uplink still serves",
+						g, info.Name, h, tb.Compiled.NumBroken(), tb.Unroutable)
+				}
+				var path []route.PathEntry
+				for src := 0; src < n; src++ {
+					for dst := 0; dst < n; dst++ {
+						if path, err = tb.Compiled.AppendPath(path[:0], src, dst); err != nil {
+							t.Fatal(err)
+						}
+						for _, e := range path {
+							if route.EntryLink(e) == dead {
+								t.Fatalf("%v %s: pair %d->%d crosses dead link %d (host %d's second uplink)", g, info.Name, src, dst, dead, h)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package fabric
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"fattree/internal/route"
 	"fattree/internal/topo"
@@ -20,8 +21,8 @@ func NewFaultSet(t *topo.Topology) *FaultSet {
 	return &FaultSet{t: t, dead: make([]bool, len(t.Links))}
 }
 
-// Fail marks a link dead. Failing a host's only uplink makes that host
-// unroutable; RouteAround reports it.
+// Fail marks a link dead. Failing a host's last alive uplink makes that
+// host unroutable; RouteAround reports it.
 func (f *FaultSet) Fail(l topo.LinkID) { f.dead[l] = true }
 
 // Revive marks a link alive again.
@@ -85,8 +86,8 @@ func (f *FaultSet) FailedLinks() []topo.LinkID {
 
 // RerouteResult reports the collateral damage of a reroute.
 type RerouteResult struct {
-	// UnroutableHosts lost their only uplink; no traffic can reach or
-	// leave them.
+	// UnroutableHosts lost every uplink; no traffic can reach or leave
+	// them.
 	UnroutableHosts []int
 	// BrokenPairs counts ordered (src,dst) combinations of routable hosts
 	// that remained without a minimal up*/down* path (pairs touching an
@@ -98,13 +99,13 @@ type RerouteResult struct {
 	BrokenPairs int
 }
 
-// UnroutableHosts returns the hosts whose only uplink is dead, ascending —
-// the set every routing shares, since no table choice reaches a host with
-// no alive cable; only Up[0] is read, several uplinks or not (docs/ROUTING.md).
+// UnroutableHosts returns the hosts with no alive uplink, ascending — the
+// set every routing shares, since no table choice reaches a host with no
+// alive cable.
 func (f *FaultSet) UnroutableHosts() []int {
 	var out []int
 	for j := 0; j < f.t.NumHosts(); j++ {
-		if !f.Alive(f.t.Ports[f.t.Host(j).Up[0]].Link) {
+		if !slices.ContainsFunc(f.t.Host(j).Up, func(p topo.PortID) bool { return f.Alive(f.t.Ports[p].Link) }) {
 			out = append(out, j)
 		}
 	}
@@ -129,16 +130,18 @@ func (f *FaultSet) RouteAround() (*route.LFT, RerouteResult, error) {
 // columns cols of lft: for each it grows the reachable "down cone" from
 // the destination upward (among parallel copies into a parent the copy
 // equation (1) would use wins when alive), then points every other node up
-// towards the cone (preferring the equation (1) up port, falling back to
-// the next alive candidate) and empties the entry of a node no alive port
-// leads from. rank replaces the destination index in every spreading
-// choice, as in route.DModKRanked; nil is the identity. Every entry of a
-// named column is rewritten and no other column is read, so lft may be a
-// fresh table set (name every column) or a clone of the healthy tables
-// (name the columns whose entries cross a dead link). The row and column
-// of an unroutable host are emptied whether named or not, so walks from
-// and to it fail; a routable single-uplink host has no row (route.LFT),
-// so a pair its leaf cannot forward fails there, one hop after the host.
+// towards the cone, hosts with several uplinks by the same rule as
+// switches (the equation (1) up port, else the next alive candidate), and
+// empties the entry of a node no alive port leads from. rank replaces the
+// destination index in every spreading choice, as in route.DModKRanked;
+// nil is the identity. Every entry of a named column is rewritten and no
+// other column is read, so lft may be a fresh table set (name every
+// column) or a clone of the healthy tables (name the columns whose entries
+// cross a dead link, host links included): both give the same tables. The
+// row and column of an unroutable host are emptied whether named or not,
+// so walks from and to it fail; a routable single-uplink host has no row
+// (route.LFT), so a pair its leaf cannot forward fails there, one hop
+// after the host.
 // BrokenPairs is exact as long as every column the faults changed is
 // named.
 func (f *FaultSet) Reroute(lft *route.LFT, rank []int, cols []int) RerouteResult {
@@ -199,30 +202,27 @@ func (f *FaultSet) Reroute(lft *route.LFT, rank []int, cols []int) RerouteResult
 		// parents' reachability is known before children choose. A top
 		// switch outside the cone has nowhere to point.
 		for l := g.H; l >= 0; l-- {
-			wl := g.WProd(l)
+			u, q0 := g.UpPorts(l), 0 // q0: equation (1)'s up port, level-wide
+			if u > 0 {
+				q0 = rj / g.WProd(l) % u
+			}
 			for _, id := range t.ByLevel[l] {
 				if canReach[id] {
 					continue
 				}
 				node := t.Node(id)
 				out := topo.PortID(topo.None)
-				if node.Kind == topo.Host {
-					// Only Up[0] is tried, as in UnroutableHosts: a known
-					// shortfall on hosts with several uplinks.
-					if pid := node.Up[0]; f.Alive(t.Ports[pid].Link) && canReach[t.PeerNode(pid)] {
+				for k, q := 0, q0; k < u; k++ {
+					if pid := node.Up[q]; f.Alive(t.Ports[pid].Link) && canReach[t.PeerNode(pid)] {
 						out = pid
-					} else if !unroutable[node.Index] {
-						res.BrokenPairs++
+						break
 					}
-				} else if u := len(node.Up); u > 0 {
-					q0 := (rj / wl) % u
-					for k := 0; k < u; k++ {
-						pid := node.Up[(q0+k)%u]
-						if f.Alive(t.Ports[pid].Link) && canReach[t.PeerNode(pid)] {
-							out = pid
-							break
-						}
+					if q++; q == u {
+						q = 0
 					}
+				}
+				if out == topo.None && node.Kind == topo.Host && !unroutable[node.Index] {
+					res.BrokenPairs++
 				}
 				if row := lft.Out[id]; row != nil {
 					row[j] = out

@@ -5,7 +5,11 @@ package fabric_test
 // oracle below is the reroute as it was when every node, hosts included,
 // stored a full row — written out again here over dense rows, sharing no
 // code with fabric.Reroute — and the tables must agree with it entry for
-// entry, walk for walk and in BrokenPairs.
+// entry, walk for walk and in BrokenPairs. Its one deliberate change since
+// it was first written: a host with several uplinks used to try only
+// Up[0], so its healthy row differed from D-Mod-K's and a dead Up[0] made
+// it unroutable; it now picks its up port as a switch does (equation (1),
+// then the next alive uplink) and is unroutable only with none alive.
 
 import (
 	"fmt"
@@ -33,7 +37,7 @@ func denseReroute(t *topo.Topology, alive func(topo.LinkID) bool) (out [][]topo.
 	}
 	unroutable := make([]bool, n)
 	for j := range unroutable {
-		unroutable[j] = !alive(t.Ports[t.Host(j).Up[0]].Link)
+		unroutable[j] = !slices.ContainsFunc(t.Host(j).Up, func(p topo.PortID) bool { return alive(t.Ports[p].Link) })
 	}
 	for j := 0; j < n; j++ {
 		if unroutable[j] {
@@ -71,24 +75,19 @@ func denseReroute(t *topo.Topology, alive func(topo.LinkID) bool) (out [][]topo.
 					continue
 				}
 				node := t.Node(id)
+				if node.Kind == topo.Host && unroutable[node.Index] {
+					continue
+				}
 				port := topo.PortID(topo.None)
-				if node.Kind == topo.Host {
-					if unroutable[node.Index] {
-						continue
-					}
-					if pid := node.Up[0]; canReach[t.PeerNode(pid)] {
+				for k := range node.Up {
+					pid := node.Up[(j/g.WProd(l)+k)%len(node.Up)]
+					if alive(t.Ports[pid].Link) && canReach[t.PeerNode(pid)] {
 						port = pid
-					} else {
-						broken++
+						break
 					}
-				} else {
-					for k := range node.Up {
-						pid := node.Up[(j/g.WProd(l)+k)%len(node.Up)]
-						if alive(t.Ports[pid].Link) && canReach[t.PeerNode(pid)] {
-							port = pid
-							break
-						}
-					}
+				}
+				if port == topo.None && node.Kind == topo.Host {
+					broken++
 				}
 				out[id][j] = port
 				canReach[id] = port != topo.None

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
 	"fattree/internal/engine"
+	"fattree/internal/fabric"
 	"fattree/internal/schema"
 	"fattree/internal/topo"
 )
@@ -154,9 +156,10 @@ func TestJobEngineUnknown(t *testing.T) {
 	}
 }
 
-// TestEngineRerouteUnderFault reruns the classic fault cycle under a
-// non-default fault-aware engine and checks the swapped snapshot stays
-// valid and labeled.
+// TestEngineRerouteUnderFault reruns the classic fault cycle under the
+// fault-resilient name and checks the swapped snapshot stays valid,
+// labeled, and serves exactly the tables and paths dmodk serves for the
+// same fault: the name is a second one for the same engine.
 func TestEngineRerouteUnderFault(t *testing.T) {
 	m := newManager(t, "rlft2:4,8", func(c *Config) { c.Engine = "fault-resilient" })
 	m.Start()
@@ -171,8 +174,29 @@ func TestEngineRerouteUnderFault(t *testing.T) {
 	if len(st.FailedLinks) != 1 || st.FailedLinks[0] != link {
 		t.Fatalf("failed links %v, want [%d]", st.FailedLinks, link)
 	}
-	if st.LFT == nil || !strings.Contains(st.LFT.Name, "patch") {
-		t.Fatalf("fault-resilient reroute did not serve patched tables: %+v", st.LFT)
+	fs := fabric.NewFaultSet(m.t)
+	fs.Fail(link)
+	want, err := engine.Resolve("dmodk", m.t, engine.Options{}, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.LFT == nil || st.LFT.Name != want.LFT.Name {
+		t.Fatalf("fault-resilient serves tables %v, dmodk %q", st.LFT, want.LFT.Name)
+	}
+	n := m.t.NumHosts()
+	for dst := 0; dst < n; dst++ {
+		for id := range m.t.Nodes {
+			if p, q := st.LFT.OutPort(topo.NodeID(id), dst), want.LFT.OutPort(topo.NodeID(id), dst); p != q {
+				t.Fatalf("node %d dst %d: fault-resilient port %d, dmodk %d", id, dst, p, q)
+			}
+		}
+		for src := 0; src < n; src++ {
+			got, err1 := st.Paths.PackedPath(src, dst)
+			ref, err2 := want.Compiled.PackedPath(src, dst)
+			if (err1 == nil) != (err2 == nil) || !slices.Equal(got, ref) {
+				t.Fatalf("%d->%d: fault-resilient serves %v (%v), dmodk %v (%v)", src, dst, got, err1, ref, err2)
+			}
+		}
 	}
 	if st.Paths.NumBroken() != 0 {
 		t.Fatalf("%d broken pairs after a 1-link incremental repair", st.Paths.NumBroken())

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -103,14 +104,12 @@ type Compiled struct {
 
 // Compile materializes every path of r in parallel across rows. It
 // returns r unchanged when it is already a *Compiled.
-func Compile(r Router) (*Compiled, error) { return CompileParallel(r, 0) }
+func Compile(r Router) (*Compiled, error) { return build(r, nil, nil, 0, false) }
 
 // CompileParallel is Compile with an explicit worker count (<= 0 uses
-// GOMAXPROCS). Each worker walks all destinations of a row straight into
-// that row's arena slots, which no other worker touches, so no locking is
-// needed during the build either.
+// GOMAXPROCS).
 func CompileParallel(r Router, workers int) (*Compiled, error) {
-	return compileParallel(r, workers, false)
+	return build(r, nil, nil, workers, false)
 }
 
 // CompileLenient is Compile for routers with degraded pairs — the
@@ -122,33 +121,30 @@ func CompileParallel(r Router, workers int) (*Compiled, error) {
 // aborting the build; every reader reports them as ErrNoPath and
 // NumBroken counts them. A fully routable minimal router compiles to the
 // exact same arena as Compile.
-func CompileLenient(r Router) (*Compiled, error) {
-	return compileParallel(r, 0, true)
+func CompileLenient(r Router) (*Compiled, error) { return build(r, nil, nil, 0, true) }
+
+// Repatch returns a copy of the arena with the tails towards the columns
+// dsts re-walked leniently through inner, in parallel over rows; no other
+// slot is touched. It equals a fresh CompileLenient of inner as long as
+// dsts names every column whose entries differ from the tables the arena
+// was built from. The grouping is shared with the receiver; only the
+// cells are copied. Pairs broken in the receiver stay broken: repair from
+// a pristine healthy arena rather than chaining patches across fault sets.
+func (c *Compiled) Repatch(inner Router, dsts []int) (*Compiled, error) {
+	return build(inner, c, dsts, 0, true)
 }
 
-// group assigns every source its row and head. Under an LFT a host with
-// a single uplink shares the row of its first switch; one its table has
-// cut off fails every pair at its first hop — an error for a strict
-// compile, broken pairs for a lenient one — and stays in the row.
-func (c *Compiled) group(lenient bool) error {
+// group assigns every source its row and head: under an LFT a host with a
+// single uplink shares the row of its first switch.
+func (c *Compiled) group() {
 	t := c.inner.Topology()
-	lft, _ := c.inner.(*LFT)
+	_, lft := c.inner.(*LFT)
 	rowAt := map[topo.NodeID]int32{} // node a row is walked from -> row
 	for src := range c.rowOf {
 		host := t.Host(src)
-		shared := lft != nil && len(host.Up) == 1
-		for dst := 0; shared && lft.uplink[src] != host.Up[0] && dst < c.n; dst++ {
-			if dst == src {
-				continue
-			}
-			if !lenient { // the walk stops at the host and says why
-				return fmt.Errorf("route: compile %s: %w", c.Label(), lft.Walk(src, dst, func(topo.LinkID, bool) {}))
-			}
-			c.markBroken(src, dst)
-		}
 		start := host.ID
 		c.head[src] = NoEntry
-		if shared {
+		if lft && len(host.Up) == 1 {
 			start = t.PeerNode(host.Up[0])
 			c.head[src] = PackEntry(t.Ports[host.Up[0]].Link, true)
 		}
@@ -160,7 +156,6 @@ func (c *Compiled) group(lenient bool) error {
 		}
 		c.rowOf[src] = row
 	}
-	return nil
 }
 
 // walkRow visits the hops of row's tail towards dst under r: from the
@@ -194,14 +189,14 @@ func (c *Compiled) markBroken(src, dst int) {
 	}
 }
 
-// filler returns the one slot-fill primitive compiles and Repatch share:
-// fill(row, dst) walks row's tail towards dst through r straight into its
-// arena slot and pads the rest. A walk that fails, a tail longer than the
-// stride (no up*/down* path is) and — leniently — a delivered but
-// non-minimal one are refused: the slot is left empty and the error says
-// why, for the caller to break the row's readers (breakRefused) rather
-// than serve a detour that silently breaks the minimality guarantee. One
-// filler serves one goroutine.
+// filler returns build's slot-fill primitive: fill(row, dst) walks row's
+// tail towards dst through r straight into its arena slot and pads the
+// rest. A walk that fails, a tail longer than the stride (no up*/down*
+// path is) and — leniently — a delivered but non-minimal one are refused:
+// the slot is left empty and the error says why, for the caller to break
+// the row's readers (breakRefused) rather than serve a detour that
+// silently breaks the minimality guarantee. One filler serves one
+// goroutine.
 func (c *Compiled) filler(r Router, lenient bool) func(row, dst int) error {
 	if c.c32 != nil {
 		return fillerOf(c, c.c32, r, lenient)
@@ -247,33 +242,85 @@ func (c *Compiled) breakRefused(refused [][]int32) {
 	}
 }
 
-func compileParallel(r Router, workers int, lenient bool) (*Compiled, error) {
-	if c, ok := r.(*Compiled); ok {
-		return c, nil
-	}
+// build is the one arena builder. With a nil base (and nil cols) it groups
+// r's sources into rows and fills every destination column of a fresh
+// arena; otherwise it copies base's cells and broken pairs, shares its
+// grouping, and fills only the columns cols. Every pair from a host r's
+// tables have cut off (LFT.CutHost) is broken up front: a shared row is
+// walked from the entry switch, which cannot see it. Strictly, a cut host
+// or a refused slot fails the build; leniently, the pairs reading them
+// are broken.
+func build(r Router, base *Compiled, cols []int, workers int, lenient bool) (*Compiled, error) {
 	t := r.Topology()
 	n := t.NumHosts()
-	c := &Compiled{inner: r, n: n, rowOf: make([]int32, n), head: make([]PathEntry, n)}
-	if err := c.group(lenient); err != nil {
+	lft, _ := r.(*LFT)
+	var c *Compiled
+	if base == nil {
+		if rc, ok := r.(*Compiled); ok {
+			return rc, nil
+		}
+		c = &Compiled{inner: r, n: n, rowOf: make([]int32, n), head: make([]PathEntry, n)}
+		c.group()
+		c.stride = 2 * t.Spec.H
+		if c.head[0] != NoEntry { // every host has as many uplinks: all rows shared, or none
+			c.stride--
+		}
+		total := len(c.rep) * n * c.stride
+		if total > math.MaxInt32 {
+			return nil, fmt.Errorf("route: compile %s: %d path entries overflow the int32 arena bound", r.Label(), total)
+		}
+		if forceWide.Load() || wideCells(len(t.Links)) {
+			c.c32 = make([]uint32, total)
+		} else {
+			c.c16 = make([]uint16, total)
+		}
+	} else {
+		if n != base.n {
+			return nil, fmt.Errorf("route: repatch %s: inner router has %d hosts, arena %d", base.Label(), n, base.n)
+		}
+		if lft == nil && len(base.rep) < n {
+			return nil, fmt.Errorf("route: repatch %s: shared rows need forwarding tables, not %s", base.Label(), r.Label())
+		}
+		for _, dst := range cols {
+			if dst < 0 || dst >= n {
+				return nil, fmt.Errorf("route: repatch %s: destination %d out of range [0,%d)", base.Label(), dst, n)
+			}
+		}
+		p := *base
+		c = &p
+		c.inner = r
+		c.c16, c.c32, c.broken = slices.Clone(base.c16), slices.Clone(base.c32), slices.Clone(base.broken)
+	}
+	for h := 0; lft != nil && h < n; h++ {
+		for dst := 0; dst < n && lft.uplink[h] == topo.None; dst++ {
+			if dst == h {
+				continue
+			}
+			if !lenient {
+				return nil, fmt.Errorf("route: compile %s: host %d is cut off", r.Label(), h)
+			}
+			c.markBroken(h, dst)
+		}
+	}
+	ncols := len(cols)
+	if base == nil {
+		ncols = n
+	}
+	if err := c.fillColumns(r, cols, ncols, workers, lenient); err != nil {
 		return nil, err
 	}
-	rows := len(c.rep)
-	c.stride = 2 * t.Spec.H
-	if c.head[0] != NoEntry { // every host has as many uplinks: all rows shared, or none
-		c.stride--
-	}
-	total := rows * n * c.stride
-	if total > math.MaxInt32 {
-		return nil, fmt.Errorf("route: compile %s: %d path entries overflow the int32 arena bound", r.Label(), total)
-	}
-	if forceWide.Load() || wideCells(len(t.Links)) {
-		c.c32 = make([]uint32, total)
-	} else {
-		c.c16 = make([]uint16, total)
-	}
+	return c, nil
+}
+
+// fillColumns fills the slots of every row towards the first ncols
+// destination columns, cols[k] (nil: column k), in parallel over rows
+// (workers <= 0 uses GOMAXPROCS): each worker walks a row straight into
+// slots no other worker touches, so no locking is needed.
+func (c *Compiled) fillColumns(r Router, cols []int, ncols, workers int, lenient bool) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	rows := len(c.rep)
 	refused := make([][]int32, rows)
 	readers := make([]int, rows) // per-row source count
 	for _, row := range c.rowOf {
@@ -282,7 +329,7 @@ func compileParallel(r Router, workers int, lenient bool) (*Compiled, error) {
 	var (
 		wg       sync.WaitGroup
 		next     atomic.Int64 // rows handed out so far
-		failed   atomic.Bool  // a strict compile hit an error: stop
+		failed   atomic.Bool  // a strict build hit an error: stop
 		firstErr error        // written by whoever sets failed first
 	)
 	for w := 0; w < min(workers, rows); w++ {
@@ -299,7 +346,11 @@ func compileParallel(r Router, workers int, lenient bool) (*Compiled, error) {
 				if readers[row] == 1 {
 					own = int(c.rep[row])
 				}
-				for dst := 0; dst < n; dst++ {
+				for k := 0; k < ncols; k++ {
+					dst := k
+					if cols != nil {
+						dst = cols[k]
+					}
 					err := fill(row, dst)
 					if err == nil || dst == own {
 						continue
@@ -316,11 +367,10 @@ func compileParallel(r Router, workers int, lenient bool) (*Compiled, error) {
 		}()
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	if firstErr == nil {
+		c.breakRefused(refused)
 	}
-	c.breakRefused(refused)
-	return c, nil
+	return firstErr
 }
 
 // Broken reports whether a leniently compiled pair had no usable

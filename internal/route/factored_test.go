@@ -183,15 +183,11 @@ func testFactoredMatchesWalk(t *testing.T) {
 		}
 		differential(t, name+" route-around", rerouted)
 
-		e, err := engine.Build("fault-resilient", tp, engine.Options{})
+		tb, err := engine.Resolve("dmodk", tp, engine.Options{}, fs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tb, err := e.Tables(fs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkArena(t, name+" fault-resilient patched", tb.Compiled, tb.LFT, true)
+		checkArena(t, name+" dmodk repaired", tb.Compiled, tb.LFT, true)
 	}
 }
 
@@ -331,8 +327,8 @@ func testFactoredTraps(t *testing.T) {
 
 // TestRepatchNeverRevives pins the lenient contract of the row-level
 // repair: pairs broken in the receiver stay broken even when the inner
-// router could now walk them, and broken hosts break every pair they
-// touch.
+// router could now walk them, and a host the repaired tables cut off
+// breaks every pair it sends, in every column, named or not.
 func TestRepatchNeverRevives(t *testing.T) { bothWidths(t, testRepatchNeverRevives) }
 
 func testRepatchNeverRevives(t *testing.T) {
@@ -354,7 +350,8 @@ func testRepatchNeverRevives(t *testing.T) {
 		t.Fatalf("base NumBroken = %d, want %d", base.NumBroken(), want)
 	}
 	healthy := route.DModK(tp)
-	p, err := base.Repatch(healthy, []int{9, 20}, []int{5})
+	healthy.CutHost(5)
+	p, err := base.Repatch(healthy, []int{9, 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +360,7 @@ func testRepatchNeverRevives(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			want := base.Broken(src, dst) || src == 5 || dst == 5
+			want := base.Broken(src, dst) || src == 5
 			if p.Broken(src, dst) != want {
 				t.Fatalf("%d->%d: patched broken=%v, want %v", src, dst, p.Broken(src, dst), want)
 			}
@@ -380,7 +377,7 @@ func testRepatchNeverRevives(t *testing.T) {
 	if base.Broken(5, 6) || base.NumBroken() != mates+n-1 {
 		t.Fatal("Repatch modified its receiver")
 	}
-	if _, err := base.Repatch(route.NewSModK(tp), []int{9}, nil); err == nil {
+	if _, err := base.Repatch(route.NewSModK(tp), []int{9}); err == nil {
 		t.Fatal("Repatch walked shared rows through a router without forwarding tables")
 	}
 }
@@ -411,7 +408,7 @@ func testRepatchMatchesLenient(t *testing.T) {
 	for j := range all {
 		all[j] = j
 	}
-	p, err := base.Repatch(rerouted, all, nil)
+	p, err := base.Repatch(rerouted, all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +423,7 @@ func testRepatchMatchesLenient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := sbase.Repatch(&detour{Router: route.NewSModK(tp), src: 0, dst: n - 1}, []int{n - 1}, nil)
+	sp, err := sbase.Repatch(&detour{Router: route.NewSModK(tp), src: 0, dst: n - 1}, []int{n - 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,6 +87,18 @@ func allocLFT(t *topo.Topology, name string) *LFT {
 	return f
 }
 
+// Clone returns an independent deep copy of the forwarding tables under a
+// new name, backed by its own flat arena: what a fault repair reroutes
+// the touched columns of, leaving the healthy tables as they are.
+func (f *LFT) Clone(name string) *LFT {
+	c := allocLFT(f.T, name)
+	copy(c.uplink, f.uplink)
+	for i, row := range f.Out {
+		copy(c.Out[i], row)
+	}
+	return c
+}
+
 // OutPort returns the forwarding entry for dst at node id.
 func (f *LFT) OutPort(id topo.NodeID, dst int) topo.PortID {
 	if row := f.Out[id]; row != nil {

@@ -74,7 +74,7 @@ func TestCellWidthDecision(t *testing.T) {
 	// Repatch keeps the receiver's width, whatever a fresh build would
 	// pick now.
 	for _, c := range []*Compiled{narrow, wide} {
-		p, err := c.Repatch(DModK(tp), []int{3}, nil)
+		p, err := c.Repatch(DModK(tp), []int{3})
 		if err != nil {
 			t.Fatal(err)
 		}
