@@ -426,7 +426,7 @@ func TestFaultResilientLatency(t *testing.T) {
 			dirty++
 			continue
 		}
-		for id := range tb.LFT.Out {
+		for id := range tp.Nodes {
 			if tb.LFT.OutPort(topo.NodeID(id), j) != healthy.LFT.OutPort(topo.NodeID(id), j) {
 				t.Fatalf("column %d never crossed the dead link but node %d was re-pointed", j, id)
 			}
@@ -662,12 +662,7 @@ func (e *brokenTestEngine) Name() string { return "broken-test" }
 func (e *brokenTestEngine) Tables(fs *fabric.FaultSet) (*Tables, error) {
 	lft := route.DModK(e.t)
 	lft.Name = "broken-test"
-	for id := range lft.Out {
-		if e.t.Node(topo.NodeID(id)).Kind == topo.Switch {
-			lft.Out[id][0] = topo.None
-			break
-		}
-	}
+	lft.SetOutPort(e.t.ByLevel[1][0], 0, topo.None)
 	return &Tables{Router: lft, LFT: lft}, nil
 }
 

@@ -173,7 +173,7 @@ func (s *Subnet) Discover() (*Inventory, error) {
 			inv.Hosts++
 		case topo.Switch:
 			inv.Switches++
-			inv.PortsBySwitch[s.GUIDOf[id]] = len(n.Up) + len(n.Down)
+			inv.PortsBySwitch[s.GUIDOf[id]] = n.NumPorts()
 		}
 		for _, ports := range [][]topo.PortID{n.Up, n.Down} {
 			for _, pid := range ports {

@@ -152,9 +152,9 @@ func (f *FaultSet) Reroute(lft *route.LFT, rank []int, cols []int) RerouteResult
 	for _, u := range res.UnroutableHosts {
 		unroutable[u] = true
 		lft.CutHost(u)
-		for _, row := range lft.Out {
-			if row != nil {
-				row[u] = topo.None
+		for id := range t.Nodes {
+			if lft.HasRow(topo.NodeID(id)) {
+				lft.SetOutPort(topo.NodeID(id), u, topo.None)
 			}
 		}
 	}
@@ -192,7 +192,7 @@ func (f *FaultSet) Reroute(lft *route.LFT, rank []int, cols []int) RerouteResult
 					} else if preferredDown(t, j, rj, parent, l) != peerPort {
 						continue
 					}
-					lft.Out[parent][j] = peerPort
+					lft.SetOutPort(parent, j, peerPort)
 				}
 			}
 			frontier, next = next, frontier
@@ -224,8 +224,8 @@ func (f *FaultSet) Reroute(lft *route.LFT, rank []int, cols []int) RerouteResult
 				if out == topo.None && node.Kind == topo.Host && !unroutable[node.Index] {
 					res.BrokenPairs++
 				}
-				if row := lft.Out[id]; row != nil {
-					row[j] = out
+				if lft.HasRow(id) {
+					lft.SetOutPort(id, j, out)
 				}
 				canReach[id] = out != topo.None
 			}

@@ -129,8 +129,8 @@ func checkAgainstDense(t *testing.T, what string, tp *topo.Topology, fs *fabric.
 	for id := range tp.Nodes {
 		node := tp.Node(topo.NodeID(id))
 		rowless := node.Kind == topo.Host && len(node.Up) == 1
-		if (lft.Out[id] == nil) != rowless {
-			t.Fatalf("%s: %v: row stored = %v, want rows exactly for nodes that choose", what, node, lft.Out[id] != nil)
+		if lft.HasRow(topo.NodeID(id)) == rowless {
+			t.Fatalf("%s: %v: row stored = %v, want rows exactly for nodes that choose", what, node, lft.HasRow(topo.NodeID(id)))
 		}
 		for j := 0; j < n; j++ {
 			got := lft.OutPort(topo.NodeID(id), j)

@@ -68,7 +68,7 @@ func TestAnalyzeParallelPropagatesErrors(t *testing.T) {
 	lft := route.DModK(tp)
 	// Corrupt the table to force a walk error.
 	leaf := tp.LeafOf(0)
-	lft.Out[leaf.ID][127] = topo.None
+	lft.SetOutPort(leaf.ID, 127, topo.None)
 	o := order.Topology(128, nil)
 	if _, err := AnalyzeParallel(lft, o, cps.Shift(128), 4); err == nil {
 		t.Error("walk error swallowed")

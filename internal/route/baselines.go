@@ -18,8 +18,8 @@ func MinHopRandom(t *topo.Topology, seed int64) *LFT {
 	n := t.NumHosts()
 	for id := range t.Nodes {
 		node := &t.Nodes[id]
-		l := node.Level
-		row := f.Out[id]
+		l, u := node.Level, len(node.Up)
+		row := f.rows[id]
 		for j := 0; j < n; j++ {
 			switch {
 			case node.Kind == topo.Host:
@@ -27,15 +27,15 @@ func MinHopRandom(t *topo.Topology, seed int64) *LFT {
 					continue
 				}
 				// A rowless host still draws: the stream stays what it was.
-				if q := r.Intn(len(node.Up)); row != nil {
-					row[j] = node.Up[q]
+				if q := r.Intn(u); row != nil {
+					row[j] = uint8(q)
 				}
 			case t.IsDescendantHost(node, j):
 				a := g.HostDigit(j, l)
 				k := r.Intn(g.Pi(l))
-				row[j] = node.Down[a+k*g.Mi(l)]
+				row[j] = uint8(u + a + k*g.Mi(l))
 			default:
-				row[j] = node.Up[r.Intn(len(node.Up))]
+				row[j] = uint8(r.Intn(u))
 			}
 		}
 	}

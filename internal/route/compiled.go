@@ -292,7 +292,7 @@ func build(r Router, base *Compiled, cols []int, workers int, lenient bool) (*Co
 		c.c16, c.c32, c.broken = slices.Clone(base.c16), slices.Clone(base.c32), slices.Clone(base.broken)
 	}
 	for h := 0; lft != nil && h < n; h++ {
-		for dst := 0; dst < n && lft.uplink[h] == topo.None; dst++ {
+		for dst := 0; dst < n && lft.uplink[h] == noPort; dst++ {
 			if dst == h {
 				continue
 			}

@@ -176,7 +176,7 @@ func TestCompileReportsBrokenTables(t *testing.T) {
 	tp := topo.MustBuild(topo.Cluster128)
 	lft := DModK(tp)
 	leaf := tp.LeafOf(0)
-	lft.Out[leaf.ID][127] = topo.None // dead end on the way to host 127
+	lft.SetOutPort(leaf.ID, 127, topo.None) // dead end on the way to host 127
 	if _, err := Compile(lft); err == nil {
 		t.Fatal("Compile accepted tables with a dead end")
 	} else if !strings.Contains(err.Error(), "no entry") {

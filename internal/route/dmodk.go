@@ -96,25 +96,27 @@ func dModK(t *topo.Topology, rank []int, name string, naive bool) *LFT {
 			rank[j] = j
 		}
 	}
-	// The up and the down port a level-l node uses towards j depend on (l, j)
-	// alone: two index vectors per level, and every row of it is a gather.
-	up, down := make([]int32, n), make([]int32, n)
+	// The up and the down port number a level-l node uses towards j depend
+	// on (l, j) alone: two vectors per level, and every row is copied out of
+	// them. Down ports are numbered after the level's u up ports.
+	up, down := make([]uint8, n), make([]uint8, n)
 	for l := 0; l <= g.H; l++ {
+		u := g.UpPorts(l)
 		if l < g.H { // equation (1)
-			wHere, ports := wProd(l), g.Wi(l+1)*g.Pi(l+1)
+			wHere := wProd(l)
 			for j := range up {
-				up[j] = int32(rank[j] / wHere % ports)
+				up[j] = uint8(rank[j] / wHere % u)
 			}
 		}
 		if l > 0 { // child digit, on the parallel copy the level-(l-1) up rule uses
 			ml, wl, wpl := g.Mi(l), g.Wi(l), g.Wi(l)*g.Pi(l)
 			mBelow, wBelow := g.MProd(l-1), wProd(l-1)
 			for j := range down {
-				down[j] = int32(j/mBelow%ml + rank[j]/wBelow%wpl/wl*ml)
+				down[j] = uint8(u + j/mBelow%ml + rank[j]/wBelow%wpl/wl*ml)
 			}
 		}
 		for _, id := range t.ByLevel[l] {
-			row := f.Out[id]
+			row := f.rows[id]
 			if row == nil {
 				continue // a single-uplink host: NewLFT wrote its one entry
 			}
@@ -127,17 +129,11 @@ func dModK(t *topo.Topology, rank []int, name string, naive bool) *LFT {
 			}
 			hi := lo + g.MProd(l)
 			if l > 0 {
-				for j := lo; j < hi; j++ {
-					row[j] = node.Down[down[j]]
-				}
+				copy(row[lo:hi], down[lo:hi])
 			}
 			if l < g.H { // every host descends from a top switch
-				for j := 0; j < lo; j++ {
-					row[j] = node.Up[up[j]]
-				}
-				for j := hi; j < n; j++ {
-					row[j] = node.Up[up[j]]
-				}
+				copy(row[:lo], up[:lo])
+				copy(row[hi:], up[hi:])
 			}
 		}
 	}

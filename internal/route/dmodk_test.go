@@ -24,6 +24,27 @@ func TestDModKDelivers(t *testing.T) {
 	}
 }
 
+// TestDModKAtThePortBound: on fabrics with a node of topo.MaxPorts ports
+// its last port is number 254, one below the empty entry, and the tables
+// still deliver every pair through it.
+func TestDModKAtThePortBound(t *testing.T) {
+	for _, g := range []topo.PGFT{
+		topo.MustPGFT(1, []int{255}, []int{1}, []int{1}),            // a 255-port top switch
+		topo.MustPGFT(2, []int{127, 2}, []int{1, 128}, []int{1, 1}), // 255-port leaves, 128 up
+	} {
+		tp := topo.MustBuild(g)
+		f := DModK(tp)
+		if err := Verify(f, 0); err != nil {
+			t.Fatalf("%v: %v", g, err)
+		}
+		sw := tp.SwitchAt(1, 0)
+		last := sw.FirstPort() + topo.PortID(topo.MaxPorts-1)
+		if got := f.OutPort(sw.ID, tp.HostsUnder(sw)[len(sw.Down)-1]); got != last {
+			t.Fatalf("%v: %v forwards its last host through port %d, want %d", g, sw, got, last)
+		}
+	}
+}
+
 func TestDModKDelivers1944Sampled(t *testing.T) {
 	tp := topo.MustBuild(topo.Cluster1944)
 	f := DModK(tp)
@@ -44,7 +65,7 @@ func TestDModKMatchesClosedForm(t *testing.T) {
 			if tp.IsDescendantHost(leaf, j) {
 				continue
 			}
-			out := f.Out[lid][j]
+			out := f.OutPort(lid, j)
 			got := tp.Ports[out].Num
 			if tp.Ports[out].Dir != topo.Up {
 				t.Fatalf("leaf %v dst %d: entry is not an up port", leaf, j)
@@ -237,13 +258,13 @@ func TestTraceErrors(t *testing.T) {
 	f := DModK(tp)
 	// Dead end: erase an entry on the path 0 -> 127.
 	leaf := tp.LeafOf(0)
-	f.Out[leaf.ID][127] = topo.None
+	f.SetOutPort(leaf.ID, 127, topo.None)
 	if _, err := f.Trace(0, 127); err == nil {
 		t.Error("trace across erased entry should fail")
 	}
 	// Loop: bounce between host 0 and its leaf.
 	f2 := DModK(tp)
-	f2.Out[leaf.ID][127] = leaf.Down[0] // back to host 0
+	f2.SetOutPort(leaf.ID, 127, leaf.Down[0]) // back to host 0
 	if _, err := f2.Trace(0, 127); err == nil {
 		t.Error("forwarding loop should be detected")
 	}
@@ -325,7 +346,7 @@ func TestUpPortOfMatchesTablesQuick(t *testing.T) {
 		if tp.IsDescendantHost(sw, j) {
 			return true // down entries are covered elsewhere
 		}
-		out := f.Out[sw.ID][j]
+		out := f.OutPort(sw.ID, j)
 		port := tp.Ports[out]
 		return port.Dir == topo.Up && port.Num == UpPortOf(g, l, j)
 	}

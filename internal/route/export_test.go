@@ -1,0 +1,7 @@
+package route
+
+import "fattree/internal/topo"
+
+// SetEntry writes a raw port number into node id's row, bypassing
+// SetOutPort's check: how a test builds a table no builder would.
+func SetEntry(f *LFT, id topo.NodeID, dst int, e uint8) { f.rows[id][dst] = e }

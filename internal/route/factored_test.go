@@ -7,6 +7,7 @@ package route_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -254,7 +255,7 @@ func testFactoredTraps(t *testing.T) {
 	t.Run("one host-row entry knocked out", func(t *testing.T) {
 		lft := route.DModK(multi)
 		src, dst := 1, multi.NumHosts()-2
-		lft.Out[multi.HostID(src)][dst] = topo.None
+		lft.SetOutPort(multi.HostID(src), dst, topo.None)
 		if _, err := route.Compile(lft); err == nil {
 			t.Fatal("strict compile accepted a table with a missing host entry")
 		}
@@ -268,12 +269,24 @@ func testFactoredTraps(t *testing.T) {
 		}
 	})
 
-	t.Run("host-row entry through a foreign port", func(t *testing.T) {
-		// A table that sends one destination out of another node's port
-		// breaks that pair and nothing else.
+	t.Run("host-row entry past the port count", func(t *testing.T) {
+		// An entry is a port number on its node; one past the node's last
+		// port (SetOutPort cannot write it) fails the walk, and breaks that
+		// pair and nothing else.
 		lft := route.DModK(multi)
-		lft.Out[multi.HostID(2)][multi.NumHosts()-1] = multi.Host(3).Up[0]
-		differential(t, "foreign first hop", lft)
+		src, dst := 2, multi.NumHosts()-1
+		route.SetEntry(lft, multi.HostID(src), dst, uint8(multi.Host(src).NumPorts()))
+		if err := lft.Walk(src, dst, func(topo.LinkID, bool) {}); err == nil || !strings.Contains(err.Error(), "names port 2 of 2") {
+			t.Fatalf("walk over an entry past the port count: err %v", err)
+		}
+		differential(t, "entry past the port count", lft)
+		c, err := route.CompileLenient(lft)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.NumBroken() != 1 || !c.Broken(src, dst) {
+			t.Fatalf("NumBroken = %d, Broken(%d,%d) = %v: want exactly that pair", c.NumBroken(), src, dst, c.Broken(src, dst))
+		}
 	})
 
 	t.Run("one leaf entry knocked out", func(t *testing.T) {
@@ -281,7 +294,7 @@ func testFactoredTraps(t *testing.T) {
 		// is at its leaf, one hop on, and takes the leaf-mates with it.
 		lft := route.DModK(tp)
 		leaf, dst := tp.LeafOf(1), n-2
-		lft.Out[leaf.ID][dst] = topo.None
+		lft.SetOutPort(leaf.ID, dst, topo.None)
 		if _, err := route.Compile(lft); err == nil {
 			t.Fatal("strict compile accepted a table with a missing leaf entry")
 		}
@@ -336,11 +349,9 @@ func testRepatchNeverRevives(t *testing.T) {
 	n := tp.NumHosts()
 	holed := route.DModK(tp)
 	mates := len(tp.HostsUnder(tp.LeafOf(1)))
-	holed.Out[tp.LeafOf(1).ID][9] = topo.None // one hole at a leaf: its hosts lose 9
-	for _, row := range holed.Out {           // and one unreachable column
-		if row != nil {
-			row[20] = topo.None
-		}
+	holed.SetOutPort(tp.LeafOf(1).ID, 9, topo.None) // one hole at a leaf: its hosts lose 9
+	for _, sw := range tp.Nodes[n:] {               // and one unreachable column
+		holed.SetOutPort(sw.ID, 20, topo.None)
 	}
 	base, err := route.CompileLenient(holed)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"fattree/internal/invariant"
 	"fattree/internal/route"
 	"fattree/internal/topo"
 )
@@ -62,7 +63,7 @@ func TestCloneIsIndependent(t *testing.T) {
 			t.Fatalf("%v: the clone differs from its base", g)
 		}
 		c.CutHost(3)
-		c.Out[tp.LeafOf(0).ID][5] = topo.None
+		c.SetOutPort(tp.LeafOf(0).ID, 5, topo.None)
 		if tableDigest(base) != want {
 			t.Fatalf("%v: mutating the clone changed the base", g)
 		}
@@ -81,13 +82,13 @@ func TestCloneIsIndependent(t *testing.T) {
 }
 
 // TestLFTFootprint guards what the tables store: a row per node that
-// chooses and nothing per single-uplink host, so the paper's largest
-// cluster costs 270 switch rows, not 2,214.
+// chooses and nothing per single-uplink host, one byte per entry, so the
+// paper's largest cluster costs 270 switch rows of 1,944 bytes.
 func TestLFTFootprint(t *testing.T) {
 	tp := topo.MustBuild(topo.Cluster1944)
-	rows := 0
-	for _, row := range route.NewLFT(tp, "empty").Out {
-		if row != nil {
+	rows, empty := 0, route.NewLFT(tp, "empty")
+	for id := range tp.Nodes {
+		if empty.HasRow(topo.NodeID(id)) {
 			rows++
 		}
 	}
@@ -98,8 +99,62 @@ func TestLFTFootprint(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	lft := route.DModK(tp)
 	runtime.ReadMemStats(&after)
-	if mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6; mb > 2.3 {
-		t.Fatalf("DModK(Cluster1944) allocates %.2f MB, want <= 2.3 (270 rows x 1944 x 4 B = 2.10)", mb)
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6; mb > 0.65 {
+		t.Fatalf("DModK(Cluster1944) allocates %.2f MB, want <= 0.65 (270 rows x 1944 x 1 B = 0.52, and a row header per node)", mb)
 	}
 	runtime.KeepAlive(lft)
+}
+
+// TestSetOutPortRoundTrip: over seeded random fabrics, for every node,
+// every destination and each of the node's own ports plus topo.None,
+// OutPort reads back what SetOutPort wrote. A host's entry towards itself
+// is not one (the flow is delivered), so hosts skip it.
+func TestSetOutPortRoundTrip(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		for _, g := range []topo.PGFT{invariant.RandPGFT(seed), invariant.RandRLFT(seed)} {
+			tp := topo.MustBuild(g)
+			f := route.DModK(tp)
+			for id := range tp.Nodes {
+				node := tp.Node(topo.NodeID(id))
+				ports := append([]topo.PortID{topo.None}, node.Up...)
+				ports = append(ports, node.Down...)
+				for dst := 0; dst < tp.NumHosts(); dst++ {
+					if node.Kind == topo.Host && node.Index == dst {
+						continue
+					}
+					for _, p := range ports {
+						f.SetOutPort(node.ID, dst, p)
+						if got := f.OutPort(node.ID, dst); got != p {
+							t.Fatalf("%v %v dst %d: SetOutPort(%d) reads back %d", g, node, dst, p, got)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSetOutPortRejectsForeignPort: an entry is a port number on its own
+// node, so another node's port has no encoding and must not be stored as
+// whatever number it happens to land on.
+func TestSetOutPortRejectsForeignPort(t *testing.T) {
+	tp := topo.MustBuild(topo.Cluster128)
+	f := route.DModK(tp)
+	for _, tc := range []struct {
+		node topo.NodeID
+		port topo.PortID
+	}{
+		{tp.LeafOf(0).ID, tp.LeafOf(8).Up[0]}, // the next leaf's first port
+		{tp.LeafOf(0).ID, tp.Host(0).Up[0]},   // its peer across the link
+		{tp.HostID(0), tp.Host(1).Up[0]},      // a rowless host
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetOutPort(%v, port %d of %v) did not panic", tp.Node(tc.node), tc.port, tp.Node(tp.Ports[tc.port].Node))
+				}
+			}()
+			f.SetOutPort(tc.node, 0, tc.port)
+		}()
+	}
 }

@@ -24,6 +24,7 @@ func Build(spec PGFT) (*Topology, error) {
 	}
 	t := &Topology{Spec: spec}
 	t.ByLevel = make([][]NodeID, spec.H+1)
+	t.Nodes = make([]Node, 0, spec.NumHosts()+spec.TotalSwitches()) // no append slack: the slice stays live
 
 	// Create nodes level by level, hosts first.
 	for l := 0; l <= spec.H; l++ {
@@ -48,6 +49,7 @@ func Build(spec PGFT) (*Topology, error) {
 			if l > 0 {
 				nDown = spec.DownPorts(l)
 			}
+			n.first = PortID(len(t.Ports))
 			n.Up = make([]PortID, nUp)
 			n.Down = make([]PortID, nDown)
 			for q := 0; q < nUp; q++ {

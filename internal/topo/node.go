@@ -63,9 +63,20 @@ type Node struct {
 	// the D-Mod-K routing and the topology-aware MPI node order.
 	Index int
 	// Up and Down list the node's port IDs by port number (q for up
-	// ports, r for down ports).
+	// ports, r for down ports). Build allocates a node's ports
+	// contiguously, up ports then down ports, so the node's own port
+	// numbering — up ports 0..u-1, down ports u..u+d-1, the number a
+	// forwarding table entry stores — is an offset from FirstPort.
 	Up, Down []PortID
+	first    PortID // Up[0], or Down[0] for a top switch
 }
+
+// FirstPort returns the ID of the node's port number 0: its first up
+// port, or the first down port of a top switch.
+func (n *Node) FirstPort() PortID { return n.first }
+
+// NumPorts returns the node's port count, up and down.
+func (n *Node) NumPorts() int { return len(n.Up) + len(n.Down) }
 
 // Port is one side of a link.
 type Port struct {

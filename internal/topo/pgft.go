@@ -18,6 +18,10 @@
 // l+1..h range over [0, m_i). Hosts sit at level 0, so all their digits are
 // in the m ranges and the little-endian mixed-radix value of the digit
 // vector is the host's linear index.
+//
+// No node may have more than MaxPorts (255) ports, up and down together:
+// a forwarding table entry names a port by its number on the node in one
+// byte. Validate refuses a larger spec, naming the level and the count.
 package topo
 
 import (
@@ -72,8 +76,21 @@ func (g PGFT) Validate() error {
 				l, g.M[l-1], g.W[l-1], g.P[l-1])
 		}
 	}
+	for l := 0; l <= g.H; l++ {
+		if ports := g.UpPorts(l) + g.DownPorts(l); ports > MaxPorts {
+			return fmt.Errorf("topo: %v: a level-%d node has %d ports, more than the %d a forwarding table entry can name",
+				g, l, ports, MaxPorts)
+		}
+	}
 	return nil
 }
+
+// MaxPorts bounds the port count of any node, up and down ports
+// together. A forwarding table entry is the port number on its node in
+// one byte, with 255 reserved for "no entry" (OpenSM's OSM_NO_PATH), so
+// ports are numbered 0..254. Real switch radixes sit far below it; the
+// paper's are 36 ports.
+const MaxPorts = 255
 
 // Mi returns m_l (1-based level).
 func (g PGFT) Mi(l int) int { return g.M[l-1] }

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -28,6 +29,38 @@ func TestNewPGFTValidation(t *testing.T) {
 				t.Fatalf("NewPGFT(%d,%v,%v,%v) err=%v, wantErr=%v", tc.h, tc.m, tc.w, tc.p, err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestPortBound: a forwarding table entry names a port in one byte, so
+// Validate refuses any node above MaxPorts ports, saying which level and
+// how many, and a node of exactly MaxPorts still builds.
+func TestPortBound(t *testing.T) {
+	for _, tc := range []struct{ spec, want string }{
+		{"PGFT(1;256;1;1)", "level-1 node has 256 ports"},
+		{"max:2,128", "level-1 node has 256 ports"},
+		{"pgft:2;4,2;300,1;1,1", "level-0 node has 300 ports"},
+	} {
+		if _, err := ParseSpec(tc.spec); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err %v, want one saying %q", tc.spec, err, tc.want)
+		}
+	}
+	for _, spec := range []string{"PGFT(1;255;1;1)", "PGFT(2;127,2;1,128;1,1)"} {
+		g, err := ParseSpec(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		tp, err := Build(g)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		most := 0
+		for i := range tp.Nodes {
+			most = max(most, tp.Nodes[i].NumPorts())
+		}
+		if most != MaxPorts {
+			t.Fatalf("%s: largest node has %d ports, want %d", spec, most, MaxPorts)
+		}
 	}
 }
 
