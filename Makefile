@@ -48,7 +48,7 @@ loc:
 # Re-record every command's testdata/*.golden from the current build
 # (docs/TESTING.md "Command goldens"); review the diff before committing.
 golden:
-	$(GO) test $$($(GO) list ./cmd/... | grep -v /ftload) -run TestGolden -update
+	$(GO) test ./cmd/... -run TestGolden -update
 
 # The go test micro-benchmarks kept beside the layers bench/ does not
 # probe; performance claims come from bench-repo, not from these.

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"fattree/internal/cli"
@@ -27,7 +28,7 @@ func main() { os.Exit(cli.Main("ftbench", os.Args[1:], os.Stdout, os.Stderr, set
 
 func setup(a *cli.App) func(io.Writer) error {
 	var (
-		which    = a.Flags.String("exp", "all", "experiment: f1 | f2 | f3 | t3 | ring | cf | wrap | routing | bidir | semantics | placement | latency | taper | patterns | adaptive | jitter | buffers | jobs | queue | faults | all")
+		which    = a.Flags.String("exp", "all", "experiment: "+strings.Join(keys(), " | ")+" | all")
 		engName  = a.Engine()
 		quick    = a.Flags.Bool("quick", false, "reduced scale for a fast run")
 		csvOut   = a.Flags.Bool("csv", false, "emit CSV instead of aligned text")
@@ -60,304 +61,164 @@ func setup(a *cli.App) func(io.Writer) error {
 	}
 }
 
-func run(out io.Writer, which string, quick, csvOut, jsonOut bool) error {
-	sel := map[string]bool{}
-	for _, w := range strings.Split(which, ",") {
-		sel[strings.TrimSpace(w)] = true
-	}
-	ran := false
-	want := func(k string) bool {
-		hit := sel["all"] || sel[k]
-		if hit {
-			ran = true
-		}
-		return hit
-	}
-	emit := func(t *exp.Table) error {
-		switch {
-		case jsonOut:
-			return t.RenderJSON(out)
-		case csvOut:
-			return t.RenderCSV(out)
-		}
-		return t.Render(out)
-	}
-
-	if want("f1") {
-		t, err := exp.Figure1(5)
-		if err != nil {
-			return err
-		}
-		if err := emit(t); err != nil {
-			return err
-		}
-	}
-	if want("f2") {
+// experiments is DESIGN.md's index in the order -exp all runs it: each
+// row builds one table at paper scale, or at a reduced scale when quick.
+var experiments = []struct {
+	key string
+	run func(quick bool) (*exp.Table, error)
+}{
+	{"f1", func(bool) (*exp.Table, error) { return exp.Figure1(5) }},
+	{"f2", func(quick bool) (*exp.Table, error) {
 		o := exp.DefaultFigure2Opts()
 		if quick {
-			o.Cluster = topo.Cluster324
-			o.Sizes = []int64{8 << 10, 64 << 10, 512 << 10}
-			o.ShiftStages = 4
+			o.Cluster, o.Sizes, o.ShiftStages = topo.Cluster324, []int64{8 << 10, 64 << 10, 512 << 10}, 4
 		}
-		t, err := exp.Figure2(o)
-		if err != nil {
-			return err
-		}
-		if err := emit(t); err != nil {
-			return err
-		}
-	}
-	if want("f3") {
+		return exp.Figure2(o)
+	}},
+	{"f3", func(quick bool) (*exp.Table, error) {
 		o := exp.DefaultFigure3Opts()
 		if quick {
-			o.Clusters = []topo.PGFT{topo.Cluster128, topo.Cluster324}
-			o.Seeds = 5
-			o.ShiftStride = 7
+			o.Clusters, o.Seeds, o.ShiftStride = []topo.PGFT{topo.Cluster128, topo.Cluster324}, 5, 7
 		}
-		t, err := exp.Figure3(o)
-		if err != nil {
-			return err
-		}
-		if err := emit(t); err != nil {
-			return err
-		}
-	}
-	if want("t3") {
+		return exp.Figure3(o)
+	}},
+	{"t3", func(quick bool) (*exp.Table, error) {
 		o := exp.DefaultTable3Opts()
 		if quick {
-			o.Cases = o.Cases[:6]
-			o.RandomSeeds = 3
-			o.ShiftStride = 5
+			o.Cases, o.RandomSeeds, o.ShiftStride = o.Cases[:6], 3, 5
 		}
-		t, err := exp.Table3(o)
-		if err != nil {
-			return err
-		}
-		if err := emit(t); err != nil {
-			return err
-		}
-	}
-	if want("ring") {
+		return exp.Table3(o)
+	}},
+	{"ring", func(quick bool) (*exp.Table, error) {
 		o := exp.DefaultRingOpts()
 		if quick {
-			o.Cluster = topo.Cluster324
-			o.Bytes = 64 << 10
+			o.Cluster, o.Bytes = topo.Cluster324, 64<<10
 		}
-		t, err := exp.RingAdversarial(o)
-		if err != nil {
-			return err
-		}
-		if err := emit(t); err != nil {
-			return err
-		}
-	}
-	if want("cf") {
+		return exp.RingAdversarial(o)
+	}},
+	{"cf", func(quick bool) (*exp.Table, error) {
 		o := exp.DefaultCFOpts()
 		if quick {
-			o.Cluster = topo.Cluster324
-			o.Bytes = 64 << 10
-			o.ShiftStages = 4
+			o.Cluster, o.Bytes, o.ShiftStages = topo.Cluster324, 64<<10, 4
 		}
-		t, err := exp.ContentionFree(o)
-		if err != nil {
-			return err
-		}
-		if err := emit(t); err != nil {
-			return err
-		}
-	}
-	if want("wrap") {
-		cluster := topo.Cluster324
-		seeds := 5
-		if quick {
-			cluster = topo.Cluster128
-			seeds = 2
-		}
-		t, err := exp.WrapAblation(cluster, seeds)
-		if err != nil {
-			return err
-		}
-		if err := emit(t); err != nil {
-			return err
-		}
-	}
-	if want("routing") {
-		cluster := topo.Cluster1728
-		if quick {
-			cluster = topo.MustPGFT(3, []int{4, 4, 4}, []int{1, 4, 2}, []int{1, 1, 2})
-		}
-		t, err := exp.RoutingAblation(cluster)
-		if err != nil {
-			return err
-		}
-		if err := emit(t); err != nil {
-			return err
-		}
-	}
-	if want("bidir") {
-		cluster := topo.Cluster1944
-		if quick {
-			cluster = topo.Cluster324
-		}
-		t, err := exp.BidirAblation(cluster)
-		if err != nil {
-			return err
-		}
-		if err := emit(t); err != nil {
-			return err
-		}
-	}
-	if want("queue") {
+		return exp.ContentionFree(o)
+	}},
+	{"wrap", func(quick bool) (*exp.Table, error) {
+		return exp.WrapAblation(pick(quick, topo.Cluster324, topo.Cluster128), pick(quick, 5, 2))
+	}},
+	{"routing", func(quick bool) (*exp.Table, error) {
+		return exp.RoutingAblation(pick(quick, topo.Cluster1728,
+			topo.MustPGFT(3, []int{4, 4, 4}, []int{1, 4, 2}, []int{1, 1, 2})))
+	}},
+	{"bidir", func(quick bool) (*exp.Table, error) {
+		return exp.BidirAblation(pick(quick, topo.Cluster1944, topo.Cluster324))
+	}},
+	{"queue", func(quick bool) (*exp.Table, error) {
 		o := exp.DefaultQueueOpts()
 		if quick {
 			o.Base.Jobs = 150
 		}
-		t, err := exp.SchedulerPolicies(o)
-		if err != nil {
-			return err
-		}
-		if err := emit(t); err != nil {
-			return err
-		}
-	}
-	if want("semantics") {
+		return exp.SchedulerPolicies(o)
+	}},
+	{"semantics", func(quick bool) (*exp.Table, error) {
 		o := exp.DefaultSemanticsOpts()
 		if quick {
-			o.Cluster = topo.Cluster128
-			o.Bytes = 32 << 10
+			o.Cluster, o.Bytes = topo.Cluster128, 32<<10
 		}
-		t, err := exp.SemanticsComparison(o)
-		if err != nil {
-			return err
-		}
-		if err := emit(t); err != nil {
-			return err
-		}
-	}
-	if want("placement") {
-		cluster := topo.Cluster324
-		if quick {
-			cluster = topo.Cluster128
-		}
-		t, err := exp.PlacementComparison(cluster)
-		if err != nil {
-			return err
-		}
-		if err := emit(t); err != nil {
-			return err
-		}
-	}
-	if want("latency") {
+		return exp.SemanticsComparison(o)
+	}},
+	{"placement", func(quick bool) (*exp.Table, error) {
+		return exp.PlacementComparison(pick(quick, topo.Cluster324, topo.Cluster128))
+	}},
+	{"latency", func(quick bool) (*exp.Table, error) {
 		o := exp.DefaultLatencyOpts()
 		if quick {
 			o.Sizes = []int64{2 << 10, 128 << 10}
 		}
-		t, err := exp.CollectiveLatency(o)
-		if err != nil {
-			return err
-		}
-		if err := emit(t); err != nil {
-			return err
-		}
-	}
-	if want("taper") {
-		t, err := exp.TaperAblation()
-		if err != nil {
-			return err
-		}
-		if err := emit(t); err != nil {
-			return err
-		}
-	}
-	if want("patterns") {
+		return exp.CollectiveLatency(o)
+	}},
+	{"taper", func(bool) (*exp.Table, error) { return exp.TaperAblation() }},
+	{"patterns", func(quick bool) (*exp.Table, error) {
 		o := exp.DefaultPatternOpts()
 		if quick {
-			o.Cluster = topo.Cluster128
-			o.Bytes = 32 << 10
+			o.Cluster, o.Bytes = topo.Cluster128, 32<<10
 		}
-		t, err := exp.PatternSweep(o)
-		if err != nil {
-			return err
-		}
-		if err := emit(t); err != nil {
-			return err
-		}
-	}
-	if want("adaptive") {
+		return exp.PatternSweep(o)
+	}},
+	{"adaptive", func(quick bool) (*exp.Table, error) {
 		o := exp.DefaultAdaptiveOpts()
 		if quick {
-			o.Cluster = topo.Cluster128
-			o.Bytes = 64 << 10
+			o.Cluster, o.Bytes = topo.Cluster128, 64<<10
 		}
-		t, err := exp.AdaptiveComparison(o)
-		if err != nil {
-			return err
-		}
-		if err := emit(t); err != nil {
-			return err
-		}
-	}
-	if want("jitter") {
+		return exp.AdaptiveComparison(o)
+	}},
+	{"jitter", func(quick bool) (*exp.Table, error) {
 		o := exp.DefaultJitterOpts()
 		if quick {
-			o.Cluster = topo.Cluster128
-			o.Bytes = 64 << 10
-			o.Stages = 3
+			o.Cluster, o.Bytes, o.Stages = topo.Cluster128, 64<<10, 3
 		}
-		t, err := exp.JitterSensitivity(o)
-		if err != nil {
-			return err
-		}
-		if err := emit(t); err != nil {
-			return err
-		}
-	}
-	if want("buffers") {
+		return exp.JitterSensitivity(o)
+	}},
+	{"buffers", func(quick bool) (*exp.Table, error) {
 		o := exp.DefaultBufferOpts()
 		if quick {
-			o.Cluster = topo.Cluster128
-			o.Bytes = 64 << 10
-			o.Buffers = []int{1, 4, 16}
-			o.Stages = 3
+			o.Cluster, o.Bytes, o.Buffers, o.Stages = topo.Cluster128, 64<<10, []int{1, 4, 16}, 3
 		}
-		t, err := exp.BufferAblation(o)
+		return exp.BufferAblation(o)
+	}},
+	{"jobs", func(quick bool) (*exp.Table, error) {
+		return exp.MultiJob(pick(quick, topo.Cluster1944, topo.Cluster324))
+	}},
+	{"faults", func(quick bool) (*exp.Table, error) {
+		return exp.FaultResilience(pick(quick, topo.Cluster324, topo.Cluster128), pick(quick, 5, 2))
+	}},
+}
+
+// pick returns the paper-scale value, or the reduced one under -quick.
+func pick[T any](quick bool, full, reduced T) T {
+	if quick {
+		return reduced
+	}
+	return full
+}
+
+func keys() []string {
+	ks := make([]string, len(experiments))
+	for i, e := range experiments {
+		ks[i] = e.key
+	}
+	return ks
+}
+
+// run renders every selected experiment in table order; an unknown key
+// anywhere in the list is refused before anything runs.
+func run(out io.Writer, which string, quick, csvOut, jsonOut bool) error {
+	sel := map[string]bool{}
+	for _, k := range strings.Split(which, ",") {
+		k = strings.TrimSpace(k)
+		if k != "all" && !slices.Contains(keys(), k) {
+			return fmt.Errorf("no experiment matched %q (want one or more of %s, or all)", k, strings.Join(keys(), ","))
+		}
+		sel[k] = true
+	}
+	for _, e := range experiments {
+		if !sel["all"] && !sel[e.key] {
+			continue
+		}
+		t, err := e.run(quick)
+		if err == nil {
+			switch {
+			case jsonOut:
+				err = t.RenderJSON(out)
+			case csvOut:
+				err = t.RenderCSV(out)
+			default:
+				err = t.Render(out)
+			}
+		}
 		if err != nil {
 			return err
 		}
-		if err := emit(t); err != nil {
-			return err
-		}
-	}
-	if want("jobs") {
-		cluster := topo.Cluster1944
-		if quick {
-			cluster = topo.Cluster324
-		}
-		t, err := exp.MultiJob(cluster)
-		if err != nil {
-			return err
-		}
-		if err := emit(t); err != nil {
-			return err
-		}
-	}
-	if want("faults") {
-		cluster := topo.Cluster324
-		seeds := 5
-		if quick {
-			cluster = topo.Cluster128
-			seeds = 2
-		}
-		t, err := exp.FaultResilience(cluster, seeds)
-		if err != nil {
-			return err
-		}
-		if err := emit(t); err != nil {
-			return err
-		}
-	}
-	if !ran {
-		return fmt.Errorf("no experiment matched %q (see -h for the list)", which)
 	}
 	return nil
 }

@@ -13,6 +13,7 @@ func TestGolden(t *testing.T) {
 		{Name: "f1-f3-quick-csv", Args: []string{"-exp", "f1,f3", "-quick", "-csv"}},
 		{Name: "f1-f3-quick-json", Args: []string{"-exp", "f1,f3", "-quick", "-json"}},
 		{Name: "bad-exp", Args: []string{"-exp", "nope"}, Exit: 1, Stderr: `ftbench: no experiment matched "nope"`},
+		{Name: "bad-exp-in-list", Args: []string{"-exp", "f1,nope"}, Exit: 1, Stderr: `ftbench: no experiment matched "nope" (want one or more of f1,f2,f3,t3,`},
 		{Name: "bad-engine", Args: []string{"-exp", "f1", "-engine", "nope"}, Exit: 1, Stderr: `unknown engine "nope"`},
 	})
 }

@@ -107,7 +107,7 @@ func run(spec, engName, ordering string, seed int64, checksArg string, randN int
 			if err != nil {
 				return nil, err
 			}
-			return invariant.NewInstance(rt, tb.Router, nil), nil
+			return invariant.NewInstance(rt, tb.Compiled, nil), nil
 		})
 	}
 
@@ -167,7 +167,7 @@ func buildInstance(t *topo.Topology, engName, ordering string, seed int64, fault
 	if err != nil {
 		return nil, nil, err
 	}
-	in := invariant.NewInstance(t, tb.Router, o)
+	in := invariant.NewInstance(t, tb.Compiled, o)
 	if len(tb.Unroutable) > 0 {
 		unroutable := make(map[int]bool, len(tb.Unroutable))
 		for _, j := range tb.Unroutable {

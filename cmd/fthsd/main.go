@@ -120,7 +120,7 @@ func run(w io.Writer, spec, engName string, seed int64, cpsName, ordering string
 	for s := 0; s < seeds; s++ {
 		orders = append(orders, order.Random(t.NumHosts(), active, int64(s)))
 	}
-	sw, err := hsd.SweepOrderingsParallel(tb.Router, orders, seq, 0)
+	sw, err := hsd.SweepOrderingsParallel(tb.Compiled, orders, seq, 0)
 	if err != nil {
 		return err
 	}
@@ -132,7 +132,7 @@ func run(w io.Writer, spec, engName string, seed int64, cpsName, ordering string
 			"seeds": seeds,
 		})
 	}
-	fmt.Fprintf(w, "%s / %s / random x%d on %s (job %d):\n", seq.Name(), tb.Router.Label(), seeds, t.Spec, seq.Size())
+	fmt.Fprintf(w, "%s / %s / random x%d on %s (job %d):\n", seq.Name(), tb.Compiled.Label(), seeds, t.Spec, seq.Size())
 	fmt.Fprintf(w, "  avg max HSD: mean %.3f  min %.3f  max %.3f\n", sw.Mean, sw.Min, sw.Max)
 	return nil
 }
@@ -141,7 +141,7 @@ func run(w io.Writer, spec, engName string, seed int64, cpsName, ordering string
 // jsonOut the full per-stage blame report (fattree-blame/v1) on stdout.
 // The obs sinks are fed either way.
 func analyzeOne(w io.Writer, tb *engine.Tables, o *order.Ordering, seq cps.Sequence, perStage, levels, jsonOut bool, sinks *obs.FileSinks) error {
-	rt := tb.Router
+	rt := tb.Compiled
 	rep, err := hsd.AnalyzeParallel(rt, o, seq, 0)
 	if err != nil {
 		return err

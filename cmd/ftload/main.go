@@ -30,7 +30,6 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"math"
@@ -43,71 +42,60 @@ import (
 	"sync"
 	"time"
 
+	"fattree/internal/cli"
 	"fattree/internal/fclient"
 	"fattree/internal/obs"
 	"fattree/internal/schema"
 )
 
-func main() {
-	var (
-		addr        = flag.String("addr", "http://127.0.0.1:7474", "daemon base URL; -proto binary accepts a comma-separated replica list")
-		proto       = flag.String("proto", "json", "json (per-pair HTTP) or binary (batched RouteSet frames)")
-		batch       = flag.Int("batch", 16, "binary: random pairs per RouteSet request")
-		mode        = flag.String("mode", "closed", "closed (concurrency ladder) or open (offered-rate ladder)")
-		levels      = flag.String("levels", "1,2,4,8", "comma-separated ladder: workers (closed) or requests/sec (open)")
-		duration    = flag.Duration("duration", 2*time.Second, "measurement window per level")
-		warmup      = flag.Duration("warmup", 250*time.Millisecond, "per-level warmup excluded from stats")
-		outstanding = flag.Int("max-outstanding", 256, "open loop: in-flight cap before ticks are shed")
-		seed        = flag.Int64("seed", 1, "seed for src/dst pair draws")
-		agree       = flag.Float64("agree", 0, "fail unless client and server p99 agree within this fraction at the lowest level (0 disables)")
-		out         = flag.String("out", "", "write the fattree-load/v1 document here (default stdout)")
-	)
-	flag.Parse()
-	doc, err := sweep(config{
-		Addr:        *addr,
-		Proto:       *proto,
-		Batch:       *batch,
-		Mode:        *mode,
-		Levels:      *levels,
-		Duration:    *duration,
-		Warmup:      *warmup,
-		Outstanding: *outstanding,
-		Seed:        *seed,
-	}, os.Stderr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ftload:", err)
-		os.Exit(1)
-	}
-	w := io.Writer(os.Stdout)
-	if *out != "" {
-		f, err := os.Create(*out)
+func main() { os.Exit(cli.Main("ftload", os.Args[1:], os.Stdout, os.Stderr, setup)) }
+
+func setup(a *cli.App) func(io.Writer) error {
+	var cfg config
+	a.Flags.StringVar(&cfg.Addr, "addr", "http://127.0.0.1:7474", "daemon base URL; -proto binary accepts a comma-separated replica list")
+	a.Flags.StringVar(&cfg.Proto, "proto", "json", "json (per-pair HTTP) or binary (batched RouteSet frames)")
+	a.Flags.IntVar(&cfg.Batch, "batch", 16, "binary: random pairs per RouteSet request")
+	a.Flags.StringVar(&cfg.Mode, "mode", "closed", "closed (concurrency ladder) or open (offered-rate ladder)")
+	a.Flags.StringVar(&cfg.Levels, "levels", "1,2,4,8", "comma-separated ladder: workers (closed) or requests/sec (open)")
+	a.Flags.DurationVar(&cfg.Duration, "duration", 2*time.Second, "measurement window per level")
+	a.Flags.DurationVar(&cfg.Warmup, "warmup", 250*time.Millisecond, "per-level warmup excluded from stats")
+	a.Flags.IntVar(&cfg.Outstanding, "max-outstanding", 256, "open loop: in-flight cap before ticks are shed")
+	seed := a.Seed(1, "seed for src/dst pair draws")
+	agree := a.Flags.Float64("agree", 0, "fail unless client and server p99 agree within this fraction at the lowest level (0 disables)")
+	out := a.Flags.String("out", "", "write the fattree-load/v1 document here (default stdout)")
+	return func(w io.Writer) error {
+		cfg.Seed = *seed
+		doc, err := sweep(cfg, a.Stderr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ftload:", err)
-			os.Exit(1)
+			return err
 		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		fmt.Fprintln(os.Stderr, "ftload:", err)
-		os.Exit(1)
-	}
-	if *agree > 0 {
-		if err := checkAgreement(doc, *agree); err != nil {
-			fmt.Fprintln(os.Stderr, "ftload:", err)
-			os.Exit(1)
+		raw, err := json.MarshalIndent(doc, "", "  ")
+		if err != nil {
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "ftload: client/server p99 agree within %.0f%% at the lowest level\n", *agree*100)
-	}
-	var regressions int64
-	for _, lvl := range doc.Levels {
-		regressions += lvl.EpochRegressions
-	}
-	if regressions > 0 {
-		fmt.Fprintf(os.Stderr, "ftload: epoch-mix: %d response(s) rolled the epoch backwards\n", regressions)
-		os.Exit(1)
+		raw = append(raw, '\n')
+		if *out != "" {
+			err = os.WriteFile(*out, raw, 0o666)
+		} else {
+			_, err = w.Write(raw)
+		}
+		if err != nil {
+			return err
+		}
+		if *agree > 0 {
+			if err := checkAgreement(doc, *agree); err != nil {
+				return err
+			}
+			fmt.Fprintf(a.Stderr, "ftload: client/server p99 agree within %.0f%% at the lowest level\n", *agree*100)
+		}
+		var regressions int64
+		for _, lvl := range doc.Levels {
+			regressions += lvl.EpochRegressions
+		}
+		if regressions > 0 {
+			return fmt.Errorf("epoch-mix: %d response(s) rolled the epoch backwards", regressions)
+		}
+		return nil
 	}
 }
 
@@ -127,21 +115,14 @@ type config struct {
 	binAddrs []string // dial targets derived from Addr by sweep()
 }
 
-// endpointLabel is the swept route's RED endpoint label; it must match
-// the daemon's so the server histogram lookup finds the right series.
-func endpointLabel(proto string) string {
+// endpoint names the swept route's RED series: the daemon histogram and
+// the endpoint label it is recorded under, which must match the
+// daemon's so the server histogram lookup finds the right series.
+func endpoint(proto string) (metric, label string) {
 	if proto == "binary" {
-		return "route_set"
+		return "fmgr_wire_request_duration_us", "route_set"
 	}
-	return "GET /v1/route"
-}
-
-// histogramMetric names the daemon histogram the label lives under.
-func histogramMetric(proto string) string {
-	if proto == "binary" {
-		return "fmgr_wire_request_duration_us"
-	}
-	return "fmgr_http_request_duration_us"
+	return "fmgr_http_request_duration_us", "GET /v1/route"
 }
 
 // parseAddrs splits the comma-separated replica list into the HTTP base
@@ -180,35 +161,62 @@ func sweep(cfg config, progress io.Writer) (*schema.LoadDoc, error) {
 	if cfg.Batch <= 0 || cfg.Proto == "json" {
 		cfg.Batch = 1 // JSON resolves exactly one route per request
 	}
+	if cfg.Duration <= 0 {
+		return nil, fmt.Errorf("duration %v: the measurement window must be positive", cfg.Duration)
+	}
+	if cfg.Mode == "open" && cfg.Outstanding < 1 {
+		return nil, fmt.Errorf("max-outstanding %d: the open loop needs at least one request in flight", cfg.Outstanding)
+	}
 	ladder, err := parseLevels(cfg.Levels)
 	if err != nil {
 		return nil, err
 	}
-	httpBase, binAddrs, err := parseAddrs(cfg.Addr)
-	if err != nil {
+	for _, rung := range ladder {
+		if cfg.Mode == "closed" && rung != math.Trunc(rung) {
+			return nil, fmt.Errorf("bad level %v (a closed loop runs a whole number of workers)", rung)
+		}
+	}
+	if cfg.Addr, cfg.binAddrs, err = parseAddrs(cfg.Addr); err != nil {
 		return nil, err
 	}
-	cfg.Addr = httpBase
-	cfg.binAddrs = binAddrs
 	client := &http.Client{Timeout: 10 * time.Second}
 
 	hosts, err := numHosts(client, cfg.Addr)
 	if err != nil {
 		return nil, err
 	}
-	var floorUS, floorP99US float64
-	if cfg.Proto == "binary" {
-		floorUS, floorP99US, err = rttFloorBinary(binAddrs)
-	} else {
-		floorUS, floorP99US, err = rttFloorUS(client, cfg.Addr)
+	// The floor probe: GET /healthz over HTTP, an EpochReq through the
+	// same fclient stack the binary sweep uses.
+	probe := func() error {
+		resp, err := client.Get(cfg.Addr + "/healthz")
+		if err != nil {
+			return fmt.Errorf("healthz probe: %w", err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		return resp.Body.Close()
 	}
+	if cfg.Proto == "binary" {
+		fc, err := fclient.New(fclient.Config{Addrs: cfg.binAddrs})
+		if err != nil {
+			return nil, err
+		}
+		defer fc.Close()
+		probe = func() error {
+			if _, _, err := fc.Epoch(); err != nil {
+				return fmt.Errorf("epoch probe: %w", err)
+			}
+			return nil
+		}
+	}
+	floorUS, floorP99US, err := rttFloor(probe)
 	if err != nil {
 		return nil, err
 	}
+	_, label := endpoint(cfg.Proto)
 	doc := &schema.LoadDoc{
 		Schema:        schema.Load,
 		Target:        cfg.Addr,
-		Endpoint:      endpointLabel(cfg.Proto),
+		Endpoint:      label,
 		Protocol:      cfg.Proto,
 		Hosts:         hosts,
 		RTTFloorUS:    floorUS,
@@ -226,8 +234,10 @@ func sweep(cfg config, progress io.Writer) (*schema.LoadDoc, error) {
 			return nil, err
 		}
 		var lvl schema.LoadLevel
+		label := fmt.Sprintf("%s %.0f/s", cfg.Mode, rung)
 		if cfg.Mode == "closed" {
 			lvl, err = closedLevel(client, cfg, int(rung), hosts)
+			label = fmt.Sprintf("%s c=%d", cfg.Mode, int(rung))
 		} else {
 			lvl, err = openLevel(client, cfg, rung, hosts)
 		}
@@ -242,20 +252,13 @@ func sweep(cfg config, progress io.Writer) (*schema.LoadDoc, error) {
 		lvl.RoutesRPS = lvl.AchievedRPS * float64(cfg.Batch)
 		doc.Levels = append(doc.Levels, lvl)
 		line := fmt.Sprintf("ftload: %s: %.0f req/s (%.0f routes/s), p50 %.1fµs p99 %.1fµs (server p99 %.1fµs), %d errors",
-			levelLabel(lvl), lvl.AchievedRPS, lvl.RoutesRPS, lvl.P50US, lvl.P99US, lvl.ServerP99US, lvl.Errors)
+			label, lvl.AchievedRPS, lvl.RoutesRPS, lvl.P50US, lvl.P99US, lvl.ServerP99US, lvl.Errors)
 		if lvl.Mode == "open" {
 			line += fmt.Sprintf(", shed %d (%.0f/s)", lvl.Shed, lvl.ShedRPS)
 		}
 		fmt.Fprintln(progress, line)
 	}
 	return doc, nil
-}
-
-func levelLabel(lvl schema.LoadLevel) string {
-	if lvl.Mode == "closed" {
-		return fmt.Sprintf("closed c=%d", lvl.Concurrency)
-	}
-	return fmt.Sprintf("open %.0f/s", lvl.OfferedRPS)
 }
 
 // parseLevels parses the comma ladder and sorts it ascending so the
@@ -294,24 +297,21 @@ func numHosts(client *http.Client, addr string) (int, error) {
 	return len(doc.HostOf), nil
 }
 
-// rttFloorUS measures the /healthz round trip — the HTTP-stack overhead
-// a client-side latency carries that the server-side handler histogram
-// does not — and returns its median plus its bucketized p99. The median
-// characterizes the typical floor; the p99 is what the agreement gate
-// subtracts, because client and server distributions are compared tail
-// against tail and the transport tail (scheduler wakeups, TCP jitter)
-// is far fatter than the transport median.
-func rttFloorUS(client *http.Client, addr string) (median, p99 float64, err error) {
+// rttFloor times 200 round trips of probe — the transport overhead a
+// client-side latency carries that the server-side handler histogram
+// does not — and returns their median plus their bucketized p99. The
+// median characterizes the typical floor; the p99 is what the agreement
+// gate subtracts, because client and server distributions are compared
+// tail against tail and the transport tail (scheduler wakeups, TCP
+// jitter) is far fatter than the transport median.
+func rttFloor(probe func() error) (median, p99 float64, err error) {
 	const probes = 200
 	samples := make([]float64, 0, probes)
 	for i := 0; i < probes; i++ {
 		start := time.Now()
-		resp, err := client.Get(addr + "/healthz")
-		if err != nil {
-			return 0, 0, fmt.Errorf("healthz probe: %w", err)
+		if err := probe(); err != nil {
+			return 0, 0, err
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
 		samples = append(samples, float64(time.Since(start).Microseconds()))
 	}
 	sort.Float64s(samples)
@@ -336,7 +336,8 @@ func serverHistogram(client *http.Client, addr, proto string) (obs.HistogramSnap
 	if err := getJSON(client, addr+"/metrics", &snap); err != nil {
 		return obs.HistogramSnapshot{}, err
 	}
-	name := obs.Labeled(histogramMetric(proto), "endpoint", endpointLabel(proto))
+	metric, label := endpoint(proto)
+	name := obs.Labeled(metric, "endpoint", label)
 	h, ok := snap.Histograms[name]
 	if !ok {
 		// No request served yet: an empty snapshot with the default
@@ -386,105 +387,91 @@ type collector struct {
 	mu       sync.Mutex
 	samples  []float64 // client RTT, microseconds
 	errors   int64
-	maxEpoch uint64 // binary: highest response epoch seen
-	regress  int64  // binary: responses older than an earlier one
+	maxEpoch uint64 // highest response epoch seen
+	regress  int64  // responses older than an earlier one
 }
 
-func (c *collector) record(us float64, ok bool) {
+// record files one measured request. Epochs must be monotone across the
+// whole level: any rollback is an epoch mix — some replica answered with
+// older tables after a newer epoch was already observed.
+func (c *collector) record(us float64, ok bool, epoch uint64) {
 	c.mu.Lock()
 	c.samples = append(c.samples, us)
-	if !ok {
+	switch {
+	case !ok:
 		c.errors++
-	}
-	c.mu.Unlock()
-}
-
-// epoch checks response-epoch monotonicity across the whole level: any
-// rollback is an epoch mix — some replica answered with older tables
-// after a newer epoch was already observed.
-func (c *collector) epoch(e uint64) {
-	c.mu.Lock()
-	if e < c.maxEpoch {
+	case epoch < c.maxEpoch:
 		c.regress++
-	} else {
-		c.maxEpoch = e
+	default:
+		c.maxEpoch = epoch
 	}
 	c.mu.Unlock()
 }
 
-// oneRequest fires a single route lookup for a random pair and reports
-// its RTT and whether it succeeded (200/503 both count as served; 503
+// A requester fires one request for the drawn pairs and reports its RTT
+// in microseconds, whether the daemon served it, and the response epoch
+// (0 when the protocol carries none).
+type requester func(pairs [][2]uint32) (us float64, ok bool, epoch uint64)
+
+// newRequester returns a requester for the sweep's protocol and the
+// function that releases it. JSON resolves pairs[0] with one GET
+// /v1/route on the shared client (200 and 503 both count as served; 503
 // is a legitimate degraded-fabric answer, anything else is an error).
-func oneRequest(client *http.Client, addr string, rng *rand.Rand, hosts int) (float64, bool) {
-	src := rng.Intn(hosts)
-	dst := rng.Intn(hosts)
-	start := time.Now()
-	resp, err := client.Get(fmt.Sprintf("%s/v1/route?src=%d&dst=%d", addr, src, dst))
-	us := float64(time.Since(start).Microseconds())
-	if err != nil {
-		return us, false
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return us, resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusServiceUnavailable
-}
-
-// newBinaryClient builds one fclient over the sweep's replica list.
-func newBinaryClient(cfg config) (*fclient.Client, error) {
-	return fclient.New(fclient.Config{Addrs: cfg.binAddrs, RequestTimeout: 10 * time.Second})
-}
-
-// rttFloorBinary measures the wire-protocol transport floor: EpochReq
-// round trips through the same client stack the sweep uses.
-func rttFloorBinary(addrs []string) (median, p99 float64, err error) {
-	fc, err := fclient.New(fclient.Config{Addrs: addrs})
-	if err != nil {
-		return 0, 0, err
-	}
-	defer fc.Close()
-	const probes = 200
-	samples := make([]float64, 0, probes)
-	for i := 0; i < probes; i++ {
-		start := time.Now()
-		if _, _, err := fc.Epoch(); err != nil {
-			return 0, 0, fmt.Errorf("epoch probe: %w", err)
+// Binary sends one batched RouteSet through an fclient the requester
+// owns over the replica list.
+func newRequester(client *http.Client, cfg config) (requester, func(), error) {
+	if cfg.Proto == "binary" {
+		fc, err := fclient.New(fclient.Config{Addrs: cfg.binAddrs, RequestTimeout: 10 * time.Second})
+		if err != nil {
+			return nil, nil, err
 		}
-		samples = append(samples, float64(time.Since(start).Microseconds()))
+		return func(pairs [][2]uint32) (float64, bool, uint64) {
+			start := time.Now()
+			rs, err := fc.RouteSet("", pairs)
+			us := float64(time.Since(start).Microseconds())
+			if err != nil {
+				return us, false, 0
+			}
+			return us, true, rs.Epoch
+		}, func() { fc.Close() }, nil
 	}
-	sort.Float64s(samples)
-	return samples[len(samples)/2], bucketizedP99(samples), nil
+	return func(pairs [][2]uint32) (float64, bool, uint64) {
+		start := time.Now()
+		resp, err := client.Get(fmt.Sprintf("%s/v1/route?src=%d&dst=%d", cfg.Addr, pairs[0][0], pairs[0][1]))
+		us := float64(time.Since(start).Microseconds())
+		if err != nil {
+			return us, false, 0
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return us, resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusServiceUnavailable, 0
+	}, func() {}, nil
 }
 
-// oneBinaryRequest fires one batched RouteSet for random pairs and
-// reports its RTT, success, and the response epoch (0 on failure).
-func oneBinaryRequest(fc *fclient.Client, rng *rand.Rand, hosts, batch int, pairs [][2]uint32) (float64, bool, uint64) {
+// drawPairs fills pairs with batch random src/dst pairs.
+func drawPairs(pairs [][2]uint32, rng *rand.Rand, hosts, batch int) [][2]uint32 {
 	pairs = pairs[:0]
 	for i := 0; i < batch; i++ {
 		pairs = append(pairs, [2]uint32{uint32(rng.Intn(hosts)), uint32(rng.Intn(hosts))})
 	}
-	start := time.Now()
-	rs, err := fc.RouteSet("", pairs)
-	us := float64(time.Since(start).Microseconds())
-	if err != nil {
-		return us, false, 0
-	}
-	return us, true, rs.Epoch
+	return pairs
 }
 
-// closedLevelBinary is the closed loop over the wire protocol: one
-// persistent fclient per worker, back-to-back batched RouteSets.
-func closedLevelBinary(cfg config, workers, hosts int) (schema.LoadLevel, error) {
+// closedLevel runs `workers` goroutines back-to-back for the window,
+// each with its own requester and seeded pair stream: offered load
+// equals capacity at this concurrency.
+func closedLevel(client *http.Client, cfg config, workers, hosts int) (schema.LoadLevel, error) {
 	col := &collector{}
 	warmupEnd := time.Now().Add(cfg.Warmup)
 	deadline := warmupEnd.Add(cfg.Duration)
-	clients := make([]*fclient.Client, workers)
-	for w := range clients {
-		fc, err := newBinaryClient(cfg)
+	reqs := make([]requester, workers)
+	for w := range reqs {
+		req, release, err := newRequester(client, cfg)
 		if err != nil {
 			return schema.LoadLevel{}, err
 		}
-		clients[w] = fc
-		defer fc.Close()
+		defer release() // when the level ends
+		reqs[w] = req
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -494,137 +481,10 @@ func closedLevelBinary(cfg config, workers, hosts int) (schema.LoadLevel, error)
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(w)))
 			pairs := make([][2]uint32, 0, cfg.Batch)
 			for time.Now().Before(deadline) {
-				us, ok, epoch := oneBinaryRequest(clients[w], rng, hosts, cfg.Batch, pairs)
+				pairs = drawPairs(pairs, rng, hosts, cfg.Batch)
+				us, ok, epoch := reqs[w](pairs)
 				if time.Now().After(warmupEnd) {
-					col.record(us, ok)
-					if ok {
-						col.epoch(epoch)
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	lvl := summarize(col, cfg.Duration)
-	lvl.Mode = "closed"
-	lvl.Concurrency = workers
-	return lvl, nil
-}
-
-// openLevelBinary offers a fixed RouteSet rate on a ticker, drawing
-// clients from a free list so at most Outstanding are ever alive.
-func openLevelBinary(cfg config, rps float64, hosts int) (schema.LoadLevel, error) {
-	interval := time.Duration(float64(time.Second) / rps)
-	if interval <= 0 {
-		return schema.LoadLevel{}, fmt.Errorf("rate %.0f/s too fast to tick", rps)
-	}
-	col := &collector{}
-	sem := make(chan struct{}, cfg.Outstanding)
-	free := make(chan *fclient.Client, cfg.Outstanding)
-	var created []*fclient.Client
-	var createdMu sync.Mutex
-	getClient := func() (*fclient.Client, error) {
-		select {
-		case fc := <-free:
-			return fc, nil
-		default:
-			fc, err := newBinaryClient(cfg)
-			if err != nil {
-				return nil, err
-			}
-			createdMu.Lock()
-			created = append(created, fc)
-			createdMu.Unlock()
-			return fc, nil
-		}
-	}
-	defer func() {
-		for _, fc := range created {
-			fc.Close()
-		}
-	}()
-	rngMu := sync.Mutex{}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	drawPairs := func(batch int) [][2]uint32 {
-		rngMu.Lock()
-		defer rngMu.Unlock()
-		pairs := make([][2]uint32, batch)
-		for i := range pairs {
-			pairs[i] = [2]uint32{uint32(rng.Intn(hosts)), uint32(rng.Intn(hosts))}
-		}
-		return pairs
-	}
-
-	var shed int64
-	var wg sync.WaitGroup
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	warmupEnd := time.Now().Add(cfg.Warmup)
-	deadline := warmupEnd.Add(cfg.Duration)
-	for now := range ticker.C {
-		if now.After(deadline) {
-			break
-		}
-		select {
-		case sem <- struct{}{}:
-		default:
-			if now.After(warmupEnd) {
-				shed++
-			}
-			continue
-		}
-		fc, err := getClient()
-		if err != nil {
-			<-sem
-			return schema.LoadLevel{}, err
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			pairs := drawPairs(cfg.Batch)
-			start := time.Now()
-			rs, err := fc.RouteSet("", pairs)
-			us := float64(time.Since(start).Microseconds())
-			if start.After(warmupEnd) {
-				col.record(us, err == nil)
-				if err == nil {
-					col.epoch(rs.Epoch)
-				}
-			}
-			free <- fc
-		}()
-	}
-	wg.Wait()
-	lvl := summarize(col, cfg.Duration)
-	lvl.Mode = "open"
-	lvl.OfferedRPS = rps
-	lvl.Shed = shed
-	if cfg.Duration > 0 {
-		lvl.ShedRPS = float64(shed) / cfg.Duration.Seconds()
-	}
-	return lvl, nil
-}
-
-// closedLevel runs `workers` goroutines back-to-back for the window:
-// offered load equals capacity at this concurrency.
-func closedLevel(client *http.Client, cfg config, workers, hosts int) (schema.LoadLevel, error) {
-	if cfg.Proto == "binary" {
-		return closedLevelBinary(cfg, workers, hosts)
-	}
-	col := &collector{}
-	warmupEnd := time.Now().Add(cfg.Warmup)
-	deadline := warmupEnd.Add(cfg.Duration)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(w)))
-			for time.Now().Before(deadline) {
-				us, ok := oneRequest(client, cfg.Addr, rng, hosts)
-				if time.Now().After(warmupEnd) {
-					col.record(us, ok)
+					col.record(us, ok, epoch)
 				}
 			}
 		}(w)
@@ -638,24 +498,18 @@ func closedLevel(client *http.Client, cfg config, workers, hosts int) (schema.Lo
 
 // openLevel offers a fixed rate on a ticker regardless of completions,
 // shedding ticks when the outstanding cap is hit — the saturation
-// signal a closed loop cannot produce.
+// signal a closed loop cannot produce. Requesters come from a free list,
+// so at most Outstanding are ever alive.
 func openLevel(client *http.Client, cfg config, rps float64, hosts int) (schema.LoadLevel, error) {
-	if cfg.Proto == "binary" {
-		return openLevelBinary(cfg, rps, hosts)
-	}
 	interval := time.Duration(float64(time.Second) / rps)
 	if interval <= 0 {
 		return schema.LoadLevel{}, fmt.Errorf("rate %.0f/s too fast to tick", rps)
 	}
 	col := &collector{}
 	sem := make(chan struct{}, cfg.Outstanding)
-	rngMu := sync.Mutex{}
+	free := make(chan requester, cfg.Outstanding)
+	var rngMu sync.Mutex
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	pair := func() (int, int) {
-		rngMu.Lock()
-		defer rngMu.Unlock()
-		return rng.Intn(hosts), rng.Intn(hosts)
-	}
 
 	var shed int64
 	var wg sync.WaitGroup
@@ -675,23 +529,31 @@ func openLevel(client *http.Client, cfg config, rps float64, hosts int) (schema.
 			}
 			continue
 		}
+		var req requester
+		select {
+		case req = <-free:
+		default:
+			r, release, err := newRequester(client, cfg)
+			if err != nil {
+				<-sem
+				return schema.LoadLevel{}, err
+			}
+			defer release() // when the level ends, not per tick
+			req = r
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			src, dst := pair()
+			rngMu.Lock()
+			pairs := drawPairs(make([][2]uint32, 0, cfg.Batch), rng, hosts, cfg.Batch)
+			rngMu.Unlock()
 			start := time.Now()
-			resp, err := client.Get(fmt.Sprintf("%s/v1/route?src=%d&dst=%d", cfg.Addr, src, dst))
-			us := float64(time.Since(start).Microseconds())
-			ok := false
-			if err == nil {
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				ok = resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusServiceUnavailable
-			}
+			us, ok, epoch := req(pairs)
 			if start.After(warmupEnd) {
-				col.record(us, ok)
+				col.record(us, ok, epoch)
 			}
+			free <- req
 		}()
 	}
 	wg.Wait()
@@ -699,9 +561,7 @@ func openLevel(client *http.Client, cfg config, rps float64, hosts int) (schema.
 	lvl.Mode = "open"
 	lvl.OfferedRPS = rps
 	lvl.Shed = shed
-	if cfg.Duration > 0 {
-		lvl.ShedRPS = float64(shed) / cfg.Duration.Seconds()
-	}
+	lvl.ShedRPS = float64(shed) / cfg.Duration.Seconds()
 	return lvl, nil
 }
 

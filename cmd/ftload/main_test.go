@@ -9,10 +9,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strings"
 	"testing"
 	"time"
 
 	"fattree/internal/bakeoff"
+	"fattree/internal/cli/clitest"
 	"fattree/internal/des"
 	"fattree/internal/fmgr"
 	"fattree/internal/netsim"
@@ -249,12 +251,42 @@ func TestSweepBadInputs(t *testing.T) {
 	if _, err := sweep(config{Mode: "sideways"}, io.Discard); err == nil {
 		t.Fatal("bad mode accepted")
 	}
+	// Each refused before any request: the address is never dialed.
+	ok := config{Addr: "http://127.0.0.1:1", Mode: "open", Levels: "100", Duration: time.Second, Outstanding: 1}
+	for _, tc := range []struct {
+		name string
+		edit func(*config)
+		want string
+	}{
+		{"negative in-flight cap", func(c *config) { c.Outstanding = -1 }, "max-outstanding -1"},
+		{"zero in-flight cap", func(c *config) { c.Outstanding = 0 }, "max-outstanding 0"},
+		{"fractional workers", func(c *config) { c.Mode, c.Levels = "closed", "0.5" }, "bad level 0.5"},
+		{"empty window", func(c *config) { c.Duration = 0 }, "duration 0s"},
+	} {
+		cfg := ok
+		tc.edit(&cfg)
+		if _, err := sweep(cfg, io.Discard); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want it to mention %q", tc.name, err, tc.want)
+		}
+	}
 	if _, err := parseLevels(""); err == nil {
 		t.Fatal("empty ladder accepted")
 	}
 	if _, err := parseLevels("4,-1"); err == nil {
 		t.Fatal("negative level accepted")
 	}
+}
+
+// TestGolden covers the paths that end before a sweep measures
+// anything; sweeps themselves are wall-clock and tested above.
+func TestGolden(t *testing.T) {
+	clitest.Run(t, "ftload", setup, []clitest.Case{
+		{Name: "bad-flag", Args: []string{"-nope"}, Exit: 2, Stderr: "flag provided but not defined: -nope"},
+		{Name: "bad-mode", Args: []string{"-mode", "sideways"}, Exit: 1, Stderr: `ftload: unknown mode "sideways" (want closed or open)`},
+		{Name: "bad-proto", Args: []string{"-proto", "carrier-pigeon"}, Exit: 1, Stderr: `ftload: unknown protocol "carrier-pigeon" (want json or binary)`},
+		{Name: "bad-levels", Args: []string{"-levels", "4,x"}, Exit: 1, Stderr: `ftload: bad level "x" (want a positive number)`},
+		{Name: "unreachable", Args: []string{"-addr", "http://127.0.0.1:1"}, Exit: 1, Stderr: `ftload: Get "http://127.0.0.1:1/v1/order"`},
+	})
 }
 
 func TestHistDelta(t *testing.T) {

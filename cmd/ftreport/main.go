@@ -119,7 +119,7 @@ func setupBlame(a *cli.App) func(io.Writer) error {
 		if err != nil {
 			return err
 		}
-		rep, err := report.BuildBlame(tb.Router, o, seq)
+		rep, err := report.BuildBlame(tb.Compiled, o, seq)
 		if err != nil {
 			return err
 		}

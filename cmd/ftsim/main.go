@@ -93,7 +93,7 @@ func run(w, stderr io.Writer, spec, engName, cpsName, ordering string, seed, byt
 		stop := p.Report(stderr, progress, "ftsim")
 		defer stop()
 	}
-	job, err := mpi.NewJob(tb.Router, o)
+	job, err := mpi.NewJob(tb.Compiled, o)
 	if err != nil {
 		return err
 	}
@@ -101,7 +101,7 @@ func run(w, stderr io.Writer, spec, engName, cpsName, ordering string, seed, byt
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "%s / %s / %s / %s on %s\n", seq.Name(), tb.Router.Label(), o.Label, mode, t.Spec)
+	fmt.Fprintf(w, "%s / %s / %s / %s on %s\n", seq.Name(), tb.Compiled.Label(), o.Label, mode, t.Spec)
 	fmt.Fprintf(w, "  stages: %d  messages: %d  bytes: %d\n", seq.NumStages(), st.MessagesDelivered, st.BytesDelivered)
 	fmt.Fprintf(w, "  makespan: %.3f ms  events: %d\n", float64(st.Duration)/float64(des.Millisecond), st.Events)
 	fmt.Fprintf(w, "  aggregate BW: %.1f MB/s  normalized: %.3f\n",

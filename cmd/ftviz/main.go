@@ -69,7 +69,7 @@ func run(w io.Writer, spec string, dot, fig1 bool, shift int, ordering string, s
 	}
 	opts := viz.DOTOptions{RankPerLevel: true}
 	if pairs != nil {
-		a := hsd.NewAnalyzer(tb.Router)
+		a := hsd.NewAnalyzer(tb.Compiled)
 		if _, err := a.Stage(pairs); err != nil {
 			return err
 		}

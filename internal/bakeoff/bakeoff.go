@@ -190,7 +190,7 @@ func simQueueDepth(tb *engine.Tables, seq cps.Sequence, cfg Config) (int64, erro
 	reg := obs.NewRegistry()
 	sc := netsim.DefaultConfig()
 	sc.Metrics = reg
-	nw, err := netsim.New(tb.Router, sc)
+	nw, err := netsim.New(tb.Compiled, sc)
 	if err != nil {
 		return 0, err
 	}

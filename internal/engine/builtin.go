@@ -75,7 +75,7 @@ func healthyTables(rt route.Router) (*Tables, error) {
 		return nil, err
 	}
 	lft, _ := rt.(*route.LFT)
-	return &Tables{Router: c, LFT: lft, Compiled: c}, nil
+	return &Tables{LFT: lft, Compiled: c}, nil
 }
 
 // faultedTables assembles the Tables every engine serves for a faulted
@@ -89,7 +89,6 @@ func faultedTables(rt route.Router, lft *route.LFT, unroutable []int) (*Tables, 
 		return nil, err
 	}
 	return &Tables{
-		Router:      c,
 		LFT:         lft,
 		Compiled:    c,
 		Unroutable:  unroutable,

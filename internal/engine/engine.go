@@ -44,15 +44,13 @@ type Options struct {
 // Tables is one engine's routing product for one fault state of the
 // fabric. Everything is immutable once returned.
 type Tables struct {
-	// Router serves path walks; never nil, compiled whenever possible so
-	// analysis iterates packed arenas.
-	Router route.Router
 	// LFT is the destination-based forwarding-table realization — what a
 	// subnet manager would program into switches. Nil for engines that
 	// cannot be expressed as one (s-mod-k is source-based).
 	LFT *route.LFT
 	// Compiled is the packed path arena over the routing, with pairs the
-	// fault state leaves unservable recorded as broken.
+	// fault state leaves unservable recorded as broken. Never nil: every
+	// walk, analysis and routing label goes through it.
 	Compiled *route.Compiled
 	// Unroutable lists hosts that lost every uplink, ascending.
 	Unroutable []int

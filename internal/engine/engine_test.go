@@ -167,7 +167,7 @@ func TestHealthyCatalog324(t *testing.T) {
 			if name == "smodk" {
 				checks = withoutThm2(t)
 			}
-			rep := invariant.Run(&invariant.Instance{Topo: tp, Router: tb.Router}, checks)
+			rep := invariant.Run(&invariant.Instance{Topo: tp, Router: tb.Compiled}, checks)
 			if !rep.Pass {
 				t.Fatalf("catalog failed: %v", rep.FailedNames())
 			}
@@ -189,7 +189,7 @@ func TestHealthyShiftHSDOne(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := hsd.AnalyzeParallel(tb.Router, o, cps.Shift(tp.NumHosts()), 0)
+		rep, err := hsd.AnalyzeParallel(tb.Compiled, o, cps.Shift(tp.NumHosts()), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,8 +222,8 @@ func TestNodetypeRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "nodetype-lb[3 types]"; tb.Router.Label() != want {
-		t.Errorf("label = %q, want %q", tb.Router.Label(), want)
+	if want := "nodetype-lb[3 types]"; tb.Compiled.Label() != want {
+		t.Errorf("label = %q, want %q", tb.Compiled.Label(), want)
 	}
 	// Multi-type spreading trades the global Theorem-2 uniqueness and
 	// the all-types contention-freedom theorem for per-type balance, so
@@ -233,7 +233,7 @@ func TestNodetypeRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := invariant.Run(&invariant.Instance{Topo: tp, Router: tb.Router}, checks)
+	rep := invariant.Run(&invariant.Instance{Topo: tp, Router: tb.Compiled}, checks)
 	if !rep.Pass {
 		t.Fatalf("multi-type routing checks failed: %v", rep.FailedNames())
 	}
@@ -299,7 +299,7 @@ func faultedCatalog(t *testing.T, tp *topo.Topology, tb *Tables, fs *fabric.Faul
 	}
 	rep := invariant.Run(&invariant.Instance{
 		Topo:       tp,
-		Router:     tb.Router,
+		Router:     tb.Compiled,
 		Unroutable: func(j int) bool { return unset[j] },
 		Alive:      fs.Alive,
 	}, nil)
@@ -663,7 +663,7 @@ func (e *brokenTestEngine) Tables(fs *fabric.FaultSet) (*Tables, error) {
 	lft := route.DModK(e.t)
 	lft.Name = "broken-test"
 	lft.SetOutPort(e.t.ByLevel[1][0], 0, topo.None)
-	return &Tables{Router: lft, LFT: lft}, nil
+	return &Tables{LFT: lft}, nil
 }
 
 func init() {
@@ -685,7 +685,7 @@ func TestBrokenEngineFailsCatalog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := invariant.Run(&invariant.Instance{Topo: tp, Router: tb.Router}, nil)
+	rep := invariant.Run(&invariant.Instance{Topo: tp, Router: tb.LFT}, nil)
 	if rep.Pass {
 		t.Fatal("catalog passed a deliberately broken engine")
 	}

@@ -22,7 +22,7 @@ func engineRouter(tp *topo.Topology) (route.Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	return tb.Router, nil
+	return tb.Compiled, nil
 }
 
 // engineLFT returns the selected engine's forwarding tables. Experiments

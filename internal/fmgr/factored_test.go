@@ -37,7 +37,7 @@ func orderedPairs(hosts []int) [][2]uint32 {
 // at a time through PackedPath into the message AppendFrame encodes —
 // what the serving path must equal without ever building it.
 func pairListResp(epoch uint64, engName string, tb *engine.Tables, pairs [][2]uint32) (*wire.RouteSetResp, error) {
-	resp := &wire.RouteSetResp{Epoch: epoch, Engine: engName, Routing: tb.Router.Label()}
+	resp := &wire.RouteSetResp{Epoch: epoch, Engine: engName, Routing: tb.Compiled.Label()}
 	for _, p := range pairs {
 		pr := wire.PairRoute{Src: p[0], Dst: p[1]}
 		if !tb.Compiled.Broken(int(p[0]), int(p[1])) {

@@ -44,9 +44,8 @@ import (
 // field is frozen at build time; readers must not mutate anything
 // reachable from it. Epoch increases by one per swap.
 type FabricState struct {
-	Epoch  uint64
-	Topo   *topo.Topology
-	Subnet *fabric.Subnet
+	Epoch uint64
+	Topo  *topo.Topology
 	// LFT is the current (re)routed forwarding tables (nil for engines
 	// with no forwarding-table realization, like s-mod-k); Paths the
 	// lenient-compiled arena over the routing (broken pairs recorded,
@@ -169,18 +168,18 @@ func (st *FabricState) JobEngine(id sched.JobID) string {
 }
 
 // tables resolves an engine name against this snapshot ("" = the active
-// engine) for both serving protocols: the resolved name, that engine's
-// compiled arena and its router's label. !ok means the epoch carries no
-// tables under the name.
-func (st *FabricState) tables(name string) (engName string, paths *route.Compiled, routing string, ok bool) {
+// engine) for both serving protocols: the resolved name and that
+// engine's compiled arena, whose Label names the routing. !ok means the
+// epoch carries no tables under the name.
+func (st *FabricState) tables(name string) (engName string, paths *route.Compiled, ok bool) {
 	if name == "" {
 		name = st.Engine
 	}
 	tb, ok := st.ByEngine[name]
 	if !ok {
-		return name, nil, "", false
+		return name, nil, false
 	}
-	return name, tb.Compiled, tb.Router.Label(), true
+	return name, tb.Compiled, true
 }
 
 // pairState is what a snapshot makes of one requested src->dst pair.
@@ -318,7 +317,6 @@ type event struct {
 type Manager struct {
 	cfg    Config
 	t      *topo.Topology
-	subnet *fabric.Subnet
 	faults *fabric.FaultSet
 	alloc  *sched.Allocator // nil when the topology is not an RLFT
 	orderv *order.Ordering
@@ -394,7 +392,6 @@ func New(cfg Config) (*Manager, error) {
 	m := &Manager{
 		cfg:    cfg,
 		t:      cfg.Topo,
-		subnet: fabric.NewSubnet(cfg.Topo),
 		faults: fabric.NewFaultSet(cfg.Topo),
 		orderv: order.Topology(cfg.Topo.NumHosts(), nil),
 		clk:    newWallClock(),
@@ -1057,11 +1054,10 @@ func (m *Manager) assemble(epoch uint64, tables *fabricTables, prev *FabricState
 	st := &FabricState{
 		Epoch:       epoch,
 		Topo:        m.t,
-		Subnet:      m.subnet,
 		LFT:         active.LFT,
 		Paths:       active.Compiled,
 		Engine:      m.cfg.Engine,
-		Routing:     active.Router.Label(),
+		Routing:     active.Compiled.Label(),
 		ByEngine:    tables.byEngine,
 		JobEngines:  make(map[sched.JobID]string, len(m.jobEngines)),
 		Ordering:    m.orderv,
@@ -1120,7 +1116,7 @@ func factorRouteSet(epoch uint64, engName string, tb *engine.Tables, hosts []int
 func factorCells[E route.Cell](epoch uint64, engName string, tb *engine.Tables, cells []E, hosts []int) *wire.RouteSetFactored {
 	c, n := tb.Compiled, len(hosts)
 	fabricHosts, stride := c.Topology().NumHosts(), c.Stride()
-	m := &wire.RouteSetFactored{Epoch: epoch, Engine: engName, Routing: tb.Router.Label(),
+	m := &wire.RouteSetFactored{Epoch: epoch, Engine: engName, Routing: tb.Compiled.Label(),
 		Stride: uint32(stride), Hosts: make([]wire.FactoredHost, n), TailOff: []uint32{0}}
 	local := map[int]uint32{} // arena row -> its index in the message, by first use
 	for i, h := range hosts {

@@ -236,7 +236,7 @@ func (m *Manager) handleRoute(w http.ResponseWriter, r *http.Request) {
 	// ?engine= selects any engine with tables in this snapshot (the
 	// active one plus every engine a live job requested); the default is
 	// the active engine.
-	engName, paths, routing, ok := st.tables(r.URL.Query().Get("engine"))
+	engName, paths, ok := st.tables(r.URL.Query().Get("engine"))
 	if !ok {
 		sp.TagStr("outcome", "bad_request")
 		names := make([]string, 0, len(st.ByEngine))
@@ -250,7 +250,7 @@ func (m *Manager) handleRoute(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	doc := RouteDoc{Schema: schema.Route, Epoch: st.Epoch, Engine: engName, Routing: routing, Src: src, Dst: dst, Hops: []HopDoc{}}
+	doc := RouteDoc{Schema: schema.Route, Epoch: st.Epoch, Engine: engName, Routing: paths.Label(), Src: src, Dst: dst, Hops: []HopDoc{}}
 	c = sp.Child("lookup")
 	if status := pairStatus(paths, n, src, dst); status != pairServed {
 		c.End()

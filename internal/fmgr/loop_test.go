@@ -440,7 +440,7 @@ func digest(t *testing.T, st *FabricState) (string, map[sched.JobID]uint64) {
 	n := st.Topo.NumHosts()
 	for _, name := range engines {
 		tb := st.ByEngine[name]
-		fmt.Fprintf(&b, "engine %s %s unroutable %v broken %d\n", name, tb.Router.Label(), tb.Unroutable, tb.BrokenPairs)
+		fmt.Fprintf(&b, "engine %s %s unroutable %v broken %d\n", name, tb.Compiled.Label(), tb.Unroutable, tb.BrokenPairs)
 		for s := 0; s < n; s++ {
 			for d := 0; d < n; d++ {
 				if s != d {

@@ -125,7 +125,7 @@ func (m *Manager) wireRouteSet(dst []byte, st *FabricState, req *wire.RouteSetRe
 	if len(req.Pairs) > MaxWirePairs {
 		return refuse(wire.CodeBadRequest, 400, "%d pairs exceed the %d per-request cap", len(req.Pairs), MaxWirePairs)
 	}
-	engName, paths, routing, ok := st.tables(req.Engine)
+	engName, paths, ok := st.tables(req.Engine)
 	if !ok {
 		return refuse(wire.CodeNotFound, 404, "engine %q has no tables in epoch %d", engName, st.Epoch)
 	}
@@ -141,7 +141,7 @@ func (m *Manager) wireRouteSet(dst []byte, st *FabricState, req *wire.RouteSetRe
 	if paths.Stride() > wire.MaxStride {
 		return refuse(wire.CodeInternal, 500, "engine %q paths run to %d hops, past what a pair record carries", engName, paths.Stride()+1)
 	}
-	out := wire.BeginRouteSet(dst, st.Epoch, engName, routing, len(req.Pairs))
+	out := wire.BeginRouteSet(dst, st.Epoch, engName, paths.Label(), len(req.Pairs))
 	if paths.Wide() {
 		out = appendPairs(out, paths, paths.Cells32(), req.Pairs)
 	} else {
