@@ -29,9 +29,10 @@ test:
 # second goroutine while a run is live (TestProbeSnapshotWhileRunning)
 # and hands its progress sink to a reporter goroutine (TestProgressSink);
 # ./internal/route and ./internal/hsd hammer one shared path arena from
-# many goroutines.
+# many goroutines; ./internal/par and ./internal/mpi run independent
+# items and simulations on one worker pool.
 race:
-	$(GO) test -race ./internal/route/ ./internal/hsd/ ./internal/netsim/ ./internal/exp/ ./internal/obs/... ./internal/fmgr/... ./internal/fclient/ ./internal/wire/
+	$(GO) test -race ./internal/par/ ./internal/mpi/ ./internal/route/ ./internal/hsd/ ./internal/netsim/ ./internal/exp/ ./internal/obs/... ./internal/fmgr/... ./internal/fclient/ ./internal/wire/
 
 # Non-test Go lines of cmd/ and per internal package, over the four
 # packages on the fault path and over the command layer — the numbers a

@@ -64,17 +64,21 @@ func BufferAblation(o BufferOpts) (*Table, error) {
 		Title:  fmt.Sprintf("Ablation: input-buffer depth vs normalized BW, Shift, %d nodes, %d KiB", n, o.Bytes>>10),
 		Header: []string{"buffer packets", "ordered BW", "random BW", "random max link util"},
 	}
-	for _, b := range o.Buffers {
-		cfg := netsim.DefaultConfig()
-		cfg.BufferPackets = b
-		g, err := goodJob.Simulate(shift, o.Bytes, false, simConfig(cfg))
-		if err != nil {
-			return nil, err
+	cfgs := make([]netsim.Config, len(o.Buffers))
+	var cases []mpi.Case
+	for i, b := range o.Buffers {
+		cfgs[i] = netsim.DefaultConfig()
+		cfgs[i].BufferPackets = b
+		for _, job := range []*mpi.Job{goodJob, badJob} {
+			cases = append(cases, mpi.Case{Job: job, Seq: shift, Bytes: o.Bytes, Mode: mpi.Async, Config: simConfig(cfgs[i])})
 		}
-		r, err := badJob.Simulate(shift, o.Bytes, false, simConfig(cfg))
-		if err != nil {
-			return nil, err
-		}
+	}
+	sts, err := mpi.SimulateAll(cases)
+	if err != nil {
+		return nil, err
+	}
+	for i, b := range o.Buffers {
+		cfg, g, r := cfgs[i], sts[2*i], sts[2*i+1]
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(b),
 			f3(goodJob.NormalizedBandwidth(g, cfg)),

@@ -69,19 +69,23 @@ func ContentionFree(o CFOpts) (*Table, error) {
 		Title:  fmt.Sprintf("Section VII: contention-free configuration, %d nodes", n),
 		Header: []string{"sequence", "avg max HSD", "normalized BW", "worst stage slowdown", "mean msg latency"},
 	}
-	for _, seq := range []cps.Sequence{shift, ta} {
+	seqs := []cps.Sequence{shift, ta}
+	var cases []mpi.Case
+	for _, seq := range seqs {
+		for _, mode := range []mpi.Mode{mpi.Async, mpi.Barrier} {
+			cases = append(cases, mpi.Case{Job: job, Seq: seq, Bytes: o.Bytes, Mode: mode, Config: simConfig(o.Config)})
+		}
+	}
+	sts, err := mpi.SimulateAll(cases)
+	if err != nil {
+		return nil, err
+	}
+	for i, seq := range seqs {
 		rep, err := job.Analyze(seq)
 		if err != nil {
 			return nil, err
 		}
-		st, err := job.Simulate(seq, o.Bytes, false, simConfig(o.Config))
-		if err != nil {
-			return nil, err
-		}
-		syncSt, err := job.Simulate(seq, o.Bytes, true, simConfig(o.Config))
-		if err != nil {
-			return nil, err
-		}
+		st, syncSt := sts[2*i], sts[2*i+1]
 		worst := des.Time(0)
 		for _, d := range syncSt.StageDurations {
 			if d > worst {

@@ -64,15 +64,18 @@ func Figure2(o Figure2Opts) (*Table, error) {
 		Title:  fmt.Sprintf("Figure 2: normalized BW vs message size, %d nodes, random order", n),
 		Header: []string{"message bytes", "shift norm BW", "recursive-doubling norm BW"},
 	}
+	var cases []mpi.Case
 	for _, size := range o.Sizes {
-		sShift, err := job.Simulate(shift, size, false, simConfig(o.Config))
-		if err != nil {
-			return nil, err
+		for _, seq := range []cps.Sequence{shift, recdbl} {
+			cases = append(cases, mpi.Case{Job: job, Seq: seq, Bytes: size, Mode: mpi.Async, Config: simConfig(o.Config)})
 		}
-		sRD, err := job.Simulate(recdbl, size, false, simConfig(o.Config))
-		if err != nil {
-			return nil, err
-		}
+	}
+	sts, err := mpi.SimulateAll(cases)
+	if err != nil {
+		return nil, err
+	}
+	for i, size := range o.Sizes {
+		sShift, sRD := sts[2*i], sts[2*i+1]
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(size),
 			f3(job.NormalizedBandwidth(sShift, o.Config)),

@@ -55,15 +55,18 @@ func CollectiveLatency(o LatencyOpts) (*Table, error) {
 			flat.NumStages(), ta.NumStages(), n),
 		Header: []string{"message bytes", "flat RD us", "topo-aware us", "winner"},
 	}
+	var cases []mpi.Case
 	for _, size := range o.Sizes {
-		fs, err := job.Simulate(flat, size, true, simConfig(cfg))
-		if err != nil {
-			return nil, err
+		for _, seq := range []cps.Sequence{flat, ta} {
+			cases = append(cases, mpi.Case{Job: job, Seq: seq, Bytes: size, Mode: mpi.Barrier, Config: simConfig(cfg)})
 		}
-		ts, err := job.Simulate(ta, size, true, simConfig(cfg))
-		if err != nil {
-			return nil, err
-		}
+	}
+	sts, err := mpi.SimulateAll(cases)
+	if err != nil {
+		return nil, err
+	}
+	for i, size := range o.Sizes {
+		fs, ts := sts[2*i], sts[2*i+1]
 		winner := "topo-aware"
 		if fs.Duration < ts.Duration {
 			winner = "flat"

@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"testing"
 
 	"fattree/internal/des"
@@ -77,6 +78,65 @@ func TestInstrumentPreservesResults(t *testing.T) {
 	}
 	if tracer.Events() == 0 {
 		t.Error("instrumented runs produced no trace events")
+	}
+}
+
+// TestBatchObserversRunOneWorker pins mpi.SimulateAll's one-worker rule
+// from the experiment side: with a tracer, a probe sampler and a progress
+// sink attached, a Figure 2 batch writes exactly the bytes (and counts
+// exactly the events) it writes when only one core is available.
+func TestBatchObserversRunOneWorker(t *testing.T) {
+	if Instrument != nil {
+		t.Fatal("Instrument already set")
+	}
+	type sinks struct {
+		table, trace, probes []byte
+		progress             netsim.ProgressSnapshot
+	}
+	run := func(procs int) sinks {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		var table, trace, probes bytes.Buffer
+		tracer := obs.NewTracer(&trace)
+		sampler := obs.NewSampler(&probes, 5*des.Microsecond)
+		progress := &netsim.Progress{}
+		Instrument = func(cfg *netsim.Config) {
+			cfg.Trace = tracer
+			cfg.Probes = sampler
+			cfg.Progress = progress
+		}
+		defer func() { Instrument = nil }()
+		tab, err := Figure2(Figure2Opts{
+			Cluster: topo.Cluster128, Sizes: []int64{8 << 10, 32 << 10},
+			ShiftStages: 2, Seed: 1, Config: netsim.DefaultConfig(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tab.Render(&table); err != nil {
+			t.Fatal(err)
+		}
+		if err := tracer.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := sampler.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return sinks{table.Bytes(), trace.Bytes(), probes.Bytes(), progress.Snapshot()}
+	}
+	one, many := run(1), run(4)
+	if len(one.trace) == 0 || len(one.probes) == 0 || one.progress.Total == 0 {
+		t.Fatalf("a sink stayed empty: %d trace bytes, %d probe bytes, %+v", len(one.trace), len(one.probes), one.progress)
+	}
+	for _, c := range []struct {
+		name      string
+		one, many []byte
+	}{{"table", one.table, many.table}, {"trace", one.trace, many.trace}, {"probes", one.probes, many.probes}} {
+		if !bytes.Equal(c.one, c.many) {
+			t.Errorf("%s: %d bytes on one core, %d on four, contents differ", c.name, len(c.one), len(c.many))
+		}
+	}
+	if one.progress != many.progress {
+		t.Errorf("progress %+v on one core, %+v on four", one.progress, many.progress)
 	}
 }
 

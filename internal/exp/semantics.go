@@ -60,21 +60,29 @@ func SemanticsComparison(o SemanticsOpts) (*Table, error) {
 		ord  *order.Ordering
 		seq  cps.Sequence
 	}
-	for _, row := range []cfgRow{
+	rows := []cfgRow{
 		{"topo-aware RD + topology order", order.Topology(n, nil), seq},
 		{"flat RD + topology order", order.Topology(n, nil), flat},
 		{"flat RD + random order", order.Random(n, nil, o.Seed), flat},
-	} {
+	}
+	modes := []mpi.Mode{mpi.Async, mpi.Dependent, mpi.Barrier}
+	var cases []mpi.Case
+	for _, row := range rows {
 		job, err := mpi.NewJob(lft, row.ord)
 		if err != nil {
 			return nil, err
 		}
+		for _, mode := range modes {
+			cases = append(cases, mpi.Case{Job: job, Seq: row.seq, Bytes: o.Bytes, Mode: mode, Config: simConfig(cfg)})
+		}
+	}
+	sts, err := mpi.SimulateAll(cases)
+	if err != nil {
+		return nil, err
+	}
+	for i, row := range rows {
 		cells := []string{row.name}
-		for _, mode := range []mpi.Mode{mpi.Async, mpi.Dependent, mpi.Barrier} {
-			st, err := job.SimulateMode(row.seq, o.Bytes, mode, simConfig(cfg))
-			if err != nil {
-				return nil, err
-			}
+		for _, st := range sts[i*len(modes) : (i+1)*len(modes)] {
 			cells = append(cells, fmt.Sprintf("%.3f", float64(st.Duration)/float64(des.Millisecond)))
 		}
 		t.Rows = append(t.Rows, cells)

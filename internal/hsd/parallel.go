@@ -2,49 +2,16 @@ package hsd
 
 import (
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"fattree/internal/cps"
 	"fattree/internal/order"
+	"fattree/internal/par"
 	"fattree/internal/route"
 )
 
-// fanOut runs do(0..n-1) over a pool of at most workers goroutines
-// (<= 0 uses GOMAXPROCS), each with its own analyzer over rt — items are
-// independent, so the per-link counting parallelizes embarrassingly. It
-// returns the first error, after which no new item is started.
-func fanOut(rt route.Router, n, workers int, do func(a *Analyzer, i int) error) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var (
-		wg       sync.WaitGroup
-		next     atomic.Int64 // items handed out so far
-		errOnce  sync.Once
-		firstErr error
-	)
-	for w := 0; w < min(workers, n); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			a := NewAnalyzer(rt)
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				if err := do(a, i); err != nil {
-					errOnce.Do(func() { firstErr = err })
-					next.Store(int64(n))
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
-}
-
 // AnalyzeParallel is Analyze with the stages fanned out over a worker
-// pool; results land in a pre-sized slice, so no ordering coordination is
-// needed. workers <= 0 uses GOMAXPROCS. The router must be safe for
+// pool, one analyzer per worker; results land in a pre-sized slice, so no
+// ordering coordination is needed. workers <= 0 uses GOMAXPROCS. The router must be safe for
 // concurrent Walk calls (LFTs and S-Mod-K are; the adaptive router
 // serializes internally).
 func AnalyzeParallel(rt route.Router, o *order.Ordering, seq cps.Sequence, workers int) (*Report, error) {
@@ -57,7 +24,7 @@ func AnalyzeParallel(rt route.Router, o *order.Ordering, seq cps.Sequence, worke
 		Routing:  rt.Label(),
 		Stages:   make([]StageResult, seq.NumStages()),
 	}
-	err := fanOut(rt, len(rep.Stages), workers, func(a *Analyzer, s int) (err error) {
+	err := par.Do(len(rep.Stages), workers, func() *Analyzer { return NewAnalyzer(rt) }, func(a *Analyzer, s int) (err error) {
 		rep.Stages[s], err = a.stageRanks(seq.Stage(s), o, false)
 		return err
 	})
@@ -94,7 +61,7 @@ func SweepOrderingsParallel(rt route.Router, orders []*order.Ordering, seq cps.S
 	split := max(1, min((workers+len(orders)-1)/len(orders), len(stages)))
 	type tally struct{ sum, stages int }
 	parts := make([]tally, len(orders)*split)
-	err := fanOut(rt, len(parts), workers, func(a *Analyzer, i int) error {
+	err := par.Do(len(parts), workers, func() *Analyzer { return NewAnalyzer(rt) }, func(a *Analyzer, i int) error {
 		var t tally
 		lo, hi := i%split*len(stages)/split, (i%split+1)*len(stages)/split
 		for _, st := range stages[lo:hi] {

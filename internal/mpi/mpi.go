@@ -8,12 +8,12 @@ package mpi
 
 import (
 	"fmt"
-	"sync"
 
 	"fattree/internal/cps"
 	"fattree/internal/hsd"
 	"fattree/internal/netsim"
 	"fattree/internal/order"
+	"fattree/internal/par"
 	"fattree/internal/route"
 	"fattree/internal/topo"
 )
@@ -24,15 +24,6 @@ type Job struct {
 	Topo  *topo.Topology
 	Route route.Router
 	Order *order.Ordering
-
-	// Simulator cache: repeated SimulateMode calls with the same plain
-	// config (no writers or observers attached) check the same Network
-	// out and back in, so sweeps reuse its arenas instead of rebuilding
-	// channel and path state per call. Guarded by mu; concurrent
-	// simulations simply build a fresh instance.
-	mu     sync.Mutex
-	simNW  *netsim.Network
-	simCfg netsim.Config
 }
 
 // NewJob validates the cross-references between the pieces.
@@ -134,22 +125,69 @@ func (j *Job) Simulate(seq cps.Sequence, bytes int64, sync bool, cfg netsim.Conf
 	return j.SimulateMode(seq, bytes, mode, cfg)
 }
 
-// SimulateMode runs the sequence under the chosen progression semantics.
+// SimulateMode runs the sequence under the chosen progression semantics,
+// on a Network of its own: a Job holds no simulator between calls.
 func (j *Job) SimulateMode(seq cps.Sequence, bytes int64, mode Mode, cfg netsim.Config) (netsim.Stats, error) {
+	return Case{Job: j, Seq: seq, Bytes: bytes, Mode: mode, Config: cfg}.run()
+}
+
+// Case is one simulation of a SimulateAll batch: a sequence of Bytes-sized
+// messages on a job, under a progression mode and a calibration.
+type Case struct {
+	Job    *Job
+	Seq    cps.Sequence
+	Bytes  int64
+	Mode   Mode
+	Config netsim.Config
+}
+
+// SimulateAll runs independent simulations, each on a Network of its own,
+// and returns their Stats in input order. The cases may span jobs. They
+// run on GOMAXPROCS workers, except that a batch where any case attaches
+// a writer or an observer (flow log, metrics, probes, link probes,
+// progress, trace), or routes through a route.Adaptive (one shared RNG),
+// runs on one worker in input order: shared sinks and draws then see
+// exactly what a loop of SimulateMode calls would give them. Once a case
+// fails no further case starts, and the error is that of the
+// lowest-index failed case among those that ran.
+func SimulateAll(cases []Case) ([]netsim.Stats, error) {
+	return simulateAll(cases, 0)
+}
+
+// simulateAll is SimulateAll on at most workers goroutines (<= 0 uses
+// GOMAXPROCS).
+func simulateAll(cases []Case, workers int) ([]netsim.Stats, error) {
+	for _, c := range cases {
+		if _, adaptive := c.Job.Route.(*route.Adaptive); adaptive || !plainConfig(c.Config) {
+			workers = 1
+			break
+		}
+	}
+	out := make([]netsim.Stats, len(cases))
+	err := par.Do[struct{}](len(cases), workers, nil, func(_ struct{}, i int) (err error) {
+		out[i], err = cases[i].run()
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// run simulates one case on a fresh Network.
+func (c Case) run() (netsim.Stats, error) {
+	cfg := c.Config
 	if cfg.Trace != nil && cfg.TraceLabel == "" {
 		// Name the trace's collective-phase lane after the sequence so
 		// a Perfetto view says which CPS the stage markers belong to.
-		cfg.TraceLabel = seq.Name()
+		cfg.TraceLabel = c.Seq.Name()
 	}
-	nw, cacheable, err := j.checkoutNetwork(cfg)
+	nw, err := netsim.New(c.Job.Route, cfg)
 	if err != nil {
 		return netsim.Stats{}, err
 	}
-	if cacheable {
-		defer j.checkinNetwork(nw, cfg)
-	}
-	stages := j.AllMessages(seq, bytes)
-	switch mode {
+	stages := c.Job.AllMessages(c.Seq, c.Bytes)
+	switch c.Mode {
 	case Barrier:
 		return nw.RunStages(stages)
 	case Dependent:
@@ -164,39 +202,10 @@ func (j *Job) SimulateMode(seq cps.Sequence, bytes int64, mode Mode, cfg netsim.
 }
 
 // plainConfig reports whether cfg carries no writer or observer
-// attachments — the precondition for Network reuse (and for comparing
-// configs with ==, which would panic on exotic io.Writer types).
+// attachments, the precondition for running cases side by side.
 func plainConfig(cfg netsim.Config) bool {
 	return cfg.FlowLog == nil && cfg.Metrics == nil && cfg.Probes == nil &&
 		cfg.Trace == nil && cfg.LinkProbes == nil && cfg.Progress == nil
-}
-
-// checkoutNetwork returns a simulator for cfg, reusing the cached one
-// when its config matches. cacheable reports whether the caller should
-// hand it back via checkinNetwork.
-func (j *Job) checkoutNetwork(cfg netsim.Config) (nw *netsim.Network, cacheable bool, err error) {
-	if !plainConfig(cfg) {
-		nw, err = netsim.New(j.Route, cfg)
-		return nw, false, err
-	}
-	j.mu.Lock()
-	if j.simNW != nil && j.simCfg == cfg {
-		nw = j.simNW
-		j.simNW = nil
-	}
-	j.mu.Unlock()
-	if nw != nil {
-		return nw, true, nil
-	}
-	nw, err = netsim.New(j.Route, cfg)
-	return nw, err == nil, err
-}
-
-// checkinNetwork returns a checked-out simulator to the cache.
-func (j *Job) checkinNetwork(nw *netsim.Network, cfg netsim.Config) {
-	j.mu.Lock()
-	j.simNW, j.simCfg = nw, cfg
-	j.mu.Unlock()
 }
 
 // NormalizedBandwidth scales an aggregate bandwidth to the job's ideal

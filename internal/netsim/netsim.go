@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -114,17 +115,25 @@ func DefaultConfig() Config {
 }
 
 func (c Config) validate() error {
-	if c.LinkBandwidth <= 0 || c.HostBandwidth <= 0 {
-		return fmt.Errorf("netsim: non-positive bandwidth")
+	for _, bw := range []float64{c.LinkBandwidth, c.HostBandwidth} {
+		// Written so NaN fails too.
+		if !(bw > 0 && bw <= math.MaxFloat64) {
+			return fmt.Errorf("netsim: bandwidth %g is not a positive finite rate", bw)
+		}
 	}
-	if c.MTU < 1 {
-		return fmt.Errorf("netsim: MTU must be at least 1 byte")
+	if c.MTU < 1 || c.MTU > math.MaxInt32 {
+		return fmt.Errorf("netsim: MTU %d outside [1, %d] bytes", c.MTU, math.MaxInt32)
 	}
-	if c.BufferPackets < 1 {
-		return fmt.Errorf("netsim: need at least one buffer slot per port")
+	if c.BufferPackets < 1 || c.BufferPackets > math.MaxInt32 {
+		return fmt.Errorf("netsim: %d buffer slots per port outside [1, %d]", c.BufferPackets, math.MaxInt32)
 	}
-	if c.LinkLatency < 0 || c.SwitchLatency < 0 {
-		return fmt.Errorf("netsim: negative latency")
+	// Event times are int64 picoseconds; hops of at most a second keep
+	// every sum of delays far from overflow.
+	if slowest := min(c.LinkBandwidth, c.HostBandwidth); float64(c.MTU) > slowest {
+		return fmt.Errorf("netsim: one %d-byte MTU takes over 1 s to serialize at %g bytes/s", c.MTU, slowest)
+	}
+	if c.LinkLatency < 0 || c.SwitchLatency < 0 || c.LinkLatency > des.Second || c.SwitchLatency > des.Second {
+		return fmt.Errorf("netsim: latencies %d ps and %d ps outside [0, 1 s]", c.LinkLatency, c.SwitchLatency)
 	}
 	return nil
 }
@@ -606,10 +615,14 @@ func (nw *Network) load(msgs []Message) error {
 				return err
 			}
 		}
-		pkts := int32((m.Bytes + int64(nw.cfg.MTU) - 1) / int64(nw.cfg.MTU))
+		pkts := (m.Bytes-1)/int64(nw.cfg.MTU) + 1
+		if pkts > math.MaxInt32 {
+			return fmt.Errorf("netsim: message %d->%d of %d bytes needs %d packets of %d bytes, more than %d",
+				m.Src, m.Dst, m.Bytes, pkts, nw.cfg.MTU, math.MaxInt32)
+		}
 		id := int32(len(nw.msgs))
 		nw.msgs = append(nw.msgs, message{
-			Message: m, pathOff: off, pathLen: n, packets: pkts, stage: -1,
+			Message: m, pathOff: off, pathLen: n, packets: int32(pkts), stage: -1,
 		})
 		nw.hosts[m.Src].queue.items = append(nw.hosts[m.Src].queue.items, id)
 		nw.remaining++

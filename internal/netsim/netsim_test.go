@@ -3,6 +3,7 @@ package netsim
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -290,6 +291,16 @@ func TestInputValidation(t *testing.T) {
 			t.Errorf("accepted %v", bad)
 		}
 	}
+	// 2^32+3 one-byte packets: the count must not wrap to 3 in int32.
+	cfg := DefaultConfig()
+	cfg.MTU = 1
+	tiny, err := New(lft, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := tiny.Run([]Message{{Src: 0, Dst: 1, Bytes: 1<<32 + 3}}); err == nil {
+		t.Errorf("2^32+3 bytes at MTU 1 accepted: %d bytes delivered", st.BytesDelivered)
+	}
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -301,6 +312,17 @@ func TestConfigValidation(t *testing.T) {
 		func() Config { c := DefaultConfig(); c.MTU = 0; return c }(),
 		func() Config { c := DefaultConfig(); c.BufferPackets = 0; return c }(),
 		func() Config { c := DefaultConfig(); c.LinkLatency = -1; return c }(),
+		// Each of these used to be accepted and then mishandled: a panic,
+		// a wrapped counter or a run that "completed" in no time.
+		func() Config { c := DefaultConfig(); c.MTU = 1 << 31; return c }(),
+		func() Config { c := DefaultConfig(); c.LinkBandwidth = math.NaN(); return c }(),
+		func() Config { c := DefaultConfig(); c.HostBandwidth = math.NaN(); return c }(),
+		func() Config { c := DefaultConfig(); c.LinkBandwidth = math.Inf(1); return c }(),
+		func() Config { c := DefaultConfig(); c.HostBandwidth = math.Inf(1); return c }(),
+		func() Config { c := DefaultConfig(); c.BufferPackets = 1 << 32; return c }(),
+		func() Config { c := DefaultConfig(); c.LinkLatency = math.MaxInt64 / 2; return c }(),
+		func() Config { c := DefaultConfig(); c.SwitchLatency = math.MaxInt64 / 2; return c }(),
+		func() Config { c := DefaultConfig(); c.MTU = math.MaxInt32; c.HostBandwidth = 1e6; return c }(),
 	}
 	for i, cfg := range bad {
 		if _, err := New(lft, cfg); err == nil {
