@@ -35,8 +35,9 @@ race:
 	$(GO) test -race ./internal/par/ ./internal/mpi/ ./internal/route/ ./internal/hsd/ ./internal/netsim/ ./internal/exp/ ./internal/obs/... ./internal/fmgr/... ./internal/fclient/ ./internal/wire/
 
 # Non-test Go lines of cmd/ and per internal package, over the four
-# packages on the fault path and over the command layer — the numbers a
-# net-negative PR quotes before and after.
+# packages on the fault path, over the command layer and over the whole
+# tree outside bench/ — the numbers a net-negative PR quotes before and
+# after.
 loc:
 	@for d in cmd/ internal/*/; do \
 		printf '%6d %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)" "$$d"; \
@@ -45,6 +46,8 @@ loc:
 		"$$(find internal/route internal/engine internal/fabric internal/fmgr -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@printf '%6d cmd + internal/{cli,exp,hsd,fmgr,bakeoff}\n' \
 		"$$(find cmd internal/cli internal/exp internal/hsd internal/fmgr internal/bakeoff -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@printf '%6d all non-test Go outside bench/\n' \
+		"$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.*' | xargs cat | wc -l)"
 
 # Re-record every command's testdata/*.golden from the current build
 # (docs/TESTING.md "Command goldens"); review the diff before committing.
@@ -112,10 +115,12 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseLFTs -fuzztime=$(FUZZTIME) ./internal/fabric/
 
 # The invariant-harness fuzzers (docs/TESTING.md): topology file parser,
-# fabric JSON document, fault-injection -> lenient-compile pipeline,
+# the test-side readers of the fabric's table dump and JSON document,
+# fault-injection -> lenient-compile pipeline,
 # binary wire-protocol decoder, patched route-set expansion.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseTopologyFile -fuzztime=$(FUZZTIME) ./internal/topo/
+	$(GO) test -fuzz=FuzzParseLFTs -fuzztime=$(FUZZTIME) ./internal/fabric/
 	$(GO) test -fuzz=FuzzDoc -fuzztime=$(FUZZTIME) ./internal/fabric/
 	$(GO) test -fuzz=FuzzFaultCompileLenient -fuzztime=$(FUZZTIME) ./internal/invariant/
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=$(FUZZTIME) ./internal/wire/

@@ -33,6 +33,10 @@ func TestGolden(t *testing.T) {
 		{Name: "drop-all", Args: rlft("-drop", "32"), Exit: 1, Stderr: "cannot -drop 32 of 32 end-ports"},
 		{Name: "bad-cps", Args: rlft("-cps", "nope"), Exit: 1, Stderr: `fthsd: mpi: unknown CPS kind "nope"`},
 		{Name: "bad-order", Args: rlft("-order", "nope"), Exit: 1, Stderr: `fthsd: unknown ordering "nope"`},
+		// -seeds 0 used to print a sweep of no orderings (mean HSD 0.000),
+		// a result no fabric can produce.
+		{Name: "zero-seeds", Args: rlft("-order", "random", "-seeds", "0"), Exit: 1, Stderr: "fthsd: -seeds 0: want at least one random ordering"},
+		{Name: "negative-seeds", Args: rlft("-order", "random", "-seeds", "-2"), Exit: 1, Stderr: "fthsd: -seeds -2: want at least one random ordering"},
 		{Name: "json-sweep", Args: rlft("-order", "random", "-seeds", "2", "-json"), Exit: 1, Stderr: "fthsd: -json needs a single ordering; use -seeds 1"},
 		{Name: "adversarial-drop", Args: []string{"-topo", "324", "-order", "adversarial", "-drop", "18"}, Exit: 1, Stderr: "fthsd: adversarial ordering supports full population only"},
 	})

@@ -62,6 +62,9 @@ func run(w, stderr io.Writer, spec, engName, cpsName, ordering string, seed, byt
 	default:
 		return fmt.Errorf("unknown mode %q", modeName)
 	}
+	if sample < 0 {
+		return fmt.Errorf("-sample %d: want 0 (all stages) or a positive stage count", sample)
+	}
 	t, err := cli.BuildTopo(spec)
 	if err != nil {
 		return err

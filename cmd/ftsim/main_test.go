@@ -19,5 +19,7 @@ func TestGolden(t *testing.T) {
 		{Name: "bad-mode", Args: rlft("-mode", "nope"), Exit: 1, Stderr: `ftsim: unknown mode "nope"`},
 		{Name: "bad-order", Args: rlft("-order", "nope"), Exit: 1, Stderr: `ftsim: unknown ordering "nope"`},
 		{Name: "bad-cps", Args: rlft("-cps", "nope"), Exit: 1, Stderr: `ftsim: mpi: unknown CPS kind "nope"`},
+		// A negative -sample used to simulate the whole sequence silently.
+		{Name: "negative-sample", Args: rlft("-sample", "-3"), Exit: 1, Stderr: "ftsim: -sample -3: want 0 (all stages) or a positive stage count"},
 	})
 }

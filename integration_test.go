@@ -88,19 +88,20 @@ func TestPipelineFromSpecString(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := job.Size()
-	sel, err := mpi.SelectAlgorithm(mpi.MVAPICH, "alltoall", n, 1<<20)
+	// A large-message alltoall is a pairwise exchange: the Shift CPS.
+	seq, err := mpi.NewSequence(mpi.CPSShift, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := job.Analyze(sel.Sequence)
+	rep, err := job.Analyze(seq)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.ContentionFree() {
-		t.Fatalf("alltoall (%s) HSD = %d on %v", sel.Use.Algorithm, rep.MaxHSD(), g)
+		t.Fatalf("alltoall (pairwise exchange) HSD = %d on %v", rep.MaxHSD(), g)
 	}
 	cfg := netsim.DefaultConfig()
-	st, err := job.Simulate(sel.Sequence, 64<<10, false, cfg)
+	st, err := job.Simulate(seq, 64<<10, false, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

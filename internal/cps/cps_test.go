@@ -13,7 +13,6 @@ func allSequences(n int) []Sequence {
 		Ring(n),
 		RingAllgather(n),
 		Binomial(n),
-		BinomialReduce(n),
 		Dissemination(n),
 		Tournament(n),
 		RecursiveDoubling(n),
@@ -174,27 +173,6 @@ func TestBinomialCoversBroadcast(t *testing.T) {
 	for _, n := range jobSizes {
 		if !CoversBroadcast(Binomial(n), 0) {
 			t.Errorf("binomial(%d) does not reach every rank", n)
-		}
-	}
-}
-
-func TestBinomialReduceMirrors(t *testing.T) {
-	n := 21
-	f := Binomial(n)
-	r := BinomialReduce(n)
-	if f.NumStages() != r.NumStages() {
-		t.Fatalf("stage count mismatch %d vs %d", f.NumStages(), r.NumStages())
-	}
-	last := r.NumStages() - 1
-	for st := 0; st <= last; st++ {
-		fs, rs := f.Stage(st), r.Stage(last-st)
-		if len(fs) != len(rs) {
-			t.Fatalf("stage %d sizes %d vs %d", st, len(fs), len(rs))
-		}
-		for i := range fs {
-			if fs[i].Src != rs[i].Dst || fs[i].Dst != rs[i].Src {
-				t.Errorf("stage %d pair %d: %v not mirror of %v", st, i, rs[i], fs[i])
-			}
 		}
 	}
 }

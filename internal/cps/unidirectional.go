@@ -88,33 +88,17 @@ func (s *RingSeq) Stage(int) Stage {
 }
 
 // BinomialSeq is the Binomial CPS: stage s has n_i -> n_{i+2^s} for
-// 0 <= i < 2^s with i+2^s < N. Broadcast runs it forward; reduce runs the
-// mirrored direction (set reduce=true).
-type BinomialSeq struct {
-	n      int
-	reduce bool
-}
+// 0 <= i < 2^s with i+2^s < N, the broadcast direction.
+type BinomialSeq struct{ n int }
 
 // Binomial returns the broadcast-direction Binomial CPS.
 func Binomial(n int) *BinomialSeq {
 	checkSize("binomial", n)
-	return &BinomialSeq{n, false}
-}
-
-// BinomialReduce returns the reduce-direction Binomial CPS (arrows
-// reversed, stages in reverse order).
-func BinomialReduce(n int) *BinomialSeq {
-	checkSize("binomial", n)
-	return &BinomialSeq{n, true}
+	return &BinomialSeq{n}
 }
 
 // Name implements Sequence.
-func (s *BinomialSeq) Name() string {
-	if s.reduce {
-		return "binomial-reduce"
-	}
-	return "binomial"
-}
+func (s *BinomialSeq) Name() string { return "binomial" }
 
 // Size implements Sequence.
 func (s *BinomialSeq) Size() int { return s.n }
@@ -127,17 +111,10 @@ func (s *BinomialSeq) Bidirectional() bool { return false }
 
 // Stage implements Sequence.
 func (s *BinomialSeq) Stage(st int) Stage {
-	if s.reduce {
-		st = s.NumStages() - 1 - st
-	}
 	d := 1 << st
 	var out Stage
 	for i := 0; i < d && i+d < s.n; i++ {
-		if s.reduce {
-			out = append(out, Pair{int32(i + d), int32(i)})
-		} else {
-			out = append(out, Pair{int32(i), int32(i + d)})
-		}
+		out = append(out, Pair{int32(i), int32(i + d)})
 	}
 	return out
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
 
 	"fattree/internal/topo"
 )
@@ -17,8 +15,6 @@ import (
 //	Unicast lids [0x1-0x1c8] of switch Lid 0x145 guid 0xfa55000100000000 (L1:0):
 //	0x0001 019 : (host L0:0)
 //	...
-//
-// and a parser that reads the dump back for diffing two subnet states.
 
 // WriteLFTs dumps every switch's LID-keyed table.
 func (st *SwitchTables) WriteLFTs(w io.Writer) error {
@@ -45,99 +41,4 @@ func (st *SwitchTables) WriteLFTs(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ParsedLFTs is the egress map recovered from a dump: switch LID ->
-// destination LID -> physical port.
-type ParsedLFTs map[LID]map[LID]int16
-
-// ParseLFTs reads a WriteLFTs dump.
-func ParseLFTs(r io.Reader) (ParsedLFTs, error) {
-	out := make(ParsedLFTs)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
-	var cur map[LID]int16
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "Unicast lids") {
-			// ... of switch Lid 0x145 guid ...
-			fields := strings.Fields(line)
-			lidIdx := -1
-			for i, f := range fields {
-				if f == "Lid" && i+1 < len(fields) {
-					lidIdx = i + 1
-					break
-				}
-			}
-			if lidIdx < 0 {
-				return nil, fmt.Errorf("fabric: line %d: malformed switch header", lineNo)
-			}
-			v, err := strconv.ParseUint(strings.TrimPrefix(fields[lidIdx], "0x"), 16, 16)
-			if err != nil {
-				return nil, fmt.Errorf("fabric: line %d: bad switch lid: %v", lineNo, err)
-			}
-			cur = make(map[LID]int16)
-			out[LID(v)] = cur
-			continue
-		}
-		if cur == nil {
-			return nil, fmt.Errorf("fabric: line %d: entry before switch header", lineNo)
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("fabric: line %d: malformed entry", lineNo)
-		}
-		lid, err := strconv.ParseUint(strings.TrimPrefix(fields[0], "0x"), 16, 16)
-		if err != nil {
-			return nil, fmt.Errorf("fabric: line %d: bad lid: %v", lineNo, err)
-		}
-		port, err := strconv.ParseInt(fields[1], 10, 16)
-		if err != nil {
-			return nil, fmt.Errorf("fabric: line %d: bad port: %v", lineNo, err)
-		}
-		cur[LID(lid)] = int16(port)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DiffLFTs compares two parsed dumps and returns a list of human-readable
-// differences (missing switches, missing entries, port mismatches).
-func DiffLFTs(a, b ParsedLFTs) []string {
-	var diffs []string
-	for sw, ta := range a {
-		tb, ok := b[sw]
-		if !ok {
-			diffs = append(diffs, fmt.Sprintf("switch 0x%x only in first dump", sw))
-			continue
-		}
-		for lid, pa := range ta {
-			pb, ok := tb[lid]
-			switch {
-			case !ok:
-				diffs = append(diffs, fmt.Sprintf("switch 0x%x lid 0x%x only in first dump", sw, lid))
-			case pa != pb:
-				diffs = append(diffs, fmt.Sprintf("switch 0x%x lid 0x%x: port %d vs %d", sw, lid, pa, pb))
-			}
-		}
-		for lid := range tb {
-			if _, ok := ta[lid]; !ok {
-				diffs = append(diffs, fmt.Sprintf("switch 0x%x lid 0x%x only in second dump", sw, lid))
-			}
-		}
-	}
-	for sw := range b {
-		if _, ok := a[sw]; !ok {
-			diffs = append(diffs, fmt.Sprintf("switch 0x%x only in second dump", sw))
-		}
-	}
-	sort.Strings(diffs)
-	return diffs
 }

@@ -320,32 +320,11 @@ func Analyze(rt route.Router, o *order.Ordering, seq cps.Sequence) (*Report, err
 	return analyze(rt, o, seq, false)
 }
 
-// AnalyzeHostPairs runs explicit end-port stages (no rank translation),
-// used for raw traffic patterns like the adversarial Ring.
-func AnalyzeHostPairs(rt route.Router, name string, stages [][][2]int) (*Report, error) {
-	a := NewAnalyzer(rt)
-	rep := &Report{Sequence: name, Ordering: "explicit", Routing: rt.Label()}
-	for _, st := range stages {
-		sr, err := a.Stage(st)
-		if err != nil {
-			return nil, err
-		}
-		rep.Stages = append(rep.Stages, sr)
-	}
-	return rep, nil
-}
-
 // Sweep summarizes AvgMaxHSD over several orderings (the paper's 25
 // random seeds): mean, min and max of the per-ordering averages.
 type Sweep struct {
 	Mean, Min, Max float64
 	Samples        int
-}
-
-// SweepOrderings analyzes the sequence under each ordering and aggregates
-// the per-ordering AvgMaxHSD values, on the calling goroutine's one core.
-func SweepOrderings(rt route.Router, orders []*order.Ordering, seq cps.Sequence) (Sweep, error) {
-	return SweepOrderingsParallel(rt, orders, seq, 1)
 }
 
 // LevelLoads summarizes the current per-link counters (after the last

@@ -47,7 +47,7 @@ func TestUnidirectionalCPSContentionFree(t *testing.T) {
 	o := order.Topology(n, nil)
 	for _, seq := range []cps.Sequence{
 		cps.Ring(n), cps.RingAllgather(n), cps.Binomial(n),
-		cps.BinomialReduce(n), cps.Dissemination(n), cps.Tournament(n),
+		cps.Dissemination(n), cps.Tournament(n),
 	} {
 		rep, err := Analyze(lft, o, seq)
 		if err != nil {
@@ -227,7 +227,7 @@ func TestSweepOrderings(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		orders = append(orders, order.Random(n, nil, seed))
 	}
-	sw, err := SweepOrderings(lft, orders, cps.Ring(n))
+	sw, err := SweepOrderingsParallel(lft, orders, cps.Ring(n), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestSweepOrderings(t *testing.T) {
 	if sw.Mean <= 1.0 {
 		t.Errorf("random ring mean HSD = %v, expected > 1", sw.Mean)
 	}
-	empty, err := SweepOrderings(lft, nil, cps.Ring(n))
+	empty, err := SweepOrderingsParallel(lft, nil, cps.Ring(n), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,15 +260,15 @@ func TestAnalyzeSizeMismatch(t *testing.T) {
 	}
 }
 
-func TestAnalyzeHostPairsSelfFlowsSkipped(t *testing.T) {
+func TestStageSelfFlowsSkipped(t *testing.T) {
 	tp := topo.MustBuild(topo.Cluster128)
 	lft := route.DModK(tp)
-	rep, err := AnalyzeHostPairs(lft, "self", [][][2]int{{{3, 3}, {1, 2}}})
+	sr, err := NewAnalyzer(lft).Stage([][2]int{{3, 3}, {1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Stages[0].MaxHSD != 1 {
-		t.Errorf("max HSD = %d, want 1", rep.Stages[0].MaxHSD)
+	if sr.MaxHSD != 1 {
+		t.Errorf("max HSD = %d, want 1", sr.MaxHSD)
 	}
 }
 

@@ -84,7 +84,7 @@ func TestSweepOrderingsParallelMatchesSequential(t *testing.T) {
 		orders = append(orders, order.Random(n, nil, seed))
 	}
 	seq := cps.Dissemination(n)
-	want, err := SweepOrderings(lft, orders, seq)
+	want, err := SweepOrderingsParallel(lft, orders, seq, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,10 @@
 package mpi
 
 import (
-	"fmt"
 	"sort"
+	"testing"
 
 	"fattree/internal/cps"
-	"fattree/internal/topo"
 )
 
 // This file encodes the paper's Table 1: the survey of MVAPICH and
@@ -32,21 +31,6 @@ type SizeClass string
 const (
 	SmallMessages SizeClass = "small"
 	LargeMessages SizeClass = "large"
-)
-
-// CPSKind names the eight sequences of Table 2.
-type CPSKind string
-
-// The eight collective permutation sequences.
-const (
-	CPSShift             CPSKind = "shift"
-	CPSRing              CPSKind = "ring"
-	CPSBinomial          CPSKind = "binomial"
-	CPSDissemination     CPSKind = "dissemination"
-	CPSTournament        CPSKind = "tournament"
-	CPSRecursiveDoubling CPSKind = "recursive-doubling"
-	CPSRecursiveHalving  CPSKind = "recursive-halving"
-	CPSTopoAware         CPSKind = "topo-aware-recursive-doubling"
 )
 
 // Unidirectional reports the Table 2 classification of the CPS kind.
@@ -131,57 +115,72 @@ func UsesOf(collective string) []AlgorithmUse {
 	return out
 }
 
-// NewSequence instantiates a CPS kind for a job size. The topo-aware
-// kind needs a tree shape; use NewTopoAwareSequence for it.
-func NewSequence(kind CPSKind, n int) (cps.Sequence, error) {
-	switch kind {
-	case CPSShift:
-		return cps.Shift(n), nil
-	case CPSRing:
-		return cps.RingAllgather(n), nil
-	case CPSBinomial:
-		return cps.Binomial(n), nil
-	case CPSDissemination:
-		return cps.Dissemination(n), nil
-	case CPSTournament:
-		return cps.Tournament(n), nil
-	case CPSRecursiveDoubling:
-		return cps.RecursiveDoubling(n), nil
-	case CPSRecursiveHalving:
-		return cps.RecursiveHalving(n), nil
-	case CPSTopoAware:
-		return nil, fmt.Errorf("mpi: %s needs a tree shape; use NewTopoAwareSequence", kind)
-	default:
-		return nil, fmt.Errorf("mpi: unknown CPS kind %q", kind)
+func TestCatalogEncodesTable1(t *testing.T) {
+	kinds := CPSKinds()
+	// Table 1 uses 7 of the 8 Table 2 CPS directly (the topo-aware one
+	// is this paper's contribution, not in the survey).
+	if len(kinds) != 7 {
+		t.Fatalf("distinct CPS kinds = %d (%v), want 7", len(kinds), kinds)
+	}
+	// At least 18 algorithm entries across the two libraries.
+	if len(Catalog) < 18 {
+		t.Errorf("catalogue has %d rows, want >= 18", len(Catalog))
+	}
+	libs := map[Library]bool{}
+	for _, u := range Catalog {
+		libs[u.Library] = true
+	}
+	if !libs[MVAPICH] || !libs[OpenMPI] {
+		t.Error("catalogue must cover both MVAPICH and OpenMPI")
 	}
 }
 
-// SequenceByName resolves a CPS kind name, or "topo-aware" for short,
-// for a job on the active hosts of tree g (nil = fully populated). sample > 0 keeps
-// that many evenly spaced stages of a longer sequence (SampleEvenly).
-func SequenceByName(name string, g topo.PGFT, active []int, sample int) (cps.Sequence, error) {
-	var seq cps.Sequence
-	var err error
-	if name == "topo-aware" || CPSKind(name) == CPSTopoAware {
-		seq, err = NewTopoAwareSequence(g.M, active)
-	} else {
-		n := g.NumHosts()
-		if active != nil {
-			n = len(active)
+func TestCatalogInstantiable(t *testing.T) {
+	// Every catalogue row must instantiate and validate for pow2 and
+	// (where allowed) non-pow2 sizes.
+	for _, u := range Catalog {
+		sizes := []int{16}
+		if !u.Pow2Only {
+			sizes = append(sizes, 18)
 		}
-		seq, err = NewSequence(CPSKind(name), n)
+		for _, n := range sizes {
+			seq, err := NewSequence(u.CPS, n)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", u.Collective, u.Algorithm, err)
+			}
+			if err := cps.Validate(seq); err != nil {
+				t.Errorf("%s/%s n=%d: %v", u.Collective, u.Algorithm, n, err)
+			}
+		}
 	}
-	if err != nil {
-		return nil, err
-	}
-	return SampleEvenly(seq, sample)
 }
 
-// NewTopoAwareSequence instantiates the Section VI sequence for the
-// active hosts of a tree shape (active == nil means fully populated).
-func NewTopoAwareSequence(shape []int, active []int) (cps.Sequence, error) {
-	if active == nil {
-		return cps.TopoAwareRecursiveDoubling(shape)
+func TestUsesOf(t *testing.T) {
+	uses := UsesOf("allreduce")
+	if len(uses) < 3 {
+		t.Errorf("allreduce rows = %d, want >= 3", len(uses))
 	}
-	return cps.TopoAwareRecursiveDoublingPartial(shape, active)
+	for _, u := range uses {
+		if u.Collective != "allreduce" {
+			t.Errorf("stray row %+v", u)
+		}
+	}
+	if got := UsesOf("no-such-collective"); got != nil {
+		t.Errorf("unknown collective returned %v", got)
+	}
+}
+
+func TestUnidirectionalClassification(t *testing.T) {
+	uni := []CPSKind{CPSShift, CPSRing, CPSBinomial, CPSDissemination, CPSTournament}
+	bi := []CPSKind{CPSRecursiveDoubling, CPSRecursiveHalving, CPSTopoAware}
+	for _, k := range uni {
+		if !k.Unidirectional() {
+			t.Errorf("%s misclassified as bidirectional", k)
+		}
+	}
+	for _, k := range bi {
+		if k.Unidirectional() {
+			t.Errorf("%s misclassified as unidirectional", k)
+		}
+	}
 }

@@ -144,15 +144,3 @@ func ExampleCatalog() {
 	// broadcast   binomial                  binomial                       1.00         1.67
 	// allreduce   this paper (Sec. VI)      topo-aware-recursive-doubling  1.00         -
 }
-
-// Ask what algorithm a library would run, like its tuned-collectives
-// layer does.
-func ExampleSelectAlgorithm() {
-	small, _ := mpi.SelectAlgorithm(mpi.MVAPICH, "allreduce", 324, 1024)
-	large, _ := mpi.SelectAlgorithm(mpi.OpenMPI, "allreduce", 324, 1<<20)
-	fmt.Printf("mvapich small allreduce: %s (%s)\n", small.Use.Algorithm, small.Use.CPS)
-	fmt.Printf("openmpi large allreduce: %s (%s)\n", large.Use.Algorithm, large.Use.CPS)
-	// Output:
-	// mvapich small allreduce: recursive-doubling (recursive-doubling)
-	// openmpi large allreduce: ring (ring)
-}

@@ -2,8 +2,10 @@
 // job (topology + routing + node ordering) runs collectives whose
 // communication is a collective permutation sequence (Section III). The
 // package translates CPS stages into end-port traffic for the analytic
-// HSD model and the packet simulator, and encodes the paper's Table 1
-// catalogue of which MVAPICH/OpenMPI collective algorithms use which CPS.
+// HSD model and the packet simulator. The paper's Table 1 catalogue of
+// which MVAPICH/OpenMPI collective algorithms use which CPS, and the
+// data-level executors that check a sequence computes its collective,
+// are test oracles (catalog_test.go, datasim_test.go, segments_test.go).
 package mpi
 
 import (

@@ -139,9 +139,3 @@ func dModK(t *topo.Topology, rank []int, name string, naive bool) *LFT {
 	}
 	return f
 }
-
-// UpPortOf exposes the closed-form up-port rule for a level-l node and
-// destination index j on spec g (used by tests against the built tables).
-func UpPortOf(g topo.PGFT, l, j int) int {
-	return (j / g.WProd(l)) % (g.Wi(l+1) * g.Pi(l+1))
-}

@@ -9,6 +9,13 @@ import (
 	"fattree/internal/topo"
 )
 
+// UpPortOf is the closed-form up-port rule for a level-l node and
+// destination index j on spec g, the oracle the built tables are checked
+// against.
+func UpPortOf(g topo.PGFT, l, j int) int {
+	return (j / g.WProd(l)) % (g.Wi(l+1) * g.Pi(l+1))
+}
+
 func TestDModKDelivers(t *testing.T) {
 	for _, g := range []topo.PGFT{
 		topo.Cluster128,

@@ -222,10 +222,7 @@ func TestTwoAlignedJobsRunContentionFreeTogether(t *testing.T) {
 		}
 		stages = append(stages, pairs)
 	}
-	rep, err := hsd.AnalyzeHostPairs(lft, "two-job shift", stages)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := hostPairsReport(t, lft, stages)
 	if !rep.ContentionFree() {
 		t.Errorf("two aligned jobs contend: max HSD = %d", rep.MaxHSD())
 	}
@@ -272,10 +269,7 @@ func TestLeafSharingUnequalJobsContend(t *testing.T) {
 			}
 			stages = append(stages, pairs)
 		}
-		rep, err := hsd.AnalyzeHostPairs(lft, "solo", stages)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep := hostPairsReport(t, lft, stages)
 		if !rep.ContentionFree() {
 			t.Fatalf("solo job on %d..%d not contention free (HSD %d)", hosts[0], hosts[len(hosts)-1], rep.MaxHSD())
 		}
@@ -301,10 +295,7 @@ func twoJobWorstHSD(t *testing.T, lft *route.LFT, hostsA, hostsB []int) int {
 		for _, p := range shiftB.Stage(s % shiftB.NumStages()) {
 			pairs = append(pairs, [2]int{hostsB[p.Src], hostsB[p.Dst]})
 		}
-		rep, err := hsd.AnalyzeHostPairs(lft, "two-job", [][][2]int{pairs})
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep := hostPairsReport(t, lft, [][][2]int{pairs})
 		if rep.MaxHSD() > worst {
 			worst = rep.MaxHSD()
 		}
@@ -336,4 +327,20 @@ func BenchmarkSchedAllocFree(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// hostPairsReport replays explicit end-port stages (no rank
+// translation) through one analyzer.
+func hostPairsReport(t *testing.T, rt route.Router, stages [][][2]int) *hsd.Report {
+	t.Helper()
+	a := hsd.NewAnalyzer(rt)
+	rep := &hsd.Report{}
+	for _, st := range stages {
+		sr, err := a.Stage(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep.Stages = append(rep.Stages, sr)
+	}
+	return rep
 }

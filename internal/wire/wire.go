@@ -98,12 +98,12 @@ const (
 	TRouteSetFactored MsgType = 0x09
 )
 
-// Error codes carried by TError.
+// Error codes carried by TError. Code 3 is not used: an unroutable pair
+// is not an error, it travels as an unserved record.
 const (
-	CodeBadRequest  = 1 // malformed or out-of-range request
-	CodeNotFound    = 2 // unknown engine or job
-	CodeUnavailable = 3 // pair unroutable under the serving epoch
-	CodeInternal    = 4 // server-side failure
+	CodeBadRequest = 1 // malformed or out-of-range request
+	CodeNotFound   = 2 // unknown engine or job
+	CodeInternal   = 4 // server-side failure
 )
 
 // Decode errors.
