@@ -38,6 +38,9 @@ func setup(a *cli.App) func(io.Writer) error {
 	)
 	a.Profile()
 	return func(w io.Writer) error {
+		if *progress < 0 {
+			return fmt.Errorf("-progress %v: want 0 (off) or a positive interval", *progress)
+		}
 		exp.EngineName = *engName
 		if sinks.Enabled() || *progress > 0 {
 			// Attach the sinks to every simulation the experiments run;
@@ -53,7 +56,6 @@ func setup(a *cli.App) func(io.Writer) error {
 				cfg.Metrics = sinks.Registry
 				cfg.Probes = sinks.Sampler
 				cfg.Trace = sinks.Tracer
-				cfg.LinkProbes = sinks.LinkSampler
 				cfg.Progress = prog
 			}
 		}

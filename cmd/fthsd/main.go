@@ -87,6 +87,9 @@ func emitObs(rep *hsd.Report, sinks *obs.FileSinks) {
 }
 
 func run(w io.Writer, spec, engName string, seed int64, cpsName, ordering string, seeds int, drop *cli.Drop, perStage, levels, jsonOut bool, sinks *obs.FileSinks) error {
+	if sinks.ProbeEvery != 0 {
+		return fmt.Errorf("-probe-interval %v: the HSD model has no simulated clock to sample", sinks.ProbeEvery)
+	}
 	if seeds < 1 {
 		return fmt.Errorf("-seeds %d: want at least one random ordering", seeds)
 	}

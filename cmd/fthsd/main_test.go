@@ -37,6 +37,8 @@ func TestGolden(t *testing.T) {
 		// a result no fabric can produce.
 		{Name: "zero-seeds", Args: rlft("-order", "random", "-seeds", "0"), Exit: 1, Stderr: "fthsd: -seeds 0: want at least one random ordering"},
 		{Name: "negative-seeds", Args: rlft("-order", "random", "-seeds", "-2"), Exit: 1, Stderr: "fthsd: -seeds -2: want at least one random ordering"},
+		// The HSD model has no clock; the flag used to be ignored silently.
+		{Name: "probe-interval", Args: rlft("-probe-interval", "2us"), Exit: 1, Stderr: "fthsd: -probe-interval 2µs: the HSD model has no simulated clock to sample"},
 		{Name: "json-sweep", Args: rlft("-order", "random", "-seeds", "2", "-json"), Exit: 1, Stderr: "fthsd: -json needs a single ordering; use -seeds 1"},
 		{Name: "adversarial-drop", Args: []string{"-topo", "324", "-order", "adversarial", "-drop", "18"}, Exit: 1, Stderr: "fthsd: adversarial ordering supports full population only"},
 	})

@@ -342,11 +342,11 @@ func TestDocumentsRoundTrip(t *testing.T) {
 		}
 		return raw
 	}
-	// One simulation with the link sampler on: the -link-probes stream
-	// ends in the rollup.
-	var links bytes.Buffer
+	// One simulation with the probe sampler on: the -metrics stream
+	// closes the run with the rollup.
+	var probes bytes.Buffer
 	cfg := netsim.DefaultConfig()
-	cfg.LinkProbes = obs.NewSampler(&links, 5*des.Microsecond)
+	cfg.Probes = obs.NewSampler(&probes, 5*des.Microsecond)
 	nw, err := netsim.New(route.DModK(tp), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -358,7 +358,7 @@ func TestDocumentsRoundTrip(t *testing.T) {
 	if _, err := nw.Run(msgs); err != nil {
 		t.Fatal(err)
 	}
-	cfg.LinkProbes.Flush() // into a bytes.Buffer: cannot fail
+	cfg.Probes.Flush() // into a bytes.Buffer: cannot fail
 
 	for _, tc := range []struct {
 		name string
@@ -367,7 +367,7 @@ func TestDocumentsRoundTrip(t *testing.T) {
 	}{
 		{"bakeoff", enc(bakeoff.Run(bakeoff.Config{Topo: tp, Engines: []string{"dmodk", "smodk"}, Seed: 1})), new(schema.BakeoffDoc)},
 		{"events", journalAfterFault(t, tp), new(schema.EventsDoc)},
-		{"link-rollup", regexp.MustCompile(`(?m)^\{"rollup":.*$`).Find(links.Bytes()), new(schema.LinkRollup)},
+		{"link-rollup", regexp.MustCompile(`(?m)^\{"rollup":.*$`).Find(probes.Bytes()), new(schema.LinkRollup)},
 		{"load", enc(sweep(config{Addr: srv.URL, Mode: "closed", Levels: "1",
 			Duration: 50 * time.Millisecond, Warmup: 10 * time.Millisecond, Seed: 1}, io.Discard)), new(schema.LoadDoc)},
 	} {

@@ -6,12 +6,11 @@
 //
 //	ftreport html -metrics probes.jsonl -trace trace.json -o report.html
 //	    renders the simulator's probe and trace streams into one
-//	    self-contained HTML file: link-utilization heatmap, stage
-//	    timeline, sparklines and quantile tables. No external assets.
+//	    self-contained HTML file: link-utilization and queue-depth
+//	    heatmaps, the hot-links table, stage timeline, sparklines and
+//	    quantile tables. No external assets.
 //	    -load adds an ftload sweep as a p99-vs-offered-load curve;
 //	    -events adds the daemon's fabric event journal as a timeline;
-//	    -linkprobes adds the queue-depth-over-time heatmap and the
-//	    hot-links table;
 //	    -bakeoff adds an ftbakeoff engine comparison: per-fault-level
 //	    tables plus routability degradation curves.
 //
@@ -158,8 +157,6 @@ func setupHTML(a *cli.App) func(io.Writer) error {
 			}},
 		{fs.String("events", "", "fattree-events/v1 journal (from GET /v1/events)"), &opt.EventsFile,
 			func(r io.Reader) (err error) { in.Events, err = report.ParseEvents(r); return }},
-		{fs.String("linkprobes", "", "fattree-linkprobe/v1 stream (from -link-probes of ftsim)"), &opt.LinkProbesFile,
-			func(r io.Reader) (err error) { in.LinkProbes, err = report.ParseProbes(r); return }},
 		{fs.String("bakeoff", "", "fattree-bakeoff/v1 verdict (from ftbakeoff -o)"), &opt.BakeoffFile,
 			func(r io.Reader) (err error) { in.Bakeoff, err = report.ParseBakeoff(r); return }},
 	}
@@ -170,6 +167,9 @@ func setupHTML(a *cli.App) func(io.Writer) error {
 	fs.StringVar(&opt.Title, "title", "", "report title")
 	fs.IntVar(&opt.MaxHeatmapRows, "max-heatmap-rows", 64, "cap on heatmap channel rows")
 	return func(stdout io.Writer) error {
+		if opt.MaxHeatmapRows < 1 {
+			return fmt.Errorf("-max-heatmap-rows %d: want at least one row", opt.MaxHeatmapRows)
+		}
 		given := false
 		for _, row := range inputs {
 			if *row.path == "" {
@@ -199,7 +199,7 @@ func setupHTML(a *cli.App) func(io.Writer) error {
 			*row.label = strings.Join(bases, ", ")
 		}
 		if !given {
-			return fmt.Errorf("html: need at least one of -metrics, -trace, -load, -events, -linkprobes, -bakeoff")
+			return fmt.Errorf("html: need at least one of -metrics, -trace, -load, -events, -bakeoff")
 		}
 		if *stamp {
 			opt.Generated = time.Now().UTC().Format(time.RFC3339)

@@ -19,11 +19,16 @@ func TestGolden(t *testing.T) {
 		{Name: "html-no-input", Args: []string{"html"}, Exit: 1, Stderr: "ftreport: html: need at least one of -metrics"},
 		// Every input flag at once, over fixtures recorded from their real
 		// producers (ftsim -topo 128 -cps ring -order random -sample 2
-		// -bytes 8192 -probe-interval 4us -metrics/-link-probes, a daemon's
-		// journal after one fault, ftbakeoff -o, a two-level sweep).
+		// -bytes 8192 -probe-interval 4us -metrics, a daemon's journal
+		// after one fault, ftbakeoff -o, a two-level sweep).
 		{Name: "html-all-inputs", Args: []string{"html", "-metrics", "testdata/ring128.jsonl", "-trace", "testdata/trace.json",
-			"-load", "testdata/load.json", "-events", "testdata/events.json", "-linkprobes", "testdata/linkprobes.jsonl",
+			"-load", "testdata/load.json", "-events", "testdata/events.json",
 			"-bakeoff", "testdata/bakeoff.json", "-stamp=false", "-max-heatmap-rows", "8", "-o", "-"}},
+		// A row cap below one used to fall back to 64 silently.
+		{Name: "zero-heatmap-rows", Args: []string{"html", "-metrics", "testdata/probes.jsonl", "-max-heatmap-rows", "0", "-o", "-"},
+			Exit: 1, Stderr: "ftreport: -max-heatmap-rows 0: want at least one row"},
+		{Name: "negative-heatmap-rows", Args: []string{"html", "-metrics", "testdata/probes.jsonl", "-max-heatmap-rows", "-3", "-o", "-"},
+			Exit: 1, Stderr: "ftreport: -max-heatmap-rows -3: want at least one row"},
 		{Name: "no-args", Exit: 2, Stderr: "usage: ftreport <blame|html> [flags]"},
 		{Name: "bad-subcommand", Args: []string{"nope"}, Exit: 2, Stderr: `ftreport: unknown subcommand "nope"`},
 	})

@@ -8,7 +8,7 @@
 //	ftsim -topo 324 -cps ring -order adversarial -bytes 65536
 //	ftsim -topo 1944 -cps shift -order random -bytes 131072 -sample 8
 //	ftsim -topo 324 -cps ring -trace run.json -metrics run.jsonl
-//	ftsim -topo 324 -cps shift -sample 4 -progress 1s -link-probes links.jsonl
+//	ftsim -topo 324 -cps shift -sample 4 -progress 1s -metrics probes.jsonl
 package main
 
 import (
@@ -65,6 +65,9 @@ func run(w, stderr io.Writer, spec, engName, cpsName, ordering string, seed, byt
 	if sample < 0 {
 		return fmt.Errorf("-sample %d: want 0 (all stages) or a positive stage count", sample)
 	}
+	if progress < 0 {
+		return fmt.Errorf("-progress %v: want 0 (off) or a positive interval", progress)
+	}
 	t, err := cli.BuildTopo(spec)
 	if err != nil {
 		return err
@@ -89,7 +92,6 @@ func run(w, stderr io.Writer, spec, engName, cpsName, ordering string, seed, byt
 	cfg.Metrics = sinks.Registry
 	cfg.Probes = sinks.Sampler
 	cfg.Trace = sinks.Tracer
-	cfg.LinkProbes = sinks.LinkSampler
 	if progress > 0 {
 		p := &netsim.Progress{}
 		cfg.Progress = p

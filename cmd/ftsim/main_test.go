@@ -21,5 +21,9 @@ func TestGolden(t *testing.T) {
 		{Name: "bad-cps", Args: rlft("-cps", "nope"), Exit: 1, Stderr: `ftsim: mpi: unknown CPS kind "nope"`},
 		// A negative -sample used to simulate the whole sequence silently.
 		{Name: "negative-sample", Args: rlft("-sample", "-3"), Exit: 1, Stderr: "ftsim: -sample -3: want 0 (all stages) or a positive stage count"},
+		// A negative -probe-interval used to fall back to 1us silently,
+		// and a negative -progress to mean "off".
+		{Name: "negative-probe-interval", Args: rlft("-probe-interval", "-2us"), Exit: 1, Stderr: "ftsim: -probe-interval -2µs: want a positive period of simulated time"},
+		{Name: "negative-progress", Args: rlft("-progress", "-1s"), Exit: 1, Stderr: "ftsim: -progress -1s: want 0 (off) or a positive interval"},
 	})
 }

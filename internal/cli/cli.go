@@ -55,8 +55,8 @@ func (a *App) Seed(def int64, usage string) *int64 {
 	return a.Flags.Int64("seed", def, usage)
 }
 
-// Sinks registers the -trace/-metrics/-link-probes family; Main opens
-// the sinks before the body runs and closes them after.
+// Sinks registers -trace, -metrics and -probe-interval; Main opens the
+// sinks before the body runs and closes them after.
 func (a *App) Sinks() *obs.FileSinks {
 	a.sinks = &obs.FileSinks{}
 	a.sinks.RegisterFlags(a.Flags)

@@ -146,10 +146,10 @@ type Case struct {
 // SimulateAll runs independent simulations, each on a Network of its own,
 // and returns their Stats in input order. The cases may span jobs. They
 // run on GOMAXPROCS workers, except that a batch where any case attaches
-// a writer or an observer (flow log, metrics, probes, link probes,
-// progress, trace), or routes through a route.Adaptive (one shared RNG),
-// runs on one worker in input order: shared sinks and draws then see
-// exactly what a loop of SimulateMode calls would give them. Once a case
+// a writer or an observer (flow log, metrics, probes, progress, trace),
+// or routes through a route.Adaptive (one shared RNG), runs on one
+// worker in input order: shared sinks and draws then see exactly what a
+// loop of SimulateMode calls would give them. Once a case
 // fails no further case starts, and the error is that of the
 // lowest-index failed case among those that ran.
 func SimulateAll(cases []Case) ([]netsim.Stats, error) {
@@ -207,7 +207,7 @@ func (c Case) run() (netsim.Stats, error) {
 // attachments, the precondition for running cases side by side.
 func plainConfig(cfg netsim.Config) bool {
 	return cfg.FlowLog == nil && cfg.Metrics == nil && cfg.Probes == nil &&
-		cfg.Trace == nil && cfg.LinkProbes == nil && cfg.Progress == nil
+		cfg.Trace == nil && cfg.Progress == nil
 }
 
 // NormalizedBandwidth scales an aggregate bandwidth to the job's ideal

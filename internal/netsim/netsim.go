@@ -75,17 +75,12 @@ type Config struct {
 	Metrics *obs.Registry
 	// Probes, when non-nil, samples per-link utilization, input-buffer
 	// occupancy, credit stalls and event-queue depth at the sampler's
-	// interval of simulated time, as JSONL. Probe ticks are scheduler
-	// events, so Stats.Events grows slightly when enabled; message
-	// timings and all other Stats fields are unaffected.
+	// interval of simulated time, as JSONL, and closes each Run* call
+	// with one rollup record carrying every channel's max input-buffer
+	// depth and busy fraction. Probe ticks are scheduler events, so
+	// Stats.Events grows slightly when enabled; message timings and all
+	// other Stats fields are unaffected.
 	Probes *obs.Sampler
-	// LinkProbes, when non-nil, receives the fattree-linkprobe/v1
-	// stream: a "queue_depth" and a "link_util" series with one value
-	// per directed channel, sampled at the sampler's interval of
-	// simulated time, plus one end-of-run rollup record carrying each
-	// channel's max input-buffer depth and busy fraction. Like Probes,
-	// sampler ticks ride the scheduler, so only Stats.Events grows.
-	LinkProbes *obs.Sampler
 	// Progress, when non-nil, receives live run counters (simulated
 	// time, events executed, messages delivered) that a wall-clock
 	// reporter goroutine reads concurrently — see Progress.Report.

@@ -42,7 +42,6 @@ type simObs struct {
 	reg    *obs.Registry
 	trace  *obs.Tracer
 	probes *obs.Sampler
-	link   *obs.Sampler // fattree-linkprobe/v1 stream (Config.LinkProbes)
 
 	// queueHW tracks each channel's input-buffer depth high-water mark,
 	// updated at every buffer push.
@@ -62,7 +61,7 @@ type simObs struct {
 // when the Config enables nothing.
 func (nw *Network) newSimObs() *simObs {
 	cfg := &nw.cfg
-	if cfg.Metrics == nil && cfg.Probes == nil && cfg.Trace == nil && cfg.LinkProbes == nil {
+	if cfg.Metrics == nil && cfg.Probes == nil && cfg.Trace == nil {
 		return nil
 	}
 	reg := cfg.Metrics
@@ -75,7 +74,6 @@ func (nw *Network) newSimObs() *simObs {
 		reg:            reg,
 		trace:          cfg.Trace,
 		probes:         cfg.Probes,
-		link:           cfg.LinkProbes,
 		queueHW:        make([]int32, len(nw.channels)),
 		pktInjected:    reg.Counter("netsim_packets_injected_total"),
 		pktTx:          reg.Counter("netsim_packets_tx_total"),
@@ -193,64 +191,19 @@ func (ob *simObs) noteQueueDepth(ch *channel) {
 }
 
 // startSamplers arms every sampled stream for the run (or barrier
-// stage): the -metrics probes, the -link-probes series and the live
-// progress tick. Each is independently nil-guarded.
+// stage): the -metrics probes and the live progress tick. Each is
+// independently nil-guarded.
 func (nw *Network) startSamplers() {
 	nw.startProbes()
-	nw.startLinkProbes()
 	nw.startProgress()
-}
-
-// startLinkProbes registers the fattree-linkprobe/v1 series — one
-// value per directed channel — on the dedicated link sampler and arms
-// it on the current scheduler.
-func (nw *Network) startLinkProbes() {
-	ob := nw.ob
-	if ob == nil || ob.link == nil {
-		return
-	}
-	s := ob.link
-	s.Reset()
-	prevBusy := make([]des.Time, len(nw.channels))
-	for i := range nw.channels {
-		prevBusy[i] = nw.channels[i].busy
-	}
-	prevT := nw.sched.Now()
-	s.Series("link_util", func(now des.Time, buf []float64) []float64 {
-		dt := now - prevT
-		for i := range nw.channels {
-			busy := nw.channels[i].busy
-			u := 0.0
-			if dt > 0 {
-				u = float64(busy-prevBusy[i]) / float64(dt)
-			}
-			prevBusy[i] = busy
-			buf = append(buf, u)
-		}
-		prevT = now
-		return buf
-	})
-	s.Series("queue_depth", func(now des.Time, buf []float64) []float64 {
-		for i := range nw.channels {
-			buf = append(buf, float64(nw.channels[i].buf.len()))
-		}
-		return buf
-	})
-	s.Start(nw.sched)
 }
 
 // obsFinalSample captures one last probe sample at the end of a run or
 // stage — the scheduler discards daemon ticks queued past the final
 // event, so the end state needs an explicit sample.
 func (nw *Network) obsFinalSample() {
-	if nw.ob == nil {
-		return
-	}
-	if nw.ob.probes != nil {
+	if nw.ob != nil && nw.ob.probes != nil {
 		nw.ob.probes.Sample(nw.sched.Now())
-	}
-	if nw.ob.link != nil {
-		nw.ob.link.Sample(nw.sched.Now())
 	}
 }
 
@@ -337,8 +290,8 @@ func (nw *Network) obsStage(i, msgs int, start, end des.Time) {
 
 // obsCollect freezes end-of-run gauges into the registry — the run's
 // results plus the event loop's own telemetry: wall-clock busy time and
-// the calendar queue's pressure counters — and writes the per-link
-// rollup to the linkprobe stream.
+// the calendar queue's pressure counters — and appends the per-link
+// rollup to the probe stream.
 func (nw *Network) obsCollect(s *Stats) {
 	ob := nw.ob
 	if ob == nil {
@@ -359,7 +312,7 @@ func (nw *Network) obsCollect(s *Stats) {
 		}
 	}
 	ob.reg.Gauge("netsim_link_max_queue_depth").Max(int64(maxQ))
-	if ob.link != nil {
+	if ob.probes != nil {
 		roll := schema.LinkRollup{
 			Rollup:     schema.RollupLinks,
 			DurationPS: int64(s.Duration),
@@ -371,6 +324,6 @@ func (nw *Network) obsCollect(s *Stats) {
 				roll.BusyFrac[i] = float64(b) / float64(s.Duration)
 			}
 		}
-		ob.link.Record(roll)
+		ob.probes.Record(roll)
 	}
 }

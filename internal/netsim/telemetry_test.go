@@ -1,7 +1,8 @@
 package netsim
 
-// Tests for the telemetry surface: link-level contention probes, the
-// event loop's closing gauges and the progress sink. The
+// Tests for the telemetry surface: the probe stream's per-link
+// contention rollup, the event loop's closing gauges and the progress
+// sink. The
 // contention tests pin the paper's headline property end to end: a
 // contention-free Shift on the 324-node cluster never queues more
 // than one packet per channel, while a mis-ordered run does.
@@ -31,40 +32,37 @@ func shiftMsgs(n int, s int, bytes int64) []Message {
 	return msgs
 }
 
-// parseRollup scans a link-probe JSONL stream for its closing rollup
-// record.
-func parseRollup(t *testing.T, stream []byte) schema.LinkRollup {
+// parseRollups returns every rollup record of a probe JSONL stream, in
+// stream order.
+func parseRollups(t *testing.T, stream []byte) []schema.LinkRollup {
 	t.Helper()
 	sc := bufio.NewScanner(bytes.NewReader(stream))
 	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	var roll schema.LinkRollup
-	found := false
+	var rolls []schema.LinkRollup
 	for sc.Scan() {
 		if !bytes.Contains(sc.Bytes(), []byte(`"rollup"`)) {
 			continue
 		}
+		var roll schema.LinkRollup
 		if err := json.Unmarshal(sc.Bytes(), &roll); err != nil {
 			t.Fatalf("bad rollup line: %v", err)
 		}
-		found = true
+		rolls = append(rolls, roll)
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if !found {
-		t.Fatal("link probe stream has no rollup record")
-	}
-	return roll
+	return rolls
 }
 
-// runWithLinkProbes executes msgs on cluster324 with a link sampler
+// runWithProbes executes msgs on cluster324 with a probe sampler
 // attached and returns the closing rollup.
-func runWithLinkProbes(t *testing.T, msgs []Message) schema.LinkRollup {
+func runWithProbes(t *testing.T, msgs []Message) schema.LinkRollup {
 	t.Helper()
 	lft := route.DModK(topo.MustBuild(topo.Cluster324))
 	var buf bytes.Buffer
 	cfg := DefaultConfig()
-	cfg.LinkProbes = obs.NewSampler(&buf, 5*des.Microsecond)
+	cfg.Probes = obs.NewSampler(&buf, 5*des.Microsecond)
 	nw, err := New(lft, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -72,15 +70,19 @@ func runWithLinkProbes(t *testing.T, msgs []Message) schema.LinkRollup {
 	if _, err := nw.Run(msgs); err != nil {
 		t.Fatal(err)
 	}
-	if err := cfg.LinkProbes.Flush(); err != nil {
+	if err := cfg.Probes.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	// The schema header line is FileSinks' job; the raw sampler carries
 	// the series and the rollup.
-	if !strings.Contains(buf.String(), `"queue_depth"`) || !strings.Contains(buf.String(), `"link_util"`) {
-		t.Fatal("link probe stream is missing the queue_depth/link_util series")
+	if !strings.Contains(buf.String(), `"buffer_pkts"`) || !strings.Contains(buf.String(), `"link_util"`) {
+		t.Fatal("probe stream is missing the buffer_pkts/link_util series")
 	}
-	return parseRollup(t, buf.Bytes())
+	rolls := parseRollups(t, buf.Bytes())
+	if len(rolls) != 1 {
+		t.Fatalf("probe stream carries %d rollup records, want 1", len(rolls))
+	}
+	return rolls[0]
 }
 
 // TestLinkRollupContentionFree pins the ISSUE-8 acceptance criterion's
@@ -90,7 +92,7 @@ func runWithLinkProbes(t *testing.T, msgs []Message) schema.LinkRollup {
 func TestLinkRollupContentionFree(t *testing.T) {
 	n := topo.MustBuild(topo.Cluster324).NumHosts()
 	for _, s := range []int{1, 5, n / 2} {
-		roll := runWithLinkProbes(t, shiftMsgs(n, s, 64<<10))
+		roll := runWithProbes(t, shiftMsgs(n, s, 64<<10))
 		for ch, d := range roll.MaxQueue {
 			if d > 1 {
 				t.Fatalf("shift %d: channel %d reached queue depth %d on a contention-free run", s, ch, d)
@@ -103,8 +105,8 @@ func TestLinkRollupContentionFree(t *testing.T) {
 }
 
 // TestLinkRollupMisordered pins the negative half: permuting the
-// rank-to-host mapping breaks the D-Mod-K alignment, and the link
-// probes name at least one channel queuing more than one packet.
+// rank-to-host mapping breaks the D-Mod-K alignment, and the rollup
+// names at least one channel queuing more than one packet.
 func TestLinkRollupMisordered(t *testing.T) {
 	n := topo.MustBuild(topo.Cluster324).NumHosts()
 	perm := rand.New(rand.NewSource(7)).Perm(n)
@@ -113,7 +115,7 @@ func TestLinkRollupMisordered(t *testing.T) {
 	for i := 0; i < n; i++ {
 		msgs = append(msgs, Message{Src: perm[i], Dst: perm[(i+s)%n], Bytes: 64 << 10})
 	}
-	roll := runWithLinkProbes(t, msgs)
+	roll := runWithProbes(t, msgs)
 	maxQ := 0
 	for _, d := range roll.MaxQueue {
 		if int(d) > maxQ {
@@ -125,8 +127,8 @@ func TestLinkRollupMisordered(t *testing.T) {
 	}
 }
 
-// TestFlowLogIdenticalWithTelemetry: attaching link probes, a progress
-// sink, or both must leave the flow log byte-identical to the bare run.
+// TestFlowLogIdenticalWithTelemetry: attaching probes, a progress sink,
+// or both must leave the flow log byte-identical to the bare run.
 // Runs under -race in CI.
 func TestFlowLogIdenticalWithTelemetry(t *testing.T) {
 	lft := route.DModK(topo.MustBuild(topo.Cluster324))
@@ -140,7 +142,7 @@ func TestFlowLogIdenticalWithTelemetry(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.FlowLog = &flow
 		if probes {
-			cfg.LinkProbes = obs.NewSampler(&bytes.Buffer{}, 5*des.Microsecond)
+			cfg.Probes = obs.NewSampler(&bytes.Buffer{}, 5*des.Microsecond)
 		}
 		if progress {
 			cfg.Progress = &Progress{}
@@ -168,6 +170,81 @@ func TestFlowLogIdenticalWithTelemetry(t *testing.T) {
 				t.Errorf("flow log changed when telemetry attached (%d vs %d bytes)", len(bare), len(got))
 			}
 		})
+	}
+}
+
+// TestLinkRollupAgreesWithStats pins the rollup to the numbers it
+// summarizes on one contended barrier run: one record per Run* call,
+// the run's duration, each channel's busy time over that duration, and
+// a deepest queue equal to the snapshot's netsim_link_max_queue_depth.
+func TestLinkRollupAgreesWithStats(t *testing.T) {
+	lft := route.DModK(topo.MustBuild(topo.Cluster324))
+	n := lft.Topology().NumHosts()
+	perm := rand.New(rand.NewSource(7)).Perm(n)
+	var stages [][]Message
+	for _, s := range []int{1, 5} {
+		var msgs []Message
+		for i := 0; i < n; i++ {
+			msgs = append(msgs, Message{Src: perm[i], Dst: perm[(i+s)%n], Bytes: 16 << 10})
+		}
+		stages = append(stages, msgs)
+	}
+	var buf bytes.Buffer
+	cfg := DefaultConfig()
+	cfg.Probes = obs.NewSampler(&buf, 5*des.Microsecond)
+	cfg.Metrics = obs.NewRegistry()
+	nw, err := New(lft, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := nw.RunStages(stages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.Probes.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	rolls := parseRollups(t, buf.Bytes())
+	if len(rolls) != 1 {
+		t.Fatalf("one RunStages wrote %d rollup records, want 1", len(rolls))
+	}
+	roll := rolls[0]
+	if roll.Rollup != schema.RollupLinks {
+		t.Errorf("rollup kind %q, want %q", roll.Rollup, schema.RollupLinks)
+	}
+	if roll.DurationPS != int64(st.Duration) {
+		t.Errorf("rollup duration %d ps, Stats.Duration %d ps", roll.DurationPS, st.Duration)
+	}
+	if len(roll.BusyFrac) != len(st.LinkBusy) || len(roll.MaxQueue) != len(st.LinkBusy) {
+		t.Fatalf("rollup covers %d/%d channels, Stats %d", len(roll.BusyFrac), len(roll.MaxQueue), len(st.LinkBusy))
+	}
+	for i, b := range st.LinkBusy {
+		if want := float64(b) / float64(st.Duration); roll.BusyFrac[i] != want {
+			t.Errorf("channel %d: busy_frac %v, want %v", i, roll.BusyFrac[i], want)
+		}
+	}
+	maxQ := int32(0)
+	for _, d := range roll.MaxQueue {
+		if d > maxQ {
+			maxQ = d
+		}
+	}
+	if maxQ <= 1 {
+		t.Fatalf("max queue depth %d: the run is not contended, so the check is vacuous", maxQ)
+	}
+	if g := cfg.Metrics.Snapshot().Gauges["netsim_link_max_queue_depth"]; g != int64(maxQ) {
+		t.Errorf("netsim_link_max_queue_depth = %d, rollup max %d", g, maxQ)
+	}
+
+	// A second call on the same Network appends its own record.
+	if _, err := nw.Run(stages[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.Probes.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(parseRollups(t, buf.Bytes())); got != 2 {
+		t.Errorf("two Run* calls wrote %d rollup records, want 2", got)
 	}
 }
 

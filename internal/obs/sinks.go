@@ -36,31 +36,18 @@ type StreamHeader struct {
 type FileSinks struct {
 	TracePath   string
 	MetricsPath string
-	// LinkProbesPath is the -link-probes flag value: a second JSONL
-	// stream carrying the fattree-linkprobe/v1 per-channel series
-	// (queue depth and utilization over simulated time) and the
-	// end-of-run per-link rollup.
-	LinkProbesPath string
-	// Interval is the probe sampling period; NewSampler's default
-	// (1 us of simulated time) applies when zero. The -probe-interval
-	// flag sets it from the command line (ProbeEvery below); a non-zero
-	// Interval set from code wins over the flag.
-	Interval des.Time
 	// ProbeEvery is the -probe-interval flag value: the probe sampling
 	// period as a wall-clock style duration that is read as *simulated*
-	// time (500ns of simulation, not of host runtime).
+	// time (500ns of simulation, not of host runtime). Zero means
+	// NewSampler's default of 1 us; a negative period is refused.
 	ProbeEvery time.Duration
 
 	Registry *Registry
 	Tracer   *Tracer
 	Sampler  *Sampler
-	// LinkSampler drives the -link-probes stream; it shares the
-	// -probe-interval cadence with Sampler.
-	LinkSampler *Sampler
 
-	traceFile     *os.File
-	metricsFile   *os.File
-	linkProbeFile *os.File
+	traceFile   *os.File
+	metricsFile *os.File
 }
 
 // RegisterFlags adds -trace, -metrics and -probe-interval to fs.
@@ -69,20 +56,25 @@ func (s *FileSinks) RegisterFlags(fs *flag.FlagSet) {
 		"write lifecycle events to `file` in Chrome trace-event format (open in Perfetto or chrome://tracing)")
 	fs.StringVar(&s.MetricsPath, "metrics", "",
 		"write metrics and time-series probes to `file` as JSONL")
-	fs.StringVar(&s.LinkProbesPath, "link-probes", "",
-		"write per-link queue-depth/utilization probes to `file` as JSONL (fattree-linkprobe/v1)")
 	fs.DurationVar(&s.ProbeEvery, "probe-interval", 0,
-		"probe sampling `period` of simulated time for -metrics and -link-probes (e.g. 500ns, 2us; default 1us)")
+		"probe sampling `period` of simulated time for -metrics (e.g. 500ns, 2us; default 1us)")
 }
 
 // Enabled reports whether any output flag was given.
 func (s *FileSinks) Enabled() bool {
-	return s != nil && (s.TracePath != "" || s.MetricsPath != "" || s.LinkProbesPath != "")
+	return s != nil && (s.TracePath != "" || s.MetricsPath != "")
 }
 
 // Open creates the requested files and builds the sinks; a no-op when
-// neither flag was given.
+// neither flag was given. A negative -probe-interval is an error either
+// way.
 func (s *FileSinks) Open() error {
+	if s == nil {
+		return nil
+	}
+	if s.ProbeEvery < 0 {
+		return fmt.Errorf("-probe-interval %v: want a positive period of simulated time", s.ProbeEvery)
+	}
 	if !s.Enabled() {
 		return nil
 	}
@@ -95,28 +87,15 @@ func (s *FileSinks) Open() error {
 		s.traceFile = f
 		s.Tracer = NewTracer(f)
 	}
-	interval := s.Interval
-	if interval == 0 && s.ProbeEvery > 0 {
-		// time.Duration is nanoseconds, des.Time picoseconds.
-		interval = des.Time(s.ProbeEvery.Nanoseconds()) * des.Nanosecond
-	}
 	if s.MetricsPath != "" {
 		f, err := os.Create(s.MetricsPath)
 		if err != nil {
 			return fmt.Errorf("metrics: %w", err)
 		}
 		s.metricsFile = f
-		s.Sampler = NewSampler(f, interval)
+		// time.Duration is nanoseconds, des.Time picoseconds.
+		s.Sampler = NewSampler(f, des.Time(s.ProbeEvery.Nanoseconds())*des.Nanosecond)
 		s.Sampler.Record(StreamHeader{Schema: schema.Probes})
-	}
-	if s.LinkProbesPath != "" {
-		f, err := os.Create(s.LinkProbesPath)
-		if err != nil {
-			return fmt.Errorf("link-probes: %w", err)
-		}
-		s.linkProbeFile = f
-		s.LinkSampler = NewSampler(f, interval)
-		s.LinkSampler.Record(StreamHeader{Schema: schema.LinkProbe})
 	}
 	return nil
 }
@@ -141,17 +120,11 @@ func (s *FileSinks) Close() error {
 		}{s.Registry.Snapshot()})
 		keep(s.Sampler.Flush())
 	}
-	if s.LinkSampler != nil {
-		keep(s.LinkSampler.Flush())
-	}
 	if s.Tracer != nil {
 		keep(s.Tracer.Close())
 	}
 	if s.metricsFile != nil {
 		keep(s.metricsFile.Close())
-	}
-	if s.linkProbeFile != nil {
-		keep(s.linkProbeFile.Close())
 	}
 	if s.traceFile != nil {
 		keep(s.traceFile.Close())

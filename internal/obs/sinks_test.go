@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,8 +16,8 @@ import (
 
 // TestFileSinksProbeIntervalFlag checks the -probe-interval plumbing:
 // the flag's wall-style duration becomes the sampler's simulated-time
-// period, a code-set Interval wins over the flag, and the metrics
-// stream opens with the schema header record.
+// period, the metrics stream opens with the schema header record, and
+// a negative period is refused by name before any file is created.
 func TestFileSinksProbeIntervalFlag(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "m.jsonl")
@@ -54,18 +55,13 @@ func TestFileSinksProbeIntervalFlag(t *testing.T) {
 		t.Errorf("first record schema = %q, want %q", hdr.Schema, schema.Probes)
 	}
 
-	// Code-set Interval beats the flag.
 	var s2 FileSinks
 	s2.MetricsPath = filepath.Join(dir, "m2.jsonl")
-	s2.Interval = 2 * des.Microsecond
-	s2.ProbeEvery = 500 * time.Nanosecond
-	if err := s2.Open(); err != nil {
-		t.Fatal(err)
+	s2.ProbeEvery = -500 * time.Nanosecond
+	if err := s2.Open(); err == nil || !strings.Contains(err.Error(), "-probe-interval") {
+		t.Errorf("negative interval: err = %v, want one naming -probe-interval", err)
 	}
-	if got := s2.Sampler.Interval(); got != 2*des.Microsecond {
-		t.Errorf("code-set interval overridden: %v", got)
-	}
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(s2.MetricsPath); !os.IsNotExist(err) {
+		t.Errorf("refused sinks created %s (stat err %v)", s2.MetricsPath, err)
 	}
 }

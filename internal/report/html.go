@@ -16,14 +16,15 @@ type HTMLOptions struct {
 	// Title heads the page; a default is derived from the inputs when
 	// empty.
 	Title string
-	// MetricsFile / TraceFile / LoadFile / EventsFile / LinkProbesFile /
-	// BakeoffFile name the inputs in the provenance lines.
-	MetricsFile, TraceFile, LoadFile, EventsFile, LinkProbesFile, BakeoffFile string
+	// MetricsFile / TraceFile / LoadFile / EventsFile / BakeoffFile name
+	// the inputs in the provenance lines.
+	MetricsFile, TraceFile, LoadFile, EventsFile, BakeoffFile string
 	// Generated is a freeform provenance stamp (e.g. a timestamp);
 	// omitted when empty so golden tests stay byte-stable.
 	Generated string
-	// MaxHeatmapRows caps the heatmap's channel rows (default 64); the
-	// busiest channels win and truncation is announced in the notes.
+	// MaxHeatmapRows caps each heatmap's channel rows (default 64); the
+	// busiest (deepest) channels win and truncation is announced in the
+	// notes.
 	MaxHeatmapRows int
 }
 
@@ -40,10 +41,6 @@ type Inputs struct {
 	// and table section. Load, when set, renders first.
 	Loads  []*schema.LoadDoc
 	Events *schema.EventsDoc
-	// LinkProbes is a parsed fattree-linkprobe/v1 stream (the -link-probes
-	// file): per-channel queue depth and utilization over time plus the
-	// closing contention rollup.
-	LinkProbes *ProbeData
 	// Bakeoff is a parsed fattree-bakeoff/v1 verdict (ftbakeoff -o):
 	// the engine comparison tables and degradation curves.
 	Bakeoff *schema.BakeoffDoc
@@ -146,17 +143,11 @@ func buildView(in Inputs, opt HTMLOptions) *htmlView {
 	if opt.EventsFile != "" {
 		v.Inputs = append(v.Inputs, "events: "+opt.EventsFile)
 	}
-	if opt.LinkProbesFile != "" {
-		v.Inputs = append(v.Inputs, "link probes: "+opt.LinkProbesFile)
-	}
 	if opt.BakeoffFile != "" {
 		v.Inputs = append(v.Inputs, "bake-off: "+opt.BakeoffFile)
 	}
 	if probes != nil && probes.Schema != "" {
 		v.Schemas = append(v.Schemas, probes.Schema)
-	}
-	if in.LinkProbes != nil && in.LinkProbes.Schema != "" {
-		v.Schemas = append(v.Schemas, in.LinkProbes.Schema)
 	}
 	if trace != nil && trace.Schema != "" {
 		v.Schemas = append(v.Schemas, trace.Schema)
@@ -179,7 +170,13 @@ func buildView(in Inputs, opt HTMLOptions) *htmlView {
 		if probes.Malformed > 0 {
 			v.Notes = append(v.Notes, fmt.Sprintf("%d malformed line(s) skipped in the probe stream", probes.Malformed))
 		}
-		v.Heatmap = buildHeatmap(probes.Get("link_util"), opt.MaxHeatmapRows, &v.Notes)
+		v.Heatmap = buildHeatmap(probes.Get(utilHeatmap.series), utilHeatmap, opt.MaxHeatmapRows, &v.Notes)
+		// Only simulator streams carry buffer_pkts (fthsd's has no
+		// channels), so its absence goes unnoted.
+		if s := probes.Get(queueHeatmap.series); s != nil {
+			v.QueueHeatmap = buildHeatmap(s, queueHeatmap, opt.MaxHeatmapRows, &v.Notes)
+		}
+		v.HotLinks = buildHotLinks(probes.Rollup)
 		v.Sparks = buildSparks(probes)
 		v.Hists, v.Counters, v.Gauges = buildSnapshotTables(probes)
 	}
@@ -188,15 +185,8 @@ func buildView(in Inputs, opt HTMLOptions) *htmlView {
 	} else {
 		v.Timeline = buildTimeline(trace.StageSpans(), &v.Notes)
 	}
-	// Link probe, load and events sections are opt-in: no note when
-	// absent, so reports predating them render unchanged.
-	if lp := in.LinkProbes; lp != nil {
-		if lp.Malformed > 0 {
-			v.Notes = append(v.Notes, fmt.Sprintf("%d malformed line(s) skipped in the link probe stream", lp.Malformed))
-		}
-		v.QueueHeatmap = buildQueueHeatmap(lp.Get("queue_depth"), opt.MaxHeatmapRows, &v.Notes)
-		v.HotLinks = buildHotLinks(lp.Rollup)
-	}
+	// Load and events sections are opt-in: no note when absent, so
+	// reports predating them render unchanged.
 	loads := in.Loads
 	if in.Load != nil {
 		loads = append([]*schema.LoadDoc{in.Load}, loads...)
@@ -237,19 +227,46 @@ func utilColor(u float64) string {
 	return fmt.Sprintf("#%02x%02x%02x", lerp(0xf4, 0x1e), lerp(0xf7, 0x40), lerp(0xfa, 0xaf))
 }
 
-// buildHeatmap renders the link-utilization heatmap: one row per
-// directed channel (busiest first, capped), one column per probe tick.
-func buildHeatmap(s *Series, maxRows int, notes *[]string) template.HTML {
+// heatmap describes one per-channel probe series as a heatmap: which
+// series, how its values map onto the color ramp, and the words around
+// it.
+type heatmap struct {
+	series string // probe series, one value per directed channel
+	name   string // what the notes call it
+	rank   string // what the kept rows are when the row cap cuts
+	aria   string // the SVG's aria-label
+	cell   string // format of one value in a cell's tooltip
+	// scale is the value drawn at the top of the ramp; zero scales to
+	// the series' peak (1 when the series is all zero). legend formats
+	// the scale into the legend text.
+	scale  float64
+	legend string
+}
+
+var (
+	utilHeatmap = heatmap{series: "link_util", name: "heatmap", rank: "busiest",
+		aria: "link utilization heatmap", cell: "%.3f",
+		scale: 1, legend: "util 0 &#8594; %s (red &gt; 1)"}
+	// queueHeatmap draws input-buffer occupancy: a contention-free run
+	// renders a flat depth &le; 1 map.
+	queueHeatmap = heatmap{series: "buffer_pkts", name: "queue heatmap", rank: "deepest",
+		aria: "queue depth heatmap", cell: "depth %.0f",
+		legend: "depth 0 &#8594; %s"}
+)
+
+// buildHeatmap renders s as a heatmap: one row per directed channel
+// (highest peak first, capped at maxRows), one column per probe tick.
+func buildHeatmap(s *Series, h heatmap, maxRows int, notes *[]string) template.HTML {
 	if s == nil || len(s.Samples) == 0 {
-		*notes = append(*notes, "no link_util series: heatmap omitted")
+		*notes = append(*notes, fmt.Sprintf("no %s series: %s omitted", h.series, h.name))
 		return ""
 	}
 	nCh := s.Width()
 	if nCh == 0 {
-		*notes = append(*notes, "link_util series has empty samples: heatmap omitted")
+		*notes = append(*notes, fmt.Sprintf("%s series has empty samples: %s omitted", h.series, h.name))
 		return ""
 	}
-	// Rank channels by peak utilization, keep the busiest.
+	// Rank channels by their peak value, keep the highest.
 	type ranked struct {
 		ch   int
 		peak float64
@@ -258,18 +275,29 @@ func buildHeatmap(s *Series, maxRows int, notes *[]string) template.HTML {
 	for i := range rk {
 		rk[i].ch = i
 	}
+	peak := 0.0
 	for _, sm := range s.Samples {
-		for i, u := range sm.Values {
-			if u > rk[i].peak {
-				rk[i].peak = u
+		for i, x := range sm.Values {
+			if x > rk[i].peak {
+				rk[i].peak = x
+			}
+			if x > peak {
+				peak = x
 			}
 		}
+	}
+	scale := h.scale
+	if scale == 0 {
+		scale = peak
+	}
+	if scale == 0 {
+		scale = 1
 	}
 	sort.SliceStable(rk, func(i, j int) bool { return rk[i].peak > rk[j].peak })
 	rows := nCh
 	if rows > maxRows {
 		rows = maxRows
-		*notes = append(*notes, fmt.Sprintf("heatmap shows the %d busiest of %d directed channels", rows, nCh))
+		*notes = append(*notes, fmt.Sprintf("%s shows the %d %s of %d directed channels", h.name, rows, h.rank, nCh))
 	}
 	cols := len(s.Samples)
 
@@ -279,20 +307,21 @@ func buildHeatmap(s *Series, maxRows int, notes *[]string) template.HTML {
 	height := cellH*float64(rows) + legendH + 18
 
 	var b strings.Builder
-	fmt.Fprintf(&b, `<svg viewBox="0 0 %s %s" width="%s" height="%s" role="img" aria-label="link utilization heatmap">`,
-		f(width), f(height), f(width), f(height))
+	fmt.Fprintf(&b, `<svg viewBox="0 0 %s %s" width="%s" height="%s" role="img" aria-label="%s">`,
+		f(width), f(height), f(width), f(height), h.aria)
+	cellFmt := `<rect x="%s" y="%s" width="%s" height="%s" fill="%s"><title>ch%d @ %d ps: ` + h.cell + `</title></rect>`
 	for r := 0; r < rows; r++ {
 		ch := rk[r].ch
 		y := float64(r) * cellH
 		fmt.Fprintf(&b, `<text x="%s" y="%s" class="lbl" text-anchor="end">ch%d</text>`,
 			f(labelW-4), f(y+cellH-2), ch)
 		for c, sm := range s.Samples {
-			u := 0.0
+			x := 0.0
 			if ch < len(sm.Values) {
-				u = sm.Values[ch]
+				x = sm.Values[ch]
 			}
-			fmt.Fprintf(&b, `<rect x="%s" y="%s" width="%s" height="%s" fill="%s"><title>ch%d @ %d ps: %.3f</title></rect>`,
-				f(labelW+float64(c)*cellW), f(y), f(cellW), f(cellH), utilColor(u), ch, sm.T, u)
+			fmt.Fprintf(&b, cellFmt,
+				f(labelW+float64(c)*cellW), f(y), f(cellW), f(cellH), utilColor(x/scale), ch, sm.T, x)
 		}
 	}
 	// Time axis: first and last tick.
@@ -306,89 +335,8 @@ func buildHeatmap(s *Series, maxRows int, notes *[]string) template.HTML {
 		fmt.Fprintf(&b, `<rect x="%s" y="%s" width="12" height="8" fill="%s"/>`,
 			f(labelW+float64(i)*12), f(ly), utilColor(float64(i)/10))
 	}
-	fmt.Fprintf(&b, `<text x="%s" y="%s" class="lbl">util 0 &#8594; 1 (red &gt; 1)</text>`,
-		f(labelW+11*12+6), f(ly+8))
-	b.WriteString(`</svg>`)
-	return template.HTML(b.String())
-}
-
-// buildQueueHeatmap renders the queue-depth-over-time heatmap from a
-// link probe stream: one row per directed channel (deepest first,
-// capped), one column per probe tick, color scaled to the deepest
-// queue seen. A contention-free run renders a flat depth &le; 1 map.
-func buildQueueHeatmap(s *Series, maxRows int, notes *[]string) template.HTML {
-	if s == nil || len(s.Samples) == 0 {
-		*notes = append(*notes, "no queue_depth series: queue heatmap omitted")
-		return ""
-	}
-	nCh := s.Width()
-	if nCh == 0 {
-		*notes = append(*notes, "queue_depth series has empty samples: queue heatmap omitted")
-		return ""
-	}
-	type ranked struct {
-		ch   int
-		peak float64
-	}
-	rk := make([]ranked, nCh)
-	for i := range rk {
-		rk[i].ch = i
-	}
-	maxDepth := 0.0
-	for _, sm := range s.Samples {
-		for i, d := range sm.Values {
-			if d > rk[i].peak {
-				rk[i].peak = d
-			}
-			if d > maxDepth {
-				maxDepth = d
-			}
-		}
-	}
-	if maxDepth == 0 {
-		maxDepth = 1
-	}
-	sort.SliceStable(rk, func(i, j int) bool { return rk[i].peak > rk[j].peak })
-	rows := nCh
-	if rows > maxRows {
-		rows = maxRows
-		*notes = append(*notes, fmt.Sprintf("queue heatmap shows the %d deepest of %d directed channels", rows, nCh))
-	}
-	cols := len(s.Samples)
-
-	const labelW, cellH, legendH = 56.0, 10.0, 26.0
-	cellW := math.Max(2, math.Min(18, 820.0/float64(cols)))
-	width := labelW + cellW*float64(cols) + 8
-	height := cellH*float64(rows) + legendH + 18
-
-	var b strings.Builder
-	fmt.Fprintf(&b, `<svg viewBox="0 0 %s %s" width="%s" height="%s" role="img" aria-label="queue depth heatmap">`,
-		f(width), f(height), f(width), f(height))
-	for r := 0; r < rows; r++ {
-		ch := rk[r].ch
-		y := float64(r) * cellH
-		fmt.Fprintf(&b, `<text x="%s" y="%s" class="lbl" text-anchor="end">ch%d</text>`,
-			f(labelW-4), f(y+cellH-2), ch)
-		for c, sm := range s.Samples {
-			d := 0.0
-			if ch < len(sm.Values) {
-				d = sm.Values[ch]
-			}
-			fmt.Fprintf(&b, `<rect x="%s" y="%s" width="%s" height="%s" fill="%s"><title>ch%d @ %d ps: depth %.0f</title></rect>`,
-				f(labelW+float64(c)*cellW), f(y), f(cellW), f(cellH), utilColor(d/maxDepth), ch, sm.T, d)
-		}
-	}
-	axisY := cellH*float64(rows) + 12
-	fmt.Fprintf(&b, `<text x="%s" y="%s" class="lbl">%d ps</text>`, f(labelW), f(axisY), s.Samples[0].T)
-	fmt.Fprintf(&b, `<text x="%s" y="%s" class="lbl" text-anchor="end">%d ps</text>`,
-		f(labelW+cellW*float64(cols)), f(axisY), s.Samples[cols-1].T)
-	ly := axisY + 6
-	for i := 0; i <= 10; i++ {
-		fmt.Fprintf(&b, `<rect x="%s" y="%s" width="12" height="8" fill="%s"/>`,
-			f(labelW+float64(i)*12), f(ly), utilColor(float64(i)/10))
-	}
-	fmt.Fprintf(&b, `<text x="%s" y="%s" class="lbl">depth 0 &#8594; %s</text>`,
-		f(labelW+11*12+6), f(ly+8), f(maxDepth))
+	fmt.Fprintf(&b, `<text x="%s" y="%s" class="lbl">%s</text>`,
+		f(labelW+11*12+6), f(ly+8), fmt.Sprintf(h.legend, f(scale)))
 	b.WriteString(`</svg>`)
 	return template.HTML(b.String())
 }

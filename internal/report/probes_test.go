@@ -130,23 +130,24 @@ func TestParseProbesMalformed(t *testing.T) {
 	}
 }
 
-// TestParseProbesLinkRecords checks the fattree-linkprobe/v1 record
-// kinds: the contention rollup beside the series. A whole-record kind
-// the parser does not know, such as one an older producer wrote, is
-// counted in Extra, not rejected.
+// TestParseProbesLinkRecords checks the per-channel record kinds of
+// one probe stream: the contention rollup beside the series and ahead
+// of the snapshot. A whole-record kind the parser does not know, such
+// as one an older producer wrote, is counted in Extra, not rejected.
 func TestParseProbesLinkRecords(t *testing.T) {
 	stream := strings.Join([]string{
-		`{"schema":"fattree-linkprobe/v1"}`,
-		`{"t_ps":0,"series":"queue_depth","values":[0,1]}`,
-		`{"t_ps":1000,"series":"queue_depth","values":[2,1]}`,
+		`{"schema":"fattree-probes/v1"}`,
+		`{"t_ps":0,"series":"buffer_pkts","values":[0,1]}`,
+		`{"t_ps":1000,"series":"buffer_pkts","values":[2,1]}`,
 		`{"rollup":"links","duration_ps":2000,"max_queue":[2,1],"busy_frac":[0.5,0.25]}`,
 		`{"loops":[{"events":10,"max_pending":3},{"events":30,"max_pending":4}]}`,
+		`{"snapshot":{"counters":{},"gauges":{"netsim_link_max_queue_depth":2},"histograms":{}}}`,
 	}, "\n")
 	d, err := ParseProbes(strings.NewReader(stream))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Schema != "fattree-linkprobe/v1" {
+	if d.Schema != schema.Probes {
 		t.Errorf("schema %q", d.Schema)
 	}
 	if d.Malformed != 0 || d.Extra != 1 {
@@ -158,8 +159,11 @@ func TestParseProbesLinkRecords(t *testing.T) {
 	if len(d.Rollup.MaxQueue) != 2 || d.Rollup.MaxQueue[0] != 2 {
 		t.Errorf("rollup max queue = %v", d.Rollup.MaxQueue)
 	}
-	if s := d.Get("queue_depth"); s == nil || len(s.Samples) != 2 {
-		t.Errorf("queue_depth series = %+v", s)
+	if s := d.Get("buffer_pkts"); s == nil || len(s.Samples) != 2 {
+		t.Errorf("buffer_pkts series = %+v", s)
+	}
+	if d.Snapshot == nil || d.Snapshot.Gauges["netsim_link_max_queue_depth"] != 2 {
+		t.Errorf("snapshot = %+v", d.Snapshot)
 	}
 }
 
@@ -167,23 +171,18 @@ func TestParseProbesLinkRecords(t *testing.T) {
 // hot-links table into the page, and the event loop's closing gauges
 // into the Gauges table.
 func TestRenderHTMLLinkSections(t *testing.T) {
-	lp, err := ParseProbes(strings.NewReader(strings.Join([]string{
-		`{"schema":"fattree-linkprobe/v1"}`,
-		`{"t_ps":0,"series":"queue_depth","values":[0,1,3]}`,
-		`{"t_ps":1000,"series":"queue_depth","values":[1,0,2]}`,
+	probes, err := ParseProbes(strings.NewReader(strings.Join([]string{
+		`{"schema":"fattree-probes/v1"}`,
+		`{"t_ps":0,"series":"buffer_pkts","values":[0,1,3]}`,
+		`{"t_ps":1000,"series":"buffer_pkts","values":[1,0,2]}`,
 		`{"rollup":"links","duration_ps":2000,"max_queue":[1,1,3],"busy_frac":[0.5,0.25,0.75]}`,
+		`{"snapshot":{"counters":{},"gauges":{"netsim_busy_ns":1500000,"netsim_calendar_rebases":2},"histograms":{}}}`,
 	}, "\n")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	probes, err := ParseProbes(strings.NewReader(
-		`{"snapshot":{"counters":{},"gauges":{"netsim_busy_ns":1500000,"netsim_calendar_rebases":2},"histograms":{}}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var out bytes.Buffer
-	err = RenderHTML(&out, Inputs{Probes: probes, LinkProbes: lp},
-		HTMLOptions{LinkProbesFile: "lp.jsonl"})
+	err = RenderHTML(&out, Inputs{Probes: probes}, HTMLOptions{MetricsFile: "m.jsonl"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,8 +192,10 @@ func TestRenderHTMLLinkSections(t *testing.T) {
 		"queue depth heatmap",
 		"<td>netsim_busy_ns</td><td>1500000</td>",
 		"<td>netsim_calendar_rebases</td><td>2</td>",
-		"fattree-linkprobe/v1",
-		"link probes: lp.jsonl",
+		"fattree-probes/v1",
+		"metrics: m.jsonl",
+		// Scaled to the deepest queue seen.
+		"depth 0 &#8594; 3",
 		// The hot-links table names only the contended channel (depth > 1).
 		"<td>ch2</td><td>3</td><td>75</td>",
 	} {

@@ -3,8 +3,8 @@ package schema
 // RollupLinks is the LinkRollup.Rollup discriminator.
 const RollupLinks = "links"
 
-// LinkRollup is the end-of-run record of the fattree-linkprobe/v1
-// stream: the per-directed-channel contention summary. A
+// LinkRollup is the record that closes each simulation in the
+// fattree-probes/v1 stream: the per-directed-channel contention summary. A
 // contention-free run shows MaxQueue ≤ 1 everywhere; a contended run
 // names the hot channel by index (up = 2*link, down = 2*link+1).
 type LinkRollup struct {

@@ -14,11 +14,9 @@ package schema
 // is the schema table of docs/OBSERVABILITY.md.
 const (
 	// Probes stamps the -metrics JSONL stream (first record): probe
-	// samples and the closing registry snapshot.
+	// samples, one LinkRollup per simulation and the closing registry
+	// snapshot.
 	Probes = "fattree-probes/v1"
-	// LinkProbe stamps the -link-probes JSONL stream (first record):
-	// per-channel series plus the closing LinkRollup.
-	LinkProbe = "fattree-linkprobe/v1"
 	// Trace stamps the -trace Chrome trace document (otherData.schema).
 	Trace = "fattree-trace/v1"
 	// FlowLog stamps ftsim's flow log (leading "# " comment line).
