@@ -109,22 +109,26 @@ experiments:
 experiments-quick:
 	$(GO) run ./cmd/ftbench -exp all -quick
 
-fuzz:
-	$(GO) test -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/topo/
-	$(GO) test -fuzz=FuzzParseTopologyFile -fuzztime=$(FUZZTIME) ./internal/topo/
-	$(GO) test -fuzz=FuzzParseLFTs -fuzztime=$(FUZZTIME) ./internal/fabric/
+# Every go fuzz target, as package:Target (docs/TESTING.md): the spec
+# and topology file parsers, the test-side readers of the fabric's table
+# dump and JSON document, the fault-injection -> lenient-compile -> path
+# gate pipeline, the binary wire-protocol decoder and the patched
+# route-set expansion. `fuzz` and CI's `fuzz-smoke` run the same list,
+# FUZZTIME per target.
+FUZZ_TARGETS = \
+	./internal/topo/:FuzzParseSpec \
+	./internal/topo/:FuzzParseTopologyFile \
+	./internal/fabric/:FuzzParseLFTs \
+	./internal/fabric/:FuzzDoc \
+	./internal/invariant/:FuzzFaultCompileLenient \
+	./internal/wire/:FuzzWireDecode \
+	./internal/wire/:FuzzExpandFrom
 
-# The invariant-harness fuzzers (docs/TESTING.md): topology file parser,
-# the test-side readers of the fabric's table dump and JSON document,
-# fault-injection -> lenient-compile pipeline,
-# binary wire-protocol decoder, patched route-set expansion.
-fuzz-smoke:
-	$(GO) test -fuzz=FuzzParseTopologyFile -fuzztime=$(FUZZTIME) ./internal/topo/
-	$(GO) test -fuzz=FuzzParseLFTs -fuzztime=$(FUZZTIME) ./internal/fabric/
-	$(GO) test -fuzz=FuzzDoc -fuzztime=$(FUZZTIME) ./internal/fabric/
-	$(GO) test -fuzz=FuzzFaultCompileLenient -fuzztime=$(FUZZTIME) ./internal/invariant/
-	$(GO) test -fuzz=FuzzWireDecode -fuzztime=$(FUZZTIME) ./internal/wire/
-	$(GO) test -fuzz=FuzzExpandFrom -fuzztime=$(FUZZTIME) ./internal/wire/
+fuzz fuzz-smoke:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $${t#*:} ($${t%%:*}, $(FUZZTIME))"; \
+		$(GO) test -fuzz="^$${t#*:}\$$" -fuzztime=$(FUZZTIME) "$${t%%:*}"; \
+	done
 
 clean:
 	$(GO) clean ./...

@@ -46,6 +46,12 @@ func setup(a *cli.App) func(io.Writer) error {
 }
 
 func run(w io.Writer, spec, engines string, seed int64, sim bool, bytes int64, stages int, minRout float64, out string, jsonOut bool) error {
+	if stages < 1 {
+		return fmt.Errorf("-sim-stages %d: want at least one stage", stages)
+	}
+	if bytes < 1 {
+		return fmt.Errorf("-bytes %d: want at least one byte a message", bytes)
+	}
 	t, err := cli.BuildTopo(spec)
 	if err != nil {
 		return err

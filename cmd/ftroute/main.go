@@ -1,6 +1,11 @@
 // Command ftroute computes forwarding tables for a fat-tree and either
 // dumps them (like dump_lfts.sh would for an InfiniBand fabric), verifies
-// their correctness, or traces a single source-destination path.
+// their correctness, or traces a single source-destination path. -verify
+// runs ftcheck's route.total, route.updown and route.minimal checks —
+// every pair delivered over a minimal up*/down* path, read through the
+// one served-path walker the daemon's snapshot gate also reads — and
+// prints the Theorem 2 tally's count of down ports carrying more than one
+// destination.
 //
 // Usage:
 //
@@ -19,7 +24,7 @@ import (
 
 	"fattree/internal/cli"
 	"fattree/internal/engine"
-	"fattree/internal/route"
+	"fattree/internal/invariant"
 	"fattree/internal/topo"
 )
 
@@ -66,29 +71,29 @@ func run(out io.Writer, spec, engName string, seed int64, verify, dump bool, tra
 	did := false
 	if verify {
 		did = true
-		if err := route.Verify(lft, 0); err != nil {
-			return err
-		}
-		conflicts, err := route.DownPortConflicts(lft)
+		checks, err := invariant.Select("route.total,route.updown,route.minimal")
 		if err != nil {
 			return err
 		}
+		for _, res := range invariant.Run(invariant.NewInstance(t, lft, nil), checks).Checks {
+			if res.Status == invariant.Fail {
+				if d := res.Counterexample.Detail; d != "" {
+					return fmt.Errorf("%s: %s: %s", res.Name, res.Error, d)
+				}
+				return fmt.Errorf("%s: %s", res.Name, res.Error)
+			}
+		}
+		conflicts, _ := invariant.DownPortConflicts(t, lft)
 		fmt.Fprintf(out, "%s on %s: all %d^2 pairs verified, %d down-port conflicts\n",
 			lft.Name, g, t.NumHosts(), conflicts)
 	}
 	if trace != "" {
 		did = true
-		s, d, ok := strings.Cut(trace, ",")
-		if !ok {
-			return fmt.Errorf("trace wants src,dst")
-		}
-		src, err := strconv.Atoi(s)
-		if err != nil {
-			return err
-		}
-		dst, err := strconv.Atoi(d)
-		if err != nil {
-			return err
+		s, d, _ := strings.Cut(trace, ",") // no comma: d is empty and fails to parse
+		src, err1 := strconv.Atoi(s)
+		dst, err2 := strconv.Atoi(d)
+		if n := t.NumHosts(); err1 != nil || err2 != nil || src < 0 || src >= n || dst < 0 || dst >= n {
+			return fmt.Errorf("trace wants src,dst with hosts in [0,%d), not -trace %q", n, trace)
 		}
 		hops, err := lft.Trace(src, dst)
 		if err != nil {

@@ -31,5 +31,7 @@ func TestGolden(t *testing.T) {
 		{Name: "bad-engine", Args: with("-engine", "nope"), Exit: 1, Stderr: `unknown engine "nope" (registered: dmodk,`},
 		{Name: "engine-list", Args: []string{"-engine", "list"}},
 		{Name: "bad-trace", Args: with("-trace", "5"), Exit: 1, Stderr: "ftroute: trace wants src,dst"},
+		{Name: "trace-out-of-range", Args: with("-trace", "0,32"), Exit: 1, Stderr: `ftroute: trace wants src,dst with hosts in [0,32), not -trace "0,32"`},
+		{Name: "trace-negative", Args: with("-trace", "-1,0"), Exit: 1, Stderr: `ftroute: trace wants src,dst with hosts in [0,32), not -trace "-1,0"`},
 	})
 }

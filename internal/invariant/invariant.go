@@ -11,9 +11,11 @@
 // randomized fabrics (RandRLFT + Shrink), the fabric-manager daemon's
 // snapshot validation (LenientArena), and the cmd/ftcheck CLI, which
 // emits a schema-stamped fattree-check/v1 verdict for CI. Checks report
-// pass/fail/skip with a structured counterexample; pair-indexed checks
-// scan ascending (src, dst), so the reported counterexample is always
-// the lexicographically minimal failing pair.
+// pass/fail/skip with a structured counterexample. Every check on served
+// paths — the route.* path checks, the Theorem 2 tally and
+// LenientArena — reads one walker that scans ascending (src, dst), so
+// the reported counterexample is always the lexicographically minimal
+// failing pair.
 package invariant
 
 import (
@@ -136,15 +138,6 @@ func DefaultSequences(g topo.PGFT, n int) []cps.Sequence {
 		}
 	}
 	return seqs
-}
-
-// broken reports whether the instance's router records the pair as
-// having no served path (lenient-compiled arenas over faulted fabrics).
-func (in *Instance) broken(src, dst int) bool {
-	if c, ok := in.Router.(*route.Compiled); ok {
-		return c.Broken(src, dst)
-	}
-	return false
 }
 
 // unroutable is the nil-safe Unroutable predicate.
@@ -279,6 +272,13 @@ func pass() Result { return Result{Status: Pass} }
 
 func failf(cx *Counterexample, format string, args ...any) Result {
 	return Result{Status: Fail, Error: fmt.Sprintf(format, args...), Counterexample: cx}
+}
+
+// failp is failf for the served-path predicates, which return nil for a
+// pass.
+func failp(cx *Counterexample, format string, args ...any) *Result {
+	res := failf(cx, format, args...)
+	return &res
 }
 
 func skipf(format string, args ...any) Result {

@@ -8,47 +8,6 @@ import (
 	"fattree/internal/topo"
 )
 
-// tracePair walks src->dst through the router with hop-level
-// verification: every reported link must attach to the node the previous
-// hop ended on, and the walk must end on the destination end-port. It
-// returns the packed hops.
-func tracePair(t *topo.Topology, r route.Router, src, dst int) ([]route.PathEntry, error) {
-	cur := t.HostID(src)
-	var hops []route.PathEntry
-	var chainErr error
-	err := r.Walk(src, dst, func(l topo.LinkID, up bool) {
-		if chainErr != nil {
-			return
-		}
-		if l < 0 || int(l) >= len(t.Links) {
-			chainErr = fmt.Errorf("hop %d names link %d, out of range [0,%d)", len(hops), l, len(t.Links))
-			return
-		}
-		lk := &t.Links[l]
-		from, to := lk.Upper, lk.Lower
-		if up {
-			from, to = lk.Lower, lk.Upper
-		}
-		if t.Ports[from].Node != cur {
-			chainErr = fmt.Errorf("hop %d traverses link %d from %v, but the path is at %v",
-				len(hops), l, t.Node(t.Ports[from].Node), t.Node(cur))
-			return
-		}
-		cur = t.Ports[to].Node
-		hops = append(hops, route.PackEntry(l, up))
-	})
-	if err != nil {
-		return nil, err
-	}
-	if chainErr != nil {
-		return nil, chainErr
-	}
-	if cur != t.HostID(dst) {
-		return nil, fmt.Errorf("path ends at %v, not host %d", t.Node(cur), dst)
-	}
-	return hops, nil
-}
-
 // skipNoRouter is the shared gate for routing checks on router-less
 // instances.
 func skipNoRouter() Result { return skipf("no router bound to the instance") }
@@ -85,30 +44,7 @@ func checkRouteTotal(in *Instance) Result {
 	if in.Router == nil {
 		return skipNoRouter()
 	}
-	t := in.Topo
-	n := t.NumHosts()
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			if src == dst {
-				continue
-			}
-			if in.unroutable(src) || in.unroutable(dst) {
-				if !in.broken(src, dst) {
-					return failf(&Counterexample{Pair: []int{src, dst}},
-						"pair %d->%d touches an unroutable host but is not recorded broken", src, dst)
-				}
-				continue
-			}
-			if in.broken(src, dst) {
-				continue
-			}
-			if _, err := tracePair(t, in.Router, src, dst); err != nil {
-				return failf(&Counterexample{Pair: []int{src, dst}, Detail: err.Error()},
-					"pair %d->%d is not delivered", src, dst)
-			}
-		}
-	}
-	return pass()
+	return servedPaths(in.Topo, in.Router, in.Unroutable, mustBreak, nil)
 }
 
 // checkRouteUpDown verifies the up*/down* shape every deadlock-free
@@ -118,31 +54,7 @@ func checkRouteUpDown(in *Instance) Result {
 	if in.Router == nil {
 		return skipNoRouter()
 	}
-	t := in.Topo
-	n := t.NumHosts()
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			if src == dst || in.broken(src, dst) || in.unroutable(src) || in.unroutable(dst) {
-				continue
-			}
-			hops, err := tracePair(t, in.Router, src, dst)
-			if err != nil {
-				return failf(&Counterexample{Pair: []int{src, dst}, Detail: err.Error()},
-					"pair %d->%d failed to walk", src, dst)
-			}
-			descending := false
-			for i, e := range hops {
-				if route.EntryUp(e) && descending {
-					return failf(&Counterexample{Pair: []int{src, dst}, Link: intp(int(route.EntryLink(e)))},
-						"pair %d->%d climbs again at hop %d after descending", src, dst, i)
-				}
-				if !route.EntryUp(e) {
-					descending = true
-				}
-			}
-		}
-	}
-	return pass()
+	return servedPaths(in.Topo, in.Router, in.Unroutable, upDown, nil)
 }
 
 // checkRouteMinimal verifies minimality: every served path takes exactly
@@ -154,26 +66,15 @@ func checkRouteMinimal(in *Instance) Result {
 	if in.Router == nil {
 		return skipNoRouter()
 	}
-	t := in.Topo
-	n := t.NumHosts()
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			if src == dst || in.broken(src, dst) || in.unroutable(src) || in.unroutable(dst) {
-				continue
-			}
-			hops, err := tracePair(t, in.Router, src, dst)
-			if err != nil {
-				return failf(&Counterexample{Pair: []int{src, dst}, Detail: err.Error()},
-					"pair %d->%d failed to walk", src, dst)
-			}
-			if want := 2 * t.Spec.LCALevel(src, dst); len(hops) != want {
-				return failf(&Counterexample{Pair: []int{src, dst},
-					Detail: fmt.Sprintf("%d hops, minimal is %d", len(hops), want)},
-					"pair %d->%d takes a non-minimal path", src, dst)
-			}
+	g := in.Topo.Spec
+	return servedPaths(in.Topo, in.Router, in.Unroutable, 0, func(src, dst int, path []route.PathEntry) *Result {
+		if want := 2 * g.LCALevel(src, dst); len(path) != want {
+			return failp(&Counterexample{Pair: []int{src, dst},
+				Detail: fmt.Sprintf("%d hops, minimal is %d", len(path), want)},
+				"pair %d->%d takes a non-minimal path", src, dst)
 		}
-	}
-	return pass()
+		return nil
+	})
 }
 
 // checkRouteAlive verifies that no served path traverses a dead link.
@@ -186,34 +87,23 @@ func checkRouteAlive(in *Instance) Result {
 	if in.Alive == nil {
 		return pass() // no fault model: every link alive by definition
 	}
-	t := in.Topo
-	n := t.NumHosts()
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			if src == dst || in.broken(src, dst) || in.unroutable(src) || in.unroutable(dst) {
-				continue
-			}
-			hops, err := tracePair(t, in.Router, src, dst)
-			if err != nil {
-				return failf(&Counterexample{Pair: []int{src, dst}, Detail: err.Error()},
-					"pair %d->%d failed to walk", src, dst)
-			}
-			for _, e := range hops {
-				if l := route.EntryLink(e); !in.Alive(l) {
-					return failf(&Counterexample{Pair: []int{src, dst}, Link: intp(int(l))},
-						"pair %d->%d crosses dead link %d", src, dst, l)
-				}
+	return servedPaths(in.Topo, in.Router, in.Unroutable, 0, func(src, dst int, path []route.PathEntry) *Result {
+		for _, e := range path {
+			if l := route.EntryLink(e); !in.Alive(l) {
+				return failp(&Counterexample{Pair: []int{src, dst}, Link: intp(int(l))},
+					"pair %d->%d crosses dead link %d", src, dst, l)
 			}
 		}
-	}
-	return pass()
+		return nil
+	})
 }
 
 // checkThm2DownUnique verifies Theorem 2 generically over any Router:
 // under all-to-all traffic every switch down port carries traffic towards
-// exactly one destination. The theorem needs the first two RLFT
-// restrictions (constant CBB, single host uplink) and an intact fabric;
-// the check skips otherwise — non-CBB PGFTs genuinely violate it.
+// exactly one destination. It fails on the tally's first clash. The
+// theorem needs the first two RLFT restrictions (constant CBB, single
+// host uplink) and an intact fabric; the check skips otherwise — non-CBB
+// PGFTs genuinely violate it.
 func checkThm2DownUnique(in *Instance) Result {
 	if in.Router == nil {
 		return skipNoRouter()
@@ -225,48 +115,8 @@ func checkThm2DownUnique(in *Instance) Result {
 	if in.hasFaults() {
 		return skipf("Theorem 2 claims nothing on degraded fabrics")
 	}
-	t := in.Topo
-	n := t.NumHosts()
-	// destOn[port] = the destination first seen descending through that
-	// down port, or -1.
-	destOn := make([]int, len(t.Ports))
-	for i := range destOn {
-		destOn[i] = -1
-	}
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			if src == dst {
-				continue
-			}
-			var clash Result
-			hops, err := tracePair(t, in.Router, src, dst)
-			if err != nil {
-				return failf(&Counterexample{Pair: []int{src, dst}, Detail: err.Error()},
-					"pair %d->%d failed to walk", src, dst)
-			}
-			for _, e := range hops {
-				if route.EntryUp(e) {
-					continue
-				}
-				l := route.EntryLink(e)
-				port := t.Links[l].Upper
-				switch destOn[port] {
-				case -1:
-					destOn[port] = dst
-				case dst:
-				default:
-					clash = failf(&Counterexample{Pair: []int{src, dst}, Link: intp(int(l)),
-						Detail: fmt.Sprintf("down port %d of %v carries destinations %d and %d",
-							t.Ports[port].Num, t.Node(t.Ports[port].Node), destOn[port], dst)},
-						"pair %d->%d shares a down port with destination %d", src, dst, destOn[port])
-				}
-				if clash.Status == Fail {
-					return clash
-				}
-			}
-		}
-	}
-	return pass()
+	_, first := DownPortConflicts(in.Topo, in.Router)
+	return first
 }
 
 // checkCompiledEquiv verifies the compiled path cache is a transparent

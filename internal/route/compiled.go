@@ -4,11 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 
+	"fattree/internal/par"
 	"fattree/internal/topo"
 )
 
@@ -103,7 +102,9 @@ type Compiled struct {
 }
 
 // Compile materializes every path of r in parallel across rows. It
-// returns r unchanged when it is already a *Compiled.
+// returns r unchanged when it is already a *Compiled. When some pair does
+// not walk, it returns the error of the lowest row that has one, the same
+// whatever the worker count.
 func Compile(r Router) (*Compiled, error) { return build(r, nil, nil, 0, false) }
 
 // CompileParallel is Compile with an explicit worker count (<= 0 uses
@@ -313,64 +314,45 @@ func build(r Router, base *Compiled, cols []int, workers int, lenient bool) (*Co
 }
 
 // fillColumns fills the slots of every row towards the first ncols
-// destination columns, cols[k] (nil: column k), in parallel over rows
-// (workers <= 0 uses GOMAXPROCS): each worker walks a row straight into
-// slots no other worker touches, so no locking is needed.
+// destination columns, cols[k] (nil: column k), in parallel over rows on
+// par.Do with one filler per worker (workers <= 0 uses GOMAXPROCS): each
+// worker walks a row straight into slots no other row touches, so no
+// locking is needed. A strict build stops at a refused slot and returns
+// the error of the lowest row that refused one.
 func (c *Compiled) fillColumns(r Router, cols []int, ncols, workers int, lenient bool) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	rows := len(c.rep)
 	refused := make([][]int32, rows)
 	readers := make([]int, rows) // per-row source count
 	for _, row := range c.rowOf {
 		readers[row]++
 	}
-	var (
-		wg       sync.WaitGroup
-		next     atomic.Int64 // rows handed out so far
-		failed   atomic.Bool  // a strict build hit an error: stop
-		firstErr error        // written by whoever sets failed first
-	)
-	for w := 0; w < min(workers, rows); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fill := c.filler(r, lenient)
-			for !failed.Load() {
-				row := int(next.Add(1)) - 1
-				if row >= rows {
-					return
-				}
-				own := -1 // the destination no pair reads: a row's only source
-				if readers[row] == 1 {
-					own = int(c.rep[row])
-				}
-				for k := 0; k < ncols; k++ {
-					dst := k
-					if cols != nil {
-						dst = cols[k]
-					}
-					err := fill(row, dst)
-					if err == nil || dst == own {
-						continue
-					}
-					if !lenient {
-						if failed.CompareAndSwap(false, true) {
-							firstErr = fmt.Errorf("route: compile %s: %w", r.Label(), err)
-						}
-						return
-					}
-					refused[row] = append(refused[row], int32(dst))
-				}
+	newFiller := func() func(row, dst int) error { return c.filler(r, lenient) }
+	err := par.Do(rows, workers, newFiller, func(fill func(row, dst int) error, row int) error {
+		own := -1 // the destination no pair reads: a row's only source
+		if readers[row] == 1 {
+			own = int(c.rep[row])
+		}
+		for k := 0; k < ncols; k++ {
+			dst := k
+			if cols != nil {
+				dst = cols[k]
 			}
-		}()
+			err := fill(row, dst)
+			if err == nil || dst == own {
+				continue
+			}
+			if !lenient {
+				return fmt.Errorf("route: compile %s: %w", r.Label(), err)
+			}
+			refused[row] = append(refused[row], int32(dst))
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	wg.Wait()
-	if firstErr == nil {
-		c.breakRefused(refused)
-	}
-	return firstErr
+	c.breakRefused(refused)
+	return nil
 }
 
 // Broken reports whether a leniently compiled pair had no usable

@@ -182,6 +182,15 @@ func TestCompileReportsBrokenTables(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "no entry") {
 		t.Errorf("unexpected error: %v", err)
 	}
+	// With a second dead end in the last row, every worker count reports
+	// the lowest row's.
+	last := tp.LeafOf(tp.NumHosts() - 1)
+	lft.SetOutPort(last.ID, 0, topo.None)
+	for _, workers := range []int{1, 2, 7, 7, 7} {
+		if _, err := CompileParallel(lft, workers); err == nil || !strings.Contains(err.Error(), "no entry for dst 127 ") {
+			t.Errorf("%d workers: %v, want the dead end towards 127", workers, err)
+		}
+	}
 }
 
 func TestPackEntryRoundTrip(t *testing.T) {

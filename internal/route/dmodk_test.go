@@ -16,50 +16,6 @@ func UpPortOf(g topo.PGFT, l, j int) int {
 	return (j / g.WProd(l)) % (g.Wi(l+1) * g.Pi(l+1))
 }
 
-func TestDModKDelivers(t *testing.T) {
-	for _, g := range []topo.PGFT{
-		topo.Cluster128,
-		topo.Cluster324,
-		topo.MustPGFT(2, []int{4, 4}, []int{1, 2}, []int{1, 2}),
-		topo.MustPGFT(3, []int{4, 4, 4}, []int{1, 4, 2}, []int{1, 1, 2}),
-	} {
-		tp := topo.MustBuild(g)
-		f := DModK(tp)
-		if err := Verify(f, 0); err != nil {
-			t.Errorf("%v: %v", g, err)
-		}
-	}
-}
-
-// TestDModKAtThePortBound: on fabrics with a node of topo.MaxPorts ports
-// its last port is number 254, one below the empty entry, and the tables
-// still deliver every pair through it.
-func TestDModKAtThePortBound(t *testing.T) {
-	for _, g := range []topo.PGFT{
-		topo.MustPGFT(1, []int{255}, []int{1}, []int{1}),            // a 255-port top switch
-		topo.MustPGFT(2, []int{127, 2}, []int{1, 128}, []int{1, 1}), // 255-port leaves, 128 up
-	} {
-		tp := topo.MustBuild(g)
-		f := DModK(tp)
-		if err := Verify(f, 0); err != nil {
-			t.Fatalf("%v: %v", g, err)
-		}
-		sw := tp.SwitchAt(1, 0)
-		last := sw.FirstPort() + topo.PortID(topo.MaxPorts-1)
-		if got := f.OutPort(sw.ID, tp.HostsUnder(sw)[len(sw.Down)-1]); got != last {
-			t.Fatalf("%v: %v forwards its last host through port %d, want %d", g, sw, got, last)
-		}
-	}
-}
-
-func TestDModKDelivers1944Sampled(t *testing.T) {
-	tp := topo.MustBuild(topo.Cluster1944)
-	f := DModK(tp)
-	if err := Verify(f, 64); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestDModKMatchesClosedForm(t *testing.T) {
 	g := topo.Cluster324
 	tp := topo.MustBuild(g)
@@ -80,26 +36,6 @@ func TestDModKMatchesClosedForm(t *testing.T) {
 			if want := UpPortOf(g, 1, j); got != want {
 				t.Fatalf("leaf %v dst %d: up port %d, want %d", leaf, j, got, want)
 			}
-		}
-	}
-}
-
-func TestDModKDownPortUniqueness(t *testing.T) {
-	// Theorem 2: over all-to-all traffic no down port carries more than
-	// one destination on a complete RLFT.
-	for _, g := range []topo.PGFT{
-		topo.Cluster128,
-		topo.Cluster324,
-		topo.MustPGFT(3, []int{4, 4, 4}, []int{1, 4, 2}, []int{1, 1, 2}),
-	} {
-		tp := topo.MustBuild(g)
-		f := DModK(tp)
-		c, err := DownPortConflicts(f)
-		if err != nil {
-			t.Fatalf("%v: %v", g, err)
-		}
-		if c != 0 {
-			t.Errorf("%v: %d down ports carry multiple destinations, want 0", g, c)
 		}
 	}
 }
@@ -155,19 +91,6 @@ func TestDModKRootLoadBalanced(t *testing.T) {
 		if c != want {
 			t.Errorf("root %d serves %d destinations, want %d", r, c, want)
 		}
-	}
-}
-
-func TestDModKActiveDelivers(t *testing.T) {
-	tp := topo.MustBuild(topo.Cluster324)
-	r := rand.New(rand.NewSource(42))
-	active := r.Perm(tp.NumHosts())[:300]
-	f, err := DModKActive(tp, active)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Verify(f, 0); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -227,36 +150,6 @@ func TestActiveRanksRejectsMalformedSets(t *testing.T) {
 	tp := topo.MustBuild(topo.Cluster128)
 	if _, err := DModKActive(tp, []int{0, 0}); err == nil {
 		t.Error("DModKActive accepted a duplicate active host")
-	}
-}
-
-func TestMinHopRandomDelivers(t *testing.T) {
-	tp := topo.MustBuild(topo.Cluster128)
-	f := MinHopRandom(tp, 1)
-	if err := Verify(f, 0); err != nil {
-		t.Error(err)
-	}
-	// Deterministic per seed.
-	f2 := MinHopRandom(tp, 1)
-	f3 := MinHopRandom(tp, 2)
-	sameTables(t, f, f2)
-	if _, _, differ := tablesDiffer(f, f3); !differ {
-		t.Error("different seeds produced identical tables")
-	}
-}
-
-func TestDModKNaiveDeliversButConflicts(t *testing.T) {
-	tp := topo.MustBuild(topo.MustPGFT(3, []int{4, 4, 4}, []int{1, 4, 2}, []int{1, 1, 2}))
-	f := DModKNaive(tp)
-	if err := Verify(f, 0); err != nil {
-		t.Fatal(err)
-	}
-	c, err := DownPortConflicts(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c == 0 {
-		t.Error("naive variant shows no down-port conflicts; expected it to be worse than d-mod-k")
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package route implements deterministic destination-based routing for
 // PGFT/RLFT fat-trees, centered on the D-Mod-K routing of Section V of the
-// paper (equation 1), plus baseline routings used for comparison and
-// validation helpers.
+// paper (equation 1), plus baseline routings used for comparison.
+// Checking a table set's paths is internal/invariant's business.
 //
 // Routing is materialized as linear forwarding tables (LFTs), exactly like
 // an InfiniBand subnet manager would program switches: for every switch and
