@@ -52,6 +52,9 @@ func run(w io.Writer, spec, engines string, seed int64, sim bool, bytes int64, s
 	if bytes < 1 {
 		return fmt.Errorf("-bytes %d: want at least one byte a message", bytes)
 	}
+	if !(minRout >= 0 && minRout <= 100) {
+		return fmt.Errorf("-min-routability %g: want a percentage in [0, 100]", minRout)
+	}
 	t, err := cli.BuildTopo(spec)
 	if err != nil {
 		return err

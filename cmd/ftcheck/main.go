@@ -14,7 +14,6 @@
 //	ftcheck -topo 324 -order random -seed 3            # shuffled ordering -> HSD > 1
 //	ftcheck -topo 324 -fault-random 2                  # healthy tables over dead links -> route.alive fails
 //	ftcheck -topo 324 -fault-random 2 -reroute         # the engine routes around them -> passes
-//	ftcheck -topo 324 -engine nodetype-lb -fault-random 2 -reroute
 //	ftcheck -rand 20 -seed 1                           # sweep 20 seeded random RLFTs
 //	ftcheck -list                                      # catalog names and paper refs
 //
@@ -68,6 +67,12 @@ func setup(a *cli.App) func(io.Writer) error {
 				fmt.Fprintf(w, "%-24s %s\n", c.Name, c.Ref)
 			}
 			return nil
+		}
+		if *randN < 0 {
+			return fmt.Errorf("-rand %d: want zero or more random RLFTs", *randN)
+		}
+		if *faultRand < 0 {
+			return fmt.Errorf("-fault-random %d: want zero or more links", *faultRand)
 		}
 		ok, err := run(*spec, *engName, *ordering, *seed, *checksArg, *randN, *faultsArg, *faultRand, *reroute, *jsonOut, w)
 		if err == nil && !ok {

@@ -195,6 +195,8 @@ func TestGolden(t *testing.T) {
 		{Name: "minhop-random-7-json", Args: rlft("-engine", "minhop-random", "-seed", "7", "-json"), Exit: 1},
 		{Name: "dmodk-naive", Args: rlft("-engine", "dmodk-naive")},
 		{Name: "smodk", Args: rlft("-engine", "smodk"), Exit: 1},
+		{Name: "negative-rand", Args: rlft("-rand", "-1"), Exit: 1, Stderr: "ftcheck: -rand -1: want zero or more random RLFTs"},
+		{Name: "negative-fault-random", Args: rlft("-fault-random", "-2"), Exit: 1, Stderr: "ftcheck: -fault-random -2: want zero or more links"},
 		{Name: "fault-stale", Args: rlft("-fault-random", "1", "-seed", "1"), Exit: 1},
 		// One meaning for -reroute: with or without naming the engine,
 		// absent means healthy tables over dead links.
@@ -203,7 +205,6 @@ func TestGolden(t *testing.T) {
 		{Name: "fault-reroute-dmodk", Golden: "fault-reroute", Args: []string{"-topo", "324", "-engine", "dmodk", "-fault-random", "2", "-reroute"}},
 		{Name: "fault-reroute-json", Args: []string{"-topo", "324", "-fault-random", "2", "-reroute", "-json"}},
 		{Name: "fault-resilient-reroute-json", Args: rlft("-engine", "fault-resilient", "-fault-random", "1", "-reroute", "-json")},
-		{Name: "nodetype-lb-reroute", Args: rlft("-engine", "nodetype-lb", "-fault-random", "2", "-reroute")},
 		{Name: "order-random-3", Args: rlft("-order", "random", "-seed", "3"), Exit: 1},
 		{Name: "order-cyclic", Args: rlft("-order", "cyclic")},
 		{Name: "rand-2", Args: []string{"-topo", "kary:2,2", "-rand", "2", "-seed", "1"}},

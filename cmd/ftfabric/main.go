@@ -42,6 +42,9 @@ func setup(a *cli.App) func(io.Writer) error {
 	)
 	a.Profile()
 	return func(w io.Writer) error {
+		if *fail < 0 {
+			return fmt.Errorf("-fail %d: want zero or more links", *fail)
+		}
 		if !*discover && !*dumpLFTs && *fail <= 0 && !*report && !*jsonOut {
 			a.Flags.Usage()
 			return nil

@@ -20,5 +20,6 @@ func TestGolden(t *testing.T) {
 		{Name: "dump-lfts-json", Args: rlft("-dump-lfts", "-json"), Exit: 1, Stderr: "ftfabric: -dump-lfts has its own text format; drop -json"},
 		{Name: "no-action", Args: rlft(), Stderr: "Usage of ftfabric:"},
 		{Name: "too-many-faults", Args: rlft("-fail", "9999"), Exit: 1, Stderr: "ftfabric: "},
+		{Name: "negative-fail", Args: rlft("-fail", "-3"), Exit: 1, Stderr: "ftfabric: -fail -3: want zero or more links"},
 	})
 }

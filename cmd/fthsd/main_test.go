@@ -28,7 +28,6 @@ func TestGolden(t *testing.T) {
 		// engine now takes the shared -seed and -drop-seed only draws.
 		{Name: "minhop-random-7", Args: rlft("-engine", "minhop-random", "-cps", "shift", "-seed", "7")},
 		{Name: "minhop-random-drop-seed", Golden: "minhop-random-1", Args: rlft("-engine", "minhop-random", "-cps", "shift", "-drop-seed", "7")},
-		{Name: "nodetype-lb", Args: rlft("-engine", "nodetype-lb", "-cps", "shift", "-stages")},
 		{Name: "smodk-drop", Args: rlft("-engine", "smodk", "-drop", "4"), Exit: 1, Stderr: "an active set requires dmodk"},
 		{Name: "drop-all", Args: rlft("-drop", "32"), Exit: 1, Stderr: "cannot -drop 32 of 32 end-ports"},
 		{Name: "bad-cps", Args: rlft("-cps", "nope"), Exit: 1, Stderr: `fthsd: mpi: unknown CPS kind "nope"`},

@@ -37,6 +37,9 @@ func setup(a *cli.App) func(io.Writer) error {
 }
 
 func run(out, stderr io.Writer, spec string, jobSize int, drop *cli.Drop, format string) error {
+	if jobSize < 0 {
+		return fmt.Errorf("-job %d: want a job size, or 0 for the whole cluster", jobSize)
+	}
 	t, err := cli.BuildTopo(spec)
 	if err != nil {
 		return err

@@ -15,6 +15,7 @@ func TestGolden(t *testing.T) {
 		{Name: "drop-18", Args: []string{"-topo", "324", "-drop", "18", "-drop-seed", "3"}},
 		{Name: "hostlist", Args: []string{"-topo", "rlft2:4,8", "-format", "hostlist"}},
 		{Name: "bad-format", Args: []string{"-topo", "rlft2:4,8", "-format", "nope"}, Exit: 1, Stderr: `ftorder: unknown format "nope"`},
+		{Name: "negative-job", Args: []string{"-topo", "rlft2:4,8", "-job", "-5"}, Exit: 1, Stderr: "ftorder: -job -5: want a job size, or 0 for the whole cluster"},
 	})
 }
 

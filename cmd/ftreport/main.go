@@ -98,6 +98,9 @@ func setupBlame(a *cli.App) func(io.Writer) error {
 		outPath  = a.Flags.String("o", "", "output file (default stdout)")
 	)
 	return func(stdout io.Writer) error {
+		if *top < 0 {
+			return fmt.Errorf("-top %d: want zero (every flow) or more flows a link", *top)
+		}
 		t, err := cli.BuildTopo(*spec)
 		if err != nil {
 			return err

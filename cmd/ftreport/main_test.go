@@ -15,6 +15,7 @@ func TestGolden(t *testing.T) {
 		{Name: "blame-adversarial", Args: []string{"blame", "-topo", "rlft2:4,8", "-cps", "ring", "-order", "adversarial", "-top", "2"}},
 		{Name: "blame-adversarial-drop", Args: []string{"blame", "-topo", "324", "-order", "adversarial", "-drop", "18"}, Exit: 1, Stderr: "ftreport: adversarial ordering supports full population only"},
 		{Name: "blame-bad-order", Args: []string{"blame", "-topo", "128", "-order", "nope"}, Exit: 1, Stderr: `ftreport: unknown ordering "nope"`},
+		{Name: "blame-negative-top", Args: []string{"blame", "-topo", "128", "-top", "-1"}, Exit: 1, Stderr: "ftreport: -top -1: want zero (every flow) or more flows a link"},
 		{Name: "html", Args: []string{"html", "-metrics", "testdata/probes.jsonl", "-trace", "testdata/trace.json", "-stamp=false", "-o", "-"}},
 		{Name: "html-no-input", Args: []string{"html"}, Exit: 1, Stderr: "ftreport: html: need at least one of -metrics"},
 		// Every input flag at once, over fixtures recorded from their real

@@ -50,6 +50,9 @@ func run(w io.Writer, spec string, dot, fig1 bool, shift int, ordering string, s
 		return err
 	}
 	n := t.NumHosts()
+	if shift < 0 || shift >= n {
+		return fmt.Errorf("-shift %d: want a displacement in [0, %d), 0 for none", shift, n)
+	}
 
 	var pairs [][2]int
 	if shift > 0 {

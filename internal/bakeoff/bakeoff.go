@@ -31,10 +31,6 @@ type Config struct {
 	Engines []string
 	// Seed drives the fault draws and seeded engines.
 	Seed int64
-	// Opts is passed to every engine builder.
-	Opts engine.Options
-	// Levels are the fault-storm rungs; nil uses StormLevels.
-	Levels []FaultLevel
 	// Sim enables the netsim queue-depth probe (slower).
 	Sim bool
 	// Bytes is the per-message payload when Sim is on (default 64 KiB).
@@ -101,13 +97,9 @@ func Run(cfg Config) (*schema.BakeoffDoc, error) {
 	if names == nil {
 		names = engine.Names()
 	}
-	levels := cfg.Levels
-	if levels == nil {
-		var err error
-		levels, err = StormLevels(t, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
+	levels, err := StormLevels(t, cfg.Seed)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Bytes == 0 {
 		cfg.Bytes = 64 << 10
@@ -122,12 +114,8 @@ func Run(cfg Config) (*schema.BakeoffDoc, error) {
 		byName[info.Name] = info
 	}
 	engines := make(map[string]engine.Engine, len(names))
-	opts := cfg.Opts
-	if opts.Seed == 0 {
-		opts.Seed = cfg.Seed
-	}
 	for _, name := range names {
-		e, err := engine.Build(name, t, opts)
+		e, err := engine.Build(name, t, engine.Options{Seed: cfg.Seed})
 		if err != nil {
 			return nil, err
 		}

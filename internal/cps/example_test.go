@@ -43,15 +43,11 @@ func ExampleTopoAwareRecursiveDoubling() {
 	if err != nil {
 		panic(err)
 	}
+	// Per level of 18 children: a pre stage folding the two spare
+	// children onto proxies, log2(16) = 4 XOR stages and a post stage.
 	fmt.Println("stages:", s.NumStages())
-	for _, g := range s.Groups() {
-		fmt.Printf("level %d: stages %d..%d pre=%v post=%v\n",
-			g.Level, g.First, g.Last, g.Pre, g.Post)
-	}
 	fmt.Println("completes an allreduce:", cps.CoversAllReduce(s))
 	// Output:
 	// stages: 12
-	// level 1: stages 0..5 pre=true post=true
-	// level 2: stages 6..11 pre=true post=true
 	// completes an allreduce: true
 }

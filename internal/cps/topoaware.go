@@ -18,16 +18,6 @@ type TopoAwareSeq struct {
 	m      []int   // children per level, m[0] = hosts per leaf
 	active []int   // sorted active host indices
 	stages []Stage // materialized at construction
-	groups []GroupInfo
-}
-
-// GroupInfo records which stage indices belong to which tree level, for
-// reporting and for the Table 3 experiments.
-type GroupInfo struct {
-	Level       int // 1-based tree level
-	First, Last int // inclusive stage range; Last < First when empty
-	Pre, Post   bool
-	Fixups      int // correction stages for uneven partial population
 }
 
 // taUnit is one occupied level-(l-1) sub-tree taking part in a level-l
@@ -130,16 +120,6 @@ func (s *TopoAwareSeq) Stage(st int) Stage {
 	return out
 }
 
-// Groups returns the per-level stage bookkeeping.
-func (s *TopoAwareSeq) Groups() []GroupInfo {
-	return append([]GroupInfo(nil), s.groups...)
-}
-
-// ActiveHosts returns the sorted active end-port indices (rank order).
-func (s *TopoAwareSeq) ActiveHosts() []int {
-	return append([]int(nil), s.active...)
-}
-
 // builder carries the per-level construction state.
 type taBuilder struct {
 	seq    *TopoAwareSeq
@@ -177,7 +157,6 @@ func (s *TopoAwareSeq) build() error {
 
 func (b *taBuilder) buildLevel(l int, mprod []int) error {
 	s := b.seq
-	gi := GroupInfo{Level: l, First: len(s.stages)}
 
 	// Partition active hosts into level-l sub-trees and occupied
 	// level-(l-1) units.
@@ -243,9 +222,7 @@ func (b *taBuilder) buildLevel(l int, mprod []int) error {
 				b.addPairs(&stage, st.units[u], st.units[u-e])
 			}
 		}
-		if b.commit(stage) {
-			gi.Pre = true
-		}
+		b.commit(stage)
 	}
 	// XOR stages over proxy units.
 	for sx := 0; sx < maxL; sx++ {
@@ -264,7 +241,7 @@ func (b *taBuilder) buildLevel(l int, mprod []int) error {
 		b.commit(stage)
 	}
 	// Fixups pass 1: complete proxy-unit members before post unfolds.
-	gi.Fixups += b.emitFixups(true)
+	b.emitFixups(true)
 	// Post stage: proxies unfold onto remainder units.
 	if anyPre {
 		var stage Stage
@@ -274,12 +251,10 @@ func (b *taBuilder) buildLevel(l int, mprod []int) error {
 				b.addPairs(&stage, st.units[u-e], st.units[u])
 			}
 		}
-		if b.commit(stage) {
-			gi.Post = true
-		}
+		b.commit(stage)
 	}
 	// Fixups pass 2: stragglers in remainder units.
-	gi.Fixups += b.emitFixups(false)
+	b.emitFixups(false)
 
 	// Assert level-l completeness for every active host.
 	for _, st := range b.subs {
@@ -293,8 +268,6 @@ func (b *taBuilder) buildLevel(l int, mprod []int) error {
 			}
 		}
 	}
-	gi.Last = len(s.stages) - 1
-	s.groups = append(s.groups, gi)
 	return nil
 }
 
@@ -331,8 +304,7 @@ func (b *taBuilder) commit(stage Stage) bool {
 // below the proxy threshold (pass 1, before the post stage); pass 2
 // covers the remainder units. Donors from the needy host's own unit are
 // preferred so fixup traffic stays as low in the tree as possible.
-// Returns the number of stages emitted.
-func (b *taBuilder) emitFixups(proxiesOnly bool) int {
+func (b *taBuilder) emitFixups(proxiesOnly bool) {
 	emitted := 0
 	for {
 		var stage Stage
@@ -377,7 +349,7 @@ func (b *taBuilder) emitFixups(proxiesOnly bool) int {
 			}
 		}
 		if !b.commit(stage) {
-			return emitted
+			return
 		}
 		emitted++
 		if emitted > 64 {

@@ -9,6 +9,18 @@ import (
 // The calendar-queue specifics: dispatch events, the NextEvent drain,
 // lazy slot sorting, overflow redistribution, and scheduler reuse.
 
+// drain pops every event with NextEvent and hands each dispatch event
+// to h, which may schedule more — the simulator's event loop.
+func drain(s *Scheduler, h func(kind uint16, a, b int32, c int64)) {
+	for {
+		kind, a, b, c, ok := s.NextEvent()
+		if !ok {
+			return
+		}
+		h(kind, a, b, c)
+	}
+}
+
 func TestDispatchEventPayload(t *testing.T) {
 	s := NewScheduler()
 	type rec struct {
@@ -17,14 +29,12 @@ func TestDispatchEventPayload(t *testing.T) {
 		c    int64
 	}
 	var got []rec
-	s.SetHandler(func(kind uint16, a, b int32, c int64) {
+	h := func(kind uint16, a, b int32, c int64) {
 		got = append(got, rec{kind, a, b, c})
-	})
+	}
 	s.AtEvent(20, 7, 1, 2, 3)
 	s.AtEvent(10, 9, -4, 5, -1<<40)
-	if !s.Run(0) {
-		t.Fatal("run hit bound")
-	}
+	drain(s, h)
 	want := []rec{{9, -4, 5, -1 << 40}, {7, 1, 2, 3}}
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("payloads = %+v, want %+v", got, want)
@@ -32,8 +42,8 @@ func TestDispatchEventPayload(t *testing.T) {
 }
 
 func TestNextEventDrain(t *testing.T) {
-	// NextEvent must pop dispatch events in the same order Run would,
-	// returning their payloads, while running closure events itself.
+	// NextEvent must pop dispatch events in time order, returning their
+	// payloads, while running closure events itself.
 	s := NewScheduler()
 	var closures []Time
 	s.At(15, func() { closures = append(closures, 15) })
@@ -68,16 +78,14 @@ func TestOverflowRebase(t *testing.T) {
 	s := NewScheduler()
 	horizon := Time(numSlots) * slotWidth
 	var got []Time
-	s.SetHandler(func(kind uint16, a, b int32, c int64) {
+	h := func(kind uint16, a, b int32, c int64) {
 		got = append(got, s.Now())
-	})
+	}
 	times := []Time{1, horizon + 5, 3 * horizon, horizon + 2, 2, 5 * horizon}
 	for _, at := range times {
 		s.AtEvent(at, 0, 0, 0, 0)
 	}
-	if !s.Run(0) {
-		t.Fatal("run hit bound")
-	}
+	drain(s, h)
 	want := append([]Time(nil), times...)
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 	for i := range want {
@@ -93,19 +101,17 @@ func TestInsertIntoDrainingSlot(t *testing.T) {
 	// suffix only).
 	s := NewScheduler()
 	var got []Time
-	s.SetHandler(func(kind uint16, a, b int32, c int64) {
+	h := func(kind uint16, a, b int32, c int64) {
 		got = append(got, s.Now())
 		if a == 1 {
 			// Same slot as the events below, already partly drained.
 			s.AtEvent(s.Now()+2, 0, 0, 0, 0)
 			s.AtEvent(s.Now()+1, 0, 0, 0, 0)
 		}
-	})
+	}
 	s.AtEvent(0, 0, 1, 0, 0)
 	s.AtEvent(4, 0, 0, 0, 0)
-	if !s.Run(0) {
-		t.Fatal("run hit bound")
-	}
+	drain(s, h)
 	want := []Time{0, 1, 2, 4}
 	for i := range want {
 		if got[i] != want[i] {
@@ -119,16 +125,14 @@ func TestOutOfOrderSlotAppends(t *testing.T) {
 	// dirty sort; FIFO ties must survive it.
 	s := NewScheduler()
 	var got []int32
-	s.SetHandler(func(kind uint16, a, b int32, c int64) {
+	h := func(kind uint16, a, b int32, c int64) {
 		got = append(got, a)
-	})
+	}
 	s.AtEvent(3, 0, 30, 0, 0)
 	s.AtEvent(1, 0, 10, 0, 0)
 	s.AtEvent(2, 0, 20, 0, 0)
 	s.AtEvent(1, 0, 11, 0, 0) // tie with the second push
-	if !s.Run(0) {
-		t.Fatal("run hit bound")
-	}
+	drain(s, h)
 	want := []int32{10, 11, 20, 30}
 	for i := range want {
 		if got[i] != want[i] {
@@ -140,7 +144,7 @@ func TestOutOfOrderSlotAppends(t *testing.T) {
 func TestSchedulerReset(t *testing.T) {
 	s := NewScheduler()
 	ran := 0
-	s.SetHandler(func(kind uint16, a, b int32, c int64) { ran++ })
+	h := func(kind uint16, a, b int32, c int64) { ran++ }
 	s.AtEvent(10, 0, 0, 0, 0)
 	s.At(20, func() { ran++ })
 	s.AtEvent(5*Time(numSlots)*slotWidth, 0, 0, 0, 0) // parked in overflow
@@ -150,9 +154,7 @@ func TestSchedulerReset(t *testing.T) {
 	}
 	// The dropped events must never fire; fresh ones must.
 	s.AtEvent(7, 0, 0, 0, 0)
-	if !s.Run(0) {
-		t.Fatal("run hit bound")
-	}
+	drain(s, h)
 	if ran != 1 {
 		t.Errorf("ran %d events after reset, want 1", ran)
 	}
@@ -194,18 +196,16 @@ func TestRandomizedPopOrder(t *testing.T) {
 		want = append(want, ev{at, seq})
 		seq++
 	}
-	s.SetHandler(func(kind uint16, a, b int32, c int64) {
+	h := func(kind uint16, a, b int32, c int64) {
 		got = append(got, ev{s.Now(), a})
 		if a%7 == 0 {
 			push(s.Now() + Time(rng.Int63n(3*int64(numSlots)*int64(slotWidth))))
 		}
-	})
+	}
 	for i := 0; i < 2000; i++ {
 		push(Time(rng.Int63n(2 * int64(numSlots) * int64(slotWidth))))
 	}
-	if !s.Run(0) {
-		t.Fatal("run hit bound")
-	}
+	drain(s, h)
 	sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
 	if len(got) != len(want) {
 		t.Fatalf("ran %d events, want %d", len(got), len(want))

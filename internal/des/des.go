@@ -4,10 +4,10 @@
 //
 // The kernel offers two event forms. Closure events (At/After) are
 // convenient but allocate; they suit coarse events like probe ticks.
-// Dispatch events (AtEvent/AfterEvent) carry a plain-old-data payload —
-// a kind tag plus three integer operands — stored inline in the queue and
-// routed to the scheduler's Handler, so the hot path of a large
-// simulation schedules millions of events without a single allocation.
+// Dispatch events (AtEvent) carry a plain-old-data payload — a kind tag
+// plus three integer operands — stored inline in the queue and returned
+// by NextEvent, so the hot path of a large simulation schedules millions
+// of events without a single allocation.
 // Both forms share one queue and one deterministic ordering.
 //
 // The queue is a calendar queue (timing wheel): events within the wheel's
@@ -52,10 +52,6 @@ const (
 	numSlots  = 4096
 )
 
-// Handler consumes dispatch events scheduled with AtEvent/AfterEvent.
-// The kind tag and the three operands are whatever the caller packed.
-type Handler func(kind uint16, a, b int32, c int64)
-
 // event is one 32-byte queue entry. key packs the dispatch kind, the
 // daemon and closure flags, and the scheduling sequence number; for a
 // closure event a indexes the scheduler's fns registry (keeping the
@@ -85,7 +81,6 @@ const (
 type Scheduler struct {
 	now        Time
 	seq        uint64
-	handler    Handler
 	ran        uint64
 	work       int // queued non-daemon events
 	pending    int // queued events of either kind
@@ -199,12 +194,8 @@ func (s *Scheduler) slotInsert(i int, e event) {
 // NewScheduler returns an empty scheduler at time zero.
 func NewScheduler() *Scheduler { return &Scheduler{} }
 
-// SetHandler installs the dispatch-event consumer. Must be set before
-// the first AtEvent/AfterEvent is executed.
-func (s *Scheduler) SetHandler(h Handler) { s.handler = h }
-
 // Reset returns the scheduler to time zero with an empty queue, keeping
-// the queue's capacity (and the handler) for reuse across runs.
+// the queue's capacity for reuse across runs.
 func (s *Scheduler) Reset() {
 	s.clear()
 	s.now = 0
@@ -312,15 +303,10 @@ func (s *Scheduler) AtDaemon(t Time, fn func()) {
 func (s *Scheduler) AfterDaemon(d Time, fn func()) { s.AtDaemon(s.now+d, fn) }
 
 // AtEvent schedules a dispatch event at absolute time t. The payload is
-// stored inline in the queue — no allocation — and delivered to the
-// Handler when the event fires.
+// stored inline in the queue — no allocation — and NextEvent returns it
+// when the event fires.
 func (s *Scheduler) AtEvent(t Time, kind uint16, a, b int32, c int64) {
 	s.push(event{at: t, key: uint64(kind) << keyKindShift, a: a, b: b, c: c})
-}
-
-// AfterEvent schedules a dispatch event d after the current time.
-func (s *Scheduler) AfterEvent(d Time, kind uint16, a, b int32, c int64) {
-	s.AtEvent(s.now+d, kind, a, b, c)
 }
 
 // push files an event into its wheel slot or the overflow list. Events
@@ -391,8 +377,10 @@ func (s *Scheduler) rebase() {
 	s.overflow = keep
 }
 
-// Step runs the next event; it reports false when no regular events
-// remain (any leftover daemon events are dropped, clock untouched).
+// Step runs the next closure event; it reports false when no regular
+// events remain (any leftover daemon events are dropped, clock
+// untouched). Dispatch events are popped with NextEvent: Step panics on
+// one.
 func (s *Scheduler) Step() bool {
 	if s.work == 0 {
 		s.clear()
@@ -426,19 +414,19 @@ func (s *Scheduler) Step() bool {
 	}
 	s.now = e.at
 	s.ran++
-	if e.key&keyClosure != 0 {
-		fn := s.fns[e.a]
-		s.fns[e.a] = nil
-		s.fnFree = append(s.fnFree, e.a)
-		fn()
-	} else {
-		s.handler(uint16(e.key>>keyKindShift), e.a, e.b, e.c)
+	if e.key&keyClosure == 0 {
+		panic("des: Step popped a dispatch event; drain dispatch events with NextEvent")
 	}
+	fn := s.fns[e.a]
+	s.fns[e.a] = nil
+	s.fnFree = append(s.fnFree, e.a)
+	fn()
 	return true
 }
 
-// Run drains the queue. maxEvents bounds runaway simulations (0 = no
-// bound); it returns false if the bound was hit with events pending.
+// Run drains a queue of closure events. maxEvents bounds runaway
+// simulations (0 = no bound); it returns false if the bound was hit with
+// events pending.
 func (s *Scheduler) Run(maxEvents uint64) bool {
 	for n := uint64(0); s.Step(); n++ {
 		if maxEvents > 0 && n+1 >= maxEvents && s.pending > 0 {
@@ -451,10 +439,8 @@ func (s *Scheduler) Run(maxEvents uint64) bool {
 // NextEvent pops queued events until it reaches a dispatch event, whose
 // payload it returns; closure events execute inside the call. ok ==
 // false means no regular events remain (leftover daemon events are
-// dropped, clock untouched). A simulator's hot loop can switch on the
-// returned kind directly instead of going through the Handler
-// indirection — same pop order, one indirect call less per event.
-// Mirrors Step's body: keep the two in sync.
+// dropped, clock untouched). A simulator's hot loop switches on the
+// returned kind directly. Mirrors Step's body: keep the two in sync.
 func (s *Scheduler) NextEvent() (kind uint16, a, b int32, c int64, ok bool) {
 	for {
 		if s.work == 0 {

@@ -100,7 +100,7 @@ func faultedTables(rt route.Router, lft *route.LFT, unroutable []int) (*Tables, 
 // fabric.Reroute with the same rank over the columns a dead link touched,
 // on a clone of the healthy tables, and the healthy arena re-walked in
 // those columns. It is "dmodk" (and "fault-resilient") under the identity
-// rank, "nodetype-lb" under the per-type one.
+// rank, and dmodk over a partial job under the active one.
 type rerouteEngine struct {
 	name    string // registry name
 	rank    []int

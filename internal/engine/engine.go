@@ -3,8 +3,7 @@
 // and produces forwarding tables (plus the compiled path arena and the
 // fault collateral) for any fault state of that fabric. The paper's
 // D-Mod-K, its ablation baselines and the source-based S-Mod-K are all
-// registered through it, alongside node-type-based load balancing
-// ("nodetype-lb", from the Gliksberg follow-up papers). Every fault-aware
+// registered through it. Every fault-aware
 // engine repairs a fault the same way: it reroutes only the destination
 // columns the dead links touched and re-walks only those columns of the
 // healthy arena ("fault-resilient" is a second name for dmodk). The
@@ -34,11 +33,6 @@ type Options struct {
 	// of by raw index. Nil means the whole cluster; every other engine
 	// refuses a non-nil set.
 	Active []int
-	// NodeTypes assigns a node type per host index for the nodetype-lb
-	// engine: destinations are spread over up ports independently within
-	// each type. Nil means every host is the same type, which reduces
-	// nodetype-lb to plain D-Mod-K.
-	NodeTypes []int
 }
 
 // Tables is one engine's routing product for one fault state of the

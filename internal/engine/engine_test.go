@@ -42,7 +42,7 @@ func buildSmall(t *testing.T) *topo.Topology {
 
 // realEngines is the shipped registry, spelled out so tests stay
 // deterministic when a test file registers extra throwaway engines.
-var realEngines = []string{"dmodk", "dmodk-naive", "fault-resilient", "minhop-random", "nodetype-lb", "smodk"}
+var realEngines = []string{"dmodk", "dmodk-naive", "fault-resilient", "minhop-random", "smodk"}
 
 func TestBuildUnknownListsNames(t *testing.T) {
 	tp := buildSmall(t)
@@ -128,8 +128,8 @@ func TestNamesAndInfos(t *testing.T) {
 }
 
 // withoutThm2 filters Theorem-2 down-uniqueness out of the catalog, for
-// routings that only promise it per source (S-Mod-K) or per node type
-// (multi-type nodetype-lb), not globally per down port.
+// routings that only promise it per source (S-Mod-K), not globally per
+// down port.
 func withoutThm2(t *testing.T) []invariant.Check {
 	t.Helper()
 	var out []invariant.Check
@@ -150,7 +150,7 @@ func withoutThm2(t *testing.T) []invariant.Check {
 // claim it never makes.
 func TestHealthyCatalog324(t *testing.T) {
 	tp := build324(t)
-	for _, name := range []string{"dmodk", "smodk", "nodetype-lb", "fault-resilient"} {
+	for _, name := range []string{"dmodk", "smodk", "fault-resilient"} {
 		t.Run(name, func(t *testing.T) {
 			e, err := Build(name, tp, Options{})
 			if err != nil {
@@ -176,11 +176,12 @@ func TestHealthyCatalog324(t *testing.T) {
 }
 
 // TestHealthyShiftHSDOne pins the acceptance bar directly: on cluster324
-// with zero faults the two new engines keep every Shift stage at HSD 1.
+// with zero faults both fault-aware engine names keep every Shift stage
+// at HSD 1.
 func TestHealthyShiftHSDOne(t *testing.T) {
 	tp := build324(t)
 	o := order.Topology(tp.NumHosts(), nil)
-	for _, name := range []string{"nodetype-lb", "fault-resilient"} {
+	for _, name := range []string{"dmodk", "fault-resilient"} {
 		e, err := Build(name, tp, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -199,53 +200,6 @@ func TestHealthyShiftHSDOne(t *testing.T) {
 	}
 }
 
-// TestNodetypeRouting checks the ranked variant: a single type collapses
-// to plain D-Mod-K bit for bit, and a striped multi-type assignment
-// still passes every routing invariant.
-func TestNodetypeRouting(t *testing.T) {
-	tp := buildSmall(t)
-	e, err := Build("nodetype-lb", tp, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, err := e.Tables(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameTables(t, "single-type nodetype-lb", route.DModK(tp), tb.LFT)
-
-	e, err = Build("nodetype-lb", tp, Options{NodeTypes: striped3(tp.NumHosts())})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, err = e.Tables(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := "nodetype-lb[3 types]"; tb.Compiled.Label() != want {
-		t.Errorf("label = %q, want %q", tb.Compiled.Label(), want)
-	}
-	// Multi-type spreading trades the global Theorem-2 uniqueness and
-	// the all-types contention-freedom theorem for per-type balance, so
-	// those are excluded; totality, up*/down*, minimality and the cache
-	// contracts must hold.
-	checks, err := invariant.Select("route.total,route.updown,route.minimal,route.alive,route.compiled-equiv,route.lenient-broken")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := invariant.Run(&invariant.Instance{Topo: tp, Router: tb.Compiled}, checks)
-	if !rep.Pass {
-		t.Fatalf("multi-type routing checks failed: %v", rep.FailedNames())
-	}
-}
-
-func TestNodetypeBadAssignment(t *testing.T) {
-	tp := buildSmall(t)
-	if _, err := Build("nodetype-lb", tp, Options{NodeTypes: []int{1, 2, 3}}); err == nil {
-		t.Fatal("short NodeTypes accepted")
-	}
-}
-
 // sameTables fails unless a and b agree entry for entry, read the way
 // every walker reads them.
 func sameTables(t *testing.T, what string, a, b *route.LFT) {
@@ -261,24 +215,33 @@ func sameTables(t *testing.T, what string, a, b *route.LFT) {
 
 // TestConeTablesZeroFaults: the shared reroute primitive at zero faults
 // reproduces the closed-form ranked tables exactly, for both the nil
-// rank and a striped multi-type ranking, on single- and multi-uplink
+// rank and the rank of a partial job, on single- and multi-uplink
 // fabrics alike — host rows included.
 func TestConeTablesZeroFaults(t *testing.T) {
 	for _, tp := range []*topo.Topology{buildSmall(t), topo.MustBuild(multiUplink[0]), topo.MustBuild(multiUplink[1])} {
 		n := tp.NumHosts()
-		rank3, _ := typeRanks(n, striped3(n))
 		cols := make([]int, n)
+		var third []int
 		for j := range cols {
 			cols[j] = j
+			if j%3 == 0 {
+				third = append(third, j)
+			}
+		}
+		rank, err := route.ActiveRanks(n, third)
+		if err != nil {
+			t.Fatal(err)
+		}
+		active, err := route.DModKActive(tp, third)
+		if err != nil {
+			t.Fatal(err)
 		}
 		for _, tc := range []struct {
 			label string
 			rank  []int
-		}{{"identity", nil}, {"striped-3", rank3}} {
-			want, err := route.DModKRanked(tp, tc.rank, "ranked d-mod-k")
-			if err != nil {
-				t.Fatal(err)
-			}
+			want  *route.LFT
+		}{{"identity", nil, route.DModK(tp)}, {"every-third", rank, active}} {
+			want := tc.want
 			got := route.NewLFT(tp, "reroute")
 			label := fmt.Sprintf("%v %s", tp.Spec, tc.label)
 			if res := fabric.NewFaultSet(tp).Reroute(got, tc.rank, cols); len(res.UnroutableHosts) != 0 || res.BrokenPairs != 0 {
@@ -313,7 +276,7 @@ func faultedCatalog(t *testing.T, tp *topo.Topology, tb *Tables, fs *fabric.Faul
 // over served pairs, minimal, up*/down* and dead-link-free.
 func TestFaultedCatalog(t *testing.T) {
 	tp := build324(t)
-	for _, name := range []string{"dmodk", "nodetype-lb", "fault-resilient"} {
+	for _, name := range []string{"dmodk", "fault-resilient"} {
 		e, err := Build(name, tp, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -468,15 +431,6 @@ var multiUplink = []topo.PGFT{
 	topo.MustPGFT(2, []int{3, 3}, []int{1, 2}, []int{2, 1}), // p1 > 1: two cables to one leaf
 }
 
-// striped3 assigns host j node type j mod 3.
-func striped3(n int) []int {
-	types := make([]int, n)
-	for j := range types {
-		types[j] = j % 3
-	}
-	return types
-}
-
 // TestRepairMatchesRebuild is "incremental repair == full rebuild": over
 // seeded random fabrics and the multi-uplink shapes, 1..6 dead links (host
 // uplinks included), then a fail -> revive -> fail sequence on the same
@@ -507,7 +461,6 @@ func testRepairMatchesRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		typeRank, _ := typeRanks(n, striped3(n))
 		type config struct {
 			name string
 			opts Options
@@ -516,8 +469,6 @@ func testRepairMatchesRebuild(t *testing.T) {
 		configs := []config{
 			{"dmodk", Options{}, nil},
 			{"fault-resilient", Options{}, nil},
-			{"nodetype-lb", Options{}, nil},
-			{"nodetype-lb", Options{NodeTypes: striped3(n)}, typeRank},
 			{"dmodk", Options{Active: half}, activeRank},
 		}
 		engines := make([]Engine, len(configs))

@@ -36,11 +36,11 @@ func AdaptiveComparison(o AdaptiveOpts) (*Table, error) {
 	}
 	n := tp.NumHosts()
 	ring := cps.Ring(n)
-	cfgDet := netsim.DefaultConfig()
-	cfgAda := netsim.DefaultConfig()
-	cfgAda.PerPacketRouting = true
+	cfg := netsim.DefaultConfig()
 
-	runOne := func(rt route.Router, ord *order.Ordering, cfg netsim.Config) (float64, int64, error) {
+	// netsim asks a *route.Adaptive for a path per packet, any other
+	// router once per message.
+	runOne := func(rt route.Router, ord *order.Ordering) (float64, int64, error) {
 		nw, err := netsim.New(rt, simConfig(cfg))
 		if err != nil {
 			return 0, 0, err
@@ -74,14 +74,13 @@ func AdaptiveComparison(o AdaptiveOpts) (*Table, error) {
 		name string
 		rt   route.Router
 		ord  *order.Ordering
-		cfg  netsim.Config
 	}
 	for _, row := range []cfgRow{
-		{"d-mod-k + random order (deterministic)", lft, random, cfgDet},
-		{"adaptive-random + random order (per packet)", route.NewAdaptive(tp, o.Seed), random, cfgAda},
-		{"d-mod-k + topology order (the paper)", lft, good, cfgDet},
+		{"d-mod-k + random order (deterministic)", lft, random},
+		{"adaptive-random + random order (per packet)", route.NewAdaptive(tp, o.Seed), random},
+		{"d-mod-k + topology order (the paper)", lft, good},
 	} {
-		bw, ooo, err := runOne(row.rt, row.ord, row.cfg)
+		bw, ooo, err := runOne(row.rt, row.ord)
 		if err != nil {
 			return nil, err
 		}

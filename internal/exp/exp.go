@@ -143,16 +143,5 @@ func (t *Table) RenderJSON(w io.Writer) error {
 	return enc.Encode(doc)
 }
 
-// Cell returns the value of the first row matching key in column 0, for
-// tests that assert on results.
-func (t *Table) Cell(rowKey string, col int) (string, bool) {
-	for _, row := range t.Rows {
-		if len(row) > col && row[0] == rowKey {
-			return row[col], true
-		}
-	}
-	return "", false
-}
-
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }

@@ -30,10 +30,10 @@ func TestFigure1(t *testing.T) {
 		t.Fatalf("rows = %d, want 6", len(tab.Rows))
 	}
 	// The routing-aware row must show HSD 1 and 0 hot links.
-	if v, ok := tab.Cell("routing-aware", 1); !ok || v != "1" {
+	if v, ok := cell(tab, "routing-aware", 1); !ok || v != "1" {
 		t.Errorf("routing-aware max HSD = %q, want 1", v)
 	}
-	if v, _ := tab.Cell("routing-aware", 2); v != "0" {
+	if v, _ := cell(tab, "routing-aware", 2); v != "0" {
 		t.Errorf("routing-aware hot links = %q, want 0", v)
 	}
 	// Most random rows must show contention.
@@ -163,8 +163,8 @@ func TestRingAdversarialSmallScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	goodBW, _ := tab.Cell("topology-aware", 2)
-	advBW, _ := tab.Cell("adversarial", 2)
+	goodBW, _ := cell(tab, "topology-aware", 2)
+	advBW, _ := cell(tab, "adversarial", 2)
 	g, err := strconv.ParseFloat(goodBW, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +180,7 @@ func TestRingAdversarialSmallScale(t *testing.T) {
 	if a > g/5 {
 		t.Errorf("adversarial BW %v not dramatically below ordered %v", a, g)
 	}
-	advHSD, _ := tab.Cell("adversarial", 1)
+	advHSD, _ := cell(tab, "adversarial", 1)
 	h, err := strconv.ParseFloat(advHSD, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -247,11 +247,11 @@ func TestRoutingAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := tab.Cell("d-mod-k", 1); !ok || v != "1" {
+	if v, ok := cell(tab, "d-mod-k", 1); !ok || v != "1" {
 		t.Errorf("d-mod-k max HSD = %q, want 1", v)
 	}
 	for _, name := range []string{"d-mod-k-naive", "minhop-random"} {
-		v, ok := tab.Cell(name, 1)
+		v, ok := cell(tab, name, 1)
 		if !ok {
 			t.Fatalf("missing row %s", name)
 		}
@@ -266,8 +266,8 @@ func TestBidirAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, _ := tab.Cell("recursive-doubling", 2)
-	ta, _ := tab.Cell("topo-aware-recursive-doubling", 2)
+	flat, _ := cell(tab, "recursive-doubling", 2)
+	ta, _ := cell(tab, "topo-aware-recursive-doubling", 2)
 	if ta != "1" {
 		t.Errorf("topo-aware max HSD = %s, want 1", ta)
 	}
@@ -289,10 +289,10 @@ func TestTableRenderAndCell(t *testing.T) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
 	}
-	if v, ok := tab.Cell("x", 1); !ok || v != "1" {
+	if v, ok := cell(tab, "x", 1); !ok || v != "1" {
 		t.Errorf("Cell(x,1) = %q,%v", v, ok)
 	}
-	if _, ok := tab.Cell("missing", 1); ok {
+	if _, ok := cell(tab, "missing", 1); ok {
 		t.Error("Cell found missing row")
 	}
 }
@@ -302,13 +302,13 @@ func TestMultiJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := tab.Cell("aligned halves", 3); !ok || v != "1" {
+	if v, ok := cell(tab, "aligned halves", 3); !ok || v != "1" {
 		t.Errorf("aligned halves combined HSD = %q, want 1", v)
 	}
-	if v, ok := tab.Cell("aligned quarters", 3); !ok || v != "1" {
+	if v, ok := cell(tab, "aligned quarters", 3); !ok || v != "1" {
 		t.Errorf("aligned quarters combined HSD = %q, want 1", v)
 	}
-	v, ok := tab.Cell("leaf-sharing pair", 3)
+	v, ok := cell(tab, "leaf-sharing pair", 3)
 	if !ok {
 		t.Fatal("missing leaf-sharing row")
 	}
@@ -326,7 +326,7 @@ func TestFaultResilience(t *testing.T) {
 		t.Fatalf("rows = %d, want >= 4", len(tab.Rows))
 	}
 	// Zero faults: HSD exactly 1.
-	if v, _ := tab.Cell("0", 2); v != "1" {
+	if v, _ := cell(tab, "0", 2); v != "1" {
 		t.Errorf("fault-free worst HSD = %q, want 1", v)
 	}
 	// Faults present: degradation stays below the adversarial-order
@@ -480,7 +480,7 @@ func TestPatternSweep(t *testing.T) {
 		t.Fatalf("rows = %d, want 6 patterns", len(tab.Rows))
 	}
 	bw := func(name string) float64 {
-		v, ok := tab.Cell(name, 2)
+		v, ok := cell(tab, name, 2)
 		if !ok {
 			t.Fatalf("missing row %s", name)
 		}
@@ -710,4 +710,14 @@ func TestSchedulerPolicies(t *testing.T) {
 	if parse(aligned[4]) < parse(pad[4]) {
 		t.Errorf("aligned-only wait %s below padded %s", aligned[4], pad[4])
 	}
+}
+
+// cell returns the value of the first row of t whose column 0 is rowKey.
+func cell(t *Table, rowKey string, col int) (string, bool) {
+	for _, row := range t.Rows {
+		if len(row) > col && row[0] == rowKey {
+			return row[col], true
+		}
+	}
+	return "", false
 }

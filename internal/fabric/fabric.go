@@ -72,17 +72,6 @@ func guidFor(n *topo.Node) GUID {
 	return GUID(0xFA55)<<48 | GUID(n.Level)<<40 | GUID(uint32(n.Index))
 }
 
-// HostLID returns the LID of end-port j.
-func (s *Subnet) HostLID(j int) LID { return s.hostLIDs[j] }
-
-// Node returns the node behind a LID.
-func (s *Subnet) Node(l LID) (*topo.Node, error) {
-	if l == 0 || int(l) >= len(s.NodeOf) {
-		return nil, fmt.Errorf("fabric: LID %d out of range", l)
-	}
-	return s.T.Node(s.NodeOf[l]), nil
-}
-
 // SwitchTables is the hardware view of a routing: for every switch, a
 // linear forwarding table indexed by destination LID whose entries are
 // physical egress port numbers (down ports first, then up ports — the
@@ -130,18 +119,6 @@ func (s *Subnet) Program(lft *route.LFT) *SwitchTables {
 		}
 	}
 	return st
-}
-
-// Lookup returns the egress physical port a switch uses for a LID.
-func (st *SwitchTables) Lookup(sw topo.NodeID, dst LID) (int16, error) {
-	tab, ok := st.Egress[sw]
-	if !ok {
-		return -1, fmt.Errorf("fabric: node %d has no table (not a switch?)", sw)
-	}
-	if int(dst) >= len(tab) {
-		return -1, fmt.Errorf("fabric: LID %d out of table range", dst)
-	}
-	return tab[dst], nil
 }
 
 // Inventory is the result of a discovery sweep: what ibnetdiscover would

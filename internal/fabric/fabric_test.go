@@ -13,11 +13,11 @@ func TestLIDAssignment(t *testing.T) {
 	tp := topo.MustBuild(topo.Cluster128)
 	s := NewSubnet(tp)
 	// LIDs are dense, start at 1, hosts first.
-	if s.HostLID(0) != 1 {
-		t.Errorf("host 0 LID = %d, want 1", s.HostLID(0))
+	if s.hostLIDs[0] != 1 {
+		t.Errorf("host 0 LID = %d, want 1", s.hostLIDs[0])
 	}
-	if s.HostLID(127) != 128 {
-		t.Errorf("host 127 LID = %d, want 128", s.HostLID(127))
+	if s.hostLIDs[127] != 128 {
+		t.Errorf("host 127 LID = %d, want 128", s.hostLIDs[127])
 	}
 	seen := make(map[LID]bool)
 	for id := range tp.Nodes {
@@ -34,15 +34,8 @@ func TestLIDAssignment(t *testing.T) {
 		t.Errorf("assigned %d LIDs for %d nodes", len(seen), len(tp.Nodes))
 	}
 	// Round trip.
-	n, err := s.Node(s.HostLID(64))
-	if err != nil || n.Kind != topo.Host || n.Index != 64 {
-		t.Errorf("Node(HostLID(64)) = %v, %v", n, err)
-	}
-	if _, err := s.Node(0); err == nil {
-		t.Error("LID 0 resolved")
-	}
-	if _, err := s.Node(9999); err == nil {
-		t.Error("out-of-range LID resolved")
+	if n := tp.Node(s.NodeOf[s.hostLIDs[64]]); n.Kind != topo.Host || n.Index != 64 {
+		t.Errorf("host 64's LID maps back to %v", n)
 	}
 }
 
@@ -70,7 +63,7 @@ func TestProgramAndLookup(t *testing.T) {
 	// Every switch has a table; every host LID resolves to a valid
 	// physical port; following the physical ports delivers the packet.
 	for dst := 0; dst < tp.NumHosts(); dst += 17 {
-		lid := s.HostLID(dst)
+		lid := s.hostLIDs[dst]
 		cur := tp.LeafOf((dst + 64) % 128).ID // start away from dst
 		for hops := 0; ; hops++ {
 			if hops > 2*tp.Spec.H+1 {
@@ -83,10 +76,7 @@ func TestProgramAndLookup(t *testing.T) {
 				}
 				break
 			}
-			phys, err := st.Lookup(cur, lid)
-			if err != nil {
-				t.Fatal(err)
-			}
+			phys := st.Egress[cur][lid]
 			if phys < 1 {
 				t.Fatalf("switch %v has no entry for lid %d", node, lid)
 			}
@@ -100,12 +90,8 @@ func TestProgramAndLookup(t *testing.T) {
 			cur = tp.PeerNode(pid)
 		}
 	}
-	// Lookups on non-switches and silly LIDs fail.
-	if _, err := st.Lookup(tp.HostID(0), 5); err == nil {
-		t.Error("host lookup succeeded")
-	}
-	if _, err := st.Lookup(tp.ByLevel[1][0], 60000); err == nil {
-		t.Error("out-of-range LID lookup succeeded")
+	if _, ok := st.Egress[tp.HostID(0)]; ok {
+		t.Error("a host has a switch table")
 	}
 }
 
@@ -184,7 +170,7 @@ func TestParseLFTsErrors(t *testing.T) {
 
 func TestPhysPortNumbering(t *testing.T) {
 	tp := topo.MustBuild(topo.Cluster324)
-	leaf := tp.SwitchAt(1, 0)
+	leaf := tp.Node(tp.ByLevel[1][0])
 	// Down ports are 1..18, up ports 19..36.
 	if got := PhysPort(tp, leaf.Down[0]); got != 1 {
 		t.Errorf("first down port = %d, want 1", got)

@@ -133,7 +133,7 @@ func (f *FaultSet) RouteAround() (*route.LFT, RerouteResult, error) {
 // towards the cone, hosts with several uplinks by the same rule as
 // switches (the equation (1) up port, else the next alive candidate), and
 // empties the entry of a node no alive port leads from. rank replaces the
-// destination index in every spreading choice, as in route.DModKRanked;
+// destination index in every spreading choice, as in route.DModKActive;
 // nil is the identity. Every entry of a named column is rewritten and no
 // other column is read, so lft may be a fresh table set (name every
 // column) or a clone of the healthy tables (name the columns whose entries

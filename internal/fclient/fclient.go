@@ -34,37 +34,36 @@ type Config struct {
 	// required; order carries no preference — the picker ranks replicas
 	// by observed epoch and health.
 	Addrs []string
-	// DialTimeout bounds one connection attempt (default 2s).
-	DialTimeout time.Duration
 	// RequestTimeout bounds one request/response round-trip
 	// (default 5s).
 	RequestTimeout time.Duration
-	// RetryBase is the first per-replica backoff after a connection
-	// failure; it doubles per consecutive failure up to RetryMax
-	// (defaults 50ms and 2s).
-	RetryBase time.Duration
-	RetryMax  time.Duration
-	// MaxAttempts bounds replica attempts per request (default
-	// 2*len(Addrs)).
-	MaxAttempts int
+
+	// Test seams, always the defaults outside this package's tests.
+	// dialTimeout bounds one connection attempt (2s). retryBase is the
+	// first per-replica backoff after a connection failure; it doubles
+	// per consecutive failure up to retryMax (50ms and 2s). maxAttempts
+	// bounds replica attempts per request (2*len(Addrs)).
+	dialTimeout         time.Duration
+	retryBase, retryMax time.Duration
+	maxAttempts         int
 }
 
 func (c *Config) withDefaults() Config {
 	out := *c
-	if out.DialTimeout <= 0 {
-		out.DialTimeout = 2 * time.Second
+	if out.dialTimeout <= 0 {
+		out.dialTimeout = 2 * time.Second
 	}
 	if out.RequestTimeout <= 0 {
 		out.RequestTimeout = 5 * time.Second
 	}
-	if out.RetryBase <= 0 {
-		out.RetryBase = 50 * time.Millisecond
+	if out.retryBase <= 0 {
+		out.retryBase = 50 * time.Millisecond
 	}
-	if out.RetryMax <= 0 {
-		out.RetryMax = 2 * time.Second
+	if out.retryMax <= 0 {
+		out.retryMax = 2 * time.Second
 	}
-	if out.MaxAttempts <= 0 {
-		out.MaxAttempts = 2 * len(out.Addrs)
+	if out.maxAttempts <= 0 {
+		out.maxAttempts = 2 * len(out.Addrs)
 	}
 	return out
 }
@@ -109,14 +108,6 @@ type Client struct {
 	jobs        map[uint64]*jobSet
 	regressions int64
 	closed      bool
-}
-
-// ReplicaStatus is one replica's view in Replicas().
-type ReplicaStatus struct {
-	Addr      string
-	Connected bool
-	LastEpoch uint64
-	Down      bool // in backoff after consecutive failures
 }
 
 // ErrNoReplicas means every configured replica failed within the
@@ -164,23 +155,6 @@ func (c *Client) EpochRegressions() int64 {
 	return c.regressions
 }
 
-// Replicas reports per-replica health for operators and tests.
-func (c *Client) Replicas() []ReplicaStatus {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := time.Now()
-	out := make([]ReplicaStatus, len(c.reps))
-	for i, r := range c.reps {
-		out[i] = ReplicaStatus{
-			Addr:      r.addr,
-			Connected: r.conn != nil,
-			LastEpoch: r.lastEpoch,
-			Down:      now.Before(r.downUntil),
-		}
-	}
-	return out
-}
-
 // Epoch probes the best replica for its current epoch and engine.
 func (c *Client) Epoch() (uint64, string, error) {
 	resp, err := c.do(frameOf(wire.EpochReq{}))
@@ -192,19 +166,6 @@ func (c *Client) Epoch() (uint64, string, error) {
 		return 0, "", fmt.Errorf("fclient: epoch probe answered %T", resp)
 	}
 	return er.Epoch, er.Engine, nil
-}
-
-// Order fetches the epoch-stamped MPI node ordering.
-func (c *Client) Order() (*wire.OrderResp, error) {
-	resp, err := c.do(frameOf(wire.OrderReq{}))
-	if err != nil {
-		return nil, err
-	}
-	or, ok := resp.(*wire.OrderResp)
-	if !ok {
-		return nil, fmt.Errorf("fclient: order answered %T", resp)
-	}
-	return or, nil
 }
 
 // RouteSet resolves an explicit pair batch against engine (empty for
@@ -323,13 +284,6 @@ func (c *Client) JobRouteSet(job uint64) (*wire.RouteSetResp, error) {
 	}
 }
 
-// InvalidateJob drops the cached set for a job (e.g. after freeing it).
-func (c *Client) InvalidateJob(job uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.jobs, job)
-}
-
 func (c *Client) noteRegression() {
 	c.mu.Lock()
 	c.regressions++
@@ -348,7 +302,7 @@ func frameOf(m wire.Message) func([]byte) []byte {
 // the request's frame to the chosen replica's scratch.
 func (c *Client) do(encode func(dst []byte) []byte) (wire.Message, error) {
 	var lastErr error
-	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < c.cfg.maxAttempts; attempt++ {
 		r := c.pick()
 		if r == nil {
 			if c.isClosed() {
@@ -357,8 +311,8 @@ func (c *Client) do(encode func(dst []byte) []byte) (wire.Message, error) {
 			// Everything is backing off; wait out the nearest gate
 			// rather than spinning through the attempt budget.
 			d := c.nearestWake()
-			if d <= 0 || d > c.cfg.RetryMax {
-				d = c.cfg.RetryBase
+			if d <= 0 || d > c.cfg.retryMax {
+				d = c.cfg.retryBase
 			}
 			time.Sleep(d)
 			continue
@@ -381,7 +335,7 @@ func (c *Client) do(encode func(dst []byte) []byte) (wire.Message, error) {
 	if lastErr == nil {
 		lastErr = ErrNoReplicas
 	}
-	return nil, fmt.Errorf("fclient: all %d attempts failed: %w", c.cfg.MaxAttempts, lastErr)
+	return nil, fmt.Errorf("fclient: all %d attempts failed: %w", c.cfg.maxAttempts, lastErr)
 }
 
 // pick returns the healthiest replica: not in backoff, highest
@@ -455,7 +409,7 @@ func (c *Client) roundTrip(r *replica, encode func(dst []byte) []byte) (wire.Mes
 	conn, fr := r.conn, r.fr
 	c.mu.Unlock()
 	if conn == nil {
-		nc, err := net.DialTimeout("tcp", r.addr, c.cfg.DialTimeout)
+		nc, err := net.DialTimeout("tcp", r.addr, c.cfg.dialTimeout)
 		if err != nil {
 			return nil, err
 		}
@@ -495,14 +449,14 @@ func (c *Client) dropConn(r *replica, conn net.Conn) {
 }
 
 // markDown records a transport failure: exponential per-replica
-// backoff, doubling per consecutive failure up to RetryMax.
+// backoff, doubling per consecutive failure up to retryMax.
 func (c *Client) markDown(r *replica) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	r.fails++
-	d := c.cfg.RetryBase << (r.fails - 1)
-	if d > c.cfg.RetryMax || d <= 0 {
-		d = c.cfg.RetryMax
+	d := c.cfg.retryBase << (r.fails - 1)
+	if d > c.cfg.retryMax || d <= 0 {
+		d = c.cfg.retryMax
 	}
 	r.downUntil = time.Now().Add(d)
 }

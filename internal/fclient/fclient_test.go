@@ -150,13 +150,31 @@ func (f *fakeReplica) serve(c net.Conn) {
 	}
 }
 
+// replicaStatus is one replica's health as the picker sees it.
+type replicaStatus struct {
+	Addr      string
+	LastEpoch uint64
+	Down      bool // in backoff after consecutive failures
+}
+
+func replicas(c *Client) []replicaStatus {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	now := time.Now()
+	out := make([]replicaStatus, len(c.reps))
+	for i, r := range c.reps {
+		out[i] = replicaStatus{Addr: r.addr, LastEpoch: r.lastEpoch, Down: now.Before(r.downUntil)}
+	}
+	return out
+}
+
 func newClient(t *testing.T, cfg Config) *Client {
 	t.Helper()
-	if cfg.RetryBase == 0 {
-		cfg.RetryBase = time.Millisecond
+	if cfg.retryBase == 0 {
+		cfg.retryBase = time.Millisecond
 	}
-	if cfg.RetryMax == 0 {
-		cfg.RetryMax = 10 * time.Millisecond
+	if cfg.retryMax == 0 {
+		cfg.retryMax = 10 * time.Millisecond
 	}
 	c, err := New(cfg)
 	if err != nil {
@@ -303,7 +321,7 @@ func TestClientPickerPrefersNewestEpoch(t *testing.T) {
 		t.Fatalf("stale replica still served %d probes after discovery", got-oldBase)
 	}
 	var sawDown bool
-	for _, r := range c.Replicas() {
+	for _, r := range replicas(c) {
 		if r.Addr == old.addr() && r.LastEpoch != 4 {
 			t.Fatalf("stale replica status %+v", r)
 		}
@@ -320,8 +338,8 @@ func TestClientPickerPrefersNewestEpoch(t *testing.T) {
 func TestClientFailover(t *testing.T) {
 	a := newFakeReplica(t, 7)
 	b := newFakeReplica(t, 7)
-	c := newClient(t, Config{Addrs: []string{a.addr(), b.addr()}, MaxAttempts: 6,
-		DialTimeout: 500 * time.Millisecond, RequestTimeout: time.Second})
+	c := newClient(t, Config{Addrs: []string{a.addr(), b.addr()}, maxAttempts: 6,
+		dialTimeout: 500 * time.Millisecond, RequestTimeout: time.Second})
 
 	a.stop()
 	for i := 0; i < 5; i++ {
@@ -330,13 +348,13 @@ func TestClientFailover(t *testing.T) {
 		}
 	}
 	down := 0
-	for _, r := range c.Replicas() {
+	for _, r := range replicas(c) {
 		if r.Down {
 			down++
 		}
 	}
 	if down != 1 {
-		t.Fatalf("%d replicas down, want 1: %+v", down, c.Replicas())
+		t.Fatalf("%d replicas down, want 1: %+v", down, replicas(c))
 	}
 
 	b.stop()
@@ -358,8 +376,8 @@ func TestClientConfigValidation(t *testing.T) {
 // per-replica retry budget.
 func TestClientClosedFailsFast(t *testing.T) {
 	f := newFakeReplica(t, 7)
-	c := newClient(t, Config{Addrs: []string{f.addr()}, MaxAttempts: 100,
-		RetryBase: 100 * time.Millisecond, RetryMax: time.Second})
+	c := newClient(t, Config{Addrs: []string{f.addr()}, maxAttempts: 100,
+		retryBase: 100 * time.Millisecond, retryMax: time.Second})
 	if _, _, err := c.Epoch(); err != nil {
 		t.Fatal(err)
 	}

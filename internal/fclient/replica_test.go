@@ -314,7 +314,7 @@ func TestBystanderAcrossForeignPlacements(t *testing.T) {
 // call to revalidate.
 func TestTransportErrorKeepsPinnedSet(t *testing.T) {
 	f := newFakeReplica(t, 5)
-	c := newClient(t, Config{Addrs: []string{f.addr()}, MaxAttempts: 2, DialTimeout: 200 * time.Millisecond})
+	c := newClient(t, Config{Addrs: []string{f.addr()}, maxAttempts: 2, dialTimeout: 200 * time.Millisecond})
 	if _, err := c.JobRouteSet(3); err != nil {
 		t.Fatal(err)
 	}

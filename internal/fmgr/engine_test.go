@@ -23,8 +23,8 @@ func TestConfigEngine(t *testing.T) {
 	if st.Engine != "smodk" || st.Routing != "s-mod-k" {
 		t.Fatalf("engine %q routing %q, want smodk / s-mod-k", st.Engine, st.Routing)
 	}
-	if st.LFT != nil {
-		t.Fatalf("s-mod-k has no forwarding-table realization, got LFT %q", st.LFT.Name)
+	if lftOf(st) != nil {
+		t.Fatalf("s-mod-k has no forwarding-table realization, got LFT %q", lftOf(st).Name)
 	}
 	if st.Paths == nil || st.Paths.NumBroken() != 0 {
 		t.Fatalf("healthy smodk arena: %+v", st.Paths)
@@ -180,13 +180,13 @@ func TestEngineRerouteUnderFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.LFT == nil || st.LFT.Name != want.LFT.Name {
-		t.Fatalf("fault-resilient serves tables %v, dmodk %q", st.LFT, want.LFT.Name)
+	if lftOf(st) == nil || lftOf(st).Name != want.LFT.Name {
+		t.Fatalf("fault-resilient serves tables %v, dmodk %q", lftOf(st), want.LFT.Name)
 	}
 	n := m.t.NumHosts()
 	for dst := 0; dst < n; dst++ {
 		for id := range m.t.Nodes {
-			if p, q := st.LFT.OutPort(topo.NodeID(id), dst), want.LFT.OutPort(topo.NodeID(id), dst); p != q {
+			if p, q := lftOf(st).OutPort(topo.NodeID(id), dst), want.LFT.OutPort(topo.NodeID(id), dst); p != q {
 				t.Fatalf("node %d dst %d: fault-resilient port %d, dmodk %d", id, dst, p, q)
 			}
 		}

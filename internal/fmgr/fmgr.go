@@ -46,14 +46,11 @@ import (
 type FabricState struct {
 	Epoch uint64
 	Topo  *topo.Topology
-	// LFT is the current (re)routed forwarding tables (nil for engines
-	// with no forwarding-table realization, like s-mod-k); Paths the
-	// lenient-compiled arena over the routing (broken pairs recorded,
-	// not fatal).
-	LFT   *route.LFT
+	// Paths is the lenient-compiled arena over the active engine's
+	// routing (broken pairs recorded, not fatal).
 	Paths *route.Compiled
 	// Engine is the registry name of the active engine that produced
-	// LFT/Paths; Routing is that engine's router label.
+	// Paths; Routing is that engine's router label.
 	Engine  string
 	Routing string
 	// ByEngine holds this epoch's tables for the active engine plus
@@ -149,15 +146,6 @@ type JobWireFrame struct {
 	Epoch uint64
 }
 
-// HostUnroutable reports whether host j lost its only uplink in this
-// snapshot. It is reported data: whether a pair is served is
-// Paths.Broken's call alone, which validateTables proves covers every
-// pair touching an unroutable host before a snapshot is swapped in.
-func (st *FabricState) HostUnroutable(j int) bool {
-	i := sort.SearchInts(st.Unroutable, j)
-	return i < len(st.Unroutable) && st.Unroutable[i] == j
-}
-
 // JobEngine resolves which engine serves a job's traffic in this
 // snapshot: the one it requested at allocation, else the active engine.
 func (st *FabricState) JobEngine(id sched.JobID) string {
@@ -215,9 +203,6 @@ type Config struct {
 	// the served tables and reroutes them around faults. Default
 	// engine.Default, the paper's D-Mod-K.
 	Engine string
-	// EngineOpts is handed to every engine builder (randomized-engine
-	// seed, node-type assignment for nodetype-lb).
-	EngineOpts engine.Options
 	// Debounce is how long after the last fault event (fail, revive,
 	// fail_random) the event loop waits before it publishes a rerouted
 	// snapshot, so a burst of link flaps costs one swap (and at most two
@@ -226,10 +211,6 @@ type Config struct {
 	// and extends none — on a quiet fabric it is published at once, in an
 	// open window it is published with the window's tables. Default 25ms.
 	Debounce time.Duration
-	// RetryBase and RetryMax bound the exponential backoff applied when
-	// a rebuild fails validation (the previous snapshot keeps serving
-	// meanwhile). Defaults 50ms and 2s.
-	RetryBase, RetryMax time.Duration
 	// Rand drives the fail_random fault draws. Default: seeded with 1,
 	// so a daemon restart replays the same draw sequence.
 	Rand *rand.Rand
@@ -253,6 +234,12 @@ type Config struct {
 	MaxInflight int
 	// RequestTimeout bounds /v1 request handling. Default 2s.
 	RequestTimeout time.Duration
+
+	// retryBase and retryMax bound the exponential backoff applied when
+	// a rebuild fails validation (the previous snapshot keeps serving
+	// meanwhile): 50ms and 2s, set otherwise only by this package's
+	// tests.
+	retryBase, retryMax time.Duration
 }
 
 func (c *Config) fill() {
@@ -262,11 +249,11 @@ func (c *Config) fill() {
 	if c.Debounce <= 0 {
 		c.Debounce = 25 * time.Millisecond
 	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 50 * time.Millisecond
+	if c.retryBase <= 0 {
+		c.retryBase = 50 * time.Millisecond
 	}
-	if c.RetryMax <= 0 {
-		c.RetryMax = 2 * time.Second
+	if c.retryMax <= 0 {
+		c.retryMax = 2 * time.Second
 	}
 	if c.Rand == nil {
 		c.Rand = rand.New(rand.NewSource(1))
@@ -570,7 +557,7 @@ func (m *Manager) getEngine(name string) (engine.Engine, error) {
 	if e, ok := m.engines[name]; ok {
 		return e, nil
 	}
-	e, err := engine.Build(name, m.t, m.cfg.EngineOpts)
+	e, err := engine.Build(name, m.t, engine.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -689,7 +676,7 @@ func (m *Manager) loop() {
 		speculate bool      // a burst has just begun: build without waiting for its window
 		windowEnd time.Time // when the window of the last applied fault event closes
 		retryAt   time.Time // when a failed rebuild is tried again; zero: none pending
-		backoff   = m.cfg.RetryBase
+		backoff   = m.cfg.retryBase
 		held      *candidate // reflects every applied event; nil when nothing does
 	)
 	for {
@@ -757,11 +744,11 @@ func (m *Manager) loop() {
 				m.journal.Record(recs...)
 				m.mRerouteFail.Inc()
 				retryAt = now.Add(backoff)
-				if backoff *= 2; backoff > m.cfg.RetryMax {
-					backoff = m.cfg.RetryMax
+				if backoff *= 2; backoff > m.cfg.retryMax {
+					backoff = m.cfg.retryMax
 				}
 			} else {
-				held, retryAt, backoff = &candidate{st, recs, now}, time.Time{}, m.cfg.RetryBase
+				held, retryAt, backoff = &candidate{st, recs, now}, time.Time{}, m.cfg.retryBase
 			}
 		}
 		speculate = false
@@ -1054,7 +1041,6 @@ func (m *Manager) assemble(epoch uint64, tables *fabricTables, prev *FabricState
 	st := &FabricState{
 		Epoch:       epoch,
 		Topo:        m.t,
-		LFT:         active.LFT,
 		Paths:       active.Compiled,
 		Engine:      m.cfg.Engine,
 		Routing:     active.Compiled.Label(),

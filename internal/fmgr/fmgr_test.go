@@ -1,6 +1,7 @@
 package fmgr
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -9,6 +10,10 @@ import (
 	"fattree/internal/route"
 	"fattree/internal/topo"
 )
+
+// lftOf returns the forwarding tables of st's active engine (nil for
+// an engine with no forwarding-table realization).
+func lftOf(st *FabricState) *route.LFT { return st.ByEngine[st.Engine].LFT }
 
 func buildTopo(tb testing.TB, spec string) *topo.Topology {
 	tb.Helper()
@@ -112,7 +117,7 @@ func TestInitialSnapshotMatchesDModK(t *testing.T) {
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
 			if src != dst {
-				sameTrace(t, st.LFT, ref, src, dst)
+				sameTrace(t, lftOf(st), ref, src, dst)
 			}
 		}
 	}
@@ -152,7 +157,7 @@ func TestFaultRerouteAndRevive(t *testing.T) {
 	for src := 0; src < n; src += 3 {
 		for dst := 0; dst < n; dst += 5 {
 			if src != dst {
-				sameTrace(t, st.LFT, init.LFT, src, dst)
+				sameTrace(t, lftOf(st), lftOf(init), src, dst)
 			}
 		}
 	}
@@ -212,7 +217,7 @@ func TestUnroutableHostServedAsBroken(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := waitEpoch(t, m, 2)
-	if !st.HostUnroutable(0) {
+	if !slices.Contains(st.Unroutable, 0) {
 		t.Fatalf("host 0 not marked unroutable; unroutable = %v", st.Unroutable)
 	}
 	if !st.Paths.Broken(0, 5) || !st.Paths.Broken(5, 0) {
@@ -261,7 +266,7 @@ func TestSnapshotImmutableUnderSwaps(t *testing.T) {
 	m := newManager(t, "rlft2:4,8", nil)
 	m.Start()
 	held := m.Current()
-	want, err := held.LFT.Trace(0, 9)
+	want, err := lftOf(held).Trace(0, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +283,7 @@ func TestSnapshotImmutableUnderSwaps(t *testing.T) {
 	}()
 	wg.Wait()
 	waitEpoch(t, m, 2)
-	got, err := held.LFT.Trace(0, 9)
+	got, err := lftOf(held).Trace(0, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func TestHandlerRoute(t *testing.T) {
 	if doc.Schema != schema.Route || doc.Epoch != 1 || doc.Src != 0 || doc.Dst != 9 {
 		t.Fatalf("bad doc header: %+v", doc)
 	}
-	want, err := m.Current().LFT.Trace(0, 9)
+	want, err := lftOf(m.Current()).Trace(0, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -365,8 +365,8 @@ func wantFailures(t *testing.T, r *loopRig, n int64) {
 
 func TestRetryBackoffOnValidationFailure(t *testing.T) {
 	r := newLoopRig(t, "rlft2:4,8", func(c *Config) {
-		c.RetryBase = 5 * ms
-		c.RetryMax = 20 * ms
+		c.retryBase = 5 * ms
+		c.retryMax = 20 * ms
 	})
 	failTwice(r)
 	r.m.Start()
@@ -400,8 +400,8 @@ func TestRetryBackoffOnValidationFailure(t *testing.T) {
 func TestRetryInsideWindowIsHeld(t *testing.T) {
 	r := newLoopRig(t, "rlft2:4,8", func(c *Config) {
 		c.Debounce = 40 * ms
-		c.RetryBase = 5 * ms
-		c.RetryMax = 20 * ms
+		c.retryBase = 5 * ms
+		c.retryMax = 20 * ms
 	})
 	failTwice(r)
 	r.m.Start()
@@ -450,7 +450,7 @@ func digest(t *testing.T, st *FabricState) (string, map[sched.JobID]uint64) {
 			}
 		}
 	}
-	if st.Paths != st.ByEngine[st.Engine].Compiled || st.LFT != st.ByEngine[st.Engine].LFT {
+	if st.Paths != st.ByEngine[st.Engine].Compiled {
 		t.Fatalf("epoch %d: Paths/LFT are not the active engine's", st.Epoch)
 	}
 	stamps := map[sched.JobID]uint64{}
@@ -557,7 +557,7 @@ func TestPublishedSequenceUnderScript(t *testing.T) {
 			ev.kind, ev.link = evRevive, links[rng.Intn(len(links))]
 		case k < 12 || len(live) == 0:
 			ev.kind, ev.size, ev.aligned = evAlloc, 1+rng.Intn(12), rng.Intn(2) == 0
-			ev.engine = []string{"", "fault-resilient", "nodetype-lb"}[rng.Intn(3)]
+			ev.engine = []string{"", "fault-resilient", "dmodk"}[rng.Intn(3)]
 		case k < 19:
 			at := rng.Intn(len(live))
 			ev.kind, ev.job = evFree, live[at]

@@ -245,12 +245,12 @@ func TestPlacementAdmitsEngineAlone(t *testing.T) {
 		t.Fatal("tables the epoch already had were built again")
 	}
 
-	refuse, seq = "nodetype-lb", nextSeq(r.m)
-	if _, err := r.m.AllocJobEngine(4, false, "nodetype-lb"); err == nil || !strings.Contains(err.Error(), errInjected.Error()) {
+	refuse, seq = "dmodk-naive", nextSeq(r.m)
+	if _, err := r.m.AllocJobEngine(4, false, "dmodk-naive"); err == nil || !strings.Contains(err.Error(), errInjected.Error()) {
 		t.Fatalf("placement under tables that fail validation: %v", err)
 	}
 	r.want(1, 3, 1, 0)
-	if st := r.m.Current(); st.Epoch != 4 || len(st.Jobs) != 2 || st.ByEngine["nodetype-lb"] != nil {
+	if st := r.m.Current(); st.Epoch != 4 || len(st.Jobs) != 2 || st.ByEngine["dmodk-naive"] != nil {
 		t.Fatalf("refused placement left epoch %d with %d jobs", st.Epoch, len(st.Jobs))
 	}
 	if got := strings.Join(kinds(r.m, seq), " "); got != "reroute/ok validate/error alloc/error" {

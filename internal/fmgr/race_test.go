@@ -100,7 +100,7 @@ func TestConcurrentRouteDuringReroute(t *testing.T) {
 						}
 						continue
 					}
-					want, err := st.LFT.Trace(src, dst)
+					want, err := lftOf(st).Trace(src, dst)
 					if err != nil {
 						t.Errorf("epoch %d served %d->%d but its own tables cannot trace it: %v",
 							doc.Epoch, src, dst, err)

@@ -324,7 +324,6 @@ func Analyze(rt route.Router, o *order.Ordering, seq cps.Sequence) (*Report, err
 // random seeds): mean, min and max of the per-ordering averages.
 type Sweep struct {
 	Mean, Min, Max float64
-	Samples        int
 }
 
 // LevelLoads summarizes the current per-link counters (after the last

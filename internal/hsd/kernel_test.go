@@ -27,7 +27,7 @@ type walkOnly struct{ route.Router }
 // promise to, from one sequential Analyze per ordering.
 func sweepByHand(t *testing.T, rt route.Router, orders []*order.Ordering, seq cps.Sequence) hsd.Sweep {
 	t.Helper()
-	sw := hsd.Sweep{Samples: len(orders)}
+	var sw hsd.Sweep
 	for i, o := range orders {
 		rep, err := hsd.Analyze(rt, o, seq)
 		if err != nil {

@@ -80,7 +80,7 @@ func SweepOrderingsParallel(rt route.Router, orders []*order.Ordering, seq cps.S
 	if err != nil {
 		return Sweep{}, err
 	}
-	sw := Sweep{Samples: len(orders)}
+	var sw Sweep
 	for i := range orders {
 		var t tally
 		for _, p := range parts[i*split : (i+1)*split] {

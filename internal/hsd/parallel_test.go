@@ -96,7 +96,7 @@ func TestSweepOrderingsParallelMatchesSequential(t *testing.T) {
 		t.Errorf("parallel sweep %+v != sequential %+v", got, want)
 	}
 	empty, err := SweepOrderingsParallel(lft, nil, seq, 4)
-	if err != nil || empty.Samples != 0 {
+	if err != nil || empty != (Sweep{}) {
 		t.Errorf("empty sweep = %+v, %v", empty, err)
 	}
 }

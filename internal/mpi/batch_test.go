@@ -64,14 +64,11 @@ func batchCases(t *testing.T, seed int64) []Case {
 		t.Fatal(err)
 	}
 	var cfgs []netsim.Config
-	for _, b := range []int{2, 8} {
+	for _, b := range []int{2, 4, 8} {
 		c := netsim.DefaultConfig()
 		c.BufferPackets = b
 		cfgs = append(cfgs, c)
 	}
-	keep := netsim.DefaultConfig()
-	keep.KeepLatencies = true
-	cfgs = append(cfgs, keep)
 
 	var cases []Case
 	for _, j := range jobs {
@@ -140,7 +137,7 @@ func TestSimulateAllErrors(t *testing.T) {
 	const lowest = "MTU 0 outside"
 	for _, workers := range []int{1, 2, 7} {
 		counted := &countingRouter{Router: cases[0].Job.Route}
-		later := &Job{Topo: cases[0].Job.Topo, Route: counted, Order: cases[0].Job.Order}
+		later := &Job{Route: counted, Order: cases[0].Job.Order}
 		run := append([]Case(nil), cases...)
 		for i := 5; i < len(run); i++ {
 			run[i].Job = later
@@ -167,7 +164,6 @@ func TestSimulateAllAdaptiveOneWorker(t *testing.T) {
 	tp := topo.MustBuild(topo.MustPGFT(2, []int{4, 4}, []int{1, 2}, []int{1, 2}))
 	n := tp.NumHosts()
 	cfg := netsim.DefaultConfig()
-	cfg.PerPacketRouting = true
 	mkCases := func() []Case {
 		j, err := NewJob(route.NewAdaptive(tp, 5), order.Topology(n, nil))
 		if err != nil {

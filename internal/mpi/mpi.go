@@ -23,7 +23,6 @@ import (
 // Job is a single MPI job on a cluster: the topology, the programmed
 // routing and the rank-to-end-port assignment.
 type Job struct {
-	Topo  *topo.Topology
 	Route route.Router
 	Order *order.Ordering
 }
@@ -33,7 +32,7 @@ func NewJob(rt route.Router, o *order.Ordering) (*Job, error) {
 	if o.NumHosts() != rt.Topology().NumHosts() {
 		return nil, fmt.Errorf("mpi: ordering built for %d hosts, topology has %d", o.NumHosts(), rt.Topology().NumHosts())
 	}
-	return &Job{Topo: rt.Topology(), Route: rt, Order: o}, nil
+	return &Job{Route: rt, Order: o}, nil
 }
 
 // NewContentionFreeJob builds the paper's recommended configuration for
@@ -146,10 +145,10 @@ type Case struct {
 // SimulateAll runs independent simulations, each on a Network of its own,
 // and returns their Stats in input order. The cases may span jobs. They
 // run on GOMAXPROCS workers, except that a batch where any case attaches
-// a writer or an observer (flow log, metrics, probes, progress, trace),
-// or routes through a route.Adaptive (one shared RNG), runs on one
-// worker in input order: shared sinks and draws then see exactly what a
-// loop of SimulateMode calls would give them. Once a case
+// an observer (metrics, probes, progress, trace), or routes through a
+// route.Adaptive (one shared RNG), runs on one worker in input order:
+// shared sinks and draws then see exactly what a loop of SimulateMode
+// calls would give them. Once a case
 // fails no further case starts, and the error is that of the
 // lowest-index failed case among those that ran.
 func SimulateAll(cases []Case) ([]netsim.Stats, error) {
@@ -203,10 +202,10 @@ func (c Case) run() (netsim.Stats, error) {
 	}
 }
 
-// plainConfig reports whether cfg carries no writer or observer
+// plainConfig reports whether cfg carries no observer
 // attachments, the precondition for running cases side by side.
 func plainConfig(cfg netsim.Config) bool {
-	return cfg.FlowLog == nil && cfg.Metrics == nil && cfg.Probes == nil &&
+	return cfg.Metrics == nil && cfg.Probes == nil &&
 		cfg.Trace == nil && cfg.Progress == nil
 }
 

@@ -18,20 +18,14 @@
 package netsim
 
 import (
-	"bufio"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
-	"sort"
-	"strconv"
 	"time"
 
 	"fattree/internal/des"
 	"fattree/internal/obs"
 	"fattree/internal/route"
-	"fattree/internal/schema"
 	"fattree/internal/topo"
 )
 
@@ -51,25 +45,6 @@ type Config struct {
 	// BufferPackets is the number of MTU-sized input-buffer slots per
 	// switch port — the credit budget of virtual cut-through.
 	BufferPackets int
-	// MaxEvents aborts runaway simulations (0 = unbounded).
-	MaxEvents uint64
-	// PerPacketRouting re-asks the router for a path for every packet
-	// instead of once per message — how an adaptive fabric behaves.
-	// With a randomized router this lets packets overtake each other;
-	// Stats.OutOfOrderPackets counts the damage.
-	PerPacketRouting bool
-	// KeepLatencies retains every message latency so Stats.Percentile
-	// works; off by default to keep big runs lean.
-	KeepLatencies bool
-	// FlowLog, when non-nil, receives the flow-completion CSV: a
-	// "# fattree-flowlog/v1" schema stamp and a header line (written
-	// once per Network) followed by one record per completed message —
-	// src,dst,bytes,start_ps,end_ps,latency_ps. docs/SIMULATOR.md
-	// documents the schema. Writes are buffered and flushed when each
-	// Run/RunStages/RunDependent returns, so CSV logging no longer
-	// dominates large runs. Useful for post-processing runs with
-	// external tooling.
-	FlowLog io.Writer
 	// Metrics, when non-nil, receives the simulator's counters,
 	// gauges and histograms (metric names in docs/OBSERVABILITY.md).
 	Metrics *obs.Registry
@@ -161,41 +136,6 @@ type Stats struct {
 	// OutOfOrderPackets counts packet arrivals whose sequence number
 	// did not match the in-order expectation at the destination.
 	OutOfOrderPackets int64
-	// Latencies holds every message latency, ascending, when
-	// Config.KeepLatencies is set.
-	Latencies []des.Time
-	// KeptLatencies records whether the run retained per-message
-	// latencies (Config.KeepLatencies), so Percentile can distinguish
-	// "retention was off" from "nothing was delivered".
-	KeptLatencies bool
-}
-
-// ErrLatenciesNotKept is returned by Stats.Percentile when the run did
-// not retain per-message latencies.
-var ErrLatenciesNotKept = errors.New(
-	"netsim: latencies were not retained; set Config.KeepLatencies before the run to use Stats.Percentile")
-
-// ErrNoLatencies is returned by Stats.Percentile when retention was on
-// but the run delivered no messages, so there is nothing to rank.
-var ErrNoLatencies = errors.New(
-	"netsim: no messages were delivered, so no latencies to rank")
-
-// Percentile returns the p-th (0..100) latency percentile; requires
-// Config.KeepLatencies. It reports ErrLatenciesNotKept when retention
-// was off and ErrNoLatencies when nothing was delivered — both sentinel
-// errors callers can test with errors.Is.
-func (s Stats) Percentile(p float64) (des.Time, error) {
-	if p < 0 || p > 100 {
-		return 0, fmt.Errorf("netsim: percentile %v out of range [0,100]", p)
-	}
-	if len(s.Latencies) == 0 {
-		if !s.KeptLatencies {
-			return 0, ErrLatenciesNotKept
-		}
-		return 0, ErrNoLatencies
-	}
-	idx := int(p / 100 * float64(len(s.Latencies)-1))
-	return s.Latencies[idx], nil
 }
 
 // EffectiveBandwidth returns aggregate delivered bytes per second.
@@ -228,21 +168,6 @@ func (s Stats) MaxLinkUtilization() float64 {
 		}
 	}
 	return float64(max) / float64(s.Duration)
-}
-
-// SaturatedLinks counts directed channels busier than the threshold
-// fraction of the makespan.
-func (s Stats) SaturatedLinks(threshold float64) int {
-	if s.Duration <= 0 {
-		return 0
-	}
-	n := 0
-	for _, b := range s.LinkBusy {
-		if float64(b)/float64(s.Duration) >= threshold {
-			n++
-		}
-	}
-	return n
 }
 
 // intQueue is a FIFO of int32 ids with an advancing head, compacted in
@@ -313,7 +238,7 @@ type packet struct {
 	// pathOff/pathLen mirror the message's route bounds in the shared
 	// path arena, so per-hop forwarding never reloads the message.
 	pathOff, pathLen int32
-	// ownPath holds the per-packet route under PerPacketRouting; its
+	// ownPath holds the per-packet route of an adaptive router; its
 	// capacity is recycled with the packet. Empty means "use the
 	// message path".
 	ownPath []int32
@@ -376,6 +301,11 @@ type Network struct {
 	t   *topo.Topology
 	rt  route.Router
 	cfg Config
+	// perPkt re-asks the router for a path for every packet instead of
+	// once per message, as an adaptive fabric does: set exactly when the
+	// router is a *route.Adaptive. Its random choices let packets
+	// overtake each other; Stats.OutOfOrderPackets counts the damage.
+	perPkt bool
 
 	sched    *des.Scheduler
 	channels []channel
@@ -395,8 +325,8 @@ type Network struct {
 	// Eager final-hop delivery (perf): hosts never back-pressure, so
 	// once a packet starts its last hop its delivery instant is fully
 	// determined and the arrive/deliver events carry no decisions. When
-	// nothing observes them (no obs hooks, no flow log, no dependency
-	// bookkeeping) the simulator completes delivery inline at transmit
+	// nothing observes them (no obs hooks, no per-packet routing, no
+	// dependency bookkeeping) the simulator completes delivery inline at transmit
 	// time instead, stamped with the true arrival time. elided counts
 	// the skipped events so Stats.Events matches an instrumented run;
 	// endAt tracks the latest delivery so the clock can be advanced to
@@ -409,15 +339,9 @@ type Network struct {
 	// the run only as the netsim_busy_ns gauge, never through Stats.
 	busyNS int64
 
-	// Buffered flow log (nil when Config.FlowLog is nil); flushed when
-	// each run returns.
-	flow        *bufio.Writer
-	flowScratch []byte
-
 	// Observability (nil when disabled; see obs.go).
 	ob            *simObs
 	traceMetaDone bool
-	flowHeader    bool
 }
 
 // New creates a simulator for the topology/routing pair.
@@ -425,11 +349,8 @@ func New(rt route.Router, cfg Config) (*Network, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	nw := &Network{t: rt.Topology(), rt: rt, cfg: cfg}
-	if cfg.FlowLog != nil {
-		nw.flow = bufio.NewWriterSize(cfg.FlowLog, 1<<16)
-	}
-	return nw, nil
+	_, perPkt := rt.(*route.Adaptive)
+	return &Network{t: rt.Topology(), rt: rt, cfg: cfg, perPkt: perPkt}, nil
 }
 
 // reset rebuilds the dynamic state for a fresh run, reusing every arena
@@ -496,14 +417,9 @@ func (nw *Network) reset() {
 	nw.elided = 0
 	nw.endAt = 0
 	nw.busyNS = 0
-	nw.eager = nw.ob == nil && nw.flow == nil && !nw.cfg.PerPacketRouting
+	nw.eager = nw.ob == nil && !nw.perPkt
 	if p := nw.cfg.Progress; p != nil {
 		p.beginRun()
-	}
-	if nw.flow != nil && !nw.flowHeader {
-		nw.flowHeader = true
-		fmt.Fprintln(nw.flow, "# "+schema.FlowLog)
-		fmt.Fprintln(nw.flow, "src,dst,bytes,start_ps,end_ps,latency_ps")
 	}
 }
 
@@ -516,20 +432,16 @@ func hostIndex(t *topo.Topology, id topo.NodeID) int32 {
 	return int32(n.Index)
 }
 
-// drain runs the event loop to completion by pulling dispatch events
-// straight off the scheduler — the same pop order as sched.Run, without
-// an indirect Handler call per event. Reports false when cfg.MaxEvents
-// was exceeded with events still pending.
-func (nw *Network) drain() bool {
+// drain runs the event loop to completion, pulling dispatch events
+// straight off the scheduler and switching on their kind.
+func (nw *Network) drain() {
 	t0 := time.Now()
 	defer func() { nw.busyNS += time.Since(t0).Nanoseconds() }()
 	sched := nw.sched
-	max := nw.cfg.MaxEvents
-	start := sched.Executed()
 	for {
 		kind, a, b, c, ok := sched.NextEvent()
 		if !ok {
-			return true
+			return
 		}
 		switch kind {
 		case evArrive:
@@ -540,9 +452,6 @@ func (nw *Network) drain() bool {
 			nw.deliverAt(a, sched.Now())
 		case evKick:
 			nw.kickHost(&nw.hosts[a])
-		}
-		if max > 0 && sched.Executed()-start >= max && sched.Pending() > 0 {
-			return false
 		}
 	}
 }
@@ -603,7 +512,7 @@ func (nw *Network) load(msgs []Message) error {
 			return fmt.Errorf("netsim: message %d->%d has %d bytes", m.Src, m.Dst, m.Bytes)
 		}
 		var off, n int32
-		if !nw.cfg.PerPacketRouting {
+		if !nw.perPkt {
 			var err error
 			off, n, err = nw.pathOf(m.Src, m.Dst)
 			if err != nil {
@@ -635,7 +544,7 @@ func (nw *Network) load(msgs []Message) error {
 func (nw *Network) Run(msgs []Message) (Stats, error) {
 	nw.reset()
 	if err := nw.load(msgs); err != nil {
-		return Stats{}, nw.flushed(err)
+		return Stats{}, err
 	}
 	return nw.finish()
 }
@@ -664,7 +573,7 @@ func (nw *Network) runStages(stages [][]Message, jitter des.Time, seed int64) (S
 	var last des.Time
 	for i, st := range stages {
 		if err := nw.load(st); err != nil {
-			return Stats{}, nw.flushed(err)
+			return Stats{}, err
 		}
 		if jitter > 0 {
 			nw.applyJitter(st, jitter, rng)
@@ -673,14 +582,12 @@ func (nw *Network) runStages(stages [][]Message, jitter des.Time, seed int64) (S
 			nw.kickHost(&nw.hosts[j])
 		}
 		nw.startSamplers()
-		if !nw.drain() {
-			return Stats{}, nw.flushed(fmt.Errorf("netsim: stage %d exceeded %d events", i, nw.cfg.MaxEvents))
-		}
+		nw.drain()
 		if nw.err != nil {
-			return Stats{}, nw.flushed(nw.err)
+			return Stats{}, nw.err
 		}
 		if nw.remaining != 0 {
-			return Stats{}, nw.flushed(fmt.Errorf("netsim: stage %d deadlocked with %d messages undelivered", i, nw.remaining))
+			return Stats{}, fmt.Errorf("netsim: stage %d deadlocked with %d messages undelivered", i, nw.remaining)
 		}
 		nw.syncElidedClock()
 		nw.obsFinalSample()
@@ -690,7 +597,7 @@ func (nw *Network) runStages(stages [][]Message, jitter des.Time, seed int64) (S
 	}
 	st := nw.collect()
 	st.StageDurations = durs
-	return st, nw.flushed(nil)
+	return st, nil
 }
 
 // applyJitter draws one skew per source host of the stage and delays all
@@ -720,7 +627,7 @@ func (nw *Network) applyJitter(st []Message, jitter des.Time, rng *rand.Rand) {
 func (nw *Network) RunDependent(stages [][]Message) (Stats, error) {
 	nw.reset()
 	if err := nw.loadDependent(stages); err != nil {
-		return Stats{}, nw.flushed(err)
+		return Stats{}, err
 	}
 	return nw.finish()
 }
@@ -776,29 +683,16 @@ func (nw *Network) finish() (Stats, error) {
 		nw.kickHost(&nw.hosts[j])
 	}
 	nw.startSamplers()
-	if !nw.drain() {
-		return Stats{}, nw.flushed(fmt.Errorf("netsim: exceeded %d events", nw.cfg.MaxEvents))
-	}
+	nw.drain()
 	if nw.err != nil {
-		return Stats{}, nw.flushed(nw.err)
+		return Stats{}, nw.err
 	}
 	if nw.remaining != 0 {
-		return Stats{}, nw.flushed(fmt.Errorf("netsim: deadlock with %d messages undelivered", nw.remaining))
+		return Stats{}, fmt.Errorf("netsim: deadlock with %d messages undelivered", nw.remaining)
 	}
 	nw.syncElidedClock()
 	nw.obsFinalSample()
-	return nw.collect(), nw.flushed(nil)
-}
-
-// flushed flushes the buffered flow log and folds a flush failure into
-// the run's error. Every public run entry point returns through it.
-func (nw *Network) flushed(err error) error {
-	if nw.flow != nil {
-		if ferr := nw.flow.Flush(); err == nil && ferr != nil {
-			err = fmt.Errorf("netsim: flushing flow log: %w", ferr)
-		}
-	}
-	return err
+	return nw.collect(), nil
 }
 
 // syncElidedClock advances the clock to the last eager delivery, the
@@ -821,8 +715,6 @@ func (nw *Network) collect() Stats {
 	for i := range nw.channels {
 		s.LinkBusy[i] = nw.channels[i].busy
 	}
-	sort.Slice(s.Latencies, func(i, j int) bool { return s.Latencies[i] < s.Latencies[j] })
-	s.KeptLatencies = nw.cfg.KeepLatencies
 	if p := nw.cfg.Progress; p != nil {
 		p.publish(s.Duration, int64(s.Events), s.MessagesDelivered)
 	}
@@ -875,7 +767,7 @@ func (nw *Network) kickHost(h *hostState) {
 	p.hop = 0
 	p.tailArrive = now
 	p.pathOff, p.pathLen = m.pathOff, m.pathLen
-	p.perPkt = nw.cfg.PerPacketRouting
+	p.perPkt = nw.perPkt
 	if p.perPkt {
 		nw.walkBuf = nw.walkBuf[:0]
 		err := nw.rt.Walk(m.Src, m.Dst, func(l topo.LinkID, up bool) {
@@ -1107,12 +999,6 @@ func (nw *Network) deliverAt(pid int32, at des.Time) {
 		if nw.ob != nil {
 			nw.obsDeliverMessage(m, lat, at)
 		}
-		if nw.flow != nil {
-			nw.writeFlowRecord(m, at, lat)
-		}
-		if nw.cfg.KeepLatencies {
-			nw.stats.Latencies = append(nw.stats.Latencies, lat)
-		}
 		nw.stats.LatencySum += lat
 		if lat < nw.stats.LatencyMin {
 			nw.stats.LatencyMin = lat
@@ -1122,24 +1008,4 @@ func (nw *Network) deliverAt(pid int32, at des.Time) {
 		}
 	}
 	nw.freePkts = append(nw.freePkts, pid)
-}
-
-// writeFlowRecord appends one CSV record to the buffered flow log
-// without allocating.
-func (nw *Network) writeFlowRecord(m *message, end, lat des.Time) {
-	b := nw.flowScratch[:0]
-	b = strconv.AppendInt(b, int64(m.Src), 10)
-	b = append(b, ',')
-	b = strconv.AppendInt(b, int64(m.Dst), 10)
-	b = append(b, ',')
-	b = strconv.AppendInt(b, m.Bytes, 10)
-	b = append(b, ',')
-	b = strconv.AppendInt(b, int64(m.startedAt), 10)
-	b = append(b, ',')
-	b = strconv.AppendInt(b, int64(end), 10)
-	b = append(b, ',')
-	b = strconv.AppendInt(b, int64(lat), 10)
-	b = append(b, '\n')
-	nw.flowScratch = b
-	nw.flow.Write(b)
 }

@@ -3,7 +3,6 @@ package netsim
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"flag"
 	"io"
 	"os"
@@ -54,7 +53,6 @@ func TestObservabilityEquivalence(t *testing.T) {
 	}
 	for _, run := range runs {
 		base := DefaultConfig()
-		base.KeepLatencies = true
 		nw, err := New(lft, base)
 		if err != nil {
 			t.Fatal(err)
@@ -279,7 +277,6 @@ func TestProbeSnapshotWhileRunning(t *testing.T) {
 			if snap.Counters["netsim_messages_delivered_total"] > 12 {
 				t.Error("impossible delivery count")
 			}
-			cfg.Trace.Events()
 			select {
 			case <-stop:
 				return
@@ -299,68 +296,6 @@ func TestProbeSnapshotWhileRunning(t *testing.T) {
 	}
 	if err := cfg.Trace.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPercentileErrors(t *testing.T) {
-	lft := fig1LFT()
-	nw, _ := New(lft, DefaultConfig())
-	st, err := nw.Run([]Message{{Src: 0, Dst: 5, Bytes: 2048}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.KeptLatencies {
-		t.Error("KeptLatencies set without Config.KeepLatencies")
-	}
-	if _, err := st.Percentile(50); !errors.Is(err, ErrLatenciesNotKept) {
-		t.Errorf("Percentile without retention = %v, want ErrLatenciesNotKept", err)
-	}
-	cfg := DefaultConfig()
-	cfg.KeepLatencies = true
-	nw2, _ := New(lft, cfg)
-	st2, err := nw2.Run([]Message{{Src: 0, Dst: 5, Bytes: 2048}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st2.KeptLatencies {
-		t.Error("KeptLatencies not set")
-	}
-	if _, err := st2.Percentile(50); err != nil {
-		t.Errorf("Percentile with retention: %v", err)
-	}
-	if _, err := st2.Percentile(-1); err == nil || errors.Is(err, ErrLatenciesNotKept) {
-		t.Errorf("Percentile(-1) = %v, want a range error", err)
-	}
-}
-
-// TestFlowLogHeaderOncePerNetwork asserts repeated runs on one Network
-// write a single header.
-func TestFlowLogHeaderOncePerNetwork(t *testing.T) {
-	lft := fig1LFT()
-	cfg := DefaultConfig()
-	var log bytes.Buffer
-	cfg.FlowLog = &log
-	nw, _ := New(lft, cfg)
-	for i := 0; i < 2; i++ {
-		if _, err := nw.Run([]Message{{Src: 0, Dst: 5, Bytes: 2048}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lines := strings.Split(strings.TrimSpace(log.String()), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("flow log has %d lines, want schema + 1 header + 2 records:\n%s", len(lines), log.String())
-	}
-	headers, stamps := 0, 0
-	for _, l := range lines {
-		if strings.HasPrefix(l, "src,") {
-			headers++
-		}
-		if strings.HasPrefix(l, "# ") {
-			stamps++
-		}
-	}
-	if headers != 1 || stamps != 1 {
-		t.Errorf("flow log has %d headers and %d schema stamps, want 1 each", headers, stamps)
 	}
 }
 

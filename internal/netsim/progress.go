@@ -22,10 +22,6 @@ import (
 // with each run. All methods are safe for one simulation goroutine
 // publishing concurrently with any number of Snapshot readers.
 type Progress struct {
-	// SimInterval is the publish cadence in simulated time (default
-	// 10µs).
-	SimInterval des.Time
-
 	simNow    atomic.Int64
 	events    atomic.Int64
 	delivered atomic.Int64
@@ -56,12 +52,8 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 	}
 }
 
-func (p *Progress) interval() des.Time {
-	if p.SimInterval > 0 {
-		return p.SimInterval
-	}
-	return 10 * des.Microsecond
-}
+// progressInterval is the publish cadence in simulated time.
+const progressInterval = 10 * des.Microsecond
 
 // beginRun re-baselines the per-run counters at the start of a run.
 func (p *Progress) beginRun() {
@@ -161,7 +153,7 @@ func (nw *Network) startProgress() {
 	var tick func()
 	tick = func() {
 		p.publish(nw.sched.Now(), int64(nw.sched.Executed()+nw.elided), nw.stats.MessagesDelivered)
-		nw.sched.AfterDaemon(p.interval(), tick)
+		nw.sched.AfterDaemon(progressInterval, tick)
 	}
 	tick()
 }

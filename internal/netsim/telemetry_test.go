@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -127,20 +128,18 @@ func TestLinkRollupMisordered(t *testing.T) {
 	}
 }
 
-// TestFlowLogIdenticalWithTelemetry: attaching probes, a progress sink,
-// or both must leave the flow log byte-identical to the bare run.
-// Runs under -race in CI.
-func TestFlowLogIdenticalWithTelemetry(t *testing.T) {
+// TestStatsIdenticalWithTelemetry: attaching probes, a progress sink,
+// or both must leave every timing of the run identical to the bare run;
+// only the event count grows by their ticks. Runs under -race in CI.
+func TestStatsIdenticalWithTelemetry(t *testing.T) {
 	lft := route.DModK(topo.MustBuild(topo.Cluster324))
 	n := lft.Topology().NumHosts()
 	stages := [][]Message{
 		shiftMsgs(n, 1, 2*2048),
 		shiftMsgs(n, n/2, 3*2048),
 	}
-	run := func(t *testing.T, probes, progress bool) string {
-		var flow bytes.Buffer
+	run := func(t *testing.T, probes, progress bool) Stats {
 		cfg := DefaultConfig()
-		cfg.FlowLog = &flow
 		if probes {
 			cfg.Probes = obs.NewSampler(&bytes.Buffer{}, 5*des.Microsecond)
 		}
@@ -151,10 +150,12 @@ func TestFlowLogIdenticalWithTelemetry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := nw.RunStages(stages); err != nil {
+		st, err := nw.RunStages(stages)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return flow.String()
+		st.Events = 0
+		return st
 	}
 	bare := run(t, false, false)
 	for _, tc := range []struct {
@@ -166,8 +167,8 @@ func TestFlowLogIdenticalWithTelemetry(t *testing.T) {
 		{"probes_and_progress", true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := run(t, tc.probes, tc.progress); got != bare {
-				t.Errorf("flow log changed when telemetry attached (%d vs %d bytes)", len(bare), len(got))
+			if got := run(t, tc.probes, tc.progress); !reflect.DeepEqual(got, bare) {
+				t.Errorf("stats changed when telemetry attached:\n got %+v\nwant %+v", got, bare)
 			}
 		})
 	}
@@ -291,7 +292,7 @@ func TestProgressSink(t *testing.T) {
 	lft := route.DModK(topo.MustBuild(topo.Cluster324))
 	n := lft.Topology().NumHosts()
 	msgs := shiftMsgs(n, 1, 16<<10)
-	p := &Progress{SimInterval: 2 * des.Microsecond}
+	p := &Progress{}
 
 	cfg := DefaultConfig()
 	cfg.Progress = p

@@ -57,14 +57,6 @@ func NewSampler(w io.Writer, interval des.Time) *Sampler {
 	return &Sampler{w: bufio.NewWriter(w), interval: interval}
 }
 
-// Interval returns the sampling period.
-func (s *Sampler) Interval() des.Time {
-	if s == nil {
-		return 0
-	}
-	return s.interval
-}
-
 // Series registers a named probe. Owners re-registering for a fresh run
 // should call Reset first.
 func (s *Sampler) Series(name string, fn func(now des.Time, buf []float64) []float64) {

@@ -97,8 +97,8 @@ func TestSamplerStopsOnEmptySchedule(t *testing.T) {
 func TestSamplerRecordAndReset(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewSampler(&buf, 0) // non-positive interval defaults to 1 us
-	if s.Interval() != des.Microsecond {
-		t.Errorf("interval = %v", s.Interval())
+	if s.interval != des.Microsecond {
+		t.Errorf("interval = %v", s.interval)
 	}
 	s.Series("x", func(now des.Time, b []float64) []float64 { return append(b, 1) })
 	s.Reset() // drops the series

@@ -14,7 +14,7 @@ func TestQuantileEdgeCases(t *testing.T) {
 	t.Run("zero samples", func(t *testing.T) {
 		h, _ := newHistogram(bounds)
 		for _, q := range []float64{0, 0.5, 0.99, 1} {
-			if got := h.Quantile(q); got != 0 {
+			if got := quantile(h, q); got != 0 {
 				t.Fatalf("empty Quantile(%v) = %v, want 0", q, got)
 			}
 		}
@@ -26,7 +26,7 @@ func TestQuantileEdgeCases(t *testing.T) {
 		// The single sample lands in (10,100]; every quantile must
 		// interpolate inside that bucket, never outside it.
 		for _, q := range []float64{0.01, 0.5, 0.99} {
-			got := h.Quantile(q)
+			got := quantile(h, q)
 			if got <= 10 || got > 100 {
 				t.Fatalf("Quantile(%v) = %v, want within (10,100]", q, got)
 			}
@@ -38,7 +38,7 @@ func TestQuantileEdgeCases(t *testing.T) {
 		for i := 0; i < 1000; i++ {
 			h.Observe(50)
 		}
-		p50, p99 := h.Quantile(0.50), h.Quantile(0.99)
+		p50, p99 := quantile(h, 0.50), quantile(h, 0.99)
 		if p50 <= 10 || p50 > 100 || p99 <= 10 || p99 > 100 {
 			t.Fatalf("all-equal p50=%v p99=%v escaped the (10,100] bucket", p50, p99)
 		}
@@ -53,7 +53,7 @@ func TestQuantileEdgeCases(t *testing.T) {
 			h.Observe(1e9) // overflow bucket
 		}
 		for _, q := range []float64{0.5, 0.99, 1} {
-			if got := h.Quantile(q); got != 1000 {
+			if got := quantile(h, q); got != 1000 {
 				t.Fatalf("overflow Quantile(%v) = %v, want clamp to 1000", q, got)
 			}
 		}
@@ -62,17 +62,17 @@ func TestQuantileEdgeCases(t *testing.T) {
 	t.Run("quantile out of range clamps", func(t *testing.T) {
 		h, _ := newHistogram(bounds)
 		h.Observe(5)
-		if got := h.Quantile(-1); got < 0 || got > 10 {
+		if got := quantile(h, -1); got < 0 || got > 10 {
 			t.Fatalf("Quantile(-1) = %v", got)
 		}
-		if got := h.Quantile(2); got < 0 || got > 10 {
+		if got := quantile(h, 2); got < 0 || got > 10 {
 			t.Fatalf("Quantile(2) = %v", got)
 		}
 	})
 
 	t.Run("nil receiver", func(t *testing.T) {
 		var h *Histogram
-		if got := h.Quantile(0.99); got != 0 {
+		if got := quantile(h, 0.99); got != 0 {
 			t.Fatalf("nil Quantile = %v", got)
 		}
 	})
@@ -127,4 +127,17 @@ func TestSnapshotQuantileSelfConsistentUnderRace(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// quantile estimates h's q-quantile with the snapshot estimator, the
+// way Registry.Snapshot fills P50/P95/P99; 0 on a nil histogram.
+func quantile(h *Histogram, q float64) float64 {
+	if h == nil {
+		return 0
+	}
+	s := HistogramSnapshot{Bounds: h.bounds, Counts: make([]uint64, len(h.counts))}
+	for i := range h.counts {
+		s.Counts[i] = h.counts[i].Load()
+	}
+	return s.Quantile(q)
 }

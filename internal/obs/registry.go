@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -151,29 +150,6 @@ func (h *Histogram) Sum() float64 {
 		return 0
 	}
 	return math.Float64frombits(h.sum.Load())
-}
-
-// BucketCount returns the observation count of bucket i, where bucket
-// len(bounds) is the overflow bucket.
-func (h *Histogram) BucketCount(i int) uint64 {
-	if h == nil || i < 0 || i >= len(h.counts) {
-		return 0
-	}
-	return h.counts[i].Load()
-}
-
-// Quantile estimates the q-quantile (0 <= q <= 1) from the current
-// bucket counts; see HistogramSnapshot.Quantile for the estimator.
-// Returns 0 on a nil receiver.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	s := HistogramSnapshot{Bounds: h.bounds, Counts: make([]uint64, len(h.counts))}
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
-	}
-	return s.Quantile(q)
 }
 
 // Registry holds named metrics. The zero value is not usable; a nil
@@ -388,31 +364,4 @@ func (r *Registry) Snapshot() Snapshot {
 func (s Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(s)
-}
-
-// Names returns the sorted metric names of every kind, for tests and
-// documentation tooling.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var names []string
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	for n := range r.gaugeFuncs {
-		if _, stored := r.gauges[n]; !stored {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	return names
 }

@@ -31,7 +31,7 @@ func TestFileSinksProbeIntervalFlag(t *testing.T) {
 	if err := s.Open(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := s.Sampler.Interval(), 500*des.Nanosecond; got != want {
+	if got, want := s.Sampler.interval, 500*des.Nanosecond; got != want {
 		t.Errorf("interval = %v, want %v", got, want)
 	}
 	if err := s.Close(); err != nil {

@@ -107,15 +107,6 @@ func (s *Span) TagNum(key string, val float64) {
 	s.args = append(s.args, Num(key, val))
 }
 
-// TraceID returns the span's trace identifier in the hex form embedded
-// in the serialized event; zero-string on nil.
-func (s *Span) TraceID() string {
-	if s == nil {
-		return ""
-	}
-	return strconv.FormatUint(s.trace, 16)
-}
-
 // End closes the span, emitting one complete event on the tracer. All
 // spans of one trace share a tid lane, so a request's spans nest
 // visually; different traces spread across lanes. Nil-safe, and

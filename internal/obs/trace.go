@@ -55,26 +55,6 @@ func NewTracer(w io.Writer) *Tracer {
 	return t
 }
 
-// Events returns the number of events recorded so far.
-func (t *Tracer) Events() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.events
-}
-
-// Err returns the first write error, if any.
-func (t *Tracer) Err() error {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.err
-}
-
 // Close terminates the JSON document and flushes. Safe to call on nil
 // and more than once.
 func (t *Tracer) Close() error {

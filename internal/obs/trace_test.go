@@ -45,8 +45,8 @@ func sampleTrace(t *testing.T) []byte {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Events() != 9 {
-		t.Fatalf("recorded %d events, want 9", tr.Events())
+	if tr.events != 9 {
+		t.Fatalf("recorded %d events, want 9", tr.events)
 	}
 	return buf.Bytes()
 }
@@ -125,7 +125,7 @@ func TestTraceEmptyAndDoubleClose(t *testing.T) {
 	}
 	// Events after Close are dropped, not appended to a closed array.
 	tr.Instant(0, 0, 0, "late")
-	if tr.Events() != 0 {
+	if tr.events != 0 {
 		t.Error("event recorded after Close")
 	}
 }

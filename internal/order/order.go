@@ -55,13 +55,6 @@ func (o *Ordering) NumHosts() int { return len(o.rankOf) }
 // RankOf returns the rank on host h, or -1 if h runs no rank.
 func (o *Ordering) RankOf(h int) int { return o.rankOf[h] }
 
-// Active returns the sorted end-port indices taking part in the job.
-func (o *Ordering) Active() []int {
-	a := append([]int(nil), o.HostOf...)
-	sort.Ints(a)
-	return a
-}
-
 // Topology returns the paper's routing-aware order on the given active
 // hosts: rank r runs on the r-th active end-port in ascending RLFT index
 // order. With active == nil the whole cluster participates.
@@ -165,12 +158,6 @@ func Adversarial(t *topo.Topology) (*Ordering, error) {
 		}
 	}
 	return New("adversarial", n, hostOf)
-}
-
-// Inverse returns the host->rank table as a slice (rank -1 for inactive
-// hosts); a convenience for traffic translation loops.
-func (o *Ordering) Inverse() []int {
-	return append([]int(nil), o.rankOf...)
 }
 
 // Cyclic returns the round-robin placement batch schedulers call

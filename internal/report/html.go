@@ -30,15 +30,14 @@ type HTMLOptions struct {
 
 // Inputs bundles the optional data sources of one report. Any field
 // may be nil; the report shows what it has. Probes and Trace are core
-// (their absence is noted), while Load and Events are opt-in extras
+// (their absence is noted), while Loads and Events are opt-in extras
 // that render only when present.
 type Inputs struct {
 	Probes *ProbeData
 	Trace  *TraceData
-	Load   *schema.LoadDoc
-	// Loads carries additional sweeps — e.g. the JSON and binary
-	// protocols over the same daemon — each rendered as its own curve
-	// and table section. Load, when set, renders first.
+	// Loads carries load sweeps — e.g. the JSON and binary protocols
+	// over the same daemon — each rendered as its own curve and table
+	// section.
 	Loads  []*schema.LoadDoc
 	Events *schema.EventsDoc
 	// Bakeoff is a parsed fattree-bakeoff/v1 verdict (ftbakeoff -o):
@@ -152,9 +151,7 @@ func buildView(in Inputs, opt HTMLOptions) *htmlView {
 	if trace != nil && trace.Schema != "" {
 		v.Schemas = append(v.Schemas, trace.Schema)
 	}
-	if in.Load != nil && in.Load.Schema != "" {
-		v.Schemas = append(v.Schemas, in.Load.Schema)
-	} else if len(in.Loads) > 0 && in.Loads[0] != nil && in.Loads[0].Schema != "" {
+	if len(in.Loads) > 0 && in.Loads[0] != nil && in.Loads[0].Schema != "" {
 		v.Schemas = append(v.Schemas, in.Loads[0].Schema)
 	}
 	if in.Events != nil && in.Events.Schema != "" {
@@ -187,11 +184,7 @@ func buildView(in Inputs, opt HTMLOptions) *htmlView {
 	}
 	// Load and events sections are opt-in: no note when absent, so
 	// reports predating them render unchanged.
-	loads := in.Loads
-	if in.Load != nil {
-		loads = append([]*schema.LoadDoc{in.Load}, loads...)
-	}
-	for _, ld := range loads {
+	for _, ld := range in.Loads {
 		if ld == nil {
 			continue
 		}

@@ -37,7 +37,7 @@ func fixtureProbes(t *testing.T) *ProbeData {
 		Order:  []string{"link_util", "event_queue", "credit_stalls"},
 	}
 	for _, n := range d.Order {
-		d.Series[n] = &Series{Name: n}
+		d.Series[n] = &Series{}
 	}
 	for tick := int64(0); tick < 6; tick++ {
 		u := float64(tick) / 5
@@ -64,7 +64,6 @@ func fixtureTrace() *TraceData {
 			{Name: "stage 2", Ph: "X", Pid: 1, Ts: 4.0, Dur: 3.0, Args: map[string]interface{}{"messages": 4.0}},
 			{Name: "send", Ph: "X", Pid: 2, Ts: 0, Dur: 1},
 		},
-		processes: map[int]string{1: "collective"},
 	}
 }
 
@@ -159,7 +158,7 @@ func TestRenderHTMLPartialInputs(t *testing.T) {
 // MaxHeatmapRows keeps the busiest and announces the cut.
 func TestHeatmapTruncation(t *testing.T) {
 	d := &ProbeData{Series: map[string]*Series{}, Order: []string{"link_util"}}
-	s := &Series{Name: "link_util"}
+	s := &Series{}
 	vals := make([]float64, 8)
 	for i := range vals {
 		vals[i] = float64(i) / 8 // channel 7 is the busiest

@@ -119,7 +119,7 @@ func TestParseEvents(t *testing.T) {
 
 func TestRenderHTMLLoadAndEvents(t *testing.T) {
 	var buf bytes.Buffer
-	err := RenderHTML(&buf, Inputs{Load: fixtureLoad(), Events: fixtureEvents()}, HTMLOptions{
+	err := RenderHTML(&buf, Inputs{Loads: []*schema.LoadDoc{fixtureLoad()}, Events: fixtureEvents()}, HTMLOptions{
 		LoadFile:   "load.json",
 		EventsFile: "events.json",
 	})

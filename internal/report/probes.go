@@ -18,7 +18,6 @@ type Sample struct {
 
 // Series is the full time line of one probe.
 type Series struct {
-	Name    string
 	Samples []Sample
 }
 
@@ -95,7 +94,7 @@ func ParseProbes(r io.Reader) (*ProbeData, error) {
 		case p.T != nil && p.Series != "":
 			s, ok := d.Series[p.Series]
 			if !ok {
-				s = &Series{Name: p.Series}
+				s = &Series{}
 				d.Series[p.Series] = s
 				d.Order = append(d.Order, p.Series)
 			}

@@ -23,8 +23,6 @@ type TraceEvent struct {
 type TraceData struct {
 	Schema string
 	Events []TraceEvent
-
-	processes map[int]string
 }
 
 // traceDoc is the document envelope.
@@ -47,27 +45,7 @@ func ParseTrace(r io.Reader) (*TraceData, error) {
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		return nil, fmt.Errorf("report: trace is not a Chrome trace document: %w", err)
 	}
-	d := &TraceData{
-		Schema:    doc.OtherData.Schema,
-		Events:    doc.TraceEvents,
-		processes: map[int]string{},
-	}
-	for _, ev := range d.Events {
-		if ev.Ph == "M" && ev.Name == "process_name" {
-			if name, ok := ev.Args["name"].(string); ok {
-				d.processes[ev.Pid] = name
-			}
-		}
-	}
-	return d, nil
-}
-
-// ProcessName returns the label of a pid lane group, or "".
-func (d *TraceData) ProcessName(pid int) string {
-	if d == nil {
-		return ""
-	}
-	return d.processes[pid]
+	return &TraceData{Schema: doc.OtherData.Schema, Events: doc.TraceEvents}, nil
 }
 
 // StageSpan is one collective-phase marker of the trace.

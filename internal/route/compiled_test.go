@@ -78,7 +78,7 @@ func TestCompiledSModK(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			hops, err := s.Trace(src, dst)
+			hops, err := walkHops(s, src, dst)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -39,21 +39,6 @@ func DModKActive(t *topo.Topology, active []int) (*LFT, error) {
 	return dModK(t, rank, fmt.Sprintf("d-mod-k[%d active]", len(active)), false), nil
 }
 
-// DModKRanked builds D-Mod-K tables spreading destinations by an
-// arbitrary rank table instead of the raw index: rank[j] replaces j in
-// every up-port and parallel-copy choice while the mandatory down-going
-// child digits keep following j's real address, so delivery is unchanged
-// and only the load spreading moves. DModKActive is the special case
-// ranking by position among the active hosts; the node-type
-// load-balancing engine ranks by position within each destination's node
-// type. A nil rank is the identity (plain DModK).
-func DModKRanked(t *topo.Topology, rank []int, name string) (*LFT, error) {
-	if rank != nil && len(rank) != t.NumHosts() {
-		return nil, fmt.Errorf("route: rank table has %d entries for %d hosts", len(rank), t.NumHosts())
-	}
-	return dModK(t, rank, name, false), nil
-}
-
 // ActiveRanks maps each host index to its rank among the sorted active
 // set; inactive hosts get the rank they would have if inserted (count of
 // active hosts below them), keeping the rule monotone.

@@ -100,13 +100,5 @@ func TestDModKFillMatchesClosedForm(t *testing.T) {
 			}
 		}
 		sameTables(t, g.String()+" active", act, closedFormDModK(tp, rank))
-		for j := range rank {
-			rank[j] = (j*31 + 5) % (n + 3) // arbitrary, not a permutation
-		}
-		ranked, err := route.DModKRanked(tp, rank, "ranked")
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameTables(t, g.String()+" ranked", ranked, closedFormDModK(tp, rank))
 	}
 }

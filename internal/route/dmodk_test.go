@@ -242,7 +242,7 @@ func TestUpPortOfMatchesTablesQuick(t *testing.T) {
 		l := 1 + int(raw>>16)%(g.H-1) // levels 1..H-1 have up ports
 		idx := int(raw>>8) % g.NumSwitches(l)
 		j := int(raw) % tp.NumHosts()
-		sw := tp.SwitchAt(l, idx)
+		sw := tp.Node(tp.ByLevel[l][idx])
 		if tp.IsDescendantHost(sw, j) {
 			return true // down entries are covered elsewhere
 		}

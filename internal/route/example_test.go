@@ -16,12 +16,14 @@ import (
 // contention free while the switch arity K=18 divides the job size;
 // rows with job%K != 0 show the wrap-around hot spot (max HSD 2) — the
 // boundary of the paper's partial-tree claim, and why a scheduler
-// should allocate in multiples of K.
+// should allocate in multiples of K. The topology-aware Recursive
+// Doubling stays at HSD 1 by adding fixup stages to the 12 of the full
+// tree.
 func ExampleDModKActive() {
 	cluster := topo.MustBuild(topo.Cluster324)
 	n := cluster.NumHosts()
 	k, _ := topo.Cluster324.IsRLFT()
-	fmt.Println("drop  job  job%K  shift maxHSD  topo-RD maxHSD  fixup stages")
+	fmt.Println("drop  job  job%K  shift maxHSD  topo-RD maxHSD  topo-RD stages")
 	r := rand.New(rand.NewSource(7))
 	for _, drop := range []int{18, 36, 90, 10, 25} {
 		active := r.Perm(n)[drop:]
@@ -42,18 +44,14 @@ func ExampleDModKActive() {
 		if err != nil {
 			panic(err)
 		}
-		fixups := 0
-		for _, g := range ta.Groups() {
-			fixups += g.Fixups
-		}
-		fmt.Printf("%4d  %3d  %5d  %12d  %14d  %12d\n",
-			drop, len(active), len(active)%k, shift.MaxHSD(), taRep.MaxHSD(), fixups)
+		fmt.Printf("%4d  %3d  %5d  %12d  %14d  %14d\n",
+			drop, len(active), len(active)%k, shift.MaxHSD(), taRep.MaxHSD(), ta.NumStages())
 	}
 	// Output:
-	// drop  job  job%K  shift maxHSD  topo-RD maxHSD  fixup stages
-	//   18  306      0             1               1             2
-	//   36  288      0             1               1             2
-	//   90  234      0             1               1             1
-	//   10  314      8             2               1             1
-	//   25  299     11             2               1             2
+	// drop  job  job%K  shift maxHSD  topo-RD maxHSD  topo-RD stages
+	//   18  306      0             1               1              14
+	//   36  288      0             1               1              14
+	//   90  234      0             1               1              13
+	//   10  314      8             2               1              13
+	//   25  299     11             2               1              14
 }

@@ -73,12 +73,3 @@ func (s *SModK) Walk(src, dst int, visit func(link topo.LinkID, up bool)) error 
 	}
 	return nil
 }
-
-// Trace mirrors LFT.Trace for the source-based router.
-func (s *SModK) Trace(src, dst int) ([]Hop, error) {
-	var hops []Hop
-	err := s.Walk(src, dst, func(l topo.LinkID, up bool) {
-		hops = append(hops, Hop{Link: l, Up: up})
-	})
-	return hops, err
-}

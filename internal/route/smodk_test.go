@@ -20,7 +20,7 @@ func TestSModKDelivers(t *testing.T) {
 				if src == dst {
 					continue
 				}
-				hops, err := s.Trace(src, dst)
+				hops, err := walkHops(s, src, dst)
 				if err != nil {
 					t.Fatalf("%v: %v", g, err)
 				}
@@ -45,14 +45,14 @@ func TestSModKDelivers(t *testing.T) {
 func TestSModKSelfFlowNoHops(t *testing.T) {
 	tp := topo.MustBuild(topo.Cluster128)
 	s := NewSModK(tp)
-	hops, err := s.Trace(5, 5)
+	hops, err := walkHops(s, 5, 5)
 	if err != nil || len(hops) != 0 {
 		t.Errorf("self trace = (%v, %v), want no hops", hops, err)
 	}
-	if _, err := s.Trace(-1, 5); err == nil {
+	if _, err := walkHops(s, -1, 5); err == nil {
 		t.Error("out-of-range source accepted")
 	}
-	if _, err := s.Trace(0, 1000); err == nil {
+	if _, err := walkHops(s, 0, 1000); err == nil {
 		t.Error("out-of-range destination accepted")
 	}
 }
@@ -65,7 +65,7 @@ func TestSModKSpreadsBySource(t *testing.T) {
 	dst := 323
 	used := make(map[topo.LinkID]bool)
 	for src := 0; src < 18; src++ { // leaf 0
-		hops, err := s.Trace(src, dst)
+		hops, err := walkHops(s, src, dst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,4 +118,14 @@ func TestRouterInterfaceCompliance(t *testing.T) {
 	if NewSModK(tp).Topology() != tp {
 		t.Error("SModK topology accessor broken")
 	}
+}
+
+// walkHops collects a router's hops for one pair, the way LFT.Trace
+// reports them.
+func walkHops(r Router, src, dst int) ([]Hop, error) {
+	var hops []Hop
+	err := r.Walk(src, dst, func(l topo.LinkID, up bool) {
+		hops = append(hops, Hop{Link: l, Up: up})
+	})
+	return hops, err
 }

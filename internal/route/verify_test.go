@@ -68,7 +68,7 @@ func TestDModKAtThePortBound(t *testing.T) {
 		tp := topo.MustBuild(g)
 		f := route.DModK(tp)
 		verifyPaths(t, f)
-		sw := tp.SwitchAt(1, 0)
+		sw := tp.Node(tp.ByLevel[1][0])
 		last := sw.FirstPort() + topo.PortID(topo.MaxPorts-1)
 		if got := f.OutPort(sw.ID, tp.HostsUnder(sw)[len(sw.Down)-1]); got != last {
 			t.Fatalf("%v: %v forwards its last host through port %d, want %d", g, sw, got, last)

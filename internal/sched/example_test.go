@@ -7,7 +7,7 @@ import (
 	"fattree/internal/topo"
 )
 
-// Place two jobs on the 1944-node cluster and check their isolation.
+// Place two jobs on the 1944-node cluster in granule-aligned blocks.
 func ExampleAllocator() {
 	cluster := topo.MustBuild(topo.Cluster1944)
 	a, err := sched.New(cluster)
@@ -19,13 +19,10 @@ func ExampleAllocator() {
 	j2, _ := a.Alloc(324)
 	fmt.Println("job1 contention-free:", j1.ContentionFree)
 	fmt.Println("job2 contention-free:", j2.ContentionFree)
-	lvl, _ := a.IsolationLevel(j1.ID, j2.ID)
-	fmt.Println("isolation level:", lvl)
 	fmt.Printf("utilization: %.1f%%\n", 100*a.Utilization())
 	// Output:
 	// granule: 324
 	// job1 contention-free: true
 	// job2 contention-free: true
-	// isolation level: 3
 	// utilization: 50.0%
 }

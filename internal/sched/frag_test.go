@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"fattree/internal/des"
 	"fattree/internal/topo"
 )
 
@@ -243,65 +242,5 @@ func TestAllocFreeRandomizedChurn(t *testing.T) {
 	}
 	if len(a.Jobs()) != 0 {
 		t.Fatalf("drain left %d live jobs", len(a.Jobs()))
-	}
-}
-
-// TestSimulateQueueInjectedRand covers the QueueConfig.Rand hook: an
-// injected RNG takes precedence over Seed, two runs from identically
-// seeded injected RNGs agree, and a shared RNG threads state across
-// consecutive simulations (the daemon-grade reuse mode).
-func TestSimulateQueueInjectedRand(t *testing.T) {
-	tp := topo.MustBuild(topo.Cluster128)
-	base := QueueConfig{
-		Seed:             3,
-		Jobs:             60,
-		MeanInterarrival: 10 * des.Millisecond,
-		MeanDuration:     40 * des.Millisecond,
-		MaxGranules:      4,
-		AlignedFraction:  0.3,
-	}
-
-	cfgA := base
-	cfgA.Rand = rand.New(rand.NewSource(99))
-	a, err := SimulateQueue(tp, cfgA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgB := base
-	cfgB.Seed = 12345 // must be ignored when Rand is set
-	cfgB.Rand = rand.New(rand.NewSource(99))
-	b, err := SimulateQueue(tp, cfgB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Errorf("identically seeded injected RNGs diverged: %+v vs %+v", a, b)
-	}
-
-	// Precedence: same Seed without Rand gives the Seed-driven trace,
-	// which differs from the injected-RNG trace.
-	seeded, err := SimulateQueue(tp, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seeded == a {
-		t.Error("injected RNG produced the Seed trace; Rand not taking precedence")
-	}
-
-	// A shared RNG advances across runs: back-to-back simulations on one
-	// stream see different draws.
-	shared := rand.New(rand.NewSource(7))
-	cfgS := base
-	cfgS.Rand = shared
-	s1, err := SimulateQueue(tp, cfgS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := SimulateQueue(tp, cfgS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1 == s2 {
-		t.Error("shared RNG repeated a trace; stream did not advance")
 	}
 }

@@ -14,12 +14,7 @@ import (
 // much utilization padding job sizes up to the allocation granule
 // sacrifices, against how many jobs run with the HSD = 1 guarantee.
 type QueueConfig struct {
-	Seed int64
-	// Rand, when non-nil, supplies every random draw of the simulation
-	// and takes precedence over Seed — callers that run many simulations
-	// (or need daemon-grade determinism) inject one RNG instead of
-	// reseeding per run.
-	Rand             *rand.Rand
+	Seed             int64
 	Jobs             int
 	MeanInterarrival des.Time
 	MeanDuration     des.Time
@@ -83,10 +78,7 @@ func SimulateQueue(t *topo.Topology, cfg QueueConfig) (QueueStats, error) {
 		return QueueStats{}, fmt.Errorf("sched: MaxGranules %d exceeds the machine (%d hosts, granule %d)",
 			cfg.MaxGranules, t.NumHosts(), g)
 	}
-	rng := cfg.Rand
-	if rng == nil {
-		rng = rand.New(rand.NewSource(cfg.Seed))
-	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	sched := des.NewScheduler()
 
 	var (

@@ -213,39 +213,3 @@ func mkRange(start, size int) []int {
 	}
 	return out
 }
-
-// IsolationLevel returns the lowest tree level at which two jobs share a
-// sub-tree: 1 means they share a leaf switch (worst — they contend for
-// the same up-links), h means they only meet inside a top-level group,
-// and h+1 means the jobs occupy disjoint level-h sub-trees and cannot
-// contend anywhere.
-func (a *Allocator) IsolationLevel(x, y JobID) (int, error) {
-	jx, ok := a.jobs[x]
-	if !ok {
-		return 0, fmt.Errorf("sched: unknown job %d", x)
-	}
-	jy, ok := a.jobs[y]
-	if !ok {
-		return 0, fmt.Errorf("sched: unknown job %d", y)
-	}
-	g := a.t.Spec
-	for l := 1; l <= g.H; l++ {
-		size := g.MProd(l)
-		sx := subtreeSet(jx.Hosts, size)
-		sy := subtreeSet(jy.Hosts, size)
-		for s := range sx {
-			if sy[s] {
-				return l, nil
-			}
-		}
-	}
-	return g.H + 1, nil
-}
-
-func subtreeSet(hosts []int, size int) map[int]bool {
-	out := make(map[int]bool)
-	for _, h := range hosts {
-		out[h/size] = true
-	}
-	return out
-}

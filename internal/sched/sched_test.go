@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 
 	"fattree/internal/cps"
@@ -151,14 +152,14 @@ func TestIsolationLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two whole level-2 sub-trees: they share only the top level (3).
-	lvl, err := a.IsolationLevel(j1.ID, j2.ID)
+	lvl, err := isolationLevel(a, j1.ID, j2.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lvl != 3 {
 		t.Errorf("aligned jobs isolation = %d, want 3 (meet at the top only)", lvl)
 	}
-	if _, err := a.IsolationLevel(j1.ID, 99); err == nil {
+	if _, err := isolationLevel(a, j1.ID, 99); err == nil {
 		t.Error("unknown job accepted")
 	}
 	// Force a leaf-sharing pair on the small cluster: fill an aligned
@@ -179,7 +180,7 @@ func TestIsolationLevel(t *testing.T) {
 	if ja.Hosts[0] != 120 || jb.Hosts[0] != 124 {
 		t.Fatalf("placement = %d/%d, want 120/124", ja.Hosts[0], jb.Hosts[0])
 	}
-	lvl, err = b.IsolationLevel(ja.ID, jb.ID)
+	lvl, err = isolationLevel(b, ja.ID, jb.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,4 +344,40 @@ func hostPairsReport(t *testing.T, rt route.Router, stages [][][2]int) *hsd.Repo
 		rep.Stages = append(rep.Stages, sr)
 	}
 	return rep
+}
+
+// isolationLevel returns the lowest tree level at which two jobs share a
+// sub-tree: 1 means they share a leaf switch (worst — they contend for
+// the same up-links), h means they only meet inside a top-level group,
+// and h+1 means the jobs occupy disjoint level-h sub-trees and cannot
+// contend anywhere.
+func isolationLevel(a *Allocator, x, y JobID) (int, error) {
+	jx, ok := a.jobs[x]
+	if !ok {
+		return 0, fmt.Errorf("sched: unknown job %d", x)
+	}
+	jy, ok := a.jobs[y]
+	if !ok {
+		return 0, fmt.Errorf("sched: unknown job %d", y)
+	}
+	g := a.t.Spec
+	for l := 1; l <= g.H; l++ {
+		size := g.MProd(l)
+		sx := subtreeSet(jx.Hosts, size)
+		sy := subtreeSet(jy.Hosts, size)
+		for s := range sx {
+			if sy[s] {
+				return l, nil
+			}
+		}
+	}
+	return g.H + 1, nil
+}
+
+func subtreeSet(hosts []int, size int) map[int]bool {
+	out := make(map[int]bool)
+	for _, h := range hosts {
+		out[h/size] = true
+	}
+	return out
 }

@@ -19,8 +19,6 @@ const (
 	Probes = "fattree-probes/v1"
 	// Trace stamps the -trace Chrome trace document (otherData.schema).
 	Trace = "fattree-trace/v1"
-	// FlowLog stamps ftsim's flow log (leading "# " comment line).
-	FlowLog = "fattree-flowlog/v1"
 	// Blame stamps contention blame reports (ftreport blame, fthsd -json).
 	Blame = "fattree-blame/v1"
 	// Table stamps experiment tables (ftbench -json).

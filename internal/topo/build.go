@@ -172,12 +172,6 @@ func (t *Topology) Host(j int) *Node { return &t.Nodes[t.ByLevel[0][j]] }
 // Node returns the node with the given ID.
 func (t *Topology) Node(id NodeID) *Node { return &t.Nodes[id] }
 
-// SwitchAt returns the switch with the given level (1-based) and level
-// index.
-func (t *Topology) SwitchAt(level, idx int) *Node {
-	return &t.Nodes[t.ByLevel[level][idx]]
-}
-
 // PeerPort returns the port on the far side of p's link.
 func (t *Topology) PeerPort(p PortID) PortID {
 	lk := &t.Links[t.Ports[p].Link]
@@ -191,6 +185,3 @@ func (t *Topology) PeerPort(p PortID) PortID {
 func (t *Topology) PeerNode(p PortID) NodeID {
 	return t.Ports[t.PeerPort(p)].Node
 }
-
-// LinkOf returns the link attached to port p.
-func (t *Topology) LinkOf(p PortID) *Link { return &t.Links[t.Ports[p].Link] }

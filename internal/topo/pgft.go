@@ -234,17 +234,6 @@ func (g PGFT) AllocationGranule() int {
 	return g.WProd(g.H) * g.Pi(g.H)
 }
 
-// IsXGFT reports whether the spec degenerates to an Extended Generalized
-// Fat-Tree, i.e. no parallel ports anywhere.
-func (g PGFT) IsXGFT() bool {
-	for _, p := range g.P {
-		if p != 1 {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the canonical tuple notation.
 func (g PGFT) String() string {
 	return fmt.Sprintf("PGFT(%d;%s;%s;%s)", g.H, intList(g.M), intList(g.W), intList(g.P))

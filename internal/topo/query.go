@@ -67,77 +67,6 @@ func (t *Topology) HostsUnder(sw *Node) []int {
 	return hosts
 }
 
-// ParentsOf returns the distinct parent node IDs of n (each reachable via
-// p_{l+1} parallel links), in parent digit order.
-func (t *Topology) ParentsOf(n *Node) []NodeID {
-	if n.Level >= t.Spec.H {
-		return nil
-	}
-	w := t.Spec.Wi(n.Level + 1)
-	out := make([]NodeID, 0, w)
-	seen := make(map[NodeID]bool, w)
-	for _, pid := range n.Up {
-		peer := t.Ports[t.PeerPort(pid)].Node
-		if !seen[peer] {
-			seen[peer] = true
-			out = append(out, peer)
-		}
-	}
-	return out
-}
-
-// ChildrenOf returns the distinct child node IDs of n, in child digit
-// order.
-func (t *Topology) ChildrenOf(n *Node) []NodeID {
-	if n.Level == 0 {
-		return nil
-	}
-	m := t.Spec.Mi(n.Level)
-	out := make([]NodeID, 0, m)
-	seen := make(map[NodeID]bool, m)
-	for _, pid := range n.Down {
-		peer := t.Ports[t.PeerPort(pid)].Node
-		if !seen[peer] {
-			seen[peer] = true
-			out = append(out, peer)
-		}
-	}
-	return out
-}
-
-// UpPortTo returns the up-going port numbers on n that reach the parent
-// with digit b at position level+1 (one per parallel link, ascending).
-func (t *Topology) UpPortTo(n *Node, parentDigit int) []int {
-	w := t.Spec.Wi(n.Level + 1)
-	p := t.Spec.Pi(n.Level + 1)
-	out := make([]int, 0, p)
-	for k := 0; k < p; k++ {
-		out = append(out, parentDigit+k*w)
-	}
-	return out
-}
-
 // Diameter returns the maximum hop count between two end-ports: up to
 // the roots and back down.
 func (g PGFT) Diameter() int { return 2 * g.H }
-
-// BisectionLinks returns the number of cables crossing into the top
-// level — on a constant-CBB tree this equals the host count, the
-// "full bisection" property marketing sheets quote.
-func (g PGFT) BisectionLinks() int {
-	if g.H < 2 {
-		return 0
-	}
-	return g.NumSwitches(g.H-1) * g.UpPorts(g.H-1)
-}
-
-// LinksAtLevel counts the cables joining levels l-1 and l.
-func (t *Topology) LinksAtLevel(l int) int {
-	n := 0
-	for i := range t.Links {
-		if t.Links[i].Level == l {
-			n++
-		}
-	}
-	return n
-}

@@ -46,7 +46,7 @@ func TestIsDescendantHost(t *testing.T) {
 func TestHostsUnder(t *testing.T) {
 	tp := MustBuild(Cluster1728)
 	// A level-2 switch covers m1*m2 = 144 contiguous hosts.
-	sw := tp.SwitchAt(2, 0)
+	sw := tp.Node(tp.ByLevel[2][0])
 	hosts := tp.HostsUnder(sw)
 	if len(hosts) != 144 {
 		t.Fatalf("level-2 subtree size = %d, want 144", len(hosts))
@@ -114,8 +114,8 @@ func TestLCALevelSymmetricQuick(t *testing.T) {
 
 func TestParentsChildren(t *testing.T) {
 	tp := MustBuild(Cluster324)
-	leaf := tp.SwitchAt(1, 3)
-	parents := tp.ParentsOf(leaf)
+	leaf := tp.Node(tp.ByLevel[1][3])
+	parents := parentsOf(tp, leaf)
 	if len(parents) != 9 {
 		t.Fatalf("leaf parents = %d, want 9 distinct spines", len(parents))
 	}
@@ -124,7 +124,7 @@ func TestParentsChildren(t *testing.T) {
 		if sp.Level != 2 {
 			t.Errorf("parent %v not at level 2", sp)
 		}
-		kids := tp.ChildrenOf(sp)
+		kids := childrenOf(tp, sp)
 		if len(kids) != 18 {
 			t.Errorf("spine %v children = %d, want 18", sp, len(kids))
 		}
@@ -139,25 +139,25 @@ func TestParentsChildren(t *testing.T) {
 		}
 	}
 	host := tp.Host(40)
-	if got := tp.ParentsOf(host); len(got) != 1 {
+	if got := parentsOf(tp, host); len(got) != 1 {
 		t.Errorf("host parents = %d, want 1", len(got))
 	}
-	if got := tp.ChildrenOf(host); got != nil {
+	if got := childrenOf(tp, host); got != nil {
 		t.Errorf("host children = %v, want nil", got)
 	}
-	top := tp.SwitchAt(2, 0)
-	if got := tp.ParentsOf(top); got != nil {
+	top := tp.Node(tp.ByLevel[2][0])
+	if got := parentsOf(tp, top); got != nil {
 		t.Errorf("top switch parents = %v, want nil", got)
 	}
 }
 
 func TestUpPortTo(t *testing.T) {
 	tp := MustBuild(Cluster324)
-	leaf := tp.SwitchAt(1, 0)
+	leaf := tp.Node(tp.ByLevel[1][0])
 	// w2=9, p2=2: parent digit 4 is reachable via up ports 4 and 13.
-	ports := tp.UpPortTo(leaf, 4)
+	ports := upPortTo(tp, leaf, 4)
 	if len(ports) != 2 || ports[0] != 4 || ports[1] != 13 {
-		t.Fatalf("UpPortTo(leaf,4) = %v, want [4 13]", ports)
+		t.Fatalf("upPortTo(leaf,4) = %v, want [4 13]", ports)
 	}
 	for _, q := range ports {
 		peer := tp.Node(tp.PeerNode(leaf.Up[q]))
@@ -186,29 +186,102 @@ func TestDiameterAndBisection(t *testing.T) {
 	}
 	// Constant CBB: bisection links equal the host count.
 	for _, g := range []PGFT{Cluster128, Cluster324, Cluster1728, Cluster1944} {
-		if got := g.BisectionLinks(); got != g.NumHosts() {
+		if got := bisectionLinks(g); got != g.NumHosts() {
 			t.Errorf("%v bisection links = %d, want %d (full bisection)", g, got, g.NumHosts())
 		}
 	}
 	// A tapered tree has fewer.
 	tapered := MustPGFT(2, []int{24, 12}, []int{1, 12}, []int{1, 1})
-	if got := tapered.BisectionLinks(); got != tapered.NumHosts()/2 {
+	if got := bisectionLinks(tapered); got != tapered.NumHosts()/2 {
 		t.Errorf("2:1 taper bisection = %d, want %d", got, tapered.NumHosts()/2)
 	}
-	if got := MustPGFT(1, []int{8}, []int{1}, []int{1}).BisectionLinks(); got != 0 {
+	if got := bisectionLinks(MustPGFT(1, []int{8}, []int{1}, []int{1})); got != 0 {
 		t.Errorf("single level bisection = %d, want 0", got)
 	}
 }
 
 func TestLinksAtLevel(t *testing.T) {
 	tp := MustBuild(Cluster324)
-	if got := tp.LinksAtLevel(1); got != 324 {
+	if got := linksAtLevel(tp, 1); got != 324 {
 		t.Errorf("host links = %d, want 324", got)
 	}
-	if got := tp.LinksAtLevel(2); got != 324 {
+	if got := linksAtLevel(tp, 2); got != 324 {
 		t.Errorf("fabric links = %d, want 324", got)
 	}
-	if tp.LinksAtLevel(1)+tp.LinksAtLevel(2) != len(tp.Links) {
+	if linksAtLevel(tp, 1)+linksAtLevel(tp, 2) != len(tp.Links) {
 		t.Error("level link counts do not cover all links")
 	}
+}
+
+// Oracles of the builder's wiring and of the spec arithmetic.
+
+// parentsOf returns the distinct parent node IDs of n (each reachable via
+// p_{l+1} parallel links), in parent digit order.
+func parentsOf(t *Topology, n *Node) []NodeID {
+	if n.Level >= t.Spec.H {
+		return nil
+	}
+	w := t.Spec.Wi(n.Level + 1)
+	out := make([]NodeID, 0, w)
+	seen := make(map[NodeID]bool, w)
+	for _, pid := range n.Up {
+		peer := t.Ports[t.PeerPort(pid)].Node
+		if !seen[peer] {
+			seen[peer] = true
+			out = append(out, peer)
+		}
+	}
+	return out
+}
+
+// childrenOf returns the distinct child node IDs of n, in child digit
+// order.
+func childrenOf(t *Topology, n *Node) []NodeID {
+	if n.Level == 0 {
+		return nil
+	}
+	m := t.Spec.Mi(n.Level)
+	out := make([]NodeID, 0, m)
+	seen := make(map[NodeID]bool, m)
+	for _, pid := range n.Down {
+		peer := t.Ports[t.PeerPort(pid)].Node
+		if !seen[peer] {
+			seen[peer] = true
+			out = append(out, peer)
+		}
+	}
+	return out
+}
+
+// upPortTo returns the up-going port numbers on n that reach the parent
+// with digit b at position level+1 (one per parallel link, ascending).
+func upPortTo(t *Topology, n *Node, parentDigit int) []int {
+	w := t.Spec.Wi(n.Level + 1)
+	p := t.Spec.Pi(n.Level + 1)
+	out := make([]int, 0, p)
+	for k := 0; k < p; k++ {
+		out = append(out, parentDigit+k*w)
+	}
+	return out
+}
+
+// bisectionLinks returns the number of cables crossing into the top
+// level — on a constant-CBB tree this equals the host count, the
+// "full bisection" property marketing sheets quote.
+func bisectionLinks(g PGFT) int {
+	if g.H < 2 {
+		return 0
+	}
+	return g.NumSwitches(g.H-1) * g.UpPorts(g.H-1)
+}
+
+// linksAtLevel counts the cables joining levels l-1 and l.
+func linksAtLevel(t *Topology, l int) int {
+	n := 0
+	for i := range t.Links {
+		if t.Links[i].Level == l {
+			n++
+		}
+	}
+	return n
 }

@@ -21,8 +21,8 @@ const (
 	// RandomPermutation draws one uniform permutation; every host sends
 	// to its image.
 	RandomPermutation Pattern = "random-permutation"
-	// UniformRandom has every host send `Repeats` messages to
-	// independent uniform destinations.
+	// UniformRandom has every host send to an independent uniform
+	// destination.
 	UniformRandom Pattern = "uniform-random"
 	// Transpose sends i -> (i*stride) mod N with stride = sqrt-ish of
 	// N, the matrix-transpose pattern known to stress fat-tree up-links.
@@ -33,31 +33,26 @@ const (
 	// Incast makes every host send to destination 0 — pure endpoint
 	// congestion no routing can fix.
 	Incast Pattern = "incast"
-	// NearestNeighbor sends i -> i+1 without wrap inside each leaf
-	// group of size Stride (set via Config.Stride).
+	// NearestNeighbor pairs each even host with the next one, i -> i+1
+	// for even i, without wrap.
 	NearestNeighbor Pattern = "nearest-neighbor"
 )
 
 // Config parameterizes generation.
 type Config struct {
-	Hosts   int
-	Bytes   int64
-	Repeats int   // messages per host (default 1)
-	Seed    int64 // RNG seed for randomized patterns
-	Stride  int   // pattern-specific stride (0 = auto)
+	Hosts int
+	Bytes int64
+	Seed  int64 // RNG seed for randomized patterns
 }
 
-// Generate builds the message list for a pattern.
+// Generate builds the message list for a pattern: one message per
+// sending host.
 func Generate(p Pattern, c Config) ([]netsim.Message, error) {
 	if c.Hosts < 2 {
 		return nil, fmt.Errorf("workload: need at least 2 hosts, got %d", c.Hosts)
 	}
 	if c.Bytes < 1 {
 		return nil, fmt.Errorf("workload: need positive message size, got %d", c.Bytes)
-	}
-	rep := c.Repeats
-	if rep < 1 {
-		rep = 1
 	}
 	rng := rand.New(rand.NewSource(c.Seed))
 	n := c.Hosts
@@ -69,55 +64,33 @@ func Generate(p Pattern, c Config) ([]netsim.Message, error) {
 	}
 	switch p {
 	case RandomPermutation:
-		for r := 0; r < rep; r++ {
-			perm := rng.Perm(n)
-			for i, d := range perm {
-				add(i, d)
-			}
+		for i, d := range rng.Perm(n) {
+			add(i, d)
 		}
 	case UniformRandom:
-		for r := 0; r < rep; r++ {
-			for i := 0; i < n; i++ {
-				add(i, rng.Intn(n))
-			}
+		for i := 0; i < n; i++ {
+			add(i, rng.Intn(n))
 		}
 	case Transpose:
-		stride := c.Stride
-		if stride == 0 {
-			stride = isqrt(n)
-		}
-		for r := 0; r < rep; r++ {
-			for i := 0; i < n; i++ {
-				add(i, (i*stride)%n)
-			}
+		stride := isqrt(n)
+		for i := 0; i < n; i++ {
+			add(i, (i*stride)%n)
 		}
 	case Tornado:
 		d := n/2 - 1
 		if d < 1 {
 			d = 1
 		}
-		for r := 0; r < rep; r++ {
-			for i := 0; i < n; i++ {
-				add(i, (i+d)%n)
-			}
+		for i := 0; i < n; i++ {
+			add(i, (i+d)%n)
 		}
 	case Incast:
-		for r := 0; r < rep; r++ {
-			for i := 1; i < n; i++ {
-				add(i, 0)
-			}
+		for i := 1; i < n; i++ {
+			add(i, 0)
 		}
 	case NearestNeighbor:
-		group := c.Stride
-		if group == 0 {
-			group = 2
-		}
-		for r := 0; r < rep; r++ {
-			for i := 0; i < n; i++ {
-				if (i+1)%group != 0 && i+1 < n {
-					add(i, i+1)
-				}
-			}
+		for i := 0; i+1 < n; i += 2 {
+			add(i, i+1)
 		}
 	default:
 		return nil, fmt.Errorf("workload: unknown pattern %q", p)

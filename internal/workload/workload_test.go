@@ -67,20 +67,6 @@ func TestIncastTargetsZero(t *testing.T) {
 	}
 }
 
-func TestRepeats(t *testing.T) {
-	a, err := Generate(Tornado, Config{Hosts: 16, Bytes: 64, Repeats: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Generate(Tornado, Config{Hosts: 16, Bytes: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != 3*len(b) {
-		t.Errorf("repeats: %d vs 3x%d", len(a), len(b))
-	}
-}
-
 func TestGenerateErrors(t *testing.T) {
 	if _, err := Generate(Tornado, Config{Hosts: 1, Bytes: 64}); err == nil {
 		t.Error("single host accepted")
