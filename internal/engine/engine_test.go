@@ -406,14 +406,29 @@ func TestFaultResilientLatency(t *testing.T) {
 	if dirty == 0 || dirty*8 > n {
 		t.Errorf("repair re-walks %d of %d columns per row, want a small non-empty fraction (<= 1/8)", dirty, n)
 	}
+	// And the memory is proportional too: the healthy arena stores no
+	// tail (the tables' closed form computes them), the repaired one
+	// exactly the touched columns of every row.
+	rows := map[int]bool{}
+	for src := 0; src < n; src++ {
+		row, _, _ := tb.Compiled.Row(src)
+		rows[row] = true
+	}
+	if healthy.Compiled.NumEntries() != 0 {
+		t.Errorf("healthy arena stores %d cells, want 0", healthy.Compiled.NumEntries())
+	}
+	if want := 26 * len(rows) * tb.Compiled.Stride(); dirty != 26 || tb.Compiled.NumEntries() != want {
+		t.Errorf("repaired arena stores %d cells for %d touched columns, want 26 x %d rows x stride %d = %d",
+			tb.Compiled.NumEntries(), dirty, len(rows), tb.Compiled.Stride(), want)
+	}
 }
 
 // wantWide is the cell width the arenas of the running test must have.
 var wantWide bool
 
 // bothWidths runs a differential test at the cell width its fabrics
-// compile to (16 bits, all of them) and again with every arena forced to
-// 32 bits: one storage, one encoding, two widths, the same answers.
+// compile to (16 bits, all of them) and again with every stored column
+// forced to 32 bits: one cell source, two widths, the same answers.
 func bothWidths(t *testing.T, body func(*testing.T)) {
 	body(t)
 	t.Run("32-bit cells", func(t *testing.T) {

@@ -104,8 +104,8 @@ func checkFactored(t *testing.T, what string, engName string, tb *engine.Tables,
 var wantWide bool
 
 // bothWidths runs a differential test at the cell width its fabrics
-// compile to (16 bits, all of them) and again with every arena forced to
-// 32 bits: one storage, one encoding, two widths, the same answers.
+// compile to (16 bits, all of them) and again with every stored column
+// forced to 32 bits: one cell source, two widths, the same answers.
 func bothWidths(t *testing.T, body func(*testing.T)) {
 	body(t)
 	t.Run("32-bit cells", func(t *testing.T) {

@@ -1092,30 +1092,29 @@ func (m *Manager) assemble(epoch uint64, tables *fabricTables, prev *FabricState
 // ever listing the pairs: what a 324-host job ships is 18 x 324 tails,
 // not 104,652 paths.
 func factorRouteSet(epoch uint64, engName string, tb *engine.Tables, hosts []int) *wire.RouteSetFactored {
-	if tb.Compiled.Wide() {
-		return factorCells(epoch, engName, tb, tb.Compiled.Cells32(), hosts)
-	}
-	return factorCells(epoch, engName, tb, tb.Compiled.Cells16(), hosts)
-}
-
-// factorCells is factorRouteSet at the arena's cell width.
-func factorCells[E route.Cell](epoch uint64, engName string, tb *engine.Tables, cells []E, hosts []int) *wire.RouteSetFactored {
 	c, n := tb.Compiled, len(hosts)
-	fabricHosts, stride := c.Topology().NumHosts(), c.Stride()
+	stride := c.Stride()
 	m := &wire.RouteSetFactored{Epoch: epoch, Engine: engName, Routing: tb.Compiled.Label(),
 		Stride: uint32(stride), Hosts: make([]wire.FactoredHost, n), TailOff: []uint32{0}}
+	rows, dsts, cells := make([]int32, n), make([]int32, n), make([]uint32, n*stride)
+	for j, h := range hosts {
+		dsts[j] = int32(h)
+	}
 	local := map[int]uint32{} // arena row -> its index in the message, by first use
 	for i, h := range hosts {
 		row, head, shared := c.Row(h)
 		if _, seen := local[row]; !seen {
 			local[row] = m.Rows
 			m.Rows++
-			for _, dst := range hosts {
-				for _, e := range route.SlotAt(cells, fabricHosts, stride, row, dst) {
-					if e == 0 {
-						break // padding
+			for j := range rows {
+				rows[j] = int32(row)
+			}
+			c.Tails(cells, rows, dsts)
+			for j := range hosts {
+				for _, e := range cells[j*stride : j*stride+stride] {
+					if e != 0 {
+						m.Tails = append(m.Tails, e-1)
 					}
-					m.Tails = append(m.Tails, uint32(e)-1)
 				}
 				m.TailOff = append(m.TailOff, uint32(len(m.Tails)))
 			}

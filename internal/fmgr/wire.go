@@ -142,11 +142,7 @@ func (m *Manager) wireRouteSet(dst []byte, st *FabricState, req *wire.RouteSetRe
 		return refuse(wire.CodeInternal, 500, "engine %q paths run to %d hops, past what a pair record carries", engName, paths.Stride()+1)
 	}
 	out := wire.BeginRouteSet(dst, st.Epoch, engName, paths.Label(), len(req.Pairs))
-	if paths.Wide() {
-		out = appendPairs(out, paths, paths.Cells32(), req.Pairs)
-	} else {
-		out = appendPairs(out, paths, paths.Cells16(), req.Pairs)
-	}
+	out = appendPairs(out, paths, req.Pairs)
 	out, err := wire.EndFrame(out, len(dst))
 	if err != nil {
 		return refuse(wire.CodeBadRequest, 400, "%d-pair batch encodes past the %d-byte frame cap; split the request", len(req.Pairs), wire.MaxPayload)
@@ -155,20 +151,33 @@ func (m *Manager) wireRouteSet(dst []byte, st *FabricState, req *wire.RouteSetRe
 	return out, 200
 }
 
-// appendPairs appends the record of every requested pair — all in range —
-// from the arena's cells at their width.
-func appendPairs[E route.Cell](out []byte, paths *route.Compiled, cells []E, pairs [][2]uint32) []byte {
+// appendPairs appends the record of every requested pair — all in range,
+// with tails of at most wire.MaxStride hops — from the arena's cells,
+// read through Tails a batch of pairs at a time (the tails of self and
+// broken pairs are read too, and ignored).
+func appendPairs(out []byte, paths *route.Compiled, pairs [][2]uint32) []byte {
+	const batch = 32
+	var rows, dsts [batch]int32
+	var cells [batch * wire.MaxStride]uint32
 	n, stride := paths.Topology().NumHosts(), paths.Stride()
-	for _, p := range pairs {
-		src, dst := int(p[0]), int(p[1])
-		switch pairStatus(paths, n, src, dst) {
-		case pairBroken:
-			out = wire.AppendUnserved(out, p[0], p[1]) // the binary twin of the JSON 503
-		case pairSelf:
-			out = wire.AppendPair[E](out, p[0], p[1], wire.NoHead, nil)
-		default:
-			row, head, _ := paths.Row(src)
-			out = wire.AppendPair(out, p[0], p[1], uint32(head), route.SlotAt(cells, n, stride, row, dst))
+	for len(pairs) > 0 {
+		chunk := pairs[:min(batch, len(pairs))]
+		pairs = pairs[len(chunk):]
+		for i, p := range chunk {
+			row, _, _ := paths.Row(int(p[0]))
+			rows[i], dsts[i] = int32(row), int32(p[1])
+		}
+		paths.Tails(cells[:], rows[:len(chunk)], dsts[:len(chunk)])
+		for i, p := range chunk {
+			switch pairStatus(paths, n, int(p[0]), int(p[1])) {
+			case pairBroken:
+				out = wire.AppendUnserved(out, p[0], p[1]) // the binary twin of the JSON 503
+			case pairSelf:
+				out = wire.AppendPair(out, p[0], p[1], wire.NoHead, nil)
+			default:
+				_, head, _ := paths.Row(int(p[0]))
+				out = wire.AppendPair(out, p[0], p[1], uint32(head), cells[i*stride:i*stride+stride])
+			}
 		}
 	}
 	return out

@@ -99,7 +99,12 @@ type Analyzer struct {
 	// kernel counts absent entries (an arena's zero cells, route.NoEntry
 	// heads) into, which no reader of cnt ever sees.
 	raw, cnt []int32
-	pairs    [][2]int // end-port scratch of the Walk path's rank stages
+	// The replay's batch: the (row, dst) of up to batch queued flows and
+	// the cells of their tails.
+	rows, dsts []int32
+	cells      []uint32
+	queued     int
+	pairs      [][2]int // end-port scratch of the Walk path's rank stages
 	// memb, when tracking is on, records per directed-link slot which
 	// pair indexes of the current Stage crossed it — the flow-level
 	// evidence behind contention blame reports. Same indexing as cnt.
@@ -109,14 +114,22 @@ type Analyzer struct {
 
 // NewAnalyzer creates an analyzer bound to a forwarding table set. When
 // the router is a compiled path cache (*route.Compiled), stages skip the
-// per-hop Walk callback and replay the arena's slots in place — the
-// order-of-magnitude lever behind the parallel ordering sweeps.
+// per-hop Walk callback and count the arena's tails straight from its cell
+// source — the order-of-magnitude lever behind the parallel ordering
+// sweeps.
 func NewAnalyzer(rt route.Router) *Analyzer {
 	a := &Analyzer{rt: rt, raw: make([]int32, 2*len(rt.Topology().Links)+1)}
 	a.cnt = a.raw[1:]
-	a.pc, _ = rt.(*route.Compiled)
+	if a.pc, _ = rt.(*route.Compiled); a.pc != nil {
+		a.rows, a.dsts, a.cells = make([]int32, batch), make([]int32, batch), make([]uint32, batch*a.pc.Stride())
+	}
 	return a
 }
+
+// batch is how many flows the replay queues before it reads their tails:
+// enough that the arena's cell source runs as one tight loop, few enough
+// that the cells stay in L1.
+const batch = 256
 
 // SetTrackFlows toggles flow-membership recording: with tracking on,
 // every Stage call also remembers which pairs crossed each directed
@@ -141,17 +154,32 @@ func (a *Analyzer) StageFlows(l topo.LinkID, up bool) []int32 {
 	return a.memb[route.PackEntry(l, up)]
 }
 
-// count is the replay kernel: it adds a path to raw as the arena stores
-// it — head(src), then every cell of the fixed-stride (row(src), dst)
-// slot — with no trimming and no branch on the data: a cell is its entry
-// plus one, so it indexes raw itself, padding lands in the sink cell
-// raw[0], and the unsigned head+1 wraps an absent head (route.NoEntry)
-// there too. The pair must be in range, distinct and not Broken.
-func count[E route.Cell](raw []int32, head route.PathEntry, slot []E) {
-	raw[uint32(head)+1]++
-	for _, e := range slot {
+// queue adds the flow src->dst to the stage being replayed, as the arena
+// hands it out: its head now, its tail with the batch, and reports
+// whether the batch is full (flush it). The pair must be in range,
+// distinct and not Broken.
+func (a *Analyzer) queue(src, dst int) (full bool) {
+	row, head, _ := a.pc.Row(src)
+	a.raw[uint32(head)+1]++
+	a.rows[a.queued], a.dsts[a.queued] = int32(row), int32(dst)
+	a.queued++
+	return a.queued == batch
+}
+
+// flush is the replay kernel: it reads the queued flows' tails from the
+// arena's cell source in one call and counts every cell, with no
+// trimming and no branch on the data. A cell is its entry plus one, so
+// it indexes raw itself, an empty cell lands in the sink cell raw[0], and
+// the unsigned head+1 of queue wraps an absent head (route.NoEntry) there
+// too.
+func (a *Analyzer) flush() {
+	n := a.queued
+	a.pc.Tails(a.cells, a.rows[:n], a.dsts[:n])
+	raw := a.raw
+	for _, e := range a.cells[:n*a.pc.Stride()] {
 		raw[e]++
 	}
+	a.queued = 0
 }
 
 // Stage counts one stage of host-index flows: pairs are (source end-port,
@@ -168,17 +196,9 @@ func (a *Analyzer) Stage(pairs [][2]int) (StageResult, error) {
 			return res, unserved(c, p[0], p[1])
 		}
 	}
-	if c.Wide() {
-		return replayPairs(a, c.Cells32(), res, pairs)
-	}
-	return replayPairs(a, c.Cells16(), res, pairs)
-}
-
-// replayPairs is Stage's compiled replay at the arena's cell width.
-func replayPairs[E route.Cell](a *Analyzer, cells []E, res StageResult, pairs [][2]int) (StageResult, error) {
-	c, raw := a.pc, a.raw
-	clear(raw)
-	n, stride, broken := c.Topology().NumHosts(), c.Stride(), c.NumBroken() > 0
+	clear(a.raw)
+	a.queued = 0
+	broken := c.NumBroken() > 0
 	for _, p := range pairs {
 		if p[0] == p[1] {
 			continue
@@ -186,9 +206,11 @@ func replayPairs[E route.Cell](a *Analyzer, cells []E, res StageResult, pairs []
 		if broken && c.Broken(p[0], p[1]) {
 			return res, unserved(c, p[0], p[1])
 		}
-		row, head, _ := c.Row(p[0])
-		count(raw, head, route.SlotAt(cells, n, stride, row, p[1]))
+		if a.queue(p[0], p[1]) {
+			a.flush()
+		}
 	}
+	a.flush()
 	return a.summarize(res), nil
 }
 
@@ -213,18 +235,10 @@ func (a *Analyzer) stageRanks(st cps.Stage, o *order.Ordering, served bool) (Sta
 		}
 		return a.Stage(a.pairs)
 	}
-	if c.Wide() {
-		return replayRanks(a, c.Cells32(), st, o, served)
-	}
-	return replayRanks(a, c.Cells16(), st, o, served)
-}
-
-// replayRanks is stageRanks' compiled replay at the arena's cell width.
-func replayRanks[E route.Cell](a *Analyzer, cells []E, st cps.Stage, o *order.Ordering, served bool) (StageResult, error) {
-	c, raw := a.pc, a.raw
-	clear(raw)
+	clear(a.raw)
+	a.queued = 0
 	res := StageResult{Flows: len(st)}
-	n, stride, broken, hostOf := c.Topology().NumHosts(), c.Stride(), c.NumBroken() > 0, o.HostOf
+	broken, hostOf := c.NumBroken() > 0, o.HostOf
 	for _, p := range st {
 		src, dst := hostOf[p.Src], hostOf[p.Dst]
 		if src == dst || broken && c.Broken(src, dst) {
@@ -236,9 +250,11 @@ func replayRanks[E route.Cell](a *Analyzer, cells []E, st cps.Stage, o *order.Or
 			}
 			continue
 		}
-		row, head, _ := c.Row(src)
-		count(raw, head, route.SlotAt(cells, n, stride, row, dst))
+		if a.queue(src, dst) {
+			a.flush()
+		}
 	}
+	a.flush()
 	return a.summarize(res), nil
 }
 
@@ -275,18 +291,15 @@ func (a *Analyzer) stageWalk(res StageResult, pairs [][2]int) (StageResult, erro
 // count takes the sign bit of 1-count instead of a branch.
 func (a *Analyzer) summarize(res StageResult) StageResult {
 	var maxUp, maxDown int32
-	hot := uint32(0)
-	for i := 0; i+1 < len(a.cnt); i += 2 {
-		d, u := a.cnt[i], a.cnt[i+1]
-		if u > maxUp {
-			maxUp = u
-		}
-		if d > maxDown {
-			maxDown = d
-		}
-		hot += uint32(1-u)>>31 + uint32(1-d)>>31
+	var hotUp, hotDown uint32 // two accumulators: no add chain carried across links
+	cnt := a.cnt
+	for i := 1; i < len(cnt); i += 2 {
+		d, u := cnt[i-1], cnt[i]
+		maxUp, maxDown = max(maxUp, u), max(maxDown, d)
+		hotUp += uint32(1-u) >> 31
+		hotDown += uint32(1-d) >> 31
 	}
-	res.MaxUpHSD, res.MaxDownHSD, res.HotLinks = int(maxUp), int(maxDown), int(hot)
+	res.MaxUpHSD, res.MaxDownHSD, res.HotLinks = int(maxUp), int(maxDown), int(hotUp+hotDown)
 	res.MaxHSD = max(res.MaxUpHSD, res.MaxDownHSD)
 	return res
 }

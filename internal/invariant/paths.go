@@ -27,8 +27,9 @@ const (
 // (LenientArena). It visits the pairs r serves in ascending (src, dst)
 // order, so the first failure is the lexicographically minimal
 // counterexample, skipping self pairs and pairs a compiled arena records
-// as broken. Each path is read into one reused hop buffer — in place from
-// a compiled arena (AppendPath), through Walk from any other Router — and
+// as broken. Each path is read into one reused hop buffer — from a
+// compiled arena's tails (Tails, a row at a time), through Walk from any
+// other Router — and
 // must chain: every hop leaves the node the previous one reached, and the
 // last reaches dst. The rules and then pred (nil passes) judge the path;
 // the up*/down* rule is checked in the chaining pass itself, which keeps
@@ -50,7 +51,27 @@ func servedPaths(t *topo.Topology, r route.Router, unroutable func(int) bool, ru
 	arena, _ := r.(*route.Compiled)
 	var path, walked []route.PathEntry
 	visit := func(l topo.LinkID, up bool) { walked = append(walked, route.PackEntry(l, up)) }
+	// An arena's tails are read a row at a time: every destination's, in
+	// one Tails call, whenever src reads another row than src-1.
+	var rows, dsts []int32
+	var cells []uint32
+	if arena != nil {
+		rows, dsts, cells = make([]int32, n), make([]int32, n), make([]uint32, n*arena.Stride())
+		for j := range dsts {
+			dsts[j] = int32(j)
+		}
+	}
 	for src := 0; src < n; src++ {
+		var head route.PathEntry
+		if arena != nil {
+			row, h, _ := arena.Row(src)
+			if head = h; src == 0 || rows[0] != int32(row) {
+				for j := range rows {
+					rows[j] = int32(row)
+				}
+				arena.Tails(cells, rows, dsts)
+			}
+		}
 		for dst := 0; dst < n; dst++ {
 			if src == dst || arena != nil && arena.Broken(src, dst) {
 				continue
@@ -62,16 +83,15 @@ func servedPaths(t *topo.Topology, r route.Router, unroutable func(int) bool, ru
 				return failf(&Counterexample{Pair: []int{src, dst}},
 					"pair %d->%d touches an unroutable host but is not recorded broken", src, dst)
 			}
-			var err error
 			if arena != nil {
-				path, err = arena.AppendPath(path[:0], src, dst)
+				stride := arena.Stride()
+				path = route.AppendHops(path[:0], head, cells[dst*stride:dst*stride+stride])
 			} else {
 				walked = walked[:0]
-				err = r.Walk(src, dst, visit)
+				if err := r.Walk(src, dst, visit); err != nil {
+					return undelivered(src, dst, "%v", err)
+				}
 				path = walked
-			}
-			if err != nil {
-				return undelivered(src, dst, "%v", err)
 			}
 			cur, descending := hosts[src], false
 			for i, e := range path {

@@ -192,3 +192,50 @@ func TestSimulateAllAdaptiveOneWorker(t *testing.T) {
 		t.Errorf("adaptive batch diverged from the loop:\n%s", fmt.Sprint(got))
 	}
 }
+
+// TestSimulateAllLongestFirst: on several workers the cases are handed out
+// longest first (Bytes x stages, ties in input order) — here the reverse
+// of the input — and the batch still answers in input order, and still
+// returns the error of the first failing case in input order even when a
+// later, longer one fails first.
+func TestSimulateAllLongestFirst(t *testing.T) {
+	tp := topo.MustBuild(topo.MustPGFT(2, []int{4, 4}, []int{1, 2}, []int{1, 2}))
+	n := tp.NumHosts()
+	j, err := NewJob(route.DModK(tp), order.Random(n, nil, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := netsim.DefaultConfig()
+	var cases []Case
+	for _, kib := range []int64{4, 8, 16, 32, 64} {
+		cases = append(cases, Case{Job: j, Seq: cps.Shift(n), Bytes: kib << 10, Mode: Async, Config: cfg})
+	}
+	cases = append(cases, Case{Job: j, Seq: cps.Shift(n), Bytes: 64 << 10, Mode: Barrier, Config: cfg}) // a tie with case 4
+	if got, want := handOut(cases, 2), []int{4, 5, 3, 2, 1, 0}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("hand-out on 2 workers %v, want %v", got, want)
+	}
+	if got, want := handOut(cases, 1), []int{0, 1, 2, 3, 4, 5}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("hand-out on 1 worker %v, want input order %v", got, want)
+	}
+	for _, workers := range []int{2, 7} {
+		got, err := simulateAll(cases, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range cases {
+			if want := oneByOne(t, c); !reflect.DeepEqual(got[i], want) {
+				t.Errorf("workers %d, case %d (%d bytes): batch %+v, one by one %+v", workers, i, c.Bytes, got[i], want)
+			}
+		}
+	}
+
+	failing := append([]Case(nil), cases...)
+	failing[1].Config.MTU = 0           // handed out second to last
+	failing[4].Config.BufferPackets = 0 // handed out first, fails first
+	for _, workers := range []int{1, 2, 7} {
+		st, err := simulateAll(failing, workers)
+		if err == nil || !strings.Contains(err.Error(), "MTU 0 outside") || st != nil {
+			t.Fatalf("workers %d: stats %v, err = %v, want case 1's MTU error", workers, st, err)
+		}
+	}
+}

@@ -9,7 +9,11 @@
 package mpi
 
 import (
+	"cmp"
 	"fmt"
+	"runtime"
+	"slices"
+	"sync"
 
 	"fattree/internal/cps"
 	"fattree/internal/hsd"
@@ -144,13 +148,15 @@ type Case struct {
 
 // SimulateAll runs independent simulations, each on a Network of its own,
 // and returns their Stats in input order. The cases may span jobs. They
-// run on GOMAXPROCS workers, except that a batch where any case attaches
-// an observer (metrics, probes, progress, trace), or routes through a
-// route.Adaptive (one shared RNG), runs on one worker in input order:
-// shared sinks and draws then see exactly what a loop of SimulateMode
-// calls would give them. Once a case
-// fails no further case starts, and the error is that of the
-// lowest-index failed case among those that ran.
+// run on GOMAXPROCS workers, longest first (by Bytes x stages), so the
+// largest case does not start last and leave the other workers idle;
+// except that a batch where any case attaches an observer (metrics,
+// probes, progress, trace), or routes through a route.Adaptive (one
+// shared RNG), runs on one worker in input order: shared sinks and draws
+// then see exactly what a loop of SimulateMode calls would give them.
+// Once a case fails no case after it in input order starts, and the error
+// is that of the first case in input order that fails, whatever the
+// worker count.
 func SimulateAll(cases []Case) ([]netsim.Stats, error) {
 	return simulateAll(cases, 0)
 }
@@ -164,15 +170,47 @@ func simulateAll(cases []Case, workers int) ([]netsim.Stats, error) {
 			break
 		}
 	}
-	out := make([]netsim.Stats, len(cases))
-	err := par.Do[struct{}](len(cases), workers, nil, func(_ struct{}, i int) (err error) {
-		out[i], err = cases[i].run()
-		return err
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	next := handOut(cases, workers)
+	out, errs := make([]netsim.Stats, len(cases)), make([]error, len(cases))
+	var mu sync.Mutex
+	failed := len(cases) // the lowest index that failed so far
+	par.Do[struct{}](len(cases), workers, nil, func(_ struct{}, k int) error {
+		i := next[k]
+		mu.Lock()
+		skip := i > failed // a case before it failed: it does not start
+		mu.Unlock()
+		if skip {
+			return nil
+		}
+		if out[i], errs[i] = cases[i].run(); errs[i] != nil {
+			mu.Lock()
+			failed = min(failed, i)
+			mu.Unlock()
+		}
+		return nil
 	})
-	if err != nil {
-		return nil, err
+	if failed < len(cases) {
+		return nil, errs[failed]
 	}
 	return out, nil
+}
+
+// handOut returns the order workers take cases in: input order on one
+// worker, otherwise the longest first — Bytes x stages, descending, ties
+// in input order.
+func handOut(cases []Case, workers int) []int {
+	next := make([]int, len(cases))
+	for i := range next {
+		next[i] = i
+	}
+	if workers > 1 {
+		cost := func(i int) int64 { return cases[i].Bytes * int64(cases[i].Seq.NumStages()) }
+		slices.SortStableFunc(next, func(a, b int) int { return cmp.Compare(cost(b), cost(a)) })
+	}
+	return next
 }
 
 // run simulates one case on a fresh Network.

@@ -1,0 +1,118 @@
+package route
+
+import "fattree/internal/topo"
+
+// portVectors are what D-Mod-K tables are a function of: the entry of a
+// level-l node towards dst of an n-host fabric is down[l*n+dst] when dst
+// lies below the node and up[l*n+dst] otherwise.
+type portVectors struct{ up, down []uint8 }
+
+// closedForm is how a compiled arena computes the tails of tables that
+// have port vectors instead of storing them (Compiled.Tails reads it).
+//
+// Every up choice towards dst is dst's alone, and a node's parent through
+// up port q differs from it in exactly one digit, set by q (topo.Build).
+// So the level-l node a climb towards dst reaches keeps its start's digits
+// above l and at or below the start's level, and takes dst's choices in
+// between: its index within the level is A(row, l) + B(dst, l). topo.Build
+// numbers links bottom-up, node by node and up port by up port, so the
+// cell of the link that node climbs over is A'(row, l) + B'(dst, l) — two
+// table reads and an add, no walk. Every climb towards dst that turns at
+// level k reaches the same level-k node, and the k hops down from it are
+// dst's alone (Theorem 2): a table per (dst, k). A tail is then the climb
+// from its row's level l0 up to the turn level k — hops at or above k
+// masked to 0 — and the k hops down, the same steps whatever k is.
+//
+// At 1944 hosts the form is about 125 KB, against the 2.1 MB a stored
+// arena of those tails takes.
+type closedForm struct {
+	h, m int        // the tree height; the climb levels, h-l0
+	rows []climbRow // per row and climb level
+	// dsts holds rec values per destination, a power of two of them so
+	// no destination straddles two cache lines: per climb level B' (twice
+	// the up port's offset from the ancestor's first), then per turn
+	// level k = l0..h the cells of the k hops down, 0-padded to h.
+	dsts []uint32
+	rec  int
+}
+
+// climbRow is a row at one climb level: A' (the cell of the ancestor's
+// up port 0, less its dst part), and the first host below the row's
+// ancestor at that level and how many there are.
+type climbRow struct{ a, base, span int32 }
+
+// newClosedForm lays out the closed form of tables with vectors v on t,
+// for rows that start at the level-l0 nodes from.
+func newClosedForm(t *topo.Topology, v *portVectors, l0 int, from []topo.NodeID) *closedForm {
+	g, n := t.Spec, t.NumHosts()
+	m := g.H - l0
+	cf := &closedForm{h: g.H, m: m, rec: 1}
+	for cf.rec < m+(m+1)*g.H {
+		cf.rec *= 2
+	}
+	// radix[l][i] is the place value of digit position i within level l
+	// (topo.Node.Index): w below and at l, m above. linkOff[l] is the
+	// first link above level l.
+	radix, linkOff := make([][]int, g.H), make([]int, g.H)
+	for l := 0; l < g.H; l++ {
+		radix[l] = make([]int, g.H+1)
+		radix[l][1] = 1
+		for i := 1; i < g.H; i++ {
+			if radix[l][i+1] = radix[l][i] * g.Mi(i); i <= l {
+				radix[l][i+1] = radix[l][i] * g.Wi(i)
+			}
+		}
+		if l+1 < g.H {
+			linkOff[l+1] = linkOff[l] + len(t.ByLevel[l])*g.UpPorts(l)
+		}
+	}
+	cf.rows = make([]climbRow, 0, len(from)*m)
+	for _, id := range from {
+		node := t.Node(id)
+		for l := l0; l < g.H; l++ { // A': the start's digits outside (l0, l]
+			a := 0
+			for i := 1; i <= g.H; i++ {
+				if i <= l0 || i > l {
+					a += node.Digits[i-1] * radix[l][i]
+				}
+			}
+			span := g.MProd(l)
+			cf.rows = append(cf.rows, climbRow{a: int32(2*(linkOff[l]+a*g.UpPorts(l)) + 2), base: int32(firstHost(t, id) / span * span), span: int32(span)})
+		}
+	}
+	cf.dsts = make([]uint32, n*cf.rec)
+	for dst := 0; dst < n; dst++ {
+		d := cf.dsts[dst*cf.rec:][:cf.rec]
+		for l := l0; l < g.H; l++ { // B': dst's choices in (l0, l], and its port at l
+			b := 0
+			for i := l0 + 1; i <= l; i++ {
+				b += int(v.up[(i-1)*n+dst]) % g.Wi(i) * radix[l][i]
+			}
+			d[l-l0] = uint32(2 * (b*g.UpPorts(l) + int(v.up[l*n+dst])))
+		}
+		for k := l0; k <= g.H; k++ {
+			id := t.HostID(dst) // a climb from dst itself reaches the same level-k node
+			for l := 0; l < k; l++ {
+				id = t.PeerNode(t.Node(id).Up[v.up[l*n+dst]])
+			}
+			hops := d[m+(k-l0)*g.H:]
+			for l := k; l > 0; l-- {
+				p := t.Node(id).FirstPort() + topo.PortID(v.down[l*n+dst])
+				hops[k-l], id = uint32(PackEntry(t.Ports[p].Link, false)+1), t.PeerNode(p)
+			}
+		}
+	}
+	return cf
+}
+
+// firstHost returns the first of the hosts below node id, which are
+// contiguous: its digits above its level fix where they start (a host:
+// itself).
+func firstHost(t *topo.Topology, id topo.NodeID) int {
+	g, node := t.Spec, t.Node(id)
+	lo := 0
+	for i := node.Level + 1; i <= g.H; i++ {
+		lo += node.Digits[i-1] * g.MProd(i-1)
+	}
+	return lo
+}

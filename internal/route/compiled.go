@@ -41,11 +41,11 @@ func EntryUp(e PathEntry) bool { return e&1 == 1 }
 // one sink cell in front counts any head as raw[head+1]++.
 const NoEntry PathEntry = -1
 
-// Cell is a PathEntry as the arena stores it: the entry plus one, so 0
+// cell is a PathEntry as the arena stores it: the entry plus one, so 0
 // is absent (the padding after a short tail) and a counter array with one
 // sink cell in front is indexed by the cell itself. An arena holds uint16
 // cells when its fabric's cells fit them, uint32 otherwise.
-type Cell interface{ uint16 | uint32 }
+type cell interface{ uint16 | uint32 }
 
 // wideCells reports whether a fabric of links cables needs 32-bit cells:
 // its largest cell is 2*links. Every fabric the paper evaluates fits 16;
@@ -66,33 +66,46 @@ func ForceWideCells(tb interface{ Cleanup(func()) }) {
 // built, so every reader is safe for unlimited concurrent use — the
 // property the parallel HSD sweeps rely on.
 //
-// A path is stored as head(src) ++ tail(row(src), dst). Forwarding tables
-// are destination-based, so under an LFT every single-uplink host that
-// enters the fabric through the same first switch shares everything after
-// its first hop: those sources read one tail row, walked from that switch,
-// and keep only their own uplink as head (108 rows instead of 1944 on the
+// A path is head(src) ++ tail(row(src), dst). Forwarding tables are
+// destination-based, so under an LFT every single-uplink host that enters
+// the fabric through the same first switch shares everything after its
+// first hop: those sources read one tail row, walked from that switch, and
+// keep only their own uplink as head (108 rows instead of 1944 on the
 // paper's largest cluster). Every other source — any non-LFT router, hosts
 // with several uplinks — owns a row walked from the host itself and has
-// no head; only the grouping differs. The tails live in one flat arena of
-// fixed-stride slots of Cells, stored once, at the width the link count
-// calls for, so a lookup is one multiply and one cache line, with no
-// offsets table to chase first. The tree height sets the stride — an
-// up*/down* tail is at most 2h hops from a host, 2h-1 from its first
-// switch — so every slot's place is known before any path is walked and
-// a compile writes the arena in place; shorter tails are padded.
+// no head; only the grouping differs.
+//
+// Tables D-Mod-K built carry two port vectors per level (eq. (1) and the
+// child digit), and a tail under them is computed from their closed form
+// (closed.go) on every read, so an arena over healthy D-Mod-K tables
+// stores no tail at all. What it stores are the destination columns that
+// may differ from the closed form — exactly the columns a Repatch
+// re-walked after a fault — and, for every other router, every column.
+// Stored tails live in one flat arena of fixed-stride slots of cells, at
+// the width the link count calls for, so a lookup is one multiply. The
+// tree height sets the stride — an up*/down* tail is at most 2h hops from
+// a host, 2h-1 from its first switch — so every slot's place is known
+// before any path is walked and a compile writes the arena in place;
+// shorter tails are padded. Every reader goes through Tails, whichever
+// way a column is held.
 //
 // Compiling a randomized router (Adaptive) freezes one draw per pair and
 // is almost certainly not what you want; compile forwarding tables
 // (LFT) or deterministic source-based schemes (SModK) instead.
 type Compiled struct {
-	inner  Router
-	n      int
-	rowOf  []int32     // per source: the row it reads
-	head   []PathEntry // per source: its first hop, or NoEntry
-	rep    []int32     // per row: its lowest-indexed source
-	stride int         // tail (r,d) is cells[(r*n+d)*stride:][:stride], zero-padded
-	c16    []uint16    // the cells, or
-	c32    []uint32    // the cells of a wide arena: exactly one is non-nil
+	inner Router
+	n     int
+	rowOf []int32     // per source: the row it reads
+	head  []PathEntry // per source: its first hop, or NoEntry
+	rep   []int32     // per row: its lowest-indexed source
+	form  *closedForm // the columns not stored follow it; nil when every column is stored
+	// col is per destination its column among the stored slots, or -1
+	// when form computes it; a row's cols slots are contiguous.
+	col    []int32
+	cols   int
+	stride int      // stored tail (r,d) is cells[(r*cols+col[d])*stride:][:stride], zero-padded
+	c16    []uint16 // the stored cells, or
+	c32    []uint32 // those of a wide arena: exactly one is non-nil
 	// broken, when non-nil, is an n*n bitset of pairs the inner router
 	// could not walk — or walked non-minimally — during a lenient
 	// compile over a faulted fabric. Every reader returns ErrNoPath for
@@ -101,7 +114,8 @@ type Compiled struct {
 	numBroken int
 }
 
-// Compile materializes every path of r in parallel across rows. It
+// Compile caches every path of r: tails its tables' closed form computes
+// are not walked at all, the rest are walked in parallel across rows. It
 // returns r unchanged when it is already a *Compiled. When some pair does
 // not walk, it returns the error of the lowest row that has one, the same
 // whatever the worker count.
@@ -125,19 +139,22 @@ func CompileParallel(r Router, workers int) (*Compiled, error) {
 func CompileLenient(r Router) (*Compiled, error) { return build(r, nil, nil, 0, true) }
 
 // Repatch returns a copy of the arena with the tails towards the columns
-// dsts re-walked leniently through inner, in parallel over rows; no other
-// slot is touched. It equals a fresh CompileLenient of inner as long as
-// dsts names every column whose entries differ from the tables the arena
-// was built from. The grouping is shared with the receiver; only the
-// cells are copied. Pairs broken in the receiver stay broken: repair from
-// a pristine healthy arena rather than chaining patches across fault sets.
+// dsts re-walked leniently through inner, in parallel over rows, and
+// stored; no other column changes. It equals a fresh CompileLenient of
+// inner as long as dsts names every column whose entries differ from the
+// tables the arena was built from. The grouping and closed form are
+// shared with the receiver; only the stored cells are copied, so a repair
+// costs memory in proportion to the columns it touched. Pairs broken in
+// the receiver stay broken: repair from a pristine healthy arena rather
+// than chaining patches across fault sets.
 func (c *Compiled) Repatch(inner Router, dsts []int) (*Compiled, error) {
 	return build(inner, c, dsts, 0, true)
 }
 
-// group assigns every source its row and head: under an LFT a host with a
-// single uplink shares the row of its first switch.
-func (c *Compiled) group() {
+// group assigns every source its row and head — under an LFT a host with
+// a single uplink shares the row of its first switch — and returns the
+// node each row is walked from.
+func (c *Compiled) group() (from []topo.NodeID) {
 	t := c.inner.Topology()
 	_, lft := c.inner.(*LFT)
 	rowAt := map[topo.NodeID]int32{} // node a row is walked from -> row
@@ -154,9 +171,11 @@ func (c *Compiled) group() {
 			row = int32(len(c.rep))
 			rowAt[start] = row
 			c.rep = append(c.rep, int32(src))
+			from = append(from, start)
 		}
 		c.rowOf[src] = row
 	}
+	return from
 }
 
 // walkRow visits the hops of row's tail towards dst under r: from the
@@ -190,14 +209,20 @@ func (c *Compiled) markBroken(src, dst int) {
 	}
 }
 
+// slot returns the stored slot of row's tail towards the stored column dst.
+func slot[E cell](c *Compiled, cells []E, row, dst int) []E {
+	i := (row*c.cols + int(c.col[dst])) * c.stride
+	return cells[i : i+c.stride]
+}
+
 // filler returns build's slot-fill primitive: fill(row, dst) walks row's
-// tail towards dst through r straight into its arena slot and pads the
-// rest. A walk that fails, a tail longer than the stride (no up*/down*
-// path is) and — leniently — a delivered but non-minimal one are refused:
-// the slot is left empty and the error says why, for the caller to break
-// the row's readers (breakRefused) rather than serve a detour that
-// silently breaks the minimality guarantee. One filler serves one
-// goroutine.
+// tail towards the stored column dst through r straight into its slot and
+// pads the rest. A walk that fails, a tail longer than the stride (no
+// up*/down* path is) and — leniently — a delivered but non-minimal one
+// are refused: the slot is left empty and the error says why, for the
+// caller to break the row's readers (breakRefused) rather than serve a
+// detour that silently breaks the minimality guarantee. One filler serves
+// one goroutine.
 func (c *Compiled) filler(r Router, lenient bool) func(row, dst int) error {
 	if c.c32 != nil {
 		return fillerOf(c, c.c32, r, lenient)
@@ -205,28 +230,28 @@ func (c *Compiled) filler(r Router, lenient bool) func(row, dst int) error {
 	return fillerOf(c, c.c16, r, lenient)
 }
 
-func fillerOf[E Cell](c *Compiled, cells []E, r Router, lenient bool) func(row, dst int) error {
+func fillerOf[E cell](c *Compiled, cells []E, r Router, lenient bool) func(row, dst int) error {
 	g := r.Topology().Spec
-	var slot []E
+	var s []E
 	hops := 0
 	visit := func(l topo.LinkID, up bool) {
-		if hops < len(slot) {
-			slot[hops] = E(PackEntry(l, up) + 1)
+		if hops < len(s) {
+			s[hops] = E(PackEntry(l, up) + 1)
 		}
 		hops++
 	}
 	return func(row, dst int) error {
-		slot, hops = SlotAt(cells, c.n, c.stride, row, dst), 0
+		s, hops = slot(c, cells, row, dst), 0
 		err := c.walkRow(r, row, dst, visit)
-		if err == nil && hops > len(slot) {
-			err = fmt.Errorf("route: %s: %d-hop tail towards %d exceeds the up*/down* bound %d", r.Label(), hops, dst, len(slot))
+		if err == nil && hops > len(s) {
+			err = fmt.Errorf("route: %s: %d-hop tail towards %d exceeds the up*/down* bound %d", r.Label(), hops, dst, len(s))
 		} else if err == nil && lenient && hops != c.minimalTail(g, row, dst) {
 			err = ErrNoPath // delivered, but by a detour: no usable path
 		}
 		if err != nil {
 			hops = 0
 		}
-		clear(slot[hops:])
+		clear(s[hops:])
 		return err
 	}
 }
@@ -243,14 +268,15 @@ func (c *Compiled) breakRefused(refused [][]int32) {
 	}
 }
 
-// build is the one arena builder. With a nil base (and nil cols) it groups
-// r's sources into rows and fills every destination column of a fresh
-// arena; otherwise it copies base's cells and broken pairs, shares its
-// grouping, and fills only the columns cols. Every pair from a host r's
-// tables have cut off (LFT.CutHost) is broken up front: a shared row is
-// walked from the entry switch, which cannot see it. Strictly, a cut host
-// or a refused slot fails the build; leniently, the pairs reading them
-// are broken.
+// build is the one arena builder. With a nil base it groups r's sources
+// into rows and stores every destination column of a fresh arena — none
+// when r's tables have a closed form; otherwise it shares base's grouping
+// and closed form, copies its stored cells and broken pairs, and stores
+// and fills the columns cols besides. Every pair from a host r's tables
+// have cut off (LFT.CutHost) is broken up front: a shared row is walked
+// from the entry switch, which cannot see it. Strictly, a cut host or a
+// refused slot fails the build; leniently, the pairs reading them are
+// broken.
 func build(r Router, base *Compiled, cols []int, workers int, lenient bool) (*Compiled, error) {
 	t := r.Topology()
 	n := t.NumHosts()
@@ -260,13 +286,23 @@ func build(r Router, base *Compiled, cols []int, workers int, lenient bool) (*Co
 		if rc, ok := r.(*Compiled); ok {
 			return rc, nil
 		}
-		c = &Compiled{inner: r, n: n, rowOf: make([]int32, n), head: make([]PathEntry, n)}
-		c.group()
+		c = &Compiled{inner: r, n: n, rowOf: make([]int32, n), head: make([]PathEntry, n), col: make([]int32, n)}
+		from := c.group()
 		c.stride = 2 * t.Spec.H
 		if c.head[0] != NoEntry { // every host has as many uplinks: all rows shared, or none
 			c.stride--
 		}
-		total := len(c.rep) * n * c.stride
+		if lft != nil && lft.vec != nil {
+			c.form = newClosedForm(t, lft.vec, 2*t.Spec.H-c.stride, from)
+		}
+		for dst := range c.col {
+			c.col[dst] = -1
+			if c.form == nil {
+				c.col[dst], cols = int32(dst), append(cols, dst)
+			}
+		}
+		c.cols = len(cols)
+		total := len(c.rep) * c.cols * c.stride
 		if total > math.MaxInt32 {
 			return nil, fmt.Errorf("route: compile %s: %d path entries overflow the int32 arena bound", r.Label(), total)
 		}
@@ -290,7 +326,14 @@ func build(r Router, base *Compiled, cols []int, workers int, lenient bool) (*Co
 		p := *base
 		c = &p
 		c.inner = r
-		c.c16, c.c32, c.broken = slices.Clone(base.c16), slices.Clone(base.c32), slices.Clone(base.broken)
+		c.col, c.broken = slices.Clone(base.col), slices.Clone(base.broken)
+		for _, dst := range cols {
+			if c.col[dst] < 0 {
+				c.col[dst] = int32(c.cols)
+				c.cols++
+			}
+		}
+		c.c16, c.c32 = restride(base, base.c16, c.cols), restride(base, base.c32, c.cols)
 	}
 	for h := 0; lft != nil && h < n; h++ {
 		for dst := 0; dst < n && lft.uplink[h] == noPort; dst++ {
@@ -303,23 +346,40 @@ func build(r Router, base *Compiled, cols []int, workers int, lenient bool) (*Co
 			c.markBroken(h, dst)
 		}
 	}
-	ncols := len(cols)
-	if base == nil {
-		ncols = n
-	}
-	if err := c.fillColumns(r, cols, ncols, workers, lenient); err != nil {
+	if err := c.fillColumns(r, cols, workers, lenient); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// fillColumns fills the slots of every row towards the first ncols
-// destination columns, cols[k] (nil: column k), in parallel over rows on
-// par.Do with one filler per worker (workers <= 0 uses GOMAXPROCS): each
-// worker walks a row straight into slots no other row touches, so no
-// locking is needed. A strict build stops at a refused slot and returns
-// the error of the lowest row that refused one.
-func (c *Compiled) fillColumns(r Router, cols []int, ncols, workers int, lenient bool) error {
+// restride copies base's stored cells into an arena of cols columns per
+// row: a row's slots keep their places, the new columns follow them. A
+// nil arena (the other width) stays nil.
+func restride[E cell](base *Compiled, cells []E, cols int) []E {
+	if cells == nil {
+		return nil
+	}
+	if cols == base.cols {
+		return slices.Clone(cells)
+	}
+	out := make([]E, len(base.rep)*cols*base.stride)
+	was := base.cols * base.stride
+	for row := range base.rep {
+		copy(out[row*cols*base.stride:], cells[row*was:(row+1)*was])
+	}
+	return out
+}
+
+// fillColumns fills the slots of every row towards the stored columns
+// dsts, in parallel over rows on par.Do with one filler per worker
+// (workers <= 0 uses GOMAXPROCS): each worker walks a row straight into
+// slots no other row touches, so no locking is needed. A strict build
+// stops at a refused slot and returns the error of the lowest row that
+// refused one.
+func (c *Compiled) fillColumns(r Router, dsts []int, workers int, lenient bool) error {
+	if len(dsts) == 0 {
+		return nil
+	}
 	rows := len(c.rep)
 	refused := make([][]int32, rows)
 	readers := make([]int, rows) // per-row source count
@@ -332,11 +392,7 @@ func (c *Compiled) fillColumns(r Router, cols []int, ncols, workers int, lenient
 		if readers[row] == 1 {
 			own = int(c.rep[row])
 		}
-		for k := 0; k < ncols; k++ {
-			dst := k
-			if cols != nil {
-				dst = cols[k]
-			}
+		for _, dst := range dsts {
 			err := fill(row, dst)
 			if err == nil || dst == own {
 				continue
@@ -382,8 +438,15 @@ func (c *Compiled) Label() string { return c.inner.Label() }
 // Inner returns the router the cache was compiled from.
 func (c *Compiled) Inner() Router { return c.inner }
 
-// NumEntries returns the number of cells the arena stores, padding included.
+// NumEntries returns the number of cells the arena stores, padding
+// included: rows x stored columns x stride, 0 over healthy tables with a
+// closed form.
 func (c *Compiled) NumEntries() int { return len(c.c16) + len(c.c32) }
+
+// Wide reports whether the arena stores 32-bit cells rather than 16-bit
+// ones: what ForceWideCells forces. Readers never ask (Tails widens every
+// cell); the tests that run a reader at both widths check it took.
+func (c *Compiled) Wide() bool { return c.c32 != nil }
 
 // AppendPath appends the hops of the src->dst flow to buf, head then
 // tail (nothing for src == dst): at most Stride()+1 entries, so a loop
@@ -400,25 +463,79 @@ func (c *Compiled) AppendPath(buf []PathEntry, src, dst int) ([]PathEntry, error
 	if c.broken != nil && c.Broken(src, dst) {
 		return buf, fmt.Errorf("route: compiled %s: pair %d->%d: %w", c.Label(), src, dst, ErrNoPath)
 	}
-	if h := c.head[src]; h != NoEntry {
-		buf = append(buf, h)
+	var arr [16]uint32
+	cells := arr[:]
+	if c.stride > len(cells) {
+		cells = make([]uint32, c.stride)
 	}
-	row := int(c.rowOf[src])
-	if c.c32 != nil {
-		return appendTail(buf, SlotAt(c.c32, c.n, c.stride, row, dst)), nil
-	}
-	return appendTail(buf, SlotAt(c.c16, c.n, c.stride, row, dst)), nil
+	return AppendHops(buf, c.head[src], c.Tail(cells, int(c.rowOf[src]), dst)), nil
 }
 
-// appendTail appends the entries of a slot, up to its padding.
-func appendTail[E Cell](buf []PathEntry, slot []E) []PathEntry {
-	for _, e := range slot {
-		if e == 0 {
-			break
+// AppendHops appends a path to buf from its parts as the arena keeps
+// them: head (none if NoEntry), then the hop of every non-zero cell of
+// tail (Tails' encoding).
+func AppendHops(buf []PathEntry, head PathEntry, tail []uint32) []PathEntry {
+	if head != NoEntry {
+		buf = append(buf, head)
+	}
+	for _, e := range tail {
+		if e != 0 {
+			buf = append(buf, PathEntry(e)-1)
 		}
-		buf = append(buf, PathEntry(e)-1)
 	}
 	return buf
+}
+
+// Tails writes the tail of every pair (rows[i], dsts[i]) to
+// cells[i*Stride():][:Stride()]: each hop's PathEntry plus one, in order,
+// with 0 for no hop (a shorter tail's slack, wherever it falls). A tail
+// is computed from the closed form, or copied from its stored slot. With
+// Tail, the same for one pair, it is the cell source of every reader of
+// the arena — the HSD replay and the pairs-mode serializer a batch at a
+// time, the served-path walker and the job frame a row at a time,
+// AppendPath through Tail — and allocates nothing. Rows and destinations
+// must be in range, and cells hold len(rows)*Stride(); for a row's only
+// source as dst a tail may be anything.
+func (c *Compiled) Tails(cells []uint32, rows, dsts []int32) {
+	f, stride, stores := c.form, c.stride, c.cols > 0
+	for j, d := range dsts {
+		dst, row, out := int(d), int(rows[j]), cells[j*stride:j*stride+stride]
+		if stores && c.col[dst] >= 0 {
+			c.stored(out, row, dst)
+			continue
+		}
+		// The closed form (closed.go): the climb, masked from the turn
+		// level k on, then the k hops down.
+		dr := f.dsts[dst*f.rec : dst*f.rec+f.rec]
+		k := 0 // the turn level, above the rows' level
+		for i, r := range f.rows[row*f.m : row*f.m+f.m] {
+			x := dst - int(r.base)
+			up := (x | (int(r.span) - 1 - x)) >> 63 // -1 while dst is not below the ancestor: climb on
+			out[i] = (uint32(r.a) + dr[i]) & uint32(up)
+			k -= up
+		}
+		for i, e := range dr[f.m+k*f.h : f.m+k*f.h+f.h] {
+			out[f.m+i] = e
+		}
+	}
+}
+
+// Tail is Tails for one pair: it returns cells[:Stride()].
+func (c *Compiled) Tail(cells []uint32, row, dst int) []uint32 {
+	r, d := [1]int32{int32(row)}, [1]int32{int32(dst)}
+	c.Tails(cells, r[:], d[:])
+	return cells[:c.stride]
+}
+
+// stored copies the slot of a stored column to cells.
+func (c *Compiled) stored(cells []uint32, row, dst int) {
+	if c.c32 != nil {
+		copy(cells, slot(c, c.c32, row, dst))
+		return
+	}
+	for i, e := range slot(c, c.c16, row, dst) {
+		cells[i] = uint32(e)
+	}
 }
 
 // PackedPath is AppendPath into a fresh slice (nil for src == dst), to keep.
@@ -440,35 +557,14 @@ func (c *Compiled) Walk(src, dst int, visit func(link topo.LinkID, up bool)) err
 	return err
 }
 
-// Stride returns the slot width of the arena: no tail is longer.
+// Stride returns the longest tail: a slot's width in the stored arena.
 func (c *Compiled) Stride() int { return c.stride }
 
 // Row returns the arena's own factoring of src, for serializers that
 // ship head(src) ++ tail(row(src), dst) as stored instead of expanding
 // every pair and replay loops that count it in place: the tail row src
-// reads and, when it shares that row (ok), its head entry — NoEntry
-// otherwise. src must be in [0, NumHosts).
+// reads (Tail's row) and, when it shares that row (ok), its head entry —
+// NoEntry otherwise. src must be in [0, NumHosts).
 func (c *Compiled) Row(src int) (row int, head PathEntry, ok bool) {
 	return int(c.rowOf[src]), c.head[src], c.head[src] != NoEntry
-}
-
-// Wide reports whether the arena stores 32-bit cells (Cells32) rather
-// than 16-bit ones (Cells16). The loops that read whole slots in place —
-// HSD replay, the wire serializers — ask once and run one generic body.
-func (c *Compiled) Wide() bool { return c.c32 != nil }
-
-// Cells16 returns the whole arena of one that is not Wide, not to be
-// modified: SlotAt finds a slot in it.
-func (c *Compiled) Cells16() []uint16 { return c.c16 }
-
-// Cells32 is Cells16 for a Wide arena.
-func (c *Compiled) Cells32() []uint32 { return c.c32 }
-
-// SlotAt returns the slot of row's tail towards dst in an n-host arena's
-// cells (stride = Stride()): the tail, then zero padding — all padding for
-// a slot the compile refused (every pair reading it is Broken) and for
-// the destination only the row's own source would read.
-func SlotAt[E Cell](cells []E, n, stride, row, dst int) []E {
-	i := (row*n + dst) * stride
-	return cells[i : i+stride]
 }

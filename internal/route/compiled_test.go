@@ -151,8 +151,17 @@ func TestCompiledTransparency(t *testing.T) {
 	if c2 != c {
 		t.Error("re-compile allocated a new cache")
 	}
-	if c.NumEntries() == 0 {
-		t.Error("no entries compiled")
+	// D-Mod-K tables have a closed form: nothing is stored. Tables
+	// without one store every column.
+	if c.NumEntries() != 0 {
+		t.Errorf("D-Mod-K compiled to %d stored cells, want 0", c.NumEntries())
+	}
+	r, err := Compile(MinHopRandom(tp, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.NumEntries() != len(r.rep)*tp.NumHosts()*r.Stride() {
+		t.Errorf("minhop-random compiled to %d stored cells, want every column", r.NumEntries())
 	}
 }
 

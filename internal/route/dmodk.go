@@ -82,11 +82,13 @@ func dModK(t *topo.Topology, rank []int, name string, naive bool) *LFT {
 		}
 	}
 	// The up and the down port number a level-l node uses towards j depend
-	// on (l, j) alone: two vectors per level, and every row is copied out of
-	// them. Down ports are numbered after the level's u up ports.
-	up, down := make([]uint8, n), make([]uint8, n)
+	// on (l, j) alone: two vectors per level, every row is copied out of
+	// them, and the tables keep them as their closed form. Down ports are
+	// numbered after the level's u up ports.
+	v := &portVectors{up: make([]uint8, (g.H+1)*n), down: make([]uint8, (g.H+1)*n)}
 	for l := 0; l <= g.H; l++ {
 		u := g.UpPorts(l)
+		up, down := v.up[l*n:(l+1)*n], v.down[l*n:(l+1)*n]
 		if l < g.H { // equation (1)
 			wHere := wProd(l)
 			for j := range up {
@@ -105,13 +107,9 @@ func dModK(t *topo.Topology, rank []int, name string, naive bool) *LFT {
 			if row == nil {
 				continue // a single-uplink host: NewLFT wrote its one entry
 			}
-			// The hosts below a level-l node are the contiguous range [lo, hi):
-			// its digits above l fix the high part (a host: itself, delivered).
-			node := &t.Nodes[id]
-			lo := 0
-			for i := l + 1; i <= g.H; i++ {
-				lo += node.Digits[i-1] * g.MProd(i-1)
-			}
+			// The hosts below a level-l node are the contiguous range [lo, hi)
+			// (a host: itself, delivered).
+			lo := firstHost(t, id)
 			hi := lo + g.MProd(l)
 			if l > 0 {
 				copy(row[lo:hi], down[lo:hi])
@@ -122,5 +120,6 @@ func dModK(t *topo.Topology, rank []int, name string, naive bool) *LFT {
 			}
 		}
 	}
+	f.vec = v
 	return f
 }

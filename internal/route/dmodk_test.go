@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"fattree/internal/topo"
 )
@@ -229,29 +228,6 @@ func TestDModKActiveDownPortUniquenessOverActivePairs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-	}
-}
-
-func TestUpPortOfMatchesTablesQuick(t *testing.T) {
-	// Property: for random (switch level, destination) samples on the
-	// 1728-node cluster, the built tables agree with the closed form.
-	tp := topo.MustBuild(topo.Cluster1728)
-	g := tp.Spec
-	f := DModK(tp)
-	check := func(raw uint32) bool {
-		l := 1 + int(raw>>16)%(g.H-1) // levels 1..H-1 have up ports
-		idx := int(raw>>8) % g.NumSwitches(l)
-		j := int(raw) % tp.NumHosts()
-		sw := tp.Node(tp.ByLevel[l][idx])
-		if tp.IsDescendantHost(sw, j) {
-			return true // down entries are covered elsewhere
-		}
-		out := f.OutPort(sw.ID, j)
-		port := tp.Ports[out]
-		return port.Dir == topo.Up && port.Num == UpPortOf(g, l, j)
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -4,4 +4,12 @@ import "fattree/internal/topo"
 
 // SetEntry writes a raw port number into node id's row, bypassing
 // SetOutPort's check: how a test builds a table no builder would.
-func SetEntry(f *LFT, id topo.NodeID, dst int, e uint8) { f.rows[id][dst] = e }
+func SetEntry(f *LFT, id topo.NodeID, dst int, e uint8) {
+	f.vec = nil
+	f.rows[id][dst] = e
+}
+
+// WalkFrom is LFT.walkFrom: the hops from any node towards dst.
+func WalkFrom(f *LFT, id topo.NodeID, dst int, visit func(topo.LinkID, bool)) error {
+	return f.walkFrom(id, dst, visit)
+}

@@ -46,11 +46,17 @@ type Router interface {
 // all instead of one per node), so a trace touching consecutive nodes stays
 // within a single arena and table builds like DModK stream through
 // contiguous memory. topo.MaxPorts keeps every port number in a byte.
+//
+// Tables D-Mod-K built also keep the two per-level port vectors their
+// rows were copied from (2(h+1) bytes per destination), which lets a
+// compiled arena compute their tails instead of storing them; SetOutPort
+// drops them, since a rewritten entry may no longer follow them.
 type LFT struct {
 	T      *topo.Topology
 	Name   string
-	rows   [][]uint8 // by node: its entries by destination, nil for a rowless host
-	uplink []uint8   // by host index: the one entry of a rowless host
+	rows   [][]uint8    // by node: its entries by destination, nil for a rowless host
+	uplink []uint8      // by host index: the one entry of a rowless host
+	vec    *portVectors // what every row follows, or nil
 }
 
 // noPort is the empty entry: no path from this node to the destination.
@@ -96,6 +102,7 @@ func allocLFT(t *topo.Topology, name string) *LFT {
 // the touched columns of, leaving the healthy tables as they are.
 func (f *LFT) Clone(name string) *LFT {
 	c := allocLFT(f.T, name)
+	c.vec = f.vec
 	copy(c.uplink, f.uplink)
 	for i, row := range f.rows {
 		copy(c.rows[i], row)
@@ -132,7 +139,9 @@ func (f *LFT) OutPort(id topo.NodeID, dst int) topo.PortID {
 // ports, or empties the entry (p = topo.None). It panics on another
 // node's port. A single-uplink host has one entry for every destination:
 // setting it sets them all, and emptying it cuts the host off (CutHost).
+// The tables no longer have a closed form afterwards.
 func (f *LFT) SetOutPort(id topo.NodeID, dst int, p topo.PortID) {
+	f.vec = nil
 	node := &f.T.Nodes[id]
 	e := uint8(noPort)
 	if p != topo.None {

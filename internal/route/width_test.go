@@ -49,37 +49,48 @@ func TestCellWidthDecision(t *testing.T) {
 		t.Fatalf("%v: %d hosts, %d links, wide %v: want 11664, 34992, true", big, big.NumHosts(), specLinks(big), wideCells(specLinks(big)))
 	}
 
-	// And the arena does what the decision says, whichever way it went.
+	// And the arena does what the decision says, whichever way it went:
+	// on tables without a closed form, which store every column.
 	tp := topo.MustBuild(topo.Cluster128)
-	narrow, err := Compile(DModK(tp))
+	narrow, err := Compile(MinHopRandom(tp, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if narrow.Wide() || narrow.Cells32() != nil || len(narrow.Cells16()) != narrow.NumEntries() {
+	if narrow.c32 != nil || len(narrow.c16) != narrow.NumEntries() || narrow.NumEntries() == 0 {
 		t.Fatal("Cluster128 compiled to something other than one 16-bit arena")
 	}
 	ForceWideCells(t)
-	wide, err := Compile(DModK(tp))
+	wide, err := Compile(MinHopRandom(tp, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !wide.Wide() || wide.Cells16() != nil || len(wide.Cells32()) != narrow.NumEntries() {
+	if wide.c16 != nil || len(wide.c32) != narrow.NumEntries() {
 		t.Fatal("a forced-wide compile did not produce one 32-bit arena of the same cell count")
 	}
-	for i, e := range wide.Cells32() {
-		if uint32(narrow.Cells16()[i]) != e {
-			t.Fatalf("cell %d: %d at 16 bits, %d at 32", i, narrow.Cells16()[i], e)
+	for i, e := range wide.c32 {
+		if uint32(narrow.c16[i]) != e {
+			t.Fatalf("cell %d: %d at 16 bits, %d at 32", i, narrow.c16[i], e)
 		}
 	}
 	// Repatch keeps the receiver's width, whatever a fresh build would
-	// pick now.
-	for _, c := range []*Compiled{narrow, wide} {
+	// pick now — also over a closed form, where the receiver stores no
+	// cell at all.
+	forceWide.Store(false)
+	formNarrow, err := Compile(DModK(tp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	forceWide.Store(true)
+	for _, c := range []*Compiled{narrow, wide, formNarrow} {
 		p, err := c.Repatch(DModK(tp), []int{3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Wide() != c.Wide() || p.NumEntries() != c.NumEntries() {
-			t.Fatalf("Repatch turned a wide=%v arena into a wide=%v one", c.Wide(), p.Wide())
+		if (p.c32 != nil) != (c.c32 != nil) || (p.c16 != nil) != (c.c16 != nil) {
+			t.Fatalf("Repatch turned a wide=%v arena into a wide=%v one", c.c32 != nil, p.c32 != nil)
+		}
+		if want := max(c.NumEntries(), len(c.rep)*c.stride); p.NumEntries() != want {
+			t.Fatalf("Repatch of one column stores %d cells, want %d", p.NumEntries(), want)
 		}
 	}
 }

@@ -268,27 +268,30 @@ func BeginRouteSet(dst []byte, epoch uint64, engine, routing string, pairs int) 
 
 // AppendPair appends the record of one served pair read straight from a
 // compiled arena: head is its first hop (NoHead when the path is all
-// tail), slot the fixed-stride cells of its tail at whichever width the
-// arena stores — each a hop plus one, zero-padded. More than MaxStride+1
-// hops cannot be encoded and panic, rather than put a truncated count on
-// the wire; a producer whose slots are not bounded by construction checks
-// first.
-func AppendPair[E uint16 | uint32](dst []byte, src, to, head uint32, slot []E) []byte {
-	nt := 0
-	for nt < len(slot) && slot[nt] != 0 {
-		nt++
-	}
-	nh := nt
+// tail), tail the cells of the rest — each a hop plus one, 0 for no hop.
+// More than MaxStride+1 hops cannot be encoded and panic, rather than put
+// a truncated count on the wire; a producer whose tails are not bounded
+// by construction checks first.
+func AppendPair(dst []byte, src, to, head uint32, tail []uint32) []byte {
+	nh := 0
 	if head != NoHead {
 		nh++
+	}
+	for _, e := range tail {
+		if e != 0 {
+			nh++
+		}
 	}
 	dst, b := appendServed(dst, src, to, nh)
 	if head != NoHead {
 		binary.LittleEndian.PutUint32(b, head)
 		b = b[4:]
 	}
-	for i, e := range slot[:nt] {
-		binary.LittleEndian.PutUint32(b[4*i:], uint32(e)-1)
+	for _, e := range tail {
+		if e != 0 {
+			binary.LittleEndian.PutUint32(b, e-1)
+			b = b[4:]
+		}
 	}
 	return dst
 }
