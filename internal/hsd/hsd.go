@@ -100,11 +100,18 @@ type Analyzer struct {
 	// heads) into, which no reader of cnt ever sees.
 	raw, cnt []int32
 	// The replay's batch: the (row, dst) of up to batch queued flows and
-	// the cells of their tails.
-	rows, dsts []int32
+	// the cells of their tails — or, climbing, of their climbs.
+	rows, dsts *[batch]int32
 	cells      []uint32
-	queued     int
-	pairs      [][2]int // end-port scratch of the Walk path's rank stages
+	// climb is the arena's ClimbWidth: non-zero when stageRanks may count
+	// a stage's climbs alone. hostCnt is how many of cnt's counters are
+	// host links' (both directions): topo.Build numbers them first.
+	// seen[src] and seen[n+dst] hold the stamp of the last climbing
+	// replay that met the end-port as a source and as a destination.
+	climb, hostCnt int
+	seen           []uint32
+	stamp          uint32
+	pairs          [][2]int // end-port scratch of the Walk path's rank stages
 	// memb, when tracking is on, records per directed-link slot which
 	// pair indexes of the current Stage crossed it — the flow-level
 	// evidence behind contention blame reports. Same indexing as cnt.
@@ -121,7 +128,12 @@ func NewAnalyzer(rt route.Router) *Analyzer {
 	a := &Analyzer{rt: rt, raw: make([]int32, 2*len(rt.Topology().Links)+1)}
 	a.cnt = a.raw[1:]
 	if a.pc, _ = rt.(*route.Compiled); a.pc != nil {
-		a.rows, a.dsts, a.cells = make([]int32, batch), make([]int32, batch), make([]uint32, batch*a.pc.Stride())
+		a.rows, a.dsts, a.cells = new([batch]int32), new([batch]int32), make([]uint32, batch*a.pc.Stride())
+		t := rt.Topology()
+		a.climb, a.hostCnt = a.pc.ClimbWidth(), 2*t.NumHosts()*t.Spec.UpPorts(0)
+		if a.climb > 0 {
+			a.seen = make([]uint32, 2*t.NumHosts())
+		}
 	}
 	return a
 }
@@ -155,31 +167,34 @@ func (a *Analyzer) StageFlows(l topo.LinkID, up bool) []int32 {
 }
 
 // queue adds the flow src->dst to the stage being replayed, as the arena
-// hands it out: its head now, its tail with the batch, and reports
-// whether the batch is full (flush it). The pair must be in range,
-// distinct and not Broken.
-func (a *Analyzer) queue(src, dst int) (full bool) {
+// hands it out — its head now, its tail with the batch — as the batch's
+// flow i, and returns i+1: the batch is full (flush it) at batch. The
+// pair must be in range, distinct and not Broken.
+func (a *Analyzer) queue(i, src, dst int) int {
 	row, head, _ := a.pc.Row(src)
 	a.raw[uint32(head)+1]++
-	a.rows[a.queued], a.dsts[a.queued] = int32(row), int32(dst)
-	a.queued++
-	return a.queued == batch
+	a.rows[uint(i)%batch], a.dsts[uint(i)%batch] = int32(row), int32(dst)
+	return i + 1
 }
 
-// flush is the replay kernel: it reads the queued flows' tails from the
-// arena's cell source in one call and counts every cell, with no
-// trimming and no branch on the data. A cell is its entry plus one, so
-// it indexes raw itself, an empty cell lands in the sink cell raw[0], and
-// the unsigned head+1 of queue wraps an absent head (route.NoEntry) there
-// too.
-func (a *Analyzer) flush() {
-	n := a.queued
-	a.pc.Tails(a.cells, a.rows[:n], a.dsts[:n])
+// flush is the replay kernel: it reads the n queued flows' tails — or,
+// climbing, their climbs — from the arena's cell source in one call and
+// counts every cell, with no trimming and no branch on the data. A cell
+// is its entry plus one, so it indexes raw itself, an empty cell lands in
+// the sink cell raw[0], and the unsigned head+1 of queue wraps an absent
+// head (route.NoEntry) there too.
+func (a *Analyzer) flush(n int, climbing bool) {
+	w := a.pc.Stride()
+	if climbing {
+		a.pc.Climbs(a.cells, a.rows[:n], a.dsts[:n])
+		w = a.climb
+	} else {
+		a.pc.Tails(a.cells, a.rows[:n], a.dsts[:n])
+	}
 	raw := a.raw
-	for _, e := range a.cells[:n*a.pc.Stride()] {
+	for _, e := range a.cells[:n*w] {
 		raw[e]++
 	}
-	a.queued = 0
 }
 
 // Stage counts one stage of host-index flows: pairs are (source end-port,
@@ -197,8 +212,7 @@ func (a *Analyzer) Stage(pairs [][2]int) (StageResult, error) {
 		}
 	}
 	clear(a.raw)
-	a.queued = 0
-	broken := c.NumBroken() > 0
+	broken, q := c.NumBroken() > 0, 0
 	for _, p := range pairs {
 		if p[0] == p[1] {
 			continue
@@ -206,11 +220,12 @@ func (a *Analyzer) Stage(pairs [][2]int) (StageResult, error) {
 		if broken && c.Broken(p[0], p[1]) {
 			return res, unserved(c, p[0], p[1])
 		}
-		if a.queue(p[0], p[1]) {
-			a.flush()
+		if q = a.queue(q, p[0], p[1]); q == batch {
+			a.flush(q, false)
+			q = 0
 		}
 	}
-	a.flush()
+	a.flush(q, false)
 	return a.summarize(res), nil
 }
 
@@ -220,42 +235,110 @@ func unserved(c *route.Compiled, src, dst int) error {
 	return err
 }
 
+// skip settles a rank pair that carries no traffic, a self pair or one
+// the arena breaks, for stageRanks: served, it is not counted as a flow;
+// otherwise a broken pair is an error.
+func (a *Analyzer) skip(res *StageResult, src, dst int, served bool) error {
+	if !served && src != dst {
+		return unserved(a.pc, src, dst)
+	}
+	if served {
+		res.Flows--
+	}
+	return nil
+}
+
 // stageRanks is Stage over one CPS stage of an ordering validated by
 // checkJob, for the untracked analyzers of analyze and the sweeps: ranks
 // are translated to end-ports on the fly, so the bulk path builds no pair
 // list. With served set (arenas only), self-pairs and pairs the arena
 // marks broken carry no traffic and are not counted as flows; otherwise a
 // broken pair is an error.
+//
+// On an arena that certifies Theorem 2 (route.Compiled.ClimbWidth) it
+// first counts each flow's climb alone. While no end-port sends twice or
+// receives twice, no host link carries two flows either way, and no
+// switch link is descended towards two destinations, so no descent
+// carries two flows either: only the climbs can contend, and the stage's
+// summary follows from theirs. A stage in which some end-port does send
+// or receive twice is counted again in full. Either way the result is
+// Stage's, bit for bit; only the counters LinkLoads reads differ, which
+// no caller of stageRanks reads.
 func (a *Analyzer) stageRanks(st cps.Stage, o *order.Ordering, served bool) (StageResult, error) {
-	c := a.pc
-	if c == nil {
+	if a.pc == nil {
 		a.pairs = a.pairs[:0]
 		for _, p := range st {
 			a.pairs = append(a.pairs, [2]int{o.HostOf[p.Src], o.HostOf[p.Dst]})
 		}
 		return a.Stage(a.pairs)
 	}
+	if a.climb > 0 {
+		if res, ok, err := a.climbs(st, o, served); ok || err != nil {
+			return res, err
+		}
+	}
+	return a.replay(st, o, served)
+}
+
+// replay counts the whole path of every flow of one stage for stageRanks.
+func (a *Analyzer) replay(st cps.Stage, o *order.Ordering, served bool) (StageResult, error) {
+	c := a.pc
 	clear(a.raw)
-	a.queued = 0
 	res := StageResult{Flows: len(st)}
-	broken, hostOf := c.NumBroken() > 0, o.HostOf
+	broken, hostOf, q := c.NumBroken() > 0, o.HostOf, 0
 	for _, p := range st {
 		src, dst := hostOf[p.Src], hostOf[p.Dst]
 		if src == dst || broken && c.Broken(src, dst) {
-			if !served && src != dst {
-				return res, unserved(c, src, dst)
-			}
-			if served {
-				res.Flows--
+			if err := a.skip(&res, src, dst, served); err != nil {
+				return res, err
 			}
 			continue
 		}
-		if a.queue(src, dst) {
-			a.flush()
+		if q = a.queue(q, src, dst); q == batch {
+			a.flush(q, false)
+			q = 0
 		}
 	}
-	a.flush()
+	a.flush(q, false)
 	return a.summarize(res), nil
+}
+
+// climbs is replay counting each flow's climb alone, on an arena that
+// certifies Theorem 2. It gives up (ok false) at the first end-port that
+// sends or receives twice: seen stamps each one it meets.
+func (a *Analyzer) climbs(st cps.Stage, o *order.Ordering, served bool) (res StageResult, ok bool, err error) {
+	c := a.pc
+	clear(a.raw)
+	res = StageResult{Flows: len(st)}
+	broken, hostOf, q, flows := c.NumBroken() > 0, o.HostOf, 0, len(st)
+	if a.stamp++; a.stamp == 0 { // wrapped: no stamp in seen may survive
+		clear(a.seen)
+		a.stamp = 1
+	}
+	stamp, n := a.stamp, len(a.seen)/2
+	sent, got := a.seen[:n], a.seen[n:]
+	for _, p := range st {
+		src, dst := hostOf[p.Src], hostOf[p.Dst]
+		if src == dst || broken && c.Broken(src, dst) {
+			if err := a.skip(&res, src, dst, served); err != nil {
+				return res, false, err
+			}
+			flows--
+			continue
+		}
+		if sent[src] == stamp || got[dst] == stamp {
+			return res, false, nil
+		}
+		sent[src], got[dst] = stamp, stamp
+		row, _, _ := c.Row(src)
+		a.rows[uint(q)%batch], a.dsts[uint(q)%batch] = int32(row), int32(dst)
+		if q++; q == batch {
+			a.flush(q, true)
+			q = 0
+		}
+	}
+	a.flush(q, true)
+	return a.climbSummary(res, flows), true, nil
 }
 
 // stageWalk is Stage for routers without an arena and for forensics: it
@@ -301,6 +384,25 @@ func (a *Analyzer) summarize(res StageResult) StageResult {
 	}
 	res.MaxUpHSD, res.MaxDownHSD, res.HotLinks = int(maxUp), int(maxDown), int(hotUp+hotDown)
 	res.MaxHSD = max(res.MaxUpHSD, res.MaxDownHSD)
+	return res
+}
+
+// climbSummary is summarize after a climbing replay of flows flows, no
+// two from one end-port or to one: every host link carries at most one of
+// them either way, and so does every descent, so the links that can say
+// more are the switch links going up — the only counters it reads.
+func (a *Analyzer) climbSummary(res StageResult, flows int) StageResult {
+	var maxUp int32
+	var hot uint32
+	cnt := a.cnt
+	for i := a.hostCnt + 1; i < len(cnt); i += 2 {
+		u := cnt[i]
+		maxUp = max(maxUp, u)
+		hot += uint32(1-u) >> 31
+	}
+	one := int32(min(flows, 1)) // the load of every host link a flow takes
+	res.MaxUpHSD, res.MaxDownHSD, res.HotLinks = int(max(maxUp, one)), int(one), int(hot)
+	res.MaxHSD = res.MaxUpHSD
 	return res
 }
 

@@ -62,15 +62,50 @@ func bothWidths(t *testing.T, body func(*testing.T)) {
 	})
 }
 
+// recounts is a test-local sequence of stages the climbing replay must
+// hand to the full count, or must count past: an incast (every rank sends
+// to rank 0), a stage in which rank 0 sends twice, and a Shift stage with
+// a self pair besides.
+type recounts int
+
+func (n recounts) Name() string        { return "recounts" }
+func (n recounts) Size() int           { return int(n) }
+func (n recounts) NumStages() int      { return 3 }
+func (n recounts) Bidirectional() bool { return false }
+
+func (n recounts) Stage(s int) cps.Stage {
+	var st cps.Stage
+	for r := int32(0); r < int32(n); r++ {
+		switch s {
+		case 0:
+			st = append(st, cps.Pair{Src: r, Dst: 0})
+		case 1:
+			if r < int32(n)-2 {
+				st = append(st, cps.Pair{Src: r, Dst: r + 1})
+			}
+		default:
+			st = append(st, cps.Pair{Src: r, Dst: (r + 1) % int32(n)})
+		}
+	}
+	switch s {
+	case 1:
+		st = append(st, cps.Pair{Src: 0, Dst: int32(n) - 1})
+	case 2:
+		st = append(st, cps.Pair{Src: 2, Dst: 2})
+	}
+	return st
+}
+
 // TestKernelDifferential is the wall around the replay kernel: seeded
 // random fabrics (plus two shapes whose hosts have several uplinks, i.e.
 // private rows with no head) x {healthy, leniently compiled faulted}
-// arenas x {Shift, sampled Shift, Recursive-Doubling, Ring} x {topology,
-// random} orderings. On every served stage the kernel must agree with an
-// analyzer that walks the same tables hop by hop — summary, per-link and
-// per-level loads — and every driver built on it (AnalyzeServed, Analyze,
-// AnalyzeParallel, the sweeps) with its sequential, filter-then-Stage or
-// by-hand form.
+// arenas x {Shift, sampled Shift, Recursive-Doubling, Ring, recounts} x
+// {topology, random} orderings. On every served stage the kernel must
+// agree with an analyzer that walks the same tables hop by hop — summary,
+// per-link and per-level loads — and every entry point built on it
+// (AnalyzeServed, Analyze, AnalyzeParallel, the sweeps, which count a
+// stage by its climbs where the arena allows it) with its sequential,
+// filter-then-Stage or by-hand form.
 func TestKernelDifferential(t *testing.T) { bothWidths(t, testKernelDifferential) }
 
 func testKernelDifferential(t *testing.T) {
@@ -98,7 +133,7 @@ func testKernelDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seqs := []cps.Sequence{cps.Shift(n), sampled, cps.RecursiveDoubling(n), cps.Ring(n)}
+		seqs := []cps.Sequence{cps.Shift(n), sampled, cps.RecursiveDoubling(n), cps.Ring(n), recounts(n)}
 		orders := []*order.Ordering{order.Topology(n, nil), order.Random(n, nil, int64(i)), order.Random(n, nil, int64(i)+100)}
 
 		for _, engName := range []string{"dmodk", "smodk"} {

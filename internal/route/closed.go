@@ -8,7 +8,8 @@ import "fattree/internal/topo"
 type portVectors struct{ up, down []uint8 }
 
 // closedForm is how a compiled arena computes the tails of tables that
-// have port vectors instead of storing them (Compiled.Tails reads it).
+// have port vectors instead of storing them (Compiled.Tails and
+// Compiled.Climbs read it).
 //
 // Every up choice towards dst is dst's alone, and a node's parent through
 // up port q differs from it in exactly one digit, set by q (topo.Build).
@@ -34,6 +35,9 @@ type closedForm struct {
 	// level k = l0..h the cells of the k hops down, 0-padded to h.
 	dsts []uint32
 	rec  int
+	// exclusive certifies Theorem 2 for these cells: no switch link is
+	// descended towards two destinations.
+	exclusive bool
 }
 
 // climbRow is a row at one climb level: A' (the cell of the ancestor's
@@ -80,7 +84,12 @@ func newClosedForm(t *topo.Topology, v *portVectors, l0 int, from []topo.NodeID)
 			cf.rows = append(cf.rows, climbRow{a: int32(2*(linkOff[l]+a*g.UpPorts(l)) + 2), base: int32(firstHost(t, id) / span * span), span: int32(span)})
 		}
 	}
-	cf.dsts = make([]uint32, n*cf.rec)
+	// The certificate reads every descent the records hold — each turn
+	// level's, not only the top's — so it vouches for exactly the cells
+	// the tails are made of. owner is per link 1 + the destination a
+	// descent took it towards, and is dropped with the compile.
+	cf.dsts, cf.exclusive = make([]uint32, n*cf.rec), true
+	owner := make([]int32, len(t.Links))
 	for dst := 0; dst < n; dst++ {
 		d := cf.dsts[dst*cf.rec:][:cf.rec]
 		for l := l0; l < g.H; l++ { // B': dst's choices in (l0, l], and its port at l
@@ -98,11 +107,31 @@ func newClosedForm(t *topo.Topology, v *portVectors, l0 int, from []topo.NodeID)
 			hops := d[m+(k-l0)*g.H:]
 			for l := k; l > 0; l-- {
 				p := t.Node(id).FirstPort() + topo.PortID(v.down[l*n+dst])
-				hops[k-l], id = uint32(PackEntry(t.Ports[p].Link, false)+1), t.PeerNode(p)
+				link := t.Ports[p].Link
+				hops[k-l], id = uint32(PackEntry(link, false)+1), t.PeerNode(p)
+				if l > 1 && owner[link] != int32(dst)+1 {
+					cf.exclusive = cf.exclusive && owner[link] == 0
+					owner[link] = int32(dst) + 1
+				}
 			}
 		}
 	}
 	return cf
+}
+
+// climb writes to out the climb towards dst from a row whose climb levels
+// are rows, dr being dst's record: per level, the up hop, 0 from the turn
+// level on. It returns how many levels the tail climbs: the turn level,
+// less the row's.
+func climb(out, dr []uint32, rows []climbRow, dst int) (k int) {
+	out, dr = out[:len(rows)], dr[:len(rows)]
+	for i, r := range rows {
+		x := dst - int(r.base)
+		up := (x | (int(r.span) - 1 - x)) >> 63 // -1 while dst is not below the ancestor: climb on
+		out[i] = (uint32(r.a) + dr[i]) & uint32(up)
+		k -= up
+	}
+	return k
 }
 
 // firstHost returns the first of the hosts below node id, which are

@@ -87,7 +87,10 @@ func ForceWideCells(tb interface{ Cleanup(func()) }) {
 // a host, 2h-1 from its first switch — so every slot's place is known
 // before any path is walked and a compile writes the arena in place;
 // shorter tails are padded. Every reader goes through Tails, whichever
-// way a column is held.
+// way a column is held. The closed form also certifies Theorem 2 once,
+// when it is laid out: then no descent can carry two flows between
+// distinct end-ports, and the HSD replay reads the tails' climbs alone
+// (ClimbWidth, Climbs).
 //
 // Compiling a randomized router (Adaptive) freezes one draw per pair and
 // is almost certainly not what you want; compile forwarding tables
@@ -504,19 +507,39 @@ func (c *Compiled) Tails(cells []uint32, rows, dsts []int32) {
 			c.stored(out, row, dst)
 			continue
 		}
-		// The closed form (closed.go): the climb, masked from the turn
-		// level k on, then the k hops down.
-		dr := f.dsts[dst*f.rec : dst*f.rec+f.rec]
-		k := 0 // the turn level, above the rows' level
-		for i, r := range f.rows[row*f.m : row*f.m+f.m] {
-			x := dst - int(r.base)
-			up := (x | (int(r.span) - 1 - x)) >> 63 // -1 while dst is not below the ancestor: climb on
-			out[i] = (uint32(r.a) + dr[i]) & uint32(up)
-			k -= up
+		// The closed form (closed.go): the climb, then the hops down from
+		// the turn level.
+		m, h, dr := f.m, f.h, f.dsts[dst*f.rec:][:f.rec]
+		k := climb(out, dr, f.rows[row*m:][:m], dst)
+		for i, e := range dr[m+k*h : m+k*h+h] {
+			out[m+i] = e
 		}
-		for i, e := range dr[f.m+k*f.h : f.m+k*f.h+f.h] {
-			out[f.m+i] = e
-		}
+	}
+}
+
+// ClimbWidth returns how many cells Climbs writes per pair — the climb
+// levels above a row's — or 0 when the arena does not certify that its
+// descents cannot contend: that no switch link is descended towards two
+// destinations (Theorem 2). Only healthy tables with a closed form
+// certify it, once, when they compile, and only while the arena stores
+// no column. Rows at the top level climb nothing and read 0 too.
+func (c *Compiled) ClimbWidth() int {
+	if c.form == nil || !c.form.exclusive || c.cols > 0 {
+		return 0
+	}
+	return c.form.m
+}
+
+// Climbs writes, for every pair (rows[i], dsts[i]) of an arena whose
+// ClimbWidth w is not 0, the climb cells of the pair's tail to
+// cells[i*w:][:w]: Tails' cells up to the turn, 0 from it on — the only
+// hops of a tail that two flows between distinct end-ports can share.
+// Rows and destinations must be in range, and cells hold len(rows)*w.
+func (c *Compiled) Climbs(cells []uint32, rows, dsts []int32) {
+	recs, rec, cr, m := c.form.dsts, c.form.rec, c.form.rows, c.form.m
+	for j, d := range dsts {
+		dst := int(d)
+		climb(cells[j*m:j*m+m], recs[dst*rec:dst*rec+rec], cr[int(rows[j])*m:int(rows[j])*m+m], dst)
 	}
 }
 
