@@ -24,8 +24,6 @@ const module = "fattree"
 // name, "importpath.Type.Name" for a method or field, or an import path
 // for a whole package.
 var testSeams = map[string]string{
-	"fattree/internal/route.ForceWideCells":       "route, hsd, engine and fmgr tests force 32-bit arena cells through it",
-	"fattree/internal/route.Compiled.Wide":        "the hsd, engine and fmgr both-widths tests check through it that ForceWideCells reached their arenas",
 	"fattree/internal/topo.MustBuild":             "the panic-on-error builder the tests of every package construct fabrics with",
 	"fattree/internal/invariant.RandPGFT":         "seeded random PGFTs for the route, hsd, engine, fabric and fmgr property tests",
 	"fattree/internal/invariant.PermutationPairs": "the permutation check the workload generator tests share with invariant's own",

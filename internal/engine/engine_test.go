@@ -423,22 +423,6 @@ func TestFaultResilientLatency(t *testing.T) {
 	}
 }
 
-// wantWide is the cell width the arenas of the running test must have.
-var wantWide bool
-
-// bothWidths runs a differential test at the cell width its fabrics
-// compile to (16 bits, all of them) and again with every stored column
-// forced to 32 bits: one cell source, two widths, the same answers.
-func bothWidths(t *testing.T, body func(*testing.T)) {
-	body(t)
-	t.Run("32-bit cells", func(t *testing.T) {
-		route.ForceWideCells(t)
-		wantWide = true
-		t.Cleanup(func() { wantWide = false })
-		body(t)
-	})
-}
-
 // multiUplink are the hand-picked fabrics whose hosts have several
 // uplinks, so every host keeps a row of choices.
 var multiUplink = []topo.PGFT{
@@ -455,7 +439,7 @@ var multiUplink = []topo.PGFT{
 // pair, and the three broken-pair counts (engine, reroute, arena minus the
 // pairs touching unroutable hosts) agree. The label is the healthy one
 // plus "-reroute[N faults]": fabric.RouteAround's for dmodk.
-func TestRepairMatchesRebuild(t *testing.T) { bothWidths(t, testRepairMatchesRebuild) }
+func TestRepairMatchesRebuild(t *testing.T) { t.Run("32-bit cells", testRepairMatchesRebuild) }
 
 func testRepairMatchesRebuild(t *testing.T) {
 	specs := slices.Clone(multiUplink)
@@ -521,9 +505,6 @@ func testRepairMatchesRebuild(t *testing.T) {
 				if touching := 2*u*(n-1) - u*(u-1); tb.BrokenPairs != rr.BrokenPairs || tb.BrokenPairs != refC.NumBroken()-touching {
 					t.Fatalf("%s: broken pairs: engine %d, reroute %d, arena %d - %d touching %d unroutable hosts",
 						what, tb.BrokenPairs, rr.BrokenPairs, refC.NumBroken(), touching, u)
-				}
-				if tb.Compiled.Wide() != wantWide {
-					t.Fatalf("%s: arena wide = %v, want %v", what, tb.Compiled.Wide(), wantWide)
 				}
 				sameTables(t, what, ref, tb.LFT)
 				if !slices.Equal(tb.Unroutable, rr.UnroutableHosts) {

@@ -11,7 +11,6 @@ import (
 	"fattree/internal/engine"
 	"fattree/internal/fabric"
 	"fattree/internal/invariant"
-	"fattree/internal/route"
 	"fattree/internal/schema"
 	"fattree/internal/topo"
 	"fattree/internal/wire"
@@ -100,27 +99,11 @@ func checkFactored(t *testing.T, what string, engName string, tb *engine.Tables,
 	}
 }
 
-// wantWide is the cell width the arenas of the running test must have.
-var wantWide bool
-
-// bothWidths runs a differential test at the cell width its fabrics
-// compile to (16 bits, all of them) and again with every stored column
-// forced to 32 bits: one cell source, two widths, the same answers.
-func bothWidths(t *testing.T, body func(*testing.T)) {
-	body(t)
-	t.Run("32-bit cells", func(t *testing.T) {
-		route.ForceWideCells(t)
-		wantWide = true
-		t.Cleanup(func() { wantWide = false })
-		body(t)
-	})
-}
-
 // TestFactoredEqualsPairList is the wall: seeded random fabrics x
 // {healthy, fabric-link faults, a host-uplink fault} x {whole fabric,
 // shuffled partial job} x {shared rows, S-Mod-K's private rows, hosts
 // with several uplinks}.
-func TestFactoredEqualsPairList(t *testing.T) { bothWidths(t, testFactoredEqualsPairList) }
+func TestFactoredEqualsPairList(t *testing.T) { t.Run("32-bit cells", testFactoredEqualsPairList) }
 
 func testFactoredEqualsPairList(t *testing.T) {
 	var specs []topo.PGFT
@@ -170,9 +153,6 @@ func testFactoredEqualsPairList(t *testing.T) {
 				}
 				for jname, hosts := range jobs {
 					checkFactored(t, fmt.Sprintf("%v %s, %s, %s job", g, engName, fname, jname), engName, tb, hosts)
-				}
-				if tb.Compiled.Wide() != wantWide {
-					t.Fatalf("%v %s %s: arena wide = %v, want %v", g, engName, fname, tb.Compiled.Wide(), wantWide)
 				}
 				sawBroken = sawBroken || tb.Compiled.NumBroken() > 0
 				_, _, shared := tb.Compiled.Row(0)

@@ -248,17 +248,21 @@ func TestWireJobFrameBudget(t *testing.T) {
 // byte, AppendFrame of the RouteSetResp built one pair at a time through
 // PackedPath — on a healthy snapshot and on a faulted one that leaves
 // some pairs Broken, self pairs included, behind whatever the
-// connection's buffer already holds.
-func TestWireRouteSetEqualsPairList(t *testing.T) { bothWidths(t, testWireRouteSetEqualsPairList) }
+// connection's buffer already holds. It runs on D-Mod-K, whose healthy
+// tails the closed form computes, and in "32-bit cells" on minhop-random,
+// whose arena stores every column in cells.
+func TestWireRouteSetEqualsPairList(t *testing.T) {
+	testWireRouteSetEqualsPairList(t, nil)
+	t.Run("32-bit cells", func(t *testing.T) {
+		testWireRouteSetEqualsPairList(t, func(c *Config) { c.Engine = "minhop-random" })
+	})
+}
 
-func testWireRouteSetEqualsPairList(t *testing.T) {
-	m := newManager(t, "rlft2:4,8", nil)
+func testWireRouteSetEqualsPairList(t *testing.T, mutate func(*Config)) {
+	m := newManager(t, "rlft2:4,8", mutate)
 	m.Start()
 	n := m.t.NumHosts()
 	check := func(t *testing.T, st *FabricState) (unserved int) {
-		if st.Paths.Wide() != wantWide {
-			t.Fatalf("epoch %d: arena wide = %v, want %v", st.Epoch, st.Paths.Wide(), wantWide)
-		}
 		rng := rand.New(rand.NewSource(int64(st.Epoch)))
 		var all, batch [][2]uint32
 		for s := 0; s < n; s++ {
@@ -287,7 +291,11 @@ func testWireRouteSetEqualsPairList(t *testing.T) {
 		return unserved
 	}
 	t.Run("healthy", func(t *testing.T) {
-		if unserved := check(t, m.Current()); unserved != 0 {
+		st := m.Current()
+		if stores := st.Paths.NumEntries() > 0; stores != (mutate != nil) {
+			t.Fatalf("healthy %s arena stores %d cells", st.Engine, st.Paths.NumEntries())
+		}
+		if unserved := check(t, st); unserved != 0 {
 			t.Fatalf("%d pairs unserved on a healthy fabric", unserved)
 		}
 	})

@@ -46,22 +46,6 @@ func sweepByHand(t *testing.T, rt route.Router, orders []*order.Ordering, seq cp
 	return sw
 }
 
-// wantWide is the cell width the arenas of the running test must have.
-var wantWide bool
-
-// bothWidths runs a differential test at the cell width its fabrics
-// compile to (16 bits, all of them) and again with every stored column
-// forced to 32 bits: one cell source, two widths, the same answers.
-func bothWidths(t *testing.T, body func(*testing.T)) {
-	body(t)
-	t.Run("32-bit cells", func(t *testing.T) {
-		route.ForceWideCells(t)
-		wantWide = true
-		t.Cleanup(func() { wantWide = false })
-		body(t)
-	})
-}
-
 // recounts is a test-local sequence of stages the climbing replay must
 // hand to the full count, or must count past: an incast (every rank sends
 // to rank 0), a stage in which rank 0 sends twice, and a Shift stage with
@@ -106,7 +90,7 @@ func (n recounts) Stage(s int) cps.Stage {
 // (AnalyzeServed, Analyze, AnalyzeParallel, the sweeps, which count a
 // stage by its climbs where the arena allows it) with its sequential,
 // filter-then-Stage or by-hand form.
-func TestKernelDifferential(t *testing.T) { bothWidths(t, testKernelDifferential) }
+func TestKernelDifferential(t *testing.T) { t.Run("32-bit cells", testKernelDifferential) }
 
 func testKernelDifferential(t *testing.T) {
 	var specs []topo.PGFT
@@ -148,9 +132,6 @@ func testKernelDifferential(t *testing.T) {
 				}
 				c := tb.Compiled
 				sawBroken = sawBroken || c.NumBroken() > 0
-				if c.Wide() != wantWide {
-					t.Fatalf("%v %s %s: arena wide = %v, want %v", g, engName, fname, c.Wide(), wantWide)
-				}
 				_, _, shared := c.Row(0)
 				sawShared, sawPrivate = sawShared || shared, sawPrivate || !shared
 				for _, seq := range seqs {

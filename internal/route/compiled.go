@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync/atomic"
 
 	"fattree/internal/par"
 	"fattree/internal/topo"
@@ -41,27 +40,6 @@ func EntryUp(e PathEntry) bool { return e&1 == 1 }
 // one sink cell in front counts any head as raw[head+1]++.
 const NoEntry PathEntry = -1
 
-// cell is a PathEntry as the arena stores it: the entry plus one, so 0
-// is absent (the padding after a short tail) and a counter array with one
-// sink cell in front is indexed by the cell itself. An arena holds uint16
-// cells when its fabric's cells fit them, uint32 otherwise.
-type cell interface{ uint16 | uint32 }
-
-// wideCells reports whether a fabric of links cables needs 32-bit cells:
-// its largest cell is 2*links. Every fabric the paper evaluates fits 16;
-// the 36-port 3-level maximum (34,992 cables) does not.
-func wideCells(links int) bool { return 2*links+1 >= 1<<16 }
-
-var forceWide atomic.Bool // the test seam: only ForceWideCells sets it
-
-// ForceWideCells builds every arena 32 bits wide until tb's test ends, so
-// a test compares both widths on a fabric small enough to test with. It
-// must not run beside parallel tests of the same package.
-func ForceWideCells(tb interface{ Cleanup(func()) }) {
-	forceWide.Store(true)
-	tb.Cleanup(func() { forceWide.Store(false) })
-}
-
 // Compiled is a path cache over any deterministic Router, immutable once
 // built, so every reader is safe for unlimited concurrent use — the
 // property the parallel HSD sweeps rely on.
@@ -81,12 +59,14 @@ func ForceWideCells(tb interface{ Cleanup(func()) }) {
 // stores no tail at all. What it stores are the destination columns that
 // may differ from the closed form — exactly the columns a Repatch
 // re-walked after a fault — and, for every other router, every column.
-// Stored tails live in one flat arena of fixed-stride slots of cells, at
-// the width the link count calls for, so a lookup is one multiply. The
-// tree height sets the stride — an up*/down* tail is at most 2h hops from
-// a host, 2h-1 from its first switch — so every slot's place is known
-// before any path is walked and a compile writes the arena in place;
-// shorter tails are padded. Every reader goes through Tails, whichever
+// Stored tails live in one flat arena of fixed-stride slots, so a lookup
+// is one multiply. A cell is a uint32 holding a PathEntry plus one: 0 is
+// absent (the padding after a short tail), and a counter array with one
+// sink cell in front is indexed by the cell itself. The tree height sets
+// the stride — an up*/down* tail is at most 2h hops from a host, 2h-1
+// from its first switch — so every slot's place is known before any path
+// is walked and a compile writes the arena in place; shorter tails are
+// padded. Every reader goes through Tails, whichever
 // way a column is held. The closed form also certifies Theorem 2 once,
 // when it is laid out: then no descent can carry two flows between
 // distinct end-ports, and the HSD replay reads the tails' climbs alone
@@ -107,8 +87,7 @@ type Compiled struct {
 	col    []int32
 	cols   int
 	stride int      // stored tail (r,d) is cells[(r*cols+col[d])*stride:][:stride], zero-padded
-	c16    []uint16 // the stored cells, or
-	c32    []uint32 // those of a wide arena: exactly one is non-nil
+	cells  []uint32 // the stored cells
 	// broken, when non-nil, is an n*n bitset of pairs the inner router
 	// could not walk — or walked non-minimally — during a lenient
 	// compile over a faulted fabric. Every reader returns ErrNoPath for
@@ -213,9 +192,9 @@ func (c *Compiled) markBroken(src, dst int) {
 }
 
 // slot returns the stored slot of row's tail towards the stored column dst.
-func slot[E cell](c *Compiled, cells []E, row, dst int) []E {
+func (c *Compiled) slot(row, dst int) []uint32 {
 	i := (row*c.cols + int(c.col[dst])) * c.stride
-	return cells[i : i+c.stride]
+	return c.cells[i : i+c.stride]
 }
 
 // filler returns build's slot-fill primitive: fill(row, dst) walks row's
@@ -227,24 +206,17 @@ func slot[E cell](c *Compiled, cells []E, row, dst int) []E {
 // detour that silently breaks the minimality guarantee. One filler serves
 // one goroutine.
 func (c *Compiled) filler(r Router, lenient bool) func(row, dst int) error {
-	if c.c32 != nil {
-		return fillerOf(c, c.c32, r, lenient)
-	}
-	return fillerOf(c, c.c16, r, lenient)
-}
-
-func fillerOf[E cell](c *Compiled, cells []E, r Router, lenient bool) func(row, dst int) error {
 	g := r.Topology().Spec
-	var s []E
+	var s []uint32
 	hops := 0
 	visit := func(l topo.LinkID, up bool) {
 		if hops < len(s) {
-			s[hops] = E(PackEntry(l, up) + 1)
+			s[hops] = uint32(PackEntry(l, up) + 1)
 		}
 		hops++
 	}
 	return func(row, dst int) error {
-		s, hops = slot(c, cells, row, dst), 0
+		s, hops = c.slot(row, dst), 0
 		err := c.walkRow(r, row, dst, visit)
 		if err == nil && hops > len(s) {
 			err = fmt.Errorf("route: %s: %d-hop tail towards %d exceeds the up*/down* bound %d", r.Label(), hops, dst, len(s))
@@ -309,11 +281,7 @@ func build(r Router, base *Compiled, cols []int, workers int, lenient bool) (*Co
 		if total > math.MaxInt32 {
 			return nil, fmt.Errorf("route: compile %s: %d path entries overflow the int32 arena bound", r.Label(), total)
 		}
-		if forceWide.Load() || wideCells(len(t.Links)) {
-			c.c32 = make([]uint32, total)
-		} else {
-			c.c16 = make([]uint16, total)
-		}
+		c.cells = make([]uint32, total)
 	} else {
 		if n != base.n {
 			return nil, fmt.Errorf("route: repatch %s: inner router has %d hosts, arena %d", base.Label(), n, base.n)
@@ -336,7 +304,7 @@ func build(r Router, base *Compiled, cols []int, workers int, lenient bool) (*Co
 				c.cols++
 			}
 		}
-		c.c16, c.c32 = restride(base, base.c16, c.cols), restride(base, base.c32, c.cols)
+		c.cells = base.restride(c.cols)
 	}
 	for h := 0; lft != nil && h < n; h++ {
 		for dst := 0; dst < n && lft.uplink[h] == noPort; dst++ {
@@ -355,20 +323,16 @@ func build(r Router, base *Compiled, cols []int, workers int, lenient bool) (*Co
 	return c, nil
 }
 
-// restride copies base's stored cells into an arena of cols columns per
-// row: a row's slots keep their places, the new columns follow them. A
-// nil arena (the other width) stays nil.
-func restride[E cell](base *Compiled, cells []E, cols int) []E {
-	if cells == nil {
-		return nil
+// restride copies c's stored cells into an arena of cols columns per
+// row: a row's slots keep their places, the new columns follow them.
+func (c *Compiled) restride(cols int) []uint32 {
+	if cols == c.cols {
+		return slices.Clone(c.cells)
 	}
-	if cols == base.cols {
-		return slices.Clone(cells)
-	}
-	out := make([]E, len(base.rep)*cols*base.stride)
-	was := base.cols * base.stride
-	for row := range base.rep {
-		copy(out[row*cols*base.stride:], cells[row*was:(row+1)*was])
+	out := make([]uint32, len(c.rep)*cols*c.stride)
+	was := c.cols * c.stride
+	for row := range c.rep {
+		copy(out[row*cols*c.stride:], c.cells[row*was:(row+1)*was])
 	}
 	return out
 }
@@ -444,12 +408,7 @@ func (c *Compiled) Inner() Router { return c.inner }
 // NumEntries returns the number of cells the arena stores, padding
 // included: rows x stored columns x stride, 0 over healthy tables with a
 // closed form.
-func (c *Compiled) NumEntries() int { return len(c.c16) + len(c.c32) }
-
-// Wide reports whether the arena stores 32-bit cells rather than 16-bit
-// ones: what ForceWideCells forces. Readers never ask (Tails widens every
-// cell); the tests that run a reader at both widths check it took.
-func (c *Compiled) Wide() bool { return c.c32 != nil }
+func (c *Compiled) NumEntries() int { return len(c.cells) }
 
 // AppendPath appends the hops of the src->dst flow to buf, head then
 // tail (nothing for src == dst): at most Stride()+1 entries, so a loop
@@ -504,7 +463,7 @@ func (c *Compiled) Tails(cells []uint32, rows, dsts []int32) {
 	for j, d := range dsts {
 		dst, row, out := int(d), int(rows[j]), cells[j*stride:j*stride+stride]
 		if stores && c.col[dst] >= 0 {
-			c.stored(out, row, dst)
+			copy(out, c.slot(row, dst))
 			continue
 		}
 		// The closed form (closed.go): the climb, then the hops down from
@@ -548,17 +507,6 @@ func (c *Compiled) Tail(cells []uint32, row, dst int) []uint32 {
 	r, d := [1]int32{int32(row)}, [1]int32{int32(dst)}
 	c.Tails(cells, r[:], d[:])
 	return cells[:c.stride]
-}
-
-// stored copies the slot of a stored column to cells.
-func (c *Compiled) stored(cells []uint32, row, dst int) {
-	if c.c32 != nil {
-		copy(cells, slot(c, c.c32, row, dst))
-		return
-	}
-	for i, e := range slot(c, c.c16, row, dst) {
-		cells[i] = uint32(e)
-	}
 }
 
 // PackedPath is AppendPath into a fresh slice (nil for src == dst), to keep.

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -210,5 +211,44 @@ func TestPackEntryRoundTrip(t *testing.T) {
 				t.Fatalf("round trip (%d, %v) -> (%d, %v)", l, up, EntryLink(e), EntryUp(e))
 			}
 		}
+	}
+}
+
+// TestCellWidthDecision pins why stored cells are 32 bits wide: at the
+// 36-port 3-level maximum (34,992 cables) cells run past 16 bits, up to
+// 2*34,991+2. Repatching the healthy D-Mod-K arena with its own tables
+// stores three columns, and every row's stored tail must read the hops
+// the closed form computes.
+func TestCellWidthDecision(t *testing.T) {
+	g, err := topo.RLFT3(18, 36)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lft := DModK(topo.MustBuild(g))
+	base, err := Compile(lft)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dsts := []int{0, 5000, 11663}
+	p, err := base.Repatch(lft, dsts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := len(p.rep); rows != 648 || p.NumEntries() != rows*len(dsts)*p.stride {
+		t.Fatalf("%d rows store %d cells, want 648 rows x %d columns x stride %d", rows, p.NumEntries(), len(dsts), p.stride)
+	}
+	cells := make([]uint32, p.stride)
+	var got, want []PathEntry
+	for row := range p.rep {
+		for _, dst := range dsts {
+			want = AppendHops(want[:0], NoEntry, base.Tail(cells, row, dst))
+			got = AppendHops(got[:0], NoEntry, p.Tail(cells, row, dst))
+			if !slices.Equal(got, want) {
+				t.Fatalf("row %d -> %d: stored tail %v, closed form %v", row, dst, got, want)
+			}
+		}
+	}
+	if m := slices.Max(p.cells); m <= 0xFFFF {
+		t.Fatalf("largest stored cell %d fits 16 bits", m)
 	}
 }

@@ -39,32 +39,13 @@ func samePath(t *testing.T, what string, src, dst int, got, want []route.PathEnt
 	}
 }
 
-// wantWide is the cell width the arenas of the running test must have.
-var wantWide bool
-
-// bothWidths runs a differential test at the cell width its fabrics
-// compile to (16 bits, all of them) and again with every arena forced to
-// 32 bits: one storage, one encoding, two widths, the same answers.
-func bothWidths(t *testing.T, body func(*testing.T)) {
-	body(t)
-	t.Run("32-bit cells", func(t *testing.T) {
-		route.ForceWideCells(t)
-		wantWide = true
-		t.Cleanup(func() { wantWide = false })
-		body(t)
-	})
-}
-
 // checkArena compares every pair of c — every reader of it — against a
 // hop-by-hop walk of r.
 func checkArena(t *testing.T, what string, c *route.Compiled, r route.Router, lenient bool) {
 	t.Helper()
 	n := r.Topology().NumHosts()
 	broken := 0
-	buf := []route.PathEntry{-7}
-	if c.Wide() != wantWide {
-		t.Fatalf("%s: arena wide = %v, want %v", what, c.Wide(), wantWide)
-	} // AppendPath must append, not overwrite
+	buf := []route.PathEntry{-7} // AppendPath must append, not overwrite
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
 			path, err := c.AppendPath(buf, src, dst)
@@ -152,7 +133,7 @@ func differential(t *testing.T, what string, r route.Router) {
 
 // TestFactoredMatchesWalk is the property: random fabrics x every router
 // shape the arena groups differently.
-func TestFactoredMatchesWalk(t *testing.T) { bothWidths(t, testFactoredMatchesWalk) }
+func TestFactoredMatchesWalk(t *testing.T) { t.Run("32-bit cells", testFactoredMatchesWalk) }
 
 func testFactoredMatchesWalk(t *testing.T) {
 	var specs []topo.PGFT
@@ -193,10 +174,16 @@ func testFactoredMatchesWalk(t *testing.T) {
 }
 
 // TestFactoredTraps pins the cases where sharing a row could leak one
-// source's fate onto its leaf-mates.
-func TestFactoredTraps(t *testing.T) { bothWidths(t, testFactoredTraps) }
+// source's fate onto its leaf-mates: on each arena as compiled, which the
+// closed form serves where the tables have one, and again in "32-bit
+// cells" with every column re-walked into stored cells by Repatch, the
+// way a fault repair writes them.
+func TestFactoredTraps(t *testing.T) {
+	testFactoredTraps(t, false)
+	t.Run("32-bit cells", func(t *testing.T) { testFactoredTraps(t, true) })
+}
 
-func testFactoredTraps(t *testing.T) {
+func testFactoredTraps(t *testing.T, stored bool) {
 	g, err := topo.RLFT3(2, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -204,11 +191,52 @@ func testFactoredTraps(t *testing.T) {
 	tp := topo.MustBuild(g)
 	n := tp.NumHosts()
 
-	t.Run("destination on the source's own leaf", func(t *testing.T) {
-		c, err := route.Compile(route.DModK(tp))
+	// cells returns c, or, when the traps read stored cells, c with every
+	// column re-walked under r into its cells.
+	cells := func(t *testing.T, c *route.Compiled, r route.Router) *route.Compiled {
+		t.Helper()
+		if !stored {
+			return c
+		}
+		every := make([]int, r.Topology().NumHosts())
+		rows := 0
+		for h := range every {
+			every[h] = h
+			row, _, _ := c.Row(h)
+			rows = max(rows, row+1)
+		}
+		p, err := c.Repatch(r, every)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if want := rows * len(every) * p.Stride(); p.NumEntries() != want {
+			t.Fatalf("%s: %d stored cells, want every column: %d", p.Label(), p.NumEntries(), want)
+		}
+		return p
+	}
+	lenient := func(t *testing.T, r route.Router) *route.Compiled {
+		t.Helper()
+		c, err := route.CompileLenient(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cells(t, c, r)
+	}
+	diff := func(t *testing.T, what string, r route.Router) {
+		t.Helper()
+		differential(t, what, r)
+		if stored {
+			checkArena(t, what+" stored", lenient(t, r), r, true)
+		}
+	}
+
+	t.Run("destination on the source's own leaf", func(t *testing.T) {
+		lft := route.DModK(tp)
+		c, err := route.Compile(lft)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c = cells(t, c, lft)
 		mates := tp.HostsUnder(tp.LeafOf(0))
 		src, dst := mates[0], mates[1]
 		path, err := c.PackedPath(src, dst)
@@ -235,11 +263,8 @@ func testFactoredTraps(t *testing.T) {
 		if len(res.UnroutableHosts) != 1 || res.UnroutableHosts[0] != 0 {
 			t.Fatalf("unroutable = %v, want [0]", res.UnroutableHosts)
 		}
-		differential(t, "dead first host", lft)
-		c, err := route.CompileLenient(lft)
-		if err != nil {
-			t.Fatal(err)
-		}
+		diff(t, "dead first host", lft)
+		c := lenient(t, lft)
 		if want := 2 * (n - 1); c.NumBroken() != want {
 			t.Fatalf("NumBroken = %d, want %d: exactly the pairs touching host 0", c.NumBroken(), want)
 		}
@@ -259,11 +284,8 @@ func testFactoredTraps(t *testing.T) {
 		if _, err := route.Compile(lft); err == nil {
 			t.Fatal("strict compile accepted a table with a missing host entry")
 		}
-		differential(t, "host-row hole", lft)
-		c, err := route.CompileLenient(lft)
-		if err != nil {
-			t.Fatal(err)
-		}
+		diff(t, "host-row hole", lft)
+		c := lenient(t, lft)
 		if c.NumBroken() != 1 || !c.Broken(src, dst) {
 			t.Fatalf("NumBroken = %d, Broken(%d,%d) = %v: want exactly that pair", c.NumBroken(), src, dst, c.Broken(src, dst))
 		}
@@ -279,11 +301,8 @@ func testFactoredTraps(t *testing.T) {
 		if err := lft.Walk(src, dst, func(topo.LinkID, bool) {}); err == nil || !strings.Contains(err.Error(), "names port 2 of 2") {
 			t.Fatalf("walk over an entry past the port count: err %v", err)
 		}
-		differential(t, "entry past the port count", lft)
-		c, err := route.CompileLenient(lft)
-		if err != nil {
-			t.Fatal(err)
-		}
+		diff(t, "entry past the port count", lft)
+		c := lenient(t, lft)
 		if c.NumBroken() != 1 || !c.Broken(src, dst) {
 			t.Fatalf("NumBroken = %d, Broken(%d,%d) = %v: want exactly that pair", c.NumBroken(), src, dst, c.Broken(src, dst))
 		}
@@ -298,11 +317,8 @@ func testFactoredTraps(t *testing.T) {
 		if _, err := route.Compile(lft); err == nil {
 			t.Fatal("strict compile accepted a table with a missing leaf entry")
 		}
-		differential(t, "leaf hole", lft)
-		c, err := route.CompileLenient(lft)
-		if err != nil {
-			t.Fatal(err)
-		}
+		diff(t, "leaf hole", lft)
+		c := lenient(t, lft)
 		mates := tp.HostsUnder(leaf)
 		if c.NumBroken() != len(mates) {
 			t.Fatalf("NumBroken = %d, want the %d hosts under the leaf", c.NumBroken(), len(mates))
@@ -323,18 +339,15 @@ func testFactoredTraps(t *testing.T) {
 		if _, err := route.Compile(lft); err == nil {
 			t.Fatal("strict compile accepted a cut-off host")
 		}
-		differential(t, "cut-off host", lft)
-		c, err := route.CompileLenient(lft)
-		if err != nil {
-			t.Fatal(err)
-		}
+		diff(t, "cut-off host", lft)
+		c := lenient(t, lft)
 		if c.NumBroken() != n-1 || c.Broken(0, 1) {
 			t.Fatalf("NumBroken = %d, Broken(0,1) = %v: want exactly the pairs from host 1", c.NumBroken(), c.Broken(0, 1))
 		}
 	})
 
 	t.Run("non-minimal detour on one pair", func(t *testing.T) {
-		differential(t, "detour", &detour{Router: route.DModK(tp), src: 0, dst: n - 1})
+		diff(t, "detour", &detour{Router: route.DModK(tp), src: 0, dst: n - 1})
 	})
 }
 
@@ -342,7 +355,7 @@ func testFactoredTraps(t *testing.T) {
 // repair: pairs broken in the receiver stay broken even when the inner
 // router could now walk them, and a host the repaired tables cut off
 // breaks every pair it sends, in every column, named or not.
-func TestRepatchNeverRevives(t *testing.T) { bothWidths(t, testRepatchNeverRevives) }
+func TestRepatchNeverRevives(t *testing.T) { t.Run("32-bit cells", testRepatchNeverRevives) }
 
 func testRepatchNeverRevives(t *testing.T) {
 	tp := buildRLFT(t, "rlft2:4,8")
@@ -396,7 +409,7 @@ func testRepatchNeverRevives(t *testing.T) {
 // TestRepatchMatchesLenient re-walks every column of a healthy arena
 // through rerouted tables: the result must equal a fresh lenient compile
 // pair for pair, and the receiver must still serve the healthy paths.
-func TestRepatchMatchesLenient(t *testing.T) { bothWidths(t, testRepatchMatchesLenient) }
+func TestRepatchMatchesLenient(t *testing.T) { t.Run("32-bit cells", testRepatchMatchesLenient) }
 
 func testRepatchMatchesLenient(t *testing.T) {
 	tp := buildRLFT(t, "rlft3:2,4")
@@ -441,6 +454,30 @@ func testRepatchMatchesLenient(t *testing.T) {
 	if sp.NumBroken() != 1 || !sp.Broken(0, n-1) {
 		t.Fatalf("NumBroken = %d, Broken(0,%d) = %v: want exactly the detoured pair", sp.NumBroken(), n-1, sp.Broken(0, n-1))
 	}
+
+	// Unchanged tables, one column: the repair equals the receiver's own
+	// lenient compile and stores exactly one column more — rows x stride
+	// cells over a closed form, which stored none, and none over an arena
+	// that already stores every column.
+	random, err := route.Compile(route.MinHopRandom(tp, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*route.Compiled{base, random} {
+		p, err := c.Repatch(c.Inner(), []int{3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkArena(t, c.Label()+" repatched in place", p, c.Inner(), true)
+		rows := 0
+		for src := 0; src < n; src++ {
+			row, _, _ := c.Row(src)
+			rows = max(rows, row+1)
+		}
+		if want := max(c.NumEntries(), rows*c.Stride()); p.NumEntries() != want {
+			t.Fatalf("%s: Repatch of one column stores %d cells, want %d", c.Label(), p.NumEntries(), want)
+		}
+	}
 }
 
 // TestAppendPathDoesNotAllocate guards the per-pair reader into a reused
@@ -476,7 +513,9 @@ func TestAppendPathDoesNotAllocate(t *testing.T) {
 // TestFactoredConcurrentReaders hammers one arena (with shared rows and
 // broken pairs) from many goroutines; run under -race it pins the
 // immutability contract.
-func TestFactoredConcurrentReaders(t *testing.T) { bothWidths(t, testFactoredConcurrentReaders) }
+func TestFactoredConcurrentReaders(t *testing.T) {
+	t.Run("32-bit cells", testFactoredConcurrentReaders)
+}
 
 func testFactoredConcurrentReaders(t *testing.T) {
 	tp := buildRLFT(t, "rlft2:4,8")
