@@ -115,13 +115,6 @@ var experiments = []struct {
 	{"bidir", func(quick bool) (*exp.Table, error) {
 		return exp.BidirAblation(pick(quick, topo.Cluster1944, topo.Cluster324))
 	}},
-	{"queue", func(quick bool) (*exp.Table, error) {
-		o := exp.DefaultQueueOpts()
-		if quick {
-			o.Base.Jobs = 150
-		}
-		return exp.SchedulerPolicies(o)
-	}},
 	{"semantics", func(quick bool) (*exp.Table, error) {
 		o := exp.DefaultSemanticsOpts()
 		if quick {
@@ -129,24 +122,7 @@ var experiments = []struct {
 		}
 		return exp.SemanticsComparison(o)
 	}},
-	{"placement", func(quick bool) (*exp.Table, error) {
-		return exp.PlacementComparison(pick(quick, topo.Cluster324, topo.Cluster128))
-	}},
-	{"latency", func(quick bool) (*exp.Table, error) {
-		o := exp.DefaultLatencyOpts()
-		if quick {
-			o.Sizes = []int64{2 << 10, 128 << 10}
-		}
-		return exp.CollectiveLatency(o)
-	}},
 	{"taper", func(bool) (*exp.Table, error) { return exp.TaperAblation() }},
-	{"patterns", func(quick bool) (*exp.Table, error) {
-		o := exp.DefaultPatternOpts()
-		if quick {
-			o.Cluster, o.Bytes = topo.Cluster128, 32<<10
-		}
-		return exp.PatternSweep(o)
-	}},
 	{"adaptive", func(quick bool) (*exp.Table, error) {
 		o := exp.DefaultAdaptiveOpts()
 		if quick {
@@ -170,9 +146,6 @@ var experiments = []struct {
 	}},
 	{"jobs", func(quick bool) (*exp.Table, error) {
 		return exp.MultiJob(pick(quick, topo.Cluster1944, topo.Cluster324))
-	}},
-	{"faults", func(quick bool) (*exp.Table, error) {
-		return exp.FaultResilience(pick(quick, topo.Cluster324, topo.Cluster128), pick(quick, 5, 2))
 	}},
 }
 

@@ -24,12 +24,11 @@ const module = "fattree"
 // name, "importpath.Type.Name" for a method or field, or an import path
 // for a whole package.
 var testSeams = map[string]string{
-	"fattree/internal/topo.MustBuild":             "the panic-on-error builder the tests of every package construct fabrics with",
-	"fattree/internal/invariant.RandPGFT":         "seeded random PGFTs for the route, hsd, engine, fabric and fmgr property tests",
-	"fattree/internal/invariant.PermutationPairs": "the permutation check the workload generator tests share with invariant's own",
-	"fattree/internal/cli/clitest":                "the golden harness every cmd/* test runs its argument lists through",
-	"fattree/internal/topo.Topology.LeafOf":       "the host-to-leaf step the topo, route, hsd, invariant and fabric tests build their cases from",
-	"fattree/internal/topo.Topology.HostsUnder":   "the sub-tree host list the topo and route tests find leaf mates with",
+	"fattree/internal/topo.MustBuild":           "the panic-on-error builder the tests of every package construct fabrics with",
+	"fattree/internal/invariant.RandPGFT":       "seeded random PGFTs for the route, hsd, engine, fabric and fmgr property tests",
+	"fattree/internal/cli/clitest":              "the golden harness every cmd/* test runs its argument lists through",
+	"fattree/internal/topo.Topology.LeafOf":     "the host-to-leaf step the topo, route, hsd, invariant and fabric tests build their cases from",
+	"fattree/internal/topo.Topology.HostsUnder": "the sub-tree host list the topo and route tests find leaf mates with",
 }
 
 // TestNoTestOnlyExports pins the rule that production code has a

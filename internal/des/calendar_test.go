@@ -10,7 +10,8 @@ import (
 // lazy slot sorting, overflow redistribution, and scheduler reuse.
 
 // drain pops every event with NextEvent and hands each dispatch event
-// to h, which may schedule more — the simulator's event loop.
+// to h, which may schedule more — the simulator's event loop. A nil h
+// drains a queue of closure events.
 func drain(s *Scheduler, h func(kind uint16, a, b int32, c int64)) {
 	for {
 		kind, a, b, c, ok := s.NextEvent()
@@ -46,10 +47,10 @@ func TestNextEventDrain(t *testing.T) {
 	// payloads, while running closure events itself.
 	s := NewScheduler()
 	var closures []Time
-	s.At(15, func() { closures = append(closures, 15) })
+	schedAt(s, 15, func() { closures = append(closures, 15) })
 	s.AtEvent(10, 1, 10, 0, 0)
 	s.AtEvent(20, 1, 20, 0, 0)
-	s.At(25, func() { closures = append(closures, 25) })
+	schedAt(s, 25, func() { closures = append(closures, 25) })
 	var dispatched []int32
 	for {
 		kind, a, _, _, ok := s.NextEvent()
@@ -146,7 +147,7 @@ func TestSchedulerReset(t *testing.T) {
 	ran := 0
 	h := func(kind uint16, a, b int32, c int64) { ran++ }
 	s.AtEvent(10, 0, 0, 0, 0)
-	s.At(20, func() { ran++ })
+	schedAt(s, 20, func() { ran++ })
 	s.AtEvent(5*Time(numSlots)*slotWidth, 0, 0, 0, 0) // parked in overflow
 	s.Reset()
 	if s.Pending() != 0 || s.Now() != 0 {
@@ -168,10 +169,8 @@ func TestClosureRegistryRecycled(t *testing.T) {
 	// traffic must not grow the registry.
 	s := NewScheduler()
 	for round := 0; round < 100; round++ {
-		s.After(1, func() {})
-		if !s.Run(0) {
-			t.Fatal("run hit bound")
-		}
+		schedAt(s, s.Now()+1, func() {})
+		drain(s, nil)
 	}
 	if len(s.fns) > 1 {
 		t.Errorf("closure registry grew to %d entries, want <= 1", len(s.fns))

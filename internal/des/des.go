@@ -2,13 +2,14 @@
 // event queue with deterministic FIFO tie-breaking. It underpins the
 // packet-level network simulator the paper builds in OMNeT++ (Section II).
 //
-// The kernel offers two event forms. Closure events (At/After) are
-// convenient but allocate; they suit coarse events like probe ticks.
-// Dispatch events (AtEvent) carry a plain-old-data payload — a kind tag
-// plus three integer operands — stored inline in the queue and returned
-// by NextEvent, so the hot path of a large simulation schedules millions
-// of events without a single allocation.
-// Both forms share one queue and one deterministic ordering.
+// The kernel offers two event forms. Dispatch events (AtEvent) are the
+// simulation's work: a plain-old-data payload — a kind tag plus three
+// integer operands — stored inline in the queue and returned by
+// NextEvent, so the hot path of a large simulation schedules millions
+// of events without a single allocation. Closure events are daemons
+// only (AtDaemon/AfterDaemon): they allocate, which suits coarse
+// instrumentation like probe ticks, and NextEvent runs them inside the
+// call. Both forms share one queue and one deterministic ordering.
 //
 // The queue is a calendar queue (timing wheel): events within the wheel's
 // horizon land in fixed-width time slots, each a small append-only array
@@ -283,15 +284,6 @@ func (s *Scheduler) regFn(fn func()) int32 {
 	return int32(len(s.fns) - 1)
 }
 
-// At schedules fn at absolute time t; scheduling in the past panics
-// (it would silently corrupt causality).
-func (s *Scheduler) At(t Time, fn func()) {
-	s.push(event{at: t, key: keyClosure, a: s.regFn(fn)})
-}
-
-// After schedules fn d after the current time.
-func (s *Scheduler) After(d Time, fn func()) { s.At(s.now+d, fn) }
-
 // AtDaemon schedules fn at absolute time t as a daemon event: it runs
 // only if regular work is still queued when its turn comes, and is
 // otherwise discarded without advancing the clock.
@@ -377,70 +369,11 @@ func (s *Scheduler) rebase() {
 	s.overflow = keep
 }
 
-// Step runs the next closure event; it reports false when no regular
-// events remain (any leftover daemon events are dropped, clock
-// untouched). Dispatch events are popped with NextEvent: Step panics on
-// one.
-func (s *Scheduler) Step() bool {
-	if s.work == 0 {
-		s.clear()
-		return false
-	}
-	// Pop inline: the cursor slot usually still has events, so the
-	// common case is one bit test, one copy and a head bump.
-	i := s.cursor
-	if s.occ[i>>6]&(1<<uint(i&63)) == 0 {
-		i = s.firstOccupied(i)
-		if i < 0 {
-			s.rebase()
-			i = s.firstOccupied(0)
-		}
-		s.cursor = i
-	}
-	sl := &s.slots[i]
-	if sl.dirty {
-		sl.sort()
-	}
-	h := sl.head
-	e := sl.ev[h]
-	sl.head = h + 1
-	if int(h+1) == len(sl.ev) {
-		s.release(sl)
-		s.occ[i>>6] &^= 1 << uint(i&63)
-	}
-	s.pending--
-	if e.key&keyDaemon == 0 {
-		s.work--
-	}
-	s.now = e.at
-	s.ran++
-	if e.key&keyClosure == 0 {
-		panic("des: Step popped a dispatch event; drain dispatch events with NextEvent")
-	}
-	fn := s.fns[e.a]
-	s.fns[e.a] = nil
-	s.fnFree = append(s.fnFree, e.a)
-	fn()
-	return true
-}
-
-// Run drains a queue of closure events. maxEvents bounds runaway
-// simulations (0 = no bound); it returns false if the bound was hit with
-// events pending.
-func (s *Scheduler) Run(maxEvents uint64) bool {
-	for n := uint64(0); s.Step(); n++ {
-		if maxEvents > 0 && n+1 >= maxEvents && s.pending > 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // NextEvent pops queued events until it reaches a dispatch event, whose
 // payload it returns; closure events execute inside the call. ok ==
 // false means no regular events remain (leftover daemon events are
 // dropped, clock untouched). A simulator's hot loop switches on the
-// returned kind directly. Mirrors Step's body: keep the two in sync.
+// returned kind directly.
 func (s *Scheduler) NextEvent() (kind uint16, a, b int32, c int64, ok bool) {
 	for {
 		if s.work == 0 {

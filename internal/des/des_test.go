@@ -5,15 +5,20 @@ import (
 	"testing/quick"
 )
 
+// schedAt pushes a regular closure event at t. The kernel exports
+// closures as daemons only; a regular one lets these tests schedule
+// work with side effects and drain it with NextEvent.
+func schedAt(s *Scheduler, t Time, fn func()) {
+	s.push(event{at: t, key: keyClosure, a: s.regFn(fn)})
+}
+
 func TestEventOrder(t *testing.T) {
 	s := NewScheduler()
 	var got []int
-	s.At(30, func() { got = append(got, 3) })
-	s.At(10, func() { got = append(got, 1) })
-	s.At(20, func() { got = append(got, 2) })
-	if !s.Run(0) {
-		t.Fatal("run hit bound")
-	}
+	schedAt(s, 30, func() { got = append(got, 3) })
+	schedAt(s, 10, func() { got = append(got, 1) })
+	schedAt(s, 20, func() { got = append(got, 2) })
+	drain(s, nil)
 	want := []int{1, 2, 3}
 	for i := range want {
 		if got[i] != want[i] {
@@ -33,9 +38,9 @@ func TestFIFOTieBreak(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.At(5, func() { got = append(got, i) })
+		schedAt(s, 5, func() { got = append(got, i) })
 	}
-	s.Run(0)
+	drain(s, nil)
 	for i := range got {
 		if got[i] != i {
 			t.Fatalf("ties ran out of order: %v", got)
@@ -46,11 +51,11 @@ func TestFIFOTieBreak(t *testing.T) {
 func TestAfterAndNestedScheduling(t *testing.T) {
 	s := NewScheduler()
 	var trace []Time
-	s.At(10, func() {
+	schedAt(s, 10, func() {
 		trace = append(trace, s.Now())
-		s.After(5, func() { trace = append(trace, s.Now()) })
+		schedAt(s, s.Now()+5, func() { trace = append(trace, s.Now()) })
 	})
-	s.Run(0)
+	drain(s, nil)
 	if len(trace) != 2 || trace[0] != 10 || trace[1] != 15 {
 		t.Fatalf("trace = %v, want [10 15]", trace)
 	}
@@ -58,42 +63,27 @@ func TestAfterAndNestedScheduling(t *testing.T) {
 
 func TestPastSchedulingPanics(t *testing.T) {
 	s := NewScheduler()
-	s.At(10, func() {
+	schedAt(s, 10, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		s.At(5, func() {})
+		schedAt(s, 5, func() {})
 	})
-	s.Run(0)
-}
-
-func TestRunBound(t *testing.T) {
-	s := NewScheduler()
-	var bomb func()
-	n := 0
-	bomb = func() {
-		n++
-		s.After(1, bomb)
-	}
-	s.At(0, bomb)
-	if s.Run(100) {
-		t.Error("unbounded chain reported clean completion")
-	}
-	if n == 0 || n > 100 {
-		t.Errorf("ran %d events under bound 100", n)
-	}
+	drain(s, nil)
 }
 
 func TestPendingCount(t *testing.T) {
 	s := NewScheduler()
-	s.At(1, func() {})
-	s.At(2, func() {})
+	s.AtEvent(1, 0, 0, 0, 0)
+	s.AtEvent(2, 0, 0, 0, 0)
 	if s.Pending() != 2 {
 		t.Errorf("pending = %d, want 2", s.Pending())
 	}
-	s.Step()
+	if _, _, _, _, ok := s.NextEvent(); !ok {
+		t.Fatal("NextEvent found no event")
+	}
 	if s.Pending() != 1 {
 		t.Errorf("pending = %d, want 1", s.Pending())
 	}
@@ -113,14 +103,12 @@ func TestDaemonEvents(t *testing.T) {
 	s.AtDaemon(0, tick)
 	worked := 0
 	for _, at := range []Time{1, 3, 5} {
-		s.At(at, func() { worked++ })
+		schedAt(s, at, func() { worked++ })
 	}
 	if s.Pending() != 3 {
 		t.Errorf("pending = %d, want 3 (daemon events excluded)", s.Pending())
 	}
-	if !s.Run(0) {
-		t.Fatal("run hit bound")
-	}
+	drain(s, nil)
 	if worked != 3 {
 		t.Errorf("ran %d work events, want 3", worked)
 	}
@@ -136,7 +124,7 @@ func TestDaemonEvents(t *testing.T) {
 	}
 	// A daemon scheduled on a drained scheduler never runs.
 	s.AtDaemon(10, func() { t.Error("daemon ran with no work queued") })
-	s.Run(0)
+	drain(s, nil)
 	if s.Now() != 5 {
 		t.Errorf("time advanced to %d by a work-less daemon", s.Now())
 	}
@@ -148,28 +136,28 @@ func TestDaemonTieWithLastWorkEvent(t *testing.T) {
 	s := NewScheduler()
 	ran := false
 	s.AtDaemon(5, func() { ran = true })
-	s.At(5, func() {})
-	s.Run(0)
+	schedAt(s, 5, func() {})
+	drain(s, nil)
 	if !ran {
 		t.Error("earlier-scheduled daemon at tied time did not run")
 	}
 
 	s2 := NewScheduler()
-	s2.At(5, func() {})
+	schedAt(s2, 5, func() {})
 	s2.AtDaemon(5, func() { t.Error("later-scheduled daemon ran after final work event") })
-	s2.Run(0)
+	drain(s2, nil)
 }
 
 func TestMaxPendingExcludesDaemons(t *testing.T) {
 	s := NewScheduler()
-	s.At(1, func() {})
-	s.At(2, func() {})
+	schedAt(s, 1, func() {})
+	schedAt(s, 2, func() {})
 	s.AtDaemon(1, func() {})
 	s.AtDaemon(2, func() {})
 	if s.MaxPending() != 2 {
 		t.Errorf("max pending = %d, want 2", s.MaxPending())
 	}
-	s.Run(0)
+	drain(s, nil)
 	if s.MaxPending() != 2 {
 		t.Errorf("max pending after run = %d, want 2", s.MaxPending())
 	}
@@ -183,9 +171,9 @@ func TestMonotonicClockQuick(t *testing.T) {
 		var seen []Time
 		for _, at := range times {
 			at := Time(at)
-			s.At(at, func() { seen = append(seen, s.Now()) })
+			schedAt(s, at, func() { seen = append(seen, s.Now()) })
 		}
-		s.Run(0)
+		drain(s, nil)
 		for i := 1; i < len(seen); i++ {
 			if seen[i] < seen[i-1] {
 				return false
@@ -214,9 +202,9 @@ func TestCalendarPressureTelemetry(t *testing.T) {
 	// the wheel drains.
 	horizon := slotWidth * numSlots
 	ran := 0
-	s.At(1, func() { ran++ })
-	s.At(slotWidth+1, func() { ran++ })
-	s.At(2*horizon, func() { ran++ })
+	schedAt(s, 1, func() { ran++ })
+	schedAt(s, slotWidth+1, func() { ran++ })
+	schedAt(s, 2*horizon, func() { ran++ })
 	if got := s.OccupiedSlotsHighWater(); got < 2 {
 		t.Errorf("occupied-slots high water %d, want >= 2", got)
 	}
@@ -226,9 +214,7 @@ func TestCalendarPressureTelemetry(t *testing.T) {
 	if got := s.Rebases(); got != 0 {
 		t.Errorf("rebases before running: %d, want 0", got)
 	}
-	if !s.Run(0) {
-		t.Fatal("run did not drain")
-	}
+	drain(s, nil)
 	if ran != 3 {
 		t.Fatalf("ran %d events, want 3", ran)
 	}

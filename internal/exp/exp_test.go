@@ -317,35 +317,6 @@ func TestMultiJob(t *testing.T) {
 	}
 }
 
-func TestFaultResilience(t *testing.T) {
-	tab, err := FaultResilience(topo.Cluster128, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) < 4 {
-		t.Fatalf("rows = %d, want >= 4", len(tab.Rows))
-	}
-	// Zero faults: HSD exactly 1.
-	if v, _ := cell(tab, "0", 2); v != "1" {
-		t.Errorf("fault-free worst HSD = %q, want 1", v)
-	}
-	// Faults present: degradation stays below the adversarial-order
-	// collapse (HSD ~ K = 8) and every pair stays routable.
-	for _, row := range tab.Rows[1:] {
-		worst, _ := strconv.Atoi(row[2])
-		if worst >= 8 {
-			t.Errorf("dead=%s: worst HSD = %d, degradation should stay below K", row[0], worst)
-		}
-		if row[4] != "0" {
-			t.Errorf("dead=%s: broken pairs = %s, want 0", row[0], row[4])
-		}
-	}
-	// One or two faults stay mild.
-	if worst, _ := strconv.Atoi(tab.Rows[1][2]); worst > 3 {
-		t.Errorf("single fault worst HSD = %d, want <= 3", worst)
-	}
-}
-
 func TestBufferAblation(t *testing.T) {
 	o := BufferOpts{
 		Cluster: topo.Cluster128,
@@ -470,42 +441,6 @@ func TestAdaptiveComparison(t *testing.T) {
 	}
 }
 
-func TestPatternSweep(t *testing.T) {
-	o := PatternOpts{Cluster: topo.Cluster128, Bytes: 32 << 10, Seed: 1}
-	tab, err := PatternSweep(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 6 {
-		t.Fatalf("rows = %d, want 6 patterns", len(tab.Rows))
-	}
-	bw := func(name string) float64 {
-		v, ok := cell(tab, name, 2)
-		if !ok {
-			t.Fatalf("missing row %s", name)
-		}
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
-	// Tornado is an aligned permutation: near-full bandwidth.
-	if bw("tornado") < 0.9 {
-		t.Errorf("tornado BW = %v, want ~1", bw("tornado"))
-	}
-	// Incast collapses to ~1/(N-1) per sender.
-	if bw("incast") > 0.05 {
-		t.Errorf("incast BW = %v, want tiny", bw("incast"))
-	}
-	// A random permutation loses bandwidth like the random-order
-	// collectives do.
-	rp := bw("random-permutation")
-	if rp > 0.9 || rp < 0.2 {
-		t.Errorf("random permutation BW = %v, want mid-range loss", rp)
-	}
-}
-
 func TestTaperAblation(t *testing.T) {
 	tab, err := TaperAblation()
 	if err != nil {
@@ -573,84 +508,6 @@ func TestRenderJSON(t *testing.T) {
 	}
 }
 
-func TestCollectiveLatency(t *testing.T) {
-	o := LatencyOpts{Cluster: topo.Cluster324, Sizes: []int64{2 << 10, 128 << 10}}
-	tab, err := CollectiveLatency(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(tab.Rows))
-	}
-	for _, row := range tab.Rows {
-		flat, err := strconv.ParseFloat(row[1], 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ta, err := strconv.ParseFloat(row[2], 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// On parallel-port RLFTs the topo-aware schedule wins at every
-		// size: its extra stages are intra-leaf.
-		if ta >= flat {
-			t.Errorf("size %s: topo-aware %v us not below flat %v us", row[0], ta, flat)
-		}
-		if row[3] != "topo-aware" {
-			t.Errorf("size %s: winner = %s", row[0], row[3])
-		}
-	}
-}
-
-func TestPlacementComparison(t *testing.T) {
-	tab, err := PlacementComparison(topo.Cluster324)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 5 {
-		t.Fatalf("rows = %d, want 5", len(tab.Rows))
-	}
-	parse := func(s string) float64 {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v
-	}
-	for _, row := range tab.Rows {
-		block, cyclic, random := parse(row[1]), parse(row[2]), parse(row[3])
-		switch row[0] {
-		case "recursive-doubling":
-			// The flat XOR congests under any placement on
-			// parallel-port trees.
-			if block < 1.1 {
-				t.Errorf("flat RD block HSD = %v, expected congestion", block)
-			}
-		case "topo-aware-recursive-doubling":
-			if block != 1.0 {
-				t.Errorf("topo-aware block HSD = %v, want 1.00", block)
-			}
-			// On the symmetric 324 tree, cyclic happens to be a full
-			// symmetry (it transposes the two levels) and stays clean;
-			// asymmetric 3-level trees break it (see the 1944 note).
-			if cyclic != 1.0 {
-				t.Errorf("topo-aware cyclic HSD on the symmetric 2-level tree = %v, want 1.00", cyclic)
-			}
-		default:
-			// Shift-family: both block and cyclic are contention free.
-			if block != 1.0 {
-				t.Errorf("%s: block HSD = %v, want 1.00", row[0], block)
-			}
-			if cyclic != 1.0 {
-				t.Errorf("%s: cyclic HSD = %v, want 1.00 (structure-preserving relabeling)", row[0], cyclic)
-			}
-		}
-		if random <= 1.5 {
-			t.Errorf("%s: random HSD = %v, expected heavy congestion", row[0], random)
-		}
-	}
-}
-
 func TestSemanticsComparison(t *testing.T) {
 	o := SemanticsOpts{Cluster: topo.Cluster128, Bytes: 32 << 10, Seed: 1}
 	tab, err := SemanticsComparison(o)
@@ -680,35 +537,6 @@ func TestSemanticsComparison(t *testing.T) {
 	// topo-aware no slower than flat under the same order.
 	if parse(tab.Rows[0][2]) > parse(tab.Rows[1][2])*1.001 {
 		t.Errorf("dependent: topo-aware %s slower than flat %s", tab.Rows[0][2], tab.Rows[1][2])
-	}
-}
-
-func TestSchedulerPolicies(t *testing.T) {
-	o := DefaultQueueOpts()
-	o.Base.Jobs = 150
-	tab, err := SchedulerPolicies(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(tab.Rows))
-	}
-	parse := func(s string) float64 {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v
-	}
-	raw, pad, aligned := tab.Rows[0], tab.Rows[1], tab.Rows[2]
-	if parse(pad[1]) <= parse(raw[1]) {
-		t.Errorf("padding did not raise the CF fraction: %s vs %s", pad[1], raw[1])
-	}
-	if parse(aligned[1]) != 1.0 || parse(aligned[2]) != 1.0 {
-		t.Errorf("aligned-only policy: CF %s isolated %s, want 1.000/1.000", aligned[1], aligned[2])
-	}
-	if parse(aligned[4]) < parse(pad[4]) {
-		t.Errorf("aligned-only wait %s below padded %s", aligned[4], pad[4])
 	}
 }
 

@@ -30,7 +30,8 @@ func TestRouteAroundNoFaultsEqualsDModK(t *testing.T) {
 
 func TestRouteAroundSurvivesFabricFaults(t *testing.T) {
 	tp := topo.MustBuild(topo.Cluster128)
-	for _, kill := range []int{1, 4, 12} {
+	k := topo.Cluster128.M[0] // hosts per leaf: the adversarial-order HSD
+	for _, kill := range []int{1, 2, 4, 8, 12, 16} {
 		for seed := int64(0); seed < 3; seed++ {
 			fs := NewFaultSet(tp)
 			if err := fs.FailRandomFabricLinks(kill, seed); err != nil {
@@ -45,6 +46,15 @@ func TestRouteAroundSurvivesFabricFaults(t *testing.T) {
 			}
 			if res.BrokenPairs != 0 {
 				t.Fatalf("kill=%d seed=%d: %d broken pairs at moderate fault level", kill, seed, res.BrokenPairs)
+			}
+			// Degradation stays below the adversarial-order collapse:
+			// flows fold onto neighbouring up-links, no cliff.
+			rep, err := hsd.Analyze(lft, order.Topology(tp.NumHosts(), nil), cps.Shift(tp.NumHosts()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.MaxHSD() >= k {
+				t.Errorf("kill=%d seed=%d: Shift max HSD %d, want < K = %d", kill, seed, rep.MaxHSD(), k)
 			}
 			// Every pair still delivered over a path avoiding dead
 			// links.

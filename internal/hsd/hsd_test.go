@@ -1,6 +1,7 @@
 package hsd
 
 import (
+	"fmt"
 	"testing"
 
 	"fattree/internal/cps"
@@ -76,6 +77,56 @@ func TestTopoAwareRecursiveDoublingContentionFree(t *testing.T) {
 		}
 		if !rep.ContentionFree() {
 			t.Errorf("%v: topo-aware RD max HSD = %d, want 1", g, rep.MaxHSD())
+		}
+	}
+}
+
+func TestCyclicPlacement(t *testing.T) {
+	// Cyclic (round-robin over leaves) rank distribution relabels hosts
+	// in a way that commutes with the D-Mod-K spread: the Shift family
+	// stays contention free on full RLFTs. The Section VI schedule
+	// survives it only where the relabeling is a full symmetry of the
+	// tree (the 2-level 324 transposes its levels), not on the
+	// asymmetric 18x18x6; the flat XOR congests under any placement.
+	for _, tc := range []struct {
+		g     topo.PGFT
+		taMax int
+		taAvg string
+	}{
+		{topo.Cluster324, 1, "1.000"},
+		{topo.Cluster1944, 2, "1.188"},
+	} {
+		tp := topo.MustBuild(tc.g)
+		lft := route.DModK(tp)
+		n := tp.NumHosts()
+		o, err := order.Cyclic(tp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ta, err := cps.TopoAwareRecursiveDoubling(tc.g.M)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seq := range []cps.Sequence{cps.Shift(n), cps.Ring(n), cps.Dissemination(n), ta, cps.RecursiveDoubling(n)} {
+			rep, err := Analyze(lft, o, seq)
+			if err != nil {
+				t.Fatalf("%d hosts, %s: %v", n, seq.Name(), err)
+			}
+			switch seq.Name() {
+			case ta.Name():
+				if rep.MaxHSD() != tc.taMax || fmt.Sprintf("%.3f", rep.AvgMaxHSD()) != tc.taAvg {
+					t.Errorf("%d hosts, %s: max HSD %d avg %.3f, want %d avg %s",
+						n, seq.Name(), rep.MaxHSD(), rep.AvgMaxHSD(), tc.taMax, tc.taAvg)
+				}
+			case "recursive-doubling":
+				if rep.MaxHSD() < 2 {
+					t.Errorf("%d hosts, flat recursive doubling: max HSD %d, want > 1", n, rep.MaxHSD())
+				}
+			default:
+				if !rep.ContentionFree() {
+					t.Errorf("%d hosts, %s: max HSD %d, want 1", n, seq.Name(), rep.MaxHSD())
+				}
+			}
 		}
 	}
 }

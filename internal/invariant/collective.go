@@ -22,33 +22,6 @@ func checkCPSPermutation(in *Instance) Result {
 	return pass()
 }
 
-// PermutationPairs checks that explicit end-port pairs form a partial
-// permutation on [0, n): every endpoint in range, no self flows, no
-// endpoint sending or receiving twice. It is the host-index analogue of
-// cps.Validate, for traffic produced outside the CPS layer (workload
-// generators, schedulers).
-func PermutationPairs(pairs [][2]int, n int) error {
-	srcSeen := make(map[int]int, len(pairs))
-	dstSeen := make(map[int]int, len(pairs))
-	for i, p := range pairs {
-		if p[0] < 0 || p[0] >= n || p[1] < 0 || p[1] >= n {
-			return fmt.Errorf("flow %d: %d->%d out of range [0,%d)", i, p[0], p[1], n)
-		}
-		if p[0] == p[1] {
-			return fmt.Errorf("flow %d: self flow at %d", i, p[0])
-		}
-		if j, dup := srcSeen[p[0]]; dup {
-			return fmt.Errorf("flows %d and %d: %d sends twice", j, i, p[0])
-		}
-		if j, dup := dstSeen[p[1]]; dup {
-			return fmt.Errorf("flows %d and %d: %d receives twice", j, i, p[1])
-		}
-		srcSeen[p[0]] = i
-		dstSeen[p[1]] = i
-	}
-	return nil
-}
-
 // maxBlameFlows caps the flows attached to a contention counterexample;
 // the full set is always in the blame report, the verdict only needs
 // enough to identify the collision.

@@ -344,25 +344,6 @@ func TestOrderingBijectionHelper(t *testing.T) {
 	}
 }
 
-func TestPermutationPairs(t *testing.T) {
-	if err := PermutationPairs([][2]int{{0, 1}, {1, 2}, {2, 0}}, 3); err != nil {
-		t.Fatalf("valid permutation rejected: %v", err)
-	}
-	for _, tc := range []struct {
-		name  string
-		pairs [][2]int
-	}{
-		{"out-of-range", [][2]int{{0, 3}}},
-		{"self-flow", [][2]int{{1, 1}}},
-		{"double-send", [][2]int{{0, 1}, {0, 2}}},
-		{"double-receive", [][2]int{{0, 2}, {1, 2}}},
-	} {
-		if err := PermutationPairs(tc.pairs, 3); err == nil {
-			t.Errorf("%s accepted", tc.name)
-		}
-	}
-}
-
 // BenchmarkInvariantSuite324 runs the full invariant catalog — all 15
 // executable theorem and representation checks — against the paper's
 // 324-node cluster under compiled D-Mod-K, the exact workload of `make

@@ -25,6 +25,17 @@ func decodeSamples(t *testing.T, raw string) []sampleRecord {
 	return recs
 }
 
+// runWork drains sched, calling work for each dispatch event; the
+// sampler's daemon ticks run inside NextEvent.
+func runWork(sched *des.Scheduler, work func()) {
+	for {
+		if _, _, _, _, ok := sched.NextEvent(); !ok {
+			return
+		}
+		work()
+	}
+}
+
 // TestSamplerTicksWithScheduler runs a sampler against a scheduler that
 // has work spanning 10 us and checks the tick cadence, the values and
 // that the sampler stops when the simulation drains.
@@ -33,10 +44,10 @@ func TestSamplerTicksWithScheduler(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewSampler(&buf, 2*des.Microsecond)
 	state := 0.0
-	// Simulated work: an event every microsecond for 10 us mutating
-	// state; the sampler should see the running value.
+	// Simulated work: a dispatch event every microsecond for 10 us,
+	// each mutating state; the sampler should see the running value.
 	for i := 1; i <= 10; i++ {
-		sched.At(des.Time(i)*des.Microsecond, func() { state++ })
+		sched.AtEvent(des.Time(i)*des.Microsecond, 0, 0, 0, 0)
 	}
 	s.Series("state", func(now des.Time, buf []float64) []float64 {
 		return append(buf, state)
@@ -45,9 +56,7 @@ func TestSamplerTicksWithScheduler(t *testing.T) {
 		return append(buf, 1, 2)
 	})
 	s.Start(sched)
-	if !sched.Run(0) {
-		t.Fatal("run aborted")
-	}
+	runWork(sched, func() { state++ })
 	// Ticks at 0,2,4,6,8 us; the daemon tick armed for 10 us is
 	// discarded once the last work event has run. The owner closes the
 	// stream with one explicit end-of-run sample.
@@ -103,9 +112,9 @@ func TestSamplerRecordAndReset(t *testing.T) {
 	s.Series("x", func(now des.Time, b []float64) []float64 { return append(b, 1) })
 	s.Reset() // drops the series
 	sched := des.NewScheduler()
-	sched.At(1, func() {})
+	sched.AtEvent(1, 0, 0, 0, 0)
 	s.Start(sched)
-	sched.Run(0)
+	runWork(sched, func() {})
 	s.Record(map[string]string{"series": "snapshot", "kind": "final"})
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)

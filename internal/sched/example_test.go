@@ -19,7 +19,8 @@ func ExampleAllocator() {
 	j2, _ := a.Alloc(324)
 	fmt.Println("job1 contention-free:", j1.ContentionFree)
 	fmt.Println("job2 contention-free:", j2.ContentionFree)
-	fmt.Printf("utilization: %.1f%%\n", 100*a.Utilization())
+	used := cluster.NumHosts() - a.FreeHosts()
+	fmt.Printf("utilization: %.1f%%\n", 100*float64(used)/float64(cluster.NumHosts()))
 	// Output:
 	// granule: 324
 	// job1 contention-free: true

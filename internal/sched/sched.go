@@ -79,11 +79,6 @@ func (a *Allocator) FreeHosts() int {
 	return n
 }
 
-// Utilization returns allocated fraction of the machine.
-func (a *Allocator) Utilization() float64 {
-	return 1 - float64(a.FreeHosts())/float64(len(a.freeRun))
-}
-
 // Alloc places a job of the given size. It prefers (in order): a
 // granule-aligned contiguous block, any contiguous block, and finally a
 // scatter of whatever is free. The Allocation records which guarantees
