@@ -110,7 +110,7 @@ func run(w io.Writer, spec string, discover, dumpLFTs bool, fail int, seed int64
 		// Shift under the topology order over the pairs the (re)routed
 		// fabric still delivers.
 		n := t.NumHosts()
-		rep, err := hsd.AnalyzeServed(tb.Compiled, order.Topology(n, nil), cps.Shift(n))
+		rep, err := hsd.Analyze(tb.Compiled, order.Topology(n, nil), cps.Shift(n))
 		if err != nil {
 			return err
 		}

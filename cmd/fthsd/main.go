@@ -148,7 +148,7 @@ func run(w io.Writer, spec, engName string, seed int64, cpsName, ordering string
 // The obs sinks are fed either way.
 func analyzeOne(w io.Writer, tb *engine.Tables, o *order.Ordering, seq cps.Sequence, perStage, levels, jsonOut bool, sinks *obs.FileSinks) error {
 	rt := tb.Compiled
-	rep, err := hsd.AnalyzeParallel(rt, o, seq, 0)
+	rep, err := hsd.Analyze(rt, o, seq)
 	if err != nil {
 		return err
 	}

@@ -154,7 +154,7 @@ func scoreCell(t *topo.Topology, e engine.Engine, fs *fabric.FaultSet, cfg Confi
 	// Shift over the served pairs, ranks on end-ports in index order:
 	// the degradation the paper's headline metric suffers at this level.
 	seq := cps.Shift(n)
-	rep, err := hsd.AnalyzeServed(tb.Compiled, order.Topology(n, nil), seq)
+	rep, err := hsd.Analyze(tb.Compiled, order.Topology(n, nil), seq)
 	if err != nil {
 		res.Err = err.Error()
 		return res

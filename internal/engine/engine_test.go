@@ -190,7 +190,7 @@ func TestHealthyShiftHSDOne(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := hsd.AnalyzeParallel(tb.Compiled, o, cps.Shift(tp.NumHosts()), 0)
+		rep, err := hsd.Analyze(tb.Compiled, o, cps.Shift(tp.NumHosts()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -120,7 +120,7 @@ func BidirAblation(cluster topo.PGFT) (*Table, error) {
 		Header: []string{"sequence", "stages", "max HSD", "avg max HSD"},
 	}
 	for _, seq := range []cps.Sequence{flat, ta} {
-		rep, err := hsd.AnalyzeParallel(rt, o, seq, 0)
+		rep, err := hsd.Analyze(rt, o, seq)
 		if err != nil {
 			return nil, err
 		}

@@ -47,5 +47,5 @@ func analyzeLFT(lft *route.LFT, o *order.Ordering, seq cps.Sequence) (*hsd.Repor
 	if err != nil {
 		return nil, err
 	}
-	return hsd.AnalyzeParallel(rt, o, seq, 0)
+	return hsd.Analyze(rt, o, seq)
 }

@@ -46,7 +46,7 @@ func Figure1(randomSeeds int) (*Table, error) {
 		Title:  "Figure 1: routing-aware vs random MPI node order, dst=(src+4) mod 16",
 		Header: []string{"ordering", "max HSD", "hot links"},
 	}
-	ordered, err := hsd.AnalyzeParallel(rt, order.Topology(16, nil), seq, 0)
+	ordered, err := hsd.Analyze(rt, order.Topology(16, nil), seq)
 	if err != nil {
 		return nil, err
 	}
@@ -54,7 +54,7 @@ func Figure1(randomSeeds int) (*Table, error) {
 		"routing-aware", fmt.Sprint(ordered.MaxHSD()), fmt.Sprint(ordered.Stages[0].HotLinks),
 	})
 	for seed := int64(0); seed < int64(randomSeeds); seed++ {
-		rep, err := hsd.AnalyzeParallel(rt, order.Random(16, nil, seed), seq, 0)
+		rep, err := hsd.Analyze(rt, order.Random(16, nil, seed), seq)
 		if err != nil {
 			return nil, err
 		}

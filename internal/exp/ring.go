@@ -55,7 +55,7 @@ func RingAdversarial(o RingOpts) (*Table, error) {
 	var hsds []float64
 	var cases []mpi.Case
 	for _, ord := range []*order.Ordering{order.Topology(n, nil), adv} {
-		rep, err := hsd.AnalyzeParallel(rt, ord, ring, 0)
+		rep, err := hsd.Analyze(rt, ord, ring)
 		if err != nil {
 			return nil, err
 		}

@@ -96,7 +96,7 @@ func Table3(o Table3Opts) (*Table, error) {
 				return nil, err
 			}
 		}
-		repShift, err := hsd.AnalyzeParallel(rt, ordered, shift, 0)
+		repShift, err := hsd.Analyze(rt, ordered, shift)
 		if err != nil {
 			return nil, err
 		}
@@ -105,7 +105,7 @@ func Table3(o Table3Opts) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		repTA, err := hsd.AnalyzeParallel(rt, ordered, taSeq, 0)
+		repTA, err := hsd.Analyze(rt, ordered, taSeq)
 		if err != nil {
 			return nil, err
 		}

@@ -42,7 +42,7 @@ func TaperAblation() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := hsd.AnalyzeParallel(rt, order.Topology(n, nil), cps.Shift(n), 0)
+		rep, err := hsd.Analyze(rt, order.Topology(n, nil), cps.Shift(n))
 		if err != nil {
 			return nil, err
 		}

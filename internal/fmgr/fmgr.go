@@ -415,7 +415,7 @@ func New(cfg Config) (*Manager, error) {
 		m.mWireRoutes = reg.Counter("fmgr_wire_routes_served_total")
 		m.mWireConns = reg.Gauge("fmgr_wire_conns")
 	}
-	wireRED := obs.NewRED(cfg.Metrics, "fmgr_wire", nil)
+	wireRED := obs.NewRED(cfg.Metrics, "fmgr_wire")
 	m.wireEpochEP = wireRED.Endpoint("epoch")
 	m.wireRouteSetEP = wireRED.Endpoint("route_set")
 	m.wireOrderEP = wireRED.Endpoint("order")
@@ -1014,7 +1014,7 @@ func (m *Manager) buildTables(names []string, sp *obs.Span) (*fabricTables, erro
 		// Shift under the topology order over the pairs the tables serve.
 		c, t0 := sp.Child("shift_hsd"), time.Now()
 		var err error
-		tables.hsd, err = hsd.AnalyzeServed(tb.Compiled, m.orderv, cps.Shift(m.t.NumHosts()))
+		tables.hsd, err = hsd.Analyze(tb.Compiled, m.orderv, cps.Shift(m.t.NumHosts()))
 		c.End()
 		tables.shiftHSDUS = time.Since(t0).Microseconds()
 		if err != nil {

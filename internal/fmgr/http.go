@@ -91,7 +91,7 @@ type errorDoc struct {
 //	GET  /v1/jobs               placements frozen in the snapshot
 //	GET  /v1/events?limit=N&since_seq=S  fabric event journal, oldest
 //	     first; since_seq returns only records with seq >= S for
-//	     incremental polling (n is accepted as a synonym for limit)
+//	     incremental polling
 //	POST /v1/faults             enqueue fail/revive/fail_random events
 //	POST /v1/jobs               allocate a job (synchronous)
 //	DELETE /v1/jobs?id=N        release a job (synchronous)
@@ -107,7 +107,7 @@ type errorDoc struct {
 // daemon stays observable under load.
 func (m *Manager) Handler() http.Handler {
 	api := http.NewServeMux()
-	red := obs.NewRED(m.cfg.Metrics, "fmgr_http", nil)
+	red := obs.NewRED(m.cfg.Metrics, "fmgr_http")
 	// Per-route RED handles are resolved once here, not per request:
 	// the serving path pays two atomic adds and one histogram
 	// observation, no lock, no map lookup — and the endpoint label is
@@ -133,7 +133,7 @@ func (m *Manager) Handler() http.Handler {
 	handle("DELETE /v1/jobs", m.handleJobFree)
 
 	mux := http.NewServeMux()
-	mux.Handle("/v1/", m.instrument(m.gated(http.TimeoutHandler(api, m.cfg.RequestTimeout, `{"error":"request timed out"}`))))
+	mux.Handle("/v1/", m.gated(http.TimeoutHandler(api, m.cfg.RequestTimeout, `{"error":"request timed out"}`)))
 	mux.HandleFunc("GET /healthz", m.handleHealthz)
 	mux.HandleFunc("GET /metrics", m.handleMetrics)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -162,23 +162,6 @@ func (m *Manager) gated(next http.Handler) http.Handler {
 			throttled.Inc()
 			writeJSON(w, http.StatusTooManyRequests, errorDoc{Error: "too many in-flight requests"})
 		}
-	})
-}
-
-// instrument counts requests and observes handling latency in
-// aggregate (requests_total + latency_us, kept for compatibility).
-// Per-endpoint RED instrumentation lives in the per-route wrappers
-// installed by Handler, where the endpoint handle is resolved once at
-// mux construction.
-func (m *Manager) instrument(next http.Handler) http.Handler {
-	total := m.cfg.Metrics.Counter("fmgr_http_requests_total")
-	latHist := m.cfg.Metrics.MustHistogram("fmgr_http_latency_us",
-		[]float64{10, 50, 100, 500, 1000, 5000, 10000, 100000, 1e6})
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		total.Inc()
-		next.ServeHTTP(w, r)
-		latHist.Observe(float64(time.Since(start).Microseconds()))
 	})
 }
 
@@ -449,14 +432,11 @@ func (m *Manager) handleJobsList(w http.ResponseWriter, r *http.Request) {
 func (m *Manager) handleEvents(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	n := 0
-	// ?limit is the documented spelling; ?n remains as the original.
-	for _, key := range []string{"n", "limit"} {
-		if s := q.Get(key); s != "" {
-			var err error
-			if n, err = strconv.Atoi(s); err != nil {
-				writeJSON(w, http.StatusBadRequest, errorDoc{Error: "bad \"" + key + "\": " + err.Error()})
-				return
-			}
+	if s := q.Get("limit"); s != "" {
+		var err error
+		if n, err = strconv.Atoi(s); err != nil {
+			writeJSON(w, http.StatusBadRequest, errorDoc{Error: "bad \"limit\": " + err.Error()})
+			return
 		}
 	}
 	var recs []schema.Event

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -128,18 +129,15 @@ func TestEventsReplayFaultLifecycle(t *testing.T) {
 		}
 	}
 
-	// n-limited and invalid-n queries.
+	// A limited query keeps the newest record.
 	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/events?n=1", nil))
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/events?limit=1", nil))
 	var one schema.EventsDoc
 	if err := json.Unmarshal(rec.Body.Bytes(), &one); err != nil {
 		t.Fatal(err)
 	}
 	if len(one.Events) != 1 || one.Events[0].Kind != schema.EvSwap {
-		t.Fatalf("events?n=1 = %+v, want just the swap", one.Events)
-	}
-	if rec, _ := get(t, h, "/v1/events?n=bad"); rec.Code != http.StatusBadRequest {
-		t.Fatalf("events?n=bad: %d, want 400", rec.Code)
+		t.Fatalf("events?limit=1 = %+v, want just the swap", one.Events)
 	}
 }
 
@@ -201,6 +199,54 @@ func TestMetricsContentNegotiation(t *testing.T) {
 	h.ServeHTTP(rec, req)
 	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("?format=json content type %q", ct)
+	}
+}
+
+// TestHTTPRequestsCountedOnce: every /v1 request lands in exactly one
+// series of the fmgr_http_requests_total family — the per-endpoint RED
+// counters — so the family sums to the number of requests, in the JSON
+// snapshot and in the Prometheus exposition alike.
+func TestHTTPRequestsCountedOnce(t *testing.T) {
+	m := newManager(t, "rlft2:4,8", nil)
+	m.Start()
+	h := m.Handler()
+	urls := []string{"/v1/route?src=0&dst=9", "/v1/route?src=1&dst=2", "/v1/order", "/v1/hsd", "/v1/events", "/v1/route?src=0&dst=9999"}
+	for _, url := range urls {
+		get(t, h, url)
+	}
+	const family = "fmgr_http_requests_total"
+
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	var snap obs.Snapshot
+	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	var sum int64
+	for name, v := range snap.Counters {
+		if name == family || strings.HasPrefix(name, family+"{") {
+			sum += v
+		}
+	}
+	if sum != int64(len(urls)) {
+		t.Fatalf("%s sums to %d over %d requests (counters: %v)", family, sum, len(urls), snap.Counters)
+	}
+
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?format=prometheus", nil))
+	var prom float64
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if !strings.HasPrefix(line, family+" ") && !strings.HasPrefix(line, family+"{") {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+		if err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		prom += v
+	}
+	if prom != float64(len(urls)) {
+		t.Fatalf("exposed %s sums to %v over %d requests:\n%s", family, prom, len(urls), rec.Body.String())
 	}
 }
 
@@ -345,7 +391,7 @@ func TestEventsSinceHTTP(t *testing.T) {
 	if len(all.Events) < 2 {
 		t.Fatalf("expected a fault lifecycle, got %+v", all.Events)
 	}
-	// ?limit is a synonym for ?n: newest records win.
+	// ?limit keeps the newest records.
 	lim := fetch("/v1/events?limit=1")
 	if len(lim.Events) != 1 || lim.Events[0].Seq != all.Events[len(all.Events)-1].Seq {
 		t.Fatalf("limit=1 = %+v, want the newest record", lim.Events)

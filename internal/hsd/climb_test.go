@@ -48,9 +48,9 @@ func TestClimbPath(t *testing.T) {
 		o := order.Random(n, nil, 7)
 		seq := cps.Shift(n)
 		for _, s := range []int{1, n / 2, n - 1} {
-			got, ok, err := hsd.Climbs(a, seq.Stage(s), o)
-			if err != nil || !ok {
-				t.Fatalf("%s stage %d: the climbing replay gave up on a permutation (%v)", name, s, err)
+			got, ok := hsd.Climbs(a, seq.Stage(s), o)
+			if !ok {
+				t.Fatalf("%s stage %d: the climbing replay gave up on a permutation", name, s)
 			}
 			var pairs [][2]int
 			for _, p := range seq.Stage(s) {

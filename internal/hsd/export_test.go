@@ -9,7 +9,7 @@ import (
 // counts every stage in full.
 func ClimbWidth(a *Analyzer) int { return a.climb }
 
-// Climbs is stageRanks' climbing replay of one unserved stage.
-func Climbs(a *Analyzer, st cps.Stage, o *order.Ordering) (StageResult, bool, error) {
-	return a.climbs(st, o, false)
+// Climbs is stageRanks' climbing replay of one stage.
+func Climbs(a *Analyzer, st cps.Stage, o *order.Ordering) (StageResult, bool) {
+	return a.climbs(st, o)
 }

@@ -20,7 +20,8 @@ import (
 type StageResult struct {
 	// MaxHSD is the highest flow count on any directed link.
 	MaxHSD int
-	// Flows is the number of flows in the stage.
+	// Flows is the number of flows in the stage: its pairs that carry
+	// traffic.
 	Flows int
 	// HotLinks is the number of directed links with more than one flow.
 	HotLinks int
@@ -198,27 +199,28 @@ func (a *Analyzer) flush(n int, climbing bool) {
 }
 
 // Stage counts one stage of host-index flows: pairs are (source end-port,
-// destination end-port). It returns the stage summary.
+// destination end-port). It returns the stage summary. A self pair, or a
+// pair the arena marks Broken, carries no traffic and is not counted as a
+// flow; an end-port outside the fabric, or a Walk error of a router
+// without an arena, is an error.
 func (a *Analyzer) Stage(pairs [][2]int) (StageResult, error) {
-	res := StageResult{Flows: len(pairs)}
-	c := a.pc
-	if c == nil || a.track {
-		return a.stageWalk(res, pairs)
-	}
-	n := uint(c.Topology().NumHosts())
+	n := uint(a.rt.Topology().NumHosts())
 	for _, p := range pairs {
 		if uint(p[0]) >= n || uint(p[1]) >= n {
-			return res, unserved(c, p[0], p[1])
+			return StageResult{}, fmt.Errorf("hsd: %s: pair %d->%d out of range [0,%d)", a.rt.Label(), p[0], p[1], n)
 		}
 	}
+	c := a.pc
+	if c == nil || a.track {
+		return a.stageWalk(pairs)
+	}
 	clear(a.raw)
+	res := StageResult{Flows: len(pairs)}
 	broken, q := c.NumBroken() > 0, 0
 	for _, p := range pairs {
-		if p[0] == p[1] {
+		if p[0] == p[1] || broken && c.Broken(p[0], p[1]) {
+			res.Flows--
 			continue
-		}
-		if broken && c.Broken(p[0], p[1]) {
-			return res, unserved(c, p[0], p[1])
 		}
 		if q = a.queue(q, p[0], p[1]); q == batch {
 			a.flush(q, false)
@@ -229,31 +231,10 @@ func (a *Analyzer) Stage(pairs [][2]int) (StageResult, error) {
 	return a.summarize(res), nil
 }
 
-// unserved returns the arena's own error for a pair it does not serve.
-func unserved(c *route.Compiled, src, dst int) error {
-	_, err := c.AppendPath(nil, src, dst)
-	return err
-}
-
-// skip settles a rank pair that carries no traffic, a self pair or one
-// the arena breaks, for stageRanks: served, it is not counted as a flow;
-// otherwise a broken pair is an error.
-func (a *Analyzer) skip(res *StageResult, src, dst int, served bool) error {
-	if !served && src != dst {
-		return unserved(a.pc, src, dst)
-	}
-	if served {
-		res.Flows--
-	}
-	return nil
-}
-
 // stageRanks is Stage over one CPS stage of an ordering validated by
-// checkJob, for the untracked analyzers of analyze and the sweeps: ranks
+// checkJob, for the untracked analyzers of Analyze and the sweeps: ranks
 // are translated to end-ports on the fly, so the bulk path builds no pair
-// list. With served set (arenas only), self-pairs and pairs the arena
-// marks broken carry no traffic and are not counted as flows; otherwise a
-// broken pair is an error.
+// list.
 //
 // On an arena that certifies Theorem 2 (route.Compiled.ClimbWidth) it
 // first counts each flow's climb alone. While no end-port sends twice or
@@ -264,7 +245,7 @@ func (a *Analyzer) skip(res *StageResult, src, dst int, served bool) error {
 // or receive twice is counted again in full. Either way the result is
 // Stage's, bit for bit; only the counters LinkLoads reads differ, which
 // no caller of stageRanks reads.
-func (a *Analyzer) stageRanks(st cps.Stage, o *order.Ordering, served bool) (StageResult, error) {
+func (a *Analyzer) stageRanks(st cps.Stage, o *order.Ordering) (StageResult, error) {
 	if a.pc == nil {
 		a.pairs = a.pairs[:0]
 		for _, p := range st {
@@ -273,15 +254,15 @@ func (a *Analyzer) stageRanks(st cps.Stage, o *order.Ordering, served bool) (Sta
 		return a.Stage(a.pairs)
 	}
 	if a.climb > 0 {
-		if res, ok, err := a.climbs(st, o, served); ok || err != nil {
-			return res, err
+		if res, ok := a.climbs(st, o); ok {
+			return res, nil
 		}
 	}
-	return a.replay(st, o, served)
+	return a.replay(st, o), nil
 }
 
 // replay counts the whole path of every flow of one stage for stageRanks.
-func (a *Analyzer) replay(st cps.Stage, o *order.Ordering, served bool) (StageResult, error) {
+func (a *Analyzer) replay(st cps.Stage, o *order.Ordering) StageResult {
 	c := a.pc
 	clear(a.raw)
 	res := StageResult{Flows: len(st)}
@@ -289,9 +270,7 @@ func (a *Analyzer) replay(st cps.Stage, o *order.Ordering, served bool) (StageRe
 	for _, p := range st {
 		src, dst := hostOf[p.Src], hostOf[p.Dst]
 		if src == dst || broken && c.Broken(src, dst) {
-			if err := a.skip(&res, src, dst, served); err != nil {
-				return res, err
-			}
+			res.Flows--
 			continue
 		}
 		if q = a.queue(q, src, dst); q == batch {
@@ -300,17 +279,17 @@ func (a *Analyzer) replay(st cps.Stage, o *order.Ordering, served bool) (StageRe
 		}
 	}
 	a.flush(q, false)
-	return a.summarize(res), nil
+	return a.summarize(res)
 }
 
 // climbs is replay counting each flow's climb alone, on an arena that
 // certifies Theorem 2. It gives up (ok false) at the first end-port that
 // sends or receives twice: seen stamps each one it meets.
-func (a *Analyzer) climbs(st cps.Stage, o *order.Ordering, served bool) (res StageResult, ok bool, err error) {
+func (a *Analyzer) climbs(st cps.Stage, o *order.Ordering) (res StageResult, ok bool) {
 	c := a.pc
 	clear(a.raw)
 	res = StageResult{Flows: len(st)}
-	broken, hostOf, q, flows := c.NumBroken() > 0, o.HostOf, 0, len(st)
+	broken, hostOf, q := c.NumBroken() > 0, o.HostOf, 0
 	if a.stamp++; a.stamp == 0 { // wrapped: no stamp in seen may survive
 		clear(a.seen)
 		a.stamp = 1
@@ -320,14 +299,11 @@ func (a *Analyzer) climbs(st cps.Stage, o *order.Ordering, served bool) (res Sta
 	for _, p := range st {
 		src, dst := hostOf[p.Src], hostOf[p.Dst]
 		if src == dst || broken && c.Broken(src, dst) {
-			if err := a.skip(&res, src, dst, served); err != nil {
-				return res, false, err
-			}
-			flows--
+			res.Flows--
 			continue
 		}
 		if sent[src] == stamp || got[dst] == stamp {
-			return res, false, nil
+			return res, false
 		}
 		sent[src], got[dst] = stamp, stamp
 		row, _, _ := c.Row(src)
@@ -338,13 +314,13 @@ func (a *Analyzer) climbs(st cps.Stage, o *order.Ordering, served bool) (res Sta
 		}
 	}
 	a.flush(q, true)
-	return a.climbSummary(res, flows), true, nil
+	return a.climbSummary(res), true
 }
 
 // stageWalk is Stage for routers without an arena and for forensics: it
 // walks every pair hop by hop — a compiled router replays its cached
 // path through Walk — and, with tracking on, records flow membership.
-func (a *Analyzer) stageWalk(res StageResult, pairs [][2]int) (StageResult, error) {
+func (a *Analyzer) stageWalk(pairs [][2]int) (StageResult, error) {
 	clear(a.raw)
 	for i := range a.memb {
 		a.memb[i] = a.memb[i][:0]
@@ -357,8 +333,12 @@ func (a *Analyzer) stageWalk(res StageResult, pairs [][2]int) (StageResult, erro
 			a.memb[e] = append(a.memb[e], idx)
 		}
 	}
+	res := StageResult{Flows: len(pairs)}
+	c := a.pc
+	broken := c != nil && c.NumBroken() > 0
 	for i, p := range pairs {
-		if p[0] == p[1] {
+		if p[0] == p[1] || broken && c.Broken(p[0], p[1]) {
+			res.Flows--
 			continue
 		}
 		idx = int32(i)
@@ -387,11 +367,11 @@ func (a *Analyzer) summarize(res StageResult) StageResult {
 	return res
 }
 
-// climbSummary is summarize after a climbing replay of flows flows, no
-// two from one end-port or to one: every host link carries at most one of
-// them either way, and so does every descent, so the links that can say
-// more are the switch links going up — the only counters it reads.
-func (a *Analyzer) climbSummary(res StageResult, flows int) StageResult {
+// climbSummary is summarize after a climbing replay of res.Flows flows,
+// no two from one end-port or to one: every host link carries at most one
+// of them either way, and so does every descent, so the links that can
+// say more are the switch links going up — the only counters it reads.
+func (a *Analyzer) climbSummary(res StageResult) StageResult {
 	var maxUp int32
 	var hot uint32
 	cnt := a.cnt
@@ -400,7 +380,7 @@ func (a *Analyzer) climbSummary(res StageResult, flows int) StageResult {
 		maxUp = max(maxUp, u)
 		hot += uint32(1-u) >> 31
 	}
-	one := int32(min(flows, 1)) // the load of every host link a flow takes
+	one := int32(min(res.Flows, 1)) // the load of every host link a flow takes
 	res.MaxUpHSD, res.MaxDownHSD, res.HotLinks = int(max(maxUp, one)), int(one), int(hot)
 	res.MaxHSD = res.MaxUpHSD
 	return res
@@ -429,12 +409,6 @@ func ensureLen(b []int32, n int) []int32 {
 	return make([]int32, n)
 }
 
-// Analyze runs a full sequence through the analyzer: CPS ranks are
-// translated to end-ports via the ordering.
-func Analyze(rt route.Router, o *order.Ordering, seq cps.Sequence) (*Report, error) {
-	return analyze(rt, o, seq, false)
-}
-
 // Sweep summarizes AvgMaxHSD over several orderings (the paper's 25
 // random seeds): mean, min and max of the per-ordering averages.
 type Sweep struct {
@@ -459,31 +433,6 @@ func (a *Analyzer) LevelLoads() (up, down []int) {
 		}
 	}
 	return up, down
-}
-
-// AnalyzeServed is Analyze over the pairs a possibly faulted arena still
-// serves: self-pairs and pairs c marks broken carry no traffic and are
-// dropped, so the report reflects the flows the fabric can deliver — the
-// daemon's standing Shift summary, ftfabric -report and the bake-off
-// score. On a healthy arena it equals Analyze.
-func AnalyzeServed(c *route.Compiled, o *order.Ordering, seq cps.Sequence) (*Report, error) {
-	return analyze(c, o, seq, true)
-}
-
-func analyze(rt route.Router, o *order.Ordering, seq cps.Sequence, served bool) (*Report, error) {
-	if err := checkJob(rt, o, seq); err != nil {
-		return nil, err
-	}
-	a := NewAnalyzer(rt)
-	rep := &Report{Sequence: seq.Name(), Ordering: o.Label, Routing: rt.Label()}
-	for s := 0; s < seq.NumStages(); s++ {
-		sr, err := a.stageRanks(seq.Stage(s), o, served)
-		if err != nil {
-			return nil, err
-		}
-		rep.Stages = append(rep.Stages, sr)
-	}
-	return rep, nil
 }
 
 // checkJob validates an ordering against the sequence and the fabric

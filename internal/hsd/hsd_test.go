@@ -315,8 +315,8 @@ func TestStageSelfFlowsSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sr.MaxHSD != 1 {
-		t.Errorf("max HSD = %d, want 1", sr.MaxHSD)
+	if sr.MaxHSD != 1 || sr.Flows != 1 {
+		t.Errorf("max HSD = %d over %d flows, want 1 over 1: a self pair is no flow", sr.MaxHSD, sr.Flows)
 	}
 }
 

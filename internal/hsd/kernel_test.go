@@ -1,7 +1,6 @@
 package hsd_test
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -23,15 +22,35 @@ import (
 // the hop-by-hop Walk path even when the router is a compiled arena.
 type walkOnly struct{ route.Router }
 
+// served translates one stage's ranks to end-ports and keeps the pairs
+// that carry traffic, neither self pairs nor pairs c marks broken: the
+// filter of the filter-then-Stage loop every driver must equal.
+func served(c *route.Compiled, o *order.Ordering, st cps.Stage) [][2]int {
+	var pairs [][2]int
+	for _, p := range st {
+		src, dst := o.HostOf[p.Src], o.HostOf[p.Dst]
+		if src != dst && !c.Broken(src, dst) {
+			pairs = append(pairs, [2]int{src, dst})
+		}
+	}
+	return pairs
+}
+
 // sweepByHand aggregates per-ordering AvgMaxHSD values the way the sweeps
-// promise to, from one sequential Analyze per ordering.
-func sweepByHand(t *testing.T, rt route.Router, orders []*order.Ordering, seq cps.Sequence) hsd.Sweep {
+// promise to, from the filter-then-Stage loop of an analyzer that walks
+// c's own tables.
+func sweepByHand(t *testing.T, c *route.Compiled, orders []*order.Ordering, seq cps.Sequence) hsd.Sweep {
 	t.Helper()
 	var sw hsd.Sweep
+	walk := hsd.NewAnalyzer(walkOnly{c.Inner()})
 	for i, o := range orders {
-		rep, err := hsd.Analyze(rt, o, seq)
-		if err != nil {
-			t.Fatal(err)
+		var rep hsd.Report
+		for s := 0; s < seq.NumStages(); s++ {
+			sr, err := walk.Stage(served(c, o, seq.Stage(s)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep.Stages = append(rep.Stages, sr)
 		}
 		v := rep.AvgMaxHSD()
 		sw.Mean += v
@@ -86,10 +105,9 @@ func (n recounts) Stage(s int) cps.Stage {
 // arenas x {Shift, sampled Shift, Recursive-Doubling, Ring, recounts} x
 // {topology, random} orderings. On every served stage the kernel must
 // agree with an analyzer that walks the same tables hop by hop — summary,
-// per-link and per-level loads — and every entry point built on it
-// (AnalyzeServed, Analyze, AnalyzeParallel, the sweeps, which count a
-// stage by its climbs where the arena allows it) with its sequential,
-// filter-then-Stage or by-hand form.
+// per-link and per-level loads — and Analyze and the sweeps (which count
+// a stage by its climbs where the arena allows it) with the
+// filter-then-Stage loop.
 func TestKernelDifferential(t *testing.T) { t.Run("32-bit cells", testKernelDifferential) }
 
 func testKernelDifferential(t *testing.T) {
@@ -150,24 +168,21 @@ func testKernelDifferential(t *testing.T) {
 }
 
 // checkStages compares, stage by stage over the pairs c serves, the
-// kernel's Stage with a Walk of c's own tables, and AnalyzeServed with
-// that filter-then-Stage loop.
+// kernel's Stage with a Walk of c's own tables, and Analyze with that
+// filter-then-Stage loop.
 func checkStages(t *testing.T, what string, c *route.Compiled, o *order.Ordering, seq cps.Sequence) {
 	t.Helper()
 	kernel, walk := hsd.NewAnalyzer(c), hsd.NewAnalyzer(walkOnly{c.Inner()})
-	served, err := hsd.AnalyzeServed(c, o, seq)
+	rep, err := hsd.Analyze(c, o, seq)
 	if err != nil {
-		t.Fatalf("%s: AnalyzeServed: %v", what, err)
+		t.Fatalf("%s: Analyze: %v", what, err)
+	}
+	if rep.Sequence != seq.Name() || rep.Ordering != o.Label || rep.Routing != c.Label() || len(rep.Stages) != seq.NumStages() {
+		t.Fatalf("%s: Analyze labels %q/%q/%q over %d stages", what, rep.Sequence, rep.Ordering, rep.Routing, len(rep.Stages))
 	}
 	nl := len(c.Topology().Links)
 	for s := 0; s < seq.NumStages(); s++ {
-		var pairs [][2]int
-		for _, p := range seq.Stage(s) {
-			src, dst := o.HostOf[p.Src], o.HostOf[p.Dst]
-			if src != dst && !c.Broken(src, dst) {
-				pairs = append(pairs, [2]int{src, dst})
-			}
-		}
+		pairs := served(c, o, seq.Stage(s))
 		got, err := kernel.Stage(pairs)
 		if err != nil {
 			t.Fatalf("%s stage %d: kernel: %v", what, s, err)
@@ -179,8 +194,8 @@ func checkStages(t *testing.T, what string, c *route.Compiled, o *order.Ordering
 		if got != want {
 			t.Fatalf("%s stage %d: kernel %+v, walk %+v", what, s, got, want)
 		}
-		if served.Stages[s] != want {
-			t.Fatalf("%s stage %d: AnalyzeServed %+v, filter-then-Stage %+v", what, s, served.Stages[s], want)
+		if rep.Stages[s] != want {
+			t.Fatalf("%s stage %d: Analyze %+v, filter-then-Stage %+v", what, s, rep.Stages[s], want)
 		}
 		gu, gd := kernel.LinkLoads(nil, nil)
 		wu, wd := walk.LinkLoads(nil, nil)
@@ -195,54 +210,135 @@ func checkStages(t *testing.T, what string, c *route.Compiled, o *order.Ordering
 	}
 }
 
-// checkDrivers compares the unfiltered drivers over c with their
-// references. An arena with a broken pair on the sequence's path must
-// make every one of them fail with ErrNoPath instead.
+// checkDrivers compares the sweeps over c with the filter-then-Stage
+// loop's averages, broken pairs or not.
 func checkDrivers(t *testing.T, what string, c *route.Compiled, orders []*order.Ordering, seq cps.Sequence) {
 	t.Helper()
-	if c.NumBroken() > 0 {
-		_, errA := hsd.Analyze(c, orders[1], seq)
-		_, errP := hsd.AnalyzeParallel(c, orders[1], seq, 3)
-		_, errS := hsd.SweepOrderingsParallel(c, orders, seq, 2)
-		hits := false // does the sequence touch a broken pair under orders[1]?
-		for s := 0; s < seq.NumStages() && !hits; s++ {
-			for _, p := range seq.Stage(s) {
-				hits = hits || c.Broken(orders[1].HostOf[p.Src], orders[1].HostOf[p.Dst])
-			}
-		}
-		for _, err := range []error{errA, errP, errS} {
-			if hits && !errors.Is(err, route.ErrNoPath) {
-				t.Fatalf("%s: a broken pair on the path answered %v, want ErrNoPath", what, err)
-			}
-		}
-		return
-	}
-	for _, o := range orders[:2] {
-		want, err := hsd.Analyze(walkOnly{c.Inner()}, o, seq)
-		if err != nil {
-			t.Fatalf("%s: walk Analyze: %v", what, err)
-		}
-		got, err := hsd.Analyze(c, o, seq)
-		if err != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s %s: Analyze over the arena differs from the walk (%v)", what, o.Label, err)
-		}
-		for _, workers := range []int{1, 3} {
-			par, err := hsd.AnalyzeParallel(c, o, seq, workers)
-			if err != nil || !reflect.DeepEqual(par, want) {
-				t.Fatalf("%s %s: AnalyzeParallel(%d) differs from Analyze (%v)", what, o.Label, workers, err)
-			}
-		}
-	}
 	// One ordering against many workers splits its stages; three against
 	// two does not; both must reproduce the per-ordering averages.
 	for _, k := range []int{1, len(orders)} {
-		want := sweepByHand(t, walkOnly{c.Inner()}, orders[:k], seq)
+		want := sweepByHand(t, c, orders[:k], seq)
 		for _, workers := range []int{1, 2, 7} {
 			if got, err := hsd.SweepOrderingsParallel(c, orders[:k], seq, workers); err != nil || got != want {
 				t.Fatalf("%s: SweepOrderingsParallel(%d orderings, %d workers) %+v, by hand %+v (%v)", what, k, workers, got, want, err)
 			}
 		}
 	}
+}
+
+// oneStage is a test-local sequence of one given stage over n ranks.
+type oneStage struct {
+	n  int
+	st cps.Stage
+}
+
+func (s oneStage) Name() string        { return "one-stage" }
+func (s oneStage) Size() int           { return s.n }
+func (s oneStage) NumStages() int      { return 1 }
+func (s oneStage) Bidirectional() bool { return false }
+func (s oneStage) Stage(int) cps.Stage { return s.st }
+
+// TestServedPairRule pins the one rule every driver counts by: a self
+// pair, or a pair the arena marks Broken, carries no traffic and is not
+// a flow. A Shift stage with one rank sending to itself, and on a
+// leniently compiled faulted arena one rank sending over a broken pair,
+// must read the same from Stage, from a tracking analyzer, from Analyze,
+// from SweepOrderingsParallel and from an analyzer that walks the arena's
+// tables (given the served pairs) as from the filter-then-Stage loop.
+func TestServedPairRule(t *testing.T) {
+	var faulted *route.Compiled
+	for seed := int64(1); seed <= 8 && faulted == nil; seed++ {
+		tp := topo.MustBuild(invariant.RandRLFT(seed))
+		fs := fabric.NewFaultSet(tp)
+		if err := fs.FailRandomFabricLinks(2, seed); err != nil {
+			t.Fatal(err)
+		}
+		tb, err := engine.Resolve("dmodk-naive", tp, engine.Options{}, fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tb.Compiled.NumBroken() > 0 {
+			faulted = tb.Compiled
+		}
+	}
+	if faulted == nil {
+		t.Fatal("no draw left a broken pair; the rule went untested")
+	}
+	healthy, err := route.Compile(route.DModK(topo.MustBuild(topo.Cluster128)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hsd.ClimbWidth(hsd.NewAnalyzer(healthy)) == 0 {
+		t.Fatal("the healthy arena takes no climbing replay; its self pair went untested there")
+	}
+	for name, c := range map[string]*route.Compiled{"healthy": healthy, "faulted": faulted} {
+		n := c.Topology().NumHosts()
+		o := order.Random(n, nil, 5)
+		st := cps.Shift(n).Stage(1)
+		self := 3
+		st[self].Dst = st[self].Src
+		if c.NumBroken() > 0 {
+			r, d := brokenRank(c, o, self)
+			st[r].Dst = d
+		}
+		var raw, walked [][2]int
+		for _, p := range st {
+			src, dst := o.HostOf[p.Src], o.HostOf[p.Dst]
+			raw = append(raw, [2]int{src, dst})
+			if !c.Broken(src, dst) {
+				walked = append(walked, [2]int{src, dst})
+			}
+		}
+		broken := len(raw) - len(walked)
+		if (c.NumBroken() > 0) != (broken > 0) {
+			t.Fatalf("%s: %d broken pairs in the stage", name, broken)
+		}
+		want, err := hsd.NewAnalyzer(c).Stage(served(c, o, st))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Flows != len(st)-1-broken {
+			t.Fatalf("%s: filter-then-Stage counts %d flows of %d pairs, want %d", name, want.Flows, len(st), len(st)-1-broken)
+		}
+		tracking := hsd.NewAnalyzer(c)
+		tracking.SetTrackFlows(true)
+		seq := oneStage{n, st}
+		rep, errA := hsd.Analyze(c, o, seq)
+		for what, stage := range map[string]func() (hsd.StageResult, error){
+			"Stage":    func() (hsd.StageResult, error) { return hsd.NewAnalyzer(c).Stage(raw) },
+			"tracking": func() (hsd.StageResult, error) { return tracking.Stage(raw) },
+			"walk":     func() (hsd.StageResult, error) { return hsd.NewAnalyzer(walkOnly{c.Inner()}).Stage(walked) },
+			"Analyze": func() (hsd.StageResult, error) {
+				if errA != nil {
+					return hsd.StageResult{}, errA
+				}
+				return rep.Stages[0], nil
+			},
+		} {
+			if got, err := stage(); err != nil || got != want {
+				t.Errorf("%s: %s %+v, filter-then-Stage %+v (%v)", name, what, got, want, err)
+			}
+		}
+		one := float64(want.MaxHSD)
+		for _, workers := range []int{1, 2} {
+			if sw, err := hsd.SweepOrderingsParallel(c, []*order.Ordering{o}, seq, workers); err != nil || sw != (hsd.Sweep{Mean: one, Min: one, Max: one}) {
+				t.Errorf("%s: SweepOrderingsParallel(%d workers) %+v, want every average %v (%v)", name, workers, sw, one, err)
+			}
+		}
+	}
+}
+
+// brokenRank returns a rank r other than skip and a destination rank d
+// whose end-ports under o are a pair c marks broken.
+func brokenRank(c *route.Compiled, o *order.Ordering, skip int) (r int, d int32) {
+	for r := 0; r < o.Size(); r++ {
+		for d := 0; d < o.Size() && r != skip; d++ {
+			if c.Broken(o.HostOf[r], o.HostOf[d]) {
+				return r, int32(d)
+			}
+		}
+	}
+	panic("no broken pair")
 }
 
 // TestHostileEndPorts: an ordering whose HostOf was tampered with after
@@ -263,8 +359,7 @@ func TestHostileEndPorts(t *testing.T) {
 		o.HostOf[17] = bad
 		for _, rt := range []route.Router{c, lft} {
 			calls := map[string]func() error{
-				"Analyze":         func() error { _, err := hsd.Analyze(rt, o, seq); return err },
-				"AnalyzeParallel": func() error { _, err := hsd.AnalyzeParallel(rt, o, seq, 2); return err },
+				"Analyze": func() error { _, err := hsd.Analyze(rt, o, seq); return err },
 				"SweepOrderingsParallel/one": func() error {
 					_, err := hsd.SweepOrderingsParallel(rt, []*order.Ordering{o}, seq, 1)
 					return err
@@ -274,19 +369,18 @@ func TestHostileEndPorts(t *testing.T) {
 					return err
 				},
 			}
-			if rt == route.Router(c) {
-				calls["AnalyzeServed"] = func() error { _, err := hsd.AnalyzeServed(c, o, seq); return err }
-			}
 			for name, call := range calls {
 				if err := call(); err == nil || !strings.Contains(err.Error(), "rank 17") {
 					t.Errorf("%s with rank 17 on end-port %d: %v, want an error naming the rank", name, bad, err)
 				}
 			}
 		}
-		a := hsd.NewAnalyzer(c)
-		for _, pairs := range [][][2]int{{{0, 1}, {bad, 2}}, {{0, 1}, {2, bad}}} {
-			if _, err := a.Stage(pairs); err == nil || !strings.Contains(err.Error(), "out of range") {
-				t.Errorf("Stage(%v): %v, want an out-of-range error", pairs, err)
+		for _, rt := range []route.Router{c, lft} {
+			a := hsd.NewAnalyzer(rt)
+			for _, pairs := range [][][2]int{{{0, 1}, {bad, 2}}, {{0, 1}, {2, bad}}, {{bad, bad}}} {
+				if _, err := a.Stage(pairs); err == nil || !strings.Contains(err.Error(), "out of range") {
+					t.Errorf("%T Stage(%v): %v, want an out-of-range error", rt, pairs, err)
+				}
 			}
 		}
 	}

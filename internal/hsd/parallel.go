@@ -9,12 +9,14 @@ import (
 	"fattree/internal/route"
 )
 
-// AnalyzeParallel is Analyze with the stages fanned out over a worker
-// pool, one analyzer per worker; results land in a pre-sized slice, so no
-// ordering coordination is needed. workers <= 0 uses GOMAXPROCS. The router must be safe for
-// concurrent Walk calls (LFTs and S-Mod-K are; the adaptive router
-// serializes internally).
-func AnalyzeParallel(rt route.Router, o *order.Ordering, seq cps.Sequence, workers int) (*Report, error) {
+// Analyze runs a full sequence through the analyzer: CPS ranks are
+// translated to end-ports via the ordering, and the stages are fanned out
+// over GOMAXPROCS workers, one analyzer each, into a pre-sized slice. As
+// in Stage, self pairs and pairs the arena marks Broken are not flows, so
+// over a degraded arena the report counts the pairs the fabric still
+// serves. The router must be safe for concurrent Walk calls (arenas, LFTs
+// and S-Mod-K are; the adaptive router serializes internally).
+func Analyze(rt route.Router, o *order.Ordering, seq cps.Sequence) (*Report, error) {
 	if err := checkJob(rt, o, seq); err != nil {
 		return nil, err
 	}
@@ -24,8 +26,8 @@ func AnalyzeParallel(rt route.Router, o *order.Ordering, seq cps.Sequence, worke
 		Routing:  rt.Label(),
 		Stages:   make([]StageResult, seq.NumStages()),
 	}
-	err := par.Do(len(rep.Stages), workers, func() *Analyzer { return NewAnalyzer(rt) }, func(a *Analyzer, s int) (err error) {
-		rep.Stages[s], err = a.stageRanks(seq.Stage(s), o, false)
+	err := par.Do(len(rep.Stages), 0, func() *Analyzer { return NewAnalyzer(rt) }, func(a *Analyzer, s int) (err error) {
+		rep.Stages[s], err = a.stageRanks(seq.Stage(s), o)
 		return err
 	})
 	if err != nil {
@@ -38,7 +40,8 @@ func AnalyzeParallel(rt route.Router, o *order.Ordering, seq cps.Sequence, worke
 // a worker pool (orderings are independent too). The sequence's stages
 // are built once and shared read-only by every ordering, and a sweep with
 // fewer orderings than workers splits each ordering's stages so no core
-// idles. workers <= 0 uses GOMAXPROCS.
+// idles. workers <= 0 uses GOMAXPROCS. Stages count flows as Analyze
+// does.
 func SweepOrderingsParallel(rt route.Router, orders []*order.Ordering, seq cps.Sequence, workers int) (Sweep, error) {
 	if len(orders) == 0 {
 		return Sweep{}, nil
@@ -65,7 +68,7 @@ func SweepOrderingsParallel(rt route.Router, orders []*order.Ordering, seq cps.S
 		var t tally
 		lo, hi := i%split*len(stages)/split, (i%split+1)*len(stages)/split
 		for _, st := range stages[lo:hi] {
-			sr, err := a.stageRanks(st, orders[i/split], false)
+			sr, err := a.stageRanks(st, orders[i/split])
 			if err != nil {
 				return err
 			}

@@ -1,6 +1,7 @@
 package hsd
 
 import (
+	"runtime"
 	"testing"
 
 	"fattree/internal/cps"
@@ -9,28 +10,33 @@ import (
 	"fattree/internal/topo"
 )
 
+// TestAnalyzeParallelMatchesSequential: Analyze, which fans stages out
+// over GOMAXPROCS workers, equals the stage-by-stage Stage loop of one
+// analyzer over a plain Cluster324 LFT, at 1, 2 and 8 procs.
 func TestAnalyzeParallelMatchesSequential(t *testing.T) {
 	tp := topo.MustBuild(topo.Cluster324)
 	lft := route.DModK(tp)
 	n := tp.NumHosts()
-	for _, ord := range []*order.Ordering{order.Topology(n, nil), order.Random(n, nil, 3)} {
-		for _, seq := range []cps.Sequence{cps.Shift(n), cps.RecursiveDoubling(n), cps.Binomial(n)} {
-			seqRep, err := Analyze(lft, ord, seq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 2, 8, 0} {
-				parRep, err := AnalyzeParallel(lft, ord, seq, workers)
+	a := NewAnalyzer(lft)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, o := range []*order.Ordering{order.Topology(n, nil), order.Random(n, nil, 3)} {
+			for _, seq := range []cps.Sequence{cps.Shift(n), cps.RecursiveDoubling(n), cps.Binomial(n)} {
+				rep, err := Analyze(lft, o, seq)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(parRep.Stages) != len(seqRep.Stages) {
-					t.Fatalf("%s w=%d: stage counts differ", seq.Name(), workers)
+				if len(rep.Stages) != seq.NumStages() {
+					t.Fatalf("%s %s procs=%d: %d stages, want %d", seq.Name(), o.Label, procs, len(rep.Stages), seq.NumStages())
 				}
-				for s := range seqRep.Stages {
-					if parRep.Stages[s] != seqRep.Stages[s] {
-						t.Fatalf("%s w=%d stage %d: %+v != %+v",
-							seq.Name(), workers, s, parRep.Stages[s], seqRep.Stages[s])
+				for s := range rep.Stages {
+					var pairs [][2]int
+					for _, p := range seq.Stage(s) {
+						pairs = append(pairs, [2]int{o.HostOf[p.Src], o.HostOf[p.Dst]})
+					}
+					if want, err := a.Stage(pairs); err != nil || rep.Stages[s] != want {
+						t.Fatalf("%s %s procs=%d stage %d: Analyze %+v, Stage %+v (%v)", seq.Name(), o.Label, procs, s, rep.Stages[s], want, err)
 					}
 				}
 			}
@@ -38,23 +44,36 @@ func TestAnalyzeParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestAnalyzeParallelValidation: the parallel sweep checks every
+// ordering before it fans out, so a size or host-count mismatch in any
+// ordering of the list is an error (Analyze's own checks are
+// TestAnalyzeSizeMismatch).
 func TestAnalyzeParallelValidation(t *testing.T) {
 	tp := topo.MustBuild(topo.Cluster128)
 	lft := route.DModK(tp)
-	if _, err := AnalyzeParallel(lft, order.Topology(128, nil), cps.Ring(64), 4); err == nil {
-		t.Error("size mismatch accepted")
-	}
-	if _, err := AnalyzeParallel(lft, order.Topology(64, nil), cps.Ring(64), 4); err == nil {
-		t.Error("host-count mismatch accepted")
+	good := order.Topology(128, nil)
+	for _, bad := range []struct {
+		what string
+		o    *order.Ordering
+		seq  cps.Sequence
+	}{
+		{"sequence/ordering size mismatch", good, cps.Ring(64)},
+		{"ordering/topology host-count mismatch", order.Topology(64, nil), cps.Ring(64)},
+	} {
+		for _, workers := range []int{1, 4} {
+			if _, err := SweepOrderingsParallel(lft, []*order.Ordering{good, bad.o}, bad.seq, workers); err == nil {
+				t.Errorf("%s accepted by the sweep at %d workers", bad.what, workers)
+			}
+		}
 	}
 }
 
-func TestAnalyzeParallelEmptySequence(t *testing.T) {
+func TestAnalyzeEmptySequence(t *testing.T) {
 	tp := topo.MustBuild(topo.Cluster128)
 	lft := route.DModK(tp)
 	// A single-rank job has zero shift stages.
 	o := order.Topology(128, []int{5})
-	rep, err := AnalyzeParallel(lft, o, cps.Shift(1), 4)
+	rep, err := Analyze(lft, o, cps.Shift(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,14 +82,16 @@ func TestAnalyzeParallelEmptySequence(t *testing.T) {
 	}
 }
 
-func TestAnalyzeParallelPropagatesErrors(t *testing.T) {
+// TestAnalyzeWalkError: over a router without an arena, a pair its
+// tables cannot route is an error, not a skipped pair.
+func TestAnalyzeWalkError(t *testing.T) {
 	tp := topo.MustBuild(topo.Cluster128)
 	lft := route.DModK(tp)
 	// Corrupt the table to force a walk error.
 	leaf := tp.LeafOf(0)
 	lft.SetOutPort(leaf.ID, 127, topo.None)
 	o := order.Topology(128, nil)
-	if _, err := AnalyzeParallel(lft, o, cps.Shift(128), 4); err == nil {
+	if _, err := Analyze(lft, o, cps.Shift(128)); err == nil {
 		t.Error("walk error swallowed")
 	}
 }

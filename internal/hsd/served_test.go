@@ -14,11 +14,12 @@ import (
 	"fattree/internal/topo"
 )
 
-// TestAnalyzeServedDifferential pins the one served-pair analysis over
-// seeded random RLFTs: on a healthy arena it equals Analyze stage for
-// stage, and on a faulted one (the dmodk reroute and a fault-oblivious
-// engine, which leaves pairs broken) it equals the loop its three former
-// copies hand-rolled — translate, drop self and broken pairs, Stage.
+// TestAnalyzeServedDifferential holds Analyze to the served-pair rule
+// over whole sequences on seeded random RLFTs: on a healthy arena it
+// equals the Stage loop over every translated pair, unfiltered, and on a
+// faulted one (the dmodk reroute and a fault-oblivious engine, which
+// leaves pairs broken) it equals the filter-then-Stage loop — translate,
+// drop self and broken pairs, Stage.
 func TestAnalyzeServedDifferential(t *testing.T) {
 	broken := 0
 	for seed := int64(1); seed <= 8; seed++ {
@@ -43,24 +44,20 @@ func TestAnalyzeServedDifferential(t *testing.T) {
 			broken += faulted.Compiled.NumBroken()
 			for _, seq := range seqs {
 				for _, o := range orders {
-					got, err := hsd.AnalyzeServed(healthy.Compiled, o, seq)
+					got, err := hsd.Analyze(healthy.Compiled, o, seq)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := hsd.Analyze(healthy.Compiled, o, seq)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("seed %d %s %s/%s: healthy AnalyzeServed != Analyze", seed, name, seq.Name(), o.Label)
+					if want := stagesByHand(t, healthy.Compiled, o, seq, false); !reflect.DeepEqual(got.Stages, want) {
+						t.Fatalf("seed %d %s %s/%s: healthy Analyze differs from the unfiltered Stage loop", seed, name, seq.Name(), o.Label)
 					}
 
-					got, err = hsd.AnalyzeServed(faulted.Compiled, o, seq)
+					got, err = hsd.Analyze(faulted.Compiled, o, seq)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if want := servedByHand(t, faulted.Compiled, o, seq); !reflect.DeepEqual(got.Stages, want) {
-						t.Fatalf("seed %d %s %s/%s: faulted AnalyzeServed differs from the hand-rolled loop", seed, name, seq.Name(), o.Label)
+					if want := stagesByHand(t, faulted.Compiled, o, seq, true); !reflect.DeepEqual(got.Stages, want) {
+						t.Fatalf("seed %d %s %s/%s: faulted Analyze differs from the filter-then-Stage loop", seed, name, seq.Name(), o.Label)
 					}
 				}
 			}
@@ -71,16 +68,20 @@ func TestAnalyzeServedDifferential(t *testing.T) {
 	}
 }
 
-func servedByHand(t *testing.T, c *route.Compiled, o *order.Ordering, seq cps.Sequence) []hsd.StageResult {
+// stagesByHand runs seq's stages under o through one analyzer's Stage,
+// translating ranks to end-ports and, if filter is set, keeping only the
+// served pairs.
+func stagesByHand(t *testing.T, c *route.Compiled, o *order.Ordering, seq cps.Sequence, filter bool) []hsd.StageResult {
 	t.Helper()
 	a := hsd.NewAnalyzer(c)
 	var out []hsd.StageResult
 	for s := 0; s < seq.NumStages(); s++ {
 		var pairs [][2]int
-		for _, p := range seq.Stage(s) {
-			src, dst := o.HostOf[p.Src], o.HostOf[p.Dst]
-			if src != dst && !c.Broken(src, dst) {
-				pairs = append(pairs, [2]int{src, dst})
+		if filter {
+			pairs = served(c, o, seq.Stage(s))
+		} else {
+			for _, p := range seq.Stage(s) {
+				pairs = append(pairs, [2]int{o.HostOf[p.Src], o.HostOf[p.Dst]})
 			}
 		}
 		sr, err := a.Stage(pairs)

@@ -23,7 +23,6 @@ import (
 type RED struct {
 	reg    *Registry
 	prefix string
-	bounds []float64
 
 	mu  sync.Mutex
 	eps map[string]*REDEndpoint
@@ -39,16 +38,13 @@ var DefaultREDBucketsUS = []float64{
 }
 
 // NewRED builds a RED family with the given metric prefix (e.g.
-// "fmgr_http") and duration bucket bounds in microseconds (nil selects
-// DefaultREDBucketsUS). A nil registry yields a nil RED.
-func NewRED(reg *Registry, prefix string, boundsUS []float64) *RED {
+// "fmgr_http"), its durations bucketed by DefaultREDBucketsUS. A nil
+// registry yields a nil RED.
+func NewRED(reg *Registry, prefix string) *RED {
 	if reg == nil {
 		return nil
 	}
-	if boundsUS == nil {
-		boundsUS = DefaultREDBucketsUS
-	}
-	return &RED{reg: reg, prefix: prefix, bounds: boundsUS, eps: map[string]*REDEndpoint{}}
+	return &RED{reg: reg, prefix: prefix, eps: map[string]*REDEndpoint{}}
 }
 
 // REDEndpoint is the per-endpoint handle triplet. All methods are
@@ -72,7 +68,7 @@ func (r *RED) Endpoint(name string) *REDEndpoint {
 	}
 	e := &REDEndpoint{
 		errors:   r.reg.Counter(Labeled(r.prefix+"_errors_total", "endpoint", name)),
-		duration: r.reg.MustHistogram(Labeled(r.prefix+"_request_duration_us", "endpoint", name), r.bounds),
+		duration: r.reg.MustHistogram(Labeled(r.prefix+"_request_duration_us", "endpoint", name), DefaultREDBucketsUS),
 	}
 	for class := range e.codes {
 		code := strconv.Itoa(class) + "xx"

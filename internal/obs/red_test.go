@@ -7,7 +7,7 @@ import (
 
 func TestREDObserve(t *testing.T) {
 	r := NewRegistry()
-	red := NewRED(r, "svc", []float64{100, 1000})
+	red := NewRED(r, "svc")
 	ep := red.Endpoint("GET /v1/route")
 
 	ep.Observe(200, 50*time.Microsecond)
@@ -42,7 +42,7 @@ func TestREDObserve(t *testing.T) {
 // and keep accumulating into the same series.
 func TestREDEndpointReuse(t *testing.T) {
 	r := NewRegistry()
-	red := NewRED(r, "svc", nil)
+	red := NewRED(r, "svc")
 	a := red.Endpoint("x")
 	b := red.Endpoint("x")
 	if a != b {
@@ -57,7 +57,7 @@ func TestREDEndpointReuse(t *testing.T) {
 
 // TestREDNil: the whole chain is a no-op when the registry is nil.
 func TestREDNil(t *testing.T) {
-	red := NewRED(nil, "svc", nil)
+	red := NewRED(nil, "svc")
 	if red != nil {
 		t.Fatal("NewRED(nil) should be nil")
 	}

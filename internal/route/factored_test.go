@@ -20,7 +20,7 @@ import (
 
 // oracle walks r hop by hop: the path, and whether a lenient compile may
 // serve it (walked, and minimal).
-func oracle(r route.Router, src, dst int) (path []route.PathEntry, served bool) {
+func oracle(r route.Router, src, dst int) (path []route.PathEntry, servable bool) {
 	err := r.Walk(src, dst, func(l topo.LinkID, up bool) {
 		path = append(path, route.PackEntry(l, up))
 	})
