@@ -9,7 +9,15 @@ import (
 // counts every stage in full.
 func ClimbWidth(a *Analyzer) int { return a.climb }
 
-// Climbs is stageRanks' climbing replay of one stage.
-func Climbs(a *Analyzer, st cps.Stage, o *order.Ordering) (StageResult, bool) {
-	return a.climbs(st, o)
+// Climbs is stageRanks' climbing replay of one stage, which it takes
+// (ok) only when the stage's shape is once.
+func Climbs(a *Analyzer, st cps.Stage, o *order.Ordering) (res StageResult, ok bool) {
+	sh := shapeOf(st, rankBits(o.Size()))
+	if !sh.once {
+		return res, false
+	}
+	return a.climbs(st, sh.flows, o), true
 }
+
+// Replay is stageRanks' full count of one stage.
+func Replay(a *Analyzer, st cps.Stage, o *order.Ordering) StageResult { return a.replay(st, o) }

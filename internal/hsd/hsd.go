@@ -101,17 +101,20 @@ type Analyzer struct {
 	// heads) into, which no reader of cnt ever sees.
 	raw, cnt []int32
 	// The replay's batch: the (row, dst) of up to batch queued flows and
-	// the cells of their tails — or, climbing, of their climbs.
+	// the cells of their tails.
 	rows, dsts *[batch]int32
 	cells      []uint32
-	// climb is the arena's ClimbWidth: non-zero when stageRanks may count
-	// a stage's climbs alone. hostCnt is how many of cnt's counters are
-	// host links' (both directions): topo.Build numbers them first.
-	// seen[src] and seen[n+dst] hold the stamp of the last climbing
-	// replay that met the end-port as a source and as a destination.
+	// climb is climbWidth(rt): non-zero when stageRanks may count a
+	// stage's climbs alone. hostCnt is how many of cnt's counters are host
+	// links' (both directions): topo.Build numbers them first.
 	climb, hostCnt int
-	seen           []uint32
-	stamp          uint32
+	// srcKey and dstKey hold the climb keys of keyed's ranks
+	// (route.Compiled.ClimbKeys), climb of them per rank; ends is the
+	// scratch of Analyze's shapeOf calls (checkJob leaves no more ranks
+	// than end-ports).
+	srcKey, dstKey []uint64
+	keyed          *order.Ordering
+	ends           []uint64
 	pairs          [][2]int // end-port scratch of the Walk path's rank stages
 	// memb, when tracking is on, records per directed-link slot which
 	// pair indexes of the current Stage crossed it — the flow-level
@@ -131,12 +134,23 @@ func NewAnalyzer(rt route.Router) *Analyzer {
 	if a.pc, _ = rt.(*route.Compiled); a.pc != nil {
 		a.rows, a.dsts, a.cells = new([batch]int32), new([batch]int32), make([]uint32, batch*a.pc.Stride())
 		t := rt.Topology()
-		a.climb, a.hostCnt = a.pc.ClimbWidth(), 2*t.NumHosts()*t.Spec.UpPorts(0)
+		a.climb, a.hostCnt = climbWidth(rt), 2*t.NumHosts()*t.Spec.UpPorts(0)
 		if a.climb > 0 {
-			a.seen = make([]uint32, 2*t.NumHosts())
+			n := t.NumHosts()
+			a.srcKey, a.dstKey, a.ends = make([]uint64, n*a.climb), make([]uint64, n*a.climb), rankBits(n)
 		}
 	}
 	return a
+}
+
+// climbWidth is the width of stageRanks' climbing replay over rt: the
+// ClimbWidth of an arena that breaks no pair — the keys cannot leave a
+// broken pair out — and 0, the full count, over any other router.
+func climbWidth(rt route.Router) int {
+	if c, ok := rt.(*route.Compiled); ok && c.NumBroken() == 0 {
+		return c.ClimbWidth()
+	}
+	return 0
 }
 
 // batch is how many flows the replay queues before it reads their tails:
@@ -178,22 +192,16 @@ func (a *Analyzer) queue(i, src, dst int) int {
 	return i + 1
 }
 
-// flush is the replay kernel: it reads the n queued flows' tails — or,
-// climbing, their climbs — from the arena's cell source in one call and
-// counts every cell, with no trimming and no branch on the data. A cell
-// is its entry plus one, so it indexes raw itself, an empty cell lands in
-// the sink cell raw[0], and the unsigned head+1 of queue wraps an absent
-// head (route.NoEntry) there too.
-func (a *Analyzer) flush(n int, climbing bool) {
-	w := a.pc.Stride()
-	if climbing {
-		a.pc.Climbs(a.cells, a.rows[:n], a.dsts[:n])
-		w = a.climb
-	} else {
-		a.pc.Tails(a.cells, a.rows[:n], a.dsts[:n])
-	}
+// flush is the replay kernel: it reads the n queued flows' tails from
+// the arena's cell source in one call and counts every cell, with no
+// trimming and no branch on the data. A cell is its entry plus one, so it
+// indexes raw itself, an empty cell lands in the sink cell raw[0], and
+// the unsigned head+1 of queue wraps an absent head (route.NoEntry) there
+// too.
+func (a *Analyzer) flush(n int) {
+	a.pc.Tails(a.cells, a.rows[:n], a.dsts[:n])
 	raw := a.raw
-	for _, e := range a.cells[:n*w] {
+	for _, e := range a.cells[:n*a.pc.Stride()] {
 		raw[e]++
 	}
 }
@@ -223,29 +231,63 @@ func (a *Analyzer) Stage(pairs [][2]int) (StageResult, error) {
 			continue
 		}
 		if q = a.queue(q, p[0], p[1]); q == batch {
-			a.flush(q, false)
+			a.flush(q)
 			q = 0
 		}
 	}
-	a.flush(q, false)
+	a.flush(q)
 	return a.summarize(res), nil
 }
 
-// stageRanks is Stage over one CPS stage of an ordering validated by
+// shape is a stage's verdict for the climbing replay, taken on its ranks:
+// flows counts its pairs other than self pairs, and once is whether none
+// of those shares a source rank or a destination rank with another.
+// checkJob keeps HostOf injective, so a pair is a self pair, and two
+// pairs share an end-port, exactly when their ranks do: the verdict holds
+// under every ordering, and a sweep takes it once per stage.
+type shape struct {
+	flows int
+	once  bool
+}
+
+// shapeOf takes st's shape over ranks below 64*len(ends)/2; ends is
+// scratch. A stage that is not once reads as the zero shape.
+func shapeOf(st cps.Stage, ends []uint64) shape {
+	clear(ends)
+	sent, got := ends[:len(ends)/2], ends[len(ends)/2:]
+	sh := shape{flows: len(st), once: true}
+	for _, p := range st {
+		if p.Src == p.Dst {
+			sh.flows--
+			continue
+		}
+		s, d := uint32(p.Src), uint32(p.Dst)
+		if (sent[s/64]>>(s%64)|got[d/64]>>(d%64))&1 != 0 {
+			return shape{}
+		}
+		sent[s/64] |= 1 << (s % 64)
+		got[d/64] |= 1 << (d % 64)
+	}
+	return sh
+}
+
+// rankBits returns shapeOf's scratch for ranks below size.
+func rankBits(size int) []uint64 { return make([]uint64, 2*((size+63)/64)) }
+
+// stageRanks is Stage over one CPS stage st of an ordering validated by
 // checkJob, for the untracked analyzers of Analyze and the sweeps: ranks
 // are translated to end-ports on the fly, so the bulk path builds no pair
-// list.
+// list. sh is st's shape, read only when climb is non-zero.
 //
-// On an arena that certifies Theorem 2 (route.Compiled.ClimbWidth) it
-// first counts each flow's climb alone. While no end-port sends twice or
-// receives twice, no host link carries two flows either way, and no
-// switch link is descended towards two destinations, so no descent
+// On an arena that certifies Theorem 2 (climbWidth) a stage whose shape
+// is once is counted by its flows' climbs alone. While no end-port sends
+// twice or receives twice, no host link carries two flows either way, and
+// no switch link is descended towards two destinations, so no descent
 // carries two flows either: only the climbs can contend, and the stage's
-// summary follows from theirs. A stage in which some end-port does send
-// or receive twice is counted again in full. Either way the result is
-// Stage's, bit for bit; only the counters LinkLoads reads differ, which
-// no caller of stageRanks reads.
-func (a *Analyzer) stageRanks(st cps.Stage, o *order.Ordering) (StageResult, error) {
+// summary follows from theirs. Any other stage is counted in full. Either
+// way the result is Stage's, bit for bit; only the counters LinkLoads
+// reads differ, which no caller of stageRanks reads.
+func (a *Analyzer) stageRanks(st cps.Stage, sh shape, o *order.Ordering) (StageResult, error) {
 	if a.pc == nil {
 		a.pairs = a.pairs[:0]
 		for _, p := range st {
@@ -253,10 +295,8 @@ func (a *Analyzer) stageRanks(st cps.Stage, o *order.Ordering) (StageResult, err
 		}
 		return a.Stage(a.pairs)
 	}
-	if a.climb > 0 {
-		if res, ok := a.climbs(st, o); ok {
-			return res, nil
-		}
+	if a.climb > 0 && sh.once {
+		return a.climbs(st, sh.flows, o), nil
 	}
 	return a.replay(st, o), nil
 }
@@ -274,47 +314,35 @@ func (a *Analyzer) replay(st cps.Stage, o *order.Ordering) StageResult {
 			continue
 		}
 		if q = a.queue(q, src, dst); q == batch {
-			a.flush(q, false)
+			a.flush(q)
 			q = 0
 		}
 	}
-	a.flush(q, false)
+	a.flush(q)
 	return a.summarize(res)
 }
 
-// climbs is replay counting each flow's climb alone, on an arena that
-// certifies Theorem 2. It gives up (ok false) at the first end-port that
-// sends or receives twice: seen stamps each one it meets.
-func (a *Analyzer) climbs(st cps.Stage, o *order.Ordering) (res StageResult, ok bool) {
-	c := a.pc
+// climbs is replay counting each flow's climb alone, for a stage of the
+// given flows whose shape is once, on an arena that certifies Theorem 2.
+// A climb cell is the ClimbCell of its source rank's key and its
+// destination rank's, so the count is one pass per climb level over the
+// stage's rank pairs, with no branch on the data: a self pair's two keys
+// name one ancestor, and its cells land in the sink cell. The keys are
+// o's, laid out again whenever the analyzer meets another ordering.
+func (a *Analyzer) climbs(st cps.Stage, flows int, o *order.Ordering) StageResult {
+	if a.keyed != o {
+		a.pc.ClimbKeys(a.srcKey, a.dstKey, o.HostOf)
+		a.keyed = o
+	}
 	clear(a.raw)
-	res = StageResult{Flows: len(st)}
-	broken, hostOf, q := c.NumBroken() > 0, o.HostOf, 0
-	if a.stamp++; a.stamp == 0 { // wrapped: no stamp in seen may survive
-		clear(a.seen)
-		a.stamp = 1
-	}
-	stamp, n := a.stamp, len(a.seen)/2
-	sent, got := a.seen[:n], a.seen[n:]
-	for _, p := range st {
-		src, dst := hostOf[p.Src], hostOf[p.Dst]
-		if src == dst || broken && c.Broken(src, dst) {
-			res.Flows--
-			continue
-		}
-		if sent[src] == stamp || got[dst] == stamp {
-			return res, false
-		}
-		sent[src], got[dst] = stamp, stamp
-		row, _, _ := c.Row(src)
-		a.rows[uint(q)%batch], a.dsts[uint(q)%batch] = int32(row), int32(dst)
-		if q++; q == batch {
-			a.flush(q, true)
-			q = 0
+	raw, n := a.raw, len(o.HostOf)
+	for i := 0; i < a.climb; i++ {
+		src, dst := a.srcKey[i*n:][:n], a.dstKey[i*n:][:n]
+		for _, p := range st {
+			raw[route.ClimbCell(src[p.Src], dst[p.Dst])]++
 		}
 	}
-	a.flush(q, true)
-	return a.climbSummary(res), true
+	return a.climbSummary(StageResult{Flows: flows})
 }
 
 // stageWalk is Stage for routers without an arena and for forensics: it
@@ -436,8 +464,10 @@ func (a *Analyzer) LevelLoads() (up, down []int) {
 }
 
 // checkJob validates an ordering against the sequence and the fabric
-// once, so the per-pair loops can index by its end-ports unchecked.
-func checkJob(rt route.Router, o *order.Ordering, seq cps.Sequence) error {
+// once, so the per-pair loops can index by its end-ports unchecked, and
+// so a verdict shapeOf takes on ranks holds of end-ports: no two ranks may
+// share one. owner is scratch of NumHosts cells.
+func checkJob(rt route.Router, o *order.Ordering, seq cps.Sequence, owner []int32) error {
 	if o.Size() != seq.Size() {
 		return fmt.Errorf("hsd: ordering size %d != sequence size %d", o.Size(), seq.Size())
 	}
@@ -445,10 +475,15 @@ func checkJob(rt route.Router, o *order.Ordering, seq cps.Sequence) error {
 	if o.NumHosts() != n {
 		return fmt.Errorf("hsd: ordering hosts %d != topology hosts %d", o.NumHosts(), n)
 	}
+	clear(owner)
 	for r, h := range o.HostOf {
 		if h < 0 || h >= n {
 			return fmt.Errorf("hsd: ordering %s: rank %d on end-port %d, out of range [0,%d)", o.Label, r, h, n)
 		}
+		if q := owner[h] - 1; q >= 0 {
+			return fmt.Errorf("hsd: ordering %s: ranks %d and %d share end-port %d", o.Label, q, r, h)
+		}
+		owner[h] = int32(r) + 1
 	}
 	return nil
 }

@@ -386,6 +386,41 @@ func TestHostileEndPorts(t *testing.T) {
 	}
 }
 
+// TestSharedEndPort: an ordering whose HostOf was edited after order.New
+// validated it so that two ranks share an end-port is refused, with an
+// error naming both ranks — the climbing replay takes its verdict on
+// ranks, which only an injective HostOf makes a verdict on end-ports.
+func TestSharedEndPort(t *testing.T) {
+	tp := topo.MustBuild(topo.Cluster128)
+	n := tp.NumHosts()
+	lft := route.DModK(tp)
+	c, err := route.Compile(lft)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := cps.Shift(n)
+	o := order.Random(n, nil, 1)
+	o.HostOf[17] = o.HostOf[3]
+	for _, rt := range []route.Router{c, lft} {
+		calls := map[string]func() error{
+			"Analyze": func() error { _, err := hsd.Analyze(rt, o, seq); return err },
+			"SweepOrderingsParallel/one": func() error {
+				_, err := hsd.SweepOrderingsParallel(rt, []*order.Ordering{o}, seq, 1)
+				return err
+			},
+			"SweepOrderingsParallel": func() error {
+				_, err := hsd.SweepOrderingsParallel(rt, []*order.Ordering{order.Topology(n, nil), o}, seq, 2)
+				return err
+			},
+		}
+		for name, call := range calls {
+			if err := call(); err == nil || !strings.Contains(err.Error(), "ranks 3 and 17") {
+				t.Errorf("%T %s with ranks 3 and 17 on end-port %d: %v, want an error naming both ranks", rt, name, o.HostOf[3], err)
+			}
+		}
+	}
+}
+
 // TestSweepAllocs pins the shape of a sweep's garbage: the stages are
 // built once and shared, analyzers belong to workers, so k orderings
 // cost O(stages + k) allocations — no slice per (ordering, stage).

@@ -17,7 +17,7 @@ import (
 // serves. The router must be safe for concurrent Walk calls (arenas, LFTs
 // and S-Mod-K are; the adaptive router serializes internally).
 func Analyze(rt route.Router, o *order.Ordering, seq cps.Sequence) (*Report, error) {
-	if err := checkJob(rt, o, seq); err != nil {
+	if err := checkJob(rt, o, seq, make([]int32, rt.Topology().NumHosts())); err != nil {
 		return nil, err
 	}
 	rep := &Report{
@@ -27,7 +27,11 @@ func Analyze(rt route.Router, o *order.Ordering, seq cps.Sequence) (*Report, err
 		Stages:   make([]StageResult, seq.NumStages()),
 	}
 	err := par.Do(len(rep.Stages), 0, func() *Analyzer { return NewAnalyzer(rt) }, func(a *Analyzer, s int) (err error) {
-		rep.Stages[s], err = a.stageRanks(seq.Stage(s), o)
+		st, sh := seq.Stage(s), shape{}
+		if a.climb > 0 {
+			sh = shapeOf(st, a.ends)
+		}
+		rep.Stages[s], err = a.stageRanks(st, sh, o)
 		return err
 	})
 	if err != nil {
@@ -38,25 +42,29 @@ func Analyze(rt route.Router, o *order.Ordering, seq cps.Sequence) (*Report, err
 
 // SweepOrderingsParallel fans the per-ordering analyses of a sweep over
 // a worker pool (orderings are independent too). The sequence's stages
-// are built once and shared read-only by every ordering, and a sweep with
-// fewer orderings than workers splits each ordering's stages so no core
-// idles. workers <= 0 uses GOMAXPROCS. Stages count flows as Analyze
-// does.
+// and their shapes are built once and shared read-only by every
+// ordering, and a sweep with fewer orderings than workers splits each
+// ordering's stages so no core idles. workers <= 0 uses GOMAXPROCS.
+// Stages count flows as Analyze does.
 func SweepOrderingsParallel(rt route.Router, orders []*order.Ordering, seq cps.Sequence, workers int) (Sweep, error) {
 	if len(orders) == 0 {
 		return Sweep{}, nil
 	}
+	owner := make([]int32, rt.Topology().NumHosts())
 	for _, o := range orders {
-		if err := checkJob(rt, o, seq); err != nil {
+		if err := checkJob(rt, o, seq, owner); err != nil {
 			return Sweep{}, err
 		}
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	stages := make([]cps.Stage, seq.NumStages())
+	stages, shapes := make([]cps.Stage, seq.NumStages()), make([]shape, seq.NumStages())
+	climbing, ends := climbWidth(rt) > 0, rankBits(seq.Size())
 	for s := range stages {
-		stages[s] = seq.Stage(s)
+		if stages[s] = seq.Stage(s); climbing {
+			shapes[s] = shapeOf(stages[s], ends)
+		}
 	}
 	// A work item is one of an ordering's `split` stage ranges. Per-stage
 	// maxima are integers, so their sum does not depend on how the stages
@@ -67,8 +75,8 @@ func SweepOrderingsParallel(rt route.Router, orders []*order.Ordering, seq cps.S
 	err := par.Do(len(parts), workers, func() *Analyzer { return NewAnalyzer(rt) }, func(a *Analyzer, i int) error {
 		var t tally
 		lo, hi := i%split*len(stages)/split, (i%split+1)*len(stages)/split
-		for _, st := range stages[lo:hi] {
-			sr, err := a.stageRanks(st, orders[i/split])
+		for s := lo; s < hi; s++ {
+			sr, err := a.stageRanks(stages[s], shapes[s], orders[i/split])
 			if err != nil {
 				return err
 			}

@@ -8,8 +8,8 @@ import "fattree/internal/topo"
 type portVectors struct{ up, down []uint8 }
 
 // closedForm is how a compiled arena computes the tails of tables that
-// have port vectors instead of storing them (Compiled.Tails and
-// Compiled.Climbs read it).
+// have port vectors instead of storing them (Compiled.Tails reads it, and
+// Compiled.ClimbKeys lays its climbs out per rank).
 //
 // Every up choice towards dst is dst's alone, and a node's parent through
 // up port q differs from it in exactly one digit, set by q (topo.Build).
@@ -23,6 +23,13 @@ type portVectors struct{ up, down []uint8 }
 // dst's alone (Theorem 2): a table per (dst, k). A tail is then the climb
 // from its row's level l0 up to the turn level k — hops at or above k
 // masked to 0 — and the k hops down, the same steps whatever k is.
+//
+// The hosts below a level-l node are contiguous and span-aligned (base),
+// so a climb turns below level l exactly when its two end-ports' indexes
+// divided by the span agree. With that index in a high word and A' or B'
+// in the low one, a climb cell is the sum of two words, one per end-port,
+// masked by whether their high words differ: ClimbKeys writes those words
+// once per ordering and ClimbCell adds them.
 //
 // At 1944 hosts the form is about 125 KB, against the 2.1 MB a stored
 // arena of those tails takes.

@@ -50,9 +50,39 @@ func computed(c *route.Compiled, row, dst int) []uint32 {
 	return out
 }
 
+// checkClimbKeys holds the climb keys of a certified arena to its tails:
+// with every end-port its own rank, for each pair (src, dst) of distinct
+// end-ports the ClimbCell of src's source key and dst's destination key
+// at every climb level is the cell Tail computes there.
+func checkClimbKeys(t *testing.T, c *route.Compiled, pairs [][2]int) {
+	t.Helper()
+	n, w := c.Topology().NumHosts(), c.ClimbWidth()
+	hostOf := make([]int, n)
+	for h := range hostOf {
+		hostOf[h] = h
+	}
+	src, dst := make([]uint64, w*n), make([]uint64, w*n)
+	c.ClimbKeys(src, dst, hostOf)
+	tail := make([]uint32, c.Stride())
+	for _, p := range pairs {
+		if p[0] == p[1] {
+			continue
+		}
+		row, _, _ := c.Row(p[0])
+		c.Tail(tail, row, p[1])
+		for i := 0; i < w; i++ {
+			if got := route.ClimbCell(src[i*n+p[0]], dst[i*n+p[1]]); got != tail[i] {
+				t.Fatalf("%v: %d->%d at climb level %d: ClimbCell %d, Tail %v", c.Topology().Spec, p[0], p[1], i, got, tail)
+			}
+		}
+	}
+}
+
 // checkClosedForm compiles lft, which must store nothing, and compares
-// the tail of every (row, dst) with the walk of the tables.
-func checkClosedForm(t *testing.T, lft *route.LFT) {
+// the tail of every (row, dst) with the walk of the tables. When the arena
+// certifies Theorem 2 it also holds the climb keys of every pair to the
+// tails, and reports that it did.
+func checkClosedForm(t *testing.T, lft *route.LFT) (keyed bool) {
 	t.Helper()
 	c, err := route.Compile(lft)
 	if err != nil {
@@ -86,6 +116,17 @@ func checkClosedForm(t *testing.T, lft *route.LFT) {
 			}
 		}
 	}
+	if c.ClimbWidth() == 0 {
+		return false
+	}
+	var pairs [][2]int
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			pairs = append(pairs, [2]int{src, dst})
+		}
+	}
+	checkClimbKeys(t, c, pairs)
+	return true
 }
 
 // TestUpPortOfMatchesTablesQuick: for random (switch level, destination)
@@ -93,7 +134,8 @@ func checkClosedForm(t *testing.T, lft *route.LFT) {
 // (1); and on seeded random fabrics — hosts with several uplinks among
 // them — every tail the arena computes from the tables' closed form is
 // the walk of the tables, for D-Mod-K, its rank-compacted form over a
-// partial job and the naive variant.
+// partial job and the naive variant, and on the arenas among them that
+// certify Theorem 2 so is every pair's ClimbCell.
 func TestUpPortOfMatchesTablesQuick(t *testing.T) {
 	tp := topo.MustBuild(topo.Cluster1728)
 	g := tp.Spec
@@ -114,7 +156,7 @@ func TestUpPortOfMatchesTablesQuick(t *testing.T) {
 		t.Error(err)
 	}
 
-	multi := false
+	multi, keyed := false, false
 	for seed := int64(1); seed <= 12; seed++ {
 		for _, g := range []topo.PGFT{invariant.RandPGFT(seed), invariant.RandRLFT(seed)} {
 			if g.NumHosts() > 300 {
@@ -129,18 +171,19 @@ func TestUpPortOfMatchesTablesQuick(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, lft := range []*route.LFT{route.DModK(tp), ranked, route.DModKNaive(tp)} {
-				checkClosedForm(t, lft)
+				keyed = checkClosedForm(t, lft) || keyed
 			}
 		}
 	}
-	if !multi {
-		t.Fatal("no drawn fabric has hosts with several uplinks")
+	if !multi || !keyed {
+		t.Fatalf("the draws missed a shape: hosts with several uplinks %v, a certified arena %v", multi, keyed)
 	}
 }
 
 // TestClosedFormAtMaxScale: the 36-port 3-level maximum (11,664 end-ports,
 // 32-bit cells) compiles D-Mod-K without storing a column, and a seeded
-// sample of 10,000 pairs reads exactly the walk of the tables.
+// sample of 10,000 pairs reads exactly the walk of the tables, and their
+// climb keys (cells past 16 bits) the tails.
 func TestClosedFormAtMaxScale(t *testing.T) {
 	g, err := topo.ParseSpec("max:3,18")
 	if err != nil {
@@ -158,8 +201,10 @@ func TestClosedFormAtMaxScale(t *testing.T) {
 	n := tp.NumHosts()
 	rng := rand.New(rand.NewSource(11664))
 	var buf []route.PathEntry
+	var pairs [][2]int
 	for i := 0; i < 10000; i++ {
 		src, dst := rng.Intn(n), rng.Intn(n)
+		pairs = append(pairs, [2]int{src, dst})
 		var want []route.PathEntry
 		if err := lft.Walk(src, dst, func(l topo.LinkID, up bool) { want = append(want, route.PackEntry(l, up)) }); err != nil {
 			t.Fatal(err)
@@ -170,4 +215,8 @@ func TestClosedFormAtMaxScale(t *testing.T) {
 		}
 		samePath(t, "max:3,18", src, dst, buf, want)
 	}
+	if c.ClimbWidth() == 0 {
+		t.Fatalf("D-Mod-K at %v does not certify Theorem 2", g)
+	}
+	checkClimbKeys(t, c, pairs)
 }

@@ -69,8 +69,8 @@ const NoEntry PathEntry = -1
 // padded. Every reader goes through Tails, whichever
 // way a column is held. The closed form also certifies Theorem 2 once,
 // when it is laid out: then no descent can carry two flows between
-// distinct end-ports, and the HSD replay reads the tails' climbs alone
-// (ClimbWidth, Climbs).
+// distinct end-ports, and the HSD replay counts the tails' climbs alone,
+// from two keys per rank (ClimbWidth, ClimbKeys).
 //
 // Compiling a randomized router (Adaptive) freezes one draw per pair and
 // is almost certainly not what you want; compile forwarding tables
@@ -476,7 +476,7 @@ func (c *Compiled) Tails(cells []uint32, rows, dsts []int32) {
 	}
 }
 
-// ClimbWidth returns how many cells Climbs writes per pair — the climb
+// ClimbWidth returns how many climb levels ClimbKeys keys per rank — the
 // levels above a row's — or 0 when the arena does not certify that its
 // descents cannot contend: that no switch link is descended towards two
 // destinations (Theorem 2). Only healthy tables with a closed form
@@ -489,17 +489,35 @@ func (c *Compiled) ClimbWidth() int {
 	return c.form.m
 }
 
-// Climbs writes, for every pair (rows[i], dsts[i]) of an arena whose
-// ClimbWidth w is not 0, the climb cells of the pair's tail to
-// cells[i*w:][:w]: Tails' cells up to the turn, 0 from it on — the only
-// hops of a tail that two flows between distinct end-ports can share.
-// Rows and destinations must be in range, and cells hold len(rows)*w.
-func (c *Compiled) Climbs(cells []uint32, rows, dsts []int32) {
-	recs, rec, cr, m := c.form.dsts, c.form.rec, c.form.rows, c.form.m
-	for j, d := range dsts {
-		dst := int(d)
-		climb(cells[j*m:j*m+m], recs[dst*rec:dst*rec+rec], cr[int(rows[j])*m:int(rows[j])*m+m], dst)
+// ClimbKeys writes, for an arena whose ClimbWidth w is not 0, the climb
+// keys of every rank r placed on end-port hostOf[r]: at climb level i,
+// src[i*len(hostOf)+r] as a source and dst[i*len(hostOf)+r] as a
+// destination — level by level, so a replay pass over one level reads
+// each side's keys from one run. Both hold the index of the end-port's
+// ancestor at that level in their high word; the low words hold A' of its
+// row and B' of the end-port itself (closed.go). ClimbCell turns a source
+// key and a destination key into the climb cell of the flow between the
+// two ranks, which is Tails' cell up to the turn and 0 from it on: the
+// only hops of a tail that two flows between distinct end-ports can
+// share. End-ports must be in range, and src and dst hold w*len(hostOf).
+func (c *Compiled) ClimbKeys(src, dst []uint64, hostOf []int) {
+	f, n := c.form, len(hostOf)
+	for r, h := range hostOf {
+		rows, dr := f.rows[int(c.rowOf[h])*f.m:][:f.m], f.dsts[h*f.rec:][:f.m]
+		for i, cr := range rows {
+			anc := uint64(h/int(cr.span)) << 32
+			src[i*n+r], dst[i*n+r] = anc|uint64(uint32(cr.a)), anc|uint64(dr[i])
+		}
 	}
+}
+
+// ClimbCell is the climb cell at one level of the flow whose source key
+// there is s and whose destination key is d (ClimbKeys): A' + B', the
+// cell of the up hop, while the two end-ports' ancestors differ, and 0
+// once the ancestor is common — the flow has turned.
+func ClimbCell(s, d uint64) uint32 {
+	apart := uint32(int64(-((s ^ d) >> 32)) >> 63) // all ones while the high words differ
+	return uint32(s+d) & apart
 }
 
 // Tail is Tails for one pair: it returns cells[:Stride()].
