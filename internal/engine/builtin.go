@@ -36,7 +36,7 @@ func init() {
 	// A second name for dmodk, kept while bench/ and ftbakeoff runs name it.
 	Register(schema.EngineInfo{
 		Name:        "fault-resilient",
-		Description: "D-Mod-K with incremental local repair (Gliksberg '22b): re-spread only fault-touched destinations",
+		Description: "dmodk under a second name: the same tables and the same fault reroute",
 		LFT:         true,
 		FaultAware:  true,
 	}, func(t *topo.Topology, opts Options) (Engine, error) {

@@ -7,9 +7,9 @@
 // pointer and work lock-free on a consistent snapshot (RCU style),
 // while a single event loop consumes fault/revive and job events and
 // swaps the whole snapshot. A snapshot is two things with two costs:
-// the tables a fault set determines (rerouted via the engines, analysed,
-// validated — built once per fault set, debounced) and the jobs view
-// assembled over them at every publish. A fault therefore costs a
+// the tables a fault set determines (rerouted by the daemon's one
+// engine, analysed, validated — built once per fault set, debounced) and
+// the jobs view assembled over them at every publish. A fault therefore costs a
 // fabric-wide rebuild held for the debounce window, a placement one job
 // frame published at once. A query served mid-reroute always answers
 // from exactly one epoch — the previous valid tables until the new ones
@@ -20,8 +20,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,20 +44,13 @@ import (
 type FabricState struct {
 	Epoch uint64
 	Topo  *topo.Topology
-	// Paths is the lenient-compiled arena over the active engine's
-	// routing (broken pairs recorded, not fatal).
+	// Paths is the lenient-compiled arena over the engine's routing
+	// (broken pairs recorded, not fatal).
 	Paths *route.Compiled
-	// Engine is the registry name of the active engine that produced
-	// Paths; Routing is that engine's router label.
+	// Engine is the registry name of the daemon's one engine, which
+	// produced Paths and serves every job; Routing is its router label.
 	Engine  string
 	Routing string
-	// ByEngine holds this epoch's tables for the active engine plus
-	// every engine a live job requested, all computed against the same
-	// fault set — one epoch, several routing policies. JobEngines maps
-	// each job that asked for a specific engine to its name; jobs absent
-	// from it ride the active engine.
-	ByEngine   map[string]*engine.Tables
-	JobEngines map[sched.JobID]string
 	// Ordering is the topology-aware MPI node order served by /v1/order.
 	Ordering *order.Ordering
 	// HSD is the cached Shift summary over the routable pairs.
@@ -73,7 +64,7 @@ type FabricState struct {
 	Jobs []*sched.Allocation
 	// JobRouteSets holds, per placed job, the fully encoded binary
 	// answer for the job's whole ordered src→dst pair set under this
-	// epoch's tables for the job's engine: the arena's head ++ tail
+	// epoch's tables: the arena's head ++ tail
 	// factoring of those pairs (wire.RouteSetFactored), not the pairs.
 	// Factored once, at the job's placement and again at every reroute,
 	// and carried from snapshot to snapshot in between, so a steady-state
@@ -90,43 +81,16 @@ type FabricState struct {
 }
 
 // fabricTables is the part of a snapshot a fault set determines and a
-// job event leaves alone: per engine the forwarding tables and lenient
-// arena under it, and the standing Shift-HSD report over the active
-// engine's. It is the expensive part — built once per fault set, proven
-// by Manager.validate, immutable from then on.
+// job event leaves alone: the engine's forwarding tables and lenient
+// arena under it, and the standing Shift-HSD report over that arena. It
+// is the expensive part — built once per fault set, proven by
+// Manager.validate, immutable from then on.
 type fabricTables struct {
+	*engine.Tables
 	failedLinks []topo.LinkID
-	byEngine    map[string]*engine.Tables
-	hsd         *hsd.Report // nil in a set built without the active engine
+	hsd         *hsd.Report
 	// where the build's time went, for the reroute record
 	engineTablesUS, shiftHSDUS int64
-}
-
-// with returns tb plus the engines of more, sharing every table.
-func (tb *fabricTables) with(more *fabricTables) *fabricTables {
-	out := *tb
-	out.byEngine = make(map[string]*engine.Tables, len(tb.byEngine)+len(more.byEngine))
-	for name, et := range tb.byEngine {
-		out.byEngine[name] = et
-	}
-	for name, et := range more.byEngine {
-		out.byEngine[name] = et
-	}
-	return &out
-}
-
-// only returns tb restricted to the named engines, all of which it has:
-// tb itself when it has no other.
-func (tb *fabricTables) only(names []string) *fabricTables {
-	if len(names) == len(tb.byEngine) {
-		return tb
-	}
-	out := *tb
-	out.byEngine = make(map[string]*engine.Tables, len(names))
-	for _, name := range names {
-		out.byEngine[name] = tb.byEngine[name]
-	}
-	return &out
 }
 
 // JobWireFrame is one job's precomputed binary answer, served verbatim
@@ -146,28 +110,15 @@ type JobWireFrame struct {
 	Epoch uint64
 }
 
-// JobEngine resolves which engine serves a job's traffic in this
-// snapshot: the one it requested at allocation, else the active engine.
-func (st *FabricState) JobEngine(id sched.JobID) string {
-	if name, ok := st.JobEngines[id]; ok {
-		return name
-	}
-	return st.Engine
-}
-
-// tables resolves an engine name against this snapshot ("" = the active
-// engine) for both serving protocols: the resolved name and that
-// engine's compiled arena, whose Label names the routing. !ok means the
-// epoch carries no tables under the name.
+// tables resolves an engine name against this snapshot ("" = the
+// daemon's engine) for both serving protocols: the resolved name and the
+// compiled arena, whose Label names the routing. !ok means the name is
+// not the engine this daemon serves.
 func (st *FabricState) tables(name string) (engName string, paths *route.Compiled, ok bool) {
 	if name == "" {
 		name = st.Engine
 	}
-	tb, ok := st.ByEngine[name]
-	if !ok {
-		return name, nil, false
-	}
-	return name, tb.Compiled, true
+	return name, st.Paths, name == st.Engine
 }
 
 // pairState is what a snapshot makes of one requested src->dst pair.
@@ -200,8 +151,8 @@ func pairStatus(paths *route.Compiled, n, src, dst int) pairState {
 type Config struct {
 	Topo *topo.Topology
 	// Engine selects the routing engine (by registry name) that produces
-	// the served tables and reroutes them around faults. Default
-	// engine.Default, the paper's D-Mod-K.
+	// the served tables, reroutes them around faults and serves every
+	// job: one per daemon. Default engine.Default, the paper's D-Mod-K.
 	Engine string
 	// Debounce is how long after the last fault event (fail, revive,
 	// fail_random) the event loop waits before it publishes a rerouted
@@ -294,7 +245,6 @@ type event struct {
 	n       int
 	size    int
 	aligned bool
-	engine  string // requested engine for evAlloc ("" = active)
 	job     sched.JobID
 	reply   chan jobReply // non-nil for job events only
 }
@@ -309,12 +259,8 @@ type Manager struct {
 	orderv *order.Ordering
 	// orderHostOf is orderv.HostOf as the order frame carries it.
 	orderHostOf []uint32
-
-	// engines caches built engine instances by registry name;
-	// jobEngines tracks per-job engine requests. Both are touched only
-	// by New (pre-Start) and the event loop, so they need no lock.
-	engines    map[string]engine.Engine
-	jobEngines map[sched.JobID]string
+	// eng is Config.Engine, built once by New.
+	eng engine.Engine
 
 	cur     atomic.Pointer[FabricState]
 	clk     clock
@@ -386,9 +332,7 @@ func New(cfg Config) (*Manager, error) {
 		done:   make(chan struct{}),
 		gate:   make(chan struct{}, cfg.MaxInflight),
 
-		engines:    map[string]engine.Engine{},
-		jobEngines: map[sched.JobID]string{},
-		wireConns:  map[net.Conn]struct{}{},
+		wireConns: map[net.Conn]struct{}{},
 	}
 	m.orderHostOf = make([]uint32, len(m.orderv.HostOf))
 	for i, h := range m.orderv.HostOf {
@@ -396,9 +340,10 @@ func New(cfg Config) (*Manager, error) {
 	}
 	m.journal = NewJournal(cfg.JournalSize)
 	m.validate = m.validateTables
-	// Build the active engine up front so a bad -engine name or a
-	// builder failure surfaces here, not inside the event loop.
-	if _, err := m.getEngine(cfg.Engine); err != nil {
+	// Build the engine up front so a bad -engine name or a builder
+	// failure surfaces here, not inside the event loop.
+	var err error
+	if m.eng, err = engine.Build(cfg.Engine, cfg.Topo, engine.Options{}); err != nil {
 		return nil, fmt.Errorf("fmgr: %w", err)
 	}
 	if reg := cfg.Metrics; reg != nil {
@@ -528,41 +473,15 @@ func (m *Manager) InjectFaults(fail, revive []topo.LinkID, failRandom int) (int,
 // being retried) the reply comes at once and the job is served when those
 // tables are, in the same snapshot. FreeJob follows the same rule.
 func (m *Manager) AllocJob(size int, aligned bool) (*sched.Allocation, error) {
-	return m.AllocJobEngine(size, aligned, "")
-}
-
-// AllocJobEngine places a job whose traffic should be routed by a
-// specific engine from the registry ("" means the active one). Every
-// snapshot built while the job lives carries that engine's tables in
-// ByEngine, so GET /v1/route?engine=... answers from the same epoch and
-// fault state the active tables were computed under. An engine the
-// current epoch has no tables for gets them built and validated alone,
-// under the live fault set, before the job is placed; a failure there
-// refuses the placement.
-func (m *Manager) AllocJobEngine(size int, aligned bool, engineName string) (*sched.Allocation, error) {
 	if m.alloc == nil {
 		return nil, fmt.Errorf("fmgr: topology %v is not an RLFT; no allocator", m.t.Spec)
 	}
 	reply := make(chan jobReply, 1)
-	if err := m.send(event{kind: evAlloc, size: size, aligned: aligned, engine: engineName, reply: reply}); err != nil {
+	if err := m.send(event{kind: evAlloc, size: size, aligned: aligned, reply: reply}); err != nil {
 		return nil, err
 	}
 	r := <-reply
 	return r.alloc, r.err
-}
-
-// getEngine returns the cached engine instance for a registry name,
-// building it on first use. Called only from New and the event loop.
-func (m *Manager) getEngine(name string) (engine.Engine, error) {
-	if e, ok := m.engines[name]; ok {
-		return e, nil
-	}
-	e, err := engine.Build(name, m.t, engine.Options{})
-	if err != nil {
-		return nil, err
-	}
-	m.engines[name] = e
-	return e, nil
 }
 
 // FreeJob releases a job through the event loop.
@@ -682,15 +601,7 @@ func (m *Manager) loop() {
 	for {
 		select {
 		case ev := <-m.events:
-			// The snapshot a job event is laid over: its tables are built
-			// under the live fault set. None while a rebuild is owed.
-			var base *FabricState
-			if held != nil {
-				base = held.st
-			} else if !dirty {
-				base = m.cur.Load()
-			}
-			what, reply, tables := m.apply(ev, base)
+			what, reply := m.apply(ev)
 			switch {
 			case what == touchedTables:
 				if held != nil {
@@ -704,10 +615,11 @@ func (m *Manager) loop() {
 				speculate = speculate || !dirty
 				dirty, windowEnd = true, ev.at.Add(m.cfg.Debounce)
 			case what == touchedJobs && held != nil:
-				held.st = m.assemble(base.Epoch, tables, base)
+				held.st = m.assemble(held.st.Epoch, held.st.tb, held.st)
 			case what == touchedJobs && !dirty:
 				sp := m.cfg.Spans.StartTrace("publish_jobs")
-				st := m.assemble(base.Epoch+1, tables, base)
+				cur := m.cur.Load()
+				st := m.assemble(cur.Epoch+1, cur.tb, cur)
 				m.publish(st, fmt.Sprintf("tables=reused wire_precompute_us=%d", st.assembleUS))
 				sp.End()
 			}
@@ -788,18 +700,9 @@ func (m *Manager) publish(st *FabricState, how string) {
 // journals what was asked for and reports what it invalidated, with the
 // answer a job event's caller is owed. The reroute/validate/swap phases
 // that follow journal themselves, so /v1/events replays the full
-// fault → reroute → swap lifecycle.
-//
-// base is the snapshot a placement would be laid over (nil while a
-// rebuild is owed, which will build whatever the jobs then ask for); the
-// tables returned with touchedJobs are base's, grown by the engine a
-// placed job asked for and base lacks.
-func (m *Manager) apply(ev event, base *FabricState) (touched, jobReply, *fabricTables) {
+// fault → reroute → swap lifecycle. It builds no tables.
+func (m *Manager) apply(ev event) (touched, jobReply) {
 	epoch := m.cur.Load().Epoch
-	var tables *fabricTables
-	if base != nil {
-		tables = base.tb
-	}
 	switch ev.kind {
 	case evFail:
 		m.faults.Fail(ev.link)
@@ -816,57 +719,39 @@ func (m *Manager) apply(ev event, base *FabricState) (touched, jobReply, *fabric
 			m.mRerouteFail.Inc()
 			m.journal.Record(schema.Event{Kind: schema.EvFaultRandom, Epoch: epoch,
 				Outcome: schema.OutcomeError, Detail: err.Error()})
-			return touchedNothing, jobReply{}, nil
+			return touchedNothing, jobReply{}
 		}
 		m.journal.Record(schema.Event{Kind: schema.EvFaultRandom, Epoch: epoch,
 			Outcome: schema.OutcomeOK, Detail: fmt.Sprintf("n=%d", ev.n)})
 	case evAlloc:
 		var a *sched.Allocation
 		var err error
-		grown := tables
-		if ev.engine != "" {
-			// Resolve the requested engine, and prove its tables, before
-			// placing anything, so an unknown name, a failing builder or
-			// tables that do not validate refuse the job instead of
-			// poisoning every later rebuild.
-			if _, err = m.getEngine(ev.engine); err == nil && tables != nil && tables.byEngine[ev.engine] == nil {
-				grown, err = m.admitEngine(tables, ev.engine, epoch+1)
-			}
-		}
-		if err == nil {
-			if ev.aligned {
-				a, err = m.alloc.AllocAligned(ev.size)
-			} else {
-				a, err = m.alloc.Alloc(ev.size)
-			}
+		if ev.aligned {
+			a, err = m.alloc.AllocAligned(ev.size)
+		} else {
+			a, err = m.alloc.Alloc(ev.size)
 		}
 		if err != nil {
 			m.journal.Record(schema.Event{Kind: schema.EvAlloc, Epoch: epoch,
-				Engine: ev.engine, Outcome: schema.OutcomeError, Detail: err.Error()})
-			return touchedNothing, jobReply{err: err}, nil
-		}
-		detail := fmt.Sprintf("job %d size %d", a.ID, ev.size)
-		if ev.engine != "" {
-			m.jobEngines[a.ID] = ev.engine
-			detail += " engine " + ev.engine
+				Outcome: schema.OutcomeError, Detail: err.Error()})
+			return touchedNothing, jobReply{err: err}
 		}
 		m.mJobsActive.Add(1)
 		m.journal.Record(schema.Event{Kind: schema.EvAlloc, Epoch: epoch,
-			Engine: ev.engine, Outcome: schema.OutcomeOK, Detail: detail})
-		return touchedJobs, jobReply{alloc: a}, grown
+			Outcome: schema.OutcomeOK, Detail: fmt.Sprintf("job %d size %d", a.ID, ev.size)})
+		return touchedJobs, jobReply{alloc: a}
 	case evFree:
 		if err := m.alloc.Free(ev.job); err != nil {
 			m.journal.Record(schema.Event{Kind: schema.EvFree, Epoch: epoch,
 				Outcome: schema.OutcomeError, Detail: err.Error()})
-			return touchedNothing, jobReply{err: err}, nil
+			return touchedNothing, jobReply{err: err}
 		}
-		delete(m.jobEngines, ev.job)
 		m.mJobsActive.Add(-1)
 		m.journal.Record(schema.Event{Kind: schema.EvFree, Epoch: epoch,
 			Outcome: schema.OutcomeOK, Detail: fmt.Sprintf("job %d", ev.job)})
-		return touchedJobs, jobReply{}, tables
+		return touchedJobs, jobReply{}
 	}
-	return touchedTables, jobReply{}, nil
+	return touchedTables, jobReply{}
 }
 
 // tryRebuild computes and validates the next snapshot; on any error the
@@ -884,7 +769,7 @@ func (m *Manager) tryRebuild() (*FabricState, []schema.Event, error) {
 	rsp := sp.Child("reroute")
 	st, err := m.buildState(epoch, rsp)
 	rsp.End()
-	rec := phaseRecord(schema.EvReroute, epoch, m.cfg.Engine, start, err)
+	rec := m.phaseRecord(schema.EvReroute, epoch, start, err)
 	if err == nil {
 		rec.Detail = fmt.Sprintf("engine=%s failed_links=%d broken_pairs=%d unroutable=%d"+
 			" engine_tables_us=%d shift_hsd_us=%d wire_precompute_us=%d",
@@ -893,9 +778,13 @@ func (m *Manager) tryRebuild() (*FabricState, []schema.Event, error) {
 	}
 	recs := []schema.Event{rec}
 	if err == nil {
-		var vrec schema.Event
-		vrec, err = m.proven(st.tb, epoch, m.cfg.Engine, sp)
-		recs = append(recs, vrec)
+		vstart, vsp := time.Now(), sp.Child("validate")
+		err = m.validate(st.tb)
+		vsp.End()
+		if err != nil {
+			m.mCheckFail.Inc()
+		}
+		recs = append(recs, m.phaseRecord(schema.EvValidate, epoch, vstart, err))
 	}
 	m.mRerouteUS.Observe(float64(time.Since(start).Microseconds()))
 	if err != nil {
@@ -907,8 +796,8 @@ func (m *Manager) tryRebuild() (*FabricState, []schema.Event, error) {
 
 // phaseRecord is the journal record of a rebuild phase begun at start and
 // ending now, with err as its outcome.
-func phaseRecord(kind string, epoch uint64, engName string, start time.Time, err error) schema.Event {
-	rec := schema.Event{TimeUnixNS: time.Now().UnixNano(), Kind: kind, Epoch: epoch, Engine: engName,
+func (m *Manager) phaseRecord(kind string, epoch uint64, start time.Time, err error) schema.Event {
+	rec := schema.Event{TimeUnixNS: time.Now().UnixNano(), Kind: kind, Epoch: epoch, Engine: m.cfg.Engine,
 		DurationUS: time.Since(start).Microseconds(), Outcome: schema.OutcomeOK}
 	if err != nil {
 		rec.Outcome, rec.Detail = schema.OutcomeError, err.Error()
@@ -916,50 +805,12 @@ func phaseRecord(kind string, epoch uint64, engName string, start time.Time, err
 	return rec
 }
 
-// proven runs validate over tables in a child span of sp and returns the
-// phase's journal record.
-func (m *Manager) proven(tables *fabricTables, epoch uint64, engName string, sp *obs.Span) (schema.Event, error) {
-	start := time.Now()
-	vsp := sp.Child("validate")
-	err := m.validate(tables)
-	vsp.End()
-	if err != nil {
-		m.mCheckFail.Inc()
-	}
-	return phaseRecord(schema.EvValidate, epoch, engName, start, err), err
-}
-
-// admitEngine gives tables — current under the live fault set, and
-// lacking the named engine — that engine's tables: built alone, proven
-// alone, journaled as the reroute/validate pair of that one engine. The
-// other engines' tables are shared, not touched.
-func (m *Manager) admitEngine(tables *fabricTables, name string, epoch uint64) (*fabricTables, error) {
-	sp := m.cfg.Spans.StartTrace("admit_engine")
-	defer sp.End()
-	start := time.Now()
-	rsp := sp.Child("reroute")
-	more, err := m.buildTables([]string{name}, rsp)
-	rsp.End()
-	rec := phaseRecord(schema.EvReroute, epoch, name, start, err)
-	if err != nil {
-		m.journal.Record(rec)
-		return nil, err
-	}
-	rec.Detail = fmt.Sprintf("engine=%s failed_links=%d engine_tables_us=%d", name, len(more.failedLinks), more.engineTablesUS)
-	vrec, err := m.proven(more, epoch, name, sp)
-	m.journal.Record(rec, vrec)
-	if err != nil {
-		return nil, err
-	}
-	return tables.with(more), nil
-}
-
 // buildState is a snapshot from scratch, the only way there is to one:
-// tables for every engine in use under the current fault set, and the
-// jobs view assembled over them. sp, when tracing, parents one child span
-// per phase.
+// the engine's tables under the current fault set, and the jobs view
+// assembled over them. sp, when tracing, parents one child span per
+// phase.
 func (m *Manager) buildState(epoch uint64, sp *obs.Span) (*FabricState, error) {
-	tables, err := m.buildTables(m.enginesInUse(), sp)
+	tables, err := m.buildTables(sp)
 	if err != nil {
 		return nil, err
 	}
@@ -968,93 +819,58 @@ func (m *Manager) buildState(epoch uint64, sp *obs.Span) (*FabricState, error) {
 	return m.assemble(epoch, tables, nil), nil
 }
 
-// enginesInUse names, sorted, the active engine and every engine a live
-// job requested.
-func (m *Manager) enginesInUse() []string {
-	names := []string{m.cfg.Engine}
-	for _, name := range m.jobEngines {
-		if !slices.Contains(names, name) {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	return names
-}
-
-// buildTables asks the named engines for tables under the current fault
-// set — lenient path arena, unroutable and broken accounting — and, with
-// the active engine among them, takes the standing Shift-HSD report over
-// its arena.
-func (m *Manager) buildTables(names []string, sp *obs.Span) (*fabricTables, error) {
-	tables := &fabricTables{
-		failedLinks: m.faults.FailedLinks(),
-		byEngine:    make(map[string]*engine.Tables, len(names)),
-	}
+// buildTables asks the engine for tables under the current fault set —
+// lenient path arena, unroutable and broken accounting — and takes the
+// standing Shift-HSD report over its arena.
+func (m *Manager) buildTables(sp *obs.Span) (*fabricTables, error) {
+	tables := &fabricTables{failedLinks: m.faults.FailedLinks()}
 	var fs *fabric.FaultSet
 	if m.faults.Failed() > 0 {
 		fs = m.faults
 	}
-	for _, name := range names {
-		e, err := m.getEngine(name)
-		if err != nil {
-			return nil, err
-		}
-		c, t0 := sp.Child("engine_tables"), time.Now()
-		c.TagStr("engine", name)
-		tb, err := e.Tables(fs)
-		c.End()
-		tables.engineTablesUS += time.Since(t0).Microseconds()
-		if err != nil {
-			return nil, fmt.Errorf("engine %s: %w", name, err)
-		}
-		tables.byEngine[name] = tb
+	c, t0 := sp.Child("engine_tables"), time.Now()
+	c.TagStr("engine", m.cfg.Engine)
+	var err error
+	tables.Tables, err = m.eng.Tables(fs)
+	c.End()
+	tables.engineTablesUS = time.Since(t0).Microseconds()
+	if err != nil {
+		return nil, fmt.Errorf("engine %s: %w", m.cfg.Engine, err)
 	}
-	if tb, ok := tables.byEngine[m.cfg.Engine]; ok {
-		// The standing answer to "is this fabric still contention free":
-		// Shift under the topology order over the pairs the tables serve.
-		c, t0 := sp.Child("shift_hsd"), time.Now()
-		var err error
-		tables.hsd, err = hsd.Analyze(tb.Compiled, m.orderv, cps.Shift(m.t.NumHosts()))
-		c.End()
-		tables.shiftHSDUS = time.Since(t0).Microseconds()
-		if err != nil {
-			return nil, err
-		}
+	// The standing answer to "is this fabric still contention free":
+	// Shift under the topology order over the pairs the tables serve.
+	c, t0 = sp.Child("shift_hsd"), time.Now()
+	tables.hsd, err = hsd.Analyze(tables.Compiled, m.orderv, cps.Shift(m.t.NumHosts()))
+	c.End()
+	tables.shiftHSDUS = time.Since(t0).Microseconds()
+	if err != nil {
+		return nil, err
 	}
 	return tables, nil
 }
 
-// assemble lays the jobs view — the live allocations, their engines,
-// one frozen route-set frame each, the order frame — over tables and
-// stamps the result with epoch: what every publish ends in, whether the
-// tables were rebuilt for it or are the ones already served. tables
-// holds every engine in use; an engine no live job asks for any more
-// retires here. A job whose frame prev already holds, factored from the
-// same engine tables, keeps that frame as it is, stamp included, so over
-// unchanged tables only a new job's frame is factored and encoded — done
-// here so the wire read path serves precomputed bytes and steady-state
-// job queries never touch the arena.
+// assemble lays the jobs view — the live allocations, one frozen
+// route-set frame each, the order frame — over tables and stamps the
+// result with epoch: what every publish ends in, whether the tables were
+// rebuilt for it or are the ones already served. When tables are prev's,
+// a job whose frame prev already holds keeps that frame as it is, stamp
+// included, so over unchanged tables only a new job's frame is factored
+// and encoded — done here so the wire read path serves precomputed bytes
+// and steady-state job queries never touch the arena.
 func (m *Manager) assemble(epoch uint64, tables *fabricTables, prev *FabricState) *FabricState {
 	t0 := time.Now()
-	tables = tables.only(m.enginesInUse())
-	active := tables.byEngine[m.cfg.Engine]
 	st := &FabricState{
 		Epoch:       epoch,
 		Topo:        m.t,
-		Paths:       active.Compiled,
+		Paths:       tables.Compiled,
 		Engine:      m.cfg.Engine,
-		Routing:     active.Compiled.Label(),
-		ByEngine:    tables.byEngine,
-		JobEngines:  make(map[sched.JobID]string, len(m.jobEngines)),
+		Routing:     tables.Compiled.Label(),
 		Ordering:    m.orderv,
 		HSD:         tables.hsd,
 		FailedLinks: tables.failedLinks,
-		Unroutable:  active.Unroutable,
-		BrokenPairs: active.BrokenPairs,
+		Unroutable:  tables.Unroutable,
+		BrokenPairs: tables.BrokenPairs,
 		tb:          tables,
-	}
-	for id, name := range m.jobEngines {
-		st.JobEngines[id] = name
 	}
 	if m.alloc != nil {
 		for _, j := range m.alloc.Jobs() {
@@ -1070,15 +886,13 @@ func (m *Manager) assemble(epoch uint64, tables *fabricTables, prev *FabricState
 	})
 	st.JobRouteSets = make(map[sched.JobID]JobWireFrame, len(st.Jobs))
 	for _, j := range st.Jobs {
-		eng := st.JobEngine(j.ID)
-		tb := tables.byEngine[eng]
-		if prev != nil && prev.ByEngine[eng] == tb {
+		if prev != nil && prev.tb == tables {
 			if jw, ok := prev.JobRouteSets[j.ID]; ok {
 				st.JobRouteSets[j.ID] = jw
 				continue
 			}
 		}
-		jw := encodeJobFrame(j.ID, len(j.Hosts)*(len(j.Hosts)-1), factorRouteSet(epoch, eng, tb, j.Hosts))
+		jw := encodeJobFrame(j.ID, len(j.Hosts)*(len(j.Hosts)-1), factorRouteSet(epoch, m.cfg.Engine, tables.Tables, j.Hosts))
 		jw.Epoch = epoch
 		st.JobRouteSets[j.ID] = jw
 	}
@@ -1153,27 +967,19 @@ func encodeJobFrame(job sched.JobID, pairs int, resp wire.Message) JobWireFrame 
 }
 
 // validateTables proves candidate tables safe to serve via the shared
-// invariant engine: for every engine's arena among them, every
-// non-broken pair's compiled path must be connected, up*/down*-shaped
-// and delivered, and pairs involving unroutable hosts must be marked
-// broken — the same assertions ftcheck and the property sweeps run, so
-// the daemon cannot drift from the tested contract.
+// invariant engine: every non-broken pair's compiled path must be
+// connected, up*/down*-shaped and delivered, and pairs involving
+// unroutable hosts must be marked broken — the same assertions ftcheck
+// and the property sweeps run, so the daemon cannot drift from the
+// tested contract.
 func (m *Manager) validateTables(tables *fabricTables) error {
-	names := make([]string, 0, len(tables.byEngine))
-	for name := range tables.byEngine {
-		names = append(names, name)
+	un := make([]bool, m.t.NumHosts())
+	for _, j := range tables.Unroutable {
+		un[j] = true
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		tb := tables.byEngine[name]
-		un := make([]bool, m.t.NumHosts())
-		for _, j := range tb.Unroutable {
-			un[j] = true
-		}
-		pred := func(j int) bool { return j >= 0 && j < len(un) && un[j] }
-		if err := invariant.LenientArena(m.t, tb.Compiled, pred); err != nil {
-			return fmt.Errorf("fmgr: engine %s: %w", name, err)
-		}
+	pred := func(j int) bool { return j >= 0 && j < len(un) && un[j] }
+	if err := invariant.LenientArena(m.t, tables.Compiled, pred); err != nil {
+		return fmt.Errorf("fmgr: engine %s: %w", m.cfg.Engine, err)
 	}
 	return nil
 }

@@ -11,9 +11,9 @@ import (
 	"fattree/internal/topo"
 )
 
-// lftOf returns the forwarding tables of st's active engine (nil for
-// an engine with no forwarding-table realization).
-func lftOf(st *FabricState) *route.LFT { return st.ByEngine[st.Engine].LFT }
+// lftOf returns the forwarding tables of st's engine (nil for an engine
+// with no forwarding-table realization).
+func lftOf(st *FabricState) *route.LFT { return st.tb.LFT }
 
 func buildTopo(tb testing.TB, spec string) *topo.Topology {
 	tb.Helper()

@@ -3,14 +3,13 @@ package fmgr
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"fattree/internal/engine"
 	"fattree/internal/fabric"
 	"fattree/internal/obs"
 	"fattree/internal/sched"
@@ -63,9 +62,8 @@ type HSDDoc struct {
 	BrokenPairs    int     `json:"broken_pairs"`
 }
 
-// JobDoc is one allocation in job responses. Engine is the resolved
-// routing engine serving the job's traffic (the requested one, else the
-// manager's active engine).
+// JobDoc is one allocation in job responses. Engine is the daemon's one
+// routing engine, which serves every job's traffic.
 type JobDoc struct {
 	ID             int    `json:"id"`
 	Size           int    `json:"size"`
@@ -82,9 +80,7 @@ type errorDoc struct {
 // Handler returns the daemon's HTTP API:
 //
 //	GET  /v1/route?src=S&dst=D  traced path under the current snapshot
-//	     (&engine=NAME answers from that engine's tables when the
-//	     snapshot carries them: the active engine plus any engine a
-//	     live job requested)
+//	     (&engine=NAME must name the daemon's engine: 404 otherwise)
 //	GET  /v1/order              topology-aware MPI node order
 //	GET  /v1/hsd                cached Shift-HSD summary
 //	GET  /v1/fabric             fattree-fabric/v1 fabric document
@@ -216,21 +212,10 @@ func (m *Manager) handleRoute(w http.ResponseWriter, r *http.Request) {
 	n := st.Topo.NumHosts()
 	c.End()
 	sp.TagNum("epoch", float64(st.Epoch))
-	// ?engine= selects any engine with tables in this snapshot (the
-	// active one plus every engine a live job requested); the default is
-	// the active engine.
 	engName, paths, ok := st.tables(r.URL.Query().Get("engine"))
 	if !ok {
 		sp.TagStr("outcome", "bad_request")
-		names := make([]string, 0, len(st.ByEngine))
-		for name := range st.ByEngine {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		writeJSON(w, http.StatusNotFound, errorDoc{
-			Error: fmt.Sprintf("engine %q has no tables in epoch %d (available: %s)",
-				engName, st.Epoch, strings.Join(names, ", ")),
-		})
+		writeJSON(w, http.StatusNotFound, errorDoc{Error: notServed(engName, st)})
 		return
 	}
 	doc := RouteDoc{Schema: schema.Route, Epoch: st.Epoch, Engine: engName, Routing: paths.Label(), Src: src, Dst: dst, Hops: []HopDoc{}}
@@ -345,8 +330,7 @@ type faultsRequest struct {
 
 func (m *Manager) handleFaults(w http.ResponseWriter, r *http.Request) {
 	var req faultsRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDoc{Error: "bad JSON: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	sent, err := m.InjectFaults(linkIDs(req.Fail), linkIDs(req.Revive), req.FailRandom)
@@ -360,46 +344,28 @@ func (m *Manager) handleFaults(w http.ResponseWriter, r *http.Request) {
 	}{sent, m.Current().Epoch})
 }
 
-// jobRequest is the POST /v1/jobs body. Engine, when set, asks for the
-// job's traffic to be routed by that registry engine; the daemon then
-// maintains the engine's tables alongside the active ones every epoch.
+// jobRequest is the POST /v1/jobs body. Every job rides the daemon's
+// one engine: the body names no engine.
 type jobRequest struct {
-	Size    int    `json:"size"`
-	Aligned bool   `json:"aligned"`
-	Engine  string `json:"engine"`
+	Size    int  `json:"size"`
+	Aligned bool `json:"aligned"`
 }
 
 func (m *Manager) handleJobAlloc(w http.ResponseWriter, r *http.Request) {
 	var req jobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDoc{Error: "bad JSON: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
-	if req.Engine != "" && !engineKnown(req.Engine) {
-		writeJSON(w, http.StatusBadRequest, errorDoc{Error: fmt.Sprintf(
-			"unknown engine %q (registered: %s)", req.Engine, strings.Join(engine.Names(), ", "))})
+	if req.Size < 1 {
+		writeJSON(w, http.StatusBadRequest, errorDoc{Error: fmt.Sprintf("\"size\" %d: a job needs at least one host", req.Size)})
 		return
 	}
-	a, err := m.AllocJobEngine(req.Size, req.Aligned, req.Engine)
+	a, err := m.AllocJob(req.Size, req.Aligned)
 	if err != nil {
 		writeJSON(w, http.StatusConflict, errorDoc{Error: err.Error()})
 		return
 	}
-	eng := req.Engine
-	if eng == "" {
-		eng = m.cfg.Engine
-	}
-	writeJSON(w, http.StatusOK, jobDoc(a, eng))
-}
-
-// engineKnown reports whether a registry engine with that name exists.
-func engineKnown(name string) bool {
-	for _, n := range engine.Names() {
-		if n == name {
-			return true
-		}
-	}
-	return false
+	writeJSON(w, http.StatusOK, jobDoc(a, m.cfg.Engine))
 }
 
 func (m *Manager) handleJobFree(w http.ResponseWriter, r *http.Request) {
@@ -421,7 +387,7 @@ func (m *Manager) handleJobsList(w http.ResponseWriter, r *http.Request) {
 	st := m.Current()
 	jobs := make([]JobDoc, 0, len(st.Jobs))
 	for _, j := range st.Jobs {
-		jobs = append(jobs, jobDoc(j, st.JobEngine(j.ID)))
+		jobs = append(jobs, jobDoc(j, st.Engine))
 	}
 	writeJSON(w, http.StatusOK, struct {
 		Epoch uint64   `json:"epoch"`
@@ -515,6 +481,31 @@ func linkIDs(in []int) []topo.LinkID {
 		out[i] = topo.LinkID(l)
 	}
 	return out
+}
+
+// decodeBody decodes a request's JSON body into v, refusing a field v
+// does not have and anything after the one value, and answers 400 when
+// it cannot.
+func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		if _, end := dec.Token(); end != io.EOF {
+			err = fmt.Errorf("data after the request object")
+		}
+	}
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, errorDoc{Error: "bad JSON: " + err.Error()})
+		return false
+	}
+	return true
+}
+
+// notServed is the refusal of an engine name that is not the one
+// snapshot st serves, for both serving protocols.
+func notServed(name string, st *FabricState) string {
+	return fmt.Sprintf("engine %q is not served: this daemon routes with %q", name, st.Engine)
 }
 
 func intParam(r *http.Request, name string) (int, error) {

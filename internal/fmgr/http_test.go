@@ -76,6 +76,17 @@ func TestHandlerRoute(t *testing.T) {
 			t.Fatalf("%s: status %d, want 400", u, rec.Code)
 		}
 	}
+	// ?engine= names the daemon's one engine or is left out; any other
+	// registry name is a 404 that names both.
+	for _, q := range []string{"&engine=", "&engine=dmodk"} {
+		if rec, body := get(t, h, "/v1/route?src=0&dst=9"+q); rec.Code != http.StatusOK || body["engine"] != "dmodk" {
+			t.Fatalf("route%s: %d %v", q, rec.Code, body)
+		}
+	}
+	rec, body = get(t, h, "/v1/route?src=0&dst=9&engine=minhop-random")
+	if msg, _ := body["error"].(string); rec.Code != http.StatusNotFound || !strings.Contains(msg, `"minhop-random"`) || !strings.Contains(msg, `"dmodk"`) {
+		t.Fatalf("route under another engine: %d %q", rec.Code, msg)
+	}
 }
 
 func TestHandlerOrderHSDFabricHealthMetrics(t *testing.T) {
@@ -255,5 +266,38 @@ func TestHandlerRequestTimeout(t *testing.T) {
 	close(body.release)
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503 from the timeout handler", rec.Code)
+	}
+}
+
+// TestHandlerStrictBodies: a body field the request type does not have is
+// a 400 that names it, not a default silently applied — a misspelt
+// "fail" injects nothing, and a job naming an engine would ride the
+// daemon's engine without a word. A job of no hosts is a bad request
+// too (a placement the fabric cannot satisfy stays a 409: TestHandlerJobs).
+// None of them reaches the event loop.
+func TestHandlerStrictBodies(t *testing.T) {
+	m := newManager(t, "rlft2:4,8", nil)
+	m.Start()
+	h := m.Handler()
+	for _, tc := range []struct {
+		path, body string
+		code       int
+		says       string
+	}{
+		{"/v1/faults", `{"fial":[3]}`, http.StatusBadRequest, `"fial"`},
+		{"/v1/jobs", `{"sise":8}`, http.StatusBadRequest, `"sise"`},
+		{"/v1/jobs", `{"size":8,"engine":"minhop-random"}`, http.StatusBadRequest, `"engine"`},
+		{"/v1/jobs", `{"size":0}`, http.StatusBadRequest, `"size" 0`},
+		{"/v1/jobs", `{"size":-3,"aligned":true}`, http.StatusBadRequest, `"size" -3`},
+		{"/v1/jobs", `{"size":8}{"size":9}`, http.StatusBadRequest, "after the request object"},
+		{"/v1/faults", `{"fail":[3]} x`, http.StatusBadRequest, "after the request object"},
+	} {
+		rec, body := do(t, h, httptest.NewRequest("POST", tc.path, strings.NewReader(tc.body)))
+		if msg, _ := body["error"].(string); rec.Code != tc.code || !strings.Contains(msg, tc.says) {
+			t.Errorf("POST %s %s: %d %q, want %d naming %s", tc.path, tc.body, rec.Code, msg, tc.code, tc.says)
+		}
+	}
+	if recs, _ := m.Events(0); len(recs) != 0 || m.Current().Epoch != 1 {
+		t.Fatalf("refused bodies reached the event loop: epoch %d, journal %+v", m.Current().Epoch, recs)
 	}
 }

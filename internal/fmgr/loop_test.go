@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -85,7 +84,6 @@ type loopRig struct {
 	sent  int // events enqueued so far
 	mu    sync.Mutex
 	built []time.Duration // when each rebuild's validate call ran, from t0
-	alone []*fabricTables // what a placement had validated alone: one engine's tables
 	swaps []swapAt        // every snapshot announced after the initial one
 }
 
@@ -103,11 +101,7 @@ func newLoopRig(t *testing.T, spec string, mutate func(*Config)) *loopRig {
 	inner := r.m.validate
 	r.m.validate = func(tb *fabricTables) error {
 		r.mu.Lock()
-		if tb.hsd != nil { // the active engine is among them: a rebuild
-			r.built = append(r.built, r.clk.Now().Sub(r.t0))
-		} else {
-			r.alone = append(r.alone, tb)
-		}
+		r.built = append(r.built, r.clk.Now().Sub(r.t0))
 		r.mu.Unlock()
 		return inner(tb)
 	}
@@ -423,39 +417,31 @@ func TestRetryInsideWindowIsHeld(t *testing.T) {
 }
 
 // digest renders everything a snapshot serves — fault state, every
-// engine's every path, the standing report, the jobs, their frames, the
-// order frame — with the frames' epoch stamps taken out and returned
-// beside it: two snapshots of one (fault set, jobs) state digest alike
-// whatever sequence of publishes led to them.
+// path, the standing report, the jobs, their frames, the order frame —
+// with the frames' epoch stamps taken out and returned beside it: two
+// snapshots of one (fault set, jobs) state digest alike whatever
+// sequence of publishes led to them.
 func digest(t *testing.T, st *FabricState) (string, map[sched.JobID]uint64) {
 	t.Helper()
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "epoch %d failed %v unroutable %v broken %d max hsd %d\n",
 		st.Epoch, st.FailedLinks, st.Unroutable, st.BrokenPairs, st.HSD.MaxHSD())
-	var engines []string
-	for name := range st.ByEngine {
-		engines = append(engines, name)
-	}
-	sort.Strings(engines)
+	fmt.Fprintf(&b, "engine %s %s\n", st.Engine, st.Routing)
 	n := st.Topo.NumHosts()
-	for _, name := range engines {
-		tb := st.ByEngine[name]
-		fmt.Fprintf(&b, "engine %s %s unroutable %v broken %d\n", name, tb.Compiled.Label(), tb.Unroutable, tb.BrokenPairs)
-		for s := 0; s < n; s++ {
-			for d := 0; d < n; d++ {
-				if s != d {
-					p, err := tb.Compiled.PackedPath(s, d)
-					fmt.Fprintln(&b, s, d, p, err)
-				}
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			if s != d {
+				p, err := st.Paths.PackedPath(s, d)
+				fmt.Fprintln(&b, s, d, p, err)
 			}
 		}
 	}
-	if st.Paths != st.ByEngine[st.Engine].Compiled {
-		t.Fatalf("epoch %d: Paths/LFT are not the active engine's", st.Epoch)
+	if st.Paths != st.tb.Compiled {
+		t.Fatalf("epoch %d: Paths are not its tables' arena", st.Epoch)
 	}
 	stamps := map[sched.JobID]uint64{}
 	for _, j := range st.Jobs { // in ID order
-		fmt.Fprintf(&b, "job %d %v engine %s\n", j.ID, j.Hosts, st.JobEngine(j.ID))
+		fmt.Fprintf(&b, "job %d %v\n", j.ID, j.Hosts)
 		jw, ok := st.JobRouteSets[j.ID]
 		if !ok {
 			t.Fatalf("epoch %d: job %d has no frame", st.Epoch, j.ID)
@@ -471,25 +457,26 @@ func digest(t *testing.T, st *FabricState) (string, map[sched.JobID]uint64) {
 		stamps[j.ID], f.Epoch = f.Epoch, 0
 		fmt.Fprintf(&b, "frame %d code %d pairs %d %x\n", j.ID, jw.Code, jw.Pairs, wire.EncodeFrame(f))
 	}
-	if len(st.JobRouteSets) != len(st.Jobs) || len(st.JobEngines) > len(st.Jobs) {
-		t.Fatalf("epoch %d: %d jobs, %d frames, %d engine requests", st.Epoch, len(st.Jobs), len(st.JobRouteSets), len(st.JobEngines))
+	if len(st.JobRouteSets) != len(st.Jobs) {
+		t.Fatalf("epoch %d: %d jobs, %d frames", st.Epoch, len(st.Jobs), len(st.JobRouteSets))
 	}
 	fmt.Fprintf(&b, "order %x\n", st.wireOrder)
 	return b.String(), stamps
 }
 
 // TestPublishedSequenceUnderScript drives a seeded 240-event
-// fail/revive/alloc/free script — some placements under an engine of
-// their own, some events refused — in bursts and alone, through the loop
-// and through a reference manager with no loop at all that rebuilds from
-// scratch for every publish. Every published snapshot must equal the
-// reference's of the same (fault set, jobs) entry for entry, each job's
-// frame stamped with the later of the last table rebuild and the job's
-// own placement; a job event on a quiet fabric must publish before its
-// call returns, with the clock standing still and nothing rebuilt; a
-// fault burst must swap exactly one window after its last fault event,
-// whatever job events fell inside it, at the cost of one discarded build
-// at most.
+// fail/revive/alloc/free script — some events refused — in bursts and
+// alone, through the loop and through a reference manager with no loop at
+// all that rebuilds from scratch for every publish. Every published
+// snapshot must equal the reference's of the same (fault set, jobs) entry
+// for entry, each job's frame stamped with the later of the last table
+// rebuild and the job's own placement; a job event on a quiet fabric must
+// publish before its call returns, with the clock standing still and
+// nothing rebuilt, and carry the very tables of the snapshot before it —
+// a job event changes no table (the loop assembling over a fresh
+// buildTables on a placement fails here); a fault burst must swap exactly
+// one window after its last fault event, whatever job events fell inside
+// it, at the cost of one discarded build at most.
 func TestPublishedSequenceUnderScript(t *testing.T) {
 	const debounce = 25 * ms
 	r := newLoopRig(t, "rlft2:4,8", func(c *Config) { c.Debounce = debounce })
@@ -504,6 +491,7 @@ func TestPublishedSequenceUnderScript(t *testing.T) {
 	var (
 		live      []sched.JobID
 		epoch     = uint64(1) // of the last publish
+		last      = r.m.Current()
 		rebuiltAt = uint64(1) // epoch of the last publish that carried rebuilt tables
 		placedAt  = map[sched.JobID]uint64{}
 		open      bool          // fault events await their tables
@@ -529,6 +517,10 @@ func TestPublishedSequenceUnderScript(t *testing.T) {
 		if got.at != at || got.st.Epoch != epoch || r.m.Current() != got.st {
 			t.Fatalf("event %d: epoch %d swapped at %v, want epoch %d at %v", i, got.st.Epoch, got.at, epoch, at)
 		}
+		if (got.st.tb == last.tb) != (how == "reused") {
+			t.Fatalf("event %d: epoch %d (tables=%s) shares its tables with epoch %d: %t", i, epoch, how, last.Epoch, got.st.tb == last.tb)
+		}
+		last = got.st
 		want, err := ref.buildState(epoch, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -557,7 +549,6 @@ func TestPublishedSequenceUnderScript(t *testing.T) {
 			ev.kind, ev.link = evRevive, links[rng.Intn(len(links))]
 		case k < 12 || len(live) == 0:
 			ev.kind, ev.size, ev.aligned = evAlloc, 1+rng.Intn(12), rng.Intn(2) == 0
-			ev.engine = []string{"", "fault-resilient", "dmodk"}[rng.Intn(3)]
 		case k < 19:
 			at := rng.Intn(len(live))
 			ev.kind, ev.job = evFree, live[at]
@@ -565,7 +556,7 @@ func TestPublishedSequenceUnderScript(t *testing.T) {
 		default:
 			ev.kind, ev.job = evFree, 9999 // nobody's
 		}
-		what, want, _ := ref.apply(ev, nil)
+		what, want := ref.apply(ev)
 		now := r.clk.Now().Sub(r.t0)
 		b0, _ := r.counts()
 		switch ev.kind {
@@ -575,7 +566,7 @@ func TestPublishedSequenceUnderScript(t *testing.T) {
 			r.inject(nil, []topo.LinkID{ev.link})
 		case evAlloc:
 			r.sent++
-			got, err := r.m.AllocJobEngine(ev.size, ev.aligned, ev.engine)
+			got, err := r.m.AllocJob(ev.size, ev.aligned)
 			if (err == nil) != (want.err == nil) || err == nil && got.ID != want.alloc.ID {
 				t.Fatalf("event %d: alloc gave %v, %v; the reference %v, %v", i, got, err, want.alloc, want.err)
 			}
@@ -636,8 +627,8 @@ func TestPublishedSequenceUnderScript(t *testing.T) {
 			t.Fatalf("fmgr_reroutes_total = %d after %d bursts: it counts swaps that carried rebuilt tables", got, bursts)
 		}
 	}
-	if bursts < 25 || discarded < 8 || quiet < 25 || rode < 25 || len(r.alone) < 8 {
-		t.Fatalf("script too tame: %d bursts, %d discarded builds, %d job events published alone, %d inside a window, %d engines admitted alone",
-			bursts, discarded, quiet, rode, len(r.alone))
+	if bursts < 25 || discarded < 8 || quiet < 25 || rode < 25 {
+		t.Fatalf("script too tame: %d bursts, %d discarded builds, %d job events published alone, %d inside a window",
+			bursts, discarded, quiet, rode)
 	}
 }

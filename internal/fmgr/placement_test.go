@@ -1,8 +1,6 @@
 package fmgr
 
 import (
-	"errors"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -11,8 +9,6 @@ import (
 	"fattree/internal/topo"
 	"fattree/internal/wire"
 )
-
-var errInjected = errors.New("injected validation failure")
 
 // kinds lists the journal's records from seq on as "kind/outcome".
 func kinds(m *Manager, seq uint64) []string {
@@ -121,7 +117,7 @@ func TestPlacementOnQuietFabric(t *testing.T) {
 	if _, swap := r.lifecycle(4); !strings.HasSuffix(swap.Detail, " jobs=1 tables=rebuilt speculated=true wait_us=25000") {
 		t.Fatalf("swap detail %q", swap.Detail)
 	}
-	want, err := pairListResp(4, st.Engine, st.ByEngine[st.Engine], orderedPairs(b.Hosts))
+	want, err := pairListResp(4, st.Engine, st.tb.Tables, orderedPairs(b.Hosts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +144,8 @@ func TestEventsThatChangeNothingPublishNothing(t *testing.T) {
 	if _, err := r.m.AllocJob(10*r.m.t.NumHosts(), false); err == nil {
 		t.Fatal("oversized job allocated")
 	}
-	if _, err := r.m.AllocJobEngine(4, false, "bogus"); err == nil {
-		t.Fatal("job placed under an unknown engine")
+	if _, err := r.m.AllocJob(0, false); err == nil {
+		t.Fatal("empty job allocated")
 	}
 	if err := r.m.FreeJob(77); err == nil {
 		t.Fatal("unknown job freed")
@@ -175,92 +171,6 @@ func TestEventsThatChangeNothingPublishNothing(t *testing.T) {
 	r.clk.mu.Unlock()
 	if !armed.IsZero() {
 		t.Fatalf("the loop is waiting for %v with nothing to do", armed.Sub(r.t0))
-	}
-}
-
-// TestPlacementAdmitsEngineAlone: a placement under an engine the epoch
-// has no tables for builds and proves that engine's tables, alone, under
-// the live fault set, and shares the rest; when they do not validate the
-// placement is refused and nothing is published.
-func TestPlacementAdmitsEngineAlone(t *testing.T) {
-	r := newLoopRig(t, "rlft2:4,8", nil)
-	var refuse string // engine whose tables fail validation
-	inner := r.m.validate
-	r.m.validate = func(tb *fabricTables) error {
-		if err := inner(tb); err != nil {
-			return err
-		}
-		if tb.byEngine[refuse] != nil {
-			return errInjected
-		}
-		return nil
-	}
-	r.m.Start()
-	link := fabricLink(t, r.m.t, 0)
-	r.inject([]topo.LinkID{link}, nil)
-	r.advance(time.Second)
-	r.want(1, 1, 1, 0)
-	faulted := r.m.Current()
-	seq := nextSeq(r.m)
-
-	a, err := r.m.AllocJobEngine(8, false, "fault-resilient")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.want(1, 2, 1, 0)
-	if len(r.alone) != 1 || len(r.alone[0].byEngine) != 1 || r.alone[0].byEngine["fault-resilient"] == nil ||
-		!reflect.DeepEqual(r.alone[0].failedLinks, []topo.LinkID{link}) {
-		t.Fatalf("validated alone: %+v; want fault-resilient's tables under failed link %d", r.alone, link)
-	}
-	st := r.m.Current()
-	if st.Epoch != 3 || st.ByEngine["dmodk"] != faulted.ByEngine["dmodk"] || st.HSD != faulted.HSD {
-		t.Fatalf("epoch %d did not share the active engine's tables", st.Epoch)
-	}
-	if st.ByEngine["fault-resilient"] != r.alone[0].byEngine["fault-resilient"] || st.JobEngine(a.ID) != "fault-resilient" {
-		t.Fatalf("epoch %d does not serve job %d from the tables validated for it", st.Epoch, a.ID)
-	}
-	if got := strings.Join(kinds(r.m, seq), " "); got != "reroute/ok validate/ok alloc/ok swap/ok" {
-		t.Fatalf("journal reads %q", got)
-	}
-	recs, _ := r.m.EventsSince(seq, 2)
-	for _, rec := range recs {
-		if rec.Engine != "fault-resilient" || rec.Epoch != 3 {
-			t.Fatalf("%s record names engine %q at epoch %d", rec.Kind, rec.Engine, rec.Epoch)
-		}
-	}
-	// The same tables a rebuild from scratch would give the job.
-	ref, err := r.m.buildState(3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := digest(t, st)
-	if want, _ := digest(t, ref); got != want {
-		t.Fatal("the snapshot with the admitted engine differs from one built from scratch")
-	}
-	// A second job under the engine finds its tables there.
-	if _, err := r.m.AllocJobEngine(4, false, "fault-resilient"); err != nil {
-		t.Fatal(err)
-	}
-	if len(r.alone) != 1 || r.m.Current().ByEngine["fault-resilient"] != st.ByEngine["fault-resilient"] {
-		t.Fatal("tables the epoch already had were built again")
-	}
-
-	refuse, seq = "dmodk-naive", nextSeq(r.m)
-	if _, err := r.m.AllocJobEngine(4, false, "dmodk-naive"); err == nil || !strings.Contains(err.Error(), errInjected.Error()) {
-		t.Fatalf("placement under tables that fail validation: %v", err)
-	}
-	r.want(1, 3, 1, 0)
-	if st := r.m.Current(); st.Epoch != 4 || len(st.Jobs) != 2 || st.ByEngine["dmodk-naive"] != nil {
-		t.Fatalf("refused placement left epoch %d with %d jobs", st.Epoch, len(st.Jobs))
-	}
-	if got := strings.Join(kinds(r.m, seq), " "); got != "reroute/ok validate/error alloc/error" {
-		t.Fatalf("journal of the refusal reads %q", got)
-	}
-	if got := r.counter("fmgr_check_failures_total"); got != 1 {
-		t.Fatalf("fmgr_check_failures_total = %d, want 1", got)
-	}
-	if len(r.m.alloc.Jobs()) != 2 {
-		t.Fatal("the refused placement reached the allocator")
 	}
 }
 

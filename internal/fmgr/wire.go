@@ -127,7 +127,7 @@ func (m *Manager) wireRouteSet(dst []byte, st *FabricState, req *wire.RouteSetRe
 	}
 	engName, paths, ok := st.tables(req.Engine)
 	if !ok {
-		return refuse(wire.CodeNotFound, 404, "engine %q has no tables in epoch %d", engName, st.Epoch)
+		return refuse(wire.CodeNotFound, 404, "%s", notServed(engName, st))
 	}
 	n := st.Topo.NumHosts()
 	for _, p := range req.Pairs {

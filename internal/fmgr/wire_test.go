@@ -160,7 +160,7 @@ func TestWireJobRouteSetPrecomputed(t *testing.T) {
 		t.Fatalf("job route set answered %T", msg)
 	}
 	rs := f.Expand()
-	want, err := pairListResp(st.Epoch, st.Engine, st.ByEngine[st.Engine], orderedPairs(a.Hosts))
+	want, err := pairListResp(st.Epoch, st.Engine, st.tb.Tables, orderedPairs(a.Hosts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func testWireRouteSetEqualsPairList(t *testing.T, mutate func(*Config)) {
 			batch = append(batch, [2]uint32{uint32(rng.Intn(n)), uint32(rng.Intn(n))})
 		}
 		for _, pairs := range [][][2]uint32{all, batch, nil} {
-			want, err := pairListResp(st.Epoch, st.Engine, st.ByEngine[st.Engine], pairs)
+			want, err := pairListResp(st.Epoch, st.Engine, st.tb.Tables, pairs)
 			if err != nil {
 				t.Fatal(err)
 			}

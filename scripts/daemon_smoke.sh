@@ -40,6 +40,13 @@ JOB=$(curl -fsS -X POST "http://$ADDR/v1/jobs" -d '{"size":8}' | sed -n 's/.*"id
 curl -fsS "http://$ADDR/v1/jobs" | grep -q "\"id\": *$JOB\b" \
     || fail "job $JOB not listed right after its placement returned"
 
+# One engine per daemon: a job body naming an engine is refused (400,
+# an unknown field), and so is a route under another engine (404).
+CODE=$(curl -sS -o /dev/null -w '%{http_code}' -X POST "http://$ADDR/v1/jobs" -d '{"size":8,"engine":"minhop-random"}')
+[ "$CODE" = 400 ] || fail "job naming an engine got $CODE, want 400"
+CODE=$(curl -sS -o /dev/null -w '%{http_code}' "http://$ADDR/v1/route?src=0&dst=17&engine=minhop-random")
+[ "$CODE" = 404 ] || fail "route under another engine got $CODE, want 404"
+
 # Write path: inject random faults, then the fabric document must
 # eventually report them (the reroute is debounced).
 curl -fsS -X POST "http://$ADDR/v1/faults" -d '{"fail_random":2}' | grep -q '"accepted": *[1-9]' \
