@@ -44,8 +44,8 @@ loc:
 	done
 	@printf '%6d internal/{route,engine,fabric,fmgr}\n' \
 		"$$(find internal/route internal/engine internal/fabric internal/fmgr -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
-	@printf '%6d cmd + internal/{cli,exp,hsd,fmgr,bakeoff}\n' \
-		"$$(find cmd internal/cli internal/exp internal/hsd internal/fmgr internal/bakeoff -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@printf '%6d cmd + internal/{cli,exp,hsd,fmgr}\n' \
+		"$$(find cmd internal/cli internal/exp internal/hsd internal/fmgr -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@printf '%6d all non-test Go outside bench/\n' \
 		"$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.*' | xargs cat | wc -l)"
 

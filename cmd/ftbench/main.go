@@ -29,7 +29,6 @@ func main() { os.Exit(cli.Main("ftbench", os.Args[1:], os.Stdout, os.Stderr, set
 func setup(a *cli.App) func(io.Writer) error {
 	var (
 		which    = a.Flags.String("exp", "all", "experiment: "+strings.Join(keys(), " | ")+" | all")
-		engName  = a.Engine()
 		quick    = a.Flags.Bool("quick", false, "reduced scale for a fast run")
 		csvOut   = a.Flags.Bool("csv", false, "emit CSV instead of aligned text")
 		jsonOut  = a.Flags.Bool("json", false, "emit JSON (fattree-table/v1) instead of aligned text")
@@ -41,7 +40,6 @@ func setup(a *cli.App) func(io.Writer) error {
 		if *progress < 0 {
 			return fmt.Errorf("-progress %v: want 0 (off) or a positive interval", *progress)
 		}
-		exp.EngineName = *engName
 		if sinks.Enabled() || *progress > 0 {
 			// Attach the sinks to every simulation the experiments run;
 			// the trace concatenates all runs on a shared timeline, and

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"fattree/internal/bakeoff"
 	"fattree/internal/cli/clitest"
 	"fattree/internal/des"
 	"fattree/internal/fmgr"
@@ -365,7 +364,6 @@ func TestDocumentsRoundTrip(t *testing.T) {
 		raw  []byte
 		into interface{}
 	}{
-		{"bakeoff", enc(bakeoff.Run(bakeoff.Config{Topo: tp, Engines: []string{"dmodk", "smodk"}, Seed: 1})), new(schema.BakeoffDoc)},
 		{"events", journalAfterFault(t, tp), new(schema.EventsDoc)},
 		{"link-rollup", regexp.MustCompile(`(?m)^\{"rollup":.*$`).Find(probes.Bytes()), new(schema.LinkRollup)},
 		{"load", enc(sweep(config{Addr: srv.URL, Mode: "closed", Levels: "1",

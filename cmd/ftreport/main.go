@@ -10,9 +10,7 @@
 //	    heatmaps, the hot-links table, stage timeline, sparklines and
 //	    quantile tables. No external assets.
 //	    -load adds an ftload sweep as a p99-vs-offered-load curve;
-//	    -events adds the daemon's fabric event journal as a timeline;
-//	    -bakeoff adds an ftbakeoff engine comparison: per-fault-level
-//	    tables plus routability degradation curves.
+//	    -events adds the daemon's fabric event journal as a timeline.
 //
 // See docs/OBSERVABILITY.md for every schema this command reads and
 // writes.
@@ -160,8 +158,6 @@ func setupHTML(a *cli.App) func(io.Writer) error {
 			}},
 		{fs.String("events", "", "fattree-events/v1 journal (from GET /v1/events)"), &opt.EventsFile,
 			func(r io.Reader) (err error) { in.Events, err = report.ParseEvents(r); return }},
-		{fs.String("bakeoff", "", "fattree-bakeoff/v1 verdict (from ftbakeoff -o)"), &opt.BakeoffFile,
-			func(r io.Reader) (err error) { in.Bakeoff, err = report.ParseBakeoff(r); return }},
 	}
 	var (
 		outPath = fs.String("o", "report.html", "output HTML file (- for stdout)")
@@ -202,7 +198,7 @@ func setupHTML(a *cli.App) func(io.Writer) error {
 			*row.label = strings.Join(bases, ", ")
 		}
 		if !given {
-			return fmt.Errorf("html: need at least one of -metrics, -trace, -load, -events, -bakeoff")
+			return fmt.Errorf("html: need at least one of -metrics, -trace, -load, -events")
 		}
 		if *stamp {
 			opt.Generated = time.Now().UTC().Format(time.RFC3339)

@@ -21,10 +21,10 @@ func TestGolden(t *testing.T) {
 		// Every input flag at once, over fixtures recorded from their real
 		// producers (ftsim -topo 128 -cps ring -order random -sample 2
 		// -bytes 8192 -probe-interval 4us -metrics, a daemon's journal
-		// after one fault, ftbakeoff -o, a two-level sweep).
+		// after one fault, a two-level sweep).
 		{Name: "html-all-inputs", Args: []string{"html", "-metrics", "testdata/ring128.jsonl", "-trace", "testdata/trace.json",
 			"-load", "testdata/load.json", "-events", "testdata/events.json",
-			"-bakeoff", "testdata/bakeoff.json", "-stamp=false", "-max-heatmap-rows", "8", "-o", "-"}},
+			"-stamp=false", "-max-heatmap-rows", "8", "-o", "-"}},
 		// A row cap below one used to fall back to 64 silently.
 		{Name: "zero-heatmap-rows", Args: []string{"html", "-metrics", "testdata/probes.jsonl", "-max-heatmap-rows", "0", "-o", "-"},
 			Exit: 1, Stderr: "ftreport: -max-heatmap-rows 0: want at least one row"},

@@ -11,7 +11,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 
@@ -30,9 +29,6 @@ type Case struct {
 	// standard error.
 	Exit   int
 	Stderr string
-	// Scrub is blanked on both sides before comparing (wall-clock
-	// columns).
-	Scrub *regexp.Regexp
 }
 
 // Run drives every case through cli.Main with the command's setup.
@@ -71,9 +67,6 @@ func RunMain(t *testing.T, main func(args []string, stdout, stderr io.Writer) in
 				t.Fatal(err)
 			}
 			got := stdout.Bytes()
-			if tc.Scrub != nil {
-				got, want = tc.Scrub.ReplaceAll(got, nil), tc.Scrub.ReplaceAll(want, nil)
-			}
 			if !bytes.Equal(got, want) {
 				t.Errorf("stdout differs from %s (re-record with -update if intended)\n--- got\n%s--- want\n%s", path, clip(got), clip(want))
 			}

@@ -6,12 +6,11 @@ import (
 
 	"fattree/internal/fabric"
 	"fattree/internal/route"
-	"fattree/internal/schema"
 	"fattree/internal/topo"
 )
 
 func init() {
-	Register(schema.EngineInfo{
+	Register(Info{
 		Name:        "dmodk",
 		Description: "paper's D-Mod-K (equation 1); reroutes with per-destination down-cone growth",
 		LFT:         true,
@@ -33,8 +32,8 @@ func init() {
 		return newRerouteEngine("dmodk", lft, rank)
 	})
 
-	// A second name for dmodk, kept while bench/ and ftbakeoff runs name it.
-	Register(schema.EngineInfo{
+	// A second name for dmodk, kept while bench/ names it.
+	Register(Info{
 		Name:        "fault-resilient",
 		Description: "dmodk under a second name: the same tables and the same fault reroute",
 		LFT:         true,
@@ -43,7 +42,7 @@ func init() {
 		return newRerouteEngine("fault-resilient", route.DModK(t), nil)
 	})
 
-	Register(schema.EngineInfo{
+	Register(Info{
 		Name:        "dmodk-naive",
 		Description: "textbook D-Mod-K without the parallel-copy down rule; fault-oblivious baseline",
 		LFT:         true,
@@ -51,7 +50,7 @@ func init() {
 		return newObliviousEngine("dmodk-naive", route.DModKNaive(t))
 	})
 
-	Register(schema.EngineInfo{
+	Register(Info{
 		Name:        "minhop-random",
 		Description: "seeded random minimal up-port selection; fault-oblivious baseline",
 		LFT:         true,
@@ -59,7 +58,7 @@ func init() {
 		return newObliviousEngine("minhop-random", route.MinHopRandom(t, opts.Seed))
 	})
 
-	Register(schema.EngineInfo{
+	Register(Info{
 		Name:        "smodk",
 		Description: "source-based S-Mod-K; spreads by source index, no forwarding-table realization",
 	}, func(t *topo.Topology, opts Options) (Engine, error) {

@@ -7,9 +7,8 @@
 // engine repairs a fault the same way: it reroutes only the destination
 // columns the dead links touched and re-walks only those columns of the
 // healthy arena ("fault-resilient" is a second name for dmodk). The
-// fabric manager, the CLIs and the bake-off harness all select engines by
-// name from this registry, so adding an engine is one Register call (see
-// docs/ROUTING.md).
+// fabric manager and the CLIs select engines by name from this registry,
+// so adding an engine is one Register call (see docs/ROUTING.md).
 package engine
 
 import (
@@ -20,7 +19,6 @@ import (
 
 	"fattree/internal/fabric"
 	"fattree/internal/route"
-	"fattree/internal/schema"
 	"fattree/internal/topo"
 )
 
@@ -53,16 +51,6 @@ type Tables struct {
 	BrokenPairs int
 }
 
-// Routability returns the fraction of ordered src!=dst pairs the tables
-// serve, in [0, 1]. Healthy fabrics report 1.
-func (tb *Tables) Routability(n int) float64 {
-	total := n * (n - 1)
-	if total == 0 {
-		return 1
-	}
-	return float64(total-tb.Compiled.NumBroken()) / float64(total)
-}
-
 // Engine produces tables for successive fault states of one topology.
 // Implementations may cache work across calls (a fault-aware engine keeps
 // its healthy tables and arena); each Tables call must stand alone
@@ -85,14 +73,27 @@ var (
 )
 
 type regEntry struct {
-	info schema.EngineInfo
+	info Info
 	b    Builder
+}
+
+// Info describes a registered routing engine for the -engine list
+// listing.
+type Info struct {
+	Name        string
+	Description string
+	// LFT reports whether the engine produces destination-based
+	// forwarding tables programmable into InfiniBand-style hardware.
+	LFT bool
+	// FaultAware reports whether the engine actively reroutes around
+	// dead links, rather than only refusing the pairs they break.
+	FaultAware bool
 }
 
 // Register adds an engine to the registry. It panics on an empty name,
 // nil builder or duplicate registration — all programming errors, caught
 // at init time.
-func Register(info schema.EngineInfo, b Builder) {
+func Register(info Info, b Builder) {
 	if info.Name == "" {
 		panic("engine: Register with empty name")
 	}
@@ -151,10 +152,10 @@ func Names() []string {
 }
 
 // Infos returns the registered engine descriptors, sorted by name.
-func Infos() []schema.EngineInfo {
+func Infos() []Info {
 	regMu.RLock()
 	defer regMu.RUnlock()
-	out := make([]schema.EngineInfo, 0, len(registry))
+	out := make([]Info, 0, len(registry))
 	for _, e := range registry {
 		out = append(out, e.info)
 	}

@@ -14,7 +14,6 @@ import (
 	"fattree/internal/invariant"
 	"fattree/internal/order"
 	"fattree/internal/route"
-	"fattree/internal/schema"
 	"fattree/internal/topo"
 )
 
@@ -293,6 +292,82 @@ func TestFaultedCatalog(t *testing.T) {
 				}
 				faultedCatalog(t, tp, tb, fs)
 			})
+		}
+	}
+}
+
+// correlatedFaults builds three fault shapes of a seeded storm on t: one
+// random fabric link, every down link of one top switch (a bricked
+// spine), and half of leaf 0's uplinks plus one random fabric link (a
+// cut cable bundle beside an unrelated failure).
+func correlatedFaults(t *testing.T, tp *topo.Topology, seed int64) []faultShape {
+	t.Helper()
+	one := fabric.NewFaultSet(tp)
+	if err := one.FailRandomFabricLinks(1, seed); err != nil {
+		t.Fatal(err)
+	}
+	spine := fabric.NewFaultSet(tp)
+	top := tp.ByLevel[tp.Spec.H]
+	for _, pid := range tp.Node(top[int(seed)%len(top)]).Down {
+		spine.Fail(tp.Ports[pid].Link)
+	}
+	leafSpine := fabric.NewFaultSet(tp)
+	for i, pid := range tp.Node(tp.ByLevel[1][0]).Up {
+		if i%2 == 0 {
+			leafSpine.Fail(tp.Ports[pid].Link)
+		}
+	}
+	if err := leafSpine.FailRandomFabricLinks(1, seed+1); err != nil {
+		t.Fatal(err)
+	}
+	return []faultShape{{"1-link", one}, {"spine-switch", spine}, {"leaf-spine", leafSpine}}
+}
+
+type faultShape struct {
+	name string
+	fs   *fabric.FaultSet
+}
+
+// TestRerouteSurvivesCorrelatedFaults: through every shape of a
+// correlated fault storm, on a small fabric and the paper cluster, both
+// fault-aware engine names leave every host routable and every pair
+// served, over tables that pass the faulted catalog. The fault-oblivious
+// dmodk-naive, compiled over the same dead links, is the negative
+// control: it must lose pairs on every shape, or the shape tests nothing.
+func TestRerouteSurvivesCorrelatedFaults(t *testing.T) {
+	for _, tp := range []*topo.Topology{buildSmall(t), build324(t)} {
+		engines := map[string]Engine{}
+		for _, name := range []string{"dmodk", "fault-resilient", "dmodk-naive"} {
+			e, err := Build(name, tp, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			engines[name] = e
+		}
+		for _, seed := range []int64{1, 3, 7, 11} {
+			for _, shape := range correlatedFaults(t, tp, seed) {
+				fs := shape.fs
+				what := fmt.Sprintf("%v seed %d %s (%d dead links)", tp.Spec, seed, shape.name, fs.Failed())
+				for _, name := range []string{"dmodk", "fault-resilient"} {
+					tb, err := engines[name].Tables(fs)
+					if err != nil {
+						t.Fatalf("%s %s: %v", what, name, err)
+					}
+					if len(tb.Unroutable) != 0 || tb.BrokenPairs != 0 || tb.Compiled.NumBroken() != 0 {
+						t.Fatalf("%s %s: unroutable %v, %d broken pairs, arena broken %d; want every pair served",
+							what, name, tb.Unroutable, tb.BrokenPairs, tb.Compiled.NumBroken())
+					}
+					faultedCatalog(t, tp, tb, fs)
+				}
+				tb, err := engines["dmodk-naive"].Tables(fs)
+				if err != nil {
+					t.Fatalf("%s dmodk-naive: %v", what, err)
+				}
+				if tb.BrokenPairs == 0 {
+					t.Fatalf("%s: the fault-oblivious dmodk-naive lost no pair; the shape does not test the reroute", what)
+				}
+				t.Logf("%s: dmodk-naive loses %d pairs", what, tb.BrokenPairs)
+			}
 		}
 	}
 }
@@ -614,7 +689,7 @@ func (e *brokenTestEngine) Tables(fs *fabric.FaultSet) (*Tables, error) {
 }
 
 func init() {
-	Register(schema.EngineInfo{Name: "broken-test", Description: "deliberately broken (test only)", LFT: true},
+	Register(Info{Name: "broken-test", Description: "deliberately broken (test only)", LFT: true},
 		func(t *topo.Topology, opts Options) (Engine, error) {
 			return &brokenTestEngine{t: t}, nil
 		})
@@ -641,12 +716,12 @@ func TestBrokenEngineFailsCatalog(t *testing.T) {
 func TestRegisterPanics(t *testing.T) {
 	for _, tc := range []struct {
 		label string
-		info  schema.EngineInfo
+		info  Info
 		b     Builder
 	}{
-		{"empty name", schema.EngineInfo{}, func(*topo.Topology, Options) (Engine, error) { return nil, nil }},
-		{"nil builder", schema.EngineInfo{Name: "x-nil"}, nil},
-		{"duplicate", schema.EngineInfo{Name: "dmodk"}, func(*topo.Topology, Options) (Engine, error) { return nil, nil }},
+		{"empty name", Info{}, func(*topo.Topology, Options) (Engine, error) { return nil, nil }},
+		{"nil builder", Info{Name: "x-nil"}, nil},
+		{"duplicate", Info{Name: "dmodk"}, func(*topo.Topology, Options) (Engine, error) { return nil, nil }},
 	} {
 		func() {
 			defer func() {

@@ -104,7 +104,7 @@ func BidirAblation(cluster topo.PGFT) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt, err := engineRouter(tp)
+	rt, err := route.Compile(route.DModK(tp))
 	if err != nil {
 		return nil, err
 	}
@@ -131,4 +131,14 @@ func BidirAblation(cluster topo.PGFT) (*Table, error) {
 	t.Notes = append(t.Notes,
 		"the Section VI sequence trades a few extra stages for contention freedom")
 	return t, nil
+}
+
+// analyzeLFT runs seq under ordering o through the compiled paths of a
+// forwarding-table set, stages in parallel.
+func analyzeLFT(lft *route.LFT, o *order.Ordering, seq cps.Sequence) (*hsd.Report, error) {
+	rt, err := route.Compile(lft)
+	if err != nil {
+		return nil, err
+	}
+	return hsd.Analyze(rt, o, seq)
 }

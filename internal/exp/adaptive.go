@@ -59,10 +59,7 @@ func AdaptiveComparison(o AdaptiveOpts) (*Table, error) {
 		return norm, st.OutOfOrderPackets, nil
 	}
 
-	lft, err := engineLFT(tp)
-	if err != nil {
-		return nil, err
-	}
+	lft := route.DModK(tp)
 	random := order.Random(n, nil, o.Seed)
 	good := order.Topology(n, nil)
 

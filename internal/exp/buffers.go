@@ -7,6 +7,7 @@ import (
 	"fattree/internal/mpi"
 	"fattree/internal/netsim"
 	"fattree/internal/order"
+	"fattree/internal/route"
 	"fattree/internal/topo"
 )
 
@@ -40,10 +41,7 @@ func BufferAblation(o BufferOpts) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	lft, err := engineLFT(tp)
-	if err != nil {
-		return nil, err
-	}
+	lft := route.DModK(tp)
 	n := tp.NumHosts()
 
 	shift, err := mpi.SampleEvenly(cps.Shift(n), o.Stages)

@@ -6,6 +6,7 @@ import (
 	"fattree/internal/cps"
 	"fattree/internal/hsd"
 	"fattree/internal/order"
+	"fattree/internal/route"
 	"fattree/internal/topo"
 )
 
@@ -37,7 +38,7 @@ func Figure1(randomSeeds int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt, err := engineRouter(tp)
+	rt, err := route.Compile(route.DModK(tp))
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"fattree/internal/mpi"
 	"fattree/internal/netsim"
 	"fattree/internal/order"
+	"fattree/internal/route"
 	"fattree/internal/topo"
 )
 
@@ -44,10 +45,7 @@ func Figure2(o Figure2Opts) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	lft, err := engineLFT(tp)
-	if err != nil {
-		return nil, err
-	}
+	lft := route.DModK(tp)
 	n := tp.NumHosts()
 	job, err := mpi.NewJob(lft, order.Random(n, nil, o.Seed))
 	if err != nil {

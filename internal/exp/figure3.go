@@ -7,6 +7,7 @@ import (
 	"fattree/internal/hsd"
 	"fattree/internal/mpi"
 	"fattree/internal/order"
+	"fattree/internal/route"
 	"fattree/internal/topo"
 )
 
@@ -67,7 +68,7 @@ func Figure3(o Figure3Opts) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rt, err := engineRouter(tp)
+		rt, err := route.Compile(route.DModK(tp))
 		if err != nil {
 			return nil, err
 		}

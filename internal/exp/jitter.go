@@ -7,6 +7,7 @@ import (
 	"fattree/internal/mpi"
 	"fattree/internal/netsim"
 	"fattree/internal/order"
+	"fattree/internal/route"
 	"fattree/internal/topo"
 )
 
@@ -42,10 +43,7 @@ func JitterSensitivity(o JitterOpts) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	lft, err := engineLFT(tp)
-	if err != nil {
-		return nil, err
-	}
+	lft := route.DModK(tp)
 	n := tp.NumHosts()
 
 	mkStages := func(ord *order.Ordering) ([][]netsim.Message, error) {

@@ -20,7 +20,7 @@ func MultiJob(cluster topo.PGFT) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt, err := engineRouter(tp)
+	rt, err := route.Compile(route.DModK(tp))
 	if err != nil {
 		return nil, err
 	}

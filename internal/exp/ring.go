@@ -8,6 +8,7 @@ import (
 	"fattree/internal/mpi"
 	"fattree/internal/netsim"
 	"fattree/internal/order"
+	"fattree/internal/route"
 	"fattree/internal/topo"
 )
 
@@ -35,11 +36,8 @@ func RingAdversarial(o RingOpts) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	lft, err := engineLFT(tp)
-	if err != nil {
-		return nil, err
-	}
-	rt, err := engineRouter(tp)
+	lft := route.DModK(tp)
+	rt, err := route.Compile(lft)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"fattree/internal/mpi"
 	"fattree/internal/netsim"
 	"fattree/internal/order"
+	"fattree/internal/route"
 	"fattree/internal/topo"
 )
 
@@ -38,10 +39,7 @@ func SemanticsComparison(o SemanticsOpts) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	lft, err := engineLFT(tp)
-	if err != nil {
-		return nil, err
-	}
+	lft := route.DModK(tp)
 	n := tp.NumHosts()
 	cfg := netsim.DefaultConfig()
 

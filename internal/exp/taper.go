@@ -6,6 +6,7 @@ import (
 	"fattree/internal/cps"
 	"fattree/internal/hsd"
 	"fattree/internal/order"
+	"fattree/internal/route"
 	"fattree/internal/topo"
 )
 
@@ -38,7 +39,7 @@ func TaperAblation() (*Table, error) {
 			return nil, err
 		}
 		n := tp.NumHosts()
-		rt, err := engineRouter(tp)
+		rt, err := route.Compile(route.DModK(tp))
 		if err != nil {
 			return nil, err
 		}

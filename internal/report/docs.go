@@ -34,8 +34,3 @@ func ParseLoad(r io.Reader) (*schema.LoadDoc, error) {
 func ParseEvents(r io.Reader) (*schema.EventsDoc, error) {
 	return parseStamped(r, "events doc", schema.Events, func(d *schema.EventsDoc) string { return d.Schema })
 }
-
-// ParseBakeoff reads a fattree-bakeoff/v1 verdict (ftbakeoff -o).
-func ParseBakeoff(r io.Reader) (*schema.BakeoffDoc, error) {
-	return parseStamped(r, "bake-off verdict", schema.Bakeoff, func(d *schema.BakeoffDoc) string { return d.Schema })
-}

@@ -16,9 +16,9 @@ type HTMLOptions struct {
 	// Title heads the page; a default is derived from the inputs when
 	// empty.
 	Title string
-	// MetricsFile / TraceFile / LoadFile / EventsFile / BakeoffFile name
-	// the inputs in the provenance lines.
-	MetricsFile, TraceFile, LoadFile, EventsFile, BakeoffFile string
+	// MetricsFile / TraceFile / LoadFile / EventsFile name the inputs in
+	// the provenance lines.
+	MetricsFile, TraceFile, LoadFile, EventsFile string
 	// Generated is a freeform provenance stamp (e.g. a timestamp);
 	// omitted when empty so golden tests stay byte-stable.
 	Generated string
@@ -40,9 +40,6 @@ type Inputs struct {
 	// section.
 	Loads  []*schema.LoadDoc
 	Events *schema.EventsDoc
-	// Bakeoff is a parsed fattree-bakeoff/v1 verdict (ftbakeoff -o):
-	// the engine comparison tables and degradation curves.
-	Bakeoff *schema.BakeoffDoc
 }
 
 // RenderHTML renders one self-contained HTML report — no external
@@ -76,10 +73,6 @@ type htmlView struct {
 
 	QueueHeatmap template.HTML
 	HotLinks     []hotLinkView
-
-	BakeoffHead   string
-	BakeoffCurve  template.HTML
-	BakeoffLevels []bakeoffLevelView
 
 	Notes []string
 }
@@ -142,9 +135,6 @@ func buildView(in Inputs, opt HTMLOptions) *htmlView {
 	if opt.EventsFile != "" {
 		v.Inputs = append(v.Inputs, "events: "+opt.EventsFile)
 	}
-	if opt.BakeoffFile != "" {
-		v.Inputs = append(v.Inputs, "bake-off: "+opt.BakeoffFile)
-	}
 	if probes != nil && probes.Schema != "" {
 		v.Schemas = append(v.Schemas, probes.Schema)
 	}
@@ -156,9 +146,6 @@ func buildView(in Inputs, opt HTMLOptions) *htmlView {
 	}
 	if in.Events != nil && in.Events.Schema != "" {
 		v.Schemas = append(v.Schemas, in.Events.Schema)
-	}
-	if in.Bakeoff != nil && in.Bakeoff.Schema != "" {
-		v.Schemas = append(v.Schemas, in.Bakeoff.Schema)
 	}
 
 	if probes == nil {
@@ -196,9 +183,6 @@ func buildView(in Inputs, opt HTMLOptions) *htmlView {
 	}
 	if in.Events != nil {
 		v.EventStrip, v.Events = buildEventSection(in.Events, &v.Notes)
-	}
-	if in.Bakeoff != nil {
-		v.BakeoffHead, v.BakeoffCurve, v.BakeoffLevels = buildBakeoffSection(in.Bakeoff, &v.Notes)
 	}
 	return v
 }
@@ -804,14 +788,6 @@ svg .bar{font:10px ui-monospace,monospace;fill:#fff}
 {{if .Levels}}<table>
 <tr><th>level</th><th>req/s</th><th>routes/s</th><th>sent</th><th>errors</th><th>p50 &#181;s</th><th>p95 &#181;s</th><th>p99 &#181;s</th><th>server p99 &#181;s</th></tr>
 {{range .Levels}}<tr><td>{{.Level}}</td><td>{{.RPS}}</td><td>{{.Routes}}</td><td>{{.Sent}}</td><td>{{.Errors}}</td><td>{{.P50}}</td><td>{{.P95}}</td><td>{{.P99}}</td><td>{{.ServerP99}}</td></tr>
-{{end}}</table>
-{{end}}{{end}}{{if .BakeoffLevels}}<h2>Engine bake-off</h2>
-{{if .BakeoffHead}}<p class="meta">{{.BakeoffHead}}</p>
-{{end}}{{.BakeoffCurve}}
-{{range .BakeoffLevels}}<h3>{{.Level}} ({{.FailedLinks}} failed link(s))</h3>
-<table>
-<tr><th>engine</th><th>routable %</th><th>unroutable hosts</th><th>broken pairs</th><th>max HSD</th><th>avg max HSD</th><th>contention-free</th><th>reroute ms</th><th>max queue</th><th>error</th></tr>
-{{range .Rows}}<tr><td>{{.Engine}}</td><td>{{.Routability}}</td><td>{{.Unroutable}}</td><td>{{.BrokenPairs}}</td><td>{{.MaxHSD}}</td><td>{{.AvgMaxHSD}}</td><td>{{.ContentionFree}}</td><td>{{.RerouteMS}}</td><td>{{.MaxQueue}}</td><td>{{.Err}}</td></tr>
 {{end}}</table>
 {{end}}{{end}}{{if .EventStrip}}<h2>Fabric events</h2>
 {{.EventStrip}}

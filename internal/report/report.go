@@ -2,8 +2,8 @@
 // joins routing/topology structure with the HSD analyzer's flow-level
 // evidence into contention "blame" reports that name the colliding
 // flows on every overloaded link, parses the probe JSONL and Chrome
-// trace streams the obs layer emits, and renders them — with the load,
-// event-journal and bake-off documents of internal/schema — into one
+// trace streams the obs layer emits, and renders them — with the load
+// and event-journal documents of internal/schema — into one
 // self-contained HTML file. cmd/ftreport is the command-line front end;
 // docs/OBSERVABILITY.md documents every schema. Stdlib only.
 package report

@@ -1,7 +1,7 @@
 // Package schema owns every machine-readable document format of the
 // repository: the fattree-*/vN stamps, and the Go types of each document
 // that more than one package reads or writes. A producer (fmgr, netsim,
-// bakeoff, cmd/ftload) fills these types and internal/report renders
+// cmd/ftload) fills these types and internal/report renders
 // them, so a field added on one side is a compile-visible change on the
 // other. Formats with a single knower keep their types at home and take
 // only their stamp from here. The package imports nothing but the
@@ -34,6 +34,4 @@ const (
 	Events = "fattree-events/v1"
 	// Load stamps ftload sweeps (LoadDoc).
 	Load = "fattree-load/v1"
-	// Bakeoff stamps ftbakeoff verdicts (BakeoffDoc).
-	Bakeoff = "fattree-bakeoff/v1"
 )
