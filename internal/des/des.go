@@ -22,8 +22,8 @@
 // off the sorted prefix — instead of sifting through one deep global
 // heap, which is otherwise most of the simulator's runtime. Appends
 // keep equal-time events in scheduling order, so the stable time-only
-// sort yields exact (time, sequence) pop order, bit-identical to a
-// single ordered queue.
+// sort yields exact (time, scheduling order) pop order, bit-identical to
+// a single ordered queue, with no sequence number stored.
 package des
 
 import "math/bits"
@@ -53,8 +53,8 @@ const (
 	numSlots  = 4096
 )
 
-// event is one 32-byte queue entry. key packs the dispatch kind, the
-// daemon and closure flags, and the scheduling sequence number; for a
+// event is one 32-byte queue entry. key packs the dispatch kind and the
+// daemon and closure flags; for a
 // closure event a indexes the scheduler's fns registry (keeping the
 // function pointer out of the hot array). Events are stored by value in
 // the slot arrays, so scheduling never allocates for dispatch events.
@@ -65,13 +65,11 @@ type event struct {
 	a, b int32
 }
 
-// key layout: [63:48] kind, [47] daemon, [46] closure, [45:0] seq.
-// 2^46 sequence numbers bound one run at ~7e13 events.
+// key layout: [63:48] kind, [47] daemon, [46] closure.
 const (
 	keyKindShift        = 48
 	keyDaemon    uint64 = 1 << 47
 	keyClosure   uint64 = 1 << 46
-	keySeqMask   uint64 = keyClosure - 1
 )
 
 // Scheduler runs events in time order; ties run in scheduling order.
@@ -81,7 +79,6 @@ const (
 // instrumentation never extends a simulation or keeps it alive.
 type Scheduler struct {
 	now        Time
-	seq        uint64
 	ran        uint64
 	work       int // queued non-daemon events
 	pending    int // queued events of either kind
@@ -121,7 +118,7 @@ type Scheduler struct {
 // slot holds one wheel slot's events; ev[:head] is the already-popped
 // prefix. Inserts append; an append that breaks ascending time order
 // marks the slot dirty, and the unpopped suffix is insertion-sorted by
-// (at, seq) lazily, when the cursor reaches the slot — so the insert
+// time lazily, when the cursor reaches the slot — so the insert
 // hot path costs one comparison against maxAt, and the common case of
 // in-order appends never sorts at all. ev is nil while the slot is
 // empty — its storage lives in the scheduler's buffer pool.
@@ -132,10 +129,9 @@ type slot struct {
 	dirty bool
 }
 
-// sort orders the unpopped suffix ascending by (at, seq). Appends happen
-// in push order, so the array is already seq-ascending: a stable
-// insertion sort on at alone (strict less) yields (at, seq) order with
-// one comparison per step. Events land mostly in arrival order, so the
+// sort orders the unpopped suffix ascending by time, ties in push order.
+// Appends happen in push order, so a stable insertion sort on at alone
+// (strict less) yields that order with one comparison per step. Events land mostly in arrival order, so the
 // handful of entries a slot holds beats anything with setup cost.
 func (sl *slot) sort() {
 	sl.dirty = false
@@ -200,7 +196,6 @@ func NewScheduler() *Scheduler { return &Scheduler{} }
 func (s *Scheduler) Reset() {
 	s.clear()
 	s.now = 0
-	s.seq = 0
 	s.ran = 0
 	s.maxPending = 0
 	s.base = 0
@@ -308,8 +303,6 @@ func (s *Scheduler) push(e event) {
 	if e.at < s.now {
 		panic("des: event scheduled in the past")
 	}
-	e.key |= s.seq
-	s.seq++
 	if d := (e.at - s.base) >> slotShift; d < numSlots {
 		s.slotInsert(int(d), e)
 	} else {

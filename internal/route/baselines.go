@@ -19,7 +19,7 @@ func MinHopRandom(t *topo.Topology, seed int64) *LFT {
 	for id := range t.Nodes {
 		node := &t.Nodes[id]
 		l, u := node.Level, len(node.Up)
-		row := f.rows[id]
+		cell, row := id-f.off, f.HasRow(topo.NodeID(id)) // node's cell in every column
 		for j := 0; j < n; j++ {
 			switch {
 			case node.Kind == topo.Host:
@@ -27,15 +27,15 @@ func MinHopRandom(t *topo.Topology, seed int64) *LFT {
 					continue
 				}
 				// A rowless host still draws: the stream stays what it was.
-				if q := r.Intn(u); row != nil {
-					row[j] = uint8(q)
+				if q := r.Intn(u); row {
+					f.cols[j*f.w+cell] = uint8(q)
 				}
 			case t.IsDescendantHost(node, j):
 				a := g.HostDigit(j, l)
 				k := r.Intn(g.Pi(l))
-				row[j] = uint8(u + a + k*g.Mi(l))
+				f.cols[j*f.w+cell] = uint8(u + a + k*g.Mi(l))
 			default:
-				row[j] = uint8(r.Intn(u))
+				f.cols[j*f.w+cell] = uint8(r.Intn(u))
 			}
 		}
 	}

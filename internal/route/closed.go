@@ -5,7 +5,23 @@ import "fattree/internal/topo"
 // portVectors are what D-Mod-K tables are a function of: the entry of a
 // level-l node towards dst of an n-host fabric is down[l*n+dst] when dst
 // lies below the node and up[l*n+dst] otherwise.
-type portVectors struct{ up, down []uint8 }
+type portVectors struct {
+	up, down []uint8
+	n        int
+	// below[l] and wprod[l] place a level-l node's hosts: dst lies below
+	// the node of index i exactly when dst/below[l] == i/wprod[l] (the
+	// node's digits above l are the high digits of both).
+	below, wprod []int
+}
+
+// at returns the entry of node towards dst (not the node itself).
+func (v *portVectors) at(node *topo.Node, dst int) uint8 {
+	l := node.Level
+	if l > 0 && dst/v.below[l] == node.Index/v.wprod[l] {
+		return v.down[l*v.n+dst]
+	}
+	return v.up[l*v.n+dst]
+}
 
 // closedForm is how a compiled arena computes the tails of tables that
 // have port vectors instead of storing them (Compiled.Tails reads it, and

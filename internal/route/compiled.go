@@ -57,8 +57,9 @@ const NoEntry PathEntry = -1
 // child digit), and a tail under them is computed from their closed form
 // (closed.go) on every read, so an arena over healthy D-Mod-K tables
 // stores no tail at all. What it stores are the destination columns that
-// may differ from the closed form — exactly the columns a Repatch
-// re-walked after a fault — and, for every other router, every column.
+// may differ from the closed form — the columns the tables store, which
+// a write put there, and those a Repatch re-walked after a fault — and,
+// for every other router, every column.
 // Stored tails live in one flat arena of fixed-stride slots, so a lookup
 // is one multiply. A cell is a uint32 holding a PathEntry plus one: 0 is
 // absent (the padding after a short tail), and a counter array with one
@@ -244,14 +245,15 @@ func (c *Compiled) breakRefused(refused [][]int32) {
 }
 
 // build is the one arena builder. With a nil base it groups r's sources
-// into rows and stores every destination column of a fresh arena — none
-// when r's tables have a closed form; otherwise it shares base's grouping
-// and closed form, copies its stored cells and broken pairs, and stores
-// and fills the columns cols besides. Every pair from a host r's tables
-// have cut off (LFT.CutHost) is broken up front: a shared row is walked
-// from the entry switch, which cannot see it. Strictly, a cut host or a
-// refused slot fails the build; leniently, the pairs reading them are
-// broken.
+// into rows and stores every destination column of a fresh arena — when
+// r's tables have a closed form, only the columns they store; otherwise
+// it shares base's grouping and closed form, copies its stored cells and
+// broken pairs, and stores and fills the columns cols besides. A pair from a host r's tables
+// have cut off (LFT.CutHost) is broken up front unless this build walks
+// it from the host itself: a shared row is walked from the entry switch,
+// and neither the closed form nor a column not walked now reads the
+// host's entries. Strictly, a cut host or a refused slot fails the
+// build; leniently, the pairs reading them are broken.
 func build(r Router, base *Compiled, cols []int, workers int, lenient bool) (*Compiled, error) {
 	t := r.Topology()
 	n := t.NumHosts()
@@ -270,10 +272,10 @@ func build(r Router, base *Compiled, cols []int, workers int, lenient bool) (*Co
 		if lft != nil && lft.vec != nil {
 			c.form = newClosedForm(t, lft.vec, 2*t.Spec.H-c.stride, from)
 		}
-		for dst := range c.col {
+		for dst := range c.col { // the columns r's tables store, or every one
 			c.col[dst] = -1
-			if c.form == nil {
-				c.col[dst], cols = int32(dst), append(cols, dst)
+			if c.form == nil || lft.column(dst) != nil {
+				c.col[dst], cols = int32(len(cols)), append(cols, dst)
 			}
 		}
 		c.cols = len(cols)
@@ -306,9 +308,19 @@ func build(r Router, base *Compiled, cols []int, workers int, lenient bool) (*Co
 		}
 		c.cells = base.restride(c.cols)
 	}
-	for h := 0; lft != nil && h < n; h++ {
-		for dst := 0; dst < n && lft.uplink[h] == noPort; dst++ {
-			if dst == h {
+	var walked []bool // per destination: this build walks its column
+	for h := 0; lft != nil && lft.cut != nil && h < n; h++ {
+		if !lft.isCut(h) {
+			continue
+		}
+		if walked == nil {
+			walked = make([]bool, n)
+			for _, dst := range cols {
+				walked[dst] = true
+			}
+		}
+		for dst := 0; dst < n; dst++ {
+			if dst == h || c.head[h] == NoEntry && walked[dst] {
 				continue
 			}
 			if !lenient {

@@ -66,9 +66,9 @@ func ActiveRanks(n int, active []int) ([]int, error) {
 	return rank, nil
 }
 
-// dModK fills D-Mod-K tables; naive skips the division by prod(w_i).
+// dModK builds D-Mod-K tables; naive skips the division by prod(w_i).
 func dModK(t *topo.Topology, rank []int, name string, naive bool) *LFT {
-	f := NewLFT(t, name)
+	f := newLFT(t, name)
 	g := t.Spec
 	n := t.NumHosts()
 	wProd := g.WProd
@@ -82,11 +82,13 @@ func dModK(t *topo.Topology, rank []int, name string, naive bool) *LFT {
 		}
 	}
 	// The up and the down port number a level-l node uses towards j depend
-	// on (l, j) alone: two vectors per level, every row is copied out of
-	// them, and the tables keep them as their closed form. Down ports are
-	// numbered after the level's u up ports.
-	v := &portVectors{up: make([]uint8, (g.H+1)*n), down: make([]uint8, (g.H+1)*n)}
+	// on (l, j) alone: two vectors per level are the whole tables, which
+	// store no column. Down ports are numbered after the level's u up
+	// ports.
+	v := &portVectors{up: make([]uint8, (g.H+1)*n), down: make([]uint8, (g.H+1)*n), n: n,
+		below: make([]int, g.H+1), wprod: make([]int, g.H+1)}
 	for l := 0; l <= g.H; l++ {
+		v.below[l], v.wprod[l] = g.MProd(l), g.WProd(l)
 		u := g.UpPorts(l)
 		up, down := v.up[l*n:(l+1)*n], v.down[l*n:(l+1)*n]
 		if l < g.H { // equation (1)
@@ -100,23 +102,6 @@ func dModK(t *topo.Topology, rank []int, name string, naive bool) *LFT {
 			mBelow, wBelow := g.MProd(l-1), wProd(l-1)
 			for j := range down {
 				down[j] = uint8(u + j/mBelow%ml + rank[j]/wBelow%wpl/wl*ml)
-			}
-		}
-		for _, id := range t.ByLevel[l] {
-			row := f.rows[id]
-			if row == nil {
-				continue // a single-uplink host: NewLFT wrote its one entry
-			}
-			// The hosts below a level-l node are the contiguous range [lo, hi)
-			// (a host: itself, delivered).
-			lo := firstHost(t, id)
-			hi := lo + g.MProd(l)
-			if l > 0 {
-				copy(row[lo:hi], down[lo:hi])
-			}
-			if l < g.H { // every host descends from a top switch
-				copy(row[:lo], up[:lo])
-				copy(row[hi:], up[hi:])
 			}
 		}
 	}

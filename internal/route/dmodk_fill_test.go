@@ -12,9 +12,13 @@ import (
 // equation (1) evaluated one (node, destination) at a time with the
 // digit-by-digit descendant test — the shape the fill loop had before it
 // was restructured around per-node index ranges. rank nil is the
-// identity.
-func closedFormDModK(t *topo.Topology, rank []int) [][]topo.PortID {
+// identity; naive drops the division by prod(w_i) (DModKNaive).
+func closedFormDModK(t *topo.Topology, rank []int, naive bool) [][]topo.PortID {
 	g := t.Spec
+	wProd := g.WProd
+	if naive {
+		wProd = func(int) int { return 1 }
+	}
 	rnk := func(j int) int {
 		if rank == nil {
 			return j
@@ -34,10 +38,10 @@ func closedFormDModK(t *topo.Topology, rank []int) [][]topo.PortID {
 				row[j] = node.Up[rnk(j)%(g.Wi(1)*g.Pi(1))]
 			case t.IsDescendantHost(node, j):
 				a := (j / g.MProd(l-1)) % g.Mi(l)
-				k := (rnk(j) / g.WProd(l-1)) % (g.Wi(l) * g.Pi(l)) / g.Wi(l)
+				k := (rnk(j) / wProd(l-1)) % (g.Wi(l) * g.Pi(l)) / g.Wi(l)
 				row[j] = node.Down[a+k*g.Mi(l)]
 			default:
-				row[j] = node.Up[(rnk(j)/g.WProd(l))%(g.Wi(l+1)*g.Pi(l+1))]
+				row[j] = node.Up[(rnk(j)/wProd(l))%(g.Wi(l+1)*g.Pi(l+1))]
 			}
 		}
 		out[id] = row
@@ -76,7 +80,7 @@ func TestDModKFillMatchesClosedForm(t *testing.T) {
 	for i, g := range specs {
 		tp := topo.MustBuild(g)
 		n := tp.NumHosts()
-		sameTables(t, g.String()+" dmodk", route.DModK(tp), closedFormDModK(tp, nil))
+		sameTables(t, g.String()+" dmodk", route.DModK(tp), closedFormDModK(tp, nil, false))
 		if n > 1000 {
 			continue // the two largest clusters: plain tables only
 		}
@@ -99,6 +103,6 @@ func TestDModKFillMatchesClosedForm(t *testing.T) {
 				k++
 			}
 		}
-		sameTables(t, g.String()+" active", act, closedFormDModK(tp, rank))
+		sameTables(t, g.String()+" active", act, closedFormDModK(tp, rank, false))
 	}
 }

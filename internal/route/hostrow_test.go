@@ -49,7 +49,8 @@ func TestTableDigests(t *testing.T) {
 	}
 }
 
-// TestCloneIsIndependent: a clone owns its rows and its host entries.
+// TestCloneIsIndependent: a clone owns its stored columns and its host
+// entries.
 func TestCloneIsIndependent(t *testing.T) {
 	for _, g := range []topo.PGFT{
 		topo.Cluster128,
@@ -81,9 +82,11 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 }
 
-// TestLFTFootprint guards what the tables store: a row per node that
-// chooses and nothing per single-uplink host, one byte per entry, so the
-// paper's largest cluster costs 270 switch rows of 1,944 bytes.
+// TestLFTFootprint guards what the tables store: a cell per node that
+// chooses and nothing per single-uplink host, so an empty table set on
+// the paper's largest cluster has 270 choosing nodes; D-Mod-K tables are
+// their two port vectors per level and store no column, and a repair
+// that writes one column of a clone stores that column and nothing more.
 func TestLFTFootprint(t *testing.T) {
 	tp := topo.MustBuild(topo.Cluster1944)
 	rows, empty := 0, route.NewLFT(tp, "empty")
@@ -99,8 +102,19 @@ func TestLFTFootprint(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	lft := route.DModK(tp)
 	runtime.ReadMemStats(&after)
-	if mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6; mb > 0.65 {
-		t.Fatalf("DModK(Cluster1944) allocates %.2f MB, want <= 0.65 (270 rows x 1944 x 1 B = 0.52, and a row header per node)", mb)
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6; mb > 0.05 {
+		t.Fatalf("DModK(Cluster1944) allocates %.3f MB, want <= 0.05 (2 vectors x 4 levels x 1944 x 1 B = 15.5 KB, and no column)", mb)
+	}
+	leaf, dst := tp.LeafOf(0), tp.NumHosts()-1
+	runtime.ReadMemStats(&before)
+	c := lft.Clone("one column")
+	c.SetOutPort(leaf.ID, dst, leaf.Up[1])
+	runtime.ReadMemStats(&after)
+	if b := after.TotalAlloc - before.TotalAlloc; b > uint64(2*len(tp.Nodes)) {
+		t.Fatalf("Clone and a one-column SetOutPort allocate %d B, want <= %d (2 x nodes: one column of %d cells, not a table)", b, 2*len(tp.Nodes), rows)
+	}
+	if c.OutPort(leaf.ID, dst) != leaf.Up[1] || lft.OutPort(leaf.ID, dst) == leaf.Up[1] {
+		t.Fatal("the write did not land in the clone alone")
 	}
 	runtime.KeepAlive(lft)
 }
