@@ -204,6 +204,9 @@ func TestGolden(t *testing.T) {
 		{Name: "fault-reroute", Args: []string{"-topo", "324", "-fault-random", "2", "-reroute"}},
 		{Name: "fault-reroute-dmodk", Golden: "fault-reroute", Args: []string{"-topo", "324", "-engine", "dmodk", "-fault-random", "2", "-reroute"}},
 		{Name: "fault-reroute-json", Args: []string{"-topo", "324", "-fault-random", "2", "-reroute", "-json"}},
+		// A router without a repair keeps its tables under -reroute: the
+		// pairs a dead link cuts are broken, not rerouted.
+		{Name: "dmodk-naive-reroute", Args: rlft("-engine", "dmodk-naive", "-fault-random", "1", "-seed", "1", "-reroute")},
 		{Name: "fault-resilient-reroute-json", Args: rlft("-engine", "fault-resilient", "-fault-random", "1", "-reroute", "-json")},
 		{Name: "order-random-3", Args: rlft("-order", "random", "-seed", "3"), Exit: 1},
 		{Name: "order-cyclic", Args: rlft("-order", "cyclic")},

@@ -52,17 +52,17 @@ func setup(a *cli.App) func(io.Writer) error {
 	a.Flags.StringVar(&o.SpanTrace, "span-trace", "", "write request and rebuild spans to `file` in Chrome trace-event format")
 	a.Flags.IntVar(&o.SpanSample, "span-sample", 1, "trace one in N eligible requests (with -span-trace)")
 	a.Flags.IntVar(&o.Journal, "journal", 1024, "fabric event journal capacity (GET /v1/events)")
-	spec, engName := a.Topo("324"), a.Engine()
+	spec := a.Topo("324")
 	seed := a.Seed(1, "seed for fail_random fault draws")
 	a.Profile()
 	return func(w io.Writer) error {
-		o.Spec, o.Engine, o.Seed = *spec, *engName, *seed
+		o.Spec, o.Seed = *spec, *seed
 		return run(w, o)
 	}
 }
 
 type options struct {
-	Spec, Engine, Addr  string
+	Spec, Addr          string
 	MaxInflight         int
 	Timeout, Debounce   time.Duration
 	Seed                int64
@@ -93,7 +93,6 @@ func run(w io.Writer, o options) error {
 	}
 	m, err := fmgr.New(fmgr.Config{
 		Topo:           t,
-		Engine:         o.Engine,
 		Debounce:       o.Debounce,
 		Rand:           rand.New(rand.NewSource(o.Seed)),
 		Metrics:        reg,

@@ -21,6 +21,7 @@ import (
 	"fattree/internal/cps"
 	"fattree/internal/des"
 	"fattree/internal/engine"
+	"fattree/internal/fabric"
 	"fattree/internal/hsd"
 	"fattree/internal/mpi"
 	"fattree/internal/obs"
@@ -146,7 +147,7 @@ func run(w io.Writer, spec, engName string, seed int64, cpsName, ordering string
 // analyzeOne reports a single ordering: the usual text summary, or with
 // jsonOut the full per-stage blame report (fattree-blame/v1) on stdout.
 // The obs sinks are fed either way.
-func analyzeOne(w io.Writer, tb *engine.Tables, o *order.Ordering, seq cps.Sequence, perStage, levels, jsonOut bool, sinks *obs.FileSinks) error {
+func analyzeOne(w io.Writer, tb *fabric.Tables, o *order.Ordering, seq cps.Sequence, perStage, levels, jsonOut bool, sinks *obs.FileSinks) error {
 	rt := tb.Compiled
 	rep, err := hsd.Analyze(rt, o, seq)
 	if err != nil {

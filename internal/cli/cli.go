@@ -46,7 +46,7 @@ func (a *App) Topo(def string) *string {
 
 // Engine registers -engine; Main answers "-engine list" itself.
 func (a *App) Engine() *string {
-	a.engine = a.Flags.String("engine", "", "routing engine from the registry (default "+engine.Default+"; \"list\" prints them)")
+	a.engine = a.Flags.String("engine", "", "routing engine by name (default "+engine.Default+"; \"list\" prints them)")
 	return a.engine
 }
 

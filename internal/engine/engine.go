@@ -1,28 +1,26 @@
-// Package engine is the pluggable routing-engine layer: a registry of
-// named Builders, each of which binds a routing algorithm to a topology
-// and produces forwarding tables (plus the compiled path arena and the
-// fault collateral) for any fault state of that fabric. The paper's
-// D-Mod-K, its ablation baselines and the source-based S-Mod-K are all
-// registered through it. Every fault-aware
-// engine repairs a fault the same way: it reroutes only the destination
-// columns the dead links touched and re-walks only those columns of the
-// healthy arena ("fault-resilient" is a second name for dmodk). The
-// fabric manager and the CLIs select engines by name from this registry,
-// so adding an engine is one Register call (see docs/ROUTING.md).
+// Package engine names the routings the analysis commands choose with
+// -engine: the paper's D-Mod-K, its ablation baselines and the
+// source-based S-Mod-K, a closed list that Build switches over. Every
+// name binds a router to a topology and answers each fault state with
+// fabric.Tables: D-Mod-K through fabric's one repair
+// ((*FaultSet).Repair), every baseline through (*FaultSet).Refuse, which
+// breaks the pairs a dead link cuts instead of rerouting them.
+// "fault-resilient" is a second name for dmodk, and the Engine interface
+// is what a built name is, both kept only because the repository
+// benchmark (bench/) names them. The fabric-manager daemon does not come
+// through here: it serves D-Mod-K and repairs it with fabric directly.
 package engine
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"fattree/internal/fabric"
 	"fattree/internal/route"
 	"fattree/internal/topo"
 )
 
-// Options tunes a Builder. The zero value is always valid.
+// Options tunes Build. The zero value is always valid.
 type Options struct {
 	// Seed drives randomized engines (minhop-random).
 	Seed int64
@@ -33,52 +31,18 @@ type Options struct {
 	Active []int
 }
 
-// Tables is one engine's routing product for one fault state of the
-// fabric. Everything is immutable once returned.
-type Tables struct {
-	// LFT is the destination-based forwarding-table realization — what a
-	// subnet manager would program into switches. Nil for engines that
-	// cannot be expressed as one (s-mod-k is source-based).
-	LFT *route.LFT
-	// Compiled is the packed path arena over the routing, with pairs the
-	// fault state leaves unservable recorded as broken. Never nil: every
-	// walk, analysis and routing label goes through it.
-	Compiled *route.Compiled
-	// Unroutable lists hosts that lost every uplink, ascending.
-	Unroutable []int
-	// BrokenPairs counts ordered pairs between routable hosts left
-	// without a served minimal path.
-	BrokenPairs int
-}
-
-// Engine produces tables for successive fault states of one topology.
-// Implementations may cache work across calls (a fault-aware engine keeps
-// its healthy tables and arena); each Tables call must stand alone
-// against the fault set it is given, never against a previous one.
+// Engine produces tables for successive fault states of one topology,
+// keeping its healthy tables across calls; each Tables call stands alone
+// against the fault set it is given. Kept as a type because bench/ holds
+// built engines by it.
 type Engine interface {
-	// Name echoes the registry name the engine was built under.
-	Name() string
 	// Tables computes routing tables for the given fault state. A nil
 	// fault set means a healthy fabric. fs must be over the same
 	// topology the engine was built for.
-	Tables(fs *fabric.FaultSet) (*Tables, error)
+	Tables(fs *fabric.FaultSet) (*fabric.Tables, error)
 }
 
-// Builder binds an engine to a topology.
-type Builder func(t *topo.Topology, opts Options) (Engine, error)
-
-var (
-	regMu    sync.RWMutex
-	registry = map[string]regEntry{}
-)
-
-type regEntry struct {
-	info Info
-	b    Builder
-}
-
-// Info describes a registered routing engine for the -engine list
-// listing.
+// Info describes an engine for the -engine list listing.
 type Info struct {
 	Name        string
 	Description string
@@ -90,48 +54,69 @@ type Info struct {
 	FaultAware bool
 }
 
-// Register adds an engine to the registry. It panics on an empty name,
-// nil builder or duplicate registration — all programming errors, caught
-// at init time.
-func Register(info Info, b Builder) {
-	if info.Name == "" {
-		panic("engine: Register with empty name")
+// Default is the engine the CLIs use when none is selected: the paper's
+// D-Mod-K, repaired around faults by (*fabric.FaultSet).Repair.
+const Default = "dmodk"
+
+// Infos returns every engine's descriptor, sorted by name.
+func Infos() []Info {
+	return []Info{
+		{"dmodk", "paper's D-Mod-K (equation 1); reroutes with per-destination down-cone growth", true, true},
+		{"dmodk-naive", "textbook D-Mod-K without the parallel-copy down rule; fault-oblivious baseline", true, false},
+		{"fault-resilient", "dmodk under a second name: the same tables and the same fault reroute", true, true},
+		{"minhop-random", "seeded random minimal up-port selection; fault-oblivious baseline", true, false},
+		{"smodk", "source-based S-Mod-K; spreads by source index, no forwarding-table realization", false, false},
 	}
-	if b == nil {
-		panic(fmt.Sprintf("engine: Register(%q) with nil builder", info.Name))
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[info.Name]; dup {
-		panic(fmt.Sprintf("engine: Register(%q) called twice", info.Name))
-	}
-	registry[info.Name] = regEntry{info: info, b: b}
 }
 
-// Build instantiates a registered engine for a topology; the empty name
-// is Default. An unknown name is an error that lists every registered
-// engine, so a typo on a -engine flag or an API request is
-// self-correcting.
+// Build instantiates a named engine for a topology; the empty name is
+// Default. An unknown name is an error that lists every engine, so a
+// typo on a -engine flag is self-correcting.
 func Build(name string, t *topo.Topology, opts Options) (Engine, error) {
 	if name == "" {
 		name = Default
 	}
-	regMu.RLock()
-	e, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("engine: unknown engine %q (registered: %s)", name, strings.Join(Names(), ", "))
+	var rt route.Router
+	switch name {
+	case "dmodk", "fault-resilient": // the second name only while bench/ names it
+		rt = route.DModK(t)
+	case "dmodk-naive":
+		rt = route.DModKNaive(t)
+	case "minhop-random":
+		rt = route.MinHopRandom(t, opts.Seed)
+	case "smodk":
+		rt = route.NewSModK(t)
+	default:
+		names := make([]string, 0, 5)
+		for _, info := range Infos() {
+			names = append(names, info.Name)
+		}
+		return nil, fmt.Errorf("engine: unknown engine %q (registered: %s)", name, strings.Join(names, ", "))
 	}
-	if opts.Active != nil && name != Default {
-		return nil, fmt.Errorf("engine: an active set requires %s (rank-compacted tables), not %s", Default, name)
+	e := &tables{repair: name == "dmodk" || name == "fault-resilient"}
+	var err error
+	if opts.Active != nil {
+		if name != Default {
+			return nil, fmt.Errorf("engine: an active set requires %s (rank-compacted tables), not %s", Default, name)
+		}
+		// Malformed sets (duplicates, out-of-range hosts) surface here as
+		// errors. A repair spreads by the same compacted rank.
+		if e.rank, err = route.ActiveRanks(t.NumHosts(), opts.Active); err != nil {
+			return nil, err
+		}
+		if rt, err = route.DModKActive(t, opts.Active); err != nil {
+			return nil, err
+		}
 	}
-	return e.b(t, opts)
+	if e.healthy, err = fabric.Healthy(rt); err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
 // Resolve builds the named engine and returns its tables for one fault
-// state (nil = healthy) — what a one-shot caller such as a CLI or an
-// experiment wants from the registry.
-func Resolve(name string, t *topo.Topology, opts Options, fs *fabric.FaultSet) (*Tables, error) {
+// state (nil = healthy) — what a one-shot caller such as a CLI wants.
+func Resolve(name string, t *topo.Topology, opts Options, fs *fabric.FaultSet) (*fabric.Tables, error) {
 	e, err := Build(name, t, opts)
 	if err != nil {
 		return nil, err
@@ -139,44 +124,20 @@ func Resolve(name string, t *topo.Topology, opts Options, fs *fabric.FaultSet) (
 	return e.Tables(fs)
 }
 
-// Names returns the registered engine names, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+// tables is every engine: healthy tables, and under faults either the
+// repair (D-Mod-K, by rank) or the refusal (a baseline).
+type tables struct {
+	healthy *fabric.Tables
+	rank    []int
+	repair  bool
 }
 
-// Infos returns the registered engine descriptors, sorted by name.
-func Infos() []Info {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]Info, 0, len(registry))
-	for _, e := range registry {
-		out = append(out, e.info)
+func (e *tables) Tables(fs *fabric.FaultSet) (*fabric.Tables, error) {
+	switch {
+	case fs == nil:
+		return e.healthy, nil
+	case e.repair:
+		return fs.Repair(e.healthy, e.rank)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Default is the engine the daemon and CLIs use when none is selected:
-// the paper's D-Mod-K, repaired around faults by fabric.Reroute over the
-// columns the dead links touched — RouteAround's tables, at the cost of
-// those columns alone.
-const Default = "dmodk"
-
-// brokenAmongRoutable converts an arena's total broken count into the
-// count excluding pairs touching unroutable hosts (those pairs are
-// always broken and say nothing about the engine's repair quality).
-func brokenAmongRoutable(n, numBroken int, unroutable []int) int {
-	u := len(unroutable)
-	b := numBroken - (2*u*(n-1) - u*(u-1))
-	if b < 0 {
-		b = 0
-	}
-	return b
+	return fs.Refuse(e.healthy)
 }

@@ -39,8 +39,7 @@ func buildSmall(t *testing.T) *topo.Topology {
 	return tp
 }
 
-// realEngines is the shipped registry, spelled out so tests stay
-// deterministic when a test file registers extra throwaway engines.
+// realEngines is the closed list of engine names, sorted.
 var realEngines = []string{"dmodk", "dmodk-naive", "fault-resilient", "minhop-random", "smodk"}
 
 func TestBuildUnknownListsNames(t *testing.T) {
@@ -62,9 +61,9 @@ func TestBuildUnknownListsNames(t *testing.T) {
 // engine and on malformed sets.
 func TestBuildDefaultAndActive(t *testing.T) {
 	tp := buildSmall(t)
-	e, err := Build("", tp, Options{})
-	if err != nil || e.Name() != Default {
-		t.Fatalf(`Build("") = %v, %v; want the %s engine`, e, err, Default)
+	tb, err := Resolve("", tp, Options{}, nil)
+	if err != nil || tb.LFT.Name != route.DModK(tp).Name {
+		t.Fatalf(`Resolve("") = %v, %v; want the %s engine's tables`, tb, err, Default)
 	}
 
 	var half []int
@@ -75,8 +74,7 @@ func TestBuildDefaultAndActive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := Resolve("", tp, Options{Active: half}, nil)
-	if err != nil {
+	if tb, err = Resolve("", tp, Options{Active: half}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if tb.LFT.Name != want.Name {
@@ -108,21 +106,22 @@ func TestBuildDefaultAndActive(t *testing.T) {
 	}
 }
 
+// TestNamesAndInfos: the listing and Build name the same closed list,
+// sorted, each with a description, and every name builds.
 func TestNamesAndInfos(t *testing.T) {
-	names := Names()
-	have := make(map[string]bool, len(names))
-	for _, n := range names {
-		have[n] = true
-	}
-	for _, want := range realEngines {
-		if !have[want] {
-			t.Errorf("Names() = %v missing %q", names, want)
-		}
-	}
+	tp := buildSmall(t)
+	var names []string
 	for _, info := range Infos() {
-		if info.Name == "" || info.Description == "" {
-			t.Errorf("Info %+v missing name or description", info)
+		names = append(names, info.Name)
+		if info.Description == "" {
+			t.Errorf("Info %+v has no description", info)
 		}
+		if _, err := Build(info.Name, tp, Options{}); err != nil {
+			t.Errorf("listed engine %s does not build: %v", info.Name, err)
+		}
+	}
+	if !slices.Equal(names, realEngines) {
+		t.Errorf("Infos() lists %v, want %v", names, realEngines)
 	}
 }
 
@@ -253,7 +252,7 @@ func TestConeTablesZeroFaults(t *testing.T) {
 
 // faultedCatalog runs the catalog with the fault context filled the way
 // ftcheck -engine does.
-func faultedCatalog(t *testing.T, tp *topo.Topology, tb *Tables, fs *fabric.FaultSet) {
+func faultedCatalog(t *testing.T, tp *topo.Topology, tb *fabric.Tables, fs *fabric.FaultSet) {
 	t.Helper()
 	unset := make(map[int]bool, len(tb.Unroutable))
 	for _, u := range tb.Unroutable {
@@ -292,82 +291,6 @@ func TestFaultedCatalog(t *testing.T) {
 				}
 				faultedCatalog(t, tp, tb, fs)
 			})
-		}
-	}
-}
-
-// correlatedFaults builds three fault shapes of a seeded storm on t: one
-// random fabric link, every down link of one top switch (a bricked
-// spine), and half of leaf 0's uplinks plus one random fabric link (a
-// cut cable bundle beside an unrelated failure).
-func correlatedFaults(t *testing.T, tp *topo.Topology, seed int64) []faultShape {
-	t.Helper()
-	one := fabric.NewFaultSet(tp)
-	if err := one.FailRandomFabricLinks(1, seed); err != nil {
-		t.Fatal(err)
-	}
-	spine := fabric.NewFaultSet(tp)
-	top := tp.ByLevel[tp.Spec.H]
-	for _, pid := range tp.Node(top[int(seed)%len(top)]).Down {
-		spine.Fail(tp.Ports[pid].Link)
-	}
-	leafSpine := fabric.NewFaultSet(tp)
-	for i, pid := range tp.Node(tp.ByLevel[1][0]).Up {
-		if i%2 == 0 {
-			leafSpine.Fail(tp.Ports[pid].Link)
-		}
-	}
-	if err := leafSpine.FailRandomFabricLinks(1, seed+1); err != nil {
-		t.Fatal(err)
-	}
-	return []faultShape{{"1-link", one}, {"spine-switch", spine}, {"leaf-spine", leafSpine}}
-}
-
-type faultShape struct {
-	name string
-	fs   *fabric.FaultSet
-}
-
-// TestRerouteSurvivesCorrelatedFaults: through every shape of a
-// correlated fault storm, on a small fabric and the paper cluster, both
-// fault-aware engine names leave every host routable and every pair
-// served, over tables that pass the faulted catalog. The fault-oblivious
-// dmodk-naive, compiled over the same dead links, is the negative
-// control: it must lose pairs on every shape, or the shape tests nothing.
-func TestRerouteSurvivesCorrelatedFaults(t *testing.T) {
-	for _, tp := range []*topo.Topology{buildSmall(t), build324(t)} {
-		engines := map[string]Engine{}
-		for _, name := range []string{"dmodk", "fault-resilient", "dmodk-naive"} {
-			e, err := Build(name, tp, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			engines[name] = e
-		}
-		for _, seed := range []int64{1, 3, 7, 11} {
-			for _, shape := range correlatedFaults(t, tp, seed) {
-				fs := shape.fs
-				what := fmt.Sprintf("%v seed %d %s (%d dead links)", tp.Spec, seed, shape.name, fs.Failed())
-				for _, name := range []string{"dmodk", "fault-resilient"} {
-					tb, err := engines[name].Tables(fs)
-					if err != nil {
-						t.Fatalf("%s %s: %v", what, name, err)
-					}
-					if len(tb.Unroutable) != 0 || tb.BrokenPairs != 0 || tb.Compiled.NumBroken() != 0 {
-						t.Fatalf("%s %s: unroutable %v, %d broken pairs, arena broken %d; want every pair served",
-							what, name, tb.Unroutable, tb.BrokenPairs, tb.Compiled.NumBroken())
-					}
-					faultedCatalog(t, tp, tb, fs)
-				}
-				tb, err := engines["dmodk-naive"].Tables(fs)
-				if err != nil {
-					t.Fatalf("%s dmodk-naive: %v", what, err)
-				}
-				if tb.BrokenPairs == 0 {
-					t.Fatalf("%s: the fault-oblivious dmodk-naive lost no pair; the shape does not test the reroute", what)
-				}
-				t.Logf("%s: dmodk-naive loses %d pairs", what, tb.BrokenPairs)
-			}
 		}
 	}
 }
@@ -505,15 +428,18 @@ var multiUplink = []topo.PGFT{
 	topo.MustPGFT(2, []int{3, 3}, []int{1, 2}, []int{2, 1}), // p1 > 1: two cables to one leaf
 }
 
-// TestRepairMatchesRebuild is "incremental repair == full rebuild": over
-// seeded random fabrics and the multi-uplink shapes, 1..6 dead links (host
-// uplinks included), then a fail -> revive -> fail sequence on the same
-// FaultSet, every fault-aware engine configuration serves exactly the
-// reference — fabric.Reroute over every column of fresh tables under the
-// engine's rank, then route.CompileLenient — entry for entry and pair for
-// pair, and the three broken-pair counts (engine, reroute, arena minus the
-// pairs touching unroutable hosts) agree. The label is the healthy one
-// plus "-reroute[N faults]": fabric.RouteAround's for dmodk.
+// TestRepairMatchesRebuild is "incremental repair == full rebuild" through
+// engine.Build: over seeded random fabrics and the multi-uplink shapes, 1..6
+// dead links (host uplinks included), then a fail -> revive -> fail
+// sequence on the same FaultSet, every fault-aware engine configuration
+// serves exactly the reference — fabric.Reroute over every column of fresh
+// tables under the engine's rank, then route.CompileLenient — entry for
+// entry and pair for pair, and the three broken-pair counts (engine,
+// reroute, arena minus the pairs touching unroutable hosts) agree. The
+// label is the healthy one plus "-reroute[N faults]". fabric's test of the
+// same name holds (*FaultSet).Repair itself to the rebuild; this one holds
+// Build to handing Repair the right healthy tables and rank. The subtest is
+// the arena's one cell width.
 func TestRepairMatchesRebuild(t *testing.T) { t.Run("32-bit cells", testRepairMatchesRebuild) }
 
 func testRepairMatchesRebuild(t *testing.T) {
@@ -535,12 +461,11 @@ func testRepairMatchesRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		type config struct {
+		configs := []struct {
 			name string
 			opts Options
 			rank []int
-		}
-		configs := []config{
+		}{
 			{"dmodk", Options{}, nil},
 			{"fault-resilient", Options{}, nil},
 			{"dmodk", Options{Active: half}, activeRank},
@@ -675,61 +600,18 @@ func TestNoServedPathCrossesDeadUplink(t *testing.T) {
 	}
 }
 
-// brokenTestEngine serves tables with a forwarding hole — the
-// deliberately broken engine the catalog must catch (route.total).
-type brokenTestEngine struct{ t *topo.Topology }
-
-func (e *brokenTestEngine) Name() string { return "broken-test" }
-
-func (e *brokenTestEngine) Tables(fs *fabric.FaultSet) (*Tables, error) {
-	lft := route.DModK(e.t)
-	lft.Name = "broken-test"
-	lft.SetOutPort(e.t.ByLevel[1][0], 0, topo.None)
-	return &Tables{LFT: lft}, nil
-}
-
-func init() {
-	Register(Info{Name: "broken-test", Description: "deliberately broken (test only)", LFT: true},
-		func(t *topo.Topology, opts Options) (Engine, error) {
-			return &brokenTestEngine{t: t}, nil
-		})
-}
-
-// TestBrokenEngineFailsCatalog: the invariant harness must bite when an
-// engine misroutes.
+// TestBrokenEngineFailsCatalog: the invariant harness must bite on an
+// engine's tables with a forwarding hole (route.total).
 func TestBrokenEngineFailsCatalog(t *testing.T) {
 	tp := buildSmall(t)
-	e, err := Build("broken-test", tp, Options{})
+	tb, err := Resolve(Default, tp, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := e.Tables(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := invariant.Run(&invariant.Instance{Topo: tp, Router: tb.LFT}, nil)
+	lft := tb.LFT.Clone("broken-test")
+	lft.SetOutPort(tp.ByLevel[1][0], 0, topo.None)
+	rep := invariant.Run(&invariant.Instance{Topo: tp, Router: lft}, nil)
 	if rep.Pass {
-		t.Fatal("catalog passed a deliberately broken engine")
-	}
-}
-
-func TestRegisterPanics(t *testing.T) {
-	for _, tc := range []struct {
-		label string
-		info  Info
-		b     Builder
-	}{
-		{"empty name", Info{}, func(*topo.Topology, Options) (Engine, error) { return nil, nil }},
-		{"nil builder", Info{Name: "x-nil"}, nil},
-		{"duplicate", Info{Name: "dmodk"}, func(*topo.Topology, Options) (Engine, error) { return nil, nil }},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Register(%s) did not panic", tc.label)
-				}
-			}()
-			Register(tc.info, tc.b)
-		}()
+		t.Fatal("catalog passed tables with a forwarding hole")
 	}
 }

@@ -2,7 +2,9 @@
 // tooling (ibdm / ibutils, OpenSM) operates on: node GUIDs, LID
 // assignment, switch forwarding tables keyed by destination LID, an
 // ibnetdiscover-style sweep of the cabling, and link fault injection
-// with rerouting. It sits between the abstract topology/routing packages
+// with rerouting: the one repair of a routing's tables (Reroute over the
+// columns a dead link touches, Repair) and, for a router without one,
+// Refuse. It sits between the abstract topology/routing packages
 // and anything that wants to look like a real subnet: the same
 // structures a subnet manager would program into hardware.
 package fabric

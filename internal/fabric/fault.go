@@ -249,3 +249,130 @@ func preferredDown(t *topo.Topology, j, rj int, parent topo.NodeID, l int) topo.
 	}
 	return node.Down[r]
 }
+
+// Tables is one fault state's routing product: the forwarding tables,
+// the path arena compiled over them, and the fault collateral.
+// Everything is immutable once returned.
+type Tables struct {
+	// LFT is the destination-based forwarding-table realization — what a
+	// subnet manager would program into switches. Nil for a routing that
+	// cannot be expressed as one (s-mod-k is source-based).
+	LFT *route.LFT
+	// Compiled is the packed path arena over the routing, with pairs the
+	// fault state leaves unservable recorded as broken. Never nil: every
+	// walk, analysis and routing label goes through it.
+	Compiled *route.Compiled
+	// Unroutable lists hosts that lost every uplink, ascending.
+	Unroutable []int
+	// BrokenPairs counts ordered pairs between routable hosts left
+	// without a served minimal path.
+	BrokenPairs int
+}
+
+// Healthy compiles a fully routable router into the Tables a healthy
+// fabric serves: the base Repair and Refuse start from.
+func Healthy(rt route.Router) (*Tables, error) {
+	c, err := route.Compile(rt)
+	if err != nil {
+		return nil, err
+	}
+	lft, _ := rt.(*route.LFT)
+	return &Tables{LFT: lft, Compiled: c}, nil
+}
+
+// Repair is the fault-aware routing's answer to this fault set: Reroute
+// with rank (as in route.DModKActive; nil is the identity) over the
+// destination columns a dead link touches, on a clone of the healthy
+// forwarding tables, and the healthy arena re-walked in those columns
+// alone. The tables are labelled "<healthy>-reroute[N faults]", the
+// label RouteAround gives the same tables built from scratch. With no
+// fault, healthy itself is the answer. healthy must come from Healthy
+// over forwarding tables of this fault set's topology.
+func (f *FaultSet) Repair(healthy *Tables, rank []int) (*Tables, error) {
+	if f.Failed() == 0 {
+		return healthy, nil
+	}
+	base := healthy.LFT
+	dirty := f.touchedColumns(base)
+	lft := base.Clone(fmt.Sprintf("%s-reroute[%d faults]", base.Name, f.Failed()))
+	un := f.Reroute(lft, rank, dirty).UnroutableHosts
+	c, err := healthy.Compiled.Repatch(lft, dirty)
+	if err != nil {
+		return nil, err
+	}
+	return lenient(c, lft, un)
+}
+
+// Refuse is a routing without a repair under this fault set: the healthy
+// tables stay as programmed, and every pair whose path crosses a dead
+// link is broken rather than rerouted. With no fault, healthy itself is
+// the answer.
+func (f *FaultSet) Refuse(healthy *Tables) (*Tables, error) {
+	if f.Failed() == 0 {
+		return healthy, nil
+	}
+	alive := &aliveOnly{Router: healthy.Compiled.Inner(), dead: slices.Clone(f.dead)}
+	return lenient(alive, healthy.LFT, f.UnroutableHosts())
+}
+
+// lenient assembles the Tables of a faulted fabric: rt leniently
+// compiled (an already compiled arena, like Repair's, is kept as is), so
+// every pair rt refuses or walks non-minimally comes back broken, and
+// BrokenPairs excludes the pairs already doomed by the unroutable hosts —
+// they are broken under every routing and say nothing of its repair.
+func lenient(rt route.Router, lft *route.LFT, unroutable []int) (*Tables, error) {
+	c, err := route.CompileLenient(rt)
+	if err != nil {
+		return nil, err
+	}
+	n, u := rt.Topology().NumHosts(), len(unroutable)
+	return &Tables{
+		LFT:         lft,
+		Compiled:    c,
+		Unroutable:  unroutable,
+		BrokenPairs: max(c.NumBroken()-(2*u*(n-1)-u*(u-1)), 0),
+	}, nil
+}
+
+// touchedColumns lists, ascending, the destination columns whose entry at
+// either end of a dead link forwards through it, host links included:
+// the only columns a reroute of these tables can change.
+func (f *FaultSet) touchedColumns(lft *route.LFT) (cols []int) {
+	t, dead := f.t, f.FailedLinks()
+	for j := 0; j < t.NumHosts(); j++ {
+		if slices.ContainsFunc(dead, func(l topo.LinkID) bool {
+			lk := &t.Links[l]
+			return lft.OutPort(t.Ports[lk.Lower].Node, j) == lk.Lower || lft.OutPort(t.Ports[lk.Upper].Node, j) == lk.Upper
+		}) {
+			cols = append(cols, j)
+		}
+	}
+	return cols
+}
+
+// aliveOnly filters a router through a snapshot of the dead links: a walk
+// that crosses one delivers its hops (so lenient compiles account the
+// partial path) and then fails, which is exactly the contract that makes
+// CompileLenient mark the pair broken. It snapshots the fault set instead
+// of holding it because callers (the fabric manager) mutate their live
+// FaultSet between epochs while compiled arenas stay immutable.
+type aliveOnly struct {
+	route.Router
+	dead []bool
+}
+
+func (a *aliveOnly) Walk(src, dst int, visit func(link topo.LinkID, up bool)) error {
+	hit := topo.LinkID(-1)
+	if err := a.Router.Walk(src, dst, func(l topo.LinkID, up bool) {
+		if a.dead[l] && hit < 0 {
+			hit = l
+		}
+		visit(l, up)
+	}); err != nil {
+		return err
+	}
+	if hit >= 0 {
+		return fmt.Errorf("route: %s: path %d->%d crosses dead link %d", a.Label(), src, dst, hit)
+	}
+	return nil
+}

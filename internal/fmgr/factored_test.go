@@ -8,9 +8,9 @@ import (
 	"strconv"
 	"testing"
 
-	"fattree/internal/engine"
 	"fattree/internal/fabric"
 	"fattree/internal/invariant"
+	"fattree/internal/route"
 	"fattree/internal/schema"
 	"fattree/internal/topo"
 	"fattree/internal/wire"
@@ -35,7 +35,7 @@ func orderedPairs(hosts []int) [][2]uint32 {
 // pairListResp is the oracle of both modes: the batch resolved one pair
 // at a time through PackedPath into the message AppendFrame encodes —
 // what the serving path must equal without ever building it.
-func pairListResp(epoch uint64, engName string, tb *engine.Tables, pairs [][2]uint32) (*wire.RouteSetResp, error) {
+func pairListResp(epoch uint64, engName string, tb *fabric.Tables, pairs [][2]uint32) (*wire.RouteSetResp, error) {
 	resp := &wire.RouteSetResp{Epoch: epoch, Engine: engName, Routing: tb.Compiled.Label()}
 	for _, p := range pairs {
 		pr := wire.PairRoute{Src: p[0], Dst: p[1]}
@@ -80,13 +80,13 @@ func equalRouteSets(got, want *wire.RouteSetResp) error {
 // checkFactored holds one job under one set of tables to promise 2:
 // what the daemon ships, once through the wire and expanded, is the pair
 // list pairs mode would have resolved, entry for entry.
-func checkFactored(t *testing.T, what string, engName string, tb *engine.Tables, hosts []int) {
+func checkFactored(t *testing.T, what string, tb *fabric.Tables, hosts []int) {
 	t.Helper()
-	want, err := pairListResp(7, engName, tb, orderedPairs(hosts))
+	want, err := pairListResp(7, servedEngine, tb, orderedPairs(hosts))
 	if err != nil {
 		t.Fatalf("%s: oracle: %v", what, err)
 	}
-	jw := encodeJobFrame(1, len(want.Pairs), factorRouteSet(7, engName, tb, hosts))
+	jw := encodeJobFrame(1, len(want.Pairs), factorRouteSet(7, tb, hosts))
 	if jw.Code != 200 {
 		t.Fatalf("%s: stored as code %d", what, jw.Code)
 	}
@@ -142,17 +142,28 @@ func testFactoredEqualsPairList(t *testing.T) {
 		jobs := map[string][]int{"whole": whole, "partial shuffled": rng.Perm(n)[:1+rng.Intn(n)]}
 
 		for _, engName := range []string{"dmodk", "smodk"} {
-			e, err := engine.Build(engName, tp, engine.Options{})
+			rt := route.Router(route.DModK(tp))
+			if engName == "smodk" {
+				rt = route.NewSModK(tp)
+			}
+			healthy, err := fabric.Healthy(rt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for fname, fs := range faults {
-				tb, err := e.Tables(fs)
+				tb := healthy
+				switch {
+				case fs == nil:
+				case engName == "dmodk":
+					tb, err = fs.Repair(healthy, nil)
+				default:
+					tb, err = fs.Refuse(healthy)
+				}
 				if err != nil {
 					t.Fatalf("%v %s %s: %v", g, engName, fname, err)
 				}
 				for jname, hosts := range jobs {
-					checkFactored(t, fmt.Sprintf("%v %s, %s, %s job", g, engName, fname, jname), engName, tb, hosts)
+					checkFactored(t, fmt.Sprintf("%v %s, %s, %s job", g, engName, fname, jname), tb, hosts)
 				}
 				sawBroken = sawBroken || tb.Compiled.NumBroken() > 0
 				_, _, shared := tb.Compiled.Row(0)
@@ -179,7 +190,7 @@ func TestPatchedExpansionUnderFaultScripts(t *testing.T) {
 		steps int
 	}{{"324", 24}, {"rlft2:4,8", 80}} {
 		tp := buildTopo(t, tc.spec)
-		e, err := engine.Build("dmodk", tp, engine.Options{})
+		healthy, err := fabric.Healthy(route.DModK(tp))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,15 +208,15 @@ func TestPatchedExpansionUnderFaultScripts(t *testing.T) {
 			want *wire.RouteSetResp
 		}
 		ship := func(epoch uint64) shipped {
-			tb, err := e.Tables(fs)
+			tb, err := fs.Repair(healthy, nil)
 			if err != nil {
 				t.Fatalf("%s epoch %d: %v", tc.spec, epoch, err)
 			}
-			want, err := pairListResp(epoch, "dmodk", tb, orderedPairs(hosts))
+			want, err := pairListResp(epoch, servedEngine, tb, orderedPairs(hosts))
 			if err != nil {
 				t.Fatal(err)
 			}
-			jw := encodeJobFrame(1, len(want.Pairs), factorRouteSet(epoch, "dmodk", tb, hosts))
+			jw := encodeJobFrame(1, len(want.Pairs), factorRouteSet(epoch, tb, hosts))
 			msg, err := wire.ReadMessage(bytes.NewReader(jw.Frame))
 			if err != nil {
 				t.Fatalf("%s epoch %d: code %d, %v", tc.spec, epoch, jw.Code, err)
@@ -281,7 +292,7 @@ func TestPatchedExpansionUnderFaultScripts(t *testing.T) {
 // with a host dark.
 func TestJobFrameIsFactored(t *testing.T) {
 	tp := buildTopo(t, "324")
-	e, err := engine.Build("dmodk", tp, engine.Options{})
+	healthy, err := fabric.Healthy(route.DModK(tp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,12 +302,12 @@ func TestJobFrameIsFactored(t *testing.T) {
 	}
 	fs := fabric.NewFaultSet(tp)
 	fs.Fail(tp.Ports[tp.Host(200).Up[0]].Link)
-	for name, faults := range map[string]*fabric.FaultSet{"healthy": nil, "host 200 dark": fs} {
-		tb, err := e.Tables(faults)
+	for name, faults := range map[string]*fabric.FaultSet{"healthy": fabric.NewFaultSet(tp), "host 200 dark": fs} {
+		tb, err := faults.Repair(healthy, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := factorRouteSet(3, "dmodk", tb, hosts)
+		f := factorRouteSet(3, tb, hosts)
 		frame := wire.EncodeFrame(f)
 		if f.Rows != 18 || len(f.TailOff) != 18*324+1 || len(frame) >= 100_000 {
 			t.Fatalf("%s: %d rows, %d tails, %d-byte frame; want 18, 5832, < 100 KB", name, f.Rows, len(f.TailOff)-1, len(frame))
@@ -304,7 +315,7 @@ func TestJobFrameIsFactored(t *testing.T) {
 		if want := 2 * 323 * len(tb.Unroutable); len(f.Broken) != want {
 			t.Fatalf("%s: %d broken pairs listed, want %d", name, len(f.Broken), want)
 		}
-		checkFactored(t, name, "dmodk", tb, hosts)
+		checkFactored(t, name, tb, hosts)
 	}
 }
 

@@ -6,9 +6,11 @@
 // cached Shift-HSD summary — behind an atomic pointer: readers load the
 // pointer and work lock-free on a consistent snapshot (RCU style),
 // while a single event loop consumes fault/revive and job events and
-// swaps the whole snapshot. A snapshot is two things with two costs:
-// the tables a fault set determines (rerouted by the daemon's one
-// engine, analysed, validated — built once per fault set, debounced) and
+// swaps the whole snapshot. The daemon serves eq. (1), route.DModK, and
+// repairs it around faults with (*fabric.FaultSet).Repair; a second
+// routing policy is a second daemon. A snapshot is two things with two
+// costs: the tables a fault set determines (repaired, analysed,
+// validated — built once per fault set, debounced) and
 // the jobs view assembled over them at every publish. A fault therefore costs a
 // fabric-wide rebuild held for the debounce window, a placement one job
 // frame published at once. A query served mid-reroute always answers
@@ -25,7 +27,6 @@ import (
 	"time"
 
 	"fattree/internal/cps"
-	"fattree/internal/engine"
 	"fattree/internal/fabric"
 	"fattree/internal/hsd"
 	"fattree/internal/invariant"
@@ -44,11 +45,11 @@ import (
 type FabricState struct {
 	Epoch uint64
 	Topo  *topo.Topology
-	// Paths is the lenient-compiled arena over the engine's routing
+	// Paths is the lenient-compiled arena over the served routing
 	// (broken pairs recorded, not fatal).
 	Paths *route.Compiled
-	// Engine is the registry name of the daemon's one engine, which
-	// produced Paths and serves every job; Routing is its router label.
+	// Engine names the served routing to clients, always "dmodk" (the
+	// name the analysis commands give it); Routing is its router label.
 	Engine  string
 	Routing string
 	// Ordering is the topology-aware MPI node order served by /v1/order.
@@ -81,12 +82,12 @@ type FabricState struct {
 }
 
 // fabricTables is the part of a snapshot a fault set determines and a
-// job event leaves alone: the engine's forwarding tables and lenient
+// job event leaves alone: the repaired forwarding tables and lenient
 // arena under it, and the standing Shift-HSD report over that arena. It
 // is the expensive part — built once per fault set, proven by
 // Manager.validate, immutable from then on.
 type fabricTables struct {
-	*engine.Tables
+	*fabric.Tables
 	failedLinks []topo.LinkID
 	hsd         *hsd.Report
 	// where the build's time went, for the reroute record
@@ -146,14 +147,14 @@ func pairStatus(paths *route.Compiled, n, src, dst int) pairState {
 	return pairServed
 }
 
+// servedEngine is the name the daemon's one routing answers to in every
+// response and journal record.
+const servedEngine = "dmodk"
+
 // Config configures a Manager. Topo is required; everything else has
 // serviceable defaults.
 type Config struct {
 	Topo *topo.Topology
-	// Engine selects the routing engine (by registry name) that produces
-	// the served tables, reroutes them around faults and serves every
-	// job: one per daemon. Default engine.Default, the paper's D-Mod-K.
-	Engine string
 	// Debounce is how long after the last fault event (fail, revive,
 	// fail_random) the event loop waits before it publishes a rerouted
 	// snapshot, so a burst of link flaps costs one swap (and at most two
@@ -194,9 +195,6 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.Engine == "" {
-		c.Engine = engine.Default
-	}
 	if c.Debounce <= 0 {
 		c.Debounce = 25 * time.Millisecond
 	}
@@ -259,8 +257,9 @@ type Manager struct {
 	orderv *order.Ordering
 	// orderHostOf is orderv.HostOf as the order frame carries it.
 	orderHostOf []uint32
-	// eng is Config.Engine, built once by New.
-	eng engine.Engine
+	// healthy is route.DModK's tables over the fault-free fabric, built
+	// once by New: what every rebuild repairs.
+	healthy *fabric.Tables
 
 	cur     atomic.Pointer[FabricState]
 	clk     clock
@@ -340,10 +339,8 @@ func New(cfg Config) (*Manager, error) {
 	}
 	m.journal = NewJournal(cfg.JournalSize)
 	m.validate = m.validateTables
-	// Build the engine up front so a bad -engine name or a builder
-	// failure surfaces here, not inside the event loop.
 	var err error
-	if m.eng, err = engine.Build(cfg.Engine, cfg.Topo, engine.Options{}); err != nil {
+	if m.healthy, err = fabric.Healthy(route.DModK(cfg.Topo)); err != nil {
 		return nil, fmt.Errorf("fmgr: %w", err)
 	}
 	if reg := cfg.Metrics; reg != nil {
@@ -797,7 +794,7 @@ func (m *Manager) tryRebuild() (*FabricState, []schema.Event, error) {
 // phaseRecord is the journal record of a rebuild phase begun at start and
 // ending now, with err as its outcome.
 func (m *Manager) phaseRecord(kind string, epoch uint64, start time.Time, err error) schema.Event {
-	rec := schema.Event{TimeUnixNS: time.Now().UnixNano(), Kind: kind, Epoch: epoch, Engine: m.cfg.Engine,
+	rec := schema.Event{TimeUnixNS: time.Now().UnixNano(), Kind: kind, Epoch: epoch, Engine: servedEngine,
 		DurationUS: time.Since(start).Microseconds(), Outcome: schema.OutcomeOK}
 	if err != nil {
 		rec.Outcome, rec.Detail = schema.OutcomeError, err.Error()
@@ -806,7 +803,7 @@ func (m *Manager) phaseRecord(kind string, epoch uint64, start time.Time, err er
 }
 
 // buildState is a snapshot from scratch, the only way there is to one:
-// the engine's tables under the current fault set, and the jobs view
+// the repaired tables under the current fault set, and the jobs view
 // assembled over them. sp, when tracing, parents one child span per
 // phase.
 func (m *Manager) buildState(epoch uint64, sp *obs.Span) (*FabricState, error) {
@@ -819,23 +816,19 @@ func (m *Manager) buildState(epoch uint64, sp *obs.Span) (*FabricState, error) {
 	return m.assemble(epoch, tables, nil), nil
 }
 
-// buildTables asks the engine for tables under the current fault set —
+// buildTables repairs the healthy tables under the current fault set —
 // lenient path arena, unroutable and broken accounting — and takes the
 // standing Shift-HSD report over its arena.
 func (m *Manager) buildTables(sp *obs.Span) (*fabricTables, error) {
 	tables := &fabricTables{failedLinks: m.faults.FailedLinks()}
-	var fs *fabric.FaultSet
-	if m.faults.Failed() > 0 {
-		fs = m.faults
-	}
 	c, t0 := sp.Child("engine_tables"), time.Now()
-	c.TagStr("engine", m.cfg.Engine)
+	c.TagStr("engine", servedEngine)
 	var err error
-	tables.Tables, err = m.eng.Tables(fs)
+	tables.Tables, err = m.faults.Repair(m.healthy, nil)
 	c.End()
 	tables.engineTablesUS = time.Since(t0).Microseconds()
 	if err != nil {
-		return nil, fmt.Errorf("engine %s: %w", m.cfg.Engine, err)
+		return nil, fmt.Errorf("engine %s: %w", servedEngine, err)
 	}
 	// The standing answer to "is this fabric still contention free":
 	// Shift under the topology order over the pairs the tables serve.
@@ -863,7 +856,7 @@ func (m *Manager) assemble(epoch uint64, tables *fabricTables, prev *FabricState
 		Epoch:       epoch,
 		Topo:        m.t,
 		Paths:       tables.Compiled,
-		Engine:      m.cfg.Engine,
+		Engine:      servedEngine,
 		Routing:     tables.Compiled.Label(),
 		Ordering:    m.orderv,
 		HSD:         tables.hsd,
@@ -892,7 +885,7 @@ func (m *Manager) assemble(epoch uint64, tables *fabricTables, prev *FabricState
 				continue
 			}
 		}
-		jw := encodeJobFrame(j.ID, len(j.Hosts)*(len(j.Hosts)-1), factorRouteSet(epoch, m.cfg.Engine, tables.Tables, j.Hosts))
+		jw := encodeJobFrame(j.ID, len(j.Hosts)*(len(j.Hosts)-1), factorRouteSet(epoch, tables.Tables, j.Hosts))
 		jw.Epoch = epoch
 		st.JobRouteSets[j.ID] = jw
 	}
@@ -905,10 +898,10 @@ func (m *Manager) assemble(epoch uint64, tables *fabricTables, prev *FabricState
 // (row the job reads, job host), the broken pairs by index — without
 // ever listing the pairs: what a 324-host job ships is 18 x 324 tails,
 // not 104,652 paths.
-func factorRouteSet(epoch uint64, engName string, tb *engine.Tables, hosts []int) *wire.RouteSetFactored {
+func factorRouteSet(epoch uint64, tb *fabric.Tables, hosts []int) *wire.RouteSetFactored {
 	c, n := tb.Compiled, len(hosts)
 	stride := c.Stride()
-	m := &wire.RouteSetFactored{Epoch: epoch, Engine: engName, Routing: tb.Compiled.Label(),
+	m := &wire.RouteSetFactored{Epoch: epoch, Engine: servedEngine, Routing: tb.Compiled.Label(),
 		Stride: uint32(stride), Hosts: make([]wire.FactoredHost, n), TailOff: []uint32{0}}
 	rows, dsts, cells := make([]int32, n), make([]int32, n), make([]uint32, n*stride)
 	for j, h := range hosts {
@@ -979,7 +972,7 @@ func (m *Manager) validateTables(tables *fabricTables) error {
 	}
 	pred := func(j int) bool { return j >= 0 && j < len(un) && un[j] }
 	if err := invariant.LenientArena(m.t, tables.Compiled, pred); err != nil {
-		return fmt.Errorf("fmgr: engine %s: %w", m.cfg.Engine, err)
+		return fmt.Errorf("fmgr: engine %s: %w", servedEngine, err)
 	}
 	return nil
 }

@@ -365,7 +365,7 @@ func (m *Manager) handleJobAlloc(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusConflict, errorDoc{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, jobDoc(a, m.cfg.Engine))
+	writeJSON(w, http.StatusOK, jobDoc(a, servedEngine))
 }
 
 func (m *Manager) handleJobFree(w http.ResponseWriter, r *http.Request) {

@@ -13,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"fattree/internal/fabric"
+	"fattree/internal/route"
 	"fattree/internal/sched"
 	"fattree/internal/topo"
 	"fattree/internal/wire"
@@ -248,19 +250,40 @@ func TestWireJobFrameBudget(t *testing.T) {
 // byte, AppendFrame of the RouteSetResp built one pair at a time through
 // PackedPath — on a healthy snapshot and on a faulted one that leaves
 // some pairs Broken, self pairs included, behind whatever the
-// connection's buffer already holds. It runs on D-Mod-K, whose healthy
-// tails the closed form computes, and in "32-bit cells" on minhop-random,
-// whose arena stores every column in cells.
+// connection's buffer already holds. It runs on the daemon's D-Mod-K,
+// whose healthy tails the closed form computes, and in "32-bit cells" on
+// snapshots assembled over minhop-random tables (refused, not repaired,
+// under the fault), whose arena stores every column in cells.
 func TestWireRouteSetEqualsPairList(t *testing.T) {
-	testWireRouteSetEqualsPairList(t, nil)
+	m := newManager(t, "rlft2:4,8", nil)
+	m.Start()
+	uplink := m.t.Ports[m.t.Host(2).Up[0]].Link
+	testWireRouteSetEqualsPairList(t, m, false, m.Current(), func() *FabricState {
+		if _, err := m.InjectFaults([]topo.LinkID{uplink}, nil, 2); err != nil {
+			t.Fatal(err)
+		}
+		return waitEpoch(t, m, 2)
+	})
 	t.Run("32-bit cells", func(t *testing.T) {
-		testWireRouteSetEqualsPairList(t, func(c *Config) { c.Engine = "minhop-random" })
+		healthy, err := fabric.Healthy(route.MinHopRandom(m.t, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs := fabric.NewFaultSet(m.t)
+		fs.Fail(uplink)
+		faulted, err := fs.Refuse(healthy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		testWireRouteSetEqualsPairList(t, m, true, m.assemble(1, &fabricTables{Tables: healthy}, nil), func() *FabricState {
+			return m.assemble(2, &fabricTables{Tables: faulted, failedLinks: fs.FailedLinks()}, nil)
+		})
 	})
 }
 
-func testWireRouteSetEqualsPairList(t *testing.T, mutate func(*Config)) {
-	m := newManager(t, "rlft2:4,8", mutate)
-	m.Start()
+// testWireRouteSetEqualsPairList checks healthy, whose arena stores cells
+// exactly when stored, and then the faulted snapshot fault returns.
+func testWireRouteSetEqualsPairList(t *testing.T, m *Manager, stored bool, healthy *FabricState, fault func() *FabricState) {
 	n := m.t.NumHosts()
 	check := func(t *testing.T, st *FabricState) (unserved int) {
 		rng := rand.New(rand.NewSource(int64(st.Epoch)))
@@ -291,19 +314,14 @@ func testWireRouteSetEqualsPairList(t *testing.T, mutate func(*Config)) {
 		return unserved
 	}
 	t.Run("healthy", func(t *testing.T) {
-		st := m.Current()
-		if stores := st.Paths.NumEntries() > 0; stores != (mutate != nil) {
-			t.Fatalf("healthy %s arena stores %d cells", st.Engine, st.Paths.NumEntries())
+		if stores := healthy.Paths.NumEntries() > 0; stores != stored {
+			t.Fatalf("healthy %s arena stores %d cells", healthy.Routing, healthy.Paths.NumEntries())
 		}
-		if unserved := check(t, st); unserved != 0 {
+		if unserved := check(t, healthy); unserved != 0 {
 			t.Fatalf("%d pairs unserved on a healthy fabric", unserved)
 		}
 	})
-	uplink := m.t.Ports[m.t.Host(2).Up[0]].Link
-	if _, err := m.InjectFaults([]topo.LinkID{uplink}, nil, 2); err != nil {
-		t.Fatal(err)
-	}
-	st := waitEpoch(t, m, 2)
+	st := fault()
 	t.Run("faulted", func(t *testing.T) {
 		if unserved := check(t, st); unserved == 0 {
 			t.Fatalf("a dead host uplink left every pair served: %+v", st.FailedLinks)

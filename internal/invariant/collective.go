@@ -39,8 +39,8 @@ func checkContentionFree(in *Instance) Result {
 		return skipNoRouter()
 	}
 	g := in.Topo.Spec
-	if !g.ConstantCBB() || !g.SingleHostUplink() {
-		return skipf("contention freedom requires constant CBB and single host uplink; not guaranteed for %v", g)
+	if broken := unmetRestrictions(g); broken != "" {
+		return skipf("contention freedom requires constant CBB and single host uplink; %v breaks %s", g, broken)
 	}
 	if in.hasFaults() {
 		return skipf("contention freedom claims nothing on degraded fabrics")

@@ -285,4 +285,20 @@ func skipf(format string, args ...any) Result {
 	return Result{Status: Skip, SkipReason: fmt.Sprintf(format, args...)}
 }
 
+// unmetRestrictions names the RLFT restrictions Theorems 1 and 2 rest on
+// (Section IV.C: constant CBB, a single host uplink) that g breaks, for a
+// skip reason; "" when it meets both.
+func unmetRestrictions(g topo.PGFT) string {
+	cbb, uplink := g.ConstantCBB(), g.SingleHostUplink()
+	switch {
+	case cbb && uplink:
+		return ""
+	case uplink:
+		return "the constant CBB restriction"
+	case cbb:
+		return "the single host uplink restriction"
+	}
+	return "the constant CBB and single host uplink restrictions"
+}
+
 func intp(v int) *int { return &v }

@@ -87,6 +87,37 @@ func TestCatalogPassesOnKnownTopologies(t *testing.T) {
 	}
 }
 
+// TestSkipNamesBrokenRestrictions: on a PGFT outside the RLFT class,
+// the three checks that skip there name exactly the restrictions the tree
+// breaks, never one it meets. CBB is m_1*p_1 == w_2*p_2 here; the last
+// tree's leaves have 4*2 host cables below and 2*2 above, so its double
+// host cables break both restrictions.
+func TestSkipNamesBrokenRestrictions(t *testing.T) {
+	for _, tc := range []struct {
+		spec   string
+		broken string
+	}{
+		{"PGFT(2;4,6;1,2;1,1)", "breaks the constant CBB restriction"},
+		{"PGFT(2;2,4;1,2;2,2)", "breaks the single host uplink restriction"},
+		{"PGFT(2;4,3;1,2;2,2)", "breaks the constant CBB and single host uplink restrictions"},
+	} {
+		g, err := topo.ParseSpec(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := mustInstance(t, g)
+		for name, check := range map[string]func(*Instance) Result{
+			"route.thm2-down-unique": checkThm2DownUnique,
+			"hsd.contention-free":    checkContentionFree,
+			"sim.zero-stalls":        checkSimZeroStalls,
+		} {
+			if res := check(in); res.Status != Skip || !strings.HasSuffix(res.SkipReason, tc.broken) {
+				t.Errorf("%s on %s: %s %q, want a skip that %s", name, tc.spec, res.Status, res.SkipReason, tc.broken)
+			}
+		}
+	}
+}
+
 func must(g topo.PGFT, err error) topo.PGFT {
 	if err != nil {
 		panic(err)

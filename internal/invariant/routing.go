@@ -109,8 +109,8 @@ func checkThm2DownUnique(in *Instance) Result {
 		return skipNoRouter()
 	}
 	g := in.Topo.Spec
-	if !g.ConstantCBB() || !g.SingleHostUplink() {
-		return skipf("Theorem 2 requires constant CBB and single host uplink; %v has neither guarantee", g)
+	if broken := unmetRestrictions(g); broken != "" {
+		return skipf("Theorem 2 requires constant CBB and single host uplink; %v breaks %s", g, broken)
 	}
 	if in.hasFaults() {
 		return skipf("Theorem 2 claims nothing on degraded fabrics")

@@ -31,8 +31,8 @@ func checkSimZeroStalls(in *Instance) Result {
 		return skipNoRouter()
 	}
 	g := in.Topo.Spec
-	if !g.ConstantCBB() || !g.SingleHostUplink() {
-		return skipf("contention freedom requires constant CBB and single host uplink; not guaranteed for %v", g)
+	if broken := unmetRestrictions(g); broken != "" {
+		return skipf("contention freedom requires constant CBB and single host uplink; %v breaks %s", g, broken)
 	}
 	if in.hasFaults() {
 		return skipf("the zero-stall cross-check claims nothing on degraded fabrics")

@@ -474,11 +474,6 @@ func (nw *Network) pathOf(src, dst int) (off, n int32, err error) {
 	return off, int32(len(nw.paths)) - off, err
 }
 
-// msgPath returns the route of message m.
-func (nw *Network) msgPath(m *message) []int32 {
-	return nw.paths[m.pathOff : m.pathOff+m.pathLen]
-}
-
 // pktPath returns the route packet p follows.
 func (nw *Network) pktPath(p *packet) []int32 {
 	if p.perPkt {
