@@ -3,6 +3,7 @@ package invariant
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"fattree/internal/route"
 	"fattree/internal/topo"
@@ -44,7 +45,7 @@ func checkRouteTotal(in *Instance) Result {
 	if in.Router == nil {
 		return skipNoRouter()
 	}
-	return servedPaths(in.Topo, in.Router, in.Unroutable, mustBreak, nil)
+	return servedPaths(in.Topo, in.Router, pathCheck{unroutable: in.Unroutable, rules: mustBreak})
 }
 
 // checkRouteUpDown verifies the up*/down* shape every deadlock-free
@@ -54,7 +55,7 @@ func checkRouteUpDown(in *Instance) Result {
 	if in.Router == nil {
 		return skipNoRouter()
 	}
-	return servedPaths(in.Topo, in.Router, in.Unroutable, upDown, nil)
+	return servedPaths(in.Topo, in.Router, pathCheck{unroutable: in.Unroutable, rules: upDown})
 }
 
 // checkRouteMinimal verifies minimality: every served path takes exactly
@@ -66,15 +67,20 @@ func checkRouteMinimal(in *Instance) Result {
 	if in.Router == nil {
 		return skipNoRouter()
 	}
-	g := in.Topo.Spec
-	return servedPaths(in.Topo, in.Router, in.Unroutable, 0, func(src, dst int, path []route.PathEntry) *Result {
+	return servedPaths(in.Topo, in.Router, pathCheck{unroutable: in.Unroutable, pred: minimalPath(in.Topo.Spec)})
+}
+
+// minimalPath is route.minimal's predicate: a path of 2*LCALevel(src,
+// dst) hops.
+func minimalPath(g topo.PGFT) func(src, dst int, path []route.PathEntry) *Result {
+	return func(src, dst int, path []route.PathEntry) *Result {
 		if want := 2 * g.LCALevel(src, dst); len(path) != want {
 			return failp(&Counterexample{Pair: []int{src, dst},
 				Detail: fmt.Sprintf("%d hops, minimal is %d", len(path), want)},
 				"pair %d->%d takes a non-minimal path", src, dst)
 		}
 		return nil
-	})
+	}
 }
 
 // checkRouteAlive verifies that no served path traverses a dead link.
@@ -87,15 +93,7 @@ func checkRouteAlive(in *Instance) Result {
 	if in.Alive == nil {
 		return pass() // no fault model: every link alive by definition
 	}
-	return servedPaths(in.Topo, in.Router, in.Unroutable, 0, func(src, dst int, path []route.PathEntry) *Result {
-		for _, e := range path {
-			if l := route.EntryLink(e); !in.Alive(l) {
-				return failp(&Counterexample{Pair: []int{src, dst}, Link: intp(int(l))},
-					"pair %d->%d crosses dead link %d", src, dst, l)
-			}
-		}
-		return nil
-	})
+	return servedPaths(in.Topo, in.Router, pathCheck{unroutable: in.Unroutable, alive: in.Alive})
 }
 
 // checkThm2DownUnique verifies Theorem 2 generically over any Router:
@@ -121,7 +119,12 @@ func checkThm2DownUnique(in *Instance) Result {
 
 // checkCompiledEquiv verifies the compiled path cache is a transparent
 // acceleration: for every served pair the packed path equals the inner
-// router's walk hop for hop.
+// router's walk hop for hop. It compares each tail a served pair reads
+// with the inner router's walk of it (WalkTail), and each head once,
+// through the source's lowest served pair: under forwarding tables a
+// single-uplink host forwards every destination through its uplink, so
+// a pair's walk is its head then the tail's. A failing tail is reported
+// through its lowest served pair, compared whole.
 func checkCompiledEquiv(in *Instance) Result {
 	if in.Router == nil {
 		return skipNoRouter()
@@ -133,48 +136,101 @@ func checkCompiledEquiv(in *Instance) Result {
 	inner := c.Inner()
 	n := in.Topo.NumHosts()
 	var buf, cached []route.PathEntry
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			if src == dst || c.Broken(src, dst) {
+	pair := func(src, dst int) *Result {
+		var err error
+		if cached, err = c.AppendPath(cached[:0], src, dst); err != nil {
+			return failp(&Counterexample{Pair: []int{src, dst}, Detail: err.Error()},
+				"AppendPath failed for served pair %d->%d", src, dst)
+		}
+		buf = buf[:0]
+		err = inner.Walk(src, dst, func(l topo.LinkID, up bool) {
+			buf = append(buf, route.PackEntry(l, up))
+		})
+		return comparePaths(src, dst, buf, cached, err)
+	}
+	bsrc, bdst, best := n, 0, pass()
+	below := func(src, dst int) bool { return src < bsrc || src == bsrc && dst < bdst }
+	served := func(src, dst int) bool { return src != dst && !c.Broken(src, dst) }
+	stride := c.Stride()
+	cells := make([]uint32, stride)
+	for row, srcs := range rowReaders(c, n) {
+		if srcs[0] >= bsrc {
+			break
+		}
+		for _, src := range srcs {
+			if _, _, shared := c.Row(src); !shared {
 				continue
 			}
-			var err error
-			if cached, err = c.AppendPath(cached[:0], src, dst); err != nil {
-				return failf(&Counterexample{Pair: []int{src, dst}, Detail: err.Error()},
-					"AppendPath failed for served pair %d->%d", src, dst)
-			}
-			buf = buf[:0]
-			err = inner.Walk(src, dst, func(l topo.LinkID, up bool) {
-				buf = append(buf, route.PackEntry(l, up))
-			})
-			if err != nil {
-				return failf(&Counterexample{Pair: []int{src, dst}, Detail: err.Error()},
-					"inner router fails pair %d->%d the cache serves", src, dst)
-			}
-			if len(buf) != len(cached) {
-				return failf(&Counterexample{Pair: []int{src, dst},
-					Detail: fmt.Sprintf("cache has %d hops, inner walk %d", len(cached), len(buf))},
-					"compiled path length diverges for pair %d->%d", src, dst)
-			}
-			for i, packed := range cached {
-				if buf[i] != packed {
-					return failf(&Counterexample{Pair: []int{src, dst},
-						Detail: fmt.Sprintf("hop %d: cache link %d up=%v, inner link %d up=%v", i,
-							route.EntryLink(packed), route.EntryUp(packed),
-							route.EntryLink(buf[i]), route.EntryUp(buf[i]))},
-						"compiled path diverges for pair %d->%d", src, dst)
+			for dst := 0; dst < n && below(src, dst); dst++ {
+				if served(src, dst) {
+					if res := pair(src, dst); res != nil {
+						bsrc, bdst, best = src, dst, *res
+					}
+					break
 				}
 			}
 		}
+		for dst := 0; dst < n; dst++ {
+			src := -1
+			for _, s := range srcs {
+				if served(s, dst) {
+					src = s
+					break
+				}
+			}
+			if src < 0 || !below(src, dst) {
+				continue
+			}
+			buf = buf[:0]
+			err := c.WalkTail(row, dst, func(l topo.LinkID, up bool) {
+				buf = append(buf, route.PackEntry(l, up))
+			})
+			if err == nil && slices.Equal(buf, route.AppendHops(cached[:0], route.NoEntry, c.Tail(cells, row, dst))) {
+				continue
+			}
+			if res := pair(src, dst); res != nil {
+				bsrc, bdst, best = src, dst, *res
+			}
+		}
 	}
-	return pass()
+	return best
+}
+
+// comparePaths is route.compiled-equiv's verdict on one pair: the inner
+// router's walk (or its error) against the cached path.
+func comparePaths(src, dst int, walked, cached []route.PathEntry, err error) *Result {
+	if err != nil {
+		return failp(&Counterexample{Pair: []int{src, dst}, Detail: err.Error()},
+			"inner router fails pair %d->%d the cache serves", src, dst)
+	}
+	if len(walked) != len(cached) {
+		return failp(&Counterexample{Pair: []int{src, dst},
+			Detail: fmt.Sprintf("cache has %d hops, inner walk %d", len(cached), len(walked))},
+			"compiled path length diverges for pair %d->%d", src, dst)
+	}
+	for i, packed := range cached {
+		if walked[i] != packed {
+			return failp(&Counterexample{Pair: []int{src, dst},
+				Detail: fmt.Sprintf("hop %d: cache link %d up=%v, inner link %d up=%v", i,
+					route.EntryLink(packed), route.EntryUp(packed),
+					route.EntryLink(walked[i]), route.EntryUp(walked[i]))},
+				"compiled path diverges for pair %d->%d", src, dst)
+		}
+	}
+	return nil
 }
 
 // checkLenientBroken verifies the lenient-compile contract: a pair is in
 // the broken bitset exactly when the inner router either fails to walk it
 // or walks a non-minimal path; broken pairs answer ErrNoPath; NumBroken
 // equals the bitset population; and unroutable hosts only appear in
-// broken pairs.
+// broken pairs. The bitset is read pair by pair — it is per pair — but
+// the inner router walks each tail once (WalkTail) and each source of a
+// shared row once, to see that its host forwards at all: such a source's
+// walk is its uplink then the tail, minimal when the tail is, for every
+// source of the leaf sub-tree alike. A source outside its row's first
+// source's leaf sub-tree, which Compile never groups, is walked pair by
+// pair.
 func checkLenientBroken(in *Instance) Result {
 	if in.Router == nil {
 		return skipNoRouter()
@@ -185,23 +241,63 @@ func checkLenientBroken(in *Instance) Result {
 	}
 	inner := c.Inner()
 	t := in.Topo
+	g := t.Spec
 	n := t.NumHosts()
-	broken := 0
+	readers := rowReaders(c, n)
 	hops := 0
+	count := func(topo.LinkID, bool) { hops++ }
+	walk := func(src, dst int) (bool, error) { // the inner router's walk of a pair: minimal, or why not
+		hops = 0
+		err := inner.Walk(src, dst, count)
+		return err == nil && hops == 2*g.LCALevel(src, dst), err
+	}
+	minimal := make([]bool, n) // per destination: the current row's tail is, for its leaf sub-tree
+	last, broken := -1, 0
 	for src := 0; src < n; src++ {
+		row, _, shared := c.Row(src)
+		srcs := readers[row]
+		if row != last {
+			last = row
+			for dst := range minimal {
+				ref := -1 // a source of the row's leaf sub-tree other than dst: the minimal tail is measured from it
+				for _, s := range srcs {
+					if s != dst && g.LCALevel(s, srcs[0]) <= 1 {
+						ref = s
+						break
+					}
+				}
+				if minimal[dst] = false; ref < 0 {
+					continue // no pair of the sub-tree reads it
+				}
+				want := 2 * g.LCALevel(ref, dst)
+				if shared {
+					want--
+				}
+				hops = 0
+				minimal[dst] = c.WalkTail(row, dst, count) == nil && hops == want
+			}
+		}
+		forwards, alike := true, true
+		if shared {
+			hops = 0
+			inner.Walk(src, (src+1)%n, count)
+			forwards, alike = hops > 0, g.LCALevel(src, srcs[0]) <= 1
+		}
 		for dst := 0; dst < n; dst++ {
 			if src == dst {
 				continue
 			}
-			hops = 0
-			walkErr := inner.Walk(src, dst, func(topo.LinkID, bool) { hops++ })
-			minimal := walkErr == nil && hops == 2*t.Spec.LCALevel(src, dst)
-			if b := c.Broken(src, dst); b != !minimal {
+			want := forwards && minimal[dst]
+			if !alike {
+				want, _ = walk(src, dst)
+			}
+			if b := c.Broken(src, dst); b == want {
+				ok, walkErr := walk(src, dst)
 				detail := "inner walk is minimal"
 				if walkErr != nil {
 					detail = walkErr.Error()
-				} else if !minimal {
-					detail = fmt.Sprintf("inner walk takes %d hops, minimal is %d", hops, 2*t.Spec.LCALevel(src, dst))
+				} else if !ok {
+					detail = fmt.Sprintf("inner walk takes %d hops, minimal is %d", hops, 2*g.LCALevel(src, dst))
 				}
 				return failf(&Counterexample{Pair: []int{src, dst}, Detail: detail},
 					"pair %d->%d: broken=%v disagrees with the inner router", src, dst, b)

@@ -29,14 +29,29 @@ func (h *hostileRouter) Walk(src, dst int, visit func(topo.LinkID, bool)) error 
 
 var pairInError = regexp.MustCompile(`pair (\d+)->(\d+)`)
 
-// TestPathShapeDefects feeds the path checks one defect at a time, each
-// planted in two pairs, and asserts that the snapshot gate (LenientArena,
-// wherever the defect survives a lenient compile) and the matching
-// route.* check both refuse it and name the same, lexicographically
-// first, damaged pair.
-func TestPathShapeDefects(t *testing.T) {
-	tp := topo.MustBuild(must(topo.RLFT2(4, 8))) // 4 hosts a leaf
-	lft := route.DModK(tp)
+// shapeDefect is one path defect planted in two pairs of a hostile
+// router over D-Mod-K on rlft2:4,8 (4 hosts a leaf).
+type shapeDefect struct {
+	name  string
+	pairs [2][2]int // the first damaged pair in (src, dst) order, then another
+	check string
+	path  func(src, dst int) []route.PathEntry // of minimal length where kept
+	// kept: the lenient compile serves the defect, so the gate sees it.
+	kept bool
+}
+
+// router plants the defect over lft.
+func (d shapeDefect) router(lft *route.LFT) *hostileRouter {
+	r := &hostileRouter{Router: lft, paths: map[[2]int][]route.PathEntry{}}
+	for _, p := range d.pairs {
+		r.paths[p] = d.path(p[0], p[1])
+	}
+	return r
+}
+
+// pathShapeDefects returns the defects, one per path promise, over
+// tp = rlft2:4,8 and lft = D-Mod-K on it.
+func pathShapeDefects(t *testing.T, tp *topo.Topology, lft *route.LFT) []shapeDefect {
 	up := func(j int) topo.LinkID { return tp.Ports[tp.Host(j).Up[0]].Link }
 	dmodk := func(src, dst int) []route.PathEntry {
 		hops, err := lft.Trace(src, dst)
@@ -49,14 +64,7 @@ func TestPathShapeDefects(t *testing.T) {
 		}
 		return p
 	}
-	for _, tc := range []struct {
-		name  string
-		pairs [2][2]int // the first damaged pair in (src, dst) order, then another
-		check string
-		path  func(src, dst int) []route.PathEntry // of minimal length where kept
-		// kept: the lenient compile serves the defect, so the gate sees it.
-		kept bool
-	}{
+	return []shapeDefect{
 		{"foreign-link", [2][2]int{{1, 6}, {6, 1}}, "route.total", func(src, dst int) []route.PathEntry {
 			p := dmodk(src, dst)
 			p[0] = route.PackEntry(up(dst), true) // dst's uplink, climbed from src
@@ -80,12 +88,20 @@ func TestPathShapeDefects(t *testing.T) {
 			return []route.PathEntry{route.PackEntry(up(src), true), route.PackEntry(spine, true),
 				route.PackEntry(spine, false), route.PackEntry(up(dst), false)}
 		}, false},
-	} {
+	}
+}
+
+// TestPathShapeDefects feeds the path checks one defect at a time, each
+// planted in two pairs, and asserts that the snapshot gate (LenientArena,
+// wherever the defect survives a lenient compile) and the matching
+// route.* check both refuse it and name the same, lexicographically
+// first, damaged pair.
+func TestPathShapeDefects(t *testing.T) {
+	tp := topo.MustBuild(must(topo.RLFT2(4, 8))) // 4 hosts a leaf
+	lft := route.DModK(tp)
+	for _, tc := range pathShapeDefects(t, tp, lft) {
 		t.Run(tc.name, func(t *testing.T) {
-			r := &hostileRouter{Router: lft, paths: map[[2]int][]route.PathEntry{}}
-			for _, p := range tc.pairs {
-				r.paths[p] = tc.path(p[0], p[1])
-			}
+			r := tc.router(lft)
 			want := tc.pairs[0]
 			checks, err := Select(tc.check)
 			if err != nil {

@@ -172,6 +172,17 @@ func (c *Compiled) walkRow(r Router, row, dst int, visit func(topo.LinkID, bool)
 	return r.(*LFT).walkFrom(t.PeerNode(t.Host(src).Up[0]), dst, visit)
 }
 
+// WalkTail visits the hops of row's tail towards dst as the router the
+// arena was compiled from walks them: from the entry switch of a shared
+// row, from its one source otherwise. Forwarding tables are
+// destination-based, so for every source of a shared row the router's
+// path is its head then exactly these hops — what lets the checks that
+// hold an arena to its router compare a tail once, not once per source.
+// row must be a row of the arena (Row).
+func (c *Compiled) WalkTail(row, dst int, visit func(topo.LinkID, bool)) error {
+	return c.walkRow(c.inner, row, dst, visit)
+}
+
 // minimalTail returns the tail length of a minimal path from row to dst.
 func (c *Compiled) minimalTail(g topo.PGFT, row, dst int) int {
 	src := int(c.rep[row])

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"reflect"
 	"runtime"
@@ -17,7 +18,7 @@ import (
 
 // TestExpand pins the pair list a factored message stands for: ordered
 // pairs source-major in Hosts order, head then tail, broken pairs
-// present but not OK, every Hops a capped window of its column's slab.
+// present but not OK, every Hops a capped window of the one hop slab.
 func TestExpand(t *testing.T) {
 	got := exampleFactored().Expand()
 	want := &RouteSetResp{Epoch: 42, Engine: "dmodk", Routing: "d-mod-k", Pairs: []PairRoute{
@@ -39,6 +40,124 @@ func TestExpand(t *testing.T) {
 	for _, m := range []*RouteSetFactored{{Epoch: 7}, {Epoch: 7, Rows: 1, Hosts: []FactoredHost{{Host: 3, Head: NoHead}}, TailOff: []uint32{0, 0}}} {
 		if rs := m.Expand(); rs.Epoch != 7 || len(rs.Pairs) != 0 {
 			t.Fatalf("%d-host job expands to %+v", len(m.Hosts), rs)
+		}
+	}
+}
+
+// referenceExpand is the pair list a factored message stands for, built
+// pair by pair with no slab: pair (i, j) is Hosts[i].Head (unless
+// NoHead) then tail (Hosts[i].Row, j), or not OK when i*n+j is listed
+// broken.
+func referenceExpand(m *RouteSetFactored) *RouteSetResp {
+	n := len(m.Hosts)
+	rs := &RouteSetResp{Epoch: m.Epoch, Engine: m.Engine, Routing: m.Routing, Pairs: []PairRoute{}}
+	for i, h := range m.Hosts {
+		for j, to := range m.Hosts {
+			if i == j {
+				continue
+			}
+			p := PairRoute{Src: h.Host, Dst: to.Host}
+			if !slices.Contains(m.Broken, uint64(i*n+j)) {
+				t := int(h.Row)*n + j
+				p.OK, p.Hops = true, []uint32{} // served: a hop list, even an empty one
+				if h.Head != NoHead {
+					p.Hops = append(p.Hops, h.Head)
+				}
+				p.Hops = append(p.Hops, m.Tails[m.TailOff[t]:m.TailOff[t+1]]...)
+			}
+			rs.Pairs = append(rs.Pairs, p)
+		}
+	}
+	return rs
+}
+
+// randomFactored is a seeded n-host message on up to n rows: some hosts
+// without a head, tails of 0 to stride entries, and a broken pair at
+// every source's first and last destination besides random ones.
+func randomFactored(rng *rand.Rand, n int) *RouteSetFactored {
+	m := &RouteSetFactored{Epoch: uint64(n), Engine: "dmodk", Routing: "d-mod-k", Stride: 3, Rows: uint32(1 + rng.Intn(n)), TailOff: []uint32{0}}
+	for h := 0; h < n; h++ {
+		head := uint32(rng.Intn(1000))
+		if rng.Intn(3) == 0 {
+			head = NoHead
+		}
+		m.Hosts = append(m.Hosts, FactoredHost{Host: uint32(7 * h), Row: uint32(rng.Intn(int(m.Rows))), Head: head})
+	}
+	for t := 0; t < int(m.Rows)*n; t++ {
+		for k := rng.Intn(int(m.Stride) + 1); k > 0; k-- {
+			m.Tails = append(m.Tails, uint32(rng.Intn(1000)))
+		}
+		m.TailOff = append(m.TailOff, uint32(len(m.Tails)))
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			first, last := j == 0 || i == 0 && j == 1, j == n-1 || i == n-1 && j == n-2
+			if i != j && (first && i%2 == 0 || last && i%3 == 0 || rng.Intn(9) == 0) {
+				m.Broken = append(m.Broken, uint64(i*n+j))
+			}
+		}
+	}
+	return m
+}
+
+// TestExpandMatchesReference holds Expand to the pair-by-pair reference
+// on seeded messages of 1 to 40 hosts, whatever order it fills in, each
+// after a round trip through the decoder.
+func TestExpandMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	for _, n := range []int{1, 2, 2, 3, 5, 17, 24, 40} {
+		m := randomFactored(rng, n)
+		dec, err := DecodePayload(TRouteSetFactored, m.appendPayload(nil))
+		if err != nil {
+			t.Fatalf("%d hosts: %v", n, err)
+		}
+		got, want := dec.(*RouteSetFactored).Expand(), referenceExpand(m)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d hosts (%d broken): Expand differs from the pair-by-pair reference\n got %+v\nwant %+v", n, len(m.Broken), got, want)
+		}
+	}
+}
+
+// TestPatchedSetsLetGoOfTheColdSlab pins the retention bound of a
+// patched list: once an ExpandFrom chain has refilled every column, no
+// pair of the latest list points into the first expansion's hop slab,
+// so that slab is garbage as soon as the lists before are.
+func TestPatchedSetsLetGoOfTheColdSlab(t *testing.T) {
+	const n = 24
+	prev := job24(1)
+	cold := prev.Expand()
+	slab := map[*uint32]bool{}
+	for _, p := range cold.Pairs {
+		for i := range p.Hops {
+			slab[&p.Hops[i]] = true
+		}
+	}
+	set, refilled := cold, make([]bool, n)
+	for epoch := uint64(2); epoch < 200 && slices.Contains(refilled, false); epoch++ {
+		if epoch%20 == 0 || epoch%20 == 1 { // the shape changes: a full Expand
+			continue
+		}
+		m := job24(epoch)
+		next, _ := checkExpandFrom(t, fmt.Sprintf("epoch %d", epoch), m, prev, set)
+		for j := 0; j < n; j++ {
+			k := j - 1 // pair (0, j)
+			if j == 0 {
+				k = 1 // pair (1, 0)
+			}
+			if len(next.Pairs[k].Hops) > 0 && len(set.Pairs[k].Hops) > 0 && &next.Pairs[k].Hops[0] != &set.Pairs[k].Hops[0] {
+				refilled[j] = true
+			}
+		}
+		prev, set = m, next
+	}
+	if slices.Contains(refilled, false) {
+		t.Fatalf("the chain refilled only some columns: %v", refilled)
+	}
+	for _, p := range set.Pairs {
+		for i := range p.Hops {
+			if slab[&p.Hops[i]] {
+				t.Fatalf("%d->%d still reads the first expansion's hop slab after every column was refilled", p.Src, p.Dst)
+			}
 		}
 	}
 }
@@ -289,8 +408,8 @@ func job324() *RouteSetFactored {
 
 // TestFactoredAllocs holds a whole-job refetch to what it is made of:
 // the decode to a fixed handful of allocations, the first expansion to
-// one hop slab per destination column, a patched expansion to one per
-// column that moved — and the pair-list decoder to one hops slab
+// one pair slab and one hop slab, a patched expansion to one hop slab
+// per column that moved — and the pair-list decoder to one hops slab
 // however many pairs arrive.
 func TestFactoredAllocs(t *testing.T) {
 	// A collection triggered by the megabyte slabs below lets runtime
@@ -313,8 +432,8 @@ func TestFactoredAllocs(t *testing.T) {
 	}
 	var rs *RouteSetResp
 	allocs = testing.AllocsPerRun(10, func() { rs = fm.Expand() })
-	if allocs > 324+4 {
-		t.Errorf("expansion of a 324-host job: %.0f allocations, want <= 324 columns + 4", allocs)
+	if allocs > 3 {
+		t.Errorf("expansion of a 324-host job: %.0f allocations, want <= 3 (the set, its pairs, its hops)", allocs)
 	}
 	if len(rs.Pairs) != 324*323 || len(rs.Pairs[0].Hops) != 2 || len(rs.Pairs[322].Hops) != 4 {
 		t.Fatalf("expanded %d pairs, first %+v", len(rs.Pairs), rs.Pairs[0])

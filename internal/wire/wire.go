@@ -336,7 +336,11 @@ type FactoredHost struct {
 // tail per (row, host) instead of one path per pair. Tail t = row*n+j
 // is Tails[TailOff[t]:TailOff[t+1]], at most Stride entries. Broken
 // lists the unserved pairs as i*n+j, strictly increasing. Expand turns
-// it into the pair list once; it is not meant to be read in place.
+// it into the pair list once, its hops in one slab; ExpandFrom refills
+// the columns a later epoch moved, each into a slab of its own, so a
+// patched list retains at most the cold expansion's slab and one slab
+// per column refilled since, and none of the cold slab once every
+// column has been refilled. It is not meant to be read in place.
 type RouteSetFactored struct {
 	Epoch   uint64
 	Engine  string
@@ -380,14 +384,46 @@ func (m *RouteSetFactored) appendPayload(dst []byte) []byte {
 
 // Expand materializes the pair list the message stands for — every
 // ordered src != dst pair of Hosts, source-major in Hosts order — into
-// one slab of pairs and one slab of hops per destination column, the
-// unit ExpandFrom replaces. m must be consistent, as every decoded
-// message is.
+// one slab of pairs and one slab of hops, both written in pair order in
+// one pass: a source's row of tails is read front to back, and Broken,
+// which is in the same i*n+j order, is merged as it goes. ExpandFrom
+// refills a column into a slab of its own, so a patched list keeps at
+// most this slab and one slab per column refilled since. m must be
+// consistent, as every decoded message is.
 func (m *RouteSetFactored) Expand() *RouteSetResp {
 	n := len(m.Hosts)
 	resp := &RouteSetResp{Epoch: m.Epoch, Engine: m.Engine, Routing: m.Routing, Pairs: make([]PairRoute, n*(n-1))}
-	for j := range m.Hosts {
-		m.fillColumn(resp.Pairs, j)
+	total := 0 // every source's hops, plus the few of the unread diagonal and the broken pairs
+	for _, h := range m.Hosts {
+		total += int(m.TailOff[int(h.Row+1)*n] - m.TailOff[int(h.Row)*n])
+		if h.Head != NoHead {
+			total += n
+		}
+	}
+	hops, at, k, broken := make([]uint32, total), 0, 0, m.Broken
+	for i, h := range m.Hosts {
+		off := m.TailOff[int(h.Row)*n:][:n+1] // the source's row of tails
+		for j, to := range m.Hosts {
+			if i == j {
+				continue
+			}
+			p := &resp.Pairs[k]
+			k++
+			*p = PairRoute{Src: h.Host, Dst: to.Host}
+			for len(broken) > 0 && broken[0] < uint64(i*n+j) {
+				broken = broken[1:]
+			}
+			if len(broken) > 0 && broken[0] == uint64(i*n+j) {
+				continue
+			}
+			start := at
+			if h.Head != NoHead {
+				hops[at] = h.Head
+				at++
+			}
+			at += copy(hops[at:], m.Tails[off[j]:off[j+1]])
+			p.OK, p.Hops = true, hops[start:at:at]
+		}
 	}
 	return resp
 }
@@ -433,7 +469,7 @@ func (m *RouteSetFactored) ExpandFrom(prev *RouteSetFactored, prevSet *RouteSetR
 
 // fillColumn writes destination column j — the pair (i, j) of every
 // source i != j — into the source-major pair slab, its hops in one
-// fresh slab: the fill routine of Expand and ExpandFrom alike.
+// fresh slab: ExpandFrom's unit of replacement.
 func (m *RouteSetFactored) fillColumn(pairs []PairRoute, j int) {
 	n, to, broken := len(m.Hosts), m.Hosts[j].Host, m.Broken
 	total := 0 // the column's hops, plus the few of the unread diagonal and the broken pairs
