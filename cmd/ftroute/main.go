@@ -1,11 +1,12 @@
 // Command ftroute computes forwarding tables for a fat-tree and either
 // dumps them (like dump_lfts.sh would for an InfiniBand fabric), verifies
 // their correctness, or traces a single source-destination path. -verify
-// runs ftcheck's route.total, route.updown and route.minimal checks —
-// every pair delivered over a minimal up*/down* path, read through the
-// one served-path walker the daemon's snapshot gate also reads — and
-// prints the Theorem 2 tally's count of down ports carrying more than one
-// destination.
+// runs ftcheck's route.total, route.updown and route.minimal checks on
+// the tables' compiled path arena — every pair delivered over a minimal
+// up*/down* path, read by tails through the one served-path walker the
+// daemon's snapshot gate also reads — with route.compiled-equiv holding
+// the arena to the tables, and prints the Theorem 2 tally's count of
+// down ports carrying more than one destination.
 //
 // Usage:
 //
@@ -71,11 +72,11 @@ func run(out io.Writer, spec, engName string, seed int64, verify, dump bool, tra
 	did := false
 	if verify {
 		did = true
-		checks, err := invariant.Select("route.total,route.updown,route.minimal")
+		checks, err := invariant.Select("route.total,route.updown,route.minimal,route.compiled-equiv")
 		if err != nil {
 			return err
 		}
-		for _, res := range invariant.Run(invariant.NewInstance(t, lft, nil), checks).Checks {
+		for _, res := range invariant.Run(invariant.NewInstance(t, tb.Compiled, nil), checks).Checks {
 			if res.Status == invariant.Fail {
 				if d := res.Counterexample.Detail; d != "" {
 					return fmt.Errorf("%s: %s: %s", res.Name, res.Error, d)
@@ -83,7 +84,7 @@ func run(out io.Writer, spec, engName string, seed int64, verify, dump bool, tra
 				return fmt.Errorf("%s: %s", res.Name, res.Error)
 			}
 		}
-		conflicts, _ := invariant.DownPortConflicts(t, lft)
+		conflicts, _ := invariant.DownPortConflicts(t, tb.Compiled)
 		fmt.Fprintf(out, "%s on %s: all %d^2 pairs verified, %d down-port conflicts\n",
 			lft.Name, g, t.NumHosts(), conflicts)
 	}

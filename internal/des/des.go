@@ -17,10 +17,13 @@
 // insertion sort on time alone — the first time the clock reaches the
 // slot; events beyond the horizon wait in an overflow list that is
 // redistributed when the wheel drains to it. Simulators schedule almost
-// exclusively a few link-latencies ahead, so slots hold a handful of
-// events: a push is a bounds check and an append, and a pop is a copy
-// off the sorted prefix — instead of sifting through one deep global
-// heap, which is otherwise most of the simulator's runtime. Appends
+// exclusively a few link-latencies ahead, so a push is a bounds check
+// and an append, and a pop is a copy off the sorted prefix — instead of
+// sifting through one deep global heap, which is otherwise most of the
+// simulator's runtime. Slots are not small under load: a 324-host
+// Figure 2 reproduction puts 10–31 events in each occupied slot, and
+// 5–38 % of its inserts land out of order (more for longer messages),
+// so the lazy sort does real work there. Appends
 // keep equal-time events in scheduling order, so the stable time-only
 // sort yields exact (time, scheduling order) pop order, bit-identical to
 // a single ordered queue, with no sequence number stored.
@@ -43,10 +46,11 @@ const (
 
 // Calendar geometry: 2^13 ps ≈ 8.2 ns slots, 4096 slots ≈ 33.6 µs
 // horizon. Default link/switch latencies are 100 ns and MTU wire times
-// ~0.5 µs, so in practice every event lands inside the wheel, and the
-// slots stay small enough that sorting one on first pop touches a
-// handful of cache lines. Events past the horizon (probe ticks, jitter
-// timers) take the overflow path.
+// ~0.5 µs, so in practice every event lands inside the wheel. A slot is
+// narrow in time but not in events: a 324-host stage fills an occupied
+// slot with 10–31 of them, and the sort on first pop makes 0.7–1.9 moves
+// per insert. Events past the horizon (probe ticks, jitter timers) take
+// the overflow path.
 const (
 	slotShift = 13
 	slotWidth = Time(1) << slotShift
@@ -131,8 +135,9 @@ type slot struct {
 
 // sort orders the unpopped suffix ascending by time, ties in push order.
 // Appends happen in push order, so a stable insertion sort on at alone
-// (strict less) yields that order with one comparison per step. Events land mostly in arrival order, so the
-// handful of entries a slot holds beats anything with setup cost.
+// (strict less) yields that order with one comparison per step. Events
+// land mostly in order (62–95 % of inserts on Figure 2's runs), so the
+// few dozen entries a slot holds need few moves.
 func (sl *slot) sort() {
 	sl.dirty = false
 	ev := sl.ev

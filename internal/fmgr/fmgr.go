@@ -961,8 +961,9 @@ func encodeJobFrame(job sched.JobID, pairs int, resp wire.Message) JobWireFrame 
 
 // validateTables proves candidate tables safe to serve via the shared
 // invariant engine: every non-broken pair's compiled path must be
-// connected, up*/down*-shaped and delivered, and pairs involving
-// unroutable hosts must be marked broken — the same assertions ftcheck
+// connected, up*/down*-shaped, delivered and over links alive in the
+// fault set the tables were built for, and pairs involving unroutable
+// hosts must be marked broken — the same assertions ftcheck
 // and the property sweeps run, so the daemon cannot drift from the
 // tested contract.
 func (m *Manager) validateTables(tables *fabricTables) error {
@@ -971,7 +972,17 @@ func (m *Manager) validateTables(tables *fabricTables) error {
 		un[j] = true
 	}
 	pred := func(j int) bool { return j >= 0 && j < len(un) && un[j] }
-	if err := invariant.LenientArena(m.t, tables.Compiled, pred); err != nil {
+	// Served paths must avoid the links dead when the tables were built;
+	// with none dead, liveness is not checked at all.
+	var alive func(topo.LinkID) bool
+	if len(tables.failedLinks) > 0 {
+		dead := make([]bool, len(m.t.Links))
+		for _, l := range tables.failedLinks {
+			dead[l] = true
+		}
+		alive = func(l topo.LinkID) bool { return !dead[l] }
+	}
+	if err := invariant.LenientArenaAlive(m.t, tables.Compiled, pred, alive); err != nil {
 		return fmt.Errorf("fmgr: engine %s: %w", servedEngine, err)
 	}
 	return nil

@@ -2,10 +2,12 @@ package fmgr
 
 import (
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"fattree/internal/fabric"
 	"fattree/internal/obs"
 	"fattree/internal/route"
 	"fattree/internal/topo"
@@ -160,6 +162,28 @@ func TestFaultRerouteAndRevive(t *testing.T) {
 				sameTrace(t, lftOf(st), lftOf(init), src, dst)
 			}
 		}
+	}
+}
+
+// TestGateRefusesPathsOverDeadLinks: the snapshot gate holds served
+// paths to the fault set the tables were built for. Repaired tables
+// pass; the healthy tables, offered for a fabric with one of their links
+// dead, still route over it and are refused.
+func TestGateRefusesPathsOverDeadLinks(t *testing.T) {
+	m := newManager(t, "rlft2:4,8", nil)
+	healthy := m.Current().tb
+	fs := fabric.NewFaultSet(m.t)
+	fs.Fail(fabricLink(t, m.t, 0))
+	repaired, err := fs.Repair(m.healthy, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.validateTables(&fabricTables{Tables: repaired, failedLinks: fs.FailedLinks()}); err != nil {
+		t.Fatalf("the gate refuses repaired tables: %v", err)
+	}
+	err = m.validateTables(&fabricTables{Tables: healthy.Tables, failedLinks: fs.FailedLinks()})
+	if err == nil || !strings.Contains(err.Error(), "crosses dead link") {
+		t.Fatalf("the gate passes healthy tables over a dead link: %v", err)
 	}
 }
 

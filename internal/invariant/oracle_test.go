@@ -212,7 +212,7 @@ func agree(t *testing.T, what string, in *Instance) (failed []string) {
 	}{
 		{"route.total", pathCheck{unroutable: in.Unroutable, rules: mustBreak}},
 		{"route.updown", pathCheck{unroutable: in.Unroutable, rules: upDown}},
-		{"gate", pathCheck{unroutable: in.Unroutable, rules: mustBreak | upDown}},
+		{"gate", pathCheck{unroutable: in.Unroutable, rules: mustBreak | upDown, alive: in.Alive}},
 		{"route.minimal", pathCheck{unroutable: in.Unroutable, pred: minimalPath(in.Topo.Spec)}},
 		{"route.alive", pathCheck{unroutable: in.Unroutable, alive: in.Alive}},
 	}
@@ -405,6 +405,17 @@ func TestTailWalkAgreesUnderFaultScripts(t *testing.T) {
 			staleTables.Compiled = stale
 			if failed := pathFailures(what+" with a stale column", &staleTables); len(failed) == 0 {
 				t.Errorf("%s: a repair that leaves column %d stale passes every check", what, moved[0])
+			}
+			// The daemon repairs with no rank, so every column it moves is
+			// one a dead link touched, and the gate must refuse the stale
+			// one. A rank-compacted repair also moves columns no fault
+			// touched; left stale, such a column is the healthy full-rank
+			// one, alive and servable, and only route.compiled-equiv sees it.
+			if rank == nil {
+				unroutable := func(j int) bool { return slices.Contains(rep.Unroutable, j) }
+				if err := LenientArenaAlive(tp, stale, unroutable, fs.Alive); err == nil {
+					t.Errorf("%s: a repair that leaves column %d stale passes the daemon's gate", what, moved[0])
+				}
 			}
 
 			edited := rep.LFT.Clone(rep.LFT.Name)

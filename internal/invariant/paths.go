@@ -331,10 +331,19 @@ func undelivered(src, dst int, format string, args ...any) Result {
 // checks read the same walker under one rule each.
 //
 // It returns the first violation in ascending (src, dst) order, or nil.
-// This is the check the fabric manager runs on every candidate snapshot
-// before swapping it in.
+// The fabric manager runs it, with liveness, as LenientArenaAlive.
 func LenientArena(t *topo.Topology, c *route.Compiled, unroutable func(int) bool) error {
-	if res := servedPaths(t, c, pathCheck{unroutable: unroutable, rules: mustBreak | upDown}); res.Status == Fail {
+	return LenientArenaAlive(t, c, unroutable, nil)
+}
+
+// LenientArenaAlive is LenientArena that also holds every served path to
+// links alive reports alive (the route.alive rule), in the same walk; a
+// nil alive checks no liveness and costs nothing. This is the check the
+// fabric manager runs on every candidate snapshot before swapping it in,
+// with the fault set the snapshot was built for: a repair that left a
+// touched column stale serves paths over the dead link and fails here.
+func LenientArenaAlive(t *topo.Topology, c *route.Compiled, unroutable func(int) bool, alive func(topo.LinkID) bool) error {
+	if res := servedPaths(t, c, pathCheck{unroutable: unroutable, rules: mustBreak | upDown, alive: alive}); res.Status == Fail {
 		if d := res.Counterexample.Detail; d != "" {
 			return fmt.Errorf("invariant: %s: %s", res.Error, d)
 		}

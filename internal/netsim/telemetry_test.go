@@ -340,8 +340,8 @@ func TestProgressSink(t *testing.T) {
 // TestZeroObserverHotPathUnchanged is the deterministic half of the
 // <=2% obs-overhead budget (BenchmarkNetsimObsOverhead tracks the
 // precise number): with nothing attached the simulator must keep the
-// nil observer, keep eager final-hop elision, and add no per-run
-// allocations beyond the result bookkeeping.
+// nil observer, keep eager final-hop elision and queued arrivals, and
+// add no per-run allocations beyond the result bookkeeping.
 func TestZeroObserverHotPathUnchanged(t *testing.T) {
 	lft := route.DModK(topo.MustBuild(topo.Cluster324))
 	n := lft.Topology().NumHosts()
@@ -358,6 +358,17 @@ func TestZeroObserverHotPathUnchanged(t *testing.T) {
 	}
 	if !nw.eager {
 		t.Fatal("DefaultConfig run disabled eager delivery; telemetry hooks must not cost the bare path")
+	}
+	// On a contended run the bare path also queues arrivals that land
+	// behind a buffered packet at transmit time: every elided event past
+	// the two per eager final hop is one of those.
+	stages := contendedStages(n)
+	if _, err := nw.RunStages(stages); err != nil {
+		t.Fatal(err)
+	}
+	if eagerHops := 2 * packetCount(stages, DefaultConfig().MTU); nw.elided <= eagerHops {
+		t.Fatalf("bare contended run elided %d events, no more than its %d eager final-hop events: no arrival was queued at transmit time",
+			nw.elided, eagerHops)
 	}
 	// Steady-state allocations per run stay O(hosts), not O(events):
 	// everything hot is pooled, so telemetry must not have added
