@@ -30,9 +30,13 @@ test:
 # and hands its progress sink to a reporter goroutine (TestProgressSink);
 # ./internal/route and ./internal/hsd hammer one shared path arena from
 # many goroutines; ./internal/par and ./internal/mpi run independent
-# items and simulations on one worker pool.
+# items and simulations on one worker pool. ./internal/wire's Expand
+# fills a job's pair list over that pool, and ./internal/fclient expands
+# every set it fetches: both run at one and at four procs, so the
+# one-worker path and the fan-out are raced even on two cores.
 race:
-	$(GO) test -race ./internal/par/ ./internal/mpi/ ./internal/route/ ./internal/hsd/ ./internal/netsim/ ./internal/exp/ ./internal/obs/... ./internal/fmgr/... ./internal/fclient/ ./internal/wire/
+	$(GO) test -race ./internal/par/ ./internal/mpi/ ./internal/route/ ./internal/hsd/ ./internal/netsim/ ./internal/exp/ ./internal/obs/... ./internal/fmgr/...
+	$(GO) test -race -cpu 1,4 ./internal/wire/ ./internal/fclient/
 
 # Non-test Go lines of cmd/ and per internal package, over the four
 # packages on the fault path, over the command layer and over the whole

@@ -14,6 +14,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestExpand pins the pair list a factored message stands for: ordered
@@ -50,6 +51,10 @@ func TestExpand(t *testing.T) {
 // broken.
 func referenceExpand(m *RouteSetFactored) *RouteSetResp {
 	n := len(m.Hosts)
+	broken := map[uint64]bool{}
+	for _, b := range m.Broken {
+		broken[b] = true
+	}
 	rs := &RouteSetResp{Epoch: m.Epoch, Engine: m.Engine, Routing: m.Routing, Pairs: []PairRoute{}}
 	for i, h := range m.Hosts {
 		for j, to := range m.Hosts {
@@ -57,7 +62,7 @@ func referenceExpand(m *RouteSetFactored) *RouteSetResp {
 				continue
 			}
 			p := PairRoute{Src: h.Host, Dst: to.Host}
-			if !slices.Contains(m.Broken, uint64(i*n+j)) {
+			if !broken[uint64(i*n+j)] {
 				t := int(h.Row)*n + j
 				p.OK, p.Hops = true, []uint32{} // served: a hop list, even an empty one
 				if h.Head != NoHead {
@@ -72,8 +77,10 @@ func referenceExpand(m *RouteSetFactored) *RouteSetResp {
 }
 
 // randomFactored is a seeded n-host message on up to n rows: some hosts
-// without a head, tails of 0 to stride entries, and a broken pair at
-// every source's first and last destination besides random ones.
+// without a head, tails of 0 to stride entries, and broken pairs at
+// every even source's first destination, every third source's last,
+// the first and last pair of every even chunk of Expand's sources, and
+// at random.
 func randomFactored(rng *rand.Rand, n int) *RouteSetFactored {
 	m := &RouteSetFactored{Epoch: uint64(n), Engine: "dmodk", Routing: "d-mod-k", Stride: 3, Rows: uint32(1 + rng.Intn(n)), TailOff: []uint32{0}}
 	for h := 0; h < n; h++ {
@@ -92,7 +99,9 @@ func randomFactored(rng *rand.Rand, n int) *RouteSetFactored {
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			first, last := j == 0 || i == 0 && j == 1, j == n-1 || i == n-1 && j == n-2
-			if i != j && (first && i%2 == 0 || last && i%3 == 0 || rng.Intn(9) == 0) {
+			chunkEdge := (i/expandChunk)%2 == 0 &&
+				(i%expandChunk == 0 && first || (i%expandChunk == expandChunk-1 || i == n-1) && last)
+			if i != j && (first && i%2 == 0 || last && i%3 == 0 || chunkEdge || rng.Intn(9) == 0) {
 				m.Broken = append(m.Broken, uint64(i*n+j))
 			}
 		}
@@ -101,20 +110,63 @@ func randomFactored(rng *rand.Rand, n int) *RouteSetFactored {
 }
 
 // TestExpandMatchesReference holds Expand to the pair-by-pair reference
-// on seeded messages of 1 to 40 hosts, whatever order it fills in, each
-// after a round trip through the decoder.
+// on seeded messages, each after a round trip through the decoder, at
+// one, two and four workers: jobs of 1 and 2 hosts, one short of a
+// chunk of sources, a chunk and one past it, a few chunks and 324
+// hosts. Every message has headless hosts and broken pairs on the first
+// and last pair of some chunks. The hops are one slab in pair order.
 func TestExpandMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
-	for _, n := range []int{1, 2, 2, 3, 5, 17, 24, 40} {
-		m := randomFactored(rng, n)
-		dec, err := DecodePayload(TRouteSetFactored, m.appendPayload(nil))
-		if err != nil {
-			t.Fatalf("%d hosts: %v", n, err)
+	var ms []*RouteSetFactored
+	for _, n := range []int{1, 2, 2, 3, 5, expandChunk - 1, expandChunk, expandChunk + 1, 24, 40, 324} {
+		ms = append(ms, randomFactored(rng, n))
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, m := range ms {
+			n := len(m.Hosts)
+			dec, err := DecodePayload(TRouteSetFactored, m.appendPayload(nil))
+			if err != nil {
+				t.Fatalf("%d hosts: %v", n, err)
+			}
+			got, want := dec.(*RouteSetFactored).Expand(), referenceExpand(m)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("GOMAXPROCS %d, %d hosts (%d broken): Expand differs from the pair-by-pair reference\n got %+v\nwant %+v", procs, n, len(m.Broken), got, want)
+			}
+			checkOneHopSlab(t, fmt.Sprintf("GOMAXPROCS %d, %d hosts", procs, n), m, got)
 		}
-		got, want := dec.(*RouteSetFactored).Expand(), referenceExpand(m)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%d hosts (%d broken): Expand differs from the pair-by-pair reference\n got %+v\nwant %+v", n, len(m.Broken), got, want)
+	}
+}
+
+// checkOneHopSlab: the served pairs' hops follow each other in pair
+// order, each a capped window, all inside a span no longer than every
+// source's head and row of tails — one slab, filled in pair order.
+func checkOneHopSlab(t *testing.T, what string, m *RouteSetFactored, rs *RouteSetResp) {
+	t.Helper()
+	n, slab := len(m.Hosts), uintptr(0)
+	for _, h := range m.Hosts {
+		slab += uintptr(m.TailOff[int(h.Row+1)*n] - m.TailOff[int(h.Row)*n])
+		if h.Head != NoHead {
+			slab += uintptr(n)
 		}
+	}
+	var first, end uintptr
+	for _, p := range rs.Pairs {
+		if len(p.Hops) == 0 {
+			continue
+		}
+		at := uintptr(unsafe.Pointer(&p.Hops[0]))
+		if first == 0 {
+			first = at
+		}
+		if at < end || cap(p.Hops) != len(p.Hops) {
+			t.Fatalf("%s: %d->%d: hops overlap the pair before or have spare capacity", what, p.Src, p.Dst)
+		}
+		end = at + uintptr(len(p.Hops))*unsafe.Sizeof(p.Hops[0])
+	}
+	if end-first > slab*unsafe.Sizeof(uint32(0)) {
+		t.Fatalf("%s: hops span %d bytes, more than the %d hops of one slab", what, end-first, slab)
 	}
 }
 
@@ -408,9 +460,9 @@ func job324() *RouteSetFactored {
 
 // TestFactoredAllocs holds a whole-job refetch to what it is made of:
 // the decode to a fixed handful of allocations, the first expansion to
-// one pair slab and one hop slab, a patched expansion to one hop slab
-// per column that moved — and the pair-list decoder to one hops slab
-// however many pairs arrive.
+// one pair slab, one hop slab and a few per worker, a patched expansion
+// to one hop slab per column that moved — and the pair-list decoder to
+// one hops slab however many pairs arrive.
 func TestFactoredAllocs(t *testing.T) {
 	// A collection triggered by the megabyte slabs below lets runtime
 	// housekeeping allocate inside the measured function.
@@ -431,9 +483,15 @@ func TestFactoredAllocs(t *testing.T) {
 		t.Errorf("decode of a 324-host job: %.0f allocations, want <= 8", allocs)
 	}
 	var rs *RouteSetResp
+	// Four are the set, its pairs, its hops and the per-source offset
+	// table; nine are the hop slab's goroutine and channel (three), and
+	// par.Do's shared state and the fill's closure (six); one per worker
+	// is its goroutine's closure. None grows with the job. AllocsPerRun
+	// measures at GOMAXPROCS 1, so par.Do runs one worker.
+	const slabs, fanOut, perWorker = 4, 9, 1
 	allocs = testing.AllocsPerRun(10, func() { rs = fm.Expand() })
-	if allocs > 3 {
-		t.Errorf("expansion of a 324-host job: %.0f allocations, want <= 3 (the set, its pairs, its hops)", allocs)
+	if allocs > slabs+fanOut+perWorker {
+		t.Errorf("expansion of a 324-host job: %.0f allocations, want <= %d + %d + %d per worker", allocs, slabs, fanOut, perWorker)
 	}
 	if len(rs.Pairs) != 324*323 || len(rs.Pairs[0].Hops) != 2 || len(rs.Pairs[322].Hops) != 4 {
 		t.Fatalf("expanded %d pairs, first %+v", len(rs.Pairs), rs.Pairs[0])

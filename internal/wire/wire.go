@@ -34,6 +34,8 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+
+	"fattree/internal/par"
 )
 
 // Protocol constants.
@@ -336,8 +338,9 @@ type FactoredHost struct {
 // tail per (row, host) instead of one path per pair. Tail t = row*n+j
 // is Tails[TailOff[t]:TailOff[t+1]], at most Stride entries. Broken
 // lists the unserved pairs as i*n+j, strictly increasing. Expand turns
-// it into the pair list once, its hops in one slab; ExpandFrom refills
-// the columns a later epoch moved, each into a slab of its own, so a
+// it into the pair list once, its hops in one slab, of which each
+// chunk of sources fills a window of its own; ExpandFrom refills the
+// columns a later epoch moved, each into a slab of its own, so a
 // patched list retains at most the cold expansion's slab and one slab
 // per column refilled since, and none of the cold slab once every
 // column has been refilled. It is not meant to be read in place.
@@ -382,38 +385,67 @@ func (m *RouteSetFactored) appendPayload(dst []byte) []byte {
 	return dst
 }
 
+// expandChunk is how many sources Expand hands one worker at a time.
+const expandChunk = 16
+
 // Expand materializes the pair list the message stands for — every
 // ordered src != dst pair of Hosts, source-major in Hosts order — into
-// one slab of pairs and one slab of hops, both written in pair order in
-// one pass: a source's row of tails is read front to back, and Broken,
-// which is in the same i*n+j order, is merged as it goes. ExpandFrom
-// refills a column into a slab of its own, so a patched list keeps at
-// most this slab and one slab per column refilled since. m must be
-// consistent, as every decoded message is.
+// one slab of pairs and one slab of hops, made side by side on two
+// goroutines. The sources are split into chunks of expandChunk, filled
+// over par.Do by GOMAXPROCS workers: a prefix sum of each source's hops
+// (its head per destination and its row of tails) gives a chunk its
+// window of the hop slab, a binary search its place in Broken, and the
+// chunk is then written in pair order — a source's row of tails read
+// front to back, Broken, in the same i*n+j order, merged as it goes,
+// each pair written once into the zeroed slab. ExpandFrom refills a
+// column into a slab of its own, so a patched list keeps at most this
+// slab and one slab per column refilled since. m must be consistent, as
+// every decoded message is: the merge relies on Broken listing no
+// diagonal pair.
 func (m *RouteSetFactored) Expand() *RouteSetResp {
 	n := len(m.Hosts)
-	resp := &RouteSetResp{Epoch: m.Epoch, Engine: m.Engine, Routing: m.Routing, Pairs: make([]PairRoute, n*(n-1))}
-	total := 0 // every source's hops, plus the few of the unread diagonal and the broken pairs
-	for _, h := range m.Hosts {
-		total += int(m.TailOff[int(h.Row+1)*n] - m.TailOff[int(h.Row)*n])
+	// hopAt[i] is where source i's hops start: the sources before it,
+	// the few of their unread diagonal and broken pairs included.
+	hopAt := make([]int, n+1)
+	for i, h := range m.Hosts {
+		hopAt[i+1] = hopAt[i] + int(m.TailOff[int(h.Row+1)*n]-m.TailOff[int(h.Row)*n])
 		if h.Head != NoHead {
-			total += n
+			hopAt[i+1] += n
 		}
 	}
-	hops, at, k, broken := make([]uint32, total), 0, 0, m.Broken
-	for i, h := range m.Hosts {
+	// The two slabs are made side by side: each make zeroes its
+	// megabytes and pays the GC assist they owe, which on a cold client
+	// is most of an expansion, and neither needs the other.
+	hopSlab := make(chan []uint32, 1)
+	go func() { hopSlab <- make([]uint32, hopAt[n]) }()
+	resp := &RouteSetResp{Epoch: m.Epoch, Engine: m.Engine, Routing: m.Routing, Pairs: make([]PairRoute, n*(n-1))}
+	hops := <-hopSlab
+	par.Do((n+expandChunk-1)/expandChunk, 0, nil, func(_ struct{}, c int) error {
+		m.fillSources(resp.Pairs, hops, hopAt, c*expandChunk, min(c*expandChunk+expandChunk, n))
+		return nil
+	})
+	return resp
+}
+
+// fillSources writes the pairs of sources [lo, hi) into the source-major
+// pair slab, their hops into the slab's windows from hopAt[lo]: Expand's
+// unit of work.
+func (m *RouteSetFactored) fillSources(pairs []PairRoute, hops []uint32, hopAt []int, lo, hi int) {
+	n := len(m.Hosts)
+	x, _ := slices.BinarySearch(m.Broken, uint64(lo*n))
+	broken, k, at := m.Broken[x:], lo*(n-1), hopAt[lo]
+	for i := lo; i < hi; i++ {
+		h := m.Hosts[i]
 		off := m.TailOff[int(h.Row)*n:][:n+1] // the source's row of tails
 		for j, to := range m.Hosts {
 			if i == j {
 				continue
 			}
-			p := &resp.Pairs[k]
+			p := &pairs[k]
 			k++
-			*p = PairRoute{Src: h.Host, Dst: to.Host}
-			for len(broken) > 0 && broken[0] < uint64(i*n+j) {
-				broken = broken[1:]
-			}
+			p.Src, p.Dst = h.Host, to.Host
 			if len(broken) > 0 && broken[0] == uint64(i*n+j) {
+				broken = broken[1:]
 				continue
 			}
 			start := at
@@ -421,11 +453,13 @@ func (m *RouteSetFactored) Expand() *RouteSetResp {
 				hops[at] = h.Head
 				at++
 			}
-			at += copy(hops[at:], m.Tails[off[j]:off[j+1]])
+			for _, e := range m.Tails[off[j]:off[j+1]] {
+				hops[at] = e
+				at++
+			}
 			p.OK, p.Hops = true, hops[start:at:at]
 		}
 	}
-	return resp
 }
 
 // ExpandFrom is Expand for a holder of prevSet, the expansion of prev:
