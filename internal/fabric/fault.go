@@ -105,11 +105,16 @@ type RerouteResult struct {
 func (f *FaultSet) UnroutableHosts() []int {
 	var out []int
 	for j := 0; j < f.t.NumHosts(); j++ {
-		if !slices.ContainsFunc(f.t.Host(j).Up, func(p topo.PortID) bool { return f.Alive(f.t.Ports[p].Link) }) {
+		if f.cutOff(f.t.Host(j)) {
 			out = append(out, j)
 		}
 	}
 	return out
+}
+
+// cutOff reports whether node is a host with no alive uplink.
+func (f *FaultSet) cutOff(node *topo.Node) bool {
+	return node.Kind == topo.Host && !slices.ContainsFunc(node.Up, func(p topo.PortID) bool { return f.Alive(f.t.Ports[p].Link) })
 }
 
 // RouteAround recomputes D-Mod-K-style forwarding tables avoiding dead
@@ -267,6 +272,9 @@ type Tables struct {
 	// BrokenPairs counts ordered pairs between routable hosts left
 	// without a served minimal path.
 	BrokenPairs int
+	// RewalkedCols counts the destination columns Repair re-walked into
+	// the healthy arena: 0 for healthy tables and for Refuse.
+	RewalkedCols int
 }
 
 // Healthy compiles a fully routable router into the Tables a healthy
@@ -300,7 +308,7 @@ func (f *FaultSet) Repair(healthy *Tables, rank []int) (*Tables, error) {
 	if err != nil {
 		return nil, err
 	}
-	return lenient(c, lft, un)
+	return lenient(c, lft, un, len(dirty))
 }
 
 // Refuse is a routing without a repair under this fault set: the healthy
@@ -312,7 +320,7 @@ func (f *FaultSet) Refuse(healthy *Tables) (*Tables, error) {
 		return healthy, nil
 	}
 	alive := &aliveOnly{Router: healthy.Compiled.Inner(), dead: slices.Clone(f.dead)}
-	return lenient(alive, healthy.LFT, f.UnroutableHosts())
+	return lenient(alive, healthy.LFT, f.UnroutableHosts(), 0)
 }
 
 // lenient assembles the Tables of a faulted fabric: rt leniently
@@ -320,30 +328,39 @@ func (f *FaultSet) Refuse(healthy *Tables) (*Tables, error) {
 // every pair rt refuses or walks non-minimally comes back broken, and
 // BrokenPairs excludes the pairs already doomed by the unroutable hosts —
 // they are broken under every routing and say nothing of its repair.
-func lenient(rt route.Router, lft *route.LFT, unroutable []int) (*Tables, error) {
+// rewalked is the count of columns a repair re-walked.
+func lenient(rt route.Router, lft *route.LFT, unroutable []int, rewalked int) (*Tables, error) {
 	c, err := route.CompileLenient(rt)
 	if err != nil {
 		return nil, err
 	}
 	n, u := rt.Topology().NumHosts(), len(unroutable)
 	return &Tables{
-		LFT:         lft,
-		Compiled:    c,
-		Unroutable:  unroutable,
-		BrokenPairs: max(c.NumBroken()-(2*u*(n-1)-u*(u-1)), 0),
+		LFT:          lft,
+		Compiled:     c,
+		Unroutable:   unroutable,
+		BrokenPairs:  max(c.NumBroken()-(2*u*(n-1)-u*(u-1)), 0),
+		RewalkedCols: rewalked,
 	}, nil
 }
 
 // touchedColumns lists, ascending, the destination columns whose entry at
 // either end of a dead link forwards through it, host links included:
-// the only columns a reroute of these tables can change.
+// the only columns a reroute of these tables can change. A cut-off
+// host's end is not tested: the arena's cut mark (route.Compiled.Cut)
+// breaks every pair it sends, so the cut costs the host's column alone.
 func (f *FaultSet) touchedColumns(lft *route.LFT) (cols []int) {
-	t, dead := f.t, f.FailedLinks()
+	t := f.t
+	var ends []topo.PortID // the dead links' ends whose entries count
+	for _, l := range f.FailedLinks() {
+		lk := &t.Links[l]
+		if !f.cutOff(t.Node(t.Ports[lk.Lower].Node)) {
+			ends = append(ends, lk.Lower)
+		}
+		ends = append(ends, lk.Upper)
+	}
 	for j := 0; j < t.NumHosts(); j++ {
-		if slices.ContainsFunc(dead, func(l topo.LinkID) bool {
-			lk := &t.Links[l]
-			return lft.OutPort(t.Ports[lk.Lower].Node, j) == lk.Lower || lft.OutPort(t.Ports[lk.Upper].Node, j) == lk.Upper
-		}) {
+		if slices.ContainsFunc(ends, func(p topo.PortID) bool { return lft.OutPort(t.Ports[p].Node, j) == p }) {
 			cols = append(cols, j)
 		}
 	}

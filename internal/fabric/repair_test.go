@@ -118,7 +118,8 @@ var multiUplink = []topo.PGFT{
 // TestRepairMatchesRebuild is "incremental repair == full rebuild": over
 // seeded random fabrics and the multi-uplink shapes, 1..6 dead links (host
 // uplinks included), then a fail -> revive -> fail sequence on the same
-// FaultSet, Repair of the whole cluster's D-Mod-K and of a partial job's
+// FaultSet, then every uplink of one host (a cut host on every shape),
+// Repair of the whole cluster's D-Mod-K and of a partial job's
 // ranked tables serves exactly the reference — fabric.Reroute over every
 // column of fresh tables under the same rank, then route.CompileLenient —
 // entry for entry and pair for pair, and the three broken-pair counts
@@ -206,6 +207,71 @@ func TestRepairMatchesRebuild(t *testing.T) {
 		fs.Fail(second)
 		fs.Fail(first)
 		check(fmt.Sprintf("%v fail %d and %d", g, second, first), fs)
+		h := rng.Intn(n)
+		fs = fabric.NewFaultSet(tp)
+		for _, p := range tp.Host(h).Up {
+			fs.Fail(tp.Ports[p].Link)
+		}
+		check(fmt.Sprintf("%v host %d cut off", g, h), fs)
+	}
+}
+
+// TestHostCableRewalksItsColumn: a dead host cable costs a repair the
+// columns whose entries used it. A host left with no alive uplink costs
+// its own column alone, whether its one cable or all of its several
+// died, because the arena's cut mark breaks every pair it sends; a host
+// that keeps an alive uplink costs its column and the columns it entered
+// the fabric by through the dead one. Either way the repair serves what
+// a rebuild serves.
+func TestHostCableRewalksItsColumn(t *testing.T) {
+	small, err := topo.RLFT2(4, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []topo.PGFT{topo.Cluster324, small, multiUplink[0]} {
+		tp := topo.MustBuild(g)
+		n, dmodk := tp.NumHosts(), route.DModK(tp)
+		base := healthy(t, dmodk)
+		host := tp.Host(5)
+		repair := func(what string, dead []topo.PortID, want int) {
+			t.Helper()
+			fs := fabric.NewFaultSet(tp)
+			for _, p := range dead {
+				fs.Fail(tp.Ports[p].Link)
+			}
+			tb, err := fs.Repair(base, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tb.RewalkedCols != want {
+				t.Fatalf("%v %s: the repair re-walks %d of %d columns, want %d", g, what, tb.RewalkedCols, n, want)
+			}
+			ref, _, err := fs.RouteAround()
+			if err != nil {
+				t.Fatal(err)
+			}
+			refC, err := route.CompileLenient(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameEntries(t, what, ref, tb.LFT)
+			sameArena(t, what, refC, tb.Compiled)
+		}
+		repair("every uplink of host 5", host.Up, 1)
+		if len(host.Up) == 1 {
+			continue
+		}
+		dead, peer := host.Up[0], tp.PeerPort(host.Up[0])
+		used := 0 // the columns host 5 climbs through its dead uplink, and its own
+		for j := 0; j < n; j++ {
+			if dmodk.OutPort(host.ID, j) == dead || dmodk.OutPort(tp.Ports[peer].Node, j) == peer {
+				used++
+			}
+		}
+		if used < 2 || used == n {
+			t.Fatalf("%v: host 5's first uplink carries %d of %d columns; the shape tests nothing", g, used, n)
+		}
+		repair("host 5's first uplink", host.Up[:1], used)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 
 	"fattree/internal/fabric"
@@ -317,6 +318,29 @@ func TestJobFrameIsFactored(t *testing.T) {
 		}
 		checkFactored(t, name, tb, hosts)
 	}
+}
+
+// TestRerouteRecordCountsRewalkedColumns: the reroute record says how
+// many destination columns the repair re-walked — one for a host's only
+// cable on the paper's 324-host cluster, where the host's cut mark
+// covers every pair it sends and only the column towards it changes.
+func TestRerouteRecordCountsRewalkedColumns(t *testing.T) {
+	m := newManager(t, "324", nil)
+	m.Start()
+	if _, err := m.InjectFaults([]topo.LinkID{m.t.Ports[m.t.Host(5).Up[0]].Link}, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	waitEpoch(t, m, 2)
+	recs, _ := m.Events(0)
+	for _, r := range recs {
+		if r.Kind == schema.EvReroute && r.Epoch == 2 {
+			if !strings.Contains(r.Detail, " rewalked_cols=1 ") {
+				t.Fatalf("reroute detail %q: want rewalked_cols=1 for host 5's only cable", r.Detail)
+			}
+			return
+		}
+	}
+	t.Fatal("no reroute record after the host cable died")
 }
 
 // TestRerouteRecordNamesItsPhases: the journal's reroute record says

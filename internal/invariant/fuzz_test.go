@@ -2,6 +2,7 @@ package invariant
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fattree/internal/fabric"
@@ -11,9 +12,12 @@ import (
 
 // FuzzFaultCompileLenient drives the fault-injection → reroute →
 // lenient-compile pipeline with fuzzed fault patterns and asserts the
-// full routing invariant group on the result: broken-bitset consistency,
-// arena/table equivalence, up*/down* shape, minimality and no dead-link
-// crossings. Any violation is a real routing or compile bug.
+// full routing invariant group on the result: broken pairs exactly the
+// cut sources and refused tails, arena/table equivalence, up*/down*
+// shape, minimality and no dead-link crossings. The repair the daemon
+// runs — fabric.Repair of the healthy D-Mod-K tables, which re-walks
+// only the columns the faults touch — must serve that from-scratch
+// arena pair for pair. Any violation is a real routing or compile bug.
 func FuzzFaultCompileLenient(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0))
 	f.Add(int64(2), uint8(1), uint8(1))
@@ -65,6 +69,28 @@ func FuzzFaultCompileLenient(f *testing.F) {
 		}
 		if rep := Run(in, checks); !rep.Pass {
 			t.Fatalf("%v with %d faults: %v", g, fs.Failed(), rep.FailedNames())
+		}
+		healthy, err := fabric.Healthy(route.DModK(tp))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb, err := fs.Repair(healthy, nil)
+		if err != nil {
+			t.Fatalf("Repair: %v", err)
+		}
+		if tb.Compiled.NumBroken() != c.NumBroken() {
+			t.Fatalf("%v with %d faults: the repair breaks %d pairs, the rebuild %d", g, fs.Failed(), tb.Compiled.NumBroken(), c.NumBroken())
+		}
+		var want, got []route.PathEntry
+		for src := 0; src < tp.NumHosts(); src++ {
+			for dst := 0; dst < tp.NumHosts(); dst++ {
+				var errW, errG error
+				want, errW = c.AppendPath(want[:0], src, dst)
+				got, errG = tb.Compiled.AppendPath(got[:0], src, dst)
+				if c.Broken(src, dst) != tb.Compiled.Broken(src, dst) || (errW == nil) != (errG == nil) || !slices.Equal(want, got) {
+					t.Fatalf("%v with %d faults, %d->%d: the repair serves %v (%v), the rebuild %v (%v)", g, fs.Failed(), src, dst, got, errG, want, errW)
+				}
+			}
 		}
 	})
 }

@@ -140,11 +140,6 @@ func DefaultSequences(g topo.PGFT, n int) []cps.Sequence {
 	return seqs
 }
 
-// unroutable is the nil-safe Unroutable predicate.
-func (in *Instance) unroutable(j int) bool {
-	return in.Unroutable != nil && in.Unroutable(j)
-}
-
 // Catalog returns every invariant, topology checks first. The order is
 // stable; ftcheck and the docs list it verbatim.
 func Catalog() []Check {

@@ -122,8 +122,7 @@ func (w *pathWalker) served(src, dst int) bool {
 }
 
 // unroutableServed fails the lowest pair that touches an unroutable host
-// and is not broken: a row and a column of the broken bitset per such
-// host.
+// and is not broken: the pairs each such host sends and receives.
 func (w *pathWalker) unroutableServed() {
 	broken := func(src, dst int) bool { return w.arena != nil && w.arena.Broken(src, dst) }
 	for u, un := range w.un {

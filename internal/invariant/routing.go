@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"fattree/internal/par"
 	"fattree/internal/route"
 	"fattree/internal/topo"
 )
@@ -220,17 +221,19 @@ func comparePaths(src, dst int, walked, cached []route.PathEntry, err error) *Re
 	return nil
 }
 
-// checkLenientBroken verifies the lenient-compile contract: a pair is in
-// the broken bitset exactly when the inner router either fails to walk it
-// or walks a non-minimal path; broken pairs answer ErrNoPath; NumBroken
-// equals the bitset population; and unroutable hosts only appear in
-// broken pairs. The bitset is read pair by pair — it is per pair — but
-// the inner router walks each tail once (WalkTail) and each source of a
-// shared row once, to see that its host forwards at all: such a source's
-// walk is its uplink then the tail, minimal when the tail is, for every
-// source of the leaf sub-tree alike. A source outside its row's first
-// source's leaf sub-tree, which Compile never groups, is walked pair by
-// pair.
+// checkLenientBroken verifies the lenient-compile contract: a pair is
+// broken exactly when the inner router fails to walk it or walks it
+// non-minimally, broken pairs answer ErrNoPath, and NumBroken counts
+// them (that pairs touching an unroutable host are broken is
+// route.total's promise). It judges a broken pair's two causes, a cut
+// source (Compiled.Cut) and a refused tail (Compiled.Refused), not the
+// pairs: the inner router walks each (row, dst) tail once (WalkTail),
+// rows in parallel, and each source of a shared row once, to see that
+// its host forwards — its walk is its uplink then the tail (the tail
+// lemma; Compile groups a shared row's sources under the switch they
+// enter). A few per-row sets then give each source's lowest failing
+// destination, the pair a pair walk would name; ErrNoPath is asked of
+// each source's lowest broken pair.
 func checkLenientBroken(in *Instance) Result {
 	if in.Router == nil {
 		return skipNoRouter()
@@ -239,84 +242,117 @@ func checkLenientBroken(in *Instance) Result {
 	if !ok {
 		return skipf("router %q is not a compiled path cache", in.Router.Label())
 	}
-	inner := c.Inner()
-	t := in.Topo
-	g := t.Spec
-	n := t.NumHosts()
-	readers := rowReaders(c, n)
-	hops := 0
-	count := func(topo.LinkID, bool) { hops++ }
-	walk := func(src, dst int) (bool, error) { // the inner router's walk of a pair: minimal, or why not
-		hops = 0
-		err := inner.Walk(src, dst, count)
-		return err == nil && hops == 2*g.LCALevel(src, dst), err
+	inner, g, n := c.Inner(), in.Topo.Spec, in.Topo.NumHosts()
+	// Per row, the destinations whose tail is minimal, is refused exactly
+	// when minimal (wrong for a source that forwards), is served, and is
+	// refused.
+	type rowSets struct {
+		minimal, agree, served, refused lowest
+		refusals                        int
 	}
-	minimal := make([]bool, n) // per destination: the current row's tail is, for its leaf sub-tree
-	last, broken := -1, 0
+	readers := rowReaders(c, n)
+	sets := make([]rowSets, len(readers))
+	par.Do(len(readers), 0, nil, func(_ struct{}, row int) error {
+		s, srcs, hops := &sets[row], readers[row], 0
+		count := func(topo.LinkID, bool) { hops++ }
+		none := lowest{n, n}
+		*s = rowSets{none, none, none, none, 0}
+		_, _, shared := c.Row(srcs[0])
+		for dst := 0; dst < n; dst++ {
+			refused, ref := c.Refused(row, dst), srcs[0] // ref: a source but dst, the minimal tail's measure
+			if refused {
+				s.refusals++
+			}
+			if ref == dst && len(srcs) == 1 {
+				continue // no pair reads it
+			} else if ref == dst {
+				ref = srcs[1]
+			}
+			want := 2 * g.LCALevel(ref, dst)
+			if shared {
+				want--
+			}
+			hops = 0
+			minimal := c.WalkTail(row, dst, count) == nil && hops == want
+			s.minimal.add(minimal, dst)
+			s.agree.add(refused == minimal, dst)
+			s.served.add(!refused, dst)
+			s.refused.add(refused, dst)
+		}
+		return nil
+	})
+	hops, broken := 0, 0
+	count := func(topo.LinkID, bool) { hops++ }
 	for src := 0; src < n; src++ {
 		row, _, shared := c.Row(src)
-		srcs := readers[row]
-		if row != last {
-			last = row
-			for dst := range minimal {
-				ref := -1 // a source of the row's leaf sub-tree other than dst: the minimal tail is measured from it
-				for _, s := range srcs {
-					if s != dst && g.LCALevel(s, srcs[0]) <= 1 {
-						ref = s
-						break
-					}
-				}
-				if minimal[dst] = false; ref < 0 {
-					continue // no pair of the sub-tree reads it
-				}
-				want := 2 * g.LCALevel(ref, dst)
-				if shared {
-					want--
-				}
-				hops = 0
-				minimal[dst] = c.WalkTail(row, dst, count) == nil && hops == want
-			}
-		}
-		forwards, alike := true, true
+		s, cut, forwards := &sets[row], c.Cut(src), true
 		if shared {
 			hops = 0
 			inner.Walk(src, (src+1)%n, count)
-			forwards, alike = hops > 0, g.LCALevel(src, srcs[0]) <= 1
+			forwards = hops > 0
 		}
-		for dst := 0; dst < n; dst++ {
-			if src == dst {
-				continue
+		wrong, first := n, lowest{0, 1}.other(src) // the lowest destinations with a wrong broken mark, and broken
+		switch {
+		case cut && forwards:
+			wrong = s.minimal.other(src)
+		case !cut && forwards:
+			wrong = s.agree.other(src)
+		case !cut:
+			wrong = s.served.other(src)
+		}
+		if !cut {
+			first = s.refused.other(src)
+		}
+		var err error
+		if first < n {
+			_, err = c.AppendPath(nil, src, first)
+		}
+		bad := first < n && !errors.Is(err, route.ErrNoPath) // the lowest broken pair does not answer ErrNoPath
+		switch dst := wrong; {
+		case wrong < n && (wrong <= first || !bad):
+			hops = 0
+			walkErr := inner.Walk(src, dst, count)
+			detail := "inner walk is minimal"
+			if walkErr != nil {
+				detail = walkErr.Error()
+			} else if hops != 2*g.LCALevel(src, dst) {
+				detail = fmt.Sprintf("inner walk takes %d hops, minimal is %d", hops, 2*g.LCALevel(src, dst))
 			}
-			want := forwards && minimal[dst]
-			if !alike {
-				want, _ = walk(src, dst)
-			}
-			if b := c.Broken(src, dst); b == want {
-				ok, walkErr := walk(src, dst)
-				detail := "inner walk is minimal"
-				if walkErr != nil {
-					detail = walkErr.Error()
-				} else if !ok {
-					detail = fmt.Sprintf("inner walk takes %d hops, minimal is %d", hops, 2*g.LCALevel(src, dst))
-				}
-				return failf(&Counterexample{Pair: []int{src, dst}, Detail: detail},
-					"pair %d->%d: broken=%v disagrees with the inner router", src, dst, b)
-			}
-			if c.Broken(src, dst) {
-				broken++
-				if _, err := c.AppendPath(nil, src, dst); !errors.Is(err, route.ErrNoPath) {
-					return failf(&Counterexample{Pair: []int{src, dst}},
-						"broken pair %d->%d does not answer ErrNoPath (got %v)", src, dst, err)
-				}
-			} else if in.unroutable(src) || in.unroutable(dst) {
-				return failf(&Counterexample{Pair: []int{src, dst}},
-					"pair %d->%d touches an unroutable host but is served", src, dst)
-			}
+			return failf(&Counterexample{Pair: []int{src, dst}, Detail: detail},
+				"pair %d->%d: broken=%v disagrees with the inner router", src, dst, cut || c.Refused(row, dst))
+		case bad:
+			return failf(&Counterexample{Pair: []int{src, first}},
+				"broken pair %d->%d does not answer ErrNoPath (got %v)", src, first, err)
+		}
+		if cut {
+			broken += n - 1
+		} else if broken += s.refusals; c.Refused(row, src) {
+			broken--
 		}
 	}
 	if broken != c.NumBroken() {
-		return failf(&Counterexample{Detail: fmt.Sprintf("bitset has %d pairs, NumBroken says %d", broken, c.NumBroken())},
-			"NumBroken disagrees with the broken bitset")
+		return failf(&Counterexample{Detail: fmt.Sprintf("%d pairs are broken, NumBroken says %d", broken, c.NumBroken())},
+			"NumBroken disagrees with the broken pairs")
 	}
 	return pass()
+}
+
+// lowest keeps the two lowest destinations added to a set, in ascending
+// order, n standing for none.
+type lowest [2]int
+
+func (l *lowest) add(in bool, dst int) {
+	if in && l[0] == l[1] { // none yet
+		l[0] = dst
+	} else if in && l[1] > dst { // one: the second is still n
+		l[1] = dst
+	}
+}
+
+// other returns the lowest destination of the set but src.
+func (l lowest) other(src int) int {
+	if l[0] != src {
+		return l[0]
+	}
+	return l[1]
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"fattree/internal/par"
@@ -89,12 +90,13 @@ type Compiled struct {
 	cols   int
 	stride int      // stored tail (r,d) is cells[(r*cols+col[d])*stride:][:stride], zero-padded
 	cells  []uint32 // the stored cells
-	// broken, when non-nil, is an n*n bitset of pairs the inner router
-	// could not walk — or walked non-minimally — during a lenient
-	// compile over a faulted fabric. Every reader returns ErrNoPath for
-	// them.
-	broken    []uint64
-	numBroken int
+	// The two causes of the pairs a lenient compile cannot serve, nil
+	// while none: cut has a bit per source the tables cut off
+	// (LFT.CutHost), refused a bit per row and destination whose tail the
+	// fill refused, each row in whole words so rows filled in parallel
+	// share none — rows x n bits, n x n when every source owns its row.
+	cut, refused []uint64
+	numBroken    int
 }
 
 // Compile caches every path of r: tails its tables' closed form computes
@@ -192,16 +194,15 @@ func (c *Compiled) minimalTail(g topo.PGFT, row, dst int) int {
 	return 2*max(1, g.LCALevel(src, dst)) - 1
 }
 
-func (c *Compiled) markBroken(src, dst int) {
-	if c.broken == nil {
-		c.broken = make([]uint64, (c.n*c.n+63)/64)
-	}
-	i := src*c.n + dst
-	if c.broken[i/64]&(1<<(i%64)) == 0 {
-		c.broken[i/64] |= 1 << (i % 64)
-		c.numBroken++
-	}
-}
+// words returns how many words a bit per host takes: a row's share of
+// refused, and all of cut.
+func (c *Compiled) words() int { return (c.n + 63) / 64 }
+
+// refusedRow returns row's words of refused, which must not be nil.
+func (c *Compiled) refusedRow(row int) []uint64 { return c.refused[row*c.words() : (row+1)*c.words()] }
+
+// hasBit reports whether bit i of set is one; a nil set has none.
+func hasBit(set []uint64, i int) bool { return set != nil && set[i/64]&(1<<(i%64)) != 0 }
 
 // slot returns the stored slot of row's tail towards the stored column dst.
 func (c *Compiled) slot(row, dst int) []uint32 {
@@ -214,9 +215,8 @@ func (c *Compiled) slot(row, dst int) []uint32 {
 // pads the rest. A walk that fails, a tail longer than the stride (no
 // up*/down* path is) and — leniently — a delivered but non-minimal one
 // are refused: the slot is left empty and the error says why, for the
-// caller to break the row's readers (breakRefused) rather than serve a
-// detour that silently breaks the minimality guarantee. One filler serves
-// one goroutine.
+// caller to record the refusal rather than serve a detour that silently
+// breaks the minimality guarantee. One filler serves one goroutine.
 func (c *Compiled) filler(r Router, lenient bool) func(row, dst int) error {
 	g := r.Topology().Spec
 	var s []uint32
@@ -243,28 +243,14 @@ func (c *Compiled) filler(r Router, lenient bool) func(row, dst int) error {
 	}
 }
 
-// breakRefused breaks every pair reading a refused slot: refused lists,
-// per row, the destinations fill turned down.
-func (c *Compiled) breakRefused(refused [][]int32) {
-	for src, row := range c.rowOf {
-		for _, dst := range refused[row] {
-			if int(dst) != src {
-				c.markBroken(src, int(dst))
-			}
-		}
-	}
-}
-
 // build is the one arena builder. With a nil base it groups r's sources
 // into rows and stores every destination column of a fresh arena — when
 // r's tables have a closed form, only the columns they store; otherwise
-// it shares base's grouping and closed form, copies its stored cells and
-// broken pairs, and stores and fills the columns cols besides. A pair from a host r's tables
-// have cut off (LFT.CutHost) is broken up front unless this build walks
-// it from the host itself: a shared row is walked from the entry switch,
-// and neither the closed form nor a column not walked now reads the
-// host's entries. Strictly, a cut host or a refused slot fails the
-// build; leniently, the pairs reading them are broken.
+// it shares base's grouping and closed form, copies its stored cells,
+// cut hosts and refused tails, and stores and fills the columns cols
+// besides. Strictly, a host r's tables have cut off (LFT.CutHost) or a
+// refused slot fails the build; leniently, the host is cut and the slot
+// refused, whichever columns this build walks.
 func build(r Router, base *Compiled, cols []int, workers int, lenient bool) (*Compiled, error) {
 	t := r.Topology()
 	n := t.NumHosts()
@@ -310,7 +296,7 @@ func build(r Router, base *Compiled, cols []int, workers int, lenient bool) (*Co
 		p := *base
 		c = &p
 		c.inner = r
-		c.col, c.broken = slices.Clone(base.col), slices.Clone(base.broken)
+		c.col, c.cut, c.refused = slices.Clone(base.col), slices.Clone(base.cut), slices.Clone(base.refused)
 		for _, dst := range cols {
 			if c.col[dst] < 0 {
 				c.col[dst] = int32(c.cols)
@@ -319,31 +305,49 @@ func build(r Router, base *Compiled, cols []int, workers int, lenient bool) (*Co
 		}
 		c.cells = base.restride(c.cols)
 	}
-	var walked []bool // per destination: this build walks its column
 	for h := 0; lft != nil && lft.cut != nil && h < n; h++ {
 		if !lft.isCut(h) {
 			continue
 		}
-		if walked == nil {
-			walked = make([]bool, n)
-			for _, dst := range cols {
-				walked[dst] = true
-			}
+		if !lenient && n > 1 { // a lone host sends no pair to break
+			return nil, fmt.Errorf("route: compile %s: host %d is cut off", r.Label(), h)
 		}
-		for dst := 0; dst < n; dst++ {
-			if dst == h || c.head[h] == NoEntry && walked[dst] {
-				continue
-			}
-			if !lenient {
-				return nil, fmt.Errorf("route: compile %s: host %d is cut off", r.Label(), h)
-			}
-			c.markBroken(h, dst)
+		if c.cut == nil {
+			c.cut = make([]uint64, c.words())
 		}
+		c.cut[h/64] |= 1 << (h % 64)
 	}
 	if err := c.fillColumns(r, cols, workers, lenient); err != nil {
 		return nil, err
 	}
+	c.tally()
 	return c, nil
+}
+
+// tally counts the broken pairs from their causes — n-1 per cut source,
+// and per other source its row's refusals but the one towards itself —
+// and drops both sets when they break nothing.
+func (c *Compiled) tally() {
+	c.numBroken = 0
+	if c.cut == nil && c.refused == nil {
+		return
+	}
+	refusals := make([]int, len(c.rep)) // per row
+	for row := 0; c.refused != nil && row < len(refusals); row++ {
+		for _, w := range c.refusedRow(row) {
+			refusals[row] += bits.OnesCount64(w)
+		}
+	}
+	for src, row := range c.rowOf {
+		if c.Cut(src) {
+			c.numBroken += c.n - 1
+		} else if c.numBroken += refusals[row]; c.Refused(int(row), src) {
+			c.numBroken--
+		}
+	}
+	if c.numBroken == 0 {
+		c.cut, c.refused = nil, nil
+	}
 }
 
 // restride copies c's stored cells into an arena of cols columns per
@@ -363,21 +367,23 @@ func (c *Compiled) restride(cols int) []uint32 {
 // fillColumns fills the slots of every row towards the stored columns
 // dsts, in parallel over rows on par.Do with one filler per worker
 // (workers <= 0 uses GOMAXPROCS): each worker walks a row straight into
-// slots no other row touches, so no locking is needed. A strict build
-// stops at a refused slot and returns the error of the lowest row that
-// refused one.
+// slots, and records its refusals in words, that no other row touches,
+// so no locking is needed. A strict build stops at a refused slot and
+// returns the error of the lowest row that refused one.
 func (c *Compiled) fillColumns(r Router, dsts []int, workers int, lenient bool) error {
 	if len(dsts) == 0 {
 		return nil
 	}
 	rows := len(c.rep)
-	refused := make([][]int32, rows)
+	if lenient && c.refused == nil {
+		c.refused = make([]uint64, rows*c.words())
+	}
 	readers := make([]int, rows) // per-row source count
 	for _, row := range c.rowOf {
 		readers[row]++
 	}
 	newFiller := func() func(row, dst int) error { return c.filler(r, lenient) }
-	err := par.Do(rows, workers, newFiller, func(fill func(row, dst int) error, row int) error {
+	return par.Do(rows, workers, newFiller, func(fill func(row, dst int) error, row int) error {
 		own := -1 // the destination no pair reads: a row's only source
 		if readers[row] == 1 {
 			own = int(c.rep[row])
@@ -390,31 +396,39 @@ func (c *Compiled) fillColumns(r Router, dsts []int, workers int, lenient bool) 
 			if !lenient {
 				return fmt.Errorf("route: compile %s: %w", r.Label(), err)
 			}
-			refused[row] = append(refused[row], int32(dst))
+			c.refusedRow(row)[dst/64] |= 1 << (dst % 64)
 		}
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	c.breakRefused(refused)
-	return nil
 }
 
-// Broken reports whether a leniently compiled pair had no usable
-// (delivered and minimal) path.
+// Broken reports whether a leniently compiled pair has no usable
+// (delivered and minimal) path: src ≠ dst, and the tables cut src off
+// (Cut) or the fill refused the tail src's row reads towards dst
+// (Refused) — the two ways head(src) ++ tail(row(src), dst) fails.
 // Out-of-range pairs report false; the path readers still reject them.
 func (c *Compiled) Broken(src, dst int) bool {
-	if c.broken == nil || src < 0 || src >= c.n || dst < 0 || dst >= c.n {
+	if c.numBroken == 0 || src == dst || src < 0 || src >= c.n || dst < 0 || dst >= c.n {
 		return false
 	}
-	i := src*c.n + dst
-	return c.broken[i/64]&(1<<(i%64)) != 0
+	return c.Cut(src) || c.Refused(int(c.rowOf[src]), dst)
+}
+
+// Cut reports whether the tables had cut src off (LFT.CutHost), which
+// breaks every pair src sends. src must be in [0, NumHosts).
+func (c *Compiled) Cut(src int) bool { return hasBit(c.cut, src) }
+
+// Refused reports whether a lenient compile refused row's tail towards
+// dst (not walked, or walked non-minimally), which breaks every pair of
+// the row's sources but dst towards dst. row must be a row of the arena
+// (Row), dst in [0, NumHosts).
+func (c *Compiled) Refused(row, dst int) bool {
+	return c.refused != nil && hasBit(c.refusedRow(row), dst)
 }
 
 // NumBroken returns the number of pairs a lenient compile recorded as
-// broken — unreachable or served only by a non-minimal path (0 for
-// strict compiles).
+// broken — from a cut source, or reading a refused tail (0 for strict
+// compiles).
 func (c *Compiled) NumBroken() int { return c.numBroken }
 
 // Topology implements Router.
@@ -445,7 +459,7 @@ func (c *Compiled) AppendPath(buf []PathEntry, src, dst int) ([]PathEntry, error
 	if src == dst {
 		return buf, nil
 	}
-	if c.broken != nil && c.Broken(src, dst) {
+	if c.numBroken > 0 && c.Broken(src, dst) {
 		return buf, fmt.Errorf("route: compiled %s: pair %d->%d: %w", c.Label(), src, dst, ErrNoPath)
 	}
 	var arr [16]uint32

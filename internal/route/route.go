@@ -201,7 +201,9 @@ func (f *LFT) OutPort(id topo.NodeID, dst int) topo.PortID {
 // setting it sets them all, and emptying it cuts the host off (CutHost).
 // Any other entry is written into dst's stored column, which is stored
 // first if it is not: the vectors stay, and still give every other
-// column.
+// column. A host stays cut off only while it forwards nothing: giving a
+// cut-off host with several uplinks a port reconnects it, after storing
+// every column as it reads now, so its other entries stay empty.
 func (f *LFT) SetOutPort(id topo.NodeID, dst int, p topo.PortID) {
 	node := &f.T.Nodes[id]
 	e := uint8(noPort)
@@ -214,6 +216,12 @@ func (f *LFT) SetOutPort(id topo.NodeID, dst int, p topo.PortID) {
 	if !f.HasRow(id) {
 		f.setCut(node.Index, e == noPort)
 		return
+	}
+	if e != noPort && node.Kind == topo.Host && f.isCut(node.Index) {
+		for d := 0; f.vec != nil && d < f.T.NumHosts(); d++ {
+			f.store(d)
+		}
+		f.setCut(node.Index, false)
 	}
 	f.store(dst)[int(id)-f.off] = e
 }

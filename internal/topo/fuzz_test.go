@@ -11,6 +11,11 @@ func FuzzParseSpec(f *testing.F) {
 		"324", "1944", "pgft:2;18,18;1,9;1,2", "rlft2:18,18", "rlft3:18,6",
 		"max:3,18", "kary:4,3", "pgft:1;8;1;1", "", "pgft:", "bogus:1,2",
 		"pgft:2;4,4;1,2", "pgft:99;1;1;1",
+		// Counts past int64, which overflowed: end-ports to 0 and below,
+		// a host's up ports to 0; and heights whose checks took minutes
+		// or whose vectors did not fit in memory.
+		"max:21,8", "max:10,100", "pgft:1;2;4;4611686018427387904",
+		"max:888881,1", "max:8888888830,2", "kary:2,8888888830",
 	} {
 		f.Add(seed)
 	}

@@ -26,6 +26,7 @@ package topo
 
 import (
 	"fmt"
+	"math"
 )
 
 // PGFT is the canonical parameter tuple of a Parallel Ports Generalized
@@ -63,8 +64,8 @@ func MustPGFT(h int, m, w, p []int) PGFT {
 
 // Validate checks structural sanity of the parameter tuple.
 func (g PGFT) Validate() error {
-	if g.H < 1 {
-		return fmt.Errorf("topo: PGFT needs at least one level, got h=%d", g.H)
+	if g.H < 1 || g.H > MaxLevels {
+		return fmt.Errorf("topo: PGFT needs 1 to %d levels, got h=%d", MaxLevels, g.H)
 	}
 	if len(g.M) != g.H || len(g.W) != g.H || len(g.P) != g.H {
 		return fmt.Errorf("topo: PGFT(h=%d) wants %d-long m/w/p vectors, got %d/%d/%d",
@@ -75,6 +76,23 @@ func (g PGFT) Validate() error {
 			return fmt.Errorf("topo: PGFT level %d has non-positive parameter (m=%d w=%d p=%d)",
 				l, g.M[l-1], g.W[l-1], g.P[l-1])
 		}
+		if max(g.M[l-1], g.W[l-1], g.P[l-1]) > math.MaxInt32 { // so no port count below overflows
+			return fmt.Errorf("topo: PGFT level %d has a parameter above %d (m=%d w=%d p=%d)",
+				l, math.MaxInt32, g.M[l-1], g.W[l-1], g.P[l-1])
+		}
+	}
+	nodes := 1 // every level's count (NumHosts, NumSwitches) must be a NodeID
+	for _, m := range g.M {
+		if nodes > math.MaxInt32/m {
+			return fmt.Errorf("topo: %v: more than %d end-ports", g, math.MaxInt32)
+		}
+		nodes *= m
+	}
+	for l := 1; l <= g.H; l++ { // each level up trades m_l for w_l
+		if nodes /= g.M[l-1]; nodes > math.MaxInt32/g.W[l-1] {
+			return fmt.Errorf("topo: %v: level %d holds more than %d switches", g, l, math.MaxInt32)
+		}
+		nodes *= g.W[l-1]
 	}
 	for l := 0; l <= g.H; l++ {
 		if ports := g.UpPorts(l) + g.DownPorts(l); ports > MaxPorts {
@@ -91,6 +109,11 @@ func (g PGFT) Validate() error {
 // ports are numbered 0..254. Real switch radixes sit far below it; the
 // paper's are 36 ports.
 const MaxPorts = 255
+
+// MaxLevels bounds the tree height: an up*/down* path takes up to 2h
+// hops, and an InfiniBand directed route, how a subnet manager reaches a
+// node it has not yet programmed, carries 64 at most.
+const MaxLevels = 32
 
 // Mi returns m_l (1-based level).
 func (g PGFT) Mi(l int) int { return g.M[l-1] }
@@ -253,8 +276,8 @@ func intList(v []int) string {
 // KAryNTree returns the classic k-ary-n-tree as a PGFT: n levels of
 // switches with k children and k parents each (k^n hosts).
 func KAryNTree(k, n int) (PGFT, error) {
-	if k < 1 || n < 1 {
-		return PGFT{}, fmt.Errorf("topo: k-ary-n-tree wants positive k and n, got k=%d n=%d", k, n)
+	if k < 1 || n < 1 || n > MaxLevels {
+		return PGFT{}, fmt.Errorf("topo: k-ary-n-tree wants positive k and 1 <= n <= %d, got k=%d n=%d", MaxLevels, k, n)
 	}
 	m := make([]int, n)
 	w := make([]int, n)
@@ -270,8 +293,8 @@ func KAryNTree(k, n int) (PGFT, error) {
 // switches: m = (K,...,K,2K), w = (1,K,...,K), p = all ones. For example
 // MaximalRLFT(3, 18) is RLFT(3;18,18,36;1,18,18;1,1,1) with 11664 hosts.
 func MaximalRLFT(h, k int) (PGFT, error) {
-	if h < 1 || k < 1 {
-		return PGFT{}, fmt.Errorf("topo: maximal RLFT wants positive h and K, got h=%d K=%d", h, k)
+	if h < 1 || h > MaxLevels || k < 1 {
+		return PGFT{}, fmt.Errorf("topo: maximal RLFT wants 1 <= h <= %d and positive K, got h=%d K=%d", MaxLevels, h, k)
 	}
 	m := make([]int, h)
 	w := make([]int, h)
