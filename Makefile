@@ -28,15 +28,16 @@ test:
 # ./internal/netsim snapshots its metrics registry and tracer from a
 # second goroutine while a run is live (TestProbeSnapshotWhileRunning)
 # and hands its progress sink to a reporter goroutine (TestProgressSink);
-# ./internal/route and ./internal/hsd hammer one shared path arena from
-# many goroutines; ./internal/par and ./internal/mpi run independent
-# items and simulations on one worker pool. ./internal/wire's Expand
-# fills a job's pair list over that pool, and ./internal/fclient expands
-# every set it fetches: both run at one and at four procs, so the
-# one-worker path and the fan-out are raced even on two cores.
+# ./internal/route hammers one shared path arena from many goroutines;
+# ./internal/par and ./internal/mpi run independent items and
+# simulations on one worker pool. ./internal/wire's Expand fills a job's
+# pair list over that pool, ./internal/fclient expands every set it
+# fetches, and ./internal/hsd builds a sweep's stages over it before its
+# analyzers share the arena: all three run at one and at four procs, so
+# the one-worker path and the fan-out are raced even on two cores.
 race:
-	$(GO) test -race ./internal/par/ ./internal/mpi/ ./internal/route/ ./internal/hsd/ ./internal/netsim/ ./internal/exp/ ./internal/obs/... ./internal/fmgr/...
-	$(GO) test -race -cpu 1,4 ./internal/wire/ ./internal/fclient/
+	$(GO) test -race ./internal/par/ ./internal/mpi/ ./internal/route/ ./internal/netsim/ ./internal/exp/ ./internal/obs/... ./internal/fmgr/...
+	$(GO) test -race -cpu 1,4 ./internal/wire/ ./internal/fclient/ ./internal/hsd/
 
 # Non-test Go lines of cmd/ and per internal package, over the four
 # packages on the fault path, over the command layer and over the whole

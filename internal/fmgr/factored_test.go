@@ -343,6 +343,46 @@ func TestRerouteRecordCountsRewalkedColumns(t *testing.T) {
 	t.Fatal("no reroute record after the host cable died")
 }
 
+// TestRerouteRecordCountsClimbedStages: the standing Shift-HSD report
+// says how many of its stages the replay counted by their climbs alone —
+// all 323 over the healthy arena of the paper's 324-host cluster, none
+// once a fabric link has failed, since the repaired arena stores columns
+// and certifies nothing, and all again once it is revived — and the
+// reroute record prints it as hsd_climbed=k/n.
+func TestRerouteRecordCountsClimbedStages(t *testing.T) {
+	m := newManager(t, "324", nil)
+	if h := m.Current().HSD; h.Climbed != 323 || len(h.Stages) != 323 {
+		t.Fatalf("healthy epoch: %d of %d stages climbed, want 323 of 323", h.Climbed, len(h.Stages))
+	}
+	m.Start()
+	link := []topo.LinkID{fabricLink(t, m.t, 0)}
+	want := map[uint64]string{2: " hsd_climbed=0/323 ", 3: " hsd_climbed=323/323 "}
+	if _, err := m.InjectFaults(link, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	if h := waitEpoch(t, m, 2).HSD; h.Climbed != 0 {
+		t.Fatalf("after a fabric-link fault: %d of %d stages climbed, want 0", h.Climbed, len(h.Stages))
+	}
+	if _, err := m.InjectFaults(nil, link, 0); err != nil {
+		t.Fatal(err)
+	}
+	if h := waitEpoch(t, m, 3).HSD; h.Climbed != 323 {
+		t.Fatalf("after the revive: %d of %d stages climbed, want 323", h.Climbed, len(h.Stages))
+	}
+	recs, _ := m.Events(0)
+	for _, r := range recs {
+		if r.Kind == schema.EvReroute && r.Outcome == schema.OutcomeOK {
+			if !strings.Contains(r.Detail, want[r.Epoch]) {
+				t.Fatalf("epoch %d reroute detail %q: want%s", r.Epoch, r.Detail, want[r.Epoch])
+			}
+			delete(want, r.Epoch)
+		}
+	}
+	if len(want) > 0 {
+		t.Fatalf("no reroute record for epochs %v", want)
+	}
+}
+
 // TestRerouteRecordNamesItsPhases: the journal's reroute record says
 // where its duration went, in microseconds per phase — the jobs view laid
 // over the rebuilt tables included — and the phases do not add up to more

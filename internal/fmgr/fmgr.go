@@ -769,9 +769,10 @@ func (m *Manager) tryRebuild() (*FabricState, []schema.Event, error) {
 	rec := m.phaseRecord(schema.EvReroute, epoch, start, err)
 	if err == nil {
 		rec.Detail = fmt.Sprintf("engine=%s failed_links=%d broken_pairs=%d unroutable=%d"+
-			" engine_tables_us=%d rewalked_cols=%d shift_hsd_us=%d wire_precompute_us=%d",
+			" engine_tables_us=%d rewalked_cols=%d shift_hsd_us=%d hsd_climbed=%d/%d wire_precompute_us=%d",
 			st.Engine, len(st.FailedLinks), st.BrokenPairs, len(st.Unroutable),
-			st.tb.engineTablesUS, st.tb.RewalkedCols, st.tb.shiftHSDUS, st.assembleUS)
+			st.tb.engineTablesUS, st.tb.RewalkedCols, st.tb.shiftHSDUS,
+			st.HSD.Climbed, len(st.HSD.Stages), st.assembleUS)
 	}
 	recs := []schema.Event{rec}
 	if err == nil {

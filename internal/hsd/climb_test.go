@@ -158,3 +158,90 @@ func stageSample(seq cps.Sequence) []int {
 	}
 	return []int{0, 1, 2, k / 3, k / 2, k - 2, k - 1}
 }
+
+// planted is a test-local sequence of once-shaped stages laid out on
+// rlft2:4,8 under the topology order, where rank r is end-port r, leaf
+// r/4, and D-Mod-K climbs towards dst over its leaf's up port dst%4. In
+// stage 0 a turned flow (2->1) meets its leaf's up port 1 holding one
+// flow, and the last pair makes the stage's only hot link. In stage 1 a
+// turned flow meets that port holding two flows, and a third flow climbs
+// over it after.
+type planted struct{}
+
+func (planted) Name() string        { return "planted" }
+func (planted) Size() int           { return 32 }
+func (planted) NumStages() int      { return 2 }
+func (planted) Bidirectional() bool { return false }
+
+func (planted) Stage(s int) cps.Stage {
+	return [][]cps.Pair{
+		{{Src: 0, Dst: 5}, {Src: 2, Dst: 1}, {Src: 4, Dst: 10}, {Src: 6, Dst: 7}, {Src: 5, Dst: 14}},
+		{{Src: 0, Dst: 5}, {Src: 1, Dst: 9}, {Src: 2, Dst: 1}, {Src: 3, Dst: 13}},
+	}[s]
+}
+
+// TestClimbsPlanted holds the climbing replay's inline summary to the full
+// count on stages planted where it can go wrong: a turned flow adds 0 at a
+// real counter that already holds one flow or two, a link reaches three,
+// and the maximum is made by the very last increment. The stages' layout
+// is checked first, from the arena's own climb keys, so the test cannot
+// pass on stages that miss what they plant.
+func TestClimbsPlanted(t *testing.T) {
+	g, err := topo.ParseSpec("rlft2:4,8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := compileEngine(t, g, "dmodk")
+	n, w := c.Topology().NumHosts(), c.ClimbWidth()
+	if w == 0 {
+		t.Fatalf("%v: no climbing replay, want one", g)
+	}
+	o, seq := order.Topology(n, nil), planted{}
+	src, dst := make([]uint64, w*n), make([]uint64, w*n)
+	c.ClimbKeys(src, dst, o.HostOf)
+
+	// The layout: the loads turned flows meet, the loads climbs reach, and
+	// how many links were hot before each stage's last pair.
+	turnedOnto, reached := map[int32]bool{}, map[int32]bool{}
+	for s := 0; s < seq.NumStages(); s++ {
+		st, load, hot := seq.Stage(s), map[uint32]int32{}, 0
+		for i := 0; i < w; i++ {
+			for j, p := range st {
+				cell, climbing := route.ClimbHop(src[i*n+int(p.Src)], dst[i*n+int(p.Dst)])
+				if climbing == 0 {
+					turnedOnto[load[cell]] = true
+					continue
+				}
+				if load[cell]++; load[cell] == 2 {
+					if s == 0 && (hot > 0 || i < w-1 || j < len(st)-1) {
+						t.Fatalf("stage 0: a link turns hot before the stage's last increment")
+					}
+					hot++
+				}
+				reached[load[cell]] = true
+			}
+		}
+		if s == 0 && hot != 1 {
+			t.Fatalf("stage 0: %d hot links, want the one its last increment makes", hot)
+		}
+	}
+	if !turnedOnto[1] || !turnedOnto[2] || !reached[3] {
+		t.Fatalf("the planted stages miss a case: turned flows meet loads %v, climbs reach %v", turnedOnto, reached)
+	}
+
+	rep, err := hsd.Analyze(c, o, seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, full := hsd.NewAnalyzer(c), hsd.NewAnalyzer(c)
+	for s := 0; s < seq.NumStages(); s++ {
+		st := seq.Stage(s)
+		want := hsd.Replay(full, st, o)
+		if got, ok := hsd.Climbs(a, st, o); !ok || got != want {
+			t.Fatalf("stage %d: climbs %+v (taken %v), full count %+v", s, got, ok, want)
+		}
+		if rep.Stages[s] != want {
+			t.Fatalf("stage %d: Analyze %+v, full count %+v", s, rep.Stages[s], want)
+		}
+	}
+}

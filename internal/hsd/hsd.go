@@ -35,6 +35,9 @@ type Report struct {
 	Ordering string
 	Routing  string
 	Stages   []StageResult
+	// Climbed is how many of Stages Analyze counted by their flows' climbs
+	// alone (stageRanks); it counted the others in full.
+	Climbed int
 }
 
 // MaxHSD returns the worst per-link flow count over all stages.
@@ -105,9 +108,8 @@ type Analyzer struct {
 	rows, dsts *[batch]int32
 	cells      []uint32
 	// climb is climbWidth(rt): non-zero when stageRanks may count a
-	// stage's climbs alone. hostCnt is how many of cnt's counters are host
-	// links' (both directions): topo.Build numbers them first.
-	climb, hostCnt int
+	// stage's climbs alone.
+	climb int
 	// srcKey and dstKey hold the climb keys of keyed's ranks
 	// (route.Compiled.ClimbKeys), climb of them per rank; ends is the
 	// scratch of Analyze's shapeOf calls (checkJob leaves no more ranks
@@ -133,10 +135,8 @@ func NewAnalyzer(rt route.Router) *Analyzer {
 	a.cnt = a.raw[1:]
 	if a.pc, _ = rt.(*route.Compiled); a.pc != nil {
 		a.rows, a.dsts, a.cells = new([batch]int32), new([batch]int32), make([]uint32, batch*a.pc.Stride())
-		t := rt.Topology()
-		a.climb, a.hostCnt = climbWidth(rt), 2*t.NumHosts()*t.Spec.UpPorts(0)
-		if a.climb > 0 {
-			n := t.NumHosts()
+		if a.climb = climbWidth(rt); a.climb > 0 {
+			n := rt.Topology().NumHosts()
 			a.srcKey, a.dstKey, a.ends = make([]uint64, n*a.climb), make([]uint64, n*a.climb), rankBits(n)
 		}
 	}
@@ -324,11 +324,20 @@ func (a *Analyzer) replay(st cps.Stage, o *order.Ordering) StageResult {
 
 // climbs is replay counting each flow's climb alone, for a stage of the
 // given flows whose shape is once, on an arena that certifies Theorem 2.
-// A climb cell is the ClimbCell of its source rank's key and its
-// destination rank's, so the count is one pass per climb level over the
-// stage's rank pairs, with no branch on the data: a self pair's two keys
-// name one ancestor, and its cells land in the sink cell. The keys are
+// A climb hop is the ClimbHop of its source rank's key and its destination
+// rank's, so the count is one pass per climb level over the stage's rank
+// pairs, with no branch on the data: a flow adds 1 at its hop's cell while
+// it climbs and 0 once it has turned (a self pair's two keys name one
+// ancestor), and that cell is a real up-port counter either way. The pass
+// keeps the summary as it counts: a counter is never above the true
+// maximum, so the running maximum of the values it leaves is exact, and a
+// link turns hot on the one increment that takes it to 2. The keys are
 // o's, laid out again whenever the analyzer meets another ordering.
+//
+// No host link carries two of the flows either way, and no descent does,
+// so the up counters at the climb levels are the only ones that can say
+// more than one flow: what the pass leaves in the other counters is not
+// the stage's load, and no caller of stageRanks reads it.
 func (a *Analyzer) climbs(st cps.Stage, flows int, o *order.Ordering) StageResult {
 	if a.keyed != o {
 		a.pc.ClimbKeys(a.srcKey, a.dstKey, o.HostOf)
@@ -336,13 +345,22 @@ func (a *Analyzer) climbs(st cps.Stage, flows int, o *order.Ordering) StageResul
 	}
 	clear(a.raw)
 	raw, n := a.raw, len(o.HostOf)
+	var top int32
+	var hot uint32
 	for i := 0; i < a.climb; i++ {
 		src, dst := a.srcKey[i*n:][:n], a.dstKey[i*n:][:n]
 		for _, p := range st {
-			raw[route.ClimbCell(src[p.Src], dst[p.Dst])]++
+			c, inc := route.ClimbHop(src[p.Src], dst[p.Dst])
+			v := raw[c] + inc
+			raw[c] = v
+			top = max(top, v)
+			hot += uint32(inc) & (uint32((v^2)-1) >> 31) // inc && v == 2
 		}
 	}
-	return a.climbSummary(StageResult{Flows: flows})
+	one := int32(min(flows, 1)) // the load of every host link a flow takes
+	res := StageResult{Flows: flows, MaxUpHSD: int(max(top, one)), MaxDownHSD: int(one), HotLinks: int(hot)}
+	res.MaxHSD = res.MaxUpHSD
+	return res
 }
 
 // stageWalk is Stage for routers without an arena and for forensics: it
@@ -392,25 +410,6 @@ func (a *Analyzer) summarize(res StageResult) StageResult {
 	}
 	res.MaxUpHSD, res.MaxDownHSD, res.HotLinks = int(maxUp), int(maxDown), int(hotUp+hotDown)
 	res.MaxHSD = max(res.MaxUpHSD, res.MaxDownHSD)
-	return res
-}
-
-// climbSummary is summarize after a climbing replay of res.Flows flows,
-// no two from one end-port or to one: every host link carries at most one
-// of them either way, and so does every descent, so the links that can
-// say more are the switch links going up — the only counters it reads.
-func (a *Analyzer) climbSummary(res StageResult) StageResult {
-	var maxUp int32
-	var hot uint32
-	cnt := a.cnt
-	for i := a.hostCnt + 1; i < len(cnt); i += 2 {
-		u := cnt[i]
-		maxUp = max(maxUp, u)
-		hot += uint32(1-u) >> 31
-	}
-	one := int32(min(res.Flows, 1)) // the load of every host link a flow takes
-	res.MaxUpHSD, res.MaxDownHSD, res.HotLinks = int(max(maxUp, one)), int(one), int(hot)
-	res.MaxHSD = res.MaxUpHSD
 	return res
 }
 

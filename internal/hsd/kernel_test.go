@@ -423,7 +423,9 @@ func TestSharedEndPort(t *testing.T) {
 
 // TestSweepAllocs pins the shape of a sweep's garbage: the stages are
 // built once and shared, analyzers belong to workers, so k orderings
-// cost O(stages + k) allocations — no slice per (ordering, stage).
+// cost O(stages + k) allocations — no slice per (ordering, stage). The
+// pool that builds the stages costs a fixed 6 + 2 per worker, 10 at the
+// two workers here, whatever the stages and orderings.
 func TestSweepAllocs(t *testing.T) {
 	tp := topo.MustBuild(topo.Cluster128)
 	n := tp.NumHosts()
@@ -445,7 +447,7 @@ func TestSweepAllocs(t *testing.T) {
 	}
 	few, many := sweep(2), sweep(16)
 	stages := float64(seq.NumStages())
-	if few > stages+32 {
+	if few > stages+42 {
 		t.Errorf("a 2-ordering sweep of %v stages allocates %v times, want about one per stage", stages, few)
 	}
 	if many-few > 14 {

@@ -2,6 +2,7 @@ package hsd
 
 import (
 	"runtime"
+	"sync/atomic"
 
 	"fattree/internal/cps"
 	"fattree/internal/order"
@@ -26,10 +27,14 @@ func Analyze(rt route.Router, o *order.Ordering, seq cps.Sequence) (*Report, err
 		Routing:  rt.Label(),
 		Stages:   make([]StageResult, seq.NumStages()),
 	}
+	var climbed atomic.Int64
 	err := par.Do(len(rep.Stages), 0, func() *Analyzer { return NewAnalyzer(rt) }, func(a *Analyzer, s int) (err error) {
 		st, sh := seq.Stage(s), shape{}
 		if a.climb > 0 {
-			sh = shapeOf(st, a.ends)
+			sh = shapeOf(st, a.ends) // once exactly where stageRanks climbs
+		}
+		if sh.once {
+			climbed.Add(1)
 		}
 		rep.Stages[s], err = a.stageRanks(st, sh, o)
 		return err
@@ -37,15 +42,17 @@ func Analyze(rt route.Router, o *order.Ordering, seq cps.Sequence) (*Report, err
 	if err != nil {
 		return nil, err
 	}
+	rep.Climbed = int(climbed.Load())
 	return rep, nil
 }
 
 // SweepOrderingsParallel fans the per-ordering analyses of a sweep over
 // a worker pool (orderings are independent too). The sequence's stages
-// and their shapes are built once and shared read-only by every
-// ordering, and a sweep with fewer orderings than workers splits each
-// ordering's stages so no core idles. workers <= 0 uses GOMAXPROCS.
-// Stages count flows as Analyze does.
+// and their shapes are built once, over the same pool with one shapeOf
+// scratch per worker, and shared read-only by every ordering; a sweep
+// with fewer orderings than workers splits each ordering's stages so no
+// core idles. workers <= 0 uses GOMAXPROCS. Stages count flows as
+// Analyze does.
 func SweepOrderingsParallel(rt route.Router, orders []*order.Ordering, seq cps.Sequence, workers int) (Sweep, error) {
 	if len(orders) == 0 {
 		return Sweep{}, nil
@@ -60,12 +67,13 @@ func SweepOrderingsParallel(rt route.Router, orders []*order.Ordering, seq cps.S
 		workers = runtime.GOMAXPROCS(0)
 	}
 	stages, shapes := make([]cps.Stage, seq.NumStages()), make([]shape, seq.NumStages())
-	climbing, ends := climbWidth(rt) > 0, rankBits(seq.Size())
-	for s := range stages {
+	climbing := climbWidth(rt) > 0
+	_ = par.Do(len(stages), workers, func() []uint64 { return rankBits(seq.Size()) }, func(ends []uint64, s int) error {
 		if stages[s] = seq.Stage(s); climbing {
 			shapes[s] = shapeOf(stages[s], ends)
 		}
-	}
+		return nil
+	})
 	// A work item is one of an ordering's `split` stage ranges. Per-stage
 	// maxima are integers, so their sum does not depend on how the stages
 	// were split and the averages equal Report.AvgMaxHSD bit for bit.

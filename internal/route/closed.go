@@ -45,7 +45,11 @@ func (v *portVectors) at(node *topo.Node, dst int) uint8 {
 // divided by the span agree. With that index in a high word and A' or B'
 // in the low one, a climb cell is the sum of two words, one per end-port,
 // masked by whether their high words differ: ClimbKeys writes those words
-// once per ordering and ClimbCell adds them.
+// once per ordering and ClimbHop adds them. A' and B' at a level are the
+// start's digits outside (l0, l] and dst's in (l0, l] plus its up port, so
+// their sum names a real level-l node and one of its up ports whether or
+// not the climb has turned: unmasked, a climb cell is always the up-port
+// cell of a link climbing from that level, never past the counters' end.
 //
 // At 1944 hosts the form is about 125 KB, against the 2.1 MB a stored
 // arena of those tails takes.

@@ -51,12 +51,17 @@ func computed(c *route.Compiled, row, dst int) []uint32 {
 }
 
 // checkClimbKeys holds the climb keys of a certified arena to its tails:
-// with every end-port its own rank, for each pair (src, dst) of distinct
-// end-ports the ClimbCell of src's source key and dst's destination key
-// at every climb level is the cell Tail computes there.
+// with every end-port its own rank, for each pair (src, dst) at every climb
+// level, ClimbHop of src's source key and dst's destination key names the
+// up-port cell of a link climbing from that level — even, and inside the
+// 2*len(Links)+1 counters of a replay — whether or not the flow still
+// climbs there, which is what lets a count add its climbing flag at that
+// cell with no sink. For distinct end-ports the flow climbs exactly where
+// Tail computes a cell, and there the hop's cell is Tail's.
 func checkClimbKeys(t *testing.T, c *route.Compiled, pairs [][2]int) {
 	t.Helper()
-	n, w := c.Topology().NumHosts(), c.ClimbWidth()
+	tp := c.Topology()
+	n, w := tp.NumHosts(), c.ClimbWidth()
 	hostOf := make([]int, n)
 	for h := range hostOf {
 		hostOf[h] = h
@@ -65,14 +70,22 @@ func checkClimbKeys(t *testing.T, c *route.Compiled, pairs [][2]int) {
 	c.ClimbKeys(src, dst, hostOf)
 	tail := make([]uint32, c.Stride())
 	for _, p := range pairs {
-		if p[0] == p[1] {
-			continue
-		}
 		row, _, _ := c.Row(p[0])
 		c.Tail(tail, row, p[1])
 		for i := 0; i < w; i++ {
-			if got := route.ClimbCell(src[i*n+p[0]], dst[i*n+p[1]]); got != tail[i] {
-				t.Fatalf("%v: %d->%d at climb level %d: ClimbCell %d, Tail %v", c.Topology().Spec, p[0], p[1], i, got, tail)
+			cell, climbing := route.ClimbHop(src[i*n+p[0]], dst[i*n+p[1]])
+			level := tp.Spec.H - w + i // the level this hop climbs from
+			if cell%2 != 0 || cell < 2 || int(cell) > 2*len(tp.Links) || tp.Links[cell/2-1].Level != level+1 {
+				t.Fatalf("%v: %d->%d at climb level %d: cell %d is not the up-port cell of a link from level %d", tp.Spec, p[0], p[1], i, cell, level)
+			}
+			if p[0] == p[1] {
+				if climbing != 0 {
+					t.Fatalf("%v: self pair %d at climb level %d climbs", tp.Spec, p[0], i)
+				}
+				continue
+			}
+			if want := int32(min(tail[i], 1)); climbing != want || climbing == 1 && cell != tail[i] {
+				t.Fatalf("%v: %d->%d at climb level %d: ClimbHop (%d, %d), Tail %v", tp.Spec, p[0], p[1], i, cell, climbing, tail)
 			}
 		}
 	}
@@ -135,7 +148,7 @@ func checkClosedForm(t *testing.T, lft *route.LFT) (keyed bool) {
 // them — every tail the arena computes from the tables' closed form is
 // the walk of the tables, for D-Mod-K, its rank-compacted form over a
 // partial job and the naive variant, and on the arenas among them that
-// certify Theorem 2 so is every pair's ClimbCell.
+// certify Theorem 2 so is every pair's ClimbHop.
 func TestUpPortOfMatchesTablesQuick(t *testing.T) {
 	tp := topo.MustBuild(topo.Cluster1728)
 	g := tp.Spec

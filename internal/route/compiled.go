@@ -532,11 +532,11 @@ func (c *Compiled) ClimbWidth() int {
 // destination — level by level, so a replay pass over one level reads
 // each side's keys from one run. Both hold the index of the end-port's
 // ancestor at that level in their high word; the low words hold A' of its
-// row and B' of the end-port itself (closed.go). ClimbCell turns a source
-// key and a destination key into the climb cell of the flow between the
-// two ranks, which is Tails' cell up to the turn and 0 from it on: the
-// only hops of a tail that two flows between distinct end-ports can
-// share. End-ports must be in range, and src and dst hold w*len(hostOf).
+// row and B' of the end-port itself (closed.go). ClimbHop turns a source
+// key and a destination key into the climb hop of the flow between the
+// two ranks at that level, which is Tails' cell up to the turn: the only
+// hops of a tail that two flows between distinct end-ports can share.
+// End-ports must be in range, and src and dst hold w*len(hostOf).
 func (c *Compiled) ClimbKeys(src, dst []uint64, hostOf []int) {
 	f, n := c.form, len(hostOf)
 	for r, h := range hostOf {
@@ -548,13 +548,15 @@ func (c *Compiled) ClimbKeys(src, dst []uint64, hostOf []int) {
 	}
 }
 
-// ClimbCell is the climb cell at one level of the flow whose source key
-// there is s and whose destination key is d (ClimbKeys): A' + B', the
-// cell of the up hop, while the two end-ports' ancestors differ, and 0
-// once the ancestor is common — the flow has turned.
-func ClimbCell(s, d uint64) uint32 {
-	apart := uint32(int64(-((s ^ d) >> 32)) >> 63) // all ones while the high words differ
-	return uint32(s+d) & apart
+// ClimbHop is the climb hop at one level of the flow whose source key
+// there is s and whose destination key is d (ClimbKeys): climbing is 1
+// while the two end-ports' ancestors at that level differ and 0 once the
+// ancestor is common — the flow has turned. cell is A' + B' either way:
+// while the flow climbs it is the cell of its up hop, and once it has
+// turned it is still the up-port cell of a link climbing from that level
+// (closed.go), so a count that adds climbing at cell needs no sink cell.
+func ClimbHop(s, d uint64) (cell uint32, climbing int32) {
+	return uint32(s + d), int32(-((s ^ d) >> 32) >> 63)
 }
 
 // Tail is Tails for one pair: it returns cells[:Stride()].
