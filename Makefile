@@ -117,8 +117,9 @@ experiments-quick:
 # Every go fuzz target, as package:Target (docs/TESTING.md): the spec
 # and topology file parsers, the test-side readers of the fabric's table
 # dump and JSON document, the fault-injection -> lenient-compile -> path
-# gate pipeline, the binary wire-protocol decoder and the patched
-# route-set expansion. `fuzz` and CI's `fuzz-smoke` run the same list,
+# gate pipeline, the binary wire-protocol decoder, the patched
+# route-set expansion, the HSD replay's count of rotation stages and the
+# simulator's quiet ≡ observed runs. `fuzz` and CI's `fuzz-smoke` run the same list,
 # FUZZTIME per target.
 FUZZ_TARGETS = \
 	./internal/topo/:FuzzParseSpec \
@@ -127,7 +128,9 @@ FUZZ_TARGETS = \
 	./internal/fabric/:FuzzDoc \
 	./internal/invariant/:FuzzFaultCompileLenient \
 	./internal/wire/:FuzzWireDecode \
-	./internal/wire/:FuzzExpandFrom
+	./internal/wire/:FuzzExpandFrom \
+	./internal/hsd/:FuzzRotationClimbs \
+	./internal/netsim/:FuzzQuietEqualsObserved
 
 fuzz fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \

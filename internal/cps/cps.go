@@ -39,6 +39,15 @@ type Sequence interface {
 	Bidirectional() bool
 }
 
+// Rotating is implemented by sequences whose stages may be rotations, the
+// form Table 2 gives Shift, Ring and Dissemination: a reader that knows a
+// stage's displacement can count it without materializing it.
+type Rotating interface {
+	// Rotation returns d in [1, N) when Stage(s) is exactly the pairs
+	// (i, (i+d) mod N) for i = 0..N-1 in rank order, and 0 otherwise.
+	Rotation(s int) int
+}
+
 // Validate checks structural sanity of an entire sequence: ranks in
 // range, no self-flows, no duplicate flows within a stage, and no rank
 // sending or receiving twice in one stage (permutation property).

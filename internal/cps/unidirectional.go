@@ -27,6 +27,9 @@ func (s *ShiftSeq) NumStages() int { return s.n - 1 }
 // Bidirectional implements Sequence.
 func (s *ShiftSeq) Bidirectional() bool { return false }
 
+// Rotation implements Rotating: stage st is the displacement st+1.
+func (s *ShiftSeq) Rotation(st int) int { return (st + 1) % s.n }
+
 // Stage implements Sequence: displacement s+1. The ranks before the
 // wrap-around and those after it are two runs, so no pair pays a modulo.
 func (s *ShiftSeq) Stage(st int) Stage {
@@ -74,6 +77,10 @@ func (s *RingSeq) NumStages() int { return s.repeats }
 
 // Bidirectional implements Sequence.
 func (s *RingSeq) Bidirectional() bool { return false }
+
+// Rotation implements Rotating: every stage is the displacement 1, but
+// for one rank, whose stages are empty.
+func (s *RingSeq) Rotation(int) int { return 1 % s.n }
 
 // Stage implements Sequence: every stage is the displacement-1 shift.
 func (s *RingSeq) Stage(int) Stage {
@@ -141,6 +148,9 @@ func (s *DisseminationSeq) NumStages() int { return log2Ceil(s.n) }
 
 // Bidirectional implements Sequence.
 func (s *DisseminationSeq) Bidirectional() bool { return false }
+
+// Rotation implements Rotating: stage st is the displacement 2^st.
+func (s *DisseminationSeq) Rotation(st int) int { return (1 << st) % s.n }
 
 // Stage implements Sequence.
 func (s *DisseminationSeq) Stage(st int) Stage {

@@ -8,6 +8,7 @@ import (
 	"fattree/internal/engine"
 	"fattree/internal/hsd"
 	"fattree/internal/invariant"
+	"fattree/internal/mpi"
 	"fattree/internal/order"
 	"fattree/internal/route"
 	"fattree/internal/topo"
@@ -185,7 +186,8 @@ func (planted) Stage(s int) cps.Stage {
 // real counter that already holds one flow or two, a link reaches three,
 // and the maximum is made by the very last increment. The stages' layout
 // is checked first, from the arena's own climb keys, so the test cannot
-// pass on stages that miss what they plant.
+// pass on stages that miss what they plant. Rotations, which the replay
+// reads as two runs of the keys, are planted too (checkRotationsPlanted).
 func TestClimbsPlanted(t *testing.T) {
 	g, err := topo.ParseSpec("rlft2:4,8")
 	if err != nil {
@@ -242,6 +244,84 @@ func TestClimbsPlanted(t *testing.T) {
 		}
 		if rep.Stages[s] != want {
 			t.Fatalf("stage %d: Analyze %+v, full count %+v", s, rep.Stages[s], want)
+		}
+	}
+	checkRotationsPlanted(t, c)
+}
+
+// checkRotationsPlanted plants rotations on rlft2:4,8, whose one climb
+// level is its leaves' up ports, where the two runs of the keys can go
+// wrong: a wrap-around stage whose only hot link is made by the second
+// run's last increment (ranks 0 and 5 swapped, rotation by 2: ranks 30
+// and 31 on leaf 7 send to end-ports 5 and 1 over one up port); the
+// displacements 1 and N-1, whose second and first runs hold one flow; and
+// jobs of two ranks, on two leaves and on one. Each is counted over the
+// runs, over its pair list and in full, and by Analyze through a sampled
+// Shift that declares it.
+func checkRotationsPlanted(t *testing.T, c *route.Compiled) {
+	n, w := c.Topology().NumHosts(), c.ClimbWidth()
+	hostOf := make([]int, n)
+	for h := range hostOf {
+		hostOf[h] = h
+	}
+	hostOf[0], hostOf[5] = 5, 0
+	mustOrder := func(label string, hostOf []int) *order.Ordering {
+		o, err := order.New(label, n, hostOf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	random := order.Random(n, nil, 9)
+	cases := []struct {
+		name string
+		o    *order.Ordering
+		d    int
+		hot  bool // whether the stage must have a hot link
+	}{
+		{"wrap-around", mustOrder("0<->5", hostOf), 2, true},
+		{"d=1", random, 1, true},
+		{"d=N-1", random, n - 1, true},
+		{"N=2 over two leaves", mustOrder("two leaves", []int{1, 6}), 1, false},
+		{"N=2 on one leaf", mustOrder("one leaf", []int{6, 5}), 1, false},
+	}
+	for _, tc := range cases {
+		size := tc.o.Size()
+		src, dst := make([]uint64, w*size), make([]uint64, w*size)
+		c.ClimbKeys(src, dst, tc.o.HostOf)
+		// The layout: how many links turn hot, and whether the last one to
+		// is made by the stage's last increment.
+		load, hot, last := map[uint32]int32{}, 0, false
+		for i := 0; i < w; i++ {
+			for r := 0; r < size; r++ {
+				cell, climbing := route.ClimbHop(src[i*size+r], dst[i*size+(r+tc.d)%size])
+				if load[cell] += climbing; climbing == 1 && load[cell] == 2 {
+					hot++
+					last = i == w-1 && r == size-1
+				}
+			}
+		}
+		if tc.hot != (hot > 0) || tc.name == "wrap-around" && (hot != 1 || !last) {
+			t.Fatalf("%s: %d hot links, the last made by the stage's last increment %v", tc.name, hot, last)
+		}
+
+		shift, err := mpi.SampleStages(cps.Shift(size), []int{tc.d - 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := shift.Stage(0)
+		a, list, full := hsd.NewAnalyzer(c), hsd.NewAnalyzer(c), hsd.NewAnalyzer(c)
+		want := hsd.Replay(full, st, tc.o)
+		listed, ok := hsd.Climbs(list, st, tc.o)
+		if got := hsd.Rotation(a, tc.d, tc.o); !ok || got != want || listed != want {
+			t.Fatalf("%s: runs %+v, pair-list climbs %+v (taken %v), full count %+v", tc.name, got, listed, ok, want)
+		}
+		if want.HotLinks != hot {
+			t.Fatalf("%s: full count reads %d hot links, the layout %d", tc.name, want.HotLinks, hot)
+		}
+		rep, err := hsd.Analyze(c, tc.o, shift)
+		if err != nil || rep.Climbed != 1 || rep.Stages[0] != want {
+			t.Fatalf("%s: Analyze %+v (climbed %d), full count %+v (%v)", tc.name, rep.Stages, rep.Climbed, want, err)
 		}
 	}
 }

@@ -16,7 +16,13 @@ func Climbs(a *Analyzer, st cps.Stage, o *order.Ordering) (res StageResult, ok b
 	if !sh.once {
 		return res, false
 	}
-	return a.climbs(st, sh.flows, o), true
+	return a.climbs(st, sh, o), true
+}
+
+// Rotation is stageRanks' climbing replay of the rotation by d over o's
+// ranks, counted over two runs of the keys with no pair list.
+func Rotation(a *Analyzer, d int, o *order.Ordering) StageResult {
+	return a.climbs(nil, shape{flows: o.Size(), once: true, rot: d}, o)
 }
 
 // Replay is stageRanks' full count of one stage.

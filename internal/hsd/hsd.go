@@ -244,10 +244,32 @@ func (a *Analyzer) Stage(pairs [][2]int) (StageResult, error) {
 // of those shares a source rank or a destination rank with another.
 // checkJob keeps HostOf injective, so a pair is a self pair, and two
 // pairs share an end-port, exactly when their ranks do: the verdict holds
-// under every ordering, and a sweep takes it once per stage.
+// under every ordering, and a sweep takes it once per stage. rot is the
+// stage's displacement d when its sequence declares it a rotation
+// (cps.Rotating), whose pairs the climbing replay then reads from the
+// keys in order, and 0 otherwise.
 type shape struct {
 	flows int
 	once  bool
+	rot   int
+}
+
+// stageShape returns seq's stage s and its shape for stageRanks, which
+// reads the shape only when climbing. A declared rotation of N ranks is N
+// flows, each rank sending once and receiving once, and the climbing
+// replay counts it without its pairs: it is no pair list, its shape alone.
+// ends is shapeOf's scratch.
+func stageShape(seq cps.Sequence, s int, climbing bool, ends []uint64) (cps.Stage, shape) {
+	if !climbing {
+		return seq.Stage(s), shape{}
+	}
+	if r, ok := seq.(cps.Rotating); ok {
+		if d := r.Rotation(s); d > 0 {
+			return nil, shape{flows: seq.Size(), once: true, rot: d}
+		}
+	}
+	st := seq.Stage(s)
+	return st, shapeOf(st, ends)
 }
 
 // shapeOf takes st's shape over ranks below 64*len(ends)/2; ends is
@@ -277,7 +299,8 @@ func rankBits(size int) []uint64 { return make([]uint64, 2*((size+63)/64)) }
 // stageRanks is Stage over one CPS stage st of an ordering validated by
 // checkJob, for the untracked analyzers of Analyze and the sweeps: ranks
 // are translated to end-ports on the fly, so the bulk path builds no pair
-// list. sh is st's shape, read only when climb is non-zero.
+// list. sh is st's shape, read only when climb is non-zero; st may be nil
+// when sh is a rotation (stageShape).
 //
 // On an arena that certifies Theorem 2 (climbWidth) a stage whose shape
 // is once is counted by its flows' climbs alone. While no end-port sends
@@ -296,7 +319,7 @@ func (a *Analyzer) stageRanks(st cps.Stage, sh shape, o *order.Ordering) (StageR
 		return a.Stage(a.pairs)
 	}
 	if a.climb > 0 && sh.once {
-		return a.climbs(st, sh.flows, o), nil
+		return a.climbs(st, sh, o), nil
 	}
 	return a.replay(st, o), nil
 }
@@ -322,45 +345,76 @@ func (a *Analyzer) replay(st cps.Stage, o *order.Ordering) StageResult {
 	return a.summarize(res)
 }
 
-// climbs is replay counting each flow's climb alone, for a stage of the
-// given flows whose shape is once, on an arena that certifies Theorem 2.
-// A climb hop is the ClimbHop of its source rank's key and its destination
-// rank's, so the count is one pass per climb level over the stage's rank
-// pairs, with no branch on the data: a flow adds 1 at its hop's cell while
-// it climbs and 0 once it has turned (a self pair's two keys name one
-// ancestor), and that cell is a real up-port counter either way. The pass
-// keeps the summary as it counts: a counter is never above the true
-// maximum, so the running maximum of the values it leaves is exact, and a
-// link turns hot on the one increment that takes it to 2. The keys are
-// o's, laid out again whenever the analyzer meets another ordering.
+// climbs is replay counting each flow's climb alone, for a stage whose
+// shape is once, on an arena that certifies Theorem 2. A climb hop is the
+// ClimbHop of its source rank's key and its destination rank's, so the
+// count is one pass per climb level over the stage's rank pairs, with no
+// branch on the data: a flow adds 1 at its hop's cell while it climbs and
+// 0 once it has turned (a self pair's two keys name one ancestor), and
+// that cell is a real up-port counter either way. The pass keeps the
+// summary as it counts: a counter is never above the true maximum, so the
+// running maximum of the values it leaves is exact, and a link turns hot
+// on the one increment that takes it to 2. The keys are o's, laid out
+// again whenever the analyzer meets another ordering.
+//
+// A rotation by d (sh.rot) is not read from st: its pairs in rank order
+// are ranks 0..N-d-1 sending to d..N-1, then N-d..N-1 sending to 0..d-1,
+// so the pass is climbRun over those two runs of the keys.
 //
 // No host link carries two of the flows either way, and no descent does,
 // so the up counters at the climb levels are the only ones that can say
 // more than one flow: what the pass leaves in the other counters is not
 // the stage's load, and no caller of stageRanks reads it.
-func (a *Analyzer) climbs(st cps.Stage, flows int, o *order.Ordering) StageResult {
+func (a *Analyzer) climbs(st cps.Stage, sh shape, o *order.Ordering) StageResult {
 	if a.keyed != o {
 		a.pc.ClimbKeys(a.srcKey, a.dstKey, o.HostOf)
 		a.keyed = o
 	}
 	clear(a.raw)
-	raw, n := a.raw, len(o.HostOf)
+	raw, n, d := a.raw, len(o.HostOf), sh.rot
 	var top int32
 	var hot uint32
 	for i := 0; i < a.climb; i++ {
 		src, dst := a.srcKey[i*n:][:n], a.dstKey[i*n:][:n]
+		if d > 0 {
+			top, hot = climbRun(raw, src[:n-d], dst[d:], top, hot)
+			top, hot = climbRun(raw, src[n-d:], dst[:d], top, hot)
+			continue
+		}
 		for _, p := range st {
-			c, inc := route.ClimbHop(src[p.Src], dst[p.Dst])
-			v := raw[c] + inc
-			raw[c] = v
-			top = max(top, v)
-			hot += uint32(inc) & (uint32((v^2)-1) >> 31) // inc && v == 2
+			top, hot = climbHop(raw, src[p.Src], dst[p.Dst], top, hot)
 		}
 	}
-	one := int32(min(flows, 1)) // the load of every host link a flow takes
-	res := StageResult{Flows: flows, MaxUpHSD: int(max(top, one)), MaxDownHSD: int(one), HotLinks: int(hot)}
+	one := int32(min(sh.flows, 1)) // the load of every host link a flow takes
+	res := StageResult{Flows: sh.flows, MaxUpHSD: int(max(top, one)), MaxDownHSD: int(one), HotLinks: int(hot)}
 	res.MaxHSD = res.MaxUpHSD
 	return res
+}
+
+// climbRun is climbs' pass over the flows src[j] -> dst[j] of one climb
+// level, whose keys two aligned runs hold, continuing the running maximum
+// top and hot-link count hot. It stays out of line: inlined into climbs,
+// the compiler kept the runs' slices on the stack and reloaded them on
+// every hop, and most of what reading the keys in order saves was lost.
+//
+//go:noinline
+func climbRun(raw []int32, src, dst []uint64, top int32, hot uint32) (int32, uint32) {
+	dst = dst[:len(src)]
+	for j, s := range src {
+		top, hot = climbHop(raw, s, dst[j], top, hot)
+	}
+	return top, hot
+}
+
+// climbHop counts the climb hop of the flow whose keys at one level are s
+// and d, and returns the running maximum top and hot-link count hot with
+// it: the flow adds its climbing flag at its cell, and a link turns hot on
+// the increment that takes it to 2.
+func climbHop(raw []int32, s, d uint64, top int32, hot uint32) (int32, uint32) {
+	c, inc := route.ClimbHop(s, d)
+	v := raw[c] + inc
+	raw[c] = v
+	return max(top, v), hot + uint32(inc)&(uint32((v^2)-1)>>31) // inc && v == 2
 }
 
 // stageWalk is Stage for routers without an arena and for forensics: it

@@ -425,7 +425,11 @@ func TestSharedEndPort(t *testing.T) {
 // built once and shared, analyzers belong to workers, so k orderings
 // cost O(stages + k) allocations — no slice per (ordering, stage). The
 // pool that builds the stages costs a fixed 6 + 2 per worker, 10 at the
-// two workers here, whatever the stages and orderings.
+// two workers here, whatever the stages and orderings. On a certified
+// arena a declared rotation is its shape alone, so a sweep of Shift builds
+// no stage: its allocations do not grow with the stage count, and stay
+// under the fixed part of the pair-list bound. That bound, one per stage
+// plus 42, is held on the same Shift with its declaration hidden.
 func TestSweepAllocs(t *testing.T) {
 	tp := topo.MustBuild(topo.Cluster128)
 	n := tp.NumHosts()
@@ -433,24 +437,36 @@ func TestSweepAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := cps.Shift(n)
 	var orders []*order.Ordering
 	for i := 0; i < 16; i++ {
 		orders = append(orders, order.Random(n, nil, int64(i)))
 	}
-	sweep := func(k int) float64 {
+	sweep := func(seq cps.Sequence, k int) float64 {
 		return testing.AllocsPerRun(5, func() {
 			if _, err := hsd.SweepOrderingsParallel(c, orders[:k], seq, 2); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	few, many := sweep(2), sweep(16)
-	stages := float64(seq.NumStages())
+	pairList := struct{ cps.Sequence }{cps.Shift(n)} // no Rotation method
+	few, many := sweep(pairList, 2), sweep(pairList, 16)
+	stages := float64(pairList.NumStages())
 	if few > stages+42 {
-		t.Errorf("a 2-ordering sweep of %v stages allocates %v times, want about one per stage", stages, few)
+		t.Errorf("a 2-ordering sweep of %v pair-list stages allocates %v times, want about one per stage", stages, few)
 	}
 	if many-few > 14 {
 		t.Errorf("14 more orderings cost %v more allocations (%v -> %v), want at most one each", many-few, few, many)
+	}
+
+	sampled, err := mpi.SampleStages(cps.Shift(n), []int{0, n / 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, two := sweep(cps.Shift(n), 2), sweep(sampled, 2)
+	if all > two || all > 42 {
+		t.Errorf("a 2-ordering sweep of %d declared rotations allocates %v times, of 2 of them %v: want no more, and at most 42", n-1, all, two)
+	}
+	if many := sweep(cps.Shift(n), 16); many-all > 14 {
+		t.Errorf("14 more orderings over declared rotations cost %v more allocations (%v -> %v), want at most one each", many-all, all, many)
 	}
 }

@@ -29,10 +29,7 @@ func Analyze(rt route.Router, o *order.Ordering, seq cps.Sequence) (*Report, err
 	}
 	var climbed atomic.Int64
 	err := par.Do(len(rep.Stages), 0, func() *Analyzer { return NewAnalyzer(rt) }, func(a *Analyzer, s int) (err error) {
-		st, sh := seq.Stage(s), shape{}
-		if a.climb > 0 {
-			sh = shapeOf(st, a.ends) // once exactly where stageRanks climbs
-		}
+		st, sh := stageShape(seq, s, a.climb > 0, a.ends) // once exactly where stageRanks climbs
 		if sh.once {
 			climbed.Add(1)
 		}
@@ -49,9 +46,10 @@ func Analyze(rt route.Router, o *order.Ordering, seq cps.Sequence) (*Report, err
 // SweepOrderingsParallel fans the per-ordering analyses of a sweep over
 // a worker pool (orderings are independent too). The sequence's stages
 // and their shapes are built once, over the same pool with one shapeOf
-// scratch per worker, and shared read-only by every ordering; a sweep
-// with fewer orderings than workers splits each ordering's stages so no
-// core idles. workers <= 0 uses GOMAXPROCS. Stages count flows as
+// scratch per worker, and shared read-only by every ordering (on a
+// climbing arena a declared rotation is its shape alone: stageShape); a
+// sweep with fewer orderings than workers splits each ordering's stages
+// so no core idles. workers <= 0 uses GOMAXPROCS. Stages count flows as
 // Analyze does.
 func SweepOrderingsParallel(rt route.Router, orders []*order.Ordering, seq cps.Sequence, workers int) (Sweep, error) {
 	if len(orders) == 0 {
@@ -69,9 +67,7 @@ func SweepOrderingsParallel(rt route.Router, orders []*order.Ordering, seq cps.S
 	stages, shapes := make([]cps.Stage, seq.NumStages()), make([]shape, seq.NumStages())
 	climbing := climbWidth(rt) > 0
 	_ = par.Do(len(stages), workers, func() []uint64 { return rankBits(seq.Size()) }, func(ends []uint64, s int) error {
-		if stages[s] = seq.Stage(s); climbing {
-			shapes[s] = shapeOf(stages[s], ends)
-		}
+		stages[s], shapes[s] = stageShape(seq, s, climbing, ends)
 		return nil
 	})
 	// A work item is one of an ordering's `split` stage ranges. Per-stage

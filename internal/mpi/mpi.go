@@ -293,3 +293,12 @@ func (s *sampledSeq) Size() int             { return s.inner.Size() }
 func (s *sampledSeq) NumStages() int        { return len(s.idx) }
 func (s *sampledSeq) Stage(i int) cps.Stage { return s.inner.Stage(s.idx[i]) }
 func (s *sampledSeq) Bidirectional() bool   { return s.inner.Bidirectional() }
+
+// Rotation implements cps.Rotating: a sampled stage rotates as the inner
+// stage does.
+func (s *sampledSeq) Rotation(i int) int {
+	if r, ok := s.inner.(cps.Rotating); ok {
+		return r.Rotation(s.idx[i])
+	}
+	return 0
+}
