@@ -354,7 +354,7 @@ func TestDocumentsRoundTrip(t *testing.T) {
 	for i := range msgs {
 		msgs[i] = netsim.Message{Src: i, Dst: (i + 1) % len(msgs), Bytes: 8 << 10}
 	}
-	if _, err := nw.Run(msgs); err != nil {
+	if _, err := nw.Run([][]netsim.Message{msgs}, netsim.Async); err != nil {
 		t.Fatal(err)
 	}
 	cfg.Probes.Flush() // into a bytes.Buffer: cannot fail

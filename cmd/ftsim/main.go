@@ -51,16 +51,9 @@ func setup(a *cli.App) func(io.Writer) error {
 }
 
 func run(w, stderr io.Writer, spec, engName, cpsName, ordering string, seed, bytes int64, modeName string, sample int, linkBW, hostBW float64, bufPkts int, progress time.Duration, sinks *obs.FileSinks) error {
-	var mode mpi.Mode
-	switch modeName {
-	case "async":
-		mode = mpi.Async
-	case "dependent":
-		mode = mpi.Dependent
-	case "barrier":
-		mode = mpi.Barrier
-	default:
-		return fmt.Errorf("unknown mode %q", modeName)
+	mode, err := netsim.ParseMode(modeName)
+	if err != nil {
+		return err
 	}
 	if sample < 0 {
 		return fmt.Errorf("-sample %d: want 0 (all stages) or a positive stage count", sample)

@@ -51,7 +51,7 @@ func AdaptiveComparison(o AdaptiveOpts) (*Table, error) {
 				Src: ord.HostOf[p.Src], Dst: ord.HostOf[p.Dst], Bytes: o.Bytes,
 			})
 		}
-		st, err := nw.Run(msgs)
+		st, err := nw.Run([][]netsim.Message{msgs}, netsim.Async)
 		if err != nil {
 			return 0, 0, err
 		}

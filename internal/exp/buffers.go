@@ -68,7 +68,7 @@ func BufferAblation(o BufferOpts) (*Table, error) {
 		cfgs[i] = netsim.DefaultConfig()
 		cfgs[i].BufferPackets = b
 		for _, job := range []*mpi.Job{goodJob, badJob} {
-			cases = append(cases, mpi.Case{Job: job, Seq: shift, Bytes: o.Bytes, Mode: mpi.Async, Config: simConfig(cfgs[i])})
+			cases = append(cases, mpi.Case{Job: job, Seq: shift, Bytes: o.Bytes, Mode: netsim.Async, Config: simConfig(cfgs[i])})
 		}
 	}
 	sts, err := mpi.SimulateAll(cases)

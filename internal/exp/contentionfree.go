@@ -60,7 +60,7 @@ func ContentionFree(o CFOpts) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	ref, err := nw.Run([]netsim.Message{{Src: 0, Dst: n - 1, Bytes: o.Bytes}})
+	ref, err := nw.Run([][]netsim.Message{{{Src: 0, Dst: n - 1, Bytes: o.Bytes}}}, netsim.Async)
 	if err != nil {
 		return nil, err
 	}
@@ -72,7 +72,7 @@ func ContentionFree(o CFOpts) (*Table, error) {
 	seqs := []cps.Sequence{shift, ta}
 	var cases []mpi.Case
 	for _, seq := range seqs {
-		for _, mode := range []mpi.Mode{mpi.Async, mpi.Barrier} {
+		for _, mode := range []netsim.Mode{netsim.Async, netsim.Barrier} {
 			cases = append(cases, mpi.Case{Job: job, Seq: seq, Bytes: o.Bytes, Mode: mode, Config: simConfig(o.Config)})
 		}
 	}
@@ -103,7 +103,7 @@ func ContentionFree(o CFOpts) (*Table, error) {
 
 	// Cut-through latency probe: one MTU-sized message across the full
 	// diameter of the otherwise idle fabric.
-	probe, err := nw.Run([]netsim.Message{{Src: 0, Dst: n - 1, Bytes: int64(o.Config.MTU)}})
+	probe, err := nw.Run([][]netsim.Message{{{Src: 0, Dst: n - 1, Bytes: int64(o.Config.MTU)}}}, netsim.Async)
 	if err != nil {
 		return nil, err
 	}

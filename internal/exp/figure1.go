@@ -5,29 +5,11 @@ import (
 
 	"fattree/internal/cps"
 	"fattree/internal/hsd"
+	"fattree/internal/mpi"
 	"fattree/internal/order"
 	"fattree/internal/route"
 	"fattree/internal/topo"
 )
-
-// shiftBy is the fixed-displacement single-stage pattern of Figure 1:
-// destination = (source + d) mod N.
-type shiftBy struct{ n, d int }
-
-// ShiftBy returns the one-stage displacement-d pattern over n ranks.
-func ShiftBy(n, d int) cps.Sequence { return shiftBy{n, d} }
-
-func (s shiftBy) Name() string        { return fmt.Sprintf("shift+%d", s.d) }
-func (s shiftBy) Size() int           { return s.n }
-func (s shiftBy) NumStages() int      { return 1 }
-func (s shiftBy) Bidirectional() bool { return false }
-func (s shiftBy) Stage(int) cps.Stage {
-	st := make(cps.Stage, s.n)
-	for i := 0; i < s.n; i++ {
-		st[i] = cps.Pair{Src: int32(i), Dst: int32((i + s.d) % s.n)}
-	}
-	return st
-}
 
 // Figure1 reproduces the paper's introductory example: 16 end-ports on a
 // two-level parallel-port fat-tree running destination = (source+4) mod
@@ -42,7 +24,11 @@ func Figure1(randomSeeds int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	seq := ShiftBy(16, 4)
+	// Displacement 4 is Shift's stage 3.
+	seq, err := mpi.SampleStages(cps.Shift(16), []int{3})
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		Title:  "Figure 1: routing-aware vs random MPI node order, dst=(src+4) mod 16",
 		Header: []string{"ordering", "max HSD", "hot links"},

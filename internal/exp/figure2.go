@@ -65,7 +65,7 @@ func Figure2(o Figure2Opts) (*Table, error) {
 	var cases []mpi.Case
 	for _, size := range o.Sizes {
 		for _, seq := range []cps.Sequence{shift, recdbl} {
-			cases = append(cases, mpi.Case{Job: job, Seq: seq, Bytes: size, Mode: mpi.Async, Config: simConfig(o.Config)})
+			cases = append(cases, mpi.Case{Job: job, Seq: seq, Bytes: size, Mode: netsim.Async, Config: simConfig(o.Config)})
 		}
 	}
 	sts, err := mpi.SimulateAll(cases)

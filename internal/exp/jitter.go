@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"fattree/internal/cps"
 	"fattree/internal/des"
 	"fattree/internal/mpi"
 	"fattree/internal/netsim"
@@ -45,18 +46,22 @@ func JitterSensitivity(o JitterOpts) (*Table, error) {
 	}
 	lft := route.DModK(tp)
 	n := tp.NumHosts()
+	// Stage s shifts by (5s+3) mod n: Shift's stage d-1 is displacement d.
+	idx := make([]int, o.Stages)
+	for s := range idx {
+		idx[s] = (s*5+3)%n - 1
+	}
+	seq, err := mpi.SampleStages(cps.Shift(n), idx)
+	if err != nil {
+		return nil, err
+	}
 
 	mkStages := func(ord *order.Ordering) ([][]netsim.Message, error) {
 		job, err := mpi.NewJob(lft, ord)
 		if err != nil {
 			return nil, err
 		}
-		var stages [][]netsim.Message
-		for s := 0; s < o.Stages; s++ {
-			stage := job.StageMessages(shiftBy{n, (s*5 + 3) % n}, 0, o.Bytes)
-			stages = append(stages, stage)
-		}
-		return stages, nil
+		return job.AllMessages(seq, o.Bytes), nil
 	}
 	goodStages, err := mkStages(order.Topology(n, nil))
 	if err != nil {

@@ -62,7 +62,7 @@ func RingAdversarial(o RingOpts) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		cases = append(cases, mpi.Case{Job: job, Seq: ring, Bytes: o.Bytes, Mode: mpi.Async, Config: simConfig(o.Config)})
+		cases = append(cases, mpi.Case{Job: job, Seq: ring, Bytes: o.Bytes, Mode: netsim.Async, Config: simConfig(o.Config)})
 	}
 	sts, err := mpi.SimulateAll(cases)
 	if err != nil {

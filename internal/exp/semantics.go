@@ -63,7 +63,7 @@ func SemanticsComparison(o SemanticsOpts) (*Table, error) {
 		{"flat RD + topology order", order.Topology(n, nil), flat},
 		{"flat RD + random order", order.Random(n, nil, o.Seed), flat},
 	}
-	modes := []mpi.Mode{mpi.Async, mpi.Dependent, mpi.Barrier}
+	modes := []netsim.Mode{netsim.Async, netsim.Dependent, netsim.Barrier}
 	var cases []mpi.Case
 	for _, row := range rows {
 		job, err := mpi.NewJob(lft, row.ord)

@@ -146,50 +146,6 @@ func TestPlainRecursiveDoublingCongestsUnderRandomOrder(t *testing.T) {
 	}
 }
 
-func TestFigure1ShiftBy4(t *testing.T) {
-	// Figure 1: 16 hosts, destination = (source+4) mod 16. With the
-	// routing-aware order every link carries one flow; with a random
-	// order hot spots appear (the figure shows 3).
-	tp := topo.MustBuild(topo.MustPGFT(2, []int{4, 4}, []int{1, 2}, []int{1, 2}))
-	lft := route.DModK(tp)
-	seq := shiftBy4{16}
-	good, err := Analyze(lft, order.Topology(16, nil), seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !good.ContentionFree() {
-		t.Errorf("ordered shift-by-4 max HSD = %d, want 1", good.MaxHSD())
-	}
-	hot := 0
-	for seed := int64(0); seed < 10; seed++ {
-		bad, err := Analyze(lft, order.Random(16, nil, seed), seq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bad.MaxHSD() > 1 {
-			hot++
-		}
-	}
-	if hot < 5 {
-		t.Errorf("only %d of 10 random orders caused hot spots", hot)
-	}
-}
-
-// shiftBy4 is the single-stage Figure 1 pattern.
-type shiftBy4 struct{ n int }
-
-func (s shiftBy4) Name() string        { return "shift+4" }
-func (s shiftBy4) Size() int           { return s.n }
-func (s shiftBy4) NumStages() int      { return 1 }
-func (s shiftBy4) Bidirectional() bool { return false }
-func (s shiftBy4) Stage(int) cps.Stage {
-	st := make(cps.Stage, s.n)
-	for i := 0; i < s.n; i++ {
-		st[i] = cps.Pair{Src: int32(i), Dst: int32((i + 4) % s.n)}
-	}
-	return st
-}
-
 func TestAdversarialRingOversubscription(t *testing.T) {
 	// Section II: the adversarial order drives one leaf up-port to
 	// carry ~K flows (oversubscription 18 on the 1944-node cluster; we

@@ -144,3 +144,35 @@ func FuzzRotationClimbs(f *testing.F) {
 		}
 	})
 }
+
+func TestFigure1ShiftBy4(t *testing.T) {
+	// Figure 1: 16 hosts, destination = (source+4) mod 16. With the
+	// routing-aware order every link carries one flow; with a random
+	// order hot spots appear (the figure shows 3).
+	tp := topo.MustBuild(topo.MustPGFT(2, []int{4, 4}, []int{1, 2}, []int{1, 2}))
+	lft := route.DModK(tp)
+	seq, err := mpi.SampleStages(cps.Shift(16), []int{3}) // displacement 4
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := hsd.Analyze(lft, order.Topology(16, nil), seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !good.ContentionFree() {
+		t.Errorf("ordered shift-by-4 max HSD = %d, want 1", good.MaxHSD())
+	}
+	hot := 0
+	for seed := int64(0); seed < 10; seed++ {
+		bad, err := hsd.Analyze(lft, order.Random(16, nil, seed), seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bad.MaxHSD() > 1 {
+			hot++
+		}
+	}
+	if hot < 5 {
+		t.Errorf("only %d of 10 random orders caused hot spots", hot)
+	}
+}

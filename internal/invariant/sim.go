@@ -57,7 +57,7 @@ func checkSimZeroStalls(in *Instance) Result {
 	cfg := netsim.DefaultConfig()
 	cfg.Metrics = reg
 	bytes := int64(simMessageMTUs * cfg.MTU)
-	st, err := job.SimulateMode(sampled, bytes, mpi.Barrier, cfg)
+	st, err := job.SimulateMode(sampled, bytes, netsim.Barrier, cfg)
 	if err != nil {
 		return failf(nil, "simulation failed: %v", err)
 	}

@@ -23,20 +23,7 @@ func oneByOne(t *testing.T, c Case) netsim.Stats {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stages := c.Job.AllMessages(c.Seq, c.Bytes)
-	var st netsim.Stats
-	switch c.Mode {
-	case Async:
-		var flat []netsim.Message
-		for _, s := range stages {
-			flat = append(flat, s...)
-		}
-		st, err = nw.Run(flat)
-	case Barrier:
-		st, err = nw.RunStages(stages)
-	case Dependent:
-		st, err = nw.RunDependent(stages)
-	}
+	st, err := nw.Run(c.Job.AllMessages(c.Seq, c.Bytes), c.Mode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +60,7 @@ func batchCases(t *testing.T, seed int64) []Case {
 	var cases []Case
 	for _, j := range jobs {
 		for _, seq := range []cps.Sequence{shift, cps.RecursiveDoubling(n), cps.Ring(n)} {
-			for _, mode := range []Mode{Async, Barrier, Dependent} {
+			for _, mode := range []netsim.Mode{netsim.Async, netsim.Barrier, netsim.Dependent} {
 				for _, cfg := range cfgs {
 					cases = append(cases, Case{Job: j, Seq: seq, Bytes: 24 << 10, Mode: mode, Config: cfg})
 				}
@@ -171,7 +158,7 @@ func TestSimulateAllAdaptiveOneWorker(t *testing.T) {
 		}
 		var cases []Case
 		for i := 0; i < 6; i++ {
-			cases = append(cases, Case{Job: j, Seq: cps.Ring(n), Bytes: 16 << 10, Mode: Async, Config: cfg})
+			cases = append(cases, Case{Job: j, Seq: cps.Ring(n), Bytes: 16 << 10, Mode: netsim.Async, Config: cfg})
 		}
 		return cases
 	}
@@ -208,9 +195,9 @@ func TestSimulateAllLongestFirst(t *testing.T) {
 	cfg := netsim.DefaultConfig()
 	var cases []Case
 	for _, kib := range []int64{4, 8, 16, 32, 64} {
-		cases = append(cases, Case{Job: j, Seq: cps.Shift(n), Bytes: kib << 10, Mode: Async, Config: cfg})
+		cases = append(cases, Case{Job: j, Seq: cps.Shift(n), Bytes: kib << 10, Mode: netsim.Async, Config: cfg})
 	}
-	cases = append(cases, Case{Job: j, Seq: cps.Shift(n), Bytes: 64 << 10, Mode: Barrier, Config: cfg}) // a tie with case 4
+	cases = append(cases, Case{Job: j, Seq: cps.Shift(n), Bytes: 64 << 10, Mode: netsim.Barrier, Config: cfg}) // a tie with case 4
 	if got, want := handOut(cases, 2), []int{4, 5, 3, 2, 1, 0}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("hand-out on 2 workers %v, want %v", got, want)
 	}

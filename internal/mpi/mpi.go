@@ -89,50 +89,20 @@ func (j *Job) Analyze(seq cps.Sequence) (*hsd.Report, error) {
 	return hsd.Analyze(j.Route, j.Order, seq)
 }
 
-// Mode selects the stage-progression semantics of a simulation.
-type Mode int
-
-const (
-	// Async is the paper's Section II semantics: each end-port starts
-	// its next message as soon as the previous one has been sent to
-	// the wire, with no cross-host coordination.
-	Async Mode = iota
-	// Barrier separates stages with a global barrier (worst-case
-	// synchronized semantics).
-	Barrier
-	// Dependent is real collective semantics: a rank enters stage s+1
-	// only after its stage-s sends have left and its stage-s receives
-	// have arrived.
-	Dependent
-)
-
-// String names the mode.
-func (m Mode) String() string {
-	switch m {
-	case Async:
-		return "async"
-	case Barrier:
-		return "barrier"
-	case Dependent:
-		return "dependent"
-	}
-	return fmt.Sprintf("mode(%d)", int(m))
-}
-
 // Simulate runs the sequence through the packet simulator. With sync set,
 // a barrier separates stages; otherwise every end-port progresses
 // asynchronously. See SimulateMode for the full semantics menu.
 func (j *Job) Simulate(seq cps.Sequence, bytes int64, sync bool, cfg netsim.Config) (netsim.Stats, error) {
-	mode := Async
+	mode := netsim.Async
 	if sync {
-		mode = Barrier
+		mode = netsim.Barrier
 	}
 	return j.SimulateMode(seq, bytes, mode, cfg)
 }
 
 // SimulateMode runs the sequence under the chosen progression semantics,
 // on a Network of its own: a Job holds no simulator between calls.
-func (j *Job) SimulateMode(seq cps.Sequence, bytes int64, mode Mode, cfg netsim.Config) (netsim.Stats, error) {
+func (j *Job) SimulateMode(seq cps.Sequence, bytes int64, mode netsim.Mode, cfg netsim.Config) (netsim.Stats, error) {
 	return Case{Job: j, Seq: seq, Bytes: bytes, Mode: mode, Config: cfg}.run()
 }
 
@@ -142,7 +112,7 @@ type Case struct {
 	Job    *Job
 	Seq    cps.Sequence
 	Bytes  int64
-	Mode   Mode
+	Mode   netsim.Mode
 	Config netsim.Config
 }
 
@@ -225,19 +195,7 @@ func (c Case) run() (netsim.Stats, error) {
 	if err != nil {
 		return netsim.Stats{}, err
 	}
-	stages := c.Job.AllMessages(c.Seq, c.Bytes)
-	switch c.Mode {
-	case Barrier:
-		return nw.RunStages(stages)
-	case Dependent:
-		return nw.RunDependent(stages)
-	default:
-		var flat []netsim.Message
-		for _, st := range stages {
-			flat = append(flat, st...)
-		}
-		return nw.Run(flat)
-	}
+	return nw.Run(c.Job.AllMessages(c.Seq, c.Bytes), c.Mode)
 }
 
 // plainConfig reports whether cfg carries no observer

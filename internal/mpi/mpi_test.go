@@ -216,7 +216,7 @@ func BenchmarkNetsimDependentRecDbl(b *testing.B) {
 	cfg := netsim.DefaultConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := job.SimulateMode(seq, 32<<10, Dependent, cfg); err != nil {
+		if _, err := job.SimulateMode(seq, 32<<10, netsim.Dependent, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -243,7 +243,7 @@ func TestContendedShiftPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := j.SimulateMode(seq, 512<<10, Async, netsim.DefaultConfig())
+	st, err := j.SimulateMode(seq, 512<<10, netsim.Async, netsim.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

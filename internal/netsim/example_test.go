@@ -19,7 +19,7 @@ func ExampleNetwork_Run() {
 	for i := 0; i < 16; i++ {
 		msgs = append(msgs, netsim.Message{Src: i, Dst: (i + 4) % 16, Bytes: 1 << 20})
 	}
-	st, err := nw.Run(msgs)
+	st, err := nw.Run([][]netsim.Message{msgs}, netsim.Async)
 	if err != nil {
 		panic(err)
 	}

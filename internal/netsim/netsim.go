@@ -50,11 +50,11 @@ type Config struct {
 	Metrics *obs.Registry
 	// Probes, when non-nil, samples per-link utilization, input-buffer
 	// occupancy, credit stalls and event-queue depth at the sampler's
-	// interval of simulated time, as JSONL, and closes each Run* call
-	// with one rollup record carrying every channel's max input-buffer
-	// depth and busy fraction. Probe ticks are scheduler events, so
-	// Stats.Events grows slightly when enabled; message timings and all
-	// other Stats fields are unaffected.
+	// interval of simulated time, as JSONL, and closes each Run or
+	// RunStagesJitter call with one rollup record carrying every
+	// channel's max input-buffer depth and busy fraction. Probe ticks are
+	// scheduler events, so Stats.Events grows slightly when enabled;
+	// message timings and all other Stats fields are unaffected.
 	Probes *obs.Sampler
 	// Progress, when non-nil, receives live run counters (simulated
 	// time, events executed, messages delivered) that a wall-clock
@@ -259,7 +259,7 @@ type message struct {
 	// notBefore delays injection (simulated OS jitter / skew); zero
 	// means immediately eligible.
 	notBefore des.Time
-	// stage tags the collective stage in dependent mode (-1 otherwise).
+	// stage is the index of the stage the message was loaded in.
 	stage    int32
 	started  bool
 	timerSet bool
@@ -281,12 +281,16 @@ type hostState struct {
 	// host may inject into (all earlier stages complete).
 	sendLeft, recvLeft []int32
 	readyStage         int32
-	dependent          bool
 }
 
-// stageComplete reports whether the host finished stage s.
-func (h *hostState) stageComplete(s int32) bool {
-	return h.sendLeft[s] == 0 && h.recvLeft[s] == 0
+// advance moves the host's ready frontier over the stages it has
+// finished or has no part in, and reports whether it moved.
+func (h *hostState) advance() bool {
+	from := h.readyStage
+	for int(h.readyStage) < len(h.sendLeft) && h.sendLeft[h.readyStage] == 0 && h.recvLeft[h.readyStage] == 0 {
+		h.readyStage++
+	}
+	return h.readyStage != from
 }
 
 // Dispatch-event kinds, drained by Network.drain.
@@ -337,6 +341,9 @@ type Network struct {
 	eager  bool
 	elided uint64
 	endAt  des.Time
+
+	// dependent holds every host to its stage order (Dependent mode).
+	dependent bool
 
 	// busyNS accumulates wall-clock time spent inside drain; it leaves
 	// the run only as the netsim_busy_ns gauge, never through Stats.
@@ -421,6 +428,7 @@ func (nw *Network) reset() {
 	nw.endAt = 0
 	nw.busyNS = 0
 	nw.eager = nw.ob == nil && !nw.perPkt
+	nw.dependent = false
 	if p := nw.cfg.Progress; p != nil {
 		p.beginRun()
 	}
@@ -496,9 +504,10 @@ func (nw *Network) allocPkt() int32 {
 	return int32(len(nw.pkts) - 1)
 }
 
-// load enqueues messages on their source hosts (keeping input order per
-// host).
-func (nw *Network) load(msgs []Message) error {
+// load enqueues stage's messages on their source hosts (keeping input
+// order per host) and, in a dependent run, counts each host's sends and
+// receives in the stage.
+func (nw *Network) load(msgs []Message, stage int32) error {
 	for _, m := range msgs {
 		if m.Src == m.Dst {
 			return fmt.Errorf("netsim: self message at host %d", m.Src)
@@ -524,9 +533,14 @@ func (nw *Network) load(msgs []Message) error {
 		}
 		id := int32(len(nw.msgs))
 		nw.msgs = append(nw.msgs, message{
-			Message: m, pathOff: off, pathLen: n, packets: int32(pkts), stage: -1,
+			Message: m, pathOff: off, pathLen: n, packets: int32(pkts), stage: stage,
 		})
-		nw.hosts[m.Src].queue.items = append(nw.hosts[m.Src].queue.items, id)
+		src := &nw.hosts[m.Src]
+		src.queue.items = append(src.queue.items, id)
+		if nw.dependent {
+			src.sendLeft[stage]++
+			nw.hosts[m.Dst].recvLeft[stage]++
+		}
 		nw.remaining++
 	}
 	if p := nw.cfg.Progress; p != nil {
@@ -535,25 +549,82 @@ func (nw *Network) load(msgs []Message) error {
 	return nil
 }
 
-// Run simulates all messages with asynchronous per-host progression: each
-// host injects its messages back to back, starting the next as soon as
-// the previous one has fully left for the wire (the paper's Section II
-// semantics).
-func (nw *Network) Run(msgs []Message) (Stats, error) {
+// Mode selects how the hosts of a run progress through its stages.
+type Mode int
+
+const (
+	// Async is the paper's Section II semantics: each host injects its
+	// messages back to back in stage order, starting the next as soon as
+	// the previous one has fully left for the wire, with no cross-host
+	// coordination.
+	Async Mode = iota
+	// Barrier separates stages with a global barrier, so a stage's cost
+	// is set by its most contended link.
+	Barrier
+	// Dependent is how an MPI rank actually progresses through a
+	// recursive-doubling or shift schedule: a host may inject its
+	// stage-(s+1) messages only after all of its stage-s sends have fully
+	// left the NIC and all of its stage-s receives have arrived. It is
+	// stricter than Async and looser than Barrier.
+	Dependent
+)
+
+var modeNames = [...]string{Async: "async", Barrier: "barrier", Dependent: "dependent"}
+
+// String names the mode as ParseMode reads it.
+func (m Mode) String() string {
+	if m >= 0 && int(m) < len(modeNames) {
+		return modeNames[m]
+	}
+	return fmt.Sprintf("mode(%d)", int(m))
+}
+
+// ParseMode returns the mode its String names.
+func ParseMode(name string) (Mode, error) {
+	for m, s := range modeNames {
+		if s == name {
+			return Mode(m), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q", name)
+}
+
+// Run simulates a staged schedule under the mode's progression semantics.
+func (nw *Network) Run(stages [][]Message, mode Mode) (Stats, error) {
+	switch mode {
+	case Barrier:
+		return nw.runStages(stages, 0, 0)
+	case Async, Dependent:
+	default:
+		return Stats{}, fmt.Errorf("netsim: unknown %v", mode)
+	}
 	nw.reset()
-	if err := nw.load(msgs); err != nil {
-		return Stats{}, err
+	if mode == Dependent {
+		// Dependency progress is checked at every delivery, so deliveries
+		// must run as real events in timestamp order.
+		nw.dependent, nw.eager = true, false
+		for i := range nw.hosts {
+			h := &nw.hosts[i]
+			h.sendLeft = make([]int32, len(stages))
+			h.recvLeft = make([]int32, len(stages))
+		}
+	}
+	for s, st := range stages {
+		if err := nw.load(st, int32(s)); err != nil {
+			return Stats{}, err
+		}
+	}
+	if nw.dependent {
+		// A host may start past the stages it has no part in. Moving the
+		// frontier kicks no host: finish kicks each once, in index order.
+		for i := range nw.hosts {
+			nw.hosts[i].advance()
+		}
 	}
 	return nw.finish()
 }
 
-// RunStages simulates synchronized stage progression: a barrier separates
-// stages, so a stage's cost is set by its most contended link.
-func (nw *Network) RunStages(stages [][]Message) (Stats, error) {
-	return nw.runStages(stages, 0, 0)
-}
-
-// RunStagesJitter is RunStages with simulated OS jitter: each host's
+// RunStagesJitter is a Barrier run with simulated OS jitter: each host's
 // injection within a stage is delayed by an independent uniform draw
 // from [0, jitter] — the skew the paper's Section VII attributes to OS
 // noise and proposes clock-synchronization protocols against.
@@ -570,7 +641,7 @@ func (nw *Network) runStages(stages [][]Message, jitter des.Time, seed int64) (S
 	var durs []des.Time
 	var last des.Time
 	for i, st := range stages {
-		if err := nw.load(st); err != nil {
+		if err := nw.load(st, int32(i)); err != nil {
 			return Stats{}, err
 		}
 		if jitter > 0 {
@@ -616,66 +687,7 @@ func (nw *Network) applyJitter(st []Message, jitter des.Time, rng *rand.Rand) {
 	}
 }
 
-// RunDependent simulates true collective dependency semantics: a host
-// may inject its stage-(s+1) messages only after all of its stage-s
-// sends have fully left the NIC and all of its stage-s receives have
-// arrived. This is how an MPI rank actually progresses through a
-// recursive-doubling or shift schedule — stricter than async per-host
-// progression, looser than a global barrier.
-func (nw *Network) RunDependent(stages [][]Message) (Stats, error) {
-	nw.reset()
-	if err := nw.loadDependent(stages); err != nil {
-		return Stats{}, err
-	}
-	return nw.finish()
-}
-
-// loadDependent loads a staged schedule with dependency bookkeeping.
-func (nw *Network) loadDependent(stages [][]Message) error {
-	// Dependency progress is checked at every delivery, so deliveries
-	// must run as real events in timestamp order.
-	nw.eager = false
-	nStages := len(stages)
-	for i := range nw.hosts {
-		h := &nw.hosts[i]
-		h.dependent = true
-		h.sendLeft = resizeInt32(h.sendLeft, nStages)
-		h.recvLeft = resizeInt32(h.recvLeft, nStages)
-	}
-	prevLen := make([]int, len(nw.hosts))
-	for sIdx, st := range stages {
-		for i := range nw.hosts {
-			prevLen[i] = len(nw.hosts[i].queue.items)
-		}
-		if err := nw.load(st); err != nil {
-			return err
-		}
-		for i := range nw.hosts {
-			h := &nw.hosts[i]
-			for _, id := range h.queue.items[prevLen[i]:] {
-				m := &nw.msgs[id]
-				m.stage = int32(sIdx)
-				h.sendLeft[sIdx]++
-				nw.hosts[m.Dst].recvLeft[sIdx]++
-			}
-		}
-	}
-	return nil
-}
-
-// resizeInt32 returns a zeroed slice of length n, reusing capacity.
-func resizeInt32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-// finish drives an async run to completion.
+// finish drives an async or dependent run to completion.
 func (nw *Network) finish() (Stats, error) {
 	for j := range nw.hosts {
 		nw.kickHost(&nw.hosts[j])
@@ -739,7 +751,7 @@ func (nw *Network) kickHost(h *hostState) {
 		return
 	}
 	m := &nw.msgs[h.queue.items[h.nextIn]]
-	if h.dependent && m.stage > h.readyStage {
+	if nw.dependent && m.stage > h.readyStage {
 		return // unblocked by advanceReady when dependencies land
 	}
 	if m.notBefore > now {
@@ -958,7 +970,7 @@ func (nw *Network) departTail(pid, chID int32, fromBuf int32) {
 		// tail departs, so p is only trustworthy in dependent mode, which
 		// disables eager delivery and never recycles in-flight ids.
 		h := &nw.hosts[ch.fromHost]
-		if h.dependent {
+		if nw.dependent {
 			m := &nw.msgs[p.msg]
 			if p.seq == m.packets-1 {
 				h.sendLeft[m.stage]--
@@ -994,14 +1006,9 @@ func (nw *Network) wakeTransmitter(ch *channel) {
 }
 
 // advanceReady moves the host's ready frontier over completed stages
-// and re-kicks its injection queue.
+// and, if it moved, re-kicks its injection queue.
 func (nw *Network) advanceReady(h *hostState) {
-	moved := false
-	for int(h.readyStage) < len(h.sendLeft) && h.stageComplete(h.readyStage) {
-		h.readyStage++
-		moved = true
-	}
-	if moved {
+	if h.advance() {
 		nw.kickHost(h)
 	}
 }
@@ -1030,7 +1037,7 @@ func (nw *Network) deliverAt(pid int32, at des.Time) {
 		nw.stats.MessagesDelivered++
 		nw.remaining--
 		dh := &nw.hosts[m.Dst]
-		if dh.dependent {
+		if nw.dependent {
 			dh.recvLeft[m.stage]--
 			nw.advanceReady(dh)
 		}

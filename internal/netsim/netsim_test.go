@@ -28,7 +28,7 @@ func TestCutThroughLatencySingleMessage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := nw.Run([]Message{{Src: 0, Dst: 15, Bytes: int64(cfg.MTU)}})
+	st, err := nw.Run([][]Message{{{Src: 0, Dst: 15, Bytes: int64(cfg.MTU)}}}, Async)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +50,11 @@ func TestCutThroughLatencySingleMessage(t *testing.T) {
 func TestSameLeafLatencyShorter(t *testing.T) {
 	lft := fig1LFT()
 	nw, _ := New(lft, DefaultConfig())
-	far, err := nw.Run([]Message{{Src: 0, Dst: 15, Bytes: 2048}})
+	far, err := nw.Run([][]Message{{{Src: 0, Dst: 15, Bytes: 2048}}}, Async)
 	if err != nil {
 		t.Fatal(err)
 	}
-	near, err := nw.Run([]Message{{Src: 0, Dst: 1, Bytes: 2048}})
+	near, err := nw.Run([][]Message{{{Src: 0, Dst: 1, Bytes: 2048}}}, Async)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestHostBandwidthCap(t *testing.T) {
 	cfg := DefaultConfig()
 	nw, _ := New(lft, cfg)
 	bytes := int64(16 << 20)
-	st, err := nw.Run([]Message{{Src: 0, Dst: 15, Bytes: bytes}})
+	st, err := nw.Run([][]Message{{{Src: 0, Dst: 15, Bytes: bytes}}}, Async)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestPermutationFullBandwidth(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		msgs = append(msgs, Message{Src: i, Dst: (i + 4) % 16, Bytes: per})
 	}
-	st, err := nw.Run(msgs)
+	st, err := nw.Run([][]Message{msgs}, Async)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,10 +115,10 @@ func TestSharedLinkHalvesBandwidth(t *testing.T) {
 	cfg := DefaultConfig()
 	nw, _ := New(lft, cfg)
 	per := int64(8 << 20)
-	st, err := nw.Run([]Message{
+	st, err := nw.Run([][]Message{{
 		{Src: 0, Dst: 4, Bytes: per},
 		{Src: 1, Dst: 8, Bytes: per},
-	})
+	}}, Async)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestByteConservationRandomTraffic(t *testing.T) {
 		msgs = append(msgs, Message{Src: src, Dst: dst, Bytes: b})
 		total += b
 	}
-	st, err := nw.Run(msgs)
+	st, err := nw.Run([][]Message{msgs}, Async)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +174,11 @@ func TestDeterministicReplay(t *testing.T) {
 		}
 		msgs = append(msgs, Message{Src: src, Dst: dst, Bytes: int64(1 + r.Intn(65536))})
 	}
-	a, err := nw.Run(msgs)
+	a, err := nw.Run([][]Message{msgs}, Async)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := nw.Run(msgs)
+	b, err := nw.Run([][]Message{msgs}, Async)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestRunStagesBarrier(t *testing.T) {
 		}
 		return msgs
 	}
-	st, err := nw.RunStages([][]Message{mk(1), mk(2), mk(3)})
+	st, err := nw.Run([][]Message{mk(1), mk(2), mk(3)}, Barrier)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,21 +234,15 @@ func TestAsyncOverlapsFasterThanSync(t *testing.T) {
 		}
 		return msgs
 	}
-	var all []Message
 	var stages [][]Message
 	for s := 1; s <= 5; s++ {
-		st := mk(s)
-		all = append(all, st...)
-		stages = append(stages, st)
+		stages = append(stages, mk(s))
 	}
-	// Async needs per-host ordering: group by source preserving stage
-	// order — Run keeps input order per host, so interleaved input is
-	// fine.
-	async, err := nw.Run(all)
+	async, err := nw.Run(stages, Async)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sync, err := nw.RunStages(stages)
+	sync, err := nw.Run(stages, Barrier)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +256,7 @@ func TestSmallMessagesManyPackets(t *testing.T) {
 	lft := fig1LFT()
 	cfg := DefaultConfig()
 	nw, _ := New(lft, cfg)
-	st, err := nw.Run([]Message{{Src: 2, Dst: 9, Bytes: 5000}})
+	st, err := nw.Run([][]Message{{{Src: 2, Dst: 9, Bytes: 5000}}}, Async)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +277,7 @@ func TestInputValidation(t *testing.T) {
 		{{Src: 0, Dst: 99, Bytes: 10}},
 		{{Src: 0, Dst: 1, Bytes: 0}},
 	} {
-		if _, err := nw.Run(bad); err == nil {
+		if _, err := nw.Run([][]Message{bad}, Async); err == nil {
 			t.Errorf("accepted %v", bad)
 		}
 	}
@@ -294,7 +288,7 @@ func TestInputValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, err := tiny.Run([]Message{{Src: 0, Dst: 1, Bytes: 1<<32 + 3}}); err == nil {
+	if st, err := tiny.Run([][]Message{[]Message{{Src: 0, Dst: 1, Bytes: 1<<32 + 3}}}, Async); err == nil {
 		t.Errorf("2^32+3 bytes at MTU 1 accepted: %d bytes delivered", st.BytesDelivered)
 	}
 }
@@ -337,11 +331,11 @@ func TestHeadOfLineBlocking(t *testing.T) {
 	cfg := DefaultConfig()
 	nw, _ := New(lft, cfg)
 	per := int64(4 << 20)
-	st, err := nw.Run([]Message{
+	st, err := nw.Run([][]Message{{
 		{Src: 0, Dst: 4, Bytes: per},
 		{Src: 1, Dst: 8, Bytes: per},
 		{Src: 2, Dst: 5, Bytes: per},
-	})
+	}}, Async)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,11 +353,11 @@ func TestHeadOfLineBlocking(t *testing.T) {
 func TestRunResetsBetweenCalls(t *testing.T) {
 	lft := fig1LFT()
 	nw, _ := New(lft, DefaultConfig())
-	a, err := nw.Run([]Message{{Src: 0, Dst: 5, Bytes: 4096}})
+	a, err := nw.Run([][]Message{{{Src: 0, Dst: 5, Bytes: 4096}}}, Async)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := nw.Run([]Message{{Src: 0, Dst: 5, Bytes: 4096}})
+	b, err := nw.Run([][]Message{{{Src: 0, Dst: 5, Bytes: 4096}}}, Async)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +377,7 @@ func TestRunStagesJitter(t *testing.T) {
 		}
 		return msgs
 	}
-	base, err := nw.RunStages([][]Message{mk(), mk()})
+	base, err := nw.Run([][]Message{mk(), mk()}, Barrier)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +416,7 @@ func TestLinkUtilizationAccounting(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.HostBandwidth = cfg.LinkBandwidth
 	nw, _ := New(lft, cfg)
-	st, err := nw.Run([]Message{{Src: 0, Dst: 15, Bytes: 16 << 20}})
+	st, err := nw.Run([][]Message{{{Src: 0, Dst: 15, Bytes: 16 << 20}}}, Async)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +457,7 @@ func TestStressTinyBuffersNoDeadlock(t *testing.T) {
 		msgs = append(msgs, Message{Src: src, Dst: dst, Bytes: b})
 		total += b
 	}
-	st, err := nw.Run(msgs)
+	st, err := nw.Run([][]Message{msgs}, Async)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +479,7 @@ func TestAdaptivePerPacketThroughSimulator(t *testing.T) {
 	for i := 0; i < 128; i++ {
 		msgs = append(msgs, Message{Src: i, Dst: (i + 64) % 128, Bytes: 64 << 10})
 	}
-	st, err := nw.Run(msgs)
+	st, err := nw.Run([][]Message{msgs}, Async)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +506,7 @@ func TestDeterministicRoutingNeverReorders(t *testing.T) {
 		}
 		msgs = append(msgs, Message{Src: src, Dst: dst, Bytes: int64(2048 * (1 + r.Intn(30)))})
 	}
-	st, err := nw.Run(msgs)
+	st, err := nw.Run([][]Message{msgs}, Async)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,12 +527,12 @@ func TestRunDependentOrderingConstraint(t *testing.T) {
 		{{Src: 0, Dst: 5, Bytes: 2048}, {Src: 5, Dst: 0, Bytes: 1 << 20}},
 		{{Src: 0, Dst: 9, Bytes: 2048}},
 	}
-	dep, err := nw.RunDependent(stages)
+	dep, err := nw.Run(stages, Dependent)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Async mode would let host 0 fire both sends back to back.
-	async, err := nw.Run(append(append([]Message(nil), stages[0]...), stages[1]...))
+	async, err := nw.Run(stages, Async)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,19 +563,15 @@ func TestRunDependentCollective(t *testing.T) {
 		}
 		stages = append(stages, st)
 	}
-	dep, err := nw.RunDependent(stages)
+	dep, err := nw.Run(stages, Dependent)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var flat []Message
-	for _, st := range stages {
-		flat = append(flat, st...)
-	}
-	async, err := nw.Run(flat)
+	async, err := nw.Run(stages, Async)
 	if err != nil {
 		t.Fatal(err)
 	}
-	barrier, err := nw.RunStages(stages)
+	barrier, err := nw.Run(stages, Barrier)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -596,6 +586,19 @@ func TestRunDependentCollective(t *testing.T) {
 	// contention-free schedule the two should be within a small factor.
 	if dep.Duration > 2*barrier.Duration {
 		t.Errorf("dependent %d far beyond barrier %d on contention-free traffic", dep.Duration, barrier.Duration)
+	}
+}
+
+func TestRunDependentSkipsIdleStages(t *testing.T) {
+	// Hosts 2 and 3 have no part in stage 0: their frontier must start
+	// past it, or host 2's stage-1 send waits for good.
+	nw, _ := New(fig1LFT(), DefaultConfig())
+	st, err := nw.Run([][]Message{{{Src: 0, Dst: 1, Bytes: 4096}}, {{Src: 2, Dst: 3, Bytes: 4096}}}, Dependent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.MessagesDelivered != 2 {
+		t.Errorf("delivered %d messages, want 2", st.MessagesDelivered)
 	}
 }
 
@@ -618,7 +621,7 @@ func TestRunDependentDeadlockFreeUnderContention(t *testing.T) {
 		}
 		stages = append(stages, st)
 	}
-	st, err := nw.RunDependent(stages)
+	st, err := nw.Run(stages, Dependent)
 	if err != nil {
 		t.Fatal(err)
 	}

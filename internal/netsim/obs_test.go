@@ -49,9 +49,9 @@ func TestObservabilityEquivalence(t *testing.T) {
 		name string
 		fn   runFn
 	}{
-		{"async", func(nw *Network) (Stats, error) { return nw.Run(msgs) }},
-		{"barrier", func(nw *Network) (Stats, error) { return nw.RunStages(stages) }},
-		{"dependent", func(nw *Network) (Stats, error) { return nw.RunDependent(depStages) }},
+		{"async", func(nw *Network) (Stats, error) { return nw.Run([][]Message{msgs}, Async) }},
+		{"barrier", func(nw *Network) (Stats, error) { return nw.Run(stages, Barrier) }},
+		{"dependent", func(nw *Network) (Stats, error) { return nw.Run(depStages, Dependent) }},
 	}
 	for _, run := range runs {
 		base := DefaultConfig()
@@ -167,10 +167,6 @@ func TestQueuedArrivalsMatchObservedRun(t *testing.T) {
 	tp := topo.MustBuild(topo.Cluster324)
 	lft := route.DModK(tp)
 	stages := contendedStages(tp.NumHosts())
-	var all []Message
-	for _, st := range stages {
-		all = append(all, st...)
-	}
 	pkts := packetCount(stages, DefaultConfig().MTU)
 	modes := []struct {
 		name string
@@ -179,10 +175,10 @@ func TestQueuedArrivalsMatchObservedRun(t *testing.T) {
 		// finalHops is how many final hops the bare run delivers eagerly.
 		finalHops uint64
 	}{
-		{"async", func() route.Router { return lft }, func(nw *Network) (Stats, error) { return nw.Run(all) }, pkts},
-		{"barrier", func() route.Router { return lft }, func(nw *Network) (Stats, error) { return nw.RunStages(stages) }, pkts},
-		{"dependent", func() route.Router { return lft }, func(nw *Network) (Stats, error) { return nw.RunDependent(stages) }, 0},
-		{"adaptive", func() route.Router { return route.NewAdaptive(tp, 3) }, func(nw *Network) (Stats, error) { return nw.Run(all) }, 0},
+		{"async", func() route.Router { return lft }, func(nw *Network) (Stats, error) { return nw.Run(stages, Async) }, pkts},
+		{"barrier", func() route.Router { return lft }, func(nw *Network) (Stats, error) { return nw.Run(stages, Barrier) }, pkts},
+		{"dependent", func() route.Router { return lft }, func(nw *Network) (Stats, error) { return nw.Run(stages, Dependent) }, 0},
+		{"adaptive", func() route.Router { return route.NewAdaptive(tp, 3) }, func(nw *Network) (Stats, error) { return nw.Run(stages, Async) }, 0},
 	}
 	link := DefaultConfig().LinkBandwidth
 	configs := []struct {
@@ -245,10 +241,10 @@ func TestTraceGoldenSmallRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nw.RunStages([][]Message{
+	if _, err := nw.Run([][]Message{
 		{{Src: 0, Dst: 3, Bytes: 2048}},
 		{{Src: 3, Dst: 0, Bytes: 2048}, {Src: 1, Dst: 2, Bytes: 4096}},
-	}); err != nil {
+	}, Barrier); err != nil {
 		t.Fatal(err)
 	}
 	if err := cfg.Trace.Close(); err != nil {
@@ -309,7 +305,7 @@ func TestTrace324RLFTValid(t *testing.T) {
 	for i := range msgs {
 		msgs[i] = Message{Src: i, Dst: (i + 5) % n, Bytes: 8 << 10}
 	}
-	st, err := nw.RunStages([][]Message{msgs})
+	st, err := nw.Run([][]Message{msgs}, Barrier)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +402,7 @@ func TestProbeSnapshotWhileRunning(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		msgs = append(msgs, Message{Src: i % 16, Dst: (i + 7) % 16, Bytes: 64 << 10})
 	}
-	_, err = nw.Run(msgs)
+	_, err = nw.Run([][]Message{msgs}, Async)
 	close(stop)
 	<-done
 	if err != nil {
@@ -436,7 +432,7 @@ func BenchmarkNetsimObsOverhead(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := nw.Run(msgs); err != nil {
+			if _, err := nw.Run([][]Message{msgs}, Async); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -68,7 +68,7 @@ func runWithProbes(t *testing.T, msgs []Message) schema.LinkRollup {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nw.Run(msgs); err != nil {
+	if _, err := nw.Run([][]Message{msgs}, Async); err != nil {
 		t.Fatal(err)
 	}
 	if err := cfg.Probes.Flush(); err != nil {
@@ -150,7 +150,7 @@ func TestStatsIdenticalWithTelemetry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := nw.RunStages(stages)
+		st, err := nw.Run(stages, Barrier)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +175,7 @@ func TestStatsIdenticalWithTelemetry(t *testing.T) {
 }
 
 // TestLinkRollupAgreesWithStats pins the rollup to the numbers it
-// summarizes on one contended barrier run: one record per Run* call,
+// summarizes on one contended barrier run: one record per Run call,
 // the run's duration, each channel's busy time over that duration, and
 // a deepest queue equal to the snapshot's netsim_link_max_queue_depth.
 func TestLinkRollupAgreesWithStats(t *testing.T) {
@@ -198,7 +198,7 @@ func TestLinkRollupAgreesWithStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := nw.RunStages(stages)
+	st, err := nw.Run(stages, Barrier)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestLinkRollupAgreesWithStats(t *testing.T) {
 	}
 	rolls := parseRollups(t, buf.Bytes())
 	if len(rolls) != 1 {
-		t.Fatalf("one RunStages wrote %d rollup records, want 1", len(rolls))
+		t.Fatalf("one barrier Run wrote %d rollup records, want 1", len(rolls))
 	}
 	roll := rolls[0]
 	if roll.Rollup != schema.RollupLinks {
@@ -238,14 +238,14 @@ func TestLinkRollupAgreesWithStats(t *testing.T) {
 	}
 
 	// A second call on the same Network appends its own record.
-	if _, err := nw.Run(stages[0]); err != nil {
+	if _, err := nw.Run(stages[:1], Async); err != nil {
 		t.Fatal(err)
 	}
 	if err := cfg.Probes.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(parseRollups(t, buf.Bytes())); got != 2 {
-		t.Errorf("two Run* calls wrote %d rollup records, want 2", got)
+		t.Errorf("two Run calls wrote %d rollup records, want 2", got)
 	}
 }
 
@@ -262,7 +262,7 @@ func TestEventLoopGauges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := nw.Run(shiftMsgs(n, 1, 16<<10))
+	st, err := nw.Run([][]Message{shiftMsgs(n, 1, 16<<10)}, Async)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestProgressSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := nw.Run(msgs)
+	st, err := nw.Run([][]Message{msgs}, Async)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestProgressSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nw2.Run(msgs); err != nil {
+	if _, err := nw2.Run([][]Message{msgs}, Async); err != nil {
 		t.Fatal(err)
 	}
 	s2 := p.Snapshot()
@@ -353,7 +353,7 @@ func TestZeroObserverHotPathUnchanged(t *testing.T) {
 	if nw.ob != nil {
 		t.Fatal("DefaultConfig built a simObs; the zero-observer path must keep ob nil")
 	}
-	if _, err := nw.Run(msgs); err != nil {
+	if _, err := nw.Run([][]Message{msgs}, Async); err != nil {
 		t.Fatal(err)
 	}
 	if !nw.eager {
@@ -363,7 +363,7 @@ func TestZeroObserverHotPathUnchanged(t *testing.T) {
 	// behind a buffered packet at transmit time: every elided event past
 	// the two per eager final hop is one of those.
 	stages := contendedStages(n)
-	if _, err := nw.RunStages(stages); err != nil {
+	if _, err := nw.Run(stages, Barrier); err != nil {
 		t.Fatal(err)
 	}
 	if eagerHops := 2 * packetCount(stages, DefaultConfig().MTU); nw.elided <= eagerHops {
@@ -375,7 +375,7 @@ func TestZeroObserverHotPathUnchanged(t *testing.T) {
 	// per-event or per-packet garbage (a 324-host shift runs ~300k
 	// events; the budget is two orders of magnitude under one each).
 	avg := testing.AllocsPerRun(5, func() {
-		if _, err := nw.Run(msgs); err != nil {
+		if _, err := nw.Run([][]Message{msgs}, Async); err != nil {
 			t.Fatal(err)
 		}
 	})
