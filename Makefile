@@ -118,9 +118,9 @@ experiments-quick:
 # and topology file parsers, the test-side readers of the fabric's table
 # dump and JSON document, the fault-injection -> lenient-compile -> path
 # gate pipeline, the binary wire-protocol decoder, the patched
-# route-set expansion, the HSD replay's count of rotation stages and the
-# simulator's quiet ≡ observed runs. `fuzz` and CI's `fuzz-smoke` run the same list,
-# FUZZTIME per target.
+# route-set expansion, the HSD replay's count of rotation and exchange
+# stages and the simulator's quiet ≡ observed runs. `fuzz` and CI's
+# `fuzz-smoke` run the same list, FUZZTIME per target.
 FUZZ_TARGETS = \
 	./internal/topo/:FuzzParseSpec \
 	./internal/topo/:FuzzParseTopologyFile \
@@ -130,6 +130,7 @@ FUZZ_TARGETS = \
 	./internal/wire/:FuzzWireDecode \
 	./internal/wire/:FuzzExpandFrom \
 	./internal/hsd/:FuzzRotationClimbs \
+	./internal/hsd/:FuzzExchangeClimbs \
 	./internal/netsim/:FuzzQuietEqualsObserved
 
 fuzz fuzz-smoke:

@@ -58,40 +58,51 @@ func (s *RecursiveSeq) Bidirectional() bool { return true }
 // [pre, xor stages..., post]; the xor stages run with ascending distance
 // for doubling and descending for halving.
 func (s *RecursiveSeq) Stage(st int) Stage {
+	d := s.distance(st)
+	if d == 0 {
+		return s.proxyStage(st == 0)
+	}
+	out := make(Stage, s.pow)
+	for i := range out {
+		out[i] = Pair{int32(i), int32(i ^ d)}
+	}
+	return out
+}
+
+// Exchange implements Exchanging: every stage but the proxies' is the
+// exchange at its distance over the pow ranks below the remainder.
+func (s *RecursiveSeq) Exchange(st int) (m, span int) {
+	if d := s.distance(st); d > 0 {
+		return d, s.pow
+	}
+	return 0, 0
+}
+
+// distance returns the XOR distance of stage st, and 0 for the pre and
+// post stages of a job with proxies.
+func (s *RecursiveSeq) distance(st int) int {
 	nx := log2Floor(s.n)
 	if s.hasProxy() {
-		switch st {
-		case 0:
-			return s.proxyStage(true)
-		case nx + 1:
-			return s.proxyStage(false)
-		default:
-			st--
+		if st == 0 || st == nx+1 {
+			return 0
 		}
+		st--
 	}
 	if s.halving {
 		st = nx - 1 - st
 	}
-	d := 1 << st
-	var out Stage
-	for i := 0; i < s.pow; i++ {
-		j := i ^ d
-		if j < s.pow {
-			out = append(out, Pair{int32(i), int32(j)})
-		}
-	}
-	return out
+	return 1 << st
 }
 
 // proxyStage builds equation (3) (pre: remainder -> proxy) or
 // equation (4) (post: proxy -> remainder).
 func (s *RecursiveSeq) proxyStage(pre bool) Stage {
-	var out Stage
-	for i := 0; i+s.pow < s.n; i++ {
+	out := make(Stage, s.n-s.pow)
+	for i := range out {
 		if pre {
-			out = append(out, Pair{int32(i + s.pow), int32(i)})
+			out[i] = Pair{int32(i + s.pow), int32(i)}
 		} else {
-			out = append(out, Pair{int32(i), int32(i + s.pow)})
+			out[i] = Pair{int32(i), int32(i + s.pow)}
 		}
 	}
 	return out

@@ -48,6 +48,17 @@ type Rotating interface {
 	Rotation(s int) int
 }
 
+// Exchanging is implemented by sequences whose stages may be XOR
+// exchanges, the form Table 2 gives Recursive-Doubling and
+// Recursive-Halving: a reader that knows a stage's distance and span can
+// count it without materializing it.
+type Exchanging interface {
+	// Exchange returns m > 0 and span only when Stage(s) is exactly the
+	// pairs (i, i^m) for i = 0..span-1 in rank order; m = 0 declares
+	// nothing, and the stage is read from its pair list.
+	Exchange(s int) (m, span int)
+}
+
 // Validate checks structural sanity of an entire sequence: ranks in
 // range, no self-flows, no duplicate flows within a stage, and no rank
 // sending or receiving twice in one stage (permutation property).

@@ -159,3 +159,27 @@ func TestStageDoesNotAllocate(t *testing.T) {
 		t.Fatalf("Stage allocates %v times per call", allocs)
 	}
 }
+
+// TestNewAnalyzerAllocs pins a climbing analyzer's set-up at 8
+// allocations, the climb keys of both sides in one slab beside the dense
+// up counters, and its climbing replay of a declared exchange or
+// rotation at none.
+func TestNewAnalyzerAllocs(t *testing.T) {
+	tp := topo.MustBuild(topo.Cluster1944)
+	c, err := route.Compile(route.DModK(tp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { NewAnalyzer(c) }); allocs > 8 {
+		t.Fatalf("NewAnalyzer allocates %v times on a climbing arena, want at most 8", allocs)
+	}
+	a, o := NewAnalyzer(c), order.Random(tp.NumHosts(), nil, 3)
+	if a.climb == 0 {
+		t.Fatal("no climbing replay on Cluster1944")
+	}
+	for _, sh := range []shape{{flows: 1024, once: true, xor: 8}, {flows: tp.NumHosts(), once: true, rot: 5}} {
+		if allocs := testing.AllocsPerRun(20, func() { a.climbs(nil, sh, o) }); allocs != 0 {
+			t.Fatalf("climbs of %+v allocates %v times per stage", sh, allocs)
+		}
+	}
+}

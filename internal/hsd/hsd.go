@@ -9,6 +9,7 @@ package hsd
 
 import (
 	"fmt"
+	"math"
 
 	"fattree/internal/cps"
 	"fattree/internal/order"
@@ -110,6 +111,9 @@ type Analyzer struct {
 	// climb is climbWidth(rt): non-zero when stageRanks may count a
 	// stage's climbs alone.
 	climb int
+	// up holds climbs' per-link up counters: up[cell>>1] for a
+	// route.ClimbHop cell, which is an up-port cell, link<<1|1 plus one.
+	up []uint16
 	// srcKey and dstKey hold the climb keys of keyed's ranks
 	// (route.Compiled.ClimbKeys), climb of them per rank; ends is the
 	// scratch of Analyze's shapeOf calls (checkJob leaves no more ranks
@@ -137,7 +141,9 @@ func NewAnalyzer(rt route.Router) *Analyzer {
 		a.rows, a.dsts, a.cells = new([batch]int32), new([batch]int32), make([]uint32, batch*a.pc.Stride())
 		if a.climb = climbWidth(rt); a.climb > 0 {
 			n := rt.Topology().NumHosts()
-			a.srcKey, a.dstKey, a.ends = make([]uint64, n*a.climb), make([]uint64, n*a.climb), rankBits(n)
+			keys := make([]uint64, 2*n*a.climb)
+			a.srcKey, a.dstKey = keys[:n*a.climb:n*a.climb], keys[n*a.climb:]
+			a.up, a.ends = make([]uint16, len(rt.Topology().Links)+1), rankBits(n)
 		}
 	}
 	return a
@@ -145,13 +151,20 @@ func NewAnalyzer(rt route.Router) *Analyzer {
 
 // climbWidth is the width of stageRanks' climbing replay over rt: the
 // ClimbWidth of an arena that breaks no pair — the keys cannot leave a
-// broken pair out — and 0, the full count, over any other router.
+// broken pair out — and 0, the full count, over any other router and
+// over a fabric too large for climbs' counters (climbCounted).
 func climbWidth(rt route.Router) int {
-	if c, ok := rt.(*route.Compiled); ok && c.NumBroken() == 0 {
+	if c, ok := rt.(*route.Compiled); ok && c.NumBroken() == 0 && climbCounted(c.Topology().NumHosts()) {
 		return c.ClimbWidth()
 	}
 	return 0
 }
+
+// climbCounted reports whether climbs' uint16 counters hold every load a
+// once stage can put on an up link of a fabric of hosts end-ports: each
+// rank sends at most once, and a flow climbs over one link per level, so
+// no link carries more flows than there are end-ports.
+func climbCounted(hosts int) bool { return hosts <= math.MaxUint16 }
 
 // batch is how many flows the replay queues before it reads their tails:
 // enough that the arena's cell source runs as one tight loop, few enough
@@ -246,19 +259,21 @@ func (a *Analyzer) Stage(pairs [][2]int) (StageResult, error) {
 // pairs share an end-port, exactly when their ranks do: the verdict holds
 // under every ordering, and a sweep takes it once per stage. rot is the
 // stage's displacement d when its sequence declares it a rotation
-// (cps.Rotating), whose pairs the climbing replay then reads from the
-// keys in order, and 0 otherwise.
+// (cps.Rotating), and xor its distance m when the sequence declares it an
+// exchange over its first flows ranks (cps.Exchanging); the climbing
+// replay then reads its pairs from the keys, and both are 0 otherwise.
 type shape struct {
-	flows int
-	once  bool
-	rot   int
+	flows    int
+	once     bool
+	rot, xor int
 }
 
 // stageShape returns seq's stage s and its shape for stageRanks, which
 // reads the shape only when climbing. A declared rotation of N ranks is N
-// flows, each rank sending once and receiving once, and the climbing
-// replay counts it without its pairs: it is no pair list, its shape alone.
-// ends is shapeOf's scratch.
+// flows, a declared exchange over span ranks span flows, each rank sending
+// once and receiving once, and the climbing replay counts either without
+// its pairs: it is no pair list, its shape alone. ends is shapeOf's
+// scratch.
 func stageShape(seq cps.Sequence, s int, climbing bool, ends []uint64) (cps.Stage, shape) {
 	if !climbing {
 		return seq.Stage(s), shape{}
@@ -266,6 +281,11 @@ func stageShape(seq cps.Sequence, s int, climbing bool, ends []uint64) (cps.Stag
 	if r, ok := seq.(cps.Rotating); ok {
 		if d := r.Rotation(s); d > 0 {
 			return nil, shape{flows: seq.Size(), once: true, rot: d}
+		}
+	}
+	if x, ok := seq.(cps.Exchanging); ok {
+		if m, span := x.Exchange(s); m > 0 {
+			return nil, shape{flows: span, once: true, xor: m}
 		}
 	}
 	st := seq.Stage(s)
@@ -300,7 +320,7 @@ func rankBits(size int) []uint64 { return make([]uint64, 2*((size+63)/64)) }
 // checkJob, for the untracked analyzers of Analyze and the sweeps: ranks
 // are translated to end-ports on the fly, so the bulk path builds no pair
 // list. sh is st's shape, read only when climb is non-zero; st may be nil
-// when sh is a rotation (stageShape).
+// when sh is a rotation or an exchange (stageShape).
 //
 // On an arena that certifies Theorem 2 (climbWidth) a stage whose shape
 // is once is counted by its flows' climbs alone. While no end-port sends
@@ -359,34 +379,41 @@ func (a *Analyzer) replay(st cps.Stage, o *order.Ordering) StageResult {
 //
 // A rotation by d (sh.rot) is not read from st: its pairs in rank order
 // are ranks 0..N-d-1 sending to d..N-1, then N-d..N-1 sending to 0..d-1,
-// so the pass is climbRun over those two runs of the keys.
+// so the pass is climbRun over those two runs of the keys. Nor is an
+// exchange at distance m (sh.xor): its pairs are i -> i^m for the first
+// sh.flows ranks, and the pass is climbXor.
 //
-// No host link carries two of the flows either way, and no descent does,
-// so the up counters at the climb levels are the only ones that can say
-// more than one flow: what the pass leaves in the other counters is not
-// the stage's load, and no caller of stageRanks reads it.
+// The counters are one uint16 per link, up direction only: no host link
+// carries two of the flows either way, and no descent does, so the up
+// counters at the climb levels are the only ones that can say more than
+// one flow, and climbWidth keeps every load they can reach below 2^16.
+// climbs leaves the analyzer's full counters as they were; no caller of
+// stageRanks reads them.
 func (a *Analyzer) climbs(st cps.Stage, sh shape, o *order.Ordering) StageResult {
 	if a.keyed != o {
 		a.pc.ClimbKeys(a.srcKey, a.dstKey, o.HostOf)
 		a.keyed = o
 	}
-	clear(a.raw)
-	raw, n, d := a.raw, len(o.HostOf), sh.rot
-	var top int32
+	clear(a.up)
+	up, n, d, m := a.up, len(o.HostOf), sh.rot, sh.xor
+	var top uint16
 	var hot uint32
 	for i := 0; i < a.climb; i++ {
 		src, dst := a.srcKey[i*n:][:n], a.dstKey[i*n:][:n]
-		if d > 0 {
-			top, hot = climbRun(raw, src[:n-d], dst[d:], top, hot)
-			top, hot = climbRun(raw, src[n-d:], dst[:d], top, hot)
-			continue
-		}
-		for _, p := range st {
-			top, hot = climbHop(raw, src[p.Src], dst[p.Dst], top, hot)
+		switch {
+		case d > 0:
+			top, hot = climbRun(up, src[:n-d], dst[d:], top, hot)
+			top, hot = climbRun(up, src[n-d:], dst[:d], top, hot)
+		case m > 0:
+			top, hot = climbXor(up, src[:sh.flows], dst, m, top, hot)
+		default:
+			for _, p := range st {
+				top, hot = climbHop(up, src[p.Src], dst[p.Dst], top, hot)
+			}
 		}
 	}
-	one := int32(min(sh.flows, 1)) // the load of every host link a flow takes
-	res := StageResult{Flows: sh.flows, MaxUpHSD: int(max(top, one)), MaxDownHSD: int(one), HotLinks: int(hot)}
+	one := min(sh.flows, 1) // the load of every host link a flow takes
+	res := StageResult{Flows: sh.flows, MaxUpHSD: max(int(top), one), MaxDownHSD: one, HotLinks: int(hot)}
 	res.MaxHSD = res.MaxUpHSD
 	return res
 }
@@ -398,23 +425,39 @@ func (a *Analyzer) climbs(st cps.Stage, sh shape, o *order.Ordering) StageResult
 // every hop, and most of what reading the keys in order saves was lost.
 //
 //go:noinline
-func climbRun(raw []int32, src, dst []uint64, top int32, hot uint32) (int32, uint32) {
+func climbRun(up []uint16, src, dst []uint64, top uint16, hot uint32) (uint16, uint32) {
 	dst = dst[:len(src)]
 	for j, s := range src {
-		top, hot = climbHop(raw, s, dst[j], top, hot)
+		top, hot = climbHop(up, s, dst[j], top, hot)
+	}
+	return top, hot
+}
+
+// climbXor is climbs' pass over the flows src[j] -> dst[j^m] of one climb
+// level, an exchange at distance m over the ranks src holds; it stays out
+// of line for climbRun's reason.
+//
+//go:noinline
+func climbXor(up []uint16, src, dst []uint64, m int, top uint16, hot uint32) (uint16, uint32) {
+	for j, s := range src {
+		top, hot = climbHop(up, s, dst[j^m], top, hot)
 	}
 	return top, hot
 }
 
 // climbHop counts the climb hop of the flow whose keys at one level are s
 // and d, and returns the running maximum top and hot-link count hot with
-// it: the flow adds its climbing flag at its cell, and a link turns hot on
-// the increment that takes it to 2.
-func climbHop(raw []int32, s, d uint64, top int32, hot uint32) (int32, uint32) {
+// it: the flow adds its climbing flag at its link's up counter, and a
+// link turns hot on the increment that takes it to 2.
+func climbHop(up []uint16, s, d uint64, top uint16, hot uint32) (uint16, uint32) {
 	c, inc := route.ClimbHop(s, d)
-	v := raw[c] + inc
-	raw[c] = v
-	return max(top, v), hot + uint32(inc)&(uint32((v^2)-1)>>31) // inc && v == 2
+	v := up[c>>1] + uint16(inc)
+	up[c>>1] = v
+	var two uint32 // v == 2, which the compiler sets without a branch
+	if v == 2 {
+		two = 1
+	}
+	return max(top, v), hot + uint32(inc)&two
 }
 
 // stageWalk is Stage for routers without an arena and for forensics: it

@@ -426,10 +426,12 @@ func TestSharedEndPort(t *testing.T) {
 // cost O(stages + k) allocations — no slice per (ordering, stage). The
 // pool that builds the stages costs a fixed 6 + 2 per worker, 10 at the
 // two workers here, whatever the stages and orderings. On a certified
-// arena a declared rotation is its shape alone, so a sweep of Shift builds
-// no stage: its allocations do not grow with the stage count, and stay
-// under the fixed part of the pair-list bound. That bound, one per stage
-// plus 42, is held on the same Shift with its declaration hidden.
+// arena a declared rotation or exchange is its shape alone, so a sweep of
+// Shift or Recursive-Doubling builds no stage: its allocations do not
+// grow with the stage count, and stay under the fixed part of the
+// pair-list bound. That bound, one per stage plus 42, is held on the same
+// Shift and Recursive-Doubling with their declarations hidden: a stage is
+// built at its final length, in one allocation.
 func TestSweepAllocs(t *testing.T) {
 	tp := topo.MustBuild(topo.Cluster128)
 	n := tp.NumHosts()
@@ -448,14 +450,19 @@ func TestSweepAllocs(t *testing.T) {
 			}
 		})
 	}
-	pairList := struct{ cps.Sequence }{cps.Shift(n)} // no Rotation method
-	few, many := sweep(pairList, 2), sweep(pairList, 16)
-	stages := float64(pairList.NumStages())
-	if few > stages+42 {
-		t.Errorf("a 2-ordering sweep of %v pair-list stages allocates %v times, want about one per stage", stages, few)
-	}
-	if many-few > 14 {
-		t.Errorf("14 more orderings cost %v more allocations (%v -> %v), want at most one each", many-few, few, many)
+	for _, seq := range []cps.Sequence{cps.Shift(n), cps.RecursiveDoubling(n)} {
+		pairList := struct{ cps.Sequence }{seq} // no Rotation or Exchange method
+		few, many := sweep(pairList, 2), sweep(pairList, 16)
+		stages := float64(pairList.NumStages())
+		if few > stages+42 {
+			t.Errorf("a 2-ordering sweep of %v pair-list %s stages allocates %v times, want about one per stage", stages, seq.Name(), few)
+		}
+		if many-few > 14 {
+			t.Errorf("%s: 14 more orderings cost %v more allocations (%v -> %v), want at most one each", seq.Name(), many-few, few, many)
+		}
+		if declared := sweep(seq, 2); declared > 42 {
+			t.Errorf("a 2-ordering sweep of %v declared %s stages allocates %v times, want at most 42", stages, seq.Name(), declared)
+		}
 	}
 
 	sampled, err := mpi.SampleStages(cps.Shift(n), []int{0, n / 2})

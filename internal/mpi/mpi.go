@@ -260,3 +260,12 @@ func (s *sampledSeq) Rotation(i int) int {
 	}
 	return 0
 }
+
+// Exchange implements cps.Exchanging: a sampled stage exchanges as the
+// inner stage does.
+func (s *sampledSeq) Exchange(i int) (m, span int) {
+	if x, ok := s.inner.(cps.Exchanging); ok {
+		return x.Exchange(s.idx[i])
+	}
+	return 0, 0
+}

@@ -18,82 +18,93 @@ type Topology struct {
 // are connected iff a and b agree on every digit except position l+1, and
 // the k-th of the p_{l+1} parallel links joins up-going port
 // q = b_{l+1} + k*w_{l+1} to down-going port r = a_{l+1} + k*m_{l+1}.
+//
+// The graph is laid out in a fixed number of slabs, whatever its size:
+// Nodes, Ports and Links are allocated once at their final length, and
+// every node's Digits, Up and Down, and every level of ByLevel, is a
+// window of one shared slab whose capacity ends where the window does,
+// so appending to one node's slice never writes into another's.
 func Build(spec PGFT) (*Topology, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	t := &Topology{Spec: spec}
-	t.ByLevel = make([][]NodeID, spec.H+1)
-	t.Nodes = make([]Node, 0, spec.NumHosts()+spec.TotalSwitches()) // no append slack: the slice stays live
-
-	// Create nodes level by level, hosts first.
-	for l := 0; l <= spec.H; l++ {
+	h := spec.H
+	nodes, ports, links := 0, 0, 0
+	for l := 0; l <= h; l++ {
 		count := t.levelCount(l)
-		t.ByLevel[l] = make([]NodeID, count)
+		nodes += count
+		ports += count * (spec.UpPorts(l) + spec.DownPorts(l))
+		links += count * spec.UpPorts(l)
+	}
+	t.Nodes, t.Ports, t.Links = make([]Node, nodes), make([]Port, ports), make([]Link, 0, links)
+	t.ByLevel = make([][]NodeID, h+1)
+	digits, portIDs, byLevel := make([]int, nodes*h), make([]PortID, ports), make([]NodeID, nodes)
+
+	// Create nodes level by level, hosts first; a node's ports are
+	// numbered contiguously, up ports then down ports, so the port slab
+	// holds every port's own ID.
+	id, pid := 0, 0
+	for l := 0; l <= h; l++ {
+		count := t.levelCount(l)
+		t.ByLevel[l] = byLevel[id : id+count : id+count]
+		kind := Switch
+		if l == 0 {
+			kind = Host
+		}
+		nUp, nDown := spec.UpPorts(l), spec.DownPorts(l)
 		for idx := 0; idx < count; idx++ {
-			kind := Switch
-			if l == 0 {
-				kind = Host
-			}
-			id := NodeID(len(t.Nodes))
-			n := Node{
-				ID:     id,
+			up, down := pid+nUp, pid+nUp+nDown
+			n := &t.Nodes[id]
+			*n = Node{
+				ID:     NodeID(id),
 				Kind:   kind,
 				Level:  l,
-				Digits: t.digitsOf(l, idx),
+				Digits: digits[id*h : (id+1)*h : (id+1)*h],
 				Index:  idx,
+				Up:     portIDs[pid:up:up],
+				Down:   portIDs[up:down:down],
+				first:  PortID(pid),
 			}
-			// Allocate ports.
-			nUp := spec.UpPorts(l)
-			nDown := 0
-			if l > 0 {
-				nDown = spec.DownPorts(l)
+			t.digitsOf(n.Digits, l, idx)
+			for q := 0; pid < down; q, pid = q+1, pid+1 {
+				portIDs[pid] = PortID(pid)
+				t.Ports[pid] = Port{ID: PortID(pid), Node: NodeID(id), Dir: Up, Num: q, Link: None}
+				if pid >= up {
+					t.Ports[pid].Dir, t.Ports[pid].Num = Down, pid-up
+				}
 			}
-			n.first = PortID(len(t.Ports))
-			n.Up = make([]PortID, nUp)
-			n.Down = make([]PortID, nDown)
-			for q := 0; q < nUp; q++ {
-				pid := PortID(len(t.Ports))
-				t.Ports = append(t.Ports, Port{ID: pid, Node: id, Dir: Up, Num: q, Link: None})
-				n.Up[q] = pid
-			}
-			for r := 0; r < nDown; r++ {
-				pid := PortID(len(t.Ports))
-				t.Ports = append(t.Ports, Port{ID: pid, Node: id, Dir: Down, Num: r, Link: None})
-				n.Down[r] = pid
-			}
-			t.Nodes = append(t.Nodes, n)
-			t.ByLevel[l][idx] = id
+			t.ByLevel[l][idx] = NodeID(id)
+			id++
 		}
 	}
 
-	// Wire links bottom-up.
-	for l := 0; l < spec.H; l++ {
-		wUp := spec.Wi(l + 1)
-		pUp := spec.Pi(l + 1)
-		mUp := spec.Mi(l + 1)
+	// Wire links bottom-up. A node's digits at positions 1..l carry the
+	// same place values at levels l and l+1 (w_1..w_l), and position l+1
+	// is worth place = w_1*...*w_l at both; only the digits above it move,
+	// from place*m_{l+1} to place*w_{l+1}. So a parent's index is the
+	// child's index re-based above position l+1 (base), plus b*place.
+	for l := 0; l < h; l++ {
+		wUp, pUp, mUp := spec.Wi(l+1), spec.Pi(l+1), spec.Mi(l+1)
+		place := spec.WProd(l)
+		parents := t.ByLevel[l+1]
 		for _, aid := range t.ByLevel[l] {
 			a := &t.Nodes[aid]
+			low, aDigit, high := a.Index%place, a.Index/place%mUp, a.Index/(place*mUp)
+			base := low + place*wUp*high
 			for q := 0; q < wUp*pUp; q++ {
-				b := q % wUp          // parent digit at position l+1
-				k := q / wUp          // parallel copy
-				aDigit := a.Digits[l] // a_{l+1}: A's digit at position l+1 (0-based slot l)
-				// Parent digits: copy of A's with position l+1 set to b.
-				pd := append([]int(nil), a.Digits...)
-				pd[l] = b
-				pidx := t.indexOf(l+1, pd)
-				bid := t.ByLevel[l+1][pidx]
-				bn := &t.Nodes[bid]
+				b := q % wUp // parent digit at position l+1
+				k := q / wUp // parallel copy
+				bn := &t.Nodes[parents[base+b*place]]
 				r := aDigit + k*mUp
-				lid := LinkID(len(t.Links))
-				lower := a.Up[q]
-				upper := bn.Down[r]
+				lower, upper := a.Up[q], bn.Down[r]
 				if t.Ports[lower].Link != None {
 					return nil, fmt.Errorf("topo: up port %v of %v wired twice", q, a)
 				}
 				if t.Ports[upper].Link != None {
 					return nil, fmt.Errorf("topo: down port %v of %v wired twice", r, bn)
 				}
+				lid := LinkID(len(t.Links))
 				t.Links = append(t.Links, Link{ID: lid, Lower: lower, Upper: upper, Level: l + 1})
 				t.Ports[lower].Link = lid
 				t.Ports[upper].Link = lid
@@ -138,26 +149,13 @@ func (t *Topology) radixAt(l, i int) int {
 }
 
 // digitsOf decodes a level-l node's linear index into its digit vector
-// (little-endian mixed radix).
-func (t *Topology) digitsOf(l, idx int) []int {
-	d := make([]int, t.Spec.H)
+// d (little-endian mixed radix).
+func (t *Topology) digitsOf(d []int, l, idx int) {
 	for i := 1; i <= t.Spec.H; i++ {
 		r := t.radixAt(l, i)
 		d[i-1] = idx % r
 		idx /= r
 	}
-	return d
-}
-
-// indexOf encodes a digit vector back into the linear index at level l.
-func (t *Topology) indexOf(l int, digits []int) int {
-	idx := 0
-	mul := 1
-	for i := 1; i <= t.Spec.H; i++ {
-		idx += digits[i-1] * mul
-		mul *= t.radixAt(l, i)
-	}
-	return idx
 }
 
 // NumHosts returns the number of end-ports.
